@@ -254,11 +254,11 @@ class GemmCore:
                 self._accumulator = np.zeros((self.mu, self.nu), dtype=np.int32)
 
         a_tile = bytes_to_tile(
-            self.a_stream.pop_output(), (self.mu, self.ku), np.int8
-        ).astype(np.int32)
+            self.a_stream.pop_output(), (self.mu, self.ku), np.int8, np.int32
+        )
         b_tile = bytes_to_tile(
-            self.b_stream.pop_output(), (self.ku, self.nu), np.int8
-        ).astype(np.int32)
+            self.b_stream.pop_output(), (self.ku, self.nu), np.int8, np.int32
+        )
         self._accumulator = self._accumulator + a_tile @ b_tile
         self.mac_cycles += 1
 

@@ -25,12 +25,12 @@ from typing import Optional
 import numpy as np
 
 from ..memory.addressing import BankLocation
-from ..memory.subsystem import MemoryRequest, MemorySubsystem
+from ..memory.subsystem import MemoryPort, MemoryRequest, MemorySubsystem
 from ..sim.fifo import Fifo
 from .params import StreamerDesign, StreamerMode
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelAddress:
     """One decoded address queued for a channel."""
 
@@ -47,6 +47,7 @@ class StreamChannel:
         self.index = index
         self.design = design
         self.requester_id = f"{streamer_name}.ch{index}"
+        self.is_read = design.mode is StreamerMode.READ
         self.address_fifo: Fifo[ChannelAddress] = Fifo(
             design.address_buffer_depth, name=f"{self.requester_id}.addr"
         )
@@ -57,11 +58,16 @@ class StreamChannel:
         self.requests_issued = 0
         self.responses_received = 0
         self.credit_stall_cycles = 0
+        self._memory: Optional[MemorySubsystem] = None
+        self._port: Optional[MemoryPort] = None
 
     # ------------------------------------------------------------------
-    @property
-    def is_read(self) -> bool:
-        return self.design.mode is StreamerMode.READ
+    def bind(self, memory: MemorySubsystem) -> MemoryPort:
+        """This channel's port in ``memory``, resolved once per kernel."""
+        if self._memory is not memory:
+            self._memory = memory
+            self._port = memory.bind(self.requester_id)
+        return self._port
 
     @property
     def busy(self) -> bool:
@@ -77,6 +83,7 @@ class StreamChannel:
         self.address_fifo.clear()
         self.data_fifo.clear()
         self.outstanding = 0
+        self._memory = None
 
     # ------------------------------------------------------------------
     # Outstanding Request Manager: credit computation.
@@ -125,50 +132,48 @@ class StreamChannel:
     # ------------------------------------------------------------------
     def issue(self, memory: MemorySubsystem) -> bool:
         """Issue at most one memory request this cycle; return True if issued."""
+        if not self.address_fifo.entries:
+            return False
+        data_fifo = self.data_fifo
+        data = None
         if self.is_read:
-            if not self.can_issue_read():
-                if not self.address_fifo.is_empty:
-                    self.credit_stall_cycles += 1
+            # Outstanding Request Manager: every in-flight read owns a slot.
+            if data_fifo.depth - len(data_fifo.entries) <= self.outstanding:
+                self.credit_stall_cycles += 1
                 return False
-            entry = self.address_fifo.pop()
-            memory.submit(
-                MemoryRequest(
-                    requester=self.requester_id,
-                    is_write=False,
-                    bank=entry.location.bank,
-                    line=entry.location.line,
-                    tag=entry.step,
-                )
-            )
+        elif not data_fifo.entries:
+            return False
         else:
-            if not self.can_issue_write():
-                return False
-            entry = self.address_fifo.pop()
-            data = self.data_fifo.pop()
-            memory.submit(
-                MemoryRequest(
-                    requester=self.requester_id,
-                    is_write=True,
-                    bank=entry.location.bank,
-                    line=entry.location.line,
-                    data=data,
-                    tag=entry.step,
-                )
+            data = data_fifo.pop()
+        entry = self.address_fifo.pop()
+        location = entry.location
+        memory.submit(
+            MemoryRequest(
+                self.requester_id,
+                not self.is_read,
+                location.bank,
+                location.line,
+                data,
+                None,
+                entry.step,
+                0,
+                self.bind(memory),
             )
+        )
         self.outstanding += 1
         self.requests_issued += 1
         return True
 
     def collect(self, memory: MemorySubsystem) -> int:
         """Drain matured responses; return the number collected."""
-        responses = memory.collect_responses(self.requester_id)
+        responses = memory.collect(self.bind(memory))
         for response in responses:
-            self.outstanding -= 1
-            self.responses_received += 1
             if not response.is_write:
                 # The ORM reserved a slot when the request was issued, so a
                 # full FIFO here would indicate a protocol bug.
                 self.data_fifo.push(response.data)
+        self.outstanding -= len(responses)
+        self.responses_received += len(responses)
         return len(responses)
 
     # ------------------------------------------------------------------

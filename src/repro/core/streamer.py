@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..memory.addressing import BankGeometry
+from ..memory.addressing import BankGeometry, BankLocation
 from ..memory.subsystem import MemorySubsystem
 from ..sim.stats import StreamerStats
 from .agu import AddressGenerationUnit
@@ -40,6 +40,12 @@ from .channel import ChannelAddress, StreamChannel
 from .extensions import ExtensionPipeline
 from .params import StreamerDesign, StreamerMode, StreamerRuntimeConfig
 from .remapper import AddressRemapper
+
+
+#: Bundles decoded per vectorised address-window refill: large enough to
+#: amortise the numpy evaluation, small enough that the lookahead stays a
+#: few hundred KB per streamer whatever the stream length.
+ADDRESS_WINDOW = 128
 
 
 class DataMaestro:
@@ -53,6 +59,8 @@ class DataMaestro:
     ) -> None:
         self.design = design
         self.name = design.name
+        self.is_read = design.mode is StreamerMode.READ
+        self.is_write = design.mode is StreamerMode.WRITE
         self.remapper = AddressRemapper(
             geometry, list(group_size_options) or [geometry.num_banks]
         )
@@ -65,9 +73,16 @@ class DataMaestro:
         self.runtime: Optional[StreamerRuntimeConfig] = None
         self.prefetch_enabled = True
         self.active_channels = design.num_channels
+        #: The channels the programmed kernel uses (``channels[:active_channels]``).
+        self._active: List[StreamChannel] = self.channels
         self.words_streamed = 0
         self.bundles_generated = 0
         self._popped_this_cycle = False
+        #: Decoded bundles for steps ``[_window_start, +len(_window))``; a
+        #: pure function of the step index, so an AGU fast-forward simply
+        #: lands outside (or inside) it.
+        self._window: list = []
+        self._window_start = 0
 
     # ------------------------------------------------------------------
     # Configuration (performed by the host through CSR writes).
@@ -82,6 +97,7 @@ class DataMaestro:
         self.runtime = runtime
         self.prefetch_enabled = bool(prefetch_enabled)
         self.active_channels = runtime.active_channels or self.design.num_channels
+        self._active = self.channels[: self.active_channels]
         self.remapper.select_group_size(runtime.bank_group_size)
         self.agu = AddressGenerationUnit(
             temporal_bounds=runtime.temporal_bounds,
@@ -90,6 +106,8 @@ class DataMaestro:
             spatial_strides=runtime.spatial_strides,
             base_address=runtime.base_address,
         )
+        self._check_address_range()
+        self._window = []
         if runtime.extension_enables:
             self.extensions.set_enables(runtime.extension_enables)
         else:
@@ -103,23 +121,32 @@ class DataMaestro:
         self.bundles_generated = 0
         self._popped_this_cycle = False
 
+    def _check_address_range(self) -> None:
+        """Reject a stream that would leave the scratchpad, before cycle 0.
+
+        Every loop dimension is independent, so the extreme addresses are
+        the base plus each dimension's extreme ``(bound - 1) * stride`` plus
+        the extreme spatial offset — no address matrix needed.
+        """
+        temporal = self.agu.temporal
+        reach = [(b - 1) * s for b, s in zip(temporal.bounds, temporal.strides)]
+        offsets = self.agu.spatial.offsets[: self.active_channels]
+        lowest = temporal.base_address + sum(min(r, 0) for r in reach) + min(offsets)
+        highest = temporal.base_address + sum(max(r, 0) for r in reach) + max(offsets)
+        capacity = self.remapper.geometry.capacity_bytes
+        for address in (lowest, highest):
+            if not 0 <= address < capacity:
+                raise ValueError(
+                    f"{self.name}: programmed stream reaches address "
+                    f"{address:#x}, outside the scratchpad capacity {capacity:#x}"
+                )
+
     # ------------------------------------------------------------------
     # Status.
     # ------------------------------------------------------------------
     @property
-    def is_read(self) -> bool:
-        return self.design.mode is StreamerMode.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self.design.mode is StreamerMode.WRITE
-
-    @property
     def configured(self) -> bool:
         return self.agu is not None
-
-    def _active(self) -> List[StreamChannel]:
-        return self.channels[: self.active_channels]
 
     @property
     def busy(self) -> bool:
@@ -128,7 +155,7 @@ class DataMaestro:
             return False
         if not self.agu.exhausted:
             return True
-        return any(channel.busy for channel in self._active())
+        return any(channel.busy for channel in self._active)
 
     @property
     def done(self) -> bool:
@@ -147,8 +174,9 @@ class DataMaestro:
     def collect_responses(self, memory: MemorySubsystem) -> int:
         """Drain matured responses into the FIFOs; return the count drained."""
         collected = 0
-        for channel in self._active():
-            collected += channel.collect(memory)
+        for channel in self._active:
+            if channel.outstanding:
+                collected += channel.collect(memory)
         return collected
 
     # ------------------------------------------------------------------
@@ -158,20 +186,27 @@ class DataMaestro:
         """Read mode: True when every active channel has a word ready."""
         if not self.is_read or self.agu is None:
             return False
-        return all(channel.output_word_available() for channel in self._active())
+        for channel in self._active:
+            if not channel.data_fifo.entries:
+                return False
+        return True
 
     def peek_output(self) -> Optional[np.ndarray]:
         """Return the wide word that :meth:`pop_output` would deliver."""
         if not self.output_valid():
             return None
-        parts = [channel.data_fifo.peek() for channel in self._active()]
+        parts = [channel.data_fifo.peek() for channel in self._active]
         return self.extensions.apply(np.concatenate(parts))
 
     def pop_output(self) -> np.ndarray:
-        """Consume one wide word (read mode)."""
-        if not self.output_valid():
-            raise RuntimeError(f"{self.name}: pop_output() while output not valid")
-        parts = [channel.pop_output_word() for channel in self._active()]
+        """Consume one wide word (read mode).
+
+        Valid only after :meth:`output_valid` returned True this cycle; an
+        empty channel raises :class:`~repro.sim.fifo.FifoError`.
+        """
+        if not self.is_read:
+            raise RuntimeError(f"{self.name}: pop_output() on a write-mode streamer")
+        parts = [channel.data_fifo.pop() for channel in self._active]
         self.words_streamed += 1
         self._popped_this_cycle = True
         return self.extensions.apply(np.concatenate(parts))
@@ -180,7 +215,10 @@ class DataMaestro:
         """Write mode: True when every active channel can accept a word."""
         if not self.is_write or self.agu is None:
             return False
-        return all(channel.input_space_available() for channel in self._active())
+        for channel in self._active:
+            if channel.data_fifo.is_full:
+                return False
+        return True
 
     def push_input(self, word: np.ndarray) -> None:
         """Accept one wide word from the accelerator (write mode)."""
@@ -194,7 +232,7 @@ class DataMaestro:
             raise ValueError(
                 f"{self.name}: wide word must be {expected} bytes, got {payload.size}"
             )
-        for index, channel in enumerate(self._active()):
+        for index, channel in enumerate(self._active):
             channel.push_input_word(payload[index * width : (index + 1) * width])
         self.words_streamed += 1
 
@@ -203,9 +241,10 @@ class DataMaestro:
     # ------------------------------------------------------------------
     def _prefetch_gate_open(self) -> bool:
         """Whether the AGU may produce the next bundle this cycle."""
-        active = self._active()
-        if not all(channel.address_fifo.can_push() for channel in active):
-            return False
+        for channel in self._active:
+            fifo = channel.address_fifo
+            if len(fifo.entries) >= fifo.depth:
+                return False
         if self.prefetch_enabled or self.is_write:
             return True
         # Prefetch disabled (ablation baseline): behave like a plain data
@@ -215,20 +254,43 @@ class DataMaestro:
         # memory round trip for every word.
         if self._popped_this_cycle:
             return False
-        return all(not channel.busy for channel in active)
+        for channel in self._active:
+            if channel.busy:
+                return False
+        return True
+
+    def _refill_window(self, step: int) -> None:
+        """Decode the next :data:`ADDRESS_WINDOW` bundles from ``step`` on."""
+        count = min(ADDRESS_WINDOW, self.agu.total_bundles - step)
+        matrix = self.agu.address_matrix(step, count, self.active_channels)
+        banks, lines, offsets = self.remapper.decode_batch(matrix)
+        self._window_start = step
+        self._window = [
+            [
+                ChannelAddress(logical, BankLocation(bank, line, offset), index)
+                for logical, bank, line, offset in zip(*row)
+            ]
+            for index, row in enumerate(
+                zip(matrix.tolist(), banks.tolist(), lines.tolist(), offsets.tolist()),
+                step,
+            )
+        ]
 
     def generate_addresses(self) -> bool:
         """Produce at most one address bundle; return True if one was made."""
-        if self.agu is None or self.agu.exhausted:
+        if self.agu is None:
             return False
-        if not self._prefetch_gate_open():
+        temporal = self.agu.temporal
+        if temporal.exhausted or not self._prefetch_gate_open():
             return False
-        bundle = self.agu.next_bundle(self.active_channels)
-        for channel, address in zip(self._active(), bundle.addresses):
-            location = self.remapper.decode(address)
-            channel.push_address(
-                ChannelAddress(logical=address, location=location, step=bundle.step)
-            )
+        step = temporal.steps_generated
+        row = step - self._window_start
+        if not 0 <= row < len(self._window):
+            self._refill_window(step)
+            row = 0
+        for channel, address in zip(self._active, self._window[row]):
+            channel.address_fifo.push(address)
+        temporal.advance()
         self.bundles_generated += 1
         return True
 
@@ -238,8 +300,14 @@ class DataMaestro:
     def issue_requests(self, memory: MemorySubsystem) -> int:
         """Let every active channel's MIC issue at most one request."""
         issued = 0
-        for channel in self._active():
-            if channel.issue(memory):
+        is_read = self.is_read
+        for channel in self._active:
+            # A channel with no address (or, writing, no data) is idle.
+            if (
+                channel.address_fifo.entries
+                and (is_read or channel.data_fifo.entries)
+                and channel.issue(memory)
+            ):
                 issued += 1
         return issued
 
@@ -260,14 +328,14 @@ class DataMaestro:
             return None
         if self.agu.remaining_bundles and self._prefetch_gate_open():
             return now
-        for channel in self._active():
+        for channel in self._active:
             if channel.can_issue():
                 return now
         return None
 
     def advance(self, cycles: int) -> None:
         """Bulk-apply ``cycles`` skipped cycles to the per-channel counters."""
-        for channel in self._active():
+        for channel in self._active:
             channel.advance(cycles)
 
     # ------------------------------------------------------------------

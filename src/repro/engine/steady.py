@@ -213,9 +213,9 @@ class SteadySpanPlanner:
             streamer = sys.streamers[port]
             attr(f"{port}.words", streamer, "words_streamed")
             attr(f"{port}.bundles", streamer, "bundles_generated")
-            for channel in streamer._active():
+            for channel in streamer._active:
                 rid = channel.requester_id
-                state = mem._state(rid)
+                port = channel.bind(mem)
                 attr(f"{rid}.issued", channel, "requests_issued")
                 attr(f"{rid}.collected", channel, "responses_received")
                 attr(f"{rid}.credit_stalls", channel, "credit_stall_cycles")
@@ -223,8 +223,8 @@ class SteadySpanPlanner:
                 attr(f"{rid}.addr_pops", channel.address_fifo, "total_pops")
                 attr(f"{rid}.data_pushes", channel.data_fifo, "total_pushes")
                 attr(f"{rid}.data_pops", channel.data_fifo, "total_pops")
-                attr(f"{rid}.granted", state, "granted")
-                attr(f"{rid}.retries", state, "retries")
+                attr(f"{rid}.granted", port, "granted")
+                attr(f"{rid}.retries", port, "retries")
         self._slots = slots
         self._index = {name: i for i, (name, _, _) in enumerate(slots)}
 
@@ -257,21 +257,15 @@ class SteadySpanPlanner:
         for port in sys._active_ports:
             streamer = sys.streamers[port]
             parts.append((port, streamer._popped_this_cycle))
-            for channel in streamer._active():
-                state = mem._requesters.get(channel.requester_id)
-                pending = len(state.pending) if state else 0
-                responses = (
-                    tuple(r.ready_cycle - now for r in state.responses)
-                    if state
-                    else ()
-                )
+            for channel in streamer._active:
+                port = channel.bind(mem)
                 parts.append(
                     (
                         channel.address_fifo.occupancy,
                         channel.data_fifo.occupancy,
                         channel.outstanding,
-                        pending,
-                        responses,
+                        len(port.pending),
+                        tuple(r.ready_cycle - now for r in port.responses),
                     )
                 )
         parts.append(tuple(sorted(mem._last_grant.items())))
@@ -374,7 +368,7 @@ class SteadySpanPlanner:
         active_ids = {
             channel.requester_id
             for port in sys._active_ports
-            for channel in sys.streamers[port]._active()
+            for channel in sys.streamers[port]._active
         }
         for name, state in mem._requesters.items():
             if name not in active_ids and (state.pending or state.responses):
@@ -431,9 +425,7 @@ class SteadySpanPlanner:
                 )
                 (read_keys if span.is_read else write_keys).append(keys)
                 if not span.is_read:
-                    for request in mem._state(
-                        channel_span.channel.requester_id
-                    ).pending:
+                    for request in channel_span.channel.bind(mem).pending:
                         if request.strobe is not None:
                             raise _Bail("strobed_write")
         if write_keys:
@@ -471,10 +463,10 @@ class SteadySpanPlanner:
             raise _Bail("agu_desync")
 
         channels: List[_ChannelSpan] = []
-        for column, channel in enumerate(streamer._active()):
+        for column, channel in enumerate(streamer._active):
             rid = channel.requester_id
-            state = mem._requesters.get(rid)
-            granted = state.granted if state else 0
+            port = channel.bind(mem)
+            granted = port.granted
             moved = (
                 d(f"{rid}.granted"),
                 d(f"{rid}.issued"),
@@ -483,9 +475,7 @@ class SteadySpanPlanner:
             if bundles == 0:
                 if words or any(moved):
                     raise _Bail("quiescent_drift")
-                if channel.outstanding or (
-                    state is not None and (state.pending or state.responses)
-                ):
+                if channel.outstanding or port.pending or port.responses:
                     # A frozen channel with traffic in the memory pipeline
                     # cannot stay frozen for a whole span.
                     raise _Bail("quiescent_traffic")
@@ -495,15 +485,14 @@ class SteadySpanPlanner:
             issued = channel.requests_issued
             collected = channel.responses_received
             popped = streamer.words_streamed
-            pending = len(state.pending) if state else 0
             uncollected = granted - collected
-            in_flight = sum(
-                1 for r in mem._in_flight if r.requester == rid
-            ) + (len(state.responses) if state else 0)
+            in_flight = sum(1 for r in mem._in_flight if r.port is port) + len(
+                port.responses
+            )
             consistent = (
                 channel.address_fifo.occupancy
                 == streamer.bundles_generated - issued
-                and pending == issued - granted
+                and len(port.pending) == issued - granted
                 and channel.outstanding == issued - collected
                 and in_flight == uncollected
             )
@@ -628,13 +617,10 @@ class SteadySpanPlanner:
             for channel_span in span.channels:
                 channel = channel_span.channel
                 rid = channel.requester_id
-                state = mem._requesters.get(rid)
+                port = channel.bind(mem)
                 existing: List[np.ndarray] = channel.data_fifo.snapshot()
-                if state is not None:
-                    existing.extend(r.data for r in state.responses)
-                existing.extend(
-                    r.data for r in mem._in_flight if r.requester == rid
-                )
+                existing.extend(r.data for r in port.responses)
+                existing.extend(r.data for r in mem._in_flight if r.port is port)
                 start = channel_span.granted - span.lo
                 gathered = stacked[
                     span.banks[start : start + count, channel_span.column],
@@ -706,8 +692,7 @@ class SteadySpanPlanner:
         for channel_span in sink_span.channels:
             channel = channel_span.channel
             rid = channel.requester_id
-            state = mem._requesters.get(rid)
-            existing = [r.data for r in state.pending] if state else []
+            existing = [r.data for r in channel.bind(mem).pending]
             existing.extend(channel.data_fifo.snapshot())
             slice_ = sink_words[
                 :, channel_span.column * width : (channel_span.column + 1) * width
@@ -745,7 +730,7 @@ class SteadySpanPlanner:
             for channel_span in span.channels:
                 channel = channel_span.channel
                 rid = channel.requester_id
-                state = mem._state(rid)
+                port = channel.bind(mem)
                 stream = combined[rid]
                 base = (
                     channel_span.words if span.is_read else channel_span.granted
@@ -773,7 +758,7 @@ class SteadySpanPlanner:
                     )
                 )
                 # Pending requests: steps [granted+shift, issued+shift).
-                state.pending = deque(
+                port.pending = deque(
                     MemoryRequest(
                         requester=rid,
                         is_write=not span.is_read,
@@ -782,18 +767,19 @@ class SteadySpanPlanner:
                         data=None if span.is_read else word_at(step),
                         tag=step,
                         submit_cycle=request.submit_cycle + shift_cycles,
+                        port=port,
                     )
                     for step, request in zip(
                         range(
                             channel_span.granted + shift,
                             channel_span.issued + shift,
                         ),
-                        state.pending,
+                        port.pending,
                     )
                 )
-                # Delivered-but-uncollected responses, then the data FIFO.
-                state.responses = deque(
-                    MemoryResponse(
+
+                def shifted(response: MemoryResponse) -> MemoryResponse:
+                    return MemoryResponse(
                         requester=rid,
                         is_write=response.is_write,
                         tag=response.tag + shift,
@@ -802,9 +788,11 @@ class SteadySpanPlanner:
                         else word_at(response.tag + shift),
                         ready_cycle=response.ready_cycle + shift_cycles,
                         grant_cycle=response.grant_cycle + shift_cycles,
+                        port=port,
                     )
-                    for response in state.responses
-                )
+
+                # Delivered-but-uncollected responses, then the data FIFO.
+                port.responses = [shifted(r) for r in port.responses]
                 if span.is_read:
                     channel.data_fifo.replace_entries(
                         word_at(position)
@@ -822,24 +810,16 @@ class SteadySpanPlanner:
                         )
                     )
                 new_in_flight[rid] = [
-                    MemoryResponse(
-                        requester=rid,
-                        is_write=response.is_write,
-                        tag=response.tag + shift,
-                        data=None
-                        if response.data is None
-                        else word_at(response.tag + shift),
-                        ready_cycle=response.ready_cycle + shift_cycles,
-                        grant_cycle=response.grant_cycle + shift_cycles,
-                    )
-                    for response in mem._in_flight
-                    if response.requester == rid
+                    shifted(r) for r in mem._in_flight if r.port is port
                 ]
-        # Preserve the global delivery order of the in-flight list.
+        # Preserve the global delivery order of the in-flight queue, which
+        # ``MemorySubsystem.deliver`` relies on being sorted by ready_cycle.
         replacements = {rid: iter(items) for rid, items in new_in_flight.items()}
-        mem._in_flight = [
+        mem._in_flight = deque(
             next(replacements[response.requester]) for response in mem._in_flight
-        ]
+        )
+        ready = [response.ready_cycle for response in mem._in_flight]
+        assert ready == sorted(ready), "in-flight responses out of delivery order"
 
         # 7. The accumulator mirrors lockstep's dead-but-present last tile.
         gemm._accumulator = (

@@ -15,7 +15,7 @@ from .addressing import (
 )
 from .bank import MemoryBank
 from .scratchpad import ScratchpadMemory
-from .subsystem import MemoryRequest, MemoryResponse, MemorySubsystem
+from .subsystem import MemoryPort, MemoryRequest, MemoryResponse, MemorySubsystem
 
 __all__ = [
     "AddressingMode",
@@ -31,6 +31,7 @@ __all__ = [
     "permute_word_index",
     "MemoryBank",
     "ScratchpadMemory",
+    "MemoryPort",
     "MemoryRequest",
     "MemoryResponse",
     "MemorySubsystem",

@@ -78,7 +78,7 @@ class BankGeometry:
         return 0 <= address and address + size <= self.capacity_bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BankLocation:
     """A decoded physical location inside the scratchpad."""
 

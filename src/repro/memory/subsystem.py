@@ -39,9 +39,13 @@ from .addressing import BankGeometry
 from .scratchpad import ScratchpadMemory
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryRequest:
-    """A single word-wide request from one requester port."""
+    """A single word-wide request from one requester port.
+
+    ``port`` is the requester's bound :class:`MemoryPort`; requests built by
+    name only (``port=None``) are resolved once, at ``submit``.
+    """
 
     requester: str
     is_write: bool
@@ -51,9 +55,10 @@ class MemoryRequest:
     strobe: Optional[np.ndarray] = None
     tag: Any = None
     submit_cycle: int = 0
+    port: Optional["MemoryPort"] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryResponse:
     """Completion of a request, visible ``read_latency`` cycles after grant."""
 
@@ -63,14 +68,27 @@ class MemoryResponse:
     data: Optional[np.ndarray]
     ready_cycle: int
     grant_cycle: int
+    port: Optional["MemoryPort"] = None
 
 
-@dataclass
-class _RequesterState:
+@dataclass(slots=True, eq=False)
+class MemoryPort:
+    """One requester's side of the crossbar: its queues and grant counters.
+
+    Per-cycle requesters hold their port (:meth:`MemorySubsystem.bind`) and
+    stamp it on every request, so no cycle resolves a name.  A port joins
+    arbitration at its first ``submit``, never at ``bind``: registration
+    order is contender order.
+    """
+
+    name: str
     pending: Deque[MemoryRequest] = field(default_factory=deque)
-    responses: Deque[MemoryResponse] = field(default_factory=deque)
+    #: Matured responses awaiting collection (``deliver`` only moves matured
+    #: ones, so everything here is ready).
+    responses: List[MemoryResponse] = field(default_factory=list)
     granted: int = 0
     retries: int = 0
+    registered: bool = False
 
 
 class MemorySubsystem:
@@ -84,19 +102,21 @@ class MemorySubsystem:
         self.scratchpad = ScratchpadMemory(geometry)
         self.cycle = 0
         self.counters = StatCounters()
-        self._requesters: Dict[str, _RequesterState] = {}
-        self._in_flight: List[MemoryResponse] = []
+        #: Ports that have submitted, in first-submit order.  The order is
+        #: behaviour: it is the contender order of :meth:`arbitrate`, the
+        #: first-contention tie-break and the grant order into
+        #: ``_in_flight``.
+        self._requesters: Dict[str, MemoryPort] = {}
+        #: Granted responses, ordered by ``ready_cycle`` (constant latency).
+        self._in_flight: Deque[MemoryResponse] = deque()
         self._last_grant: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # Requester-facing API.
     # ------------------------------------------------------------------
-    def _state(self, requester: str) -> _RequesterState:
-        state = self._requesters.get(requester)
-        if state is None:
-            state = _RequesterState()
-            self._requesters[requester] = state
-        return state
+    def bind(self, requester: str) -> MemoryPort:
+        """Return ``requester``'s port; a new one stays unregistered."""
+        return self._requesters.get(requester) or MemoryPort(requester)
 
     def submit(self, request: MemoryRequest) -> None:
         """Queue a request; it will be served in submission order."""
@@ -105,33 +125,38 @@ class MemorySubsystem:
                 f"bank {request.bank} out of range "
                 f"(num_banks={self.geometry.num_banks})"
             )
+        port = request.port
+        if port is None:
+            port = request.port = self.bind(request.requester)
+        if not port.registered:
+            if self._requesters.setdefault(port.name, port) is not port:
+                raise ValueError(f"two ports bound as requester {port.name!r}")
+            port.registered = True
         request.submit_cycle = self.cycle
-        self._state(request.requester).pending.append(request)
+        port.pending.append(request)
 
     def pending_count(self, requester: str) -> int:
         """Number of not-yet-granted requests queued by ``requester``."""
-        state = self._requesters.get(requester)
-        return len(state.pending) if state else 0
+        port = self._requesters.get(requester)
+        return len(port.pending) if port else 0
 
     def outstanding_count(self, requester: str) -> int:
         """Pending plus granted-but-not-yet-delivered requests."""
-        state = self._requesters.get(requester)
-        pending = len(state.pending) if state else 0
-        in_flight = sum(
-            1 for response in self._in_flight if response.requester == requester
-        )
-        waiting = len(state.responses) if state else 0
-        return pending + in_flight + waiting
+        port = self._requesters.get(requester)
+        if port is None:
+            return 0
+        in_flight = sum(1 for response in self._in_flight if response.port is port)
+        return len(port.pending) + in_flight + len(port.responses)
+
+    def collect(self, port: MemoryPort) -> List[MemoryResponse]:
+        """Return (and consume) all responses ready for ``port``."""
+        ready, port.responses = port.responses, []
+        return ready
 
     def collect_responses(self, requester: str) -> List[MemoryResponse]:
-        """Return (and consume) all responses ready for ``requester``."""
-        state = self._requesters.get(requester)
-        if state is None or not state.responses:
-            return []
-        ready: List[MemoryResponse] = []
-        while state.responses and state.responses[0].ready_cycle <= self.cycle:
-            ready.append(state.responses.popleft())
-        return ready
+        """:meth:`collect` by requester name."""
+        port = self._requesters.get(requester)
+        return self.collect(port) if port else []
 
     # ------------------------------------------------------------------
     # Cycle behaviour.
@@ -143,23 +168,16 @@ class MemorySubsystem:
         response queues.  Returns the number of responses that matured (the
         event scheduler uses this as an activity signal).
         """
-        if not self._in_flight:
-            return 0
-        still_flying: List[MemoryResponse] = []
+        in_flight = self._in_flight
         delivered = 0
-        for response in self._in_flight:
-            if response.ready_cycle <= self.cycle:
-                self._state(response.requester).responses.append(response)
-                delivered += 1
-            else:
-                still_flying.append(response)
-        self._in_flight = still_flying
+        while in_flight and in_flight[0].ready_cycle <= self.cycle:
+            response = in_flight.popleft()
+            response.port.responses.append(response)
+            delivered += 1
         return delivered
 
     def _pick_winner(self, bank: int, contenders: List[MemoryRequest]) -> int:
-        """Round-robin selection among contenders for one bank."""
-        if len(contenders) == 1:
-            return 0
+        """Round-robin selection among two or more contenders for one bank."""
         names = [request.requester for request in contenders]
         last = self._last_grant.get(bank)
         if last is None:
@@ -177,47 +195,49 @@ class MemorySubsystem:
 
         Returns the number of grants performed.
         """
-        by_bank: Dict[int, List[MemoryRequest]] = {}
-        for name, state in self._requesters.items():
-            if state.pending:
-                head = state.pending[0]
-                by_bank.setdefault(head.bank, []).append(head)
+        heads: Dict[int, MemoryRequest] = {}
+        contended: Dict[int, List[MemoryRequest]] = {}
+        for port in self._requesters.values():
+            if port.pending:
+                request = port.pending[0]
+                first = heads.setdefault(request.bank, request)
+                if first is not request:
+                    contended.setdefault(request.bank, [first]).append(request)
+        for bank, contenders in contended.items():
+            self.counters.add("bank_conflicts", len(contenders) - 1)
+            for request in contenders:
+                request.port.retries += 1
+            heads[bank] = contenders[self._pick_winner(bank, contenders)]
 
-        for bank, contenders in by_bank.items():
-            if len(contenders) > 1:
-                self.counters.add("bank_conflicts", len(contenders) - 1)
-                for request in contenders:
-                    self._state(request.requester).retries += 1
-            winner_idx = self._pick_winner(bank, contenders)
-            winner = contenders[winner_idx]
-            self._last_grant[bank] = winner.requester
-            state = self._state(winner.requester)
-            state.pending.popleft()
-            state.granted += 1
-            self._perform_access(winner)
-        return len(by_bank)
-
-    def _perform_access(self, request: MemoryRequest) -> None:
-        if request.is_write:
-            if request.data is None:
-                raise ValueError("write request without data")
-            self.scratchpad.write_word(
-                request.bank, request.line, request.data, request.strobe
+        banks = self.scratchpad.banks
+        last_grant = self._last_grant
+        in_flight = self._in_flight
+        now = self.cycle
+        ready = now + self.read_latency
+        reads = 0
+        for bank, request in heads.items():
+            port = request.port
+            last_grant[bank] = request.requester
+            port.pending.popleft()
+            port.granted += 1
+            if request.is_write:
+                if request.data is None:
+                    raise ValueError("write request without data")
+                banks[bank].write(request.line, request.data, request.strobe)
+                data = None
+            else:
+                data = banks[bank].read(request.line)
+                reads += 1
+            in_flight.append(
+                MemoryResponse(
+                    request.requester, request.is_write, request.tag, data, ready, now, port
+                )
             )
-            self.counters.add("word_writes")
-            data = None
-        else:
-            data = self.scratchpad.read_word(request.bank, request.line)
-            self.counters.add("word_reads")
-        response = MemoryResponse(
-            requester=request.requester,
-            is_write=request.is_write,
-            tag=request.tag,
-            data=data,
-            ready_cycle=self.cycle + self.read_latency,
-            grant_cycle=self.cycle,
-        )
-        self._in_flight.append(response)
+        if reads:
+            self.counters.add("word_reads", reads)
+        if len(heads) > reads:
+            self.counters.add("word_writes", len(heads) - reads)
+        return len(heads)
 
     def step(self) -> int:
         """Arbitrate this cycle's requests and advance the clock.
@@ -241,14 +261,10 @@ class MemorySubsystem:
         * ``None`` when fully idle: without new requests, nothing will ever
           happen here again.
         """
-        for state in self._requesters.values():
-            if state.pending or state.responses:
+        for port in self._requesters.values():
+            if port.pending or port.responses:
                 return self.cycle
-        earliest: Optional[int] = None
-        for response in self._in_flight:
-            if earliest is None or response.ready_cycle < earliest:
-                earliest = response.ready_cycle
-        return earliest
+        return self._in_flight[0].ready_cycle if self._in_flight else None
 
     def advance(self, cycles: int) -> None:
         """Fast-forward the clock over ``cycles`` provably inactive cycles.
@@ -278,10 +294,10 @@ class MemorySubsystem:
         return self.counters.get("bank_conflicts")
 
     def requester_stats(self, requester: str) -> Dict[str, int]:
-        state = self._requesters.get(requester)
-        if state is None:
+        port = self._requesters.get(requester)
+        if port is None:
             return {"granted": 0, "retries": 0}
-        return {"granted": state.granted, "retries": state.retries}
+        return {"granted": port.granted, "retries": port.retries}
 
     def add_uncounted_accesses(self, reads: int = 0, writes: int = 0) -> None:
         """Account accesses performed by an abstracted agent (DMA pre-pass).
@@ -302,17 +318,17 @@ class MemorySubsystem:
         """True when no requests are pending or in flight anywhere."""
         if self._in_flight:
             return False
-        for state in self._requesters.values():
-            if state.pending or state.responses:
+        for port in self._requesters.values():
+            if port.pending or port.responses:
                 return False
         return True
 
     def reset_statistics(self) -> None:
         """Clear counters while keeping memory contents."""
         self.counters.reset()
-        for state in self._requesters.values():
-            state.granted = 0
-            state.retries = 0
+        for port in self._requesters.values():
+            port.granted = 0
+            port.retries = 0
         for bank in self.scratchpad.banks:
             bank.read_count = 0
             bank.write_count = 0

@@ -37,7 +37,11 @@ class Fifo(Generic[T]):
             raise ValueError(f"FIFO depth must be positive, got {depth}")
         self.depth = int(depth)
         self.name = name
-        self._entries: Deque[T] = deque()
+        #: The stored entries, oldest first — one deque for the FIFO's whole
+        #: life, so per-cycle code may hold it and test ``if fifo.entries`` /
+        #: ``len(fifo.entries)`` without a call.  Only the methods below
+        #: change it (they keep the push/pop/occupancy statistics).
+        self.entries: Deque[T] = deque()
         self.total_pushes = 0
         self.total_pops = 0
         self.max_occupancy = 0
@@ -46,48 +50,49 @@ class Fifo(Generic[T]):
     # Status queries (the "valid"/"ready" view of the FIFO).
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[T]:
-        return iter(self._entries)
+        return iter(self.entries)
 
     @property
     def occupancy(self) -> int:
         """Number of entries currently stored."""
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def free_slots(self) -> int:
         """Number of additional entries that can be pushed right now."""
-        return self.depth - len(self._entries)
+        return self.depth - len(self.entries)
 
     @property
     def is_empty(self) -> bool:
-        return not self._entries
+        return not self.entries
 
     @property
     def is_full(self) -> bool:
-        return len(self._entries) >= self.depth
+        return len(self.entries) >= self.depth
 
     def can_push(self, count: int = 1) -> bool:
         """Return ``True`` if ``count`` entries can be pushed this cycle."""
-        return self.free_slots >= count
+        return self.depth - len(self.entries) >= count
 
     def can_pop(self, count: int = 1) -> bool:
         """Return ``True`` if ``count`` entries can be popped this cycle."""
-        return len(self._entries) >= count
+        return len(self.entries) >= count
 
     # ------------------------------------------------------------------
     # Data movement.
     # ------------------------------------------------------------------
     def push(self, item: T) -> None:
         """Append ``item``; raises :class:`FifoError` when full."""
-        if self.is_full:
+        entries = self.entries
+        if len(entries) >= self.depth:
             raise FifoError(f"push into full FIFO '{self.name}' (depth={self.depth})")
-        self._entries.append(item)
+        entries.append(item)
         self.total_pushes += 1
-        if len(self._entries) > self.max_occupancy:
-            self.max_occupancy = len(self._entries)
+        if len(entries) > self.max_occupancy:
+            self.max_occupancy = len(entries)
 
     def push_many(self, items: Iterable[T]) -> None:
         """Push every item of ``items`` (all-or-nothing is *not* enforced)."""
@@ -96,26 +101,26 @@ class Fifo(Generic[T]):
 
     def pop(self) -> T:
         """Remove and return the oldest entry; raises when empty."""
-        if not self._entries:
+        if not self.entries:
             raise FifoError(f"pop from empty FIFO '{self.name}'")
         self.total_pops += 1
-        return self._entries.popleft()
+        return self.entries.popleft()
 
     def peek(self) -> T:
         """Return the oldest entry without removing it; raises when empty."""
-        if not self._entries:
+        if not self.entries:
             raise FifoError(f"peek into empty FIFO '{self.name}'")
-        return self._entries[0]
+        return self.entries[0]
 
     def peek_optional(self) -> Optional[T]:
         """Return the oldest entry or ``None`` when the FIFO is empty."""
-        if not self._entries:
+        if not self.entries:
             return None
-        return self._entries[0]
+        return self.entries[0]
 
     def clear(self) -> None:
         """Drop all entries (used when re-configuring between kernels)."""
-        self._entries.clear()
+        self.entries.clear()
 
     def replace_entries(self, items: Iterable[T]) -> None:
         """Swap the stored entries without touching the push/pop counters.
@@ -124,17 +129,18 @@ class Fifo(Generic[T]):
         push/pop counts separately and then installs the window of entries
         the per-cycle loop would have left behind.
         """
-        entries: Deque[T] = deque(items)
+        entries = list(items)
         if len(entries) > self.depth:
             raise FifoError(
                 f"replace_entries overfills FIFO '{self.name}' "
                 f"({len(entries)} > depth {self.depth})"
             )
-        self._entries = entries
+        self.entries.clear()
+        self.entries.extend(entries)
 
     def snapshot(self) -> List[T]:
         """Return the current contents oldest-first (for tests/debugging)."""
-        return list(self._entries)
+        return list(self.entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

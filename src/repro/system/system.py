@@ -68,6 +68,7 @@ class AcceleratorSystem:
         self.dma: Optional[Dma] = None
         self.host = HostProcessor(self.design)
         self._active_ports: List[str] = []
+        self._live: List[DataMaestro] = []
         self._program: Optional[KernelProgram] = None
         self._cycles = 0
         self.last_step_activity = 0
@@ -94,6 +95,7 @@ class AcceleratorSystem:
         self.dma = Dma(self.memory, self.design.dma_words_per_cycle)
         self.host = HostProcessor(self.design)
         self._active_ports = []
+        self._live = []
         self._program = None
         self._cycles = 0
         self.last_step_activity = 0
@@ -124,6 +126,7 @@ class AcceleratorSystem:
             self.host.program_streamer(
                 self.streamers[port], program.csr_writes[port], features
             )
+        self._live = self._active_streamers()
 
         # 4. Bind and configure the accelerators.
         c_stream = self.streamers["C"] if "C" in program.streamer_configs else None
@@ -171,16 +174,23 @@ class AcceleratorSystem:
         """
         if self._program is None:
             return False
-        assert self.memory is not None
-        streamers = [s for s in self._active_streamers() if not s.done]
+        memory = self.memory
+        assert memory is not None
+        # Only a streamer whose AGU is exhausted can have drained; drained
+        # streamers leave the live list for good.
+        streamers = self._live
+        for streamer in streamers:
+            if streamer.agu.exhausted and streamer.done:
+                streamers = self._live = [s for s in streamers if not s.done]
+                break
         activity = 0
 
         # Phase 1: responses.
         for streamer in streamers:
             streamer.begin_cycle()
-        activity += self.memory.deliver()
+        activity += memory.deliver()
         for streamer in streamers:
-            activity += streamer.collect_responses(self.memory)
+            activity += streamer.collect_responses(memory)
 
         # Phase 2: accelerators (quantizer first so it drains the previous
         # cycle's tile before the core produces a new one).
@@ -197,13 +207,13 @@ class AcceleratorSystem:
 
         # Phase 4: request issue and crossbar arbitration.
         for streamer in streamers:
-            activity += streamer.issue_requests(self.memory)
-        activity += self.memory.step()
+            activity += streamer.issue_requests(memory)
+        activity += memory.step()
 
         self._cycles += 1
         self.last_step_activity = activity
         self._tile_completed = self.gemm_core._tile_index != tile_before
-        return not self.finished
+        return not (self.gemm_core.done and self.finished)
 
     # ------------------------------------------------------------------
     # Next-event protocol (see repro.engine).

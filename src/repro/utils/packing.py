@@ -8,7 +8,8 @@ the same little-endian, row-major convention.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import math
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,18 +21,25 @@ def tile_to_bytes(tile: np.ndarray) -> np.ndarray:
 
 
 def bytes_to_tile(
-    data: np.ndarray, shape: Sequence[int], dtype: np.dtype
+    data: np.ndarray,
+    shape: Sequence[int],
+    dtype: np.dtype,
+    astype: Optional[np.dtype] = None,
 ) -> np.ndarray:
-    """Reinterpret a byte vector as a typed row-major tile of ``shape``."""
+    """Reinterpret a byte vector as a typed row-major tile of ``shape``.
+
+    The result is a fresh array; ``astype`` converts it to a wider compute
+    type in the same (single) copy.
+    """
     dtype = np.dtype(dtype)
-    expected = int(np.prod(shape)) * dtype.itemsize
-    payload = np.ascontiguousarray(np.asarray(data, dtype=np.uint8)).reshape(-1)
+    expected = math.prod(shape) * dtype.itemsize
+    payload = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
     if payload.size != expected:
         raise ValueError(
             f"byte buffer has {payload.size} bytes, expected {expected} for "
             f"shape {tuple(shape)} of {dtype}"
         )
-    return payload.view(dtype).reshape(tuple(shape)).copy()
+    return payload.view(dtype).reshape(shape).astype(astype or dtype)
 
 
 def ceil_div(numerator: int, denominator: int) -> int:

@@ -112,6 +112,23 @@ class TestReadChannel:
         assert channel.address_fifo.is_empty
 
 
+class TestMemoryRegistration:
+    def test_collect_before_any_submit_does_not_register(self):
+        """A channel joins arbitration at its first issue, not by polling."""
+        first, second = (StreamChannel("dm_t", i, make_design()) for i in (0, 1))
+        memory = MemorySubsystem(GEOMETRY)
+        assert first.collect(memory) == 0
+        assert memory.outstanding_count(first.requester_id) == 0
+        # Had collect() registered ``first``, it would head the contender
+        # list and win the first-ever arbitration of bank 0.
+        second.push_address(address(step=0, bank=0))
+        first.push_address(address(step=0, bank=0, line=1))
+        assert second.issue(memory) and first.issue(memory)
+        memory.step()
+        assert memory.requester_stats(second.requester_id)["granted"] == 1
+        assert memory.requester_stats(first.requester_id)["granted"] == 0
+
+
 class TestWriteChannel:
     def test_write_requires_address_and_data(self):
         channel = make_channel(mode=StreamerMode.WRITE)

@@ -255,6 +255,72 @@ class TestWriteStreaming:
             streamer.push_input(np.zeros(16, dtype=np.uint8))
 
 
+class TestIdleChannels:
+    """Idle channels cost nothing, and skipping them changes no counter."""
+
+    def test_idle_channels_are_not_visited(self):
+        memory = MemorySubsystem(GEOMETRY)
+        streamer = DataMaestro(read_design(), GEOMETRY, [8])
+        streamer.configure(linear_runtime(steps=4))
+        visited = []
+        for channel in streamer.channels:
+            channel.collect = lambda memory, c=channel: visited.append(c.index) or 0
+            channel.issue = lambda memory, c=channel: visited.append(c.index) or False
+        # Nothing outstanding, no address queued: neither phase calls in.
+        assert streamer.collect_responses(memory) == 0
+        assert streamer.issue_requests(memory) == 0
+        assert visited == []
+
+    def test_stalled_accounting_matches_bulk_advance(self):
+        """Per-cycle stepping of a credit-stalled streamer == advance(n)."""
+
+        def stalled(extra_cycles):
+            memory = MemorySubsystem(GEOMETRY)
+            fill_memory(memory)
+            streamer = DataMaestro(read_design(data_depth=1), GEOMETRY, [8])
+            streamer.configure(linear_runtime(steps=16))
+            for _ in range(12 + extra_cycles):  # nobody pops: credits run out
+                streamer.begin_cycle()
+                memory.deliver()
+                streamer.collect_responses(memory)
+                streamer.generate_addresses()
+                streamer.issue_requests(memory)
+                memory.step()
+            return memory, streamer
+
+        _, stepped = stalled(extra_cycles=20)
+        memory, jumped = stalled(extra_cycles=0)
+        assert memory.next_event_cycle() is None  # a fixpoint: nothing in flight
+        jumped.advance(20)
+        assert jumped.channel_statistics() == stepped.channel_statistics()
+        assert all(c.credit_stall_cycles >= 20 for c in jumped.channels)
+
+
+class TestOutOfRangeStreams:
+    def test_rejected_at_configure_with_port_address_and_capacity(self):
+        streamer = DataMaestro(read_design(name="dm_far"), GEOMETRY, [8])
+        capacity = GEOMETRY.capacity_bytes
+        # In range for 15 of 16 steps: only the last bundle leaves the memory.
+        runtime = linear_runtime(steps=16, base_address=capacity - 15 * 16)
+        with pytest.raises(ValueError) as excinfo:
+            streamer.configure(runtime)
+        message = str(excinfo.value)
+        assert "dm_far" in message
+        assert hex(capacity + 8) in message and hex(capacity) in message
+
+    def test_negative_reach_rejected(self):
+        streamer = DataMaestro(read_design(), GEOMETRY, [8])
+        runtime = linear_runtime(steps=4, base_address=16, temporal_strides=(-16,))
+        with pytest.raises(ValueError, match="outside the scratchpad"):
+            streamer.configure(runtime)
+
+    def test_stream_ending_on_the_last_word_is_accepted(self):
+        streamer = DataMaestro(read_design(), GEOMETRY, [8])
+        capacity = GEOMETRY.capacity_bytes
+        streamer.configure(linear_runtime(steps=16, base_address=capacity - 16 * 16))
+        assert streamer.agu.total_bundles == 16
+
+
 class TestConfiguration:
     def test_configure_validates_against_design(self):
         streamer = DataMaestro(read_design(), GEOMETRY, [8])

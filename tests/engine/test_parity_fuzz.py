@@ -16,6 +16,12 @@ with the generator's shrinker and the failure message carries a
 ready-to-paste regression test, so a red CI run converts directly into a
 permanent test case.
 
+The same cases are also stepped under a checking lockstep loop that asserts
+the step path's own invariants every cycle (channel credits agree with the
+memory's queues, FIFOs never overfill, nothing is issued twice or lost) and
+the result's at the end — parity alone cannot see an error all three engines
+share.
+
 Scale: ≥ 25 cases by default, ≥ 200 under ``REPRO_FULL_SUITE=1``; the base
 seed comes from the ``fuzz_seed`` fixture (``REPRO_FUZZ_SEED``).
 """
@@ -26,7 +32,7 @@ from test_parity import assert_results_identical
 from repro.compiler import compile_workload
 from repro.config import get_config
 from repro.core.params import FeatureSet
-from repro.engine import EventDrivenEngine
+from repro.engine import EventDrivenEngine, LockstepEngine
 from repro.system import AcceleratorSystem, datamaestro_evaluation_system
 from repro.workloads import FAMILIES, WorkloadGenerator, regression_snippet, shrink
 
@@ -92,6 +98,56 @@ def test_random_workloads_hold_parity(family, fuzz_seed):
                 f"{minimal!r} — paste this into tests/engine/test_parity.py:"
                 f"\n\n{regression_snippet(minimal, seed=fuzz_seed)}"
             )
+
+
+class _CheckedLockstep(LockstepEngine):
+    """Lockstep with the step-path invariants asserted after every cycle."""
+
+    def drive(self, target, max_cycles, **_kwargs):
+        memory = target.memory
+        channels = [
+            channel
+            for port in target._active_ports
+            for channel in target.streamers[port].channels
+        ]
+        cycles = 0
+        busy = True
+        while busy:
+            assert cycles < max_cycles, "cycle budget exhausted"
+            busy = target.step()
+            cycles += 1
+            for channel in channels:
+                name = channel.requester_id
+                assert channel.outstanding == memory.outstanding_count(name), name
+                for fifo in (channel.address_fifo, channel.data_fifo):
+                    assert 0 <= fifo.occupancy <= fifo.depth, fifo.name
+                granted = memory.requester_stats(name)["granted"]
+                assert channel.requests_issued == granted + memory.pending_count(name), name
+        for channel in channels:
+            assert channel.responses_received == channel.requests_issued, (
+                f"{channel.requester_id}: words delivered != words requested"
+            )
+        return cycles
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_random_workloads_hold_step_invariants(family, fuzz_seed):
+    """Per-cycle and end-of-run invariants on every generated case."""
+    generator = WorkloadGenerator(seed=fuzz_seed, families=(family,))
+    for case in generator.draw_many(CASES_PER_FAMILY, family):
+        for workload in case.workloads:
+            program = compile_workload(
+                workload, DESIGN, FeatureSet.all_enabled(), seed=fuzz_seed
+            )
+            result = AcceleratorSystem(DESIGN).run(program, engine=_CheckedLockstep())
+            requests = sum(s.requests_issued for s in result.streamer_stats.values())
+            assert requests == sum(
+                s.requests_granted for s in result.streamer_stats.values()
+            )
+            assert requests == result.memory_reads + result.memory_writes
+            assert result.bank_conflicts <= requests, workload
+            assert result.utilization <= 1.0, workload
+            assert result.kernel_cycles >= result.ideal_compute_cycles, workload
 
 
 def test_suite_meets_the_minimum_case_count(fuzz_seed):

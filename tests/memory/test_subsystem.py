@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.memory import BankGeometry, MemoryRequest, MemorySubsystem
+from repro.memory import (
+    BankGeometry,
+    BankLocation,
+    MemoryRequest,
+    MemoryResponse,
+    MemorySubsystem,
+)
 
 GEOMETRY = BankGeometry(num_banks=4, bank_width_bytes=8, bank_depth=8)
 
@@ -157,6 +163,50 @@ class TestArbitration:
         memory.deliver()
         memory.collect_responses("a")
         assert memory.idle()
+
+
+class TestBoundPorts:
+    """Requesters hold ports; a port registers at its first submit only."""
+
+    def test_first_contenders_granted_in_submit_order(self):
+        """Registration order is behaviour: binding first must not win."""
+        memory = make_subsystem()
+        early = memory.bind("a")
+        late = memory.bind("b")
+        assert memory.collect(early) == []
+        memory.submit(MemoryRequest("b", False, 0, 0, port=late))
+        memory.submit(MemoryRequest("a", False, 0, 0, port=early))
+        memory.step()  # no previous winner on bank 0: first registered wins
+        assert memory.requester_stats("b")["granted"] == 1
+        assert memory.requester_stats("a")["granted"] == 0
+        memory.step()
+        assert memory.requester_stats("a")["granted"] == 1
+
+    def test_bind_returns_the_registered_port(self):
+        memory = make_subsystem()
+        memory.submit(read_request("a", bank=1, tag=7))
+        port = memory.bind("a")
+        assert memory.bind("a") is port and len(port.pending) == 1
+        run_cycles(memory, 1)
+        memory.deliver()
+        assert [r.tag for r in memory.collect(port)] == [7]
+        assert memory.collect_responses("a") == []
+
+    def test_second_port_under_a_registered_name_is_rejected(self):
+        memory = make_subsystem()
+        stale = memory.bind("a")
+        memory.submit(read_request("a", bank=0))  # registers a port of its own
+        with pytest.raises(ValueError, match="two ports"):
+            memory.submit(MemoryRequest("a", False, 0, 0, port=stale))
+
+    def test_keyword_construction_still_works(self):
+        request = MemoryRequest(requester="a", is_write=True, bank=1, line=2)
+        assert (request.data, request.strobe, request.tag, request.port) == (None,) * 4
+        response = MemoryResponse(
+            requester="a", is_write=False, tag=3, data=None, ready_cycle=5, grant_cycle=4
+        )
+        assert response.ready_cycle == 5 and response.port is None
+        assert BankLocation(bank=1, line=2, byte_offset=3).as_tuple() == (1, 2, 3)
 
 
 class TestDmaAccounting:

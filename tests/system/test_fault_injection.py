@@ -66,6 +66,25 @@ class TestConfigurationFaults:
         assert not system.verify_outputs(result)
         assert not np.array_equal(result.outputs["D"], program.expected_outputs["D"])
 
+    @pytest.mark.parametrize("engine", ["event", "lockstep"])
+    def test_out_of_range_stream_rejected_before_cycle_zero(self, system, engine):
+        """A stream that would leave the scratchpad late fails at programming."""
+        program = fresh_program("fault_out_of_range")
+        config = program.streamer_configs["D"]
+        # The first output tile still lands inside the memory; later ones do not.
+        stray = config.with_updates(
+            base_address=DESIGN.memory.capacity_bytes - 8 * DESIGN.streamer("D").num_channels
+        )
+        program.streamer_configs["D"] = stray
+        from repro.core.csr import encode_runtime_config
+
+        program.csr_writes["D"] = encode_runtime_config(
+            DESIGN.streamer("D"), stray, list(DESIGN.group_size_options())
+        )
+        with pytest.raises(ValueError, match="D: programmed stream reaches address"):
+            system.run(program, engine=engine)
+        assert system.memory.cycle == 0 and system.memory.total_reads == 0
+
     def test_mismatched_addressing_mode_corrupts_data_not_timing(self, system):
         """Reading a region with the wrong RS decodes to the wrong banks."""
         program = fresh_program("fault_wrong_mode")
