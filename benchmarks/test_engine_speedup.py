@@ -12,7 +12,13 @@ Measures the simulation engines on
   steady-span macro-step fast path must instead bulk-replay whole periodic
   tile groups.  This kernel is timed on three variants: ``lockstep``,
   ``event_nomacro`` (the event engine with macro-stepping disabled — PR 3's
-  behaviour) and ``event`` (macro-stepping on, the default).
+  behaviour) and ``event`` (macro-stepping on, the default);
+* a **conv crop** — ResNet-18's 3x3 stride-1 layer cropped as Table III
+  crops it, equally dense, but with A and B rotating through their bank
+  groups on every tile, so the macro-stepper has to verify them by isolation
+  rather than by tiling.  Same three variants, same bar, and the event run
+  must report at least one macro jump: conv silently falling back to
+  per-cycle stepping fails here.
 
 The bars are ratios between engines that share one per-cycle step path, so
 they are stated as "the shortcut must not lose": the event engine must not be
@@ -41,7 +47,7 @@ from repro.config import get_config
 from repro.core.params import FeatureSet
 from repro.engine import EventDrivenEngine
 from repro.system import AcceleratorSystem, datamaestro_evaluation_system
-from repro.workloads import GemmWorkload
+from repro.workloads import ConvWorkload, GemmWorkload
 
 #: Where BENCH_engine.json lands (override with REPRO_BENCH_OUT=<dir>).
 BENCH_OUT_DIR = get_config().bench_out or Path(__file__).resolve().parent.parent
@@ -77,6 +83,15 @@ def _compute_bound():
     return workload, design, FeatureSet.all_enabled()
 
 
+def _conv_crop():
+    design = datamaestro_evaluation_system()
+    workload = ConvWorkload(
+        name="bench_engine_conv", in_height=14, in_width=14, in_channels=32,
+        out_channels=32, kernel_h=3, kernel_w=3, stride=1, padding=1,
+    )
+    return workload, design, FeatureSet.all_enabled()
+
+
 def _engine_for(variant):
     if variant == "event_nomacro":
         return EventDrivenEngine(macro_stepping=False)
@@ -88,7 +103,8 @@ def _timed_run(program, design, variant):
     engine = _engine_for(variant)
     start = time.perf_counter()
     result = system.run(program, engine=engine)
-    return time.perf_counter() - start, result.streaming_cycles
+    elapsed = time.perf_counter() - start
+    return elapsed, result.streaming_cycles, system.steady_stats().get("jumps", 0)
 
 
 def _run_kernel(label, builder, variants):
@@ -97,10 +113,11 @@ def _run_kernel(label, builder, variants):
     program = compile_workload(workload, design, features)
     best = {variant: float("inf") for variant in variants}
     cycles = {}
+    jumps = {}
     _timed_run(program, design, "event")  # warm-up (imports, allocator)
     for _ in range(ROUNDS):
         for variant in variants:
-            elapsed, simulated = _timed_run(program, design, variant)
+            elapsed, simulated, jumps[variant] = _timed_run(program, design, variant)
             best[variant] = min(best[variant], elapsed)
             cycles[variant] = simulated
     reference = cycles[variants[0]]
@@ -111,6 +128,7 @@ def _run_kernel(label, builder, variants):
         "kernel": workload.name,
         "class": label,
         "simulated_cycles": reference,
+        "macro_jumps": jumps["event"],
     }
     for variant in variants:
         entry[variant] = {
@@ -137,6 +155,9 @@ def bench_results():
             _compute_bound,
             ("lockstep", "event_nomacro", "event"),
         ),
+        "conv_crop": _run_kernel(
+            "conv_crop", _conv_crop, ("lockstep", "event_nomacro", "event")
+        ),
     }
     BENCH_OUT_DIR.mkdir(parents=True, exist_ok=True)
     BENCH_PATH.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
@@ -152,14 +173,24 @@ def test_bandwidth_bound_speedup(bench_results):
     )
 
 
-def test_compute_bound_macro_speedup(bench_results):
-    """Macro-stepping on must not be slower than macro-stepping off."""
-    entry = bench_results["compute_bound"]
+def _assert_macro_wins(entry):
+    kernel = entry["class"]
+    assert entry["macro_jumps"] >= 1, f"macro path never engaged on {kernel}"
     ratio = entry["speedup_vs_event_nomacro"]
     assert ratio >= MIN_MACRO_VS_NOMACRO, (
         f"macro-stepped event engine {ratio:.2f}x the plain event engine "
-        f"on the compute-bound kernel (required: {MIN_MACRO_VS_NOMACRO}x)"
+        f"on the {kernel} kernel (required: {MIN_MACRO_VS_NOMACRO}x)"
     )
+
+
+def test_compute_bound_macro_speedup(bench_results):
+    """Macro-stepping on must engage, and not be slower than off."""
+    _assert_macro_wins(bench_results["compute_bound"])
+
+
+def test_conv_crop_macro_speedup(bench_results):
+    """The same bar where the operand streams rotate (verified by isolation)."""
+    _assert_macro_wins(bench_results["conv_crop"])
 
 
 def test_compute_bound_beats_lockstep(bench_results):

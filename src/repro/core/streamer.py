@@ -78,9 +78,11 @@ class DataMaestro:
         self.words_streamed = 0
         self.bundles_generated = 0
         self._popped_this_cycle = False
-        #: Decoded bundles for steps ``[_window_start, +len(_window))``; a
-        #: pure function of the step index, so an AGU fast-forward simply
-        #: lands outside (or inside) it.
+        #: Decoded bundles for steps ``[_window_start, +len(_window))`` as
+        #: ``(logicals, banks, lines, offsets)`` list rows — a row becomes
+        #: ``ChannelAddress`` objects only when it is served, so a macro jump
+        #: past the window wastes no construction.  A pure function of the
+        #: step index: an AGU fast-forward simply lands outside (or inside) it.
         self._window: list = []
         self._window_start = 0
 
@@ -265,16 +267,9 @@ class DataMaestro:
         matrix = self.agu.address_matrix(step, count, self.active_channels)
         banks, lines, offsets = self.remapper.decode_batch(matrix)
         self._window_start = step
-        self._window = [
-            [
-                ChannelAddress(logical, BankLocation(bank, line, offset), index)
-                for logical, bank, line, offset in zip(*row)
-            ]
-            for index, row in enumerate(
-                zip(matrix.tolist(), banks.tolist(), lines.tolist(), offsets.tolist()),
-                step,
-            )
-        ]
+        self._window = list(
+            zip(matrix.tolist(), banks.tolist(), lines.tolist(), offsets.tolist())
+        )
 
     def generate_addresses(self) -> bool:
         """Produce at most one address bundle; return True if one was made."""
@@ -288,8 +283,12 @@ class DataMaestro:
         if not 0 <= row < len(self._window):
             self._refill_window(step)
             row = 0
-        for channel, address in zip(self._active, self._window[row]):
-            channel.address_fifo.push(address)
+        for channel, logical, bank, line, offset in zip(
+            self._active, *self._window[row]
+        ):
+            channel.address_fifo.push(
+                ChannelAddress(logical, BankLocation(bank, line, offset), step)
+            )
         temporal.advance()
         self.bundles_generated += 1
         return True

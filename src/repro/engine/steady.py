@@ -17,18 +17,27 @@ staying bit-identical to the lockstep engine:
    proven steady period and its counter diff is the per-period delta.
 
 2. **Verify** — identical structure only implies identical behaviour if the
-   upcoming address stream hits the same banks in the same schedule.  The
-   planner evaluates every streamer's future address span *en bloc* (one
-   vectorized mixed-radix AGU evaluation + one vectorized bank decode) and
-   keeps the longest prefix of periods whose bank pattern tiles the
-   reference period exactly.  A bank conflict that breaks the steady state
-   mid-span therefore truncates the jump right before the deviating period
-   — the per-cycle loop then handles the conflict exactly.  Span reads and
-   writes must also touch disjoint scratchpad locations (and writes must be
-   unique) so bulk data movement is order-independent.
+   upcoming addresses cannot change who contends with whom.  The planner
+   evaluates every streamer's address span *en bloc* (one vectorized
+   mixed-radix AGU evaluation + one vectorized bank decode) and verifies
+   each stream one of two ways.  A stream is **isolated** when no channel
+   of it was contended in the reference period (zero ``retries`` — the
+   arbiter counts winners too), its channels are skew-free at the boundary,
+   every bundle row hits pairwise-distinct banks and its bank footprint over
+   reference period + span is shared with no other moving stream: its timing
+   then does not depend on *which* banks it hits, so its pattern may rotate.
+   Every other stream must **tile**: its bank pattern repeats the reference
+   period exactly, with the arbiter's rotating pointers on its footprint
+   equal at both boundaries.  The first deviating row truncates the jump
+   right before its period — the per-cycle loop then handles the conflict
+   exactly.  Span reads and writes must also touch disjoint scratchpad
+   locations (and writes must be unique) so bulk data movement is
+   order-independent.
 
 3. **Replay** — ``r`` verified periods are applied at once: every scalar
-   counter advances by ``r x`` its per-period delta, the scratchpad is read
+   counter advances by ``r x`` its per-period delta (per-bank access counts
+   and isolated banks' arbiter pointers are not periodic under rotation and
+   come from the span's bank matrix instead), the scratchpad is read
    with one gather and written with one scatter per bank, all MAC steps of
    all tiles collapse into a single ``einsum``, and every queue entry
    (address FIFOs, data FIFOs, pending/in-flight memory traffic) is rebuilt
@@ -43,21 +52,23 @@ that never reach a steady state run exactly as before.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.channel import ChannelAddress
 from ..memory.addressing import BankLocation
-from ..memory.subsystem import MemoryRequest, MemoryResponse
+from ..memory.subsystem import MemoryPort, MemoryRequest, MemoryResponse
 
 #: Fewest verified periods worth jumping over (amortizes plan/replay cost).
 MIN_PERIODS = 2
-#: Most periods replayed per jump (bounds the planner's address matrices;
-#: consecutive jumps chain, so this does not cap the total span).
-MAX_PERIODS = 4096
+#: Most bundle rows of any one stream replayed per jump (bounds the planner's
+#: address matrices whatever the period length; consecutive jumps chain, so
+#: this does not cap the total span).
+MAX_ROWS = 2048
 #: Largest boundary group considered as one period.  A steady schedule may
 #: only repeat every g tiles (e.g. an operand stride that shifts the bank
 #: pattern by half a bank group each tile tiles with g == 2), so the planner
@@ -92,20 +103,16 @@ class SteadySpanStats:
     jumps: int = 0
     periods_replayed: int = 0
     cycles_skipped: int = 0
+    #: How the jumps' moving streams were verified, summed over all jumps.
+    isolated_streams: int = 0
+    tiled_streams: int = 0
     bails: Dict[str, int] = field(default_factory=dict)
 
     def bail(self, reason: str) -> None:
         self.bails[reason] = self.bails.get(reason, 0) + 1
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "boundaries": self.boundaries,
-            "attempts": self.attempts,
-            "jumps": self.jumps,
-            "periods_replayed": self.periods_replayed,
-            "cycles_skipped": self.cycles_skipped,
-            "bails": dict(self.bails),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -135,6 +142,7 @@ class _StreamSpan:
     lines: np.ndarray
     offsets: np.ndarray
     channels: List[_ChannelSpan]
+    isolated: bool  # verified by isolation rather than exact tiling
 
 
 @dataclass
@@ -158,14 +166,16 @@ class SteadySpanPlanner:
     """
 
     def __init__(self, system) -> None:
-        self.system = system
+        # The system owns its planner: a strong reference back would leave
+        # every finished system, scratchpad included, to the cycle collector.
+        self.system = weakref.proxy(system)
         self.stats = SteadySpanStats()
         self._slots: Optional[List[Tuple[str, Callable, Callable]]] = None
         self._index: Dict[str, int] = {}
         self._plan: Optional[_Plan] = None
-        #: Rolling (cycle, signature, snapshot) records of recent boundaries.
+        #: Rolling (cycle, signature, snapshot, ``_last_grant``) boundary records.
         self._history: deque = deque(maxlen=MAX_GROUP + 1)
-        #: Group sizes whose bank pattern failed to tile (retired until the
+        #: Group sizes whose bank pattern failed to verify (retired until the
         #: next successful jump — the failure is usually persistent).
         self._skip_groups: set = set()
 
@@ -197,9 +207,6 @@ class SteadySpanPlanner:
                     lambda v, c=mem.counters, k=key: c.set(k, int(v)),
                 )
             )
-        for bank in mem.scratchpad.banks:
-            attr(f"bank{bank.index}.reads", bank, "read_count")
-            attr(f"bank{bank.index}.writes", bank, "write_count")
         gemm = sys.gemm_core
         attr("gemm.mac", gemm, "mac_cycles")
         attr("gemm.stall", gemm, "stall_cycles")
@@ -244,7 +251,8 @@ class SteadySpanPlanner:
 
     # ------------------------------------------------------------------
     # Structural signature: everything behaviour-relevant except the
-    # monotone stream positions and the data itself.
+    # monotone stream positions, the data itself and ``_last_grant`` (rewritten
+    # on every grant; ``_prepare`` compares it on the tiled streams' banks).
     # ------------------------------------------------------------------
     def _signature(self) -> tuple:
         sys = self.system
@@ -268,7 +276,6 @@ class SteadySpanPlanner:
                         tuple(r.ready_cycle - now for r in port.responses),
                     )
                 )
-        parts.append(tuple(sorted(mem._last_grant.items())))
         parts.append(
             tuple((r.requester, r.ready_cycle - now) for r in mem._in_flight)
         )
@@ -292,18 +299,21 @@ class SteadySpanPlanner:
         if tiles_remaining < MIN_PERIODS:
             self._history.clear()
             return 0
+        if len(self._skip_groups) == MAX_GROUP:
+            return 0  # every group retired, and only a jump un-retires them
         if self._slots is None:
             self._build_slots()
         now = sys._cycles
         signature = self._signature()
         snapshot = self._capture()
-        self._history.append((now, signature, snapshot))
+        grants = dict(sys.memory._last_grant)
+        self._history.append((now, signature, snapshot, grants))
         for group in range(1, len(self._history)):
             if group in self._skip_groups:
                 continue
-            prev_cycle, prev_signature, prev_snapshot = self._history[
-                -1 - group
-            ]
+            prev_cycle, prev_signature, prev_snapshot, prev_grants = (
+                self._history[-1 - group]
+            )
             if signature != prev_signature:
                 continue
             period = now - prev_cycle
@@ -312,11 +322,15 @@ class SteadySpanPlanner:
             self.stats.attempts += 1
             delta = snapshot - prev_snapshot
             try:
-                plan = self._prepare(period, delta, limit, tiles_remaining)
+                plan = self._prepare(
+                    period, delta, limit, tiles_remaining, prev_grants, grants
+                )
             except _Bail as bail:
                 self.stats.bail(bail.reason)
-                if bail.reason == "bank_pattern":
+                if bail.reason in ("bank_pattern", "bank_overlap"):
                     self._skip_groups.add(group)
+                    if len(self._skip_groups) == MAX_GROUP:
+                        self.stats.bail("retired")
                 continue
             self._plan = plan
             return plan.cycles
@@ -334,12 +348,15 @@ class SteadySpanPlanner:
         # Roll the reference forward so the very next boundary can chain
         # another jump after re-observing just one period group.
         assert self._history
-        _, signature, snapshot = self._history[-1]
+        _, signature, snapshot, _ = self._history[-1]
         self._history.clear()
-        self._history.append(
-            (plan.end_cycle, signature, snapshot + plan.delta * plan.periods)
-        )
+        snapshot = snapshot + plan.delta * plan.periods
+        grants = dict(self.system.memory._last_grant)
+        self._history.append((plan.end_cycle, signature, snapshot, grants))
         self._skip_groups.clear()
+        isolated = sum(span.isolated for span in plan.streams)
+        self.stats.isolated_streams += isolated
+        self.stats.tiled_streams += len(plan.streams) - isolated
         self.stats.jumps += 1
         self.stats.periods_replayed += plan.periods
         self.stats.cycles_skipped += plan.cycles
@@ -351,7 +368,7 @@ class SteadySpanPlanner:
         return int(delta[self._index[name]])
 
     def _prepare(
-        self, period: int, delta: np.ndarray, limit: int, tiles_remaining: int
+        self, period, delta, limit, tiles_remaining, prev_grants, grants
     ) -> _Plan:
         sys = self.system
         mem = sys.memory
@@ -377,35 +394,74 @@ class SteadySpanPlanner:
             if response.requester not in active_ids:
                 raise _Bail("foreign_requester")
 
-        periods = min(tiles_remaining // group, limit // period, MAX_PERIODS)
+        rows = max(d(f"{port}.bundles") for port in sys._active_ports)
+        periods = min(
+            tiles_remaining // group, limit // period, MAX_ROWS // max(rows, 1)
+        )
         if periods < MIN_PERIODS:
             raise _Bail("too_short")
+        flights: Dict[MemoryPort, List[int]] = {}
+        for response in mem._in_flight:
+            flights.setdefault(response.port, []).append(response.ready_cycle)
         streams: List[_StreamSpan] = []
         for port in sys._active_ports:
-            span = self._prepare_stream(port, delta, periods)
+            span = self._prepare_stream(port, delta, periods, flights)
             if span is not None:
                 streams.append(span)
-                if span.delta:
-                    available = span.streamer.agu.total_bundles - span.generated
-                    periods = min(periods, available // span.delta)
+                available = span.streamer.agu.total_bundles - span.generated
+                periods = min(periods, available // span.delta)
         if periods < MIN_PERIODS:
             raise _Bail("too_short")
 
-        # Vectorized bank-pattern verification: the span's bank schedule
-        # must tile the reference period exactly; a deviation (e.g. a bank
-        # conflict pattern breaking the steady state) truncates the jump
-        # right before the deviating period.
-        for span in streams:
-            if not span.delta:
-                continue
-            step = span.delta
+        # Vectorized bank-pattern verification, reference period included:
+        # an isolated stream's rows must each hit pairwise-distinct banks, any
+        # other stream's schedule must tile the reference period exactly; the
+        # first deviating row (e.g. a bank conflict breaking the steady state)
+        # truncates the jump right before its period.
+        def clip(span: _StreamSpan, periods: int) -> int:
             banks = span.banks
-            same = np.all(banks[step:] == banks[:-step], axis=1)
-            if not same.all():
-                mismatch = span.lo + step + int(np.argmin(same))
-                periods = min(periods, (mismatch - span.generated) // step)
+            if span.isolated:
+                ordered = np.sort(banks, axis=1)
+                good = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+                first = span.lo
+            else:
+                good = np.all(banks[span.delta :] == banks[: -span.delta], axis=1)
+                first = span.lo + span.delta
+            if good.all():
+                return periods
+            deviating = first + int(np.argmin(good))
+            return min(periods, (deviating - span.generated) // span.delta)
+
+        for span in streams:
+            periods = clip(span, periods)
         if periods < MIN_PERIODS:
             raise _Bail("bank_pattern")
+
+        # Isolation also needs footprints (reference period + span) shared
+        # with nobody; a stream that shares a bank falls back to exact tiling.
+        num_banks = mem.geometry.num_banks
+        footprints = [
+            np.bincount(
+                span.banks[: span.generated + periods * span.delta - span.lo].ravel(),
+                minlength=num_banks,
+            ).astype(bool)
+            for span in streams
+        ]
+        shared = np.sum(footprints, axis=0) > 1
+        tiled = np.zeros(num_banks, dtype=bool)
+        for span, footprint in zip(streams, footprints):
+            if span.isolated and (footprint & shared).any():
+                span.isolated = False
+                periods = clip(span, periods)
+            if not span.isolated:
+                tiled |= footprint
+        if periods < MIN_PERIODS:
+            raise _Bail("bank_overlap")
+        # Tiled streams arbitrate, so the rotating pointers on their banks
+        # must repeat too (isolated and untouched banks never consult theirs).
+        for bank in np.flatnonzero(tiled).tolist():
+            if grants.get(bank) != prev_grants.get(bank):
+                raise _Bail("arbiter_state")
 
         # Span accesses must commute: reads and writes disjoint, writes
         # unique, so one gather plus one scatter reproduces the per-cycle
@@ -414,8 +470,6 @@ class SteadySpanPlanner:
         read_keys: List[np.ndarray] = []
         write_keys: List[np.ndarray] = []
         for span in streams:
-            if not span.delta:
-                continue
             count = periods * span.delta
             for channel_span in span.channels:
                 start = channel_span.granted - span.lo
@@ -449,9 +503,12 @@ class SteadySpanPlanner:
         )
 
     def _prepare_stream(
-        self, port: str, delta: np.ndarray, periods: int
+        self, port: str, delta: np.ndarray, periods: int, flights
     ) -> Optional[_StreamSpan]:
-        """Check one streamer's uniform cadence and build its address span."""
+        """Check one streamer's uniform cadence and build its address span.
+
+        ``flights`` holds the ready cycles of each port's in-flight responses.
+        """
         sys = self.system
         mem = sys.memory
         streamer = sys.streamers[port]
@@ -463,6 +520,10 @@ class SteadySpanPlanner:
             raise _Bail("agu_desync")
 
         channels: List[_ChannelSpan] = []
+        # Isolation candidate: never contended in the reference period, and
+        # every channel at the same position with the same response timings.
+        contended = False
+        skews = set()
         for column, channel in enumerate(streamer._active):
             rid = channel.requester_id
             port = channel.bind(mem)
@@ -486,9 +547,11 @@ class SteadySpanPlanner:
             collected = channel.responses_received
             popped = streamer.words_streamed
             uncollected = granted - collected
-            in_flight = sum(1 for r in mem._in_flight if r.port is port) + len(
-                port.responses
-            )
+            flying = flights.get(port, [])
+            in_flight = len(flying) + len(port.responses)
+            contended = contended or d(f"{rid}.retries") != 0
+            ready = tuple(r.ready_cycle for r in port.responses)
+            skews.add((granted, issued, collected, tuple(flying), ready))
             consistent = (
                 channel.address_fifo.occupancy
                 == streamer.bundles_generated - issued
@@ -519,7 +582,8 @@ class SteadySpanPlanner:
 
         if bundles == 0:
             return None
-        lo = min(span.granted for span in channels)
+        # One period back: the matrix covers the reference period's grants too.
+        lo = min(span.granted for span in channels) - bundles
         hi = min(
             streamer.bundles_generated + periods * bundles, agu.total_bundles
         )
@@ -537,6 +601,7 @@ class SteadySpanPlanner:
             lines=lines,
             offsets=offsets,
             channels=channels,
+            isolated=not contended and len(skews) == 1,
         )
 
     def _verify_dataflow(
@@ -718,10 +783,34 @@ class SteadySpanPlanner:
                 )
 
         # 5. Advance every scalar counter by r x its per-period delta and
-        #    fast-forward the AGUs.
+        #    fast-forward the AGUs.  Per-bank state follows the span's banks,
+        #    which may rotate: access counts are a histogram of the grants,
+        #    and an isolated stream leaves each bank pointing at the last
+        #    channel it granted there (tiled banks' pointers were verified
+        #    periodic: they already hold their final value).
         self._apply_delta(plan.delta, periods)
         for span in plan.streams:
-            span.streamer.agu.fast_forward(periods * span.delta)
+            count = periods * span.delta
+            span.streamer.agu.fast_forward(count)
+            granted = [
+                span.banks[c.granted - span.lo :, c.column][:count]
+                for c in span.channels
+            ]
+            histogram = np.bincount(np.concatenate(granted)).tolist()
+            for bank, accesses in zip(mem.scratchpad.banks, histogram):
+                if span.is_read:
+                    bank.read_count += accesses
+                else:
+                    bank.write_count += accesses
+            if span.isolated:
+                # Skew-free, so ``granted`` stacks into whole rows granted in
+                # order: a bank's last grant is its last row-major occurrence.
+                order = np.stack(granted, axis=1).ravel()[::-1]
+                touched, last = np.unique(order, return_index=True)
+                columns = (order.size - 1 - last) % len(granted)
+                for bank, column in zip(touched.tolist(), columns.tolist()):
+                    channel = span.channels[column].channel
+                    mem._last_grant[bank] = channel.requester_id
 
         # 6. Rebuild every queue as its position-shifted image.
         new_in_flight: Dict[str, List[MemoryResponse]] = {}

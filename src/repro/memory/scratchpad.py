@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .addressing import BankGeometry, decode_address
+from .addressing import BankGeometry, decode_address_batch
 from .bank import MemoryBank
 
 
@@ -86,6 +86,23 @@ class ScratchpadMemory:
     # ------------------------------------------------------------------
     # Backdoor view (uncounted, byte granular, used for data loading).
     # ------------------------------------------------------------------
+    def _covering_words(self, address: int, size: int, group_size: int):
+        """Decoded ``(banks, lines)`` of the words covering a byte range.
+
+        Also returns the byte offset of ``address`` inside the first word.
+        One vectorized decode for the whole range; out-of-range addresses
+        raise ``ValueError`` exactly as :func:`decode_address` does.
+        """
+        width = self.geometry.bank_width_bytes
+        first = address // width
+        count = (address + size - 1) // width - first + 1
+        banks, lines, _ = decode_address_batch(
+            (first + np.arange(count, dtype=np.int64)) * width,
+            self.geometry,
+            group_size,
+        )
+        return banks, lines, address - first * width
+
     def backdoor_write(self, address: int, data: np.ndarray, group_size: int) -> None:
         """Write ``data`` bytes starting at logical ``address``.
 
@@ -94,37 +111,27 @@ class ScratchpadMemory:
         physical locations the streamer requests will target.
         """
         payload = np.ascontiguousarray(np.asarray(data, dtype=np.uint8)).ravel()
-        width = self.geometry.bank_width_bytes
-        offset = 0
-        remaining = payload.size
-        while remaining > 0:
-            location = decode_address(address + offset, self.geometry, group_size)
-            chunk = min(remaining, width - location.byte_offset)
-            bank = self.banks[location.bank]
-            line_data = bank.peek(location.line)
-            line_data[location.byte_offset : location.byte_offset + chunk] = payload[
-                offset : offset + chunk
-            ]
-            bank.poke(location.line, line_data)
-            offset += chunk
-            remaining -= chunk
+        if not payload.size:
+            return
+        banks, lines, head = self._covering_words(address, payload.size, group_size)
+        # Only the first and last word can be partial: start from what they
+        # hold, lay the payload over the byte image, scatter whole words.
+        words = np.empty((banks.size, self.geometry.bank_width_bytes), dtype=np.uint8)
+        for edge in (0, -1):
+            words[edge] = self.banks[banks[edge]]._data[lines[edge]]
+        words.reshape(-1)[head : head + payload.size] = payload
+        self.scatter_words(banks, lines, words)
 
     def backdoor_read(self, address: int, size: int, group_size: int) -> np.ndarray:
         """Read ``size`` bytes starting at logical ``address``."""
-        width = self.geometry.bank_width_bytes
-        out = np.zeros(size, dtype=np.uint8)
-        offset = 0
-        remaining = size
-        while remaining > 0:
-            location = decode_address(address + offset, self.geometry, group_size)
-            chunk = min(remaining, width - location.byte_offset)
-            line_data = self.banks[location.bank].peek(location.line)
-            out[offset : offset + chunk] = line_data[
-                location.byte_offset : location.byte_offset + chunk
-            ]
-            offset += chunk
-            remaining -= chunk
-        return out
+        if size <= 0:
+            return np.zeros(size, dtype=np.uint8)
+        banks, lines, head = self._covering_words(address, size, group_size)
+        words = np.empty((banks.size, self.geometry.bank_width_bytes), dtype=np.uint8)
+        for bank_index in np.unique(banks):
+            mask = banks == bank_index
+            words[mask] = self.banks[int(bank_index)]._data[lines[mask]]
+        return words.reshape(-1)[head : head + size].copy()
 
     def clear(self) -> None:
         """Zero-fill every bank and reset the access counters."""

@@ -5,11 +5,17 @@ bit-identical to lockstep exactly where its assumptions are most fragile:
 
 * **single-cycle kernels** — ``tiles_k == 1`` completes an output tile on
   every firing cycle, so boundary bookkeeping runs at maximum rate;
-* **steady state broken mid-span by a bank conflict** — the compute-bound
-  kernel's B operand shifts its bank pattern every tile, so the planner
-  must truncate spans right before the deviating period and let the
-  per-cycle loop arbitrate the conflicts (conflict counts are part of the
-  parity assertion);
+* **steady state broken mid-span by a bank conflict** — a stream whose
+  bank pattern rotates is verified by *isolation* (never contended, skew-free,
+  every row on distinct banks, footprint shared with nobody), everything
+  else by exact tiling; the corners here are the ones where a rule really
+  truncates or bails: a row that starts to self-conflict mid-span, a
+  rotating stream drifting into another stream's bank group, a skewed
+  stream, an arbiter pointer that differs between the two boundaries
+  (conflict counts, per-bank counters and the arbiter's pointers are part
+  of the parity assertion);
+* **conv layers** — the ResNet-18 crop shapes, whose A/B operands rotate
+  through their bank groups on every tile, must engage the fast path;
 * **deadlocks** — a kernel that streams steadily (and macro-jumps) before
   starving must raise the same :class:`SimulationLimitError` at the same
   cycle with the same report as lockstep, including mid-kernel budget
@@ -28,12 +34,17 @@ import pytest
 from repro.compiler import compile_workload
 from repro.core.csr import encode_runtime_config
 from repro.core.params import FeatureSet
-from repro.engine import EventDrivenEngine, supports_macro_protocol
+from repro.engine import EventDrivenEngine, steady, supports_macro_protocol
 from repro.sim import SimulationLimitError
 from repro.system import AcceleratorSystem, datamaestro_evaluation_system
-from repro.workloads import GemmWorkload
+from repro.workloads import ConvWorkload, GemmWorkload
 
-from test_parity import assert_parity, assert_results_identical, run_engine
+from test_parity import (
+    assert_deep_state_identical,
+    assert_parity,
+    assert_results_identical,
+    run_engine,
+)
 
 DESIGN = datamaestro_evaluation_system()
 
@@ -41,6 +52,34 @@ DESIGN = datamaestro_evaluation_system()
 def compute_bound_workload():
     """The benchmark kernel: dense 64x64x64 GeMM, >99% utilization."""
     return GemmWorkload(name="macro_cb", m=64, n=64, k=64)
+
+
+def reprogrammed(workload, **ports):
+    """``workload`` compiled for DESIGN with some streamers' CSRs rewritten.
+
+    ``ports`` maps a port name to :class:`StreamerRuntimeConfig` field
+    updates.  The operands then no longer match the oracle, which parity
+    does not need: both engines stream the same (wrong) bytes.
+    """
+    program = compile_workload(workload, DESIGN, FeatureSet.all_enabled())
+    for port, updates in ports.items():
+        config = program.streamer_configs[port].with_updates(**updates)
+        program.streamer_configs[port] = config
+        program.csr_writes[port] = encode_runtime_config(
+            DESIGN.streamer(port), config, list(DESIGN.group_size_options())
+        )
+    return program
+
+
+def run_both(make_program, system_class=AcceleratorSystem):
+    """Lockstep on a plain system vs event on ``system_class``; deep parity."""
+    reference = AcceleratorSystem(DESIGN)
+    lockstep = reference.run(make_program(), engine="lockstep")
+    system = system_class(DESIGN)
+    event = system.run(make_program(), engine="event")
+    assert_results_identical(lockstep, event)
+    assert_deep_state_identical(reference, system)
+    return system.steady_stats(), event
 
 
 # ----------------------------------------------------------------------
@@ -68,21 +107,24 @@ class TestConflictBrokenSteadyState:
     def test_conflicting_steady_state_is_exact(self):
         """The kernel both macro-jumps and arbitrates recurring conflicts.
 
-        The compute-bound GeMM's write burst conflicts on every tile and
-        its B operand shifts banks each tile, so spans are truncated by
-        the vectorized bank-pattern check; parity on conflict counts and
-        per-streamer retry statistics proves the truncation is exact.
+        The compute-bound GeMM's 32-channel write burst conflicts 16x on
+        every tile, so it must be verified by exact tiling, while its B
+        operand shifts banks each tile inside a bank group of its own and is
+        verified by isolation; parity on conflict counts, per-streamer retry
+        statistics and per-bank state proves both rules exact.
         """
         workload = compute_bound_workload()
         system_l, lockstep = run_engine("lockstep", workload)
         system_e, event = run_engine("event", workload)
         assert_results_identical(lockstep, event)
+        assert_deep_state_identical(system_l, system_e)
         assert event.bank_conflicts > 0, "corner needs recurring conflicts"
+        assert event.streamer_stats["D"].bank_conflict_retries > 0
+        assert event.streamer_stats["B"].bank_conflict_retries == 0
         stats = system_e.steady_stats()
         assert stats["jumps"] >= 1, "fast path never engaged"
-        assert stats["bails"].get("bank_pattern", 0) >= 1, (
-            "corner needs a bank-pattern break mid-stream"
-        )
+        assert stats["tiled_streams"] >= 1, "D conflicts: it can only tile"
+        assert stats["isolated_streams"] >= 1, "B rotates: it can only be isolated"
 
     def test_group_interleaved_variants(self):
         """Sweep addressing-mode configs so bank patterns differ."""
@@ -95,6 +137,153 @@ class TestConflictBrokenSteadyState:
             )
             assert_parity(workload, design=design)
 
+    def test_row_self_conflict_mid_span_truncates(self):
+        """An isolated stream whose rows start to self-conflict mid-kernel.
+
+        A is reprogrammed non-interleaved with a channel stride of 255
+        words: channel ``c`` sits in bank ``16 + c`` except while the word
+        offset inside the bank is below 7, where neighbouring channels share
+        a bank.  That happens on tiles 24-31 only, so the first jump must
+        stop right before tile 24 and the per-cycle loop must arbitrate the
+        conflicts.  They leave A's channels skewed, and a skewed stream is
+        no longer isolated: the jump after the conflicts verifies A by
+        tiling (its banks no longer move).
+        """
+        stats, event = run_both(
+            lambda: reprogrammed(
+                compute_bound_workload(),
+                A=dict(
+                    base_address=(16 * 256 + 232) * 8,
+                    bank_group_size=1,
+                    spatial_strides=(255 * 8,),
+                    temporal_strides=(8, 0, 64),
+                ),
+            )
+        )
+        assert event.streamer_stats["A"].bank_conflict_retries > 0
+        assert stats["jumps"] >= 2, "one jump before the conflicts, one after"
+        assert stats["periods_replayed"] <= 64 - 8, "tiles 24-31 must be stepped"
+        # D tiles in every jump; any further tiled verdict is skewed A's.
+        assert stats["tiled_streams"] > stats["jumps"]
+        assert stats["isolated_streams"] >= 3
+
+    def test_rotating_stream_drifting_into_another_bank_group_bails(self):
+        """Footprints that intersect later must stop the jump now.
+
+        B is reprogrammed fully interleaved, starting on banks 40-47 and
+        drifting one bank down per tile — into A's group (banks 16-31)
+        around tile 9.  While the planner watches, neither stream is ever
+        contended; jumping on that evidence would skip the conflicts.
+        """
+        stats, event = run_both(
+            lambda: reprogrammed(
+                compute_bound_workload(),
+                B=dict(
+                    base_address=(64 * 130 + 40) * 8,
+                    bank_group_size=64,
+                    temporal_strides=(512, 504, 4032),
+                ),
+            )
+        )
+        assert stats["bails"].get("bank_overlap", 0) >= 1
+        assert stats["jumps"] == 0, "B never tiles and is never alone"
+        assert event.streamer_stats["A"].bank_conflict_retries > 0
+        assert event.streamer_stats["B"].bank_conflict_retries > 0
+
+    def test_arbiter_pointers_that_differ_bail(self):
+        """2-bank groups: every stream conflicts, the pointers settle late."""
+        design = datamaestro_evaluation_system(gima_group_size=2)
+        workload = GemmWorkload(name="macro_arbiter", m=64, n=64, k=64, quantize=True)
+        system_l, lockstep = run_engine("lockstep", workload, design=design)
+        system_e, event = run_engine("event", workload, design=design)
+        assert_results_identical(lockstep, event)
+        assert_deep_state_identical(system_l, system_e)
+        stats = system_e.steady_stats()
+        assert stats["bails"].get("arbiter_state", 0) >= 1
+        assert stats["jumps"] >= 1, "the next boundary must chain a jump"
+        assert stats["isolated_streams"] == 0
+
+    @pytest.mark.parametrize("bank, bails", [(3, 1), (20, 0)], ids=["tiled", "isolated"])
+    def test_arbiter_pointers_compared_on_tiled_banks_only(self, bank, bails):
+        """A pointer that changed matters where streams arbitrate (D's banks
+        0-15), not on an isolated stream's banks (A's 16-31)."""
+
+        class Falsified(AcceleratorSystem):
+            """Rewrites the pointer on ``bank`` in the first boundary record."""
+
+            def steady_span(self, limit):
+                span = super().steady_span(limit)
+                planner = self._steady
+                if (
+                    planner is not None
+                    and len(planner._history) == 1
+                    and not planner.stats.attempts
+                ):
+                    record = planner._history[-1]
+                    planner._history[-1] = record[:3] + ({**record[3], bank: "nobody"},)
+                return span
+
+        plain, _ = run_both(lambda: reprogrammed(compute_bound_workload()))
+        stats, _ = run_both(
+            lambda: reprogrammed(compute_bound_workload()), system_class=Falsified
+        )
+        assert stats["bails"].get("arbiter_state", 0) == bails
+        assert stats["jumps"] >= 1
+        if not bails:
+            assert stats == plain
+
+
+# ----------------------------------------------------------------------
+# Conv layers: rotating operand streams, one bank group each.
+# ----------------------------------------------------------------------
+class TestConvEngages:
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            ConvWorkload(name="macro_conv3x3_s1", in_height=14, in_width=14,
+                         in_channels=32, out_channels=32, kernel_h=3, kernel_w=3,
+                         stride=1, padding=1),
+            ConvWorkload(name="macro_conv3x3_s2", in_height=27, in_width=27,
+                         in_channels=32, out_channels=32, kernel_h=3, kernel_w=3,
+                         stride=2, padding=1),
+            ConvWorkload(name="macro_conv1x1_s2", in_height=27, in_width=27,
+                         in_channels=32, out_channels=32, kernel_h=1, kernel_w=1,
+                         stride=2, padding=0),
+            ConvWorkload(name="macro_conv7x7_s2", in_height=27, in_width=27,
+                         in_channels=3, out_channels=32, kernel_h=7, kernel_w=7,
+                         stride=2, padding=3),
+        ],
+        ids=lambda workload: workload.name,
+    )
+    def test_conv_jumps(self, workload):
+        system_l, lockstep = run_engine("lockstep", workload)
+        system_e, event = run_engine("event", workload)
+        assert_results_identical(lockstep, event)
+        assert_deep_state_identical(system_l, system_e)
+        stats = system_e.steady_stats()
+        assert stats["jumps"] >= 1, stats
+        assert stats["bails"].get("bank_pattern", 0) == 0, stats
+        assert stats["cycles_skipped"] > event.streaming_cycles // 2
+        # A, B and C rotate alone in their groups; D conflicts and tiles.
+        assert stats["isolated_streams"] == 3 * stats["jumps"]
+        assert stats["tiled_streams"] == stats["jumps"]
+
+    def test_chained_jumps_under_a_small_row_cap(self, monkeypatch):
+        """Two periods per jump: per-bank counters and arbiter pointers are
+        rebuilt dozens of times in one kernel and must stay exact."""
+        monkeypatch.setattr(steady, "MAX_ROWS", 2 * 36)
+        workload = ConvWorkload(
+            name="macro_conv_chained", in_height=14, in_width=14, in_channels=32,
+            out_channels=32, kernel_h=3, kernel_w=3, stride=1, padding=1,
+        )
+        system_l, lockstep = run_engine("lockstep", workload)
+        system_e, event = run_engine("event", workload)
+        assert_results_identical(lockstep, event)
+        assert_deep_state_identical(system_l, system_e)
+        stats = system_e.steady_stats()
+        assert stats["jumps"] >= 20
+        assert stats["periods_replayed"] == 2 * stats["jumps"]
+
 
 # ----------------------------------------------------------------------
 # Deadlocks and budget exhaustion around the fast path.
@@ -102,16 +291,9 @@ class TestConflictBrokenSteadyState:
 class TestDeadlockAndBudget:
     def starved_after_steady_program(self):
         """A's AGU holds half its bundles: steady streaming, then starvation."""
-        workload = compute_bound_workload()
-        program = compile_workload(workload, DESIGN, FeatureSet.all_enabled())
-        short = program.streamer_configs["A"].with_updates(
-            temporal_bounds=(8, 8, 4)
+        return reprogrammed(
+            compute_bound_workload(), A=dict(temporal_bounds=(8, 8, 4))
         )
-        program.streamer_configs["A"] = short
-        program.csr_writes["A"] = encode_runtime_config(
-            DESIGN.streamer("A"), short, list(DESIGN.group_size_options())
-        )
-        return program
 
     def test_deadlock_after_steady_phase_identical(self):
         errors = {}
@@ -176,6 +358,26 @@ class TestMacroProtocol:
         assert fast.steady_stats()["jumps"] >= 1
         assert_results_identical(result_plain, result_fast)
 
+    def test_planner_retires_once_every_group_failed(self):
+        """With all features off no boundary group of the conv ever verifies;
+        after the last one is retired the planner stops looking."""
+        from repro.core.params import ablation_feature_sets
+
+        workload = ConvWorkload(
+            name="macro_retired", in_height=14, in_width=14, in_channels=32,
+            out_channels=32, kernel_h=3, kernel_w=3, stride=1, padding=1,
+        )
+        features = ablation_feature_sets()["1_baseline"]
+        system_l, lockstep = run_engine("lockstep", workload, features=features)
+        system_e, event = run_engine("event", workload, features=features)
+        assert_results_identical(lockstep, event)
+        assert_deep_state_identical(system_l, system_e)
+        stats = system_e.steady_stats()
+        assert stats["bails"] == {"bank_pattern": steady.MAX_GROUP, "retired": 1}
+        assert stats["attempts"] == steady.MAX_GROUP
+        assert stats["boundaries"] > 2 * steady.MAX_GROUP
+        assert stats["jumps"] == 0
+
     def test_system_advertises_macro_protocol(self):
         assert supports_macro_protocol(AcceleratorSystem(DESIGN))
 
@@ -199,6 +401,9 @@ class TestMacroProtocol:
             "jumps",
             "periods_replayed",
             "cycles_skipped",
+            "isolated_streams",
+            "tiled_streams",
             "bails",
         }
+        assert stats["isolated_streams"] + stats["tiled_streams"] >= stats["jumps"]
         assert stats["boundaries"] >= stats["attempts"] >= stats["jumps"]

@@ -70,10 +70,32 @@ def assert_results_identical(lockstep, event):
         assert np.array_equal(tensor, event.outputs[name]), name
 
 
+def assert_deep_state_identical(reference, other):
+    """Compare the memory state the macro replay rebuilds instead of stepping.
+
+    Per-bank access counters, the arbiter's rotating pointers, the scratchpad
+    bytes and the requester registry do not reach :class:`SimulationResult`
+    bank by bank, so two systems can agree on every reported total and still
+    differ here.
+    """
+    left, right = reference.memory, other.memory
+    for bank_l, bank_r in zip(left.scratchpad.banks, right.scratchpad.banks):
+        assert (bank_l.read_count, bank_l.write_count) == (
+            bank_r.read_count,
+            bank_r.write_count,
+        ), f"bank {bank_l.index} access counters"
+        assert np.array_equal(bank_l._data, bank_r._data), f"bank {bank_l.index} data"
+    assert dict(left._last_grant) == dict(right._last_grant)
+    assert list(left._requesters) == list(right._requesters)
+    for name in left._requesters:
+        assert left.requester_stats(name) == right.requester_stats(name), name
+
+
 def assert_parity(workload, design=None, features=None, seed=0):
     system_l, lockstep = run_engine("lockstep", workload, design, features, seed)
     system_e, event = run_engine("event", workload, design, features, seed)
     assert_results_identical(lockstep, event)
+    assert_deep_state_identical(system_l, system_e)
     # Functional verdict against the numpy oracle must agree too.
     assert system_l.verify_outputs(lockstep) == system_e.verify_outputs(event)
 

@@ -11,7 +11,8 @@ every workload is simulated three ways —
 * the event engine with macro-stepping disabled —
 
 and all three must agree bit-for-bit: cycle counts, bank conflicts,
-per-streamer statistics and output tensors.  A failing case is minimised
+per-streamer statistics, output tensors and the memory state behind them
+(per-bank counters, arbiter pointers, scratchpad bytes, requester registry).  A failing case is minimised
 with the generator's shrinker and the failure message carries a
 ready-to-paste regression test, so a red CI run converts directly into a
 permanent test case.
@@ -27,7 +28,7 @@ seed comes from the ``fuzz_seed`` fixture (``REPRO_FUZZ_SEED``).
 """
 
 import pytest
-from test_parity import assert_results_identical
+from test_parity import assert_deep_state_identical, assert_results_identical
 
 from repro.compiler import compile_workload
 from repro.config import get_config
@@ -66,6 +67,8 @@ def _check_parity(workload, seed):
     system_n, macro_off = results["event_nomacro"]
     assert_results_identical(lockstep, macro_on)
     assert_results_identical(macro_on, macro_off)
+    assert_deep_state_identical(system_l, system_m)
+    assert_deep_state_identical(system_m, system_n)
     verdicts = {
         system_l.verify_outputs(lockstep),
         system_m.verify_outputs(macro_on),

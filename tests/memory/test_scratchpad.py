@@ -69,6 +69,55 @@ class TestBackdoor:
         out = scratchpad.backdoor_read(address, size, group_size=group_size)
         assert np.array_equal(out, data)
 
+    @given(
+        address=st.integers(min_value=0, max_value=GEOMETRY.capacity_bytes - 128),
+        size=st.integers(min_value=1, max_value=128),
+        group_size=st.sampled_from([1, 2, 4, 8]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_backdoor_matches_per_byte_decode(
+        self, address, size, group_size, seed
+    ):
+        """The vectorized backdoor is byte-exact against one decode per byte.
+
+        Both directions, on a scratchpad full of other data: the write must
+        leave every byte outside the range alone, the read must not depend on
+        the write path.
+        """
+        scratchpad = ScratchpadMemory(GEOMETRY)
+        rng = np.random.default_rng(seed)
+        for bank in scratchpad.banks:
+            bank._data[:] = rng.integers(0, 256, size=bank._data.shape, dtype=np.uint8)
+        expected = [bank._data.copy() for bank in scratchpad.banks]
+        locations = [
+            decode_address(address + i, GEOMETRY, group_size) for i in range(size)
+        ]
+        reference_read = np.array(
+            [expected[loc.bank][loc.line, loc.byte_offset] for loc in locations],
+            dtype=np.uint8,
+        )
+        assert np.array_equal(
+            scratchpad.backdoor_read(address, size, group_size), reference_read
+        )
+        data = rng.integers(0, 256, size=size, dtype=np.uint8)
+        for loc, byte in zip(locations, data):
+            expected[loc.bank][loc.line, loc.byte_offset] = byte
+        scratchpad.backdoor_write(address, data, group_size=group_size)
+        for bank, image in zip(scratchpad.banks, expected):
+            assert np.array_equal(bank._data, image), bank.index
+        assert scratchpad.total_reads == scratchpad.total_writes == 0
+
+    def test_backdoor_rejects_out_of_range(self, scratchpad):
+        with pytest.raises(ValueError):
+            scratchpad.backdoor_write(
+                GEOMETRY.capacity_bytes - 4, np.zeros(8, dtype=np.uint8), group_size=8
+            )
+        with pytest.raises(ValueError):
+            scratchpad.backdoor_read(GEOMETRY.capacity_bytes - 4, 8, group_size=8)
+        with pytest.raises(ValueError):
+            scratchpad.backdoor_read(-8, 8, group_size=8)
+
     def test_clear_erases_everything(self, scratchpad):
         scratchpad.backdoor_write(0, np.ones(32, dtype=np.uint8), group_size=8)
         scratchpad.clear()
