@@ -80,8 +80,8 @@ def bench_results(tmp_path_factory):
         for job in jobs:
             submit_time = time.perf_counter()
             ticket = client.submit(job, client_name=f"bench{len(tickets) % 4}")
-            ticket._future.add_done_callback(
-                lambda _f, t0=submit_time: latencies.append(time.perf_counter() - t0)
+            ticket.add_done_callback(
+                lambda _t, t0=submit_time: latencies.append(time.perf_counter() - t0)
             )
             tickets.append(ticket)
         outcomes = [ticket.result(timeout=120) for ticket in tickets]

@@ -742,7 +742,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         unique.values(), f"Service results ({len(jobs)} submissions, "
         f"{len(unique)} unique jobs)"
     )
-    stats = client.stats() if shards == 0 else client.stats_dict()
+    stats = client.stats_dict()
     print(
         f"service: {stats['submitted']} submitted, {stats['executed']} simulated, "
         f"{stats['coalesced']} coalesced, {stats['cache_hits']} cache hits "

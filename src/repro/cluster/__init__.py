@@ -33,7 +33,7 @@ from .journal import (
 )
 from .protocol import MAX_FRAME_BYTES, MessageChannel, ProtocolError, channel_pair
 from .router import ShardRouter
-from .service import ClusterConfig, ClusterService, ClusterStats, ClusterTicket
+from .service import ClusterConfig, ClusterService
 from .supervisor import ShardFailedError, ShardHandle, Supervisor, SupervisorConfig
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "ShardRouter",
     "ClusterConfig",
     "ClusterService",
-    "ClusterStats",
-    "ClusterTicket",
     "ShardFailedError",
     "ShardHandle",
     "Supervisor",

@@ -7,12 +7,11 @@ submitted but never completed are resubmitted, jobs already completed are
 served from the journal (or the shared result cache) without touching a
 worker.
 
-The format reuses the append + truncated-tail-repair idiom proven by
-:class:`repro.explore.journal.RunJournal`: an append-only JSON-lines file
-whose first line is a header, where a crash mid-append at worst truncates
-the final line.  :meth:`JobJournal.resume` tolerates that partial line and
-atomically rewrites the file without it (temp file + ``os.replace``), so a
-crash during the repair itself can never lose a record either.
+The file is a :class:`repro.runtime.recordlog.RecordLog` — the same
+append-only JSON-lines log under :class:`repro.explore.journal.RunJournal`:
+a header line, fsynced appends, a crash mid-append at worst truncates the
+final line, and :meth:`JobJournal.resume` rewrites the file atomically, so
+a crash during the repair itself can never lose a record either.
 
 Record types after the header line:
 
@@ -33,16 +32,15 @@ unpickle) and resubmits everything unfinished — safe, at worst wasteful.
 from __future__ import annotations
 
 import base64
-import json
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
+from .. import __version__
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
+from ..runtime.recordlog import RecordLog
 
 __all__ = [
     "JOB_JOURNAL_FORMAT",
@@ -59,14 +57,52 @@ class JobJournalError(ValueError):
     """The journal file cannot be used (bad header, wrong format)."""
 
 
-def _encode(obj: object) -> str:
+def _pickled(obj: object) -> str:
     return base64.b64encode(
         pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     ).decode("ascii")
 
 
-def _decode(text: str) -> object:
-    return pickle.loads(base64.b64decode(text.encode("ascii")))
+def _unpickled(text: object, expected: type, foreign: bool):
+    """The payload as an ``expected`` instance, or ``None`` when it is
+    absent, was written by another package version, or is a stale pickle."""
+    if text is None or foreign:
+        return None
+    try:
+        decoded = pickle.loads(base64.b64decode(str(text).encode("ascii")))
+    except Exception:  # noqa: BLE001 — stale pickle
+        return None
+    return decoded if isinstance(decoded, expected) else None
+
+
+def _submission(key: str, job: SimJob) -> Dict[str, object]:
+    return {
+        "type": "submitted",
+        "key": key,
+        "workload": job.workload.name,
+        "backend": job.backend,
+        "job": _pickled(job),
+    }
+
+
+def _completion(key: str, outcome: Optional[SimOutcome]) -> Dict[str, object]:
+    record: Dict[str, object] = {"type": "completed", "key": key}
+    if outcome is not None:
+        record["outcome"] = _pickled(outcome)
+    return record
+
+
+def _decode(
+    record: Dict[str, object], header: Dict[str, object]
+) -> Tuple[str, str, object]:
+    foreign = header.get("package_version") != __version__
+    kind = record.get("type")
+    if kind == "submitted":
+        return kind, str(record["key"]), _unpickled(record["job"], SimJob, foreign)
+    if kind == "completed":
+        payload = _unpickled(record.get("outcome"), SimOutcome, foreign)
+        return kind, str(record["key"]), payload
+    raise ValueError(f"unknown record type {kind!r}")
 
 
 @dataclass
@@ -96,122 +132,45 @@ class JobJournalContents:
 
 
 class JobJournal:
-    """Append-only JSONL record of cluster submissions and completions."""
+    """Append-only JSONL record of cluster submissions and completions.
+
+    A codec over :class:`~repro.runtime.recordlog.RecordLog`, which owns
+    the header check, the durable append, the truncated-tail rule and the
+    atomic rewrite.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._log = RecordLog(self.path, JOB_JOURNAL_FORMAT, JobJournalError)
 
     def exists(self) -> bool:
-        return self.path.is_file() and self.path.stat().st_size > 0
-
-    # ------------------------------------------------------------------
-    # Writing.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _header_record(header: Dict[str, object]) -> str:
-        record = {"type": "header", "format": JOB_JOURNAL_FORMAT, **header}
-        return json.dumps(record, sort_keys=True) + "\n"
+        return self._log.exists()
 
     def start(self, header: Optional[Dict[str, object]] = None) -> None:
         """Begin a fresh journal (truncates any previous file)."""
-        from .. import __version__
-
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"package_version": __version__, **(header or {})}
-        with self.path.open("w", encoding="utf-8") as handle:
-            handle.write(self._header_record(payload))
+        self._log.start({"package_version": __version__, **(header or {})})
 
     def record_submission(self, key: str, job: SimJob) -> None:
         """Journal one accepted job before it is dispatched to a shard."""
-        record = {
-            "type": "submitted",
-            "key": key,
-            "workload": job.workload.name,
-            "backend": job.backend,
-            "job": _encode(job),
-        }
-        self._append(record)
+        self._log.append(_submission(key, job))
 
     def record_completion(
         self, key: str, outcome: Optional[SimOutcome] = None
     ) -> None:
         """Journal one settled job; ``outcome`` rides along when the
         cluster has no shared result cache to keep it durable."""
-        record: Dict[str, object] = {"type": "completed", "key": key}
-        if outcome is not None:
-            record["outcome"] = _encode(outcome)
-        self._append(record)
+        self._log.append(_completion(key, outcome))
 
-    def _append(self, record: Dict[str, object]) -> None:
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    # ------------------------------------------------------------------
-    # Reading.
-    # ------------------------------------------------------------------
     def load(self) -> JobJournalContents:
         """Parse the journal, tolerating a truncated/garbled trailing line."""
-        if not self.exists():
-            raise JobJournalError(f"journal {self.path} does not exist or is empty")
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as error:
-            raise JobJournalError(f"journal {self.path}: unreadable header") from error
-        if not isinstance(header, dict) or header.get("type") != "header":
-            raise JobJournalError(f"journal {self.path}: first line is not a header")
-        if header.get("format") != JOB_JOURNAL_FORMAT:
-            raise JobJournalError(
-                f"journal {self.path}: format {header.get('format')!r} "
-                f"!= {JOB_JOURNAL_FORMAT}"
-            )
-        from .. import __version__
-
-        foreign_version = header.get("package_version") != __version__
-
-        contents = JobJournalContents(header=header)
-        for position, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                kind = record.get("type")
-                if kind == "submitted":
-                    key = str(record["key"])
-                    job: Optional[SimJob] = None
-                    if not foreign_version:
-                        try:
-                            decoded = _decode(str(record["job"]))
-                            if isinstance(decoded, SimJob):
-                                job = decoded
-                        except Exception:  # noqa: BLE001 — stale pickle
-                            job = None
-                    if job is None:
-                        contents.undecodable_jobs += 1
-                    contents.submitted[key] = job
-                elif kind == "completed":
-                    key = str(record["key"])
-                    outcome: Optional[SimOutcome] = None
-                    if "outcome" in record and not foreign_version:
-                        try:
-                            decoded = _decode(str(record["outcome"]))
-                            if isinstance(decoded, SimOutcome):
-                                outcome = decoded
-                        except Exception:  # noqa: BLE001 — stale pickle
-                            outcome = None
-                    contents.completed[key] = outcome
-                else:
-                    raise ValueError(f"unknown record type {kind!r}")
-            except (ValueError, KeyError, TypeError):
-                if position == len(lines):
-                    # Interrupted mid-append: drop the partial final record.
-                    contents.dropped_lines += 1
-                    continue
-                raise JobJournalError(
-                    f"journal {self.path}: unreadable record on line {position}"
-                )
+        header, records, dropped = self._log.load(_decode)
+        contents = JobJournalContents(header=header, dropped_lines=dropped)
+        for kind, key, payload in records:
+            if kind == "submitted":
+                contents.submitted[key] = payload
+                contents.undecodable_jobs += payload is None
+            else:
+                contents.completed[key] = payload
         return contents
 
     def resume(self) -> JobJournalContents:
@@ -220,60 +179,17 @@ class JobJournal:
         The rewritten journal keeps the header, every unfinished
         submission, and completed records that still carry their outcome
         (cache-less clusters).  Completed work durable in the result cache
-        is compacted away.  The rewrite is atomic (temp + ``os.replace``),
-        mirroring :meth:`repro.explore.journal.RunJournal._rewrite`.
+        is compacted away.
         """
         contents = self.load()
-        self._rewrite(contents)
+        records = [
+            _submission(key, job) for key, job in contents.unfinished().items()
+        ] + [
+            _completion(key, outcome)
+            for key, outcome in contents.completed.items()
+            if outcome is not None
+        ]
+        header = {**contents.header, "package_version": __version__}
+        self._log.rewrite(header, records)
         contents.dropped_lines = 0
         return contents
-
-    def _rewrite(self, contents: JobJournalContents) -> None:
-        from .. import __version__
-
-        header = {
-            key: value
-            for key, value in contents.header.items()
-            if key not in ("type", "format")
-        }
-        header["package_version"] = __version__
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{self.path.name}-", suffix=".tmp", dir=str(self.path.parent)
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(self._header_record(header))
-                for key, job in contents.submitted.items():
-                    if key in contents.completed or job is None:
-                        continue
-                    handle.write(
-                        json.dumps(
-                            {
-                                "type": "submitted",
-                                "key": key,
-                                "workload": job.workload.name,
-                                "backend": job.backend,
-                                "job": _encode(job),
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                for key, outcome in contents.completed.items():
-                    if outcome is None:
-                        continue  # durable in the shared result cache
-                    handle.write(
-                        json.dumps(
-                            {"type": "completed", "key": key, "outcome": _encode(outcome)},
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise

@@ -8,23 +8,26 @@ in-flight submissions coalesce; caches are probed before any work is
 scheduled — but executes on worker *processes*, so N shards run N
 simulations with N private GILs and throughput finally scales with cores.
 
-How one submission flows:
+Admission — coalesce onto an identical in-flight job, probe the
+journal-replayed completions and then the shared
+:class:`~repro.runtime.cache.ResultCache`, else create a new entry — is the
+:class:`~repro.serve.core.AdmissionCore`'s, the same one the thread service
+runs.  This module is the *executor* for new entries:
 
-1. **Coalesce** — the job hash is looked up in the cluster-wide in-flight
-   map; a duplicate rides the existing future.
-2. **Probe** — journal-replayed completions, then the shared on-disk
-   :class:`~repro.runtime.cache.ResultCache`; a hit resolves instantly.
-3. **Journal** — with a :class:`~repro.cluster.journal.JobJournal`
+1. **Route** — :class:`~repro.cluster.router.ShardRouter` hash-partitions
+   by job hash: identical jobs always share a shard, keeping the shard's
+   own in-flight coalescing exactly correct.  A shard that exhausted its
+   restart budget refuses the entry with ``ShardFailedError``.
+2. **Journal** — with a :class:`~repro.cluster.journal.JobJournal`
    configured, the accepted job is recorded *before* dispatch, so a crash
    between acceptance and completion resubmits it on restart.
-4. **Route** — :class:`~repro.cluster.router.ShardRouter` hash-partitions
-   by job hash: identical jobs always share a shard, keeping the shard's
-   own in-flight coalescing exactly correct.
-5. **Dispatch** — the job travels to the shard worker over the
+3. **Dispatch** — the job travels to the shard worker over the
    length-prefixed :mod:`~repro.cluster.protocol` channel; the worker's
    embedded :class:`~repro.serve.service.SimulationService` executes it and
    sends the outcome (or the original exception) back.
-6. **Settle** — the future resolves, the completion is journaled, and every
+4. **Settle** — the result frame is matched to its entry by sequence
+   number (a stale frame from a killed incarnation matches nothing), the
+   core retires the entry, the completion is journaled, and every
    coalesced waiter observes the same outcome object.
 
 Failures are the :class:`~repro.cluster.supervisor.Supervisor`'s job: a
@@ -35,7 +38,7 @@ that crash-loops without doing work fails its jobs with
 :class:`~repro.cluster.supervisor.ShardFailedError` instead of hanging.
 
 ``ClusterService`` quacks like :class:`~repro.serve.client.ServiceClient`
-(``submit`` / ``run`` / ``stats`` / ``snapshot`` / ``close``), so
+(``submit`` / ``run`` / ``stats_dict`` / ``snapshot`` / ``close``), so
 ``Simulator(service=...)``, ``BatchRunner(service=...)`` and
 ``ExplorationEngine(service=...)`` work unchanged on top of it.
 """
@@ -45,27 +48,21 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
 from ..runtime.cache import ResultCache
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
-from ..serve.service import ServiceClosedError
+from ..serve.core import AdmissionCore, Entry, ServiceClosedError, Stats, Ticket
 from .journal import JobJournal
 from .protocol import MSG_ERROR, MSG_RESULT
 from .router import ShardRouter
 from .supervisor import ShardFailedError, ShardHandle, Supervisor, SupervisorConfig
 
-__all__ = [
-    "ClusterConfig",
-    "ClusterService",
-    "ClusterStats",
-    "ClusterTicket",
-]
+__all__ = ["ClusterConfig", "ClusterService"]
 
 
 @dataclass(frozen=True)
@@ -126,145 +123,6 @@ class ClusterConfig:
         )
 
 
-class ClusterStats:
-    """Monotonic counters of one cluster instance.
-
-    Backed by a per-cluster :class:`~repro.obs.metrics.MetricsRegistry`
-    exactly like the thread service's ``ServiceStats``: reads return plain
-    ints, ``stats.executed += 1`` routes the delta into the backing
-    counter, and monotonicity is enforced (a decrease raises
-    ``ValueError``).
-    """
-
-    _COUNTERS = {
-        "submitted": ("repro_submitted_total", "Jobs submitted to the cluster."),
-        "coalesced": (
-            "repro_coalesced_total",
-            "Submissions that rode an identical in-flight job.",
-        ),
-        # Parent-side result-cache hits (never dispatched).
-        "cache_hits": (
-            "repro_cache_hits_total",
-            "Submissions resolved from the parent-side result cache.",
-        ),
-        # Served from the journal's replayed completions (cache-less mode).
-        "journal_hits": (
-            "repro_journal_hits_total",
-            "Submissions served from journal-replayed completions.",
-        ),
-        # Jobs a shard actually simulated.
-        "executed": ("repro_executed_total", "Jobs a shard actually simulated."),
-        # Jobs a shard resolved from the shared cache (raced writers etc.).
-        "shard_cache_hits": (
-            "repro_shard_cache_hits_total",
-            "Jobs a shard resolved from the shared cache.",
-        ),
-        "failed": ("repro_failed_total", "Jobs whose shard raised."),
-        # In-flight jobs redispatched after a shard crash.
-        "requeued": (
-            "repro_requeued_total",
-            "In-flight jobs redispatched after a shard crash.",
-        ),
-        # Unfinished journal entries resubmitted at startup.
-        "recovered": (
-            "repro_journal_recovered_total",
-            "Unfinished journal entries replayed at startup.",
-        ),
-    }
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            attr: self.registry.counter(name, help)
-            for attr, (name, help) in self._COUNTERS.items()
-        }
-
-    def __getattr__(self, name: str):
-        counters = self.__dict__.get("_counters")
-        if counters and name in counters:
-            return counters[name].value
-        raise AttributeError(
-            f"{type(self).__name__!s} object has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            counters[name].inc(value - counters[name].value)
-            return
-        object.__setattr__(self, name, value)
-
-    @property
-    def coalescing_hit_rate(self) -> float:
-        return self.coalesced / self.submitted if self.submitted else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        hits = self.cache_hits + self.journal_hits
-        return hits / self.submitted if self.submitted else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "cache_hits": self.cache_hits,
-            "journal_hits": self.journal_hits,
-            "executed": self.executed,
-            "shard_cache_hits": self.shard_cache_hits,
-            "failed": self.failed,
-            "requeued": self.requeued,
-            "recovered": self.recovered,
-            "coalescing_hit_rate": self.coalescing_hit_rate,
-            "cache_hit_rate": self.cache_hit_rate,
-        }
-
-
-@dataclass
-class ClusterTicket:
-    """Receipt for one submission; :meth:`result` blocks for the outcome."""
-
-    job: SimJob
-    job_hash: str
-    client: str
-    #: This submission attached to an identical in-flight job.
-    coalesced: bool
-    #: Resolved instantly from the cache or the journal (never dispatched).
-    cache_hit: bool
-    #: Which shard owns the job (``-1`` for instant resolutions).
-    shard: int
-    _future: "Future[SimOutcome]"
-
-    def result(self, timeout: Optional[float] = None) -> SimOutcome:
-        """Block until the outcome is available (re-raises shard errors)."""
-        return self._future.result(timeout)
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def add_done_callback(self, callback) -> None:
-        """Invoke ``callback(ticket)`` when the outcome settles.
-
-        Runs on the completing thread (or immediately when already done) —
-        :class:`~repro.serve.client.ClientTicket` API parity, used by the
-        replay harness to timestamp completions.
-        """
-        self._future.add_done_callback(lambda _future: callback(self))
-
-
-@dataclass
-class _ClusterEntry:
-    """One unique in-flight job owned by the cluster."""
-
-    job: SimJob
-    key: str
-    seq: int
-    shard: int
-    client: str
-    future: "Future[SimOutcome]"
-    waiters: int = 1
-    submitted_at: float = 0.0
-
-
 class ClusterService:
     """Multi-process sharded simulation service with supervision.
 
@@ -300,7 +158,7 @@ class ClusterService:
             cache = ResultCache(Path(cache_dir).expanduser())
         self.cache = cache
         self.config = config or ClusterConfig()
-        self.stats = ClusterStats()
+        self.stats = Stats("cluster")
         #: The per-cluster metrics registry backing :attr:`stats`.
         self.metrics = self.stats.registry
         self.metrics.gauge(
@@ -313,10 +171,11 @@ class ClusterService:
             journal = JobJournal(Path(journal).expanduser())
         self.journal: Optional[JobJournal] = journal
 
+        #: Serialises the core and the seq -> entry map below; futures are
+        #: resolved outside it (done-callbacks are caller code).
         self._lock = threading.RLock()
-        self._inflight: Dict[str, _ClusterEntry] = {}
-        self._pending: Dict[int, _ClusterEntry] = {}  # seq -> entry
-        self._completed_from_journal: Dict[str, SimOutcome] = {}
+        self._core = AdmissionCore(self.stats, cache, Future, self._emit)
+        self._pending: Dict[int, Entry] = {}  # seq -> dispatched entry
         self._handles: List[ShardHandle] = []
         self._dead_shards: Dict[int, str] = {}
         self._seq = 0
@@ -377,17 +236,17 @@ class ClusterService:
             return
         contents = self.journal.resume()
         with self._lock:
-            self._completed_from_journal = {
-                key: outcome
+            self._core.replayed.update(
+                (key, outcome)
                 for key, outcome in contents.completed.items()
                 if outcome is not None
-            }
+            )
         unfinished = contents.unfinished()
-        for key, job in unfinished.items():
+        for job in unfinished.values():
             # Already journaled (the compacted file retains them): skip the
             # duplicate submission record, keep everything else identical.
             self._submit(job, client="recovery", journal_submission=False)
-        self.stats.recovered += len(unfinished)
+        self.stats.inc("recovered", len(unfinished))
 
     def __enter__(self) -> "ClusterService":
         return self
@@ -451,21 +310,17 @@ class ClusterService:
 
     def _fail_leftovers(self, reason: str) -> None:
         with self._lock:
-            leftovers = list(self._pending.values())
             self._pending.clear()
-            self._inflight.clear()
+            leftovers = self._core.abandon(list(self._core.inflight.values()), reason)
         for entry in leftovers:
-            if not entry.future.done():
-                entry.future.set_exception(
-                    ServiceClosedError(f"{reason} before job {entry.key[:12]} settled")
-                )
+            entry.resolve()
 
     # ------------------------------------------------------------------
     # Submission.
     # ------------------------------------------------------------------
     def submit(
         self, job: SimJob, client_name: str = "anon", priority: int = 0
-    ) -> ClusterTicket:
+    ) -> Ticket:
         """Submit one job; never blocks on simulation.
 
         ``priority`` is accepted for :class:`ServiceClient` API parity and
@@ -474,80 +329,45 @@ class ClusterService:
         del priority
         return self._submit(job, client=client_name, journal_submission=True)
 
-    def _submit(
-        self, job: SimJob, client: str, journal_submission: bool
-    ) -> ClusterTicket:
-        key = job.job_hash()
+    def _submit(self, job: SimJob, client: str, journal_submission: bool) -> Ticket:
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("cluster is closed")
-
-            tracer = get_tracer()
-            entry = self._inflight.get(key)
-            if entry is not None:
-                entry.waiters += 1
-                self.stats.submitted += 1
-                self.stats.coalesced += 1
-                if tracer is not None:
-                    tracer.instant("coalesced", key, client=client)
-                return ClusterTicket(job, key, client, True, False, entry.shard, entry.future)
-
-            replayed = self._completed_from_journal.get(key)
-            if replayed is not None:
-                self.stats.submitted += 1
-                self.stats.journal_hits += 1
-                future: "Future[SimOutcome]" = Future()
-                replayed.cache_hit = True
-                future.set_result(replayed)
-                if tracer is not None:
-                    tracer.begin("job", key, client=client)
-                    tracer.instant("journal_hit", key)
-                    tracer.end("job", key, outcome="journal_hit")
-                return ClusterTicket(job, key, client, False, True, -1, future)
-
-            if self.cache is not None:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    self.stats.submitted += 1
-                    self.stats.cache_hits += 1
-                    future = Future()
-                    future.set_result(hit)
-                    if tracer is not None:
-                        tracer.begin("job", key, client=client)
-                        tracer.instant("cache_hit", key)
-                        tracer.end("job", key, outcome="cache_hit")
-                    return ClusterTicket(job, key, client, False, True, -1, future)
-
-            shard = self.router.shard_for(key)
-            dead_reason = self._dead_shards.get(shard)
-            if dead_reason is not None:
-                raise ShardFailedError(dead_reason)
-
-            self._seq += 1
-            entry = _ClusterEntry(
-                job=job,
-                key=key,
-                seq=self._seq,
-                shard=shard,
-                client=client,
-                future=Future(),
-                submitted_at=time.monotonic(),
+            ticket = self._core.admit(
+                job, client, lambda entry: self._place(entry, journal_submission)
             )
-            if self.journal is not None and journal_submission:
-                self.journal.record_submission(key, job)
-            self._inflight[key] = entry
-            self._pending[entry.seq] = entry
-            self.stats.submitted += 1
-            handle = self._handles[shard]
+            if ticket.coalesced or ticket.cache_hit:
+                return ticket
+            entry = self._core.inflight[ticket.job_hash]
+            handle = self._handles[entry.shard]
         # The send happens outside the lock (socket I/O); a failed send is
         # recovered by the supervisor's redispatch when the shard restarts.
         tracer = get_tracer()
         if tracer is not None:
-            tracer.begin("job", key, client=client, workload=job.workload.name)
-            tracer.instant("shard_routed", key, shard=shard)
-            tracer.begin("dispatched", key, shard=shard)
-        handle.dispatch(entry.seq, key, job)
-        return ClusterTicket(job, key, client, False, False, shard, entry.future)
+            tracer.instant("shard_routed", entry.key, shard=entry.shard)
+            tracer.begin("dispatched", entry.key, shard=entry.shard)
+        handle.dispatch(entry.seq, entry.key, job)
+        return ticket
+
+    def _place(self, entry: Entry, journal_submission: bool) -> None:
+        """The core's ``place`` hook: route, refuse a dead shard, journal
+        write-ahead, and index the entry by its wire sequence number."""
+        entry.shard = self.router.shard_for(entry.key)
+        dead_reason = self._dead_shards.get(entry.shard)
+        if dead_reason is not None:
+            raise ShardFailedError(dead_reason)
+        self._seq += 1
+        entry.seq = self._seq
+        if self.journal is not None and journal_submission:
+            self.journal.record_submission(entry.key, entry.job)
+        self._pending[entry.seq] = entry
+
+    @staticmethod
+    def _emit(kind: str, key: str, client: str, **extra) -> None:
+        """The core's lifecycle hook → the tracer's one lifecycle mapping."""
+        tracer = get_tracer()
+        if tracer is not None:
+            tracer.lifecycle(kind, key, client, **extra)
 
     def run(
         self,
@@ -590,45 +410,26 @@ class ClusterService:
             entry = self._pending.pop(seq, None)
             if entry is None:
                 return  # stale frame from a killed incarnation
-            self._inflight.pop(entry.key, None)
-            if outcome is not None:
-                if outcome.cache_hit:
-                    self.stats.shard_cache_hits += 1
-                else:
-                    self.stats.executed += 1
-                if self.journal is not None:
-                    # The outcome only rides into the journal when no shared
-                    # cache keeps it durable.
-                    self.journal.record_completion(
-                        entry.key, outcome if self.cache is None else None
-                    )
-                    if self.cache is None:
-                        self._completed_from_journal[entry.key] = outcome
-            else:
-                self.stats.failed += 1
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.maybe_end("dispatched", entry.key)
-            tracer.end(
-                "job",
-                entry.key,
-                outcome="finished" if outcome is not None else "failed",
-                waiters=entry.waiters,
-            )
-        if outcome is not None:
-            if not entry.future.done():
-                entry.future.set_result(outcome)
-        else:
-            assert error is not None
-            if not entry.future.done():
-                entry.future.set_exception(error)
+            tracer = get_tracer()
+            if tracer is not None:
+                tracer.maybe_end("dispatched", entry.key)
+            self._core.settle(entry.key, outcome, error)
+            if outcome is not None and self.journal is not None:
+                # The outcome only rides into the journal when no shared
+                # cache keeps it durable.
+                self.journal.record_completion(
+                    entry.key, outcome if self.cache is None else None
+                )
+                if self.cache is None:
+                    self._core.replayed[entry.key] = outcome
+        entry.resolve()
 
     def _redispatch_shard(self, index: int) -> None:
         """Requeue a dead incarnation's in-flight jobs onto its successor."""
         with self._lock:
             entries = [e for e in self._pending.values() if e.shard == index]
             handle = self._handles[index]
-            self.stats.requeued += len(entries)
+            self.stats.inc("requeued", len(entries))
         tracer = get_tracer()
         for entry in sorted(entries, key=lambda e: e.seq):
             if tracer is not None:
@@ -641,12 +442,10 @@ class ClusterService:
             self._dead_shards[index] = reason
             entries = [e for e in self._pending.values() if e.shard == index]
             for entry in entries:
-                self._pending.pop(entry.seq, None)
-                self._inflight.pop(entry.key, None)
-                self.stats.failed += 1
+                del self._pending[entry.seq]
+                self._core.settle(entry.key, error=ShardFailedError(reason))
         for entry in entries:
-            if not entry.future.done():
-                entry.future.set_exception(ShardFailedError(reason))
+            entry.resolve()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -654,7 +453,7 @@ class ClusterService:
     def inflight(self) -> int:
         """Unique jobs somewhere between acceptance and settlement."""
         with self._lock:
-            return len(self._inflight)
+            return len(self._core.inflight)
 
     def wait_idle(self, timeout: float = 30.0) -> bool:
         """Block until nothing is in flight; ``False`` on timeout.
@@ -675,13 +474,11 @@ class ClusterService:
         return self._supervisor.restarts
 
     def stats_dict(self) -> Dict[str, object]:
+        """Cluster counters plus the supervisor's ``restarts`` — the same
+        call :class:`~repro.serve.client.ServiceClient` answers."""
         summary = self.stats.as_dict()
         summary["restarts"] = self.restarts
         return summary
-
-    # ServiceClient API parity: callers treat stats() as a dict snapshot.
-    def stats_snapshot(self) -> Dict[str, object]:
-        return self.stats_dict()
 
     def snapshot(self, wait: float = 0.5) -> Dict[str, object]:
         """Cluster-wide ops snapshot, aggregated over per-shard services.
@@ -727,18 +524,4 @@ class ClusterService:
             "stats": self.stats_dict(),
             "journal": str(self.journal.path) if self.journal else None,
             "cache": self.cache.stats() if self.cache is not None else None,
-        }
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "config": {
-                "shards": self.config.shards,
-                "worker_threads": self.config.worker_threads,
-                "max_backlog": self.config.max_backlog,
-                "progress_interval": self.config.progress_interval,
-            },
-            "cache": self.cache.stats() if self.cache is not None else None,
-            "journal": str(self.journal.path) if self.journal else None,
-            "inflight": self.inflight(),
-            "stats": self.stats_dict(),
         }

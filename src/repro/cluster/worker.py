@@ -24,6 +24,7 @@ draining and exits — an orphaned shard must not outlive its cluster.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Optional
 
@@ -98,8 +99,8 @@ def shard_worker_main(
         except (OSError, ValueError):
             pass
 
-    def on_done(seq: int, key: str, future) -> None:
-        error = future.exception()
+    def on_done(seq: int, key: str, ticket) -> None:
+        error = ticket.future.exception()
         if error is None:
             send(
                 {
@@ -107,7 +108,7 @@ def shard_worker_main(
                     "seq": seq,
                     "key": key,
                     "shard": shard_index,
-                    "outcome": future.result(),
+                    "outcome": ticket.result(),
                 }
             )
         else:
@@ -148,9 +149,7 @@ def shard_worker_main(
                         }
                     )
                     continue
-                ticket._future.add_done_callback(
-                    lambda future, seq=seq, key=key: on_done(seq, key, future)
-                )
+                ticket.add_done_callback(functools.partial(on_done, seq, key))
             elif kind == MSG_PING:
                 send(
                     {

@@ -3,10 +3,10 @@
 The journal is an append-only JSON-lines file.  The first line is a header
 describing the run configuration (space digest, strategy, seed, objectives,
 workload digests, package version); every further line records one completed
-candidate evaluation (assignment, metrics, job hashes).  Because lines are
-flushed as they are appended, a killed run leaves a valid journal: at worst
-the final line is truncated, and :meth:`RunJournal.load` simply ignores an
-unparseable trailing line.
+candidate evaluation (assignment, metrics, job hashes).  The file discipline
+— durable appends, "an unparseable final line is a crash artefact, drop it",
+atomic repair — is :class:`repro.runtime.recordlog.RecordLog`'s; this module
+is the evaluation codec and the resume contract.
 
 Resume contract: the engine replays journaled evaluations instead of
 re-simulating them, but only when the header matches the current run
@@ -16,13 +16,11 @@ raises :class:`JournalMismatchError` rather than silently mixing runs.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..runtime.recordlog import RecordLog
 from .objectives import Evaluation
 from .space import Candidate
 
@@ -47,120 +45,53 @@ class JournalContents:
     dropped_lines: int = 0
 
 
+def _encode(evaluation: Evaluation) -> Dict[str, object]:
+    return {
+        "type": "evaluation",
+        "candidate": evaluation.candidate.as_dict(),
+        "metrics": evaluation.metrics,
+        "job_hashes": evaluation.job_hashes,
+    }
+
+
+def _decode(record: Dict[str, object], _header: Dict[str, object]) -> Evaluation:
+    if record.get("type") != "evaluation":
+        raise ValueError("not an evaluation record")
+    return Evaluation(
+        candidate=Candidate.from_dict(record["candidate"]),
+        metrics={str(k): float(v) for k, v in record["metrics"].items()},
+        job_hashes=[str(h) for h in record.get("job_hashes", [])],
+        from_journal=True,
+    )
+
+
 class RunJournal:
-    """Append-only JSONL checkpoint of one exploration run."""
+    """Append-only JSONL checkpoint of one exploration run.
+
+    A codec over :class:`~repro.runtime.recordlog.RecordLog`, which owns
+    the header check, the durable append, the truncated-tail rule and the
+    atomic rewrite.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._log = RecordLog(self.path, JOURNAL_FORMAT, JournalError)
 
     def exists(self) -> bool:
-        return self.path.is_file() and self.path.stat().st_size > 0
-
-    # ------------------------------------------------------------------
-    # Writing.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _header_record(header: Dict[str, object]) -> str:
-        record = {"type": "header", "format": JOURNAL_FORMAT, **header}
-        return json.dumps(record, sort_keys=True) + "\n"
-
-    @staticmethod
-    def _evaluation_record(evaluation: Evaluation) -> str:
-        record = {
-            "type": "evaluation",
-            "candidate": evaluation.candidate.as_dict(),
-            "metrics": evaluation.metrics,
-            "job_hashes": evaluation.job_hashes,
-        }
-        return json.dumps(record, sort_keys=True) + "\n"
+        return self._log.exists()
 
     def start(self, header: Dict[str, object]) -> None:
         """Begin a fresh journal (truncates any previous file)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("w", encoding="utf-8") as handle:
-            handle.write(self._header_record(header))
+        self._log.start(header)
 
     def append(self, evaluation: Evaluation) -> None:
-        """Append one evaluation record and flush it to disk."""
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(self._evaluation_record(evaluation))
-            handle.flush()
+        """Append one evaluation record, durable on return."""
+        self._log.append(_encode(evaluation))
 
-    def _rewrite(self, contents: "JournalContents") -> None:
-        """Replace the journal atomically (temp file + rename).
-
-        Repair must use the same write-then-replace discipline as
-        ``ResultCache.put``: a crash mid-repair leaves either the original
-        journal or the fully repaired one on disk, never a half-written
-        file that would lose evaluations and force re-simulation on the
-        next resume.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        header = {
-            key: value
-            for key, value in contents.header.items()
-            if key not in ("type", "format")
-        }
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{self.path.name}-", suffix=".tmp", dir=str(self.path.parent)
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(self._header_record(header))
-                for evaluation in contents.evaluations:
-                    handle.write(self._evaluation_record(evaluation))
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    # ------------------------------------------------------------------
-    # Reading.
-    # ------------------------------------------------------------------
     def load(self) -> JournalContents:
         """Parse the journal, tolerating a truncated/garbled trailing line."""
-        if not self.exists():
-            raise JournalError(f"journal {self.path} does not exist or is empty")
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as error:
-            raise JournalError(f"journal {self.path}: unreadable header") from error
-        if not isinstance(header, dict) or header.get("type") != "header":
-            raise JournalError(f"journal {self.path}: first line is not a header")
-        if header.get("format") != JOURNAL_FORMAT:
-            raise JournalError(
-                f"journal {self.path}: format {header.get('format')!r} "
-                f"!= {JOURNAL_FORMAT}"
-            )
-
-        contents = JournalContents(header=header)
-        for position, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if record.get("type") != "evaluation":
-                    raise ValueError("not an evaluation record")
-                evaluation = Evaluation(
-                    candidate=Candidate.from_dict(record["candidate"]),
-                    metrics={str(k): float(v) for k, v in record["metrics"].items()},
-                    job_hashes=[str(h) for h in record.get("job_hashes", [])],
-                    from_journal=True,
-                )
-            except (ValueError, KeyError, TypeError, AttributeError):
-                if position == len(lines):
-                    # Interrupted mid-append: drop the partial final record.
-                    contents.dropped_lines += 1
-                    continue
-                raise JournalError(
-                    f"journal {self.path}: unreadable record on line {position}"
-                )
-            contents.evaluations.append(evaluation)
-        return contents
+        header, evaluations, dropped = self._log.load(_decode)
+        return JournalContents(header, evaluations, dropped)
 
     def resume(self, header: Dict[str, object]) -> JournalContents:
         """Load for resumption, verifying the header matches ``header``.
@@ -172,7 +103,9 @@ class RunJournal:
         """
         contents = self.load()
         if contents.dropped_lines:
-            self._rewrite(contents)
+            self._log.rewrite(
+                contents.header, (_encode(e) for e in contents.evaluations)
+            )
             contents.dropped_lines = 0
         mismatched = {
             key: (contents.header.get(key), value)

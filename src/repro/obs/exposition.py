@@ -31,9 +31,11 @@ from .metrics import DEFAULT_LATENCY_BOUNDS, Histogram, MetricFamily, Sample
 
 __all__ = [
     "CONTENT_TYPE",
+    "SERVICE_COUNTERS",
     "cache_families",
     "render",
     "snapshot_families",
+    "worker_families",
 ]
 
 #: The Content-Type header value of the text exposition format.
@@ -122,24 +124,38 @@ def _histogram_from_dict(
     return merged.family()
 
 
-_COMMON_COUNTERS = (
-    ("submitted", "repro_submitted_total", "Jobs submitted to the service."),
-    ("executed", "repro_executed_total", "Jobs actually simulated by a backend."),
-    ("coalesced", "repro_coalesced_total", "Submissions that rode an identical in-flight job."),
-    ("cache_hits", "repro_cache_hits_total", "Submissions resolved from the result cache."),
-    ("failed", "repro_failed_total", "Jobs whose backend raised."),
+#: The service counter table — the one definition of every admission
+#: counter: ``(stats attribute, exposition name, help, scope)``.  ``common``
+#: rows exist on both transports, ``thread`` rows only on the in-process
+#: service, ``cluster`` rows only on the sharded one.  ``repro.serve.core
+#: .Stats`` builds its counters from this table and the exposition rows
+#: below are filtered from it, so a counter cannot be counted under one
+#: name and scraped under another.  (It lives here rather than in
+#: ``serve.core`` because ``obs`` is a leaf package: ``serve`` imports
+#: ``obs``, never the reverse.)
+SERVICE_COUNTERS = (
+    ("submitted", "repro_submitted_total", "Jobs submitted to the service.", "common"),
+    ("coalesced", "repro_coalesced_total", "Submissions that rode an identical in-flight job.", "common"),
+    ("cache_hits", "repro_cache_hits_total", "Submissions resolved from the result cache.", "common"),
+    ("journal_hits", "repro_journal_hits_total", "Submissions served from journal-replayed completions.", "cluster"),
+    ("executed", "repro_executed_total", "Jobs actually simulated by a backend.", "common"),
+    ("shard_cache_hits", "repro_shard_cache_hits_total", "Jobs a shard resolved from the shared cache.", "cluster"),
+    ("failed", "repro_failed_total", "Jobs whose backend raised.", "common"),
+    ("rejected", "repro_rejected_total", "Submissions bounced by the admission queue.", "thread"),
+    ("cancelled", "repro_cancelled_total", "Admitted jobs abandoned unsettled by a non-draining close.", "common"),
+    ("requeued", "repro_requeued_total", "In-flight jobs redispatched after a shard crash.", "cluster"),
+    ("recovered", "repro_journal_recovered_total", "Unfinished journal entries replayed at startup.", "cluster"),
 )
 
-_THREAD_ONLY_COUNTERS = (
-    ("rejected", "repro_rejected_total", "Submissions bounced by the admission queue."),
-    ("cancelled", "repro_cancelled_total", "Queued jobs cancelled by a non-draining close."),
-)
 
-_CLUSTER_ONLY_COUNTERS = (
-    ("journal_hits", "repro_journal_hits_total", "Submissions served from journal-replayed completions."),
-    ("shard_cache_hits", "repro_shard_cache_hits_total", "Jobs a shard resolved from the shared cache."),
-    ("requeued", "repro_requeued_total", "In-flight jobs redispatched after a shard crash."),
-    ("recovered", "repro_journal_recovered_total", "Unfinished journal entries replayed at startup."),
+def _rows(scope: str):
+    return tuple(row[:3] for row in SERVICE_COUNTERS if row[3] == scope)
+
+
+_COMMON_COUNTERS = _rows("common")
+_THREAD_ONLY_COUNTERS = _rows("thread")
+# Restarts are the supervisor's count, not an admission counter.
+_CLUSTER_ONLY_COUNTERS = _rows("cluster") + (
     ("restarts", "repro_shard_restarts_total", "Shard restarts performed by the supervisor."),
 )
 
@@ -168,6 +184,23 @@ def cache_families(cache_stats: Dict[str, object]) -> List[MetricFamily]:
             "Counted ResultCache.get misses of this process.",
             int(cache_stats.get("misses", 0)),
         ),
+    ]
+
+
+def worker_families(per_worker: Dict[object, int]) -> List[MetricFamily]:
+    """The per-worker-slot executed family (empty before the first job);
+    also the thread service's own registry callback."""
+    if not per_worker:
+        return []
+    return [
+        _labelled_counter(
+            "repro_worker_executed_total",
+            "Jobs completed per worker slot.",
+            [
+                Sample(labels={"worker": worker}, value=int(count))
+                for worker, count in sorted(per_worker.items())
+            ],
+        )
     ]
 
 
@@ -288,17 +321,8 @@ def snapshot_families(snapshot: Dict[str, object]) -> List[MetricFamily]:
             )
     else:
         per_worker = snapshot.get("per_worker_executed")
-        if isinstance(per_worker, dict) and per_worker:
-            families.append(
-                _labelled_counter(
-                    "repro_worker_executed_total",
-                    "Jobs completed per worker slot.",
-                    [
-                        Sample(labels={"worker": worker}, value=int(count))
-                        for worker, count in sorted(per_worker.items())
-                    ],
-                )
-            )
+        if isinstance(per_worker, dict):
+            families.extend(worker_families(per_worker))
         latency = snapshot.get("latency")
         if isinstance(latency, dict):
             latency_summaries.append(latency)

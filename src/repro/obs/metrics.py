@@ -12,7 +12,7 @@ Two registry scopes exist by design:
 * **per-service registries** — every
   :class:`~repro.serve.service.SimulationService` /
   :class:`~repro.cluster.service.ClusterService` owns its own registry
-  (its :class:`ServiceStats` counters are backed by it), so parallel
+  (its :class:`~repro.serve.core.Stats` counters are backed by it), so parallel
   services in one process (the test suite runs dozens) never merge
   counts;
 * **the process-wide registry** (:func:`get_registry`) — build info,

@@ -18,9 +18,9 @@ check per hook when off (:func:`get_tracer` — the benchmark suite bounds
 this overhead at <5% of the serve throughput run).  Enable it with
 ``repro <cmd> --trace out.json`` or ``REPRO_TRACE=out.json``; the hooks
 live in :class:`~repro.serve.events.EventBus` (one per service event),
-:class:`~repro.cluster.service.ClusterService` (accept/route/dispatch/
-settle), the service's cache write-back, :class:`~repro.serve.queue
-.FairQueue` depth changes (counter events) and
+:class:`~repro.cluster.service.ClusterService` (one per admission-core
+edge, plus route/dispatch/requeue), the service's cache write-back,
+:class:`~repro.serve.queue.FairQueue` depth changes (counter events) and
 :class:`~repro.engine.event.EventDrivenEngine` (engine spans + macro-jump
 instants).
 """
@@ -135,16 +135,25 @@ class TraceRecorder:
         self._append(TraceEvent(name, "C", self._now_us(), "counter", "", dict(values)))
 
     # ------------------------------------------------------------------
-    def record_service_event(self, event) -> None:
-        """Map one :class:`~repro.serve.events.ServiceEvent` onto spans.
+    def lifecycle(
+        self,
+        kind: str,
+        key: str,
+        client: str,
+        workload: str = "",
+        cycles: Optional[int] = None,
+        waiters: Optional[int] = None,
+        error: Optional[str] = None,
+    ) -> None:
+        """Map one admission lifecycle edge (an ``EVENT_KINDS`` kind, or the
+        cluster's ``journal_hit``) onto spans.
 
-        This single hook (called from ``EventBus.publish``) reconstructs
-        the full thread-service lifecycle; the cluster and engine layers
-        add their own spans directly.
+        The single lifecycle → span mapping: ``EventBus.publish`` calls it
+        per thread-service event and ``ClusterService`` per admission-core
+        edge; the executors add only their own spans (``write_back``;
+        ``shard_routed`` / ``dispatched`` / ``requeued``).
         """
-        kind = event.kind
-        key = event.job_hash
-        args = {"workload": event.workload, "client": event.client}
+        args = {"workload": workload, "client": client}
         if kind == "submitted":
             self.begin("job", key, **args)
         elif kind == "queued":
@@ -153,20 +162,18 @@ class TraceRecorder:
             self.maybe_end("queued", key)
             self.begin("executing", key, **args)
         elif kind == "progress":
-            self.instant("progress", key, cycles=event.cycles)
-        elif kind == "coalesced":
-            self.instant("coalesced", key, **args)
-        elif kind == "cache_hit":
-            self.instant("cache_hit", key, **args)
+            self.instant("progress", key, cycles=cycles)
+        elif kind in ("coalesced", "cache_hit", "journal_hit"):
+            self.instant(kind, key, **args)
         elif kind == "rejected":
             self.instant("rejected", key, **args)
             self.end("job", key, outcome="rejected")
         elif kind == "finished":
             self.maybe_end("executing", key)
-            self.end("job", key, outcome="finished", waiters=event.waiters)
+            self.end("job", key, outcome="finished", waiters=waiters)
         elif kind == "failed":
             self.maybe_end("executing", key)
-            self.end("job", key, outcome="failed", error=event.error)
+            self.end("job", key, outcome="failed", error=error)
         elif kind == "cancelled":
             self.maybe_end("queued", key)
             self.end("job", key, outcome="cancelled")

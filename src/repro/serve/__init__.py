@@ -19,7 +19,9 @@ a *service*: a long-lived asyncio component that
 
 Entry points:
 
-* :class:`SimulationService` — the asyncio core (``async with``);
+* :class:`SimulationService` — the asyncio service (``async with``), an
+  executor around the transport-free admission core of
+  :mod:`repro.serve.core` that :mod:`repro.cluster` shares;
 * :class:`ServiceClient` — blocking facade for scripts, tests and the CLI;
 * ``python -m repro.cli serve …`` — the CLI daemon;
 * ``Simulator(service=client)`` / ``BatchRunner(service=client)`` /
@@ -35,7 +37,8 @@ bare :class:`~repro.runtime.simulator.Simulator`) and
 ``docs/ARCHITECTURE.md`` for where this layer sits in the package map.
 """
 
-from .client import ClientTicket, ServiceClient
+from .client import ServiceClient
+from .core import AdmissionCore, Stats, Ticket
 from .events import EVENT_KINDS, EventSubscription, ServiceEvent
 from .queue import FairQueue, QueueFullError
 from .replay import (
@@ -49,20 +52,17 @@ from .replay import (
     save_trace,
 )
 from .service import (
-    JobTicket,
     LatencyHistogram,
     ServiceClosedError,
     ServiceConfig,
-    ServiceStats,
     SimulationService,
 )
 
 __all__ = [
-    "ClientTicket",
+    "AdmissionCore",
     "EVENT_KINDS",
     "EventSubscription",
     "FairQueue",
-    "JobTicket",
     "LatencyHistogram",
     "QueueFullError",
     "REGIMES",
@@ -77,6 +77,7 @@ __all__ = [
     "ServiceClosedError",
     "ServiceConfig",
     "ServiceEvent",
-    "ServiceStats",
     "SimulationService",
+    "Stats",
+    "Ticket",
 ]

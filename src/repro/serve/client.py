@@ -17,56 +17,34 @@ Semantics mirror the async service exactly: duplicate in-flight
 submissions coalesce, cache hits resolve without queueing, a full backlog
 raises :class:`~repro.serve.queue.QueueFullError` from :meth:`submit`
 (while :meth:`run` applies cooperative backpressure instead), and
-:meth:`close` drains by default.  Events are mirrored into a thread-safe
-buffer readable via :meth:`events`; pass ``on_event=`` to stream them as
-they happen (the callback runs on the service's loop thread).
+:meth:`close` drains by default.  The most recent :data:`EVENT_BUFFER`
+events are mirrored into a thread-safe ring readable via :meth:`events`;
+pass ``on_event=`` to stream every event as it happens (the callback runs
+on the service's loop thread).
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
-from dataclasses import dataclass
+from collections import deque
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
-
-from collections import deque
 
 from ..runtime.cache import ResultCache
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
+from .core import ServiceClosedError, Ticket
 from .events import ServiceEvent
 from .service import ServiceConfig, SimulationService
 
-__all__ = ["ClientTicket", "ServiceClient"]
+__all__ = ["EVENT_BUFFER", "ServiceClient"]
 
-
-@dataclass
-class ClientTicket:
-    """Sync receipt for one submission (see :meth:`ServiceClient.result`)."""
-
-    job: SimJob
-    job_hash: str
-    client: str
-    coalesced: bool
-    cache_hit: bool
-    _future: "object"  # concurrent.futures.Future[SimOutcome]
-
-    def result(self, timeout: Optional[float] = None) -> SimOutcome:
-        """Block until the outcome is available (re-raises backend errors)."""
-        return self._future.result(timeout)
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def add_done_callback(self, callback) -> None:
-        """Invoke ``callback(ticket)`` when the outcome settles.
-
-        Runs on the completing thread (or immediately when already done);
-        the replay harness uses this to timestamp completions without a
-        waiter thread per request.
-        """
-        self._future.add_done_callback(lambda _future: callback(self))
+#: Events the client's mirror retains.  A ring, not a log: a shard worker
+#: or a long-lived daemon never reads :meth:`ServiceClient.events`, and
+#: ~3 events per request must not accumulate for the process lifetime.
+EVENT_BUFFER = 4096
 
 
 class ServiceClient:
@@ -95,7 +73,7 @@ class ServiceClient:
     ) -> None:
         if cache is None and cache_dir is not None:
             cache = ResultCache(Path(cache_dir).expanduser())
-        self._events: "deque[ServiceEvent]" = deque()
+        self._events: "deque[ServiceEvent]" = deque(maxlen=EVENT_BUFFER)
         # Validate the whole configuration (ServiceConfig bounds, queue
         # bounds) *before* starting the loop thread, so a bad config raises
         # cleanly instead of leaking a running daemon thread.
@@ -120,41 +98,40 @@ class ServiceClient:
         """Run ``coroutine`` on the service loop and return its result."""
         return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result()
 
+    def _on_loop(self, fn: Callable[[], object]):
+        """Call ``fn()`` on the loop thread, where the service's state
+        lives — or directly once closed: the loop is stopped then, so a
+        direct read cannot race the service."""
+        if self._closed:
+            return fn()
+
+        async def _run():
+            return fn()
+
+        return self._call(_run())
+
     def _ensure_open(self) -> None:
         """Mirror the async API: submissions to a closed client raise the
         typed error, not an opaque 'event loop is closed' RuntimeError."""
         if self._closed:
-            from .service import ServiceClosedError
-
             raise ServiceClosedError("client is closed")
 
     # ------------------------------------------------------------------
     def submit(
         self, job: SimJob, client_name: str = "anon", priority: int = 0
-    ) -> ClientTicket:
+    ) -> Ticket:
         """Submit one job; raises :class:`QueueFullError` on a full backlog
         and :class:`~repro.serve.service.ServiceClosedError` after close."""
         self._ensure_open()
-
-        async def _submit():
-            return self.service.submit(job, client=client_name, priority=priority)
-
-        ticket = self._call(_submit())
-
-        async def _await_outcome():
-            return await ticket.future
-
-        future = asyncio.run_coroutine_threadsafe(_await_outcome(), self._loop)
-        return ClientTicket(
-            job=job,
-            job_hash=ticket.job_hash,
-            client=client_name,
-            coalesced=ticket.coalesced,
-            cache_hit=ticket.cache_hit,
-            _future=future,
+        ticket = self._on_loop(
+            lambda: self.service.submit(job, client=client_name, priority=priority)
         )
+        # The loop-side ticket's future belongs to the loop thread; hand
+        # the caller the same ticket over a thread-safe future.
+        future = asyncio.run_coroutine_threadsafe(ticket.outcome(), self._loop)
+        return dataclasses.replace(ticket, future=future)
 
-    def result(self, ticket: ClientTicket, timeout: Optional[float] = None) -> SimOutcome:
+    def result(self, ticket: Ticket, timeout: Optional[float] = None) -> SimOutcome:
         return ticket.result(timeout)
 
     def run(
@@ -176,50 +153,30 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
     def events(self, clear: bool = False) -> List[ServiceEvent]:
-        """Snapshot of every event observed so far (optionally clearing)."""
-        snapshot = list(self._events)
-        if clear:
-            for _ in range(len(snapshot)):
-                try:
-                    self._events.popleft()
-                except IndexError:  # pragma: no cover — single consumer
-                    break
-        return snapshot
+        """The retained events, oldest first (optionally draining them)."""
+        if not clear:
+            return list(self._events)
+        # A concurrent publish only ever appends (evicting from the left
+        # when full), so the ring never holds fewer than ``count`` events.
+        count = len(self._events)
+        return [self._events.popleft() for _ in range(count)]
 
-    def stats(self) -> Dict[str, object]:
-        """Service counters (coalescing/cache hit rates included).
+    def stats_dict(self) -> Dict[str, object]:
+        """Service counters (coalescing/cache hit rates included) — the
+        same call :class:`~repro.cluster.service.ClusterService` answers.
+        Readable after close, like :meth:`snapshot` and :meth:`describe`."""
+        return self._on_loop(self.service.stats.as_dict)
 
-        Remains readable after :meth:`close` — the loop is stopped then,
-        so a direct read cannot race the service.
-        """
-        if self._closed:
-            return self.service.stats.as_dict()
-
-        async def _stats():
-            return self.service.stats.as_dict()
-
-        return self._call(_stats())
+    stats = stats_dict
 
     def snapshot(self) -> Dict[str, object]:
         """Structured ops snapshot (queue depth, hit rates, per-worker
         executed counts, latency histogram) — see
-        :meth:`SimulationService.snapshot`.  Readable after close."""
-        if self._closed:
-            return self.service.snapshot()
-
-        async def _snapshot():
-            return self.service.snapshot()
-
-        return self._call(_snapshot())
+        :meth:`SimulationService.snapshot`."""
+        return self._on_loop(self.service.snapshot)
 
     def describe(self) -> Dict[str, object]:
-        if self._closed:
-            return self.service.describe()
-
-        async def _describe():
-            return self.service.describe()
-
-        return self._call(_describe())
+        return self._on_loop(self.service.describe)
 
     # ------------------------------------------------------------------
     def close(self, drain: bool = True) -> None:

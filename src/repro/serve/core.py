@@ -1,0 +1,326 @@
+"""The admission core: one state machine under ``serve`` and ``cluster``.
+
+What is requested is decoupled from who executes it.  Every submission, on
+either transport, **coalesces** onto an identical in-flight job, or is
+answered by a **probe** (journal-replayed completions, then the
+:class:`~repro.runtime.cache.ResultCache`), or becomes a **new entry**
+handed to an executor; every entry ends in exactly one **settle** (outcome
+or error) or **abandon** (shutdown).  That state machine, its counters and
+its lifecycle hook live here, once; ``SimulationService`` (asyncio worker
+pool) and ``ClusterService`` (shard processes) are executors around it.
+
+The core is transport-free: futures come from a factory the shell passes
+in and the shell serialises every call (the event-loop thread, the
+cluster's lock), so it needs neither an event loop nor a lock and can be
+driven synchronously — ``tests/serve/test_core.py`` does exactly that.
+
+Retiring an entry and releasing its waiters are two steps on purpose:
+``settle`` / ``abandon`` change state under the shell's serialisation;
+:meth:`Entry.resolve` completes the future — which runs caller-supplied
+done-callbacks on thread futures — so a shell holding a lock calls it
+after releasing the lock.
+
+The accounting identity both shells inherit (``inflight`` = entries not
+yet retired)::
+
+    submitted = coalesced + cache_hits + journal_hits + executed
+              + shard_cache_hits + failed + rejected + cancelled + inflight
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional
+
+from ..obs.exposition import SERVICE_COUNTERS
+from ..obs.metrics import MetricsRegistry
+from ..runtime.cache import ResultCache
+from ..runtime.job import SimJob
+from ..runtime.outcome import SimOutcome
+
+__all__ = ["AdmissionCore", "Entry", "ServiceClosedError", "Stats", "Ticket"]
+
+
+class ServiceClosedError(RuntimeError):
+    """Raised when submitting to (or waiting on) a closed service."""
+
+
+class Stats:
+    """Counters of one service or cluster instance (monotonic).
+
+    The ``common`` rows of :data:`~repro.obs.exposition.SERVICE_COUNTERS`
+    plus those of ``transport`` (``"thread"`` / ``"cluster"``), each a
+    :class:`~repro.obs.metrics.Counter` in a per-instance registry (so
+    parallel services in one process never merge counts).  Reads are plain
+    ints — ``stats.executed``; writes go through :meth:`inc`.
+    """
+
+    def __init__(self, transport: str) -> None:
+        self.registry = MetricsRegistry()
+        self._counters = {
+            attr: self.registry.counter(name, help)
+            for attr, name, help, scope in SERVICE_COUNTERS
+            if scope in ("common", transport)
+        }
+
+    def inc(self, name: str, amount: int = 1) -> None:
+        self._counters[name].inc(amount)
+
+    def __getattr__(self, name: str):
+        counters = self.__dict__.get("_counters")
+        if counters and name in counters:
+            return counters[name].value
+        raise AttributeError(
+            f"{type(self).__name__!s} object has no attribute {name!r}"
+        )
+
+    @property
+    def coalescing_hit_rate(self) -> float:
+        """Fraction of submissions served by riding an in-flight duplicate."""
+        return self.coalesced / self.submitted if self.submitted else 0.0
+
+    @property
+    def cache_hit_rate(self) -> float:
+        """Fraction of submissions resolved from the cache or the journal."""
+        journal = self._counters.get("journal_hits")
+        hits = self.cache_hits + (journal.value if journal else 0)
+        return hits / self.submitted if self.submitted else 0.0
+
+    def as_dict(self) -> Dict[str, object]:
+        summary: Dict[str, object] = {
+            attr: counter.value for attr, counter in self._counters.items()
+        }
+        summary["coalescing_hit_rate"] = self.coalescing_hit_rate
+        summary["cache_hit_rate"] = self.cache_hit_rate
+        return summary
+
+
+@dataclass
+class Entry:
+    """One unique in-flight job: the unit executors see and waiters share."""
+
+    job: SimJob
+    key: str
+    client: str
+    priority: int
+    future: "object"  # asyncio.Future or concurrent.futures.Future
+    waiters: int = 1
+    #: Monotonic admission time (the executor observes latency from it).
+    admitted_at: float = 0.0
+    #: Set by the executor's ``place`` hook: the owning shard and the wire
+    #: sequence number (cluster); ``-1`` / ``0`` in-process.
+    shard: int = -1
+    seq: int = 0
+    #: How the entry ended; set by ``settle`` / ``abandon``.
+    outcome: Optional[SimOutcome] = None
+    error: Optional[BaseException] = None
+
+    def resolve(self) -> None:
+        """Hand the recorded result to every waiter (they share ``future``).
+
+        Idempotent, so each waiter is resolved exactly once however the
+        retirement paths interleave.
+        """
+        if self.future.done():
+            return
+        if self.error is not None:
+            self.future.set_exception(self.error)
+        else:
+            self.future.set_result(self.outcome)
+
+
+@dataclass
+class Ticket:
+    """Receipt for one submission, on either transport.
+
+    Thread-side tickets (``ServiceClient``, ``ClusterService``) carry a
+    ``concurrent.futures.Future`` — block with :meth:`result`; event-loop
+    tickets (``SimulationService``) an asyncio one — ``await outcome()``.
+    """
+
+    job: SimJob
+    job_hash: str
+    client: str
+    #: This submission attached to an identical in-flight job.
+    coalesced: bool
+    #: Resolved instantly from the cache or the journal (never executed).
+    cache_hit: bool
+    future: "object"
+    #: Which shard owns the job (``-1``: in-process or resolved instantly).
+    shard: int = -1
+
+    def result(self, timeout: Optional[float] = None) -> SimOutcome:
+        """Block until the outcome is available (re-raises job errors)."""
+        if timeout is None:
+            return self.future.result()
+        return self.future.result(timeout)
+
+    def done(self) -> bool:
+        return self.future.done()
+
+    def add_done_callback(self, callback: Callable[["Ticket"], None]) -> None:
+        """Invoke ``callback(ticket)`` when the outcome settles.
+
+        Runs on the completing thread (or immediately when already done);
+        the replay harness uses this to timestamp completions without a
+        waiter thread per request.
+        """
+        self.future.add_done_callback(lambda _future: callback(self))
+
+    async def outcome(self) -> SimOutcome:
+        return await self.future
+
+
+class AdmissionCore:
+    """Coalesce → probe → new entry; settle or abandon; count; announce.
+
+    ``new_future`` is the zero-argument factory for the future each new
+    entry (and each instant hit) carries.  ``emit(kind, job_hash, client,
+    workload=..., **extra)`` is the one lifecycle hook — the signature of
+    ``EventBus.publish`` and ``TraceRecorder.lifecycle`` — fed through
+    :meth:`announce`: the core announces ``submitted`` / ``coalesced`` /
+    ``journal_hit`` / ``cache_hit`` / ``rejected`` / ``finished`` /
+    ``failed`` / ``cancelled``, executors their own edges (``queued``,
+    ``started``, ``progress``).
+    """
+
+    def __init__(
+        self,
+        stats: Stats,
+        cache: Optional[ResultCache],
+        new_future: Callable[[], object],
+        emit: Callable[..., object],
+    ) -> None:
+        self.stats = stats
+        self.cache = cache
+        self.new_future = new_future
+        self.emit = emit
+        #: The in-flight coalescing map: job hash -> the one live entry.
+        self.inflight: Dict[str, Entry] = {}
+        #: Journal-replayed completions, probed before the cache.
+        self.replayed: Dict[str, SimOutcome] = {}
+
+    def announce(
+        self, kind: str, entry: Entry, client: Optional[str] = None, **extra
+    ) -> None:
+        """Emit one lifecycle edge of ``entry`` (a coalesced submission
+        passes its own ``client``; the entry keeps the first submitter's)."""
+        self.emit(
+            kind,
+            entry.key,
+            entry.client if client is None else client,
+            workload=entry.job.workload.name,
+            **extra,
+        )
+
+    def admit(
+        self,
+        job: SimJob,
+        client: str,
+        place: Callable[[Entry], None],
+        priority: int = 0,
+        count_refusal: bool = False,
+    ) -> Ticket:
+        """Admit one submission and return its ticket.
+
+        ``place(entry)`` is the executor accepting a new entry (queue it,
+        route and journal it); it may raise to refuse, and the refusal
+        propagates.  A refusal counts nothing — the caller may retry, and a
+        retry must not count twice — unless ``count_refusal`` marks it a
+        fail-fast bounce: then it is ``submitted`` + ``rejected``.
+        """
+        key = job.job_hash()
+        entry = self.inflight.get(key)
+        if entry is not None:
+            entry.waiters += 1
+            self.stats.inc("submitted")
+            self.stats.inc("coalesced")
+            self.announce("submitted", entry, client=client)
+            self.announce("coalesced", entry, client=client)
+            return Ticket(job, key, client, True, False, entry.future, entry.shard)
+
+        entry = Entry(
+            job, key, client, priority, self.new_future(), admitted_at=time.monotonic()
+        )
+        # The probes run synchronously inside admission on purpose: a burst
+        # submitted within one turn of the shell must coalesce atomically,
+        # and a hit must resolve its ticket before the caller regains
+        # control.  Cache entries are small pickles; the expensive side
+        # (the write-back) happens on the executor.
+        hit, kind = self.replayed.get(key), "journal_hit"
+        if hit is not None:
+            hit.cache_hit = True
+        elif self.cache is not None:
+            hit, kind = self.cache.get(key), "cache_hit"
+        if hit is not None:
+            self.stats.inc("submitted")
+            self.stats.inc(kind + "s")
+            entry.future.set_result(hit)
+            self.announce("submitted", entry)
+            self.announce(kind, entry)
+            self.announce("finished", entry, waiters=1)
+            return Ticket(job, key, client, False, True, entry.future)
+
+        try:
+            place(entry)
+        except Exception:
+            if count_refusal:
+                self.stats.inc("submitted")
+                self.stats.inc("rejected")
+                self.announce("submitted", entry)
+                self.announce("rejected", entry)
+            raise
+        self.inflight[key] = entry
+        self.stats.inc("submitted")
+        self.announce("submitted", entry)
+        return Ticket(job, key, client, False, False, entry.future, entry.shard)
+
+    def settle(
+        self,
+        key: str,
+        outcome: Optional[SimOutcome] = None,
+        error: Optional[BaseException] = None,
+    ) -> Optional[Entry]:
+        """Retire ``key`` with its outcome (or error); return the entry for
+        the caller to :meth:`~Entry.resolve`.
+
+        A key that is not in flight — a stale frame from a killed shard
+        incarnation, a job already abandoned — is ignored (``None``).
+        """
+        entry = self.inflight.pop(key, None)
+        if entry is None:
+            return None
+        entry.outcome, entry.error = outcome, error
+        if error is None:
+            # An executor may answer from the shared cache (raced writers).
+            self.stats.inc("shard_cache_hits" if outcome.cache_hit else "executed")
+            self.announce("finished", entry, waiters=entry.waiters)
+        else:
+            self.stats.inc("failed")
+            self.announce(
+                "failed",
+                entry,
+                waiters=entry.waiters,
+                error=f"{type(error).__name__}: {error}",
+            )
+        return entry
+
+    def abandon(self, entries: Iterable[Entry], reason: str) -> List[Entry]:
+        """Retire ``entries`` unsettled (non-draining close, terminate).
+
+        Each one still in flight is counted ``cancelled`` and will fail its
+        waiters with :class:`ServiceClosedError`; returns those entries for
+        the caller to :meth:`~Entry.resolve`.
+        """
+        abandoned = []
+        for entry in entries:
+            if self.inflight.pop(entry.key, None) is None:
+                continue
+            entry.error = ServiceClosedError(
+                f"{reason} before job {entry.key[:12]} settled"
+            )
+            self.stats.inc("cancelled")
+            self.announce("cancelled", entry)
+            abandoned.append(entry)
+        return abandoned

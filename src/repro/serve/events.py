@@ -140,11 +140,6 @@ class EventBus:
         self._subscriptions.append(subscription)
         return subscription
 
-    def unsubscribe(self, subscription: EventSubscription) -> None:
-        if subscription in self._subscriptions:
-            self._subscriptions.remove(subscription)
-            subscription._close()
-
     def add_listener(self, listener: Callable[[ServiceEvent], None]) -> None:
         self._listeners.append(listener)
 
@@ -167,7 +162,7 @@ class EventBus:
         tracer = get_tracer()
         if tracer is not None:
             try:
-                tracer.record_service_event(event)
+                tracer.lifecycle(kind, job_hash, client, **extra)
             except Exception:  # noqa: BLE001 — tracing cannot break the service
                 pass
         for subscription in self._subscriptions:

@@ -346,16 +346,6 @@ def _percentile(sorted_values: List[float], fraction: float) -> float:
     return sorted_values[rank]
 
 
-def _stats_snapshot(service: object) -> Dict[str, object]:
-    """Counter snapshot of either service flavour (thread or cluster)."""
-    if hasattr(service, "stats_dict"):
-        return service.stats_dict()  # ClusterService
-    stats = service.stats
-    if callable(stats):
-        return stats()  # ServiceClient
-    return stats.as_dict()  # bare SimulationService.stats object
-
-
 def _counter_delta(
     before: Dict[str, object], after: Dict[str, object]
 ) -> Dict[str, int]:
@@ -386,7 +376,7 @@ def replay_trace(
     :class:`~repro.serve.client.ServiceClient` and
     :class:`~repro.cluster.service.ClusterService`:
     ``submit(job, client_name=...) -> ticket`` with ``ticket.result()`` and
-    ``ticket.add_done_callback()``.  Arrival gaps are multiplied by
+    ``ticket.add_done_callback()``, and ``stats_dict()``.  Arrival gaps are multiplied by
     ``time_scale`` (use < 1 to compress a long trace into a short test run).
 
     Latency is measured per request from its (scheduled) submission to its
@@ -398,7 +388,7 @@ def replay_trace(
         raise ValueError("cannot replay an empty trace")
     if time_scale <= 0:
         raise ValueError("time_scale must be positive")
-    before = _stats_snapshot(service)
+    before = service.stats_dict()
     completions: List[Tuple[int, float]] = []
     submit_times: List[float] = []
     lock = threading.Lock()
@@ -444,7 +434,7 @@ def replay_trace(
             ticket.result(timeout=timeout)
         except Exception:
             failures += 1
-    after = _stats_snapshot(service)
+    after = service.stats_dict()
     deltas = _counter_delta(before, after)
 
     latency_by_index = dict(completions)

@@ -1,21 +1,19 @@
 """The asyncio simulation service: coalescing, fair admission, workers.
 
 :class:`SimulationService` is the long-lived front door the ROADMAP's
-"serves heavy traffic" goal asks for.  One service instance owns:
+"serves heavy traffic" goal asks for.  Admission — coalescing identical
+in-flight requests onto one future, probing the
+:class:`~repro.runtime.cache.ResultCache` before anything is scheduled — is
+the :class:`~repro.serve.core.AdmissionCore`'s, shared with the cluster;
+this module is the in-process *executor* around it:
 
-* a **coalescing map** — identical in-flight requests (same
-  :meth:`SimJob.job_hash`) share one future, so a duplicate burst performs
-  exactly one backend simulation and every caller receives the *same*
-  :class:`~repro.runtime.outcome.SimOutcome` object;
 * a **fair bounded admission queue** (:class:`~repro.serve.queue.FairQueue`)
   — priority first, round-robin across clients within a priority, FIFO
   within a client; a full backlog raises the typed
   :class:`~repro.serve.queue.QueueFullError` (or, on the ``submit_wait``
   path, cooperatively waits for capacity);
-* a **cache-aware worker pool** — submissions are probed against the
-  :class:`~repro.runtime.cache.ResultCache` *before* they are scheduled, so
-  cache hits never occupy a worker, and every fresh result is written back
-  through the same cache;
+* a **worker pool** — cache hits never occupy a worker, and every fresh
+  result is written back through the same cache;
 * a **streaming event bus** (:mod:`repro.serve.events`) — submitted /
   coalesced / cache_hit / queued / started / progress / finished / failed /
   cancelled lifecycle events, with ``progress`` fed by the simulation
@@ -33,38 +31,28 @@ coalescing + caching + overlap with I/O rather than parallel speedup —
 from __future__ import annotations
 
 import asyncio
-import functools
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import (
-    DEFAULT_LATENCY_BOUNDS,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    Sample,
-)
+from ..obs.exposition import worker_families
+from ..obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from ..obs.trace import get_tracer
 from ..runtime.batch import execute_job_with_progress
 from ..runtime.cache import ResultCache
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
-from .events import EventBus, EventSubscription, ServiceEvent
+from .core import AdmissionCore, Entry, ServiceClosedError, Stats, Ticket
+from .events import EventBus, EventSubscription
 from .queue import FairQueue, QueueFullError
 
 __all__ = [
     "LatencyHistogram",
     "ServiceClosedError",
     "ServiceConfig",
-    "ServiceStats",
-    "JobTicket",
     "SimulationService",
 ]
-
-
-class ServiceClosedError(RuntimeError):
-    """Raised when submitting to (or waiting on) a closed service."""
 
 
 @dataclass(frozen=True)
@@ -105,16 +93,10 @@ LATENCY_BUCKETS: Tuple[float, ...] = DEFAULT_LATENCY_BOUNDS
 
 
 class LatencyHistogram(Histogram):
-    """Fixed-bucket latency histogram (Prometheus-style cumulative bounds).
-
-    Since the telemetry layer landed this is the obs
-    :class:`~repro.obs.metrics.Histogram` specialised to the package-wide
-    latency bounds and the ``repro_latency_seconds`` exposition name — the
-    historical API (``observe`` / ``mean`` / ``quantile`` / ``as_dict``)
-    is unchanged, ``observe`` stays a counter bump cheap enough for the
-    completion path, and the quantile edge cases (empty, single sample,
-    q=0, overflow) are pinned down in ``tests/obs/test_metrics.py``.
-    """
+    """The obs :class:`~repro.obs.metrics.Histogram` specialised to the
+    package-wide latency bounds and the ``repro_latency_seconds`` exposition
+    name; ``observe`` is a counter bump cheap enough for the completion
+    path."""
 
     def __init__(self, bounds: Tuple[float, ...] = LATENCY_BUCKETS) -> None:
         super().__init__(
@@ -122,144 +104,6 @@ class LatencyHistogram(Histogram):
             name="repro_latency_seconds",
             help="Admission-to-completion latency of executed jobs.",
         )
-
-
-class ServiceStats:
-    """Counters of one service instance (monotonic over its lifetime).
-
-    The named counters are backed by :class:`~repro.obs.metrics.Counter`
-    objects in a per-service :class:`~repro.obs.metrics.MetricsRegistry`
-    (per-service so parallel services in one process never merge counts).
-    Attribute access keeps the historical dataclass feel: reads return
-    plain ints, and the ``stats.executed += 1`` idiom still works —
-    assignment routes the delta into the backing counter, which also
-    enforces monotonicity (a decrease raises ``ValueError``).
-    """
-
-    _COUNTERS = {
-        "submitted": ("repro_submitted_total", "Jobs submitted to the service."),
-        "coalesced": (
-            "repro_coalesced_total",
-            "Submissions that rode an identical in-flight job.",
-        ),
-        "cache_hits": (
-            "repro_cache_hits_total",
-            "Submissions resolved from the result cache.",
-        ),
-        "executed": ("repro_executed_total", "Jobs actually simulated by a backend."),
-        "failed": ("repro_failed_total", "Jobs whose backend raised."),
-        "rejected": (
-            "repro_rejected_total",
-            "Submissions bounced by the admission queue.",
-        ),
-        "cancelled": (
-            "repro_cancelled_total",
-            "Queued jobs cancelled by a non-draining close.",
-        ),
-    }
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            attr: self.registry.counter(name, help)
-            for attr, (name, help) in self._COUNTERS.items()
-        }
-        #: Jobs completed per worker slot — skew here means unfair pop
-        #: order or one worker pinned on a long simulation.
-        self.per_worker_executed: Dict[int, int] = {}
-        #: Admission-to-completion latency of executed jobs.
-        self.latency = LatencyHistogram()
-        self.registry.register(self.latency)
-        #: Macro-step engine totals accumulated from executed outcomes.
-        self.macro: Dict[str, int] = {"jumps": 0, "cycles_skipped": 0}
-        self.registry.add_callback(
-            "repro_worker_executed_total", self._worker_families
-        )
-
-    def __getattr__(self, name: str):
-        counters = self.__dict__.get("_counters")
-        if counters and name in counters:
-            return counters[name].value
-        raise AttributeError(
-            f"{type(self).__name__!s} object has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            counters[name].inc(value - counters[name].value)
-            return
-        object.__setattr__(self, name, value)
-
-    def _worker_families(self) -> List[MetricFamily]:
-        per_worker = dict(self.per_worker_executed)
-        if not per_worker:
-            return []
-        return [
-            MetricFamily(
-                "repro_worker_executed_total",
-                "counter",
-                "Jobs completed per worker slot.",
-                tuple(
-                    Sample(labels={"worker": worker}, value=count)
-                    for worker, count in sorted(per_worker.items())
-                ),
-            )
-        ]
-
-    @property
-    def coalescing_hit_rate(self) -> float:
-        """Fraction of submissions served by riding an in-flight duplicate."""
-        return self.coalesced / self.submitted if self.submitted else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.submitted if self.submitted else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "cancelled": self.cancelled,
-            "coalescing_hit_rate": self.coalescing_hit_rate,
-            "cache_hit_rate": self.cache_hit_rate,
-        }
-
-
-@dataclass
-class JobTicket:
-    """Receipt for one submission; ``await ticket.outcome()`` for the result."""
-
-    job: SimJob
-    job_hash: str
-    client: str
-    #: This submission attached to an identical in-flight job.
-    coalesced: bool
-    #: Resolved instantly from the result cache (never queued).
-    cache_hit: bool
-    future: "asyncio.Future[SimOutcome]"
-
-    async def outcome(self) -> SimOutcome:
-        return await self.future
-
-
-@dataclass
-class _Entry:
-    """One unique in-flight job (the unit the queue and workers see)."""
-
-    job: SimJob
-    key: str
-    client: str
-    priority: int
-    future: "asyncio.Future[SimOutcome]"
-    waiters: int = 1
-    started: bool = False
-    #: Monotonic admission time; completion observes the latency.
-    enqueued_at: float = 0.0
 
 
 class SimulationService:
@@ -280,7 +124,7 @@ class SimulationService:
     ) -> None:
         self.cache = cache
         self.config = config or ServiceConfig()
-        self.stats = ServiceStats()
+        self.stats = Stats("thread")
         #: The per-service metrics registry backing :attr:`stats`; the
         #: depth/inflight gauges read the live structures on collection.
         self.metrics = self.stats.registry
@@ -294,13 +138,30 @@ class SimulationService:
             "Unique jobs between admission and completion.",
             fn=self.inflight,
         )
+        #: Admission-to-completion latency of executed jobs.
+        self.latency = LatencyHistogram()
+        self.metrics.register(self.latency)
+        #: Jobs completed per worker slot — skew here means unfair pop
+        #: order or one worker pinned on a long simulation.
+        self.per_worker_executed: Dict[int, int] = {}
+        #: Macro-step engine totals accumulated from executed outcomes.
+        self.macro: Dict[str, int] = {"jumps": 0, "cycles_skipped": 0}
+        self.metrics.add_callback(
+            "repro_worker_executed_total",
+            lambda: worker_families(self.per_worker_executed),
+        )
         self.events = EventBus()
-        self._queue: FairQueue[_Entry] = FairQueue(
+        self._core = AdmissionCore(
+            self.stats,
+            cache,
+            new_future=lambda: self._loop.create_future(),
+            emit=self.events.publish,
+        )
+        self._queue: FairQueue[Entry] = FairQueue(
             self.config.max_backlog,
             self.config.max_backlog_per_client,
             on_depth=self._on_queue_depth,
         )
-        self._inflight: Dict[str, _Entry] = {}
         self._workers: List[asyncio.Task] = []
         self._work_available: Optional[asyncio.Semaphore] = None
         self._space_freed: Optional[asyncio.Condition] = None
@@ -355,21 +216,12 @@ class SimulationService:
         async with self._space_freed:
             self._space_freed.notify_all()
         if not drain:
-            for entry, client, _priority in self._queue.drain():
-                self._inflight.pop(entry.key, None)
-                self.stats.cancelled += 1
-                self.events.publish(
-                    "cancelled", entry.key, client, workload=entry.job.workload.name
-                )
-                if not entry.future.done():
-                    entry.future.set_exception(
-                        ServiceClosedError(
-                            f"service closed before job {entry.key[:12]} started"
-                        )
-                    )
+            queued = [entry for entry, _client, _priority in self._queue.drain()]
+            for entry in self._core.abandon(queued, "service closed"):
+                entry.resolve()
         # Wait for every remaining in-flight entry (queued ones too, when
         # draining) to settle — exceptions included.
-        pending = [entry.future for entry in self._inflight.values()]
+        pending = [entry.future for entry in self._core.inflight.values()]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
         for worker in self._workers:
@@ -388,13 +240,13 @@ class SimulationService:
     # ------------------------------------------------------------------
     # Submission.
     # ------------------------------------------------------------------
-    def submit(self, job: SimJob, client: str = "anon", priority: int = 0) -> JobTicket:
+    def submit(self, job: SimJob, client: str = "anon", priority: int = 0) -> Ticket:
         """Submit one job; never blocks.
 
-        Returns a :class:`JobTicket` whose future resolves to the outcome.
-        Raises :class:`QueueFullError` when the backlog bound is hit (use
-        :meth:`submit_wait` for cooperative backpressure instead) and
-        :class:`ServiceClosedError` after :meth:`close`.
+        Returns a :class:`~repro.serve.core.Ticket` whose future resolves to
+        the outcome.  Raises :class:`QueueFullError` when the backlog bound
+        is hit (use :meth:`submit_wait` for cooperative backpressure
+        instead) and :class:`ServiceClosedError` after :meth:`close`.
 
         Submissions made within one event-loop turn are atomic with respect
         to the workers, so a burst of identical jobs submitted back-to-back
@@ -404,76 +256,30 @@ class SimulationService:
 
     def _submit(
         self, job: SimJob, client: str, priority: int, record_rejection: bool
-    ) -> JobTicket:
+    ) -> Ticket:
         if self._closed:
             raise ServiceClosedError("service is closed")
         if not self._started:
             raise ServiceClosedError("service not started (use 'async with' or start())")
-        key = job.job_hash()
-        workload = job.workload.name
-
-        # 1. Coalesce onto an identical in-flight job.
-        entry = self._inflight.get(key)
-        if entry is not None:
-            entry.waiters += 1
-            self.stats.submitted += 1
-            self.stats.coalesced += 1
-            self.events.publish("submitted", key, client, workload=workload)
-            self.events.publish("coalesced", key, client, workload=workload)
-            return JobTicket(job, key, client, True, False, entry.future)
-
-        # 2. Probe the result cache before scheduling anything.  The probe
-        # runs synchronously on the loop thread on purpose: submit() must
-        # stay await-free so one-turn bursts coalesce atomically, and a
-        # hit must resolve its ticket before the caller regains control.
-        # Entries are small pickles; the expensive side (the post-execution
-        # write-back) happens on the worker thread instead.
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.stats.submitted += 1
-                self.stats.cache_hits += 1
-                future: "asyncio.Future[SimOutcome]" = self._loop.create_future()
-                future.set_result(hit)
-                self.events.publish("submitted", key, client, workload=workload)
-                self.events.publish("cache_hit", key, client, workload=workload)
-                self.events.publish(
-                    "finished", key, client, workload=workload, waiters=1
-                )
-                return JobTicket(job, key, client, False, True, future)
-
-        # 3. Admit to the bounded queue (explicit backpressure on overflow).
-        entry = _Entry(
-            job=job,
-            key=key,
-            client=client,
-            priority=priority,
-            future=self._loop.create_future(),
-            enqueued_at=time.monotonic(),
+        # Fail-fast submissions record a QueueFullError bounce; the waiting
+        # path (submit_wait) retries instead — that is backpressure, not a
+        # rejection, and it must not double-count the submission.
+        ticket = self._core.admit(
+            job, client, self._enqueue, priority, count_refusal=record_rejection
         )
+        if not (ticket.coalesced or ticket.cache_hit):
+            self._core.announce("queued", self._core.inflight[ticket.job_hash])
+            self._work_available.release()
+        return ticket
+
+    def _enqueue(self, entry: Entry) -> None:
+        """The core's ``place`` hook: the bounded queue accepts or bounces."""
+        self._queue.push(entry, entry.client, entry.priority)
         # Failures are also reported via events; retrieving the exception
         # here keeps abandoned tickets from warning at garbage collection.
         entry.future.add_done_callback(
             lambda f: f.exception() if not f.cancelled() else None
         )
-        try:
-            self._queue.push(entry, client, priority)
-        except QueueFullError:
-            # Fail-fast submissions record the bounce; the waiting path
-            # (submit_wait) retries instead — that is backpressure, not a
-            # rejection, and it must not double-count the submission.
-            if record_rejection:
-                self.stats.submitted += 1
-                self.stats.rejected += 1
-                self.events.publish("submitted", key, client, workload=workload)
-                self.events.publish("rejected", key, client, workload=workload)
-            raise
-        self._inflight[key] = entry
-        self.stats.submitted += 1
-        self.events.publish("submitted", key, client, workload=workload)
-        self.events.publish("queued", key, client, workload=workload)
-        self._work_available.release()
-        return JobTicket(job, key, client, False, False, entry.future)
 
     def _has_capacity(self, client: str) -> bool:
         if len(self._queue) >= self.config.max_backlog:
@@ -483,7 +289,7 @@ class SimulationService:
 
     async def submit_wait(
         self, job: SimJob, client: str = "anon", priority: int = 0
-    ) -> JobTicket:
+    ) -> Ticket:
         """Like :meth:`submit`, but waits for backlog capacity instead of
         raising :class:`QueueFullError` (coalesced and cached submissions
         never wait)."""
@@ -510,7 +316,7 @@ class SimulationService:
         the waiting submission path, so arbitrarily large batches flow
         through the bounded backlog without rejection.
         """
-        tickets: List[JobTicket] = []
+        tickets: List[Ticket] = []
         for job in jobs:
             tickets.append(await self.submit_wait(job, client=client, priority=priority))
         return [await ticket.outcome() for ticket in tickets]
@@ -538,7 +344,7 @@ class SimulationService:
 
     def inflight(self) -> int:
         """Unique jobs somewhere between admission and completion."""
-        return len(self._inflight)
+        return len(self._core.inflight)
 
     def snapshot(self) -> Dict[str, object]:
         """Structured ops snapshot: depth, rates, skew, latency.
@@ -551,29 +357,16 @@ class SimulationService:
         return {
             "queue_depth": self.backlog(),
             "inflight": self.inflight(),
-            "submitted": self.stats.submitted,
-            "executed": self.stats.executed,
-            "coalesced": self.stats.coalesced,
-            "cache_hits": self.stats.cache_hits,
-            "failed": self.stats.failed,
-            "rejected": self.stats.rejected,
-            "cancelled": self.stats.cancelled,
-            "coalescing_hit_rate": self.stats.coalescing_hit_rate,
-            "cache_hit_rate": self.stats.cache_hit_rate,
-            "per_worker_executed": dict(self.stats.per_worker_executed),
-            "latency": self.stats.latency.as_dict(),
-            "macro": dict(self.stats.macro),
+            **self.stats.as_dict(),
+            "per_worker_executed": dict(self.per_worker_executed),
+            "latency": self.latency.as_dict(),
+            "macro": dict(self.macro),
             "cache": self.cache.stats() if self.cache is not None else None,
         }
 
     def describe(self) -> Dict[str, object]:
         return {
-            "config": {
-                "max_workers": self.config.max_workers,
-                "max_backlog": self.config.max_backlog,
-                "max_backlog_per_client": self.config.max_backlog_per_client,
-                "progress_interval": self.config.progress_interval,
-            },
+            "config": dataclasses.asdict(self.config),
             "cache": self.cache.stats() if self.cache is not None else None,
             "backlog": self.backlog(),
             "inflight": self.inflight(),
@@ -593,14 +386,14 @@ class SimulationService:
             if popped is None:
                 continue  # entry was drained by a non-draining close
             entry, _client, _priority = popped
-            entry.started = True
             await self._execute_entry(entry, index)
 
-    async def _execute_entry(self, entry: _Entry, worker_index: int = 0) -> None:
-        self.events.publish(
-            "started", entry.key, entry.client, workload=entry.job.workload.name
-        )
-        progress = functools.partial(self._post_progress, entry)
+    async def _execute_entry(self, entry: Entry, worker_index: int = 0) -> None:
+        self._core.announce("started", entry)
+
+        def progress(cycles: int) -> None:
+            # Engine yield point, on the executor thread → the event bus.
+            self._loop.call_soon_threadsafe(self._emit_progress, entry, cycles)
 
         def run_and_write_back() -> SimOutcome:
             # Executed on the worker thread: the cache write-back happens
@@ -639,50 +432,20 @@ class SimulationService:
                 self._executor, run_and_write_back
             )
         except Exception as error:  # noqa: BLE001 — surfaced to every waiter
-            self.stats.failed += 1
-            self._inflight.pop(entry.key, None)
-            self.events.publish(
-                "failed",
-                entry.key,
-                entry.client,
-                workload=entry.job.workload.name,
-                waiters=entry.waiters,
-                error=f"{type(error).__name__}: {error}",
-            )
-            if not entry.future.done():
-                entry.future.set_exception(error)
+            self._core.settle(entry.key, error=error)
+            entry.resolve()
             return
-        self.stats.executed += 1
-        self.stats.per_worker_executed[worker_index] = (
-            self.stats.per_worker_executed.get(worker_index, 0) + 1
+        self.per_worker_executed[worker_index] = (
+            self.per_worker_executed.get(worker_index, 0) + 1
         )
         macro = outcome.metrics.get("macro_stats")
         if isinstance(macro, dict):
-            self.stats.macro["jumps"] += int(macro.get("jumps", 0))
-            self.stats.macro["cycles_skipped"] += int(macro.get("cycles_skipped", 0))
-        if entry.enqueued_at:
-            self.stats.latency.observe(time.monotonic() - entry.enqueued_at)
-        self._inflight.pop(entry.key, None)
-        self.events.publish(
-            "finished",
-            entry.key,
-            entry.client,
-            workload=entry.job.workload.name,
-            waiters=entry.waiters,
-        )
-        if not entry.future.done():
-            entry.future.set_result(outcome)
+            self.macro["jumps"] += int(macro.get("jumps", 0))
+            self.macro["cycles_skipped"] += int(macro.get("cycles_skipped", 0))
+        self.latency.observe(time.monotonic() - entry.admitted_at)
+        self._core.settle(entry.key, outcome)
+        entry.resolve()
 
-    def _post_progress(self, entry: _Entry, cycles: int) -> None:
-        """Engine yield point → event bus; called from an executor thread."""
-        self._loop.call_soon_threadsafe(self._emit_progress, entry, cycles)
-
-    def _emit_progress(self, entry: _Entry, cycles: int) -> None:
+    def _emit_progress(self, entry: Entry, cycles: int) -> None:
         if not entry.future.done():
-            self.events.publish(
-                "progress",
-                entry.key,
-                entry.client,
-                workload=entry.job.workload.name,
-                cycles=cycles,
-            )
+            self._core.announce("progress", entry, cycles=cycles)
