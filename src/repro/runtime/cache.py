@@ -22,7 +22,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .outcome import SimOutcome
 
@@ -53,6 +53,8 @@ class ResultCache:
         self.version = str(version)
         self.directory = self.root / f"v{self.version}"
         self.directory.mkdir(parents=True, exist_ok=True)
+        #: ``str(directory)``: the hit path joins strings, not ``Path`` objects.
+        self._dirname = str(self.directory)
         self.hits = 0
         self.misses = 0
 
@@ -74,23 +76,36 @@ class ResultCache:
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.pkl"))
 
+    def _entry_sizes(self) -> Iterator[int]:
+        """On-disk size of every entry in one ``scandir`` pass; entries that
+        vanish mid-scan are skipped."""
+        try:
+            scan = os.scandir(self._dirname)
+        except FileNotFoundError:  # directory removed underneath us: empty
+            return
+        with scan:
+            for item in scan:
+                if item.name.endswith(".pkl"):
+                    try:
+                        yield item.stat().st_size
+                    except OSError:
+                        continue
+
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[SimOutcome]:
         """Return the cached outcome for ``key``, or ``None`` on a miss."""
-        path = self.path_for(key)
+        path = os.path.join(self._dirname, key + ".pkl")
         try:
-            with path.open("rb") as handle:
+            with open(path, "rb") as handle:
                 outcome = pickle.load(handle)
         except FileNotFoundError:
             self.misses += 1
             return None
         except (OSError, EOFError, pickle.UnpicklingError, AttributeError, TypeError):
-            # Corrupt or incompatible entry: drop it and report a miss.
-            path.unlink(missing_ok=True)
-            self.misses += 1
-            return None
+            outcome = None
         if not isinstance(outcome, SimOutcome):
-            path.unlink(missing_ok=True)
+            # Corrupt or incompatible entry: drop it and report a miss.
+            self.path_for(key).unlink(missing_ok=True)
             self.misses += 1
             return None
         outcome.cache_hit = True
@@ -192,13 +207,7 @@ class ResultCache:
 
     def size_bytes(self) -> int:
         """Total on-disk size of this version's entries."""
-        total = 0
-        for path in self.directory.glob("*.pkl"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
+        return sum(self._entry_sizes())
 
     def clear(self) -> int:
         """Delete every entry of this version; return how many were removed."""
@@ -209,10 +218,12 @@ class ResultCache:
         return removed
 
     def stats(self) -> dict:
+        """Counters plus entry count and size, from one directory pass."""
+        sizes = list(self._entry_sizes())
         return {
-            "directory": str(self.directory),
-            "entries": len(self),
-            "size_bytes": self.size_bytes(),
+            "directory": self._dirname,
+            "entries": len(sizes),
+            "size_bytes": sum(sizes),
             "hits": self.hits,
             "misses": self.misses,
         }

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..core.params import FeatureSet
 from ..engine import DEFAULT_ENGINE, validate_engine
@@ -33,6 +34,35 @@ from ..workloads.spec import Workload
 DATAMAESTRO_BACKEND = "datamaestro"
 
 
+#: ``type -> encoder`` for every type seen so far: the isinstance ladder of
+#: :func:`_encoder_for` runs once per *type*, a dict probe once per node.
+_ENCODERS: Dict[type, Callable[[Any], Any]] = {}
+
+
+def _encoder_for(kind: type) -> Callable[[Any], Any]:
+    """The encoder of ``kind``'s instances (most specific rule first)."""
+    name = kind.__name__
+    if dataclasses.is_dataclass(kind):
+        names = tuple(f.name for f in dataclasses.fields(kind))
+        return lambda obj: [
+            name,
+            [[field, canonical_encode(getattr(obj, field))] for field in names],
+        ]
+    if issubclass(kind, enum.Enum):
+        return lambda obj: [name, obj.value]
+    if issubclass(kind, (tuple, list)):
+        return lambda obj: [canonical_encode(item) for item in obj]
+    if issubclass(kind, dict):
+        return lambda obj: [
+            [canonical_encode(k), canonical_encode(v)] for k, v in sorted(obj.items())
+        ]
+    if issubclass(kind, float):
+        return repr
+    if kind is type(None) or issubclass(kind, (bool, int, str)):
+        return lambda obj: obj
+    raise TypeError(f"cannot canonically encode {kind!r} for job hashing")
+
+
 def canonical_encode(obj: Any) -> Any:
     """Reduce ``obj`` to a JSON-serialisable structure with a stable layout.
 
@@ -41,29 +71,30 @@ def canonical_encode(obj: Any) -> Any:
     mappings are sorted by key — so two structurally equal objects always
     produce the same encoding regardless of process or insertion order.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = [
-            [f.name, canonical_encode(getattr(obj, f.name))]
-            for f in dataclasses.fields(obj)
-        ]
-        return [type(obj).__name__, fields]
-    if isinstance(obj, enum.Enum):
-        return [type(obj).__name__, obj.value]
-    if isinstance(obj, (tuple, list)):
-        return [canonical_encode(item) for item in obj]
-    if isinstance(obj, dict):
-        return [[canonical_encode(k), canonical_encode(v)] for k, v in sorted(obj.items())]
-    if isinstance(obj, float):
-        return repr(obj)
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    raise TypeError(f"cannot canonically encode {type(obj)!r} for job hashing")
+    kind = type(obj)
+    encode = _ENCODERS.get(kind)
+    if encode is None:
+        encode = _ENCODERS[kind] = _encoder_for(kind)
+    return encode(obj)
+
+
+def _encoded_json(obj: Any) -> str:
+    return json.dumps(canonical_encode(obj), separators=(",", ":"), sort_keys=False)
 
 
 def stable_digest(obj: Any) -> str:
     """SHA-256 hex digest of the canonical encoding of ``obj``."""
-    encoded = json.dumps(canonical_encode(obj), separators=(",", ":"), sort_keys=False)
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_encoded_json(obj).encode("utf-8")).hexdigest()
+
+
+#: Designs and feature sets are frozen, hashable and shared by thousands of
+#: jobs (a sweep has a handful, an exploration a few hundred): their encoded
+#: text is kept *by value*, so a fresh job only encodes its workload.
+_part_json = functools.lru_cache(maxsize=256)(_encoded_json)
+
+#: Where :meth:`SimJob.job_hash` keeps its digest on the instance — not a
+#: dataclass field, and never pickled (see ``__getstate__``).
+_MEMO = "_job_hash"
 
 
 @dataclass(frozen=True)
@@ -119,17 +150,40 @@ class SimJob:
 
     # ------------------------------------------------------------------
     def job_hash(self) -> str:
-        """Stable content hash of every behaviour-affecting field."""
-        payload = {
-            "workload": canonical_encode(self.workload),
-            "design": canonical_encode(self.design),
-            "features": canonical_encode(self.features),
-            "backend": self.backend,
-            "seed": self.seed,
-            "max_cycles": self.max_cycles,
-            "engine": self.engine,
-        }
-        return stable_digest(payload)
+        """Stable content hash of every behaviour-affecting field.
+
+        Computed once per instance: the job is frozen, so the digest is
+        memoised beside (not among) its fields.  The text hashed is the
+        canonical encoding of the ``{field: value}`` mapping below — keys
+        sorted, ``label`` absent — assembled from its parts.
+        """
+        memo = self.__dict__.get(_MEMO)
+        if memo is None:
+            parts = (
+                ("backend", _encoded_json(self.backend)),
+                ("design", _part_json(self.design)),
+                ("engine", _encoded_json(self.engine)),
+                ("features", _part_json(self.features)),
+                ("max_cycles", _encoded_json(self.max_cycles)),
+                ("seed", _encoded_json(self.seed)),
+                ("workload", _encoded_json(self.workload)),
+            )
+            text = "[%s]" % ",".join(f'["{name}",{value}]' for name, value in parts)
+            memo = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            self.__dict__[_MEMO] = memo
+        return memo
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """The fields only: the memo stays out of pickles, so cluster frames
+        and journal lines keep their bytes whether or not a job was hashed."""
+        state = dict(self.__dict__)
+        state.pop(_MEMO, None)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """A received job re-derives its key; it never trusts a carried one."""
+        self.__dict__.update(state)
+        self.__dict__.pop(_MEMO, None)
 
     def with_updates(self, **changes: object) -> "SimJob":
         """Copy with selected fields replaced (mirrors the spec idiom)."""

@@ -2,33 +2,27 @@
 
 :class:`ServiceClient` owns a private event loop on a daemon thread and
 proxies the :class:`~repro.serve.service.SimulationService` API into plain
-blocking calls, so scripts, tests, the CLI and the runtime integration
-(``Simulator(service=...)``) can use the service without touching
-``asyncio``::
-
-    from repro.serve import ServiceClient
+blocking calls, so scripts, tests, the CLI and ``Simulator(service=...)``
+can use the service without touching ``asyncio``::
 
     with ServiceClient(cache_dir=path) as client:
         ticket = client.submit(job, client_name="alice")
         outcome = client.result(ticket)            # blocks
         outcomes = client.run(jobs)                # batch, order preserved
 
-Semantics mirror the async service exactly: duplicate in-flight
-submissions coalesce, cache hits resolve without queueing, a full backlog
-raises :class:`~repro.serve.queue.QueueFullError` from :meth:`submit`
-(while :meth:`run` applies cooperative backpressure instead), and
-:meth:`close` drains by default.  The most recent :data:`EVENT_BUFFER`
-events are mirrored into a thread-safe ring readable via :meth:`events`;
-pass ``on_event=`` to stream every event as it happens (the callback runs
-on the service's loop thread).
+Semantics mirror the async service: duplicate in-flight submissions
+coalesce, cache hits resolve without queueing, a full backlog raises
+:class:`~repro.serve.queue.QueueFullError` from :meth:`submit` (:meth:`run`
+applies cooperative backpressure instead), :meth:`close` drains by default.
+:meth:`events` reads a thread-safe ring of the latest :data:`EVENT_BUFFER`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import threading
 from collections import deque
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -41,10 +35,28 @@ from .service import ServiceConfig, SimulationService
 
 __all__ = ["EVENT_BUFFER", "ServiceClient"]
 
-#: Events the client's mirror retains.  A ring, not a log: a shard worker
-#: or a long-lived daemon never reads :meth:`ServiceClient.events`, and
-#: ~3 events per request must not accumulate for the process lifetime.
+#: Events the mirror retains.  A ring, not a log: a shard worker or a daemon
+#: never reads :meth:`ServiceClient.events`; ~3 per request must not pile up.
 EVENT_BUFFER = 4096
+
+
+def _settle(target: Future, produce: Callable[[], object]) -> None:
+    """End ``target`` the way ``produce()`` ends: result or exception."""
+    try:
+        target.set_result(produce())
+    except BaseException as error:  # noqa: BLE001 — re-raised to the waiter
+        target.set_exception(error)
+
+
+def _bridged(source: "asyncio.Future") -> Future:
+    """A thread-safe future ending as ``source`` does (loop thread only):
+    copied now if ``source`` is done, by its done-callback otherwise."""
+    target: Future = Future()
+    if source.done():
+        _settle(target, source.result)
+    else:
+        source.add_done_callback(lambda done: _settle(target, done.result))
+    return target
 
 
 class ServiceClient:
@@ -52,11 +64,9 @@ class ServiceClient:
 
     Parameters
     ----------
-    cache:
-        A ready-made :class:`ResultCache`, or ``None``.
-    cache_dir:
-        Convenience alternative to ``cache`` (ignored when ``cache`` given).
-        When both are ``None`` the service runs uncached.
+    cache, cache_dir:
+        A ready-made :class:`ResultCache`, or the directory to open one in
+        (ignored when ``cache`` is given); uncached when both are ``None``.
     config:
         Service tunables (worker count, backlog bound, progress cadence).
     on_event:
@@ -74,62 +84,51 @@ class ServiceClient:
         if cache is None and cache_dir is not None:
             cache = ResultCache(Path(cache_dir).expanduser())
         self._events: "deque[ServiceEvent]" = deque(maxlen=EVENT_BUFFER)
-        # Validate the whole configuration (ServiceConfig bounds, queue
-        # bounds) *before* starting the loop thread, so a bad config raises
-        # cleanly instead of leaking a running daemon thread.
+        # Validate the whole configuration *before* starting the loop
+        # thread: a bad config raises cleanly, leaking no daemon thread.
         self.service = SimulationService(cache=cache, config=config)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="repro-serve-client", daemon=True
         )
         self._thread.start()
+        #: Orders "queue a call on the loop" against :meth:`close`.
+        self._gate = threading.Lock()
         self._closed = False
-
-        async def _start() -> None:
-            await self.service.start()
-            self.service.add_listener(self._events.append)
-            if on_event is not None:
-                self.service.add_listener(on_event)
-
-        self._call(_start())
+        self.service.add_listener(self._events.append)
+        if on_event is not None:
+            self.service.add_listener(on_event)
+        asyncio.run_coroutine_threadsafe(self.service.start(), self._loop).result()
 
     # ------------------------------------------------------------------
-    def _call(self, coroutine):
-        """Run ``coroutine`` on the service loop and return its result."""
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result()
-
-    def _on_loop(self, fn: Callable[[], object]):
+    def _on_loop(self, fn: Callable[[], object], direct_when_closed: bool = False):
         """Call ``fn()`` on the loop thread, where the service's state
-        lives — or directly once closed: the loop is stopped then, so a
-        direct read cannot race the service."""
-        if self._closed:
-            return fn()
+        lives: one ``call_soon_threadsafe`` of a plain function, no Task.
+        Under the gate the call is queued ahead of :meth:`close` or gets the
+        typed error — a read runs directly: the loop is stopped by then."""
+        done: Future = Future()
+        with self._gate:
+            if not self._closed:
+                self._loop.call_soon_threadsafe(_settle, done, fn)
+            elif direct_when_closed:
+                _settle(done, fn)
+            else:
+                raise ServiceClosedError("client is closed")
+        return done.result()
 
-        async def _run():
-            return fn()
-
-        return self._call(_run())
-
-    def _ensure_open(self) -> None:
-        """Mirror the async API: submissions to a closed client raise the
-        typed error, not an opaque 'event loop is closed' RuntimeError."""
-        if self._closed:
-            raise ServiceClosedError("client is closed")
-
-    # ------------------------------------------------------------------
     def submit(
         self, job: SimJob, client_name: str = "anon", priority: int = 0
     ) -> Ticket:
         """Submit one job; raises :class:`QueueFullError` on a full backlog
         and :class:`~repro.serve.service.ServiceClosedError` after close."""
-        self._ensure_open()
-        ticket = self._on_loop(
-            lambda: self.service.submit(job, client=client_name, priority=priority)
-        )
-        # The loop-side ticket's future belongs to the loop thread; hand
-        # the caller the same ticket over a thread-safe future.
-        future = asyncio.run_coroutine_threadsafe(ticket.outcome(), self._loop)
-        return dataclasses.replace(ticket, future=future)
+
+        def hop() -> Ticket:
+            ticket = self.service.submit(job, client=client_name, priority=priority)
+            # The loop's future, thread-safe: already done on a hit.
+            ticket.future = _bridged(ticket.future)
+            return ticket
+
+        return self._on_loop(hop)
 
     def result(self, ticket: Ticket, timeout: Optional[float] = None) -> SimOutcome:
         return ticket.result(timeout)
@@ -144,12 +143,13 @@ class ServiceClient:
 
         Uses the waiting submission path: oversized batches flow through
         the bounded backlog with cooperative backpressure, never rejection.
-        Duplicates within the batch deterministically coalesce.
-        """
-        self._ensure_open()
-        return self._call(
-            self.service.run(list(jobs), client=client_name, priority=priority)
-        )
+        Duplicates within the batch deterministically coalesce."""
+
+        def start() -> Future:
+            batch = self.service.run(list(jobs), client=client_name, priority=priority)
+            return _bridged(asyncio.ensure_future(batch))
+
+        return self._on_loop(start).result()
 
     # ------------------------------------------------------------------
     def events(self, clear: bool = False) -> List[ServiceEvent]:
@@ -157,35 +157,35 @@ class ServiceClient:
         if not clear:
             return list(self._events)
         # A concurrent publish only ever appends (evicting from the left
-        # when full), so the ring never holds fewer than ``count`` events.
-        count = len(self._events)
-        return [self._events.popleft() for _ in range(count)]
+        # when full), so the ring never shrinks below the length just read.
+        return [self._events.popleft() for _ in range(len(self._events))]
 
     def stats_dict(self) -> Dict[str, object]:
-        """Service counters (coalescing/cache hit rates included) — the
-        same call :class:`~repro.cluster.service.ClusterService` answers.
-        Readable after close, like :meth:`snapshot` and :meth:`describe`."""
-        return self._on_loop(self.service.stats.as_dict)
+        """Service counters and hit rates — the same call the cluster's
+        ``ClusterService`` answers.  Readable after close, like the rest."""
+        return self._on_loop(self.service.stats.as_dict, direct_when_closed=True)
 
     stats = stats_dict
 
     def snapshot(self) -> Dict[str, object]:
         """Structured ops snapshot (queue depth, hit rates, per-worker
-        executed counts, latency histogram) — see
-        :meth:`SimulationService.snapshot`."""
-        return self._on_loop(self.service.snapshot)
+        executed counts, latency histogram)."""
+        return self._on_loop(self.service.snapshot, direct_when_closed=True)
 
     def describe(self) -> Dict[str, object]:
-        return self._on_loop(self.service.describe)
+        return self._on_loop(self.service.describe, direct_when_closed=True)
 
     # ------------------------------------------------------------------
     def close(self, drain: bool = True) -> None:
         """Shut the service down (see :meth:`SimulationService.close`) and
         stop the loop thread.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._call(self.service.close(drain=drain))
+        with self._gate:
+            if self._closed:
+                return
+            self._closed = True
+            closing = self.service.close(drain=drain)
+            drained = asyncio.run_coroutine_threadsafe(closing, self._loop)
+        drained.result()
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join()
         self._loop.close()
