@@ -20,8 +20,8 @@ Part 3 goes one step further: it hands the same runtime to the
 searches two design-time parameters jointly, printing the Pareto frontier
 over cycles and modelled energy.
 
-Part 4 runs a duplicate-heavy request burst through the asynchronous
-simulation service (docs/SERVE.md): identical in-flight submissions
+Part 4 runs a duplicate-heavy request burst through the simulation
+service (docs/SERVE.md): identical in-flight submissions
 coalesce onto one backend simulation, lifecycle events stream back, and
 the service drains cleanly on close — including what happens when the
 bounded admission queue pushes back.
@@ -173,7 +173,7 @@ def part3_design_space_exploration():
 
 def part4_simulation_service():
     print("=" * 70)
-    print("Part 4: the asynchronous simulation service (see docs/SERVE.md)")
+    print("Part 4: the simulation service (see docs/SERVE.md)")
     print("=" * 70)
 
     from repro.serve import QueueFullError, ServiceClient, ServiceConfig

@@ -19,8 +19,8 @@ the sub-packages hold the full API:
 * :mod:`repro.runtime` — the simulation runtime: declarative jobs, the
   :class:`~repro.runtime.simulator.Simulator` facade, parallel batch
   execution and the on-disk result cache;
-* :mod:`repro.serve` — the asynchronous simulation service on top of the
-  runtime: request coalescing, fair bounded admission, streaming
+* :mod:`repro.serve` — the thread-safe in-process simulation service on
+  top of the runtime: request coalescing, fair bounded admission, streaming
   lifecycle/progress events (``docs/SERVE.md``);
 * :mod:`repro.cluster` — the service sharded across supervised worker
   processes: hash routing, heartbeat/restart supervision and a durable

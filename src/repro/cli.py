@@ -19,7 +19,7 @@ Provides quick access to the main entry points without writing Python:
   — multi-objective design-space exploration with Pareto-frontier reporting,
   JSON/CSV export and journal-based resume (see ``docs/EXPLORE.md``);
 * ``python -m repro.cli serve gemm:64x64x64 --repeat 8 --clients 2 --events``
-  — run a workload stream through the asynchronous simulation service:
+  — run a workload stream through the simulation service:
   duplicate in-flight requests coalesce onto one simulation, admission is
   fair and bounded, and lifecycle/progress events stream to stdout (see
   ``docs/SERVE.md``);
@@ -572,7 +572,7 @@ def _emit_stats(snapshot: dict, fmt: str) -> None:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a workload stream through the asynchronous simulation service."""
+    """Serve a workload stream through the simulation service."""
     import threading
 
     from .config import get_config
@@ -1164,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
-        help="serve a workload stream through the async simulation service "
+        help="serve a workload stream through the simulation service "
         "(see docs/SERVE.md)",
     )
     serve.add_argument(

@@ -12,8 +12,9 @@ The worker's main thread is a plain receive loop on the length-prefixed
 :class:`~repro.cluster.protocol.MessageChannel`:
 
 * ``job``      → submit to the service; a completion callback sends the
-  ``result`` (or ``error``) frame from the service's loop thread, so the
-  main thread keeps answering pings while simulations run;
+  ``result`` (or ``error``) frame from the service worker thread that
+  settled it (outside the service's lock), so the main thread keeps
+  answering pings while simulations run;
 * ``ping``     → answer ``pong`` carrying the service's stats snapshot —
   the supervisor's liveness signal and the cluster's per-shard telemetry;
 * ``shutdown`` → close the service (draining or not), answer ``bye``, exit.

@@ -73,8 +73,8 @@ class TraceEvent:
 class TraceRecorder:
     """Collects trace events; thread-safe, append-only, export-at-end.
 
-    Service hooks feed it from the event-loop thread, engine hooks from
-    executor threads, cluster hooks from reader threads — every append
+    Service hooks feed it from submitter and worker threads, engine hooks
+    from worker threads, cluster hooks from reader threads — every append
     takes the lock.  ``begin``/``end`` are idempotent per (track, name):
     a duplicate begin (a coalesced submission re-announcing the job) is
     dropped, an end without a begin is recorded as an instant so no data

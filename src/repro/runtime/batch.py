@@ -16,7 +16,7 @@ in-process — the fan-out path never hands a zero worker count to the
 ``ProcessPoolExecutor``; larger values fan the cache misses out over a
 process pool.  Alternatively, pass ``service=`` (a
 :class:`repro.serve.ServiceClient`) to execute the misses through the
-shared asynchronous simulation service (``docs/SERVE.md``) instead of a
+shared simulation service (``docs/SERVE.md``) instead of a
 private pool.
 """
 

@@ -47,7 +47,7 @@ class Simulator:
         :meth:`sweep`; ``None`` or ``1`` runs in-process.
     service:
         Optional :class:`repro.serve.ServiceClient`.  When set, batch
-        execution routes through the shared asynchronous simulation
+        execution routes through the shared simulation
         service — one scheduler and one cache across DSE runs, sweeps and
         ad-hoc calls, with duplicate in-flight requests coalesced — instead
         of a private process pool (``max_workers`` is then ignored for

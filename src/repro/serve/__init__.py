@@ -1,10 +1,10 @@
-"""``repro.serve`` — the asynchronous simulation service.
+"""``repro.serve`` — the in-process simulation service.
 
 PR 1–4 built the ingredients of a production-scale simulation system —
 hashable :class:`~repro.runtime.job.SimJob` descriptions, the on-disk
 :class:`~repro.runtime.cache.ResultCache`, batched execution and the
 event-driven engine.  This package is the front door that turns them into
-a *service*: a long-lived asyncio component that
+a *service*: a long-lived, thread-safe component that
 
 * **coalesces** identical in-flight requests onto one future (keyed by the
   job hash), so a duplicate burst costs one simulation;
@@ -19,10 +19,11 @@ a *service*: a long-lived asyncio component that
 
 Entry points:
 
-* :class:`SimulationService` — the asyncio service (``async with``), an
+* :class:`SimulationService` — worker threads under one lock, an
   executor around the transport-free admission core of
   :mod:`repro.serve.core` that :mod:`repro.cluster` shares;
-* :class:`ServiceClient` — blocking facade for scripts, tests and the CLI;
+* :class:`ServiceClient` — the front door scripts, tests, the CLI and each
+  cluster shard hold (cache opening, ``client_name=``, the event ring);
 * ``python -m repro.cli serve …`` — the CLI daemon;
 * ``Simulator(service=client)`` / ``BatchRunner(service=client)`` /
   ``ExplorationEngine(service=client)`` — route existing call sites
@@ -39,7 +40,7 @@ bare :class:`~repro.runtime.simulator.Simulator`) and
 
 from .client import ServiceClient
 from .core import AdmissionCore, Stats, Ticket
-from .events import EVENT_KINDS, EventSubscription, ServiceEvent
+from .events import EVENT_KINDS, ServiceEvent
 from .queue import FairQueue, QueueFullError
 from .replay import (
     REGIMES,
@@ -61,7 +62,6 @@ from .service import (
 __all__ = [
     "AdmissionCore",
     "EVENT_KINDS",
-    "EventSubscription",
     "FairQueue",
     "LatencyHistogram",
     "QueueFullError",

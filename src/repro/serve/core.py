@@ -6,19 +6,18 @@ answered by a **probe** (journal-replayed completions, then the
 :class:`~repro.runtime.cache.ResultCache`), or becomes a **new entry**
 handed to an executor; every entry ends in exactly one **settle** (outcome
 or error) or **abandon** (shutdown).  That state machine, its counters and
-its lifecycle hook live here, once; ``SimulationService`` (asyncio worker
-pool) and ``ClusterService`` (shard processes) are executors around it.
+its lifecycle hook live here, once; ``SimulationService`` (worker
+threads) and ``ClusterService`` (shard processes) are executors around it.
 
 The core is transport-free: futures come from a factory the shell passes
-in and the shell serialises every call (the event-loop thread, the
-cluster's lock), so it needs neither an event loop nor a lock and can be
-driven synchronously — ``tests/serve/test_core.py`` does exactly that.
+in and the shell serialises every call (each holds one re-entrant lock),
+so it needs no lock of its own and can be driven from a single thread —
+``tests/serve/test_core.py`` does exactly that.
 
 Retiring an entry and releasing its waiters are two steps on purpose:
-``settle`` / ``abandon`` change state under the shell's serialisation;
+``settle`` / ``abandon`` change state under the shell's lock;
 :meth:`Entry.resolve` completes the future — which runs caller-supplied
-done-callbacks on thread futures — so a shell holding a lock calls it
-after releasing the lock.
+done-callbacks — so the shell calls it after releasing the lock.
 
 The accounting identity both shells inherit (``inflight`` = entries not
 yet retired)::
@@ -104,7 +103,7 @@ class Entry:
     key: str
     client: str
     priority: int
-    future: "object"  # asyncio.Future or concurrent.futures.Future
+    future: "object"  # concurrent.futures.Future, from the shell's factory
     waiters: int = 1
     #: Monotonic admission time (the executor observes latency from it).
     admitted_at: float = 0.0
@@ -132,12 +131,9 @@ class Entry:
 
 @dataclass
 class Ticket:
-    """Receipt for one submission, on either transport.
-
-    Thread-side tickets (``ServiceClient``, ``ClusterService``) carry a
-    ``concurrent.futures.Future`` — block with :meth:`result`; event-loop
-    tickets (``SimulationService``) an asyncio one — ``await outcome()``.
-    """
+    """Receipt for one submission, on either transport: ``future`` is a
+    ``concurrent.futures.Future`` — block with :meth:`result`, or attach a
+    completion callback with :meth:`add_done_callback`."""
 
     job: SimJob
     job_hash: str
@@ -167,9 +163,6 @@ class Ticket:
         waiter thread per request.
         """
         self.future.add_done_callback(lambda _future: callback(self))
-
-    async def outcome(self) -> SimOutcome:
-        return await self.future
 
 
 class AdmissionCore:

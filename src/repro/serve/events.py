@@ -17,19 +17,15 @@ The expected lifecycle of one submission::
 ``cancelled`` replaces ``started`` for entries still queued when the
 service closes without draining.
 
-Consumers subscribe in two ways:
-
-* **async** — :meth:`SimulationService.subscribe` returns an
-  :class:`EventSubscription`, an async iterator fed from the event loop;
-* **sync** — :meth:`SimulationService.add_listener` registers a plain
-  callable invoked on the loop thread (the
-  :class:`~repro.serve.client.ServiceClient` uses this to mirror events
-  into a thread-safe buffer).
+Consumers register a plain callable with
+:meth:`SimulationService.add_listener`; it is invoked under the service's
+lock on whichever thread publishes (the
+:class:`~repro.serve.client.ServiceClient` uses this to mirror events into
+a bounded ring and to feed its ``on_event`` callback).
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -85,65 +81,21 @@ class ServiceEvent:
         return " ".join(parts)
 
 
-class EventSubscription:
-    """Async-iterable view of the service's event stream.
-
-    Obtained from :meth:`SimulationService.subscribe`.  Iteration ends when
-    the service closes the stream (on shutdown) after delivering every
-    event published before the close.
-    """
-
-    _CLOSE = object()
-
-    def __init__(self) -> None:
-        self._queue: "asyncio.Queue[object]" = asyncio.Queue()
-        self._closed = False
-
-    # -- producer side (service) ---------------------------------------
-    def _publish(self, event: ServiceEvent) -> None:
-        if not self._closed:
-            self._queue.put_nowait(event)
-
-    def _close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._queue.put_nowait(self._CLOSE)
-
-    # -- consumer side -------------------------------------------------
-    def __aiter__(self) -> "EventSubscription":
-        return self
-
-    async def __anext__(self) -> ServiceEvent:
-        item = await self._queue.get()
-        if item is self._CLOSE:
-            raise StopAsyncIteration
-        assert isinstance(item, ServiceEvent)
-        return item
-
-
 class EventBus:
-    """Fans events out to async subscriptions and sync listeners.
+    """Sequences events and fans them out to the registered listeners.
 
-    All publishing happens on the event-loop thread; worker threads hand
-    events over via ``loop.call_soon_threadsafe`` (the service does this
-    for engine progress callbacks).
+    Not thread-safe by itself: the service calls :meth:`publish` and
+    :meth:`add_listener` under its lock, which is what makes ``seq`` a
+    total order and keeps every listener's view in that order.
     """
 
     def __init__(self) -> None:
         self._seq = 0
-        self._subscriptions: List[EventSubscription] = []
         self._listeners: List[Callable[[ServiceEvent], None]] = []
-
-    # ------------------------------------------------------------------
-    def subscribe(self) -> EventSubscription:
-        subscription = EventSubscription()
-        self._subscriptions.append(subscription)
-        return subscription
 
     def add_listener(self, listener: Callable[[ServiceEvent], None]) -> None:
         self._listeners.append(listener)
 
-    # ------------------------------------------------------------------
     def publish(self, kind: str, job_hash: str, client: str, **extra) -> ServiceEvent:
         """Build, sequence and deliver one event; returns it.
 
@@ -165,17 +117,9 @@ class EventBus:
                 tracer.lifecycle(kind, job_hash, client, **extra)
             except Exception:  # noqa: BLE001 — tracing cannot break the service
                 pass
-        for subscription in self._subscriptions:
-            subscription._publish(event)
         for listener in self._listeners:
             try:
                 listener(event)
             except Exception:  # noqa: BLE001 — observers cannot break the service
                 pass
         return event
-
-    def close(self) -> None:
-        """End every subscription (sync listeners just stop firing)."""
-        for subscription in self._subscriptions:
-            subscription._close()
-        self._subscriptions.clear()

@@ -1,4 +1,4 @@
-"""The asyncio simulation service: coalescing, fair admission, workers.
+"""The in-process simulation service: coalescing, fair admission, workers.
 
 :class:`SimulationService` is the long-lived front door the ROADMAP's
 "serves heavy traffic" goal asks for.  Admission — coalescing identical
@@ -11,28 +11,30 @@ this module is the in-process *executor* around it:
   — priority first, round-robin across clients within a priority, FIFO
   within a client; a full backlog raises the typed
   :class:`~repro.serve.queue.QueueFullError` (or, on the ``submit_wait``
-  path, cooperatively waits for capacity);
-* a **worker pool** — cache hits never occupy a worker, and every fresh
-  result is written back through the same cache;
+  path, waits for capacity);
+* a **worker pool** of plain threads — cache hits never occupy a worker,
+  and every fresh result is written back through the same cache;
 * a **streaming event bus** (:mod:`repro.serve.events`) — submitted /
   coalesced / cache_hit / queued / started / progress / finished / failed /
   cancelled lifecycle events, with ``progress`` fed by the simulation
   engines' cooperative yield points (see ``docs/ENGINE.md``).
 
-The service is single-loop: every public method must be called on the
-event-loop thread (the sync :class:`~repro.serve.client.ServiceClient`
-wraps that for threads, scripts and tests).  Backend simulations run on a
-thread pool; pure-Python cycle simulation holds the GIL, so the win is
-coalescing + caching + overlap with I/O rather than parallel speedup —
-``docs/SERVE.md`` discusses when to use the service vs the bare
-``Simulator``.
+Every method is thread-safe and synchronous: one re-entrant lock serialises
+the core, the queue and the event sequence, as in
+:class:`~repro.cluster.service.ClusterService`.  Pure-Python cycle
+simulation holds the GIL, so the win is coalescing + caching + overlap with
+I/O rather than parallel speedup — ``docs/SERVE.md`` states the lock
+discipline and when to use the service vs the bare ``Simulator``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
+import threading
 import time
+import warnings
+from collections import Counter
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +46,7 @@ from ..runtime.cache import ResultCache
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
 from .core import AdmissionCore, Entry, ServiceClosedError, Stats, Ticket
-from .events import EventBus, EventSubscription
+from .events import EventBus
 from .queue import FairQueue, QueueFullError
 
 __all__ = [
@@ -62,7 +64,7 @@ class ServiceConfig:
     Parameters
     ----------
     max_workers:
-        Concurrent backend simulations (worker tasks and executor threads).
+        Worker threads, i.e. concurrent backend simulations.
     max_backlog:
         Bound on *queued* (admitted, not yet started) jobs; exceeding it is
         explicit backpressure: :class:`QueueFullError`.
@@ -107,14 +109,14 @@ class LatencyHistogram(Histogram):
 
 
 class SimulationService:
-    """Async simulation front door: submit, coalesce, stream, drain.
+    """Thread-safe simulation front door: submit, coalesce, stream, drain.
 
-    Use as an async context manager, or call :meth:`start` / :meth:`close`
-    explicitly::
+    The workers start with the object; use it as a context manager or call
+    :meth:`close` explicitly::
 
-        async with SimulationService(cache=ResultCache(path)) as service:
+        with SimulationService(cache=ResultCache(path)) as service:
             ticket = service.submit(job, client="alice")
-            outcome = await ticket.outcome()
+            outcome = ticket.result()
     """
 
     def __init__(
@@ -143,7 +145,7 @@ class SimulationService:
         self.metrics.register(self.latency)
         #: Jobs completed per worker slot — skew here means unfair pop
         #: order or one worker pinned on a long simulation.
-        self.per_worker_executed: Dict[int, int] = {}
+        self.per_worker_executed: "Counter[int]" = Counter()
         #: Macro-step engine totals accumulated from executed outcomes.
         self.macro: Dict[str, int] = {"jumps": 0, "cycles_skipped": 0}
         self.metrics.add_callback(
@@ -151,190 +153,147 @@ class SimulationService:
             lambda: worker_families(self.per_worker_executed),
         )
         self.events = EventBus()
-        self._core = AdmissionCore(
-            self.stats,
-            cache,
-            new_future=lambda: self._loop.create_future(),
-            emit=self.events.publish,
-        )
+        #: Serialises the core, the queue and the event sequence.  Re-entrant
+        #: so a listener (which runs under it) may read ``snapshot()``.
+        self._lock = threading.RLock()
+        self._work_available = threading.Condition(self._lock)
+        self._space_freed = threading.Condition(self._lock)
+        self._core = AdmissionCore(self.stats, cache, Future, self.events.publish)
         self._queue: FairQueue[Entry] = FairQueue(
             self.config.max_backlog,
             self.config.max_backlog_per_client,
             on_depth=self._on_queue_depth,
         )
-        self._workers: List[asyncio.Task] = []
-        self._work_available: Optional[asyncio.Semaphore] = None
-        self._space_freed: Optional[asyncio.Condition] = None
-        self._executor = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._closed = False
-        self._started = False
+        #: Set by :meth:`close`; read-only for callers.
+        self.closed = False
+        self._workers = [
+            threading.Thread(
+                target=self._worker_loop,
+                args=(index,),
+                name=f"repro-serve-{index}",
+                daemon=True,
+            )
+            for index in range(self.config.max_workers)
+        ]
+        for worker in self._workers:
+            worker.start()
 
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
-    async def start(self) -> "SimulationService":
-        """Spawn the worker pool (idempotent)."""
-        if self._started:
-            return self
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._loop = asyncio.get_running_loop()
-        self._work_available = asyncio.Semaphore(0)
-        self._space_freed = asyncio.Condition()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_workers, thread_name_prefix="repro-serve"
-        )
-        self._workers = [
-            asyncio.ensure_future(self._worker_loop(index))
-            for index in range(self.config.max_workers)
-        ]
-        self._started = True
+    def __enter__(self) -> "SimulationService":
         return self
 
-    async def __aenter__(self) -> "SimulationService":
-        return await self.start()
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
-    async def __aexit__(self, *_exc) -> None:
-        await self.close()
-
-    async def close(self, drain: bool = True) -> None:
+    def close(self, drain: bool = True) -> None:
         """Shut down: refuse new work, settle in-flight work, stop workers.
 
         With ``drain=True`` (the default) every admitted job — queued or
         executing — runs to completion and resolves its waiters.  With
         ``drain=False`` queued-but-unstarted entries are *cancelled* (their
         waiters receive :class:`ServiceClosedError`) while entries already
-        executing on a worker still finish and resolve normally.
+        executing on a worker still finish and resolve normally.  Returns
+        once the workers have exited; idempotent.
         """
-        if not self._started or self._closed:
-            self._closed = True
-            self.events.close()
-            return
-        self._closed = True
-        # Wake any submit_wait callers parked on backpressure.
-        async with self._space_freed:
-            self._space_freed.notify_all()
-        if not drain:
-            queued = [entry for entry, _client, _priority in self._queue.drain()]
-            for entry in self._core.abandon(queued, "service closed"):
-                entry.resolve()
-        # Wait for every remaining in-flight entry (queued ones too, when
-        # draining) to settle — exceptions included.
-        pending = [entry.future for entry in self._core.inflight.values()]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        abandoned: List[Entry] = []
+        with self._lock:
+            if not self.closed:
+                self.closed = True
+                if not drain:
+                    queued = [entry for entry, *_ in self._queue.drain()]
+                    abandoned = self._core.abandon(queued, "service closed")
+                # Workers leave once the queue is empty.
+                self._work_available.notify_all()
+                self._space_freed.notify_all()
+        for entry in abandoned:
+            entry.resolve()
         for worker in self._workers:
-            worker.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self.events.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+            worker.join()
 
     # ------------------------------------------------------------------
     # Submission.
     # ------------------------------------------------------------------
     def submit(self, job: SimJob, client: str = "anon", priority: int = 0) -> Ticket:
-        """Submit one job; never blocks.
+        """Submit one job; never blocks on simulation.
 
         Returns a :class:`~repro.serve.core.Ticket` whose future resolves to
-        the outcome.  Raises :class:`QueueFullError` when the backlog bound
-        is hit (use :meth:`submit_wait` for cooperative backpressure
-        instead) and :class:`ServiceClosedError` after :meth:`close`.
-
-        Submissions made within one event-loop turn are atomic with respect
-        to the workers, so a burst of identical jobs submitted back-to-back
-        deterministically coalesces onto a single backend execution.
+        the outcome (already done on a cache hit).  Raises
+        :class:`QueueFullError` when the backlog bound is hit (use
+        :meth:`submit_wait` to wait instead) and :class:`ServiceClosedError`
+        after :meth:`close`.
         """
-        return self._submit(job, client, priority, record_rejection=True)
+        with self._lock:
+            return self._admit(job, client, priority, count_refusal=True)
 
-    def _submit(
-        self, job: SimJob, client: str, priority: int, record_rejection: bool
-    ) -> Ticket:
-        if self._closed:
-            raise ServiceClosedError("service is closed")
-        if not self._started:
-            raise ServiceClosedError("service not started (use 'async with' or start())")
-        # Fail-fast submissions record a QueueFullError bounce; the waiting
-        # path (submit_wait) retries instead — that is backpressure, not a
-        # rejection, and it must not double-count the submission.
-        ticket = self._core.admit(
-            job, client, self._enqueue, priority, count_refusal=record_rejection
-        )
-        if not (ticket.coalesced or ticket.cache_hit):
-            self._core.announce("queued", self._core.inflight[ticket.job_hash])
-            self._work_available.release()
-        return ticket
-
-    def _enqueue(self, entry: Entry) -> None:
-        """The core's ``place`` hook: the bounded queue accepts or bounces."""
-        self._queue.push(entry, entry.client, entry.priority)
-        # Failures are also reported via events; retrieving the exception
-        # here keeps abandoned tickets from warning at garbage collection.
-        entry.future.add_done_callback(
-            lambda f: f.exception() if not f.cancelled() else None
-        )
-
-    def _has_capacity(self, client: str) -> bool:
-        if len(self._queue) >= self.config.max_backlog:
-            return False
-        limit = self.config.max_backlog_per_client
-        return limit is None or self._queue.client_backlog(client) < limit
-
-    async def submit_wait(
+    def submit_wait(
         self, job: SimJob, client: str = "anon", priority: int = 0
     ) -> Ticket:
         """Like :meth:`submit`, but waits for backlog capacity instead of
         raising :class:`QueueFullError` (coalesced and cached submissions
         never wait)."""
-        while True:
-            try:
-                return self._submit(job, client, priority, record_rejection=False)
-            except QueueFullError:
-                async with self._space_freed:
-                    while not self._has_capacity(client) and not self._closed:
-                        await self._space_freed.wait()
-                if self._closed:
-                    raise ServiceClosedError("service closed while waiting for capacity")
+        with self._lock:
+            while True:
+                try:
+                    return self._admit(job, client, priority, count_refusal=False)
+                except QueueFullError:
+                    # Releases the lock, however deeply held, until a worker
+                    # pops or a close makes the retry raise the typed error.
+                    self._space_freed.wait()
 
-    async def run(
+    def run(
         self,
         jobs: Sequence[SimJob],
         client: str = "anon",
         priority: int = 0,
     ) -> List[SimOutcome]:
-        """Submit a batch and await every outcome, in submission order.
+        """Submit a batch and block for every outcome, in submission order.
 
-        Duplicates *within the batch* always coalesce (each unique job is
-        submitted before any other coroutine can run), and unique jobs use
-        the waiting submission path, so arbitrarily large batches flow
-        through the bounded backlog without rejection.
+        The whole batch is admitted under one hold of the lock (released
+        only while waiting for capacity), so no worker can retire an entry
+        in between: duplicates *within the batch* always coalesce, and
+        arbitrarily large batches flow through the bounded backlog without
+        rejection.
         """
-        tickets: List[Ticket] = []
-        for job in jobs:
-            tickets.append(await self.submit_wait(job, client=client, priority=priority))
-        return [await ticket.outcome() for ticket in tickets]
+        with self._lock:
+            tickets = [self.submit_wait(job, client, priority) for job in jobs]
+        return [ticket.result() for ticket in tickets]
+
+    def _admit(
+        self, job: SimJob, client: str, priority: int, count_refusal: bool
+    ) -> Ticket:
+        """One admission, under the lock."""
+        if self.closed:
+            raise ServiceClosedError("service is closed")
+        # Fail-fast submissions record a QueueFullError bounce; the waiting
+        # path retries instead — that is backpressure, not a rejection, and
+        # it must not double-count the submission.
+        ticket = self._core.admit(
+            job, client, self._enqueue, priority, count_refusal=count_refusal
+        )
+        if not (ticket.coalesced or ticket.cache_hit):
+            self._core.announce("queued", self._core.inflight[ticket.job_hash])
+            self._work_available.notify()
+        return ticket
+
+    def _enqueue(self, entry: Entry) -> None:
+        """The core's ``place`` hook: the bounded queue accepts or bounces."""
+        self._queue.push(entry, entry.client, entry.priority)
 
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-    def subscribe(self) -> EventSubscription:
-        """Async-iterable stream of every subsequent service event."""
-        return self.events.subscribe()
-
     def add_listener(self, listener) -> None:
-        """Register a sync callback invoked (on the loop thread) per event."""
-        self.events.add_listener(listener)
+        """Register a callback invoked per event, under the service's lock
+        on whichever thread publishes — keep it cheap, never block in it."""
+        with self._lock:
+            self.events.add_listener(listener)
 
     def backlog(self) -> int:
         """Jobs admitted but not yet picked up by a worker."""
-        return len(self._queue)
+        with self._lock:
+            return len(self._queue)
 
     def _on_queue_depth(self, depth: int) -> None:
         """Queue depth change → tracer counter track (when tracing)."""
@@ -344,7 +303,8 @@ class SimulationService:
 
     def inflight(self) -> int:
         """Unique jobs somewhere between admission and completion."""
-        return len(self._core.inflight)
+        with self._lock:
+            return len(self._core.inflight)
 
     def snapshot(self) -> Dict[str, object]:
         """Structured ops snapshot: depth, rates, skew, latency.
@@ -352,100 +312,93 @@ class SimulationService:
         Everything an operator (or the cluster supervisor's pong frames)
         wants in one picklable dict: current queue depth and in-flight
         count, the coalescing / cache hit rates, per-worker executed
-        counts, and the admission-to-completion latency histogram.
+        counts, and the admission-to-completion latency histogram — one
+        consistent cut (the accounting identity holds on it), plus the
+        cache's directory pass, made after the lock is released.
         """
-        return {
-            "queue_depth": self.backlog(),
-            "inflight": self.inflight(),
-            **self.stats.as_dict(),
-            "per_worker_executed": dict(self.per_worker_executed),
-            "latency": self.latency.as_dict(),
-            "macro": dict(self.macro),
-            "cache": self.cache.stats() if self.cache is not None else None,
-        }
+        with self._lock:
+            summary = {
+                "queue_depth": self.backlog(),
+                "inflight": self.inflight(),
+                **self.stats.as_dict(),
+                "per_worker_executed": dict(self.per_worker_executed),
+                "latency": self.latency.as_dict(),
+                "macro": dict(self.macro),
+            }
+        summary["cache"] = self.cache.stats() if self.cache is not None else None
+        return summary
 
     def describe(self) -> Dict[str, object]:
+        snapshot = self.snapshot()
         return {
             "config": dataclasses.asdict(self.config),
-            "cache": self.cache.stats() if self.cache is not None else None,
-            "backlog": self.backlog(),
-            "inflight": self.inflight(),
+            "cache": snapshot["cache"],
+            "backlog": snapshot["queue_depth"],
+            "inflight": snapshot["inflight"],
             "stats": self.stats.as_dict(),
         }
 
     # ------------------------------------------------------------------
     # Workers.
     # ------------------------------------------------------------------
-    async def _worker_loop(self, index: int) -> None:
-        assert self._work_available is not None
+    def _worker_loop(self, index: int) -> None:
         while True:
-            await self._work_available.acquire()
-            popped = self._queue.pop()
-            async with self._space_freed:
+            with self._lock:
+                while not len(self._queue):
+                    if self.closed:
+                        return
+                    self._work_available.wait()
+                entry, *_ = self._queue.pop()
                 self._space_freed.notify_all()
-            if popped is None:
-                continue  # entry was drained by a non-draining close
-            entry, _client, _priority = popped
-            await self._execute_entry(entry, index)
+                self._core.announce("started", entry)
+            try:
+                outcome, error = self._execute(entry), None
+            except Exception as caught:  # noqa: BLE001 — surfaced to every waiter
+                outcome, error = None, caught
+            with self._lock:
+                if error is None:
+                    self.per_worker_executed[index] += 1
+                    macro = outcome.metrics.get("macro_stats")
+                    if isinstance(macro, dict):
+                        for name in self.macro:
+                            self.macro[name] += int(macro.get(name, 0))
+                    self.latency.observe(time.monotonic() - entry.admitted_at)
+                self._core.settle(entry.key, outcome, error)
+            entry.resolve()
 
-    async def _execute_entry(self, entry: Entry, worker_index: int = 0) -> None:
-        self._core.announce("started", entry)
+    def _execute(self, entry: Entry) -> SimOutcome:
+        """Simulate and write back, off the lock.
+
+        The write-back precedes ``settle``, so a later duplicate finds the
+        in-flight entry or the cache, never neither (``ResultCache.put`` is
+        atomic: a concurrent probe sees nothing or the complete entry).  A
+        failing write-back is demoted to a warning — the simulation result
+        exists and must reach its waiters.
+        """
 
         def progress(cycles: int) -> None:
-            # Engine yield point, on the executor thread → the event bus.
-            self._loop.call_soon_threadsafe(self._emit_progress, entry, cycles)
+            # Engine yield point, on this worker thread → the event bus.
+            with self._lock:
+                self._core.announce("progress", entry, cycles=cycles)
 
-        def run_and_write_back() -> SimOutcome:
-            # Executed on the worker thread: the cache write-back happens
-            # here too, so pickle/disk latency never blocks the event loop
-            # (ResultCache.put is atomic, so a concurrent loop-thread probe
-            # sees either nothing or the complete entry).  A failing
-            # write-back is demoted to a warning — the simulation result
-            # exists and must reach its waiters.
-            outcome = execute_job_with_progress(
-                entry.job,
-                progress_callback=progress,
-                progress_interval=self.config.progress_interval,
-            )
-            if self.cache is not None:
-                tracer = get_tracer()
-                if tracer is not None:
-                    tracer.begin("write_back", entry.key, cat="job")
-                try:
-                    self.cache.put(entry.key, outcome)
-                except Exception as error:  # noqa: BLE001 — best-effort cache
-                    import warnings
-
-                    warnings.warn(
-                        f"result-cache write-back failed for "
-                        f"{entry.key[:12]}: {error}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                finally:
-                    if tracer is not None:
-                        tracer.maybe_end("write_back", entry.key, cat="job")
-            return outcome
-
-        try:
-            outcome = await self._loop.run_in_executor(
-                self._executor, run_and_write_back
-            )
-        except Exception as error:  # noqa: BLE001 — surfaced to every waiter
-            self._core.settle(entry.key, error=error)
-            entry.resolve()
-            return
-        self.per_worker_executed[worker_index] = (
-            self.per_worker_executed.get(worker_index, 0) + 1
+        outcome = execute_job_with_progress(
+            entry.job,
+            progress_callback=progress,
+            progress_interval=self.config.progress_interval,
         )
-        macro = outcome.metrics.get("macro_stats")
-        if isinstance(macro, dict):
-            self.macro["jumps"] += int(macro.get("jumps", 0))
-            self.macro["cycles_skipped"] += int(macro.get("cycles_skipped", 0))
-        self.latency.observe(time.monotonic() - entry.admitted_at)
-        self._core.settle(entry.key, outcome)
-        entry.resolve()
-
-    def _emit_progress(self, entry: Entry, cycles: int) -> None:
-        if not entry.future.done():
-            self._core.announce("progress", entry, cycles=cycles)
+        if self.cache is not None:
+            tracer = get_tracer()
+            if tracer is not None:
+                tracer.begin("write_back", entry.key, cat="job")
+            try:
+                self.cache.put(entry.key, outcome)
+            except Exception as error:  # noqa: BLE001 — best-effort cache
+                warnings.warn(
+                    f"result-cache write-back failed for {entry.key[:12]}: {error}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            finally:
+                if tracer is not None:
+                    tracer.maybe_end("write_back", entry.key, cat="job")
+        return outcome

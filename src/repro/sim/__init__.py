@@ -15,14 +15,10 @@ from .runner import (
     run_to_completion,
 )
 from .stats import StatCounters, StreamerStats, merge_counter_dicts
-from .trace import CycleTracer, TraceProbe, trace_streamer_occupancy
 
 __all__ = [
     "DEFAULT_CYCLE_BUDGET",
     "DEFAULT_PROGRESS_INTERVAL",
-    "CycleTracer",
-    "TraceProbe",
-    "trace_streamer_occupancy",
     "Fifo",
     "FifoError",
     "StatCounters",

@@ -1,0 +1,24 @@
+"""Plain helpers of the cluster suite, importable by name.
+
+Not in ``conftest.py``: ``from conftest import ...`` resolves to whichever
+test directory's conftest was imported last, so it breaks as soon as one
+pytest invocation names two directories.
+"""
+
+import time
+from pathlib import Path
+
+
+def release(backend):
+    """Open a :class:`FileGatedBackend`'s gate."""
+    Path(backend.gate_path).touch()
+
+
+def wait_for(predicate, timeout=15.0, interval=0.02, message="condition"):
+    """Poll ``predicate`` until true; fail the test on timeout."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(interval)
+    raise AssertionError(f"timed out waiting for {message}")

@@ -126,18 +126,3 @@ def make_job():
         )
 
     return make
-
-
-def release(backend):
-    """Open a :class:`FileGatedBackend`'s gate (module-level helper)."""
-    Path(backend.gate_path).touch()
-
-
-def wait_for(predicate, timeout=15.0, interval=0.02, message="condition"):
-    """Poll ``predicate`` until true; fail the test on timeout."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError(f"timed out waiting for {message}")

@@ -19,7 +19,7 @@ the fuzz suite: ``REPRO_FUZZ_SEED`` reproduces a failure exactly).
 import threading
 import time
 
-from conftest import release, wait_for
+from cluster_helpers import release, wait_for
 
 from repro.cluster import ClusterConfig, ClusterService
 from repro.runtime import SimJob

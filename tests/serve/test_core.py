@@ -8,11 +8,13 @@ accounting, and a seeded random op sequence checked against a small
 reference model plus the accounting identity (the seed of the stateful
 oracle ROADMAP item 4(a) asks for).  The second half runs one op script
 through ``ServiceClient`` and ``ClusterService(shards=1)`` and asserts
-equal ticket flags and the same identity on both.
+equal ticket flags and the same identity on both, then drives both from
+eight submitter threads at once.
 """
 
 import itertools
 import random
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -494,3 +496,91 @@ class TestTransportContract:
         assert stats["cancelled"] == unsettled
         assert failed == unsettled + 1  # the coalesced waiter shares its entry's fate
         assert identity_holds(stats, 0)
+
+    def test_concurrent_submitters_lose_and_duplicate_nothing(self, front_door):
+        """8 threads x 200 submissions over 20 jobs, mixed ``submit`` /
+        ``run``, a ``snapshot()`` reader throughout, then ``submit`` racing
+        ``close``: one simulation per distinct job, every ticket resolves,
+        the identity holds, and the race ends in a ticket or the typed error."""
+        service, backend = front_door
+        in_process = isinstance(service, ServiceClient)
+        Path(backend.gate_path).touch()
+        jobs = [_job(100 + tag, backend.name) for tag in range(20)]
+        seqs, snapshots, unexpected, tickets, racing = [], [], [], [], []
+        if in_process:
+            service.service.add_listener(lambda event: seqs.append(event.seq))
+        stop = threading.Event()
+
+        def guarded(body, *args):
+            def target():
+                try:
+                    body(*args)
+                except BaseException as error:  # noqa: BLE001 — the assertion below
+                    unexpected.append(error)
+
+            return threading.Thread(target=target, daemon=True)
+
+        def submitter(index):
+            rng, submitted = random.Random(index), 0
+            while submitted < 200:
+                if submitted % 10 == 0:
+                    batch = rng.sample(jobs, 5)
+                    outcomes = service.run(batch, client_name=f"t{index}")
+                    assert [o.job_hash for o in outcomes] == [j.job_hash() for j in batch]
+                    submitted += 5
+                else:
+                    job = rng.choice(jobs)
+                    tickets.append((job, service.submit(job, client_name=f"t{index}")))
+                    submitted += 1
+
+        def reader():
+            while not stop.is_set():
+                snapshots.append(service.snapshot())
+
+        def racer():
+            try:
+                while True:
+                    racing.append(service.submit(jobs[0], client_name="racer"))
+            except ServiceClosedError:
+                pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            watcher = guarded(reader)
+            watcher.start()
+            threads = [guarded(submitter, index) for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "a submitter hung"
+            for job, ticket in tickets:
+                assert ticket.result(30).job_hash == job.job_hash()
+            racers = [guarded(racer) for _ in range(3)]
+            for thread in racers:
+                thread.start()
+            while len(racing) < 10:
+                time.sleep(0.001)
+            stop.set()
+            service.close()
+            for thread in racers + [watcher]:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "submit or snapshot hung across close()"
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert unexpected == []
+        for ticket in racing:
+            assert ticket.result(30).job_hash == jobs[0].job_hash()
+
+        stats = service.stats_dict()
+        assert stats["submitted"] == 8 * 200 + len(racing)
+        assert stats["executed"] + stats.get("shard_cache_hits", 0) == 20
+        assert stats["failed"] == stats["cancelled"] == 0
+        assert identity_holds(stats, 0)
+        assert snapshots
+        if in_process:
+            # snapshot() is one consistent cut, so the identity holds mid-flight.
+            assert all(identity_holds(s, s["inflight"]) for s in snapshots)
+            assert seqs == list(range(len(seqs)))

@@ -2,11 +2,11 @@
 
 A job's identity is encoded once per ``SimJob`` instance however many
 layers ask for it, a design once per *value*, and a ``ServiceClient.submit``
-is one loop callback — no coroutine, no Task, and a hit is done on return.
-Also the regression for ``submit`` racing ``close``.
+admits on the caller's thread — the client adds no thread to the service's
+workers, and a hit is done on return.  Also the regression for ``submit``
+racing ``close``.
 """
 
-import asyncio
 import sys
 import threading
 
@@ -14,7 +14,7 @@ import pytest
 
 from repro.runtime import BatchRunner, ResultCache, SimJob, Simulator
 from repro.runtime import job as job_module
-from repro.serve import ServiceClient, ServiceClosedError
+from repro.serve import ServiceClient, ServiceClosedError, ServiceConfig
 from repro.workloads import ConvWorkload, GemmWorkload
 
 
@@ -82,75 +82,49 @@ class TestHashOncePerInstance:
         assert (info.misses, info.hits) == (2, 198)
 
 
-class LoopSpy:
-    """Counts what one client call asks of the event loop."""
-
-    def __init__(self, client, monkeypatch):
-        self.callbacks = 0
-        self.tasks = 0
-        self.coroutine_hops = 0
-        loop = client._loop
-        schedule = loop.call_soon_threadsafe
-
-        def call_soon_threadsafe(callback, *args, **kwargs):
-            self.callbacks += 1
-            return schedule(callback, *args, **kwargs)
-
-        def task_factory(loop, coroutine, **kwargs):
-            self.tasks += 1
-            return asyncio.Task(coroutine, loop=loop, **kwargs)
-
-        def run_coroutine_threadsafe(*_args, **_kwargs):
-            self.coroutine_hops += 1
-            raise AssertionError("submit must not hop with a coroutine")
-
-        monkeypatch.setattr(loop, "call_soon_threadsafe", call_soon_threadsafe)
-        monkeypatch.setattr(asyncio, "run_coroutine_threadsafe", run_coroutine_threadsafe)
-        loop.set_task_factory(task_factory)
+def added_threads(before):
+    return sorted(t.name for t in set(threading.enumerate()) - before)
 
 
-class TestHopOnce:
-    def test_a_warm_submit_is_one_callback_and_done_on_return(
-        self, tmp_path, stub_backend, monkeypatch
-    ):
-        backend = stub_backend()
-        (job,) = instances(backend.name, 1)
-        client = ServiceClient(cache_dir=tmp_path)
-        try:
-            client.run([job])
-            with monkeypatch.context() as patch:
-                spy = LoopSpy(client, patch)
-                tickets = [client.submit(job) for _ in range(20)]
-                assert all(ticket.cache_hit and ticket.done() for ticket in tickets)
-                assert (spy.callbacks, spy.tasks, spy.coroutine_hops) == (20, 0, 0)
-                client._loop.set_task_factory(None)
-            assert tickets[0].result(timeout=30).job_hash == job.job_hash()
-        finally:
-            client.close()
+class TestThreadCensus:
+    """The client owns no thread: the service's workers are all there is."""
 
-    def test_a_miss_is_one_callback_from_the_caller_and_no_task(
-        self, stub_backend, monkeypatch
-    ):
+    def test_a_started_client_adds_exactly_its_workers(self, stub_backend):
+        workers = 3
         gate = threading.Event()
         backend = stub_backend(gate=gate)
         (job,) = instances(backend.name, 1)
-        client = ServiceClient()
+        before = set(threading.enumerate())
+        client = ServiceClient(config=ServiceConfig(max_workers=workers))
         try:
-            with monkeypatch.context() as patch:
-                spy = LoopSpy(client, patch)
-                first = client.submit(job)
-                second = client.submit(job)
-                # Only the two submits crossed from this thread; a worker
-                # that was already parked picked the entry up.
-                assert (spy.callbacks, spy.tasks, spy.coroutine_hops) == (2, 0, 0)
-                assert second.coalesced and not first.done()
-                gate.set()
-                assert first.result(timeout=30) is second.result(timeout=30)
-                client._loop.set_task_factory(None)
+            names = [f"repro-serve-{index}" for index in range(workers)]
+            assert added_threads(before) == names
+            first = client.submit(job)
+            second = client.submit(job)
+            # A miss is executed by a worker that was already parked; the
+            # submits themselves started nothing.
+            assert second.coalesced and not first.done()
+            assert added_threads(before) == names
+            gate.set()
+            assert first.result(timeout=30) is second.result(timeout=30)
         finally:
             gate.set()
             client.close()
+        assert added_threads(before) == []
 
+    def test_a_warm_submit_is_done_on_return(self, tmp_path, stub_backend):
+        backend = stub_backend()
+        (job,) = instances(backend.name, 1)
+        with ServiceClient(cache_dir=tmp_path) as client:
+            client.run([job])
+            # Admission ran on this thread: no hand-off to wait for.
+            tickets = [client.submit(job) for _ in range(20)]
+            assert all(ticket.cache_hit and ticket.done() for ticket in tickets)
+            assert tickets[0].result(timeout=30).job_hash == job.job_hash()
+        assert backend.calls == 1
+
+
+class TestHopOnce:
     def test_job_errors_cross_the_bridge(self, stub_backend):
         backend = stub_backend(error=ValueError("boom"))
         (job,) = instances(backend.name, 1)
@@ -164,8 +138,8 @@ class TestHopOnce:
 class TestSubmitRacingClose:
     def test_every_call_returns_a_ticket_or_the_typed_error(self, tmp_path, stub_backend):
         """Three threads submit in a loop while the main thread closes: they
-        see tickets, then ``ServiceClosedError`` — never asyncio's 'event
-        loop is closed', never a call or a ticket that hangs."""
+        see tickets, then ``ServiceClosedError`` — nothing else, never a
+        call or a ticket that hangs."""
         backend = stub_backend()
         jobs = instances(backend.name, 4)
         interval = sys.getswitchinterval()

@@ -1,7 +1,5 @@
 """Structured service stats: the latency histogram and ``snapshot()``."""
 
-import asyncio
-
 import pytest
 
 from repro.serve import (
@@ -71,17 +69,10 @@ class TestServiceSnapshot:
         backend = stub_backend()
         jobs = [make_job(backend.name, tag=i) for i in range(4)]
 
-        async def scenario():
-            async with SimulationService(
-                config=ServiceConfig(max_workers=2)
-            ) as service:
-                tickets = [service.submit(job) for job in jobs]
-                duplicate = service.submit(jobs[0])
-                for ticket in tickets + [duplicate]:
-                    await ticket.outcome()
-                return service.snapshot()
-
-        snapshot = asyncio.run(scenario())
+        with SimulationService(config=ServiceConfig(max_workers=2)) as service:
+            # One batch, one hold of the lock: the duplicate coalesces.
+            service.run(jobs + [jobs[0]])
+            snapshot = service.snapshot()
         assert snapshot["queue_depth"] == 0
         assert snapshot["inflight"] == 0
         assert snapshot["submitted"] == 5

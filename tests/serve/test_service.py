@@ -1,15 +1,16 @@
-"""Edge-case tests of the asyncio service core.
+"""Edge-case tests of the in-process service.
 
-Each test drives :class:`SimulationService` inside ``asyncio.run`` (no
-pytest-asyncio dependency).  The determinism lever used throughout: calls
-to ``submit`` within one coroutine turn are atomic with respect to the
-workers, so duplicate bursts coalesce reproducibly, and a
-``threading.Event`` gate in the stub backend holds jobs "in flight" for
-exactly as long as a test needs.
+Each test drives :class:`SimulationService` from the test thread.  The
+determinism levers used throughout: a ``threading.Event`` gate in the stub
+backend holds jobs "in flight" for exactly as long as a test needs (a
+gated worker cannot settle, so every duplicate submitted meanwhile
+coalesces), and ``run(batch)`` admits its batch under one hold of the
+service's lock.
 """
 
-import asyncio
 import threading
+import time
+import warnings
 
 import pytest
 
@@ -23,28 +24,28 @@ from repro.serve import (
 from repro.workloads import GemmWorkload
 
 
-async def until(predicate, timeout=10.0):
-    """Poll ``predicate`` on the loop until true (or fail the test)."""
-    deadline = asyncio.get_running_loop().time() + timeout
+def until(predicate, timeout=10.0):
+    """Poll ``predicate`` until true (or fail the test)."""
+    deadline = time.monotonic() + timeout
     while not predicate():
-        assert asyncio.get_running_loop().time() < deadline, "condition never held"
-        await asyncio.sleep(0.005)
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 class TestCoalescing:
     def test_duplicate_burst_single_execution(self, stub_backend, make_job):
-        backend = stub_backend()
+        gate = threading.Event()
+        backend = stub_backend(gate=gate)
         job = make_job(backend.name)
 
-        async def scenario():
-            async with SimulationService(config=ServiceConfig(max_workers=4)) as service:
-                # One loop turn, 50 submissions: the burst the acceptance
-                # criterion describes.
-                tickets = [service.submit(job, client=f"c{i}") for i in range(50)]
-                outcomes = [await ticket.outcome() for ticket in tickets]
-                return tickets, outcomes, service.stats
+        with SimulationService(config=ServiceConfig(max_workers=4)) as service:
+            # 50 submissions while the first is held in flight: the burst
+            # the acceptance criterion describes.
+            tickets = [service.submit(job, client=f"c{i}") for i in range(50)]
+            gate.set()
+            outcomes = [ticket.result(30) for ticket in tickets]
+            stats = service.stats
 
-        tickets, outcomes, stats = asyncio.run(scenario())
         assert backend.calls == 1
         assert stats.executed == 1
         assert stats.submitted == 50
@@ -55,31 +56,41 @@ class TestCoalescing:
         assert tickets[0].coalesced is False
         assert all(ticket.coalesced for ticket in tickets[1:])
 
+    def test_ungated_uncached_batch_of_duplicates_executes_once(
+        self, stub_backend, make_job
+    ):
+        # No gate, no cache: only the one hold of the lock in run() keeps a
+        # worker from retiring the entry between two duplicates.
+        backend = stub_backend()
+        job = make_job(backend.name)
+        with SimulationService(config=ServiceConfig(max_workers=4)) as service:
+            outcomes = service.run([job] * 50)
+        assert backend.calls == 1
+        assert service.stats.executed == 1 and service.stats.coalesced == 49
+        assert all(outcome is outcomes[0] for outcome in outcomes)
+
     def test_distinct_jobs_do_not_coalesce(self, stub_backend, make_job):
         backend = stub_backend()
         jobs = [make_job(backend.name, tag=i) for i in range(3)]
 
-        async def scenario():
-            async with SimulationService() as service:
-                return await service.run(jobs)
+        with SimulationService() as service:
+            outcomes = service.run(jobs)
 
-        outcomes = asyncio.run(scenario())
         assert backend.calls == 3
         assert [o.job_hash for o in outcomes] == [j.job_hash() for j in jobs]
 
     def test_coalesced_events_emitted(self, stub_backend, make_job):
-        backend = stub_backend()
+        gate = threading.Event()
+        backend = stub_backend(gate=gate)
         job = make_job(backend.name)
 
-        async def scenario():
-            async with SimulationService() as service:
-                events = []
-                service.add_listener(events.append)
-                tickets = [service.submit(job) for _ in range(3)]
-                await tickets[-1].outcome()
-                return events
+        with SimulationService() as service:
+            events = []
+            service.add_listener(events.append)
+            tickets = [service.submit(job) for _ in range(3)]
+            gate.set()
+            tickets[-1].result(30)
 
-        events = asyncio.run(scenario())
         kinds = [event.kind for event in events]
         assert kinds.count("submitted") == 3
         assert kinds.count("coalesced") == 2
@@ -92,56 +103,88 @@ class TestCoalescing:
 
 class TestBackpressure:
     def test_queue_full_rejection(self, stub_backend, make_job):
-        backend = stub_backend()
-        jobs = [make_job(backend.name, tag=i) for i in range(3)]
+        gate = threading.Event()
+        backend = stub_backend(gate=gate)
+        jobs = [make_job(backend.name, tag=i) for i in range(4)]
         events = []
 
-        async def scenario():
-            config = ServiceConfig(max_workers=1, max_backlog=2)
-            async with SimulationService(config=config) as service:
-                service.add_listener(events.append)
-                # Single turn: no worker has popped yet, so the backlog
-                # holds the first two and the third must bounce.
-                service.submit(jobs[0])
-                service.submit(jobs[1])
-                with pytest.raises(QueueFullError) as excinfo:
-                    service.submit(jobs[2])
-                assert excinfo.value.limit == 2
-                assert service.stats.rejected == 1
+        config = ServiceConfig(max_workers=1, max_backlog=2)
+        with SimulationService(config=config) as service:
+            service.add_listener(events.append)
+            service.submit(jobs[0])
+            until(lambda: backend.calls >= 1)  # the one worker holds job 0
+            # The backlog holds the next two and the fourth must bounce.
+            service.submit(jobs[1])
+            service.submit(jobs[2])
+            with pytest.raises(QueueFullError) as excinfo:
+                service.submit(jobs[3])
+            assert excinfo.value.limit == 2
+            assert service.stats.rejected == 1
+            gate.set()
 
-        asyncio.run(scenario())
         assert "rejected" in [e.kind for e in events]
 
     def test_duplicates_bypass_the_queue(self, stub_backend, make_job):
-        backend = stub_backend()
-        job = make_job(backend.name)
+        gate = threading.Event()
+        backend = stub_backend(gate=gate)
+        jobs = [make_job(backend.name, tag=i) for i in range(2)]
 
-        async def scenario():
-            config = ServiceConfig(max_workers=1, max_backlog=1)
-            async with SimulationService(config=config) as service:
-                service.submit(job)
-                # Backlog is now full, but identical submissions coalesce
-                # without needing a queue slot.
-                for _ in range(5):
-                    service.submit(job)
-                assert service.stats.rejected == 0
-
-        asyncio.run(scenario())
+        config = ServiceConfig(max_workers=1, max_backlog=1)
+        with SimulationService(config=config) as service:
+            service.submit(jobs[0])
+            until(lambda: backend.calls >= 1)
+            service.submit(jobs[1])
+            # Backlog is now full, but identical submissions coalesce
+            # without needing a queue slot.
+            for _ in range(5):
+                service.submit(jobs[1])
+            assert service.stats.rejected == 0
+            gate.set()
 
     def test_submit_wait_flows_through_small_backlog(self, stub_backend, make_job):
         backend = stub_backend()
         jobs = [make_job(backend.name, tag=i) for i in range(6)]
 
-        async def scenario():
-            config = ServiceConfig(max_workers=1, max_backlog=1)
-            async with SimulationService(config=config) as service:
-                outcomes = await service.run(jobs)
-                return outcomes, service.stats.rejected
+        config = ServiceConfig(max_workers=1, max_backlog=1)
+        with SimulationService(config=config) as service:
+            outcomes = service.run(jobs)
+            rejected = service.stats.rejected
 
-        outcomes, rejected = asyncio.run(scenario())
         assert len(outcomes) == 6
         assert rejected == 0
         assert backend.calls == 6
+
+    def test_submit_wait_parked_on_a_full_backlog_is_woken_by_close(
+        self, stub_backend, make_job
+    ):
+        gate = threading.Event()
+        backend = stub_backend(gate=gate)
+        jobs = [make_job(backend.name, tag=i) for i in range(3)]
+        raised = []
+
+        def waiter():
+            try:
+                service.submit_wait(jobs[2])
+            except ServiceClosedError as error:
+                raised.append(error)
+
+        service = SimulationService(config=ServiceConfig(max_workers=1, max_backlog=1))
+        try:
+            service.submit(jobs[0])
+            until(lambda: backend.calls >= 1)
+            service.submit(jobs[1])  # fills the backlog
+            thread = threading.Thread(target=waiter, daemon=True)
+            thread.start()
+            time.sleep(0.05)
+            assert thread.is_alive()  # parked, not rejected
+            closer = threading.Thread(target=service.close, daemon=True)
+            closer.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive() and len(raised) == 1
+        finally:
+            gate.set()
+            service.close()
+        assert service.stats.rejected == 0 and service.stats.submitted == 2
 
 
 class TestFailure:
@@ -149,22 +192,22 @@ class TestFailure:
         self, stub_backend, make_job
     ):
         boom = RuntimeError("backend exploded")
-        backend = stub_backend(error=boom)
+        gate = threading.Event()
+        backend = stub_backend(gate=gate, error=boom)
         job = make_job(backend.name)
 
-        async def scenario():
-            async with SimulationService() as service:
-                events = []
-                service.add_listener(events.append)
-                tickets = [service.submit(job, client=f"c{i}") for i in range(5)]
-                errors = []
-                for ticket in tickets:
-                    with pytest.raises(RuntimeError) as excinfo:
-                        await ticket.outcome()
-                    errors.append(excinfo.value)
-                return errors, events, service.stats.failed
+        with SimulationService() as service:
+            events = []
+            service.add_listener(events.append)
+            tickets = [service.submit(job, client=f"c{i}") for i in range(5)]
+            gate.set()
+            errors = []
+            for ticket in tickets:
+                with pytest.raises(RuntimeError) as excinfo:
+                    ticket.result(30)
+                errors.append(excinfo.value)
+            failed = service.stats.failed
 
-        errors, events, failed = asyncio.run(scenario())
         assert backend.calls == 1
         assert failed == 1
         # Every coalesced waiter sees the *original* exception object.
@@ -180,12 +223,10 @@ class TestFailure:
         job = make_job(backend.name)
         cache = ResultCache(tmp_path)
 
-        async def scenario():
-            async with SimulationService(cache=cache) as service:
-                with pytest.raises(ValueError):
-                    await (service.submit(job)).outcome()
+        with SimulationService(cache=cache) as service:
+            with pytest.raises(ValueError):
+                service.submit(job).result(30)
 
-        asyncio.run(scenario())
         assert len(cache) == 0
 
 
@@ -195,23 +236,18 @@ class TestCache:
         job = make_job(backend.name)
         cache = ResultCache(tmp_path)
 
-        async def warm():
-            async with SimulationService(cache=cache) as service:
-                await (service.submit(job)).outcome()
-
-        asyncio.run(warm())
+        with SimulationService(cache=cache) as service:
+            service.submit(job).result(30)
         assert backend.calls == 1
 
-        async def served_from_cache():
-            async with SimulationService(cache=cache) as service:
-                events = []
-                service.add_listener(events.append)
-                ticket = service.submit(job)
-                assert ticket.cache_hit is True
-                outcome = await ticket.outcome()
-                return outcome, events, service.stats
+        with SimulationService(cache=cache) as service:
+            events = []
+            service.add_listener(events.append)
+            ticket = service.submit(job)
+            assert ticket.cache_hit is True and ticket.done()
+            outcome = ticket.result(30)
+            stats = service.stats
 
-        outcome, events, stats = asyncio.run(served_from_cache())
         assert backend.calls == 1  # nothing re-simulated
         assert outcome.cache_hit is True
         assert stats.cache_hits == 1 and stats.executed == 0
@@ -223,12 +259,34 @@ class TestCache:
         job = make_job(backend.name)
         cache = ResultCache(tmp_path)
 
-        async def scenario():
-            async with SimulationService(cache=cache) as service:
-                await (service.submit(job)).outcome()
+        with SimulationService(cache=cache) as service:
+            service.submit(job).result(30)
 
-        asyncio.run(scenario())
         assert job.job_hash() in cache
+
+    def test_write_back_precedes_leaving_the_inflight_map(
+        self, stub_backend, make_job, tmp_path
+    ):
+        """A later duplicate finds the entry or the cache, never neither:
+        at ``finished`` (published by ``settle``, under the lock, as the
+        entry leaves the map) the outcome is already in the cache."""
+        backend = stub_backend()
+        jobs = [make_job(backend.name, tag=i) for i in range(8)]
+        cache = ResultCache(tmp_path)
+        cached_at_finish = []
+
+        def on_event(event):
+            if event.kind == "finished":
+                cached_at_finish.append(event.job_hash in cache)
+
+        with SimulationService(cache=cache, config=ServiceConfig(max_workers=4)) as service:
+            service.add_listener(on_event)
+            service.run(jobs)
+            # Each resubmission lands after its entry was retired.
+            assert all(service.submit(job).cache_hit for job in jobs)
+
+        assert cached_at_finish == [True] * 16
+        assert backend.calls == 8
 
 
 class TestShutdown:
@@ -237,22 +295,21 @@ class TestShutdown:
         backend = stub_backend(gate=gate)
         jobs = [make_job(backend.name, tag=i) for i in range(3)]
 
-        async def scenario():
-            config = ServiceConfig(max_workers=1)
-            service = await SimulationService(config=config).start()
-            tickets = [service.submit(job) for job in jobs]
-            await until(lambda: backend.calls >= 1)  # first job on the worker
-            closer = asyncio.ensure_future(service.close(drain=True))
-            await asyncio.sleep(0.02)
-            assert not closer.done()  # close waits for the gated backend
-            gate.set()
-            await closer
-            outcomes = [await ticket.outcome() for ticket in tickets]
-            return outcomes, service.stats
+        service = SimulationService(config=ServiceConfig(max_workers=1))
+        tickets = [service.submit(job) for job in jobs]
+        until(lambda: backend.calls >= 1)  # first job on the worker
+        closer = threading.Thread(target=service.close, kwargs={"drain": True})
+        closer.start()
+        closer.join(timeout=0.05)
+        assert closer.is_alive()  # close waits for the gated backend
+        gate.set()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        assert all(ticket.done() for ticket in tickets)
+        outcomes = [ticket.result(30) for ticket in tickets]
 
-        outcomes, stats = asyncio.run(scenario())
         assert backend.calls == 3  # queued jobs ran to completion too
-        assert stats.cancelled == 0
+        assert service.stats.cancelled == 0
         assert len(outcomes) == 3
 
     def test_non_draining_close_cancels_queued_but_finishes_running(
@@ -262,52 +319,44 @@ class TestShutdown:
         backend = stub_backend(gate=gate)
         jobs = [make_job(backend.name, tag=i) for i in range(3)]
 
-        async def scenario():
-            config = ServiceConfig(max_workers=1)
-            service = await SimulationService(config=config).start()
-            events = []
-            service.add_listener(events.append)
-            tickets = [service.submit(job) for job in jobs]
-            await until(lambda: backend.calls >= 1)  # job 0 is executing
-            closer = asyncio.ensure_future(service.close(drain=False))
-            await asyncio.sleep(0.02)
-            gate.set()
-            await closer
-            first = await tickets[0].outcome()  # running job resolved
-            cancelled_errors = []
-            for ticket in tickets[1:]:
-                with pytest.raises(ServiceClosedError):
-                    await ticket.outcome()
-                cancelled_errors.append(True)
-            return first, cancelled_errors, events, service.stats
+        service = SimulationService(config=ServiceConfig(max_workers=1))
+        events = []
+        service.add_listener(events.append)
+        tickets = [service.submit(job) for job in jobs]
+        until(lambda: backend.calls >= 1)  # job 0 is executing
+        closer = threading.Thread(target=service.close, kwargs={"drain": False})
+        closer.start()
+        # The queued entries fail before the running one is released.
+        for ticket in tickets[1:]:
+            with pytest.raises(ServiceClosedError):
+                ticket.result(30)
+        assert closer.is_alive() and not tickets[0].done()
+        gate.set()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        first = tickets[0].result(30)  # running job resolved
 
-        first, cancelled, events, stats = asyncio.run(scenario())
         assert backend.calls == 1  # queued jobs never ran
         assert first is not None
-        assert len(cancelled) == 2
-        assert stats.cancelled == 2
+        assert service.stats.cancelled == 2
         assert [e.kind for e in events].count("cancelled") == 2
 
     def test_submit_after_close_raises(self, stub_backend, make_job):
         backend = stub_backend()
         job = make_job(backend.name)
 
-        async def scenario():
-            service = await SimulationService().start()
-            await service.close()
-            with pytest.raises(ServiceClosedError):
-                service.submit(job)
-
-        asyncio.run(scenario())
+        service = SimulationService()
+        service.close()
+        with pytest.raises(ServiceClosedError):
+            service.submit(job)
+        with pytest.raises(ServiceClosedError):
+            service.submit_wait(job)
 
     def test_close_idempotent(self):
-        async def scenario():
-            service = await SimulationService().start()
-            await service.close()
-            await service.close()
-            assert service.closed
-
-        asyncio.run(scenario())
+        service = SimulationService()
+        service.close()
+        service.close()
+        assert service.closed
 
 
 class TestProgress:
@@ -319,41 +368,85 @@ class TestProgress:
             engine="lockstep",
         )
 
-        async def scenario():
-            config = ServiceConfig(max_workers=1, progress_interval=4)
-            async with SimulationService(config=config) as service:
-                events = []
-                service.add_listener(events.append)
-                outcome = await (service.submit(job)).outcome()
-                # Let any progress callbacks queued via call_soon_threadsafe
-                # land before asserting.
-                await asyncio.sleep(0.05)
-                return outcome, events
+        config = ServiceConfig(max_workers=1, progress_interval=4)
+        with SimulationService(config=config) as service:
+            events = []
+            service.add_listener(events.append)
+            outcome = service.submit(job).result(60)
 
-        outcome, events = asyncio.run(scenario())
         progress = [e for e in events if e.kind == "progress"]
         assert progress, "no progress events at a 4-cycle cadence"
         cycles = [e.cycles for e in progress]
         assert cycles == sorted(cycles)
         assert all(c >= 1 for c in cycles)
         assert outcome.functional_match is True
+        # Progress stops once the entry has settled: nothing follows
+        # ``finished``, and every progress event sits after ``started``.
+        kinds = [e.kind for e in events]
+        assert kinds[-1] == "finished"
+        assert kinds.index("started") < kinds.index("progress")
 
 
-class TestSubscription:
-    def test_async_subscription_sees_lifecycle(self, stub_backend, make_job):
+class TestListeners:
+    def test_listener_sees_lifecycle_in_order(self, stub_backend, make_job):
         backend = stub_backend()
         job = make_job(backend.name)
 
-        async def scenario():
-            async with SimulationService() as service:
-                subscription = service.subscribe()
-                await (service.submit(job)).outcome()
-                await service.close()  # ends the stream
-                return [event.kind async for event in subscription]
+        with SimulationService() as service:
+            events = []
+            service.add_listener(events.append)
+            service.submit(job).result(30)
 
-        kinds = asyncio.run(scenario())
-        assert kinds[:2] == ["submitted", "queued"]
-        assert "started" in kinds and "finished" in kinds
+        kinds = [event.kind for event in events]
+        assert kinds == ["submitted", "queued", "started", "finished"]
+        assert [event.seq for event in events] == [0, 1, 2, 3]
+
+    def test_listener_reading_the_service_does_not_deadlock(
+        self, stub_backend, make_job
+    ):
+        # Listeners run under the service's (re-entrant) lock, on submitter
+        # and worker threads alike.
+        backend = stub_backend()
+        jobs = [make_job(backend.name, tag=i) for i in range(4)]
+        seen = []
+
+        with SimulationService() as service:
+            service.add_listener(
+                lambda event: seen.append(
+                    (event.kind, service.backlog(), service.snapshot()["inflight"])
+                )
+            )
+            service.run(jobs)
+
+        assert [kind for kind, _, _ in seen].count("finished") == 4
+        # ``finished`` is published as the entry leaves the in-flight map.
+        assert seen[-1] == ("finished", 0, 0)
+
+    def test_done_callbacks_run_outside_the_lock(self, stub_backend, make_job):
+        """``Entry.resolve`` runs after the lock is released: a callback may
+        wait for *another* thread to use the service without deadlocking."""
+        gate = threading.Event()
+        backend = stub_backend(gate=gate)
+        job, other = make_job(backend.name), make_job(backend.name, tag=1)
+        observed = []
+
+        def on_done(_ticket):
+            observed.append(threading.current_thread().name)
+            probe = threading.Thread(
+                target=lambda: observed.append(service.submit(other).job_hash)
+            )
+            probe.start()
+            probe.join(timeout=10)
+            observed.append(probe.is_alive())
+
+        with SimulationService(config=ServiceConfig(max_workers=1)) as service:
+            ticket = service.submit(job)
+            ticket.add_done_callback(on_done)  # not done yet: runs on the worker
+            gate.set()
+            ticket.result(30)
+            until(lambda: len(observed) == 3)
+
+        assert observed == ["repro-serve-0", other.job_hash(), False]
 
 
 class TestRobustness:
@@ -363,17 +456,14 @@ class TestRobustness:
         backend = stub_backend()
         job = make_job(backend.name)
 
-        async def scenario():
-            async with SimulationService() as service:
-                service.add_listener(lambda event: (_ for _ in ()).throw(
-                    BrokenPipeError("consumer went away")
-                ))
-                received = []
-                service.add_listener(received.append)
-                outcome = await (service.submit(job)).outcome()
-                return outcome, received
+        with SimulationService() as service:
+            service.add_listener(lambda event: (_ for _ in ()).throw(
+                BrokenPipeError("consumer went away")
+            ))
+            received = []
+            service.add_listener(received.append)
+            outcome = service.submit(job).result(30)
 
-        outcome, received = asyncio.run(scenario())
         assert outcome is not None
         # The healthy listener behind the raising one still saw everything.
         assert "finished" in [e.kind for e in received]
@@ -381,7 +471,8 @@ class TestRobustness:
     def test_cache_write_back_failure_still_resolves_waiters(
         self, stub_backend, make_job, tmp_path
     ):
-        backend = stub_backend()
+        gate = threading.Event()
+        backend = stub_backend(gate=gate)
         job = make_job(backend.name)
 
         class ExplodingCache(ResultCache):
@@ -390,17 +481,14 @@ class TestRobustness:
 
         cache = ExplodingCache(tmp_path)
 
-        async def scenario():
-            async with SimulationService(cache=cache) as service:
-                import warnings
+        with SimulationService(cache=cache) as service:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                tickets = [service.submit(job) for _ in range(3)]
+                gate.set()
+                outcomes = [t.result(30) for t in tickets]
+            messages = [str(w.message) for w in caught]
 
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    tickets = [service.submit(job) for _ in range(3)]
-                    outcomes = [await t.outcome() for t in tickets]
-                return outcomes, [str(w.message) for w in caught]
-
-        outcomes, messages = asyncio.run(scenario())
         assert backend.calls == 1
         assert all(o is outcomes[0] for o in outcomes)  # waiters all served
         assert any("write-back failed" in message for message in messages)

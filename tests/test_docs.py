@@ -295,3 +295,45 @@ class TestCoverageOfDocsTree:
             "shard_scaling",
         ):
             assert needle in text, f"SERVE.md lost its cluster {needle!r} coverage"
+
+
+class TestStructure:
+    """What the tree must keep being, checked from its files."""
+
+    def test_no_module_under_src_imports_asyncio(self):
+        """``serve`` and ``cluster`` share one concurrency model — threads
+        under a lock; a second one must not come back unnoticed."""
+        import ast
+
+        offenders = []
+        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "asyncio" for name in names):
+                    offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+        assert offenders == []
+
+    def test_setup_py_carries_the_package_metadata(self, monkeypatch):
+        """No network, no install: build the distribution object ``setup.py``
+        describes and stop before any command runs."""
+        pytest.importorskip("setuptools")  # also provides distutils on 3.12+
+        from distutils.core import run_setup
+
+        import repro
+
+        monkeypatch.chdir(REPO_ROOT)
+        dist = run_setup("setup.py", stop_after="init")
+        assert dist.get_name() == "repro-datamaestro"
+        assert dist.get_version() == repro.__version__
+        assert dist.package_dir == {"": "src"}
+        assert dist.install_requires == ["numpy"]
+        source = REPO_ROOT / "src"
+        assert set(dist.packages) == {
+            ".".join(init.parent.relative_to(source).parts)
+            for init in source.rglob("__init__.py")
+        }
