@@ -26,4 +26,5 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
+    entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -1,57 +1,59 @@
 """Command-line interface of the DataMaestro reproduction.
 
-Provides quick access to the main entry points without writing Python:
+Quick access to the main entry points without writing Python.  Run it as
+``repro …`` (the console script ``setup.py`` installs), ``python -m repro …``
+or ``python -m repro.cli …``:
 
-* ``python -m repro.cli list-experiments`` — list the paper tables/figures
-  that can be regenerated and how;
-* ``python -m repro.cli experiment fig7 --workloads-per-group 3`` — run one
-  experiment and print its report;
-* ``python -m repro.cli simulate-gemm 64 64 64 --quantize`` — compile and
-  cycle-simulate a single GeMM kernel on the evaluation system;
-* ``python -m repro.cli simulate-conv 16 16 16 32 --kernel 3 --stride 1`` —
-  the same for a convolution layer;
-* ``python -m repro.cli batch gemm:64x64x64 conv:16x16x16x32:k3:p1`` — run a
-  set of jobs through the runtime (``--jobs N`` fans out over processes,
-  results land in the on-disk cache);
-* ``python -m repro.cli sweep gemm:32x32x64 --steps 1_baseline,6_full`` —
-  sweep the ablation feature ladder over one or more workloads;
-* ``python -m repro.cli explore --space default --strategy grid --budget 18``
-  — multi-objective design-space exploration with Pareto-frontier reporting,
+* ``repro list-experiments`` — list the paper tables/figures that can be
+  regenerated and how;
+* ``repro experiment fig7 --workloads-per-group 3`` — run one experiment and
+  print its report;
+* ``repro simulate-gemm 64 64 64 --quantize`` — compile and cycle-simulate a
+  single GeMM kernel on the evaluation system;
+* ``repro simulate-conv 16 16 16 32 --kernel 3 --stride 1`` — the same for a
+  convolution layer;
+* ``repro batch gemm:64x64x64 conv:16x16x16x32:k3:p1`` — run a set of jobs
+  through the runtime (``--jobs N`` fans out over processes, results land in
+  the on-disk cache);
+* ``repro sweep gemm:32x32x64 --steps 1_baseline,6_full`` — sweep the
+  ablation feature ladder over one or more workloads;
+* ``repro explore --space default --strategy grid --budget 18`` —
+  multi-objective design-space exploration with Pareto-frontier reporting,
   JSON/CSV export and journal-based resume (see ``docs/EXPLORE.md``);
-* ``python -m repro.cli serve gemm:64x64x64 --repeat 8 --clients 2 --events``
-  — run a workload stream through the simulation service:
-  duplicate in-flight requests coalesce onto one simulation, admission is
-  fair and bounded, and lifecycle/progress events stream to stdout (see
+* ``repro serve gemm:64x64x64 --repeat 8 --clients 2 --events`` — run a
+  workload stream through the simulation service: duplicate in-flight
+  requests coalesce onto one simulation, admission is fair and bounded, and
+  lifecycle/progress events stream to stdout (see ``docs/SERVE.md``);
+* ``repro serve gemm:64x64x64 --shards 4 --journal --stats-interval 5`` — the
+  same stream through the multi-process sharded cluster: each shard owns a
+  private GIL, a supervisor restarts crashed workers, and the durable job
+  journal replays the unfinished backlog after a daemon restart (see
   ``docs/SERVE.md``);
-* ``python -m repro.cli serve gemm:64x64x64 --shards 4 --journal
-  --stats-interval 5`` — the same stream through the multi-process sharded
-  cluster: each shard owns a private GIL, a supervisor restarts crashed
-  workers, and the durable job journal replays the unfinished backlog after
-  a daemon restart (see ``docs/SERVE.md``);
-* ``python -m repro.cli serve gemm:64x64x64 --repeat 32 --metrics-port 0
-  --trace run.json --stats-interval 2 --stats-format json`` — the same
-  stream with the full observability surface: a loopback HTTP endpoint
-  serving Prometheus ``/metrics``, a JSON ``/snapshot``, a ``/config``
-  report and a live dashboard, plus a Chrome trace-event timeline written
-  on exit (see ``docs/OBSERVABILITY.md``);
-* ``python -m repro.cli replay --regime hotkey --requests 200 --shards 2``
-  — drive the service with a realistic arrival trace (Poisson, diurnal,
-  correlated-burst or Zipf hot-key-skew regimes, or a recorded JSONL trace)
-  and report p50/p99 latency, coalesce rate and cache hit-rate (see
-  ``docs/SCENARIOS.md``);
-* ``python -m repro.cli metrics --once`` — print one Prometheus text scrape
-  of the process-wide registry (or serve it over HTTP without ``--once``);
-* ``python -m repro.cli cache info|prune|clear`` — inspect or bound the
-  on-disk result cache (``prune`` evicts least-recently-used entries);
-* ``python -m repro.cli selftest`` — tiny cached GeMM end-to-end smoke test;
-* ``python -m repro.cli suite-info`` — describe the synthetic ablation suite.
+* ``repro serve gemm:64x64x64 --repeat 32 --metrics-port 0 --trace run.json
+  --stats-interval 2 --stats-format json`` — the same stream with the full
+  observability surface: a loopback HTTP endpoint serving Prometheus
+  ``/metrics``, a JSON ``/snapshot``, a ``/config`` report and a live
+  dashboard, plus a Chrome trace-event timeline written on exit (see
+  ``docs/OBSERVABILITY.md``);
+* ``repro replay --regime hotkey --requests 200 --shards 2`` — drive the
+  service with a realistic arrival trace (Poisson, diurnal, correlated-burst
+  or Zipf hot-key-skew regimes, or a recorded JSONL trace) and report p50/p99
+  latency, coalesce rate and cache hit-rate (see ``docs/SCENARIOS.md``);
+* ``repro metrics --once`` — print one Prometheus text scrape of the
+  process-wide registry (or serve it over HTTP without ``--once``);
+* ``repro cache info|prune|clear`` — inspect or bound the on-disk result
+  cache (``prune`` evicts least-recently-used entries);
+* ``repro selftest`` — tiny cached GeMM end-to-end smoke test;
+* ``repro suite-info`` — describe the synthetic ablation suite.
 
 All simulation goes through :mod:`repro.runtime`; ``--jobs``, ``--cache-dir``
 and ``--no-cache`` control parallelism and result caching wherever they
 appear, and ``--engine {event,lockstep}`` selects the simulation engine
 (event-driven next-event scheduling vs the legacy per-cycle loop; see
-``docs/ENGINE.md``).  ``docs/ARCHITECTURE.md`` maps every subcommand to the
-subsystem behind it.
+``docs/ENGINE.md``).  The exit code is 0 when the command ran, 1 when the run
+itself failed, 2 for a usage error (``error: …`` on stderr, never a
+traceback).  ``docs/ARCHITECTURE.md`` maps every subcommand to the subsystem
+behind it.
 """
 
 from __future__ import annotations
@@ -61,9 +63,14 @@ import inspect
 import json
 import sys
 import tempfile
-from typing import List, Optional
+import threading
+import time
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator, List, Optional
 
 from .analysis.reporting import format_comparison, format_table
+from .config import get_config
 from .core.params import FeatureSet, ablation_feature_sets
 from .experiments import EXPERIMENTS
 from .explore import (
@@ -78,6 +85,7 @@ from .explore import (
 from .engine import DEFAULT_ENGINE, available_engines
 from .runtime import (
     DATAMAESTRO_BACKEND,
+    ResultCache,
     SimJob,
     Simulator,
     available_backends,
@@ -87,22 +95,89 @@ from .workloads.spec import ConvWorkload, GemmWorkload, Workload
 from .workloads.synthetic import FULL_SUITE_COUNTS, synthetic_suite
 
 
-def _features_from_args(args: argparse.Namespace) -> FeatureSet:
-    if getattr(args, "baseline", False):
-        return FeatureSet.all_disabled()
-    return FeatureSet.all_enabled()
+class CliError(ValueError):
+    """The command line asks for something that cannot be run.  Raised
+    wherever an argument turns out to be unusable and caught once, in
+    :func:`main`, which prints ``error: <text>`` and exits 2.  A ``ValueError``
+    because that is what :func:`parse_workload_spec` always raised."""
+
+
+@contextmanager
+def _usage_errors(*kinds: type) -> Iterator[None]:
+    """Report the named exceptions of a parsing or loading step as usage
+    errors.  For argument handling only — a ``ValueError`` out of a running
+    simulation is a bug, and must stay a traceback."""
+    try:
+        yield
+    except kinds as error:
+        # str() of a KeyError is the repr of its message.
+        message = error.args[0] if isinstance(error, KeyError) else error
+        raise CliError(str(message)) from error
+
+
+def _require(args: argparse.Namespace, *flags: str, positive: bool = True) -> None:
+    """Reject a numeric ``--flag`` that is not positive (or, with
+    ``positive=False``, negative); a flag left at ``None`` passes."""
+    wanted = "positive" if positive else "non-negative"
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and (value <= 0 if positive else value < 0):
+            raise CliError(f"{flag} must be {wanted}")
+
+
+def _check_port(flag: str, port: Optional[int]) -> None:
+    if port is not None and not 0 <= port <= 65535:
+        raise CliError(f"{flag} must be in [0, 65535]")
+
+
+def _check_backend(name: str) -> None:
+    backends = available_backends()
+    if name not in backends:
+        raise CliError(f"unknown backend {name!r}; available: {backends}")
+
+
+def _or_config(value, field: str):
+    """A flag's value or, when it was not given, the ``$REPRO_*`` knob behind
+    it (``RuntimeConfig.<field>``; the table is in docs/ARCHITECTURE.md)."""
+    return value if value is not None else getattr(get_config(), field)
 
 
 # ----------------------------------------------------------------------
-# Runtime plumbing shared by the simulation-running subcommands.
+# Flag groups: a flag that several subcommands take is declared once, here
+# (what differs arrives as an argument), and read back once, below;
+# ``tests/test_docs.py`` fails when two subcommands disagree on a flag.
 # ----------------------------------------------------------------------
+def _add_cache_flags(
+    parser: argparse.ArgumentParser,
+    no_cache: bool = True,
+    help: str = "result-cache directory (default: $REPRO_CACHE_DIR or "
+    "~/.cache/repro-datamaestro)",
+) -> None:
+    """Cache flags: ``--cache-dir`` and, where caching can be off, ``--no-cache``."""
+    parser.add_argument("--cache-dir", default=None, metavar="PATH", help=help)
+    if no_cache:
+        parser.add_argument(
+            "--no-cache", action="store_true", help="disable the on-disk result cache"
+        )
+
+
+def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--engine",
+        choices=available_engines(),
+        default=DEFAULT_ENGINE,
+        help="simulation engine: 'event' skips provably idle cycles, "
+        "'lockstep' is the legacy per-cycle loop (see docs/ENGINE.md)",
+    )
+
+
 def _add_runtime_flags(
     parser: argparse.ArgumentParser, cache_default: bool = False
 ) -> None:
-    """Attach the shared --jobs / --cache-dir / --no-cache flags.
+    """Runtime flags: ``--jobs`` plus the cache and engine flags.
 
     ``cache_default`` decides whether the command caches when neither
-    ``--cache-dir`` nor ``--no-cache`` is given (batch/sweep do; the
+    ``--cache-dir`` nor ``--no-cache`` is given (batch/sweep/explore do; the
     single-shot commands do not).
     """
     parser.add_argument(
@@ -112,48 +187,145 @@ def _add_runtime_flags(
         metavar="N",
         help="worker processes for batched simulation (default: 1, in-process)",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-datamaestro)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=DEFAULT_ENGINE,
-        help="simulation engine: 'event' skips provably idle cycles, "
-        "'lockstep' is the legacy per-cycle loop (see docs/ENGINE.md)",
-    )
+    _add_cache_flags(parser)
+    _add_engine_flag(parser)
     parser.set_defaults(cache_default=cache_default)
+
+
+def _add_baseline_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--baseline", action="store_true", help="disable every DataMaestro feature"
+    )
+
+
+def _add_job_flags(
+    parser: argparse.ArgumentParser,
+    nargs: str = "+",
+    spec_help: str = "workload specs, e.g. gemm:64x64x64 or conv:16x16x16x32:k3:p1",
+    backend: Optional[str] = DATAMAESTRO_BACKEND,
+    seed: Optional[int] = 0,
+    seed_help: str = "operand-data seed of the simulations (default: 0)",
+    baseline: bool = True,
+) -> None:
+    """Job flags: the ``SPEC`` positional, ``--backend``, ``--seed`` and
+    (where the feature set is not what is being swept) ``--baseline``."""
+    parser.add_argument("workloads", nargs=nargs, metavar="SPEC", help=spec_help)
+    parser.add_argument(
+        "--backend",
+        default=backend,
+        help="simulation backend (datamaestro or baseline:<slug>)",
+    )
+    parser.add_argument("--seed", type=int, default=seed, metavar="N", help=seed_help)
+    if baseline:
+        _add_baseline_flag(parser)
+
+
+def _add_service_flags(parser: argparse.ArgumentParser, backlog: int) -> None:
+    """Service flags: ``--shards``, ``--workers``, ``--backlog``."""
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        metavar="N",
+        help="shard the service over N worker processes (private GIL each; "
+        "default: $REPRO_SERVE_SHARDS or 0 = single-process thread service; "
+        "see docs/SERVE.md)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=2,
+        metavar="N",
+        help="worker threads per service/shard (default: 2)",
+    )
+    parser.add_argument(
+        "--backlog",
+        type=int,
+        default=backlog,
+        metavar="N",
+        help="bounded admission-queue depth; overflowing it is rejected "
+        "with QueueFullError (default: %(default)s)",
+    )
+
+
+def _cache_dir(args: argparse.Namespace, default: bool = True):
+    """The directory the cache flags name; ``None`` means run uncached."""
+    if getattr(args, "no_cache", False):
+        return None
+    if args.cache_dir:
+        return args.cache_dir
+    return default_cache_dir() if default else None
 
 
 def _simulator_from_args(args: argparse.Namespace) -> Simulator:
     """Build the Simulator the runtime flags describe."""
-    if getattr(args, "no_cache", False):
-        cache_dir = None
-    elif getattr(args, "cache_dir", None):
-        cache_dir = args.cache_dir
-    elif getattr(args, "cache_default", False):
-        cache_dir = default_cache_dir()
-    else:
-        cache_dir = None
-    return Simulator(cache_dir=cache_dir, max_workers=getattr(args, "jobs", 1))
+    _require(args, "--jobs", positive=False)
+    return Simulator(
+        cache_dir=_cache_dir(args, default=args.cache_default), max_workers=args.jobs
+    )
 
 
+def _features_from_args(args: argparse.Namespace) -> FeatureSet:
+    return FeatureSet.all_disabled() if args.baseline else FeatureSet.all_enabled()
+
+
+def _jobs_from_args(args: argparse.Namespace) -> List[SimJob]:
+    """One SimJob per ``SPEC``, as the job flags describe it."""
+    _check_backend(args.backend)
+    features = _features_from_args(args)
+    return [
+        SimJob(
+            workload=parse_workload_spec(spec),
+            features=features,
+            backend=args.backend,
+            seed=args.seed,
+            engine=args.engine,
+        )
+        for spec in args.workloads
+    ]
+
+
+def _service_shards(args: argparse.Namespace) -> int:
+    """Validate the service flags; return the shard count they resolve to
+    (0 = the single-process thread service)."""
+    _require(args, "--workers", "--backlog")
+    _require(args, "--shards", positive=False)
+    return _or_config(args.shards, "serve_shards")
+
+
+def _open_service(
+    args: argparse.Namespace, shards: int, journal=None, on_event=None, **config
+):
+    """Start the service ``serve`` and ``replay`` submit to: worker threads
+    in this process (``on_event`` hears their lifecycle events), or ``shards``
+    supervised worker processes (``journal`` makes their backlog durable).
+    ``config`` goes to ``ServiceConfig`` / ``ClusterConfig`` as is."""
+    cache_dir = _cache_dir(args)
+    if shards > 0:
+        from .cluster import ClusterConfig, ClusterService
+
+        cluster = ClusterConfig(
+            shards=shards, worker_threads=args.workers, max_backlog=args.backlog, **config
+        )
+        return ClusterService(cache_dir=cache_dir, config=cluster, journal=journal)
+    from .serve import ServiceClient, ServiceConfig
+
+    threads = ServiceConfig(max_workers=args.workers, max_backlog=args.backlog, **config)
+    return ServiceClient(cache_dir=cache_dir, config=threads, on_event=on_event)
+
+
+@_usage_errors(ValueError)
 def parse_workload_spec(text: str) -> Workload:
-    """Parse a CLI workload spec.
+    """Parse a CLI workload spec — the one place a command line becomes a
+    workload (``simulate-gemm`` / ``simulate-conv`` come through here too).
 
     Formats::
 
         gemm:MxNxK[:t][:q]           (t = transposed A, q = quantize)
         conv:HxWxCINxCOUT[:kN][:sN][:pN][:q]
+
+    Anything else — the non-integer and non-positive dimensions the workload
+    classes reject included — is a :class:`CliError`.
     """
     tokens = text.split(":")
     kind = tokens[0].lower()
@@ -178,18 +350,14 @@ def parse_workload_spec(text: str) -> Workload:
         if len(dims) != 4:
             raise ValueError(f"conv spec needs HxWxCINxCOUT dimensions, got {text!r}")
         height, width, cin, cout = (int(value) for value in dims)
-        kernel, stride, padding, quantize = 3, 1, 0, False
+        shape = {"k": 3, "s": 1, "p": 0}  # kernel, stride, padding
         for flag in flags:
-            if flag == "q":
-                quantize = True
-            elif flag.startswith("k") and flag[1:].isdigit():
-                kernel = int(flag[1:])
-            elif flag.startswith("s") and flag[1:].isdigit():
-                stride = int(flag[1:])
-            elif flag.startswith("p") and flag[1:].isdigit():
-                padding = int(flag[1:])
-            else:
+            if flag[:1] in shape and flag[1:].isdigit():
+                shape[flag[0]] = int(flag[1:])
+            elif flag != "q":
                 raise ValueError(f"unknown conv flag {flag!r} in {text!r}")
+        kernel, stride, padding = shape["k"], shape["s"], shape["p"]
+        quantize = "q" in flags
         name = f"cli_conv_{height}x{width}x{cin}_{cout}_k{kernel}s{stride}p{padding}"
         return ConvWorkload(
             name=name,
@@ -260,17 +428,10 @@ def _print_simulation(outcome) -> None:
 # ----------------------------------------------------------------------
 def cmd_list_experiments(_args: argparse.Namespace) -> int:
     rows = []
-    descriptions = {
-        "table1": "Feature comparison of SotA data-movement solutions",
-        "fig4": "AGU address-generation example (4x4x4 GeMM on 2x2x2 PEs)",
-        "fig7": "Ablation study: utilization and data access counts",
-        "fig8": "FPGA prototype resource utilization",
-        "fig9": "Area and power breakdowns, energy efficiency",
-        "fig10": "Throughput and overhead comparison with SotA",
-        "table3": "Real-world DNN utilization (ResNet/VGG/ViT/BERT + MobileNetV2)",
-    }
-    for name in EXPERIMENTS:
-        rows.append([name, descriptions.get(name, ""), f"python -m repro.experiments.{EXPERIMENTS[name].__name__.split('.')[-1]}"])
+    for name, module in EXPERIMENTS.items():
+        # Each experiment module's docstring opens with its paper artefact.
+        title = (inspect.getdoc(module) or "").partition("\n")[0].rstrip(".")
+        rows.append([name, title, f"python -m {module.__name__}"])
     print(format_table(["id", "paper artefact", "command"], rows, title="Experiments"))
     return 0
 
@@ -278,8 +439,8 @@ def cmd_list_experiments(_args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     module = EXPERIMENTS.get(args.name)
     if module is None:
-        print(f"unknown experiment {args.name!r}; run 'list-experiments'", file=sys.stderr)
-        return 2
+        raise CliError(f"unknown experiment {args.name!r}; run 'list-experiments'")
+    _require(args, "--workloads-per-group")
     kwargs = {}
     if args.name == "fig7" and args.workloads_per_group is not None:
         kwargs["workloads_per_group"] = args.workloads_per_group
@@ -289,7 +450,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         simulator = _simulator_from_args(args)
         kwargs["simulator"] = simulator
     if "engine" in parameters:
-        kwargs["engine"] = getattr(args, "engine", DEFAULT_ENGINE)
+        kwargs["engine"] = args.engine
     results = module.run(**kwargs)
     print(module.report(results))
     if simulator is not None:
@@ -297,67 +458,34 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate_gemm(args: argparse.Namespace) -> int:
-    workload = GemmWorkload(
-        name=f"cli_gemm_{args.m}x{args.n}x{args.k}",
-        m=args.m,
-        n=args.n,
-        k=args.k,
-        transposed_a=args.transposed,
-        quantize=args.quantize,
+def _simulate_spec(args: argparse.Namespace, spec: str) -> int:
+    """``simulate-gemm`` / ``simulate-conv``: the job ``batch SPEC`` would
+    run (same workload, same cache entry), reported in full."""
+    job = SimJob(
+        workload=parse_workload_spec(spec + (":q" if args.quantize else "")),
+        features=_features_from_args(args),
+        engine=args.engine,
     )
-    outcome = _simulator_from_args(args).simulate(
-        SimJob(workload=workload, features=_features_from_args(args), engine=args.engine)
-    )
-    _print_simulation(outcome)
+    _print_simulation(_simulator_from_args(args).simulate(job))
     return 0
+
+
+def cmd_simulate_gemm(args: argparse.Namespace) -> int:
+    transposed = ":t" if args.transposed else ""
+    return _simulate_spec(args, f"gemm:{args.m}x{args.n}x{args.k}{transposed}")
 
 
 def cmd_simulate_conv(args: argparse.Namespace) -> int:
-    workload = ConvWorkload(
-        name=f"cli_conv_{args.height}x{args.width}x{args.cin}_{args.cout}",
-        in_height=args.height,
-        in_width=args.width,
-        in_channels=args.cin,
-        out_channels=args.cout,
-        kernel_h=args.kernel,
-        kernel_w=args.kernel,
-        stride=args.stride,
-        padding=args.padding,
-        quantize=args.quantize,
+    return _simulate_spec(
+        args,
+        f"conv:{args.height}x{args.width}x{args.cin}x{args.cout}"
+        f":k{args.kernel}:s{args.stride}:p{args.padding}",
     )
-    outcome = _simulator_from_args(args).simulate(
-        SimJob(workload=workload, features=_features_from_args(args), engine=args.engine)
-    )
-    _print_simulation(outcome)
-    return 0
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    try:
-        workloads = [parse_workload_spec(spec) for spec in args.workloads]
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.backend not in available_backends():
-        print(
-            f"error: unknown backend {args.backend!r}; "
-            f"available: {available_backends()}",
-            file=sys.stderr,
-        )
-        return 2
+    jobs = _jobs_from_args(args)
     simulator = _simulator_from_args(args)
-    features = _features_from_args(args)
-    jobs = [
-        SimJob(
-            workload=workload,
-            features=features,
-            backend=args.backend,
-            seed=args.seed,
-            engine=args.engine,
-        )
-        for workload in workloads
-    ]
     outcomes = simulator.simulate_many(jobs)
     _print_outcomes(outcomes, f"Batch results ({len(jobs)} jobs)")
     _print_runtime_stats(simulator)
@@ -365,32 +493,19 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        workloads = [parse_workload_spec(spec) for spec in args.workloads]
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.backend and args.backend not in available_backends():
-        print(
-            f"error: unknown backend {args.backend!r}; "
-            f"available: {available_backends()}",
-            file=sys.stderr,
-        )
-        return 2
+    workloads = [parse_workload_spec(spec) for spec in args.workloads]
+    backend = args.backend or DATAMAESTRO_BACKEND
+    _check_backend(backend)
     ladder = ablation_feature_sets()
     step_names = list(ladder) if args.steps is None else args.steps.split(",")
     unknown = [step for step in step_names if step not in ladder]
     if unknown:
-        print(
-            f"error: unknown ablation steps {unknown}; available: {list(ladder)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise CliError(f"unknown ablation steps {unknown}; available: {list(ladder)}")
     simulator = _simulator_from_args(args)
     outcomes = simulator.sweep(
         workloads,
         features=[ladder[step] for step in step_names],
-        backends=(args.backend,) if args.backend else (DATAMAESTRO_BACKEND,),
+        backends=(backend,),
         seed=args.seed,
         engine=args.engine,
     )
@@ -432,46 +547,32 @@ def _parse_axis_override(text: str) -> ParameterAxis:
 def cmd_explore(args: argparse.Namespace) -> int:
     from .explore.engine import ExplorationEngine
 
-    try:
+    _require(args, "--budget", "--population")
+    if args.resume and not args.journal:
+        raise CliError("--resume requires --journal")
+    # Unknown space / strategy names are KeyErrors, unparsable axis,
+    # objective and workload specs ValueErrors, each naming the valid ones.
+    with _usage_errors(KeyError, ValueError):
         space = search_space_by_name(args.space)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    try:
         if args.axis:
             overrides = [_parse_axis_override(spec) for spec in args.axis]
             axes = {axis.name: axis for axis in space.axes}
             axes.update({axis.name: axis for axis in overrides})
             space.axes = tuple(axes.values())
         objectives = parse_objectives(args.objectives)
+        strategy = make_strategy(
+            args.strategy, objectives=objectives, population=args.population
+        )
         workloads = (
             [parse_workload_spec(spec) for spec in args.workload]
             if args.workload
             else None
         )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.strategy not in available_strategies():
-        print(
-            f"error: unknown strategy {args.strategy!r}; "
-            f"available: {available_strategies()}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume and not args.journal:
-        print("error: --resume requires --journal", file=sys.stderr)
-        return 2
-    if args.budget <= 0:
-        print("error: --budget must be positive", file=sys.stderr)
-        return 2
 
     simulator = _simulator_from_args(args)
     engine = ExplorationEngine(
         space=space,
-        strategy=make_strategy(
-            args.strategy, objectives=objectives, population=args.population
-        ),
+        strategy=strategy,
         objectives=objectives,
         workloads=workloads,
         simulator=simulator,
@@ -479,25 +580,17 @@ def cmd_explore(args: argparse.Namespace) -> int:
         sim_seed=args.sim_seed,
         sim_engine=args.engine,
     )
-    try:
+    # A journal that cannot be used (JournalError is a ValueError), or an
+    # --axis override the design builder does not understand (KeyError).
+    with _usage_errors(JournalError, KeyError):
         report_data = engine.run(
             budget=args.budget, journal=args.journal, resume=args.resume
         )
-    except JournalError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except KeyError as error:
-        # An --axis override the design builder does not understand.
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
     if not report_data.evaluations:
-        print(
-            "error: no valid candidates in the search space (every axis "
-            "combination was filtered by a constraint or failed design "
-            "validation)",
-            file=sys.stderr,
+        raise CliError(
+            "no valid candidates in the search space (every axis combination "
+            "was filtered by a constraint or failed design validation)"
         )
-        return 2
 
     objective_names = report_data.objective_names()
     print(
@@ -573,57 +666,26 @@ def _emit_stats(snapshot: dict, fmt: str) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a workload stream through the simulation service."""
-    import threading
+    from .serve import QueueFullError
 
-    from .config import get_config
-    from .serve import QueueFullError, ServiceClient, ServiceConfig
-
-    try:
-        workloads = [parse_workload_spec(spec) for spec in args.workloads]
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.backend not in available_backends():
-        print(
-            f"error: unknown backend {args.backend!r}; "
-            f"available: {available_backends()}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.repeat <= 0 or args.clients <= 0:
-        print("error: --repeat and --clients must be positive", file=sys.stderr)
-        return 2
-    if args.workers <= 0 or args.backlog <= 0 or args.progress_interval <= 0:
-        print(
-            "error: --workers, --backlog and --progress-interval must be positive",
-            file=sys.stderr,
-        )
-        return 2
-    runtime_config = get_config()
-    shards = args.shards if args.shards is not None else runtime_config.serve_shards
-    if shards < 0:
-        print("error: --shards must be non-negative", file=sys.stderr)
-        return 2
-    if args.stats_interval is not None and args.stats_interval <= 0:
-        print("error: --stats-interval must be positive", file=sys.stderr)
-        return 2
+    _require(args, "--repeat", "--clients", "--progress-interval", "--stats-interval")
+    shards = _service_shards(args)
+    jobs = [job for job in _jobs_from_args(args) for _ in range(args.repeat)]
     # --metrics-port on the command line always wins; otherwise the env
     # knob enables the exporter when non-zero.  An *explicit* 0 asks for
     # an ephemeral port (the bound port is printed), while an unset flag
     # with REPRO_METRICS_PORT=0 keeps the exporter off entirely.
     metrics_port = args.metrics_port
-    if metrics_port is None and runtime_config.metrics_port:
-        metrics_port = runtime_config.metrics_port
-    if metrics_port is not None and not 0 <= metrics_port <= 65535:
-        print("error: --metrics-port must be in [0, 65535]", file=sys.stderr)
-        return 2
-    trace_path = args.trace if args.trace is not None else runtime_config.trace_path
-    if args.journal is not None and shards == 0:
-        print(
-            "error: --journal needs the sharded service (--shards N, N >= 1)",
-            file=sys.stderr,
-        )
-        return 2
+    if metrics_port is None:
+        metrics_port = get_config().metrics_port or None
+    _check_port("--metrics-port", metrics_port)
+    trace_path = _or_config(args.trace, "trace_path")
+    journal = None
+    if args.journal is not None:
+        if shards == 0:
+            raise CliError("--journal needs the sharded service (--shards N, N >= 1)")
+        # The bare flag parses as "": the default journal file.
+        journal = Path(args.journal or get_config().journal_dir / "serve.jsonl")
     if args.events and shards > 0:
         print(
             "note: --events is unavailable in sharded mode (events stay "
@@ -637,52 +699,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # Installed before the service exists so admission/replay of the
         # very first submissions is already on the timeline.
         recorder = install_tracer()
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    features = _features_from_args(args)
-    jobs = [
-        SimJob(
-            workload=workload,
-            features=features,
-            backend=args.backend,
-            seed=args.seed,
-            engine=args.engine,
-        )
-        for workload in workloads
-        for _ in range(args.repeat)
-    ]
-    if shards > 0:
-        from pathlib import Path
-
-        from .cluster import ClusterConfig, ClusterService
-
-        journal_path = None
-        if args.journal == "":
-            journal_path = runtime_config.journal_dir / "serve.jsonl"
-        elif args.journal is not None:
-            journal_path = Path(args.journal)
-        client = ClusterService(
-            cache_dir=cache_dir,
-            config=ClusterConfig(
-                shards=shards,
-                worker_threads=args.workers,
-                max_backlog=args.backlog,
-                progress_interval=args.progress_interval,
-            ),
-            journal=journal_path,
-        )
-    else:
-        on_event = (
-            (lambda event: print(f"  {event.describe()}")) if args.events else None
-        )
-        client = ServiceClient(
-            cache_dir=cache_dir,
-            config=ServiceConfig(
-                max_workers=args.workers,
-                max_backlog=args.backlog,
-                progress_interval=args.progress_interval,
-            ),
-            on_event=on_event,
-        )
+    client = _open_service(
+        args,
+        shards,
+        journal=journal,
+        on_event=(lambda event: print(f"  {event.describe()}")) if args.events else None,
+        progress_interval=args.progress_interval,
+    )
     metrics_server = None
     if metrics_port is not None:
         from .obs.http import MetricsServer
@@ -756,10 +779,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     """Replay an arrival trace (synthetic regime or recorded JSONL) against
     the service and report latency/avoidance per regime."""
-    from pathlib import Path
-
-    from .config import get_config
-    from .serve import ServiceClient, ServiceConfig
     from .serve.replay import (
         REGIMES,
         build_trace,
@@ -769,48 +788,20 @@ def cmd_replay(args: argparse.Namespace) -> int:
         save_trace,
     )
 
-    if args.backend not in available_backends():
-        print(
-            f"error: unknown backend {args.backend!r}; "
-            f"available: {available_backends()}",
-            file=sys.stderr,
-        )
-        return 2
-    for flag, value in (
-        ("--requests", args.requests),
-        ("--rate", args.rate),
-        ("--pool", args.pool),
-        ("--workers", args.workers),
-        ("--backlog", args.backlog),
-        ("--time-scale", args.time_scale),
-    ):
-        if value <= 0:
-            print(f"error: {flag} must be positive", file=sys.stderr)
-            return 2
-    runtime_config = get_config()
-    shards = args.shards if args.shards is not None else runtime_config.serve_shards
-    if shards < 0:
-        print("error: --shards must be non-negative", file=sys.stderr)
-        return 2
-    seed = args.seed if args.seed is not None else runtime_config.fuzz_seed
+    _check_backend(args.backend)
+    _require(args, "--requests", "--rate", "--pool", "--time-scale")
+    shards = _service_shards(args)
+    seed = _or_config(args.seed, "fuzz_seed")
 
     if args.trace_file is not None:
-        try:
+        with _usage_errors(OSError, ValueError):
             trace = load_trace(Path(args.trace_file))
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
         if not trace:
-            print(f"error: {args.trace_file} holds no events", file=sys.stderr)
-            return 2
+            raise CliError(f"{args.trace_file} holds no events")
         regime = "trace"
     else:
         if args.workloads:
-            try:
-                pool = [parse_workload_spec(spec) for spec in args.workloads]
-            except ValueError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
+            pool = [parse_workload_spec(spec) for spec in args.workloads]
         else:
             pool = default_pool(args.pool, seed=seed)
         trace = build_trace(args.regime, args.requests, args.rate, pool, seed=seed)
@@ -819,27 +810,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         save_trace(Path(args.record), trace)
         print(f"recorded {len(trace)} events -> {args.record}")
 
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    if shards > 0:
-        from .cluster import ClusterConfig, ClusterService
-
-        client = ClusterService(
-            cache_dir=cache_dir,
-            config=ClusterConfig(
-                shards=shards,
-                worker_threads=args.workers,
-                max_backlog=args.backlog,
-            ),
-        )
-    else:
-        client = ServiceClient(
-            cache_dir=cache_dir,
-            config=ServiceConfig(
-                max_workers=args.workers,
-                max_backlog=args.backlog,
-            ),
-        )
-    try:
+    with _open_service(args, shards) as client:  # closes draining
         report = replay_trace(
             client,
             trace,
@@ -849,8 +820,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
             seed=seed,
             time_scale=args.time_scale,
         )
-    finally:
-        client.close(drain=True)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:
@@ -863,31 +832,24 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect, prune or clear the on-disk result cache."""
-    from .runtime import ResultCache
-
-    cache = ResultCache(args.cache_dir or default_cache_dir())
+    _require(args, "--max-entries", "--max-bytes", positive=False)
+    cache = ResultCache(_cache_dir(args))
     if args.action == "info":
         stats = cache.stats()
         rows = [[key, value] for key, value in stats.items()]
         print(format_table(["field", "value"], rows, title="Result cache"))
-        return 0
-    if args.action == "clear":
+    elif args.action == "clear":
         removed = cache.clear()
         print(f"cleared {removed} entries from {cache.directory}")
-        return 0
-    # prune
-    if args.max_entries is None and args.max_bytes is None:
+    else:  # prune
+        if args.max_entries is None and args.max_bytes is None:
+            raise CliError("cache prune needs --max-entries and/or --max-bytes")
+        report = cache.prune(max_entries=args.max_entries, max_bytes=args.max_bytes)
         print(
-            "error: cache prune needs --max-entries and/or --max-bytes",
-            file=sys.stderr,
+            f"pruned {report.removed} entries ({report.bytes_freed} bytes) from "
+            f"{cache.directory}; {report.remaining} entries "
+            f"({report.bytes_remaining} bytes) remain"
         )
-        return 2
-    report = cache.prune(max_entries=args.max_entries, max_bytes=args.max_bytes)
-    print(
-        f"pruned {report.removed} entries ({report.bytes_freed} bytes) from "
-        f"{cache.directory}; {report.remaining} entries "
-        f"({report.bytes_remaining} bytes) remain"
-    )
     return 0
 
 
@@ -895,28 +857,20 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Expose process-wide telemetry over HTTP, or print one scrape."""
     from .obs.exposition import render
     from .obs.metrics import get_registry
-    from .runtime import ResultCache
 
-    if args.port is not None and not 0 <= args.port <= 65535:
-        print("error: --port must be in [0, 65535]", file=sys.stderr)
-        return 2
-    if args.duration is not None and args.duration <= 0:
-        print("error: --duration must be positive", file=sys.stderr)
-        return 2
+    _check_port("--port", args.port)
+    _require(args, "--duration")
     registry = get_registry()
     # No service snapshot here, so the cache reports through the registry
     # (a serving daemon instead carries cache stats inside its snapshot).
-    cache = ResultCache(args.cache_dir or default_cache_dir())
+    cache = ResultCache(_cache_dir(args))
     cache.register_metrics(registry)
     if args.once:
         sys.stdout.write(render(registry.collect()))
         return 0
-    import time
-
-    from .config import get_config
     from .obs.http import MetricsServer
 
-    port = args.port if args.port is not None else get_config().metrics_port
+    port = _or_config(args.port, "metrics_port")
     server = MetricsServer(registry=registry, port=port).start()
     print(
         f"metrics: {server.url}/metrics (config {server.url}/config, "
@@ -937,8 +891,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     """Run one tiny GeMM job end-to-end, twice, through a result cache."""
-    cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-selftest-")
-    engine = getattr(args, "engine", DEFAULT_ENGINE)
+    if args.cache_dir:
+        return _selftest(args.cache_dir, args.engine)
+    with tempfile.TemporaryDirectory(prefix="repro-selftest-") as cache_dir:
+        return _selftest(cache_dir, args.engine)
+
+
+def _selftest(cache_dir: str, engine: str) -> int:
     workload = GemmWorkload(name="selftest_gemm", m=16, n=16, k=16)
     job = SimJob(workload=workload, engine=engine, label="selftest")
 
@@ -1019,6 +978,8 @@ def cmd_suite_info(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .serve.replay import REGIMES
+
     parser = argparse.ArgumentParser(
         prog="repro", description="DataMaestro reproduction command-line interface"
     )
@@ -1040,58 +1001,43 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.set_defaults(func=cmd_experiment)
 
     gemm = subparsers.add_parser("simulate-gemm", help="simulate one GeMM kernel")
-    gemm.add_argument("m", type=int)
-    gemm.add_argument("n", type=int)
-    gemm.add_argument("k", type=int)
+    for dimension in ("m", "n", "k"):
+        gemm.add_argument(dimension, type=int)
     gemm.add_argument("--transposed", action="store_true", help="A operand stored transposed")
-    gemm.add_argument("--quantize", action="store_true", help="requantize the output to int8")
-    gemm.add_argument("--baseline", action="store_true", help="disable every DataMaestro feature")
-    _add_runtime_flags(gemm)
     gemm.set_defaults(func=cmd_simulate_gemm)
 
     conv = subparsers.add_parser("simulate-conv", help="simulate one convolution layer")
-    conv.add_argument("height", type=int)
-    conv.add_argument("width", type=int)
-    conv.add_argument("cin", type=int)
-    conv.add_argument("cout", type=int)
+    for dimension in ("height", "width", "cin", "cout"):
+        conv.add_argument(dimension, type=int)
     conv.add_argument("--kernel", type=int, default=3)
     conv.add_argument("--stride", type=int, default=1)
     conv.add_argument("--padding", type=int, default=0)
-    conv.add_argument("--quantize", action="store_true")
-    conv.add_argument("--baseline", action="store_true")
-    _add_runtime_flags(conv)
     conv.set_defaults(func=cmd_simulate_conv)
+
+    for kernel in (gemm, conv):  # a spec says :q where these say --quantize
+        kernel.add_argument(
+            "--quantize", action="store_true", help="requantize the output to int8"
+        )
+        _add_baseline_flag(kernel)
+        _add_runtime_flags(kernel)
 
     batch = subparsers.add_parser(
         "batch", help="run a batch of workload jobs through the runtime"
     )
-    batch.add_argument(
-        "workloads",
-        nargs="+",
-        metavar="SPEC",
-        help="workload specs, e.g. gemm:64x64x64 or conv:16x16x16x32:k3:p1",
-    )
-    batch.add_argument(
-        "--backend",
-        default=DATAMAESTRO_BACKEND,
-        help="simulation backend (datamaestro or baseline:<slug>)",
-    )
-    batch.add_argument("--seed", type=int, default=0)
-    batch.add_argument("--baseline", action="store_true", help="disable every DataMaestro feature")
+    _add_job_flags(batch)
     _add_runtime_flags(batch, cache_default=True)
     batch.set_defaults(func=cmd_batch)
 
     sweep = subparsers.add_parser(
         "sweep", help="sweep the ablation feature ladder over workloads"
     )
-    sweep.add_argument("workloads", nargs="+", metavar="SPEC")
     sweep.add_argument(
         "--steps",
         default=None,
         help="comma-separated ablation steps (default: all six)",
     )
-    sweep.add_argument("--backend", default=None, help="simulation backend")
-    sweep.add_argument("--seed", type=int, default=0)
+    # The ladder is the feature axis: no --baseline.
+    _add_job_flags(sweep, backend=None, baseline=False)
     _add_runtime_flags(sweep, cache_default=True)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -1136,7 +1082,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="workload spec (repeatable; default: the 64x64x96 DSE GeMM)",
     )
-    explore.add_argument("--seed", type=int, default=0, help="strategy seed")
+    # Not the job flags' --seed: it seeds the search, --sim-seed the operands.
+    explore.add_argument(
+        "--seed", type=int, default=0, metavar="N", help="strategy seed"
+    )
     explore.add_argument(
         "--sim-seed", type=int, default=0, help="operand-data seed for simulations"
     )
@@ -1168,12 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/SERVE.md)",
     )
     serve.add_argument(
-        "workloads",
-        nargs="+",
-        metavar="SPEC",
-        help="workload specs, e.g. gemm:64x64x64 or conv:16x16x16x32:k3:p1",
-    )
-    serve.add_argument(
         "--repeat",
         type=int,
         default=1,
@@ -1187,36 +1130,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="spread submissions round-robin over N client names (default: 1)",
     )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="concurrent service worker threads (default: 2)",
-    )
-    serve.add_argument(
-        "--backlog",
-        type=int,
-        default=64,
-        metavar="N",
-        help="bounded admission-queue depth; overflowing it is rejected "
-        "with QueueFullError (default: 64)",
-    )
+    _add_service_flags(serve, backlog=64)
     serve.add_argument(
         "--progress-interval",
         type=int,
         default=250_000,
         metavar="CYCLES",
         help="cycle cadence of streaming progress events (default: 250000)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard the service over N worker processes (private GIL each; "
-        "default: $REPRO_SERVE_SHARDS or 0 = single-process thread service; "
-        "see docs/SERVE.md)",
     )
     serve.add_argument(
         "--journal",
@@ -1267,32 +1187,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream per-job lifecycle/progress events to stdout "
         "(single-process mode only)",
     )
-    serve.add_argument(
-        "--backend",
-        default=DATAMAESTRO_BACKEND,
-        help="simulation backend (datamaestro or baseline:<slug>)",
-    )
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--baseline", action="store_true", help="disable every DataMaestro feature"
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-datamaestro)",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true", help="disable the on-disk result cache"
-    )
-    serve.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=DEFAULT_ENGINE,
-        help="simulation engine: 'event' skips provably idle cycles, "
-        "'lockstep' is the legacy per-cycle loop (see docs/ENGINE.md)",
-    )
+    _add_job_flags(serve)
+    _add_cache_flags(serve)
+    _add_engine_flag(serve)
     serve.set_defaults(func=cmd_serve)
 
     replay = subparsers.add_parser(
@@ -1301,15 +1198,8 @@ def build_parser() -> argparse.ArgumentParser:
         "latency/coalescing per regime (see docs/SCENARIOS.md)",
     )
     replay.add_argument(
-        "workloads",
-        nargs="*",
-        metavar="SPEC",
-        help="optional workload pool specs (e.g. gemm:16x16x16); default: a "
-        "seeded generator pool of --pool distinct small workloads",
-    )
-    replay.add_argument(
         "--regime",
-        choices=("poisson", "diurnal", "bursty", "hotkey"),
+        choices=tuple(REGIMES),
         default="poisson",
         help="synthetic arrival regime (ignored with --trace-file; "
         "default: poisson)",
@@ -1357,62 +1247,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the (synthesised or loaded) trace as JSONL to PATH "
         "before replaying it",
     )
-    replay.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="replay against the N-process sharded cluster (default: "
-        "$REPRO_SERVE_SHARDS or 0 = single-process thread service)",
-    )
-    replay.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker threads per service/shard (default: 2)",
-    )
-    replay.add_argument(
-        "--backlog",
-        type=int,
-        default=256,
-        metavar="N",
-        help="bounded admission-queue depth (default: 256)",
-    )
-    replay.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="trace/pool seed (default: $REPRO_FUZZ_SEED, else 0)",
-    )
+    _add_service_flags(replay, backlog=256)
     replay.add_argument(
         "--json",
         action="store_true",
         help="print the full replay report as JSON instead of one summary line",
     )
-    replay.add_argument(
-        "--backend",
-        default=DATAMAESTRO_BACKEND,
-        help="simulation backend (datamaestro or baseline:<slug>)",
+    _add_job_flags(
+        replay,
+        nargs="*",
+        spec_help="optional workload pool specs (e.g. gemm:16x16x16); default: a "
+        "seeded generator pool of --pool distinct small workloads",
+        seed=None,
+        seed_help="trace/pool seed (default: $REPRO_FUZZ_SEED, else 0)",
+        baseline=False,
     )
-    replay.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-datamaestro)",
-    )
-    replay.add_argument(
-        "--no-cache", action="store_true", help="disable the on-disk result cache"
-    )
-    replay.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=DEFAULT_ENGINE,
-        help="simulation engine: 'event' skips provably idle cycles, "
-        "'lockstep' is the legacy per-cycle loop (see docs/ENGINE.md)",
-    )
+    _add_cache_flags(replay)
+    _add_engine_flag(replay)
     replay.set_defaults(func=cmd_replay)
 
     cache = subparsers.add_parser(
@@ -1424,13 +1275,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="info: show entry count/size; prune: evict least-recently-used "
         "entries down to the given bounds; clear: delete every entry",
     )
-    cache.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-datamaestro)",
-    )
+    _add_cache_flags(cache, no_cache=False)
     cache.add_argument(
         "--max-entries",
         type=int,
@@ -1471,10 +1316,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="serve for a fixed time then exit (default: until Ctrl-C)",
     )
-    metrics.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
+    _add_cache_flags(
+        metrics,
+        no_cache=False,
         help="result cache whose entry count/size to expose (default: "
         "$REPRO_CACHE_DIR or ~/.cache/repro-datamaestro)",
     )
@@ -1483,18 +1327,12 @@ def build_parser() -> argparse.ArgumentParser:
     selftest = subparsers.add_parser(
         "selftest", help="tiny cached GeMM end-to-end smoke test"
     )
-    selftest.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="cache directory (default: a fresh temporary directory)",
+    _add_cache_flags(
+        selftest,
+        no_cache=False,
+        help="cache directory (default: a temporary directory, removed afterwards)",
     )
-    selftest.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=DEFAULT_ENGINE,
-        help="simulation engine to exercise (event or lockstep)",
-    )
+    _add_engine_flag(selftest)
     selftest.set_defaults(func=cmd_selftest)
 
     subparsers.add_parser(
@@ -1504,9 +1342,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command line and return its exit code (module docstring)."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CliError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -61,6 +61,9 @@ class Simulator:
         max_workers: Optional[int] = None,
         service: Optional[object] = None,
     ) -> None:
+        if max_workers is not None and max_workers < 0:
+            # Here, not first inside the BatchRunner of a later simulate_many().
+            raise ValueError("max_workers must be non-negative")
         if cache is None and cache_dir is not None:
             cache = ResultCache(Path(cache_dir).expanduser())
         self.cache = cache

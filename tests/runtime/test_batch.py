@@ -171,3 +171,6 @@ class TestWorkerNormalization:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             BatchRunner(max_workers=-1)
+        # ... and by the facade at construction, not at its first batch.
+        with pytest.raises(ValueError):
+            Simulator(max_workers=-1)

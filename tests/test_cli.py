@@ -625,3 +625,49 @@ class TestMetricsCommand:
         assert "--port" in capsys.readouterr().err
         assert main(["metrics", "--duration", "0"]) == 2
         assert "--duration" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """The exit-code contract: an unusable argument is ``error: …`` on stderr
+    and exit 2 — the checks live at the CLI boundary, not wherever deep in
+    the run the value first hurts."""
+
+    @pytest.mark.parametrize(
+        "named, command",
+        [
+            ("--jobs", "batch gemm:8x8x8 --jobs -1 --no-cache"),
+            ("dimensions", "simulate-gemm 0 16 16"),
+            ("kernel", "simulate-conv 8 8 8 8 --kernel 0"),
+            ("--population", "explore --population 0 --no-cache"),
+            ("--max-entries", "cache prune --max-entries -1"),
+            ("--max-bytes", "cache prune --max-bytes -1"),
+            ("--workloads-per-group", "experiment fig7 --workloads-per-group 0"),
+        ],
+    )
+    def test_no_argv_reaches_a_traceback(self, named, command, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(command.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+
+
+class TestOneSpecTranslation:
+    def test_simulate_and_batch_run_the_same_job(self, tmp_path, capsys):
+        """``simulate-conv`` builds its workload through the spec parser, so
+        the equivalent ``batch`` spec finds its result in the cache."""
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main(["simulate-conv", "8", "8", "8", "8", "--padding", "1", *cache]) == 0
+        assert "cli_conv_8x8x8_8_k3s1p1" in capsys.readouterr().out
+        assert main(["batch", "conv:8x8x8x8:p1", *cache]) == 0
+        assert "0 simulated, 1 cache hits" in capsys.readouterr().out
+
+
+class TestSelftestCleansUp:
+    def test_defaulted_cache_dir_is_removed(self, tmp_path, capsys, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["selftest", "--engine", "lockstep"]) == 0
+        assert f"(cache: {tmp_path}" in capsys.readouterr().out
+        assert list(tmp_path.glob("repro-selftest-*")) == []

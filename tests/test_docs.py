@@ -123,6 +123,49 @@ class TestCliDocDrift:
             assert engine_actions, f"{name} lost its --engine flag"
             assert set(engine_actions[0].choices) == set(available_engines())
 
+    #: (flag, subcommand) -> the fields in which that subcommand's flag may
+    #: differ from the flag's other declarations.  Everything else about a
+    #: flag is the same wherever the flag appears.
+    FLAG_DIFFERS = {
+        # Names what the exporter reads the directory for.
+        ("--cache-dir", "metrics"): {"help"},
+        # Defaults to a temporary directory, not the user's cache.
+        ("--cache-dir", "selftest"): {"help"},
+        # Also draws the trace and the pool; unset means $REPRO_FUZZ_SEED.
+        ("--seed", "replay"): {"help", "default"},
+        # Seeds the search strategy; explore's operand seed is --sim-seed.
+        ("--seed", "explore"): {"help"},
+        # 256 where serve has 64 (the help text shows each its own).
+        ("--backlog", "replay"): {"default"},
+        # None, which sweep reads as the DataMaestro backend.
+        ("--backend", "sweep"): {"default"},
+        # The exploration's run journal, not the service's job journal.
+        ("--journal", "explore"): {"help"},
+        # A switch (print the report as JSON); explore's takes a PATH.
+        ("--json", "replay"): {"help", "default", "metavar"},
+    }
+
+    def test_a_flag_means_the_same_on_every_subcommand(self):
+        """Each shared flag has one declaration in ``repro.cli``; what a
+        subcommand may vary is listed above, with the reason."""
+        declared = {}
+        for name, sub in subcommands().items():
+            for action in sub._actions:
+                for flag in action.option_strings:
+                    declared.setdefault(flag, {})[name] = action
+        for flag, actions in declared.items():
+            for field in ("type", "choices", "metavar", "help", "default"):
+                values = {
+                    name: getattr(action, field)
+                    for name, action in actions.items()
+                    if field not in self.FLAG_DIFFERS.get((flag, name), ())
+                }
+                assert len({repr(value) for value in values.values()}) <= 1, (
+                    f"{flag} {field} differs between subcommands: {values}"
+                )
+        stale = [key for key in self.FLAG_DIFFERS if key[1] not in declared.get(key[0], {})]
+        assert stale == [], f"FLAG_DIFFERS lists flags that no longer exist: {stale}"
+
 
 class TestKnobTable:
     def test_env_vars_documented_in_one_place(self):
@@ -332,8 +375,25 @@ class TestStructure:
         assert dist.get_version() == repro.__version__
         assert dist.package_dir == {"": "src"}
         assert dist.install_requires == ["numpy"]
+        assert dist.entry_points == {"console_scripts": ["repro = repro.cli:main"]}
         source = REPO_ROOT / "src"
         assert set(dist.packages) == {
             ".".join(init.parent.relative_to(source).parts)
             for init in source.rglob("__init__.py")
         }
+
+    def test_python_m_repro_is_the_cli(self):
+        """The docs write ``repro serve …``; ``python -m repro`` must be it."""
+        import os
+
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        for name in subcommands():
+            assert name in result.stdout
