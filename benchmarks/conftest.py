@@ -29,6 +29,16 @@ def evaluation_design():
     return datamaestro_evaluation_system()
 
 
+@pytest.fixture(scope="session")
+def bench_out(tmp_path_factory):
+    """Directory the legacy ``BENCH_*.json`` reports are written to and read
+    back from: ``$REPRO_BENCH_OUT``, or a temporary directory when unset — a
+    plain test run leaves the checkout as ``git`` has it."""
+    directory = get_config().bench_out or tmp_path_factory.mktemp("bench-out")
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
 @pytest.fixture
 def run_once(benchmark):
     """Run a callable exactly once under pytest-benchmark timing."""

@@ -29,7 +29,7 @@ A bar of "N x lockstep" would punish every speed-up of the step path itself
 — lockstep is pure step path, so it gains the most — which is why absolute
 speed lives in ``bench/`` (``python3 bench/run.py --workload table3_cnn``)
 and not here.  Results (wall-times, simulated cycles/second, ratios) are
-still written to ``BENCH_engine.json`` at the repository root; the
+still written to ``BENCH_engine.json`` under ``$REPRO_BENCH_OUT``; the
 compute-bound entry's ``speedup`` field is the macro-vs-lockstep ratio and
 ``speedup_vs_event_nomacro`` the macro-on-vs-off ratio.
 """
@@ -37,7 +37,6 @@ compute-bound entry's ``speedup`` field is the macro-vs-lockstep ratio and
 import dataclasses
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -49,9 +48,8 @@ from repro.engine import EventDrivenEngine
 from repro.system import AcceleratorSystem, datamaestro_evaluation_system
 from repro.workloads import ConvWorkload, GemmWorkload
 
-#: Where BENCH_engine.json lands (override with REPRO_BENCH_OUT=<dir>).
-BENCH_OUT_DIR = get_config().bench_out or Path(__file__).resolve().parent.parent
-BENCH_PATH = BENCH_OUT_DIR / "BENCH_engine.json"
+#: Report file inside the ``bench_out`` directory (see conftest.py).
+REPORT = "BENCH_engine.json"
 
 #: Timing repetitions; engines are measured in alternation and the best of N
 #: is recorded, so scheduler noise and thermal drift hit both equally.
@@ -143,7 +141,7 @@ def _run_kernel(label, builder, variants):
 
 
 @pytest.fixture(scope="module")
-def bench_results():
+def bench_results(bench_out):
     results = {
         "package_version": __version__,
         "rounds": ROUNDS,
@@ -159,8 +157,7 @@ def bench_results():
             "conv_crop", _conv_crop, ("lockstep", "event_nomacro", "event")
         ),
     }
-    BENCH_OUT_DIR.mkdir(parents=True, exist_ok=True)
-    BENCH_PATH.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
+    (bench_out / REPORT).write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
     return results
 
 
@@ -202,8 +199,8 @@ def test_compute_bound_beats_lockstep(bench_results):
     )
 
 
-def test_bench_report_written(bench_results):
-    data = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+def test_bench_report_written(bench_results, bench_out):
+    data = json.loads((bench_out / REPORT).read_text(encoding="utf-8"))
     assert data["bandwidth_bound"]["speedup"] == bench_results["bandwidth_bound"]["speedup"]
     assert data["compute_bound"]["simulated_cycles"] > 0
     assert "event_nomacro" in data["compute_bound"]

@@ -22,7 +22,6 @@ is reproducible with one env var.
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -31,9 +30,8 @@ from repro.config import get_config
 from repro.serve import ServiceClient, ServiceConfig
 from repro.serve.replay import REGIMES, build_trace, default_pool, replay_trace
 
-#: Where BENCH_serve.json lands (override with REPRO_BENCH_OUT=<dir>).
-BENCH_OUT_DIR = get_config().bench_out or Path(__file__).resolve().parent.parent
-BENCH_PATH = BENCH_OUT_DIR / "BENCH_serve.json"
+#: Report file inside the ``bench_out`` directory (see conftest.py).
+REPORT = "BENCH_serve.json"
 
 REQUESTS = 120
 POOL_SIZE = 16
@@ -45,7 +43,7 @@ FUZZ_SEED = get_config().fuzz_seed
 
 
 @pytest.fixture(scope="module")
-def regime_reports(tmp_path_factory):
+def regime_reports(tmp_path_factory, bench_out):
     """One replay run per built-in regime; extend BENCH_serve.json."""
     pool = default_pool(POOL_SIZE, seed=FUZZ_SEED)
     runs = {}
@@ -70,15 +68,15 @@ def regime_reports(tmp_path_factory):
         "strict_bench": STRICT_BENCH,
         "min_hotkey_avoided_enforced": MIN_HOTKEY_AVOIDED if STRICT_BENCH else None,
     }
-    BENCH_OUT_DIR.mkdir(parents=True, exist_ok=True)
     data = {}
-    if BENCH_PATH.exists():
+    path = bench_out / REPORT
+    if path.exists():
         try:
-            data = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+            data = json.loads(path.read_text(encoding="utf-8"))
         except ValueError:
             data = {}
     data["regimes"] = section
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return section
 
 
@@ -130,8 +128,8 @@ def test_hotkey_skew_avoids_half_the_backend_work(regime_reports):
     assert hotkey["avoided_fraction"] >= MIN_HOTKEY_AVOIDED, hotkey
 
 
-def test_regimes_section_written(regime_reports):
-    data = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+def test_regimes_section_written(regime_reports, bench_out):
+    data = json.loads((bench_out / REPORT).read_text(encoding="utf-8"))
     recorded = data["regimes"]
     assert set(recorded["runs"]) == set(regime_reports["runs"])
     assert recorded["seed"] == FUZZ_SEED

@@ -5,7 +5,7 @@ overlapping work: 50 submissions drawn from 5 unique small kernels (a
 20/10/10/5/5 duplicate mix), pushed through a 2-worker
 :class:`~repro.serve.client.ServiceClient` with a fresh result cache.
 
-Recorded in ``BENCH_serve.json`` at the repo root:
+Recorded in ``BENCH_serve.json`` under ``$REPRO_BENCH_OUT``:
 
 * ``jobs_per_second`` — submissions completed per wall-clock second;
 * ``coalescing_hit_rate`` / ``cache_hit_rate`` / ``duplicate_work_avoided``
@@ -38,11 +38,8 @@ from repro.runtime import ResultCache, SimJob
 from repro.serve import ServiceClient, ServiceConfig
 from repro.workloads import GemmWorkload
 
-from pathlib import Path
-
-#: Where BENCH_serve.json lands (override with REPRO_BENCH_OUT=<dir>).
-BENCH_OUT_DIR = get_config().bench_out or Path(__file__).resolve().parent.parent
-BENCH_PATH = BENCH_OUT_DIR / "BENCH_serve.json"
+#: Report file inside the ``bench_out`` directory (see conftest.py).
+REPORT = "BENCH_serve.json"
 
 #: The duplicate-heavy mix: (kernel dims, submissions of that kernel).
 MIX = (
@@ -68,7 +65,7 @@ def _percentile(sorted_values, fraction):
 
 
 @pytest.fixture(scope="module")
-def bench_results(tmp_path_factory):
+def bench_results(tmp_path_factory, bench_out):
     jobs = _jobs()
     unique = len({job.job_hash() for job in jobs})
     cache = ResultCache(tmp_path_factory.mktemp("serve-bench-cache"))
@@ -114,17 +111,17 @@ def bench_results(tmp_path_factory):
         },
         "config": {"max_workers": config.max_workers, "max_backlog": config.max_backlog},
     }
-    BENCH_OUT_DIR.mkdir(parents=True, exist_ok=True)
     # Merge-write: other benchmark files (e.g. the replay regimes) may have
     # written their sections into the same report already this run.
     data = {}
-    if BENCH_PATH.exists():
+    path = bench_out / REPORT
+    if path.exists():
         try:
-            data = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+            data = json.loads(path.read_text(encoding="utf-8"))
         except ValueError:
             data = {}
     data.update(results)
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return results
 
 
@@ -153,8 +150,8 @@ def test_latency_distribution_recorded(bench_results):
     assert bench_results["jobs_per_second"] > 0
 
 
-def test_bench_report_written(bench_results):
-    data = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+def test_bench_report_written(bench_results, bench_out):
+    data = json.loads((bench_out / REPORT).read_text(encoding="utf-8"))
     assert data["executed"] == bench_results["executed"]
     assert data["latency"]["p99_seconds"] == bench_results["latency"]["p99_seconds"]
     assert data["submissions"] == 50
@@ -183,7 +180,7 @@ def _scaling_jobs():
 
 
 @pytest.fixture(scope="module")
-def shard_scaling(bench_results, tmp_path_factory):
+def shard_scaling(bench_results, tmp_path_factory, bench_out):
     """Run the compute-bound mix at each shard count; extend BENCH_serve.json.
 
     Depends on ``bench_results`` so the report file exists to be extended —
@@ -230,9 +227,10 @@ def shard_scaling(bench_results, tmp_path_factory):
         "strict_bench": STRICT_BENCH,
         "min_speedup_enforced": MIN_SHARD_SCALING if STRICT_BENCH else None,
     }
-    data = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+    path = bench_out / REPORT
+    data = json.loads(path.read_text(encoding="utf-8"))
     data["shard_scaling"] = section
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return section
 
 
@@ -244,8 +242,8 @@ def test_shard_runs_execute_everything(shard_scaling):
         assert run["restarts"] == 0, run
 
 
-def test_shard_scaling_recorded(shard_scaling):
-    data = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+def test_shard_scaling_recorded(shard_scaling, bench_out):
+    data = json.loads((bench_out / REPORT).read_text(encoding="utf-8"))
     recorded = data["shard_scaling"]
     assert [run["shards"] for run in recorded["runs"]] == list(SHARD_COUNTS)
     assert all(run["jobs_per_second"] > 0 for run in recorded["runs"])
@@ -274,7 +272,7 @@ MAX_DISABLED_OVERHEAD = 0.05
 
 
 @pytest.fixture(scope="module")
-def tracing_overhead(bench_results):
+def tracing_overhead(bench_results, bench_out):
     """Measure the disabled-path hook (`get_tracer() is None` check) and
     bound its per-submission cost against the measured p50 latency.
 
@@ -307,9 +305,10 @@ def tracing_overhead(bench_results):
         "overhead_fraction_vs_p50": overhead,
         "max_overhead_enforced": MAX_DISABLED_OVERHEAD,
     }
-    data = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+    path = bench_out / REPORT
+    data = json.loads(path.read_text(encoding="utf-8"))
     data["tracing"] = section
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return section
 
 
@@ -320,8 +319,8 @@ def test_disabled_tracing_overhead_under_bar(tracing_overhead):
     )
 
 
-def test_tracing_overhead_recorded(tracing_overhead):
-    data = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+def test_tracing_overhead_recorded(tracing_overhead, bench_out):
+    data = json.loads((bench_out / REPORT).read_text(encoding="utf-8"))
     assert data["tracing"]["hook_ns_disabled"] >= 0
     assert data["tracing"]["overhead_fraction_vs_p50"] == (
         tracing_overhead["overhead_fraction_vs_p50"]

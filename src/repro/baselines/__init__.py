@@ -10,7 +10,6 @@ from typing import Callable, Dict, List
 
 from .base import (
     TABLE1_FEATURES,
-    AnalyticCycleModel,
     DataMovementSolution,
     FeatureProfile,
     OverheadProfile,
@@ -118,7 +117,6 @@ __all__ = [
     "TABLE1_ORDER",
     "OVERHEAD_ORDER",
     "BASELINE_REGISTRY",
-    "AnalyticCycleModel",
     "DataMovementSolution",
     "FeatureProfile",
     "OverheadProfile",

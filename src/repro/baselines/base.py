@@ -22,53 +22,6 @@ from typing import Dict, Optional
 
 from ..workloads.spec import Workload
 
-class AnalyticCycleModel:
-    """Event-protocol view of an analytic performance estimate.
-
-    The comparator models are closed-form — they predict a total cycle count
-    without maintaining per-cycle state — which is the extreme case of the
-    next-event protocol (:mod:`repro.engine`): *every* intermediate cycle is
-    skippable.  This adapter exposes an estimate as an event-driven target so
-    the shared :class:`~repro.sim.runner.CycleRunner` can drive baselines and
-    the cycle-level system through one interface: the event engine completes
-    the model in two real steps (the first step proves the fixpoint, one
-    bulk ``advance`` jumps to the completion event), while the lockstep
-    engine grinds through all ``total_cycles`` — both report the same count.
-    """
-
-    def __init__(self, name: str, total_cycles: int) -> None:
-        if total_cycles <= 0:
-            raise ValueError("total_cycles must be positive")
-        self.name = name
-        self.total_cycles = int(total_cycles)
-        self.cycle = 0
-        self.last_step_activity = 0
-        #: Cycles the event engine bulk-advanced instead of stepping.
-        self.skipped_cycles = 0
-
-    @property
-    def done(self) -> bool:
-        return self.cycle >= self.total_cycles
-
-    def step(self) -> bool:
-        """Advance one cycle; only the completion cycle counts as activity."""
-        if self.done:
-            return False
-        self.cycle += 1
-        self.last_step_activity = 1 if self.done else 0
-        return not self.done
-
-    def next_event_cycle(self) -> Optional[int]:
-        """The only event an analytic model schedules is its completion."""
-        if self.done:
-            return None
-        return self.total_cycles - 1
-
-    def advance(self, cycles: int) -> None:
-        """Skip ``cycles`` — an analytic model has no per-cycle counters."""
-        self.cycle += cycles
-        self.skipped_cycles += cycles
-
 
 #: Feature keys in the order Table I lists them.
 TABLE1_FEATURES = (
@@ -171,29 +124,6 @@ class DataMovementSolution:
     ) -> float:
         """Throughput normalized to a common PE count and clock (Fig. 10)."""
         return 2.0 * num_pes * frequency_ghz * self.utilization(workload)
-
-    def analytic_cycle_model(
-        self,
-        workload: Workload,
-        mu: int = 8,
-        nu: int = 8,
-        ku: int = 8,
-        utilization: Optional[float] = None,
-    ) -> AnalyticCycleModel:
-        """Wrap the model's estimate for ``workload`` as an event-driven target.
-
-        Requires a performance model: the total cycle count is the ideal
-        compute cycle count on an ``mu×nu×ku`` PE array divided by the
-        model's estimated utilization.  Callers that already evaluated the
-        model pass ``utilization`` to avoid a second evaluation.
-        """
-        if utilization is None:
-            utilization = self.utilization(workload)  # raises without a model
-        ideal = workload.ideal_compute_cycles(mu, nu, ku)
-        total = max(1, int(round(ideal / max(utilization, 1e-9))))
-        return AnalyticCycleModel(
-            name=f"{self.slug}:{workload.name}", total_cycles=total
-        )
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

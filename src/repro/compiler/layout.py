@@ -10,20 +10,20 @@ one contiguous ``Mu×Ku`` / ``Ku×Nu`` / ``Mu×Nu`` tile:
   ``[k2][m2][k1][m1]``, which the Transposer extension turns back into
   ``[m1][k1]`` tiles on the fly;
 * GeMM right operand ``B[K, N]`` — blocked ``[k2][n2][k1][n1]``;
-* accumulator / output tiles ``[m2][n2][m1][n1]`` in int32;
+* accumulator / output tiles ``[m2][n2][m1][n1]``, int32 or (quantized) int8;
 * convolution input — channel-blocked ``C/Ku · H · W · Ku`` (Fig. 3(d));
 * convolution weights — ``[fy][fx][c2][n2][c1][n1]`` so each reduction step
   reads one contiguous ``Ku×Nu`` tile.
 
 Every ``pack_*`` function zero-pads the logical tensor up to the tile grid
-and returns the flat byte image plus enough shape information for the
-matching ``unpack_*`` function (used to read results back and to express the
-explicit data-manipulation pre-passes of feature-disabled configurations).
+and returns the flat byte image; :func:`unpack_tiles` is the one inverse, used
+to read any kernel's results back.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import math
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -31,17 +31,21 @@ from ..utils.packing import ceil_div, pad_to_multiple, tile_to_bytes
 
 
 # ----------------------------------------------------------------------
-# GeMM operand layouts.
+# GeMM operand and output layouts.
 # ----------------------------------------------------------------------
+def _blocked(x: np.ndarray, rows: int, cols: int, what: str) -> np.ndarray:
+    """Byte image of 2-D ``x`` as ``rows × cols`` tiles: ``[r2][c2][r1][c1]``."""
+    if x.ndim != 2:
+        raise ValueError(f"{what} must be a 2-D matrix")
+    padded = pad_to_multiple(x, (rows, cols))
+    tiles_r, tiles_c = padded.shape[0] // rows, padded.shape[1] // cols
+    blocked = padded.reshape(tiles_r, rows, tiles_c, cols).transpose(0, 2, 1, 3)
+    return tile_to_bytes(blocked)
+
+
 def pack_gemm_a(a: np.ndarray, mu: int, ku: int) -> np.ndarray:
     """Block-row-major layout of ``A[M, K]`` (int8): ``[m2][k2][m1][k1]``."""
-    a = np.asarray(a, dtype=np.int8)
-    if a.ndim != 2:
-        raise ValueError("A must be a 2-D matrix")
-    padded = pad_to_multiple(a, (mu, ku))
-    tiles_m, tiles_k = padded.shape[0] // mu, padded.shape[1] // ku
-    blocked = padded.reshape(tiles_m, mu, tiles_k, ku).transpose(0, 2, 1, 3)
-    return tile_to_bytes(blocked)
+    return _blocked(np.asarray(a, dtype=np.int8), mu, ku, "A")
 
 
 def pack_gemm_a_transposed(a: np.ndarray, mu: int, ku: int) -> np.ndarray:
@@ -51,75 +55,39 @@ def pack_gemm_a_transposed(a: np.ndarray, mu: int, ku: int) -> np.ndarray:
     stores its transpose, which is what a framework would hand the
     accelerator for attention-style ``Q·K^T`` operands.
     """
-    a = np.asarray(a, dtype=np.int8)
-    if a.ndim != 2:
-        raise ValueError("A must be a 2-D matrix")
-    at = np.ascontiguousarray(a.T)
-    padded = pad_to_multiple(at, (ku, mu))
-    tiles_k, tiles_m = padded.shape[0] // ku, padded.shape[1] // mu
-    blocked = padded.reshape(tiles_k, ku, tiles_m, mu).transpose(0, 2, 1, 3)
-    return tile_to_bytes(blocked)
+    return _blocked(np.ascontiguousarray(np.asarray(a, dtype=np.int8).T), ku, mu, "A")
 
 
 def pack_gemm_b(b: np.ndarray, ku: int, nu: int) -> np.ndarray:
     """Blocked layout of ``B[K, N]`` (int8): ``[k2][n2][k1][n1]``."""
-    b = np.asarray(b, dtype=np.int8)
-    if b.ndim != 2:
-        raise ValueError("B must be a 2-D matrix")
-    padded = pad_to_multiple(b, (ku, nu))
-    tiles_k, tiles_n = padded.shape[0] // ku, padded.shape[1] // nu
-    blocked = padded.reshape(tiles_k, ku, tiles_n, nu).transpose(0, 2, 1, 3)
-    return tile_to_bytes(blocked)
+    return _blocked(np.asarray(b, dtype=np.int8), ku, nu, "B")
 
 
-def pack_acc_tiles(c: np.ndarray, mu: int, nu: int) -> np.ndarray:
-    """Blocked int32 accumulator layout ``[m2][n2][m1][n1]``."""
-    c = np.asarray(c, dtype=np.int32)
-    if c.ndim != 2:
-        raise ValueError("accumulator tensor must be a 2-D matrix")
-    padded = pad_to_multiple(c, (mu, nu))
-    tiles_m, tiles_n = padded.shape[0] // mu, padded.shape[1] // nu
-    blocked = padded.reshape(tiles_m, mu, tiles_n, nu).transpose(0, 2, 1, 3)
-    return tile_to_bytes(blocked)
+def pack_tiles(x: np.ndarray, mu: int, nu: int) -> np.ndarray:
+    """Blocked output layout ``[m2][n2][m1][n1]`` in the dtype of ``x``."""
+    return _blocked(np.asarray(x), mu, nu, "output tensor")
 
 
-def unpack_acc_tiles(
-    data: np.ndarray, rows: int, cols: int, mu: int, nu: int
+def unpack_tiles(
+    data: np.ndarray, dtype: str, shape: Sequence[int], mu: int, nu: int
 ) -> np.ndarray:
-    """Inverse of :func:`pack_acc_tiles`, cropped to ``rows × cols``."""
+    """Inverse of :func:`pack_tiles`, cropped to the logical ``shape``.
+
+    ``shape`` is ``(rows, cols)``, or ``(..., rows, cols)`` for an output
+    whose leading axes each start a fresh run of row tiles — a convolution's
+    ``O[y, x, k]`` is written as ``[y][x2][n2][m1][n1]``, ``m1`` indexing
+    ``mu`` consecutive columns ``x`` of row ``y``, so it is the matrix case
+    with ``out_height · ceil(out_width / mu)`` row tiles.
+    """
+    *outer, rows, cols = shape
     tiles_m, tiles_n = ceil_div(rows, mu), ceil_div(cols, nu)
-    payload = np.asarray(data, dtype=np.uint8).view(np.int32)
-    expected = tiles_m * tiles_n * mu * nu
+    payload = np.asarray(data, dtype=np.uint8).view(dtype)
+    expected = math.prod(outer) * tiles_m * tiles_n * mu * nu
     if payload.size != expected:
-        raise ValueError(
-            f"expected {expected} int32 values, got {payload.size}"
-        )
-    blocked = payload.reshape(tiles_m, tiles_n, mu, nu).transpose(0, 2, 1, 3)
-    full = blocked.reshape(tiles_m * mu, tiles_n * nu)
-    return full[:rows, :cols].copy()
-
-
-def pack_int8_tiles(x: np.ndarray, mu: int, nu: int) -> np.ndarray:
-    """Blocked int8 layout ``[m2][n2][m1][n1]`` (quantized outputs)."""
-    x = np.asarray(x, dtype=np.int8)
-    padded = pad_to_multiple(x, (mu, nu))
-    tiles_m, tiles_n = padded.shape[0] // mu, padded.shape[1] // nu
-    blocked = padded.reshape(tiles_m, mu, tiles_n, nu).transpose(0, 2, 1, 3)
-    return tile_to_bytes(blocked)
-
-
-def unpack_int8_tiles(
-    data: np.ndarray, rows: int, cols: int, mu: int, nu: int
-) -> np.ndarray:
-    """Inverse of :func:`pack_int8_tiles`, cropped to ``rows × cols``."""
-    tiles_m, tiles_n = ceil_div(rows, mu), ceil_div(cols, nu)
-    payload = np.asarray(data, dtype=np.uint8).view(np.int8)
-    expected = tiles_m * tiles_n * mu * nu
-    if payload.size != expected:
-        raise ValueError(f"expected {expected} int8 values, got {payload.size}")
-    blocked = payload.reshape(tiles_m, tiles_n, mu, nu).transpose(0, 2, 1, 3)
-    full = blocked.reshape(tiles_m * mu, tiles_n * nu)
-    return full[:rows, :cols].copy()
+        raise ValueError(f"expected {expected} {dtype} values, got {payload.size}")
+    blocked = payload.reshape(-1, tiles_n, mu, nu).transpose(0, 2, 1, 3)
+    full = blocked.reshape(*outer, tiles_m * mu, tiles_n * nu)
+    return full[..., :rows, :cols].copy()
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +115,7 @@ def pack_bias_full(bias: np.ndarray, rows: int, cols: int, mu: int, nu: int) -> 
     if bias.size < cols:
         raise ValueError(f"bias has {bias.size} entries, need at least {cols}")
     full = np.tile(bias[:cols], (rows, 1))
-    return pack_acc_tiles(full, mu, nu)
+    return pack_tiles(full, mu, nu)
 
 
 # ----------------------------------------------------------------------
@@ -188,92 +156,3 @@ def pack_conv_weights(weights: np.ndarray, ku: int, nu: int) -> np.ndarray:
         kernel_h, kernel_w, tiles_c, ku, tiles_n, nu
     ).transpose(0, 1, 2, 4, 3, 5)
     return tile_to_bytes(blocked)
-
-
-def unpack_conv_output(
-    data: np.ndarray,
-    out_height: int,
-    out_width: int,
-    out_channels: int,
-    mu: int,
-    nu: int,
-) -> np.ndarray:
-    """Recover ``O[y, x, k]`` (int32) from the blocked output layout.
-
-    The output is written as ``[y][x2][n2][m1][n1]`` tiles where ``m1``
-    indexes ``mu`` consecutive output columns ``x`` of row ``y``.
-    """
-    tiles_x = ceil_div(out_width, mu)
-    tiles_n = ceil_div(out_channels, nu)
-    payload = np.asarray(data, dtype=np.uint8).view(np.int32)
-    expected = out_height * tiles_x * tiles_n * mu * nu
-    if payload.size != expected:
-        raise ValueError(f"expected {expected} int32 values, got {payload.size}")
-    blocked = payload.reshape(out_height, tiles_x, tiles_n, mu, nu)
-    # -> [y][x2][m1][n2][n1] -> [y, x, k]
-    full = blocked.transpose(0, 1, 3, 2, 4).reshape(
-        out_height, tiles_x * mu, tiles_n * nu
-    )
-    return full[:, :out_width, :out_channels].copy()
-
-
-def unpack_conv_output_int8(
-    data: np.ndarray,
-    out_height: int,
-    out_width: int,
-    out_channels: int,
-    mu: int,
-    nu: int,
-) -> np.ndarray:
-    """Recover the quantized ``O[y, x, k]`` (int8) from the blocked layout."""
-    tiles_x = ceil_div(out_width, mu)
-    tiles_n = ceil_div(out_channels, nu)
-    payload = np.asarray(data, dtype=np.uint8).view(np.int8)
-    expected = out_height * tiles_x * tiles_n * mu * nu
-    if payload.size != expected:
-        raise ValueError(f"expected {expected} int8 values, got {payload.size}")
-    blocked = payload.reshape(out_height, tiles_x, tiles_n, mu, nu)
-    full = blocked.transpose(0, 1, 3, 2, 4).reshape(
-        out_height, tiles_x * mu, tiles_n * nu
-    )
-    return full[:, :out_width, :out_channels].copy()
-
-
-# ----------------------------------------------------------------------
-# Size helpers (used by the allocator and the pre-pass cost model).
-# ----------------------------------------------------------------------
-def gemm_a_bytes(m: int, k: int, mu: int, ku: int) -> int:
-    return ceil_div(m, mu) * mu * ceil_div(k, ku) * ku
-
-
-def gemm_b_bytes(k: int, n: int, ku: int, nu: int) -> int:
-    return ceil_div(k, ku) * ku * ceil_div(n, nu) * nu
-
-
-def acc_tile_bytes(m: int, n: int, mu: int, nu: int) -> int:
-    return ceil_div(m, mu) * mu * ceil_div(n, nu) * nu * 4
-
-
-def int8_tile_bytes(m: int, n: int, mu: int, nu: int) -> int:
-    return ceil_div(m, mu) * mu * ceil_div(n, nu) * nu
-
-
-def bias_rows_bytes(n: int, nu: int) -> int:
-    return ceil_div(n, nu) * nu * 4
-
-
-def conv_input_bytes(height: int, width: int, channels: int, ku: int) -> int:
-    return height * width * ceil_div(channels, ku) * ku
-
-
-def conv_weight_bytes(
-    kernel_h: int, kernel_w: int, channels: int, out_channels: int, ku: int, nu: int
-) -> int:
-    return (
-        kernel_h
-        * kernel_w
-        * ceil_div(channels, ku)
-        * ku
-        * ceil_div(out_channels, nu)
-        * nu
-    )

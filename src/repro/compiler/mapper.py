@@ -19,13 +19,19 @@
 
 The mapping implemented here is the output-stationary dataflow of Fig. 3:
 ``for m2 / for n2 / for k2`` with an ``Mu × Nu × Ku`` spatial tile, and the
-6-D implicit-im2col walk for convolutions.
+6-D implicit-im2col walk for convolutions.  It is *one* dataflow: a workload
+kind (``compile_gemm``, ``compile_conv``) generates its operands and states
+only the affine walk of its A and B streamers, its output loop nest, its
+oracle and the pre-pass a disabled feature costs it; steps 2, 3 and 5 — the
+whole bias / output side — are emitted once, by ``_lower``.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,43 +79,199 @@ def _quantization_for(expected: np.ndarray) -> QuantizationConfig:
 
 
 # ----------------------------------------------------------------------
-# Shared helpers.
+# The one lowering: everything a workload kind does not decide.
 # ----------------------------------------------------------------------
-def _acc_spatial_strides(system: AcceleratorSystemDesign, port: str) -> Tuple[int, ...]:
-    """Spatial strides giving channel ``ch`` the byte range ``[8ch, 8ch+8)``."""
-    design = system.streamer(port)
-    width = design.bank_width_bytes
+@dataclass(frozen=True)
+class _Walk:
+    """How one streamer is programmed: the affine walk and, for an operand,
+    the byte image it walks over (``None`` for the output port).
+
+    The ``temporal_bounds`` of the A and B walks are ``(*reduction, tiles_n,
+    *nest)``, innermost first: the reduction loops of one output tile, then
+    the output-tile loops every port of the kernel shares.
+    """
+
+    image: Optional[np.ndarray]
+    temporal_bounds: Tuple[int, ...]
+    temporal_strides: Tuple[int, ...]
+    spatial_strides: Tuple[int, ...]
+    extension_enables: Tuple[bool, ...] = ()
+    extension_params: Tuple[Tuple[str, object], ...] = ()
+    active_channels: Optional[int] = None
+
+
+def _dense_strides(unit: int, bounds: Sequence[int]) -> Tuple[int, ...]:
+    """Byte strides of the dense walk of ``unit``-byte items over ``bounds``."""
     strides: List[int] = []
-    running = width
-    for bound in design.spatial_bounds:
-        strides.append(running)
-        running *= bound
+    for bound in bounds:
+        strides.append(unit)
+        unit *= bound
     return tuple(strides)
 
 
-def _encode_all(
-    system: AcceleratorSystemDesign,
-    configs: Dict[str, StreamerRuntimeConfig],
-) -> Dict[str, List[Tuple[int, int]]]:
-    options = list(system.group_size_options())
-    return {
-        port: encode_runtime_config(system.streamer(port), runtime, options)
-        for port, runtime in configs.items()
-    }
+def _channel_strides(system: AcceleratorSystemDesign, port: str) -> Tuple[int, ...]:
+    """Spatial strides giving channel ``ch`` the byte range ``[8ch, 8ch+8)``."""
+    design = system.streamer(port)
+    return _dense_strides(design.bank_width_bytes, design.spatial_bounds)
 
 
-def _prepass_cycles(word_accesses: int, system: AcceleratorSystemDesign) -> int:
-    """Cycles of an explicit DMA pre-pass moving ``word_accesses`` words.
+def _dma_prepass(name: str, words: int, system: AcceleratorSystemDesign) -> PrePass:
+    """An explicit DMA pass reading and writing ``words`` scratchpad words.
 
     The DMA is modelled as sustaining ``dma_words_per_cycle`` word transfers
     per cycle, with read and write of the same word counted as one transfer
     (the DMA pipeline overlaps them).
     """
-    return ceil_div(word_accesses, 2 * system.dma_words_per_cycle)
+    cycles = ceil_div(2 * words, 2 * system.dma_words_per_cycle)
+    return PrePass(name=name, word_reads=words, word_writes=words, cycles=cycles)
+
+
+def _lower(
+    workload: Workload,
+    system: AcceleratorSystemDesign,
+    features: FeatureSet,
+    *,
+    a: _Walk,
+    b: _Walk,
+    bias: Optional[np.ndarray],
+    nest: Tuple[int, ...],
+    expected: np.ndarray,
+    prepasses: List[PrePass],
+    metadata: Dict[str, object],
+    region_order: Tuple[str, ...],
+) -> KernelProgram:
+    """Emit the output-stationary kernel of Fig. 3 around two operand walks.
+
+    ``nest`` holds the output-tile loops outside ``tiles_n``, innermost
+    first; ``expected`` is the int32 oracle, whose last axis is the output
+    channels.  C, D and E all walk ``(tiles_n, *nest)`` densely, one tile per
+    step — except the broadcast bias, which re-reads one row per tile column.
+    ``region_order`` breaks ties between equally sized operand regions.
+    """
+    mu, nu = system.gemm_mu, system.gemm_nu
+    word = system.memory.bank_width_bytes
+    cols = expected.shape[-1]
+    tiles_m, tiles_n = math.prod(nest), ceil_div(cols, nu)
+    output_bounds = (tiles_n, *nest)
+    tiles_k = math.prod(a.temporal_bounds[: -len(output_bounds)])
+    tile_acc = mu * nu * 4
+    out, tile_out = ("E", mu * nu) if workload.quantize else ("D", tile_acc)
+    use_broadcaster = bias is not None and features.broadcaster
+
+    # ------------------------------------------------------------------
+    # The bias walk, region sizes and placement.
+    # ------------------------------------------------------------------
+    operands = {"A": a, "B": b}
+    if use_broadcaster:
+        # One int32 row per tile column, re-read for every output tile.
+        operands["C"] = _Walk(
+            layout.pack_bias_rows(bias, nu),
+            output_bounds,
+            (nu * 4,) + (0,) * len(nest),
+            _channel_strides(system, "C"),
+            (True,),
+            (("broadcaster", (("factor", mu),)),),
+            active_channels=(nu * 4) // word,
+        )
+    elif bias is not None:
+        operands["C"] = _Walk(
+            layout.pack_bias_full(bias, tiles_m * mu, cols, mu, nu),
+            output_bounds,
+            _dense_strides(tile_acc, output_bounds),
+            _channel_strides(system, "C"),
+            (False,),
+        )
+    sizes = {
+        name: int(operands[name].image.size)
+        for name in region_order
+        if name in operands
+    }
+    sizes[out] = tiles_m * tiles_n * tile_out
+    # Allocate the largest regions first so multi-group operands always find
+    # a fresh run of bank groups; the sort is stable, so equal sizes keep
+    # ``region_order`` (the output region last).
+    allocator = MemoryAllocator(system.memory, features.addressing_mode_switching)
+    plan = allocator.plan(
+        {name: sizes[name] for name in sorted(sizes, key=sizes.get, reverse=True)}
+    )
+
+    # ------------------------------------------------------------------
+    # Streamer runtime configurations.
+    # ------------------------------------------------------------------
+    output = _Walk(
+        None,
+        output_bounds,
+        _dense_strides(tile_out, output_bounds),
+        _channel_strides(system, out),
+    )
+    configs = {
+        name: StreamerRuntimeConfig(
+            base_address=plan[name].base_address,
+            temporal_bounds=walk.temporal_bounds,
+            temporal_strides=walk.temporal_strides,
+            spatial_strides=walk.spatial_strides,
+            bank_group_size=plan[name].group_size,
+            active_channels=walk.active_channels,
+            extension_enables=walk.extension_enables,
+            extension_params=walk.extension_params,
+            label=f"{workload.name}.{name}",
+        )
+        for name, walk in {**operands, out: output}.items()
+    }
+    options = list(system.group_size_options())
+    csr_writes = {
+        name: encode_runtime_config(system.streamer(name), runtime, options)
+        for name, runtime in configs.items()
+    }
+
+    # ------------------------------------------------------------------
+    # Quantizer, oracle, read-back.
+    # ------------------------------------------------------------------
+    quant_config: Optional[QuantizationConfig] = None
+    if workload.quantize:
+        quant_config = _quantization_for(expected)
+        expected = rescale_tile(expected.reshape(-1, cols), quant_config).reshape(
+            expected.shape
+        )
+    readback = ReadbackSpec(
+        out,
+        plan[out].base_address,
+        sizes[out],
+        plan[out].group_size,
+        str(expected.dtype),
+        expected.shape,
+    )
+    return KernelProgram(
+        workload=workload,
+        features=features,
+        job=GemmJob(
+            tiles_m=tiles_m,
+            tiles_n=tiles_n,
+            tiles_k=tiles_k,
+            use_init_stream=bias is not None,
+        ),
+        streamer_configs=configs,
+        csr_writes=csr_writes,
+        tensor_loads=[
+            TensorLoad(name, plan[name].base_address, walk.image, plan[name].group_size)
+            for name, walk in operands.items()
+        ],
+        prepasses=prepasses,
+        quant_config=quant_config,
+        readbacks={out: readback},
+        expected_outputs={out: expected},
+        metadata={
+            **metadata,
+            "mu": mu,
+            "nu": nu,
+            "use_broadcaster": use_broadcaster,
+            "allocation": {name: plan[name].base_address for name in plan.regions},
+        },
+    )
 
 
 # ----------------------------------------------------------------------
-# GeMM / transposed-GeMM compilation.
+# GeMM / transposed-GeMM: two 3-D walks over blocked matrices.
 # ----------------------------------------------------------------------
 def compile_gemm(
     workload: GemmWorkload,
@@ -119,214 +281,70 @@ def compile_gemm(
 ) -> KernelProgram:
     """Lower a (transposed-)GeMM workload onto the evaluation system."""
     mu, nu, ku = system.gemm_mu, system.gemm_nu, system.gemm_ku
-    word = system.memory.bank_width_bytes
     tiles_m, tiles_n, tiles_k = workload.tile_counts(mu, nu, ku)
-    tile_a = mu * ku
-    tile_b = ku * nu
-    tile_acc = mu * nu * 4
-    tile_e = mu * nu
+    tile_a, tile_b = mu * ku, ku * nu
 
     rng = _workload_rng(workload, seed)
     a = _random_int8(rng, (workload.m, workload.k))
     b = _random_int8(rng, (workload.k, workload.n))
     bias = _random_bias(rng, workload.n) if workload.with_bias else None
-    expected_d = gemm_reference(a, b, bias)
 
+    # ``for m2 / for n2 / for k2``, innermost first.
+    bounds = (tiles_k, tiles_n, tiles_m)
     use_transposer = workload.transposed_a and features.transposer
-    transpose_prepass = workload.transposed_a and not features.transposer
-    use_broadcaster = workload.with_bias and features.broadcaster
-
-    # ------------------------------------------------------------------
-    # Operand byte images and sizes.
-    # ------------------------------------------------------------------
     if use_transposer:
-        a_image = layout.pack_gemm_a_transposed(a, mu, ku)
+        # Memory holds A^T; the Transposer turns each tile back on the fly.
+        a_walk = _Walk(
+            layout.pack_gemm_a_transposed(a, mu, ku),
+            bounds,
+            (tiles_m * tile_a, 0, tile_a),
+            (ku,),
+            (True,),
+            (("transposer", (("cols", mu), ("element_bytes", 1), ("rows", ku))),),
+        )
     else:
-        a_image = layout.pack_gemm_a(a, mu, ku)
-    b_image = layout.pack_gemm_b(b, ku, nu)
-    sizes: Dict[str, int] = {}
-    if workload.with_bias:
-        if use_broadcaster:
-            c_image = layout.pack_bias_rows(bias, nu)
-        else:
-            c_image = layout.pack_bias_full(
-                bias, tiles_m * mu, workload.n, mu, nu
-            )
-        sizes["C"] = int(c_image.size)
-    else:
-        c_image = None
-    sizes["A"] = int(a_image.size)
-    sizes["B"] = int(b_image.size)
-    if workload.quantize:
-        sizes["E"] = tiles_m * tiles_n * tile_e
-    else:
-        sizes["D"] = tiles_m * tiles_n * tile_acc
-
-    allocator = MemoryAllocator(system.memory, features.addressing_mode_switching)
-    # Allocate the largest regions first so multi-group operands always find
-    # a fresh run of bank groups.
-    plan = allocator.plan(
-        {name: sizes[name] for name in sorted(sizes, key=sizes.get, reverse=True)}
+        a_walk = _Walk(
+            layout.pack_gemm_a(a, mu, ku),
+            bounds,
+            (tile_a, 0, tiles_k * tile_a),
+            (ku,),
+            (False,),
+        )
+    b_walk = _Walk(
+        layout.pack_gemm_b(b, ku, nu), bounds, (tiles_n * tile_b, tile_b, 0), (nu,)
     )
-
-    # ------------------------------------------------------------------
-    # Streamer runtime configurations.
-    # ------------------------------------------------------------------
-    configs: Dict[str, StreamerRuntimeConfig] = {}
-
-    if use_transposer:
-        a_strides = (tiles_m * tile_a, 0, tile_a)
-    else:
-        a_strides = (tile_a, 0, tiles_k * tile_a)
-    a_ext_enables = (True,) if use_transposer else (False,)
-    a_ext_params = (
-        (
-            (
-                "transposer",
-                (("cols", mu), ("element_bytes", 1), ("rows", ku)),
-            ),
-        )
-        if use_transposer
-        else ()
-    )
-    configs["A"] = StreamerRuntimeConfig(
-        base_address=plan["A"].base_address,
-        temporal_bounds=(tiles_k, tiles_n, tiles_m),
-        temporal_strides=a_strides,
-        spatial_strides=(ku,),
-        bank_group_size=plan["A"].group_size,
-        extension_enables=a_ext_enables,
-        extension_params=a_ext_params,
-        label=f"{workload.name}.A",
-    )
-
-    configs["B"] = StreamerRuntimeConfig(
-        base_address=plan["B"].base_address,
-        temporal_bounds=(tiles_k, tiles_n, tiles_m),
-        temporal_strides=(tiles_n * tile_b, tile_b, 0),
-        spatial_strides=(nu,),
-        bank_group_size=plan["B"].group_size,
-        label=f"{workload.name}.B",
-    )
-
-    if workload.with_bias:
-        c_spatial = _acc_spatial_strides(system, "C")
-        if use_broadcaster:
-            c_bounds = (tiles_n, tiles_m)
-            c_strides = (nu * 4, 0)
-            active = (nu * 4) // word
-            c_ext_enables = (True,)
-            c_ext_params = (("broadcaster", (("factor", mu),)),)
-        else:
-            c_bounds = (tiles_n, tiles_m)
-            c_strides = (tile_acc, tiles_n * tile_acc)
-            active = None
-            c_ext_enables = (False,)
-            c_ext_params = ()
-        configs["C"] = StreamerRuntimeConfig(
-            base_address=plan["C"].base_address,
-            temporal_bounds=c_bounds,
-            temporal_strides=c_strides,
-            spatial_strides=c_spatial,
-            bank_group_size=plan["C"].group_size,
-            active_channels=active,
-            extension_enables=c_ext_enables,
-            extension_params=c_ext_params,
-            label=f"{workload.name}.C",
-        )
-
-    if workload.quantize:
-        configs["E"] = StreamerRuntimeConfig(
-            base_address=plan["E"].base_address,
-            temporal_bounds=(tiles_n, tiles_m),
-            temporal_strides=(tile_e, tiles_n * tile_e),
-            spatial_strides=(word,),
-            bank_group_size=plan["E"].group_size,
-            label=f"{workload.name}.E",
-        )
-    else:
-        configs["D"] = StreamerRuntimeConfig(
-            base_address=plan["D"].base_address,
-            temporal_bounds=(tiles_n, tiles_m),
-            temporal_strides=(tile_acc, tiles_n * tile_acc),
-            spatial_strides=_acc_spatial_strides(system, "D"),
-            bank_group_size=plan["D"].group_size,
-            label=f"{workload.name}.D",
-        )
-
-    # ------------------------------------------------------------------
-    # Tensor loads, pre-passes, readbacks, oracle.
-    # ------------------------------------------------------------------
-    loads = [
-        TensorLoad("A", plan["A"].base_address, a_image, plan["A"].group_size),
-        TensorLoad("B", plan["B"].base_address, b_image, plan["B"].group_size),
-    ]
-    if c_image is not None:
-        loads.append(
-            TensorLoad("C", plan["C"].base_address, c_image, plan["C"].group_size)
-        )
 
     prepasses: List[PrePass] = []
-    if transpose_prepass:
-        a_words = int(a_image.size) // word
-        prepasses.append(
-            PrePass(
-                name="software_transpose_A",
-                word_reads=a_words,
-                word_writes=a_words,
-                cycles=_prepass_cycles(2 * a_words, system),
-            )
-        )
+    if workload.transposed_a and not features.transposer:
+        a_words = int(a_walk.image.size) // system.memory.bank_width_bytes
+        prepasses.append(_dma_prepass("software_transpose_A", a_words, system))
 
-    expected_outputs: Dict[str, np.ndarray] = {}
-    readbacks: Dict[str, ReadbackSpec] = {}
-    quant_config: Optional[QuantizationConfig] = None
-    if workload.quantize:
-        quant_config = _quantization_for(expected_d)
-        expected_outputs["E"] = rescale_tile(expected_d, quant_config)
-        readbacks["E"] = ReadbackSpec(
-            "E", plan["E"].base_address, sizes["E"], plan["E"].group_size
-        )
-    else:
-        expected_outputs["D"] = expected_d
-        readbacks["D"] = ReadbackSpec(
-            "D", plan["D"].base_address, sizes["D"], plan["D"].group_size
-        )
-
-    job = GemmJob(
-        tiles_m=tiles_m,
-        tiles_n=tiles_n,
-        tiles_k=tiles_k,
-        use_init_stream=workload.with_bias,
-    )
-    metadata = {
-        "kind": "gemm",
-        "rows": workload.m,
-        "cols": workload.n,
-        "mu": mu,
-        "nu": nu,
-        "transposed_a": workload.transposed_a,
-        "use_transposer": use_transposer,
-        "use_broadcaster": use_broadcaster,
-        "allocation": {name: plan[name].base_address for name in plan.regions},
-    }
-    return KernelProgram(
-        workload=workload,
-        features=features,
-        job=job,
-        streamer_configs=configs,
-        csr_writes=_encode_all(system, configs),
-        tensor_loads=loads,
+    return _lower(
+        workload,
+        system,
+        features,
+        a=a_walk,
+        b=b_walk,
+        bias=bias,
+        nest=(tiles_m,),
+        expected=gemm_reference(a, b, bias),
         prepasses=prepasses,
-        quant_config=quant_config,
-        readbacks=readbacks,
-        expected_outputs=expected_outputs,
-        metadata=metadata,
+        metadata={
+            "kind": "gemm",
+            "rows": workload.m,
+            "cols": workload.n,
+            "transposed_a": workload.transposed_a,
+            "use_transposer": use_transposer,
+        },
+        # Equally sized regions are placed in this order, and addresses decide
+        # bank conflicts: the order is behaviour (it differs from conv's by
+        # historical accident) and changing it needs a ``__version__`` bump.
+        region_order=("C", "A", "B"),
     )
 
 
 # ----------------------------------------------------------------------
-# Convolution compilation (implicit im2col dataflow).
+# Convolution: two 6-D walks (implicit im2col dataflow).
 # ----------------------------------------------------------------------
 def compile_conv(
     workload: ConvWorkload,
@@ -336,17 +354,12 @@ def compile_conv(
 ) -> KernelProgram:
     """Lower a 2-D convolution onto the evaluation system."""
     mu, nu, ku = system.gemm_mu, system.gemm_nu, system.gemm_ku
-    word = system.memory.bank_width_bytes
     tile_b = ku * nu
-    tile_acc = mu * nu * 4
-    tile_e = mu * nu
-
+    stride = workload.stride
     out_h, out_w = workload.out_height, workload.out_width
     tiles_x = ceil_div(out_w, mu)
     tiles_n = ceil_div(workload.out_channels, nu)
     tiles_c = ceil_div(workload.in_channels, ku)
-    tiles_k = workload.kernel_h * workload.kernel_w * tiles_c
-    tiles_m = out_h * tiles_x
 
     rng = _workload_rng(workload, seed)
     feature_map = _random_int8(
@@ -362,68 +375,28 @@ def compile_conv(
         ),
     )
     bias = _random_bias(rng, workload.out_channels) if workload.with_bias else None
-    expected_o = conv2d_reference(
-        feature_map, weights, bias, stride=workload.stride, padding=workload.padding
-    )
 
-    use_broadcaster = workload.with_bias and features.broadcaster
-
-    # ------------------------------------------------------------------
     # Input feature map, spatially padded and widened to cover the padded
     # output tile grid (extra columns compute throw-away outputs).
-    # ------------------------------------------------------------------
     padded_h = workload.in_height + 2 * workload.padding
     logical_w = workload.in_width + 2 * workload.padding
-    needed_w = (tiles_x * mu - 1) * workload.stride + workload.kernel_w
-    stored_w = max(logical_w, needed_w)
-    staged = np.zeros((padded_h, stored_w, workload.in_channels), dtype=np.int8)
+    needed_w = (tiles_x * mu - 1) * stride + workload.kernel_w
+    staged = np.zeros(
+        (padded_h, max(logical_w, needed_w), workload.in_channels), dtype=np.int8
+    )
     staged[
         workload.padding : workload.padding + workload.in_height,
         workload.padding : workload.padding + workload.in_width,
         :,
     ] = feature_map
-    a_image, (in_h, in_w, in_c) = layout.pack_conv_input(staged, ku)
-    b_image = layout.pack_conv_weights(weights, ku, nu)
+    a_image, (in_h, in_w, _) = layout.pack_conv_input(staged, ku)
 
-    sizes: Dict[str, int] = {"A": int(a_image.size), "B": int(b_image.size)}
-    if workload.with_bias:
-        if use_broadcaster:
-            c_image = layout.pack_bias_rows(bias, nu)
-        else:
-            c_image = layout.pack_bias_full(
-                bias, tiles_m * mu, workload.out_channels, mu, nu
-            )
-        sizes["C"] = int(c_image.size)
-    else:
-        c_image = None
-    if workload.quantize:
-        sizes["E"] = tiles_m * tiles_n * tile_e
-    else:
-        sizes["D"] = tiles_m * tiles_n * tile_acc
-
-    allocator = MemoryAllocator(system.memory, features.addressing_mode_switching)
-    plan = allocator.plan(
-        {name: sizes[name] for name in sorted(sizes, key=sizes.get, reverse=True)}
-    )
-
-    # ------------------------------------------------------------------
-    # Streamer runtime configurations.
-    # ------------------------------------------------------------------
-    stride = workload.stride
-    configs: Dict[str, StreamerRuntimeConfig] = {}
-
-    # Input walk: (c2, fx, fy, n2, x2, y), innermost first.
-    configs["A"] = StreamerRuntimeConfig(
-        base_address=plan["A"].base_address,
-        temporal_bounds=(
-            tiles_c,
-            workload.kernel_w,
-            workload.kernel_h,
-            tiles_n,
-            tiles_x,
-            out_h,
-        ),
-        temporal_strides=(
+    # (c2, fx, fy, n2, x2, y), innermost first.
+    bounds = (tiles_c, workload.kernel_w, workload.kernel_h, tiles_n, tiles_x, out_h)
+    a_walk = _Walk(
+        a_image,
+        bounds,
+        (
             in_h * in_w * ku,
             ku,
             in_w * ku,
@@ -431,24 +404,14 @@ def compile_conv(
             mu * stride * ku,
             in_w * stride * ku,
         ),
-        spatial_strides=(stride * ku,),
-        bank_group_size=plan["A"].group_size,
-        extension_enables=(False,),
-        label=f"{workload.name}.A",
+        (stride * ku,),
+        (False,),
     )
-
     # Weight walk, matching the same reduction order.
-    configs["B"] = StreamerRuntimeConfig(
-        base_address=plan["B"].base_address,
-        temporal_bounds=(
-            tiles_c,
-            workload.kernel_w,
-            workload.kernel_h,
-            tiles_n,
-            tiles_x,
-            out_h,
-        ),
-        temporal_strides=(
+    b_walk = _Walk(
+        layout.pack_conv_weights(weights, ku, nu),
+        bounds,
+        (
             tiles_n * tile_b,
             tiles_c * tiles_n * tile_b,
             workload.kernel_w * tiles_c * tiles_n * tile_b,
@@ -456,133 +419,40 @@ def compile_conv(
             0,
             0,
         ),
-        spatial_strides=(nu,),
-        bank_group_size=plan["B"].group_size,
-        label=f"{workload.name}.B",
+        (nu,),
     )
-
-    if workload.with_bias:
-        c_spatial = _acc_spatial_strides(system, "C")
-        if use_broadcaster:
-            c_bounds = (tiles_n, tiles_x, out_h)
-            c_strides = (nu * 4, 0, 0)
-            active = (nu * 4) // word
-            c_ext_enables = (True,)
-            c_ext_params = (("broadcaster", (("factor", mu),)),)
-        else:
-            c_bounds = (tiles_n, tiles_x, out_h)
-            c_strides = (tile_acc, tiles_n * tile_acc, tiles_x * tiles_n * tile_acc)
-            active = None
-            c_ext_enables = (False,)
-            c_ext_params = ()
-        configs["C"] = StreamerRuntimeConfig(
-            base_address=plan["C"].base_address,
-            temporal_bounds=c_bounds,
-            temporal_strides=c_strides,
-            spatial_strides=c_spatial,
-            bank_group_size=plan["C"].group_size,
-            active_channels=active,
-            extension_enables=c_ext_enables,
-            extension_params=c_ext_params,
-            label=f"{workload.name}.C",
-        )
-
-    if workload.quantize:
-        configs["E"] = StreamerRuntimeConfig(
-            base_address=plan["E"].base_address,
-            temporal_bounds=(tiles_n, tiles_x, out_h),
-            temporal_strides=(tile_e, tiles_n * tile_e, tiles_x * tiles_n * tile_e),
-            spatial_strides=(word,),
-            bank_group_size=plan["E"].group_size,
-            label=f"{workload.name}.E",
-        )
-    else:
-        configs["D"] = StreamerRuntimeConfig(
-            base_address=plan["D"].base_address,
-            temporal_bounds=(tiles_n, tiles_x, out_h),
-            temporal_strides=(
-                tile_acc,
-                tiles_n * tile_acc,
-                tiles_x * tiles_n * tile_acc,
-            ),
-            spatial_strides=_acc_spatial_strides(system, "D"),
-            bank_group_size=plan["D"].group_size,
-            label=f"{workload.name}.D",
-        )
-
-    # ------------------------------------------------------------------
-    # Tensor loads, pre-passes, readbacks, oracle.
-    # ------------------------------------------------------------------
-    loads = [
-        TensorLoad("A", plan["A"].base_address, a_image, plan["A"].group_size),
-        TensorLoad("B", plan["B"].base_address, b_image, plan["B"].group_size),
-    ]
-    if c_image is not None:
-        loads.append(
-            TensorLoad("C", plan["C"].base_address, c_image, plan["C"].group_size)
-        )
 
     prepasses: List[PrePass] = []
     needs_explicit_im2col = not features.implicit_im2col and not (
-        workload.is_pointwise and workload.stride == 1
+        workload.is_pointwise and stride == 1
     )
     if needs_explicit_im2col:
-        im2col_words = (tiles_m * mu) * (tiles_k * ku) // word
-        prepasses.append(
-            PrePass(
-                name="software_im2col",
-                word_reads=im2col_words,
-                word_writes=im2col_words,
-                cycles=_prepass_cycles(2 * im2col_words, system),
-            )
-        )
+        tiles_m = out_h * tiles_x
+        tiles_k = workload.kernel_h * workload.kernel_w * tiles_c
+        im2col_words = (tiles_m * mu) * (tiles_k * ku) // system.memory.bank_width_bytes
+        prepasses.append(_dma_prepass("software_im2col", im2col_words, system))
 
-    expected_outputs: Dict[str, np.ndarray] = {}
-    readbacks: Dict[str, ReadbackSpec] = {}
-    quant_config: Optional[QuantizationConfig] = None
-    if workload.quantize:
-        quant_config = _quantization_for(expected_o)
-        expected_outputs["E"] = rescale_tile(
-            expected_o.reshape(-1, workload.out_channels), quant_config
-        ).reshape(expected_o.shape)
-        readbacks["E"] = ReadbackSpec(
-            "E", plan["E"].base_address, sizes["E"], plan["E"].group_size
-        )
-    else:
-        expected_outputs["D"] = expected_o
-        readbacks["D"] = ReadbackSpec(
-            "D", plan["D"].base_address, sizes["D"], plan["D"].group_size
-        )
-
-    job = GemmJob(
-        tiles_m=tiles_m,
-        tiles_n=tiles_n,
-        tiles_k=tiles_k,
-        use_init_stream=workload.with_bias,
-    )
-    metadata = {
-        "kind": "conv",
-        "out_height": out_h,
-        "out_width": out_w,
-        "out_channels": workload.out_channels,
-        "mu": mu,
-        "nu": nu,
-        "use_broadcaster": use_broadcaster,
-        "explicit_im2col": needs_explicit_im2col,
-        "allocation": {name: plan[name].base_address for name in plan.regions},
-    }
-    return KernelProgram(
-        workload=workload,
-        features=features,
-        job=job,
-        streamer_configs=configs,
-        csr_writes=_encode_all(system, configs),
-        tensor_loads=loads,
+    return _lower(
+        workload,
+        system,
+        features,
+        a=a_walk,
+        b=b_walk,
+        bias=bias,
+        nest=(tiles_x, out_h),
+        expected=conv2d_reference(
+            feature_map, weights, bias, stride=stride, padding=workload.padding
+        ),
         prepasses=prepasses,
-        quant_config=quant_config,
-        readbacks=readbacks,
-        expected_outputs=expected_outputs,
-        metadata=metadata,
+        metadata={
+            "kind": "conv",
+            "out_height": out_h,
+            "out_width": out_w,
+            "out_channels": workload.out_channels,
+            "explicit_im2col": needs_explicit_im2col,
+        },
+        # See compile_gemm: conv has always placed ties in operand order.
+        region_order=("A", "B", "C"),
     )
 
 
@@ -608,28 +478,13 @@ def extract_outputs(
     program: KernelProgram, memory: MemorySubsystem
 ) -> Dict[str, np.ndarray]:
     """Read back and unpack the program's outputs from the scratchpad."""
+    mu, nu = int(program.metadata["mu"]), int(program.metadata["nu"])
     outputs: Dict[str, np.ndarray] = {}
-    meta = program.metadata
     for name, readback in program.readbacks.items():
         raw = memory.scratchpad.backdoor_read(
             readback.base_address, readback.size_bytes, readback.group_size
         )
-        if meta.get("kind") == "gemm":
-            rows, cols = int(meta["rows"]), int(meta["cols"])
-            mu, nu = int(meta["mu"]), int(meta["nu"])
-            if name == "D":
-                outputs[name] = layout.unpack_acc_tiles(raw, rows, cols, mu, nu)
-            else:
-                outputs[name] = layout.unpack_int8_tiles(raw, rows, cols, mu, nu)
-        else:
-            out_h = int(meta["out_height"])
-            out_w = int(meta["out_width"])
-            out_c = int(meta["out_channels"])
-            mu, nu = int(meta["mu"]), int(meta["nu"])
-            if name == "D":
-                outputs[name] = layout.unpack_conv_output(raw, out_h, out_w, out_c, mu, nu)
-            else:
-                outputs[name] = layout.unpack_conv_output_int8(
-                    raw, out_h, out_w, out_c, mu, nu
-                )
+        outputs[name] = layout.unpack_tiles(
+            raw, readback.dtype, readback.shape, mu, nu
+        )
     return outputs

@@ -66,12 +66,16 @@ class PrePass:
 
 @dataclass(frozen=True)
 class ReadbackSpec:
-    """Where an output tensor lives in the scratchpad after the kernel."""
+    """Where an output tensor lives in the scratchpad after the kernel, and
+    the element type and logical shape its blocked image was laid out from
+    (all :func:`~repro.compiler.layout.unpack_tiles` needs to recover it)."""
 
     name: str
     base_address: int
     size_bytes: int
     group_size: int
+    dtype: str = "int32"
+    shape: Tuple[int, ...] = ()
 
 
 @dataclass

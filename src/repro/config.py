@@ -105,8 +105,9 @@ class RuntimeConfig:
         Default worker-process shard count for ``repro serve``; ``0`` keeps
         the single-process thread service (``$REPRO_SERVE_SHARDS``).
     bench_out:
-        Directory the ``BENCH_*.json`` reports are written to; ``None``
-        means the repository root (``$REPRO_BENCH_OUT``).
+        Directory the ``benchmarks/`` timing files write their
+        ``BENCH_*.json`` reports to (``$REPRO_BENCH_OUT``); unset: a
+        temporary directory, so a test run leaves the checkout clean.
     metrics_port:
         Default port for the serve telemetry endpoint; ``0`` keeps the
         exporter off unless ``--metrics-port`` asks for one

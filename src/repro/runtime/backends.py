@@ -121,32 +121,11 @@ class BaselineModelBackend(SimulationBackend):
         ideal = job.workload.ideal_compute_cycles(
             design.gemm_mu, design.gemm_nu, design.gemm_ku
         )
-        utilization = self.model.utilization(job.workload)
-        # The comparator models adopt the next-event protocol in its extreme
-        # form — a closed-form model's only event is completion — so the
-        # estimate is driven through the shared CycleRunner like every other
-        # cycle-level target.  The event engine finishes it in two real
-        # steps regardless of kernel size (lockstep would grind through
-        # every estimated cycle, so analytic jobs always schedule
-        # event-driven); the count it returns is what the outcome reports.
-        driver_cycles = None
-        if utilization > 0:
-            from ..sim.runner import CycleRunner
-
-            target = self.model.analytic_cycle_model(
-                job.workload,
-                design.gemm_mu,
-                design.gemm_nu,
-                design.gemm_ku,
-                utilization=utilization,
-            )
-            driver_cycles = CycleRunner(
-                max_cycles=max(job.max_cycles, target.total_cycles),
-                engine="event",
-            ).run(target)
         return SimOutcome.analytic(
-            job, utilization=utilization, ideal_compute_cycles=ideal,
-            model=self.model.name, driver_cycles=driver_cycles,
+            job,
+            utilization=self.model.utilization(job.workload),
+            ideal_compute_cycles=ideal,
+            model=self.model.name,
         )
 
     def describe(self) -> Dict[str, object]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .backends import DEFAULT_PROGRESS_INTERVAL, get_backend
-from .cache import ResultCache
+from .cache import ResultCache, write_back
 from .job import SimJob
 from .outcome import SimOutcome
 
@@ -142,8 +142,7 @@ class BatchRunner:
             fresh = self._execute([jobs[i] for i in pending])
             for index, outcome in zip(pending, fresh):
                 outcomes[index] = outcome
-                if self.cache is not None:
-                    self.cache.put(keys[index], outcome)
+                write_back(self.cache, keys[index], outcome)
             if self.service is not None:
                 # Outcomes the shared service pulled from its own cache were
                 # not simulated for this batch — keep `executed` honest.

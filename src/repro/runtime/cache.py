@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -252,3 +253,22 @@ class PruneReport:
     remaining: int
     bytes_freed: int
     bytes_remaining: int
+
+
+def write_back(cache: Optional[ResultCache], key: str, outcome: SimOutcome) -> None:
+    """Best-effort ``cache.put`` after a simulation, for every executor.
+
+    The outcome exists and must reach its caller whatever the disk says
+    (full, read-only, gone): a failing write is demoted to a
+    ``RuntimeWarning`` naming the key, and the job simply stays uncached.
+    """
+    if cache is None:
+        return
+    try:
+        cache.put(key, outcome)
+    except Exception as error:  # noqa: BLE001 — best-effort cache
+        warnings.warn(
+            f"result-cache write-back failed for {key[:12]}: {error}",
+            RuntimeWarning,
+            stacklevel=3,
+        )

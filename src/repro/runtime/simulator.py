@@ -26,7 +26,7 @@ from ..system.design import AcceleratorSystemDesign
 from ..workloads.spec import Workload
 from .backends import get_backend
 from .batch import BatchRunner, BatchStats
-from .cache import ResultCache
+from .cache import ResultCache, write_back
 from .job import DATAMAESTRO_BACKEND, SimJob
 from .outcome import SimOutcome
 
@@ -94,8 +94,7 @@ class Simulator:
         else:
             outcome = get_backend(job.backend).execute(job)
             self.stats.executed += 1
-        if self.cache is not None:
-            self.cache.put(job.job_hash(), outcome)
+        write_back(self.cache, job.job_hash(), outcome)
         return outcome
 
     def simulate_many(

@@ -18,7 +18,7 @@ that prefer waiting to failing use the service's ``submit_wait()`` path
 retries the push when capacity frees up.
 
 The queue is a plain single-threaded data structure; the service only
-touches it from the event-loop thread.
+touches it while holding its one lock.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-import warnings
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from ..obs.exposition import worker_families
 from ..obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from ..obs.trace import get_tracer
 from ..runtime.batch import execute_job_with_progress
-from ..runtime.cache import ResultCache
+from ..runtime.cache import ResultCache, write_back
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
 from .core import AdmissionCore, Entry, ServiceClosedError, Stats, Ticket
@@ -391,13 +390,7 @@ class SimulationService:
             if tracer is not None:
                 tracer.begin("write_back", entry.key, cat="job")
             try:
-                self.cache.put(entry.key, outcome)
-            except Exception as error:  # noqa: BLE001 — best-effort cache
-                warnings.warn(
-                    f"result-cache write-back failed for {entry.key[:12]}: {error}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                write_back(self.cache, entry.key, outcome)
             finally:
                 if tracer is not None:
                     tracer.maybe_end("write_back", entry.key, cat="job")

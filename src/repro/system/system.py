@@ -392,9 +392,6 @@ class AcceleratorSystem:
             )
         return "; ".join(parts)
 
-    #: Backwards-compatible alias (pre-engine name).
-    _deadlock_report = deadlock_report
-
     def verify_outputs(self, result: SimulationResult) -> bool:
         """Compare the simulated outputs against the program's numpy oracle."""
         if self._program is None:

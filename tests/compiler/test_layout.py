@@ -45,29 +45,33 @@ class TestGemmLayouts:
         assert packed.size == 8 * 16
         assert packed.view(np.int8).sum() == 45
 
-    def test_acc_tiles_roundtrip(self):
-        rng = np.random.default_rng(0)
-        c = rng.integers(-(2**30), 2**30, size=(13, 21)).astype(np.int32)
-        packed = L.pack_acc_tiles(c, 8, 8)
-        back = L.unpack_acc_tiles(packed, 13, 21, 8, 8)
-        assert np.array_equal(back, c)
-
-    def test_int8_tiles_roundtrip(self):
-        rng = np.random.default_rng(1)
-        x = random_int8(rng, (11, 17))
-        packed = L.pack_int8_tiles(x, 8, 8)
-        back = L.unpack_int8_tiles(packed, 11, 17, 8, 8)
+    @pytest.mark.parametrize(
+        "dtype, shape, seed",
+        [("int32", (13, 21), 0), ("int8", (11, 17), 1)],
+        ids=["int32", "int8"],
+    )
+    def test_tiles_roundtrip(self, dtype, shape, seed):
+        """Accumulator (int32) and quantized (int8) outputs share one layout."""
+        rng = np.random.default_rng(seed)
+        info = np.iinfo(dtype)
+        x = rng.integers(info.min // 2, info.max // 2, size=shape).astype(dtype)
+        packed = L.pack_tiles(x, 8, 8)
+        assert packed.size == 16 * 24 * x.itemsize
+        back = L.unpack_tiles(packed, dtype, shape, 8, 8)
+        assert back.dtype == x.dtype
         assert np.array_equal(back, x)
 
     def test_unpack_size_mismatch_raises(self):
         with pytest.raises(ValueError):
-            L.unpack_acc_tiles(np.zeros(100, dtype=np.uint8), 8, 8, 8, 8)
+            L.unpack_tiles(np.zeros(100, dtype=np.uint8), "int32", (8, 8), 8, 8)
 
     def test_non_2d_inputs_rejected(self):
         with pytest.raises(ValueError):
             L.pack_gemm_a(np.zeros((2, 2, 2), dtype=np.int8), 8, 8)
         with pytest.raises(ValueError):
             L.pack_gemm_b(np.zeros(4, dtype=np.int8), 8, 8)
+        with pytest.raises(ValueError):
+            L.pack_tiles(np.zeros((2, 2, 2), dtype=np.int32), 8, 8)
 
     @given(
         rows=st.integers(min_value=1, max_value=40),
@@ -78,7 +82,7 @@ class TestGemmLayouts:
     def test_acc_roundtrip_property(self, rows, cols, seed):
         rng = np.random.default_rng(seed)
         c = rng.integers(-1000, 1000, size=(rows, cols)).astype(np.int32)
-        back = L.unpack_acc_tiles(L.pack_acc_tiles(c, 8, 8), rows, cols, 8, 8)
+        back = L.unpack_tiles(L.pack_tiles(c, 8, 8), "int32", (rows, cols), 8, 8)
         assert np.array_equal(back, c)
 
 
@@ -106,7 +110,7 @@ class TestBiasLayouts:
         bias = np.arange(16, dtype=np.int32)
         full = np.tile(bias, (16, 1))
         assert np.array_equal(
-            L.pack_bias_full(bias, 16, 16, 8, 8), L.pack_acc_tiles(full, 8, 8)
+            L.pack_bias_full(bias, 16, 16, 8, 8), L.pack_tiles(full, 8, 8)
         )
 
     def test_bias_too_short_raises(self):
@@ -144,19 +148,36 @@ class TestConvLayouts:
         second = packed[64:128].view(np.int8).reshape(8, 8)
         assert np.array_equal(second, weights[0, 1])
 
-    def test_conv_output_roundtrip(self):
+    @staticmethod
+    def conv_roundtrip(dtype, out_w):
+        """A conv output is the matrix layout with ``out_h · tiles_x`` row
+        tiles: un-block, fold the rows back into ``[y][x]``, crop ``x``."""
         rng = np.random.default_rng(2)
-        out_h, out_w, out_c = 5, 11, 19
+        out_h, out_c = 5, 19
         tiles_x = -(-out_w // 8)
         tiles_n = -(-out_c // 8)
-        output = rng.integers(-1000, 1000, size=(out_h, out_w, out_c)).astype(np.int32)
-        # Build the blocked byte image the D streamer would have written.
-        padded = np.zeros((out_h, tiles_x * 8, tiles_n * 8), dtype=np.int32)
+        output = rng.integers(-100, 100, size=(out_h, out_w, out_c)).astype(dtype)
+        # Build the blocked byte image the D / E streamer would have written.
+        padded = np.zeros((out_h, tiles_x * 8, tiles_n * 8), dtype=dtype)
         padded[:, :out_w, :out_c] = output
         blocked = padded.reshape(out_h, tiles_x, 8, tiles_n, 8).transpose(0, 1, 3, 2, 4)
         raw = blocked.copy().view(np.uint8).reshape(-1)
-        back = L.unpack_conv_output(raw, out_h, out_w, out_c, 8, 8)
+        back = L.unpack_tiles(raw, dtype, (out_h, out_w, out_c), 8, 8)
+        assert back.dtype == output.dtype
         assert np.array_equal(back, output)
+        # The same bytes through the plain matrix un-blocking plus reshape/crop.
+        rows = L.unpack_tiles(raw, dtype, (out_h * tiles_x * 8, out_c), 8, 8)
+        folded = rows.reshape(out_h, tiles_x * 8, out_c)[:, :out_w]
+        assert np.array_equal(folded, output)
+
+    def test_conv_output_roundtrip(self):
+        self.conv_roundtrip("int32", out_w=11)
+
+    @pytest.mark.parametrize(
+        "dtype, out_w", [("int8", 11), ("int8", 16), ("int32", 16), ("int32", 3)]
+    )
+    def test_conv_output_roundtrip_other_types_and_widths(self, dtype, out_w):
+        self.conv_roundtrip(dtype, out_w)
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -164,24 +185,5 @@ class TestConvLayouts:
         with pytest.raises(ValueError):
             L.pack_conv_weights(np.zeros((3, 3, 8), dtype=np.int8), 8, 8)
         with pytest.raises(ValueError):
-            L.unpack_conv_output(np.zeros(10, dtype=np.uint8), 2, 2, 2, 8, 8)
+            L.unpack_tiles(np.zeros(16, dtype=np.uint8), "int32", (2, 2, 2), 8, 8)
 
-
-class TestSizeHelpers:
-    def test_gemm_sizes(self):
-        assert L.gemm_a_bytes(13, 17, 8, 8) == 16 * 24
-        assert L.gemm_b_bytes(17, 9, 8, 8) == 24 * 16
-        assert L.acc_tile_bytes(8, 8, 8, 8) == 256
-        assert L.int8_tile_bytes(8, 8, 8, 8) == 64
-        assert L.bias_rows_bytes(9, 8) == 64
-
-    def test_conv_sizes(self):
-        assert L.conv_input_bytes(4, 4, 3, 8) == 4 * 4 * 8
-        assert L.conv_weight_bytes(3, 3, 5, 9, 8, 8) == 9 * 8 * 16
-
-    def test_sizes_match_packed_arrays(self):
-        rng = np.random.default_rng(3)
-        a = random_int8(rng, (13, 17))
-        assert L.pack_gemm_a(a, 8, 8).size == L.gemm_a_bytes(13, 17, 8, 8)
-        w = random_int8(rng, (3, 3, 5, 9))
-        assert L.pack_conv_weights(w, 8, 8).size == L.conv_weight_bytes(3, 3, 5, 9, 8, 8)

@@ -3,7 +3,7 @@ plumbing around the ``engine`` job field."""
 
 import pytest
 
-from repro.baselines import AnalyticCycleModel, create_baseline
+from repro.baselines import create_baseline
 from repro.engine import (
     DEFAULT_ENGINE,
     EVENT_ENGINE,
@@ -91,7 +91,6 @@ class TestRegistry:
     def test_protocol_detection(self):
         assert not supports_event_protocol(PlainTarget(3))
         assert supports_event_protocol(BurstyTarget(1, 1))
-        assert supports_event_protocol(AnalyticCycleModel("m", 10))
 
 
 class TestEventScheduling:
@@ -187,42 +186,18 @@ class TestCycleRunnerIntegration:
         assert run_to_completion(target, engine="event") == 1
 
 
-class TestAnalyticBaselineModels:
-    def test_event_engine_completes_in_two_steps(self):
-        model = AnalyticCycleModel("gemmini:test", total_cycles=123_456)
-        cycles = CycleRunner().run(model)
-        assert cycles == 123_456
-        assert model.skipped_cycles == 123_456 - 2
-
-    def test_lockstep_agrees(self):
-        event = AnalyticCycleModel("m", 500)
-        lockstep = AnalyticCycleModel("m", 500)
-        assert CycleRunner(engine="event").run(event) == 500
-        assert CycleRunner(engine="lockstep").run(lockstep) == 500
-        assert lockstep.skipped_cycles == 0
-
-    def test_baseline_model_adapter(self):
-        model = create_baseline("gemmini-ws")
-        workload = GemmWorkload(name="baseline_adapter", m=64, n=64, k=64)
-        target = model.analytic_cycle_model(workload)
-        expected = target.total_cycles
-        assert CycleRunner().run(target) == expected
-        # Consistent with the model's utilization estimate.
-        ideal = workload.ideal_compute_cycles(8, 8, 8)
-        assert expected == max(1, round(ideal / model.utilization(workload)))
-
-    def test_invalid_total_rejected(self):
-        with pytest.raises(ValueError):
-            AnalyticCycleModel("m", 0)
-
-    def test_baseline_backend_drives_the_adapter(self):
-        """``baseline:<slug>`` outcomes are produced through the runner."""
-        job = SimJob(
-            workload=GemmWorkload(name="baseline_backend", m=64, n=64, k=64),
-            backend="baseline:gemmini-ws",
+class TestAnalyticBaselineBackend:
+    def test_kernel_cycles_are_the_closed_form_estimate(self):
+        """``baseline:<slug>`` outcomes are ``ideal / utilization``, no driver."""
+        workload = GemmWorkload(name="baseline_backend", m=64, n=64, k=64)
+        outcome = Simulator().simulate(
+            SimJob(workload=workload, backend="baseline:gemmini-ws")
         )
-        outcome = Simulator().simulate(job)
-        assert outcome.metrics["driver_cycles"] == outcome.kernel_cycles > 0
+        ideal = workload.ideal_compute_cycles(8, 8, 8)
+        utilization = create_baseline("gemmini-ws").utilization(workload)
+        assert outcome.utilization == utilization
+        assert outcome.kernel_cycles == round(ideal / utilization) > 0
+        assert "driver_cycles" not in outcome.metrics
 
 
 class TestMemoryNextEvent:

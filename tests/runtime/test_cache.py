@@ -1,8 +1,13 @@
 """Tests for the on-disk content-addressed result cache."""
 
+import errno
 import pickle
+import warnings
+
+import pytest
 
 from repro.runtime import ResultCache, SimJob, Simulator
+from repro.serve import ServiceClient
 from repro.system import datamaestro_evaluation_system
 from repro.workloads import GemmWorkload
 
@@ -258,3 +263,56 @@ class TestConcurrentWriters:
         shutil.rmtree(cache.directory)  # external rm -rf mid-flight
         cache.put(job.job_hash(), outcome)  # recreated + retried, not raised
         assert cache.get(job.job_hash()) is not None
+
+
+class FullDiskCache(ResultCache):
+    """Reads work, every write fails the way a full disk does."""
+
+    def put(self, key, outcome):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _simulate_each(cache, jobs):
+    simulator = Simulator(cache=cache)
+    return [simulator.simulate(job) for job in jobs], simulator.stats.executed
+
+
+def _simulate_many(cache, jobs):
+    simulator = Simulator(cache=cache)
+    return simulator.simulate_many(jobs, max_workers=0), simulator.stats.executed
+
+
+def _service_run(cache, jobs):
+    with ServiceClient(cache=cache) as client:
+        outcomes = client.run(jobs)
+        return outcomes, client.stats_dict()["executed"]
+
+
+class TestFullDisk:
+    """ENOSPC on write-back costs the cache entry, never the simulation."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [_simulate_each, _simulate_many, _service_run],
+        ids=["Simulator.simulate", "Simulator.simulate_many", "ServiceClient.run"],
+    )
+    def test_finished_simulations_survive_a_full_disk(self, run, tmp_path):
+        unique = [
+            SimJob(workload=GemmWorkload(name=f"enospc_{i}", m=8, n=8, k=8 + 8 * i))
+            for i in range(3)
+        ]
+        jobs = unique + [unique[0]]  # one duplicate: simulated again or deduplicated
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcomes, executed = run(FullDiskCache(tmp_path), jobs)
+
+        assert [o.job_hash for o in outcomes] == [job.job_hash() for job in jobs]
+        assert all(o.functional_match for o in outcomes)
+        messages = [
+            str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)
+        ]
+        # One warning per failed write, naming the key it failed for.
+        assert len(messages) == executed >= len(unique)
+        for job in unique:
+            assert any(job.job_hash()[:12] in message for message in messages)
+        assert all("No space left on device" in message for message in messages)
