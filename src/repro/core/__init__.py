@@ -8,7 +8,7 @@ from .agu import (
     reference_address_sequence,
     reference_temporal_addresses,
 )
-from .channel import ChannelAddress, StreamChannel
+from .channel import StreamChannel
 from .csr import (
     CsrAddressMap,
     decode_runtime_config,
@@ -44,7 +44,6 @@ __all__ = [
     "TemporalAddressGenerator",
     "reference_address_sequence",
     "reference_temporal_addresses",
-    "ChannelAddress",
     "StreamChannel",
     "CsrAddressMap",
     "encode_runtime_config",

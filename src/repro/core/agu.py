@@ -70,19 +70,11 @@ class TemporalAddressGenerator:
         # Bound counters (loop indices) and stride counters (address offsets).
         self._indices: List[int] = [0] * dims
         self._offsets: List[int] = [0] * dims
-        self._steps_generated = 0
-        self._exhausted = False
+        self.steps_generated = 0
+        #: True once every temporal iteration has been produced.
+        self.exhausted = False
 
     # ------------------------------------------------------------------
-    @property
-    def exhausted(self) -> bool:
-        """True once every temporal iteration has been produced."""
-        return self._exhausted
-
-    @property
-    def steps_generated(self) -> int:
-        return self._steps_generated
-
     def current_indices(self) -> Tuple[int, ...]:
         return tuple(self._indices)
 
@@ -92,9 +84,9 @@ class TemporalAddressGenerator:
 
     def advance(self) -> None:
         """Move to the next temporal iteration (ripple-carry over dims)."""
-        if self._exhausted:
+        if self.exhausted:
             raise RuntimeError("advance() called on an exhausted temporal AGU")
-        self._steps_generated += 1
+        self.steps_generated += 1
         for dim in range(len(self.bounds)):
             self._indices[dim] += 1
             self._offsets[dim] += self.strides[dim]
@@ -103,7 +95,7 @@ class TemporalAddressGenerator:
             # Overflow: clear this dimension and carry into the next one.
             self._indices[dim] = 0
             self._offsets[dim] = 0
-        self._exhausted = True
+        self.exhausted = True
 
 
     # ------------------------------------------------------------------
@@ -143,17 +135,17 @@ class TemporalAddressGenerator:
             raise ValueError("cannot fast-forward a negative number of steps")
         if steps == 0:
             return
-        target = self._steps_generated + steps
-        if self._exhausted or target > self.total_iterations:
+        target = self.steps_generated + steps
+        if self.exhausted or target > self.total_iterations:
             raise RuntimeError(
                 f"fast_forward({steps}) overruns the temporal loop nest "
-                f"({self._steps_generated}/{self.total_iterations})"
+                f"({self.steps_generated}/{self.total_iterations})"
             )
-        self._steps_generated = target
+        self.steps_generated = target
         if target == self.total_iterations:
             self._indices = [0] * len(self.bounds)
             self._offsets = [0] * len(self.bounds)
-            self._exhausted = True
+            self.exhausted = True
             return
         remainder = target
         for dim, bound in enumerate(self.bounds):

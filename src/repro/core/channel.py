@@ -11,6 +11,11 @@ each the width of one memory bank word.  Every channel owns:
   *Outstanding Request Manager* (reserves data-FIFO slots for in-flight
   requests so a response never finds its FIFO full).
 
+A memory word is one :class:`~repro.memory.subsystem.MemoryRequest` for its
+whole life: the AGU queues it in the address FIFO, the issue phase moves the
+same object to the memory port, and the granted request comes back as its
+own response.
+
 This fine-grained, per-channel request issue is what the paper calls
 fine-grained prefetch: each channel runs ahead independently, so a bank
 conflict on one channel does not stall the others, and the data FIFOs absorb
@@ -19,28 +24,24 @@ the resulting jitter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..memory.addressing import BankLocation
-from ..memory.subsystem import MemoryPort, MemoryRequest, MemorySubsystem
+from ..memory.subsystem import MemoryPort, MemoryRequest
 from ..sim.fifo import Fifo
 from .params import StreamerDesign, StreamerMode
 
 
-@dataclass(slots=True)
-class ChannelAddress:
-    """One decoded address queued for a channel."""
-
-    logical: int
-    location: BankLocation
-    step: int
-
-
 class StreamChannel:
-    """One memory-interaction channel of a DataMaestro."""
+    """One memory-interaction channel of a DataMaestro: its state and rules.
+
+    The per-cycle phases run as one flat loop per streamer
+    (:meth:`DataMaestro.collect_responses`, ``generate_addresses``,
+    ``issue_requests``); the channel holds what they move — the two FIFOs,
+    the in-flight count and the counters — and states the credit rule once
+    (:meth:`can_issue`).
+    """
 
     def __init__(self, streamer_name: str, index: int, design: StreamerDesign) -> None:
         self.streamer_name = streamer_name
@@ -48,7 +49,8 @@ class StreamChannel:
         self.design = design
         self.requester_id = f"{streamer_name}.ch{index}"
         self.is_read = design.mode is StreamerMode.READ
-        self.address_fifo: Fifo[ChannelAddress] = Fifo(
+        #: The words the AGU has addressed, as the requests they will become.
+        self.address_fifo: Fifo[MemoryRequest] = Fifo(
             design.address_buffer_depth, name=f"{self.requester_id}.addr"
         )
         self.data_fifo: Fifo[np.ndarray] = Fifo(
@@ -58,143 +60,63 @@ class StreamChannel:
         self.requests_issued = 0
         self.responses_received = 0
         self.credit_stall_cycles = 0
-        self._memory: Optional[MemorySubsystem] = None
-        self._port: Optional[MemoryPort] = None
+        #: This channel's port in the memory its streamer last stepped
+        #: against (:meth:`DataMaestro.bind`), resolved once per kernel.
+        self.port: Optional[MemoryPort] = None
 
     # ------------------------------------------------------------------
-    def bind(self, memory: MemorySubsystem) -> MemoryPort:
-        """This channel's port in ``memory``, resolved once per kernel."""
-        if self._memory is not memory:
-            self._memory = memory
-            self._port = memory.bind(self.requester_id)
-        return self._port
-
     @property
     def busy(self) -> bool:
         """True while the channel still holds work in any stage."""
-        return (
-            not self.address_fifo.is_empty
-            or not self.data_fifo.is_empty
-            or self.outstanding > 0
+        return bool(
+            self.address_fifo.entries or self.data_fifo.entries or self.outstanding
         )
 
     def reset(self) -> None:
-        """Clear FIFOs and in-flight bookkeeping between kernels."""
-        self.address_fifo.clear()
-        self.data_fifo.clear()
+        """Empty the channel and zero its counters for a new kernel launch.
+
+        ``requests_granted`` / ``bank_conflict_retries`` are not here: they
+        are counted by the memory port and follow
+        :meth:`MemorySubsystem.reset_statistics`.
+        """
+        self.address_fifo.reset()
+        self.data_fifo.reset()
         self.outstanding = 0
-        self._memory = None
+        self.requests_issued = 0
+        self.responses_received = 0
+        self.credit_stall_cycles = 0
+        self.port = None
 
     # ------------------------------------------------------------------
-    # Outstanding Request Manager: credit computation.
+    # Outstanding Request Manager: the credit rule.
     # ------------------------------------------------------------------
     @property
-    def read_credits(self) -> int:
-        """Data-FIFO slots not yet reserved by in-flight read requests."""
-        return self.data_fifo.free_slots - self.outstanding
+    def credit_stalled(self) -> bool:
+        """A read channel holding an address but no free data-FIFO slot.
 
-    def can_issue_read(self) -> bool:
-        return not self.address_fifo.is_empty and self.read_credits > 0
-
-    def can_issue_write(self) -> bool:
-        return not self.address_fifo.is_empty and not self.data_fifo.is_empty
+        Every in-flight read owns a slot, so a response never finds its FIFO
+        full; a channel in this state counts one ``credit_stall_cycles`` per
+        cycle.
+        """
+        fifo = self.data_fifo
+        return bool(
+            self.is_read
+            and self.address_fifo.entries
+            and fifo.depth - len(fifo.entries) <= self.outstanding
+        )
 
     def can_issue(self) -> bool:
-        """Whether the MIC could issue a request this cycle (mode-aware)."""
-        return self.can_issue_read() if self.is_read else self.can_issue_write()
+        """Whether the MIC could issue a request this cycle (mode-aware).
 
-    # ------------------------------------------------------------------
-    # Next-event protocol (see repro.engine).
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """``now`` when the MIC can issue a request, else ``None``.
-
-        A channel has no timed events of its own: when it cannot issue it is
-        waiting on an external input (a credit freed by a memory response, an
-        address from the AGU, or data from the accelerator), each of which is
-        reported by the component that produces it.
+        When it cannot, the channel is waiting on an external input (a credit
+        freed by a memory response, an address from the AGU, or data from the
+        accelerator), each reported by the component that produces it.
         """
-        return now if self.can_issue() else None
-
-    def advance(self, cycles: int) -> None:
-        """Bulk-apply ``cycles`` skipped cycles to the stall counters.
-
-        Mirrors what :meth:`issue` would have recorded had it been called
-        once per cycle across an inactive span: a read channel holding
-        addresses but no Outstanding-Request-Manager credits counts a credit
-        stall every cycle.
-        """
-        if self.is_read and not self.address_fifo.is_empty and self.read_credits <= 0:
-            self.credit_stall_cycles += cycles
-
-    # ------------------------------------------------------------------
-    # Request Side Controller: per-cycle issue.
-    # ------------------------------------------------------------------
-    def issue(self, memory: MemorySubsystem) -> bool:
-        """Issue at most one memory request this cycle; return True if issued."""
         if not self.address_fifo.entries:
             return False
-        data_fifo = self.data_fifo
-        data = None
         if self.is_read:
-            # Outstanding Request Manager: every in-flight read owns a slot.
-            if data_fifo.depth - len(data_fifo.entries) <= self.outstanding:
-                self.credit_stall_cycles += 1
-                return False
-        elif not data_fifo.entries:
-            return False
-        else:
-            data = data_fifo.pop()
-        entry = self.address_fifo.pop()
-        location = entry.location
-        memory.submit(
-            MemoryRequest(
-                self.requester_id,
-                not self.is_read,
-                location.bank,
-                location.line,
-                data,
-                None,
-                entry.step,
-                0,
-                self.bind(memory),
-            )
-        )
-        self.outstanding += 1
-        self.requests_issued += 1
-        return True
-
-    def collect(self, memory: MemorySubsystem) -> int:
-        """Drain matured responses; return the number collected."""
-        responses = memory.collect(self.bind(memory))
-        for response in responses:
-            if not response.is_write:
-                # The ORM reserved a slot when the request was issued, so a
-                # full FIFO here would indicate a protocol bug.
-                self.data_fifo.push(response.data)
-        self.outstanding -= len(responses)
-        self.responses_received += len(responses)
-        return len(responses)
-
-    # ------------------------------------------------------------------
-    # Streamer-facing data movement.
-    # ------------------------------------------------------------------
-    def push_address(self, address: ChannelAddress) -> None:
-        self.address_fifo.push(address)
-
-    def output_word_available(self) -> bool:
-        """Read mode: data ready for the accelerator."""
-        return not self.data_fifo.is_empty
-
-    def pop_output_word(self) -> np.ndarray:
-        return self.data_fifo.pop()
-
-    def input_space_available(self) -> bool:
-        """Write mode: room for one more word from the accelerator."""
-        return not self.data_fifo.is_full
-
-    def push_input_word(self, data: np.ndarray) -> None:
-        self.data_fifo.push(np.asarray(data, dtype=np.uint8))
+            return not self.credit_stalled
+        return bool(self.data_fifo.entries)
 
     def statistics(self) -> dict:
         return {

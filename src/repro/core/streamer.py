@@ -20,6 +20,17 @@ phase order (see :class:`repro.system.system.AcceleratorSystem`):
 4. :meth:`issue_requests` — every channel's MIC issues at most one memory
    request, subject to its Outstanding-Request-Manager credits.
 
+Each phase is one flat loop over the active channels, and a memory word is
+one :class:`~repro.memory.subsystem.MemoryRequest` for its whole life: the
+AGU queues it, the issue phase hands the same object to the memory, and the
+grant returns it as its own response.
+
+A streamer whose cycle moved nothing repeats that cycle until a response is
+delivered to one of its ports, the accelerator pops a word or pushes one.
+The system **parks** it meanwhile (``parked`` / ``parked_cycles``): no phase
+is entered, and :meth:`wake` charges the cycles it sat out through
+:meth:`advance` before the waking event changes a FIFO (``docs/ENGINE.md``).
+
 Disabling ``fine_grained_prefetch`` reproduces the ablation baseline: the AGU
 only produces the next bundle once the previous word has been fully consumed
 and every channel is idle, so memory latency and bank conflicts hit the
@@ -28,15 +39,16 @@ accelerator directly instead of being hidden by the FIFOs.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..memory.addressing import BankGeometry, BankLocation
-from ..memory.subsystem import MemorySubsystem
+from ..memory.addressing import BankGeometry
+from ..memory.subsystem import MemoryRequest, MemorySubsystem
 from ..sim.stats import StreamerStats
 from .agu import AddressGenerationUnit
-from .channel import ChannelAddress, StreamChannel
+from .channel import StreamChannel
 from .extensions import ExtensionPipeline
 from .params import StreamerDesign, StreamerMode, StreamerRuntimeConfig
 from .remapper import AddressRemapper
@@ -78,11 +90,21 @@ class DataMaestro:
         self.words_streamed = 0
         self.bundles_generated = 0
         self._popped_this_cycle = False
+        #: State changes this streamer made or saw since :meth:`begin_cycle`
+        #: (responses collected, words popped or pushed, a bundle generated,
+        #: requests issued); zero after the issue phase makes it parkable.
+        self.cycle_activity = 0
+        #: Set by the system after a zero-activity cycle, cleared by
+        #: :meth:`wake`; ``parked_cycles`` counts the cycles sat out since.
+        self.parked = False
+        self.parked_cycles = 0
+        #: The memory whose ports the channels are bound to (:meth:`bind`).
+        self._memory: Optional[MemorySubsystem] = None
         #: Decoded bundles for steps ``[_window_start, +len(_window))`` as
-        #: ``(logicals, banks, lines, offsets)`` list rows — a row becomes
-        #: ``ChannelAddress`` objects only when it is served, so a macro jump
-        #: past the window wastes no construction.  A pure function of the
-        #: step index: an AGU fast-forward simply lands outside (or inside) it.
+        #: ``(banks, lines)`` list rows — a row becomes ``MemoryRequest``
+        #: objects only when it is served, so a macro jump past the window
+        #: wastes no construction.  A pure function of the step index: an AGU
+        #: fast-forward simply lands outside (or inside) it.
         self._window: list = []
         self._window_start = 0
 
@@ -119,9 +141,26 @@ class DataMaestro:
                 self.extensions.configure_stage(kind, **dict(params))
         for channel in self.channels:
             channel.reset()
+        self._memory = None
         self.words_streamed = 0
         self.bundles_generated = 0
         self._popped_this_cycle = False
+        self.cycle_activity = 0
+        self.parked = False
+        self.parked_cycles = 0
+
+    def bind(self, memory: MemorySubsystem) -> None:
+        """Resolve every channel's port in ``memory``, once per kernel.
+
+        The ports hold this streamer weakly as their ``owner`` — the one
+        ``deliver`` wakes — so streamer and ports do not keep each other
+        (and the scratchpad) alive past the system that built them.
+        """
+        self._memory = memory
+        owner = weakref.proxy(self)
+        for channel in self.channels:
+            channel.port = memory.bind(channel.requester_id)
+            channel.port.owner = owner
 
     def _check_address_range(self) -> None:
         """Reject a stream that would leave the scratchpad, before cycle 0.
@@ -155,9 +194,12 @@ class DataMaestro:
         """True while addresses remain or any channel still holds work."""
         if self.agu is None:
             return False
-        if not self.agu.exhausted:
+        if not self.agu.temporal.exhausted:
             return True
-        return any(channel.busy for channel in self._active)
+        for channel in self._active:
+            if channel.busy:
+                return True
+        return False
 
     @property
     def done(self) -> bool:
@@ -169,16 +211,33 @@ class DataMaestro:
     def begin_cycle(self) -> None:
         """Reset per-cycle state; called once at the start of every cycle."""
         self._popped_this_cycle = False
+        self.cycle_activity = 0
 
     # ------------------------------------------------------------------
     # Phase 1: memory responses.
     # ------------------------------------------------------------------
     def collect_responses(self, memory: MemorySubsystem) -> int:
         """Drain matured responses into the FIFOs; return the count drained."""
+        if self._memory is not memory:
+            self.bind(memory)
         collected = 0
+        is_read = self.is_read
         for channel in self._active:
             if channel.outstanding:
-                collected += channel.collect(memory)
+                ready = channel.port.responses
+                if ready:
+                    if is_read:
+                        # The ORM reserved a slot when the request was
+                        # issued, so a full FIFO here is a protocol bug.
+                        push = channel.data_fifo.push
+                        for response in ready:
+                            push(response.data)
+                    count = len(ready)
+                    ready.clear()
+                    channel.outstanding -= count
+                    channel.responses_received += count
+                    collected += count
+        self.cycle_activity += collected
         return collected
 
     # ------------------------------------------------------------------
@@ -208,9 +267,12 @@ class DataMaestro:
         """
         if not self.is_read:
             raise RuntimeError(f"{self.name}: pop_output() on a write-mode streamer")
+        if self.parked:
+            self.wake()
         parts = [channel.data_fifo.pop() for channel in self._active]
         self.words_streamed += 1
         self._popped_this_cycle = True
+        self.cycle_activity += 1
         return self.extensions.apply(np.concatenate(parts))
 
     def input_ready(self) -> bool:
@@ -234,18 +296,21 @@ class DataMaestro:
             raise ValueError(
                 f"{self.name}: wide word must be {expected} bytes, got {payload.size}"
             )
+        if self.parked:
+            self.wake()
         for index, channel in enumerate(self._active):
-            channel.push_input_word(payload[index * width : (index + 1) * width])
+            channel.data_fifo.push(payload[index * width : (index + 1) * width])
         self.words_streamed += 1
+        self.cycle_activity += 1
 
     # ------------------------------------------------------------------
     # Phase 3: address generation.
     # ------------------------------------------------------------------
     def _prefetch_gate_open(self) -> bool:
         """Whether the AGU may produce the next bundle this cycle."""
+        depth = self.design.address_buffer_depth
         for channel in self._active:
-            fifo = channel.address_fifo
-            if len(fifo.entries) >= fifo.depth:
+            if len(channel.address_fifo.entries) >= depth:
                 return False
         if self.prefetch_enabled or self.is_write:
             return True
@@ -265,11 +330,9 @@ class DataMaestro:
         """Decode the next :data:`ADDRESS_WINDOW` bundles from ``step`` on."""
         count = min(ADDRESS_WINDOW, self.agu.total_bundles - step)
         matrix = self.agu.address_matrix(step, count, self.active_channels)
-        banks, lines, offsets = self.remapper.decode_batch(matrix)
+        banks, lines, _ = self.remapper.decode_batch(matrix)
         self._window_start = step
-        self._window = list(
-            zip(matrix.tolist(), banks.tolist(), lines.tolist(), offsets.tolist())
-        )
+        self._window = list(zip(banks.tolist(), lines.tolist()))
 
     def generate_addresses(self) -> bool:
         """Produce at most one address bundle; return True if one was made."""
@@ -283,14 +346,19 @@ class DataMaestro:
         if not 0 <= row < len(self._window):
             self._refill_window(step)
             row = 0
-        for channel, logical, bank, line, offset in zip(
-            self._active, *self._window[row]
-        ):
+        banks, lines = self._window[row]
+        is_write = self.is_write
+        for channel, bank, line in zip(self._active, banks, lines):
+            # The word's one record: queued here, pending at the port after
+            # issue, in flight after the grant, then its own response.
             channel.address_fifo.push(
-                ChannelAddress(logical, BankLocation(bank, line, offset), step)
+                MemoryRequest(
+                    channel.requester_id, is_write, bank, line, None, None, step
+                )
             )
         temporal.advance()
         self.bundles_generated += 1
+        self.cycle_activity += 1
         return True
 
     # ------------------------------------------------------------------
@@ -298,17 +366,50 @@ class DataMaestro:
     # ------------------------------------------------------------------
     def issue_requests(self, memory: MemorySubsystem) -> int:
         """Let every active channel's MIC issue at most one request."""
+        if self._memory is not memory:
+            self.bind(memory)
         issued = 0
+        submit = memory.submit
         is_read = self.is_read
         for channel in self._active:
+            address_fifo = channel.address_fifo
             # A channel with no address (or, writing, no data) is idle.
-            if (
-                channel.address_fifo.entries
-                and (is_read or channel.data_fifo.entries)
-                and channel.issue(memory)
-            ):
-                issued += 1
+            if not address_fifo.entries:
+                continue
+            data_fifo = channel.data_fifo
+            if is_read:
+                # Outstanding Request Manager: every in-flight read owns a slot.
+                if data_fifo.depth - len(data_fifo.entries) <= channel.outstanding:
+                    channel.credit_stall_cycles += 1
+                    continue
+                request = address_fifo.pop()
+            elif data_fifo.entries:
+                request = address_fifo.pop()
+                request.data = data_fifo.pop()
+            else:
+                continue
+            request.port = channel.port
+            submit(request)
+            channel.outstanding += 1
+            channel.requests_issued += 1
+            issued += 1
+        self.cycle_activity += issued
         return issued
+
+    # ------------------------------------------------------------------
+    # Parking (see the module docstring and docs/ENGINE.md).
+    # ------------------------------------------------------------------
+    def settle(self) -> None:
+        """Charge the cycles sat out so far; the streamer stays parked."""
+        if self.parked_cycles:
+            self.advance(self.parked_cycles)
+            self.parked_cycles = 0
+
+    def wake(self) -> None:
+        """Settle and unpark — called *before* the waking event mutates a
+        FIFO, because :meth:`advance` reads the credits as they stood."""
+        self.settle()
+        self.parked = False
 
     # ------------------------------------------------------------------
     # Next-event protocol (see repro.engine).
@@ -333,14 +434,21 @@ class DataMaestro:
         return None
 
     def advance(self, cycles: int) -> None:
-        """Bulk-apply ``cycles`` skipped cycles to the per-channel counters."""
+        """Bulk-apply ``cycles`` skipped cycles to the per-channel counters.
+
+        Mirrors what :meth:`issue_requests` would have recorded had it been
+        entered once per cycle across an inactive span: every credit-stalled
+        read channel counts a credit stall per cycle.
+        """
         for channel in self._active:
-            channel.advance(cycles)
+            if channel.credit_stalled:
+                channel.credit_stall_cycles += cycles
 
     # ------------------------------------------------------------------
     # Statistics.
     # ------------------------------------------------------------------
     def statistics(self, memory: Optional[MemorySubsystem] = None) -> StreamerStats:
+        self.settle()
         stats = StreamerStats(name=self.name)
         stats.words_streamed = self.words_streamed
         for channel in self.channels:
@@ -353,6 +461,7 @@ class DataMaestro:
         return stats
 
     def channel_statistics(self) -> Dict[str, dict]:
+        self.settle()
         return {
             channel.requester_id: channel.statistics() for channel in self.channels
         }

@@ -40,8 +40,9 @@ staying bit-identical to the lockstep engine:
    come from the span's bank matrix instead), the scratchpad is read
    with one gather and written with one scatter per bank, all MAC steps of
    all tiles collapse into a single ``einsum``, and every queue entry
-   (address FIFOs, data FIFOs, pending/in-flight memory traffic) is rebuilt
-   as its position-shifted image ``r`` periods later.  Because integer
+   becomes its position-shifted image ``r`` periods later: the word records
+   in the address FIFOs and the pending / in-flight memory traffic move in
+   place, the data FIFOs are refilled.  Because integer
    accumulation is associative and the control schedule is proven to
    repeat, the result is exactly the state the per-cycle loop would have
    reached — the ``tests/engine`` parity suite is the referee.
@@ -59,9 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.channel import ChannelAddress
-from ..memory.addressing import BankLocation
-from ..memory.subsystem import MemoryPort, MemoryRequest, MemoryResponse
+from ..memory.subsystem import MemoryPort
 
 #: Fewest verified periods worth jumping over (amortizes plan/replay cost).
 MIN_PERIODS = 2
@@ -222,7 +221,7 @@ class SteadySpanPlanner:
             attr(f"{port}.bundles", streamer, "bundles_generated")
             for channel in streamer._active:
                 rid = channel.requester_id
-                port = channel.bind(mem)
+                port = channel.port
                 attr(f"{rid}.issued", channel, "requests_issued")
                 attr(f"{rid}.collected", channel, "responses_received")
                 attr(f"{rid}.credit_stalls", channel, "credit_stall_cycles")
@@ -266,7 +265,7 @@ class SteadySpanPlanner:
             streamer = sys.streamers[port]
             parts.append((port, streamer._popped_this_cycle))
             for channel in streamer._active:
-                port = channel.bind(mem)
+                port = channel.port
                 parts.append(
                     (
                         channel.address_fifo.occupancy,
@@ -479,7 +478,7 @@ class SteadySpanPlanner:
                 )
                 (read_keys if span.is_read else write_keys).append(keys)
                 if not span.is_read:
-                    for request in channel_span.channel.bind(mem).pending:
+                    for request in channel_span.channel.port.pending:
                         if request.strobe is not None:
                             raise _Bail("strobed_write")
         if write_keys:
@@ -526,7 +525,7 @@ class SteadySpanPlanner:
         skews = set()
         for column, channel in enumerate(streamer._active):
             rid = channel.requester_id
-            port = channel.bind(mem)
+            port = channel.port
             granted = port.granted
             moved = (
                 d(f"{rid}.granted"),
@@ -682,7 +681,7 @@ class SteadySpanPlanner:
             for channel_span in span.channels:
                 channel = channel_span.channel
                 rid = channel.requester_id
-                port = channel.bind(mem)
+                port = channel.port
                 existing: List[np.ndarray] = channel.data_fifo.snapshot()
                 existing.extend(r.data for r in port.responses)
                 existing.extend(r.data for r in mem._in_flight if r.port is port)
@@ -757,7 +756,7 @@ class SteadySpanPlanner:
         for channel_span in sink_span.channels:
             channel = channel_span.channel
             rid = channel.requester_id
-            existing = [r.data for r in channel.bind(mem).pending]
+            existing = [r.data for r in channel.port.pending]
             existing.extend(channel.data_fifo.snapshot())
             slice_ = sink_words[
                 :, channel_span.column * width : (channel_span.column + 1) * width
@@ -812,103 +811,56 @@ class SteadySpanPlanner:
                     channel = span.channels[column].channel
                     mem._last_grant[bank] = channel.requester_id
 
-        # 6. Rebuild every queue as its position-shifted image.
-        new_in_flight: Dict[str, List[MemoryResponse]] = {}
+        # 6. Move every queue to its position-shifted image.  A word is one
+        #    record from address FIFO to collected response, so the records
+        #    move in place — every in-flight one by the same span, which
+        #    keeps ``mem._in_flight`` in delivery order — and only the data
+        #    FIFOs are refilled.
         for span in plan.streams:
             shift = periods * span.delta
             for channel_span in span.channels:
                 channel = channel_span.channel
-                rid = channel.requester_id
-                port = channel.bind(mem)
-                stream = combined[rid]
+                port = channel.port
+                column = channel_span.column
+                stream = combined[channel.requester_id]
                 base = (
                     channel_span.words if span.is_read else channel_span.granted
                 )
 
-                def word_at(position: int) -> np.ndarray:
-                    return stream[position - base]
+                def move(word, granted: bool = False) -> None:
+                    word.tag += shift
+                    row = word.tag - span.lo
+                    word.bank = int(span.banks[row, column])
+                    word.line = int(span.lines[row, column])
+                    if word.data is not None:
+                        word.data = stream[word.tag - base]
+                    if word.port is not None:
+                        word.submit_cycle += shift_cycles
+                    if granted:
+                        word.grant_cycle += shift_cycles
+                        word.ready_cycle += shift_cycles
 
-                # Address FIFO: steps [issued+shift, generated+shift).
-                channel.address_fifo.replace_entries(
-                    ChannelAddress(
-                        logical=int(span.matrix[step - span.lo, channel_span.column]),
-                        location=BankLocation(
-                            bank=int(span.banks[step - span.lo, channel_span.column]),
-                            line=int(span.lines[step - span.lo, channel_span.column]),
-                            byte_offset=int(
-                                span.offsets[step - span.lo, channel_span.column]
-                            ),
-                        ),
-                        step=step,
-                    )
-                    for step in range(
-                        channel_span.issued + shift,
-                        span.generated + shift,
-                    )
+                # Steps [issued, generated), then [granted, issued), then the
+                # granted ones still in flight or delivered but uncollected.
+                for word in channel.address_fifo.entries:
+                    move(word)
+                for word in port.pending:
+                    move(word)
+                for word in port.responses:
+                    move(word, granted=True)
+                for word in mem._in_flight:
+                    if word.port is port:
+                        move(word, granted=True)
+                # Data FIFO: words [popped, collected) / [issued, pushed).
+                first, last = (
+                    (channel_span.words, channel_span.collected)
+                    if span.is_read
+                    else (channel_span.issued, channel_span.words)
                 )
-                # Pending requests: steps [granted+shift, issued+shift).
-                port.pending = deque(
-                    MemoryRequest(
-                        requester=rid,
-                        is_write=not span.is_read,
-                        bank=int(span.banks[step - span.lo, channel_span.column]),
-                        line=int(span.lines[step - span.lo, channel_span.column]),
-                        data=None if span.is_read else word_at(step),
-                        tag=step,
-                        submit_cycle=request.submit_cycle + shift_cycles,
-                        port=port,
-                    )
-                    for step, request in zip(
-                        range(
-                            channel_span.granted + shift,
-                            channel_span.issued + shift,
-                        ),
-                        port.pending,
-                    )
+                channel.data_fifo.replace_entries(
+                    stream[position - base]
+                    for position in range(first + shift, last + shift)
                 )
-
-                def shifted(response: MemoryResponse) -> MemoryResponse:
-                    return MemoryResponse(
-                        requester=rid,
-                        is_write=response.is_write,
-                        tag=response.tag + shift,
-                        data=None
-                        if response.data is None
-                        else word_at(response.tag + shift),
-                        ready_cycle=response.ready_cycle + shift_cycles,
-                        grant_cycle=response.grant_cycle + shift_cycles,
-                        port=port,
-                    )
-
-                # Delivered-but-uncollected responses, then the data FIFO.
-                port.responses = [shifted(r) for r in port.responses]
-                if span.is_read:
-                    channel.data_fifo.replace_entries(
-                        word_at(position)
-                        for position in range(
-                            channel_span.words + shift,
-                            channel_span.collected + shift,
-                        )
-                    )
-                else:
-                    channel.data_fifo.replace_entries(
-                        word_at(position)
-                        for position in range(
-                            channel_span.issued + shift,
-                            channel_span.words + shift,
-                        )
-                    )
-                new_in_flight[rid] = [
-                    shifted(r) for r in mem._in_flight if r.port is port
-                ]
-        # Preserve the global delivery order of the in-flight queue, which
-        # ``MemorySubsystem.deliver`` relies on being sorted by ready_cycle.
-        replacements = {rid: iter(items) for rid, items in new_in_flight.items()}
-        mem._in_flight = deque(
-            next(replacements[response.requester]) for response in mem._in_flight
-        )
-        ready = [response.ready_cycle for response in mem._in_flight]
-        assert ready == sorted(ready), "in-flight responses out of delivery order"
 
         # 7. The accumulator mirrors lockstep's dead-but-present last tile.
         gemm._accumulator = (

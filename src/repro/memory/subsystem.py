@@ -41,34 +41,34 @@ from .scratchpad import ScratchpadMemory
 
 @dataclass(slots=True)
 class MemoryRequest:
-    """A single word-wide request from one requester port.
+    """One memory word, from address generation to collected response.
 
-    ``port`` is the requester's bound :class:`MemoryPort`; requests built by
-    name only (``port=None``) are resolved once, at ``submit``.
+    The same object is queued by its requester, pending at its port, in
+    flight after the grant and finally handed back as its own response: the
+    grant stamps ``grant_cycle`` / ``ready_cycle`` and, for a read, fills
+    ``data`` (a write's data is dropped once stored).  ``port`` is the
+    requester's bound :class:`MemoryPort`; requests built by name only
+    (``port=None``) are resolved once, at ``submit``.  ``bank`` / ``line``
+    default to an out-of-range ``-1`` so a completion can be written down
+    without them, while ``submit`` rejects a request that names no bank.
     """
 
     requester: str
     is_write: bool
-    bank: int
-    line: int
+    bank: int = -1
+    line: int = -1
     data: Optional[np.ndarray] = None
     strobe: Optional[np.ndarray] = None
     tag: Any = None
     submit_cycle: int = 0
     port: Optional["MemoryPort"] = None
+    ready_cycle: int = 0
+    grant_cycle: int = 0
 
 
-@dataclass(slots=True)
-class MemoryResponse:
-    """Completion of a request, visible ``read_latency`` cycles after grant."""
-
-    requester: str
-    is_write: bool
-    tag: Any
-    data: Optional[np.ndarray]
-    ready_cycle: int
-    grant_cycle: int
-    port: Optional["MemoryPort"] = None
+#: A granted request is its own response, visible ``read_latency`` cycles
+#: after the grant.
+MemoryResponse = MemoryRequest
 
 
 @dataclass(slots=True, eq=False)
@@ -89,6 +89,9 @@ class MemoryPort:
     granted: int = 0
     retries: int = 0
     registered: bool = False
+    #: The requester ``deliver`` wakes when it is ``parked`` (a DataMaestro,
+    #: held weakly by its channels' ports); ``None`` for by-name requesters.
+    owner: Any = None
 
 
 class MemorySubsystem:
@@ -169,26 +172,35 @@ class MemorySubsystem:
         event scheduler uses this as an activity signal).
         """
         in_flight = self._in_flight
+        now = self.cycle
         delivered = 0
-        while in_flight and in_flight[0].ready_cycle <= self.cycle:
+        while in_flight and in_flight[0].ready_cycle <= now:
             response = in_flight.popleft()
-            response.port.responses.append(response)
+            port = response.port
+            owner = port.owner
+            if owner is not None and owner.parked:
+                # Settled here, before the owner's collect phase moves the
+                # response into a FIFO the charge is computed from.
+                owner.wake()
+            port.responses.append(response)
             delivered += 1
         return delivered
 
-    def _pick_winner(self, bank: int, contenders: List[MemoryRequest]) -> int:
+    def _pick_winner(self, bank: int, contenders: List[MemoryRequest]) -> MemoryRequest:
         """Round-robin selection among two or more contenders for one bank."""
-        names = [request.requester for request in contenders]
         last = self._last_grant.get(bank)
         if last is None:
-            return 0
+            return contenders[0]
         # Grant the first requester strictly "after" the previous winner in
         # name order, wrapping around — a simple rotating-priority arbiter.
-        ordering = sorted(range(len(names)), key=lambda i: names[i])
-        for idx in ordering:
-            if names[idx] > last:
-                return idx
-        return ordering[0]
+        first = after = None
+        for request in contenders:
+            name = request.requester
+            if first is None or name < first.requester:
+                first = request
+            if name > last and (after is None or name < after.requester):
+                after = request
+        return after or first
 
     def arbitrate(self) -> int:
         """Grant at most one head-of-queue request per bank this cycle.
@@ -207,7 +219,7 @@ class MemorySubsystem:
             self.counters.add("bank_conflicts", len(contenders) - 1)
             for request in contenders:
                 request.port.retries += 1
-            heads[bank] = contenders[self._pick_winner(bank, contenders)]
+            heads[bank] = self._pick_winner(bank, contenders)
 
         banks = self.scratchpad.banks
         last_grant = self._last_grant
@@ -220,19 +232,23 @@ class MemorySubsystem:
             last_grant[bank] = request.requester
             port.pending.popleft()
             port.granted += 1
+            store = banks[bank]
+            line = request.line
             if request.is_write:
                 if request.data is None:
                     raise ValueError("write request without data")
-                banks[bank].write(request.line, request.data, request.strobe)
-                data = None
+                store.write(line, request.data, request.strobe)
+                request.data = None
             else:
-                data = banks[bank].read(request.line)
+                # ``MemoryBank.read`` inline: most grants are reads.
+                if not 0 <= line < store.depth:
+                    store._check_line(line)
+                store.read_count += 1
+                request.data = store._data[line].copy()
                 reads += 1
-            in_flight.append(
-                MemoryResponse(
-                    request.requester, request.is_write, request.tag, data, ready, now, port
-                )
-            )
+            request.grant_cycle = now
+            request.ready_cycle = ready
+            in_flight.append(request)
         if reads:
             self.counters.add("word_reads", reads)
         if len(heads) > reads:

@@ -122,6 +122,13 @@ class Fifo(Generic[T]):
         """Drop all entries (used when re-configuring between kernels)."""
         self.entries.clear()
 
+    def reset(self) -> None:
+        """:meth:`clear` and zero the statistics (a new kernel launch)."""
+        self.clear()
+        self.total_pushes = 0
+        self.total_pops = 0
+        self.max_occupancy = 0
+
     def replace_entries(self, items: Iterable[T]) -> None:
         """Swap the stored entries without touching the push/pop counters.
 

@@ -59,19 +59,6 @@ class AcceleratorSystem:
     def __init__(self, design: Optional[AcceleratorSystemDesign] = None) -> None:
         self.design = design or datamaestro_evaluation_system()
         validate_port_widths(self.design)
-        self.memory: Optional[MemorySubsystem] = None
-        self.streamers: Dict[str, DataMaestro] = {}
-        self.gemm_core = GemmCore(
-            self.design.gemm_mu, self.design.gemm_nu, self.design.gemm_ku
-        )
-        self.quantizer = Quantizer(self.design.gemm_mu, self.design.gemm_nu)
-        self.dma: Optional[Dma] = None
-        self.host = HostProcessor(self.design)
-        self._active_ports: List[str] = []
-        self._live: List[DataMaestro] = []
-        self._program: Optional[KernelProgram] = None
-        self._cycles = 0
-        self.last_step_activity = 0
         self.reset()
 
     # ------------------------------------------------------------------
@@ -84,7 +71,7 @@ class AcceleratorSystem:
             geometry, read_latency=self.design.memory.read_latency
         )
         options = self.design.group_size_options()
-        self.streamers = {
+        self.streamers: Dict[str, DataMaestro] = {
             name: DataMaestro(self.design.streamer(name), geometry, options)
             for name in PORT_NAMES
         }
@@ -94,9 +81,9 @@ class AcceleratorSystem:
         self.quantizer = Quantizer(self.design.gemm_mu, self.design.gemm_nu)
         self.dma = Dma(self.memory, self.design.dma_words_per_cycle)
         self.host = HostProcessor(self.design)
-        self._active_ports = []
-        self._live = []
-        self._program = None
+        self._active_ports: List[str] = []
+        self._live: List[DataMaestro] = []
+        self._program: Optional[KernelProgram] = None
         self._cycles = 0
         self.last_step_activity = 0
         self._tile_completed = False
@@ -106,9 +93,13 @@ class AcceleratorSystem:
     # Program loading.
     # ------------------------------------------------------------------
     def load_program(self, program: KernelProgram) -> None:
-        """Reset the system, load tensors, run pre-passes and program CSRs."""
-        self.reset()
-        assert self.memory is not None and self.dma is not None
+        """Load tensors, run pre-passes and program CSRs on a fresh system.
+
+        A new system is already fresh; one that has loaded a program before
+        is rebuilt first, so every kernel starts from the same state.
+        """
+        if self._program is not None:
+            self.reset()
         self._program = program
 
         # 1. Initial tensor loads (identical for every configuration, not
@@ -170,30 +161,31 @@ class AcceleratorSystem:
         A step with zero activity is a fixpoint: nothing can change until a
         matured memory response arrives — the event engine exploits this.
         Drained components (``done`` streamers) are skipped outright; their
-        per-cycle methods are provably no-ops.
+        per-cycle methods are provably no-ops.  The same argument holds per
+        streamer: one whose own cycle had zero activity is *parked* until a
+        response reaches it or the accelerator pops or pushes a word.
         """
         if self._program is None:
             return False
         memory = self.memory
-        assert memory is not None
         # Only a streamer whose AGU is exhausted can have drained; drained
         # streamers leave the live list for good.
         streamers = self._live
         for streamer in streamers:
-            if streamer.agu.exhausted and streamer.done:
+            if streamer.agu.temporal.exhausted and streamer.done:
                 streamers = self._live = [s for s in streamers if not s.done]
                 break
-        activity = 0
 
-        # Phase 1: responses.
+        # Phase 1: responses.  A delivery wakes the parked owner of its port.
+        activity = memory.deliver()
         for streamer in streamers:
-            streamer.begin_cycle()
-        activity += memory.deliver()
-        for streamer in streamers:
-            activity += streamer.collect_responses(memory)
+            if not streamer.parked:
+                streamer.begin_cycle()
+                activity += streamer.collect_responses(memory)
 
         # Phase 2: accelerators (quantizer first so it drains the previous
-        # cycle's tile before the core produces a new one).
+        # cycle's tile before the core produces a new one).  Popping or
+        # pushing a word wakes a parked streamer.
         if self._program.uses_quantizer and self.quantizer.step():
             activity += 1
         tile_before = self.gemm_core._tile_index
@@ -202,12 +194,19 @@ class AcceleratorSystem:
 
         # Phase 3: address generation.
         for streamer in streamers:
-            if streamer.generate_addresses():
+            if not streamer.parked and streamer.generate_addresses():
                 activity += 1
 
-        # Phase 4: request issue and crossbar arbitration.
+        # Phase 4: request issue and crossbar arbitration.  A streamer whose
+        # cycle moved nothing is parked: it repeats that cycle until one of
+        # the three wake-ups above, so its phases are skipped and the cycles
+        # it sits out are charged in bulk when it wakes.
         for streamer in streamers:
-            activity += streamer.issue_requests(memory)
+            if streamer.parked:
+                streamer.parked_cycles += 1
+            else:
+                activity += streamer.issue_requests(memory)
+                streamer.parked = not streamer.cycle_activity
         activity += memory.step()
 
         self._cycles += 1
@@ -229,7 +228,6 @@ class AcceleratorSystem:
         """
         if self._program is None:
             return None
-        assert self.memory is not None
         now = self._cycles
         earliest = self.memory.next_event_cycle()
         for streamer in self._active_streamers():
@@ -258,7 +256,6 @@ class AcceleratorSystem:
         """
         if self._program is None or cycles <= 0:
             return
-        assert self.memory is not None
         self._cycles += cycles
         self.memory.advance(cycles)
         for streamer in self._active_streamers():
@@ -287,12 +284,20 @@ class AcceleratorSystem:
             from ..engine.steady import SteadySpanPlanner
 
             self._steady = SteadySpanPlanner(self)
+        # The planner reads the per-channel counters: charge parked cycles.
+        for streamer in self._live:
+            streamer.settle()
         return self._steady.boundary(limit)
 
     def advance_active(self, cycles: int) -> None:
-        """Bulk-apply the steady span staged by :meth:`steady_span`."""
+        """Bulk-apply the steady span staged by :meth:`steady_span`.
+
+        The replay rebuilds every queue, so no streamer stays parked.
+        """
         assert self._steady is not None
         self._steady.advance_active(cycles)
+        for streamer in self._live:
+            streamer.wake()
 
     def steady_stats(self) -> Dict[str, object]:
         """Observability counters of the macro-step fast path."""
@@ -327,7 +332,6 @@ class AcceleratorSystem:
         an interval boundary report once with the post-jump count.
         """
         self.load_program(program)
-        assert self.memory is not None and self.dma is not None
         driver = get_engine(engine) if isinstance(engine, str) else engine
         driver.drive(
             self,

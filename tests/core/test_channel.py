@@ -1,168 +1,183 @@
-"""Tests for the per-channel MIC (credits, issue, collect) behaviour."""
+"""Tests for the per-channel MIC (credits, issue, collect) behaviour.
+
+The phases run as flat loops at the streamer, so every test drives a
+one-channel :class:`DataMaestro` through its public phase methods and
+asserts on ``streamer.channels[0]``.
+"""
 
 import numpy as np
-import pytest
 
-from repro.core import StreamerDesign, StreamerMode
-from repro.core.channel import ChannelAddress, StreamChannel
-from repro.memory import BankGeometry, BankLocation, MemorySubsystem
+from repro.core import DataMaestro, StreamerDesign, StreamerMode, StreamerRuntimeConfig
+from repro.memory import BankGeometry, MemorySubsystem
 
 GEOMETRY = BankGeometry(num_banks=4, bank_width_bytes=8, bank_depth=16)
+LINE_STRIDE = GEOMETRY.num_banks * 8  # same bank, next wordline
 
 
-def make_design(mode=StreamerMode.READ, data_depth=2, addr_depth=4):
-    return StreamerDesign(
-        name="dm_t",
+def make_streamer(
+    mode=StreamerMode.READ, data_depth=2, addr_depth=4, name="dm_t", bank=0, line=0
+):
+    """A one-channel streamer whose step ``i`` addresses ``(bank, line + i)``."""
+    design = StreamerDesign(
+        name=name,
         mode=mode,
-        num_channels=2,
-        spatial_bounds=(2,),
+        num_channels=1,
+        spatial_bounds=(1,),
         temporal_dims=2,
         bank_width_bits=64,
         address_buffer_depth=addr_depth,
         data_buffer_depth=data_depth,
     )
-
-
-def make_channel(mode=StreamerMode.READ, **kwargs):
-    return StreamChannel("dm_t", 0, make_design(mode=mode, **kwargs))
-
-
-def address(step, bank=0, line=0):
-    return ChannelAddress(
-        logical=line * GEOMETRY.num_banks * 8 + bank * 8,
-        location=BankLocation(bank=bank, line=line, byte_offset=0),
-        step=step,
+    streamer = DataMaestro(design, GEOMETRY, [GEOMETRY.num_banks])
+    streamer.configure(
+        StreamerRuntimeConfig(
+            base_address=line * LINE_STRIDE + bank * 8,
+            temporal_bounds=(4,),
+            temporal_strides=(LINE_STRIDE,),
+            spatial_strides=(8,),
+            bank_group_size=GEOMETRY.num_banks,
+        )
     )
+    return streamer, streamer.channels[0]
 
 
-def cycle(memory, channels):
+def queue_addresses(streamer, count=1):
+    for _ in range(count):
+        assert streamer.generate_addresses()
+
+
+def cycle(memory, streamers):
+    """One cycle with the AGU held back: deliver, collect, issue, arbitrate."""
     memory.deliver()
-    for channel in channels:
-        channel.collect(memory)
-    for channel in channels:
-        channel.issue(memory)
+    for streamer in streamers:
+        streamer.collect_responses(memory)
+    for streamer in streamers:
+        streamer.issue_requests(memory)
     memory.step()
 
 
 class TestReadChannel:
     def test_issue_requires_address(self):
-        channel = make_channel()
+        streamer, channel = make_streamer()
         memory = MemorySubsystem(GEOMETRY)
-        assert not channel.issue(memory)
+        assert streamer.issue_requests(memory) == 0
         assert channel.requests_issued == 0
 
     def test_read_data_lands_in_fifo(self):
-        channel = make_channel()
+        streamer, channel = make_streamer()
         memory = MemorySubsystem(GEOMETRY)
         memory.scratchpad.backdoor_write(0, np.arange(8, dtype=np.uint8), group_size=4)
-        channel.push_address(address(step=0, bank=0, line=0))
+        queue_addresses(streamer)
         for _ in range(3):
-            cycle(memory, [channel])
-        assert channel.output_word_available()
-        assert np.array_equal(channel.pop_output_word(), np.arange(8, dtype=np.uint8))
+            cycle(memory, [streamer])
+        assert channel.data_fifo.occupancy == 1 and streamer.output_valid()
+        assert np.array_equal(streamer.pop_output(), np.arange(8, dtype=np.uint8))
 
     def test_orm_credits_limit_outstanding_requests(self):
         """No more requests in flight than free data-FIFO slots."""
-        channel = make_channel(data_depth=2)
+        streamer, channel = make_streamer(data_depth=2)
         memory = MemorySubsystem(GEOMETRY)
-        for step in range(4):
-            channel.push_address(address(step=step, bank=0, line=step))
+        queue_addresses(streamer, 4)
         # Issue without ever draining the data FIFO.
-        issued_per_cycle = []
         for _ in range(6):
-            before = channel.requests_issued
-            cycle(memory, [channel])
-            issued_per_cycle.append(channel.requests_issued - before)
+            cycle(memory, [streamer])
         # With a depth-2 FIFO the channel can never have more than 2
         # requests outstanding or buffered, so only 2 are ever issued.
         assert channel.requests_issued == 2
         assert channel.data_fifo.occupancy == 2
         assert channel.credit_stall_cycles > 0
+        assert channel.credit_stalled and not channel.can_issue()
 
     def test_credits_replenish_after_pop(self):
-        channel = make_channel(data_depth=1)
+        streamer, channel = make_streamer(data_depth=1)
         memory = MemorySubsystem(GEOMETRY)
-        for step in range(2):
-            channel.push_address(address(step=step, bank=0, line=step))
+        queue_addresses(streamer, 2)
         for _ in range(3):
-            cycle(memory, [channel])
+            cycle(memory, [streamer])
         assert channel.requests_issued == 1
-        channel.pop_output_word()
+        streamer.pop_output()
         for _ in range(3):
-            cycle(memory, [channel])
+            cycle(memory, [streamer])
         assert channel.requests_issued == 2
 
     def test_busy_tracks_all_stages(self):
-        channel = make_channel()
+        streamer, channel = make_streamer()
         memory = MemorySubsystem(GEOMETRY)
         assert not channel.busy
-        channel.push_address(address(step=0))
+        queue_addresses(streamer)
         assert channel.busy
         for _ in range(3):
-            cycle(memory, [channel])
+            cycle(memory, [streamer])
         assert channel.busy  # data waiting in FIFO
-        channel.pop_output_word()
+        streamer.pop_output()
         assert not channel.busy
 
     def test_reset_clears_state(self):
-        channel = make_channel()
-        channel.push_address(address(step=0))
+        streamer, channel = make_streamer()
+        memory = MemorySubsystem(GEOMETRY)
+        queue_addresses(streamer, 2)
+        for _ in range(3):
+            cycle(memory, [streamer])
         channel.reset()
         assert not channel.busy
         assert channel.address_fifo.is_empty
+        # A new launch starts its counters from zero, FIFO statistics included.
+        assert set(channel.statistics().values()) == {0}
+        assert channel.address_fifo.total_pushes == channel.data_fifo.total_pops == 0
 
 
 class TestMemoryRegistration:
     def test_collect_before_any_submit_does_not_register(self):
         """A channel joins arbitration at its first issue, not by polling."""
-        first, second = (StreamChannel("dm_t", i, make_design()) for i in (0, 1))
+        first, first_channel = make_streamer(name="dm_a", line=1)
+        second, second_channel = make_streamer(name="dm_b")
         memory = MemorySubsystem(GEOMETRY)
-        assert first.collect(memory) == 0
-        assert memory.outstanding_count(first.requester_id) == 0
-        # Had collect() registered ``first``, it would head the contender
+        assert first.collect_responses(memory) == 0
+        assert memory.outstanding_count(first_channel.requester_id) == 0
+        # Had collecting registered ``first``, it would head the contender
         # list and win the first-ever arbitration of bank 0.
-        second.push_address(address(step=0, bank=0))
-        first.push_address(address(step=0, bank=0, line=1))
-        assert second.issue(memory) and first.issue(memory)
+        queue_addresses(second)
+        queue_addresses(first)
+        assert second.issue_requests(memory) == 1 and first.issue_requests(memory) == 1
         memory.step()
-        assert memory.requester_stats(second.requester_id)["granted"] == 1
-        assert memory.requester_stats(first.requester_id)["granted"] == 0
+        assert memory.requester_stats(second_channel.requester_id)["granted"] == 1
+        assert memory.requester_stats(first_channel.requester_id)["granted"] == 0
 
 
 class TestWriteChannel:
     def test_write_requires_address_and_data(self):
-        channel = make_channel(mode=StreamerMode.WRITE)
+        streamer, channel = make_streamer(mode=StreamerMode.WRITE, bank=1, line=2)
         memory = MemorySubsystem(GEOMETRY)
-        channel.push_input_word(np.full(8, 5, dtype=np.uint8))
-        assert not channel.issue(memory)
-        channel.push_address(address(step=0, bank=1, line=2))
-        assert channel.issue(memory)
+        streamer.push_input(np.full(8, 5, dtype=np.uint8))
+        assert streamer.issue_requests(memory) == 0
+        queue_addresses(streamer)
+        assert streamer.issue_requests(memory) == 1
 
     def test_write_reaches_memory(self):
-        channel = make_channel(mode=StreamerMode.WRITE)
+        streamer, channel = make_streamer(mode=StreamerMode.WRITE, bank=1, line=2)
         memory = MemorySubsystem(GEOMETRY)
-        channel.push_address(address(step=0, bank=1, line=2))
-        channel.push_input_word(np.full(8, 9, dtype=np.uint8))
+        queue_addresses(streamer)
+        streamer.push_input(np.full(8, 9, dtype=np.uint8))
         for _ in range(3):
-            cycle(memory, [channel])
+            cycle(memory, [streamer])
         stored = memory.scratchpad.read_word(1, 2)
         assert np.array_equal(stored, np.full(8, 9, dtype=np.uint8))
         assert not channel.busy  # ack received, nothing outstanding
 
     def test_input_space_available(self):
-        channel = make_channel(mode=StreamerMode.WRITE, data_depth=1)
-        assert channel.input_space_available()
-        channel.push_input_word(np.zeros(8, dtype=np.uint8))
-        assert not channel.input_space_available()
+        streamer, channel = make_streamer(mode=StreamerMode.WRITE, data_depth=1)
+        assert streamer.input_ready()
+        streamer.push_input(np.zeros(8, dtype=np.uint8))
+        assert channel.data_fifo.is_full and not streamer.input_ready()
 
 
 class TestStatistics:
     def test_statistics_dictionary(self):
-        channel = make_channel()
+        streamer, channel = make_streamer()
         memory = MemorySubsystem(GEOMETRY)
-        channel.push_address(address(step=0))
+        queue_addresses(streamer)
         for _ in range(3):
-            cycle(memory, [channel])
+            cycle(memory, [streamer])
         stats = channel.statistics()
         assert stats["requests_issued"] == 1
         assert stats["responses_received"] == 1

@@ -262,14 +262,13 @@ class TestIdleChannels:
         memory = MemorySubsystem(GEOMETRY)
         streamer = DataMaestro(read_design(), GEOMETRY, [8])
         streamer.configure(linear_runtime(steps=4))
-        visited = []
+        streamer.bind(memory)
         for channel in streamer.channels:
-            channel.collect = lambda memory, c=channel: visited.append(c.index) or 0
-            channel.issue = lambda memory, c=channel: visited.append(c.index) or False
-        # Nothing outstanding, no address queued: neither phase calls in.
+            # Nothing outstanding, no address queued: neither phase may look
+            # at the channel's port or data FIFO (either would raise here).
+            channel.port = channel.data_fifo = None
         assert streamer.collect_responses(memory) == 0
         assert streamer.issue_requests(memory) == 0
-        assert visited == []
 
     def test_stalled_accounting_matches_bulk_advance(self):
         """Per-cycle stepping of a credit-stalled streamer == advance(n)."""
@@ -294,6 +293,44 @@ class TestIdleChannels:
         jumped.advance(20)
         assert jumped.channel_statistics() == stepped.channel_statistics()
         assert all(c.credit_stall_cycles >= 20 for c in jumped.channels)
+
+
+class TestParkingHooks:
+    def test_wake_hooks_settle_before_the_fifo_changes(self):
+        """Each hook charges the cycles sat out against the state they were
+        sat out in (``AcceleratorSystem.step`` is what parks and counts)."""
+
+        def stalls(streamer):
+            return [channel.credit_stall_cycles for channel in streamer.channels]
+
+        # Delivery: a response maturing for a parked streamer's port.
+        memory = MemorySubsystem(GEOMETRY)
+        fill_memory(memory)
+        reader = DataMaestro(read_design(data_depth=1), GEOMETRY, [8])
+        reader.configure(linear_runtime(steps=4))
+        for _ in range(2):
+            reader.generate_addresses()
+        reader.issue_requests(memory)
+        memory.step()
+        assert all(channel.credit_stalled for channel in reader.channels)
+        reader.parked, reader.parked_cycles = True, 7  # as the system would after 7 idle cycles
+        assert memory.deliver() == 2
+        assert not reader.parked and reader.parked_cycles == 0
+        assert stalls(reader) == [7, 7]
+        # pop_output: credits as they stood *before* the pop are what get charged.
+        reader.collect_responses(memory)
+        reader.parked, reader.parked_cycles = True, 3
+        reader.pop_output()
+        assert not reader.parked and stalls(reader) == [10, 10]
+        assert not any(channel.credit_stalled for channel in reader.channels)
+        # push_input: a write streamer holding addresses and no data.
+        writer = DataMaestro(write_design(), GEOMETRY, [8])
+        writer.configure(linear_runtime(steps=4))
+        writer.generate_addresses()
+        writer.parked, writer.parked_cycles = True, 4
+        writer.push_input(np.zeros(16, dtype=np.uint8))
+        assert not writer.parked and writer.parked_cycles == 0
+        assert stalls(writer) == [0, 0]  # write channels have no credit stalls
 
 
 class TestOutOfRangeStreams:
@@ -343,6 +380,25 @@ class TestConfiguration:
         assert streamer.words_streamed == 0
         words, _ = drain_read_streamer(streamer, memory)
         assert len(words) == 3
+
+    def test_second_launch_reports_only_its_own_traffic(self):
+        """Counters are per kernel launch, on the channels as on the streamer."""
+        memory = MemorySubsystem(GEOMETRY)
+        fill_memory(memory)
+        streamer = DataMaestro(read_design(), GEOMETRY, [8])
+        launches = []
+        for _ in range(2):
+            streamer.configure(linear_runtime(steps=8))
+            drain_read_streamer(streamer, memory)
+            launches.append(
+                (streamer.statistics(memory), streamer.channel_statistics())
+            )
+            # The grant / retry counters live on the memory ports.
+            memory.reset_statistics()
+        assert launches[0][0].requests_issued == launches[0][0].requests_granted == 16
+        assert launches[1] == launches[0]
+        for channel in streamer.channels:
+            assert channel.address_fifo.total_pushes == channel.data_fifo.total_pops == 8
 
     def test_unconfigured_streamer_is_not_busy(self):
         streamer = DataMaestro(read_design(), GEOMETRY, [8])

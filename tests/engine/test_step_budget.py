@@ -1,0 +1,56 @@
+"""A work budget for the per-stepped-cycle path that repeats exactly.
+
+``tools/step_cost.py`` counts Python calls, word records and channel visits
+under ``sys.setprofile`` — counts, not seconds, so the budget holds on any
+runner.  Measured on ``conv_h14_w14_c16_k32_f5x5_s2`` (calls per stepped
+cycle, parent 677633b → the parked-streamer / one-record step path):
+
+============  ======  ======  =====================
+step          parent  change  budget (0.7 x parent)
+============  ======  ======  =====================
+2_prefetch    380.0   164.0   266.0
+1_baseline    217.8   101.1   152.5
+============  ======  ======  =====================
+
+The parent allocated four records per memory word (``ChannelAddress``,
+``BankLocation``, ``MemoryRequest``, ``MemoryResponse``); the word is now one
+``MemoryRequest`` for its whole life.  On ``2_prefetch`` the C and D
+streamers sit at a fixpoint for most of every tile (92 % of stepped cycles
+here), and a parked streamer is not entered at all.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
+WORKLOAD = "conv_h14_w14_c16_k32_f5x5_s2"
+#: Calls per stepped cycle at the parent commit (see the table above).
+PARENT_CALLS = {"2_prefetch": 380.0, "1_baseline": 217.8}
+
+
+@pytest.fixture(scope="module")
+def step_cost():
+    spec = importlib.util.spec_from_file_location("step_cost", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("step", sorted(PARENT_CALLS))
+def test_a_stepped_cycle_stays_within_its_work_budget(step_cost, step):
+    report = step_cost.measure(step, WORKLOAD)
+    assert report["stepped_cycles"] <= report["cycles"]
+    assert report["calls_per_stepped_cycle"] <= 0.7 * PARENT_CALLS[step], report
+    assert report["records_per_word"] <= 2.0, report["records"]
+    assert report["issue_visits_per_request"] <= 1.5, report
+    if step == "2_prefetch":
+        # C (init words) and D (results) move once per tile and wait otherwise.
+        assert min(report["parked_share"][port] for port in "CD") >= 0.85, report
+    assert step_cost.render(report).startswith(f"step cost of {step}/{WORKLOAD}")
+
+
+def test_the_counts_repeat_exactly(step_cost):
+    first = step_cost.measure("2_prefetch", WORKLOAD)
+    assert step_cost.measure("2_prefetch", WORKLOAD) == first

@@ -1,0 +1,170 @@
+"""The step path's oracle: a reference that is not the step path itself.
+
+Lockstep, event and macro all call the same ``AcceleratorSystem.step``, so
+the parity suite cannot see an error all three share, and
+``credit_stall_cycles`` reaches neither ``SimulationResult`` nor the parity
+suite's deep-state check.  ``fixtures/step_stats.json`` was written by the
+commit *before* the step path was reworked around parked streamers and the
+one-record word (regenerate with ``python tests/system/test_step_identity.py``;
+only ever do that on purpose — a moved digest is a behaviour change).
+
+It covers three sets, each under ``engine="event"`` and ``engine="lockstep"``:
+
+* ``fig7_ladder`` — the 27 jobs of the benchmark of that name (ladder steps
+  1, 2 and 6 × three workloads per group);
+* ``resnet18`` — the 12 ResNet-18 crops of ``table3_cnn``;
+* ``generated`` — 40 seeded generator workloads × features all on / all off.
+
+Per run the fixture holds the 32-bit heads of one sha256 per field below, in
+order, so a mismatch names the run and the field.  Lockstep steps every cycle
+(≈ 6k cycles/s): its first two sets run under ``REPRO_FULL_SUITE`` only.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.network_perf import representative_crop
+from repro.compiler import compile_workload
+from repro.config import get_config
+from repro.core import FeatureSet
+from repro.core.params import ablation_feature_sets
+from repro.system import AcceleratorSystem, datamaestro_evaluation_system
+from repro.workloads import (
+    WorkloadGenerator,
+    benchmark_networks,
+    stratified_subset,
+    synthetic_suite,
+)
+
+FIXTURE = Path(__file__).parent / "fixtures" / "step_stats.json"
+DESIGN = datamaestro_evaluation_system()
+ENGINES = ("event", "lockstep")
+FIELDS = (
+    "cycles",
+    "channels",
+    "streamers",
+    "accelerators",
+    "memory_counters",
+    "ports",
+    "banks",
+    "last_grant",
+    "outputs",
+)
+HEAD = 8  # hex characters kept per field
+#: Lockstep over these sets is the slow half; tier-1 keeps the generated one.
+FULL_SUITE_ONLY = {("fig7_ladder", "lockstep"), ("resnet18", "lockstep")}
+
+
+def run_sets():
+    """Set name -> [(run key, workload, features)], in a fixed order."""
+    ladder = ablation_feature_sets()
+    crops = {}
+    for workload in benchmark_networks()["ResNet-18"].unique_workloads():
+        crop = representative_crop(workload)
+        crops.setdefault(crop.name, crop)
+    switches = (("on", FeatureSet.all_enabled()), ("off", FeatureSet.all_disabled()))
+    return {
+        "fig7_ladder": [
+            (f"{step}/{workload.name}", workload, ladder[step])
+            for workloads in synthetic_suite().values()
+            for workload in stratified_subset(list(workloads), 3)
+            for step in ("1_baseline", "2_prefetch", "6_full")
+        ],
+        "resnet18": [
+            (name, crop, FeatureSet.all_enabled()) for name, crop in crops.items()
+        ],
+        "generated": [
+            (f"{workload.name}|{label}", workload, features)
+            for workload in WorkloadGenerator(seed=2026).workload_pool(40)
+            for label, features in switches
+        ],
+    }
+
+
+def field_values(system, result):
+    """Everything a stepped cycle counts or moves, field by field (see FIELDS)."""
+    memory = system.memory
+    streamers = [system.streamers[port] for port in result.metadata["active_ports"]]
+    return (
+        (result.kernel_cycles, result.streaming_cycles),
+        [sorted(s.channel_statistics().items()) for s in streamers],
+        [(port, stats.as_dict()) for port, stats in result.streamer_stats.items()],
+        (
+            system.gemm_core.mac_cycles,
+            system.gemm_core.stall_cycles,
+            system.quantizer.stall_cycles,
+            system.quantizer.tiles_processed,
+        ),
+        sorted(memory.counters.as_dict().items()),
+        [(name, memory.requester_stats(name)) for name in memory._requesters],
+        [(bank.read_count, bank.write_count) for bank in memory.scratchpad.banks],
+        sorted(memory._last_grant.items()),
+        [(name, value.tobytes()) for name, value in sorted(result.outputs.items())],
+    )
+
+
+def run_digest(workload, features, engine):
+    """The run's field heads, concatenated."""
+    program = compile_workload(workload, DESIGN, features)
+    system = AcceleratorSystem(DESIGN)
+    result = system.run(program, engine=engine)
+    return "".join(
+        hashlib.sha256(repr(value).encode()).hexdigest()[:HEAD]
+        for value in field_values(system, result)
+    )
+
+
+def cases():
+    return [
+        pytest.param(
+            name,
+            engine,
+            marks=pytest.mark.skipif(
+                (name, engine) in FULL_SUITE_ONLY and not get_config().full_suite,
+                reason="lockstep over the large sets runs under REPRO_FULL_SUITE=1",
+            ),
+        )
+        for name in ("fig7_ladder", "resnet18", "generated")
+        for engine in ENGINES
+    ]
+
+
+@pytest.mark.parametrize("name, engine", cases())
+def test_every_stepped_statistic_matches_the_fixture(name, engine):
+    golden = json.loads(FIXTURE.read_text())[name][engine]
+    entries = run_sets()[name]
+    assert [key for key, _, _ in entries] == list(golden), f"{name}: run list moved"
+    for key, workload, features in entries:
+        heads = run_digest(workload, features, engine)
+        for index, field in enumerate(FIELDS):
+            span = slice(index * HEAD, (index + 1) * HEAD)
+            assert heads[span] == golden[key][span], (
+                f"{name}/{engine}: run {key!r} differs in field {field!r}"
+            )
+
+
+def test_both_engines_pin_the_same_statistics():
+    """Event and lockstep agree on every field, so the fixture says it twice."""
+    golden = json.loads(FIXTURE.read_text())
+    assert sum(len(runs) for by_engine in golden.values() for runs in by_engine.values()) == 238
+    for name, by_engine in golden.items():
+        assert by_engine["event"] == by_engine["lockstep"], name
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    golden = {
+        name: {
+            engine: {
+                key: run_digest(workload, features, engine)
+                for key, workload, features in entries
+            }
+            for engine in ENGINES
+        }
+        for name, entries in run_sets().items()
+    }
+    FIXTURE.write_text(json.dumps(golden, indent=0) + "\n")
+    print(f"wrote {sum(len(r) for s in golden.values() for r in s.values())} digests to {FIXTURE}")

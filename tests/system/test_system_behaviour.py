@@ -39,6 +39,26 @@ class TestRunMechanics:
         assert np.array_equal(result_small.outputs["D"], small.expected_outputs["D"])
         assert np.array_equal(result_large.outputs["D"], large.expected_outputs["D"])
 
+    def test_system_is_built_once_per_job(self, monkeypatch):
+        """A new system is fresh: only a second kernel on it rebuilds."""
+        builds = []
+        reset = AcceleratorSystem.reset
+        monkeypatch.setattr(
+            AcceleratorSystem, "reset", lambda self: builds.append(1) or reset(self)
+        )
+        program = compile_workload(
+            GemmWorkload(name="sys_build", m=16, n=16, k=24), DESIGN
+        )
+        reused = AcceleratorSystem(DESIGN)
+        first = reused.run(program)
+        assert len(builds) == 1
+        second = reused.run(program)
+        assert len(builds) == 2
+        assert first.as_dict() == second.as_dict()
+        assert first.streamer_stats == second.streamer_stats
+        assert np.array_equal(first.outputs["D"], second.outputs["D"])
+        assert np.array_equal(first.outputs["D"], program.expected_outputs["D"])
+
     def test_cycle_budget_enforced(self, system):
         program = compile_workload(
             GemmWorkload(name="sys_budget", m=32, n=32, k=32), DESIGN

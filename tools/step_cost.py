@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Work counts of the simulator's per-stepped-cycle path — counts, not seconds.
+
+Runs one (ablation step, synthetic-suite workload) kernel under the event
+engine with a ``sys.setprofile`` hook and prints what a stepped cycle and a
+memory word cost in *work*, which repeats exactly on any machine:
+
+* Python calls per stepped cycle — ``call`` events of functions defined by
+  the ``repro`` package (dataclass-generated ``__init__``\\ s included) while
+  the engine drives the kernel, over the number of ``AcceleratorSystem.step``
+  calls;
+* records allocated per memory word — constructions of the word-level record
+  types (``MemoryRequest`` / ``MemoryResponse`` / ``ChannelAddress`` /
+  ``BankLocation``, whichever of them exist) over the words the streamers
+  requested;
+* issue visits per request — channels holding an address (and, writing,
+  data) each time a streamer's issue phase is entered, over requests issued;
+* per streamer, the share of stepped cycles in which its issue phase was not
+  entered at all (a parked streamer costs nothing).
+
+Run from the repository root::
+
+    python tools/step_cost.py 2_prefetch conv_h16_w16_c32_k16_f7x7_s1
+    python tools/step_cost.py 1_baseline conv_h14_w14_c16_k32_f5x5_s2 --json
+
+Standard library only; ``tests/engine/test_step_budget.py`` holds the numbers
+to a budget.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+from typing import Dict
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+#: Word-level record types whose constructions are counted, by class name.
+RECORD_TYPES = ("MemoryRequest", "MemoryResponse", "ChannelAddress", "BankLocation")
+
+
+def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
+    """Simulate one kernel under the counting hook; return its work counts."""
+    from repro.compiler import compile_workload
+    from repro.core.params import ablation_feature_sets
+    from repro.engine import EventDrivenEngine
+    from repro.system import AcceleratorSystem, datamaestro_evaluation_system
+    from repro.workloads import synthetic_suite
+
+    workloads = {w.name: w for group in synthetic_suite().values() for w in group}
+    if workload_name not in workloads:
+        raise SystemExit(f"error: no synthetic-suite workload named {workload_name!r}")
+    steps = ablation_feature_sets()
+    if step not in steps:
+        raise SystemExit(f"error: unknown ablation step {step!r}; one of {sorted(steps)}")
+    design = datamaestro_evaluation_system()
+    program = compile_workload(workloads[workload_name], design, steps[step], seed=seed)
+    system = AcceleratorSystem(design)
+
+    system_step = AcceleratorSystem.step.__code__
+    counts = {"calls": 0, "stepped": 0, "visits": 0}
+    records = dict.fromkeys(RECORD_TYPES, 0)
+    entered: Dict[str, int] = {}
+
+    def hook(frame, event, _arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if not frame.f_globals.get("__name__", "").startswith("repro."):
+            return
+        counts["calls"] += 1
+        name = code.co_name
+        if name == "__init__":
+            kind = type(frame.f_locals.get("self")).__name__
+            if kind in records:
+                records[kind] += 1
+        elif code is system_step:
+            counts["stepped"] += 1
+        elif name == "issue_requests":
+            streamer = frame.f_locals["self"]
+            entered[streamer.name] = entered.get(streamer.name, 0) + 1
+            for channel in streamer._active:
+                if channel.address_fifo.entries and (
+                    streamer.is_read or channel.data_fifo.entries
+                ):
+                    counts["visits"] += 1
+
+    class Counted(EventDrivenEngine):
+        def drive(self, target, **kwargs):
+            sys.setprofile(hook)  # here, not earlier: loading is not step-path work
+            try:
+                return super().drive(target, **kwargs)
+            finally:
+                sys.setprofile(None)
+
+    result = system.run(program, engine=Counted())
+    stepped = counts["stepped"]
+    issued = sum(s.requests_issued for s in result.streamer_stats.values())
+    return {
+        "step": step,
+        "workload": workload_name,
+        "cycles": result.streaming_cycles,
+        "stepped_cycles": stepped,
+        "calls": counts["calls"],
+        "calls_per_stepped_cycle": counts["calls"] / stepped,
+        "requests_issued": issued,
+        "records": dict(records),
+        "records_per_word": sum(records.values()) / issued,
+        "issue_visits": counts["visits"],
+        "issue_visits_per_request": counts["visits"] / issued,
+        "parked_share": {
+            port: 1.0 - entered.get(system.streamers[port].name, 0) / stepped
+            for port in result.metadata["active_ports"]
+        },
+    }
+
+
+def render(report: Dict[str, object]) -> str:
+    records = ", ".join(f"{k} {v}" for k, v in report["records"].items() if v)
+    parked = "  ".join(f"{p} {s:.1%}" for p, s in report["parked_share"].items())
+    return "\n".join(
+        [
+            f"step cost of {report['step']}/{report['workload']}",
+            f"  cycles                   {report['cycles']:>10,} "
+            f"({report['stepped_cycles']:,} stepped)",
+            f"  python calls             {report['calls']:>10,} "
+            f"({report['calls_per_stepped_cycle']:.1f} per stepped cycle)",
+            f"  memory words requested   {report['requests_issued']:>10,} "
+            f"({report['issue_visits_per_request']:.2f} issue visits per request)",
+            f"  records allocated        {sum(report['records'].values()):>10,} "
+            f"({report['records_per_word']:.2f} per word: {records})",
+            f"  stepped cycles parked    {parked}",
+        ]
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("step", help="ablation step, e.g. 2_prefetch")
+    parser.add_argument("workload", help="synthetic-suite workload name")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--json", action="store_true", help="print the raw counts")
+    args = parser.parse_args(argv)
+    report = measure(args.step, args.workload, args.seed)
+    print(json.dumps(report) if args.json else render(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
