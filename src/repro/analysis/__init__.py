@@ -6,15 +6,6 @@ from .ablation import (
     AblationStudy,
     STEP_LABELS,
 )
-from .dse import (
-    DesignPoint,
-    best_point,
-    default_sweep_workload,
-    run_axis_sweep,
-    sweep_bank_count,
-    sweep_data_fifo_depth,
-    sweep_gima_group_size,
-)
 from .area import (
     AreaModel,
     FpgaResourceModel,
@@ -22,23 +13,12 @@ from .area import (
     StreamerAreaBreakdown,
     SystemAreaBreakdown,
 )
-from .metrics import (
-    BoxStats,
-    average,
-    final_over_each_step,
-    geometric_mean,
-    normalized_throughput_gops,
-    relative_change,
-    speedup,
-    summarize_by_key,
-    utilization_gain_ladder,
-)
+from .metrics import BoxStats
 from .network_perf import (
     LayerEstimate,
     NetworkEstimate,
     NetworkPerformanceEstimator,
     representative_crop,
-    tiles_summary,
 )
 from .power import PowerBreakdown, PowerModel, gemm64_power_report
 from .technology import (
@@ -56,17 +36,9 @@ from .reporting import (
     format_comparison,
     format_percentage_map,
     format_table,
-    indent_block,
 )
 
 __all__ = [
-    "DesignPoint",
-    "best_point",
-    "default_sweep_workload",
-    "run_axis_sweep",
-    "sweep_data_fifo_depth",
-    "sweep_bank_count",
-    "sweep_gima_group_size",
     "AblationStudy",
     "AblationResults",
     "AblationEntry",
@@ -77,19 +49,10 @@ __all__ = [
     "FpgaResourceModel",
     "FpgaResources",
     "BoxStats",
-    "average",
-    "geometric_mean",
-    "speedup",
-    "normalized_throughput_gops",
-    "relative_change",
-    "summarize_by_key",
-    "utilization_gain_ladder",
-    "final_over_each_step",
     "LayerEstimate",
     "NetworkEstimate",
     "NetworkPerformanceEstimator",
     "representative_crop",
-    "tiles_summary",
     "PowerModel",
     "PowerBreakdown",
     "gemm64_power_report",
@@ -105,5 +68,4 @@ __all__ = [
     "format_percentage_map",
     "format_comparison",
     "format_check_marks",
-    "indent_block",
 ]

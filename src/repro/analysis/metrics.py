@@ -1,15 +1,13 @@
-"""Metric helpers: distribution statistics, speedups, throughput normalisation.
+"""Metric helpers: distribution statistics.
 
-The paper reports utilization *distributions* (box plots in Fig. 7(a)),
-per-group average speedups, normalized data-access counts and throughput
-normalized to a fixed PE count and clock.  This module provides the small
-statistical containers those reports are built from.
+The paper reports utilization *distributions* (box plots in Fig. 7(a));
+:class:`BoxStats` is the container those reports are built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -51,77 +49,3 @@ class BoxStats:
             "mean": self.mean,
             "count": self.count,
         }
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean (used for cross-workload speedup summaries)."""
-    array = np.asarray(list(values), dtype=np.float64)
-    if array.size == 0:
-        raise ValueError("cannot take the geometric mean of nothing")
-    if np.any(array <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(array))))
-
-
-def speedup(reference_cycles: float, improved_cycles: float) -> float:
-    """Speedup of ``improved`` over ``reference`` (>1 means faster)."""
-    if improved_cycles <= 0:
-        raise ValueError("cycle counts must be positive")
-    return reference_cycles / improved_cycles
-
-
-def normalized_throughput_gops(
-    utilization: float, num_pes: int = 512, frequency_ghz: float = 1.0
-) -> float:
-    """Figure-10-style normalized throughput: 2·PEs·f·utilization."""
-    if not 0.0 <= utilization <= 1.0:
-        raise ValueError(f"utilization {utilization} outside [0, 1]")
-    if num_pes <= 0 or frequency_ghz <= 0:
-        raise ValueError("PE count and frequency must be positive")
-    return 2.0 * num_pes * frequency_ghz * utilization
-
-
-def relative_change(baseline: float, value: float) -> float:
-    """Relative change of ``value`` vs ``baseline`` (negative = reduction)."""
-    if baseline == 0:
-        raise ValueError("baseline must be non-zero")
-    return (value - baseline) / baseline
-
-
-def summarize_by_key(
-    samples: Mapping[str, Sequence[float]]
-) -> Dict[str, BoxStats]:
-    """Box statistics per key (e.g. per workload group)."""
-    return {key: BoxStats.from_samples(values) for key, values in samples.items()}
-
-
-def utilization_gain_ladder(mean_by_step: Mapping[str, float]) -> Dict[str, float]:
-    """Per-step multiplicative gain over the previous step (Fig. 7(a) labels)."""
-    gains: Dict[str, float] = {}
-    previous: float = 0.0
-    previous_name = None
-    for name, value in mean_by_step.items():
-        if previous_name is not None and previous > 0:
-            gains[name] = value / previous
-        previous, previous_name = value, name
-    return gains
-
-
-def final_over_each_step(mean_by_step: Mapping[str, float]) -> Dict[str, float]:
-    """How much the final step improves over every earlier step.
-
-    This matches the annotation style of Fig. 7(a), where each architecture
-    is labelled with the factor separating it from the fully-featured ⑥.
-    """
-    steps = list(mean_by_step.items())
-    if not steps:
-        return {}
-    final = steps[-1][1]
-    return {name: (final / value if value > 0 else float("inf")) for name, value in steps}
-
-
-def average(values: Iterable[float]) -> float:
-    array = np.asarray(list(values), dtype=np.float64)
-    if array.size == 0:
-        raise ValueError("cannot average an empty sequence")
-    return float(array.mean())

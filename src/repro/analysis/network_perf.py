@@ -22,7 +22,6 @@ from ..engine import DEFAULT_ENGINE
 from ..runtime.job import SimJob
 from ..runtime.simulator import Simulator
 from ..system.design import AcceleratorSystemDesign, datamaestro_evaluation_system
-from ..utils.packing import ceil_div
 from ..workloads.networks import NetworkModel
 from ..workloads.spec import ConvWorkload, GemmWorkload, Workload
 
@@ -194,20 +193,3 @@ class NetworkPerformanceEstimator:
         self, models: Dict[str, NetworkModel]
     ) -> Dict[str, NetworkEstimate]:
         return {name: self.estimate_network(model) for name, model in models.items()}
-
-
-def tiles_summary(workload: Workload, design: AcceleratorSystemDesign) -> Dict[str, int]:
-    """Small helper used in reports: tiling of a layer on the system."""
-    mu, nu, ku = design.gemm_mu, design.gemm_nu, design.gemm_ku
-    if isinstance(workload, GemmWorkload):
-        tiles_m, tiles_n, tiles_k = workload.tile_counts(mu, nu, ku)
-    else:
-        tiles_m, tiles_n, tiles_k = workload.as_gemm_dims(mu, nu, ku)
-    return {
-        "tiles_m": tiles_m,
-        "tiles_n": tiles_n,
-        "tiles_k": tiles_k,
-        "ideal_cycles": tiles_m * tiles_n * tiles_k,
-        "output_tiles": tiles_m * tiles_n,
-        "words_per_step": ceil_div(mu * ku + ku * nu, design.memory.bank_width_bytes),
-    }

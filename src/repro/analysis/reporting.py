@@ -112,7 +112,3 @@ def format_check_marks(
                 row.append(str(value))
         rows.append(row)
     return format_table(headers, rows, title=title)
-
-
-def indent_block(text: str, prefix: str = "  ") -> str:
-    return "\n".join(prefix + line for line in text.splitlines())

@@ -107,11 +107,6 @@ def overhead_comparison() -> Dict[str, OverheadProfile]:
     return comparison
 
 
-def describe_baselines() -> Dict[str, Dict[str, object]]:
-    """Capability summary of every registered model (slug → describe())."""
-    return {slug: create_baseline(slug).describe() for slug in BASELINE_REGISTRY}
-
-
 __all__ = [
     "TABLE1_FEATURES",
     "TABLE1_ORDER",
@@ -134,7 +129,6 @@ __all__ = [
     "DataMaestroSolution",
     "workload_as_gemm",
     "create_baseline",
-    "describe_baselines",
     "table1_solutions",
     "throughput_baselines",
     "overhead_comparison",

@@ -70,6 +70,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional
 
 from .analysis.reporting import format_comparison, format_table
+from .compiler.allocator import AllocationError
 from .config import get_config
 from .core.params import FeatureSet, ablation_feature_sets
 from .experiments import EXPERIMENTS
@@ -1346,7 +1347,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as error:
+    except (CliError, AllocationError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -9,14 +9,6 @@ from .allocator import (
 from .mapper import compile_conv, compile_gemm, compile_workload, extract_outputs
 from .programs import KernelProgram, PrePass, ReadbackSpec, TensorLoad
 from .reference import conv2d_reference, gemm_reference, im2col_reference
-from .tiling import (
-    TileSlice,
-    TilingError,
-    TilingPlan,
-    tile_convolution,
-    tile_gemm,
-    tile_workload,
-)
 
 __all__ = [
     "MemoryAllocator",
@@ -34,10 +26,4 @@ __all__ = [
     "gemm_reference",
     "conv2d_reference",
     "im2col_reference",
-    "TilingPlan",
-    "TileSlice",
-    "TilingError",
-    "tile_gemm",
-    "tile_convolution",
-    "tile_workload",
 ]

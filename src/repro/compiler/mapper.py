@@ -43,7 +43,7 @@ from ..memory.subsystem import MemorySubsystem
 from ..utils.packing import ceil_div
 from ..workloads.spec import ConvWorkload, GemmWorkload, Workload
 from . import layout
-from .allocator import MemoryAllocator
+from .allocator import AllocationError, MemoryAllocator
 from .programs import KernelProgram, PrePass, ReadbackSpec, TensorLoad
 from .reference import conv2d_reference, gemm_reference
 
@@ -191,9 +191,15 @@ def _lower(
     # a fresh run of bank groups; the sort is stable, so equal sizes keep
     # ``region_order`` (the output region last).
     allocator = MemoryAllocator(system.memory, features.addressing_mode_switching)
-    plan = allocator.plan(
-        {name: sizes[name] for name in sorted(sizes, key=sizes.get, reverse=True)}
-    )
+    try:
+        plan = allocator.plan(
+            {name: sizes[name] for name in sorted(sizes, key=sizes.get, reverse=True)}
+        )
+    except AllocationError as error:
+        raise AllocationError(
+            f"workload {workload.name!r} does not fit the "
+            f"{system.memory.capacity_bytes} B scratchpad: {error}"
+        ) from None
 
     # ------------------------------------------------------------------
     # Streamer runtime configurations.

@@ -48,10 +48,6 @@ class AddressRemapper:
     # Runtime selection (the RS CSR).
     # ------------------------------------------------------------------
     @property
-    def selected_index(self) -> int:
-        return self._selected_index
-
-    @property
     def selected_group_size(self) -> int:
         return self.group_size_options[self._selected_index]
 

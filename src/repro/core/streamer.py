@@ -252,13 +252,6 @@ class DataMaestro:
                 return False
         return True
 
-    def peek_output(self) -> Optional[np.ndarray]:
-        """Return the wide word that :meth:`pop_output` would deliver."""
-        if not self.output_valid():
-            return None
-        parts = [channel.data_fifo.peek() for channel in self._active]
-        return self.extensions.apply(np.concatenate(parts))
-
     def pop_output(self) -> np.ndarray:
         """Consume one wide word (read mode).
 

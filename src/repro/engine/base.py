@@ -12,8 +12,8 @@ implementations ship with the package:
   bit-identical to lockstep (same cycle counts, same bank conflicts, same
   output tensors); see ``docs/ENGINE.md`` for the argument.
 
-Engines drive *targets*.  Every target satisfies :class:`Steppable`
-(``step() -> bool``, True while busy); the event engine additionally needs
+Engines drive *targets*.  Every target has ``step() -> bool`` (one clock
+cycle, True while busy); the event engine additionally needs
 the :class:`EventDriven` protocol — ``last_step_activity`` (state changes
 performed by the most recent ``step()``), ``next_event_cycle()`` (earliest
 future cycle at which anything can happen, ``None`` for "never") and
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Protocol, Union, runtime_checkable
 
-from ..sim.result import SimulationLimitError
+from ..sim.result import DEFAULT_PROGRESS_INTERVAL, SimulationLimitError
 
 #: Registry name of the next-event scheduler.
 EVENT_ENGINE = "event"
@@ -91,7 +91,7 @@ class SimulationEngine:
         describe: str = "simulation",
         detail: Optional[Union[str, Callable[[], str]]] = None,
         progress_callback: Optional[Callable[[int], None]] = None,
-        progress_interval: int = 100_000,
+        progress_interval: int = DEFAULT_PROGRESS_INTERVAL,
     ) -> int:
         """Run ``target`` to completion; return the cycles consumed.
 

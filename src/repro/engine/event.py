@@ -33,6 +33,7 @@ from typing import Callable, Optional, Union
 
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
+from ..sim.result import DEFAULT_PROGRESS_INTERVAL
 from .base import (
     EVENT_ENGINE,
     SimulationEngine,
@@ -82,7 +83,7 @@ class EventDrivenEngine(SimulationEngine):
         describe: str = "simulation",
         detail: Optional[Union[str, Callable[[], str]]] = None,
         progress_callback: Optional[Callable[[int], None]] = None,
-        progress_interval: int = 100_000,
+        progress_interval: int = DEFAULT_PROGRESS_INTERVAL,
     ) -> int:
         if not supports_event_protocol(target):
             raise TypeError(

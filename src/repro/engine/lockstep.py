@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
+from ..sim.result import DEFAULT_PROGRESS_INTERVAL
 from .base import LOCKSTEP_ENGINE, SimulationEngine
 
 
 class LockstepEngine(SimulationEngine):
-    """Drives a ``Steppable`` target one cycle at a time, every cycle."""
+    """Drives a ``step()`` target one cycle at a time, every cycle."""
 
     name = LOCKSTEP_ENGINE
 
@@ -25,7 +26,7 @@ class LockstepEngine(SimulationEngine):
         describe: str = "simulation",
         detail: Optional[Union[str, Callable[[], str]]] = None,
         progress_callback: Optional[Callable[[int], None]] = None,
-        progress_interval: int = 100_000,
+        progress_interval: int = DEFAULT_PROGRESS_INTERVAL,
     ) -> int:
         cycles = 0
         busy = True

@@ -30,21 +30,8 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(name: str, **kwargs) -> dict:
-    """Run one experiment by its registry name."""
-    if name not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[name].run(**kwargs)
-
-
-def report_experiment(name: str, results: dict) -> str:
-    return EXPERIMENTS[name].report(results)
-
-
 __all__ = [
     "EXPERIMENTS",
-    "run_experiment",
-    "report_experiment",
     "table1_features",
     "fig4_agu",
     "fig7_ablation",

@@ -48,7 +48,7 @@ from .strategies import Strategy
 
 
 def default_exploration_workloads() -> List[Workload]:
-    """The default evaluation kernel (the DSE GeMM of ``analysis.dse``)."""
+    """The default evaluation kernel: a mid-sized GeMM."""
     return [GemmWorkload(name="dse_gemm", m=64, n=64, k=96)]
 
 

@@ -93,9 +93,6 @@ class Evaluation:
     job_hashes: List[str] = field(default_factory=list)
     from_journal: bool = False
 
-    def objective_values(self, objectives: Sequence[ObjectiveSpec]) -> List[float]:
-        return [self.metrics[spec.name] for spec in objectives]
-
     def as_dict(self, objectives: Sequence[ObjectiveSpec]) -> Dict[str, object]:
         record: Dict[str, object] = dict(self.candidate.as_dict())
         for spec in objectives:

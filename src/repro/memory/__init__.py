@@ -6,8 +6,6 @@ from .addressing import (
     BankLocation,
     decode_address,
     decode_address_bit_permutation,
-    encode_location,
-    group_size_for_mode,
     mode_for_group_size,
     normalize_group_size,
     permutation_spec,
@@ -23,8 +21,6 @@ __all__ = [
     "BankLocation",
     "decode_address",
     "decode_address_bit_permutation",
-    "encode_location",
-    "group_size_for_mode",
     "mode_for_group_size",
     "normalize_group_size",
     "permutation_spec",

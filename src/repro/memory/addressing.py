@@ -116,19 +116,6 @@ def mode_for_group_size(geometry: BankGeometry, group_size: int) -> AddressingMo
     return AddressingMode.GROUPED_INTERLEAVED
 
 
-def group_size_for_mode(
-    geometry: BankGeometry, mode: AddressingMode, gima_group_size: int = 0
-) -> int:
-    """Return the bank-group size implementing ``mode`` on ``geometry``."""
-    if mode is AddressingMode.FULLY_INTERLEAVED:
-        return geometry.num_banks
-    if mode is AddressingMode.NON_INTERLEAVED:
-        return 1
-    if gima_group_size <= 0:
-        raise ValueError("GIMA requires an explicit group size")
-    return normalize_group_size(geometry, gima_group_size)
-
-
 def decode_address(
     address: int, geometry: BankGeometry, group_size: int
 ) -> BankLocation:
@@ -183,17 +170,6 @@ def decode_address_batch(addresses, geometry: BankGeometry, group_size: int):
     bank = group * group_size + within % group_size
     line = within // group_size
     return bank, line, byte_offset
-
-
-def encode_location(
-    location: BankLocation, geometry: BankGeometry, group_size: int
-) -> int:
-    """Inverse of :func:`decode_address` (used by tests and the DMA)."""
-    group_size = normalize_group_size(geometry, group_size)
-    group, bank_in_group = divmod(location.bank, group_size)
-    within = location.line * group_size + bank_in_group
-    word = group * group_size * geometry.bank_depth + within
-    return word * geometry.bank_width_bytes + location.byte_offset
 
 
 # ----------------------------------------------------------------------

@@ -388,11 +388,6 @@ class MetricsRegistry:
             self._metrics[metric.name] = metric
             return metric
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._metrics.pop(name, None)
-            self._callbacks.pop(name, None)
-
     def add_callback(
         self, name: str, fn: Callable[[], Iterable[MetricFamily]]
     ) -> None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..compiler.mapper import compile_workload
-from ..sim.runner import DEFAULT_PROGRESS_INTERVAL
+from ..sim.result import DEFAULT_PROGRESS_INTERVAL
 from ..system.system import AcceleratorSystem
 from .job import DATAMAESTRO_BACKEND, SimJob
 from .outcome import SimOutcome

@@ -1,20 +1,13 @@
-"""Cycle-level simulation primitives (FIFOs, counters, results, runner)."""
+"""Cycle-level simulation primitives (FIFOs, counters, results)."""
 
 from .fifo import Fifo, FifoError
 from .result import (
     DEFAULT_CYCLE_BUDGET,
-    RunSummary,
+    DEFAULT_PROGRESS_INTERVAL,
     SimulationLimitError,
     SimulationResult,
-    weighted_utilization,
 )
-from .runner import (
-    DEFAULT_PROGRESS_INTERVAL,
-    CycleRunner,
-    Steppable,
-    run_to_completion,
-)
-from .stats import StatCounters, StreamerStats, merge_counter_dicts
+from .stats import StatCounters, StreamerStats
 
 __all__ = [
     "DEFAULT_CYCLE_BUDGET",
@@ -23,12 +16,6 @@ __all__ = [
     "FifoError",
     "StatCounters",
     "StreamerStats",
-    "merge_counter_dicts",
     "SimulationResult",
-    "RunSummary",
     "SimulationLimitError",
-    "weighted_utilization",
-    "CycleRunner",
-    "Steppable",
-    "run_to_completion",
 ]

@@ -17,20 +17,20 @@ the derived metrics (utilization, throughput) the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 from .stats import StreamerStats
 
-#: Default cycle budget shared by every simulation driver.
-#:
-#: Historically :class:`~repro.sim.runner.CycleRunner` defaulted to ten
-#: million cycles while :meth:`repro.system.system.AcceleratorSystem.run`
-#: hard-coded five million; the single source of truth now lives here and is
-#: threaded through the runner, the system model and
-#: :class:`~repro.runtime.job.SimJob`.  Exceeding the budget raises
+#: Default cycle budget of :meth:`repro.system.system.AcceleratorSystem.run`
+#: and :class:`~repro.runtime.job.SimJob`.  Exceeding the budget raises
 #: :class:`SimulationLimitError`, whose ``detail`` carries the deadlock
 #: report.
 DEFAULT_CYCLE_BUDGET = 10_000_000
+
+#: Default cycle cadence of cooperative progress callbacks, shared by
+#: every surface that accepts one (AcceleratorSystem.run, the engine
+#: protocol and the runtime backends).
+DEFAULT_PROGRESS_INTERVAL = 100_000
 
 
 @dataclass
@@ -93,55 +93,6 @@ class SimulationResult:
         }
         data.update({f"counter_{k}": v for k, v in self.counters.items()})
         return data
-
-
-@dataclass
-class RunSummary:
-    """Aggregate of several :class:`SimulationResult` (e.g. one per layer)."""
-
-    name: str
-    results: Dict[str, SimulationResult] = field(default_factory=dict)
-
-    def add(self, key: str, result: SimulationResult) -> None:
-        self.results[key] = result
-
-    @property
-    def total_ideal_cycles(self) -> int:
-        return sum(r.ideal_compute_cycles for r in self.results.values())
-
-    @property
-    def total_kernel_cycles(self) -> int:
-        return sum(r.kernel_cycles for r in self.results.values())
-
-    @property
-    def utilization(self) -> float:
-        total = self.total_kernel_cycles
-        if total <= 0:
-            return 0.0
-        return self.total_ideal_cycles / total
-
-    @property
-    def total_memory_accesses(self) -> int:
-        return sum(r.memory_accesses for r in self.results.values())
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "num_results": len(self.results),
-            "total_ideal_cycles": self.total_ideal_cycles,
-            "total_kernel_cycles": self.total_kernel_cycles,
-            "utilization": self.utilization,
-            "total_memory_accesses": self.total_memory_accesses,
-        }
-
-
-def weighted_utilization(parts: Mapping[str, SimulationResult]) -> float:
-    """Utilization of a set of results weighted by ideal compute cycles."""
-    ideal = sum(r.ideal_compute_cycles for r in parts.values())
-    actual = sum(r.kernel_cycles for r in parts.values())
-    if actual <= 0:
-        return 0.0
-    return ideal / actual
 
 
 @dataclass

@@ -11,7 +11,7 @@ experiment reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 
 class StatCounters:
@@ -86,11 +86,3 @@ class StreamerStats:
             data[f"extension_{key}"] = value
         return data
 
-
-def merge_counter_dicts(dicts: Iterable[Mapping[str, int]]) -> Dict[str, int]:
-    """Sum a sequence of counter dictionaries key-wise."""
-    total: Dict[str, int] = {}
-    for entry in dicts:
-        for key, value in entry.items():
-            total[key] = total.get(key, 0) + value
-    return total

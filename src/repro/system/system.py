@@ -41,8 +41,11 @@ from ..compiler.programs import KernelProgram
 from ..core.streamer import DataMaestro
 from ..engine import DEFAULT_ENGINE, get_engine
 from ..memory.subsystem import MemorySubsystem
-from ..sim.result import DEFAULT_CYCLE_BUDGET, SimulationResult
-from ..sim.runner import DEFAULT_PROGRESS_INTERVAL
+from ..sim.result import (
+    DEFAULT_CYCLE_BUDGET,
+    DEFAULT_PROGRESS_INTERVAL,
+    SimulationResult,
+)
 from .design import (
     AcceleratorSystemDesign,
     PORT_NAMES,

@@ -5,11 +5,8 @@ from .networks import (
     NetworkModel,
     benchmark_networks,
     bert_base,
-    compute_distribution,
     mobilenet_v2,
-    network_by_name,
     resnet18,
-    total_layer_instances,
     vgg16,
     vit_base_16,
 )
@@ -28,17 +25,13 @@ from .spec import (
     GemmWorkload,
     Workload,
     WorkloadGroup,
-    is_convolution,
-    is_gemm,
     workload_group,
 )
 from .synthetic import (
     FULL_SUITE_COUNTS,
-    full_suite_total,
     generate_conv_workloads,
     generate_gemm_workloads,
     stratified_subset,
-    suite_size,
     synthetic_suite,
 )
 
@@ -48,26 +41,19 @@ __all__ = [
     "Workload",
     "WorkloadGroup",
     "workload_group",
-    "is_convolution",
-    "is_gemm",
     "synthetic_suite",
     "generate_gemm_workloads",
     "generate_conv_workloads",
     "stratified_subset",
-    "suite_size",
-    "full_suite_total",
     "FULL_SUITE_COUNTS",
     "NetworkLayer",
     "NetworkModel",
     "benchmark_networks",
-    "network_by_name",
     "resnet18",
     "vgg16",
     "vit_base_16",
     "bert_base",
     "mobilenet_v2",
-    "compute_distribution",
-    "total_layer_instances",
     "FAMILIES",
     "BUNDLE_FAMILIES",
     "GeneratedCase",

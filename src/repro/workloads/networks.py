@@ -269,24 +269,3 @@ def benchmark_networks() -> Dict[str, NetworkModel]:
         "BERT-Base": bert_base(),
         "MobileNet-V2": mobilenet_v2(),
     }
-
-
-def network_by_name(name: str) -> NetworkModel:
-    networks = benchmark_networks()
-    if name not in networks:
-        raise KeyError(f"unknown network {name!r}; available: {sorted(networks)}")
-    return networks[name]
-
-
-def total_layer_instances(model: NetworkModel) -> int:
-    """Total number of layer executions (counting repetitions)."""
-    return sum(layer.count for layer in model.layers)
-
-
-def compute_distribution(model: NetworkModel) -> List[Tuple[str, float]]:
-    """Per-layer share of the network's MACs (for reports)."""
-    total = model.total_macs
-    return [
-        (layer.workload.name, layer.total_macs / total if total else 0.0)
-        for layer in model.layers
-    ]

@@ -165,11 +165,3 @@ Workload = Union[GemmWorkload, ConvWorkload]
 def workload_group(workload: Workload) -> WorkloadGroup:
     """Return the workload's group (GeMM / transposed GeMM / convolution)."""
     return workload.group
-
-
-def is_convolution(workload: Workload) -> bool:
-    return isinstance(workload, ConvWorkload)
-
-
-def is_gemm(workload: Workload) -> bool:
-    return isinstance(workload, GemmWorkload)

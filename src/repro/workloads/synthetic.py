@@ -190,13 +190,3 @@ def stratified_subset(
     step = len(workloads) / count
     indices = sorted({int(i * step) for i in range(count)})
     return [workloads[index] for index in indices]
-
-
-def suite_size(suite: Dict[WorkloadGroup, List[Workload]]) -> int:
-    """Total number of workloads in a suite dictionary."""
-    return sum(len(group) for group in suite.values())
-
-
-def full_suite_total() -> int:
-    """Total size of the paper-equivalent suite (260)."""
-    return sum(FULL_SUITE_COUNTS.values())

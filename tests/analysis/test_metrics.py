@@ -1,20 +1,10 @@
-"""Tests for the metric helpers (box stats, speedups, normalisation)."""
+"""Tests for the metric helpers (box stats)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    BoxStats,
-    average,
-    final_over_each_step,
-    geometric_mean,
-    normalized_throughput_gops,
-    relative_change,
-    speedup,
-    summarize_by_key,
-    utilization_gain_ladder,
-)
+from repro.analysis import BoxStats
 
 
 class TestBoxStats:
@@ -53,56 +43,3 @@ class TestBoxStats:
         # are identical.
         tolerance = 1e-12
         assert stats.minimum - tolerance <= stats.mean <= stats.maximum + tolerance
-
-
-class TestScalarHelpers:
-    def test_speedup(self):
-        assert speedup(200, 100) == 2.0
-        with pytest.raises(ValueError):
-            speedup(100, 0)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
-
-    def test_normalized_throughput(self):
-        assert normalized_throughput_gops(1.0) == 1024.0
-        assert normalized_throughput_gops(0.5, num_pes=256, frequency_ghz=2.0) == 512.0
-        with pytest.raises(ValueError):
-            normalized_throughput_gops(1.5)
-        with pytest.raises(ValueError):
-            normalized_throughput_gops(0.5, num_pes=0)
-
-    def test_relative_change(self):
-        assert relative_change(10, 8) == pytest.approx(-0.2)
-        with pytest.raises(ValueError):
-            relative_change(0, 1)
-
-    def test_average(self):
-        assert average([1.0, 2.0, 3.0]) == 2.0
-        with pytest.raises(ValueError):
-            average([])
-
-
-class TestLadderHelpers:
-    def test_utilization_gain_ladder(self):
-        means = {"a": 0.4, "b": 0.8, "c": 1.0}
-        gains = utilization_gain_ladder(means)
-        assert gains["b"] == pytest.approx(2.0)
-        assert gains["c"] == pytest.approx(1.25)
-        assert "a" not in gains
-
-    def test_final_over_each_step(self):
-        means = {"a": 0.5, "b": 0.8, "c": 1.0}
-        factors = final_over_each_step(means)
-        assert factors["a"] == pytest.approx(2.0)
-        assert factors["c"] == pytest.approx(1.0)
-        assert final_over_each_step({}) == {}
-
-    def test_summarize_by_key(self):
-        summary = summarize_by_key({"g": [0.5, 0.7], "c": [1.0]})
-        assert summary["g"].mean == pytest.approx(0.6)
-        assert summary["c"].count == 1

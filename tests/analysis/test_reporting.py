@@ -5,7 +5,6 @@ from repro.analysis import (
     format_comparison,
     format_percentage_map,
     format_table,
-    indent_block,
 )
 
 
@@ -62,7 +61,3 @@ class TestOtherFormatters:
             feature_order=["f1", "f2", "f3"],
         )
         assert "yes" in text and "no" in text and "2-D" in text
-
-    def test_indent_block(self):
-        assert indent_block("a\nb") == "  a\n  b"
-        assert indent_block("x", prefix="> ") == "> x"

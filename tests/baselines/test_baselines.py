@@ -12,7 +12,6 @@ from repro.baselines import (
     SoftbrainModel,
     TABLE1_FEATURES,
     create_baseline,
-    describe_baselines,
     overhead_comparison,
     table1_solutions,
     throughput_baselines,
@@ -84,7 +83,8 @@ class TestRegistries:
 
     def test_registry_slugs_round_trip(self):
         """describe() must advertise slugs create_baseline() accepts."""
-        for slug, info in describe_baselines().items():
+        for slug in BASELINE_REGISTRY:
+            info = create_baseline(slug).describe()
             assert info["slug"] == slug
             assert create_baseline(info["slug"]).name == info["name"]
 

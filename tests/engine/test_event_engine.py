@@ -1,6 +1,8 @@
 """Unit tests of the simulation engines, the event protocol and the runtime
 plumbing around the ``engine`` job field."""
 
+import inspect
+
 import pytest
 
 from repro.baselines import create_baseline
@@ -18,8 +20,8 @@ from repro.engine import (
 from repro.memory.addressing import BankGeometry
 from repro.memory.subsystem import MemoryRequest, MemorySubsystem
 from repro.runtime import SimJob, Simulator
-from repro.sim import CycleRunner, DEFAULT_CYCLE_BUDGET, SimulationLimitError
-from repro.sim.runner import run_to_completion
+from repro.sim import DEFAULT_CYCLE_BUDGET, DEFAULT_PROGRESS_INTERVAL, SimulationLimitError
+from repro.system import AcceleratorSystem
 from repro.workloads import GemmWorkload
 
 
@@ -155,35 +157,43 @@ class TestEventScheduling:
         assert seen == sorted(seen)
 
 
-class TestCycleRunnerIntegration:
-    def test_auto_selects_lockstep_for_plain_targets(self):
+class TestDrivingPlainTargets:
+    """What any engine owes any target: every cycle counted, a budget that
+    names the run it cut short, progress at the shared default cadence."""
+
+    def test_lockstep_steps_every_cycle(self):
         target = PlainTarget(25)
-        assert CycleRunner(max_cycles=100).run(target) == 25
+        assert LockstepEngine().drive(target, max_cycles=100) == 25
         assert target.stepped == 25
+        assert get_engine("lockstep").drive(PlainTarget(1), max_cycles=100) == 1
 
-    def test_auto_selects_event_for_protocol_targets(self):
-        target = BurstyTarget(bursts=2, wait=499)
-        assert CycleRunner(max_cycles=10_000).run(target) == 501
-        assert target.stepped < 10  # the wait was skipped, not stepped
+    def test_lockstep_budget_error_names_the_run(self):
+        with pytest.raises(SimulationLimitError) as excinfo:
+            LockstepEngine().drive(
+                PlainTarget(1_000), max_cycles=5, describe="simulation of 'stuck_kernel'"
+            )
+        assert "stuck_kernel" in str(excinfo.value)
+        assert excinfo.value.cycles == 5
 
-    def test_engine_override_forces_lockstep(self):
-        target = BurstyTarget(bursts=2, wait=499)
-        assert CycleRunner(max_cycles=10_000, engine="lockstep").run(target) == 501
-        assert target.stepped == 501
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            CycleRunner(engine="warp-drive")
+    def test_progress_callback_cadence(self):
+        seen = []
+        LockstepEngine().drive(
+            PlainTarget(35), max_cycles=100, progress_callback=seen.append, progress_interval=10
+        )
+        assert seen == [10, 20, 30]
+        # Without an explicit interval: the shared default.
+        seen.clear()
+        cycles = 2 * DEFAULT_PROGRESS_INTERVAL + 5
+        LockstepEngine().drive(PlainTarget(cycles), max_cycles=cycles, progress_callback=seen.append)
+        assert seen == [DEFAULT_PROGRESS_INTERVAL, 2 * DEFAULT_PROGRESS_INTERVAL]
 
     def test_default_budget_is_shared_constant(self):
-        assert CycleRunner().max_cycles == DEFAULT_CYCLE_BUDGET
+        run = inspect.signature(AcceleratorSystem.run).parameters
+        assert run["max_cycles"].default == DEFAULT_CYCLE_BUDGET
+        assert run["progress_interval"].default == DEFAULT_PROGRESS_INTERVAL
         assert SimJob(workload=GemmWorkload(name="b", m=8, n=8, k=8)).max_cycles == (
             DEFAULT_CYCLE_BUDGET
         )
-
-    def test_run_to_completion_engine_passthrough(self):
-        target = BurstyTarget(bursts=1, wait=0)
-        assert run_to_completion(target, engine="event") == 1
 
 
 class TestAnalyticBaselineBackend:

@@ -13,8 +13,6 @@ from repro.experiments import (
     fig7_ablation,
     fig8_fpga,
     fig9_breakdown,
-    run_experiment,
-    report_experiment,
     table1_features,
     table3_networks,
 )
@@ -32,15 +30,6 @@ class TestRegistry:
             "fig10",
             "table3",
         }
-
-    def test_run_and_report_by_name(self):
-        results = run_experiment("fig4")
-        text = report_experiment("fig4", results)
-        assert "Figure 4" in text
-
-    def test_unknown_experiment(self):
-        with pytest.raises(KeyError):
-            run_experiment("fig99")
 
     def test_every_module_has_run_report_main(self):
         for module in EXPERIMENTS.values():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core import FeatureSet
 from repro.explore import (
     ExplorationEngine,
     GROUP_DIVIDES_BANKS,
@@ -13,6 +14,10 @@ from repro.explore import (
     ParameterAxis,
     RunJournal,
     SearchSpace,
+    bank_count_space,
+    datamaestro_builder,
+    fifo_depth_space,
+    gima_group_space,
     make_strategy,
     parse_objectives,
 )
@@ -263,3 +268,49 @@ class TestProposalShortfall:
     def test_fully_spent_budget_reports_zero(self):
         report = make_engine("grid").run(budget=4)
         assert report.proposal_shortfall == 0
+
+
+class TestDesignClaims:
+    """The design-time choices DESIGN.md calls out, measured: one grid walk
+    of a single-axis space on the default exploration kernel (GeMM
+    64x64x96) per claim."""
+
+    @staticmethod
+    def utilization_by_value(space, features=None):
+        if features is not None:
+            space.builder = datamaestro_builder(base_features=features)
+        report = ExplorationEngine(
+            space=space,
+            strategy=make_strategy("grid"),
+            objectives=parse_objectives("utilization"),
+        ).run(budget=space.size())
+        (axis,) = space.axes
+        # One point per axis value, in axis order.
+        assert [e.candidate[axis.name] for e in report.evaluations] == list(axis.values)
+        return {e.candidate[axis.name]: e.metrics["utilization"] for e in report.evaluations}
+
+    def test_data_fifo_depth_8_absorbs_arbitration_jitter(self):
+        # Under a shared fully-interleaved address space (addressing-mode
+        # switching off): that is where bank-conflict jitter exists for the
+        # FIFOs to absorb.  With per-operand bank groups the A/B streams are
+        # conflict-free and even a depth-1 FIFO sustains one word per cycle.
+        features = FeatureSet.all_enabled().with_updates(addressing_mode_switching=False)
+        by_depth = self.utilization_by_value(fifo_depth_space((1, 2, 4, 8)), features)
+        assert by_depth[8] > by_depth[1]
+        assert by_depth[8] == max(by_depth.values())
+        assert by_depth[8] > 0.8
+
+    def test_every_bank_count_keeps_the_core_busy(self):
+        by_banks = self.utilization_by_value(bank_count_space((32, 64, 128)))
+        assert all(utilization > 0.8 for utilization in by_banks.values())
+
+    def test_small_gima_groups_are_best(self):
+        # Groups of 8/16 banks (of 64) give every operand its own bank group;
+        # with 2 groups (32) or one (64 == fully interleaved) operands share
+        # banks and conflicts reappear.  Backs the evaluation system's
+        # choice of 16-bank groups.
+        by_group = self.utilization_by_value(gima_group_space((8, 16, 32, 64)))
+        best = max(by_group, key=lambda group: (by_group[group], -group))
+        assert best in (8, 16)
+        assert by_group[best] > 0.95
+        assert min(by_group[32], by_group[64]) < by_group[16]

@@ -9,8 +9,6 @@ from repro.memory import (
     BankGeometry,
     decode_address,
     decode_address_bit_permutation,
-    encode_location,
-    group_size_for_mode,
     mode_for_group_size,
     normalize_group_size,
     permutation_spec,
@@ -50,17 +48,6 @@ class TestModeClassification:
 
     def test_grouped(self):
         assert mode_for_group_size(GEOMETRY, 4) is AddressingMode.GROUPED_INTERLEAVED
-
-    def test_group_size_for_mode(self):
-        assert group_size_for_mode(GEOMETRY, AddressingMode.FULLY_INTERLEAVED) == 16
-        assert group_size_for_mode(GEOMETRY, AddressingMode.NON_INTERLEAVED) == 1
-        assert group_size_for_mode(
-            GEOMETRY, AddressingMode.GROUPED_INTERLEAVED, gima_group_size=8
-        ) == 8
-
-    def test_gima_requires_group_size(self):
-        with pytest.raises(ValueError):
-            group_size_for_mode(GEOMETRY, AddressingMode.GROUPED_INTERLEAVED)
 
     def test_invalid_group_size(self):
         with pytest.raises(ValueError):
@@ -109,11 +96,6 @@ addresses = st.integers(min_value=0, max_value=GEOMETRY.capacity_bytes - 1)
 
 
 class TestDecodeProperties:
-    @given(address=addresses, group_size=group_sizes)
-    @settings(max_examples=200, deadline=None)
-    def test_decode_encode_roundtrip(self, address, group_size):
-        location = decode_address(address, GEOMETRY, group_size)
-        assert encode_location(location, GEOMETRY, group_size) == address
 
     @given(address=addresses, group_size=group_sizes)
     @settings(max_examples=200, deadline=None)

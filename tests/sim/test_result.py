@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import RunSummary, SimulationResult, weighted_utilization
+from repro.sim import SimulationResult
 
 
 def make_result(name="w", ideal=100, streaming=125, prepass=0, reads=10, writes=5):
@@ -50,25 +50,3 @@ class TestSimulationResult:
         assert data["workload"] == "w"
         assert data["kernel_cycles"] == result.kernel_cycles
         assert "utilization" in data
-
-
-class TestRunSummary:
-    def test_weighted_aggregate(self):
-        summary = RunSummary(name="net")
-        summary.add("l1", make_result(ideal=100, streaming=100))
-        summary.add("l2", make_result(ideal=300, streaming=400))
-        assert summary.total_ideal_cycles == 400
-        assert summary.total_kernel_cycles == 500
-        assert summary.utilization == pytest.approx(0.8)
-
-    def test_weighted_utilization_helper(self):
-        parts = {
-            "a": make_result(ideal=50, streaming=100),
-            "b": make_result(ideal=150, streaming=150),
-        }
-        assert weighted_utilization(parts) == pytest.approx(200 / 250)
-
-    def test_empty_summary(self):
-        summary = RunSummary(name="empty")
-        assert summary.utilization == 0.0
-        assert summary.total_memory_accesses == 0

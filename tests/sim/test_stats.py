@@ -1,6 +1,6 @@
 """Tests for the statistics counter containers."""
 
-from repro.sim import StatCounters, StreamerStats, merge_counter_dicts
+from repro.sim import StatCounters, StreamerStats
 
 
 class TestStatCounters:
@@ -47,8 +47,3 @@ class TestStreamerStats:
         data = stats.as_dict()
         assert data["words_streamed"] == 12
         assert data["extension_transposer_0_processed"] == 12
-
-
-def test_merge_counter_dicts():
-    merged = merge_counter_dicts([{"a": 1, "b": 2}, {"a": 3}, {"c": 5}])
-    assert merged == {"a": 4, "b": 2, "c": 5}

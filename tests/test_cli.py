@@ -651,6 +651,19 @@ class TestUsageErrors:
         assert err.startswith("error:") and named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        ["batch gemm:512x512x512", "simulate-gemm 512 512 512", "serve gemm:512x512x512"],
+    )
+    def test_a_workload_that_does_not_fit_is_a_usage_error(self, command, capsys):
+        """Nothing tiles an oversize layer: the allocator's answer is the
+        CLI's, as one line naming the workload, the operand and the size."""
+        assert main([*command.split(), "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        for named in ("'cli_gemm_512x512x512'", "operand 'D'", "131072 B scratchpad"):
+            assert named in err
+
 
 class TestOneSpecTranslation:
     def test_simulate_and_batch_run_the_same_job(self, tmp_path, capsys):

@@ -24,6 +24,7 @@ import repro.cli as cli
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS = REPO_ROOT / "docs"
 CHECKER = REPO_ROOT / "tools" / "check_doc_links.py"
+REACHABILITY = REPO_ROOT / "tools" / "check_reachability.py"
 
 
 def subcommands():
@@ -360,6 +361,47 @@ class TestStructure:
                 if any(name.split(".")[0] == "asyncio" for name in names):
                     offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
         assert offenders == []
+
+    @staticmethod
+    def check_reachability(root):
+        return subprocess.run(
+            [sys.executable, str(REACHABILITY), "--root", str(root)],
+            capture_output=True,
+            text=True,
+        )
+
+    @pytest.fixture
+    def production_copy(self, tmp_path):
+        """The trees the reachability gate reads, copied where a test may edit them."""
+        import shutil
+
+        for tree in ("src", "bench", "examples", "tools"):
+            shutil.copytree(
+                REPO_ROOT / tree, tmp_path / tree, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        return tmp_path
+
+    def test_everything_under_src_has_a_production_caller(self):
+        """A module or public name only tests reach is deleted, not kept."""
+        result = self.check_reachability(REPO_ROOT)
+        assert result.returncode == 0, result.stderr
+
+    def test_reachability_gate_names_an_orphan_module_and_name(self, production_copy):
+        package = production_copy / "src" / "repro"
+        (package / "sim" / "orphan.py").write_text("def lonely():\n    return 1\n")
+        with open(package / "utils" / "packing.py", "a", encoding="utf-8") as handle:
+            handle.write("\n\ndef unreferenced_helper():\n    return 2\n")
+        result = self.check_reachability(production_copy)
+        assert result.returncode == 1
+        assert "src/repro/sim/orphan.py: module has no importer" in result.stderr
+        assert "src/repro/utils/packing.py: unreferenced_helper" in result.stderr
+        assert len(result.stderr.splitlines()) == 3  # the count line + the two orphans
+
+    def test_reachability_gate_rejects_a_stale_allowlist_entry(self, production_copy):
+        (production_copy / "src" / "repro" / "__main__.py").unlink()
+        result = self.check_reachability(production_copy)
+        assert result.returncode == 1
+        assert "allowlist: 'repro/__main__.py' matches nothing" in result.stderr
 
     def test_setup_py_carries_the_package_metadata(self, monkeypatch):
         """No network, no install: build the distribution object ``setup.py``

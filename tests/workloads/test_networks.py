@@ -7,11 +7,8 @@ from repro.workloads import (
     GemmWorkload,
     benchmark_networks,
     bert_base,
-    compute_distribution,
     mobilenet_v2,
-    network_by_name,
     resnet18,
-    total_layer_instances,
     vgg16,
     vit_base_16,
 )
@@ -31,11 +28,6 @@ class TestNetworkTables:
         assert networks["ResNet-18"].kind == "CNN"
         assert networks["BERT-Base"].kind == "Transformer"
         assert networks["MobileNet-V2"].kind == "CNN"
-
-    def test_network_by_name(self):
-        assert network_by_name("VGG-16").name == "VGG-16"
-        with pytest.raises(KeyError):
-            network_by_name("AlexNet")
 
     def test_resnet18_structure(self):
         model = resnet18()
@@ -118,15 +110,6 @@ class TestNetworkTables:
         short = bert_base(sequence_length=64)
         long = bert_base(sequence_length=256)
         assert long.total_macs > short.total_macs
-
-    def test_total_layer_instances(self):
-        model = resnet18()
-        assert total_layer_instances(model) == sum(l.count for l in model.layers)
-
-    def test_compute_distribution_sums_to_one(self):
-        for model in benchmark_networks().values():
-            shares = compute_distribution(model)
-            assert sum(share for _, share in shares) == pytest.approx(1.0)
 
     def test_layer_counts_positive(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,6 @@ from repro.workloads import (
     ConvWorkload,
     GemmWorkload,
     WorkloadGroup,
-    is_convolution,
-    is_gemm,
     workload_group,
 )
 
@@ -42,11 +40,6 @@ class TestGemmWorkload:
         kwargs = {"name": "bad", "m": 8, "n": 8, "k": 8, field: 0}
         with pytest.raises(ValueError):
             GemmWorkload(**kwargs)
-
-    def test_type_predicates(self):
-        gemm = GemmWorkload(name="g", m=8, n=8, k=8)
-        assert is_gemm(gemm)
-        assert not is_convolution(gemm)
 
 
 class TestConvWorkload:
@@ -103,7 +96,6 @@ class TestConvWorkload:
 
     def test_group(self):
         assert self.make().group is WorkloadGroup.CONVOLUTION
-        assert is_convolution(self.make())
 
     def test_empty_output_rejected(self):
         with pytest.raises(ValueError):

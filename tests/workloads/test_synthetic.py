@@ -5,11 +5,9 @@ import pytest
 from repro.workloads import (
     FULL_SUITE_COUNTS,
     WorkloadGroup,
-    full_suite_total,
     generate_conv_workloads,
     generate_gemm_workloads,
     stratified_subset,
-    suite_size,
     synthetic_suite,
 )
 from repro.workloads.synthetic import _SCRATCHPAD_BUDGET_BYTES
@@ -18,8 +16,8 @@ from repro.workloads.synthetic import _SCRATCHPAD_BUDGET_BYTES
 class TestSuiteGeneration:
     def test_full_suite_has_260_workloads(self):
         suite = synthetic_suite()
-        assert suite_size(suite) == 260
-        assert full_suite_total() == 260
+        assert sum(len(group) for group in suite.values()) == 260
+        assert sum(FULL_SUITE_COUNTS.values()) == 260
         assert len(suite[WorkloadGroup.GEMM]) == FULL_SUITE_COUNTS[WorkloadGroup.GEMM]
         assert (
             len(suite[WorkloadGroup.TRANSPOSED_GEMM])
@@ -70,7 +68,7 @@ class TestSuiteGeneration:
                 WorkloadGroup.CONVOLUTION: 2,
             }
         )
-        assert suite_size(suite) == 10
+        assert sum(len(group) for group in suite.values()) == 10
 
 
 class TestMemoryFootprint:
