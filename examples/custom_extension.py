@@ -42,7 +42,6 @@ def stream_all(streamer, memory):
     while not streamer.done:
         streamer.begin_cycle()
         memory.deliver()
-        streamer.collect_responses(memory)
         if streamer.output_valid():
             words.append(streamer.pop_output())
         streamer.generate_addresses()

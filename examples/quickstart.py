@@ -78,7 +78,6 @@ def part1_standalone_streamer():
     while not streamer.done:
         streamer.begin_cycle()
         memory.deliver()
-        streamer.collect_responses(memory)
         if streamer.output_valid():
             word = streamer.pop_output().view(np.int8)
             print(f"  cycle {cycles:2d}: streamed row {word[:6]} ... {word[-3:]}")

@@ -9,27 +9,37 @@ words from the accelerator, splits them across channels and drains them to
 memory.
 
 The per-cycle methods are called by the surrounding system model in a fixed
-phase order (see :class:`repro.system.system.AcceleratorSystem`):
+phase order (see :class:`repro.system.system.AcceleratorSystem`), after the
+memory has delivered the cycle's matured reads into the data FIFOs:
 
-1. :meth:`collect_responses` — drain matured memory responses into FIFOs;
-2. the accelerator consumes/produces wide words via
+1. the accelerator consumes/produces wide words via
    :meth:`output_valid`/:meth:`pop_output` and
    :meth:`input_ready`/:meth:`push_input`;
-3. :meth:`generate_addresses` — the AGU produces at most one address bundle
+2. :meth:`generate_addresses` — the AGU produces at most one address bundle
    per cycle (gated by the prefetch mode);
-4. :meth:`issue_requests` — every channel's MIC issues at most one memory
+3. :meth:`issue_requests` — every channel's MIC issues at most one memory
    request, subject to its Outstanding-Request-Manager credits.
 
-Each phase is one flat loop over the active channels, and a memory word is
-one :class:`~repro.memory.subsystem.MemoryRequest` for its whole life: the
-AGU queues it, the issue phase hands the same object to the memory, and the
-grant returns it as its own response.
+Three identities carry the word path; what they determine is computed, never
+stored or moved:
 
-A streamer whose cycle moved nothing repeats that cycle until a response is
-delivered to one of its ports, the accelerator pops a word or pushes one.
-The system **parks** it meanwhile (``parked`` / ``parked_cycles``): no phase
-is entered, and :meth:`wake` charges the cycles it sat out through
-:meth:`advance` before the waking event changes a FIFO (``docs/ENGINE.md``).
+* channel ``c``'s **address FIFO** holds ``bundles_generated -
+  requests_issued[c]`` entries, and they are rows of the decoded address
+  window (a pure function of the step index): generating a bundle advances
+  a counter, issuing builds the word's one
+  :class:`~repro.memory.subsystem.MemoryRequest` from its row;
+* a read channel's **in-flight plus buffered** words are
+  ``requests_issued[c] - words_streamed`` (a streamer's channels pop
+  together), so the credit rule, ``busy`` and the no-prefetch gate never
+  look at a delivery;
+* a channel's **in-flight** requests are ``requests_issued[c] -
+  port.delivered``: the memory fills the data FIFO itself and counts.
+
+A streamer whose cycle moved nothing repeats that cycle until the accelerator
+pops or pushes a word (a delivery changes nothing it decides on).  The system
+**parks** it meanwhile (``parked`` / ``parked_cycles``): no phase is entered,
+and :meth:`wake` charges the cycles it sat out through :meth:`advance` before
+the waking event changes a counter (``docs/ENGINE.md``).
 
 Disabling ``fine_grained_prefetch`` reproduces the ablation baseline: the AGU
 only produces the next bundle once the previous word has been fully consumed
@@ -39,13 +49,13 @@ accelerator directly instead of being hidden by the FIFOs.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..memory.addressing import BankGeometry
 from ..memory.subsystem import MemoryRequest, MemorySubsystem
+from ..sim.fifo import FifoError
 from ..sim.stats import StreamerStats
 from .agu import AddressGenerationUnit
 from .channel import StreamChannel
@@ -90,9 +100,9 @@ class DataMaestro:
         self.words_streamed = 0
         self.bundles_generated = 0
         self._popped_this_cycle = False
-        #: State changes this streamer made or saw since :meth:`begin_cycle`
-        #: (responses collected, words popped or pushed, a bundle generated,
-        #: requests issued); zero after the issue phase makes it parkable.
+        #: State changes this streamer made since :meth:`begin_cycle` (words
+        #: popped or pushed, a bundle generated, requests issued); zero after
+        #: the issue phase makes it parkable.
         self.cycle_activity = 0
         #: Set by the system after a zero-activity cycle, cleared by
         #: :meth:`wake`; ``parked_cycles`` counts the cycles sat out since.
@@ -101,10 +111,9 @@ class DataMaestro:
         #: The memory whose ports the channels are bound to (:meth:`bind`).
         self._memory: Optional[MemorySubsystem] = None
         #: Decoded bundles for steps ``[_window_start, +len(_window))`` as
-        #: ``(banks, lines)`` list rows — a row becomes ``MemoryRequest``
-        #: objects only when it is served, so a macro jump past the window
-        #: wastes no construction.  A pure function of the step index: an AGU
-        #: fast-forward simply lands outside (or inside) it.
+        #: ``(banks, lines)`` list rows: the address FIFOs' contents.  A pure
+        #: function of the step index, so a macro jump simply lands outside
+        #: (or inside) it and the next issue re-decodes on demand.
         self._window: list = []
         self._window_start = 0
 
@@ -150,17 +159,14 @@ class DataMaestro:
         self.parked_cycles = 0
 
     def bind(self, memory: MemorySubsystem) -> None:
-        """Resolve every channel's port in ``memory``, once per kernel.
-
-        The ports hold this streamer weakly as their ``owner`` — the one
-        ``deliver`` wakes — so streamer and ports do not keep each other
-        (and the scratchpad) alive past the system that built them.
-        """
+        """Resolve every channel's port in ``memory``, once per kernel: from
+        here on the memory delivers into the channels' data FIFOs (all a port
+        holds of the streamer) and counts the deliveries from zero."""
         self._memory = memory
-        owner = weakref.proxy(self)
         for channel in self.channels:
-            channel.port = memory.bind(channel.requester_id)
-            channel.port.owner = owner
+            port = channel.port = memory.bind(channel.requester_id)
+            port.sink = channel.data_fifo
+            port.delivered = 0
 
     def _check_address_range(self) -> None:
         """Reject a stream that would leave the scratchpad, before cycle 0.
@@ -194,12 +200,15 @@ class DataMaestro:
         """True while addresses remain or any channel still holds work."""
         if self.agu is None:
             return False
-        if not self.agu.temporal.exhausted:
+        generated = self.bundles_generated
+        if not self.agu.temporal.exhausted or generated != self.words_streamed:
             return True
-        for channel in self._active:
-            if channel.busy:
-                return True
-        return False
+        # Every word addressed has been streamed; a write channel may still
+        # hold one it has not issued or await an acknowledgement.
+        return any(
+            channel.requests_issued != generated or channel.outstanding
+            for channel in self._active
+        )
 
     @property
     def done(self) -> bool:
@@ -214,34 +223,7 @@ class DataMaestro:
         self.cycle_activity = 0
 
     # ------------------------------------------------------------------
-    # Phase 1: memory responses.
-    # ------------------------------------------------------------------
-    def collect_responses(self, memory: MemorySubsystem) -> int:
-        """Drain matured responses into the FIFOs; return the count drained."""
-        if self._memory is not memory:
-            self.bind(memory)
-        collected = 0
-        is_read = self.is_read
-        for channel in self._active:
-            if channel.outstanding:
-                ready = channel.port.responses
-                if ready:
-                    if is_read:
-                        # The ORM reserved a slot when the request was
-                        # issued, so a full FIFO here is a protocol bug.
-                        push = channel.data_fifo.push
-                        for response in ready:
-                            push(response.data)
-                    count = len(ready)
-                    ready.clear()
-                    channel.outstanding -= count
-                    channel.responses_received += count
-                    collected += count
-        self.cycle_activity += collected
-        return collected
-
-    # ------------------------------------------------------------------
-    # Phase 2: accelerator-facing wide-word interface.
+    # Phase 1: accelerator-facing wide-word interface.
     # ------------------------------------------------------------------
     def output_valid(self) -> bool:
         """Read mode: True when every active channel has a word ready."""
@@ -262,7 +244,14 @@ class DataMaestro:
             raise RuntimeError(f"{self.name}: pop_output() on a write-mode streamer")
         if self.parked:
             self.wake()
-        parts = [channel.data_fifo.pop() for channel in self._active]
+        parts = []
+        try:
+            for channel in self._active:
+                fifo = channel.data_fifo
+                parts.append(fifo.entries.popleft())
+                fifo.total_pops += 1
+        except IndexError:
+            raise FifoError(f"pop from empty FIFO '{fifo.name}'") from None
         self.words_streamed += 1
         self._popped_this_cycle = True
         self.cycle_activity += 1
@@ -297,13 +286,14 @@ class DataMaestro:
         self.cycle_activity += 1
 
     # ------------------------------------------------------------------
-    # Phase 3: address generation.
+    # Phase 2: address generation.
     # ------------------------------------------------------------------
     def _prefetch_gate_open(self) -> bool:
         """Whether the AGU may produce the next bundle this cycle."""
-        depth = self.design.address_buffer_depth
+        # A channel that has issued no more than this has a full address FIFO.
+        full = self.bundles_generated - self.design.address_buffer_depth
         for channel in self._active:
-            if len(channel.address_fifo.entries) >= depth:
+            if channel.requests_issued <= full:
                 return False
         if self.prefetch_enabled or self.is_write:
             return True
@@ -312,80 +302,99 @@ class DataMaestro:
         # has been consumed (no lookahead within the consumption cycle) and
         # every channel is completely idle, so the accelerator pays the full
         # memory round trip for every word.
-        if self._popped_this_cycle:
-            return False
-        for channel in self._active:
-            if channel.busy:
-                return False
-        return True
-
-    def _refill_window(self, step: int) -> None:
-        """Decode the next :data:`ADDRESS_WINDOW` bundles from ``step`` on."""
-        count = min(ADDRESS_WINDOW, self.agu.total_bundles - step)
-        matrix = self.agu.address_matrix(step, count, self.active_channels)
-        banks, lines, _ = self.remapper.decode_batch(matrix)
-        self._window_start = step
-        self._window = list(zip(banks.tolist(), lines.tolist()))
+        return (
+            not self._popped_this_cycle
+            and self.bundles_generated == self.words_streamed
+        )
 
     def generate_addresses(self) -> bool:
-        """Produce at most one address bundle; return True if one was made."""
+        """Produce at most one address bundle; return True if one was made.
+
+        Nothing is materialised: the bundle is a row of the address window,
+        decoded when the first channel issues it.
+        """
         if self.agu is None:
             return False
         temporal = self.agu.temporal
         if temporal.exhausted or not self._prefetch_gate_open():
             return False
-        step = temporal.steps_generated
-        row = step - self._window_start
-        if not 0 <= row < len(self._window):
-            self._refill_window(step)
-            row = 0
-        banks, lines = self._window[row]
-        is_write = self.is_write
-        for channel, bank, line in zip(self._active, banks, lines):
-            # The word's one record: queued here, pending at the port after
-            # issue, in flight after the grant, then its own response.
-            channel.address_fifo.push(
-                MemoryRequest(
-                    channel.requester_id, is_write, bank, line, None, None, step
-                )
-            )
         temporal.advance()
         self.bundles_generated += 1
         self.cycle_activity += 1
         return True
 
     # ------------------------------------------------------------------
-    # Phase 4: request issue.
+    # Phase 3: request issue.
     # ------------------------------------------------------------------
+    def _refill_window(self) -> None:
+        """Decode :data:`ADDRESS_WINDOW` bundles from the slowest cursor on
+        (the cursors lie within one address-FIFO depth of each other, so the
+        window covers them all) and range-check its banks, once."""
+        step = min(channel.requests_issued for channel in self._active)
+        count = min(
+            ADDRESS_WINDOW + self.design.address_buffer_depth,
+            self.agu.total_bundles - step,
+        )
+        matrix = self.agu.address_matrix(step, count, self.active_channels)
+        banks, lines, _ = self.remapper.decode_batch(matrix)
+        self._memory.check_banks(int(banks.min()), int(banks.max()))
+        self._window_start = step
+        self._window = list(zip(banks.tolist(), lines.tolist()))
+
     def issue_requests(self, memory: MemorySubsystem) -> int:
         """Let every active channel's MIC issue at most one request."""
         if self._memory is not memory:
             self.bind(memory)
-        issued = 0
-        submit = memory.submit
+        generated = self.bundles_generated
         is_read = self.is_read
-        for channel in self._active:
-            address_fifo = channel.address_fifo
+        # ORM: ``requests_issued - words_streamed`` reads own a data-FIFO slot.
+        credit_limit = self.words_streamed + self.design.data_buffer_depth
+        window = self._window
+        start = self._window_start
+        issued = 0
+        for column, channel in enumerate(self._active):
+            step = channel.requests_issued
             # A channel with no address (or, writing, no data) is idle.
-            if not address_fifo.entries:
+            if step == generated:
                 continue
-            data_fifo = channel.data_fifo
             if is_read:
-                # Outstanding Request Manager: every in-flight read owns a slot.
-                if data_fifo.depth - len(data_fifo.entries) <= channel.outstanding:
+                if step >= credit_limit:
                     channel.credit_stall_cycles += 1
                     continue
-                request = address_fifo.pop()
-            elif data_fifo.entries:
-                request = address_fifo.pop()
-                request.data = data_fifo.pop()
+                data = None
+            elif channel.data_fifo.entries:
+                data = channel.data_fifo.pop()
             else:
                 continue
-            request.port = channel.port
-            submit(request)
-            channel.outstanding += 1
-            channel.requests_issued += 1
+            # The address FIFO only grows between two issues of a channel.
+            if generated - step > channel.max_addr_occupancy:
+                channel.max_addr_occupancy = generated - step
+            row = step - start
+            if not 0 <= row < len(window):
+                self._refill_window()
+                window = self._window
+                start = self._window_start
+                row = step - start
+            banks, lines = window[row]
+            port = channel.port
+            if not port.registered:
+                memory.register(port)
+            # The word's one record: pending, in flight, then its own response.
+            port.pending.append(
+                MemoryRequest(
+                    channel.requester_id,
+                    not is_read,
+                    banks[column],
+                    lines[column],
+                    data,
+                    None,
+                    step,
+                    port,
+                )
+            )
+            channel.requests_issued = step + 1
             issued += 1
+        memory.pending_requests += issued
         self.cycle_activity += issued
         return issued
 
@@ -412,19 +421,37 @@ class DataMaestro:
 
         ``now`` when the AGU can produce a bundle this cycle or any channel's
         MIC can issue a request; ``None`` when the streamer is drained
-        ("all my addresses are generated") or blocked on external input (a
-        memory response, or the accelerator consuming/producing a word) —
-        those wake-ups are reported by the memory subsystem and the
-        accelerators respectively.
+        ("all my addresses are generated") or blocked on the accelerator
+        consuming/producing a word, which the accelerators report.
         """
         if self.agu is None:
             return None
         if self.agu.remaining_bundles and self._prefetch_gate_open():
             return now
         for channel in self._active:
-            if channel.can_issue():
+            if self.can_issue(channel):
                 return now
         return None
+
+    def credit_stalled(self, channel: StreamChannel) -> bool:
+        """A read channel holding an address but no free data-FIFO slot: every
+        in-flight or buffered read owns one (the Outstanding Request Manager's
+        rule).  It counts one ``credit_stall_cycles`` per cycle."""
+        return self.is_read and (
+            self.words_streamed + self.design.data_buffer_depth
+            <= channel.requests_issued
+            < self.bundles_generated
+        )
+
+    def can_issue(self, channel: StreamChannel) -> bool:
+        """Whether the channel's MIC could issue a request this cycle; when
+        not, it waits on the AGU or on the accelerator (a pop frees a credit,
+        a push brings data)."""
+        if channel.requests_issued == self.bundles_generated:
+            return False
+        if self.is_read:
+            return not self.credit_stalled(channel)
+        return bool(channel.data_fifo.entries)
 
     def advance(self, cycles: int) -> None:
         """Bulk-apply ``cycles`` skipped cycles to the per-channel counters.
@@ -434,7 +461,7 @@ class DataMaestro:
         read channel counts a credit stall per cycle.
         """
         for channel in self._active:
-            if channel.credit_stalled:
+            if self.credit_stalled(channel):
                 channel.credit_stall_cycles += cycles
 
     # ------------------------------------------------------------------
@@ -455,6 +482,12 @@ class DataMaestro:
 
     def channel_statistics(self) -> Dict[str, dict]:
         self.settle()
+        for channel in self._active:
+            # The occupancy since the channel's last issue is still unsampled.
+            channel.max_addr_occupancy = max(
+                channel.max_addr_occupancy,
+                self.bundles_generated - channel.requests_issued,
+            )
         return {
             channel.requester_id: channel.statistics() for channel in self.channels
         }

@@ -40,11 +40,11 @@ staying bit-identical to the lockstep engine:
    come from the span's bank matrix instead), the scratchpad is read
    with one gather and written with one scatter per bank, all MAC steps of
    all tiles collapse into a single ``einsum``, and every queue entry
-   becomes its position-shifted image ``r`` periods later: the word records
-   in the address FIFOs and the pending / in-flight memory traffic move in
-   place, the data FIFOs are refilled.  Because integer
-   accumulation is associative and the control schedule is proven to
-   repeat, the result is exactly the state the per-cycle loop would have
+   becomes its position-shifted image ``r`` periods later: the pending /
+   in-flight memory traffic moves in place, the data FIFOs are refilled
+   (the address FIFOs are two counters and move with them).  Because
+   integer accumulation is associative and the control schedule is proven
+   to repeat, the result is exactly the state the per-cycle loop would have
    reached — the ``tests/engine`` parity suite is the referee.
 
 Any precondition failure simply bails (nothing is mutated), so workloads
@@ -122,7 +122,7 @@ class _ChannelSpan:
     column: int  # column in the streamer's address matrix
     granted: int
     issued: int
-    collected: int
+    delivered: int
     words: int  # popped (read) / pushed (write) wide-word position
 
 
@@ -223,10 +223,8 @@ class SteadySpanPlanner:
                 rid = channel.requester_id
                 port = channel.port
                 attr(f"{rid}.issued", channel, "requests_issued")
-                attr(f"{rid}.collected", channel, "responses_received")
+                attr(f"{rid}.delivered", port, "delivered")
                 attr(f"{rid}.credit_stalls", channel, "credit_stall_cycles")
-                attr(f"{rid}.addr_pushes", channel.address_fifo, "total_pushes")
-                attr(f"{rid}.addr_pops", channel.address_fifo, "total_pops")
                 attr(f"{rid}.data_pushes", channel.data_fifo, "total_pushes")
                 attr(f"{rid}.data_pops", channel.data_fifo, "total_pops")
                 attr(f"{rid}.granted", port, "granted")
@@ -265,14 +263,12 @@ class SteadySpanPlanner:
             streamer = sys.streamers[port]
             parts.append((port, streamer._popped_this_cycle))
             for channel in streamer._active:
-                port = channel.port
                 parts.append(
                     (
-                        channel.address_fifo.occupancy,
+                        streamer.bundles_generated - channel.requests_issued,
                         channel.data_fifo.occupancy,
                         channel.outstanding,
-                        len(port.pending),
-                        tuple(r.ready_cycle - now for r in port.responses),
+                        len(channel.port.pending),
                     )
                 )
         parts.append(
@@ -530,12 +526,12 @@ class SteadySpanPlanner:
             moved = (
                 d(f"{rid}.granted"),
                 d(f"{rid}.issued"),
-                d(f"{rid}.collected"),
+                d(f"{rid}.delivered"),
             )
             if bundles == 0:
                 if words or any(moved):
                     raise _Bail("quiescent_drift")
-                if channel.outstanding or port.pending or port.responses:
+                if channel.outstanding:
                     # A frozen channel with traffic in the memory pipeline
                     # cannot stay frozen for a whole span.
                     raise _Bail("quiescent_traffic")
@@ -543,24 +539,18 @@ class SteadySpanPlanner:
             if moved != (bundles, bundles, bundles) or words != bundles:
                 raise _Bail("ragged_cadence")
             issued = channel.requests_issued
-            collected = channel.responses_received
+            delivered = port.delivered
             popped = streamer.words_streamed
-            uncollected = granted - collected
             flying = flights.get(port, [])
-            in_flight = len(flying) + len(port.responses)
             contended = contended or d(f"{rid}.retries") != 0
-            ready = tuple(r.ready_cycle for r in port.responses)
-            skews.add((granted, issued, collected, tuple(flying), ready))
+            skews.add((granted, issued, delivered, tuple(flying)))
             consistent = (
-                channel.address_fifo.occupancy
-                == streamer.bundles_generated - issued
-                and len(port.pending) == issued - granted
-                and channel.outstanding == issued - collected
-                and in_flight == uncollected
+                len(port.pending) == issued - granted
+                and len(flying) == granted - delivered
             )
             if streamer.is_read:
                 consistent = consistent and (
-                    channel.data_fifo.occupancy == collected - popped
+                    channel.data_fifo.occupancy == delivered - popped
                 )
             else:
                 consistent = consistent and (
@@ -574,7 +564,7 @@ class SteadySpanPlanner:
                     column=column,
                     granted=granted,
                     issued=issued,
-                    collected=collected,
+                    delivered=delivered,
                     words=popped,
                 )
             )
@@ -683,7 +673,6 @@ class SteadySpanPlanner:
                 rid = channel.requester_id
                 port = channel.port
                 existing: List[np.ndarray] = channel.data_fifo.snapshot()
-                existing.extend(r.data for r in port.responses)
                 existing.extend(r.data for r in mem._in_flight if r.port is port)
                 start = channel_span.granted - span.lo
                 gathered = stacked[
@@ -812,10 +801,10 @@ class SteadySpanPlanner:
                     mem._last_grant[bank] = channel.requester_id
 
         # 6. Move every queue to its position-shifted image.  A word is one
-        #    record from address FIFO to collected response, so the records
-        #    move in place — every in-flight one by the same span, which
-        #    keeps ``mem._in_flight`` in delivery order — and only the data
-        #    FIFOs are refilled.
+        #    record from issue to delivery, so the records move in place —
+        #    every in-flight one by the same span, which keeps
+        #    ``mem._in_flight`` in delivery order — and only the data FIFOs
+        #    are refilled.  (The address FIFOs moved with the counters.)
         for span in plan.streams:
             shift = periods * span.delta
             for channel_span in span.channels:
@@ -827,33 +816,24 @@ class SteadySpanPlanner:
                     channel_span.words if span.is_read else channel_span.granted
                 )
 
-                def move(word, granted: bool = False) -> None:
+                def move(word) -> None:
                     word.tag += shift
                     row = word.tag - span.lo
                     word.bank = int(span.banks[row, column])
                     word.line = int(span.lines[row, column])
                     if word.data is not None:
                         word.data = stream[word.tag - base]
-                    if word.port is not None:
-                        word.submit_cycle += shift_cycles
-                    if granted:
-                        word.grant_cycle += shift_cycles
-                        word.ready_cycle += shift_cycles
 
-                # Steps [issued, generated), then [granted, issued), then the
-                # granted ones still in flight or delivered but uncollected.
-                for word in channel.address_fifo.entries:
-                    move(word)
+                # Steps [granted, issued), then the granted ones in flight.
                 for word in port.pending:
                     move(word)
-                for word in port.responses:
-                    move(word, granted=True)
                 for word in mem._in_flight:
                     if word.port is port:
-                        move(word, granted=True)
-                # Data FIFO: words [popped, collected) / [issued, pushed).
+                        move(word)
+                        word.ready_cycle += shift_cycles
+                # Data FIFO: words [popped, delivered) / [issued, pushed).
                 first, last = (
-                    (channel_span.words, channel_span.collected)
+                    (channel_span.words, channel_span.delivered)
                     if span.is_read
                     else (channel_span.issued, channel_span.words)
                 )

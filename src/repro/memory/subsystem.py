@@ -9,13 +9,17 @@ designed to avoid.
 
 :class:`MemorySubsystem` models this at cycle granularity:
 
-* requesters (DataMaestro channels, the DMA) ``submit`` word requests that
-  are queued per requester and served strictly in order per requester;
+* requesters (DataMaestro channels, by-name test requesters) queue word
+  requests that are served strictly in order per requester;
 * once per cycle :meth:`arbitrate` considers the head-of-queue request of
   every requester, grants at most one request per bank (round-robin among
   contenders) and performs the SRAM access;
-* read data and write acknowledgements become visible to the requester
-  ``read_latency`` cycles after the grant, via :meth:`collect_responses`.
+* ``read_latency`` cycles after the grant :meth:`deliver` hands the word
+  over.  The crossbar fills the data FIFO: a stream channel's read lands in
+  that channel's data FIFO directly (the Outstanding Request Manager
+  reserved the slot at issue) and its write acknowledgements are only
+  counted, so its in-flight requests are ``requests_issued -
+  port.delivered``.  A by-name requester calls :meth:`collect`.
 
 For the event-driven simulation kernel (:mod:`repro.engine`) the subsystem
 additionally implements the next-event protocol: :meth:`next_event_cycle`
@@ -34,6 +38,7 @@ from typing import Any, Deque, Dict, List, Optional
 
 import numpy as np
 
+from ..sim.fifo import Fifo
 from ..sim.stats import StatCounters
 from .addressing import BankGeometry
 from .scratchpad import ScratchpadMemory
@@ -41,13 +46,12 @@ from .scratchpad import ScratchpadMemory
 
 @dataclass(slots=True)
 class MemoryRequest:
-    """One memory word, from address generation to collected response.
+    """One memory word, from request issue to delivery.
 
-    The same object is queued by its requester, pending at its port, in
-    flight after the grant and finally handed back as its own response: the
-    grant stamps ``grant_cycle`` / ``ready_cycle`` and, for a read, fills
-    ``data`` (a write's data is dropped once stored).  ``port`` is the
-    requester's bound :class:`MemoryPort`; requests built by name only
+    The same object is pending at its port, in flight after the grant and
+    finally its own response: the grant stamps ``ready_cycle`` and, for a
+    read, fills ``data`` (a write's data is dropped once stored).  ``port``
+    is the requester's bound :class:`MemoryPort`; requests built by name only
     (``port=None``) are resolved once, at ``submit``.  ``bank`` / ``line``
     default to an out-of-range ``-1`` so a completion can be written down
     without them, while ``submit`` rejects a request that names no bank.
@@ -60,10 +64,8 @@ class MemoryRequest:
     data: Optional[np.ndarray] = None
     strobe: Optional[np.ndarray] = None
     tag: Any = None
-    submit_cycle: int = 0
     port: Optional["MemoryPort"] = None
     ready_cycle: int = 0
-    grant_cycle: int = 0
 
 
 #: A granted request is its own response, visible ``read_latency`` cycles
@@ -73,25 +75,28 @@ MemoryResponse = MemoryRequest
 
 @dataclass(slots=True, eq=False)
 class MemoryPort:
-    """One requester's side of the crossbar: its queues and grant counters.
+    """One requester's side of the crossbar: its queues and counters.
 
     Per-cycle requesters hold their port (:meth:`MemorySubsystem.bind`) and
     stamp it on every request, so no cycle resolves a name.  A port joins
-    arbitration at its first ``submit``, never at ``bind``: registration
-    order is contender order.
+    arbitration at its first request (:meth:`MemorySubsystem.register`),
+    never at ``bind``: registration order is contender order.
     """
 
     name: str
     pending: Deque[MemoryRequest] = field(default_factory=deque)
-    #: Matured responses awaiting collection (``deliver`` only moves matured
-    #: ones, so everything here is ready).
+    #: A by-name requester's matured responses awaiting :meth:`collect`
+    #: (``deliver`` only moves matured ones, so everything here is ready).
     responses: List[MemoryResponse] = field(default_factory=list)
     granted: int = 0
     retries: int = 0
+    #: Responses handed over so far, reads and write acknowledgements alike.
+    delivered: int = 0
     registered: bool = False
-    #: The requester ``deliver`` wakes when it is ``parked`` (a DataMaestro,
-    #: held weakly by its channels' ports); ``None`` for by-name requesters.
-    owner: Any = None
+    #: The data FIFO (never the streamer) of the stream channel bound here:
+    #: ``deliver`` appends a read's data to it and only counts a write's
+    #: acknowledgement.  ``None`` for by-name requesters.
+    sink: Optional[Fifo] = None
 
 
 class MemorySubsystem:
@@ -113,6 +118,9 @@ class MemorySubsystem:
         #: Granted responses, ordered by ``ready_cycle`` (constant latency).
         self._in_flight: Deque[MemoryResponse] = deque()
         self._last_grant: Dict[int, str] = {}
+        #: Requests queued and not yet granted, over all ports; a requester
+        #: that appends to its ports' ``pending`` itself adds their number.
+        self.pending_requests = 0
 
     # ------------------------------------------------------------------
     # Requester-facing API.
@@ -121,22 +129,30 @@ class MemorySubsystem:
         """Return ``requester``'s port; a new one stays unregistered."""
         return self._requesters.get(requester) or MemoryPort(requester)
 
+    def register(self, port: MemoryPort) -> None:
+        """Enter ``port`` into arbitration, behind every port already there."""
+        if self._requesters.setdefault(port.name, port) is not port:
+            raise ValueError(f"two ports bound as requester {port.name!r}")
+        port.registered = True
+
+    def check_banks(self, lowest: int, highest: int) -> None:
+        """Reject bank indices outside ``[0, num_banks)``."""
+        if lowest < 0 or highest >= self.geometry.num_banks:
+            bank = lowest if lowest < 0 else highest
+            raise ValueError(
+                f"bank {bank} out of range (num_banks={self.geometry.num_banks})"
+            )
+
     def submit(self, request: MemoryRequest) -> None:
         """Queue a request; it will be served in submission order."""
-        if not 0 <= request.bank < self.geometry.num_banks:
-            raise ValueError(
-                f"bank {request.bank} out of range "
-                f"(num_banks={self.geometry.num_banks})"
-            )
+        self.check_banks(request.bank, request.bank)
         port = request.port
         if port is None:
             port = request.port = self.bind(request.requester)
         if not port.registered:
-            if self._requesters.setdefault(port.name, port) is not port:
-                raise ValueError(f"two ports bound as requester {port.name!r}")
-            port.registered = True
-        request.submit_cycle = self.cycle
+            self.register(port)
         port.pending.append(request)
+        self.pending_requests += 1
 
     def pending_count(self, requester: str) -> int:
         """Number of not-yet-granted requests queued by ``requester``."""
@@ -156,19 +172,14 @@ class MemorySubsystem:
         ready, port.responses = port.responses, []
         return ready
 
-    def collect_responses(self, requester: str) -> List[MemoryResponse]:
-        """:meth:`collect` by requester name."""
-        port = self._requesters.get(requester)
-        return self.collect(port) if port else []
-
     # ------------------------------------------------------------------
     # Cycle behaviour.
     # ------------------------------------------------------------------
     def deliver(self) -> int:
-        """Move matured in-flight responses to their requester queues.
+        """Hand matured in-flight responses over to their requesters.
 
-        Called at the start of every cycle, before requesters look at their
-        response queues.  Returns the number of responses that matured (the
+        Called at the start of every cycle, before the accelerators look at
+        the data FIFOs.  Returns the number of responses that matured (the
         event scheduler uses this as an activity signal).
         """
         in_flight = self._in_flight
@@ -177,12 +188,19 @@ class MemorySubsystem:
         while in_flight and in_flight[0].ready_cycle <= now:
             response = in_flight.popleft()
             port = response.port
-            owner = port.owner
-            if owner is not None and owner.parked:
-                # Settled here, before the owner's collect phase moves the
-                # response into a FIFO the charge is computed from.
-                owner.wake()
-            port.responses.append(response)
+            port.delivered += 1
+            sink = port.sink
+            if sink is None:
+                port.responses.append(response)
+            elif not response.is_write:
+                entries = sink.entries
+                if len(entries) < sink.max_occupancy:
+                    entries.append(response.data)
+                    sink.total_pushes += 1
+                else:
+                    # A new high-water mark is the only place an overflow
+                    # (a request issued without a credit) can show.
+                    sink.push(response.data)
             delivered += 1
         return delivered
 
@@ -207,6 +225,8 @@ class MemorySubsystem:
 
         Returns the number of grants performed.
         """
+        if not self.pending_requests:
+            return 0
         heads: Dict[int, MemoryRequest] = {}
         contended: Dict[int, List[MemoryRequest]] = {}
         for port in self._requesters.values():
@@ -224,8 +244,7 @@ class MemorySubsystem:
         banks = self.scratchpad.banks
         last_grant = self._last_grant
         in_flight = self._in_flight
-        now = self.cycle
-        ready = now + self.read_latency
+        ready = self.cycle + self.read_latency
         reads = 0
         for bank, request in heads.items():
             port = request.port
@@ -246,9 +265,9 @@ class MemorySubsystem:
                 store.read_count += 1
                 request.data = store._data[line].copy()
                 reads += 1
-            request.grant_cycle = now
             request.ready_cycle = ready
             in_flight.append(request)
+        self.pending_requests -= len(heads)
         if reads:
             self.counters.add("word_reads", reads)
         if len(heads) > reads:
@@ -277,8 +296,10 @@ class MemorySubsystem:
         * ``None`` when fully idle: without new requests, nothing will ever
           happen here again.
         """
+        if self.pending_requests:
+            return self.cycle
         for port in self._requesters.values():
-            if port.pending or port.responses:
+            if port.responses:
                 return self.cycle
         return self._in_flight[0].ready_cycle if self._in_flight else None
 
@@ -332,10 +353,10 @@ class MemorySubsystem:
 
     def idle(self) -> bool:
         """True when no requests are pending or in flight anywhere."""
-        if self._in_flight:
+        if self._in_flight or self.pending_requests:
             return False
         for port in self._requesters.values():
-            if port.pending or port.responses:
+            if port.responses:
                 return False
         return True
 

@@ -9,8 +9,8 @@ on them.
 
 Per-cycle phase order (one call to :meth:`step`):
 
-1. streamers reset per-cycle state, the memory delivers matured responses and
-   every streamer drains them into its FIFOs;
+1. streamers reset per-cycle state and the memory delivers matured reads
+   straight into the channels' data FIFOs;
 2. the quantizer then the GeMM core fire if their operands are valid and
    their output sinks are ready;
 3. every streamer's AGU produces at most one address bundle (gated by the
@@ -159,14 +159,14 @@ class AcceleratorSystem:
         """Advance the whole system by one clock cycle.
 
         Tracks the number of state-changing events the cycle performed in
-        :attr:`last_step_activity` (responses delivered/collected, quantizer
-        and MAC firings, address bundles, requests issued, crossbar grants).
+        :attr:`last_step_activity` (responses delivered, quantizer and MAC
+        firings, address bundles, requests issued, crossbar grants).
         A step with zero activity is a fixpoint: nothing can change until a
         matured memory response arrives — the event engine exploits this.
         Drained components (``done`` streamers) are skipped outright; their
         per-cycle methods are provably no-ops.  The same argument holds per
-        streamer: one whose own cycle had zero activity is *parked* until a
-        response reaches it or the accelerator pops or pushes a word.
+        streamer: one whose own cycle had zero activity is *parked* until
+        the accelerator pops or pushes a word (a delivery decides nothing).
         """
         if self._program is None:
             return False
@@ -179,12 +179,11 @@ class AcceleratorSystem:
                 streamers = self._live = [s for s in streamers if not s.done]
                 break
 
-        # Phase 1: responses.  A delivery wakes the parked owner of its port.
+        # Phase 1: the memory delivers matured reads into the data FIFOs.
         activity = memory.deliver()
         for streamer in streamers:
             if not streamer.parked:
                 streamer.begin_cycle()
-                activity += streamer.collect_responses(memory)
 
         # Phase 2: accelerators (quantizer first so it drains the previous
         # cycle's tile before the core produces a new one).  Popping or
@@ -201,9 +200,9 @@ class AcceleratorSystem:
                 activity += 1
 
         # Phase 4: request issue and crossbar arbitration.  A streamer whose
-        # cycle moved nothing is parked: it repeats that cycle until one of
-        # the three wake-ups above, so its phases are skipped and the cycles
-        # it sits out are charged in bulk when it wakes.
+        # cycle moved nothing is parked: it repeats that cycle until a pop or
+        # a push, so its phases are skipped and the cycles it sits out are
+        # charged in bulk when it wakes.
         for streamer in streamers:
             if streamer.parked:
                 streamer.parked_cycles += 1

@@ -1,8 +1,9 @@
-"""Tests for the per-channel MIC (credits, issue, collect) behaviour.
+"""Tests for the per-channel MIC (credits, issue, delivery) behaviour.
 
-The phases run as flat loops at the streamer, so every test drives a
-one-channel :class:`DataMaestro` through its public phase methods and
-asserts on ``streamer.channels[0]``.
+The phases run as flat loops at the streamer and the rules that need its
+counters are stated there, so every test drives a one-channel
+:class:`DataMaestro` through its public phase methods and asserts on
+``streamer.channels[0]``.
 """
 
 import numpy as np
@@ -46,11 +47,15 @@ def queue_addresses(streamer, count=1):
         assert streamer.generate_addresses()
 
 
+def stages(streamer, channel):
+    """Words the channel holds as (addressed, in flight, buffered)."""
+    queued = streamer.bundles_generated - channel.requests_issued
+    return queued, channel.outstanding, channel.data_fifo.occupancy
+
+
 def cycle(memory, streamers):
-    """One cycle with the AGU held back: deliver, collect, issue, arbitrate."""
+    """One cycle with the AGU held back: deliver, issue, arbitrate."""
     memory.deliver()
-    for streamer in streamers:
-        streamer.collect_responses(memory)
     for streamer in streamers:
         streamer.issue_requests(memory)
     memory.step()
@@ -86,7 +91,7 @@ class TestReadChannel:
         assert channel.requests_issued == 2
         assert channel.data_fifo.occupancy == 2
         assert channel.credit_stall_cycles > 0
-        assert channel.credit_stalled and not channel.can_issue()
+        assert streamer.credit_stalled(channel) and not streamer.can_issue(channel)
 
     def test_credits_replenish_after_pop(self):
         streamer, channel = make_streamer(data_depth=1)
@@ -103,14 +108,23 @@ class TestReadChannel:
     def test_busy_tracks_all_stages(self):
         streamer, channel = make_streamer()
         memory = MemorySubsystem(GEOMETRY)
-        assert not channel.busy
+        assert stages(streamer, channel) == (0, 0, 0)
         queue_addresses(streamer)
-        assert channel.busy
+        assert stages(streamer, channel) == (1, 0, 0)
+        streamer.issue_requests(memory)
+        assert stages(streamer, channel) == (0, 1, 0)
         for _ in range(3):
             cycle(memory, [streamer])
-        assert channel.busy  # data waiting in FIFO
+        assert stages(streamer, channel) == (0, 0, 1)  # data waiting in FIFO
         streamer.pop_output()
-        assert not channel.busy
+        assert stages(streamer, channel) == (0, 0, 0)
+        queue_addresses(streamer, 3)  # the whole stream: busy is its channels'
+        assert streamer.busy
+        for _ in range(8):
+            cycle(memory, [streamer])
+            if streamer.output_valid():
+                streamer.pop_output()
+        assert stages(streamer, channel) == (0, 0, 0) and not streamer.busy
 
     def test_reset_clears_state(self):
         streamer, channel = make_streamer()
@@ -118,23 +132,29 @@ class TestReadChannel:
         queue_addresses(streamer, 2)
         for _ in range(3):
             cycle(memory, [streamer])
+        assert channel.requests_issued == channel.responses_received == 2
         channel.reset()
-        assert not channel.busy
-        assert channel.address_fifo.is_empty
-        # A new launch starts its counters from zero, FIFO statistics included.
+        # A new launch starts its counters from zero, FIFO statistics and the
+        # delivery count (it lives on the port, which is let go) included.
         assert set(channel.statistics().values()) == {0}
-        assert channel.address_fifo.total_pushes == channel.data_fifo.total_pops == 0
+        assert channel.data_fifo.is_empty and channel.outstanding == 0
+        assert channel.data_fifo.total_pushes == channel.data_fifo.total_pops == 0
+        # The address FIFO is the streamer's bundle count minus the channel's
+        # cursor: it empties when the streamer is programmed again.
+        streamer.configure(streamer.runtime)
+        assert stages(streamer, channel) == (0, 0, 0)
 
 
 class TestMemoryRegistration:
     def test_collect_before_any_submit_does_not_register(self):
-        """A channel joins arbitration at its first issue, not by polling."""
+        """A channel joins arbitration at its first issue, not by binding."""
         first, first_channel = make_streamer(name="dm_a", line=1)
         second, second_channel = make_streamer(name="dm_b")
         memory = MemorySubsystem(GEOMETRY)
-        assert first.collect_responses(memory) == 0
+        assert first.issue_requests(memory) == 0  # binds, holds no address
+        assert first_channel.port is not None and not first_channel.port.registered
         assert memory.outstanding_count(first_channel.requester_id) == 0
-        # Had collecting registered ``first``, it would head the contender
+        # Had binding registered ``first``, it would head the contender
         # list and win the first-ever arbitration of bank 0.
         queue_addresses(second)
         queue_addresses(first)
@@ -162,7 +182,7 @@ class TestWriteChannel:
             cycle(memory, [streamer])
         stored = memory.scratchpad.read_word(1, 2)
         assert np.array_equal(stored, np.full(8, 9, dtype=np.uint8))
-        assert not channel.busy  # ack received, nothing outstanding
+        assert stages(streamer, channel) == (0, 0, 0)  # ack received
 
     def test_input_space_available(self):
         streamer, channel = make_streamer(mode=StreamerMode.WRITE, data_depth=1)

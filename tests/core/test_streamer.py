@@ -70,7 +70,6 @@ def drain_read_streamer(streamer, memory, max_cycles=5000):
             raise AssertionError("streamer did not finish (possible deadlock)")
         streamer.begin_cycle()
         memory.deliver()
-        streamer.collect_responses(memory)
         if streamer.output_valid():
             words.append(streamer.pop_output())
         streamer.generate_addresses()
@@ -88,7 +87,6 @@ def drive_write_streamer(streamer, memory, words, max_cycles=5000):
             raise AssertionError("write streamer did not finish")
         streamer.begin_cycle()
         memory.deliver()
-        streamer.collect_responses(memory)
         if pushed < len(words) and streamer.input_ready():
             streamer.push_input(words[pushed])
             pushed += 1
@@ -264,10 +262,9 @@ class TestIdleChannels:
         streamer.configure(linear_runtime(steps=4))
         streamer.bind(memory)
         for channel in streamer.channels:
-            # Nothing outstanding, no address queued: neither phase may look
-            # at the channel's port or data FIFO (either would raise here).
+            # No address queued: the issue phase may not look at the
+            # channel's port or data FIFO (either would raise here).
             channel.port = channel.data_fifo = None
-        assert streamer.collect_responses(memory) == 0
         assert streamer.issue_requests(memory) == 0
 
     def test_stalled_accounting_matches_bulk_advance(self):
@@ -281,7 +278,6 @@ class TestIdleChannels:
             for _ in range(12 + extra_cycles):  # nobody pops: credits run out
                 streamer.begin_cycle()
                 memory.deliver()
-                streamer.collect_responses(memory)
                 streamer.generate_addresses()
                 streamer.issue_requests(memory)
                 memory.step()
@@ -303,7 +299,11 @@ class TestParkingHooks:
         def stalls(streamer):
             return [channel.credit_stall_cycles for channel in streamer.channels]
 
-        # Delivery: a response maturing for a parked streamer's port.
+        def stalled(streamer):
+            return [streamer.credit_stalled(c) for c in streamer.channels]
+
+        # Delivery is not a hook: a response maturing for a parked streamer's
+        # port fills the data FIFO and changes nothing the streamer decides on.
         memory = MemorySubsystem(GEOMETRY)
         fill_memory(memory)
         reader = DataMaestro(read_design(data_depth=1), GEOMETRY, [8])
@@ -312,17 +312,16 @@ class TestParkingHooks:
             reader.generate_addresses()
         reader.issue_requests(memory)
         memory.step()
-        assert all(channel.credit_stalled for channel in reader.channels)
+        assert stalled(reader) == [True, True]
         reader.parked, reader.parked_cycles = True, 7  # as the system would after 7 idle cycles
-        assert memory.deliver() == 2
-        assert not reader.parked and reader.parked_cycles == 0
-        assert stalls(reader) == [7, 7]
+        assert memory.deliver() == 2 and reader.output_valid()
+        assert reader.parked and reader.parked_cycles == 7
+        assert stalls(reader) == [0, 0] and stalled(reader) == [True, True]
         # pop_output: credits as they stood *before* the pop are what get charged.
-        reader.collect_responses(memory)
-        reader.parked, reader.parked_cycles = True, 3
+        reader.parked_cycles += 3
         reader.pop_output()
         assert not reader.parked and stalls(reader) == [10, 10]
-        assert not any(channel.credit_stalled for channel in reader.channels)
+        assert stalled(reader) == [False, False]
         # push_input: a write streamer holding addresses and no data.
         writer = DataMaestro(write_design(), GEOMETRY, [8])
         writer.configure(linear_runtime(steps=4))
@@ -398,7 +397,15 @@ class TestConfiguration:
         assert launches[0][0].requests_issued == launches[0][0].requests_granted == 16
         assert launches[1] == launches[0]
         for channel in streamer.channels:
-            assert channel.address_fifo.total_pushes == channel.data_fifo.total_pops == 8
+            assert channel.requests_issued == channel.data_fifo.total_pops == 8
+            assert channel.responses_received == 8 and channel.outstanding == 0
+        # The ports outlive the launch in the memory; a re-bound one counts
+        # its deliveries from zero again.
+        streamer.configure(linear_runtime(steps=8))
+        streamer.bind(memory)
+        for channel in streamer.channels:
+            assert channel.port.registered and channel.port.delivered == 0
+            assert channel.outstanding == 0
 
     def test_unconfigured_streamer_is_not_busy(self):
         streamer = DataMaestro(read_design(), GEOMETRY, [8])

@@ -232,7 +232,7 @@ class TestMemoryNextEvent:
         memory.advance(3)
         assert memory.cycle == 4
         assert memory.deliver() == 1
-        assert memory.collect_responses("t")
+        assert memory.collect(memory.bind("t"))
         assert memory.next_event_cycle() is None
 
     def test_matured_but_uncollected_response_is_immediate(self):

@@ -108,28 +108,37 @@ class _CheckedLockstep(LockstepEngine):
 
     def drive(self, target, max_cycles, **_kwargs):
         memory = target.memory
-        channels = [
-            channel
-            for port in target._active_ports
-            for channel in target.streamers[port].channels
-        ]
+        streamers = [target.streamers[port] for port in target._active_ports]
         cycles = 0
         busy = True
         while busy:
             assert cycles < max_cycles, "cycle budget exhausted"
             busy = target.step()
             cycles += 1
-            for channel in channels:
-                name = channel.requester_id
-                assert channel.outstanding == memory.outstanding_count(name), name
-                for fifo in (channel.address_fifo, channel.data_fifo):
+            for streamer in streamers:
+                design = streamer.design
+                for channel in streamer._active:
+                    name = channel.requester_id
+                    issued = channel.requests_issued
+                    # The address FIFO: two counters, within its depth.
+                    queued = streamer.bundles_generated - issued
+                    assert 0 <= queued <= design.address_buffer_depth, name
+                    fifo = channel.data_fifo
                     assert 0 <= fifo.occupancy <= fifo.depth, fifo.name
-                granted = memory.requester_stats(name)["granted"]
-                assert channel.requests_issued == granted + memory.pending_count(name), name
-        for channel in channels:
-            assert channel.responses_received == channel.requests_issued, (
-                f"{channel.requester_id}: words delivered != words requested"
-            )
+                    if streamer.is_read:
+                        # In flight plus buffered: every one owns a slot.
+                        assert (
+                            fifo.occupancy + channel.outstanding
+                            == issued - streamer.words_streamed
+                        ), name
+                    assert channel.outstanding == memory.outstanding_count(name), name
+                    granted = memory.requester_stats(name)["granted"]
+                    assert issued == granted + memory.pending_count(name), name
+        for streamer in streamers:
+            for channel in streamer.channels:
+                assert channel.responses_received == channel.requests_issued, (
+                    f"{channel.requester_id}: words delivered != words requested"
+                )
         return cycles
 
 

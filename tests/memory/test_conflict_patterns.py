@@ -30,7 +30,7 @@ def run_until_all_served(memory, requesters, max_cycles=100):
     for cycle in range(1, max_cycles + 1):
         memory.deliver()
         for name in requesters:
-            served[name] += len(memory.collect_responses(name))
+            served[name] += len(memory.collect(memory.bind(name)))
         memory.step()
         if all(served[name] >= submitted[name] for name in requesters):
             return cycle
@@ -125,7 +125,7 @@ class TestDataIntegrityUnderConflicts:
         for _ in range(10):
             memory.deliver()
             for index in range(4):
-                for response in memory.collect_responses(f"ch{index}"):
+                for response in memory.collect(memory.bind(f"ch{index}")):
                     received[index] = response.data[0]
             memory.step()
         assert received == {0: 10, 1: 11, 2: 12, 3: 13}
@@ -141,7 +141,7 @@ class TestDataIntegrityUnderConflicts:
         data = None
         for _ in range(6):
             memory.deliver()
-            for response in memory.collect_responses("ch0"):
+            for response in memory.collect(memory.bind("ch0")):
                 if not response.is_write:
                     data = response.data
             memory.step()

@@ -1,8 +1,11 @@
 """Tests for crossbar arbitration, latency, conflicts and ordering."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.core import DataMaestro, StreamerDesign, StreamerMode, StreamerRuntimeConfig
 from repro.memory import (
     BankGeometry,
     BankLocation,
@@ -10,6 +13,7 @@ from repro.memory import (
     MemoryResponse,
     MemorySubsystem,
 )
+from repro.sim.fifo import FifoError
 
 GEOMETRY = BankGeometry(num_banks=4, bank_width_bytes=8, bank_depth=8)
 
@@ -40,11 +44,11 @@ class TestBasicTiming:
         memory.submit(read_request("ch0", bank=0, line=0, tag=42))
         # Cycle 0: arbitrate/grant.
         memory.deliver()
-        assert memory.collect_responses("ch0") == []
+        assert memory.collect(memory.bind("ch0")) == []
         memory.step()
         # Cycle 1: response matured.
         memory.deliver()
-        responses = memory.collect_responses("ch0")
+        responses = memory.collect(memory.bind("ch0"))
         assert len(responses) == 1
         assert responses[0].tag == 42
         assert np.array_equal(responses[0].data, np.arange(8, dtype=np.uint8))
@@ -55,7 +59,7 @@ class TestBasicTiming:
         collected = []
         for cycle in range(5):
             memory.deliver()
-            collected.extend((cycle, r) for r in memory.collect_responses("ch0"))
+            collected.extend((cycle, r) for r in memory.collect(memory.bind("ch0")))
             memory.step()
         assert len(collected) == 1
         assert collected[0][0] == 3
@@ -135,7 +139,7 @@ class TestArbitration:
         tags = []
         for _ in range(10):
             memory.deliver()
-            tags.extend(r.tag for r in memory.collect_responses("ch0"))
+            tags.extend(r.tag for r in memory.collect(memory.bind("ch0")))
             memory.step()
         assert tags == [0, 1, 2, 3]
 
@@ -151,7 +155,7 @@ class TestArbitration:
         assert memory.outstanding_count("a") == 2
         run_cycles(memory, 3)
         memory.deliver()
-        memory.collect_responses("a")
+        memory.collect(memory.bind("a"))
         assert memory.outstanding_count("a") == 0
 
     def test_idle_detection(self):
@@ -161,7 +165,7 @@ class TestArbitration:
         assert not memory.idle()
         run_cycles(memory, 3)
         memory.deliver()
-        memory.collect_responses("a")
+        memory.collect(memory.bind("a"))
         assert memory.idle()
 
 
@@ -190,7 +194,7 @@ class TestBoundPorts:
         run_cycles(memory, 1)
         memory.deliver()
         assert [r.tag for r in memory.collect(port)] == [7]
-        assert memory.collect_responses("a") == []
+        assert memory.collect(memory.bind("a")) == []
 
     def test_second_port_under_a_registered_name_is_rejected(self):
         memory = make_subsystem()
@@ -203,10 +207,61 @@ class TestBoundPorts:
         request = MemoryRequest(requester="a", is_write=True, bank=1, line=2)
         assert (request.data, request.strobe, request.tag, request.port) == (None,) * 4
         response = MemoryResponse(
-            requester="a", is_write=False, tag=3, data=None, ready_cycle=5, grant_cycle=4
+            requester="a", is_write=False, tag=3, data=None, ready_cycle=5
         )
         assert response.ready_cycle == 5 and response.port is None
         assert BankLocation(bank=1, line=2, byte_offset=3).as_tuple() == (1, 2, 3)
+
+
+class TestStreamChannelPorts:
+    """A bound stream channel's port delivers into the channel's data FIFO."""
+
+    def reader_with_a_word_in_flight(self, memory):
+        design = StreamerDesign(
+            name="dm_t",
+            mode=StreamerMode.READ,
+            num_channels=1,
+            spatial_bounds=(1,),
+            temporal_dims=1,
+            bank_width_bits=64,
+            address_buffer_depth=2,
+            data_buffer_depth=1,
+        )
+        streamer = DataMaestro(design, GEOMETRY, [GEOMETRY.num_banks])
+        streamer.configure(
+            StreamerRuntimeConfig(
+                base_address=0,
+                temporal_bounds=(4,),
+                temporal_strides=(8,),
+                spatial_strides=(8,),
+                bank_group_size=GEOMETRY.num_banks,
+            )
+        )
+        assert streamer.generate_addresses() and streamer.issue_requests(memory) == 1
+        memory.step()
+        return streamer
+
+    def test_delivery_outlives_a_collected_streamer(self):
+        """The port holds the data FIFO, not the streamer that owns it."""
+        memory = make_subsystem()
+        streamer = self.reader_with_a_word_in_flight(memory)
+        fifo = streamer.channels[0].data_fifo
+        del streamer
+        gc.collect()
+        assert memory.deliver() == 1
+        assert fifo.occupancy == 1 and memory.outstanding_count("dm_t.ch0") == 0
+
+    def test_delivery_into_a_full_data_fifo_names_the_fifo(self):
+        """The ORM reserves the slot at issue; a read without one is caught."""
+        memory = make_subsystem()
+        streamer = self.reader_with_a_word_in_flight(memory)
+        channel = streamer.channels[0]
+        assert memory.deliver() == 1 and channel.data_fifo.is_full
+        assert streamer.generate_addresses() and streamer.credit_stalled(channel)
+        memory.submit(MemoryRequest(channel.requester_id, False, 1, 0, port=channel.port))
+        memory.step()
+        with pytest.raises(FifoError, match="dm_t.ch0.data"):
+            memory.deliver()
 
 
 class TestDmaAccounting:

@@ -1,6 +1,6 @@
 """Parked streamers: every wake-up source, every reader of a lazily charged counter.
 
-``AcceleratorSystem.step`` skips all four phases of a streamer whose last
+``AcceleratorSystem.step`` skips all three phases of a streamer whose last
 cycle moved nothing and charges the cycles it sat out when it wakes
 (``docs/ENGINE.md``, "Parked streamers").  The reference here is *not*
 ``step``: it enters every phase of every streamer every cycle through the
@@ -21,7 +21,7 @@ DESIGN = datamaestro_evaluation_system()
 SLOW = dataclasses.replace(
     DESIGN, memory=dataclasses.replace(DESIGN.memory, read_latency=24)
 )
-PHASES = ("begin_cycle", "collect_responses", "generate_addresses", "issue_requests")
+PHASES = ("begin_cycle", "generate_addresses", "issue_requests")
 
 
 def loaded(workload, features, design=DESIGN):
@@ -46,8 +46,6 @@ def reference_step(system):
     for streamer in active(system):
         streamer.begin_cycle()
     memory.deliver()
-    for streamer in active(system):
-        streamer.collect_responses(memory)
     if system._program.uses_quantizer:
         system.quantizer.step()
     system.gemm_core.step()
@@ -100,7 +98,7 @@ class TestParking:
             if streamer.parked_cycles == 5:
                 break
         assert streamer.parked_cycles == 5 and dict(entered) == snapshot
-        assert all(channel.credit_stalled for channel in streamer._active)
+        assert all(streamer.credit_stalled(channel) for channel in streamer._active)
 
     def test_every_wake_up_source_charges_what_per_cycle_stepping_counted(self):
         # 24 cycles of read latency: streamers wait for memory, not only for the core.
@@ -117,11 +115,42 @@ class TestParking:
                 assert raw_stalls(_streamer) == raw_stalls(reference.streamers[_port])
 
             streamer.wake = checked
+
+        # A delivery is not a wake-up source: it leaves a parked streamer
+        # parked, owing exactly what the reference has counted so far.
+        deliver = system.memory.deliver
+        slept_through = Counter()
+
+        def received(streamer):
+            return sum(channel.responses_received for channel in streamer._active)
+
+        def checked_deliver():
+            parked = {
+                port: (streamer.parked_cycles, received(streamer))
+                for port, streamer in system.streamers.items()
+                if streamer.parked
+            }
+            count = deliver()
+            for port, (owed, before) in parked.items():
+                streamer = system.streamers[port]
+                if received(streamer) == before:
+                    continue
+                slept_through[port] += 1
+                assert streamer.parked and streamer.parked_cycles == owed
+                owing = [
+                    channel.credit_stall_cycles + owed * streamer.credit_stalled(channel)
+                    for channel in streamer.channels
+                ]
+                assert owing == raw_stalls(reference.streamers[port])
+            return count
+
+        system.memory.deliver = checked_deliver
         busy = True
         while busy:
             busy = system.step()
             assert reference_step(reference) == busy
-        assert {"deliver", "pop_output", "push_input"} <= {s for s, n in sources.items() if n}
+        assert {s for s, n in sources.items() if n} == {"pop_output", "push_input"}
+        assert slept_through["C"] and slept_through["D"]
         assert settled_counters(system) == settled_counters(reference)
         for ours, theirs in zip(active(system), active(reference)):
             assert ours.statistics(system.memory) == theirs.statistics(reference.memory)

@@ -15,6 +15,12 @@ It covers three sets, each under ``engine="event"`` and ``engine="lockstep"``:
 * ``resnet18`` — the 12 ResNet-18 crops of ``table3_cnn``;
 * ``generated`` — 40 seeded generator workloads × features all on / all off.
 
+A fourth set, ``designs``, leaves the default design: it was written by the
+commit before the address FIFO became two counters and the crossbar started
+filling the data FIFOs, from FIFO depths down to 1, a 5-cycle memory and a
+32-bank scratchpad — 10 seeded generator workloads × the six ablation steps
+under ``event``, steps 1 and 6 also under ``lockstep``.
+
 Per run the fixture holds the 32-bit heads of one sha256 per field below, in
 order, so a mismatch names the run and the field.  Lockstep steps every cycle
 (≈ 6k cycles/s): its first two sets run under ``REPRO_FULL_SUITE`` only.
@@ -22,6 +28,7 @@ order, so a mismatch names the run and the field.  Lockstep steps every cycle
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -56,6 +63,10 @@ FIELDS = (
 HEAD = 8  # hex characters kept per field
 #: Lockstep over these sets is the slow half; tier-1 keeps the generated one.
 FULL_SUITE_ONLY = {("fig7_ladder", "lockstep"), ("resnet18", "lockstep")}
+#: (data, address) FIFO depths of the ``designs`` set, applied to all five ports.
+FIFO_DEPTHS = ((1, 1), (1, 2), (2, 2), (2, 8), (4, 3), (8, 1))
+#: The ablation steps the ``designs`` set also runs under lockstep.
+DESIGNS_LOCKSTEP_STEPS = ("1_baseline", "6_full")
 
 
 def run_sets():
@@ -84,6 +95,39 @@ def run_sets():
     }
 
 
+def designs():
+    """Label -> design, for the ``designs`` set."""
+
+    def with_depths(design, data, address):
+        streamers = tuple(
+            replace(s, data_buffer_depth=data, address_buffer_depth=address)
+            for s in design.streamers
+        )
+        return replace(design, streamers=streamers)
+
+    by_label = {
+        f"d{data}a{address}": with_depths(DESIGN, data, address)
+        for data, address in FIFO_DEPTHS
+    }
+    slow = by_label["d1a1"]
+    by_label["d1a1_lat5"] = replace(slow, memory=replace(slow.memory, read_latency=5))
+    by_label["banks32"] = datamaestro_evaluation_system(num_banks=32, gima_group_size=8)
+    return by_label
+
+
+def design_runs(engine):
+    """[(run key, workload, features, design)] of the ``designs`` set."""
+    ladder = ablation_feature_sets()
+    steps = list(ladder) if engine == "event" else DESIGNS_LOCKSTEP_STEPS
+    workloads = WorkloadGenerator(seed=777).workload_pool(10)
+    return [
+        (f"{label}/{step}/{workload.name}", workload, ladder[step], design)
+        for label, design in designs().items()
+        for workload in workloads
+        for step in steps
+    ]
+
+
 def field_values(system, result):
     """Everything a stepped cycle counts or moves, field by field (see FIELDS)."""
     memory = system.memory
@@ -106,10 +150,10 @@ def field_values(system, result):
     )
 
 
-def run_digest(workload, features, engine):
+def run_digest(workload, features, engine, design=DESIGN):
     """The run's field heads, concatenated."""
-    program = compile_workload(workload, DESIGN, features)
-    system = AcceleratorSystem(DESIGN)
+    program = compile_workload(workload, design, features)
+    system = AcceleratorSystem(design)
     result = system.run(program, engine=engine)
     return "".join(
         hashlib.sha256(repr(value).encode()).hexdigest()[:HEAD]
@@ -132,6 +176,12 @@ def cases():
     ]
 
 
+def assert_heads_match(heads, golden, where):
+    for index, field in enumerate(FIELDS):
+        span = slice(index * HEAD, (index + 1) * HEAD)
+        assert heads[span] == golden[span], f"{where} differs in field {field!r}"
+
+
 @pytest.mark.parametrize("name, engine", cases())
 def test_every_stepped_statistic_matches_the_fixture(name, engine):
     golden = json.loads(FIXTURE.read_text())[name][engine]
@@ -139,19 +189,29 @@ def test_every_stepped_statistic_matches_the_fixture(name, engine):
     assert [key for key, _, _ in entries] == list(golden), f"{name}: run list moved"
     for key, workload, features in entries:
         heads = run_digest(workload, features, engine)
-        for index, field in enumerate(FIELDS):
-            span = slice(index * HEAD, (index + 1) * HEAD)
-            assert heads[span] == golden[key][span], (
-                f"{name}/{engine}: run {key!r} differs in field {field!r}"
-            )
+        assert_heads_match(heads, golden[key], f"{name}/{engine}: run {key!r}")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_stepped_statistic_matches_the_fixture_across_designs(engine):
+    golden = json.loads(FIXTURE.read_text())["designs"][engine]
+    entries = design_runs(engine)
+    assert [key for key, *_ in entries] == list(golden), "designs: run list moved"
+    for key, workload, features, design in entries:
+        heads = run_digest(workload, features, engine, design)
+        assert_heads_match(heads, golden[key], f"designs/{engine}: run {key!r}")
 
 
 def test_both_engines_pin_the_same_statistics():
     """Event and lockstep agree on every field, so the fixture says it twice."""
     golden = json.loads(FIXTURE.read_text())
+    across = golden.pop("designs")
     assert sum(len(runs) for by_engine in golden.values() for runs in by_engine.values()) == 238
     for name, by_engine in golden.items():
         assert by_engine["event"] == by_engine["lockstep"], name
+    assert len(across["event"]) + len(across["lockstep"]) == 640
+    for key, heads in across["lockstep"].items():
+        assert across["event"][key] == heads, key
 
 
 if __name__ == "__main__":
@@ -165,6 +225,13 @@ if __name__ == "__main__":
             for engine in ENGINES
         }
         for name, entries in run_sets().items()
+    }
+    golden["designs"] = {
+        engine: {
+            key: run_digest(workload, features, engine, design)
+            for key, workload, features, design in design_runs(engine)
+        }
+        for engine in ENGINES
     }
     FIXTURE.write_text(json.dumps(golden, indent=0) + "\n")
     print(f"wrote {sum(len(r) for s in golden.values() for r in s.values())} digests to {FIXTURE}")

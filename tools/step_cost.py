@@ -10,9 +10,13 @@ memory word cost in *work*, which repeats exactly on any machine:
   the engine drives the kernel, over the number of ``AcceleratorSystem.step``
   calls;
 * records allocated per memory word — constructions of the word-level record
-  types (``MemoryRequest`` / ``MemoryResponse`` / ``ChannelAddress`` /
-  ``BankLocation``, whichever of them exist) over the words the streamers
-  requested;
+  types (``MemoryRequest``, of which ``MemoryResponse`` is an alias, and
+  ``BankLocation``) over the words the streamers requested;
+* ``Fifo`` method calls per memory word — every call into a
+  :class:`repro.sim.fifo.Fifo` (properties and ``__len__`` included) over
+  the same words: the address FIFOs are counters and the memory fills the
+  read data FIFOs itself, so write-mode words and the quantizer queue are
+  what is left;
 * issue visits per request — channels holding an address (and, writing,
   data) each time a streamer's issue phase is entered, over requests issued;
 * per streamer, the share of stepped cycles in which its issue phase was not
@@ -38,7 +42,7 @@ from typing import Dict
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 #: Word-level record types whose constructions are counted, by class name.
-RECORD_TYPES = ("MemoryRequest", "MemoryResponse", "ChannelAddress", "BankLocation")
+RECORD_TYPES = ("MemoryRequest", "BankLocation")
 
 
 def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
@@ -46,6 +50,7 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
     from repro.compiler import compile_workload
     from repro.core.params import ablation_feature_sets
     from repro.engine import EventDrivenEngine
+    from repro.sim.fifo import Fifo
     from repro.system import AcceleratorSystem, datamaestro_evaluation_system
     from repro.workloads import synthetic_suite
 
@@ -60,7 +65,7 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
     system = AcceleratorSystem(design)
 
     system_step = AcceleratorSystem.step.__code__
-    counts = {"calls": 0, "stepped": 0, "visits": 0}
+    counts = {"calls": 0, "stepped": 0, "visits": 0, "fifo": 0}
     records = dict.fromkeys(RECORD_TYPES, 0)
     entered: Dict[str, int] = {}
 
@@ -72,7 +77,9 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
             return
         counts["calls"] += 1
         name = code.co_name
-        if name == "__init__":
+        if frame.f_globals["__name__"] == Fifo.__module__:
+            counts["fifo"] += isinstance(frame.f_locals.get("self"), Fifo)
+        elif name == "__init__":
             kind = type(frame.f_locals.get("self")).__name__
             if kind in records:
                 records[kind] += 1
@@ -82,7 +89,8 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
             streamer = frame.f_locals["self"]
             entered[streamer.name] = entered.get(streamer.name, 0) + 1
             for channel in streamer._active:
-                if channel.address_fifo.entries and (
+                # The address FIFO holds bundles_generated - requests_issued.
+                if channel.requests_issued < streamer.bundles_generated and (
                     streamer.is_read or channel.data_fifo.entries
                 ):
                     counts["visits"] += 1
@@ -108,6 +116,8 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
         "requests_issued": issued,
         "records": dict(records),
         "records_per_word": sum(records.values()) / issued,
+        "fifo_calls": counts["fifo"],
+        "fifo_calls_per_word": counts["fifo"] / issued,
         "issue_visits": counts["visits"],
         "issue_visits_per_request": counts["visits"] / issued,
         "parked_share": {
@@ -131,6 +141,8 @@ def render(report: Dict[str, object]) -> str:
             f"({report['issue_visits_per_request']:.2f} issue visits per request)",
             f"  records allocated        {sum(report['records'].values()):>10,} "
             f"({report['records_per_word']:.2f} per word: {records})",
+            f"  Fifo method calls        {report['fifo_calls']:>10,} "
+            f"({report['fifo_calls_per_word']:.2f} per word)",
             f"  stepped cycles parked    {parked}",
         ]
     )
