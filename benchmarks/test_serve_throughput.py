@@ -195,9 +195,7 @@ def shard_scaling(bench_results, tmp_path_factory, bench_out):
         cache_dir = tmp_path_factory.mktemp(f"serve-bench-shards{shards}")
         cluster = ClusterService(
             cache_dir=cache_dir,
-            config=ClusterConfig(
-                shards=shards, worker_threads=1, max_backlog=len(jobs)
-            ),
+            config=ClusterConfig(shards=shards, worker_threads=1),
         )
         try:
             start = time.perf_counter()

@@ -182,7 +182,8 @@ def part4_simulation_service():
         features=FeatureSet.all_enabled(),
     )
     config = ServiceConfig(max_workers=2, max_backlog=16)
-    with ServiceClient(config=config) as client:
+    events = []  # on_event hears every lifecycle edge as a ServiceEvent
+    with ServiceClient(config=config, on_event=events.append) as client:
         # Submit → coalesce: a burst of identical jobs in one batch costs
         # exactly one backend simulation; every caller gets the same outcome.
         outcomes = client.run([job] * 8, client_name="quickstart")
@@ -193,8 +194,8 @@ def part4_simulation_service():
         print(f"  all callers share one outcome object: "
               f"{all(o is outcomes[0] for o in outcomes)}")
 
-        # Stream: every lifecycle edge was announced as a ServiceEvent.
-        kinds = [event.kind for event in client.events()]
+        # Stream: every lifecycle edge reached on_event as it happened.
+        kinds = [event.kind for event in events]
         print(f"  event stream: {' -> '.join(dict.fromkeys(kinds))}")
 
         # Backpressure: the admission queue is bounded.  submit() fails

@@ -222,7 +222,7 @@ def _add_job_flags(
 
 
 def _add_service_flags(parser: argparse.ArgumentParser, backlog: int) -> None:
-    """Service flags: ``--shards``, ``--workers``, ``--backlog``."""
+    """Service flags: ``--shards``, ``--workers`` and ``--backlog`` (unset unless given)."""
     parser.add_argument(
         "--shards",
         type=int,
@@ -242,11 +242,12 @@ def _add_service_flags(parser: argparse.ArgumentParser, backlog: int) -> None:
     parser.add_argument(
         "--backlog",
         type=int,
-        default=backlog,
+        default=None,
         metavar="N",
-        help="bounded admission-queue depth; overflowing it is rejected "
-        "with QueueFullError (default: %(default)s)",
+        help="thread-service admission-queue bound, overflow raises QueueFullError "
+        f"(default: {backlog}; not with --shards, which admits every job)",
     )
+    parser.set_defaults(backlog_default=backlog)
 
 
 def _cache_dir(args: argparse.Namespace, default: bool = True):
@@ -291,7 +292,11 @@ def _service_shards(args: argparse.Namespace) -> int:
     (0 = the single-process thread service)."""
     _require(args, "--workers", "--backlog")
     _require(args, "--shards", positive=False)
-    return _or_config(args.shards, "serve_shards")
+    shards = _or_config(args.shards, "serve_shards")
+    if shards and args.backlog is not None:
+        raise CliError("--backlog bounds the thread service; --shards admits every job")
+    args.backlog = None if shards else args.backlog or args.backlog_default
+    return shards
 
 
 def _open_service(
@@ -305,9 +310,7 @@ def _open_service(
     if shards > 0:
         from .cluster import ClusterConfig, ClusterService
 
-        cluster = ClusterConfig(
-            shards=shards, worker_threads=args.workers, max_backlog=args.backlog, **config
-        )
+        cluster = ClusterConfig(shards=shards, worker_threads=args.workers, **config)
         return ClusterService(cache_dir=cache_dir, config=cluster, journal=journal)
     from .serve import ServiceClient, ServiceConfig
 
@@ -771,8 +774,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"service: {stats['submitted']} submitted, {stats['executed']} simulated, "
         f"{stats['coalesced']} coalesced, {stats['cache_hits']} cache hits "
         f"(coalescing hit-rate {stats['coalescing_hit_rate']:.0%}, "
-        f"workers {args.workers}, backlog {args.backlog}"
-        + (f", shards {shards}, restarts {stats['restarts']})" if shards else ")")
+        f"workers {args.workers}, "
+        + (f"shards {shards}, restarts {stats['restarts']})" if shards
+           else f"backlog {args.backlog})")
     )
     return 0
 

@@ -9,9 +9,10 @@ service across worker *processes*:
   content hash, so identical jobs land on the same shard and per-shard
   in-flight coalescing stays exactly correct;
 * each shard is a forked process running a private
-  :class:`~repro.serve.service.SimulationService`
+  :class:`~repro.serve.client.ServiceClient`
   (:mod:`~repro.cluster.worker`), speaking the length-prefixed message
-  protocol of :mod:`~repro.cluster.protocol`;
+  protocol of :mod:`~repro.cluster.protocol`; the parent is the only
+  admission point, so a shard accepts every job it is dispatched;
 * a :class:`~repro.cluster.supervisor.Supervisor` heartbeats every shard,
   restarts crashed or hung workers with capped exponential backoff, and
   requeues their in-flight jobs onto the replacement;
@@ -19,10 +20,14 @@ service across worker *processes*:
   durable: a restarted daemon resubmits unfinished jobs and serves
   completed ones without re-execution.
 
-:class:`~repro.cluster.service.ClusterService` is the front door; it is
-API-compatible with :class:`~repro.serve.client.ServiceClient`, so
-``Simulator(service=cluster)`` and ``BatchRunner(service=cluster)`` work
-unchanged.  ``repro serve --shards N`` exposes it from the CLI.
+:class:`~repro.cluster.service.ClusterService` is the front door and
+:class:`~repro.cluster.service.ClusterConfig` its one config (the
+supervisor's health fields included); it is API-compatible with
+:class:`~repro.serve.client.ServiceClient`, so ``Simulator(service=cluster)``
+and ``BatchRunner(service=cluster)`` work unchanged, and its lifecycle edges
+leave through the same emit point,
+:meth:`~repro.serve.core.AdmissionCore.announce`.  ``repro serve --shards
+N`` exposes it from the CLI.
 """
 
 from .journal import (
@@ -34,7 +39,7 @@ from .journal import (
 from .protocol import MAX_FRAME_BYTES, MessageChannel, ProtocolError, channel_pair
 from .router import ShardRouter
 from .service import ClusterConfig, ClusterService
-from .supervisor import ShardFailedError, ShardHandle, Supervisor, SupervisorConfig
+from .supervisor import ShardFailedError, ShardHandle, Supervisor
 
 __all__ = [
     "JOB_JOURNAL_FORMAT",
@@ -51,5 +56,4 @@ __all__ = [
     "ShardFailedError",
     "ShardHandle",
     "Supervisor",
-    "SupervisorConfig",
 ]

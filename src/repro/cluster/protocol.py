@@ -24,7 +24,7 @@ Shard → parent:
   "exception": BaseException | None}`` — the exception rides along when it
   pickles, so coalesced waiters re-raise the original error type.
 * ``{"kind": "pong", "seq": int, "snapshot": dict}`` — health answer with
-  the shard's :meth:`SimulationService.snapshot`.
+  the shard's :meth:`ServiceClient.snapshot`.
 * ``{"kind": "bye", "shard": int}`` — clean shutdown acknowledgement.
 
 A truncated stream (peer died mid-frame) surfaces as :class:`EOFError`;

@@ -4,7 +4,7 @@ The cluster routes every job by its stable content hash
 (:meth:`~repro.runtime.job.SimJob.job_hash`), so
 
 * identical jobs always land on the same shard — in-flight coalescing
-  inside each shard's :class:`~repro.serve.service.SimulationService`
+  inside each shard's :class:`~repro.serve.client.ServiceClient`
   stays exactly as correct as in the single-process service;
 * routing is deterministic across processes and restarts — a requeued job
   goes back to (the restarted incarnation of) its original shard, and a

@@ -1,7 +1,7 @@
 """The sharded simulation cluster: routing, coalescing, durability.
 
 :class:`ClusterService` is the multi-process sibling of the single-process
-:class:`~repro.serve.service.SimulationService`.  It keeps the same outward
+:class:`~repro.serve.client.ServiceClient`.  It keeps the same outward
 contract — submit a :class:`~repro.runtime.job.SimJob`, get a ticket whose
 future resolves to one :class:`~repro.runtime.outcome.SimOutcome`; identical
 in-flight submissions coalesce; caches are probed before any work is
@@ -12,7 +12,11 @@ Admission — coalesce onto an identical in-flight job, probe the
 journal-replayed completions and then the shared
 :class:`~repro.runtime.cache.ResultCache`, else create a new entry — is the
 :class:`~repro.serve.core.AdmissionCore`'s, the same one the thread service
-runs.  This module is the *executor* for new entries:
+runs, and so is the one lifecycle emit point
+(:meth:`~repro.serve.core.AdmissionCore.announce`, which feeds the tracer).
+The parent is the cluster's only admission point and bounds nothing: a
+shard's service accepts every job it is dispatched.  This module is the
+*executor* for new entries:
 
 1. **Route** — :class:`~repro.cluster.router.ShardRouter` hash-partitions
    by job hash: identical jobs always share a shard, keeping the shard's
@@ -23,7 +27,7 @@ runs.  This module is the *executor* for new entries:
    between acceptance and completion resubmits it on restart.
 3. **Dispatch** — the job travels to the shard worker over the
    length-prefixed :mod:`~repro.cluster.protocol` channel; the worker's
-   embedded :class:`~repro.serve.service.SimulationService` executes it and
+   embedded :class:`~repro.serve.client.ServiceClient` executes it and
    sends the outcome (or the original exception) back.
 4. **Settle** — the result frame is matched to its entry by sequence
    number (a stale frame from a killed incarnation matches nothing), the
@@ -60,7 +64,7 @@ from ..serve.core import AdmissionCore, Entry, ServiceClosedError, Stats, Ticket
 from .journal import JobJournal
 from .protocol import MSG_ERROR, MSG_RESULT
 from .router import ShardRouter
-from .supervisor import ShardFailedError, ShardHandle, Supervisor, SupervisorConfig
+from .supervisor import ShardFailedError, ShardHandle, Supervisor
 
 __all__ = ["ClusterConfig", "ClusterService"]
 
@@ -77,14 +81,21 @@ class ClusterConfig:
         Executor threads *inside* each shard's embedded service.  ``1`` is
         right for CPU-bound simulation (the shard process is the unit of
         parallelism); raise it only for I/O-heavy custom backends.
-    max_backlog:
-        Per-shard admission bound of the embedded service.
     progress_interval:
         Cycle cadence of the engines' cooperative yield points in workers.
-    heartbeat_interval / heartbeat_timeout / backoff_base / backoff_cap /
-    max_restarts / ready_timeout:
-        Supervision knobs, see
-        :class:`~repro.cluster.supervisor.SupervisorConfig`.
+    heartbeat_interval:
+        Seconds between the :class:`~repro.cluster.supervisor.Supervisor`'s
+        ping rounds.
+    heartbeat_timeout:
+        A live shard whose last message (pong, result, ready) is older
+        than this is considered hung and is killed and restarted.
+    backoff_base / backoff_cap:
+        First restart delay (successive failures double it) and its cap.
+    max_restarts:
+        Consecutive fruitless restarts (no result or pong in between)
+        before a shard is declared failed for good.
+    ready_timeout:
+        Seconds to wait for a freshly started worker's ``ready`` frame.
     shutdown_timeout:
         Seconds :meth:`ClusterService.close` waits for draining shards
         before failing leftover futures.
@@ -92,7 +103,6 @@ class ClusterConfig:
 
     shards: int = 2
     worker_threads: int = 1
-    max_backlog: int = 1024
     progress_interval: int = 250_000
     heartbeat_interval: float = 1.0
     heartbeat_timeout: float = 15.0
@@ -107,20 +117,14 @@ class ClusterConfig:
             raise ValueError("shards must be positive")
         if self.worker_threads <= 0:
             raise ValueError("worker_threads must be positive")
-        if self.max_backlog <= 0:
-            raise ValueError("max_backlog must be positive")
         if self.shutdown_timeout <= 0:
             raise ValueError("shutdown_timeout must be positive")
-
-    def supervisor_config(self) -> SupervisorConfig:
-        return SupervisorConfig(
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_timeout=self.heartbeat_timeout,
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
-            max_restarts=self.max_restarts,
-            ready_timeout=self.ready_timeout,
-        )
+        if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
+            raise ValueError("heartbeat interval/timeout must be positive")
+        if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
+            raise ValueError("need 0 <= backoff_base <= backoff_cap")
+        if self.max_restarts < 0:
+            raise ValueError("max_restarts must be non-negative")
 
 
 class ClusterService:
@@ -174,7 +178,7 @@ class ClusterService:
         #: Serialises the core and the seq -> entry map below; futures are
         #: resolved outside it (done-callbacks are caller code).
         self._lock = threading.RLock()
-        self._core = AdmissionCore(self.stats, cache, Future, self._emit)
+        self._core = AdmissionCore(self.stats, cache, Future)
         self._pending: Dict[int, Entry] = {}  # seq -> dispatched entry
         self._handles: List[ShardHandle] = []
         self._dead_shards: Dict[int, str] = {}
@@ -182,7 +186,7 @@ class ClusterService:
         self._closed = False
 
         self._supervisor = Supervisor(
-            self.config.supervisor_config(),
+            self.config,
             get_handle=self._get_handle,
             replace_handle=self._replace_handle,
             on_shard_lost=self._redispatch_shard,
@@ -212,7 +216,6 @@ class ClusterService:
             index,
             cache_dir=str(self.cache.root) if self.cache is not None else None,
             worker_threads=self.config.worker_threads,
-            max_backlog=self.config.max_backlog,
             progress_interval=self.config.progress_interval,
             on_message=self._on_message,
             on_disconnect=self._supervisor.notify_disconnect,
@@ -361,13 +364,6 @@ class ClusterService:
         if self.journal is not None and journal_submission:
             self.journal.record_submission(entry.key, entry.job)
         self._pending[entry.seq] = entry
-
-    @staticmethod
-    def _emit(kind: str, key: str, client: str, **extra) -> None:
-        """The core's lifecycle hook → the tracer's one lifecycle mapping."""
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.lifecycle(kind, key, client, **extra)
 
     def run(
         self,

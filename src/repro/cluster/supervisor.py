@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from .protocol import (
     MSG_BYE,
@@ -45,49 +44,14 @@ from .protocol import (
 )
 from .worker import shard_worker_main
 
-__all__ = ["ShardFailedError", "ShardHandle", "Supervisor", "SupervisorConfig"]
+if TYPE_CHECKING:
+    from .service import ClusterConfig
+
+__all__ = ["ShardFailedError", "ShardHandle", "Supervisor"]
 
 
 class ShardFailedError(RuntimeError):
     """A shard exhausted its restart budget; its jobs cannot complete."""
-
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Health-check and restart tunables.
-
-    Parameters
-    ----------
-    heartbeat_interval:
-        Seconds between ping rounds.
-    heartbeat_timeout:
-        A live process whose last message (pong, result, ready) is older
-        than this is considered hung and is killed and restarted.
-    backoff_base:
-        First restart delay; successive failures double it.
-    backoff_cap:
-        Upper bound on the restart delay.
-    max_restarts:
-        Consecutive fruitless restarts (no result or pong in between)
-        before the shard is declared failed for good.
-    ready_timeout:
-        Seconds to wait for a freshly started worker's ``ready`` frame.
-    """
-
-    heartbeat_interval: float = 1.0
-    heartbeat_timeout: float = 15.0
-    backoff_base: float = 0.1
-    backoff_cap: float = 5.0
-    max_restarts: int = 5
-    ready_timeout: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
-            raise ValueError("heartbeat interval/timeout must be positive")
-        if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
-            raise ValueError("need 0 <= backoff_base <= backoff_cap")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
 
 
 class ShardHandle:
@@ -99,7 +63,6 @@ class ShardHandle:
         *,
         cache_dir: Optional[str],
         worker_threads: int,
-        max_backlog: int,
         progress_interval: int,
         on_message: Callable[["ShardHandle", dict], None],
         on_disconnect: Callable[["ShardHandle"], None],
@@ -107,7 +70,6 @@ class ShardHandle:
         self.index = index
         self._cache_dir = cache_dir
         self._worker_threads = worker_threads
-        self._max_backlog = max_backlog
         self._progress_interval = progress_interval
         self._on_message = on_message
         self._on_disconnect = on_disconnect
@@ -147,7 +109,6 @@ class ShardHandle:
                 self.index,
                 self._cache_dir,
                 self._worker_threads,
-                self._max_backlog,
                 self._progress_interval,
             ),
             name=f"repro-shard-{self.index}",
@@ -253,12 +214,13 @@ class Supervisor:
     one, and hands its predecessor's pending jobs back to the cluster for
     redispatch.  ``notify_disconnect`` lets reader threads short-circuit
     the cadence: an EOF triggers recovery on the next loop tick without
-    waiting out the interval.
+    waiting out the interval.  Its tunables are the health fields of the
+    cluster's :class:`~repro.cluster.service.ClusterConfig`.
     """
 
     def __init__(
         self,
-        config: SupervisorConfig,
+        config: "ClusterConfig",
         *,
         get_handle: Callable[[int], ShardHandle],
         replace_handle: Callable[[int], ShardHandle],

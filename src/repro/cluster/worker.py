@@ -1,12 +1,14 @@
-"""The shard worker process: one ``SimulationService`` behind a socket.
+"""The shard worker process: one ``ServiceClient`` behind a socket.
 
 Each shard is a forked child process running :func:`shard_worker_main`.
-Inside it, a full single-process :class:`~repro.serve.service.SimulationService`
-(via the sync :class:`~repro.serve.client.ServiceClient` facade) does what
-it already does well — coalesce duplicate in-flight jobs, probe the shared
-result cache before scheduling, execute on a small thread pool — while the
-process boundary buys what threads cannot: a private GIL, so N shards run
-N simulations truly in parallel.
+Inside it, a full single-process :class:`~repro.serve.client.ServiceClient`
+does what it already does well — coalesce duplicate in-flight jobs, probe
+the shared result cache before scheduling, execute on a small thread pool —
+while the process boundary buys what threads cannot: a private GIL, so N
+shards run N simulations truly in parallel.  The shard's service has no
+``on_event`` listener (its lifecycle edges reach only a tracer installed in
+the shard) and no backlog bound: the parent admitted every job it
+dispatches, so the shard never bounces one.
 
 The worker's main thread is a plain receive loop on the length-prefixed
 :class:`~repro.cluster.protocol.MessageChannel`:
@@ -27,10 +29,10 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 from typing import Optional
 
-from ..serve.client import ServiceClient
-from ..serve.service import ServiceConfig
+from ..serve.client import ServiceClient, ServiceConfig
 from .protocol import (
     MSG_BYE,
     MSG_ERROR,
@@ -69,7 +71,6 @@ def shard_worker_main(
     shard_index: int,
     cache_dir: Optional[str],
     worker_threads: int,
-    max_backlog: int,
     progress_interval: int,
 ) -> None:
     """Entry point of one shard process (started via the fork context).
@@ -87,7 +88,8 @@ def shard_worker_main(
         cache_dir=cache_dir,
         config=ServiceConfig(
             max_workers=worker_threads,
-            max_backlog=max_backlog,
+            # The parent admitted the job: the shard queues whatever arrives.
+            max_backlog=sys.maxsize,
             progress_interval=progress_interval,
         ),
     )
@@ -138,7 +140,7 @@ def shard_worker_main(
                 seq, key, job = message["seq"], message["key"], message["job"]
                 try:
                     ticket = client.submit(job, client_name=f"shard{shard_index}")
-                except Exception as error:  # noqa: BLE001 — backpressure etc.
+                except Exception as error:  # noqa: BLE001 — the waiters must hear it
                     send(
                         {
                             "kind": MSG_ERROR,

@@ -13,7 +13,7 @@ every stage exports rates, depths and health to a central monitor):
   callbacks);
 * :mod:`repro.obs.exposition` — the Prometheus text renderer and the
   snapshot→families mapper that turns
-  ``SimulationService.snapshot()`` / ``ClusterService.snapshot()``
+  ``ServiceClient.snapshot()`` / ``ClusterService.snapshot()``
   (including per-shard pong-frame aggregation) into ``/metrics`` rows;
 * :mod:`repro.obs.http` — the stdlib-only :class:`MetricsServer`
   (``/metrics``, ``/snapshot``, ``/config``, ``/healthz``, dashboard);

@@ -8,7 +8,7 @@ Two jobs live here:
   sample, histograms as cumulative ``_bucket`` series with a ``+Inf``
   row plus ``_sum``/``_count``);
 * :func:`snapshot_families` — map the structured ops snapshots the
-  services already produce (:meth:`SimulationService.snapshot` for the
+  services already produce (:meth:`ServiceClient.snapshot` for the
   thread service, :meth:`ClusterService.snapshot` with its per-shard
   pong-frame aggregation) onto metric families.  This is what makes the
   ``/metrics`` endpoint *cross-process correct*: shard processes cannot
@@ -223,7 +223,7 @@ def snapshot_families(snapshot: Dict[str, object]) -> List[MetricFamily]:
     """Map a service/cluster snapshot dict onto metric families.
 
     Accepts both shapes: the flat thread-service snapshot
-    (``SimulationService.snapshot()``) and the cluster snapshot with its
+    (``ServiceClient.snapshot()``) and the cluster snapshot with its
     nested ``stats`` counters and per-shard ``shards`` list.  Per-shard
     latency histograms are merged bucket-wise (all shards share the
     package-wide bounds) into one ``repro_latency_seconds`` family.

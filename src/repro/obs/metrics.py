@@ -10,7 +10,7 @@ collects them.
 Two registry scopes exist by design:
 
 * **per-service registries** — every
-  :class:`~repro.serve.service.SimulationService` /
+  :class:`~repro.serve.client.ServiceClient` /
   :class:`~repro.cluster.service.ClusterService` owns its own registry
   (its :class:`~repro.serve.core.Stats` counters are backed by it), so parallel
   services in one process (the test suite runs dozens) never merge

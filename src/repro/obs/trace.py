@@ -17,9 +17,10 @@ Tracing is **disabled by default** and costs one module-global ``None``
 check per hook when off (:func:`get_tracer` — the benchmark suite bounds
 this overhead at <5% of the serve throughput run).  Enable it with
 ``repro <cmd> --trace out.json`` or ``REPRO_TRACE=out.json``; the hooks
-live in :class:`~repro.serve.events.EventBus` (one per service event),
-:class:`~repro.cluster.service.ClusterService` (one per admission-core
-edge, plus route/dispatch/requeue), the service's cache write-back,
+live in :meth:`~repro.serve.core.AdmissionCore.announce` (the one
+lifecycle emit point of both transports: one :meth:`TraceRecorder.lifecycle`
+call per edge), :class:`~repro.cluster.service.ClusterService`
+(route/dispatch/requeue), the thread service's cache write-back,
 :class:`~repro.serve.queue.FairQueue` depth changes (counter events) and
 :class:`~repro.engine.event.EventDrivenEngine` (engine spans + macro-jump
 instants).
@@ -148,10 +149,10 @@ class TraceRecorder:
         """Map one admission lifecycle edge (an ``EVENT_KINDS`` kind, or the
         cluster's ``journal_hit``) onto spans.
 
-        The single lifecycle → span mapping: ``EventBus.publish`` calls it
-        per thread-service event and ``ClusterService`` per admission-core
-        edge; the executors add only their own spans (``write_back``;
-        ``shard_routed`` / ``dispatched`` / ``requeued``).
+        The single lifecycle → span mapping: ``AdmissionCore.announce``
+        calls it once per edge on either transport; the executors add only
+        their own spans (``write_back``; ``shard_routed`` / ``dispatched`` /
+        ``requeued``).
         """
         args = {"workload": workload, "client": client}
         if kind == "submitted":

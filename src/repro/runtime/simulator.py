@@ -24,9 +24,8 @@ from ..core.params import FeatureSet
 from ..engine import DEFAULT_ENGINE
 from ..system.design import AcceleratorSystemDesign
 from ..workloads.spec import Workload
-from .backends import get_backend
 from .batch import BatchRunner, BatchStats
-from .cache import ResultCache, write_back
+from .cache import ResultCache
 from .job import DATAMAESTRO_BACKEND, SimJob
 from .outcome import SimOutcome
 
@@ -73,29 +72,14 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def simulate(self, job: SimJob) -> SimOutcome:
-        """Execute one job (through the cache when one is configured).
+        """Execute one job (through the cache when one is configured): a
+        batch of one, so in-process whatever ``max_workers`` says.
 
         With a ``service`` attached, the miss path submits to the shared
         simulation service (coalescing with any identical in-flight
         request) instead of executing in-process.
         """
-        if self.cache is not None:
-            hit = self.cache.get(job.job_hash())
-            if hit is not None:
-                self.stats.cache_hits += 1
-                return hit
-            self.stats.cache_misses += 1
-        if self.service is not None:
-            outcome = self.service.run([job])[0]
-            if outcome.cache_hit:
-                self.stats.service_cache_hits += 1
-            else:
-                self.stats.executed += 1
-        else:
-            outcome = get_backend(job.backend).execute(job)
-            self.stats.executed += 1
-        write_back(self.cache, job.job_hash(), outcome)
-        return outcome
+        return self.simulate_many([job])[0]
 
     def simulate_many(
         self,

@@ -13,17 +13,17 @@ a *service*: a long-lived, thread-safe component that
   :class:`~repro.serve.queue.QueueFullError` (explicit backpressure);
 * **probes the result cache before scheduling** and writes fresh results
   back through it;
-* **streams** lifecycle and progress events
-  (:class:`~repro.serve.events.ServiceEvent`), with progress fed by the
-  simulation engines' cooperative yield points.
+* **announces** every lifecycle and progress edge from one emit point,
+  :meth:`AdmissionCore.announce <repro.serve.core.AdmissionCore.announce>`:
+  to the installed tracer, and as a
+  :class:`~repro.serve.events.ServiceEvent` to the ``on_event`` callback.
 
 Entry points:
 
-* :class:`SimulationService` — worker threads under one lock, an
-  executor around the transport-free admission core of
-  :mod:`repro.serve.core` that :mod:`repro.cluster` shares;
-* :class:`ServiceClient` — the front door scripts, tests, the CLI and each
-  cluster shard hold (cache opening, ``client_name=``, the event ring);
+* :class:`ServiceClient` — the one thread-service object: worker threads
+  under one lock, an executor around the transport-free admission core of
+  :mod:`repro.serve.core` that :mod:`repro.cluster` shares; scripts, tests,
+  the CLI and each cluster shard hold it;
 * ``python -m repro.cli serve …`` — the CLI daemon;
 * ``Simulator(service=client)`` / ``BatchRunner(service=client)`` /
   ``ExplorationEngine(service=client)`` — route existing call sites
@@ -38,8 +38,8 @@ bare :class:`~repro.runtime.simulator.Simulator`) and
 ``docs/ARCHITECTURE.md`` for where this layer sits in the package map.
 """
 
-from .client import ServiceClient
-from .core import AdmissionCore, Stats, Ticket
+from .client import ServiceClient, ServiceConfig
+from .core import AdmissionCore, ServiceClosedError, Stats, Ticket
 from .events import EVENT_KINDS, ServiceEvent
 from .queue import FairQueue, QueueFullError
 from .replay import (
@@ -52,18 +52,11 @@ from .replay import (
     replay_trace,
     save_trace,
 )
-from .service import (
-    LatencyHistogram,
-    ServiceClosedError,
-    ServiceConfig,
-    SimulationService,
-)
 
 __all__ = [
     "AdmissionCore",
     "EVENT_KINDS",
     "FairQueue",
-    "LatencyHistogram",
     "QueueFullError",
     "REGIMES",
     "ReplayRegime",
@@ -77,7 +70,6 @@ __all__ = [
     "ServiceClosedError",
     "ServiceConfig",
     "ServiceEvent",
-    "SimulationService",
     "Stats",
     "Ticket",
 ]

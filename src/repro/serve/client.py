@@ -1,46 +1,95 @@
-"""The blocking client of the in-process simulation service.
+"""The in-process simulation service: coalescing, fair admission, workers.
 
 :class:`ServiceClient` is what scripts, tests, the CLI, each cluster shard
-and ``Simulator(service=...)`` hold: it opens the cache, builds one
-:class:`~repro.serve.service.SimulationService`, keeps a bounded mirror of
-its events, and speaks the ``client_name=`` vocabulary
-:class:`~repro.cluster.service.ClusterService` shares::
+and ``Simulator(service=...)`` hold, and it speaks the ``client_name=``
+vocabulary :class:`~repro.cluster.service.ClusterService` shares::
 
     with ServiceClient(cache_dir=path) as client:
         ticket = client.submit(job, client_name="alice")
-        outcome = client.result(ticket)            # blocks
+        outcome = ticket.result()                  # blocks
         outcomes = client.run(jobs)                # batch, order preserved
 
-It starts no thread of its own: every method is a call into the service on
-the caller's thread.  Duplicate in-flight submissions coalesce, cache hits
-resolve without queueing, a full backlog raises
-:class:`~repro.serve.queue.QueueFullError` from :meth:`submit` (:meth:`run`
-waits for capacity instead), :meth:`close` drains by default.
-:meth:`events` reads a thread-safe ring of the latest :data:`EVENT_BUFFER`.
+Admission — coalescing identical in-flight requests onto one future,
+probing the :class:`~repro.runtime.cache.ResultCache` before anything is
+scheduled, announcing each lifecycle edge — is the
+:class:`~repro.serve.core.AdmissionCore`'s, shared with the cluster; this
+module is the in-process *executor* around it:
+
+* a **fair bounded admission queue** (:class:`~repro.serve.queue.FairQueue`)
+  — priority first, round-robin across clients within a priority, FIFO
+  within a client; a full backlog raises the typed
+  :class:`~repro.serve.queue.QueueFullError` from :meth:`~ServiceClient.submit`
+  (:meth:`~ServiceClient.submit_wait` and :meth:`~ServiceClient.run` wait for
+  capacity instead);
+* a **worker pool** of plain threads — cache hits never occupy a worker,
+  and every fresh result is written back through the same cache;
+* ``progress`` edges fed by the simulation engines' cooperative yield
+  points (see ``docs/ENGINE.md``), announced like every other edge.
+
+Every method is thread-safe and runs on the caller's thread: one
+re-entrant lock serialises the core and the queue, as in
+:class:`~repro.cluster.service.ClusterService`.  Pure-Python cycle
+simulation holds the GIL, so the win is coalescing + caching + overlap with
+I/O rather than parallel speedup — ``docs/SERVE.md`` states the lock
+discipline and when to use the service vs the bare ``Simulator``.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import threading
+import time
+from collections import Counter
+from concurrent.futures import Future
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..runtime.cache import ResultCache
+from ..obs.exposition import worker_families
+from ..obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
+from ..obs.trace import get_tracer
+from ..runtime.batch import execute_job_with_progress
+from ..runtime.cache import ResultCache, write_back
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
-from .core import Ticket
+from .core import AdmissionCore, Entry, ServiceClosedError, Stats, Ticket
 from .events import ServiceEvent
-from .service import ServiceConfig, SimulationService
+from .queue import FairQueue, QueueFullError
 
-__all__ = ["EVENT_BUFFER", "ServiceClient"]
+__all__ = ["ServiceClient", "ServiceConfig"]
 
-#: Events the mirror retains.  A ring, not a log: a shard worker or a daemon
-#: never reads :meth:`ServiceClient.events`; ~3 per request must not pile up.
-EVENT_BUFFER = 4096
+
+@dataclass(frozen=True)
+class ServiceConfig:
+    """Tunables of one :class:`ServiceClient`.
+
+    Parameters
+    ----------
+    max_workers:
+        Worker threads, i.e. concurrent backend simulations.
+    max_backlog:
+        Bound on *queued* (admitted, not yet started) jobs; exceeding it is
+        explicit backpressure: :class:`QueueFullError`.
+    progress_interval:
+        Cycle cadence of streaming ``progress`` events, forwarded to the
+        simulation engine's cooperative yield points.
+    """
+
+    max_workers: int = 2
+    max_backlog: int = 64
+    progress_interval: int = 250_000
+
+    def __post_init__(self) -> None:
+        if self.max_workers <= 0:
+            raise ValueError("max_workers must be positive")
+        if self.progress_interval <= 0:
+            raise ValueError("progress_interval must be positive")
 
 
 class ServiceClient:
-    """Blocking front door of one :class:`SimulationService`.
+    """Thread-safe simulation front door: submit, coalesce, stream, drain.
+
+    The workers start with the object; use it as a context manager or call
+    :meth:`close` explicitly.
 
     Parameters
     ----------
@@ -50,8 +99,10 @@ class ServiceClient:
     config:
         Service tunables (worker count, backlog bound, progress cadence).
     on_event:
-        Optional callback streamed every :class:`ServiceEvent` as it is
-        published (invoked under the service's lock — keep it cheap).
+        Optional callback handed every :class:`ServiceEvent` as it is
+        announced, ``seq`` counted from 0.  It runs under the service's lock
+        on whichever thread announces — keep it cheap, never block in it;
+        it may read :meth:`snapshot`.  Without it no event object is built.
     """
 
     def __init__(
@@ -63,22 +114,127 @@ class ServiceClient:
     ) -> None:
         if cache is None and cache_dir is not None:
             cache = ResultCache(Path(cache_dir).expanduser())
-        self._events: "deque[ServiceEvent]" = deque(maxlen=EVENT_BUFFER)
-        self.service = SimulationService(cache=cache, config=config)
-        self.service.add_listener(self._events.append)
-        if on_event is not None:
-            self.service.add_listener(on_event)
+        self.cache = cache
+        self.config = config or ServiceConfig()
+        #: The service's counters (``stats()`` returns them as a dict).
+        self.counters = Stats("thread")
+        #: The per-service metrics registry backing :attr:`counters`; the
+        #: depth/inflight gauges read the live structures on collection.
+        self.metrics = self.counters.registry
+        self.metrics.gauge(
+            "repro_queue_depth",
+            "Jobs admitted but not yet picked up by a worker.",
+            fn=self.backlog,
+        )
+        self.metrics.gauge(
+            "repro_inflight",
+            "Unique jobs between admission and completion.",
+            fn=self.inflight,
+        )
+        #: Admission-to-completion latency of executed jobs.
+        self.latency = Histogram(
+            DEFAULT_LATENCY_BOUNDS,
+            name="repro_latency_seconds",
+            help="Admission-to-completion latency of executed jobs.",
+        )
+        self.metrics.register(self.latency)
+        #: Jobs completed per worker slot — skew here means unfair pop
+        #: order or one worker pinned on a long simulation.
+        self.per_worker_executed: "Counter[int]" = Counter()
+        #: Macro-step engine totals accumulated from executed outcomes.
+        self.macro: Dict[str, int] = {"jumps": 0, "cycles_skipped": 0}
+        self.metrics.add_callback(
+            "repro_worker_executed_total",
+            lambda: worker_families(self.per_worker_executed),
+        )
+        #: Serialises the core and the queue.  Re-entrant so an ``on_event``
+        #: callback (which runs under it) may read ``snapshot()``.
+        self._lock = threading.RLock()
+        self._work_available = threading.Condition(self._lock)
+        self._space_freed = threading.Condition(self._lock)
+        self._core = AdmissionCore(self.counters, cache, Future, on_event)
+        self._queue: FairQueue[Entry] = FairQueue(
+            self.config.max_backlog, on_depth=self._on_queue_depth
+        )
+        #: Set by :meth:`close`; read-only for callers.
+        self.closed = False
+        self._workers = [
+            threading.Thread(
+                target=self._worker_loop,
+                args=(index,),
+                name=f"repro-serve-{index}",
+                daemon=True,
+            )
+            for index in range(self.config.max_workers)
+        ]
+        for worker in self._workers:
+            worker.start()
 
+    # ------------------------------------------------------------------
+    # Lifecycle.
+    # ------------------------------------------------------------------
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def close(self, drain: bool = True) -> None:
+        """Shut down: refuse new work, settle in-flight work, stop workers.
+
+        With ``drain=True`` (the default) every admitted job — queued or
+        executing — runs to completion and resolves its waiters.  With
+        ``drain=False`` queued-but-unstarted entries are *cancelled* (their
+        waiters receive :class:`ServiceClosedError`) while entries already
+        executing on a worker still finish and resolve normally.  Returns
+        once the workers have exited; idempotent.
+        """
+        abandoned: List[Entry] = []
+        with self._lock:
+            if not self.closed:
+                self.closed = True
+                if not drain:
+                    queued = [entry for entry, *_ in self._queue.drain()]
+                    abandoned = self._core.abandon(queued, "service closed")
+                # Workers leave once the queue is empty.
+                self._work_available.notify_all()
+                self._space_freed.notify_all()
+        for entry in abandoned:
+            entry.resolve()
+        for worker in self._workers:
+            worker.join()
+
+    # ------------------------------------------------------------------
+    # Submission.
     # ------------------------------------------------------------------
     def submit(
         self, job: SimJob, client_name: str = "anon", priority: int = 0
     ) -> Ticket:
-        """Submit one job; raises :class:`QueueFullError` on a full backlog
-        and :class:`~repro.serve.service.ServiceClosedError` after close."""
-        return self.service.submit(job, client=client_name, priority=priority)
+        """Submit one job; never blocks on simulation.
 
-    def result(self, ticket: Ticket, timeout: Optional[float] = None) -> SimOutcome:
-        return ticket.result(timeout)
+        Returns a :class:`~repro.serve.core.Ticket` whose future resolves to
+        the outcome (already done on a cache hit).  Raises
+        :class:`QueueFullError` when the backlog bound is hit (use
+        :meth:`submit_wait` to wait instead) and :class:`ServiceClosedError`
+        after :meth:`close`.
+        """
+        with self._lock:
+            return self._admit(job, client_name, priority, count_refusal=True)
+
+    def submit_wait(
+        self, job: SimJob, client_name: str = "anon", priority: int = 0
+    ) -> Ticket:
+        """Like :meth:`submit`, but waits for backlog capacity instead of
+        raising :class:`QueueFullError` (coalesced and cached submissions
+        never wait)."""
+        with self._lock:
+            while True:
+                try:
+                    return self._admit(job, client_name, priority, count_refusal=False)
+                except QueueFullError:
+                    # Releases the lock, however deeply held, until a worker
+                    # pops or a close makes the retry raise the typed error.
+                    self._space_freed.wait()
 
     def run(
         self,
@@ -88,42 +244,140 @@ class ServiceClient:
     ) -> List[SimOutcome]:
         """Submit a batch and block for every outcome, in submission order.
 
-        Uses the waiting submission path: oversized batches flow through
-        the bounded backlog by waiting for capacity, never rejection.
-        Duplicates within the batch deterministically coalesce."""
-        return self.service.run(jobs, client=client_name, priority=priority)
+        The whole batch is admitted under one hold of the lock (released
+        only while waiting for capacity), so no worker can retire an entry
+        in between: duplicates *within the batch* always coalesce, and
+        arbitrarily large batches flow through the bounded backlog without
+        rejection.
+        """
+        with self._lock:
+            tickets = [self.submit_wait(job, client_name, priority) for job in jobs]
+        return [ticket.result() for ticket in tickets]
+
+    def _admit(
+        self, job: SimJob, client: str, priority: int, count_refusal: bool
+    ) -> Ticket:
+        """One admission, under the lock."""
+        if self.closed:
+            raise ServiceClosedError("service is closed")
+        # Fail-fast submissions record a QueueFullError bounce; the waiting
+        # path retries instead — that is backpressure, not a rejection, and
+        # it must not double-count the submission.
+        ticket = self._core.admit(
+            job, client, self._enqueue, priority, count_refusal=count_refusal
+        )
+        if not (ticket.coalesced or ticket.cache_hit):
+            self._core.announce("queued", self._core.inflight[ticket.job_hash])
+            self._work_available.notify()
+        return ticket
+
+    def _enqueue(self, entry: Entry) -> None:
+        """The core's ``place`` hook: the bounded queue accepts or bounces."""
+        self._queue.push(entry, entry.client, entry.priority)
 
     # ------------------------------------------------------------------
-    def events(self, clear: bool = False) -> List[ServiceEvent]:
-        """The retained events, oldest first (optionally draining them)."""
-        if not clear:
-            return list(self._events)
-        # A concurrent publish only ever appends (evicting from the left
-        # when full), so the ring never shrinks below the length just read.
-        return [self._events.popleft() for _ in range(len(self._events))]
+    # Introspection.
+    # ------------------------------------------------------------------
+    def backlog(self) -> int:
+        """Jobs admitted but not yet picked up by a worker."""
+        with self._lock:
+            return len(self._queue)
+
+    def _on_queue_depth(self, depth: int) -> None:
+        """Queue depth change → tracer counter track (when tracing)."""
+        tracer = get_tracer()
+        if tracer is not None:
+            tracer.counter("queue_depth", {"jobs": depth})
+
+    def inflight(self) -> int:
+        """Unique jobs somewhere between admission and completion."""
+        with self._lock:
+            return len(self._core.inflight)
 
     def stats_dict(self) -> Dict[str, object]:
         """Service counters and hit rates — the same call the cluster's
         ``ClusterService`` answers.  Readable after close, like the rest."""
-        return self.service.stats.as_dict()
+        return self.counters.as_dict()
 
     stats = stats_dict
 
     def snapshot(self) -> Dict[str, object]:
-        """Structured ops snapshot (queue depth, hit rates, per-worker
-        executed counts, latency histogram)."""
-        return self.service.snapshot()
+        """Structured ops snapshot: depth, rates, skew, latency.
 
-    def describe(self) -> Dict[str, object]:
-        return self.service.describe()
+        Everything an operator (or the cluster supervisor's pong frames)
+        wants in one picklable dict: current queue depth and in-flight
+        count, the coalescing / cache hit rates, per-worker executed
+        counts, and the admission-to-completion latency histogram — one
+        consistent cut (the accounting identity holds on it), plus the
+        cache's directory pass, made after the lock is released.
+        """
+        with self._lock:
+            summary = {
+                "queue_depth": self.backlog(),
+                "inflight": self.inflight(),
+                **self.counters.as_dict(),
+                "per_worker_executed": dict(self.per_worker_executed),
+                "latency": self.latency.as_dict(),
+                "macro": dict(self.macro),
+            }
+        summary["cache"] = self.cache.stats() if self.cache is not None else None
+        return summary
 
     # ------------------------------------------------------------------
-    def close(self, drain: bool = True) -> None:
-        """Shut the service down; see :meth:`SimulationService.close`."""
-        self.service.close(drain=drain)
+    # Workers.
+    # ------------------------------------------------------------------
+    def _worker_loop(self, index: int) -> None:
+        while True:
+            with self._lock:
+                while not len(self._queue):
+                    if self.closed:
+                        return
+                    self._work_available.wait()
+                entry, *_ = self._queue.pop()
+                self._space_freed.notify_all()
+                self._core.announce("started", entry)
+            try:
+                outcome, error = self._execute(entry), None
+            except Exception as caught:  # noqa: BLE001 — surfaced to every waiter
+                outcome, error = None, caught
+            with self._lock:
+                if error is None:
+                    self.per_worker_executed[index] += 1
+                    macro = outcome.metrics.get("macro_stats")
+                    if isinstance(macro, dict):
+                        for name in self.macro:
+                            self.macro[name] += int(macro.get(name, 0))
+                    self.latency.observe(time.monotonic() - entry.admitted_at)
+                self._core.settle(entry.key, outcome, error)
+            entry.resolve()
 
-    def __enter__(self) -> "ServiceClient":
-        return self
+    def _execute(self, entry: Entry) -> SimOutcome:
+        """Simulate and write back, off the lock.
 
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        The write-back precedes ``settle``, so a later duplicate finds the
+        in-flight entry or the cache, never neither (``ResultCache.put`` is
+        atomic: a concurrent probe sees nothing or the complete entry).  A
+        failing write-back is demoted to a warning — the simulation result
+        exists and must reach its waiters.
+        """
+
+        def progress(cycles: int) -> None:
+            # Engine yield point, on this worker thread → the emit point.
+            with self._lock:
+                self._core.announce("progress", entry, cycles=cycles)
+
+        outcome = execute_job_with_progress(
+            entry.job,
+            progress_callback=progress,
+            progress_interval=self.config.progress_interval,
+        )
+        if self.cache is not None:
+            tracer = get_tracer()
+            if tracer is not None:
+                tracer.begin("write_back", entry.key, cat="job")
+            try:
+                write_back(self.cache, entry.key, outcome)
+            finally:
+                if tracer is not None:
+                    tracer.maybe_end("write_back", entry.key, cat="job")
+        return outcome

@@ -6,8 +6,9 @@ answered by a **probe** (journal-replayed completions, then the
 :class:`~repro.runtime.cache.ResultCache`), or becomes a **new entry**
 handed to an executor; every entry ends in exactly one **settle** (outcome
 or error) or **abandon** (shutdown).  That state machine, its counters and
-its lifecycle hook live here, once; ``SimulationService`` (worker
-threads) and ``ClusterService`` (shard processes) are executors around it.
+its one lifecycle emit point (:meth:`AdmissionCore.announce`) live here,
+once; ``ServiceClient`` (worker threads) and ``ClusterService`` (shard
+processes) are executors around it.
 
 The core is transport-free: futures come from a factory the shell passes
 in and the shell serialises every call (each holds one re-entrant lock),
@@ -34,9 +35,11 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from ..obs.exposition import SERVICE_COUNTERS
 from ..obs.metrics import MetricsRegistry
+from ..obs.trace import get_tracer
 from ..runtime.cache import ResultCache
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
+from .events import ServiceEvent
 
 __all__ = ["AdmissionCore", "Entry", "ServiceClosedError", "Stats", "Ticket"]
 
@@ -169,13 +172,12 @@ class AdmissionCore:
     """Coalesce → probe → new entry; settle or abandon; count; announce.
 
     ``new_future`` is the zero-argument factory for the future each new
-    entry (and each instant hit) carries.  ``emit(kind, job_hash, client,
-    workload=..., **extra)`` is the one lifecycle hook — the signature of
-    ``EventBus.publish`` and ``TraceRecorder.lifecycle`` — fed through
-    :meth:`announce`: the core announces ``submitted`` / ``coalesced`` /
-    ``journal_hit`` / ``cache_hit`` / ``rejected`` / ``finished`` /
-    ``failed`` / ``cancelled``, executors their own edges (``queued``,
-    ``started``, ``progress``).
+    entry (and each instant hit) carries.  :meth:`announce` is the one
+    place a lifecycle edge leaves, on either transport: the core announces
+    ``submitted`` / ``coalesced`` / ``journal_hit`` / ``cache_hit`` /
+    ``rejected`` / ``finished`` / ``failed`` / ``cancelled``, executors
+    their own edges (``queued``, ``started``, ``progress``).  ``on_event``
+    is the optional listener of the thread service's ``on_event=``.
     """
 
     def __init__(
@@ -183,12 +185,14 @@ class AdmissionCore:
         stats: Stats,
         cache: Optional[ResultCache],
         new_future: Callable[[], object],
-        emit: Callable[..., object],
+        on_event: Optional[Callable[[ServiceEvent], None]] = None,
     ) -> None:
         self.stats = stats
         self.cache = cache
         self.new_future = new_future
-        self.emit = emit
+        self.on_event = on_event
+        #: Sequence number of the next :class:`ServiceEvent` (from 0).
+        self._event_seq = 0
         #: The in-flight coalescing map: job hash -> the one live entry.
         self.inflight: Dict[str, Entry] = {}
         #: Journal-replayed completions, probed before the cache.
@@ -198,14 +202,30 @@ class AdmissionCore:
         self, kind: str, entry: Entry, client: Optional[str] = None, **extra
     ) -> None:
         """Emit one lifecycle edge of ``entry`` (a coalesced submission
-        passes its own ``client``; the entry keeps the first submitter's)."""
-        self.emit(
-            kind,
-            entry.key,
-            entry.client if client is None else client,
-            workload=entry.job.workload.name,
-            **extra,
-        )
+        passes its own ``client``; the entry keeps the first submitter's).
+
+        The edge goes to the installed tracer and, when set, to
+        ``on_event`` as one :class:`ServiceEvent` — the only event object
+        built.  Neither may break admission: a raising observer (a
+        ``print`` whose pipe closed) would strand futures and deadlock
+        shutdown, so its error is dropped.
+        """
+        if client is None:
+            client = entry.client
+        workload = entry.job.workload.name
+        tracer = get_tracer()
+        if tracer is not None:
+            try:
+                tracer.lifecycle(kind, entry.key, client, workload=workload, **extra)
+            except Exception:  # noqa: BLE001 — tracing cannot break the service
+                pass
+        if self.on_event is not None:
+            event = ServiceEvent(kind, entry.key, client, self._event_seq, workload, **extra)
+            self._event_seq += 1
+            try:
+                self.on_event(event)
+            except Exception:  # noqa: BLE001 — observers cannot break the service
+                pass
 
     def admit(
         self,

@@ -1,10 +1,13 @@
-"""Lifecycle and progress events emitted by the simulation service.
+"""Lifecycle and progress events of the admission core.
 
-Every externally observable state change of a job inside
-:class:`~repro.serve.service.SimulationService` is announced as one
-:class:`ServiceEvent`.  Events carry no wall-clock timestamps — they are
-ordered by a service-wide monotonic sequence number, which keeps event
-streams deterministic enough to assert on in tests.
+Every externally observable state change of a job is announced once, by
+:meth:`~repro.serve.core.AdmissionCore.announce` — the one emit point of
+both transports.  It feeds the installed tracer (``TraceRecorder.lifecycle``)
+and, when a :class:`~repro.serve.client.ServiceClient` was given an
+``on_event`` callback, delivers one :class:`ServiceEvent`.  Events carry no
+wall-clock timestamps — they are ordered by a per-service sequence number
+counted from 0, which keeps event streams deterministic enough to assert on
+in tests.
 
 The expected lifecycle of one submission::
 
@@ -16,20 +19,12 @@ The expected lifecycle of one submission::
 
 ``cancelled`` replaces ``started`` for entries still queued when the
 service closes without draining.
-
-Consumers register a plain callable with
-:meth:`SimulationService.add_listener`; it is invoked under the service's
-lock on whichever thread publishes (the
-:class:`~repro.serve.client.ServiceClient` uses this to mirror events into
-a bounded ring and to feed its ``on_event`` callback).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
-
-from ..obs.trace import get_tracer
+from typing import Optional
 
 #: Every event kind the service emits, in no particular order.
 EVENT_KINDS = (
@@ -79,47 +74,3 @@ class ServiceEvent:
         if self.error is not None:
             parts.append(f"error={self.error}")
         return " ".join(parts)
-
-
-class EventBus:
-    """Sequences events and fans them out to the registered listeners.
-
-    Not thread-safe by itself: the service calls :meth:`publish` and
-    :meth:`add_listener` under its lock, which is what makes ``seq`` a
-    total order and keeps every listener's view in that order.
-    """
-
-    def __init__(self) -> None:
-        self._seq = 0
-        self._listeners: List[Callable[[ServiceEvent], None]] = []
-
-    def add_listener(self, listener: Callable[[ServiceEvent], None]) -> None:
-        self._listeners.append(listener)
-
-    def publish(self, kind: str, job_hash: str, client: str, **extra) -> ServiceEvent:
-        """Build, sequence and deliver one event; returns it.
-
-        Delivery is isolated per consumer: a raising listener (e.g. a
-        ``print`` callback whose pipe closed) must never propagate into the
-        service's submit/worker paths — that would strand futures and
-        deadlock shutdown.
-        """
-        event = ServiceEvent(
-            kind=kind, job_hash=job_hash, client=client, seq=self._seq, **extra
-        )
-        self._seq += 1
-        # The one tracing hook of the whole thread service: every lifecycle
-        # edge flows through here, so the span timeline costs exactly one
-        # None check per event when tracing is off.
-        tracer = get_tracer()
-        if tracer is not None:
-            try:
-                tracer.lifecycle(kind, job_hash, client, **extra)
-            except Exception:  # noqa: BLE001 — tracing cannot break the service
-                pass
-        for listener in self._listeners:
-            try:
-                listener(event)
-            except Exception:  # noqa: BLE001 — observers cannot break the service
-                pass
-        return event

@@ -1,7 +1,7 @@
 """Admission queue of the simulation service: priority + per-client fairness.
 
 :class:`FairQueue` is the bounded backlog behind
-:class:`~repro.serve.service.SimulationService`.  It orders work by
+:class:`~repro.serve.client.ServiceClient`.  It orders work by
 
 1. **priority** — lower numbers pop first (``0`` is the default);
 2. **per-client round-robin** — among clients with queued work at the same
@@ -10,11 +10,10 @@
 3. **FIFO within one client** — a client's own submissions keep their
    submission order.
 
-The backlog is bounded: pushing beyond ``max_backlog`` entries (or beyond
-``max_per_client`` for one client) raises the typed :class:`QueueFullError`
-— *explicit backpressure* rather than unbounded memory growth.  Callers
-that prefer waiting to failing use the service's ``submit_wait()`` path
-(which ``service.run()`` and the client's batch ``run()`` build on): it
+The backlog is bounded: pushing beyond ``max_backlog`` entries raises the
+typed :class:`QueueFullError` — *explicit backpressure* rather than
+unbounded memory growth.  Callers that prefer waiting to failing use the
+service's ``submit_wait()`` path (which its batch ``run()`` builds on): it
 retries the push when capacity frees up.
 
 The queue is a plain single-threaded data structure; the service only
@@ -30,29 +29,24 @@ T = TypeVar("T")
 
 
 class QueueFullError(RuntimeError):
-    """The service backlog (or one client's share of it) is full.
+    """The service backlog is full.
 
     Attributes
     ----------
     client:
         The client whose submission was rejected.
     backlog:
-        Entries queued at rejection time (service-wide or per-client,
-        whichever bound tripped).
+        Entries queued at rejection time.
     limit:
         The bound that was exceeded.
-    scope:
-        ``"service"`` or ``"client"`` — which bound tripped.
     """
 
-    def __init__(self, client: str, backlog: int, limit: int, scope: str = "service") -> None:
+    def __init__(self, client: str, backlog: int, limit: int) -> None:
         self.client = client
         self.backlog = backlog
         self.limit = limit
-        self.scope = scope
-        where = "service backlog" if scope == "service" else f"backlog share of client {client!r}"
         super().__init__(
-            f"{where} is full ({backlog}/{limit}); retry later, use the "
+            f"service backlog is full ({backlog}/{limit}); retry later, use the "
             f"waiting submission path (submit_wait/run), or raise max_backlog"
         )
 
@@ -63,15 +57,11 @@ class FairQueue(Generic[T]):
     def __init__(
         self,
         max_backlog: int,
-        max_per_client: Optional[int] = None,
         on_depth: Optional[Callable[[int], None]] = None,
     ) -> None:
         if max_backlog <= 0:
             raise ValueError("max_backlog must be positive")
-        if max_per_client is not None and max_per_client <= 0:
-            raise ValueError("max_per_client must be positive")
         self.max_backlog = max_backlog
-        self.max_per_client = max_per_client
         #: Optional observer called with the new depth after every size
         #: change (the service feeds the tracer's queue-depth counter
         #: track from here); observer failures never affect the queue.
@@ -80,15 +70,10 @@ class FairQueue(Generic[T]):
         # round-robin rotation via move_to_end on every pop.
         self._levels: Dict[int, "OrderedDict[str, Deque[T]]"] = {}
         self._size = 0
-        self._per_client: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._size
-
-    def client_backlog(self, client: str) -> int:
-        """Entries currently queued for ``client``."""
-        return self._per_client.get(client, 0)
 
     def _notify_depth(self) -> None:
         if self.on_depth is not None:
@@ -99,18 +84,14 @@ class FairQueue(Generic[T]):
 
     # ------------------------------------------------------------------
     def push(self, item: T, client: str, priority: int = 0) -> None:
-        """Admit ``item``; raise :class:`QueueFullError` when over a bound."""
+        """Admit ``item``; raise :class:`QueueFullError` when the backlog is full."""
         if self._size >= self.max_backlog:
-            raise QueueFullError(client, self._size, self.max_backlog, scope="service")
-        mine = self._per_client.get(client, 0)
-        if self.max_per_client is not None and mine >= self.max_per_client:
-            raise QueueFullError(client, mine, self.max_per_client, scope="client")
+            raise QueueFullError(client, self._size, self.max_backlog)
         level = self._levels.setdefault(priority, OrderedDict())
         if client not in level:
             level[client] = deque()
         level[client].append(item)
         self._size += 1
-        self._per_client[client] = mine + 1
         self._notify_depth()
 
     def pop(self) -> Optional[Tuple[T, str, int]]:
@@ -132,11 +113,6 @@ class FairQueue(Generic[T]):
         if not level:
             del self._levels[priority]
         self._size -= 1
-        remaining = self._per_client[client] - 1
-        if remaining:
-            self._per_client[client] = remaining
-        else:
-            del self._per_client[client]
         self._notify_depth()
         return item, client, priority
 

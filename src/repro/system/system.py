@@ -5,7 +5,8 @@ component in the paper's Figure 6 — the multi-banked scratchpad behind an
 interleaved crossbar, the five DataMaestros (ports A–E), the Tensor-Core-like
 GeMM accelerator, the quantization accelerator, the DMA and the host driver —
 and executes compiled :class:`~repro.compiler.programs.KernelProgram` objects
-on them.
+on them.  A DataMaestro is built only for a port the loaded program uses
+(:meth:`~repro.compiler.programs.KernelProgram.active_ports`).
 
 Per-cycle phase order (one call to :meth:`step`):
 
@@ -48,7 +49,6 @@ from ..sim.result import (
 )
 from .design import (
     AcceleratorSystemDesign,
-    PORT_NAMES,
     datamaestro_evaluation_system,
     validate_port_widths,
 )
@@ -69,15 +69,12 @@ class AcceleratorSystem:
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Build fresh memory, streamers and accelerators for a new kernel."""
-        geometry = self.design.memory.geometry()
         self.memory = MemorySubsystem(
-            geometry, read_latency=self.design.memory.read_latency
+            self.design.memory.geometry(), read_latency=self.design.memory.read_latency
         )
-        options = self.design.group_size_options()
-        self.streamers: Dict[str, DataMaestro] = {
-            name: DataMaestro(self.design.streamer(name), geometry, options)
-            for name in PORT_NAMES
-        }
+        #: One DataMaestro per port the loaded program uses (built by
+        #: :meth:`load_program`); ports it leaves idle get none.
+        self.streamers: Dict[str, DataMaestro] = {}
         self.gemm_core = GemmCore(
             self.design.gemm_mu, self.design.gemm_nu, self.design.gemm_ku
         )
@@ -113,28 +110,40 @@ class AcceleratorSystem:
         #    features (charged to the kernel).
         self.dma.execute_prepasses(program.prepasses)
 
-        # 3. Program every used DataMaestro through its CSR interface.
-        features = program.features
+        # 3. Build one DataMaestro per port the program uses and program it
+        #    through its CSR interface.
+        geometry = self.memory.geometry
+        options = self.design.group_size_options()
+
+        def build(port: str) -> DataMaestro:
+            return DataMaestro(self.design.streamer(port), geometry, options)
+
         self._active_ports = program.active_ports()
         for port in self._active_ports:
+            self.streamers[port] = build(port)
             self.host.program_streamer(
-                self.streamers[port], program.csr_writes[port], features
+                self.streamers[port], program.csr_writes[port], program.features
             )
         self._live = self._active_streamers()
 
-        # 4. Bind and configure the accelerators.
-        c_stream = self.streamers["C"] if "C" in program.streamer_configs else None
+        # 4. Bind and configure the accelerators.  A port the core reads but
+        #    the program left unprogrammed gets an idle DataMaestro that never
+        #    delivers: the kernel deadlocks against its cycle budget instead
+        #    of fabricating data.
+        def stream(port: str) -> DataMaestro:
+            return self.streamers.get(port) or build(port)
+
         if program.uses_quantizer:
             sink = self.quantizer
-            self.quantizer.bind(self.streamers["E"])
+            self.quantizer.bind(stream("E"))
             self.quantizer.configure(program.quant_config)
         else:
-            sink = self.streamers["D"]
+            sink = stream("D")
         self.gemm_core.bind(
-            a_stream=self.streamers["A"],
-            b_stream=self.streamers["B"],
+            a_stream=stream("A"),
+            b_stream=stream("B"),
             output_sink=sink,
-            c_stream=c_stream,
+            c_stream=self.streamers.get("C"),
         )
         self.gemm_core.configure(program.job)
 

@@ -50,14 +50,16 @@ class FileGatedBackend(SimulationBackend):
     held jobs should proceed; the polling loop runs inside the shard
     worker.  ``touch_dir`` records one file per started execution, so the
     test can wait until a job is genuinely *running* on a shard before
-    killing that shard.
+    killing that shard.  With ``error`` set, a released execution raises
+    ``ValueError(error)`` instead of returning.
     """
 
-    def __init__(self, name, gate_path, touch_dir=None, timeout=30.0):
+    def __init__(self, name, gate_path, touch_dir=None, timeout=30.0, error=None):
         self.name = name
         self.gate_path = str(gate_path)
         self.touch_dir = str(touch_dir) if touch_dir is not None else None
         self.timeout = timeout
+        self.error = error
 
     def execute(self, job):
         if self.touch_dir is not None:
@@ -68,18 +70,9 @@ class FileGatedBackend(SimulationBackend):
             if time.monotonic() > deadline:
                 raise TimeoutError("test gate never released")
             time.sleep(0.01)
+        if self.error is not None:
+            raise ValueError(self.error)
         return _analytic(job)
-
-
-class FailingBackend(SimulationBackend):
-    """Raises a typed error on every execution."""
-
-    def __init__(self, name, message="injected failure"):
-        self.name = name
-        self.message = message
-
-    def execute(self, job):
-        raise ValueError(self.message)
 
 
 @pytest.fixture
@@ -94,24 +87,18 @@ def instant_backend():
 def gated_backend(tmp_path):
     """Factory for :class:`FileGatedBackend` with a tmp-path sentinel."""
 
-    def make(touch=False):
+    def make(touch=False, error=None):
         index = next(_COUNTER)
         backend = FileGatedBackend(
             f"cluster-gated-{index}",
             gate_path=tmp_path / f"gate-{index}",
             touch_dir=tmp_path if touch else None,
+            error=error,
         )
         register_backend(backend)
         return backend
 
     return make
-
-
-@pytest.fixture
-def failing_backend():
-    backend = FailingBackend(f"cluster-failing-{next(_COUNTER)}")
-    register_backend(backend)
-    return backend
 
 
 @pytest.fixture

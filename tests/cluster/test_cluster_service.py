@@ -93,6 +93,28 @@ class TestClusterServing:
             assert cluster.stats.coalesced == 1
             assert cluster.stats.executed == 1
 
+    def test_every_dispatched_job_settles_with_an_outcome(
+        self, tmp_path, gated_backend, make_job
+    ):
+        """The parent is the cluster's only admission point: one shard queues
+        a burst well past a thread service's default backlog (64) and bounces
+        none of it."""
+        backend = gated_backend()
+        jobs = [make_job(backend.name, tag=i) for i in range(100)]
+        with ClusterService(
+            cache_dir=tmp_path / "cache", config=_fast_config(shards=1)
+        ) as cluster:
+            tickets = [cluster.submit(job) for job in jobs]
+            wait_for(
+                lambda: cluster.snapshot(wait=1.0)["queue_depth"] == len(jobs) - 1,
+                message="the shard to queue all but the job it holds",
+            )
+            release(backend)
+            outcomes = [ticket.result(timeout=60) for ticket in tickets]
+            assert [o.job_hash for o in outcomes] == [j.job_hash() for j in jobs]
+            assert cluster.stats.executed == len(jobs)
+            assert cluster.stats.failed == 0
+
     def test_cache_hit_after_completion(self, tmp_path, instant_backend, make_job):
         job = make_job(instant_backend.name)
         with ClusterService(
@@ -118,14 +140,17 @@ class TestClusterServing:
         assert len(ResultCache(cache_root)) == len(jobs)
 
     def test_backend_error_reaches_every_waiter(
-        self, tmp_path, failing_backend, make_job
+        self, tmp_path, gated_backend, make_job
     ):
-        job = make_job(failing_backend.name)
+        backend = gated_backend(error="injected failure")
+        job = make_job(backend.name)
         with ClusterService(
             cache_dir=tmp_path / "cache", config=_fast_config()
         ) as cluster:
             first = cluster.submit(job)
-            second = cluster.submit(job)
+            second = cluster.submit(job)  # held in flight: coalesces
+            assert second.coalesced
+            release(backend)
             with pytest.raises(ValueError, match="injected failure"):
                 first.result(timeout=30)
             with pytest.raises(ValueError, match="injected failure"):

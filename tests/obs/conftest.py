@@ -1,6 +1,6 @@
 """Fixtures of the obs test suite.
 
-Telemetry tests that exercise a real :class:`SimulationService` need a
+Telemetry tests that exercise a real :class:`ServiceClient` need a
 deterministic backend; like the serve suite, each test registers a
 throwaway uniquely named stub instead of running the cycle simulator.
 """

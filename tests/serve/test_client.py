@@ -1,4 +1,4 @@
-"""Sync facade and runtime-integration tests.
+"""Blocking-API and runtime-integration tests.
 
 Covers the :class:`ServiceClient` blocking API and the three rewired
 runtime surfaces — ``Simulator(service=...)``, ``BatchRunner(service=...)``
@@ -36,7 +36,7 @@ class TestClientBasics:
         job = make_job(backend.name)
         with ServiceClient() as client:
             ticket = client.submit(job, client_name="alice")
-            outcome = client.result(ticket, timeout=30)
+            outcome = ticket.result(timeout=30)
         assert ticket.job_hash == job.job_hash()
         assert ticket.client == "alice"
         assert outcome.job_hash == job.job_hash()
@@ -81,13 +81,15 @@ class TestClientBasics:
     def test_events_and_stats_readable_after_close(self, stub_backend, make_job):
         backend = stub_backend()
         job = make_job(backend.name)
-        client = ServiceClient()
+        events = []
+        client = ServiceClient(on_event=events.append)
         client.run([job, job])
         client.close()
-        kinds = [event.kind for event in client.events()]
+        kinds = [event.kind for event in events]
         assert "finished" in kinds and "coalesced" in kinds
         assert client.stats()["submitted"] == 2
-        assert client.describe()["stats"]["executed"] == 1
+        assert client.stats_dict()["executed"] == 1
+        assert client.snapshot()["executed"] == 1
 
     def test_on_event_streaming_callback(self, stub_backend, make_job):
         backend = stub_backend()

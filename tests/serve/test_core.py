@@ -6,7 +6,9 @@ of this module drives it with ``concurrent.futures.Future`` and an
 in-memory cache: stage order, exactly-once resolution, the bounce
 accounting, and a seeded random op sequence checked against a small
 reference model plus the accounting identity (the seed of the stateful
-oracle ROADMAP item 4(a) asks for).  The second half runs one op script
+oracle ROADMAP item 4(a) asks for); also that ``announce`` is the one emit
+point — no event object without a listener, and the listener hears what the
+tracer hears, in the same order.  The second half runs one op script
 through ``ServiceClient`` and ``ClusterService(shards=1)`` and asserts
 equal ticket flags and the same identity on both, then drives both from
 eight submitter threads at once.
@@ -23,9 +25,11 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterService
+from repro.obs.trace import TraceRecorder, install_tracer, uninstall_tracer
 from repro.runtime import SimJob, SimOutcome, register_backend
 from repro.runtime.backends import SimulationBackend
-from repro.serve import ServiceClient, ServiceClosedError, ServiceConfig
+from repro.serve import ServiceClient, ServiceClosedError, ServiceConfig, ServiceEvent
+from repro.serve import core as core_module
 from repro.serve.core import AdmissionCore, Stats
 from repro.workloads import GemmWorkload
 
@@ -92,11 +96,17 @@ class Harness:
         self.refuse = False
         # "cluster" carries every counter the identity names but
         # ``rejected``; the bounce tests use a "thread" core.
-        self.core = AdmissionCore(Stats(transport), self.cache, Future, self._emit)
+        self.core = AdmissionCore(Stats(transport), self.cache, Future, self._on_event)
 
-    def _emit(self, kind, key, client, workload, **extra):
-        assert workload.startswith("core_")
-        self.events.append((kind, key, client, extra))
+    def _on_event(self, event):
+        assert event.workload.startswith("core_")
+        assert event.seq == len(self.events)
+        extra = {
+            name: getattr(event, name)
+            for name in ("cycles", "waiters", "error")
+            if getattr(event, name) is not None
+        }
+        self.events.append((event.kind, event.job_hash, event.client, extra))
 
     def _place(self, entry):
         if self.refuse:
@@ -276,6 +286,83 @@ class TestBounceAccounting:
 
 
 # ----------------------------------------------------------------------
+# One emit point: ``AdmissionCore.announce``.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def built_events(monkeypatch):
+    """Every ``ServiceEvent`` the core constructs, in construction order."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(ServiceEvent(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(core_module, "ServiceEvent", counting)
+    return built
+
+
+class LifecycleRecorder(TraceRecorder):
+    """A tracer that also keeps the ``lifecycle`` calls it was handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def lifecycle(self, kind, key, client, **extra):
+        self.calls.append((kind, key))
+        super().lifecycle(kind, key, client, **extra)
+
+
+class TestOneEmitPoint:
+    def test_without_on_event_no_event_object_is_built(
+        self, tmp_path, stub_backend, make_job, built_events
+    ):
+        backend = stub_backend()
+        job = make_job(backend.name)
+        with ServiceClient(cache_dir=tmp_path) as client:
+            assert not client.submit(job).result(30).cache_hit  # executed
+            assert client.submit(job).result(30).cache_hit
+        assert built_events == []
+        # With a listener, a hit is exactly its three edges.
+        with ServiceClient(cache_dir=tmp_path, on_event=lambda event: None) as client:
+            assert client.submit(job).cache_hit
+        assert [e.kind for e in built_events] == ["submitted", "cache_hit", "finished"]
+
+    def test_on_event_hears_what_the_tracer_hears_in_the_same_order(
+        self, tmp_path, stub_backend, make_job
+    ):
+        gate = threading.Event()
+        backend, failing = stub_backend(gate=gate), stub_backend(error=ValueError("x"))
+        cached, held, other = (make_job(backend.name, tag=tag) for tag in range(3))
+        doomed = make_job(failing.name, tag=3)
+        events = []
+        recorder = install_tracer(LifecycleRecorder())
+        try:
+            with ServiceClient(
+                cache_dir=tmp_path, config=ServiceConfig(max_workers=1), on_event=events.append
+            ) as client:
+                gate.set()
+                client.run([cached])
+                gate.clear()
+                tickets = [client.submit(job) for job in (held, held, other, cached, doomed)]
+                gate.set()
+                for ticket in tickets[:-1]:
+                    ticket.result(30)
+                with pytest.raises(ValueError):
+                    tickets[-1].result(30)
+        finally:
+            uninstall_tracer()
+        heard = [(event.kind, event.job_hash) for event in events]
+        assert heard == recorder.calls
+        for job in (cached, held, other, doomed):
+            key = job.job_hash()
+            kinds = [kind for kind, job_hash in heard if job_hash == key]
+            assert kinds == [kind for kind, call_key in recorder.calls if call_key == key]
+        assert {"coalesced", "cache_hit", "failed"} <= {kind for kind, _ in heard}
+        assert [event.seq for event in events] == list(range(len(events)))
+
+
+# ----------------------------------------------------------------------
 # Seeded random op sequences against a reference model.
 # ----------------------------------------------------------------------
 class Model:
@@ -399,11 +486,15 @@ class FileGatedBackend(SimulationBackend):
         return _outcome(job)
 
 
-def _thread_service(cache_dir):
-    return ServiceClient(cache_dir=cache_dir, config=ServiceConfig(max_workers=1))
+def _thread_service(cache_dir, seqs):
+    return ServiceClient(
+        cache_dir=cache_dir,
+        config=ServiceConfig(max_workers=1),
+        on_event=lambda event: seqs.append(event.seq),
+    )
 
 
-def _cluster_service(cache_dir):
+def _cluster_service(cache_dir, _seqs):
     config = ClusterConfig(
         shards=1, heartbeat_interval=0.1, ready_timeout=15.0, shutdown_timeout=30.0
     )
@@ -412,14 +503,17 @@ def _cluster_service(cache_dir):
 
 @pytest.fixture(params=[_thread_service, _cluster_service], ids=["serve", "cluster"])
 def front_door(request, tmp_path):
+    """``(service, backend, seqs)``: ``seqs`` collects the thread service's
+    event sequence numbers (the cluster has no ``on_event``)."""
     # Registered before the service starts so a forked shard inherits it.
     backend = FileGatedBackend(
         f"contract-{next(_COUNTER)}", tmp_path / "gate", fail_tag=3
     )
     register_backend(backend)
-    service = request.param(tmp_path / "cache")
+    seqs = []
+    service = request.param(tmp_path / "cache", seqs)
     try:
-        yield service, backend
+        yield service, backend, seqs
     finally:
         Path(backend.gate_path).touch()
         service.close()
@@ -429,7 +523,7 @@ class TestTransportContract:
     """The same op script, the same ticket flags, the same identity."""
 
     def test_op_script(self, front_door):
-        service, backend = front_door
+        service, backend, seqs = front_door
         a, b, failing = (_job(tag, backend.name) for tag in (1, 2, 3))
         script = [a, a, b, failing, a]  # new, coalesced, new, new, coalesced
         tickets = [service.submit(job, client_name="contract") for job in script]
@@ -465,7 +559,7 @@ class TestTransportContract:
         """Close without draining while the gate is shut: whatever never
         settled is ``cancelled`` — on the cluster too, which used to fail
         those waiters and count them nowhere."""
-        service, backend = front_door
+        service, backend, seqs = front_door
         jobs = [_job(tag, backend.name) for tag in (10, 11, 12)]
         tickets = [service.submit(job, client_name="contract") for job in jobs]
         tickets.append(service.submit(jobs[2], client_name="contract"))  # coalesced
@@ -502,13 +596,11 @@ class TestTransportContract:
         ``run``, a ``snapshot()`` reader throughout, then ``submit`` racing
         ``close``: one simulation per distinct job, every ticket resolves,
         the identity holds, and the race ends in a ticket or the typed error."""
-        service, backend = front_door
+        service, backend, seqs = front_door
         in_process = isinstance(service, ServiceClient)
         Path(backend.gate_path).touch()
         jobs = [_job(100 + tag, backend.name) for tag in range(20)]
-        seqs, snapshots, unexpected, tickets, racing = [], [], [], [], []
-        if in_process:
-            service.service.add_listener(lambda event: seqs.append(event.seq))
+        snapshots, unexpected, tickets, racing = [], [], [], []
         stop = threading.Event()
 
         def guarded(body, *args):

@@ -54,18 +54,9 @@ class TestBounds:
         with pytest.raises(QueueFullError) as excinfo:
             queue.push("c", client="c")
         error = excinfo.value
-        assert error.scope == "service"
         assert (error.backlog, error.limit) == (2, 2)
         assert error.client == "c"
-
-    def test_per_client_bound(self):
-        queue = FairQueue(max_backlog=10, max_per_client=1)
-        queue.push("a1", client="a")
-        queue.push("b1", client="b")  # other clients unaffected
-        with pytest.raises(QueueFullError) as excinfo:
-            queue.push("a2", client="a")
-        assert excinfo.value.scope == "client"
-        assert excinfo.value.client == "a"
+        assert "service backlog is full (2/2)" in str(error)
 
     def test_pop_frees_capacity(self):
         queue = FairQueue(max_backlog=1)
@@ -74,19 +65,6 @@ class TestBounds:
         queue.push("b", client="a")  # no raise
         assert len(queue) == 1
 
-    def test_client_backlog_accounting(self):
-        queue = FairQueue(max_backlog=8)
-        queue.push("a1", client="a")
-        queue.push("a2", client="a")
-        queue.push("b1", client="b")
-        assert queue.client_backlog("a") == 2
-        assert queue.client_backlog("b") == 1
-        assert queue.client_backlog("ghost") == 0
-        queue.drain()
-        assert queue.client_backlog("a") == 0
-
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             FairQueue(max_backlog=0)
-        with pytest.raises(ValueError):
-            FairQueue(max_backlog=4, max_per_client=0)

@@ -2,24 +2,24 @@
 
 import pytest
 
-from repro.serve import (
-    LatencyHistogram,
-    ServiceConfig,
-    ServiceClient,
-    SimulationService,
-)
-from repro.serve.service import LATENCY_BUCKETS
+from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
+from repro.serve import ServiceClient, ServiceConfig
+
+
+def latency_histogram(bounds=DEFAULT_LATENCY_BOUNDS):
+    """The latency histogram as ``ServiceClient`` builds it."""
+    return Histogram(bounds, name="repro_latency_seconds")
 
 
 class TestLatencyHistogram:
     def test_empty(self):
-        histogram = LatencyHistogram()
+        histogram = latency_histogram()
         assert histogram.count == 0
         assert histogram.mean == 0.0
         assert histogram.quantile(0.5) == 0.0
 
     def test_observations_land_in_cumulative_buckets(self):
-        histogram = LatencyHistogram(bounds=(0.01, 0.1, 1.0))
+        histogram = latency_histogram(bounds=(0.01, 0.1, 1.0))
         histogram.observe(0.005)  # <= 0.01
         histogram.observe(0.05)  # <= 0.1
         histogram.observe(0.5)  # <= 1.0
@@ -29,23 +29,23 @@ class TestLatencyHistogram:
         assert histogram.mean == pytest.approx((0.005 + 0.05 + 0.5 + 5.0) / 4)
 
     def test_quantile_interpolates_within_bucket(self):
-        histogram = LatencyHistogram(bounds=(1.0, 2.0))
+        histogram = latency_histogram(bounds=(1.0, 2.0))
         for _ in range(10):
             histogram.observe(1.5)  # all in the (1.0, 2.0] bucket
         p50 = histogram.quantile(0.5)
         assert 1.0 <= p50 <= 2.0
 
     def test_quantile_overflow_clamps_to_last_bound(self):
-        histogram = LatencyHistogram(bounds=(0.5, 1.0))
+        histogram = latency_histogram(bounds=(0.5, 1.0))
         histogram.observe(100.0)
         assert histogram.quantile(0.99) == 1.0
 
     def test_quantile_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            LatencyHistogram().quantile(1.5)
+            latency_histogram().quantile(1.5)
 
     def test_value_equality(self):
-        first, second = LatencyHistogram(), LatencyHistogram()
+        first, second = latency_histogram(), latency_histogram()
         assert first == second
         first.observe(0.2)
         assert first != second
@@ -53,14 +53,14 @@ class TestLatencyHistogram:
         assert first == second
 
     def test_as_dict_shape(self):
-        histogram = LatencyHistogram()
+        histogram = latency_histogram()
         histogram.observe(0.02)
         summary = histogram.as_dict()
         assert summary["count"] == 1
         assert summary["mean_seconds"] == pytest.approx(0.02)
         assert set(summary) >= {"p50_seconds", "p90_seconds", "p99_seconds"}
         # One bucket row per bound plus the open-ended overflow row.
-        assert len(summary["buckets"]) == len(LATENCY_BUCKETS) + 1
+        assert len(summary["buckets"]) == len(DEFAULT_LATENCY_BOUNDS) + 1
         assert summary["buckets"][-1]["le"] is None
 
 
@@ -69,7 +69,7 @@ class TestServiceSnapshot:
         backend = stub_backend()
         jobs = [make_job(backend.name, tag=i) for i in range(4)]
 
-        with SimulationService(config=ServiceConfig(max_workers=2)) as service:
+        with ServiceClient(config=ServiceConfig(max_workers=2)) as service:
             # One batch, one hold of the lock: the duplicate coalesces.
             service.run(jobs + [jobs[0]])
             snapshot = service.snapshot()
@@ -111,11 +111,11 @@ class TestStatsRegistryBacking:
             client.run([job, job])  # second submission coalesces
         finally:
             client.close()
-        stats = client.service.stats
+        stats = client.counters
         assert isinstance(stats.executed, int)
         assert stats.executed == 1
         assert stats.coalesced == 1
-        families = {f.name: f for f in client.service.metrics.collect()}
+        families = {f.name: f for f in client.metrics.collect()}
         assert families["repro_executed_total"].samples[0].value == 1
         assert families["repro_coalesced_total"].samples[0].value == 1
         assert "repro_latency_seconds" in families
@@ -131,8 +131,8 @@ class TestStatsRegistryBacking:
         finally:
             first.close()
             second.close()
-        assert first.service.stats.executed == 1
-        assert second.service.stats.executed == 0
+        assert first.counters.executed == 1
+        assert second.counters.executed == 0
 
     def test_snapshot_carries_macro_and_cache_sections(
         self, tmp_path, stub_backend, make_job

@@ -1,6 +1,6 @@
 """Edge-case tests of the in-process service.
 
-Each test drives :class:`SimulationService` from the test thread.  The
+Each test drives :class:`ServiceClient` from the test thread.  The
 determinism levers used throughout: a ``threading.Event`` gate in the stub
 backend holds jobs "in flight" for exactly as long as a test needs (a
 gated worker cannot settle, so every duplicate submitted meanwhile
@@ -19,7 +19,7 @@ from repro.serve import (
     QueueFullError,
     ServiceClosedError,
     ServiceConfig,
-    SimulationService,
+    ServiceClient,
 )
 from repro.workloads import GemmWorkload
 
@@ -38,13 +38,13 @@ class TestCoalescing:
         backend = stub_backend(gate=gate)
         job = make_job(backend.name)
 
-        with SimulationService(config=ServiceConfig(max_workers=4)) as service:
+        with ServiceClient(config=ServiceConfig(max_workers=4)) as service:
             # 50 submissions while the first is held in flight: the burst
             # the acceptance criterion describes.
-            tickets = [service.submit(job, client=f"c{i}") for i in range(50)]
+            tickets = [service.submit(job, client_name=f"c{i}") for i in range(50)]
             gate.set()
             outcomes = [ticket.result(30) for ticket in tickets]
-            stats = service.stats
+            stats = service.counters
 
         assert backend.calls == 1
         assert stats.executed == 1
@@ -63,17 +63,17 @@ class TestCoalescing:
         # worker from retiring the entry between two duplicates.
         backend = stub_backend()
         job = make_job(backend.name)
-        with SimulationService(config=ServiceConfig(max_workers=4)) as service:
+        with ServiceClient(config=ServiceConfig(max_workers=4)) as service:
             outcomes = service.run([job] * 50)
         assert backend.calls == 1
-        assert service.stats.executed == 1 and service.stats.coalesced == 49
+        assert service.counters.executed == 1 and service.counters.coalesced == 49
         assert all(outcome is outcomes[0] for outcome in outcomes)
 
     def test_distinct_jobs_do_not_coalesce(self, stub_backend, make_job):
         backend = stub_backend()
         jobs = [make_job(backend.name, tag=i) for i in range(3)]
 
-        with SimulationService() as service:
+        with ServiceClient() as service:
             outcomes = service.run(jobs)
 
         assert backend.calls == 3
@@ -84,9 +84,8 @@ class TestCoalescing:
         backend = stub_backend(gate=gate)
         job = make_job(backend.name)
 
-        with SimulationService() as service:
-            events = []
-            service.add_listener(events.append)
+        events = []
+        with ServiceClient(on_event=events.append) as service:
             tickets = [service.submit(job) for _ in range(3)]
             gate.set()
             tickets[-1].result(30)
@@ -109,8 +108,7 @@ class TestBackpressure:
         events = []
 
         config = ServiceConfig(max_workers=1, max_backlog=2)
-        with SimulationService(config=config) as service:
-            service.add_listener(events.append)
+        with ServiceClient(config=config, on_event=events.append) as service:
             service.submit(jobs[0])
             until(lambda: backend.calls >= 1)  # the one worker holds job 0
             # The backlog holds the next two and the fourth must bounce.
@@ -119,7 +117,7 @@ class TestBackpressure:
             with pytest.raises(QueueFullError) as excinfo:
                 service.submit(jobs[3])
             assert excinfo.value.limit == 2
-            assert service.stats.rejected == 1
+            assert service.counters.rejected == 1
             gate.set()
 
         assert "rejected" in [e.kind for e in events]
@@ -130,7 +128,7 @@ class TestBackpressure:
         jobs = [make_job(backend.name, tag=i) for i in range(2)]
 
         config = ServiceConfig(max_workers=1, max_backlog=1)
-        with SimulationService(config=config) as service:
+        with ServiceClient(config=config) as service:
             service.submit(jobs[0])
             until(lambda: backend.calls >= 1)
             service.submit(jobs[1])
@@ -138,7 +136,7 @@ class TestBackpressure:
             # without needing a queue slot.
             for _ in range(5):
                 service.submit(jobs[1])
-            assert service.stats.rejected == 0
+            assert service.counters.rejected == 0
             gate.set()
 
     def test_submit_wait_flows_through_small_backlog(self, stub_backend, make_job):
@@ -146,9 +144,9 @@ class TestBackpressure:
         jobs = [make_job(backend.name, tag=i) for i in range(6)]
 
         config = ServiceConfig(max_workers=1, max_backlog=1)
-        with SimulationService(config=config) as service:
+        with ServiceClient(config=config) as service:
             outcomes = service.run(jobs)
-            rejected = service.stats.rejected
+            rejected = service.counters.rejected
 
         assert len(outcomes) == 6
         assert rejected == 0
@@ -168,7 +166,7 @@ class TestBackpressure:
             except ServiceClosedError as error:
                 raised.append(error)
 
-        service = SimulationService(config=ServiceConfig(max_workers=1, max_backlog=1))
+        service = ServiceClient(config=ServiceConfig(max_workers=1, max_backlog=1))
         try:
             service.submit(jobs[0])
             until(lambda: backend.calls >= 1)
@@ -184,7 +182,7 @@ class TestBackpressure:
         finally:
             gate.set()
             service.close()
-        assert service.stats.rejected == 0 and service.stats.submitted == 2
+        assert service.counters.rejected == 0 and service.counters.submitted == 2
 
 
 class TestFailure:
@@ -196,17 +194,16 @@ class TestFailure:
         backend = stub_backend(gate=gate, error=boom)
         job = make_job(backend.name)
 
-        with SimulationService() as service:
-            events = []
-            service.add_listener(events.append)
-            tickets = [service.submit(job, client=f"c{i}") for i in range(5)]
+        events = []
+        with ServiceClient(on_event=events.append) as service:
+            tickets = [service.submit(job, client_name=f"c{i}") for i in range(5)]
             gate.set()
             errors = []
             for ticket in tickets:
                 with pytest.raises(RuntimeError) as excinfo:
                     ticket.result(30)
                 errors.append(excinfo.value)
-            failed = service.stats.failed
+            failed = service.counters.failed
 
         assert backend.calls == 1
         assert failed == 1
@@ -223,7 +220,7 @@ class TestFailure:
         job = make_job(backend.name)
         cache = ResultCache(tmp_path)
 
-        with SimulationService(cache=cache) as service:
+        with ServiceClient(cache=cache) as service:
             with pytest.raises(ValueError):
                 service.submit(job).result(30)
 
@@ -236,17 +233,16 @@ class TestCache:
         job = make_job(backend.name)
         cache = ResultCache(tmp_path)
 
-        with SimulationService(cache=cache) as service:
+        with ServiceClient(cache=cache) as service:
             service.submit(job).result(30)
         assert backend.calls == 1
 
-        with SimulationService(cache=cache) as service:
-            events = []
-            service.add_listener(events.append)
+        events = []
+        with ServiceClient(cache=cache, on_event=events.append) as service:
             ticket = service.submit(job)
             assert ticket.cache_hit is True and ticket.done()
             outcome = ticket.result(30)
-            stats = service.stats
+            stats = service.counters
 
         assert backend.calls == 1  # nothing re-simulated
         assert outcome.cache_hit is True
@@ -259,7 +255,7 @@ class TestCache:
         job = make_job(backend.name)
         cache = ResultCache(tmp_path)
 
-        with SimulationService(cache=cache) as service:
+        with ServiceClient(cache=cache) as service:
             service.submit(job).result(30)
 
         assert job.job_hash() in cache
@@ -279,8 +275,9 @@ class TestCache:
             if event.kind == "finished":
                 cached_at_finish.append(event.job_hash in cache)
 
-        with SimulationService(cache=cache, config=ServiceConfig(max_workers=4)) as service:
-            service.add_listener(on_event)
+        with ServiceClient(
+            cache=cache, config=ServiceConfig(max_workers=4), on_event=on_event
+        ) as service:
             service.run(jobs)
             # Each resubmission lands after its entry was retired.
             assert all(service.submit(job).cache_hit for job in jobs)
@@ -295,7 +292,7 @@ class TestShutdown:
         backend = stub_backend(gate=gate)
         jobs = [make_job(backend.name, tag=i) for i in range(3)]
 
-        service = SimulationService(config=ServiceConfig(max_workers=1))
+        service = ServiceClient(config=ServiceConfig(max_workers=1))
         tickets = [service.submit(job) for job in jobs]
         until(lambda: backend.calls >= 1)  # first job on the worker
         closer = threading.Thread(target=service.close, kwargs={"drain": True})
@@ -309,7 +306,7 @@ class TestShutdown:
         outcomes = [ticket.result(30) for ticket in tickets]
 
         assert backend.calls == 3  # queued jobs ran to completion too
-        assert service.stats.cancelled == 0
+        assert service.counters.cancelled == 0
         assert len(outcomes) == 3
 
     def test_non_draining_close_cancels_queued_but_finishes_running(
@@ -319,9 +316,8 @@ class TestShutdown:
         backend = stub_backend(gate=gate)
         jobs = [make_job(backend.name, tag=i) for i in range(3)]
 
-        service = SimulationService(config=ServiceConfig(max_workers=1))
         events = []
-        service.add_listener(events.append)
+        service = ServiceClient(config=ServiceConfig(max_workers=1), on_event=events.append)
         tickets = [service.submit(job) for job in jobs]
         until(lambda: backend.calls >= 1)  # job 0 is executing
         closer = threading.Thread(target=service.close, kwargs={"drain": False})
@@ -338,14 +334,14 @@ class TestShutdown:
 
         assert backend.calls == 1  # queued jobs never ran
         assert first is not None
-        assert service.stats.cancelled == 2
+        assert service.counters.cancelled == 2
         assert [e.kind for e in events].count("cancelled") == 2
 
     def test_submit_after_close_raises(self, stub_backend, make_job):
         backend = stub_backend()
         job = make_job(backend.name)
 
-        service = SimulationService()
+        service = ServiceClient()
         service.close()
         with pytest.raises(ServiceClosedError):
             service.submit(job)
@@ -353,7 +349,7 @@ class TestShutdown:
             service.submit_wait(job)
 
     def test_close_idempotent(self):
-        service = SimulationService()
+        service = ServiceClient()
         service.close()
         service.close()
         assert service.closed
@@ -369,9 +365,8 @@ class TestProgress:
         )
 
         config = ServiceConfig(max_workers=1, progress_interval=4)
-        with SimulationService(config=config) as service:
-            events = []
-            service.add_listener(events.append)
+        events = []
+        with ServiceClient(config=config, on_event=events.append) as service:
             outcome = service.submit(job).result(60)
 
         progress = [e for e in events if e.kind == "progress"]
@@ -392,9 +387,8 @@ class TestListeners:
         backend = stub_backend()
         job = make_job(backend.name)
 
-        with SimulationService() as service:
-            events = []
-            service.add_listener(events.append)
+        events = []
+        with ServiceClient(on_event=events.append) as service:
             service.submit(job).result(30)
 
         kinds = [event.kind for event in events]
@@ -404,18 +398,16 @@ class TestListeners:
     def test_listener_reading_the_service_does_not_deadlock(
         self, stub_backend, make_job
     ):
-        # Listeners run under the service's (re-entrant) lock, on submitter
-        # and worker threads alike.
+        # ``on_event`` runs under the service's (re-entrant) lock, on
+        # submitter and worker threads alike.
         backend = stub_backend()
         jobs = [make_job(backend.name, tag=i) for i in range(4)]
         seen = []
 
-        with SimulationService() as service:
-            service.add_listener(
-                lambda event: seen.append(
-                    (event.kind, service.backlog(), service.snapshot()["inflight"])
-                )
-            )
+        def on_event(event):
+            seen.append((event.kind, service.backlog(), service.snapshot()["inflight"]))
+
+        with ServiceClient(on_event=on_event) as service:
             service.run(jobs)
 
         assert [kind for kind, _, _ in seen].count("finished") == 4
@@ -439,7 +431,7 @@ class TestListeners:
             probe.join(timeout=10)
             observed.append(probe.is_alive())
 
-        with SimulationService(config=ServiceConfig(max_workers=1)) as service:
+        with ServiceClient(config=ServiceConfig(max_workers=1)) as service:
             ticket = service.submit(job)
             ticket.add_done_callback(on_done)  # not done yet: runs on the worker
             gate.set()
@@ -455,18 +447,24 @@ class TestRobustness:
     def test_raising_listener_does_not_break_the_service(self, stub_backend, make_job):
         backend = stub_backend()
         job = make_job(backend.name)
+        received = []
 
-        with SimulationService() as service:
-            service.add_listener(lambda event: (_ for _ in ()).throw(
-                BrokenPipeError("consumer went away")
-            ))
-            received = []
-            service.add_listener(received.append)
+        def on_event(event):
+            received.append(event)
+            raise BrokenPipeError("consumer went away")
+
+        with ServiceClient(on_event=on_event) as service:
             outcome = service.submit(job).result(30)
+            again = service.submit(job).result(30)
 
-        assert outcome is not None
-        # The healthy listener behind the raising one still saw everything.
-        assert "finished" in [e.kind for e in received]
+        assert outcome is not None and again is not None
+        # A raise on every edge still hears every edge, numbered in order.
+        assert [e.kind for e in received] == [
+            "submitted", "queued", "started", "finished",
+            "submitted", "queued", "started", "finished",
+        ]
+        assert [e.seq for e in received] == list(range(8))
+        assert service.counters.executed == 2
 
     def test_cache_write_back_failure_still_resolves_waiters(
         self, stub_backend, make_job, tmp_path
@@ -481,7 +479,7 @@ class TestRobustness:
 
         cache = ExplodingCache(tmp_path)
 
-        with SimulationService(cache=cache) as service:
+        with ServiceClient(cache=cache) as service:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 tickets = [service.submit(job) for _ in range(3)]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.compiler import PrePass, TensorLoad, compile_workload
 from repro.core import FeatureSet
+from repro.core.streamer import DataMaestro
 from repro.memory import MemorySubsystem
 from repro.system import HostProcessor, datamaestro_evaluation_system
 from repro.system.dma import Dma
@@ -37,14 +38,19 @@ class TestHostProcessor:
 
     def test_program_streamer_configures_it(self):
         program = self.make_program()
-        system = AcceleratorSystem(DESIGN)
-        system.reset()
+        streamer = DataMaestro(
+            DESIGN.streamer("A"), DESIGN.memory.geometry(), DESIGN.group_size_options()
+        )
         host = HostProcessor(DESIGN)
         runtime = host.program_streamer(
-            system.streamers["A"], program.csr_writes["A"], program.features
+            streamer, program.csr_writes["A"], program.features
         )
-        assert system.streamers["A"].configured
+        assert streamer.configured
         assert runtime.total_iterations == program.ideal_compute_cycles
+        # The system builds and programs the same way, per active port.
+        system = AcceleratorSystem(DESIGN)
+        system.load_program(program)
+        assert system.streamers["A"].configured
 
     def test_statistics_and_clear(self):
         program = self.make_program()

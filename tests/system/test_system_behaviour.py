@@ -70,6 +70,20 @@ class TestRunMechanics:
         fresh = AcceleratorSystem(DESIGN)
         assert fresh.finished
         assert not fresh.step()
+        assert fresh.streamers == {}
+
+    def test_one_streamer_per_active_port(self):
+        """A GeMM without bias uses A, B and D: C and E are never built."""
+        program = compile_workload(
+            GemmWorkload(name="sys_ports", m=16, n=16, k=16, with_bias=False), DESIGN
+        )
+        system = AcceleratorSystem(DESIGN)
+        result = system.run(program)
+        assert program.active_ports() == ["A", "B", "D"]
+        assert list(system.streamers) == ["A", "B", "D"]
+        assert sorted(result.streamer_stats) == ["A", "B", "D"]
+        assert system.gemm_core.c_stream is None
+        assert np.array_equal(result.outputs["D"], program.expected_outputs["D"])
 
     def test_metadata_recorded(self, system):
         workload = ConvWorkload(

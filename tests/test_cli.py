@@ -651,6 +651,16 @@ class TestUsageErrors:
         assert err.startswith("error:") and named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["serve gemm:8x8x8", "replay --requests 2"])
+    def test_a_backlog_for_a_sharded_service_is_a_usage_error(self, command, capsys):
+        """A cluster's parent admits every job, so nothing would enforce the
+        bound: ``--backlog`` beside ``--shards`` is refused before a shard starts."""
+        argv = [*command.split(), "--shards", "1", "--backlog", "2", "--no-cache"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "--backlog" in err
+
     @pytest.mark.parametrize(
         "command",
         ["batch gemm:512x512x512", "simulate-gemm 512 512 512", "serve gemm:512x512x512"],

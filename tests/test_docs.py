@@ -136,8 +136,8 @@ class TestCliDocDrift:
         ("--seed", "replay"): {"help", "default"},
         # Seeds the search strategy; explore's operand seed is --sim-seed.
         ("--seed", "explore"): {"help"},
-        # 256 where serve has 64 (the help text shows each its own).
-        ("--backlog", "replay"): {"default"},
+        # 256 where serve has 64 (the help text names each its own).
+        ("--backlog", "replay"): {"help"},
         # None, which sweep reads as the DataMaestro backend.
         ("--backend", "sweep"): {"default"},
         # The exploration's run journal, not the service's job journal.
