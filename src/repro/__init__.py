@@ -17,8 +17,8 @@ the sub-packages hold the full API:
 * :mod:`repro.compiler` — workload-to-CSR mapping, layouts and allocation;
 * :mod:`repro.workloads` — workload specs, the synthetic suite, DNN models;
 * :mod:`repro.runtime` — the simulation runtime: declarative jobs, the
-  :class:`~repro.runtime.simulator.Simulator` facade, parallel batch
-  execution and the on-disk result cache;
+  :class:`~repro.runtime.simulator.Simulator` facade, the admission core
+  every front door shares and the on-disk result cache;
 * :mod:`repro.serve` — the thread-safe in-process simulation service on
   top of the runtime: request coalescing, fair bounded admission, streaming
   lifecycle/progress events (``docs/SERVE.md``);
@@ -54,7 +54,7 @@ from .memory.addressing import AddressingMode, BankGeometry
 __version__ = "1.6.0"
 
 from .engine import DEFAULT_ENGINE, EVENT_ENGINE, LOCKSTEP_ENGINE, available_engines
-from .runtime import BatchRunner, SimJob, SimOutcome, Simulator, simulate
+from .runtime import SimJob, SimOutcome, Simulator, simulate
 
 __all__ = [
     "DataMaestro",
@@ -67,7 +67,6 @@ __all__ = [
     "SimJob",
     "SimOutcome",
     "Simulator",
-    "BatchRunner",
     "simulate",
     "DEFAULT_ENGINE",
     "EVENT_ENGINE",

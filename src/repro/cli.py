@@ -13,8 +13,8 @@ or ``python -m repro.cli …``:
 * ``repro simulate-conv 16 16 16 32 --kernel 3 --stride 1`` — the same for a
   convolution layer;
 * ``repro batch gemm:64x64x64 conv:16x16x16x32:k3:p1`` — run a set of jobs
-  through the runtime (``--jobs N`` fans out over processes, results land in
-  the on-disk cache);
+  through the runtime (``--jobs N`` runs them on an N-shard cluster, results
+  land in the on-disk cache);
 * ``repro sweep gemm:32x32x64 --steps 1_baseline,6_full`` — sweep the
   ablation feature ladder over one or more workloads;
 * ``repro explore --space default --strategy grid --budget 18`` —
@@ -65,7 +65,7 @@ import sys
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional
 
@@ -186,7 +186,7 @@ def _add_runtime_flags(
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for batched simulation (default: 1, in-process)",
+        help="shard processes for batched simulation (default: 1, in-process)",
     )
     _add_cache_flags(parser)
     _add_engine_flag(parser)
@@ -260,11 +260,16 @@ def _cache_dir(args: argparse.Namespace, default: bool = True):
 
 
 def _simulator_from_args(args: argparse.Namespace) -> Simulator:
-    """Build the Simulator the runtime flags describe."""
+    """Build the Simulator the runtime flags describe: in-process, or over
+    an ``--jobs``-shard cluster that ``main`` closes on the way out."""
     _require(args, "--jobs", positive=False)
-    return Simulator(
-        cache_dir=_cache_dir(args, default=args.cache_default), max_workers=args.jobs
-    )
+    cache_dir = _cache_dir(args, default=args.cache_default)
+    if args.jobs < 2:
+        return Simulator(cache_dir=cache_dir)
+    from .cluster import ClusterConfig, ClusterService
+
+    cluster = ClusterService(cache_dir=cache_dir, config=ClusterConfig(shards=args.jobs))
+    return Simulator(service=args.resources.enter_context(cluster))
 
 
 def _features_from_args(args: argparse.Namespace) -> FeatureSet:
@@ -303,14 +308,14 @@ def _open_service(
     args: argparse.Namespace, shards: int, journal=None, on_event=None, **config
 ):
     """Start the service ``serve`` and ``replay`` submit to: worker threads
-    in this process (``on_event`` hears their lifecycle events), or ``shards``
-    supervised worker processes (``journal`` makes their backlog durable).
-    ``config`` goes to ``ServiceConfig`` / ``ClusterConfig`` as is."""
+    in this process (``on_event`` hears their lifecycle events, ``config``
+    goes to ``ServiceConfig`` as is), or ``shards`` supervised worker
+    processes (``journal`` makes their backlog durable)."""
     cache_dir = _cache_dir(args)
     if shards > 0:
         from .cluster import ClusterConfig, ClusterService
 
-        cluster = ClusterConfig(shards=shards, worker_threads=args.workers, **config)
+        cluster = ClusterConfig(shards=shards, worker_threads=args.workers)
         return ClusterService(cache_dir=cache_dir, config=cluster, journal=journal)
     from .serve import ServiceClient, ServiceConfig
 
@@ -406,7 +411,7 @@ def _print_runtime_stats(simulator: Simulator) -> None:
     )
     print(
         f"runtime: {stats.executed} simulated, {stats.cache_hits} cache hits, "
-        f"{stats.deduplicated} deduplicated ({cache_text})"
+        f"{stats.coalesced} deduplicated ({cache_text})"
     )
 
 
@@ -635,15 +640,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _format_stats_line(snapshot: dict) -> str:
-    """One compact periodic-stats line for thread or cluster snapshots."""
-    counters = snapshot.get("stats", snapshot)  # cluster nests its counters
+    """One compact periodic-stats line for a thread or cluster snapshot."""
     line = (
-        f"stats: queue={snapshot.get('queue_depth', 0)} "
-        f"inflight={snapshot.get('inflight', 0)} "
-        f"submitted={counters.get('submitted', 0)} "
-        f"executed={counters.get('executed', 0)} "
-        f"coalesced={counters.get('coalesced', 0)} "
-        f"cache_hits={counters.get('cache_hits', 0)}"
+        f"stats: queue={snapshot['queue_depth']} inflight={snapshot['inflight']} "
+        f"submitted={snapshot['submitted']} executed={snapshot['executed']} "
+        f"coalesced={snapshot['coalesced']} cache_hits={snapshot['cache_hits']}"
     )
     latency = snapshot.get("latency")
     if isinstance(latency, dict) and latency.get("count"):
@@ -653,10 +654,9 @@ def _format_stats_line(snapshot: dict) -> str:
         )
     if "shards" in snapshot:
         alive = sum(1 for shard in snapshot["shards"] if shard.get("alive"))
-        line += f" shards={alive}/{snapshot.get('shard_count', 0)}"
-        restarts = counters.get("restarts", 0)
-        if restarts:
-            line += f" restarts={restarts}"
+        line += f" shards={alive}/{snapshot['shard_count']}"
+        if snapshot["restarts"]:
+            line += f" restarts={snapshot['restarts']}"
     return line
 
 
@@ -692,8 +692,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         journal = Path(args.journal or get_config().journal_dir / "serve.jsonl")
     if args.events and shards > 0:
         print(
-            "note: --events is unavailable in sharded mode (events stay "
-            "inside each shard process); ignoring it",
+            "note: --events is unavailable in sharded mode (the event "
+            "listener is the thread service's); ignoring it",
             file=sys.stderr,
         )
     recorder = None
@@ -917,7 +917,7 @@ def _selftest(cache_dir: str, engine: str) -> int:
         ("utilization in (0, 1]", 0.0 < outcome.utilization <= 1.0),
         ("second run served from cache", warm.stats.executed == 0 and cached.cache_hit),
         ("cached outcome identical", cached.as_dict() == {**outcome.as_dict(), "cache_hit": True}),
-        ("cache counters consistent", cold.stats.cache_misses == 1 and warm.stats.cache_hits == 1),
+        ("cache counters consistent", cold.cache.misses == 1 and warm.stats.cache_hits == 1),
     ]
     steady_line = ""
     if engine == "event":
@@ -1350,7 +1350,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run one command line and return its exit code (module docstring)."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with ExitStack() as args.resources:
+            return args.func(args)
     except (CliError, AllocationError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -2,17 +2,16 @@
 
 The :mod:`repro.serve` service coalesces, caches and fair-queues — but one
 process means one GIL, and compute-bound simulation throughput flatlines
-however many threads it runs.  :mod:`repro.cluster` shards that same
-service across worker *processes*:
+however many threads it runs.  :mod:`repro.cluster` executes on worker
+*processes* behind the same admission core:
 
 * :class:`~repro.cluster.router.ShardRouter` hash-partitions jobs by their
-  content hash, so identical jobs land on the same shard and per-shard
-  in-flight coalescing stays exactly correct;
-* each shard is a forked process running a private
-  :class:`~repro.serve.client.ServiceClient`
-  (:mod:`~repro.cluster.worker`), speaking the length-prefixed message
-  protocol of :mod:`~repro.cluster.protocol`; the parent is the only
-  admission point, so a shard accepts every job it is dispatched;
+  content hash, so the same job always lands on the same shard;
+* each shard is a forked process that only executes
+  (:mod:`~repro.cluster.worker`: run the backend, write back, reply),
+  speaking the length-prefixed message protocol of
+  :mod:`~repro.cluster.protocol`; the parent coalesces, probes and counts
+  every job, so a shard accepts every job it is dispatched;
 * a :class:`~repro.cluster.supervisor.Supervisor` heartbeats every shard,
   restarts crashed or hung workers with capped exponential backoff, and
   requeues their in-flight jobs onto the replacement;
@@ -24,10 +23,10 @@ service across worker *processes*:
 :class:`~repro.cluster.service.ClusterConfig` its one config (the
 supervisor's health fields included); it is API-compatible with
 :class:`~repro.serve.client.ServiceClient`, so ``Simulator(service=cluster)``
-and ``BatchRunner(service=cluster)`` work unchanged, and its lifecycle edges
-leave through the same emit point,
-:meth:`~repro.serve.core.AdmissionCore.announce`.  ``repro serve --shards
-N`` exposes it from the CLI.
+works unchanged, and its lifecycle edges leave through the same emit point,
+:meth:`~repro.runtime.admission.AdmissionCore.announce`.  ``repro serve
+--shards N`` exposes it from the CLI, and ``repro batch … --jobs N`` runs on
+it.
 """
 
 from .journal import (

@@ -12,9 +12,9 @@ Message kinds, parent → shard:
 
 * ``{"kind": "job", "seq": int, "key": str, "job": SimJob}`` — execute one
   simulation; ``seq`` is the dispatch id the answer must echo.
-* ``{"kind": "ping", "seq": int}`` — health check; answered with ``pong``.
-* ``{"kind": "shutdown", "drain": bool}`` — finish (or cancel) queued work,
-  answer ``bye`` and exit.
+* ``{"kind": "ping"}`` — health check; answered with ``pong``.
+* ``{"kind": "shutdown", "drain": bool}`` — finish every job (or only the
+  running ones) and exit; the closed channel is the acknowledgement.
 
 Shard → parent:
 
@@ -23,9 +23,8 @@ Shard → parent:
 * ``{"kind": "error", "seq": int, "key": str, "error": str,
   "exception": BaseException | None}`` — the exception rides along when it
   pickles, so coalesced waiters re-raise the original error type.
-* ``{"kind": "pong", "seq": int, "snapshot": dict}`` — health answer with
-  the shard's :meth:`ServiceClient.snapshot`.
-* ``{"kind": "bye", "shard": int}`` — clean shutdown acknowledgement.
+* ``{"kind": "pong", "shard": int}`` — health answer: liveness
+  only (the parent counts everything itself).
 
 A truncated stream (peer died mid-frame) surfaces as :class:`EOFError`;
 frames above :data:`MAX_FRAME_BYTES` raise :class:`ProtocolError` instead
@@ -42,7 +41,6 @@ from typing import Any, Dict, Tuple
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "MSG_BYE",
     "MSG_ERROR",
     "MSG_JOB",
     "MSG_PING",
@@ -68,7 +66,6 @@ MSG_READY = "ready"
 MSG_RESULT = "result"
 MSG_ERROR = "error"
 MSG_PONG = "pong"
-MSG_BYE = "bye"
 
 
 class ProtocolError(RuntimeError):
@@ -102,9 +99,9 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 class MessageChannel:
     """Bidirectional pickle messages over one socket, length-prefixed.
 
-    ``send`` is thread-safe (the cluster parent sends from the submit path,
-    the supervisor and the stats poller concurrently; the shard sends from
-    its service's completion callbacks).  ``recv`` is single-consumer: each
+    ``send`` is thread-safe (the cluster parent sends from the submit path
+    and the supervisor concurrently; the shard sends from its executor
+    threads and its receive loop).  ``recv`` is single-consumer: each
     side dedicates one reader loop to the channel.
     """
 
@@ -139,9 +136,6 @@ class MessageChannel:
     # ------------------------------------------------------------------
     def settimeout(self, timeout: float | None) -> None:
         self._sock.settimeout(timeout)
-
-    def fileno(self) -> int:
-        return self._sock.fileno()
 
     @property
     def closed(self) -> bool:

@@ -11,24 +11,25 @@ simulations with N private GILs and throughput finally scales with cores.
 Admission — coalesce onto an identical in-flight job, probe the
 journal-replayed completions and then the shared
 :class:`~repro.runtime.cache.ResultCache`, else create a new entry — is the
-:class:`~repro.serve.core.AdmissionCore`'s, the same one the thread service
-runs, and so is the one lifecycle emit point
-(:meth:`~repro.serve.core.AdmissionCore.announce`, which feeds the tracer).
-The parent is the cluster's only admission point and bounds nothing: a
-shard's service accepts every job it is dispatched.  This module is the
-*executor* for new entries:
+:class:`~repro.runtime.admission.AdmissionCore`'s, the same one the thread
+service and ``Simulator`` run, and so are the counters, the latency and
+macro-step telemetry, the snapshot shape and the one lifecycle emit point
+(:meth:`~repro.runtime.admission.AdmissionCore.announce`, which feeds the
+tracer).  The parent is the cluster's only admission point and bounds
+nothing; a shard is a bare executor.  This module is the *executor* for
+new entries:
 
 1. **Route** — :class:`~repro.cluster.router.ShardRouter` hash-partitions
-   by job hash: identical jobs always share a shard, keeping the shard's
-   own in-flight coalescing exactly correct.  A shard that exhausted its
-   restart budget refuses the entry with ``ShardFailedError``.
+   by job hash, so the same job always lands on the same shard.  A shard
+   that exhausted its restart budget refuses the entry with
+   ``ShardFailedError``.
 2. **Journal** — with a :class:`~repro.cluster.journal.JobJournal`
    configured, the accepted job is recorded *before* dispatch, so a crash
    between acceptance and completion resubmits it on restart.
 3. **Dispatch** — the job travels to the shard worker over the
-   length-prefixed :mod:`~repro.cluster.protocol` channel; the worker's
-   embedded :class:`~repro.serve.client.ServiceClient` executes it and
-   sends the outcome (or the original exception) back.
+   length-prefixed :mod:`~repro.cluster.protocol` channel; the worker
+   executes it, writes the outcome back to the shared cache and sends it
+   (or the original exception) back.
 4. **Settle** — the result frame is matched to its entry by sequence
    number (a stale frame from a killed incarnation matches nothing), the
    core retires the entry, the completion is journaled, and every
@@ -43,24 +44,24 @@ that crash-loops without doing work fails its jobs with
 
 ``ClusterService`` quacks like :class:`~repro.serve.client.ServiceClient`
 (``submit`` / ``run`` / ``stats_dict`` / ``snapshot`` / ``close``), so
-``Simulator(service=...)``, ``BatchRunner(service=...)`` and
-``ExplorationEngine(service=...)`` work unchanged on top of it.
+``Simulator(service=...)`` works unchanged on top of it — that is what
+``repro batch … --jobs N`` runs on.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..obs.trace import get_tracer
+from ..runtime.admission import AdmissionCore, Entry, ServiceClosedError, Stats, Ticket
 from ..runtime.cache import ResultCache
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
-from ..serve.core import AdmissionCore, Entry, ServiceClosedError, Stats, Ticket
 from .journal import JobJournal
 from .protocol import MSG_ERROR, MSG_RESULT
 from .router import ShardRouter
@@ -78,11 +79,9 @@ class ClusterConfig:
     shards:
         Worker processes; throughput scales with this up to the core count.
     worker_threads:
-        Executor threads *inside* each shard's embedded service.  ``1`` is
-        right for CPU-bound simulation (the shard process is the unit of
-        parallelism); raise it only for I/O-heavy custom backends.
-    progress_interval:
-        Cycle cadence of the engines' cooperative yield points in workers.
+        Executor threads *inside* each shard.  ``1`` is right for CPU-bound
+        simulation (the shard process is the unit of parallelism); raise it
+        only for I/O-heavy custom backends.
     heartbeat_interval:
         Seconds between the :class:`~repro.cluster.supervisor.Supervisor`'s
         ping rounds.
@@ -103,7 +102,6 @@ class ClusterConfig:
 
     shards: int = 2
     worker_threads: int = 1
-    progress_interval: int = 250_000
     heartbeat_interval: float = 1.0
     heartbeat_timeout: float = 15.0
     backoff_base: float = 0.1
@@ -163,13 +161,8 @@ class ClusterService:
         self.cache = cache
         self.config = config or ClusterConfig()
         self.stats = Stats("cluster")
-        #: The per-cluster metrics registry backing :attr:`stats`.
+        #: The per-cluster metrics registry behind :attr:`stats`.
         self.metrics = self.stats.registry
-        self.metrics.gauge(
-            "repro_inflight",
-            "Unique jobs between acceptance and settlement.",
-            fn=self.inflight,
-        )
         self.router = ShardRouter(self.config.shards)
         if journal is not None and not isinstance(journal, JobJournal):
             journal = JobJournal(Path(journal).expanduser())
@@ -178,12 +171,13 @@ class ClusterService:
         #: Serialises the core and the seq -> entry map below; futures are
         #: resolved outside it (done-callbacks are caller code).
         self._lock = threading.RLock()
-        self._core = AdmissionCore(self.stats, cache, Future)
+        self._core = AdmissionCore(self.stats, cache)
         self._pending: Dict[int, Entry] = {}  # seq -> dispatched entry
         self._handles: List[ShardHandle] = []
         self._dead_shards: Dict[int, str] = {}
         self._seq = 0
-        self._closed = False
+        #: Set by :meth:`close` / :meth:`terminate`; read-only for callers.
+        self.closed = False
 
         self._supervisor = Supervisor(
             self.config,
@@ -216,7 +210,6 @@ class ClusterService:
             index,
             cache_dir=str(self.cache.root) if self.cache is not None else None,
             worker_threads=self.config.worker_threads,
-            progress_interval=self.config.progress_interval,
             on_message=self._on_message,
             on_disconnect=self._supervisor.notify_disconnect,
         )
@@ -257,42 +250,26 @@ class ClusterService:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self, drain: bool = True) -> None:
         """Shut the cluster down.
 
         ``drain=True`` (default): every dispatched job runs to completion
         on its shard and resolves its waiters before the processes exit.
-        ``drain=False``: jobs still queued inside a shard's service are
-        cancelled (waiters get :class:`ServiceClosedError`); jobs already
-        executing finish and resolve normally.  Idempotent.
+        ``drain=False``: jobs already executing finish and resolve
+        normally; the rest are abandoned — counted ``cancelled``, their
+        waiters get :class:`ServiceClosedError`.  Either way a shard gets
+        ``shutdown_timeout`` seconds before it is killed.  Idempotent.
         """
         with self._lock:
-            if self._closed:
+            if self.closed:
                 return
-            self._closed = True
+            self.closed = True
         self._supervisor.stop()
         for handle in self._handles:
             handle.request_shutdown(drain)
         deadline = time.monotonic() + self.config.shutdown_timeout
-        if drain:
-            with self._lock:
-                futures = [entry.future for entry in self._pending.values()]
-            for future in futures:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    future.exception(timeout=remaining)
-                except Exception:  # noqa: BLE001 — includes TimeoutError
-                    pass
         for handle in self._handles:
             handle.join(max(0.5, deadline - time.monotonic()))
-            if handle.channel is not None:
-                handle.channel.close()
         self._fail_leftovers("cluster closed")
 
     def terminate(self) -> None:
@@ -304,7 +281,7 @@ class ClusterService:
         :class:`ClusterService` on the same journal resumes the backlog.
         """
         with self._lock:
-            self._closed = True
+            self.closed = True
         self._supervisor.stop()
         for handle in self._handles:
             handle.closing = True
@@ -334,7 +311,7 @@ class ClusterService:
 
     def _submit(self, job: SimJob, client: str, journal_submission: bool) -> Ticket:
         with self._lock:
-            if self._closed:
+            if self.closed:
                 raise ServiceClosedError("cluster is closed")
             ticket = self._core.admit(
                 job, client, lambda entry: self._place(entry, journal_submission)
@@ -374,7 +351,7 @@ class ClusterService:
         """Submit a batch and block for every outcome, in submission order.
 
         Duplicates within the batch coalesce; this is the entry point
-        ``BatchRunner(service=...)`` / ``Simulator(service=...)`` use.
+        ``Simulator(service=...)`` uses.
         """
         tickets = [
             self.submit(job, client_name=client_name, priority=priority)
@@ -394,7 +371,7 @@ class ClusterService:
             if not isinstance(error, BaseException):
                 error = RuntimeError(message.get("error", "shard error"))
             self._settle(message["seq"], error=error)
-        # ready/pong/bye are handled by the handle and supervisor.
+        # ready/pong are handled by the handle and supervisor.
 
     def _settle(
         self,
@@ -409,7 +386,7 @@ class ClusterService:
             tracer = get_tracer()
             if tracer is not None:
                 tracer.maybe_end("dispatched", entry.key)
-            self._core.settle(entry.key, outcome, error)
+            self._core.settle(entry.key, outcome, error, executor=entry.shard)
             if outcome is not None and self.journal is not None:
                 # The outcome only rides into the journal when no shared
                 # cache keeps it durable.
@@ -446,11 +423,6 @@ class ClusterService:
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-    def inflight(self) -> int:
-        """Unique jobs somewhere between acceptance and settlement."""
-        with self._lock:
-            return len(self._core.inflight)
-
     def wait_idle(self, timeout: float = 30.0) -> bool:
         """Block until nothing is in flight; ``False`` on timeout.
 
@@ -458,11 +430,9 @@ class ClusterService:
         has no caller-held tickets, so idleness is the completion signal.
         """
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.inflight() == 0:
-                return True
+        while self._core.inflight and time.monotonic() < deadline:
             time.sleep(0.02)
-        return self.inflight() == 0
+        return not self._core.inflight
 
     @property
     def restarts(self) -> int:
@@ -476,48 +446,29 @@ class ClusterService:
         summary["restarts"] = self.restarts
         return summary
 
-    def snapshot(self, wait: float = 0.5) -> Dict[str, object]:
-        """Cluster-wide ops snapshot, aggregated over per-shard services.
-
-        Pings every live shard and waits up to ``wait`` seconds for fresh
-        pongs, then merges: total queue depth, per-shard executed counts
-        and the cluster's own counters.  Stale snapshots (a shard mid-
-        restart) are used as-is rather than blocking the caller.
-        """
-        asked_at = time.monotonic()
+    def snapshot(self) -> Dict[str, object]:
+        """The core's snapshot (``executed_by`` keyed by shard) plus
+        ``shards`` (index, liveness, pid, jobs dispatched beyond its
+        executor threads), ``shard_count``, ``restarts``, ``journal`` and
+        ``cache``.  The parent settles every job, so its counts are already
+        cluster-wide: no frame is sent, nothing waited on."""
+        threads = self.config.worker_threads
         with self._lock:
+            dispatched = Counter(entry.shard for entry in self._pending.values())
+            waiting = {index: max(0, n - threads) for index, n in dispatched.items()}
+            summary = self._core.snapshot(sum(waiting.values()))
             handles = list(self._handles)
-        for position, handle in enumerate(handles):
-            handle.ping(-(position + 1))
-        deadline = asked_at + wait
-        while time.monotonic() < deadline:
-            if all(
-                handle.last_snapshot is not None and handle.last_seen >= asked_at
-                for handle in handles
-                if handle.alive()
-            ):
-                break
-            time.sleep(0.01)
-        shards = []
-        queue_depth = 0
-        for handle in handles:
-            snapshot = handle.last_snapshot
-            if snapshot is not None:
-                queue_depth += int(snapshot.get("queue_depth", 0))
-            shards.append(
-                {
-                    "shard": handle.index,
-                    "alive": handle.alive(),
-                    "pid": handle.process.pid if handle.process else None,
-                    "snapshot": snapshot,
-                }
-            )
-        return {
-            "shards": shards,
-            "shard_count": len(handles),
-            "queue_depth": queue_depth,
-            "inflight": self.inflight(),
-            "stats": self.stats_dict(),
-            "journal": str(self.journal.path) if self.journal else None,
-            "cache": self.cache.stats() if self.cache is not None else None,
-        }
+        summary["shards"] = [
+            {
+                "shard": handle.index,
+                "alive": handle.alive(),
+                "pid": handle.process.pid if handle.process else None,
+                "queue_depth": waiting.get(handle.index, 0),
+            }
+            for handle in handles
+        ]
+        summary["shard_count"] = len(handles)
+        summary["restarts"] = self.restarts
+        summary["journal"] = str(self.journal.path) if self.journal else None
+        summary["cache"] = self.cache.stats() if self.cache is not None else None
+        return summary

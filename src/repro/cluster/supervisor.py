@@ -30,8 +30,6 @@ import time
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from .protocol import (
-    MSG_BYE,
-    MSG_ERROR,
     MSG_JOB,
     MSG_PING,
     MSG_PONG,
@@ -63,14 +61,12 @@ class ShardHandle:
         *,
         cache_dir: Optional[str],
         worker_threads: int,
-        progress_interval: int,
         on_message: Callable[["ShardHandle", dict], None],
         on_disconnect: Callable[["ShardHandle"], None],
     ) -> None:
         self.index = index
         self._cache_dir = cache_dir
         self._worker_threads = worker_threads
-        self._progress_interval = progress_interval
         self._on_message = on_message
         self._on_disconnect = on_disconnect
         self.process = None
@@ -90,8 +86,6 @@ class ShardHandle:
         self.disconnected = False
         #: Set once the incarnation is considered dead.
         self.failed = False
-        #: Last stats snapshot carried by a pong.
-        self.last_snapshot: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def start(self, ready_timeout: float) -> None:
@@ -109,7 +103,6 @@ class ShardHandle:
                 self.index,
                 self._cache_dir,
                 self._worker_threads,
-                self._progress_interval,
             ),
             name=f"repro-shard-{self.index}",
             daemon=True,
@@ -149,8 +142,6 @@ class ShardHandle:
             self.last_seen = time.monotonic()
             if message.get("kind") in (MSG_RESULT, MSG_PONG):
                 self.productive = True
-            if message.get("kind") == MSG_PONG:
-                self.last_snapshot = message.get("snapshot")
             try:
                 self._on_message(self, message)
             except Exception:  # noqa: BLE001 — observers must not kill the reader
@@ -177,8 +168,8 @@ class ShardHandle:
     def dispatch(self, seq: int, key: str, job) -> bool:
         return self.send({"kind": MSG_JOB, "seq": seq, "key": key, "job": job})
 
-    def ping(self, seq: int) -> bool:
-        return self.send({"kind": MSG_PING, "seq": seq})
+    def ping(self) -> bool:
+        return self.send({"kind": MSG_PING})
 
     def request_shutdown(self, drain: bool) -> bool:
         self.closing = True
@@ -197,11 +188,17 @@ class ShardHandle:
             self.channel.close()
 
     def join(self, timeout: float) -> None:
+        """Wait for the process to exit (killing it after ``timeout``), then
+        for the reader to deliver every frame it sent; close the channel."""
         if self.process is not None:
             self.process.join(timeout)
             if self.process.is_alive():
                 self.process.kill()
                 self.process.join(timeout)
+        if self._reader is not None:
+            self._reader.join(timeout)
+        if self.channel is not None:
+            self.channel.close()
 
 
 class Supervisor:
@@ -238,7 +235,6 @@ class Supervisor:
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._ping_seq = 0
         self._shard_count = 0
 
     # ------------------------------------------------------------------
@@ -288,8 +284,7 @@ class Supervisor:
         hung = (now - handle.last_seen) > self.config.heartbeat_timeout
         dead = handle.failed or handle.disconnected or not handle.alive()
         if not dead and not hung:
-            self._ping_seq += 1
-            handle.ping(self._ping_seq)
+            handle.ping()
             return
         if handle.disconnected:
             reason = "disconnected"

@@ -1,40 +1,38 @@
-"""The shard worker process: one ``ServiceClient`` behind a socket.
+"""The shard worker process: a bare executor behind a socket.
 
 Each shard is a forked child process running :func:`shard_worker_main`.
-Inside it, a full single-process :class:`~repro.serve.client.ServiceClient`
-does what it already does well — coalesce duplicate in-flight jobs, probe
-the shared result cache before scheduling, execute on a small thread pool —
-while the process boundary buys what threads cannot: a private GIL, so N
-shards run N simulations truly in parallel.  The shard's service has no
-``on_event`` listener (its lifecycle edges reach only a tracer installed in
-the shard) and no backlog bound: the parent admitted every job it
-dispatches, so the shard never bounces one.
+The parent admitted, coalesced, probed and counted every job it
+dispatches, so a shard only executes: a ``job`` frame goes to a pool of
+``worker_threads`` threads that runs the backend, writes the outcome back
+to the shared result cache and sends the ``result`` (or ``error``) frame.
+No cache probe, no coalescing, no queue and no counters live here; the
+process boundary buys what threads cannot — a private GIL, so N shards run
+N simulations truly in parallel.
 
 The worker's main thread is a plain receive loop on the length-prefixed
-:class:`~repro.cluster.protocol.MessageChannel`:
+:class:`~repro.cluster.protocol.MessageChannel`, so it keeps answering
+pings while simulations run:
 
-* ``job``      → submit to the service; a completion callback sends the
-  ``result`` (or ``error``) frame from the service worker thread that
-  settled it (outside the service's lock), so the main thread keeps
-  answering pings while simulations run;
-* ``ping``     → answer ``pong`` carrying the service's stats snapshot —
-  the supervisor's liveness signal and the cluster's per-shard telemetry;
-* ``shutdown`` → close the service (draining or not), answer ``bye``, exit.
+* ``job``      → hand it to the pool;
+* ``ping``     → answer ``pong`` — the supervisor's liveness signal;
+* ``shutdown`` → finish every job (``drain``) or only the running ones
+  (the rest are dropped; the parent counts them ``cancelled``), then exit:
+  the parent reads the closed channel as the shard's last word.
 
-EOF on the channel means the parent died: the worker closes without
-draining and exits — an orphaned shard must not outlive its cluster.
+EOF on the channel means the parent died: the worker drops the jobs that
+have not started and exits — an orphaned shard must not outlive its
+cluster.
 """
 
 from __future__ import annotations
 
-import functools
 import os
-import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from ..serve.client import ServiceClient, ServiceConfig
+from ..runtime.backends import execute_job_with_progress
+from ..runtime.cache import ResultCache, write_back
 from .protocol import (
-    MSG_BYE,
     MSG_ERROR,
     MSG_JOB,
     MSG_PING,
@@ -71,7 +69,6 @@ def shard_worker_main(
     shard_index: int,
     cache_dir: Optional[str],
     worker_threads: int,
-    progress_interval: int,
 ) -> None:
     """Entry point of one shard process (started via the fork context).
 
@@ -83,16 +80,8 @@ def shard_worker_main(
         # Inherited duplicate of the parent's end: plain fd close only — a
         # shutdown() here would sever the connection the parent still uses.
         parent_channel.close(shutdown=False)
-
-    client = ServiceClient(
-        cache_dir=cache_dir,
-        config=ServiceConfig(
-            max_workers=worker_threads,
-            # The parent admitted the job: the shard queues whatever arrives.
-            max_backlog=sys.maxsize,
-            progress_interval=progress_interval,
-        ),
-    )
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    pool = ThreadPoolExecutor(worker_threads, f"repro-shard-{shard_index}")
 
     def send(message: dict) -> None:
         # A dead parent is terminal for the shard; the enclosing loop exits
@@ -102,33 +91,28 @@ def shard_worker_main(
         except (OSError, ValueError):
             pass
 
-    def on_done(seq: int, key: str, ticket) -> None:
-        error = ticket.future.exception()
-        if error is None:
+    def execute(seq: int, key: str, job) -> None:
+        # The write-back precedes the result frame: by the time the parent
+        # retires the entry, a duplicate submission finds it in the cache.
+        reply = {"seq": seq, "key": key, "shard": shard_index}
+        try:
+            outcome = execute_job_with_progress(job)
+        except Exception as error:  # noqa: BLE001 — the waiters must hear it
             send(
                 {
-                    "kind": MSG_RESULT,
-                    "seq": seq,
-                    "key": key,
-                    "shard": shard_index,
-                    "outcome": ticket.result(),
-                }
-            )
-        else:
-            send(
-                {
+                    **reply,
                     "kind": MSG_ERROR,
-                    "seq": seq,
-                    "key": key,
-                    "shard": shard_index,
                     "error": f"{type(error).__name__}: {error}",
                     "exception": _pickle_safe(error),
                 }
             )
+            return
+        write_back(cache, key, outcome)
+        send({**reply, "kind": MSG_RESULT, "outcome": outcome})
 
     send({"kind": MSG_READY, "shard": shard_index, "pid": os.getpid()})
 
-    drain_on_exit = False
+    drain = False
     try:
         while True:
             try:
@@ -137,43 +121,17 @@ def shard_worker_main(
                 break  # parent gone (or stream corrupt): exit without drain
             kind = message.get("kind")
             if kind == MSG_JOB:
-                seq, key, job = message["seq"], message["key"], message["job"]
-                try:
-                    ticket = client.submit(job, client_name=f"shard{shard_index}")
-                except Exception as error:  # noqa: BLE001 — the waiters must hear it
-                    send(
-                        {
-                            "kind": MSG_ERROR,
-                            "seq": seq,
-                            "key": key,
-                            "shard": shard_index,
-                            "error": f"{type(error).__name__}: {error}",
-                            "exception": _pickle_safe(error),
-                        }
-                    )
-                    continue
-                ticket.add_done_callback(functools.partial(on_done, seq, key))
+                pool.submit(execute, message["seq"], message["key"], message["job"])
             elif kind == MSG_PING:
-                send(
-                    {
-                        "kind": MSG_PONG,
-                        "seq": message.get("seq", 0),
-                        "shard": shard_index,
-                        "snapshot": client.snapshot(),
-                    }
-                )
+                send({"kind": MSG_PONG, "shard": shard_index})
             elif kind == MSG_SHUTDOWN:
-                # Close (draining or not) *before* acknowledging: results
-                # of draining jobs are sent by their completion callbacks
-                # during close, so ``bye`` is always the final frame.
-                drain_on_exit = bool(message.get("drain", True))
-                client.close(drain=drain_on_exit)
-                send({"kind": MSG_BYE, "shard": shard_index})
+                drain = bool(message.get("drain", True))
                 break
             # Unknown kinds are ignored: a newer parent may speak a richer
             # dialect, and dropping is safer than dying.
     finally:
+        # Every result frame is sent before the channel closes.
         try:
-            client.close(drain=drain_on_exit)
+            pool.shutdown(wait=True, cancel_futures=not drain)
         finally:
             channel.close()

@@ -9,7 +9,8 @@
 2. candidates already in the run journal are *replayed* (no simulation at
    all); the rest are materialised into :class:`~repro.runtime.job.SimJob`
    batches and pushed through ``Simulator.simulate_many`` — so the on-disk
-   result cache and the process pool make repeated exploration incremental;
+   result cache makes repeated exploration incremental, and a simulator
+   over a ``ClusterService`` (``--jobs N``) runs a batch on N processes;
 3. fresh evaluations are scored against the objective layer, appended to the
    journal, and reported back to the strategy for the next round.
 
@@ -160,26 +161,18 @@ class ExplorationEngine:
         backend: str = DATAMAESTRO_BACKEND,
         max_cycles: int = DEFAULT_CYCLE_BUDGET,
         sim_engine: str = DEFAULT_ENGINE,
-        service: Optional[object] = None,
     ) -> None:
-        """``service`` (a :class:`repro.serve.ServiceClient`) routes every
-        candidate batch through the shared simulation service, so several
-        concurrent explorations coalesce duplicate candidate evaluations
-        and share one scheduler and cache (``docs/SERVE.md``).  Pass either
-        ``service`` or a pre-configured ``simulator``, not both."""
+        """``simulator=Simulator(service=client)`` routes every candidate
+        batch through a shared simulation service, so several concurrent
+        explorations coalesce duplicate candidate evaluations and share one
+        scheduler and cache (``docs/SERVE.md``)."""
         if not objectives:
             raise ValueError("at least one objective is required")
-        if service is not None and simulator is not None:
-            raise ValueError(
-                "pass either simulator or service, not both "
-                "(attach the service to the simulator instead: "
-                "Simulator(service=...))"
-            )
         self.space = space
         self.strategy = strategy
         self.objectives = list(objectives)
         self.workloads = list(workloads or default_exploration_workloads())
-        self.simulator = simulator or Simulator(service=service)
+        self.simulator = simulator or Simulator()
         self.seed = seed
         self.sim_seed = sim_seed
         self.backend = backend

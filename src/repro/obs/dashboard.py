@@ -3,9 +3,9 @@
 Plain HTML + vanilla JavaScript, zero dependencies: the page polls
 ``/snapshot`` every two seconds and renders queue depth, coalescing /
 cache hit rates, per-shard (or per-worker) executed counts and latency
-percentiles.  It handles both snapshot shapes — the flat thread-service
-dict and the cluster dict with nested ``stats`` and ``shards`` — with the
-same field-picking logic the CLI stats line uses.
+percentiles.  There is one snapshot shape (``AdmissionCore.snapshot``); a
+cluster's adds ``shards`` / ``shard_count`` / ``restarts``, which the page
+shows when present, as the CLI stats line does.
 
 Keeping the page a Python string (rather than a data file) keeps the
 exporter import-only deployable: ``python -m repro.cli serve …
@@ -82,69 +82,50 @@ function tile(label, value, hint) {
 }
 
 function render(snap) {
-  const stats = snap.stats || snap;           // cluster nests its counters
   const tiles = [
     tile("queue depth", snap.queue_depth ?? 0),
     tile("in flight", snap.inflight ?? 0),
-    tile("submitted", stats.submitted ?? 0),
-    tile("executed", stats.executed ?? 0),
-    tile("coalescing", fmtRate(stats.coalescing_hit_rate),
-         (stats.coalesced ?? 0) + " coalesced"),
-    tile("cache hits", fmtRate(stats.cache_hit_rate),
-         (stats.cache_hits ?? 0) + " hits"),
+    tile("submitted", snap.submitted ?? 0),
+    tile("executed", snap.executed ?? 0),
+    tile("coalescing", fmtRate(snap.coalescing_hit_rate),
+         (snap.coalesced ?? 0) + " coalesced"),
+    tile("cache hits", fmtRate(snap.cache_hit_rate),
+         (snap.cache_hits ?? 0) + " hits"),
   ];
+  const shards = snap.shards || [];
   if (snap.shards) {
-    const alive = snap.shards.filter(s => s.alive).length;
+    const alive = shards.filter(s => s.alive).length;
     tiles.push(tile("shards", alive + "/" + (snap.shard_count ?? 0),
-                    (stats.restarts ?? 0) + " restarts"));
+                    (snap.restarts ?? 0) + " restarts"));
   }
-  if (stats.failed) tiles.push(tile("failed", stats.failed));
+  if (snap.failed) tiles.push(tile("failed", snap.failed));
   document.getElementById("tiles").innerHTML = tiles.join("");
 
-  // Latency: merge per-shard histograms' headline stats, or take the
-  // thread service's directly.
-  let latencyRows = [];
-  const latencySources = snap.shards
-    ? snap.shards.map(s => s.snapshot && s.snapshot.latency).filter(Boolean)
-    : (snap.latency ? [snap.latency] : []);
-  if (latencySources.length === 1) {
-    const l = latencySources[0];
-    latencyRows = [["count", l.count], ["mean", fmtMs(l.mean_seconds)],
-                   ["p50", fmtMs(l.p50_seconds)], ["p90", fmtMs(l.p90_seconds)],
-                   ["p99", fmtMs(l.p99_seconds)]];
-  } else if (latencySources.length > 1) {
-    latencySources.forEach((l, i) => latencyRows.push(
-      [`shard ${snap.shards[i].shard}`, `n=${l.count} p50=${fmtMs(l.p50_seconds)} ` +
-       `p99=${fmtMs(l.p99_seconds)}`]));
-  }
+  const l = snap.latency;
+  const latencyRows = l && l.count ? [
+    ["count", l.count], ["mean", fmtMs(l.mean_seconds)],
+    ["p50", fmtMs(l.p50_seconds)], ["p90", fmtMs(l.p90_seconds)],
+    ["p99", fmtMs(l.p99_seconds)]] : [];
   document.querySelector("#latency tbody").innerHTML = latencyRows
     .map(r => `<tr><th>${r[0]}</th><td>${r[1]}</td></tr>`).join("") ||
     "<tr><td>no completions yet</td></tr>";
 
   // Executed per shard (cluster) or per worker slot (thread service).
-  let rows = [];
-  if (snap.shards) {
-    document.getElementById("workers-title").textContent = "Executed per shard";
-    const max = Math.max(1, ...snap.shards.map(
-      s => (s.snapshot && s.snapshot.executed) || 0));
-    rows = snap.shards.map(s => {
-      const n = (s.snapshot && s.snapshot.executed) || 0;
-      const state = s.alive ? `<span class="ok">alive</span>`
-                            : `<span class="dead">down</span>`;
-      return `<tr><th>shard ${s.shard}</th><td>${state}</td>` +
-             `<td>pid ${s.pid ?? "-"}</td><td>${n}</td>` +
-             `<td style="width:40%"><div class="bar">` +
-             `<div style="width:${(100 * n / max).toFixed(0)}%"></div></div></td></tr>`;
-    });
-  } else {
-    document.getElementById("workers-title").textContent = "Executed per worker";
-    const per = snap.per_worker_executed || {};
-    const max = Math.max(1, ...Object.values(per));
-    rows = Object.keys(per).sort().map(w =>
-      `<tr><th>worker ${w}</th><td></td><td></td><td>${per[w]}</td>` +
-      `<td style="width:40%"><div class="bar">` +
-      `<div style="width:${(100 * per[w] / max).toFixed(0)}%"></div></div></td></tr>`);
-  }
+  const noun = snap.shards ? "shard" : "worker";
+  document.getElementById("workers-title").textContent = "Executed per " + noun;
+  const per = snap.executed_by || {};
+  const max = Math.max(1, ...Object.values(per));
+  const names = snap.shards ? shards.map(s => String(s.shard)) : Object.keys(per).sort();
+  const rows = names.map((name, i) => {
+    const n = per[name] || 0;
+    const s = shards[i];
+    const state = !s ? "" : s.alive ? `<span class="ok">alive</span>`
+                                    : `<span class="dead">down</span>`;
+    return `<tr><th>${noun} ${name}</th><td>${state}</td>` +
+           `<td>${s ? "pid " + (s.pid ?? "-") : ""}</td><td>${n}</td>` +
+           `<td style="width:40%"><div class="bar">` +
+           `<div style="width:${(100 * n / max).toFixed(0)}%"></div></div></td></tr>`;
+  });
   document.querySelector("#workers tbody").innerHTML = rows.join("") ||
     "<tr><td>nothing executed yet</td></tr>";
 }

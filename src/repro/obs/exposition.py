@@ -7,14 +7,12 @@ Two jobs live here:
   (``# HELP`` / ``# TYPE`` headers, one ``name{labels} value`` line per
   sample, histograms as cumulative ``_bucket`` series with a ``+Inf``
   row plus ``_sum``/``_count``);
-* :func:`snapshot_families` — map the structured ops snapshots the
-  services already produce (:meth:`ServiceClient.snapshot` for the
-  thread service, :meth:`ClusterService.snapshot` with its per-shard
-  pong-frame aggregation) onto metric families.  This is what makes the
-  ``/metrics`` endpoint *cross-process correct*: shard processes cannot
-  share a registry with the parent, but their snapshots already travel
-  over the supervisor's pong frames, so the exporter renders the
-  aggregate instead of a partial parent-side view.
+* :func:`snapshot_families` — map the one ops-snapshot shape every
+  admission core produces (``AdmissionCore.snapshot``, which
+  :meth:`ServiceClient.snapshot` returns and :meth:`ClusterService.snapshot`
+  extends with its shard rows) onto metric families.  In sharded mode the
+  parent admits, settles and times every job, so its snapshot is already
+  the cluster-wide count: shards keep no counters of their own.
 
 The two sources are unioned by the HTTP exporter: snapshot-derived
 families carry the authoritative service counters (``repro_submitted_total``
@@ -100,46 +98,33 @@ def _labelled_counter(name: str, help: str, rows: List[Sample]) -> MetricFamily:
     return MetricFamily(name, "counter", help, tuple(rows))
 
 
-def _histogram_from_dict(
-    name: str, help: str, summaries: List[Dict[str, object]]
-) -> Optional[MetricFamily]:
-    """Merge ``as_dict`` latency summaries into one exposition family."""
-    merged: Optional[Histogram] = None
-    for summary in summaries:
-        if not isinstance(summary, dict):
-            continue
-        buckets = summary.get("buckets")
-        if not isinstance(buckets, list) or len(buckets) < 2:
-            continue
-        if merged is None:
-            bounds = tuple(
-                float(row["le"]) for row in buckets if row.get("le") is not None
-            )
-            if not bounds:
-                continue
-            merged = Histogram(bounds, name=name, help=help)
-        merged.merge_dict(summary)
-    if merged is None:
-        merged = Histogram(DEFAULT_LATENCY_BOUNDS, name=name, help=help)
-    return merged.family()
+def _latency_family(summary: object) -> MetricFamily:
+    """The ``repro_latency_seconds`` family of one ``Histogram.as_dict``."""
+    name = "repro_latency_seconds"
+    help = "Admission-to-completion latency of executed jobs."
+    buckets = summary.get("buckets") if isinstance(summary, dict) else None
+    bounds = [row["le"] for row in buckets or () if row.get("le") is not None]
+    histogram = Histogram(bounds or DEFAULT_LATENCY_BOUNDS, name=name, help=help)
+    if bounds:
+        histogram.merge_dict(summary)
+    return histogram.family()
 
 
 #: The service counter table — the one definition of every admission
 #: counter: ``(stats attribute, exposition name, help, scope)``.  ``common``
 #: rows exist on both transports, ``thread`` rows only on the in-process
-#: service, ``cluster`` rows only on the sharded one.  ``repro.serve.core
-#: .Stats`` builds its counters from this table and the exposition rows
+#: service, ``cluster`` rows only on the sharded one.  ``repro.runtime
+#: .admission.Stats`` builds its counters from this table and the exposition rows
 #: below are filtered from it, so a counter cannot be counted under one
-#: name and scraped under another.  (It lives here rather than in
-#: ``serve.core`` because ``obs`` is a leaf package: ``serve`` imports
-#: ``obs``, never the reverse.)
+#: name and scraped under another.  (It lives here rather than beside the
+#: core because ``obs`` is a leaf package: ``runtime`` imports ``obs``,
+#: never the reverse.)
 SERVICE_COUNTERS = (
     ("submitted", "repro_submitted_total", "Jobs submitted to the service.", "common"),
     ("coalesced", "repro_coalesced_total", "Submissions that rode an identical in-flight job.", "common"),
     ("cache_hits", "repro_cache_hits_total", "Submissions resolved from the result cache.", "common"),
     ("journal_hits", "repro_journal_hits_total", "Submissions served from journal-replayed completions.", "cluster"),
     ("executed", "repro_executed_total", "Jobs actually simulated by a backend.", "common"),
-    ("shard_cache_hits", "repro_shard_cache_hits_total", "Jobs a shard resolved from the shared cache.", "cluster"),
     ("failed", "repro_failed_total", "Jobs whose backend raised.", "common"),
     ("rejected", "repro_rejected_total", "Submissions bounced by the admission queue.", "thread"),
     ("cancelled", "repro_cancelled_total", "Admitted jobs abandoned unsettled by a non-draining close.", "common"),
@@ -188,8 +173,7 @@ def cache_families(cache_stats: Dict[str, object]) -> List[MetricFamily]:
 
 
 def worker_families(per_worker: Dict[object, int]) -> List[MetricFamily]:
-    """The per-worker-slot executed family (empty before the first job);
-    also the thread service's own registry callback."""
+    """The per-worker-slot executed family (empty before the first job)."""
     if not per_worker:
         return []
     return [
@@ -220,18 +204,14 @@ def _macro_families(macro: Dict[str, object]) -> List[MetricFamily]:
 
 
 def snapshot_families(snapshot: Dict[str, object]) -> List[MetricFamily]:
-    """Map a service/cluster snapshot dict onto metric families.
+    """Map one ops snapshot onto metric families.
 
-    Accepts both shapes: the flat thread-service snapshot
-    (``ServiceClient.snapshot()``) and the cluster snapshot with its
-    nested ``stats`` counters and per-shard ``shards`` list.  Per-shard
-    latency histograms are merged bucket-wise (all shards share the
-    package-wide bounds) into one ``repro_latency_seconds`` family.
+    The shape is ``AdmissionCore.snapshot``'s on either transport; a
+    cluster's adds ``shards`` (index, liveness, pid, queue depth),
+    ``shard_count`` and ``restarts``, and keys ``executed_by`` by shard
+    instead of by worker slot.
     """
     is_cluster = "shards" in snapshot
-    counters = snapshot.get("stats", snapshot)
-    assert isinstance(counters, dict)
-
     families: List[MetricFamily] = [
         _gauge(
             "repro_queue_depth",
@@ -246,47 +226,21 @@ def snapshot_families(snapshot: Dict[str, object]) -> List[MetricFamily]:
         _gauge(
             "repro_coalescing_hit_rate",
             "Fraction of submissions served by riding an in-flight duplicate.",
-            float(counters.get("coalescing_hit_rate", 0.0)),
+            float(snapshot.get("coalescing_hit_rate", 0.0)),
         ),
         _gauge(
             "repro_cache_hit_rate",
             "Fraction of submissions resolved from the cache (or journal).",
-            float(counters.get("cache_hit_rate", 0.0)),
+            float(snapshot.get("cache_hit_rate", 0.0)),
         ),
     ]
-    for key, name, help in _COMMON_COUNTERS:
-        families.append(_counter(name, help, int(counters.get(key, 0))))
     extra = _CLUSTER_ONLY_COUNTERS if is_cluster else _THREAD_ONLY_COUNTERS
-    for key, name, help in extra:
-        families.append(_counter(name, help, int(counters.get(key, 0))))
+    for key, name, help in _COMMON_COUNTERS + extra:
+        families.append(_counter(name, help, int(snapshot.get(key, 0))))
 
-    latency_summaries: List[Dict[str, object]] = []
-    macro_totals = {"jumps": 0, "cycles_skipped": 0}
-
+    executed_by = snapshot.get("executed_by") or {}
     if is_cluster:
-        shard_rows: List[Sample] = []
-        alive_rows: List[Sample] = []
-        depth_rows: List[Sample] = []
-        for shard in snapshot.get("shards", []):
-            index = shard.get("shard")
-            labels = {"shard": index}
-            alive_rows.append(Sample(labels=labels, value=1 if shard.get("alive") else 0))
-            inner = shard.get("snapshot")
-            if not isinstance(inner, dict):
-                continue
-            shard_rows.append(
-                Sample(labels=labels, value=int(inner.get("executed", 0)))
-            )
-            depth_rows.append(
-                Sample(labels=labels, value=int(inner.get("queue_depth", 0)))
-            )
-            latency = inner.get("latency")
-            if isinstance(latency, dict):
-                latency_summaries.append(latency)
-            macro = inner.get("macro")
-            if isinstance(macro, dict):
-                macro_totals["jumps"] += int(macro.get("jumps", 0))
-                macro_totals["cycles_skipped"] += int(macro.get("cycles_skipped", 0))
+        shards = snapshot["shards"]
         families.append(
             _gauge(
                 "repro_shard_count",
@@ -294,53 +248,35 @@ def snapshot_families(snapshot: Dict[str, object]) -> List[MetricFamily]:
                 int(snapshot.get("shard_count", 0)),
             )
         )
-        families.append(
-            MetricFamily(
-                "repro_shard_alive",
-                "gauge",
-                "Liveness of each shard process (1 = alive).",
-                tuple(alive_rows),
+        for name, help, field in (
+            ("repro_shard_alive", "Liveness of each shard process (1 = alive).", "alive"),
+            (
+                "repro_shard_queue_depth",
+                "Jobs dispatched to each shard beyond its executor threads.",
+                "queue_depth",
+            ),
+        ):
+            rows = tuple(
+                Sample(labels={"shard": shard["shard"]}, value=int(shard.get(field, 0)))
+                for shard in shards
             )
-        )
-        if shard_rows:
+            families.append(MetricFamily(name, "gauge", help, rows))
+        if executed_by:
             families.append(
                 _labelled_counter(
                     "repro_shard_executed_total",
-                    "Jobs executed per shard (from pong-frame snapshots).",
-                    shard_rows,
-                )
-            )
-        if depth_rows:
-            families.append(
-                MetricFamily(
-                    "repro_shard_queue_depth",
-                    "gauge",
-                    "Queue depth per shard (from pong-frame snapshots).",
-                    tuple(depth_rows),
+                    "Jobs executed per shard.",
+                    [
+                        Sample(labels={"shard": shard}, value=int(count))
+                        for shard, count in sorted(executed_by.items())
+                    ],
                 )
             )
     else:
-        per_worker = snapshot.get("per_worker_executed")
-        if isinstance(per_worker, dict):
-            families.extend(worker_families(per_worker))
-        latency = snapshot.get("latency")
-        if isinstance(latency, dict):
-            latency_summaries.append(latency)
-        macro = snapshot.get("macro")
-        if isinstance(macro, dict):
-            macro_totals["jumps"] += int(macro.get("jumps", 0))
-            macro_totals["cycles_skipped"] += int(macro.get("cycles_skipped", 0))
+        families.extend(worker_families(executed_by))
 
-    families.extend(_macro_families(macro_totals))
-
-    latency_family = _histogram_from_dict(
-        "repro_latency_seconds",
-        "Admission-to-completion latency of executed jobs.",
-        latency_summaries,
-    )
-    if latency_family is not None:
-        families.append(latency_family)
-
+    families.extend(_macro_families(snapshot.get("macro") or {}))
+    families.append(_latency_family(snapshot.get("latency")))
     cache_stats = snapshot.get("cache")
     if isinstance(cache_stats, dict):
         families.extend(cache_families(cache_stats))

@@ -12,9 +12,9 @@ Two registry scopes exist by design:
 * **per-service registries** — every
   :class:`~repro.serve.client.ServiceClient` /
   :class:`~repro.cluster.service.ClusterService` owns its own registry
-  (its :class:`~repro.serve.core.Stats` counters are backed by it), so parallel
-  services in one process (the test suite runs dozens) never merge
-  counts;
+  (its :class:`~repro.runtime.admission.Stats` counters are backed by
+  it), so parallel services in one process (the test suite runs dozens)
+  never merge counts;
 * **the process-wide registry** (:func:`get_registry`) — build info,
   engine counters, exploration counters and result-cache callbacks;
   anything that is genuinely one-per-process registers here and the HTTP
@@ -273,10 +273,9 @@ class Histogram:
     def merge_dict(self, summary: Dict[str, object]) -> None:
         """Fold another histogram's :meth:`as_dict` into this one.
 
-        Used by the exporter to merge per-shard latency histograms (all
-        shards share the package-wide bounds) into one cluster family;
-        a summary with mismatched bucket rows is ignored rather than
-        corrupting the aggregate.
+        Used by the exporter to turn a snapshot's latency summary back
+        into a family; a summary with mismatched bucket rows is ignored
+        rather than corrupting the aggregate.
         """
         buckets = summary.get("buckets")
         if not isinstance(buckets, list) or len(buckets) != len(self.counts):

@@ -17,10 +17,10 @@ Tracing is **disabled by default** and costs one module-global ``None``
 check per hook when off (:func:`get_tracer` — the benchmark suite bounds
 this overhead at <5% of the serve throughput run).  Enable it with
 ``repro <cmd> --trace out.json`` or ``REPRO_TRACE=out.json``; the hooks
-live in :meth:`~repro.serve.core.AdmissionCore.announce` (the one
-lifecycle emit point of both transports: one :meth:`TraceRecorder.lifecycle`
+live in :meth:`~repro.runtime.admission.AdmissionCore.announce` (the one
+lifecycle emit point of every front door: one :meth:`TraceRecorder.lifecycle`
 call per edge), :class:`~repro.cluster.service.ClusterService`
-(route/dispatch/requeue), the thread service's cache write-back,
+(route/dispatch/requeue), every executor's cache write-back,
 :class:`~repro.serve.queue.FairQueue` depth changes (counter events) and
 :class:`~repro.engine.event.EventDrivenEngine` (engine spans + macro-jump
 instants).
@@ -150,9 +150,12 @@ class TraceRecorder:
         cluster's ``journal_hit``) onto spans.
 
         The single lifecycle → span mapping: ``AdmissionCore.announce``
-        calls it once per edge on either transport; the executors add only
+        calls it once per edge on every front door; the executors add only
         their own spans (``write_back``; ``shard_routed`` / ``dispatched`` /
-        ``requeued``).
+        ``requeued``).  Two stacked cores (``Simulator`` over a service)
+        announce the same job twice: the inner ``submitted`` rides the open
+        ``job`` span, the first terminal edge closes it and the second is a
+        no-op, so the span stays balanced.
         """
         args = {"workload": workload, "client": client}
         if kind == "submitted":
@@ -168,16 +171,16 @@ class TraceRecorder:
             self.instant(kind, key, **args)
         elif kind == "rejected":
             self.instant("rejected", key, **args)
-            self.end("job", key, outcome="rejected")
+            self.maybe_end("job", key, outcome="rejected")
         elif kind == "finished":
             self.maybe_end("executing", key)
-            self.end("job", key, outcome="finished", waiters=waiters)
+            self.maybe_end("job", key, outcome="finished", waiters=waiters)
         elif kind == "failed":
             self.maybe_end("executing", key)
-            self.end("job", key, outcome="failed", error=error)
+            self.maybe_end("job", key, outcome="failed", error=error)
         elif kind == "cancelled":
             self.maybe_end("queued", key)
-            self.end("job", key, outcome="cancelled")
+            self.maybe_end("job", key, outcome="cancelled")
 
     # ------------------------------------------------------------------
     def events(self) -> List[TraceEvent]:

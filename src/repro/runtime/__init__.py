@@ -4,7 +4,7 @@ This package is the single front door for running simulations in the
 repository.  It mirrors the paper's decoupled access/execute idea at the
 Python API level: a :class:`SimJob` *describes* a simulation (workload,
 design, features, backend) and the runtime decides *how* to execute it —
-which backend, in-process or across a worker pool, freshly simulated or
+which backend, in-process or through a service, freshly simulated or
 served from the on-disk result cache.
 
 * :mod:`repro.runtime.job` — :class:`SimJob`, the hashable job spec;
@@ -12,9 +12,12 @@ served from the on-disk result cache.
 * :mod:`repro.runtime.backends` — backend protocol + registry (the
   cycle-level DataMaestro system and the analytic baseline models);
 * :mod:`repro.runtime.cache` — content-addressed on-disk result cache;
-* :mod:`repro.runtime.batch` — :class:`BatchRunner` with process-pool
-  fan-out, dedup and deterministic ordering;
-* :mod:`repro.runtime.simulator` — the :class:`Simulator` facade.
+* :mod:`repro.runtime.admission` — the admission core (coalesce → probe →
+  settle, the counters, the one lifecycle emit point) under every way a
+  job runs: the :class:`Simulator` here, the thread service and the
+  cluster;
+* :mod:`repro.runtime.simulator` — the :class:`Simulator` facade: admits
+  through the core, executes in-process or through a service.
 
 See ``docs/RUNTIME.md`` for the job model, caching semantics and how to add
 a backend; ``docs/ENGINE.md`` covers the ``engine`` job field (event-driven
@@ -28,10 +31,10 @@ from .backends import (
     DataMaestroBackend,
     SimulationBackend,
     available_backends,
+    execute_job_with_progress,
     get_backend,
     register_backend,
 )
-from .batch import BatchRunner, BatchStats, execute_job, execute_job_with_progress
 from .cache import CACHE_DIR_ENV, PruneReport, ResultCache, default_cache_dir
 from .job import DATAMAESTRO_BACKEND, SimJob, canonical_encode, stable_digest
 from .outcome import SimOutcome
@@ -41,8 +44,6 @@ __all__ = [
     "SimJob",
     "SimOutcome",
     "Simulator",
-    "BatchRunner",
-    "BatchStats",
     "ResultCache",
     "SimulationBackend",
     "DataMaestroBackend",
@@ -50,7 +51,6 @@ __all__ = [
     "PruneReport",
     "simulate",
     "default_simulator",
-    "execute_job",
     "execute_job_with_progress",
     "get_backend",
     "register_backend",

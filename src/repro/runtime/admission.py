@@ -1,58 +1,135 @@
-"""The admission core: one state machine under ``serve`` and ``cluster``.
+"""The admission core: one state machine under every way a job runs.
 
-What is requested is decoupled from who executes it.  Every submission, on
-either transport, **coalesces** onto an identical in-flight job, or is
-answered by a **probe** (journal-replayed completions, then the
+What is requested is decoupled from who executes it.  Every submission —
+to ``Simulator``, to the thread service, to the cluster — **coalesces**
+onto an identical in-flight job, or is answered by a **probe**
+(journal-replayed completions, then the
 :class:`~repro.runtime.cache.ResultCache`), or becomes a **new entry**
 handed to an executor; every entry ends in exactly one **settle** (outcome
-or error) or **abandon** (shutdown).  That state machine, its counters and
-its one lifecycle emit point (:meth:`AdmissionCore.announce`) live here,
-once; ``ServiceClient`` (worker threads) and ``ClusterService`` (shard
-processes) are executors around it.
+or error) or **abandon** (shutdown).  That state machine, its counters, the
+executor-side telemetry (latency, macro-step totals, executions per
+executor), the one ops-snapshot shape and the one lifecycle emit point
+(:meth:`AdmissionCore.announce`) live here, once.  Everything behind it is
+a bare executor: ``Simulator`` runs new entries on the caller's thread or
+hands them to a service, the thread service runs them on worker threads,
+and the cluster ships them to shard processes that only execute.
 
-The core is transport-free: futures come from a factory the shell passes
-in and the shell serialises every call (each holds one re-entrant lock),
-so it needs no lock of its own and can be driven from a single thread —
-``tests/serve/test_core.py`` does exactly that.
+The core is transport-free: every waiter holds a plain
+``concurrent.futures.Future`` and the shell serialises every call (each
+holds one lock), so it needs no lock of its own and can be driven from a
+single thread — ``tests/serve/test_core.py`` does exactly that.
 
 Retiring an entry and releasing its waiters are two steps on purpose:
 ``settle`` / ``abandon`` change state under the shell's lock;
 :meth:`Entry.resolve` completes the future — which runs caller-supplied
 done-callbacks — so the shell calls it after releasing the lock.
 
-The accounting identity both shells inherit (``inflight`` = entries not
+The accounting identity every shell inherits (``inflight`` = entries not
 yet retired)::
 
     submitted = coalesced + cache_hits + journal_hits + executed
-              + shard_cache_hits + failed + rejected + cancelled + inflight
+              + failed + rejected + cancelled + inflight
+
+The lifecycle of one submission, as :meth:`AdmissionCore.announce` emits
+it (``cancelled`` replaces ``started`` for an entry abandoned before it
+ran)::
+
+    submitted ─┬─ cache_hit / journal_hit ────────────── finished
+               ├─ coalesced            (rides an in-flight entry's events)
+               ├─ rejected             (queue full → QueueFullError)
+               └─ queued ── started ── progress* ─┬───── finished
+                                                  └───── failed
+
+Events carry no wall-clock timestamps: they are ordered by a per-core
+sequence number counted from 0, which keeps event streams deterministic
+enough to assert on in tests.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..obs.exposition import SERVICE_COUNTERS
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram, MetricsRegistry
 from ..obs.trace import get_tracer
-from ..runtime.cache import ResultCache
-from ..runtime.job import SimJob
-from ..runtime.outcome import SimOutcome
-from .events import ServiceEvent
+from .cache import ResultCache
+from .job import SimJob
+from .outcome import SimOutcome
 
-__all__ = ["AdmissionCore", "Entry", "ServiceClosedError", "Stats", "Ticket"]
+__all__ = [
+    "AdmissionCore",
+    "EVENT_KINDS",
+    "Entry",
+    "ServiceClosedError",
+    "ServiceEvent",
+    "Stats",
+    "Ticket",
+]
+
+#: Every event kind the core and its executors emit, in no particular order.
+EVENT_KINDS = (
+    "submitted",   # a job entered the service (every submission emits one)
+    "coalesced",   # the submission attached to an identical in-flight job
+    "cache_hit",   # resolved from the result cache without queueing
+    "rejected",    # bounced by the admission queue (QueueFullError)
+    "queued",      # admitted to the backlog, waiting for a worker
+    "started",     # an executor began the backend simulation
+    "progress",    # cooperative yield point: ``cycles`` simulated so far
+    "finished",    # outcome available; ``waiters`` callers were served
+    "failed",      # backend raised; ``error`` repeats the exception text
+    "cancelled",   # abandoned unsettled by a non-draining close
+)
 
 
 class ServiceClosedError(RuntimeError):
     """Raised when submitting to (or waiting on) a closed service."""
 
 
+@dataclass(frozen=True)
+class ServiceEvent:
+    """One observable state change of one job, as ``on_event`` hears it."""
+
+    #: Which lifecycle edge fired (one of :data:`EVENT_KINDS`).
+    kind: str
+    #: Stable content hash of the job (:meth:`SimJob.job_hash`).
+    job_hash: str
+    #: Client name given at submission (fairness/accounting key).
+    client: str
+    #: Core-wide monotonic sequence number (total order of events).
+    seq: int
+    #: Workload name, for human-readable streams.
+    workload: str = ""
+    #: Cycles simulated so far (``progress`` events only).
+    cycles: Optional[int] = None
+    #: Number of coalesced callers served (``finished``/``failed`` only).
+    waiters: Optional[int] = None
+    #: Exception text (``failed`` events only).
+    error: Optional[str] = None
+
+    def describe(self) -> str:
+        """One-line rendering used by ``repro serve --events``."""
+        parts = [f"[{self.seq:04d}] {self.kind:<9}", self.workload or self.job_hash[:12]]
+        if self.client:
+            parts.append(f"client={self.client}")
+        if self.cycles is not None:
+            parts.append(f"cycles={self.cycles}")
+        if self.waiters is not None:
+            parts.append(f"waiters={self.waiters}")
+        if self.error is not None:
+            parts.append(f"error={self.error}")
+        return " ".join(parts)
+
+
 class Stats:
-    """Counters of one service or cluster instance (monotonic).
+    """Counters of one core (monotonic).
 
     The ``common`` rows of :data:`~repro.obs.exposition.SERVICE_COUNTERS`
-    plus those of ``transport`` (``"thread"`` / ``"cluster"``), each a
+    plus those of ``transport`` (``"thread"`` / ``"cluster"``; any other
+    name, such as ``Simulator``'s, carries the common rows only), each a
     :class:`~repro.obs.metrics.Counter` in a per-instance registry (so
     parallel services in one process never merge counts).  Reads are plain
     ints — ``stats.executed``; writes go through :meth:`inc`.
@@ -106,9 +183,9 @@ class Entry:
     key: str
     client: str
     priority: int
-    future: "object"  # concurrent.futures.Future, from the shell's factory
+    future: Future
     waiters: int = 1
-    #: Monotonic admission time (the executor observes latency from it).
+    #: Monotonic admission time (``settle`` observes latency from it).
     admitted_at: float = 0.0
     #: Set by the executor's ``place`` hook: the owning shard and the wire
     #: sequence number (cluster); ``-1`` / ``0`` in-process.
@@ -134,7 +211,7 @@ class Entry:
 
 @dataclass
 class Ticket:
-    """Receipt for one submission, on either transport: ``future`` is a
+    """Receipt for one submission, on any front door: ``future`` is a
     ``concurrent.futures.Future`` — block with :meth:`result`, or attach a
     completion callback with :meth:`add_done_callback`."""
 
@@ -145,14 +222,12 @@ class Ticket:
     coalesced: bool
     #: Resolved instantly from the cache or the journal (never executed).
     cache_hit: bool
-    future: "object"
+    future: Future
     #: Which shard owns the job (``-1``: in-process or resolved instantly).
     shard: int = -1
 
     def result(self, timeout: Optional[float] = None) -> SimOutcome:
         """Block until the outcome is available (re-raises job errors)."""
-        if timeout is None:
-            return self.future.result()
         return self.future.result(timeout)
 
     def done(self) -> bool:
@@ -171,25 +246,21 @@ class Ticket:
 class AdmissionCore:
     """Coalesce → probe → new entry; settle or abandon; count; announce.
 
-    ``new_future`` is the zero-argument factory for the future each new
-    entry (and each instant hit) carries.  :meth:`announce` is the one
-    place a lifecycle edge leaves, on either transport: the core announces
-    ``submitted`` / ``coalesced`` / ``journal_hit`` / ``cache_hit`` /
-    ``rejected`` / ``finished`` / ``failed`` / ``cancelled``, executors
-    their own edges (``queued``, ``started``, ``progress``).  ``on_event``
-    is the optional listener of the thread service's ``on_event=``.
+    :meth:`announce` is the one place a lifecycle edge leaves: the core announces ``submitted`` /
+    ``coalesced`` / ``journal_hit`` / ``cache_hit`` / ``rejected`` /
+    ``finished`` / ``failed`` / ``cancelled``, executors their own edges
+    (``queued``, ``started``, ``progress``).  ``on_event`` is the optional
+    listener of the thread service's ``on_event=``.
     """
 
     def __init__(
         self,
         stats: Stats,
         cache: Optional[ResultCache],
-        new_future: Callable[[], object],
         on_event: Optional[Callable[[ServiceEvent], None]] = None,
     ) -> None:
         self.stats = stats
         self.cache = cache
-        self.new_future = new_future
         self.on_event = on_event
         #: Sequence number of the next :class:`ServiceEvent` (from 0).
         self._event_seq = 0
@@ -197,6 +268,18 @@ class AdmissionCore:
         self.inflight: Dict[str, Entry] = {}
         #: Journal-replayed completions, probed before the cache.
         self.replayed: Dict[str, SimOutcome] = {}
+        #: Admission-to-settle latency of executed jobs.
+        self.latency = Histogram(
+            DEFAULT_LATENCY_BOUNDS,
+            name="repro_latency_seconds",
+            help="Admission-to-completion latency of executed jobs.",
+        )
+        stats.registry.register(self.latency)
+        #: Executed jobs per executor: a worker slot or a shard index — skew
+        #: here means unfair pop order, hot routing or a pinned executor.
+        self.executed_by: "Counter[int]" = Counter()
+        #: Macro-step engine totals summed over executed outcomes.
+        self.macro: Dict[str, int] = {"jumps": 0, "cycles_skipped": 0}
 
     def announce(
         self, kind: str, entry: Entry, client: Optional[str] = None, **extra
@@ -238,10 +321,11 @@ class AdmissionCore:
         """Admit one submission and return its ticket.
 
         ``place(entry)`` is the executor accepting a new entry (queue it,
-        route and journal it); it may raise to refuse, and the refusal
-        propagates.  A refusal counts nothing — the caller may retry, and a
-        retry must not count twice — unless ``count_refusal`` marks it a
-        fail-fast bounce: then it is ``submitted`` + ``rejected``.
+        route and journal it, collect it for a batch); it may raise to
+        refuse, and the refusal propagates.  A refusal counts nothing — the
+        caller may retry, and a retry must not count twice — unless
+        ``count_refusal`` marks it a fail-fast bounce: then it is
+        ``submitted`` + ``rejected``.
         """
         key = job.job_hash()
         entry = self.inflight.get(key)
@@ -254,7 +338,7 @@ class AdmissionCore:
             return Ticket(job, key, client, True, False, entry.future, entry.shard)
 
         entry = Entry(
-            job, key, client, priority, self.new_future(), admitted_at=time.monotonic()
+            job, key, client, priority, Future(), admitted_at=time.monotonic()
         )
         # The probes run synchronously inside admission on purpose: a burst
         # submitted within one turn of the shell must coalesce atomically,
@@ -294,22 +378,23 @@ class AdmissionCore:
         key: str,
         outcome: Optional[SimOutcome] = None,
         error: Optional[BaseException] = None,
+        executor: int = 0,
     ) -> Optional[Entry]:
         """Retire ``key`` with its outcome (or error); return the entry for
         the caller to :meth:`~Entry.resolve`.
 
-        A key that is not in flight — a stale frame from a killed shard
-        incarnation, a job already abandoned — is ignored (``None``).
+        An outcome the executor served from a cache (a service behind
+        ``Simulator``) counts as ``cache_hits``; any other outcome is
+        ``executed`` by ``executor`` (a worker slot or a shard index) and
+        records the latency and the macro-step totals.  A key that is not
+        in flight — a stale frame from a killed shard incarnation, a job
+        already abandoned — is ignored (``None``).
         """
         entry = self.inflight.pop(key, None)
         if entry is None:
             return None
         entry.outcome, entry.error = outcome, error
-        if error is None:
-            # An executor may answer from the shared cache (raced writers).
-            self.stats.inc("shard_cache_hits" if outcome.cache_hit else "executed")
-            self.announce("finished", entry, waiters=entry.waiters)
-        else:
+        if error is not None:
             self.stats.inc("failed")
             self.announce(
                 "failed",
@@ -317,10 +402,23 @@ class AdmissionCore:
                 waiters=entry.waiters,
                 error=f"{type(error).__name__}: {error}",
             )
+            return entry
+        if outcome.cache_hit:
+            self.stats.inc("cache_hits")
+        else:
+            self.stats.inc("executed")
+            self.latency.observe(time.monotonic() - entry.admitted_at)
+            self.executed_by[executor] += 1
+            macro = outcome.metrics.get("macro_stats")
+            if isinstance(macro, dict):
+                for name in self.macro:
+                    self.macro[name] += int(macro.get(name, 0))
+        self.announce("finished", entry, waiters=entry.waiters)
         return entry
 
     def abandon(self, entries: Iterable[Entry], reason: str) -> List[Entry]:
-        """Retire ``entries`` unsettled (non-draining close, terminate).
+        """Retire ``entries`` unsettled (non-draining close, terminate, an
+        aborted batch).
 
         Each one still in flight is counted ``cancelled`` and will fail its
         waiters with :class:`ServiceClosedError`; returns those entries for
@@ -337,3 +435,20 @@ class AdmissionCore:
             self.announce("cancelled", entry)
             abandoned.append(entry)
         return abandoned
+
+    def snapshot(self, queue_depth: int) -> Dict[str, object]:
+        """The one ops-snapshot shape: ``queue_depth`` (the shell's count
+        of entries no executor has picked up), ``inflight``, every counter
+        and hit rate, ``executed_by``, ``latency`` and ``macro``.
+
+        Taken under the shell's lock it is one consistent cut: the
+        accounting identity holds on it.
+        """
+        return {
+            "queue_depth": queue_depth,
+            "inflight": len(self.inflight),
+            **self.stats.as_dict(),
+            "executed_by": dict(self.executed_by),
+            "latency": self.latency.as_dict(),
+            "macro": dict(self.macro),
+        }

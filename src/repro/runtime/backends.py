@@ -185,3 +185,19 @@ def available_backends() -> List[str]:
     """Names of every registered backend, defaults included."""
     _ensure_default_backends()
     return sorted(_REGISTRY)
+
+
+def execute_job_with_progress(
+    job: SimJob,
+    progress_callback: Optional[Callable[[int], None]] = None,
+    progress_interval: int = DEFAULT_PROGRESS_INTERVAL,
+) -> SimOutcome:
+    """Run one job through its backend — what every executor calls.
+
+    The thread service's workers pass ``progress_callback`` to turn the
+    engines' cooperative yield points into streaming ``progress`` events;
+    backends without a cycle loop silently ignore it.
+    """
+    return get_backend(job.backend).execute_with_progress(
+        job, progress_callback=progress_callback, progress_interval=progress_interval
+    )

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
+from ..obs.trace import get_tracer
 from .outcome import SimOutcome
 
 #: Environment variable overriding the default cache location (the read
@@ -67,10 +68,10 @@ class ResultCache:
         """Uncounted existence probe.
 
         This deliberately bypasses the :attr:`hits`/:attr:`misses` counters
-        (it answers "is there a file", not "was a lookup served"), so cache
-        *screening* must never use it — :meth:`get` is the one counted
-        lookup path, and the runtime's batch statistics are asserted
-        against it in the test suite.
+        (it answers "is there a file", not "was a lookup served"), so an
+        admission probe must never use it — :meth:`get` is the one counted
+        lookup path, and the admission counters are asserted against it in
+        the test suite.
         """
         return self.path_for(key).is_file()
 
@@ -256,7 +257,8 @@ class PruneReport:
 
 
 def write_back(cache: Optional[ResultCache], key: str, outcome: SimOutcome) -> None:
-    """Best-effort ``cache.put`` after a simulation, for every executor.
+    """Best-effort ``cache.put`` after a simulation, for every executor,
+    inside a ``write_back`` span when a tracer is installed.
 
     The outcome exists and must reach its caller whatever the disk says
     (full, read-only, gone): a failing write is demoted to a
@@ -264,6 +266,9 @@ def write_back(cache: Optional[ResultCache], key: str, outcome: SimOutcome) -> N
     """
     if cache is None:
         return
+    tracer = get_tracer()
+    if tracer is not None:
+        tracer.begin("write_back", key)
     try:
         cache.put(key, outcome)
     except Exception as error:  # noqa: BLE001 — best-effort cache
@@ -272,3 +277,6 @@ def write_back(cache: Optional[ResultCache], key: str, outcome: SimOutcome) -> N
             RuntimeWarning,
             stacklevel=3,
         )
+    finally:
+        if tracer is not None:
+            tracer.maybe_end("write_back", key)

@@ -3,9 +3,8 @@
 A :class:`SimJob` is a complete, self-contained description of one
 simulation — *what* workload to run, on *which* hardware design, with *which*
 feature switches, through *which* backend — without saying anything about
-*how* it is executed.  The runtime (``Simulator`` / ``BatchRunner``) decides
-that: in-process or on a worker pool, freshly simulated or served from the
-result cache.
+*how* it is executed.  The runtime (``Simulator``) decides that: in-process
+or through a service, freshly simulated or served from the result cache.
 
 Jobs are frozen dataclasses, hence hashable and picklable, and expose a
 *stable* content hash (:meth:`SimJob.job_hash`) built from a canonical

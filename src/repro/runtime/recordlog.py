@@ -1,8 +1,8 @@
 """Append-only JSON-lines record log: the file discipline under both journals.
 
-:class:`repro.explore.journal.RunJournal` (exploration checkpoints) and
-:class:`repro.cluster.journal.JobJournal` (the cluster's durable backlog)
-are codecs over this one log.  What lives here, once:
+The exploration journal (``RunJournal``: checkpoints) and the cluster's
+job journal (``JobJournal``: the durable backlog) are codecs over this one
+log.  What lives here, once:
 
 * the **header line** — ``{"type": "header", "format": N, ...}`` first in
   the file, checked on every load (a missing, garbled or foreign-format

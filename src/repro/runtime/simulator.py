@@ -1,22 +1,27 @@
 """The :class:`Simulator` facade — the single front door for simulation.
 
 Callers describe *what* to simulate as :class:`~repro.runtime.job.SimJob`
-values; the simulator decides *how*: which backend executes it, whether the
-result comes from the on-disk cache, and whether batches fan out over a
-process pool.  All experiment modules, the analysis drivers and the CLI go
+values; the simulator decides *how*.  Every job is admitted through the
+simulator's own :class:`~repro.runtime.admission.AdmissionCore` — the same
+core the thread service and the cluster run — so a duplicate inside a batch
+coalesces and a cached job is answered by the probe; the new entries then
+run through one executor: in-process on the caller's thread (each outcome
+written back to the cache), or through ``service.run`` when a service is
+attached.  All experiment modules, the analysis drivers and the CLI go
 through this facade.
 
 Typical use::
 
     from repro.runtime import SimJob, Simulator
 
-    sim = Simulator(cache_dir="~/.cache/repro-datamaestro", max_workers=4)
+    sim = Simulator(cache_dir="~/.cache/repro-datamaestro")
     outcome = sim.simulate(SimJob(workload=my_gemm))
     outcomes = sim.simulate_many([SimJob(workload=w) for w in suite])
 """
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -24,8 +29,9 @@ from ..core.params import FeatureSet
 from ..engine import DEFAULT_ENGINE
 from ..system.design import AcceleratorSystemDesign
 from ..workloads.spec import Workload
-from .batch import BatchRunner, BatchStats
-from .cache import ResultCache
+from .admission import AdmissionCore, Entry, Stats
+from .backends import execute_job_with_progress
+from .cache import ResultCache, write_back
 from .job import DATAMAESTRO_BACKEND, SimJob
 from .outcome import SimOutcome
 
@@ -41,60 +47,93 @@ class Simulator:
         Convenience alternative to ``cache``: directory for a new result
         cache.  Ignored when ``cache`` is given.  When both are ``None``
         (the default) nothing is cached.
-    max_workers:
-        Default process-pool width for :meth:`simulate_many` /
-        :meth:`sweep`; ``None`` or ``1`` runs in-process.
     service:
-        Optional :class:`repro.serve.ServiceClient`.  When set, batch
-        execution routes through the shared simulation
-        service — one scheduler and one cache across DSE runs, sweeps and
-        ad-hoc calls, with duplicate in-flight requests coalesced — instead
-        of a private process pool (``max_workers`` is then ignored for
-        execution).  See ``docs/SERVE.md``.
+        Optional shared service — a ``ServiceClient``, or a
+        ``ClusterService`` for process parallelism (``repro … --jobs N``
+        opens one with ``N`` shards).  New entries then run through
+        ``service.run``: one scheduler and one cache across DSE runs,
+        sweeps and ad-hoc calls, with duplicate in-flight requests
+        coalesced.  The service's cache is the one probed, so a ``cache``
+        or ``cache_dir`` beside it is a ``ValueError``.  See
+        ``docs/SERVE.md``.
     """
 
     def __init__(
         self,
         cache: Optional[ResultCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        max_workers: Optional[int] = None,
         service: Optional[object] = None,
     ) -> None:
-        if max_workers is not None and max_workers < 0:
-            # Here, not first inside the BatchRunner of a later simulate_many().
-            raise ValueError("max_workers must be non-negative")
+        if service is not None and (cache is not None or cache_dir is not None):
+            raise ValueError(
+                "a Simulator with a service probes the service's cache: "
+                "give the cache to the service, not to both"
+            )
         if cache is None and cache_dir is not None:
             cache = ResultCache(Path(cache_dir).expanduser())
-        self.cache = cache
-        self.max_workers = max_workers
         self.service = service
-        self.stats = BatchStats()
+        #: The cache behind this simulator's outcomes: its own, or the service's.
+        self.cache = cache if service is None else service.cache
+        self._core = AdmissionCore(Stats("simulator"), cache)
+        #: The core's counters: ``executed``, ``cache_hits``, ``coalesced``, …
+        self.stats = self._core.stats
+        #: Serialises the core: one simulator may serve several threads.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def simulate(self, job: SimJob) -> SimOutcome:
-        """Execute one job (through the cache when one is configured): a
-        batch of one, so in-process whatever ``max_workers`` says.
-
-        With a ``service`` attached, the miss path submits to the shared
-        simulation service (coalescing with any identical in-flight
-        request) instead of executing in-process.
-        """
+        """Execute one job (through the cache when one is configured)."""
         return self.simulate_many([job])[0]
 
-    def simulate_many(
+    def simulate_many(self, jobs: Iterable[SimJob]) -> List[SimOutcome]:
+        """Execute a batch; outcome order always equals submission order.
+
+        The whole batch is admitted first, so a duplicate coalesces before
+        it is probed: ``[job, job, job]`` on a cold cache is one counted
+        miss, one execution and two coalesced submissions.
+        """
+        new: List[Entry] = []
+        with self._lock:
+            tickets = [self._core.admit(job, "simulator", new.append) for job in jobs]
+        try:
+            if self.service is None:
+                for entry in new:
+                    self._execute_here(entry)
+            elif new:
+                outcomes = self.service.run([entry.job for entry in new])
+                for entry, outcome in zip(new, outcomes):
+                    self._settle(entry, outcome)
+        finally:
+            # An executor that raised leaves the rest of the batch unsettled:
+            # retire it, so no later call coalesces onto a dead future.
+            with self._lock:
+                aborted = self._core.abandon(new, "batch aborted")
+            for entry in aborted:
+                entry.resolve()
+        return [ticket.result() for ticket in tickets]
+
+    def _execute_here(self, entry: Entry) -> None:
+        """The in-process executor: simulate on the caller's thread, write
+        back, settle.  A backend error settles the entry and propagates."""
+        self._core.announce("started", entry)
+        try:
+            outcome = execute_job_with_progress(entry.job)
+        except Exception as error:
+            self._settle(entry, error=error)
+            raise
+        write_back(self._core.cache, entry.key, outcome)
+        self._settle(entry, outcome)
+
+    def _settle(
         self,
-        jobs: Iterable[SimJob],
-        max_workers: Optional[int] = None,
-    ) -> List[SimOutcome]:
-        """Execute a batch; outcome order always equals submission order."""
-        runner = BatchRunner(
-            cache=self.cache,
-            max_workers=self.max_workers if max_workers is None else max_workers,
-            service=self.service,
-        )
-        outcomes = runner.run(jobs)
-        self.stats.merge(runner.stats)
-        return outcomes
+        entry: Entry,
+        outcome: Optional[SimOutcome] = None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        # Only this batch retires its entries: ``entry`` is in flight here.
+        with self._lock:
+            self._core.settle(entry.key, outcome, error)
+        entry.resolve()
 
     # ------------------------------------------------------------------
     def sweep(
@@ -104,7 +143,6 @@ class Simulator:
         designs: Optional[Sequence[Optional[AcceleratorSystemDesign]]] = None,
         backends: Sequence[str] = (DATAMAESTRO_BACKEND,),
         seed: int = 0,
-        max_workers: Optional[int] = None,
         engine: str = DEFAULT_ENGINE,
     ) -> List[SimOutcome]:
         """Cartesian sweep: workloads × features × designs × backends.
@@ -129,7 +167,7 @@ class Simulator:
             for feature_set in feature_axis
             for workload in workloads
         ]
-        return self.simulate_many(jobs, max_workers=max_workers)
+        return self.simulate_many(jobs)
 
 
 # ----------------------------------------------------------------------

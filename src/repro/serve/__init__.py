@@ -14,20 +14,21 @@ a *service*: a long-lived, thread-safe component that
 * **probes the result cache before scheduling** and writes fresh results
   back through it;
 * **announces** every lifecycle and progress edge from one emit point,
-  :meth:`AdmissionCore.announce <repro.serve.core.AdmissionCore.announce>`:
-  to the installed tracer, and as a
-  :class:`~repro.serve.events.ServiceEvent` to the ``on_event`` callback.
+  :meth:`AdmissionCore.announce
+  <repro.runtime.admission.AdmissionCore.announce>`: to the installed
+  tracer, and as a :class:`~repro.runtime.admission.ServiceEvent` to the
+  ``on_event`` callback.
 
 Entry points:
 
 * :class:`ServiceClient` — the one thread-service object: worker threads
   under one lock, an executor around the transport-free admission core of
-  :mod:`repro.serve.core` that :mod:`repro.cluster` shares; scripts, tests,
-  the CLI and each cluster shard hold it;
+  :mod:`repro.runtime.admission` that :mod:`repro.cluster` and
+  ``Simulator`` share; scripts, tests and the CLI hold it;
 * ``python -m repro.cli serve …`` — the CLI daemon;
-* ``Simulator(service=client)`` / ``BatchRunner(service=client)`` /
-  ``ExplorationEngine(service=client)`` — route existing call sites
-  through one shared scheduler and cache;
+* ``Simulator(service=client)`` — routes existing call sites (sweeps,
+  experiments, ``ExplorationEngine(simulator=...)``) through one shared
+  scheduler and cache;
 * :func:`replay_trace` / ``python -m repro.cli replay`` — drive the
   service with realistic arrival traces (Poisson, diurnal, bursty,
   hot-key-skewed, or recorded JSONL) and report per-regime latency and
@@ -38,9 +39,15 @@ bare :class:`~repro.runtime.simulator.Simulator`) and
 ``docs/ARCHITECTURE.md`` for where this layer sits in the package map.
 """
 
+from ..runtime.admission import (
+    EVENT_KINDS,
+    AdmissionCore,
+    ServiceClosedError,
+    ServiceEvent,
+    Stats,
+    Ticket,
+)
 from .client import ServiceClient, ServiceConfig
-from .core import AdmissionCore, ServiceClosedError, Stats, Ticket
-from .events import EVENT_KINDS, ServiceEvent
 from .queue import FairQueue, QueueFullError
 from .replay import (
     REGIMES,

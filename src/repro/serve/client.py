@@ -1,7 +1,7 @@
-"""The in-process simulation service: coalescing, fair admission, workers.
+"""The in-process simulation service: fair admission, worker threads.
 
-:class:`ServiceClient` is what scripts, tests, the CLI, each cluster shard
-and ``Simulator(service=...)`` hold, and it speaks the ``client_name=``
+:class:`ServiceClient` is what scripts, tests, the CLI and
+``Simulator(service=...)`` hold, and it speaks the ``client_name=``
 vocabulary :class:`~repro.cluster.service.ClusterService` shares::
 
     with ServiceClient(cache_dir=path) as client:
@@ -11,9 +11,9 @@ vocabulary :class:`~repro.cluster.service.ClusterService` shares::
 
 Admission — coalescing identical in-flight requests onto one future,
 probing the :class:`~repro.runtime.cache.ResultCache` before anything is
-scheduled, announcing each lifecycle edge — is the
-:class:`~repro.serve.core.AdmissionCore`'s, shared with the cluster; this
-module is the in-process *executor* around it:
+scheduled, counting, announcing each lifecycle edge — is the
+:class:`~repro.runtime.admission.AdmissionCore`'s, shared with the cluster
+and ``Simulator``; this module is the in-process *executor* around it:
 
 * a **fair bounded admission queue** (:class:`~repro.serve.queue.FairQueue`)
   — priority first, round-robin across clients within a priority, FIFO
@@ -37,22 +37,23 @@ discipline and when to use the service vs the bare ``Simulator``.
 from __future__ import annotations
 
 import threading
-import time
-from collections import Counter
-from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..obs.exposition import worker_families
-from ..obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from ..obs.trace import get_tracer
-from ..runtime.batch import execute_job_with_progress
+from ..runtime.admission import (
+    AdmissionCore,
+    Entry,
+    ServiceClosedError,
+    ServiceEvent,
+    Stats,
+    Ticket,
+)
+from ..runtime.backends import execute_job_with_progress
 from ..runtime.cache import ResultCache, write_back
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
-from .core import AdmissionCore, Entry, ServiceClosedError, Stats, Ticket
-from .events import ServiceEvent
 from .queue import FairQueue, QueueFullError
 
 __all__ = ["ServiceClient", "ServiceConfig"]
@@ -118,41 +119,15 @@ class ServiceClient:
         self.config = config or ServiceConfig()
         #: The service's counters (``stats()`` returns them as a dict).
         self.counters = Stats("thread")
-        #: The per-service metrics registry backing :attr:`counters`; the
-        #: depth/inflight gauges read the live structures on collection.
+        #: The per-service metrics registry behind :attr:`counters` and the
+        #: latency histogram; gauges and per-worker rows are the snapshot's.
         self.metrics = self.counters.registry
-        self.metrics.gauge(
-            "repro_queue_depth",
-            "Jobs admitted but not yet picked up by a worker.",
-            fn=self.backlog,
-        )
-        self.metrics.gauge(
-            "repro_inflight",
-            "Unique jobs between admission and completion.",
-            fn=self.inflight,
-        )
-        #: Admission-to-completion latency of executed jobs.
-        self.latency = Histogram(
-            DEFAULT_LATENCY_BOUNDS,
-            name="repro_latency_seconds",
-            help="Admission-to-completion latency of executed jobs.",
-        )
-        self.metrics.register(self.latency)
-        #: Jobs completed per worker slot — skew here means unfair pop
-        #: order or one worker pinned on a long simulation.
-        self.per_worker_executed: "Counter[int]" = Counter()
-        #: Macro-step engine totals accumulated from executed outcomes.
-        self.macro: Dict[str, int] = {"jumps": 0, "cycles_skipped": 0}
-        self.metrics.add_callback(
-            "repro_worker_executed_total",
-            lambda: worker_families(self.per_worker_executed),
-        )
         #: Serialises the core and the queue.  Re-entrant so an ``on_event``
         #: callback (which runs under it) may read ``snapshot()``.
         self._lock = threading.RLock()
         self._work_available = threading.Condition(self._lock)
         self._space_freed = threading.Condition(self._lock)
-        self._core = AdmissionCore(self.counters, cache, Future, on_event)
+        self._core = AdmissionCore(self.counters, cache, on_event)
         self._queue: FairQueue[Entry] = FairQueue(
             self.config.max_backlog, on_depth=self._on_queue_depth
         )
@@ -212,8 +187,8 @@ class ServiceClient:
     ) -> Ticket:
         """Submit one job; never blocks on simulation.
 
-        Returns a :class:`~repro.serve.core.Ticket` whose future resolves to
-        the outcome (already done on a cache hit).  Raises
+        Returns a :class:`~repro.runtime.admission.Ticket` whose future
+        resolves to the outcome (already done on a cache hit).  Raises
         :class:`QueueFullError` when the backlog bound is hit (use
         :meth:`submit_wait` to wait instead) and :class:`ServiceClosedError`
         after :meth:`close`.
@@ -278,21 +253,11 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-    def backlog(self) -> int:
-        """Jobs admitted but not yet picked up by a worker."""
-        with self._lock:
-            return len(self._queue)
-
     def _on_queue_depth(self, depth: int) -> None:
         """Queue depth change → tracer counter track (when tracing)."""
         tracer = get_tracer()
         if tracer is not None:
             tracer.counter("queue_depth", {"jobs": depth})
-
-    def inflight(self) -> int:
-        """Unique jobs somewhere between admission and completion."""
-        with self._lock:
-            return len(self._core.inflight)
 
     def stats_dict(self) -> Dict[str, object]:
         """Service counters and hit rates — the same call the cluster's
@@ -302,24 +267,11 @@ class ServiceClient:
     stats = stats_dict
 
     def snapshot(self) -> Dict[str, object]:
-        """Structured ops snapshot: depth, rates, skew, latency.
-
-        Everything an operator (or the cluster supervisor's pong frames)
-        wants in one picklable dict: current queue depth and in-flight
-        count, the coalescing / cache hit rates, per-worker executed
-        counts, and the admission-to-completion latency histogram — one
-        consistent cut (the accounting identity holds on it), plus the
-        cache's directory pass, made after the lock is released.
-        """
+        """The core's ops snapshot (``executed_by`` keyed by worker slot),
+        one consistent cut, plus the cache's directory pass, made after
+        the lock is released."""
         with self._lock:
-            summary = {
-                "queue_depth": self.backlog(),
-                "inflight": self.inflight(),
-                **self.counters.as_dict(),
-                "per_worker_executed": dict(self.per_worker_executed),
-                "latency": self.latency.as_dict(),
-                "macro": dict(self.macro),
-            }
+            summary = self._core.snapshot(len(self._queue))
         summary["cache"] = self.cache.stats() if self.cache is not None else None
         return summary
 
@@ -341,14 +293,7 @@ class ServiceClient:
             except Exception as caught:  # noqa: BLE001 — surfaced to every waiter
                 outcome, error = None, caught
             with self._lock:
-                if error is None:
-                    self.per_worker_executed[index] += 1
-                    macro = outcome.metrics.get("macro_stats")
-                    if isinstance(macro, dict):
-                        for name in self.macro:
-                            self.macro[name] += int(macro.get(name, 0))
-                    self.latency.observe(time.monotonic() - entry.admitted_at)
-                self._core.settle(entry.key, outcome, error)
+                self._core.settle(entry.key, outcome, error, executor=index)
             entry.resolve()
 
     def _execute(self, entry: Entry) -> SimOutcome:
@@ -371,13 +316,5 @@ class ServiceClient:
             progress_callback=progress,
             progress_interval=self.config.progress_interval,
         )
-        if self.cache is not None:
-            tracer = get_tracer()
-            if tracer is not None:
-                tracer.begin("write_back", entry.key, cat="job")
-            try:
-                write_back(self.cache, entry.key, outcome)
-            finally:
-                if tracer is not None:
-                    tracer.maybe_end("write_back", entry.key, cat="job")
+        write_back(self.cache, entry.key, outcome)
         return outcome

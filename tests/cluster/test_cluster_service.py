@@ -11,6 +11,7 @@ The acceptance tests of the sharded service live here:
 
 import itertools
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -106,7 +107,7 @@ class TestClusterServing:
         ) as cluster:
             tickets = [cluster.submit(job) for job in jobs]
             wait_for(
-                lambda: cluster.snapshot(wait=1.0)["queue_depth"] == len(jobs) - 1,
+                lambda: cluster.snapshot()["queue_depth"] == len(jobs) - 1,
                 message="the shard to queue all but the job it holds",
             )
             release(backend)
@@ -167,20 +168,61 @@ class TestClusterServing:
         cluster.close()  # idempotent
 
     def test_snapshot_aggregates_shards(self, tmp_path, instant_backend, make_job):
+        """The parent settles every job, so its snapshot counts per shard
+        by itself — without one frame to a shard (no supervisor pings
+        either: the heartbeat interval outlasts the test)."""
         jobs = [make_job(instant_backend.name, tag=i) for i in range(6)]
-        with ClusterService(
-            cache_dir=tmp_path / "cache", config=_fast_config()
-        ) as cluster:
+        config = _fast_config(heartbeat_interval=60.0)
+        with ClusterService(cache_dir=tmp_path / "cache", config=config) as cluster:
             cluster.run(jobs)
-            snapshot = cluster.snapshot(wait=5.0)
+            sent = []
+            for handle in cluster._handles:
+                handle.send = sent.append
+            snapshot = cluster.snapshot()
+            for handle in cluster._handles:
+                del handle.send  # the class's send again, for close()
+            assert sent == []
             assert snapshot["shard_count"] == 2
-            assert snapshot["inflight"] == 0
-            assert snapshot["stats"]["executed"] == len(jobs)
-            per_shard = [s["snapshot"] for s in snapshot["shards"]]
-            assert all(s is not None for s in per_shard)
-            # The shards' own executed counters add up to the cluster's.
-            assert sum(s["executed"] for s in per_shard) == len(jobs)
-            assert all("latency" in s for s in per_shard)
+            assert snapshot["inflight"] == snapshot["queue_depth"] == 0
+            assert snapshot["executed"] == len(jobs)
+            assert snapshot["restarts"] == 0
+            shards = {row["shard"]: row for row in snapshot["shards"]}
+            assert set(shards) == {0, 1}
+            assert all(row["alive"] and row["pid"] for row in shards.values())
+            expected = {
+                index: sum(cluster.router.shard_for(j.job_hash()) == index for j in jobs)
+                for index in (0, 1)
+            }
+            assert {i: snapshot["executed_by"].get(i, 0) for i in (0, 1)} == expected
+            assert snapshot["latency"]["count"] == len(jobs)
+
+    def test_non_draining_close_cancels_what_never_started(
+        self, tmp_path, gated_backend, make_job
+    ):
+        """``close(drain=False)`` lets the running job finish; the three
+        jobs still waiting in the shard are cancelled — not failed — and
+        their waiters get ``ServiceClosedError``."""
+        backend = gated_backend(touch=True)
+        jobs = [make_job(backend.name, tag=i) for i in range(4)]
+        cluster = ClusterService(
+            cache_dir=tmp_path / "cache", config=_fast_config(shards=1)
+        )
+        tickets = [cluster.submit(job) for job in jobs]
+        wait_for(lambda: any(tmp_path.glob("started-*")), message="a job to start")
+        # The gate opens only once close() is under way.
+        opener = threading.Timer(0.3, release, args=(backend,))
+        opener.start()
+        cluster.close(drain=False)
+        opener.join()
+        results = []
+        for ticket in tickets:
+            try:
+                results.append(ticket.result(timeout=5).job_hash)
+            except ServiceClosedError:
+                results.append(None)
+        assert sum(result is not None for result in results) == 1
+        stats = cluster.stats_dict()
+        assert (stats["executed"], stats["failed"], stats["cancelled"]) == (1, 0, 3)
 
     def test_simulator_duck_types_onto_the_cluster(
         self, tmp_path, instant_backend, make_job

@@ -64,7 +64,7 @@ def thread_snapshot(**overrides):
         "cache_hit_rate": 0.2,
         "queue_depth": 4,
         "inflight": 2,
-        "per_worker_executed": {"0": 2, "1": 1},
+        "executed_by": {"0": 2, "1": 1},
         "latency": hist.as_dict(),
         "macro": {"jumps": 2, "cycles_skipped": 1000},
         "cache": {"entries": 7, "size_bytes": 99, "hits": 1, "misses": 2},
@@ -74,35 +74,32 @@ def thread_snapshot(**overrides):
 
 
 def cluster_snapshot():
+    """The parent's snapshot: the core's shape plus the shard rows."""
     hist = Histogram((0.1, 1.0), name="repro_latency_seconds")
     hist.observe(0.05)
-    shard = {
-        "executed": 4,
-        "queue_depth": 1,
-        "latency": hist.as_dict(),
-        "macro": {"jumps": 1, "cycles_skipped": 10},
-    }
+    hist.observe(0.5)
     return {
-        "stats": {
-            "submitted": 9,
-            "executed": 8,
-            "coalesced": 1,
-            "cache_hits": 0,
-            "journal_hits": 2,
-            "shard_cache_hits": 1,
-            "failed": 0,
-            "requeued": 1,
-            "recovered": 3,
-            "restarts": 1,
-            "coalescing_hit_rate": 0.1,
-            "cache_hit_rate": 0.0,
-        },
-        "queue_depth": 0,
+        "submitted": 9,
+        "executed": 5,
+        "coalesced": 1,
+        "cache_hits": 0,
+        "journal_hits": 2,
+        "failed": 0,
+        "cancelled": 0,
+        "requeued": 1,
+        "recovered": 3,
+        "coalescing_hit_rate": 0.1,
+        "cache_hit_rate": 0.0,
+        "queue_depth": 1,
         "inflight": 1,
+        "executed_by": {0: 4, 1: 1},
+        "latency": hist.as_dict(),
+        "macro": {"jumps": 2, "cycles_skipped": 20},
+        "restarts": 1,
         "shard_count": 2,
         "shards": [
-            {"shard": 0, "alive": True, "snapshot": dict(shard)},
-            {"shard": 1, "alive": False, "snapshot": dict(shard)},
+            {"shard": 0, "alive": True, "pid": 11, "queue_depth": 1},
+            {"shard": 1, "alive": False, "pid": 12, "queue_depth": 0},
         ],
     }
 
@@ -163,19 +160,25 @@ class TestSnapshotFamilies:
         assert families["repro_journal_hits_total"].samples[0].value == 2
         assert families["repro_shard_restarts_total"].samples[0].value == 1
         assert "repro_rejected_total" not in families  # thread-only
+        assert "repro_worker_executed_total" not in families  # keyed by shard
         alive = {s.labels["shard"]: s.value for s in families["repro_shard_alive"].samples}
         assert alive == {"0": 1, "1": 0}
+        depth = families["repro_shard_queue_depth"].samples
+        assert {s.labels["shard"]: s.value for s in depth} == {"0": 1, "1": 0}
 
-    def test_cluster_latency_merged_across_shards(self):
+    def test_cluster_latency_is_the_parents_histogram(self):
+        """The parent times every job from admission to settle: its one
+        histogram is the family, nothing is merged."""
         families = {f.name: f for f in snapshot_families(cluster_snapshot())}
-        count = next(
-            s.value
-            for s in families["repro_latency_seconds"].samples
-            if s.suffix == "_count"
-        )
-        assert count == 2  # one observation per shard, merged bucket-wise
+        samples = families["repro_latency_seconds"].samples
+        count = next(s.value for s in samples if s.suffix == "_count")
+        assert count == 2
+        buckets = [s.value for s in samples if s.suffix == "_bucket"]
+        assert buckets == [1, 2, 2]  # <= 0.1, <= 1.0, +Inf
 
     def test_cluster_macro_totals_summed(self):
+        """The core sums each executed outcome's macro stats as it settles;
+        the families carry the totals."""
         families = {f.name: f for f in snapshot_families(cluster_snapshot())}
         assert families["repro_macro_jumps_total"].samples[0].value == 2
         assert families["repro_macro_cycles_skipped_total"].samples[0].value == 20

@@ -161,6 +161,30 @@ class TestServiceTracing:
         ids = {e["id"] for e in document["traceEvents"] if e.get("cat") == "job"}
         assert track[:16] in ids
 
+    def test_simulator_over_a_service_leaves_balanced_job_spans(
+        self, tracer, stub_backend, tmp_path
+    ):
+        """Two stacked cores (the simulator's, the service's) announce the
+        same job: every track still has one closed ``job`` span and no
+        stray ``job`` instant — cold (executed) and warm (a service cache
+        hit) alike, an in-batch duplicate included."""
+        from repro.runtime import Simulator
+        from repro.serve import ServiceClient
+
+        backend = stub_backend()
+        jobs = [self._job(backend, name=f"stacked_{i}") for i in range(2)]
+        with ServiceClient(cache_dir=tmp_path) as client:
+            simulator = Simulator(service=client)
+            simulator.simulate_many(jobs + jobs[:1])
+            simulator.simulate_many(jobs)
+        assert (simulator.stats.executed, simulator.stats.cache_hits) == (2, 2)
+        for job in jobs:
+            edges = [
+                e.ph for e in tracer.events() if e.track == job.job_hash() and e.name == "job"
+            ]
+            assert edges == ["b", "e", "b", "e"]  # the cold run, the warm run
+        assert "executing" in tracer.spans(jobs[0].job_hash())
+
     def test_queue_depth_counter_events_recorded(self, tracer, stub_backend):
         from repro.serve import ServiceClient, ServiceConfig
 

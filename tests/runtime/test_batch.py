@@ -1,9 +1,16 @@
-"""Tests for BatchRunner: ordering, dedup, pool execution, backend parity."""
+"""Batches through ``Simulator``: ordering, dedup, backend parity, and one
+admission path — one counted probe per distinct job on every executor."""
+
+from collections import Counter
+from contextlib import ExitStack
 
 import pytest
 
 from repro.baselines import create_baseline
-from repro.runtime import BatchRunner, ResultCache, SimJob, Simulator, get_backend
+from repro.cli import _simulator_from_args, build_parser, main
+from repro.cluster import ClusterConfig, ClusterService
+from repro.runtime import ResultCache, SimJob, Simulator, get_backend
+from repro.serve import ServiceClient
 from repro.workloads import GemmWorkload
 
 WORKLOADS = [
@@ -16,15 +23,22 @@ def make_jobs():
     return [SimJob(workload=workload) for workload in WORKLOADS]
 
 
+def two_shards(cache=None):
+    """What ``--jobs 2`` opens: a two-shard cluster with no journal."""
+    return ClusterService(cache=cache, config=ClusterConfig(shards=2))
+
+
 class TestOrdering:
     def test_serial_order_matches_submission(self):
-        outcomes = BatchRunner().run(make_jobs())
+        outcomes = Simulator().simulate_many(make_jobs())
         assert [o.workload_name for o in outcomes] == [w.name for w in WORKLOADS]
 
     def test_pool_order_matches_submission(self):
-        """Process-pool fan-out must preserve submission order exactly."""
-        serial = BatchRunner().run(make_jobs())
-        pooled = BatchRunner(max_workers=2).run(make_jobs())
+        """The process path (``--jobs 2``: a two-shard cluster) must
+        preserve submission order exactly."""
+        serial = Simulator().simulate_many(make_jobs())
+        with two_shards() as cluster:
+            pooled = Simulator(service=cluster).simulate_many(make_jobs())
         assert [o.workload_name for o in pooled] == [w.name for w in WORKLOADS]
         for a, b in zip(serial, pooled):
             assert a.utilization == b.utilization
@@ -36,22 +50,23 @@ class TestOrdering:
         cache = ResultCache(tmp_path)
         # Pre-warm only the middle two jobs.
         jobs = make_jobs()
-        BatchRunner(cache=cache).run(jobs[1:3])
-        runner = BatchRunner(cache=cache, max_workers=2)
-        outcomes = runner.run(jobs)
+        Simulator(cache=cache).simulate_many(jobs[1:3])
+        with two_shards(cache) as cluster:
+            simulator = Simulator(service=cluster)
+            outcomes = simulator.simulate_many(jobs)
         assert [o.workload_name for o in outcomes] == [w.name for w in WORKLOADS]
         assert [o.cache_hit for o in outcomes] == [False, True, True, False]
-        assert runner.stats.cache_hits == 2
-        assert runner.stats.executed == 2
+        assert simulator.stats.cache_hits == 2
+        assert simulator.stats.executed == 2
 
 
 class TestDedup:
     def test_duplicate_jobs_simulated_once(self):
         job = SimJob(workload=WORKLOADS[0])
-        runner = BatchRunner()
-        outcomes = runner.run([job, job, job])
-        assert runner.stats.executed == 1
-        assert runner.stats.deduplicated == 2
+        simulator = Simulator()
+        outcomes = simulator.simulate_many([job, job, job])
+        assert simulator.stats.executed == 1
+        assert simulator.stats.coalesced == 2
         assert len(outcomes) == 3
         assert len({o.job_hash for o in outcomes}) == 1
 
@@ -88,46 +103,44 @@ class TestBaselineParity:
 
 
 class TestCacheAccounting:
-    """BatchStats and ResultCache counters must agree after batch runs.
+    """The simulator's counters and the ResultCache's must agree.
 
-    Screening goes through the cache's single counted lookup path (get),
-    so after any sequence of runs against one fresh cache:
-    hits match, misses match, and misses == executed + deduplicated.
+    The core probes through the cache's single counted lookup path (get),
+    once per distinct job not already in flight, so after any sequence of
+    batches against one fresh cache: hits match, and every miss is one
+    execution or one failure.
     """
 
-    def assert_consistent(self, runner, cache):
-        assert runner.stats.cache_hits == cache.hits
-        assert runner.stats.cache_misses == cache.misses
-        assert (
-            runner.stats.cache_misses
-            == runner.stats.executed + runner.stats.deduplicated
-        )
+    def assert_consistent(self, simulator, cache):
+        stats = simulator.stats
+        assert stats.cache_hits == cache.hits
+        assert cache.misses == stats.executed + stats.failed
 
     def test_cold_then_warm_batch(self, tmp_path):
         cache = ResultCache(tmp_path)
-        runner = BatchRunner(cache=cache)
-        runner.run(make_jobs())
-        assert runner.stats.cache_hits == 0
-        assert runner.stats.cache_misses == len(WORKLOADS)
-        self.assert_consistent(runner, cache)
-        runner.run(make_jobs())
-        assert runner.stats.cache_hits == len(WORKLOADS)
-        self.assert_consistent(runner, cache)
+        simulator = Simulator(cache=cache)
+        simulator.simulate_many(make_jobs())
+        assert simulator.stats.cache_hits == 0
+        assert cache.misses == len(WORKLOADS)
+        self.assert_consistent(simulator, cache)
+        simulator.simulate_many(make_jobs())
+        assert simulator.stats.cache_hits == len(WORKLOADS)
+        self.assert_consistent(simulator, cache)
 
     def test_duplicates_screen_through_counted_path(self, tmp_path):
         cache = ResultCache(tmp_path)
-        runner = BatchRunner(cache=cache)
+        simulator = Simulator(cache=cache)
         job = SimJob(workload=WORKLOADS[0])
-        runner.run([job, job, job])
-        # Every occurrence is screened once: three counted misses, one
-        # execution, two dedups.
-        assert runner.stats.cache_misses == 3
-        assert runner.stats.executed == 1
-        assert runner.stats.deduplicated == 2
-        self.assert_consistent(runner, cache)
-        runner.run([job, job])
-        assert runner.stats.cache_hits == 2
-        self.assert_consistent(runner, cache)
+        simulator.simulate_many([job, job, job])
+        # A duplicate coalesces before it is probed: one counted miss, one
+        # execution, two coalesced submissions.
+        assert cache.misses == 1
+        assert simulator.stats.executed == 1
+        assert simulator.stats.coalesced == 2
+        self.assert_consistent(simulator, cache)
+        simulator.simulate_many([job, job])
+        assert simulator.stats.cache_hits == 2
+        self.assert_consistent(simulator, cache)
 
     def test_simulator_facade_counts_the_same_way(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -137,40 +150,70 @@ class TestCacheAccounting:
         simulator.simulate(job)
         simulator.simulate_many([job, SimJob(workload=WORKLOADS[1])])
         assert simulator.stats.cache_hits == cache.hits == 2
-        assert simulator.stats.cache_misses == cache.misses == 2
+        assert simulator.stats.executed == cache.misses == 2
 
 
 class TestWorkerNormalization:
-    def test_zero_workers_runs_in_process(self, monkeypatch):
-        """max_workers=0 must never reach the ProcessPoolExecutor."""
-        import concurrent.futures
+    """``--jobs`` is the one worker count left: 0 and 1 run in-process,
+    N >= 2 runs on an N-shard cluster, a negative count is a usage error."""
+
+    @staticmethod
+    def simulator_for(jobs, resources):
+        args = build_parser().parse_args(["batch", "gemm:8x8x8", "--jobs", jobs, "--no-cache"])
+        args.resources = resources
+        return _simulator_from_args(args)
+
+    def test_zero_workers_runs_in_process(self, monkeypatch, capsys):
+        """``--jobs 0`` must never start a cluster."""
+        import repro.cluster
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("ProcessPoolExecutor constructed for 0 workers")
+            raise AssertionError("ClusterService constructed for --jobs 0")
 
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", forbidden
-        )
-        runner = BatchRunner(max_workers=0)
-        outcomes = runner.run(make_jobs())
-        assert [o.workload_name for o in outcomes] == [w.name for w in WORKLOADS]
-        assert runner.stats.executed == len(WORKLOADS)
+        monkeypatch.setattr(repro.cluster, "ClusterService", forbidden)
+        assert main(["batch", "gemm:8x8x8", "gemm:16x16x16", "--jobs", "0", "--no-cache"]) == 0
+        assert "2 simulated" in capsys.readouterr().out
 
-    def test_zero_workers_through_simulator(self, monkeypatch):
-        import concurrent.futures
+    def test_zero_workers_through_simulator(self):
+        with ExitStack() as resources:
+            for jobs in ("0", "1"):
+                assert self.simulator_for(jobs, resources).service is None
+            sharded = self.simulator_for("2", resources)
+            assert isinstance(sharded.service, ClusterService)
+            assert sharded.service.snapshot()["shard_count"] == 2
+        assert sharded.service.closed  # the CLI's one ExitStack closes it
 
-        monkeypatch.setattr(
-            concurrent.futures,
-            "ProcessPoolExecutor",
-            lambda *a, **k: (_ for _ in ()).throw(AssertionError("pool used")),
-        )
-        simulator = Simulator(max_workers=0)
-        outcomes = simulator.simulate_many(make_jobs()[:2])
-        assert len(outcomes) == 2
+    def test_negative_workers_rejected(self, capsys):
+        assert main(["batch", "gemm:8x8x8", "--jobs", "-1", "--no-cache"]) == 2
+        assert capsys.readouterr().err.startswith("error: --jobs")
 
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(max_workers=-1)
-        # ... and by the facade at construction, not at its first batch.
-        with pytest.raises(ValueError):
-            Simulator(max_workers=-1)
+
+class SpyCache(ResultCache):
+    """A result cache that counts ``get`` calls per key."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.probes = Counter()
+
+    def get(self, key):
+        self.probes[key] += 1
+        return super().get(key)
+
+
+class TestOneProbePerJob:
+    """Three distinct jobs plus one duplicate: however the batch executes,
+    each distinct job is probed at most once."""
+
+    @pytest.mark.parametrize("path", ["in-process", "thread service", "cluster"])
+    def test_each_distinct_job_is_probed_at_most_once(self, path, tmp_path):
+        cache = SpyCache(tmp_path)
+        jobs = make_jobs()[:3]
+        batch = jobs + [jobs[1]]
+        if path == "in-process":
+            outcomes = Simulator(cache=cache).simulate_many(batch)
+        else:
+            service = ServiceClient(cache=cache) if path == "thread service" else two_shards(cache)
+            with service:
+                outcomes = Simulator(service=service).simulate_many(batch)
+        assert [o.job_hash for o in outcomes] == [job.job_hash() for job in batch]
+        assert cache.probes == Counter(job.job_hash() for job in jobs)

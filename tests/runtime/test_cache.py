@@ -279,7 +279,7 @@ def _simulate_each(cache, jobs):
 
 def _simulate_many(cache, jobs):
     simulator = Simulator(cache=cache)
-    return simulator.simulate_many(jobs, max_workers=0), simulator.stats.executed
+    return simulator.simulate_many(jobs), simulator.stats.executed
 
 
 def _service_run(cache, jobs):
@@ -301,7 +301,7 @@ class TestFullDisk:
             SimJob(workload=GemmWorkload(name=f"enospc_{i}", m=8, n=8, k=8 + 8 * i))
             for i in range(3)
         ]
-        jobs = unique + [unique[0]]  # one duplicate: simulated again or deduplicated
+        jobs = unique + [unique[0]]  # one duplicate: simulated again or coalesced
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             outcomes, executed = run(FullDiskCache(tmp_path), jobs)

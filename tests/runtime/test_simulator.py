@@ -1,10 +1,17 @@
 """Tests for the Simulator facade, sweeps and warm-cache experiment reruns."""
 
+import random
+import sys
+import threading
+import time
+from collections import Counter
+
 import pytest
 
 from repro.core import ablation_feature_sets
 from repro.experiments import fig7_ablation
-from repro.runtime import SimJob, Simulator, simulate
+from repro.runtime import SimJob, SimOutcome, Simulator, register_backend, simulate
+from repro.runtime.backends import SimulationBackend
 from repro.workloads import GemmWorkload
 
 GEMM = GemmWorkload(name="sim_gemm", m=16, n=16, k=32)
@@ -83,3 +90,64 @@ class TestWarmCacheExperimentRerun:
         outcome = warm.simulate(jobs[0])
         assert outcome.cache_hit
         assert warm.stats.executed == 0
+
+
+class CountingBackend(SimulationBackend):
+    """Counts executions per job; each takes a millisecond, so threads overlap."""
+
+    name = "simulator-stress"
+
+    def __init__(self):
+        self.calls = Counter()
+        self._lock = threading.Lock()
+
+    def execute(self, job):
+        with self._lock:
+            self.calls[job.job_hash()] += 1
+        time.sleep(0.001)
+        ideal = job.workload.ideal_compute_cycles(
+            job.design.gemm_mu, job.design.gemm_nu, job.design.gemm_ku
+        )
+        return SimOutcome.analytic(job, utilization=0.5, ideal_compute_cycles=ideal)
+
+
+class TestSharedSimulator:
+    def test_threads_sharing_one_simulator_run_each_job_once(self, tmp_path):
+        """Eight threads x 30 overlapping batches on one cached simulator:
+        a job in flight coalesces, a settled one is in the cache, so every
+        distinct job runs exactly once and the accounting closes."""
+        backend = CountingBackend()
+        register_backend(backend, overwrite=True)
+        jobs = [
+            SimJob(workload=GemmWorkload(name=f"shared_{i}", m=8, n=8, k=8), backend=backend.name)
+            for i in range(20)
+        ]
+        simulator = Simulator(cache_dir=tmp_path)
+        errors = []
+
+        def worker(index):
+            rng = random.Random(index)
+            try:
+                for _ in range(30):
+                    batch = rng.sample(jobs, 5)
+                    outcomes = simulator.simulate_many(batch)
+                    assert [o.job_hash for o in outcomes] == [j.job_hash() for j in batch]
+            except BaseException as error:  # noqa: BLE001 — asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "a simulate_many call hung"
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert backend.calls == Counter(job.job_hash() for job in jobs)
+        stats = simulator.stats
+        assert stats.executed == 20 and stats.failed == stats.cancelled == 0
+        assert stats.submitted == 8 * 30 * 5 == stats.executed + stats.cache_hits + stats.coalesced

@@ -1,18 +1,17 @@
 """Blocking-API and runtime-integration tests.
 
-Covers the :class:`ServiceClient` blocking API and the three rewired
-runtime surfaces — ``Simulator(service=...)``, ``BatchRunner(service=...)``
-and ``ExplorationEngine(service=...)`` — including the acceptance
-criterion: a burst of 50 concurrent submissions of the same job performs
-exactly one backend simulation and every caller receives the identical
-outcome.
+Covers the :class:`ServiceClient` blocking API and the runtime surface
+that routes through it — ``Simulator(service=...)``, also under an
+``ExplorationEngine`` — including the acceptance criterion: a burst of 50
+concurrent submissions of the same job performs exactly one backend
+simulation and every caller receives the identical outcome.
 """
 
 import threading
 
 import pytest
 
-from repro.runtime import BatchRunner, ResultCache, SimJob, Simulator
+from repro.runtime import ResultCache, Simulator
 from repro.serve import QueueFullError, ServiceClient, ServiceConfig
 from repro.workloads import GemmWorkload
 
@@ -136,21 +135,15 @@ class TestRuntimeIntegration:
         assert simulator.stats.executed == 1
         assert backend.calls == 1
 
-    def test_batch_runner_service_respects_local_cache_screening(
-        self, stub_backend, make_job, tmp_path
-    ):
-        backend = stub_backend()
-        jobs = [make_job(backend.name, tag=i) for i in range(2)]
-        cache = ResultCache(tmp_path)
+    def test_simulator_rejects_a_cache_beside_a_service(self, tmp_path):
+        """The service's cache is the one probed: a second, local cache
+        would be probed first and double every miss."""
         with ServiceClient() as client:
-            runner = BatchRunner(cache=cache, service=client)
-            first = runner.run(jobs)
-            second = runner.run(jobs)  # all hits: the service never sees them
-        assert backend.calls == 2
-        assert runner.stats.cache_hits == 2
-        assert runner.stats.executed == 2
-        assert [o.job_hash for o in second] == [o.job_hash for o in first]
-        assert client.stats()["submitted"] == 2
+            with pytest.raises(ValueError, match="service's cache"):
+                Simulator(cache=ResultCache(tmp_path), service=client)
+            with pytest.raises(ValueError, match="service's cache"):
+                Simulator(cache_dir=tmp_path, service=client)
+            assert Simulator(service=client).cache is client.cache
 
     def test_batches_larger_than_backlog_flow_through(self, stub_backend, make_job):
         backend = stub_backend()
@@ -178,41 +171,23 @@ class TestRuntimeIntegration:
         )
         workloads = [GemmWorkload(name="serve_explore", m=8, n=8, k=8)]
 
-        def build(service=None, simulator=None):
+        def build(simulator):
             return ExplorationEngine(
                 space=space,
                 strategy=GridStrategy(),
                 objectives=parse_objectives("cycles"),
                 workloads=workloads,
                 simulator=simulator,
-                service=service,
             )
 
-        direct = build(simulator=Simulator()).run(budget=2)
+        direct = build(Simulator()).run(budget=2)
         with ServiceClient() as client:
-            routed = build(service=client).run(budget=2)
+            routed = build(Simulator(service=client)).run(budget=2)
             stats = client.stats()
         assert stats["executed"] == 2
         assert [e.metrics for e in routed.evaluations] == [
             e.metrics for e in direct.evaluations
         ]
-
-    def test_exploration_engine_rejects_both_simulator_and_service(self):
-        from repro.explore import (
-            ExplorationEngine,
-            GridStrategy,
-            ParameterAxis,
-            SearchSpace,
-        )
-
-        space = SearchSpace(axes=(ParameterAxis.make("num_banks", (32,)),))
-        with pytest.raises(ValueError, match="not both"):
-            ExplorationEngine(
-                space=space,
-                strategy=GridStrategy(),
-                simulator=Simulator(),
-                service=object(),
-            )
 
 
 class TestClientClosedAndAccounting:
@@ -239,14 +214,15 @@ class TestClientClosedAndAccounting:
         with ServiceClient(cache_dir=tmp_path) as client:
             client.run(jobs)
         assert backend.calls == 2
-        # A fresh runner with no local cache: everything resolves from the
-        # service cache, so its stats must say "served", not "executed".
+        # A simulator over a fresh client: everything resolves from the
+        # service cache, so its stats must say "cache hits", not "executed".
         with ServiceClient(cache_dir=tmp_path) as client:
-            runner = BatchRunner(service=client)
-            outcomes = runner.run(jobs)
+            simulator = Simulator(service=client)
+            outcomes = simulator.simulate_many(jobs)
         assert backend.calls == 2  # nothing re-simulated
-        assert runner.stats.executed == 0
-        assert runner.stats.service_cache_hits == 2
+        assert simulator.stats.executed == 0
+        assert simulator.stats.cache_hits == 2
+        assert client.stats()["cache_hits"] == 2  # one probe each, at the service
         assert all(outcome.cache_hit for outcome in outcomes)
 
     def test_simulator_counts_service_hits_separately(
@@ -262,4 +238,4 @@ class TestClientClosedAndAccounting:
         assert backend.calls == 1
         assert outcome.cache_hit
         assert simulator.stats.executed == 0
-        assert simulator.stats.service_cache_hits == 1
+        assert simulator.stats.cache_hits == 1

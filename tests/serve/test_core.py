@@ -11,7 +11,8 @@ point — no event object without a listener, and the listener hears what the
 tracer hears, in the same order.  The second half runs one op script
 through ``ServiceClient`` and ``ClusterService(shards=1)`` and asserts
 equal ticket flags and the same identity on both, then drives both from
-eight submitter threads at once.
+eight submitter threads at once, with the identity holding on every
+mid-flight ``snapshot()`` of either.
 """
 
 import itertools
@@ -19,7 +20,6 @@ import random
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -28,9 +28,9 @@ from repro.cluster import ClusterConfig, ClusterService
 from repro.obs.trace import TraceRecorder, install_tracer, uninstall_tracer
 from repro.runtime import SimJob, SimOutcome, register_backend
 from repro.runtime.backends import SimulationBackend
+from repro.runtime import admission as core_module
+from repro.runtime.admission import AdmissionCore, Stats
 from repro.serve import ServiceClient, ServiceClosedError, ServiceConfig, ServiceEvent
-from repro.serve import core as core_module
-from repro.serve.core import AdmissionCore, Stats
 from repro.workloads import GemmWorkload
 
 _COUNTER = itertools.count()
@@ -40,7 +40,6 @@ IDENTITY_TERMS = (
     "cache_hits",
     "journal_hits",
     "executed",
-    "shard_cache_hits",
     "failed",
     "rejected",
     "cancelled",
@@ -96,7 +95,7 @@ class Harness:
         self.refuse = False
         # "cluster" carries every counter the identity names but
         # ``rejected``; the bounce tests use a "thread" core.
-        self.core = AdmissionCore(Stats(transport), self.cache, Future, self._on_event)
+        self.core = AdmissionCore(Stats(transport), self.cache, self._on_event)
 
     def _on_event(self, event):
         assert event.workload.startswith("core_")
@@ -219,13 +218,17 @@ class TestSettlement:
         assert (h.core.stats.failed, h.core.stats.executed) == (1, 0)
 
     def test_executor_answering_from_the_shared_cache_is_not_an_execution(self):
+        """A service behind ``Simulator`` may answer from its own cache: the
+        simulator's core counts that a cache hit, and times nothing."""
         h = Harness()
         job = _job(8)
         h.admit(job)
         outcome = _outcome(job)
         outcome.cache_hit = True
         h.core.settle(job.job_hash(), outcome).resolve()
-        assert (h.core.stats.shard_cache_hits, h.core.stats.executed) == (1, 0)
+        assert (h.core.stats.cache_hits, h.core.stats.executed) == (1, 0)
+        assert h.core.latency.count == 0 and not h.core.executed_by
+        assert identity_holds(h.core.stats.as_dict(), 0)
 
     def test_abandon_counts_cancelled_and_fails_waiters(self):
         h = Harness()
@@ -668,11 +671,12 @@ class TestTransportContract:
 
         stats = service.stats_dict()
         assert stats["submitted"] == 8 * 200 + len(racing)
-        assert stats["executed"] + stats.get("shard_cache_hits", 0) == 20
+        assert stats["executed"] == 20
         assert stats["failed"] == stats["cancelled"] == 0
         assert identity_holds(stats, 0)
+        # snapshot() is one consistent cut, so the identity holds mid-flight.
         assert snapshots
+        assert all(identity_holds(s, s["inflight"]) for s in snapshots)
+        assert sum(service.snapshot()["executed_by"].values()) == 20
         if in_process:
-            # snapshot() is one consistent cut, so the identity holds mid-flight.
-            assert all(identity_holds(s, s["inflight"]) for s in snapshots)
             assert seqs == list(range(len(seqs)))

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.runtime import BatchRunner, ResultCache, SimJob, Simulator
+from repro.runtime import SimJob, Simulator
 from repro.runtime import job as job_module
 from repro.serve import ServiceClient, ServiceClosedError, ServiceConfig
 from repro.workloads import ConvWorkload, GemmWorkload
@@ -55,8 +55,8 @@ class TestHashOncePerInstance:
     def test_batch_of_duplicates(self, tmp_path, stub_backend, job_encodes):
         backend = stub_backend()
         jobs = instances(backend.name, 5)
-        runner = BatchRunner(cache=ResultCache(tmp_path))
-        outcomes = runner.run(jobs * 10)
+        simulator = Simulator(cache_dir=tmp_path)
+        outcomes = simulator.simulate_many(jobs * 10)
         assert len(outcomes) == 50 and backend.calls == 5
         assert sorted(job_encodes) == sorted(job.workload.name for job in jobs)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.exposition import snapshot_families
 from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from repro.serve import ServiceClient, ServiceConfig
 
@@ -82,8 +83,8 @@ class TestServiceSnapshot:
         assert snapshot["latency"]["count"] == 4
         assert snapshot["latency"]["mean_seconds"] > 0
         # Every execution is attributed to a worker slot.
-        assert sum(snapshot["per_worker_executed"].values()) == 4
-        assert all(index in (0, 1) for index in snapshot["per_worker_executed"])
+        assert sum(snapshot["executed_by"].values()) == 4
+        assert all(index in (0, 1) for index in snapshot["executed_by"])
 
     def test_client_snapshot_readable_after_close(self, stub_backend, make_job):
         backend = stub_backend()
@@ -119,7 +120,9 @@ class TestStatsRegistryBacking:
         assert families["repro_executed_total"].samples[0].value == 1
         assert families["repro_coalesced_total"].samples[0].value == 1
         assert "repro_latency_seconds" in families
-        workers = families["repro_worker_executed_total"].samples
+        # Per-worker rows are the snapshot's, as every other scraped row.
+        scraped = {f.name: f for f in snapshot_families(client.snapshot())}
+        workers = scraped["repro_worker_executed_total"].samples
         assert sum(s.value for s in workers) == 1
 
     def test_parallel_services_do_not_share_counters(self, stub_backend, make_job):

@@ -405,7 +405,8 @@ class TestListeners:
         seen = []
 
         def on_event(event):
-            seen.append((event.kind, service.backlog(), service.snapshot()["inflight"]))
+            snapshot = service.snapshot()
+            seen.append((event.kind, snapshot["queue_depth"], snapshot["inflight"]))
 
         with ServiceClient(on_event=on_event) as service:
             service.run(jobs)

@@ -104,6 +104,24 @@ class TestBatchAndSweep:
         warm = capsys.readouterr().out
         assert "hit" in warm and "0 simulated" in warm and "2 cache hits" in warm
 
+    def test_batch_on_shards_prints_what_in_process_prints(self, tmp_path, capsys):
+        """``--jobs 2`` runs the batch on a two-shard cluster: the same
+        table and the same ``runtime:`` line, cold and warm."""
+        batch = ["batch", "gemm:8x8x8", "gemm:16x16x16"]
+        printed = {}
+        for jobs in ("1", "2"):
+            assert main([*batch, "--jobs", jobs, "--no-cache"]) == 0
+            printed[jobs] = capsys.readouterr().out
+        assert printed["1"] == printed["2"] and "2 simulated" in printed["2"]
+
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main([*batch, "--jobs", "2", *cache]) == 0
+        assert "2 simulated, 0 cache hits" in capsys.readouterr().out
+        for jobs in ("2", "1"):
+            assert main([*batch, "--jobs", jobs, *cache]) == 0
+            printed[jobs] = capsys.readouterr().out
+        assert printed["1"] == printed["2"] and "0 simulated, 2 cache hits" in printed["2"]
+
     def test_batch_unknown_backend(self, capsys):
         assert main(["batch", "gemm:8x8x8", "--backend", "bogus", "--no-cache"]) == 2
 
@@ -274,6 +292,18 @@ class TestServe:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "0 simulated" in out and "1 cache hits" in out
+
+    def test_serve_on_shards_reports_the_parents_counts(self, capsys):
+        """``--shards 2``: the stream runs on two shard processes, and the
+        stats line and the summary read the parent's snapshot."""
+        argv = [
+            "serve", "gemm:8x8x8", "gemm:16x16x16", "--repeat", "3", "--shards", "2",
+            "--no-cache", "--progress-interval", "1000", "--stats-interval", "60",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "stats: queue=0 inflight=0 submitted=6" in out and "shards=2/2" in out
+        assert "6 submitted" in out and "shards 2, restarts 0" in out
 
     def test_serve_rejects_bad_spec_and_bad_backend(self, capsys):
         assert main(["serve", "gemm:banana", "--no-cache"]) == 2
