@@ -259,17 +259,30 @@ def _cache_dir(args: argparse.Namespace, default: bool = True):
     return default_cache_dir() if default else None
 
 
+class _ShardedSimulator(Simulator):
+    """``--jobs N``: jobs are admitted, probed, counted and written back here,
+    and a lone job runs here (a shard round trip per serial job costs more).
+    A batch with two or more to run goes to an N-shard cluster with no cache,
+    opened on first need and closed by ``main``; only its core traces."""
+
+    def __init__(self, args: argparse.Namespace, cache_dir) -> None:
+        super().__init__(cache_dir=cache_dir)
+        self._core.traced, self._args, self._cluster = False, args, None
+
+    def _run(self, new, service) -> None:
+        if len(new) > 1 and self._cluster is None:
+            from .cluster import ClusterConfig, ClusterService
+
+            cluster = ClusterService(config=ClusterConfig(shards=self._args.jobs))
+            self._cluster = self._args.resources.enter_context(cluster)
+        super()._run(new, self._cluster if len(new) > 1 else None)
+
+
 def _simulator_from_args(args: argparse.Namespace) -> Simulator:
-    """Build the Simulator the runtime flags describe: in-process, or over
-    an ``--jobs``-shard cluster that ``main`` closes on the way out."""
+    """Build the Simulator the runtime flags describe."""
     _require(args, "--jobs", positive=False)
     cache_dir = _cache_dir(args, default=args.cache_default)
-    if args.jobs < 2:
-        return Simulator(cache_dir=cache_dir)
-    from .cluster import ClusterConfig, ClusterService
-
-    cluster = ClusterService(cache_dir=cache_dir, config=ClusterConfig(shards=args.jobs))
-    return Simulator(service=args.resources.enter_context(cluster))
+    return _ShardedSimulator(args, cache_dir) if args.jobs > 1 else Simulator(cache_dir=cache_dir)
 
 
 def _features_from_args(args: argparse.Namespace) -> FeatureSet:
@@ -896,13 +909,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     """Run one tiny GeMM job end-to-end, twice, through a result cache."""
-    if args.cache_dir:
-        return _selftest(args.cache_dir, args.engine)
-    with tempfile.TemporaryDirectory(prefix="repro-selftest-") as cache_dir:
-        return _selftest(cache_dir, args.engine)
-
-
-def _selftest(cache_dir: str, engine: str) -> int:
+    engine, cache_dir = args.engine, args.cache_dir or args.resources.enter_context(
+        tempfile.TemporaryDirectory(prefix="repro-selftest-")
+    )
     workload = GemmWorkload(name="selftest_gemm", m=16, n=16, k=16)
     job = SimJob(workload=workload, engine=engine, label="selftest")
 

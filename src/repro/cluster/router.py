@@ -3,16 +3,16 @@
 The cluster routes every job by its stable content hash
 (:meth:`~repro.runtime.job.SimJob.job_hash`), so
 
-* identical jobs always land on the same shard — in-flight coalescing
-  inside each shard's :class:`~repro.serve.client.ServiceClient`
-  stays exactly as correct as in the single-process service;
+* identical jobs always land on the same shard (the parent coalesces them
+  before routing; a shard never sees a duplicate in flight);
 * routing is deterministic across processes and restarts — a requeued job
   goes back to (the restarted incarnation of) its original shard, and a
   resumed journal replays onto the same partitioning.
 
 The partition function is the leading 64 bits of the job hash modulo the
 shard count.  The job hash is SHA-256, already uniformly distributed, so
-no extra mixing is needed.
+no extra mixing is needed.  The partition is static: in a batch of jobs of
+unequal cost, one shard can still be busy after another went idle.
 """
 
 from __future__ import annotations

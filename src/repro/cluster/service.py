@@ -309,6 +309,9 @@ class ClusterService:
         del priority
         return self._submit(job, client=client_name, journal_submission=True)
 
+    #: The parent bounds nothing, so waiting for capacity is submitting.
+    submit_wait = submit
+
     def _submit(self, job: SimJob, client: str, journal_submission: bool) -> Ticket:
         with self._lock:
             if self.closed:

@@ -152,10 +152,7 @@ class TraceRecorder:
         The single lifecycle → span mapping: ``AdmissionCore.announce``
         calls it once per edge on every front door; the executors add only
         their own spans (``write_back``; ``shard_routed`` / ``dispatched`` /
-        ``requeued``).  Two stacked cores (``Simulator`` over a service)
-        announce the same job twice: the inner ``submitted`` rides the open
-        ``job`` span, the first terminal edge closes it and the second is a
-        no-op, so the span stays balanced.
+        ``requeued``).
         """
         args = {"workload": workload, "client": client}
         if kind == "submitted":
@@ -171,16 +168,16 @@ class TraceRecorder:
             self.instant(kind, key, **args)
         elif kind == "rejected":
             self.instant("rejected", key, **args)
-            self.maybe_end("job", key, outcome="rejected")
+            self.end("job", key, outcome="rejected")
         elif kind == "finished":
             self.maybe_end("executing", key)
-            self.maybe_end("job", key, outcome="finished", waiters=waiters)
+            self.end("job", key, outcome="finished", waiters=waiters)
         elif kind == "failed":
             self.maybe_end("executing", key)
-            self.maybe_end("job", key, outcome="failed", error=error)
+            self.end("job", key, outcome="failed", error=error)
         elif kind == "cancelled":
             self.maybe_end("queued", key)
-            self.maybe_end("job", key, outcome="cancelled")
+            self.end("job", key, outcome="cancelled")
 
     # ------------------------------------------------------------------
     def events(self) -> List[TraceEvent]:

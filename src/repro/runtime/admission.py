@@ -262,6 +262,9 @@ class AdmissionCore:
         self.stats = stats
         self.cache = cache
         self.on_event = on_event
+        #: Whether :meth:`announce` feeds the tracer; ``Simulator`` clears it
+        #: over a service, whose own core announces the same jobs.
+        self.traced = True
         #: Sequence number of the next :class:`ServiceEvent` (from 0).
         self._event_seq = 0
         #: The in-flight coalescing map: job hash -> the one live entry.
@@ -287,16 +290,16 @@ class AdmissionCore:
         """Emit one lifecycle edge of ``entry`` (a coalesced submission
         passes its own ``client``; the entry keeps the first submitter's).
 
-        The edge goes to the installed tracer and, when set, to
-        ``on_event`` as one :class:`ServiceEvent` — the only event object
-        built.  Neither may break admission: a raising observer (a
+        The edge goes to the installed tracer (when ``traced``) and, when
+        set, to ``on_event`` as one :class:`ServiceEvent` — the only event
+        object built.  Neither may break admission: a raising observer (a
         ``print`` whose pipe closed) would strand futures and deadlock
         shutdown, so its error is dropped.
         """
         if client is None:
             client = entry.client
         workload = entry.job.workload.name
-        tracer = get_tracer()
+        tracer = get_tracer() if self.traced else None
         if tracer is not None:
             try:
                 tracer.lifecycle(kind, entry.key, client, workload=workload, **extra)
@@ -420,14 +423,16 @@ class AdmissionCore:
         """Retire ``entries`` unsettled (non-draining close, terminate, an
         aborted batch).
 
-        Each one still in flight is counted ``cancelled`` and will fail its
-        waiters with :class:`ServiceClosedError`; returns those entries for
-        the caller to :meth:`~Entry.resolve`.
+        Each one still in flight (that very entry, not a later one under its
+        key) is counted ``cancelled`` and will fail its waiters with
+        :class:`ServiceClosedError`; returns those entries for the caller to
+        :meth:`~Entry.resolve`.
         """
         abandoned = []
         for entry in entries:
-            if self.inflight.pop(entry.key, None) is None:
+            if self.inflight.get(entry.key) is not entry:
                 continue
+            del self.inflight[entry.key]
             entry.error = ServiceClosedError(
                 f"{reason} before job {entry.key[:12]} settled"
             )

@@ -6,7 +6,7 @@ simulator's own :class:`~repro.runtime.admission.AdmissionCore` — the same
 core the thread service and the cluster run — so a duplicate inside a batch
 coalesces and a cached job is answered by the probe; the new entries then
 run through one executor: in-process on the caller's thread (each outcome
-written back to the cache), or through ``service.run`` when a service is
+written back to the cache), or through the service's tickets when one is
 attached.  All experiment modules, the analysis drivers and the CLI go
 through this facade.
 
@@ -49,13 +49,12 @@ class Simulator:
         (the default) nothing is cached.
     service:
         Optional shared service — a ``ServiceClient``, or a
-        ``ClusterService`` for process parallelism (``repro … --jobs N``
-        opens one with ``N`` shards).  New entries then run through
-        ``service.run``: one scheduler and one cache across DSE runs,
-        sweeps and ad-hoc calls, with duplicate in-flight requests
-        coalesced.  The service's cache is the one probed, so a ``cache``
-        or ``cache_dir`` beside it is a ``ValueError``.  See
-        ``docs/SERVE.md``.
+        ``ClusterService`` for process parallelism.  New entries then run
+        through ``service.submit_wait``: one scheduler and one cache across
+        DSE runs, sweeps and ad-hoc calls, with duplicate in-flight
+        requests coalesced.  The service's cache is the one probed, so a
+        ``cache`` or ``cache_dir`` beside it is a ``ValueError``; its core
+        traces the jobs, so this one does not.  See ``docs/SERVE.md``.
     """
 
     def __init__(
@@ -75,6 +74,7 @@ class Simulator:
         #: The cache behind this simulator's outcomes: its own, or the service's.
         self.cache = cache if service is None else service.cache
         self._core = AdmissionCore(Stats("simulator"), cache)
+        self._core.traced = service is None
         #: The core's counters: ``executed``, ``cache_hits``, ``coalesced``, …
         self.stats = self._core.stats
         #: Serialises the core: one simulator may serve several threads.
@@ -96,41 +96,42 @@ class Simulator:
         with self._lock:
             tickets = [self._core.admit(job, "simulator", new.append) for job in jobs]
         try:
-            if self.service is None:
-                for entry in new:
-                    self._execute_here(entry)
-            elif new:
-                outcomes = self.service.run([entry.job for entry in new])
-                for entry, outcome in zip(new, outcomes):
-                    self._settle(entry, outcome)
-        finally:
+            self._run(new, self.service)
+        except BaseException:
             # An executor that raised leaves the rest of the batch unsettled:
             # retire it, so no later call coalesces onto a dead future.
             with self._lock:
                 aborted = self._core.abandon(new, "batch aborted")
             for entry in aborted:
                 entry.resolve()
+            raise
         return [ticket.result() for ticket in tickets]
 
-    def _execute_here(self, entry: Entry) -> None:
-        """The in-process executor: simulate on the caller's thread, write
-        back, settle.  A backend error settles the entry and propagates."""
-        self._core.announce("started", entry)
-        try:
-            outcome = execute_job_with_progress(entry.job)
-        except Exception as error:
-            self._settle(entry, error=error)
-            raise
-        write_back(self._core.cache, entry.key, outcome)
-        self._settle(entry, outcome)
+    def _run(self, new: List[Entry], service: Optional[object]) -> None:
+        """Run the batch's new entries on one executor and settle each: on
+        the caller's thread, where a backend error settles its entry and
+        propagates, or through ``service``, each with its own ticket's
+        outcome or error."""
+        if service is None:
+            for entry in new:
+                self._core.announce("started", entry)
+                try:
+                    outcome = execute_job_with_progress(entry.job)
+                except Exception as error:
+                    self._settle(entry, None, error)
+                    raise
+                self._settle(entry, outcome)
+            return
+        tickets = [service.submit_wait(entry.job, "simulator") for entry in new]
+        for entry, ticket in zip(new, tickets):
+            error = ticket.future.exception()
+            self._settle(entry, None if error else ticket.result(), error)
 
-    def _settle(
-        self,
-        entry: Entry,
-        outcome: Optional[SimOutcome] = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        # Only this batch retires its entries: ``entry`` is in flight here.
+    def _settle(self, entry: Entry, outcome: Optional[SimOutcome], error=None) -> None:
+        """Write ``outcome`` back to this simulator's cache, if it has one,
+        then retire ``entry`` and release its waiters."""
+        if outcome is not None:
+            write_back(self._core.cache, entry.key, outcome)
         with self._lock:
             self._core.settle(entry.key, outcome, error)
         entry.resolve()

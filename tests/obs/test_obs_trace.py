@@ -164,10 +164,10 @@ class TestServiceTracing:
     def test_simulator_over_a_service_leaves_balanced_job_spans(
         self, tracer, stub_backend, tmp_path
     ):
-        """Two stacked cores (the simulator's, the service's) announce the
-        same job: every track still has one closed ``job`` span and no
-        stray ``job`` instant — cold (executed) and warm (a service cache
-        hit) alike, an in-batch duplicate included."""
+        """Two cores see each job (the simulator's, the service's) and only
+        the service's traces it: every track has one closed ``job`` span per
+        run and no stray ``job`` instant — cold (executed) and warm (a
+        service cache hit) alike, an in-batch duplicate included."""
         from repro.runtime import Simulator
         from repro.serve import ServiceClient
 

@@ -24,8 +24,16 @@ def make_jobs():
 
 
 def two_shards(cache=None):
-    """What ``--jobs 2`` opens: a two-shard cluster with no journal."""
+    """A two-shard cluster with no journal, as ``--jobs 2`` opens one."""
     return ClusterService(cache=cache, config=ClusterConfig(shards=2))
+
+
+def cli_simulator(jobs, resources, *flags):
+    """The simulator ``repro batch --jobs N`` runs on; ``resources`` closes
+    what it opens, as ``main``'s ExitStack does."""
+    args = build_parser().parse_args(["batch", "gemm:8x8x8", "--jobs", jobs, *flags])
+    args.resources = resources
+    return _simulator_from_args(args)
 
 
 class TestOrdering:
@@ -37,8 +45,8 @@ class TestOrdering:
         """The process path (``--jobs 2``: a two-shard cluster) must
         preserve submission order exactly."""
         serial = Simulator().simulate_many(make_jobs())
-        with two_shards() as cluster:
-            pooled = Simulator(service=cluster).simulate_many(make_jobs())
+        with ExitStack() as resources:
+            pooled = cli_simulator("2", resources, "--no-cache").simulate_many(make_jobs())
         assert [o.workload_name for o in pooled] == [w.name for w in WORKLOADS]
         for a, b in zip(serial, pooled):
             assert a.utilization == b.utilization
@@ -155,33 +163,52 @@ class TestCacheAccounting:
 
 class TestWorkerNormalization:
     """``--jobs`` is the one worker count left: 0 and 1 run in-process,
-    N >= 2 runs on an N-shard cluster, a negative count is a usage error."""
+    N >= 2 runs batches on an N-shard cluster, a negative count is a usage
+    error."""
 
     @staticmethod
-    def simulator_for(jobs, resources):
-        args = build_parser().parse_args(["batch", "gemm:8x8x8", "--jobs", jobs, "--no-cache"])
-        args.resources = resources
-        return _simulator_from_args(args)
-
-    def test_zero_workers_runs_in_process(self, monkeypatch, capsys):
-        """``--jobs 0`` must never start a cluster."""
+    def forbid_clusters(monkeypatch):
         import repro.cluster
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("ClusterService constructed for --jobs 0")
+            raise AssertionError("ClusterService constructed")
 
         monkeypatch.setattr(repro.cluster, "ClusterService", forbidden)
+
+    def test_zero_workers_runs_in_process(self, monkeypatch, capsys):
+        """``--jobs 0`` must never start a cluster."""
+        self.forbid_clusters(monkeypatch)
         assert main(["batch", "gemm:8x8x8", "gemm:16x16x16", "--jobs", "0", "--no-cache"]) == 0
         assert "2 simulated" in capsys.readouterr().out
 
     def test_zero_workers_through_simulator(self):
+        """``--jobs 2`` opens its cluster on the first batch with two jobs
+        to run — a lone job runs in-process — and the CLI's one ExitStack
+        closes it.  The cluster has no cache: the simulator probes and
+        writes back."""
         with ExitStack() as resources:
             for jobs in ("0", "1"):
-                assert self.simulator_for(jobs, resources).service is None
-            sharded = self.simulator_for("2", resources)
-            assert isinstance(sharded.service, ClusterService)
-            assert sharded.service.snapshot()["shard_count"] == 2
-        assert sharded.service.closed  # the CLI's one ExitStack closes it
+                assert type(cli_simulator(jobs, resources, "--no-cache")) is Simulator
+            sharded = cli_simulator("2", resources, "--no-cache")
+            sharded.simulate(make_jobs()[0])
+            assert sharded._cluster is None and sharded.stats.executed == 1
+            sharded.simulate_many(make_jobs()[1:])
+            cluster = sharded._cluster
+            assert cluster.snapshot()["shard_count"] == 2 and cluster.cache is None
+            assert cluster.stats.executed == 3 == sharded.stats.executed - 1
+        assert cluster.closed
+
+    def test_sharded_warm_runs_start_no_cluster(self, monkeypatch, tmp_path):
+        """Every job a cache hit, or one left to run: nothing to fan out."""
+        cache = ["--cache-dir", str(tmp_path)]
+        with ExitStack() as resources:
+            cli_simulator("2", resources, *cache).simulate_many(make_jobs()[1:])
+        self.forbid_clusters(monkeypatch)
+        with ExitStack() as resources:
+            sharded = cli_simulator("2", resources, *cache)
+            outcomes = sharded.simulate_many(make_jobs())
+        assert [o.cache_hit for o in outcomes] == [False, True, True, True]
+        assert (sharded.stats.executed, sharded.stats.cache_hits) == (1, 3)
 
     def test_negative_workers_rejected(self, capsys):
         assert main(["batch", "gemm:8x8x8", "--jobs", "-1", "--no-cache"]) == 2
@@ -204,13 +231,17 @@ class TestOneProbePerJob:
     """Three distinct jobs plus one duplicate: however the batch executes,
     each distinct job is probed at most once."""
 
-    @pytest.mark.parametrize("path", ["in-process", "thread service", "cluster"])
-    def test_each_distinct_job_is_probed_at_most_once(self, path, tmp_path):
+    @pytest.mark.parametrize("path", ["in-process", "thread service", "cluster", "--jobs 2"])
+    def test_each_distinct_job_is_probed_at_most_once(self, path, tmp_path, monkeypatch):
         cache = SpyCache(tmp_path)
         jobs = make_jobs()[:3]
         batch = jobs + [jobs[1]]
         if path == "in-process":
             outcomes = Simulator(cache=cache).simulate_many(batch)
+        elif path == "--jobs 2":
+            monkeypatch.setattr("repro.runtime.simulator.ResultCache", lambda root: cache)
+            with ExitStack() as resources:
+                outcomes = cli_simulator("2", resources, "--cache-dir", str(tmp_path)).simulate_many(batch)
         else:
             service = ServiceClient(cache=cache) if path == "thread service" else two_shards(cache)
             with service:

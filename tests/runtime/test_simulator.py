@@ -112,24 +112,30 @@ class CountingBackend(SimulationBackend):
 
 
 class TestSharedSimulator:
-    def test_threads_sharing_one_simulator_run_each_job_once(self, tmp_path):
-        """Eight threads x 30 overlapping batches on one cached simulator:
-        a job in flight coalesces, a settled one is in the cache, so every
-        distinct job runs exactly once and the accounting closes."""
+    @pytest.mark.parametrize("front", ["cached", "uncached", "over a service"])
+    def test_threads_sharing_one_simulator_settle_every_job(self, front, tmp_path):
+        """Eight threads x 30 overlapping batches on one simulator.  A job a
+        thread settled may be admitted again by another at once (no cache
+        answers it): retiring the first entry must never touch the second,
+        so every outcome arrives and the accounting closes.  With a cache,
+        every distinct job runs exactly once."""
+        from repro.serve import ServiceClient
+
         backend = CountingBackend()
         register_backend(backend, overwrite=True)
         jobs = [
             SimJob(workload=GemmWorkload(name=f"shared_{i}", m=8, n=8, k=8), backend=backend.name)
-            for i in range(20)
+            for i in range(10)
         ]
-        simulator = Simulator(cache_dir=tmp_path)
+        service = ServiceClient() if front == "over a service" else None
+        simulator = Simulator(cache_dir=tmp_path if front == "cached" else None, service=service)
         errors = []
 
         def worker(index):
             rng = random.Random(index)
             try:
                 for _ in range(30):
-                    batch = rng.sample(jobs, 5)
+                    batch = rng.sample(jobs, 8)
                     outcomes = simulator.simulate_many(batch)
                     assert [o.job_hash for o in outcomes] == [j.job_hash() for j in batch]
             except BaseException as error:  # noqa: BLE001 — asserted below
@@ -146,8 +152,15 @@ class TestSharedSimulator:
                 assert not thread.is_alive(), "a simulate_many call hung"
         finally:
             sys.setswitchinterval(interval)
+            if service is not None:
+                service.close()
         assert errors == []
-        assert backend.calls == Counter(job.job_hash() for job in jobs)
         stats = simulator.stats
-        assert stats.executed == 20 and stats.failed == stats.cancelled == 0
-        assert stats.submitted == 8 * 30 * 5 == stats.executed + stats.cache_hits + stats.coalesced
+        assert stats.failed == stats.cancelled == 0
+        assert stats.submitted == 8 * 30 * 8 == stats.executed + stats.cache_hits + stats.coalesced
+        assert stats.executed == sum(backend.calls.values())
+        if front == "cached":
+            assert backend.calls == Counter(job.job_hash() for job in jobs)
+        if service is not None:
+            served = service.stats()
+            assert served["executed"] == stats.executed and served["cancelled"] == 0

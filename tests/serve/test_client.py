@@ -225,6 +225,26 @@ class TestClientClosedAndAccounting:
         assert client.stats()["cache_hits"] == 2  # one probe each, at the service
         assert all(outcome.cache_hit for outcome in outcomes)
 
+    def test_a_failing_job_counts_the_same_through_a_service_as_in_process(
+        self, stub_backend, make_job
+    ):
+        """Through a service each entry settles with its own outcome or
+        error: the failing job is ``failed`` and the rest ``executed``,
+        exactly as in-process, where the error stops the batch first."""
+        good, bad = stub_backend(), stub_backend(error=RuntimeError("boom"))
+        jobs = [make_job(good.name, tag=0), make_job(bad.name, tag=1), make_job(good.name, tag=2)]
+        with ServiceClient() as client:
+            simulator = Simulator(service=client)
+            with pytest.raises(RuntimeError, match="boom"):
+                simulator.simulate_many(jobs)
+            assert client.stats()["failed"] == 1
+        stats = simulator.stats
+        assert (stats.executed, stats.failed, stats.cancelled) == (2, 1, 0)
+        local = Simulator()
+        with pytest.raises(RuntimeError, match="boom"):
+            local.simulate_many(jobs[1:])
+        assert (local.stats.failed, local.stats.cancelled) == (1, 1)  # the rest never ran
+
     def test_simulator_counts_service_hits_separately(
         self, stub_backend, make_job, tmp_path
     ):

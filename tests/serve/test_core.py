@@ -250,6 +250,23 @@ class TestSettlement:
         assert h.kinds().count("cancelled") == 2
         assert identity_holds(h.core.stats.as_dict(), 0)
 
+    def test_abandoning_a_settled_entry_spares_the_newer_one_under_its_key(self):
+        """A batch retiring what it left unsettled must not reach an entry
+        another caller admitted under the same key after it settled."""
+        h = Harness()
+        job = _job(13)
+        h.admit(job)
+        old = h.core.settle(job.job_hash(), _outcome(job))
+        old.resolve()
+        newer = h.admit(job)
+        assert not newer.coalesced and not newer.cache_hit
+        assert h.core.abandon([old], "batch aborted") == []
+        assert h.core.stats.cancelled == 0 and job.job_hash() in h.core.inflight
+        outcome = _outcome(job)
+        h.core.settle(job.job_hash(), outcome).resolve()
+        assert newer.result(0) is outcome
+        assert identity_holds(h.core.stats.as_dict(), 0)
+
 
 class TestBounceAccounting:
     def test_fail_fast_bounce_counts_submitted_and_rejected(self):
