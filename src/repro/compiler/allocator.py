@@ -90,23 +90,15 @@ class MemoryAllocator:
                 f"option {options}"
             )
         self.gima_group_size = gima_group_size
+        #: Capacity of one GIMA bank group in bytes.
+        self.group_bytes = gima_group_size * memory.bank_depth * memory.bank_width_bytes
         self._fima_cursor = 0
         self._group_cursor = 0
-        self._group_tail: List[int] = []
         group_bytes = self.group_bytes
         self._num_groups = memory.capacity_bytes // group_bytes if group_bytes else 0
-        self._group_tail = [g * group_bytes for g in range(self._num_groups)]
+        self._group_tail: List[int] = [g * group_bytes for g in range(self._num_groups)]
 
     # ------------------------------------------------------------------
-    @property
-    def group_bytes(self) -> int:
-        """Capacity of one GIMA bank group in bytes."""
-        return (
-            self.gima_group_size
-            * self.memory.bank_depth
-            * self.memory.bank_width_bytes
-        )
-
     @property
     def capacity_bytes(self) -> int:
         return self.memory.capacity_bytes
@@ -182,14 +174,14 @@ class MemoryAllocator:
         )
 
     # ------------------------------------------------------------------
-    def _is_fresh(self, group: int) -> bool:
-        return self._group_tail[group] == group * self.group_bytes
-
     def _first_fresh_run(self, length: int) -> Optional[int]:
         """First index of ``length`` consecutive completely-unused groups."""
-        for start in range(self._num_groups - length + 1):
-            if all(self._is_fresh(start + offset) for offset in range(length)):
-                return start
+        run = 0
+        for group, tail in enumerate(self._group_tail):
+            # A group is fresh while its tail still sits at its start.
+            run = run + 1 if tail == group * self.group_bytes else 0
+            if run == length:
+                return group - length + 1
         return None
 
     def _mark_used(self, start_group: int, groups: int, size_bytes: int) -> None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Sequence, Tuple
 
 
@@ -56,10 +57,10 @@ class TemporalAddressGenerator:
             raise ValueError("bounds and strides must have the same length")
         if not bounds:
             raise ValueError("at least one temporal dimension is required")
-        if any(b <= 0 for b in bounds):
+        if min(bounds) <= 0:
             raise ValueError(f"temporal bounds must be positive, got {bounds}")
-        self.bounds = tuple(int(b) for b in bounds)
-        self.strides = tuple(int(s) for s in strides)
+        self.bounds = tuple(map(int, bounds))
+        self.strides = tuple(map(int, strides))
         self.base_address = int(base_address)
         self.total_iterations = math.prod(self.bounds)
         self.reset()
@@ -117,11 +118,12 @@ class TemporalAddressGenerator:
                 f"[0, {self.total_iterations})"
             )
         steps = np.arange(start_step, start_step + count, dtype=np.int64)
-        addresses = np.full(count, self.base_address, dtype=np.int64)
+        addresses = np.zeros(count, dtype=np.int64) + self.base_address
         radix = 1
         for bound, stride in zip(self.bounds, self.strides):
-            addresses += (steps // radix) % bound * stride
-            radix *= bound
+            if bound > 1:  # a unit loop contributes nothing
+                addresses += (steps // radix) % bound * stride
+                radix *= bound
         return addresses
 
     def fast_forward(self, steps: int) -> None:
@@ -155,6 +157,23 @@ class TemporalAddressGenerator:
             self._offsets[dim] = index * self.strides[dim]
 
 
+@lru_cache(maxsize=256)
+def spatial_offsets(
+    bounds: Tuple[int, ...], strides: Tuple[int, ...]
+) -> Tuple[int, ...]:
+    """Spatial offsets with dimension 0 innermost, one per channel.
+
+    A pure function of the spatial loop nest, so every AGU with the same
+    ``(bounds, strides)`` shares one tuple.
+    """
+    offsets = [0]
+    for bound, stride in zip(bounds, strides):
+        offsets = [
+            index * stride + offset for index in range(bound) for offset in offsets
+        ]
+    return tuple(offsets)
+
+
 class SpatialAddressGenerator:
     """Spatial AGU: expands one temporal address into per-channel addresses."""
 
@@ -163,23 +182,12 @@ class SpatialAddressGenerator:
             raise ValueError("spatial bounds and strides must match in length")
         if not bounds:
             raise ValueError("at least one spatial dimension is required")
-        if any(b <= 0 for b in bounds):
+        if min(bounds) <= 0:
             raise ValueError(f"spatial bounds must be positive, got {bounds}")
-        self.bounds = tuple(int(b) for b in bounds)
-        self.strides = tuple(int(s) for s in strides)
+        self.bounds = tuple(map(int, bounds))
+        self.strides = tuple(map(int, strides))
         self.num_points = math.prod(self.bounds)
-        self._offsets = tuple(self._enumerate_offsets())
-
-    def _enumerate_offsets(self) -> Iterator[int]:
-        """Enumerate spatial offsets with dimension 0 innermost."""
-        indices = [0] * len(self.bounds)
-        for _ in range(self.num_points):
-            yield sum(i * s for i, s in zip(indices, self.strides))
-            for dim in range(len(self.bounds)):
-                indices[dim] += 1
-                if indices[dim] < self.bounds[dim]:
-                    break
-                indices[dim] = 0
+        self._offsets = spatial_offsets(self.bounds, self.strides)
 
     @property
     def offsets(self) -> Tuple[int, ...]:

@@ -42,7 +42,11 @@ class StreamChannel:
     (``generate_addresses``, ``issue_requests``) and the rules that need the
     streamer's counters are stated there (:meth:`DataMaestro.credit_stalled`,
     ``can_issue``); the channel holds what they move — the data FIFO, the
-    issue cursor and the counters.
+    issue cursor and the counters.  It lives for one kernel launch:
+    :meth:`DataMaestro.configure` builds the kernel's active channels fresh.
+    ``requests_granted`` / ``bank_conflict_retries`` are not here: they are
+    counted by the memory port and follow
+    :meth:`MemorySubsystem.reset_statistics`.
     """
 
     def __init__(self, streamer_name: str, index: int, design: StreamerDesign) -> None:
@@ -70,19 +74,6 @@ class StreamChannel:
     def outstanding(self) -> int:
         """Requests issued and not yet delivered."""
         return self.requests_issued - self.responses_received
-
-    def reset(self) -> None:
-        """Empty the channel and zero its counters for a new kernel launch.
-
-        ``requests_granted`` / ``bank_conflict_retries`` are not here: they
-        are counted by the memory port and follow
-        :meth:`MemorySubsystem.reset_statistics`.
-        """
-        self.data_fifo.reset()
-        self.requests_issued = 0
-        self.credit_stall_cycles = 0
-        self.max_addr_occupancy = 0
-        self.port = None
 
     def statistics(self) -> dict:
         return {

@@ -6,7 +6,9 @@ bounds/strides, spatial strides, addressing-mode selection ``RS``, extension
 enables) followed by a start command.  This module reproduces that interface:
 
 * :class:`CsrAddressMap` lays out the register file of a given
-  :class:`~repro.core.params.StreamerDesign`;
+  :class:`~repro.core.params.StreamerDesign`; the layout is a property of
+  the frozen design alone, so :func:`csr_address_map` builds it once per
+  design and both directions below share it;
 * :func:`encode_runtime_config` lowers a
   :class:`~repro.core.params.StreamerRuntimeConfig` into a list of
   ``(offset, value)`` CSR writes;
@@ -22,6 +24,7 @@ ever sees the decoded :class:`StreamerRuntimeConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .params import StreamerDesign, StreamerRuntimeConfig
@@ -49,24 +52,30 @@ class CsrAddressMap:
         self._fields: Dict[str, int] = {}
         offset = 0
 
-        def alloc(name: str) -> None:
+        def alloc(name: str) -> int:
             nonlocal offset
             self._fields[name] = offset
             offset += CSR_WORD_BYTES
+            return offset - CSR_WORD_BYTES
 
-        alloc("base_address")
-        for index in range(design.temporal_dims):
-            alloc(f"temporal_bound_{index}")
-        for index in range(design.temporal_dims):
-            alloc(f"temporal_stride_{index}")
-        for index in range(design.spatial_dims):
-            alloc(f"spatial_stride_{index}")
-        alloc("addressing_mode")
-        alloc("active_channels")
-        alloc("extension_enable")
-        for ext_index in range(len(design.extensions)):
-            for slot in range(EXTENSION_PARAM_SLOTS):
+        # The offsets of each register group, for the encoder and decoder.
+        self.base_offset = alloc("base_address")
+        dims = range(design.temporal_dims)
+        self.bound_offsets = tuple(alloc(f"temporal_bound_{i}") for i in dims)
+        self.stride_offsets = tuple(alloc(f"temporal_stride_{i}") for i in dims)
+        self.spatial_offsets = tuple(
+            alloc(f"spatial_stride_{i}") for i in range(design.spatial_dims)
+        )
+        self.mode_offset = alloc("addressing_mode")
+        self.active_offset = alloc("active_channels")
+        self.enable_offset = alloc("extension_enable")
+        self.extension_offsets = tuple(
+            tuple(
                 alloc(f"extension_{ext_index}_param_{slot}")
+                for slot in range(EXTENSION_PARAM_SLOTS)
+            )
+            for ext_index in range(len(design.extensions))
+        )
         alloc("start")
         alloc("status")
         self.size_bytes = offset
@@ -91,6 +100,16 @@ class CsrAddressMap:
 
     def __len__(self) -> int:
         return len(self._fields)
+
+
+@lru_cache(maxsize=256)
+def csr_address_map(design: StreamerDesign) -> CsrAddressMap:
+    """The register layout of ``design``, built once per distinct design.
+
+    Keyed on the frozen design only — every job on the same hardware shares
+    the map, and nothing about a kernel can reach the key.
+    """
+    return CsrAddressMap(design)
 
 
 # ----------------------------------------------------------------------
@@ -135,52 +154,38 @@ def encode_runtime_config(
 ) -> List[Tuple[int, int]]:
     """Lower a runtime config into ``(offset, value)`` CSR writes."""
     runtime.validate_against(design)
-    csr_map = CsrAddressMap(design)
+    csr_map = csr_address_map(design)
     options = list(group_size_options)
     if runtime.bank_group_size not in options:
         raise ValueError(
             f"{design.name}: bank group size {runtime.bank_group_size} is not "
             f"one of the instantiated options {options}"
         )
-    writes: List[Tuple[int, int]] = [
-        (csr_map.offset_of("base_address"), runtime.base_address)
-    ]
-    for index in range(design.temporal_dims):
-        bound = runtime.temporal_bounds[index] if index < len(runtime.temporal_bounds) else 1
-        stride = (
-            runtime.temporal_strides[index]
-            if index < len(runtime.temporal_strides)
-            else 0
-        )
-        writes.append((csr_map.offset_of(f"temporal_bound_{index}"), bound))
-        writes.append((csr_map.offset_of(f"temporal_stride_{index}"), stride))
-    for index in range(design.spatial_dims):
-        writes.append(
-            (csr_map.offset_of(f"spatial_stride_{index}"), runtime.spatial_strides[index])
-        )
+    writes: List[Tuple[int, int]] = [(csr_map.base_offset, runtime.base_address)]
+    # Unused temporal dimensions are programmed as bound 1, stride 0.
+    unused = design.temporal_dims - len(runtime.temporal_bounds)
+    bounds = runtime.temporal_bounds + (1,) * unused
+    strides = runtime.temporal_strides + (0,) * unused
+    for bound_at, stride_at, bound, stride in zip(
+        csr_map.bound_offsets, csr_map.stride_offsets, bounds, strides
+    ):
+        writes.append((bound_at, bound))
+        writes.append((stride_at, stride))
+    writes.extend(zip(csr_map.spatial_offsets, runtime.spatial_strides))
+    writes.append((csr_map.mode_offset, options.index(runtime.bank_group_size)))
     writes.append(
-        (csr_map.offset_of("addressing_mode"), options.index(runtime.bank_group_size))
+        (csr_map.active_offset, runtime.active_channels or design.num_channels)
     )
-    writes.append(
-        (
-            csr_map.offset_of("active_channels"),
-            runtime.active_channels or design.num_channels,
-        )
-    )
-    enables = runtime.extension_enables or tuple(True for _ in design.extensions)
+    enables = runtime.extension_enables or (True,) * len(design.extensions)
     enable_mask = 0
     for bit, enabled in enumerate(enables):
         if enabled:
             enable_mask |= 1 << bit
-    writes.append((csr_map.offset_of("extension_enable"), enable_mask))
+    writes.append((csr_map.enable_offset, enable_mask))
     ext_params = runtime.extension_params_dict()
-    for ext_index, spec in enumerate(design.extensions):
+    for offsets, spec in zip(csr_map.extension_offsets, design.extensions):
         params = dict(ext_params.get(spec.kind, {}))
-        slots = _pack_extension_params(spec.kind, params)
-        for slot, value in enumerate(slots):
-            writes.append(
-                (csr_map.offset_of(f"extension_{ext_index}_param_{slot}"), value)
-            )
+        writes.extend(zip(offsets, _pack_extension_params(spec.kind, params)))
     return writes
 
 
@@ -190,19 +195,15 @@ def decode_runtime_config(
     group_size_options: Sequence[int],
 ) -> StreamerRuntimeConfig:
     """Re-assemble a runtime config from a register image (offset → value)."""
-    csr_map = CsrAddressMap(design)
+    csr_map = csr_address_map(design)
     options = list(group_size_options)
-
-    def read(name: str, default: int = 0) -> int:
-        return int(register_image.get(csr_map.offset_of(name), default))
+    read = register_image.get
 
     temporal_bounds = []
     temporal_strides = []
-    for index in range(design.temporal_dims):
-        bound = read(f"temporal_bound_{index}", 1)
-        stride = read(f"temporal_stride_{index}", 0)
-        temporal_bounds.append(bound)
-        temporal_strides.append(stride)
+    for bound_at, stride_at in zip(csr_map.bound_offsets, csr_map.stride_offsets):
+        temporal_bounds.append(int(read(bound_at, 1)))
+        temporal_strides.append(int(read(stride_at, 0)))
     # Trim trailing unit dimensions so the decoded config matches what the
     # compiler emitted (unused dims are programmed with bound=1, stride=0).
     while (
@@ -213,33 +214,33 @@ def decode_runtime_config(
         temporal_bounds.pop()
         temporal_strides.pop()
 
-    spatial_strides = tuple(
-        read(f"spatial_stride_{index}") for index in range(design.spatial_dims)
-    )
-    mode_index = read("addressing_mode")
+    spatial_strides = []
+    for offset in csr_map.spatial_offsets:
+        spatial_strides.append(int(read(offset, 0)))
+    mode_index = int(read(csr_map.mode_offset, 0))
     if not 0 <= mode_index < len(options):
         raise ValueError(f"decoded RS index {mode_index} out of range for {options}")
-    enable_mask = read("extension_enable")
-    enables = tuple(
-        bool(enable_mask & (1 << bit)) for bit in range(len(design.extensions))
-    )
+    enable_mask = int(read(csr_map.enable_offset, 0))
+    enables = []
     extension_params = []
-    for ext_index, spec in enumerate(design.extensions):
-        slots = [
-            read(f"extension_{ext_index}_param_{slot}")
-            for slot in range(EXTENSION_PARAM_SLOTS)
-        ]
+    for bit, (offsets, spec) in enumerate(
+        zip(csr_map.extension_offsets, design.extensions)
+    ):
+        enables.append(bool(enable_mask & (1 << bit)))
+        slots = []
+        for offset in offsets:
+            slots.append(int(read(offset, 0)))
         params = _unpack_extension_params(spec.kind, slots)
         if params:
             extension_params.append((spec.kind, tuple(sorted(params.items()))))
-    active = read("active_channels", design.num_channels)
+    active = int(read(csr_map.active_offset, design.num_channels))
     return StreamerRuntimeConfig(
-        base_address=read("base_address"),
+        base_address=int(read(csr_map.base_offset, 0)),
         temporal_bounds=tuple(temporal_bounds),
         temporal_strides=tuple(temporal_strides),
-        spatial_strides=spatial_strides,
+        spatial_strides=tuple(spatial_strides),
         bank_group_size=options[mode_index],
         active_channels=active if active != design.num_channels else None,
-        extension_enables=enables if design.extensions else (),
+        extension_enables=tuple(enables),
         extension_params=tuple(extension_params),
     )

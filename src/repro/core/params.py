@@ -138,7 +138,7 @@ class StreamerRuntimeConfig:
             raise ValueError("base_address must be non-negative")
         if len(self.temporal_bounds) != len(self.temporal_strides):
             raise ValueError("temporal bounds and strides must have equal length")
-        if any(bound <= 0 for bound in self.temporal_bounds):
+        if self.temporal_bounds and min(self.temporal_bounds) <= 0:
             raise ValueError("temporal bounds must be positive")
         if self.bank_group_size <= 0:
             raise ValueError("bank_group_size must be positive")
@@ -165,7 +165,7 @@ class StreamerRuntimeConfig:
                 f"{design.name}: {len(self.temporal_bounds)} temporal dimensions "
                 f"requested but only {design.temporal_dims} instantiated"
             )
-        if len(self.spatial_strides) != design.spatial_dims:
+        if len(self.spatial_strides) != len(design.spatial_bounds):
             raise ValueError(
                 f"{design.name}: expected {design.spatial_dims} spatial strides, "
                 f"got {len(self.spatial_strides)}"

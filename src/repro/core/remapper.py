@@ -21,6 +21,7 @@ from ..memory.addressing import (
     BankGeometry,
     BankLocation,
     decode_address,
+    decode_word_batch,
     mode_for_group_size,
     normalize_group_size,
 )
@@ -93,17 +94,21 @@ class AddressRemapper:
         return decode_address(address, self.geometry, self.selected_group_size)
 
     def decode_batch(self, addresses):
-        """Vectorized :meth:`decode` over an address array.
+        """Vectorized :meth:`decode` over an ``int64`` array of addresses of
+        a programmed stream.
 
         Returns ``(banks, lines, byte_offsets)`` int64 arrays shaped like
-        ``addresses`` (macro-step fast path — one numpy evaluation instead
-        of one :class:`BankLocation` per address).
+        ``addresses`` — one numpy evaluation instead of one
+        :class:`BankLocation` per address.  No range check: a stream's
+        extreme addresses are checked against the scratchpad when it is
+        programmed (``DataMaestro.configure``), so every address it produces
+        decodes.
         """
-        from ..memory.addressing import decode_address_batch
-
-        return decode_address_batch(
-            addresses, self.geometry, self.selected_group_size
+        width = self.geometry.bank_width_bytes
+        banks, lines = decode_word_batch(
+            addresses // width, self.geometry, self.selected_group_size
         )
+        return banks, lines, addresses % width
 
     def decode_with_group_size(self, address: int, group_size: int) -> BankLocation:
         """Translate under an explicit group size (compiler/DMA use)."""

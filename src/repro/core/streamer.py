@@ -86,17 +86,16 @@ class DataMaestro:
         self.remapper = AddressRemapper(
             geometry, list(group_size_options) or [geometry.num_banks]
         )
-        self.channels: List[StreamChannel] = [
-            StreamChannel(design.name, index, design)
-            for index in range(design.num_channels)
-        ]
         self.extensions = ExtensionPipeline.from_specs(design.extensions)
         self.agu: Optional[AddressGenerationUnit] = None
         self.runtime: Optional[StreamerRuntimeConfig] = None
         self.prefetch_enabled = True
         self.active_channels = design.num_channels
-        #: The channels the programmed kernel uses (``channels[:active_channels]``).
-        self._active: List[StreamChannel] = self.channels
+        #: The channels the programmed kernel uses — channels ``0 ..
+        #: active_channels - 1``, built fresh by :meth:`configure`.  The
+        #: design's other channels hold no state: they never issue, and
+        #: :meth:`channel_statistics` reports them as fresh channels.
+        self.channels: List[StreamChannel] = []
         self.words_streamed = 0
         self.bundles_generated = 0
         self._popped_this_cycle = False
@@ -126,30 +125,31 @@ class DataMaestro:
         prefetch_enabled: bool = True,
     ) -> None:
         """Program the streamer for one kernel launch."""
-        runtime.validate_against(self.design)
+        design = self.design
+        runtime.validate_against(design)
         self.runtime = runtime
         self.prefetch_enabled = bool(prefetch_enabled)
-        self.active_channels = runtime.active_channels or self.design.num_channels
-        self._active = self.channels[: self.active_channels]
+        self.active_channels = runtime.active_channels or design.num_channels
         self.remapper.select_group_size(runtime.bank_group_size)
         self.agu = AddressGenerationUnit(
             temporal_bounds=runtime.temporal_bounds,
             temporal_strides=runtime.temporal_strides,
-            spatial_bounds=self.design.spatial_bounds,
+            spatial_bounds=design.spatial_bounds,
             spatial_strides=runtime.spatial_strides,
             base_address=runtime.base_address,
         )
         self._check_address_range()
         self._window = []
-        if runtime.extension_enables:
-            self.extensions.set_enables(runtime.extension_enables)
-        else:
-            self.extensions.set_enables([True] * len(self.extensions))
+        self.extensions.set_enables(
+            runtime.extension_enables or [True] * len(self.extensions)
+        )
         for kind, params in runtime.extension_params_dict().items():
             if self.extensions.stage(kind) is not None:
                 self.extensions.configure_stage(kind, **dict(params))
-        for channel in self.channels:
-            channel.reset()
+        self.channels = [
+            StreamChannel(self.name, index, design)
+            for index in range(self.active_channels)
+        ]
         self._memory = None
         self.words_streamed = 0
         self.bundles_generated = 0
@@ -159,9 +159,11 @@ class DataMaestro:
         self.parked_cycles = 0
 
     def bind(self, memory: MemorySubsystem) -> None:
-        """Resolve every channel's port in ``memory``, once per kernel: from
-        here on the memory delivers into the channels' data FIFOs (all a port
-        holds of the streamer) and counts the deliveries from zero."""
+        """Resolve every active channel's port in ``memory``, once per
+        kernel: from here on the memory delivers into the channels' data
+        FIFOs (all a port holds of the streamer) and counts the deliveries
+        from zero.  The system binds at load; a hand-driven streamer binds at
+        its first :meth:`issue_requests`."""
         self._memory = memory
         for channel in self.channels:
             port = channel.port = memory.bind(channel.requester_id)
@@ -176,10 +178,16 @@ class DataMaestro:
         the extreme spatial offset — no address matrix needed.
         """
         temporal = self.agu.temporal
-        reach = [(b - 1) * s for b, s in zip(temporal.bounds, temporal.strides)]
         offsets = self.agu.spatial.offsets[: self.active_channels]
-        lowest = temporal.base_address + sum(min(r, 0) for r in reach) + min(offsets)
-        highest = temporal.base_address + sum(max(r, 0) for r in reach) + max(offsets)
+        lowest = highest = temporal.base_address
+        for bound, stride in zip(temporal.bounds, temporal.strides):
+            reach = (bound - 1) * stride
+            if reach < 0:
+                lowest += reach
+            else:
+                highest += reach
+        lowest += min(offsets)
+        highest += max(offsets)
         capacity = self.remapper.geometry.capacity_bytes
         for address in (lowest, highest):
             if not 0 <= address < capacity:
@@ -207,7 +215,7 @@ class DataMaestro:
         # hold one it has not issued or await an acknowledgement.
         return any(
             channel.requests_issued != generated or channel.outstanding
-            for channel in self._active
+            for channel in self.channels
         )
 
     @property
@@ -229,7 +237,7 @@ class DataMaestro:
         """Read mode: True when every active channel has a word ready."""
         if not self.is_read or self.agu is None:
             return False
-        for channel in self._active:
+        for channel in self.channels:
             if not channel.data_fifo.entries:
                 return False
         return True
@@ -246,7 +254,7 @@ class DataMaestro:
             self.wake()
         parts = []
         try:
-            for channel in self._active:
+            for channel in self.channels:
                 fifo = channel.data_fifo
                 parts.append(fifo.entries.popleft())
                 fifo.total_pops += 1
@@ -261,7 +269,7 @@ class DataMaestro:
         """Write mode: True when every active channel can accept a word."""
         if not self.is_write or self.agu is None:
             return False
-        for channel in self._active:
+        for channel in self.channels:
             if channel.data_fifo.is_full:
                 return False
         return True
@@ -280,7 +288,7 @@ class DataMaestro:
             )
         if self.parked:
             self.wake()
-        for index, channel in enumerate(self._active):
+        for index, channel in enumerate(self.channels):
             channel.data_fifo.push(payload[index * width : (index + 1) * width])
         self.words_streamed += 1
         self.cycle_activity += 1
@@ -292,7 +300,7 @@ class DataMaestro:
         """Whether the AGU may produce the next bundle this cycle."""
         # A channel that has issued no more than this has a full address FIFO.
         full = self.bundles_generated - self.design.address_buffer_depth
-        for channel in self._active:
+        for channel in self.channels:
             if channel.requests_issued <= full:
                 return False
         if self.prefetch_enabled or self.is_write:
@@ -329,15 +337,22 @@ class DataMaestro:
     def _refill_window(self) -> None:
         """Decode :data:`ADDRESS_WINDOW` bundles from the slowest cursor on
         (the cursors lie within one address-FIFO depth of each other, so the
-        window covers them all) and range-check its banks, once."""
-        step = min(channel.requests_issued for channel in self._active)
+        window covers them all) — a short stream's whole stream, at once.
+
+        ``configure`` proved every address of the stream lies inside the
+        scratchpad it was decoded for, so every bank is below that
+        scratchpad's bank count; only a memory with fewer banks needs the
+        window's banks range-checked."""
+        step = min([channel.requests_issued for channel in self.channels])
         count = min(
             ADDRESS_WINDOW + self.design.address_buffer_depth,
             self.agu.total_bundles - step,
         )
         matrix = self.agu.address_matrix(step, count, self.active_channels)
         banks, lines, _ = self.remapper.decode_batch(matrix)
-        self._memory.check_banks(int(banks.min()), int(banks.max()))
+        memory = self._memory
+        if memory.geometry.num_banks < self.remapper.geometry.num_banks:
+            memory.check_banks(int(banks.min()), int(banks.max()))
         self._window_start = step
         self._window = list(zip(banks.tolist(), lines.tolist()))
 
@@ -352,7 +367,7 @@ class DataMaestro:
         window = self._window
         start = self._window_start
         issued = 0
-        for column, channel in enumerate(self._active):
+        for column, channel in enumerate(self.channels):
             step = channel.requests_issued
             # A channel with no address (or, writing, no data) is idle.
             if step == generated:
@@ -428,7 +443,7 @@ class DataMaestro:
             return None
         if self.agu.remaining_bundles and self._prefetch_gate_open():
             return now
-        for channel in self._active:
+        for channel in self.channels:
             if self.can_issue(channel):
                 return now
         return None
@@ -460,7 +475,7 @@ class DataMaestro:
         entered once per cycle across an inactive span: every credit-stalled
         read channel counts a credit stall per cycle.
         """
-        for channel in self._active:
+        for channel in self.channels:
             if self.credit_stalled(channel):
                 channel.credit_stall_cycles += cycles
 
@@ -468,6 +483,7 @@ class DataMaestro:
     # Statistics.
     # ------------------------------------------------------------------
     def statistics(self, memory: Optional[MemorySubsystem] = None) -> StreamerStats:
+        """Streamer totals; the inactive channels, which never issue, add 0."""
         self.settle()
         stats = StreamerStats(name=self.name)
         stats.words_streamed = self.words_streamed
@@ -481,16 +497,21 @@ class DataMaestro:
         return stats
 
     def channel_statistics(self) -> Dict[str, dict]:
+        """One row per channel of the design, in channel order; a channel the
+        kernel leaves inactive reads as a fresh one (all zero)."""
         self.settle()
-        for channel in self._active:
+        rows = {}
+        for channel in self.channels:
             # The occupancy since the channel's last issue is still unsampled.
             channel.max_addr_occupancy = max(
                 channel.max_addr_occupancy,
                 self.bundles_generated - channel.requests_issued,
             )
-        return {
-            channel.requester_id: channel.statistics() for channel in self.channels
-        }
+            rows[channel.requester_id] = channel.statistics()
+        for index in range(len(self.channels), self.design.num_channels):
+            idle = StreamChannel(self.name, index, self.design)
+            rows[idle.requester_id] = idle.statistics()
+        return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "read" if self.is_read else "write"

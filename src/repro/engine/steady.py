@@ -219,7 +219,7 @@ class SteadySpanPlanner:
             streamer = sys.streamers[port]
             attr(f"{port}.words", streamer, "words_streamed")
             attr(f"{port}.bundles", streamer, "bundles_generated")
-            for channel in streamer._active:
+            for channel in streamer.channels:
                 rid = channel.requester_id
                 port = channel.port
                 attr(f"{rid}.issued", channel, "requests_issued")
@@ -262,7 +262,7 @@ class SteadySpanPlanner:
         for port in sys._active_ports:
             streamer = sys.streamers[port]
             parts.append((port, streamer._popped_this_cycle))
-            for channel in streamer._active:
+            for channel in streamer.channels:
                 parts.append(
                     (
                         streamer.bundles_generated - channel.requests_issued,
@@ -380,7 +380,7 @@ class SteadySpanPlanner:
         active_ids = {
             channel.requester_id
             for port in sys._active_ports
-            for channel in sys.streamers[port]._active
+            for channel in sys.streamers[port].channels
         }
         for name, state in mem._requesters.items():
             if name not in active_ids and (state.pending or state.responses):
@@ -519,7 +519,7 @@ class SteadySpanPlanner:
         # every channel at the same position with the same response timings.
         contended = False
         skews = set()
-        for column, channel in enumerate(streamer._active):
+        for column, channel in enumerate(streamer.channels):
             rid = channel.requester_id
             port = channel.port
             granted = port.granted

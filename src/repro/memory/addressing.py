@@ -164,12 +164,22 @@ def decode_address_batch(addresses, geometry: BankGeometry, group_size: int):
             f"address batch exceeds scratchpad capacity "
             f"{geometry.capacity_bytes:#x}"
         )
-    words_per_group = group_size * geometry.bank_depth
-    group = word // words_per_group
-    within = word % words_per_group
-    bank = group * group_size + within % group_size
-    line = within // group_size
+    bank, line = decode_word_batch(word, geometry, group_size)
     return bank, line, byte_offset
+
+
+def decode_word_batch(words, geometry: BankGeometry, group_size: int):
+    """``(banks, lines)`` of a numpy array of word indices.
+
+    The arithmetic of :func:`decode_address_batch` without its checks, for a
+    caller that has already proven every index lies in ``[0, total_words)``
+    and validated ``group_size`` — the address remapper, whose streams are
+    range-checked when they are programmed.
+    """
+    words_per_group = group_size * geometry.bank_depth
+    within = words % words_per_group
+    bank = words // words_per_group * group_size + within % group_size
+    return bank, within // group_size
 
 
 # ----------------------------------------------------------------------

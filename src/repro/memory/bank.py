@@ -25,15 +25,32 @@ class MemoryBank:
         Width of one wordline in bytes.
     depth:
         Number of wordlines.
+    data:
+        Optional ``(depth, width_bytes)`` uint8 array to store the wordlines
+        in, instead of a fresh zeroed one — the scratchpad passes a view of
+        its one array.
     """
 
-    def __init__(self, index: int, width_bytes: int, depth: int) -> None:
+    def __init__(
+        self,
+        index: int,
+        width_bytes: int,
+        depth: int,
+        data: Optional[np.ndarray] = None,
+    ) -> None:
         if width_bytes <= 0 or depth <= 0:
             raise ValueError("bank width and depth must be positive")
         self.index = int(index)
         self.width_bytes = int(width_bytes)
         self.depth = int(depth)
-        self._data = np.zeros((self.depth, self.width_bytes), dtype=np.uint8)
+        if data is None:
+            data = np.zeros((self.depth, self.width_bytes), dtype=np.uint8)
+        elif data.shape != (self.depth, self.width_bytes):
+            raise ValueError(
+                f"bank storage must have shape ({self.depth}, {self.width_bytes}), "
+                f"got {data.shape}"
+            )
+        self._data = data
         self.read_count = 0
         self.write_count = 0
 

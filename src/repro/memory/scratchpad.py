@@ -1,7 +1,11 @@
 """Multi-banked scratchpad storage.
 
-:class:`ScratchpadMemory` owns the :class:`~repro.memory.bank.MemoryBank`
-instances and provides two views on them:
+:class:`ScratchpadMemory` holds the whole scratchpad as one
+``(num_banks, depth, width)`` uint8 array, :attr:`~ScratchpadMemory.storage`;
+each :class:`~repro.memory.bank.MemoryBank` stores its wordlines in a view of
+one row of it.  Bulk access (the DMA's tensor loads, read-back, the
+macro-step replayer) is one fancy index into that array, whatever the number
+of banks it touches.  The scratchpad provides two views on the banks:
 
 * a *port* view used by the crossbar/memory subsystem — word accesses at a
   decoded (bank, line) location, which count towards the access statistics;
@@ -25,9 +29,12 @@ class ScratchpadMemory:
 
     def __init__(self, geometry: BankGeometry) -> None:
         self.geometry = geometry
+        width, depth = geometry.bank_width_bytes, geometry.bank_depth
+        #: Every bank's wordlines: ``storage[bank, line]`` is one word.
+        self.storage = np.zeros((geometry.num_banks, depth, width), dtype=np.uint8)
         self.banks: List[MemoryBank] = [
-            MemoryBank(index, geometry.bank_width_bytes, geometry.bank_depth)
-            for index in range(geometry.num_banks)
+            MemoryBank(index, width, depth, rows)
+            for index, rows in enumerate(self.storage)
         ]
 
     # ------------------------------------------------------------------
@@ -55,25 +62,22 @@ class ScratchpadMemory:
         """One ``(num_banks, depth, width)`` copy of the whole scratchpad.
 
         Indexing the stack with decoded ``(bank, line)`` arrays gathers many
-        words in one numpy operation; the macro-step replayer builds the
-        stack once per span and serves every channel's reads from it.
+        words in one numpy operation; the macro-step replayer takes the copy
+        once per span, before its writes land, and serves every channel's
+        reads from it.
         """
-        return np.stack([bank._data for bank in self.banks])
+        return self.storage.copy()
 
     def scatter_words(
         self, banks: np.ndarray, lines: np.ndarray, words: np.ndarray
     ) -> None:
-        """Write many full words at decoded locations (one op per bank).
+        """Write many full words at decoded locations, in one assignment.
 
         Locations must be unique — duplicate targets within one scatter
         would make the outcome order-dependent, which the macro-step
         planner rules out before calling.
         """
-        banks = np.asarray(banks)
-        lines = np.asarray(lines)
-        for bank_index in np.unique(banks):
-            mask = banks == bank_index
-            self.banks[int(bank_index)]._data[lines[mask]] = words[mask]
+        self.storage[banks, lines] = words
 
     @property
     def total_reads(self) -> int:
@@ -86,19 +90,30 @@ class ScratchpadMemory:
     # ------------------------------------------------------------------
     # Backdoor view (uncounted, byte granular, used for data loading).
     # ------------------------------------------------------------------
-    def _covering_words(self, address: int, size: int, group_size: int):
+    def _covering_words(self, access: str, address: int, size: int, group_size: int):
         """Decoded ``(banks, lines)`` of the words covering a byte range.
 
         Also returns the byte offset of ``address`` inside the first word.
-        One vectorized decode for the whole range; out-of-range addresses
-        raise ``ValueError`` exactly as :func:`decode_address` does.
+        A range outside the scratchpad raises a ``ValueError`` naming the
+        ``access``, its address and its size.
         """
-        width = self.geometry.bank_width_bytes
+        geometry = self.geometry
+        if size < 0:
+            raise ValueError(
+                f"backdoor {access} of {size} B at address {address:#x}: "
+                f"the size must not be negative"
+            )
+        if not geometry.contains(address, size):
+            raise ValueError(
+                f"backdoor {access} of {size} B at address {address:#x} leaves "
+                f"the scratchpad [0, {geometry.capacity_bytes:#x})"
+            )
+        width = geometry.bank_width_bytes
         first = address // width
         count = (address + size - 1) // width - first + 1
         banks, lines, _ = decode_address_batch(
-            (first + np.arange(count, dtype=np.int64)) * width,
-            self.geometry,
+            np.arange(first, first + count, dtype=np.int64) * width,
+            geometry,
             group_size,
         )
         return banks, lines, address - first * width
@@ -110,33 +125,31 @@ class ScratchpadMemory:
         later accessed by the streamers, so the bytes land in the same
         physical locations the streamer requests will target.
         """
-        payload = np.ascontiguousarray(np.asarray(data, dtype=np.uint8)).ravel()
+        payload = np.asarray(data, dtype=np.uint8).reshape(-1)
+        banks, lines, head = self._covering_words(
+            "write", address, payload.size, group_size
+        )
         if not payload.size:
             return
-        banks, lines, head = self._covering_words(address, payload.size, group_size)
-        # Only the first and last word can be partial: start from what they
-        # hold, lay the payload over the byte image, scatter whole words.
-        words = np.empty((banks.size, self.geometry.bank_width_bytes), dtype=np.uint8)
-        for edge in (0, -1):
-            words[edge] = self.banks[banks[edge]]._data[lines[edge]]
+        # Only the first and last word can be partial: gather the covering
+        # words, lay the payload over their byte image, store them back.
+        words = self.storage[banks, lines]
         words.reshape(-1)[head : head + payload.size] = payload
-        self.scatter_words(banks, lines, words)
+        self.storage[banks, lines] = words
 
     def backdoor_read(self, address: int, size: int, group_size: int) -> np.ndarray:
         """Read ``size`` bytes starting at logical ``address``."""
-        if size <= 0:
-            return np.zeros(size, dtype=np.uint8)
-        banks, lines, head = self._covering_words(address, size, group_size)
-        words = np.empty((banks.size, self.geometry.bank_width_bytes), dtype=np.uint8)
-        for bank_index in np.unique(banks):
-            mask = banks == bank_index
-            words[mask] = self.banks[int(bank_index)]._data[lines[mask]]
-        return words.reshape(-1)[head : head + size].copy()
+        banks, lines, head = self._covering_words("read", address, size, group_size)
+        if not size:
+            return np.zeros(0, dtype=np.uint8)
+        return self.storage[banks, lines].reshape(-1)[head : head + size]
 
     def clear(self) -> None:
         """Zero-fill every bank and reset the access counters."""
+        self.storage.fill(0)
         for bank in self.banks:
-            bank.clear()
+            bank.read_count = 0
+            bank.write_count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScratchpadMemory(geometry={self.geometry})"

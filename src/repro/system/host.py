@@ -27,6 +27,8 @@ class HostProcessor:
         self.design = design
         self.csr_images: Dict[str, Dict[int, int]] = {}
         self.csr_writes_issued = 0
+        #: The RS options every port decodes its addressing mode against.
+        self._group_size_options = list(design.group_size_options())
 
     # ------------------------------------------------------------------
     def write_csrs(self, port: str, writes: List[Tuple[int, int]]) -> None:
@@ -34,16 +36,14 @@ class HostProcessor:
         image = self.csr_images.setdefault(port, {})
         for offset, value in writes:
             image[offset] = int(value)
-            self.csr_writes_issued += 1
+        self.csr_writes_issued += len(writes)
 
     def decoded_config(self, port: str) -> StreamerRuntimeConfig:
         """Decode the currently programmed register image of one port."""
         if port not in self.csr_images:
             raise KeyError(f"port {port!r} has not been programmed")
         return decode_runtime_config(
-            self.design.streamer(port),
-            self.csr_images[port],
-            list(self.design.group_size_options()),
+            self.design.streamer(port), self.csr_images[port], self._group_size_options
         )
 
     def program_streamer(

@@ -110,8 +110,8 @@ class AcceleratorSystem:
         #    features (charged to the kernel).
         self.dma.execute_prepasses(program.prepasses)
 
-        # 3. Build one DataMaestro per port the program uses and program it
-        #    through its CSR interface.
+        # 3. Build one DataMaestro per port the program uses, program it
+        #    through its CSR interface and bind its channels' memory ports.
         geometry = self.memory.geometry
         options = self.design.group_size_options()
 
@@ -120,10 +120,11 @@ class AcceleratorSystem:
 
         self._active_ports = program.active_ports()
         for port in self._active_ports:
-            self.streamers[port] = build(port)
+            streamer = self.streamers[port] = build(port)
             self.host.program_streamer(
-                self.streamers[port], program.csr_writes[port], program.features
+                streamer, program.csr_writes[port], program.features
             )
+            streamer.bind(self.memory)
         self._live = self._active_streamers()
 
         # 4. Bind and configure the accelerators.  A port the core reads but

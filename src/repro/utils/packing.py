@@ -15,9 +15,8 @@ import numpy as np
 
 
 def tile_to_bytes(tile: np.ndarray) -> np.ndarray:
-    """Flatten a typed tile into its row-major little-endian byte image."""
-    array = np.ascontiguousarray(tile)
-    return array.view(np.uint8).reshape(-1).copy()
+    """Flatten a typed tile into a fresh row-major little-endian byte image."""
+    return tile.copy(order="C").view(np.uint8).reshape(-1)
 
 
 def bytes_to_tile(
@@ -50,17 +49,22 @@ def ceil_div(numerator: int, denominator: int) -> int:
 
 
 def pad_to_multiple(array: np.ndarray, multiples: Tuple[int, ...]) -> np.ndarray:
-    """Zero-pad each dimension of ``array`` up to a multiple of ``multiples``."""
+    """Zero-pad each dimension of ``array`` up to a multiple of ``multiples``.
+
+    Returns ``array`` itself when no dimension needs padding, else a fresh
+    zeroed array of the padded shape with ``array`` copied into its corner.
+    """
     if array.ndim != len(multiples):
         raise ValueError(
             f"array has {array.ndim} dimensions but {len(multiples)} multiples given"
         )
-    pad_width = []
+    shape = []
     for size, multiple in zip(array.shape, multiples):
         if multiple <= 0:
             raise ValueError("padding multiples must be positive")
-        target = ceil_div(size, multiple) * multiple
-        pad_width.append((0, target - size))
-    if all(after == 0 for _, after in pad_width):
+        shape.append(ceil_div(size, multiple) * multiple)
+    if tuple(shape) == array.shape:
         return array
-    return np.pad(array, pad_width, mode="constant")
+    padded = np.zeros(shape, dtype=array.dtype)
+    padded[tuple(map(slice, array.shape))] = array
+    return padded

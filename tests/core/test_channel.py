@@ -133,16 +133,20 @@ class TestReadChannel:
         for _ in range(3):
             cycle(memory, [streamer])
         assert channel.requests_issued == channel.responses_received == 2
-        channel.reset()
-        # A new launch starts its counters from zero, FIFO statistics and the
-        # delivery count (it lives on the port, which is let go) included.
-        assert set(channel.statistics().values()) == {0}
-        assert channel.data_fifo.is_empty and channel.outstanding == 0
-        assert channel.data_fifo.total_pushes == channel.data_fifo.total_pops == 0
+        # A new launch builds its channels fresh: counters from zero, FIFO
+        # statistics and the delivery count (it lives on the port, which is
+        # bound again) included.
+        streamer.configure(streamer.runtime)
+        (fresh,) = streamer.channels
+        assert fresh is not channel and fresh.port is None
+        assert set(fresh.statistics().values()) == {0}
+        assert fresh.data_fifo.is_empty and fresh.outstanding == 0
+        assert fresh.data_fifo.total_pushes == fresh.data_fifo.total_pops == 0
         # The address FIFO is the streamer's bundle count minus the channel's
         # cursor: it empties when the streamer is programmed again.
-        streamer.configure(streamer.runtime)
-        assert stages(streamer, channel) == (0, 0, 0)
+        assert stages(streamer, fresh) == (0, 0, 0)
+        streamer.issue_requests(memory)
+        assert fresh.port.delivered == 0 and fresh.outstanding == 0
 
 
 class TestMemoryRegistration:

@@ -117,7 +117,7 @@ class _CheckedLockstep(LockstepEngine):
             cycles += 1
             for streamer in streamers:
                 design = streamer.design
-                for channel in streamer._active:
+                for channel in streamer.channels:
                     name = channel.requester_id
                     issued = channel.requests_issued
                     # The address FIFO: two counters, within its depth.

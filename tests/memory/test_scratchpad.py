@@ -126,6 +126,47 @@ class TestBackdoor:
             np.zeros(32, dtype=np.uint8),
         )
 
+    @pytest.mark.parametrize("group_size", [1, 2, 4, 8])
+    def test_roundtrip_matches_a_per_word_reference(self, group_size):
+        """Unaligned head and tail, on a scratchpad full of other data: the
+        write equals laying the payload over each covering word located by
+        ``decode_address``, and the read returns the payload."""
+        width = GEOMETRY.bank_width_bytes
+        address, size = 3 * width + 5, 11 * width + 3  # head and tail partial
+        scratchpad = ScratchpadMemory(GEOMETRY)
+        rng = np.random.default_rng(group_size)
+        for bank in scratchpad.banks:
+            bank._data[:] = rng.integers(0, 256, size=bank._data.shape, dtype=np.uint8)
+        expected = [bank._data.copy() for bank in scratchpad.banks]
+        data = rng.integers(0, 256, size=size, dtype=np.uint8)
+        for word in range(address // width, (address + size - 1) // width + 1):
+            loc = decode_address(word * width, GEOMETRY, group_size)
+            start, end = word * width, (word + 1) * width
+            lo, hi = max(address, start), min(address + size, end)
+            expected[loc.bank][loc.line, lo - start : hi - start] = data[
+                lo - address : hi - address
+            ]
+        scratchpad.backdoor_write(address, data, group_size=group_size)
+        for bank, reference in zip(scratchpad.banks, expected):
+            assert np.array_equal(bank._data, reference), bank.index
+        assert np.array_equal(scratchpad.backdoor_read(address, size, group_size), data)
+
+    def test_negative_read_size_names_the_access(self, scratchpad):
+        with pytest.raises(ValueError, match=r"read of -3 B at address 0x28"):
+            scratchpad.backdoor_read(40, -3, group_size=8)
+
+    def test_write_past_the_end_names_the_address(self, scratchpad):
+        address = GEOMETRY.capacity_bytes - 4
+        with pytest.raises(ValueError, match=rf"write of 8 B at address {address:#x}"):
+            scratchpad.backdoor_write(address, np.zeros(8, dtype=np.uint8), group_size=8)
+        # Nothing landed: the check runs before any byte is stored.
+        assert not scratchpad.storage.any()
+
+    def test_empty_accesses_are_no_ops(self, scratchpad):
+        scratchpad.backdoor_write(16, np.zeros(0, dtype=np.uint8), group_size=8)
+        assert scratchpad.backdoor_read(16, 0, group_size=8).size == 0
+        assert not scratchpad.storage.any()
+
 
 class TestBulkSpanAccess:
     """stacked_words/scatter_words back the macro-step replayer."""
@@ -168,3 +209,53 @@ class TestBulkSpanAccess:
             assert np.array_equal(memory.banks[int(bank)].peek(int(line)), word)
         # Uncounted: scatter does not move the port counters.
         assert memory.total_writes == 0
+
+
+class TestOneArray:
+    """The scratchpad is one ``(banks, depth, width)`` array; each bank's
+    wordlines are a view of one row of it."""
+
+    def test_banks_are_views_of_the_storage(self, scratchpad):
+        assert scratchpad.storage.shape == (
+            GEOMETRY.num_banks,
+            GEOMETRY.bank_depth,
+            GEOMETRY.bank_width_bytes,
+        )
+        for index, bank in enumerate(scratchpad.banks):
+            assert np.shares_memory(bank._data, scratchpad.storage[index])
+        scratchpad.banks[3].poke(5, np.full(8, 7, dtype=np.uint8))
+        assert (scratchpad.storage[3, 5] == 7).all() and scratchpad.storage.sum() == 56
+
+    def test_stacked_words_is_a_copy(self, scratchpad):
+        scratchpad.backdoor_write(0, np.arange(64, dtype=np.uint8), group_size=8)
+        before = scratchpad.storage.copy()
+        stacked = scratchpad.stacked_words()
+        assert np.array_equal(stacked, before)
+        stacked[:] = 0xFF
+        assert np.array_equal(scratchpad.storage, before)
+        assert np.array_equal(
+            scratchpad.backdoor_read(0, 64, group_size=8), np.arange(64, dtype=np.uint8)
+        )
+
+    def test_a_granted_write_is_visible_to_both_views(self):
+        from repro.memory import MemoryRequest, MemorySubsystem
+
+        memory = MemorySubsystem(GEOMETRY)
+        address = 5 * GEOMETRY.bank_width_bytes
+        loc = decode_address(address, GEOMETRY, 4)
+        word = np.arange(8, dtype=np.uint8) + 40
+        memory.submit(MemoryRequest("writer", True, loc.bank, loc.line, word))
+        assert memory.step() == 1
+        assert np.array_equal(memory.scratchpad.banks[loc.bank]._data[loc.line], word)
+        assert np.array_equal(memory.scratchpad.backdoor_read(address, 8, 4), word)
+        assert memory.scratchpad.banks[loc.bank].write_count == 1
+
+    def test_many_lines_of_one_bank_scatter_like_pokes(self):
+        rng = np.random.default_rng(5)
+        lines = rng.permutation(GEOMETRY.bank_depth)[:12]
+        words = rng.integers(0, 256, size=(12, 8), dtype=np.uint8)
+        scattered, poked = ScratchpadMemory(GEOMETRY), ScratchpadMemory(GEOMETRY)
+        scattered.scatter_words(np.full(12, 6), lines, words)
+        for line, word in zip(lines, words):
+            poked.banks[6].poke(int(line), word)
+        assert np.array_equal(scattered.storage, poked.storage)

@@ -98,7 +98,7 @@ class TestParking:
             if streamer.parked_cycles == 5:
                 break
         assert streamer.parked_cycles == 5 and dict(entered) == snapshot
-        assert all(streamer.credit_stalled(channel) for channel in streamer._active)
+        assert all(streamer.credit_stalled(channel) for channel in streamer.channels)
 
     def test_every_wake_up_source_charges_what_per_cycle_stepping_counted(self):
         # 24 cycles of read latency: streamers wait for memory, not only for the core.
@@ -122,7 +122,7 @@ class TestParking:
         slept_through = Counter()
 
         def received(streamer):
-            return sum(channel.responses_received for channel in streamer._active)
+            return sum(channel.responses_received for channel in streamer.channels)
 
         def checked_deliver():
             parked = {

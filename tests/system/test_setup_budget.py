@@ -1,0 +1,68 @@
+"""A work budget for a short job's fixed cost that repeats exactly.
+
+``tools/step_cost.py setup`` runs the first 24 serve-pool jobs
+(``default_pool``, what ``serve_hotkey`` misses on: a few cycles and about a
+hundred memory words each) and counts, per job and outside the cycles
+stepped, ``repro`` Python calls and numpy calls under ``sys.setprofile`` —
+counts, not seconds, so the budget holds on any runner.  Per job, parent
+20285db → one scratchpad array, design-level CSR maps and spatial offsets,
+channels built only where the kernel uses them, a lean first window and a
+compile without ``np.pad``:
+
+=============  ===================  ===================
+stage          repro calls          numpy calls
+=============  ===================  ===================
+compile        437.7 → 143.0        157.6 → 57.5
+build          99.0 → 101.0         65.0 → 2.0
+load           1058.7 → 373.0       73.0 → 30.3
+first windows  86.7 → 33.0          73.3 → 18.3
+read-back      10.0 → 13.0          37.0 → 23.0
+outcome        133.0 → 114.3        0.0 → 0.0
+total          1825.0 → 777.4       405.9 → 131.2
+=============  ===================  ===================
+
+The parent bound its channels' memory ports at the first issue, inside the
+stepped cycles; they are bound at load now, so ``load`` counts them.  The
+budget is half the parent's totals.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
+#: Per-job counts at the parent commit (see the table above).
+PARENT = {"repro_calls_per_job": 1825.0, "numpy_calls_per_job": 405.9}
+
+
+@pytest.fixture(scope="module")
+def step_cost():
+    spec = importlib.util.spec_from_file_location("step_cost", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def report(step_cost):
+    return step_cost.measure_setup()
+
+
+@pytest.mark.parametrize("count", sorted(PARENT))
+def test_a_short_job_stays_within_its_setup_budget(report, count):
+    assert report["jobs"] == 24
+    assert report[count] <= 0.5 * PARENT[count], report["stages"]
+
+
+def test_every_stage_is_counted(step_cost, report):
+    assert list(report["stages"]) == list(step_cost.SETUP_STAGES)
+    # Each stage is reached by every job, and the totals are their sums.
+    assert all(stage["repro"] >= report["jobs"] for stage in report["stages"].values())
+    assert report["repro_calls"] == sum(s["repro"] for s in report["stages"].values())
+    assert report["numpy_calls"] == sum(s["numpy"] for s in report["stages"].values())
+    assert step_cost.render_setup(report).startswith("setup cost of 24 serve-pool jobs")
+
+
+def test_the_counts_repeat_exactly(step_cost, report):
+    assert step_cost.measure_setup() == report

@@ -85,6 +85,48 @@ class TestRunMechanics:
         assert system.gemm_core.c_stream is None
         assert np.array_equal(result.outputs["D"], program.expected_outputs["D"])
 
+    def test_inactive_channels_bind_no_port(self):
+        """The broadcast bias row is fetched by 4 of C's 32 channels: only
+        those 4 are built, bound and registered, and the statistics are the
+        ones the design read before inactive channels stopped being built
+        (28 all-zero rows included)."""
+        program = compile_workload(GemmWorkload("bias_gemm", 16, 16, 32), DESIGN)
+        system = AcceleratorSystem(DESIGN)
+        system.load_program(program)
+        stream = system.streamers["C"]
+        active = [f"C.ch{index}" for index in range(4)]
+        assert program.streamer_configs["C"].active_channels == 4
+        assert [channel.requester_id for channel in stream.channels] == active
+        for channel in stream.channels:
+            assert channel.port.sink is channel.data_fifo and not channel.port.registered
+        system.run(program)  # loads the program afresh
+        stream = system.streamers["C"]
+        assert [name for name in system.memory._requesters if name[0] == "C"] == active
+
+        assert stream.statistics(system.memory).as_dict() == {
+            "words_streamed": 4,
+            "requests_issued": 16,
+            "requests_granted": 16,
+            "bank_conflict_retries": 0,
+            "stall_cycles": 0,
+            "active_cycles": 0,
+            "extension_broadcaster_0_processed": 4,
+            "extension_broadcaster_0_bypassed": 0,
+        }
+        rows = stream.channel_statistics()
+        assert list(rows) == [f"C.ch{index}" for index in range(32)]
+        busy = {
+            "requests_issued": 4,
+            "responses_received": 4,
+            "credit_stall_cycles": 6,
+            "max_data_occupancy": 1,
+            "max_addr_occupancy": 2,
+        }
+        assert [rows[name] for name in active] == [busy] * 4
+        assert all(
+            row == dict.fromkeys(busy, 0) for name, row in rows.items() if name not in active
+        )
+
     def test_metadata_recorded(self, system):
         workload = ConvWorkload(
             name="sys_meta",

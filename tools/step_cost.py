@@ -22,13 +22,27 @@ memory word cost in *work*, which repeats exactly on any machine:
 * per streamer, the share of stepped cycles in which its issue phase was not
   entered at all (a parked streamer costs nothing).
 
+The ``setup`` mode counts the other half of a short job: the work that does
+not depend on how many words the kernel moves.  It runs the first
+:data:`SETUP_JOBS` jobs of the serve pool (``repro.serve.replay.default_pool``,
+what ``serve_hotkey`` misses on) through the DataMaestro backend, once to warm
+the design-level tables and once under the hook, and counts per job, from
+``compile_workload`` to the outcome — compile, system construction,
+``load_program``, each streamer's first address window, read-back, verify and
+the outcome, but not the cycles stepped:
+
+* ``repro`` Python calls, as above;
+* numpy calls — Python frames in ``numpy.*`` plus ``c_call`` events on numpy
+  callables (module functions, array and generator methods).
+
 Run from the repository root::
 
     python tools/step_cost.py 2_prefetch conv_h16_w16_c32_k16_f7x7_s1
     python tools/step_cost.py 1_baseline conv_h14_w14_c16_k32_f5x5_s2 --json
+    python tools/step_cost.py setup
 
-Standard library only; ``tests/engine/test_step_budget.py`` holds the numbers
-to a budget.
+Standard library only; ``tests/engine/test_step_budget.py`` and
+``tests/system/test_setup_budget.py`` hold the numbers to a budget.
 """
 
 from __future__ import annotations
@@ -88,7 +102,7 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
         elif name == "issue_requests":
             streamer = frame.f_locals["self"]
             entered[streamer.name] = entered.get(streamer.name, 0) + 1
-            for channel in streamer._active:
+            for channel in streamer.channels:
                 # The address FIFO holds bundles_generated - requests_issued.
                 if channel.requests_issued < streamer.bundles_generated and (
                     streamer.is_read or channel.data_fifo.entries
@@ -127,6 +141,121 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
     }
 
 
+#: Serve-pool jobs the ``setup`` mode counts.
+SETUP_JOBS = 24
+
+#: Setup stages, in job order; work outside the named calls is ``outcome``.
+SETUP_STAGES = ("compile", "build", "load", "first windows", "read-back", "outcome")
+
+
+def _is_numpy(function) -> bool:
+    """Whether a C callable belongs to numpy (a function or a bound method)."""
+    module = getattr(function, "__module__", None)
+    if module is None:
+        module = type(getattr(function, "__self__", None)).__module__
+    return module.startswith("numpy")
+
+
+def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
+    """Count the fixed per-job work of ``jobs`` serve-pool jobs (see above)."""
+    from repro.compiler.mapper import compile_workload, extract_outputs
+    from repro.core.agu import spatial_offsets
+    from repro.core.csr import csr_address_map
+    from repro.core.streamer import DataMaestro
+    from repro.engine.event import EventDrivenEngine
+    from repro.runtime.backends import DataMaestroBackend
+    from repro.runtime.job import SimJob
+    from repro.serve.replay import default_pool
+    from repro.system import AcceleratorSystem
+
+    batch = [SimJob(workload=workload, seed=seed) for workload in default_pool(jobs)]
+    backend = DataMaestroBackend()
+    # Warm the design-level tables from this batch's own designs: a table hit
+    # on an equal but distinct design object costs one ``__eq__`` call more,
+    # so tables another caller warmed would move the counts.
+    csr_address_map.cache_clear()
+    spatial_offsets.cache_clear()
+    for job in batch:
+        backend.execute(job)
+
+    drive = EventDrivenEngine.drive.__code__
+    window = DataMaestro._refill_window.__code__
+    markers = {
+        compile_workload.__code__: "compile",
+        AcceleratorSystem.__init__.__code__: "build",
+        AcceleratorSystem.load_program.__code__: "load",
+        extract_outputs.__code__: "read-back",
+        AcceleratorSystem.verify_outputs.__code__: "read-back",
+    }
+    counts = {stage: {"repro": 0, "numpy": 0} for stage in SETUP_STAGES}
+    #: (frame, stage) of the marked calls in progress; stage ``None`` (the
+    #: engine's drive) counts nothing but a streamer's first window.
+    scopes: list = []
+    windowed: set = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code is drive:
+                scopes.append((frame, None))
+            elif code is window:
+                streamer = id(frame.f_locals["self"])
+                if streamer not in windowed:
+                    windowed.add(streamer)
+                    scopes.append((frame, "first windows"))
+            elif not scopes and code in markers:
+                scopes.append((frame, markers[code]))
+            stage = scopes[-1][1] if scopes else "outcome"
+            if stage is not None:
+                module = frame.f_globals.get("__name__", "")
+                if module.startswith("repro."):
+                    counts[stage]["repro"] += 1
+                elif module.startswith("numpy"):
+                    counts[stage]["numpy"] += 1
+        elif event == "return":
+            if scopes and scopes[-1][0] is frame:
+                scopes.pop()
+        elif event == "c_call":
+            stage = scopes[-1][1] if scopes else "outcome"
+            if stage is not None and _is_numpy(arg):
+                counts[stage]["numpy"] += 1
+
+    for job in batch:
+        windowed.clear()
+        sys.setprofile(hook)
+        try:
+            backend.execute(job)
+        finally:
+            sys.setprofile(None)
+    repro = sum(stage["repro"] for stage in counts.values())
+    numpy = sum(stage["numpy"] for stage in counts.values())
+    return {
+        "jobs": len(batch),
+        "repro_calls": repro,
+        "numpy_calls": numpy,
+        "repro_calls_per_job": repro / len(batch),
+        "numpy_calls_per_job": numpy / len(batch),
+        "stages": counts,
+    }
+
+
+def render_setup(report: Dict[str, object]) -> str:
+    jobs = report["jobs"]
+    lines = [
+        f"setup cost of {jobs} serve-pool jobs (per job)",
+        f"  {'stage':<16}{'repro calls':>12}{'numpy calls':>13}",
+    ]
+    for stage, count in report["stages"].items():
+        lines.append(
+            f"  {stage:<16}{count['repro'] / jobs:>12.1f}{count['numpy'] / jobs:>13.1f}"
+        )
+    lines.append(
+        f"  {'total':<16}{report['repro_calls_per_job']:>12.1f}"
+        f"{report['numpy_calls_per_job']:>13.1f}"
+    )
+    return "\n".join(lines)
+
+
 def render(report: Dict[str, object]) -> str:
     records = ", ".join(f"{k} {v}" for k, v in report["records"].items() if v)
     parked = "  ".join(f"{p} {s:.1%}" for p, s in report["parked_share"].items())
@@ -150,11 +279,23 @@ def render(report: Dict[str, object]) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("step", help="ablation step, e.g. 2_prefetch")
-    parser.add_argument("workload", help="synthetic-suite workload name")
+    parser.add_argument(
+        "step", help="ablation step, e.g. 2_prefetch, or 'setup' for the per-job setup"
+    )
+    parser.add_argument(
+        "workload", nargs="?", help="synthetic-suite workload name (not with setup)"
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="print the raw counts")
     args = parser.parse_args(argv)
+    if args.step == "setup":
+        if args.workload is not None:
+            parser.error("setup takes no workload")
+        report = measure_setup(seed=args.seed)
+        print(json.dumps(report) if args.json else render_setup(report))
+        return 0
+    if args.workload is None:
+        parser.error("a workload is required with an ablation step")
     report = measure(args.step, args.workload, args.seed)
     print(json.dumps(report) if args.json else render(report))
     return 0
