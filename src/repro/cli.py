@@ -321,15 +321,17 @@ def _open_service(
     args: argparse.Namespace, shards: int, journal=None, on_event=None, **config
 ):
     """Start the service ``serve`` and ``replay`` submit to: worker threads
-    in this process (``on_event`` hears their lifecycle events, ``config``
-    goes to ``ServiceConfig`` as is), or ``shards`` supervised worker
-    processes (``journal`` makes their backlog durable)."""
+    in this process (``config`` goes to ``ServiceConfig`` as is), or
+    ``shards`` supervised worker processes (``journal`` makes their backlog
+    durable); ``on_event`` hears the lifecycle events of either."""
     cache_dir = _cache_dir(args)
     if shards > 0:
         from .cluster import ClusterConfig, ClusterService
 
         cluster = ClusterConfig(shards=shards, worker_threads=args.workers)
-        return ClusterService(cache_dir=cache_dir, config=cluster, journal=journal)
+        return ClusterService(
+            cache_dir=cache_dir, config=cluster, journal=journal, on_event=on_event
+        )
     from .serve import ServiceClient, ServiceConfig
 
     threads = ServiceConfig(max_workers=args.workers, max_backlog=args.backlog, **config)
@@ -703,12 +705,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             raise CliError("--journal needs the sharded service (--shards N, N >= 1)")
         # The bare flag parses as "": the default journal file.
         journal = Path(args.journal or get_config().journal_dir / "serve.jsonl")
-    if args.events and shards > 0:
-        print(
-            "note: --events is unavailable in sharded mode (the event "
-            "listener is the thread service's); ignoring it",
-            file=sys.stderr,
-        )
     recorder = None
     if trace_path is not None:
         from .obs.trace import install_tracer
@@ -1198,8 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--events",
         action="store_true",
-        help="stream per-job lifecycle/progress events to stdout "
-        "(single-process mode only)",
+        help="stream per-job lifecycle/progress events to stdout",
     )
     _add_job_flags(serve)
     _add_cache_flags(serve)

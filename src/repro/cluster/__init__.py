@@ -3,30 +3,32 @@
 The :mod:`repro.serve` service coalesces, caches and fair-queues — but one
 process means one GIL, and compute-bound simulation throughput flatlines
 however many threads it runs.  :mod:`repro.cluster` executes on worker
-*processes* behind the same admission core:
+*processes* behind the same admission core, fair queue and worker loop:
 
-* :class:`~repro.cluster.router.ShardRouter` hash-partitions jobs by their
-  content hash, so the same job always lands on the same shard;
+* :class:`~repro.cluster.service.ClusterService` *is* the thread service
+  (:class:`~repro.serve.client.ServiceClient`) with shard executors: its
+  worker slots — ``worker_threads`` per shard — pull the next job from the
+  parent's one queue, send it to their shard and wait for the reply, so an
+  idle shard takes the next job;
 * each shard is a forked process that only executes
   (:mod:`~repro.cluster.worker`: run the backend, write back, reply),
   speaking the length-prefixed message protocol of
   :mod:`~repro.cluster.protocol`; the parent coalesces, probes and counts
-  every job, so a shard accepts every job it is dispatched;
+  every job;
 * a :class:`~repro.cluster.supervisor.Supervisor` heartbeats every shard,
   restarts crashed or hung workers with capped exponential backoff, and
-  requeues their in-flight jobs onto the replacement;
+  resends what their slots wait on to the replacement;
 * an optional :class:`~repro.cluster.journal.JobJournal` makes the backlog
   durable: a restarted daemon resubmits unfinished jobs and serves
   completed ones without re-execution.
 
-:class:`~repro.cluster.service.ClusterService` is the front door and
-:class:`~repro.cluster.service.ClusterConfig` its one config (the
-supervisor's health fields included); it is API-compatible with
-:class:`~repro.serve.client.ServiceClient`, so ``Simulator(service=cluster)``
-works unchanged, and its lifecycle edges leave through the same emit point,
-:meth:`~repro.runtime.admission.AdmissionCore.announce`.  ``repro serve
---shards N`` exposes it from the CLI, and ``repro batch … --jobs N`` runs on
-it.
+:class:`~repro.cluster.service.ClusterConfig` is the cluster's one config
+(the supervisor's health fields included).  Being a ``ServiceClient``, the
+cluster has its one client surface — ``priority``, per-client fairness and
+``on_event`` included — so ``Simulator(service=cluster)`` works unchanged.
+``repro serve --shards N`` exposes it from the CLI, and ``repro batch …
+--jobs N`` runs on it.  :class:`~repro.cluster.router.ShardRouter` is kept
+for the benchmark only; nothing here routes by hash.
 """
 
 from .journal import (

@@ -13,8 +13,8 @@ Message kinds, parent → shard:
 * ``{"kind": "job", "seq": int, "key": str, "job": SimJob}`` — execute one
   simulation; ``seq`` is the dispatch id the answer must echo.
 * ``{"kind": "ping"}`` — health check; answered with ``pong``.
-* ``{"kind": "shutdown", "drain": bool}`` — finish every job (or only the
-  running ones) and exit; the closed channel is the acknowledgement.
+* ``{"kind": "shutdown"}`` — finish the jobs held and exit; the closed
+  channel is the acknowledgement.
 
 Shard → parent:
 
@@ -28,7 +28,9 @@ Shard → parent:
 
 A truncated stream (peer died mid-frame) surfaces as :class:`EOFError`;
 frames above :data:`MAX_FRAME_BYTES` raise :class:`ProtocolError` instead
-of silently attempting a multi-gigabyte allocation on a corrupt prefix.
+of silently attempting a multi-gigabyte allocation on a corrupt prefix, and
+so does a payload that does not unpickle (garbage bytes, a class the
+receiver cannot import), so a reader loop ends on it like on EOF.
 """
 
 from __future__ import annotations
@@ -128,7 +130,12 @@ class MessageChannel:
                 f"stream is corrupt"
             )
         payload = _recv_exact(self._sock, length)
-        message = pickle.loads(payload)
+        try:
+            message = pickle.loads(payload)
+        except Exception as error:  # noqa: BLE001 — any decode failure is corruption
+            raise ProtocolError(
+                f"undecodable frame: {type(error).__name__}: {error}"
+            ) from error
         if not isinstance(message, dict) or "kind" not in message:
             raise ProtocolError(f"malformed message: {type(message).__name__}")
         return message

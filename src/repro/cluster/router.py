@@ -1,18 +1,16 @@
-"""Hash partitioning of jobs across shards.
+"""Hash partitioning of jobs across shards — for the benchmark only.
 
-The cluster routes every job by its stable content hash
-(:meth:`~repro.runtime.job.SimJob.job_hash`), so
+The cluster does not route: its worker slots pull the next job from the
+parent's one queue (:mod:`repro.cluster.service`).  Nothing under ``src/``
+calls this module.  It stays because ``bench/workloads.py`` and
+``bench/tests/test_harness.py`` partition ``cluster_unique``'s operand
+seeds with it (and report ``cluster.shard_imbalance`` from it); deleting
+it, with that metric, belongs to a change of the benchmark.
 
-* identical jobs always land on the same shard (the parent coalesces them
-  before routing; a shard never sees a duplicate in flight);
-* routing is deterministic across processes and restarts — a requeued job
-  goes back to (the restarted incarnation of) its original shard, and a
-  resumed journal replays onto the same partitioning.
-
-The partition function is the leading 64 bits of the job hash modulo the
-shard count.  The job hash is SHA-256, already uniformly distributed, so
-no extra mixing is needed.  The partition is static: in a batch of jobs of
-unequal cost, one shard can still be busy after another went idle.
+The partition function is the leading 64 bits of the job hash
+(:meth:`~repro.runtime.job.SimJob.job_hash`, SHA-256, already uniformly
+distributed) modulo the shard count, so it is deterministic across
+processes.
 """
 
 from __future__ import annotations

@@ -1,70 +1,54 @@
-"""The sharded simulation cluster: routing, coalescing, durability.
+"""The sharded simulation cluster: the thread service with shard executors.
 
-:class:`ClusterService` is the multi-process sibling of the single-process
-:class:`~repro.serve.client.ServiceClient`.  It keeps the same outward
-contract — submit a :class:`~repro.runtime.job.SimJob`, get a ticket whose
-future resolves to one :class:`~repro.runtime.outcome.SimOutcome`; identical
-in-flight submissions coalesce; caches are probed before any work is
-scheduled — but executes on worker *processes*, so N shards run N
-simulations with N private GILs and throughput finally scales with cores.
+:class:`ClusterService` is a :class:`~repro.serve.client.ServiceClient`
+whose worker slots drive shard *processes*, so N shards run N simulations
+with N private GILs.  Admission (the
+:class:`~repro.runtime.admission.AdmissionCore`), the one
+:class:`~repro.serve.queue.FairQueue` (unbounded here: the parent admits
+every job) and the one worker loop are the shell's; this module is what
+runs behind a slot:
 
-Admission — coalesce onto an identical in-flight job, probe the
-journal-replayed completions and then the shared
-:class:`~repro.runtime.cache.ResultCache`, else create a new entry — is the
-:class:`~repro.runtime.admission.AdmissionCore`'s, the same one the thread
-service and ``Simulator`` run, and so are the counters, the latency and
-macro-step telemetry, the snapshot shape and the one lifecycle emit point
-(:meth:`~repro.runtime.admission.AdmissionCore.announce`, which feeds the
-tracer).  The parent is the cluster's only admission point and bounds
-nothing; a shard is a bare executor.  This module is the *executor* for
-new entries:
+1. **Journal** — with a :class:`~repro.cluster.journal.JobJournal`, the
+   enqueue hook records an accepted job before it is queued, so a crash
+   before its completion resubmits it on restart.
+2. **Dispatch** — each shard has ``worker_threads`` slots.  A free slot
+   pops the next job, sends it to its shard (the next live one when its own
+   is dead) over :mod:`~repro.cluster.protocol` and waits for the reply: a
+   shard is only sent what it can run at once, and whichever shard frees
+   first takes the next job.
+3. **Execute** — the shard runs the backend, writes the outcome back to
+   the shared cache and replies with it (or the original exception).
+4. **Settle** — the reader thread hands the reply to its slot by sequence
+   number (a stale frame from a killed incarnation matches nothing); the
+   slot journals the completion and settles through the core.
 
-1. **Route** — :class:`~repro.cluster.router.ShardRouter` hash-partitions
-   by job hash, so the same job always lands on the same shard.  A shard
-   that exhausted its restart budget refuses the entry with
-   ``ShardFailedError``.
-2. **Journal** — with a :class:`~repro.cluster.journal.JobJournal`
-   configured, the accepted job is recorded *before* dispatch, so a crash
-   between acceptance and completion resubmits it on restart.
-3. **Dispatch** — the job travels to the shard worker over the
-   length-prefixed :mod:`~repro.cluster.protocol` channel; the worker
-   executes it, writes the outcome back to the shared cache and sends it
-   (or the original exception) back.
-4. **Settle** — the result frame is matched to its entry by sequence
-   number (a stale frame from a killed incarnation matches nothing), the
-   core retires the entry, the completion is journaled, and every
-   coalesced waiter observes the same outcome object.
-
-Failures are the :class:`~repro.cluster.supervisor.Supervisor`'s job: a
-crashed or hung shard is killed and restarted with capped exponential
-backoff, and its in-flight jobs are redispatched onto the replacement —
-waiters keep their original future and never observe the crash.  A shard
-that crash-loops without doing work fails its jobs with
-:class:`~repro.cluster.supervisor.ShardFailedError` instead of hanging.
-
-``ClusterService`` quacks like :class:`~repro.serve.client.ServiceClient`
-(``submit`` / ``run`` / ``stats_dict`` / ``snapshot`` / ``close``), so
-``Simulator(service=...)`` works unchanged on top of it — that is what
-``repro batch … --jobs N`` runs on.
+The :class:`~repro.cluster.supervisor.Supervisor` kills and restarts a
+crashed or hung shard and resends what its slots wait on, so waiters never
+observe the crash.  A shard that crash-loops fails those jobs with
+:class:`~repro.cluster.supervisor.ShardFailedError`; its slots then serve
+the live shards, and admission raises that error once every shard is dead.
+``Simulator(service=cluster)`` works as over any ``ServiceClient``: that is
+what ``repro batch … --jobs N`` runs on.
 """
 
 from __future__ import annotations
 
-import threading
+import itertools
+import sys
 import time
-from collections import Counter
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..obs.trace import get_tracer
-from ..runtime.admission import AdmissionCore, Entry, ServiceClosedError, Stats, Ticket
+from ..runtime.admission import Entry, ServiceClosedError, ServiceEvent, Ticket
 from ..runtime.cache import ResultCache
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
+from ..serve.client import ServiceClient
 from .journal import JobJournal
 from .protocol import MSG_ERROR, MSG_RESULT
-from .router import ShardRouter
 from .supervisor import ShardFailedError, ShardHandle, Supervisor
 
 __all__ = ["ClusterConfig", "ClusterService"]
@@ -79,9 +63,10 @@ class ClusterConfig:
     shards:
         Worker processes; throughput scales with this up to the core count.
     worker_threads:
-        Executor threads *inside* each shard.  ``1`` is right for CPU-bound
-        simulation (the shard process is the unit of parallelism); raise it
-        only for I/O-heavy custom backends.
+        Executor threads *inside* each shard, and so the parent's worker
+        slots per shard.  ``1`` is right for CPU-bound simulation (the
+        shard process is the unit of parallelism); raise it only for
+        I/O-heavy custom backends.
     heartbeat_interval:
         Seconds between the :class:`~repro.cluster.supervisor.Supervisor`'s
         ping rounds.
@@ -96,8 +81,8 @@ class ClusterConfig:
     ready_timeout:
         Seconds to wait for a freshly started worker's ``ready`` frame.
     shutdown_timeout:
-        Seconds :meth:`ClusterService.close` waits for draining shards
-        before failing leftover futures.
+        Seconds :meth:`ClusterService.close` gives each shard process to
+        exit, once the parent has drained, before killing it.
     """
 
     shards: int = 2
@@ -115,6 +100,8 @@ class ClusterConfig:
             raise ValueError("shards must be positive")
         if self.worker_threads <= 0:
             raise ValueError("worker_threads must be positive")
+        if self.ready_timeout <= 0:
+            raise ValueError("ready_timeout must be positive")
         if self.shutdown_timeout <= 0:
             raise ValueError("shutdown_timeout must be positive")
         if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
@@ -124,8 +111,16 @@ class ClusterConfig:
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
 
+    #: Unbounded: the parent admits, and journals, every job.
+    max_backlog = sys.maxsize
 
-class ClusterService:
+    @property
+    def max_workers(self) -> int:
+        """The parent's worker slots: ``worker_threads`` per shard."""
+        return self.shards * self.worker_threads
+
+
+class ClusterService(ServiceClient):
     """Multi-process sharded simulation service with supervision.
 
     Usable as a context manager::
@@ -135,11 +130,10 @@ class ClusterService:
 
     Parameters
     ----------
-    cache:
-        A ready-made :class:`ResultCache`, or ``None``.
-    cache_dir:
-        Convenience alternative to ``cache``; all shards share this
-        directory (their writes are atomic, see ``ResultCache.put``).
+    cache, cache_dir, on_event:
+        As for :class:`~repro.serve.client.ServiceClient`; all shards write
+        back into the one cache directory (atomically, see
+        ``ResultCache.put``).
     config:
         Shard count and supervision tunables.
     journal:
@@ -149,36 +143,24 @@ class ClusterService:
         jobs are resubmitted in the background (``wait_idle`` to observe).
     """
 
+    _transport = "cluster"
+
     def __init__(
         self,
         cache: Optional[ResultCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         config: Optional[ClusterConfig] = None,
         journal: Optional[Union[str, Path, JobJournal]] = None,
+        on_event: Optional[Callable[[ServiceEvent], None]] = None,
     ) -> None:
-        if cache is None and cache_dir is not None:
-            cache = ResultCache(Path(cache_dir).expanduser())
-        self.cache = cache
-        self.config = config or ClusterConfig()
-        self.stats = Stats("cluster")
-        #: The per-cluster metrics registry behind :attr:`stats`.
-        self.metrics = self.stats.registry
-        self.router = ShardRouter(self.config.shards)
+        super().__init__(cache, cache_dir, config or ClusterConfig(), on_event)
         if journal is not None and not isinstance(journal, JobJournal):
             journal = JobJournal(Path(journal).expanduser())
         self.journal: Optional[JobJournal] = journal
-
-        #: Serialises the core and the seq -> entry map below; futures are
-        #: resolved outside it (done-callbacks are caller code).
-        self._lock = threading.RLock()
-        self._core = AdmissionCore(self.stats, cache)
-        self._pending: Dict[int, Entry] = {}  # seq -> dispatched entry
+        #: seq -> (the entry a slot sent, the reply that slot waits on).
+        self._pending: Dict[int, Tuple[Entry, Future]] = {}
         self._handles: List[ShardHandle] = []
-        self._dead_shards: Dict[int, str] = {}
-        self._seq = 0
-        #: Set by :meth:`close` / :meth:`terminate`; read-only for callers.
-        self.closed = False
-
+        self._seqs = itertools.count(1)
         self._supervisor = Supervisor(
             self.config,
             get_handle=self._get_handle,
@@ -186,47 +168,43 @@ class ClusterService:
             on_shard_lost=self._redispatch_shard,
             on_shard_failed=self._fail_shard,
         )
-        self._start()
+        try:
+            for index in range(self.config.shards):
+                self._handles.append(self._start_shard(index))
+        except BaseException:
+            self.terminate()
+            raise
+        self._supervisor.start()
+        if self.journal is not None:
+            self._resume_journal()
 
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
-    def _start(self) -> None:
-        try:
-            for index in range(self.config.shards):
-                handle = self._make_handle(index)
-                handle.start(self.config.ready_timeout)
-                self._handles.append(handle)
-        except BaseException:
-            for handle in self._handles:
-                handle.kill()
-            raise
-        self._supervisor.start(self.config.shards)
-        if self.journal is not None:
-            self._resume_journal()
-
-    def _make_handle(self, index: int) -> ShardHandle:
-        return ShardHandle(
+    def _start_shard(self, index: int) -> ShardHandle:
+        """Fork shard ``index`` and wait for its ``ready`` handshake."""
+        handle = ShardHandle(
             index,
             cache_dir=str(self.cache.root) if self.cache is not None else None,
             worker_threads=self.config.worker_threads,
             on_message=self._on_message,
             on_disconnect=self._supervisor.notify_disconnect,
         )
+        handle.start(self.config.ready_timeout)
+        return handle
 
     def _get_handle(self, index: int) -> ShardHandle:
         with self._lock:
             return self._handles[index]
 
-    def _replace_handle(self, index: int) -> ShardHandle:
-        handle = self._make_handle(index)
-        handle.start(self.config.ready_timeout)
+    def _replace_handle(self, index: int) -> None:
+        handle = self._start_shard(index)
         with self._lock:
             self._handles[index] = handle
-        return handle
 
     def _resume_journal(self) -> None:
-        assert self.journal is not None
+        """Serve the journal's completions; resubmit its unfinished jobs
+        (journaled again on the way in — the next resume compacts that)."""
         if not self.journal.exists():
             self.journal.start()
             return
@@ -239,38 +217,22 @@ class ClusterService:
             )
         unfinished = contents.unfinished()
         for job in unfinished.values():
-            # Already journaled (the compacted file retains them): skip the
-            # duplicate submission record, keep everything else identical.
-            self._submit(job, client="recovery", journal_submission=False)
-        self.stats.inc("recovered", len(unfinished))
-
-    def __enter__(self) -> "ClusterService":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+            self.submit(job, client_name="recovery")
+        self.counters.inc("recovered", len(unfinished))
 
     def close(self, drain: bool = True) -> None:
-        """Shut the cluster down.
-
-        ``drain=True`` (default): every dispatched job runs to completion
-        on its shard and resolves its waiters before the processes exit.
-        ``drain=False``: jobs already executing finish and resolve
-        normally; the rest are abandoned — counted ``cancelled``, their
-        waiters get :class:`ServiceClosedError`.  Either way a shard gets
-        ``shutdown_timeout`` seconds before it is killed.  Idempotent.
-        """
-        with self._lock:
-            if self.closed:
-                return
-            self.closed = True
+        """Shut the cluster down: the thread service's ``close`` — the slots
+        finish every job (``drain=True``) or only those already sent to a
+        shard, the rest counted ``cancelled`` — then every shard is told to
+        exit and gets ``shutdown_timeout`` seconds before it is killed.
+        Idempotent."""
+        super().close(drain)
         self._supervisor.stop()
-        for handle in self._handles:
-            handle.request_shutdown(drain)
         deadline = time.monotonic() + self.config.shutdown_timeout
         for handle in self._handles:
+            handle.request_shutdown()
+        for handle in self._handles:
             handle.join(max(0.5, deadline - time.monotonic()))
-        self._fail_leftovers("cluster closed")
 
     def terminate(self) -> None:
         """Crash-stop: kill every shard, fail every waiter, journal nothing.
@@ -282,146 +244,123 @@ class ClusterService:
         """
         with self._lock:
             self.closed = True
+            replies = [reply for _, reply in self._pending.values()]
+            self._pending.clear()
+            self._queue.drain()
+            leftovers = self._core.abandon(
+                list(self._core.inflight.values()), "cluster terminated"
+            )
+            self._work_available.notify_all()
         self._supervisor.stop()
         for handle in self._handles:
             handle.closing = True
             handle.kill()
-        self._fail_leftovers("cluster terminated")
-
-    def _fail_leftovers(self, reason: str) -> None:
-        with self._lock:
-            self._pending.clear()
-            leftovers = self._core.abandon(list(self._core.inflight.values()), reason)
+        for reply in replies:
+            reply.set_exception(ServiceClosedError("cluster terminated"))
         for entry in leftovers:
             entry.resolve()
+        for worker in self._workers:
+            worker.join()
 
     # ------------------------------------------------------------------
-    # Submission.
+    # The shell's hooks: admit, enqueue, execute.
     # ------------------------------------------------------------------
-    def submit(
-        self, job: SimJob, client_name: str = "anon", priority: int = 0
+    def _admit(
+        self, job: SimJob, client: str, priority: int, count_refusal: bool
     ) -> Ticket:
-        """Submit one job; never blocks on simulation.
+        """The thread service's admission, refused once every shard is dead
+        (like a closed service's refusal, that counts nothing)."""
+        self._live_shard(0)
+        return super()._admit(job, client, priority, count_refusal)
 
-        ``priority`` is accepted for :class:`ServiceClient` API parity and
-        currently ignored — shard dispatch is FIFO per shard.
-        """
-        del priority
-        return self._submit(job, client=client_name, journal_submission=True)
+    def _enqueue(self, entry: Entry) -> None:
+        """Journal the accepted job write-ahead, then queue it."""
+        if self.journal is not None:
+            self.journal.record_submission(entry.key, entry.job)
+        super()._enqueue(entry)
 
-    #: The parent bounds nothing, so waiting for capacity is submitting.
-    submit_wait = submit
+    def _live_shard(self, preferred: int) -> int:
+        """``preferred``, or the next shard after it the supervisor has not
+        given up on; :class:`ShardFailedError` once every shard is dead."""
+        dead = self._supervisor.given_up
+        for step in range(self.config.shards):
+            index = (preferred + step) % self.config.shards
+            if index not in dead:
+                return index
+        raise ShardFailedError("; ".join(dead.values()))
 
-    def _submit(self, job: SimJob, client: str, journal_submission: bool) -> Ticket:
+    def _execute(self, entry: Entry, slot: int) -> SimOutcome:
+        """Send ``entry`` to the slot's shard, wait for the reply the reader
+        thread delivers (a shard's death resends it, see
+        :meth:`_redispatch_shard`) and journal the completion."""
+        reply: Future = Future()
         with self._lock:
-            if self.closed:
-                raise ServiceClosedError("cluster is closed")
-            ticket = self._core.admit(
-                job, client, lambda entry: self._place(entry, journal_submission)
-            )
-            if ticket.coalesced or ticket.cache_hit:
-                return ticket
-            entry = self._core.inflight[ticket.job_hash]
-            handle = self._handles[entry.shard]
-        # The send happens outside the lock (socket I/O); a failed send is
-        # recovered by the supervisor's redispatch when the shard restarts.
+            if self._core.inflight.get(entry.key) is not entry:
+                raise ServiceClosedError("cluster terminated")
+            entry.executor = self._live_shard(slot % self.config.shards)
+            seq = next(self._seqs)
+            self._pending[seq] = (entry, reply)
+            handle = self._handles[entry.executor]
         tracer = get_tracer()
         if tracer is not None:
-            tracer.instant("shard_routed", entry.key, shard=entry.shard)
-            tracer.begin("dispatched", entry.key, shard=entry.shard)
-        handle.dispatch(entry.seq, entry.key, job)
-        return ticket
-
-    def _place(self, entry: Entry, journal_submission: bool) -> None:
-        """The core's ``place`` hook: route, refuse a dead shard, journal
-        write-ahead, and index the entry by its wire sequence number."""
-        entry.shard = self.router.shard_for(entry.key)
-        dead_reason = self._dead_shards.get(entry.shard)
-        if dead_reason is not None:
-            raise ShardFailedError(dead_reason)
-        self._seq += 1
-        entry.seq = self._seq
-        if self.journal is not None and journal_submission:
-            self.journal.record_submission(entry.key, entry.job)
-        self._pending[entry.seq] = entry
-
-    def run(
-        self,
-        jobs: Sequence[SimJob],
-        client_name: str = "anon",
-        priority: int = 0,
-    ) -> List[SimOutcome]:
-        """Submit a batch and block for every outcome, in submission order.
-
-        Duplicates within the batch coalesce; this is the entry point
-        ``Simulator(service=...)`` uses.
-        """
-        tickets = [
-            self.submit(job, client_name=client_name, priority=priority)
-            for job in jobs
-        ]
-        return [ticket.result() for ticket in tickets]
+            tracer.begin("dispatched", entry.key, shard=entry.executor)
+        handle.dispatch(seq, entry.key, entry.job)
+        try:
+            outcome = reply.result()
+        finally:
+            if tracer is not None:
+                tracer.maybe_end("dispatched", entry.key)
+        if self.journal is not None:
+            # The outcome only rides into the journal when no shared cache
+            # keeps it durable.
+            with self._lock:
+                self.journal.record_completion(
+                    entry.key, outcome if self.cache is None else None
+                )
+                if self.cache is None:
+                    self._core.replayed[entry.key] = outcome
+        return outcome
 
     # ------------------------------------------------------------------
     # Shard callbacks (reader threads + supervisor thread).
     # ------------------------------------------------------------------
     def _on_message(self, handle: ShardHandle, message: dict) -> None:
         kind = message.get("kind")
-        if kind == MSG_RESULT:
-            self._settle(message["seq"], outcome=message["outcome"])
-        elif kind == MSG_ERROR:
-            error = message.get("exception")
-            if not isinstance(error, BaseException):
-                error = RuntimeError(message.get("error", "shard error"))
-            self._settle(message["seq"], error=error)
-        # ready/pong are handled by the handle and supervisor.
-
-    def _settle(
-        self,
-        seq: int,
-        outcome: Optional[SimOutcome] = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
+        if kind not in (MSG_RESULT, MSG_ERROR):
+            return  # ready/pong are the handle's and the supervisor's
         with self._lock:
-            entry = self._pending.pop(seq, None)
-            if entry is None:
-                return  # stale frame from a killed incarnation
-            tracer = get_tracer()
-            if tracer is not None:
-                tracer.maybe_end("dispatched", entry.key)
-            self._core.settle(entry.key, outcome, error, executor=entry.shard)
-            if outcome is not None and self.journal is not None:
-                # The outcome only rides into the journal when no shared
-                # cache keeps it durable.
-                self.journal.record_completion(
-                    entry.key, outcome if self.cache is None else None
-                )
-                if self.cache is None:
-                    self._core.replayed[entry.key] = outcome
-        entry.resolve()
+            sent = self._pending.pop(message["seq"], None)
+        if sent is None:
+            return  # stale frame from a killed incarnation
+        reply = sent[1]
+        if kind == MSG_RESULT:
+            reply.set_result(message["outcome"])
+            return
+        error = message.get("exception")
+        if not isinstance(error, BaseException):
+            error = RuntimeError(message.get("error", "shard error"))
+        reply.set_exception(error)
 
     def _redispatch_shard(self, index: int) -> None:
-        """Requeue a dead incarnation's in-flight jobs onto its successor."""
+        """Resend what a dead incarnation's slots wait on to its successor."""
         with self._lock:
-            entries = [e for e in self._pending.values() if e.shard == index]
+            sent = [(seq, e) for seq, (e, _) in self._pending.items() if e.executor == index]
             handle = self._handles[index]
-            self.stats.inc("requeued", len(entries))
+            self.counters.inc("requeued", len(sent))
         tracer = get_tracer()
-        for entry in sorted(entries, key=lambda e: e.seq):
+        for seq, entry in sent:
             if tracer is not None:
                 tracer.instant("requeued", entry.key, shard=index)
-            handle.dispatch(entry.seq, entry.key, entry.job)
+            handle.dispatch(seq, entry.key, entry.job)
 
     def _fail_shard(self, index: int, reason: str) -> None:
-        """Restart budget exhausted: fail the shard's waiters for good."""
+        """Restart budget exhausted: fail what the shard's slots wait on;
+        from now on those slots serve the live shards."""
         with self._lock:
-            self._dead_shards[index] = reason
-            entries = [e for e in self._pending.values() if e.shard == index]
-            for entry in entries:
-                del self._pending[entry.seq]
-                self._core.settle(entry.key, error=ShardFailedError(reason))
-        for entry in entries:
-            entry.resolve()
+            seqs = [seq for seq, (e, _) in self._pending.items() if e.executor == index]
+            replies = [self._pending.pop(seq)[1] for seq in seqs]
+        for reply in replies:
+            reply.set_exception(ShardFailedError(reason))
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -443,35 +382,28 @@ class ClusterService:
         return self._supervisor.restarts
 
     def stats_dict(self) -> Dict[str, object]:
-        """Cluster counters plus the supervisor's ``restarts`` — the same
-        call :class:`~repro.serve.client.ServiceClient` answers."""
-        summary = self.stats.as_dict()
-        summary["restarts"] = self.restarts
-        return summary
+        """The service counters plus the supervisor's ``restarts``."""
+        return {**super().stats_dict(), "restarts": self.restarts}
+
+    stats = stats_dict
 
     def snapshot(self) -> Dict[str, object]:
-        """The core's snapshot (``executed_by`` keyed by shard) plus
-        ``shards`` (index, liveness, pid, jobs dispatched beyond its
-        executor threads), ``shard_count``, ``restarts``, ``journal`` and
-        ``cache``.  The parent settles every job, so its counts are already
-        cluster-wide: no frame is sent, nothing waited on."""
-        threads = self.config.worker_threads
+        """The service's snapshot (``executed_by`` keyed by shard) plus
+        ``shards`` (index, liveness, pid), ``shard_count``, ``restarts``
+        and ``journal``.  The parent settles every job, so its counts are
+        already cluster-wide: no frame is sent, nothing waited on."""
+        summary = super().snapshot()
         with self._lock:
-            dispatched = Counter(entry.shard for entry in self._pending.values())
-            waiting = {index: max(0, n - threads) for index, n in dispatched.items()}
-            summary = self._core.snapshot(sum(waiting.values()))
             handles = list(self._handles)
         summary["shards"] = [
             {
                 "shard": handle.index,
                 "alive": handle.alive(),
                 "pid": handle.process.pid if handle.process else None,
-                "queue_depth": waiting.get(handle.index, 0),
             }
             for handle in handles
         ]
         summary["shard_count"] = len(handles)
         summary["restarts"] = self.restarts
         summary["journal"] = str(self.journal.path) if self.journal else None
-        summary["cache"] = self.cache.stats() if self.cache is not None else None
         return summary

@@ -17,10 +17,10 @@ Two pieces live here:
   :class:`ShardFailedError` instead of waiting forever.
 
 The division of labour with :class:`~repro.cluster.service.ClusterService`:
-the service owns routing, coalescing, the journal and the futures; the
+the service owns dispatch, coalescing, the journal and the futures; the
 supervisor owns *process lifecycle* and never touches job state directly —
-it only calls back into the service's ``_redispatch``/``_fail_shard``
-hooks.
+it only calls back into the service's ``_redispatch_shard``/``_fail_shard``
+hooks, and lists the shards it gave up on in ``Supervisor.given_up``.
 """
 
 from __future__ import annotations
@@ -171,9 +171,9 @@ class ShardHandle:
     def ping(self) -> bool:
         return self.send({"kind": MSG_PING})
 
-    def request_shutdown(self, drain: bool) -> bool:
+    def request_shutdown(self) -> bool:
         self.closing = True
-        return self.send({"kind": MSG_SHUTDOWN, "drain": drain})
+        return self.send({"kind": MSG_SHUTDOWN})
 
     # ------------------------------------------------------------------
     def alive(self) -> bool:
@@ -220,7 +220,7 @@ class Supervisor:
         config: "ClusterConfig",
         *,
         get_handle: Callable[[int], ShardHandle],
-        replace_handle: Callable[[int], ShardHandle],
+        replace_handle: Callable[[int], None],
         on_shard_lost: Callable[[int], None],
         on_shard_failed: Callable[[int, str], None],
     ) -> None:
@@ -230,21 +230,16 @@ class Supervisor:
         self._on_shard_lost = on_shard_lost
         self._on_shard_failed = on_shard_failed
         self._failures: Dict[int, int] = {}
-        self._restarts = 0
-        self._given_up: Dict[int, bool] = {}
+        #: Total successful shard restarts performed so far.
+        self.restarts = 0
+        #: Shards declared failed for good -> why; never restarted again.
+        self.given_up: Dict[int, str] = {}
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._shard_count = 0
 
     # ------------------------------------------------------------------
-    @property
-    def restarts(self) -> int:
-        """Total successful shard restarts performed so far."""
-        return self._restarts
-
-    def start(self, shard_count: int) -> None:
-        self._shard_count = shard_count
+    def start(self) -> None:
         self._thread = threading.Thread(
             target=self._run, name="repro-cluster-supervisor", daemon=True
         )
@@ -268,8 +263,8 @@ class Supervisor:
             self._wake.clear()
             if self._stop.is_set():
                 return
-            for index in range(self._shard_count):
-                if self._given_up.get(index):
+            for index in range(self.config.shards):
+                if index in self.given_up:
                     continue
                 try:
                     self._check_shard(index)
@@ -304,12 +299,11 @@ class Supervisor:
         handle.kill()
         failures = self._failures.get(index, 0)
         if failures >= self.config.max_restarts:
-            self._given_up[index] = True
-            self._on_shard_failed(
-                index,
+            self.given_up[index] = (
                 f"shard {index} failed {failures} consecutive restarts "
-                f"(last reason: {reason})",
+                f"(last reason: {reason})"
             )
+            self._on_shard_failed(index, self.given_up[index])
             return
         self._failures[index] = failures + 1
         delay = min(
@@ -319,13 +313,13 @@ class Supervisor:
             return
         try:
             # replace_handle forks, handshakes and installs the new
-            # incarnation (raising on any of the three), so routing and
+            # incarnation (raising on any of the three), so slots and
             # redispatch only ever see started shards.
             self._replace_handle(index)
         except Exception:  # noqa: BLE001 — a failed start is one more failure
             self._wake.set()
             return
-        self._restarts += 1
+        self.restarts += 1
         # The cluster redispatches the dead incarnation's pending jobs onto
         # the freshly installed replacement.
         self._on_shard_lost(index)

@@ -15,13 +15,14 @@ pings while simulations run:
 
 * ``job``      → hand it to the pool;
 * ``ping``     → answer ``pong`` — the supervisor's liveness signal;
-* ``shutdown`` → finish every job (``drain``) or only the running ones
-  (the rest are dropped; the parent counts them ``cancelled``), then exit:
-  the parent reads the closed channel as the shard's last word.
+* ``shutdown`` → finish what the pool holds and exit: the parent reads the
+  closed channel as the shard's last word.
 
-EOF on the channel means the parent died: the worker drops the jobs that
-have not started and exits — an orphaned shard must not outlive its
-cluster.
+The parent sends a shard only what one of its slots then waits on, and
+asks it to exit only once it has drained, so a shard never holds a job
+nobody waits for and has nothing to cancel.  EOF on the channel means the
+parent died: the worker finishes the jobs it holds and exits — an orphaned
+shard must not outlive its cluster.
 """
 
 from __future__ import annotations
@@ -112,26 +113,24 @@ def shard_worker_main(
 
     send({"kind": MSG_READY, "shard": shard_index, "pid": os.getpid()})
 
-    drain = False
     try:
         while True:
             try:
                 message = channel.recv()
             except (EOFError, OSError, ProtocolError):
-                break  # parent gone (or stream corrupt): exit without drain
+                break  # parent gone (or stream corrupt)
             kind = message.get("kind")
             if kind == MSG_JOB:
                 pool.submit(execute, message["seq"], message["key"], message["job"])
             elif kind == MSG_PING:
                 send({"kind": MSG_PONG, "shard": shard_index})
             elif kind == MSG_SHUTDOWN:
-                drain = bool(message.get("drain", True))
                 break
             # Unknown kinds are ignored: a newer parent may speak a richer
             # dialect, and dropping is safer than dying.
     finally:
         # Every result frame is sent before the channel closes.
         try:
-            pool.shutdown(wait=True, cancel_futures=not drain)
+            pool.shutdown(wait=True)
         finally:
             channel.close()

@@ -14,13 +14,13 @@ every stage exports rates, depths and health to a central monitor):
 * :mod:`repro.obs.exposition` — the Prometheus text renderer and the
   snapshot→families mapper that turns
   ``ServiceClient.snapshot()`` / ``ClusterService.snapshot()``
-  (including per-shard pong-frame aggregation) into ``/metrics`` rows;
+  (the cluster parent counts every shard's jobs) into ``/metrics`` rows;
 * :mod:`repro.obs.http` — the stdlib-only :class:`MetricsServer`
   (``/metrics``, ``/snapshot``, ``/config``, ``/healthz``, dashboard);
   **disabled by default**, enabled by ``repro serve --metrics-port N``,
   the standalone ``repro metrics`` subcommand or ``REPRO_METRICS_PORT``;
 * :mod:`repro.obs.trace` — per-job span timelines (submitted → queued →
-  dispatched/shard-routed → executing → write-back → settled, with
+  executing(dispatched) → write-back → settled, with
   engine macro-jump instants) recorded by a process-wide
   :class:`TraceRecorder` and exported as Chrome trace-event JSON
   (``--trace out.json`` / ``REPRO_TRACE``, Perfetto-viewable);

@@ -207,7 +207,7 @@ def snapshot_families(snapshot: Dict[str, object]) -> List[MetricFamily]:
     """Map one ops snapshot onto metric families.
 
     The shape is ``AdmissionCore.snapshot``'s on either transport; a
-    cluster's adds ``shards`` (index, liveness, pid, queue depth),
+    cluster's adds ``shards`` (index, liveness, pid),
     ``shard_count`` and ``restarts``, and keys ``executed_by`` by shard
     instead of by worker slot.
     """
@@ -240,7 +240,6 @@ def snapshot_families(snapshot: Dict[str, object]) -> List[MetricFamily]:
 
     executed_by = snapshot.get("executed_by") or {}
     if is_cluster:
-        shards = snapshot["shards"]
         families.append(
             _gauge(
                 "repro_shard_count",
@@ -248,19 +247,17 @@ def snapshot_families(snapshot: Dict[str, object]) -> List[MetricFamily]:
                 int(snapshot.get("shard_count", 0)),
             )
         )
-        for name, help, field in (
-            ("repro_shard_alive", "Liveness of each shard process (1 = alive).", "alive"),
-            (
-                "repro_shard_queue_depth",
-                "Jobs dispatched to each shard beyond its executor threads.",
-                "queue_depth",
-            ),
-        ):
-            rows = tuple(
-                Sample(labels={"shard": shard["shard"]}, value=int(shard.get(field, 0)))
-                for shard in shards
+        families.append(
+            MetricFamily(
+                "repro_shard_alive",
+                "gauge",
+                "Liveness of each shard process (1 = alive).",
+                tuple(
+                    Sample(labels={"shard": shard["shard"]}, value=int(shard.get("alive", 0)))
+                    for shard in snapshot["shards"]
+                ),
             )
-            families.append(MetricFamily(name, "gauge", help, rows))
+        )
         if executed_by:
             families.append(
                 _labelled_counter(

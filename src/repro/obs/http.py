@@ -6,8 +6,8 @@ never serialize behind each other) and serves:
 
 * ``/metrics`` — Prometheus text exposition: the union of the live
   service snapshot (mapped through
-  :func:`~repro.obs.exposition.snapshot_families`, so cluster mode
-  aggregates every shard through the supervisor's pong frames) and the
+  :func:`~repro.obs.exposition.snapshot_families`; in cluster mode the
+  parent's snapshot already counts every shard's jobs) and the
   process-wide registry (:func:`~repro.obs.metrics.get_registry`);
 * ``/snapshot`` — the raw snapshot dict as JSON (what the dashboard and
   ``--stats-format json`` share);

@@ -11,7 +11,7 @@ The expected span timeline of one submission::
 
     job ─┬─ queued ── executing(engine: macro_jump*, idle_jump*) ── write_back
          ├─ coalesced / cache_probe(cache_hit) instants
-         └─ shard_routed / dispatched           (cluster mode)
+         └─ dispatched (inside executing) / requeued   (cluster mode)
 
 Tracing is **disabled by default** and costs one module-global ``None``
 check per hook when off (:func:`get_tracer` — the benchmark suite bounds
@@ -20,7 +20,7 @@ this overhead at <5% of the serve throughput run).  Enable it with
 live in :meth:`~repro.runtime.admission.AdmissionCore.announce` (the one
 lifecycle emit point of every front door: one :meth:`TraceRecorder.lifecycle`
 call per edge), :class:`~repro.cluster.service.ClusterService`
-(route/dispatch/requeue), every executor's cache write-back,
+(dispatch/requeue), every executor's cache write-back,
 :class:`~repro.serve.queue.FairQueue` depth changes (counter events) and
 :class:`~repro.engine.event.EventDrivenEngine` (engine spans + macro-jump
 instants).
@@ -151,8 +151,7 @@ class TraceRecorder:
 
         The single lifecycle → span mapping: ``AdmissionCore.announce``
         calls it once per edge on every front door; the executors add only
-        their own spans (``write_back``; ``shard_routed`` / ``dispatched`` /
-        ``requeued``).
+        their own spans (``write_back``; ``dispatched`` / ``requeued``).
         """
         args = {"workload": workload, "client": client}
         if kind == "submitted":

@@ -187,10 +187,9 @@ class Entry:
     waiters: int = 1
     #: Monotonic admission time (``settle`` observes latency from it).
     admitted_at: float = 0.0
-    #: Set by the executor's ``place`` hook: the owning shard and the wire
-    #: sequence number (cluster); ``-1`` / ``0`` in-process.
-    shard: int = -1
-    seq: int = 0
+    #: Who runs the entry — the worker slot that took it, or the shard that
+    #: slot sent it to; ``settle`` credits it in ``executed_by``.
+    executor: int = 0
     #: How the entry ended; set by ``settle`` / ``abandon``.
     outcome: Optional[SimOutcome] = None
     error: Optional[BaseException] = None
@@ -223,8 +222,6 @@ class Ticket:
     #: Resolved instantly from the cache or the journal (never executed).
     cache_hit: bool
     future: Future
-    #: Which shard owns the job (``-1``: in-process or resolved instantly).
-    shard: int = -1
 
     def result(self, timeout: Optional[float] = None) -> SimOutcome:
         """Block until the outcome is available (re-raises job errors)."""
@@ -279,7 +276,7 @@ class AdmissionCore:
         )
         stats.registry.register(self.latency)
         #: Executed jobs per executor: a worker slot or a shard index — skew
-        #: here means unfair pop order, hot routing or a pinned executor.
+        #: here means unfair pop order or a pinned executor.
         self.executed_by: "Counter[int]" = Counter()
         #: Macro-step engine totals summed over executed outcomes.
         self.macro: Dict[str, int] = {"jumps": 0, "cycles_skipped": 0}
@@ -324,7 +321,7 @@ class AdmissionCore:
         """Admit one submission and return its ticket.
 
         ``place(entry)`` is the executor accepting a new entry (queue it,
-        route and journal it, collect it for a batch); it may raise to
+        journal it, collect it for a batch); it may raise to
         refuse, and the refusal propagates.  A refusal counts nothing — the
         caller may retry, and a retry must not count twice — unless
         ``count_refusal`` marks it a fail-fast bounce: then it is
@@ -338,7 +335,7 @@ class AdmissionCore:
             self.stats.inc("coalesced")
             self.announce("submitted", entry, client=client)
             self.announce("coalesced", entry, client=client)
-            return Ticket(job, key, client, True, False, entry.future, entry.shard)
+            return Ticket(job, key, client, True, False, entry.future)
 
         entry = Entry(
             job, key, client, priority, Future(), admitted_at=time.monotonic()
@@ -374,22 +371,21 @@ class AdmissionCore:
         self.inflight[key] = entry
         self.stats.inc("submitted")
         self.announce("submitted", entry)
-        return Ticket(job, key, client, False, False, entry.future, entry.shard)
+        return Ticket(job, key, client, False, False, entry.future)
 
     def settle(
         self,
         key: str,
         outcome: Optional[SimOutcome] = None,
         error: Optional[BaseException] = None,
-        executor: int = 0,
     ) -> Optional[Entry]:
         """Retire ``key`` with its outcome (or error); return the entry for
         the caller to :meth:`~Entry.resolve`.
 
         An outcome the executor served from a cache (a service behind
         ``Simulator``) counts as ``cache_hits``; any other outcome is
-        ``executed`` by ``executor`` (a worker slot or a shard index) and
-        records the latency and the macro-step totals.  A key that is not
+        ``executed`` by the entry's ``executor`` and records the latency
+        and the macro-step totals.  A key that is not
         in flight — a stale frame from a killed shard incarnation, a job
         already abandoned — is ignored (``None``).
         """
@@ -411,7 +407,7 @@ class AdmissionCore:
         else:
             self.stats.inc("executed")
             self.latency.observe(time.monotonic() - entry.admitted_at)
-            self.executed_by[executor] += 1
+            self.executed_by[entry.executor] += 1
             macro = outcome.metrics.get("macro_stats")
             if isinstance(macro, dict):
                 for name in self.macro:

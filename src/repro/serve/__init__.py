@@ -21,10 +21,10 @@ a *service*: a long-lived, thread-safe component that
 
 Entry points:
 
-* :class:`ServiceClient` — the one thread-service object: worker threads
-  under one lock, an executor around the transport-free admission core of
-  :mod:`repro.runtime.admission` that :mod:`repro.cluster` and
-  ``Simulator`` share; scripts, tests and the CLI hold it;
+* :class:`ServiceClient` — the one service shell: worker slots under one
+  lock around the transport-free admission core of
+  :mod:`repro.runtime.admission` (shared with ``Simulator``); the
+  :mod:`repro.cluster` service is this class with shard executors;
 * ``python -m repro.cli serve …`` — the CLI daemon;
 * ``Simulator(service=client)`` — routes existing call sites (sweeps,
   experiments, ``ExplorationEngine(simulator=...)``) through one shared

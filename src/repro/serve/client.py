@@ -1,8 +1,8 @@
-"""The in-process simulation service: fair admission, worker threads.
+"""The simulation service shell: fair admission, worker slots.
 
 :class:`ServiceClient` is what scripts, tests, the CLI and
-``Simulator(service=...)`` hold, and it speaks the ``client_name=``
-vocabulary :class:`~repro.cluster.service.ClusterService` shares::
+``Simulator(service=...)`` hold, in-process or — as its subclass
+:class:`~repro.cluster.service.ClusterService` — across shard processes::
 
     with ServiceClient(cache_dir=path) as client:
         ticket = client.submit(job, client_name="alice")
@@ -12,26 +12,29 @@ vocabulary :class:`~repro.cluster.service.ClusterService` shares::
 Admission — coalescing identical in-flight requests onto one future,
 probing the :class:`~repro.runtime.cache.ResultCache` before anything is
 scheduled, counting, announcing each lifecycle edge — is the
-:class:`~repro.runtime.admission.AdmissionCore`'s, shared with the cluster
-and ``Simulator``; this module is the in-process *executor* around it:
+:class:`~repro.runtime.admission.AdmissionCore`'s, shared with
+``Simulator``; this module is the shell around it that both transports
+run:
 
-* a **fair bounded admission queue** (:class:`~repro.serve.queue.FairQueue`)
-  — priority first, round-robin across clients within a priority, FIFO
+* a **fair admission queue** (:class:`~repro.serve.queue.FairQueue`) —
+  priority first, round-robin across clients within a priority, FIFO
   within a client; a full backlog raises the typed
   :class:`~repro.serve.queue.QueueFullError` from :meth:`~ServiceClient.submit`
   (:meth:`~ServiceClient.submit_wait` and :meth:`~ServiceClient.run` wait for
   capacity instead);
-* a **worker pool** of plain threads — cache hits never occupy a worker,
-  and every fresh result is written back through the same cache;
+* one **worker loop** per slot — a slot pops the next entry, runs it
+  (:meth:`~ServiceClient._execute`: here the backend on the slot's thread,
+  with the result written back through the same cache; in the cluster a
+  round trip to the slot's shard) and settles it; cache hits never occupy
+  a slot;
 * ``progress`` edges fed by the simulation engines' cooperative yield
   points (see ``docs/ENGINE.md``), announced like every other edge.
 
 Every method is thread-safe and runs on the caller's thread: one
-re-entrant lock serialises the core and the queue, as in
-:class:`~repro.cluster.service.ClusterService`.  Pure-Python cycle
-simulation holds the GIL, so the win is coalescing + caching + overlap with
-I/O rather than parallel speedup — ``docs/SERVE.md`` states the lock
-discipline and when to use the service vs the bare ``Simulator``.
+re-entrant lock serialises the core and the queue.  Pure-Python cycle
+simulation holds the GIL, so in-process the win is coalescing + caching +
+overlap with I/O rather than parallel speedup — ``docs/SERVE.md`` states
+the lock discipline and when to use the service vs the bare ``Simulator``.
 """
 
 from __future__ import annotations
@@ -98,13 +101,17 @@ class ServiceClient:
         A ready-made :class:`ResultCache`, or the directory to open one in
         (ignored when ``cache`` is given); uncached when both are ``None``.
     config:
-        Service tunables (worker count, backlog bound, progress cadence).
+        Service tunables (worker count, backlog bound, progress cadence);
+        the cluster passes its ``ClusterConfig``, which derives the first two.
     on_event:
         Optional callback handed every :class:`ServiceEvent` as it is
         announced, ``seq`` counted from 0.  It runs under the service's lock
         on whichever thread announces — keep it cheap, never block in it;
         it may read :meth:`snapshot`.  Without it no event object is built.
     """
+
+    #: Which transport's counter rows :attr:`counters` carries.
+    _transport = "thread"
 
     def __init__(
         self,
@@ -118,7 +125,7 @@ class ServiceClient:
         self.cache = cache
         self.config = config or ServiceConfig()
         #: The service's counters (``stats()`` returns them as a dict).
-        self.counters = Stats("thread")
+        self.counters = Stats(self._transport)
         #: The per-service metrics registry behind :attr:`counters` and the
         #: latency histogram; gauges and per-worker rows are the snapshot's.
         self.metrics = self.counters.registry
@@ -260,14 +267,14 @@ class ServiceClient:
             tracer.counter("queue_depth", {"jobs": depth})
 
     def stats_dict(self) -> Dict[str, object]:
-        """Service counters and hit rates — the same call the cluster's
-        ``ClusterService`` answers.  Readable after close, like the rest."""
+        """Service counters and hit rates.  Readable after close, like the
+        rest."""
         return self.counters.as_dict()
 
     stats = stats_dict
 
     def snapshot(self) -> Dict[str, object]:
-        """The core's ops snapshot (``executed_by`` keyed by worker slot),
+        """The core's ops snapshot (``executed_by`` keyed by executor),
         one consistent cut, plus the cache's directory pass, made after
         the lock is released."""
         with self._lock:
@@ -278,7 +285,7 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Workers.
     # ------------------------------------------------------------------
-    def _worker_loop(self, index: int) -> None:
+    def _worker_loop(self, slot: int) -> None:
         while True:
             with self._lock:
                 while not len(self._queue):
@@ -286,18 +293,19 @@ class ServiceClient:
                         return
                     self._work_available.wait()
                 entry, *_ = self._queue.pop()
+                entry.executor = slot
                 self._space_freed.notify_all()
                 self._core.announce("started", entry)
             try:
-                outcome, error = self._execute(entry), None
+                outcome, error = self._execute(entry, slot), None
             except Exception as caught:  # noqa: BLE001 — surfaced to every waiter
                 outcome, error = None, caught
             with self._lock:
-                self._core.settle(entry.key, outcome, error, executor=index)
+                self._core.settle(entry.key, outcome, error)
             entry.resolve()
 
-    def _execute(self, entry: Entry) -> SimOutcome:
-        """Simulate and write back, off the lock.
+    def _execute(self, entry: Entry, slot: int) -> SimOutcome:
+        """Simulate on worker ``slot``'s thread and write back, off the lock.
 
         The write-back precedes ``settle``, so a later duplicate finds the
         in-flight entry or the cache, never neither (``ResultCache.put`` is

@@ -22,3 +22,11 @@ def wait_for(predicate, timeout=15.0, interval=0.02, message="condition"):
             return
         time.sleep(interval)
     raise AssertionError(f"timed out waiting for {message}")
+
+
+def started_handle(cluster, directory):
+    """The handle of a shard whose process wrote a ``started-<pid>`` marker
+    (a ``FileGatedBackend`` with ``touch=True``) into ``directory``."""
+    wait_for(lambda: any(directory.glob("started-*")), message="a shard to start executing")
+    pids = {int(path.name.split("-", 1)[1]) for path in directory.glob("started-*")}
+    return next(handle for handle in cluster._handles if handle.process.pid in pids)

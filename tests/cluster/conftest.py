@@ -14,6 +14,7 @@ in a forked child, so in-memory coordination primitives
 """
 
 import itertools
+import os
 import time
 from pathlib import Path
 
@@ -48,9 +49,9 @@ class FileGatedBackend(SimulationBackend):
 
     ``gate_path`` is created by the test (in the parent process) when the
     held jobs should proceed; the polling loop runs inside the shard
-    worker.  ``touch_dir`` records one file per started execution, so the
-    test can wait until a job is genuinely *running* on a shard before
-    killing that shard.  With ``error`` set, a released execution raises
+    worker.  ``touch_dir`` records a ``started-<pid>`` file per shard
+    process that started an execution, so the test can wait until a job is
+    genuinely *running* and then pick that shard to kill or stop.  With ``error`` set, a released execution raises
     ``ValueError(error)`` instead of returning.
     """
 
@@ -63,7 +64,7 @@ class FileGatedBackend(SimulationBackend):
 
     def execute(self, job):
         if self.touch_dir is not None:
-            marker = Path(self.touch_dir) / f"started-{job.job_hash()[:16]}"
+            marker = Path(self.touch_dir) / f"started-{os.getpid()}"
             marker.touch()
         deadline = time.monotonic() + self.timeout
         while not Path(self.gate_path).exists():

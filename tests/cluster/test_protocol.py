@@ -1,12 +1,46 @@
 """MessageChannel framing: round-trips, EOF, corruption, thread-safety."""
 
+import pickle
 import socket
+import sys
 import threading
+import types
 
 import pytest
 
-from repro.cluster import MAX_FRAME_BYTES, MessageChannel, ProtocolError, channel_pair
+from repro.cluster import (
+    MAX_FRAME_BYTES,
+    MessageChannel,
+    ProtocolError,
+    ShardHandle,
+    channel_pair,
+)
 from repro.cluster.protocol import _HEADER, pack_frame
+
+
+def _pickle_of_a_class_the_receiver_lacks(module_name):
+    """A result frame whose outcome's class exists only while it is pickled:
+    ``module_name`` is a fake module (the receiver cannot import it) or a
+    real one that lacks the class (the receiver cannot find it)."""
+    fake = module_name not in sys.modules
+    module = types.ModuleType(module_name) if fake else sys.modules[module_name]
+    vanished = type("Vanished", (), {"__module__": module_name})
+    module.Vanished = vanished
+    if fake:
+        sys.modules[module_name] = module
+    try:
+        return pickle.dumps({"kind": "result", "seq": 1, "outcome": vanished()})
+    finally:
+        del module.Vanished
+        if fake:
+            del sys.modules[module_name]
+
+
+UNDECODABLE = {
+    "garbage": b"this is not a pickle",
+    "missing module": _pickle_of_a_class_the_receiver_lacks("repro_sender_only"),
+    "missing class": _pickle_of_a_class_the_receiver_lacks("repro.cluster.protocol"),
+}
 
 
 class TestPackFrame:
@@ -104,6 +138,41 @@ class TestMessageChannel:
         finally:
             channel.close()
             child_sock.close()
+
+    @pytest.mark.parametrize("payload", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+    def test_undecodable_payload_rejected(self, payload):
+        parent_sock, child_sock = socket.socketpair()
+        channel = MessageChannel(parent_sock)
+        try:
+            child_sock.sendall(pack_frame(payload))
+            with pytest.raises(ProtocolError, match="undecodable frame"):
+                channel.recv()
+        finally:
+            channel.close()
+            child_sock.close()
+
+    @pytest.mark.parametrize("payload", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+    def test_undecodable_frame_disconnects_the_parent_reader(self, payload):
+        """The parent's reader ends on the frame as on EOF, so the supervisor
+        recovers the shard at once instead of after the heartbeat timeout."""
+        messages, lost = [], []
+        handle = ShardHandle(
+            0,
+            cache_dir=None,
+            worker_threads=1,
+            on_message=lambda _handle, message: messages.append(message),
+            on_disconnect=lost.append,
+        )
+        handle.channel, shard_end = channel_pair()
+        try:
+            shard_end.send({"kind": "pong", "shard": 0})
+            shard_end._sock.sendall(pack_frame(payload))
+            handle._reader_loop()  # returns once the reader gives up
+            assert [message["kind"] for message in messages] == ["pong"]
+            assert handle.disconnected and lost == [handle]
+        finally:
+            handle.channel.close()
+            shard_end.close()
 
     def test_concurrent_senders_never_interleave(self):
         """Frames from many threads arrive whole (the send lock works)."""

@@ -19,7 +19,7 @@ the fuzz suite: ``REPRO_FUZZ_SEED`` reproduces a failure exactly).
 import threading
 import time
 
-from cluster_helpers import release, wait_for
+from cluster_helpers import release, started_handle, wait_for
 
 from repro.cluster import ClusterConfig, ClusterService
 from repro.runtime import SimJob
@@ -79,12 +79,7 @@ class TestReplaySoak:
                 job = SimJob(workload=event.workload, backend=backend.name)
                 tickets.append(cluster.submit(job, client_name="soak"))
 
-            wait_for(
-                lambda: any(tmp_path.glob("started-*")),
-                message="a shard to start executing",
-            )
-            victim_index = cluster.router.shard_for(tickets[0].job_hash)
-            victim = cluster._handles[victim_index]
+            victim = started_handle(cluster, tmp_path)
             victim.process.kill()
             wait_for(
                 lambda: cluster.restarts >= 1,

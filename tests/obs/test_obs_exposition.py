@@ -98,8 +98,8 @@ def cluster_snapshot():
         "restarts": 1,
         "shard_count": 2,
         "shards": [
-            {"shard": 0, "alive": True, "pid": 11, "queue_depth": 1},
-            {"shard": 1, "alive": False, "pid": 12, "queue_depth": 0},
+            {"shard": 0, "alive": True, "pid": 11},
+            {"shard": 1, "alive": False, "pid": 12},
         ],
     }
 
@@ -163,8 +163,6 @@ class TestSnapshotFamilies:
         assert "repro_worker_executed_total" not in families  # keyed by shard
         alive = {s.labels["shard"]: s.value for s in families["repro_shard_alive"].samples}
         assert alive == {"0": 1, "1": 0}
-        depth = families["repro_shard_queue_depth"].samples
-        assert {s.labels["shard"]: s.value for s in depth} == {"0": 1, "1": 0}
 
     def test_cluster_latency_is_the_parents_histogram(self):
         """The parent times every job from admission to settle: its one

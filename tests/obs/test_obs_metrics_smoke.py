@@ -86,7 +86,7 @@ def test_two_shard_cluster_scrape(tmp_path):
         cache_dir=cache_root, config=_config(), journal=journal_path
     )
     try:
-        assert cluster.stats.recovered == 4
+        assert cluster.counters.recovered == 4
         assert cluster.wait_idle(timeout=60), "recovered backlog never drained"
         with MetricsServer(snapshot_fn=cluster.snapshot) as server:
             with urllib.request.urlopen(f"{server.url}/metrics", timeout=10) as resp:
@@ -100,7 +100,7 @@ def test_two_shard_cluster_scrape(tmp_path):
     assert "repro_journal_recovered_total 4" in (
         families["repro_journal_recovered_total"]["samples"]
     )
-    # Per-shard liveness and executed counts (from pong-frame snapshots).
+    # Per-shard liveness and executed counts (the parent's own counts).
     alive = families["repro_shard_alive"]["samples"]
     assert 'repro_shard_alive{shard="0"} 1' in alive
     assert 'repro_shard_alive{shard="1"} 1' in alive

@@ -195,7 +195,7 @@ class TestWorkerNormalization:
             sharded.simulate_many(make_jobs()[1:])
             cluster = sharded._cluster
             assert cluster.snapshot()["shard_count"] == 2 and cluster.cache is None
-            assert cluster.stats.executed == 3 == sharded.stats.executed - 1
+            assert cluster.counters.executed == 3 == sharded.stats.executed - 1
         assert cluster.closed
 
     def test_sharded_warm_runs_start_no_cluster(self, monkeypatch, tmp_path):

@@ -141,7 +141,7 @@ class TestAdmission:
         h.core.replayed[job.job_hash()] = journaled
         h.cache.put(job.job_hash(), cached)
         ticket = h.admit(job)
-        assert ticket.cache_hit and ticket.shard == -1
+        assert ticket.cache_hit
         assert ticket.result(0) is journaled and journaled.cache_hit is True
         assert h.cache.lookups == 0  # the journal answered first
         assert (h.core.stats.journal_hits, h.core.stats.cache_hits) == (1, 0)
@@ -514,17 +514,19 @@ def _thread_service(cache_dir, seqs):
     )
 
 
-def _cluster_service(cache_dir, _seqs):
+def _cluster_service(cache_dir, seqs):
     config = ClusterConfig(
         shards=1, heartbeat_interval=0.1, ready_timeout=15.0, shutdown_timeout=30.0
     )
-    return ClusterService(cache_dir=cache_dir, config=config)
+    return ClusterService(
+        cache_dir=cache_dir, config=config, on_event=lambda event: seqs.append(event.seq)
+    )
 
 
 @pytest.fixture(params=[_thread_service, _cluster_service], ids=["serve", "cluster"])
 def front_door(request, tmp_path):
-    """``(service, backend, seqs)``: ``seqs`` collects the thread service's
-    event sequence numbers (the cluster has no ``on_event``)."""
+    """``(service, backend, seqs)``: ``seqs`` collects the service's event
+    sequence numbers (its ``on_event``)."""
     # Registered before the service starts so a forked shard inherits it.
     backend = FileGatedBackend(
         f"contract-{next(_COUNTER)}", tmp_path / "gate", fail_tag=3
@@ -617,7 +619,6 @@ class TestTransportContract:
         ``close``: one simulation per distinct job, every ticket resolves,
         the identity holds, and the race ends in a ticket or the typed error."""
         service, backend, seqs = front_door
-        in_process = isinstance(service, ServiceClient)
         Path(backend.gate_path).touch()
         jobs = [_job(100 + tag, backend.name) for tag in range(20)]
         snapshots, unexpected, tickets, racing = [], [], [], []
@@ -695,5 +696,4 @@ class TestTransportContract:
         assert snapshots
         assert all(identity_holds(s, s["inflight"]) for s in snapshots)
         assert sum(service.snapshot()["executed_by"].values()) == 20
-        if in_process:
-            assert seqs == list(range(len(seqs)))
+        assert seqs == list(range(len(seqs)))

@@ -295,15 +295,19 @@ class TestServe:
 
     def test_serve_on_shards_reports_the_parents_counts(self, capsys):
         """``--shards 2``: the stream runs on two shard processes, and the
-        stats line and the summary read the parent's snapshot."""
+        stats line, the summary and the ``--events`` stream read the parent."""
         argv = [
             "serve", "gemm:8x8x8", "gemm:16x16x16", "--repeat", "3", "--shards", "2",
             "--no-cache", "--progress-interval", "1000", "--stats-interval", "60",
+            "--events",
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "stats: queue=0 inflight=0 submitted=6" in out and "shards=2/2" in out
         assert "6 submitted" in out and "shards 2, restarts 0" in out
+        lines = out.splitlines()
+        assert sum("] submitted " in line for line in lines) == 6
+        assert sum("] finished " in line for line in lines) >= 2  # two unique jobs
 
     def test_serve_rejects_bad_spec_and_bad_backend(self, capsys):
         assert main(["serve", "gemm:banana", "--no-cache"]) == 2

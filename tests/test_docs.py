@@ -251,7 +251,7 @@ class TestCoverageOfDocsTree:
             "repro_journal_recovered_total",
             "repro_shard_executed_total",
             "repro_build_info",
-            "shard_routed",
+            "dispatched",
             "write_back",
             "Perfetto",
             "Dashboard walkthrough",
@@ -330,7 +330,7 @@ class TestCoverageOfDocsTree:
         text = (DOCS / "SERVE.md").read_text(encoding="utf-8")
         for needle in (
             "Sharding across processes",
-            "ShardRouter",
+            "Dispatch",
             "ShardFailedError",
             "requeue",
             "journal",
