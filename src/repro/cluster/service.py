@@ -37,7 +37,7 @@ import itertools
 import sys
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -211,7 +211,7 @@ class ClusterService(ServiceClient):
         contents = self.journal.resume()
         with self._lock:
             self._core.replayed.update(
-                (key, outcome)
+                (key, replace(outcome, cache_hit=True))
                 for key, outcome in contents.completed.items()
                 if outcome is not None
             )
@@ -318,7 +318,8 @@ class ClusterService(ServiceClient):
                     entry.key, outcome if self.cache is None else None
                 )
                 if self.cache is None:
-                    self._core.replayed[entry.key] = outcome
+                    # A hit gets a flagged copy: ``outcome`` is its caller's.
+                    self._core.replayed[entry.key] = replace(outcome, cache_hit=True)
         return outcome
 
     # ------------------------------------------------------------------

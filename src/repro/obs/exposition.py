@@ -159,6 +159,16 @@ def cache_families(cache_stats: Dict[str, object]) -> List[MetricFamily]:
             "On-disk size of the result cache.",
             int(cache_stats.get("size_bytes", 0)),
         ),
+        _gauge(
+            "repro_result_cache_held_entries",
+            "Result-cache entries held in this process's memory.",
+            int(cache_stats.get("held_entries", 0)),
+        ),
+        _gauge(
+            "repro_result_cache_held_bytes",
+            "Pickle bytes of the result-cache entries held in memory.",
+            int(cache_stats.get("held_bytes", 0)),
+        ),
         _counter(
             "repro_result_cache_lookup_hits_total",
             "Counted ResultCache.get hits of this process.",

@@ -266,7 +266,8 @@ class AdmissionCore:
         self._event_seq = 0
         #: The in-flight coalescing map: job hash -> the one live entry.
         self.inflight: Dict[str, Entry] = {}
-        #: Journal-replayed completions, probed before the cache.
+        #: Journal-replayed completions, probed before the cache: copies
+        #: flagged ``cache_hit``, never an executing caller's own outcome.
         self.replayed: Dict[str, SimOutcome] = {}
         #: Admission-to-settle latency of executed jobs.
         self.latency = Histogram(
@@ -346,9 +347,7 @@ class AdmissionCore:
         # control.  Cache entries are small pickles; the expensive side
         # (the write-back) happens on the executor.
         hit, kind = self.replayed.get(key), "journal_hit"
-        if hit is not None:
-            hit.cache_hit = True
-        elif self.cache is not None:
+        if hit is None and self.cache is not None:
             hit, kind = self.cache.get(key), "cache_hit"
         if hit is not None:
             self.stats.inc("submitted")

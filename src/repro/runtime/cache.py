@@ -13,6 +13,14 @@ the job hash as the filename, so:
 The cache stores :class:`~repro.runtime.outcome.SimOutcome` records via
 pickle.  Unreadable entries (corrupt files, entries written by incompatible
 code) are treated as misses and removed.
+
+Each ``ResultCache`` also holds, in memory, the pickles it wrote or read
+(least recently served first out past :data:`HELD_BYTES`).  A held entry is
+served while one ``os.stat`` shows its file is still the one held — same
+inode, same size, the mtime this cache last set — so a hit on a hot key
+costs a stat and the recency touch instead of an open and an unpickle, and
+a file another process deleted, pruned, rewrote or touched is read from disk
+again.
 """
 
 from __future__ import annotations
@@ -20,7 +28,10 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+import threading
+import time
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -32,6 +43,9 @@ from .outcome import SimOutcome
 #: itself lives in :mod:`repro.config`; the name is re-exported here for
 #: backwards compatibility).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: Pickle bytes one cache holds in memory, summed over its held entries.
+HELD_BYTES = 16 << 20
 
 
 def default_cache_dir() -> Path:
@@ -59,6 +73,11 @@ class ResultCache:
         self._dirname = str(self.directory)
         self.hits = 0
         self.misses = 0
+        #: The in-memory tier: key -> entry, least recently served first.
+        self._held: "OrderedDict[str, _Held]" = OrderedDict()
+        self._held_bytes = 0
+        #: Admission probes race the executors' write-backs.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
@@ -95,31 +114,84 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[SimOutcome]:
-        """Return the cached outcome for ``key``, or ``None`` on a miss."""
+        """Return the cached outcome for ``key``, or ``None`` on a miss.
+
+        Every hit on one held entry returns the same object (flagged
+        ``cache_hit``), decoded once; it is never the object a caller put.
+        """
         path = os.path.join(self._dirname, key + ".pkl")
+        with self._lock:
+            outcome = self._get_held(key, path)
+            if outcome is None:
+                outcome = self._read(key, path)
+            if outcome is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+            return outcome
+
+    def _get_held(self, key: str, path: str) -> Optional[SimOutcome]:
+        """The held outcome of ``key`` if its file is still the one held."""
+        held = self._held.get(key)
+        if held is None:
+            return None
+        try:
+            stat = os.stat(path)
+        except OSError:
+            stat = None
+        if stat is None or (stat.st_ino, stat.st_size, stat.st_mtime_ns) != (
+            held.inode,
+            len(held.data),
+            held.mtime_ns,
+        ):
+            self._release(key)
+            return None
+        self._held.move_to_end(key)
+        if held.outcome is None:
+            held.outcome = pickle.loads(held.data)
+            held.outcome.cache_hit = True
+        held.mtime_ns = _touch(path, held.mtime_ns)
+        return held.outcome
+
+    def _read(self, key: str, path: str) -> Optional[SimOutcome]:
+        """Decode ``key``'s file and hold it; any failure to decode (a cut
+        file, a pickle naming a module this build lacks) removes the entry."""
         try:
             with open(path, "rb") as handle:
-                outcome = pickle.load(handle)
+                stat = os.fstat(handle.fileno())
+                data = handle.read()
         except FileNotFoundError:
-            self.misses += 1
             return None
-        except (OSError, EOFError, pickle.UnpicklingError, AttributeError, TypeError):
+        except OSError:
+            data = b""
+        try:
+            outcome = pickle.loads(data)
+        except Exception:  # noqa: BLE001 — any decode failure is a miss
             outcome = None
         if not isinstance(outcome, SimOutcome):
-            # Corrupt or incompatible entry: drop it and report a miss.
             self.path_for(key).unlink(missing_ok=True)
-            self.misses += 1
             return None
         outcome.cache_hit = True
-        self.hits += 1
-        # Touch the entry so prune()'s LRU-by-mtime ordering reflects *use*,
-        # not just creation (best-effort: a losing race with a concurrent
-        # prune only skips the touch).
-        try:
-            os.utime(path)
-        except OSError:
-            pass
+        self._hold(
+            key, _Held(data, stat.st_ino, _touch(path, stat.st_mtime_ns), outcome)
+        )
         return outcome
+
+    def _hold(self, key: str, held: "_Held") -> None:
+        """Hold ``held`` as ``key``'s entry, then evict down to the bound."""
+        self._release(key)
+        if len(held.data) > HELD_BYTES:
+            return
+        self._held[key] = held
+        self._held_bytes += len(held.data)
+        while self._held_bytes > HELD_BYTES:
+            _, evicted = self._held.popitem(last=False)
+            self._held_bytes -= len(evicted.data)
+
+    def _release(self, key: str) -> None:
+        held = self._held.pop(key, None)
+        if held is not None:
+            self._held_bytes -= len(held.data)
 
     def put(self, key: str, outcome: SimOutcome) -> None:
         """Store ``outcome`` under ``key`` (atomic replace).
@@ -131,24 +203,32 @@ class ResultCache:
         directory deleted underneath us (an external ``rm -rf`` between
         construction and write-back) is recreated and the write retried
         once rather than failing the simulation's result delivery.
+
+        The pickle is held in memory too; ``outcome`` itself is not.
         """
+        data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
         for attempt in (0, 1):
             try:
-                self._put_once(key, outcome)
-                return
+                stat = self._put_once(key, data)
+                break
             except FileNotFoundError:
                 if attempt:
                     raise
                 self.directory.mkdir(parents=True, exist_ok=True)
+        with self._lock:
+            self._hold(key, _Held(data, stat.st_ino, stat.st_mtime_ns))
 
-    def _put_once(self, key: str, outcome: SimOutcome) -> None:
+    def _put_once(self, key: str, data: bytes) -> os.stat_result:
+        """Write ``data`` as ``key``'s file; return the file's stat."""
         path = self.path_for(key)
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{key[:16]}-", suffix=".tmp", dir=str(self.directory)
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(outcome, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(data)
+                handle.flush()
+                stat = os.fstat(fd)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -156,6 +236,7 @@ class ResultCache:
             except OSError:
                 pass
             raise
+        return stat
 
     def prune(
         self,
@@ -197,6 +278,8 @@ class ResultCache:
         ):
             _mtime, path, size = entries.pop(0)
             path.unlink(missing_ok=True)
+            with self._lock:
+                self._release(path.stem)
             removed += 1
             bytes_freed += size
             total_bytes -= size
@@ -217,18 +300,25 @@ class ResultCache:
         for path in self.directory.glob("*.pkl"):
             path.unlink(missing_ok=True)
             removed += 1
+        with self._lock:
+            self._held.clear()
+            self._held_bytes = 0
         return removed
 
     def stats(self) -> dict:
-        """Counters plus entry count and size, from one directory pass."""
+        """Counters, entry count and size from one directory pass, and what
+        the in-memory tier holds."""
         sizes = list(self._entry_sizes())
-        return {
-            "directory": self._dirname,
-            "entries": len(sizes),
-            "size_bytes": sum(sizes),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
+        with self._lock:
+            return {
+                "directory": self._dirname,
+                "entries": len(sizes),
+                "size_bytes": sum(sizes),
+                "hits": self.hits,
+                "misses": self.misses,
+                "held_entries": len(self._held),
+                "held_bytes": self._held_bytes,
+            }
 
     def register_metrics(self, registry=None) -> None:
         """Expose this cache through an obs registry (idempotent).
@@ -244,6 +334,29 @@ class ResultCache:
 
         target = registry if registry is not None else get_registry()
         target.add_callback("repro_result_cache", lambda: cache_families(self.stats()))
+
+
+@dataclass
+class _Held:
+    """One entry of the in-memory tier: the pickle this cache wrote or read,
+    which file that is, and the outcome decoded from it once served."""
+
+    data: bytes
+    inode: int
+    mtime_ns: int
+    outcome: Optional[SimOutcome] = None
+
+
+def _touch(path: str, mtime_ns: int) -> int:
+    """Set ``path``'s mtime to now, so prune()'s LRU-by-mtime order reflects
+    *use*; return the mtime the file now has (``mtime_ns`` when the touch
+    failed — a losing race with a concurrent prune only skips it)."""
+    now = time.time_ns()
+    try:
+        os.utime(path, ns=(now, now))
+    except OSError:
+        return mtime_ns
+    return now
 
 
 @dataclass(frozen=True)

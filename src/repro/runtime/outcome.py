@@ -33,7 +33,13 @@ def _job_provenance(job: SimJob) -> Dict[str, Any]:
 
 @dataclass
 class SimOutcome:
-    """Result of one simulation job, uniform across backends."""
+    """Result of one simulation job, uniform across backends.
+
+    Outcomes are shared read-only: every coalesced waiter of one execution
+    receives the same object, and so does every hit on one held
+    :class:`~repro.runtime.cache.ResultCache` entry (flagged
+    ``cache_hit``) — never the object the executing caller got.
+    """
 
     job_hash: str
     backend: str

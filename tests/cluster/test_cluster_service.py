@@ -444,6 +444,22 @@ class TestJournalRecovery:
         finally:
             second.close()
 
+    def test_journal_hit_leaves_the_executed_outcome_unflagged(
+        self, tmp_path, instant_backend, make_job
+    ):
+        """Cache-less cluster: a duplicate served from the journal gets a
+        flagged copy; the executing caller's outcome still reads executed."""
+        job = make_job(instant_backend.name)
+        with ClusterService(
+            config=_fast_config(shards=1), journal=tmp_path / "serve.jsonl"
+        ) as cluster:
+            first = cluster.run([job])[0]
+            ticket = cluster.submit(job)
+            duplicate = ticket.result(timeout=30)
+            assert ticket.cache_hit and cluster.counters.journal_hits == 1
+            assert duplicate.cache_hit and duplicate is not first
+            assert not first.cache_hit
+
     def test_fresh_journal_is_started_when_absent(
         self, tmp_path, instant_backend, make_job
     ):

@@ -193,6 +193,25 @@ class TestSnapshotFamilies:
         assert families["repro_result_cache_entries"].samples[0].value == 7
         assert families["repro_result_cache_lookup_misses_total"].samples[0].value == 2
 
+    def test_held_tier_becomes_two_gauges(self, tmp_path):
+        from repro.obs.exposition import cache_families
+        from repro.runtime import ResultCache, SimJob, SimOutcome
+        from repro.workloads import GemmWorkload
+
+        cache = ResultCache(tmp_path)
+        job = SimJob(
+            workload=GemmWorkload(name="held", m=8, n=8, k=8),
+            backend="baseline:feather",
+        )
+        cache.put(job.job_hash(), SimOutcome.analytic(job, 0.5, 64))
+        stats = cache.stats()
+        families = {f.name: f for f in cache_families(stats)}
+        assert families["repro_result_cache_held_entries"].kind == "gauge"
+        assert families["repro_result_cache_held_entries"].samples[0].value == 1
+        held_bytes = families["repro_result_cache_held_bytes"].samples[0].value
+        assert held_bytes == stats["size_bytes"] > 0
+        parse_exposition(render(families.values()))
+
     def test_missing_optional_keys_tolerated(self):
         families = snapshot_families({"submitted": 1})
         text = render(families)

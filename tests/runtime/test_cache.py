@@ -1,12 +1,15 @@
 """Tests for the on-disk content-addressed result cache."""
 
 import errno
+import os
 import pickle
+import sys
 import warnings
 
 import pytest
 
-from repro.runtime import ResultCache, SimJob, Simulator
+from repro.runtime import ResultCache, SimJob, SimOutcome, Simulator
+from repro.runtime import cache as cache_module
 from repro.serve import ServiceClient
 from repro.system import datamaestro_evaluation_system
 from repro.workloads import GemmWorkload
@@ -105,6 +108,16 @@ class TestResultCache:
         key = SimJob(workload=GEMM).job_hash()
         cache.path_for(key).write_bytes(pickle.dumps({"not": "an outcome"}))
         assert cache.get(key) is None
+
+    def test_entry_naming_a_missing_module_is_a_miss_and_removed(self, tmp_path):
+        """A pickle from another build (another numpy, a renamed module)
+        must read as a miss, not raise out of admission."""
+        cache = ResultCache(tmp_path)
+        key = SimJob(workload=GEMM).job_hash()
+        cache.path_for(key).write_bytes(b"\x80\x04cnumpz\nndarray\n.")
+        assert cache.get(key) is None
+        assert key not in cache
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_clear_and_stats(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -263,6 +276,167 @@ class TestConcurrentWriters:
         shutil.rmtree(cache.directory)  # external rm -rf mid-flight
         cache.put(job.job_hash(), outcome)  # recreated + retried, not raised
         assert cache.get(job.job_hash()) is not None
+
+
+def _analytic(index):
+    job = SimJob(workload=GEMM, seed=index, backend="baseline:feather")
+    outcome = SimOutcome.analytic(job, utilization=0.5, ideal_compute_cycles=64)
+    return job.job_hash(), outcome
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Paths the cache module opens from here on."""
+    paths = []
+
+    def spy(path, *args, **kwargs):
+        paths.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "open", spy, raising=False)
+    return paths
+
+
+class TestHeldTier:
+    """The in-memory tier: a hot key is served from memory while its file is
+    still the one this cache holds, and from disk as soon as it is not."""
+
+    def test_repeat_get_opens_no_file_and_shares_one_object(self, tmp_path, opened):
+        cache = ResultCache(tmp_path)
+        job = SimJob(workload=GEMM)
+        executed = Simulator(cache=cache).simulate(job)
+        opened.clear()  # the miss before the run looked on disk
+        first, second = cache.get(job.job_hash()), cache.get(job.job_hash())
+        assert opened == []
+        assert first is second and first.cache_hit
+        assert first is not executed and not executed.cache_hit
+        assert first.as_dict() == {**executed.as_dict(), "cache_hit": True}
+
+    def test_disk_hit_is_held(self, tmp_path, opened):
+        key, outcome = _analytic(0)
+        ResultCache(tmp_path).put(key, outcome)
+        cache = ResultCache(tmp_path)
+        first = cache.get(key)
+        assert len(opened) == 1
+        assert cache.get(key) is first and len(opened) == 1
+
+    def test_a_memory_hit_refreshes_recency(self, tmp_path, opened):
+        cache = ResultCache(tmp_path)
+        pairs = [_analytic(index) for index in range(3)]
+        for pair in pairs:
+            cache.put(*pair)
+        assert cache.get(pairs[0][0]) is not None
+        assert opened == []  # served from memory, and touched
+        cache.prune(max_entries=1)
+        assert pairs[0][0] in cache
+
+    def test_file_deleted_through_another_cache_is_a_counted_miss(self, tmp_path):
+        cache, other = ResultCache(tmp_path), ResultCache(tmp_path)
+        key, outcome = _analytic(0)
+        cache.put(key, outcome)
+        assert cache.get(key) is not None
+        assert other.clear() == 1
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    @pytest.mark.parametrize("change", ["rewrite", "touch", "truncate"])
+    def test_a_changed_file_is_read_from_disk(self, tmp_path, opened, change):
+        cache, other = ResultCache(tmp_path), ResultCache(tmp_path)
+        key, outcome = _analytic(0)
+        cache.put(key, outcome)
+        held = cache.get(key)
+        path = cache.path_for(key)
+        if change == "rewrite":
+            other.put(key, outcome)
+        elif change == "touch":
+            os.utime(path)
+        else:
+            os.truncate(path, path.stat().st_size // 2)
+        served = cache.get(key)
+        assert opened == [str(path)]
+        if change == "truncate":
+            assert served is None and key not in cache
+        else:
+            assert served is not held and served == held
+
+    def test_clear_and_prune_empty_the_tier(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        keys = []
+        for index in range(3):
+            key, outcome = _analytic(index)
+            cache.put(key, outcome)
+            keys.append(key)
+        assert cache.stats()["held_entries"] == 3
+        cache.prune(max_entries=1)
+        stats = cache.stats()
+        assert (stats["entries"], stats["held_entries"]) == (1, 1)
+        assert stats["held_bytes"] == stats["size_bytes"]
+        assert cache.clear() == 1
+        stats = cache.stats()
+        assert (stats["held_entries"], stats["held_bytes"]) == (0, 0)
+
+    def test_held_bytes_stay_bounded_and_the_oldest_goes_first(
+        self, tmp_path, opened, monkeypatch
+    ):
+        cache = ResultCache(tmp_path)
+        pairs = [_analytic(index) for index in range(5)]
+        size = len(pickle.dumps(pairs[0][1], protocol=pickle.HIGHEST_PROTOCOL))
+        bound = 2 * size + size // 2  # room for two entries
+        monkeypatch.setattr(cache_module, "HELD_BYTES", bound)
+        keys = [key for key, _ in pairs]
+        cache.put(*pairs[0])
+        cache.put(*pairs[1])
+        cache.get(keys[0])  # keys[0] is now the most recently served
+        for pair in pairs[2:]:
+            cache.put(*pair)
+            assert 0 < cache.stats()["held_bytes"] <= bound
+        assert opened == []
+        assert cache.stats()["held_entries"] == 2
+        cache.get(keys[4]), cache.get(keys[3])
+        assert opened == []  # the two newest are held
+        cache.get(keys[0])
+        assert opened == [str(cache.path_for(keys[0]))]
+
+    def test_an_entry_larger_than_the_bound_is_not_held(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "HELD_BYTES", 16)
+        cache = ResultCache(tmp_path)
+        cache.put(*_analytic(0))
+        assert cache.stats()["held_entries"] == 0
+
+    def test_threads_interleaving_put_and_get(self, tmp_path, monkeypatch):
+        import threading
+
+        pairs = [_analytic(index) for index in range(6)]
+        size = len(pickle.dumps(pairs[0][1], protocol=pickle.HIGHEST_PROTOCOL))
+        monkeypatch.setattr(cache_module, "HELD_BYTES", 3 * size)  # evicts too
+        cache = ResultCache(tmp_path)
+        rounds, errors = 60, []
+
+        def work(offset):
+            try:
+                for step in range(rounds):
+                    key, outcome = pairs[(offset + step) % len(pairs)]
+                    if step % 3 == 0:
+                        cache.put(key, outcome)
+                    served = cache.get(pairs[(offset * 5 + step) % len(pairs)][0])
+                    assert served is None or served.cache_hit
+            except BaseException as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the counters' updates
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.hits + cache.misses == 8 * rounds
+        assert cache.stats()["held_bytes"] <= 3 * size
 
 
 class FullDiskCache(ResultCache):
