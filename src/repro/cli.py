@@ -723,9 +723,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if metrics_port is not None:
         from .obs.http import MetricsServer
 
-        metrics_server = MetricsServer(
-            snapshot_fn=client.snapshot, port=metrics_port
-        ).start()
+        metrics_server = MetricsServer(client, port=metrics_port).start()
         print(
             f"metrics: {metrics_server.url}/metrics "
             f"(snapshot {metrics_server.url}/snapshot, "
@@ -875,8 +873,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     _check_port("--port", args.port)
     _require(args, "--duration")
     registry = get_registry()
-    # No service snapshot here, so the cache reports through the registry
-    # (a serving daemon instead carries cache stats inside its snapshot).
+    # No service here, so the cache reports through the registry (a
+    # serving daemon's ``collect()`` appends the same cache families).
     cache = ResultCache(_cache_dir(args))
     cache.register_metrics(registry)
     if args.once:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..obs.metrics import MetricFamily, Sample
 from ..obs.trace import get_tracer
 from ..runtime.admission import Entry, ServiceClosedError, ServiceEvent, Ticket
 from ..runtime.cache import ResultCache
@@ -168,6 +169,10 @@ class ClusterService(ServiceClient):
             on_shard_lost=self._redispatch_shard,
             on_shard_failed=self._fail_shard,
         )
+        self.metrics.gauge(
+            "repro_shard_count", "Configured shard processes.", lambda: len(self._handles)
+        )
+        self.metrics.add_callback("shards", self._shard_families)
         try:
             for index in range(self.config.shards):
                 self._handles.append(self._start_shard(index))
@@ -381,6 +386,26 @@ class ClusterService(ServiceClient):
     def restarts(self) -> int:
         """Shard restarts performed by the supervisor so far."""
         return self._supervisor.restarts
+
+    def _shard_families(self) -> List[MetricFamily]:
+        """The supervisor's rows: restarts and each shard's liveness."""
+        return [
+            MetricFamily(
+                "repro_shard_restarts_total",
+                "counter",
+                "Shard restarts performed by the supervisor.",
+                (Sample(value=self.restarts),),
+            ),
+            MetricFamily(
+                "repro_shard_alive",
+                "gauge",
+                "Liveness of each shard process (1 = alive).",
+                tuple(
+                    Sample(labels={"shard": handle.index}, value=int(handle.alive()))
+                    for handle in self._handles
+                ),
+            ),
+        ]
 
     def stats_dict(self) -> Dict[str, object]:
         """The service counters plus the supervisor's ``restarts``."""

@@ -7,14 +7,14 @@ every stage exports rates, depths and health to a central monitor):
 
 * :mod:`repro.obs.metrics` — thread-safe :class:`Counter` /
   :class:`Gauge` / :class:`Histogram` primitives and the
-  :class:`MetricsRegistry`; service stats are backed by per-service
-  registries while :func:`get_registry` holds the process-wide metrics
-  (build info, engine macro counters, exploration counters, cache
-  callbacks);
+  :class:`MetricsRegistry`; each service keeps its metrics in its own
+  registry (``service.metrics``: ``service.collect()`` is its ``/metrics``
+  rows and ``service.snapshot()`` a JSON view of the same objects; the
+  cluster parent counts every shard's jobs) while :func:`get_registry`
+  holds the process-wide metrics (build info, engine macro counters,
+  exploration counters, cache callbacks);
 * :mod:`repro.obs.exposition` — the Prometheus text renderer and the
-  snapshot→families mapper that turns
-  ``ServiceClient.snapshot()`` / ``ClusterService.snapshot()``
-  (the cluster parent counts every shard's jobs) into ``/metrics`` rows;
+  result-cache families;
 * :mod:`repro.obs.http` — the stdlib-only :class:`MetricsServer`
   (``/metrics``, ``/snapshot``, ``/config``, ``/healthz``, dashboard);
   **disabled by default**, enabled by ``repro serve --metrics-port N``,
@@ -41,7 +41,7 @@ from .metrics import (
     Sample,
     get_registry,
 )
-from .exposition import CONTENT_TYPE, render, snapshot_families
+from .exposition import CONTENT_TYPE, render
 from .http import MetricsServer
 from .trace import (
     TraceEvent,
@@ -67,6 +67,5 @@ __all__ = [
     "get_tracer",
     "install_tracer",
     "render",
-    "snapshot_families",
     "uninstall_tracer",
 ]

@@ -4,13 +4,12 @@
 thread per scrape — concurrent Prometheus scrapers and dashboard polls
 never serialize behind each other) and serves:
 
-* ``/metrics`` — Prometheus text exposition: the union of the live
-  service snapshot (mapped through
-  :func:`~repro.obs.exposition.snapshot_families`; in cluster mode the
-  parent's snapshot already counts every shard's jobs) and the
-  process-wide registry (:func:`~repro.obs.metrics.get_registry`);
-* ``/snapshot`` — the raw snapshot dict as JSON (what the dashboard and
-  ``--stats-format json`` share);
+* ``/metrics`` — Prometheus text exposition: the service's own registry
+  (``service.collect()``, one consistent cut; in cluster mode the parent
+  counts every shard's jobs) followed by the process-wide registry
+  (:func:`~repro.obs.metrics.get_registry`);
+* ``/snapshot`` — ``service.snapshot()`` as JSON, a view of the same
+  metric objects (what the dashboard and ``--stats-format json`` share);
 * ``/config`` — :class:`~repro.config.RuntimeConfig` defaults vs runtime
   values, each field flagged ``overridden`` (the defaults-vs-runtime
   split of SNIPPETS Snippet 1, as JSON instead of a widget);
@@ -30,10 +29,10 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from .dashboard import DASHBOARD_HTML
-from .exposition import CONTENT_TYPE, render, snapshot_families
+from .exposition import CONTENT_TYPE, render
 from .metrics import MetricsRegistry, get_registry
 
 __all__ = ["MetricsServer"]
@@ -44,10 +43,11 @@ class MetricsServer:
 
     Parameters
     ----------
-    snapshot_fn:
-        Zero-argument callable returning the live snapshot dict
-        (``client.snapshot`` / ``cluster.snapshot``).  ``None`` serves
-        registry families only and 404s ``/snapshot``.
+    service:
+        The live service (a ``ServiceClient`` or ``ClusterService``):
+        ``/metrics`` renders its ``collect()``, ``/snapshot`` its
+        ``snapshot()``.  ``None`` serves registry families only and 404s
+        ``/snapshot``.
     registry:
         Extra metrics collected into ``/metrics`` (default: the
         process-wide registry).
@@ -57,12 +57,12 @@ class MetricsServer:
 
     def __init__(
         self,
-        snapshot_fn: Optional[Callable[[], Dict[str, object]]] = None,
+        service=None,
         registry: Optional[MetricsRegistry] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self.snapshot_fn = snapshot_fn
+        self.service = service
         self.registry = registry if registry is not None else get_registry()
         self.host = host
         self.requested_port = port
@@ -111,11 +111,11 @@ class MetricsServer:
 
     # ------------------------------------------------------------------
     def render_metrics(self) -> str:
-        """The current exposition body (snapshot families + registry)."""
+        """The current exposition body (service families + registry)."""
         families = []
-        if self.snapshot_fn is not None:
+        if self.service is not None:
             try:
-                families.extend(snapshot_families(self.snapshot_fn()))
+                families.extend(self.service.collect())
             except Exception:  # noqa: BLE001 — a closing service must not 500 the scrape
                 pass
         families.extend(self.registry.collect())
@@ -153,10 +153,10 @@ class MetricsServer:
                             200, CONTENT_TYPE, server.render_metrics().encode("utf-8")
                         )
                     elif path == "/snapshot":
-                        if server.snapshot_fn is None:
+                        if server.service is None:
                             self._json({"error": "no snapshot source"}, status=404)
                         else:
-                            self._json(server.snapshot_fn())
+                            self._json(server.service.snapshot())
                     elif path == "/config":
                         self._json(server._config_report())
                     elif path in ("/", "/dashboard"):

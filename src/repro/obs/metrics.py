@@ -2,7 +2,7 @@
 
 This is the substrate of the ``repro.obs`` telemetry layer: three
 Prometheus-shaped primitives — :class:`Counter` (monotonic),
-:class:`Gauge` (instantaneous, optionally callback-backed) and
+:class:`Gauge` (instantaneous, read from a callback) and
 :class:`Histogram` (fixed cumulative bounds with in-bucket quantile
 interpolation) — plus the :class:`MetricsRegistry` that names, stores and
 collects them.
@@ -12,13 +12,14 @@ Two registry scopes exist by design:
 * **per-service registries** — every
   :class:`~repro.serve.client.ServiceClient` /
   :class:`~repro.cluster.service.ClusterService` owns its own registry
-  (its :class:`~repro.runtime.admission.Stats` counters are backed by
-  it), so parallel services in one process (the test suite runs dozens)
-  never merge counts;
+  (``service.metrics``): the admission counters, macro totals, latency
+  histogram and per-executor rows of its core, and the shell's gauges.
+  Parallel services in one process (the test suite runs dozens) never
+  merge counts, and ``service.snapshot()`` reads the same objects;
 * **the process-wide registry** (:func:`get_registry`) — build info,
   engine counters, exploration counters and result-cache callbacks;
   anything that is genuinely one-per-process registers here and the HTTP
-  exporter unions it with the live service snapshot.
+  exporter renders it after the service's ``collect()``.
 
 Every mutation takes the metric's lock; ``observe``/``inc`` are a few
 hundred nanoseconds, cheap enough for the service's completion path.
@@ -31,7 +32,7 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "Counter",
@@ -84,7 +85,7 @@ class Sample:
     value: Union[int, float] = 0
 
     def __post_init__(self) -> None:
-        # Labels arrive from snapshots with arbitrary value types; pin
+        # Labels arrive with arbitrary value types (shard indexes); pin
         # them to strings once so rendering and tests see one shape.
         object.__setattr__(
             self, "labels", {str(k): str(v) for k, v in self.labels.items()}
@@ -138,42 +139,23 @@ class Counter:
 
 
 class Gauge:
-    """Instantaneous value; settable, or backed by a callback function."""
+    """Instantaneous value, read from a callback on every collect."""
 
     kind = "gauge"
 
     def __init__(
-        self,
-        name: str,
-        help: str = "",
-        fn: Optional[Callable[[], Union[int, float]]] = None,
+        self, name: str, help: str, fn: Callable[[], Union[int, float]]
     ) -> None:
         self.name = _check_name(name)
         self.help = help
         self.fn = fn
-        self._lock = threading.Lock()
-        self._value: Union[int, float] = 0
-
-    def set(self, value: Union[int, float]) -> None:
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> Union[int, float]:
-        if self.fn is not None:
-            try:
-                return self.fn()
-            except Exception:  # noqa: BLE001 — a dead callback reads as 0
-                return 0
-        return self._value
+        try:
+            return self.fn()
+        except Exception:  # noqa: BLE001 — a dead callback reads as 0
+            return 0
 
     def family(self) -> MetricFamily:
         return MetricFamily(self.name, self.kind, self.help, (Sample(value=self.value),))
@@ -270,26 +252,6 @@ class Histogram:
             lower = bound
         return self.bounds[-1]  # everything landed in the overflow bucket
 
-    def merge_dict(self, summary: Dict[str, object]) -> None:
-        """Fold another histogram's :meth:`as_dict` into this one.
-
-        Used by the exporter to turn a snapshot's latency summary back
-        into a family; a summary with mismatched bucket rows is ignored
-        rather than corrupting the aggregate.
-        """
-        buckets = summary.get("buckets")
-        if not isinstance(buckets, list) or len(buckets) != len(self.counts):
-            return
-        with self._lock:
-            for slot, row in enumerate(buckets):
-                self.counts[slot] += int(row.get("count", 0))
-            self.count += int(summary.get("count", 0))
-            sum_seconds = summary.get(
-                "sum_seconds",
-                float(summary.get("mean_seconds", 0.0)) * int(summary.get("count", 0)),
-            )
-            self.total_seconds += float(sum_seconds)
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "count": self.count,
@@ -358,15 +320,9 @@ class MetricsRegistry:
         return self._get_or_create(name, "counter", lambda: Counter(name, help))
 
     def gauge(
-        self,
-        name: str,
-        help: str = "",
-        fn: Optional[Callable[[], Union[int, float]]] = None,
+        self, name: str, help: str, fn: Callable[[], Union[int, float]]
     ) -> Gauge:
-        gauge = self._get_or_create(name, "gauge", lambda: Gauge(name, help, fn))
-        if fn is not None and gauge.fn is None:
-            gauge.fn = fn
-        return gauge
+        return self._get_or_create(name, "gauge", lambda: Gauge(name, help, fn))
 
     def histogram(
         self,
@@ -377,15 +333,6 @@ class MetricsRegistry:
         return self._get_or_create(
             name, "histogram", lambda: Histogram(bounds, name=name, help=help)
         )
-
-    def register(self, metric: _Metric) -> _Metric:
-        """Adopt an externally constructed primitive under its own name."""
-        with self._lock:
-            existing = self._metrics.get(metric.name)
-            if existing is not None and existing is not metric:
-                raise ValueError(f"metric {metric.name!r} already registered")
-            self._metrics[metric.name] = metric
-            return metric
 
     def add_callback(
         self, name: str, fn: Callable[[], Iterable[MetricFamily]]
@@ -406,22 +353,6 @@ class MetricsRegistry:
             except Exception:  # noqa: BLE001 — one bad producer must not kill the scrape
                 continue
         return families
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat name → value summary (histograms expand to their dict)."""
-        with self._lock:
-            metrics = list(self._metrics.values())
-        summary: Dict[str, object] = {}
-        for metric in metrics:
-            if isinstance(metric, Histogram):
-                summary[metric.name] = metric.as_dict()
-            else:
-                summary[metric.name] = metric.value
-        return summary
-
-    def names(self) -> Sequence[str]:
-        with self._lock:
-            return list(self._metrics)
 
 
 # ----------------------------------------------------------------------

@@ -53,8 +53,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
-from ..obs.exposition import SERVICE_COUNTERS
-from ..obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram, MetricsRegistry
+from ..obs.metrics import MetricFamily, MetricsRegistry, Sample
 from ..obs.trace import get_tracer
 from .cache import ResultCache
 from .job import SimJob
@@ -64,6 +63,7 @@ __all__ = [
     "AdmissionCore",
     "EVENT_KINDS",
     "Entry",
+    "SERVICE_COUNTERS",
     "ServiceClosedError",
     "ServiceEvent",
     "Stats",
@@ -124,18 +124,46 @@ class ServiceEvent:
         return " ".join(parts)
 
 
+#: The service counter table — the one definition of every admission
+#: counter: ``(stats attribute, exposition name, help, scope)``.  ``common``
+#: rows exist on both transports, ``thread`` rows only on the in-process
+#: service, ``cluster`` rows only on the sharded one.  :class:`Stats`
+#: builds its counters from this table into the registry ``/metrics``
+#: renders, so a counter cannot be counted under one name and scraped
+#: under another.
+SERVICE_COUNTERS = (
+    ("submitted", "repro_submitted_total", "Jobs submitted to the service.", "common"),
+    ("coalesced", "repro_coalesced_total", "Submissions that rode an identical in-flight job.", "common"),
+    ("cache_hits", "repro_cache_hits_total", "Submissions resolved from the result cache.", "common"),
+    ("journal_hits", "repro_journal_hits_total", "Submissions served from journal-replayed completions.", "cluster"),
+    ("executed", "repro_executed_total", "Jobs actually simulated by a backend.", "common"),
+    ("failed", "repro_failed_total", "Jobs whose backend raised.", "common"),
+    ("rejected", "repro_rejected_total", "Submissions bounced by the admission queue.", "thread"),
+    ("cancelled", "repro_cancelled_total", "Admitted jobs abandoned unsettled by a non-draining close.", "common"),
+    ("requeued", "repro_requeued_total", "In-flight jobs redispatched after a shard crash.", "cluster"),
+    ("recovered", "repro_journal_recovered_total", "Unfinished journal entries replayed at startup.", "cluster"),
+)
+
+#: The ``executed_by`` family of each transport: ``(name, label, help)``.
+_EXECUTED_BY_FAMILIES = {
+    "thread": ("repro_worker_executed_total", "worker", "Jobs completed per worker slot."),
+    "cluster": ("repro_shard_executed_total", "shard", "Jobs executed per shard."),
+}
+
+
 class Stats:
     """Counters of one core (monotonic).
 
-    The ``common`` rows of :data:`~repro.obs.exposition.SERVICE_COUNTERS`
-    plus those of ``transport`` (``"thread"`` / ``"cluster"``; any other
-    name, such as ``Simulator``'s, carries the common rows only), each a
+    The ``common`` rows of :data:`SERVICE_COUNTERS` plus those of
+    ``transport`` (``"thread"`` / ``"cluster"``; any other name, such as
+    ``Simulator``'s, carries the common rows only), each a
     :class:`~repro.obs.metrics.Counter` in a per-instance registry (so
     parallel services in one process never merge counts).  Reads are plain
     ints — ``stats.executed``; writes go through :meth:`inc`.
     """
 
     def __init__(self, transport: str) -> None:
+        self.transport = transport
         self.registry = MetricsRegistry()
         self._counters = {
             attr: self.registry.counter(name, help)
@@ -269,18 +297,36 @@ class AdmissionCore:
         #: Journal-replayed completions, probed before the cache: copies
         #: flagged ``cache_hit``, never an executing caller's own outcome.
         self.replayed: Dict[str, SimOutcome] = {}
+        registry = stats.registry
         #: Admission-to-settle latency of executed jobs.
-        self.latency = Histogram(
-            DEFAULT_LATENCY_BOUNDS,
-            name="repro_latency_seconds",
-            help="Admission-to-completion latency of executed jobs.",
+        self.latency = registry.histogram(
+            "repro_latency_seconds", "Admission-to-completion latency of executed jobs."
         )
-        stats.registry.register(self.latency)
+        #: Macro-step engine totals summed over executed outcomes.
+        self.macro_jumps = registry.counter(
+            "repro_macro_jumps_total", "Steady-span macro jumps taken by the event engine."
+        )
+        self.macro_cycles_skipped = registry.counter(
+            "repro_macro_cycles_skipped_total",
+            "Cycles bulk-advanced by the macro-step fast path.",
+        )
         #: Executed jobs per executor: a worker slot or a shard index — skew
         #: here means unfair pop order or a pinned executor.
         self.executed_by: "Counter[int]" = Counter()
-        #: Macro-step engine totals summed over executed outcomes.
-        self.macro: Dict[str, int] = {"jumps": 0, "cycles_skipped": 0}
+        family = _EXECUTED_BY_FAMILIES.get(stats.transport)
+        if family is not None:
+            registry.add_callback("executed_by", lambda: self._executed_by_family(*family))
+
+    def _executed_by_family(self, name: str, label: str, help: str) -> List[MetricFamily]:
+        """``executed_by`` as one labelled counter family (none before the
+        first execution)."""
+        if not self.executed_by:
+            return []
+        samples = (
+            Sample(labels={label: executor}, value=count)
+            for executor, count in sorted(self.executed_by.items())
+        )
+        return [MetricFamily(name, "counter", help, tuple(samples))]
 
     def announce(
         self, kind: str, entry: Entry, client: Optional[str] = None, **extra
@@ -409,8 +455,8 @@ class AdmissionCore:
             self.executed_by[entry.executor] += 1
             macro = outcome.metrics.get("macro_stats")
             if isinstance(macro, dict):
-                for name in self.macro:
-                    self.macro[name] += int(macro.get(name, 0))
+                self.macro_jumps.inc(int(macro.get("jumps", 0)))
+                self.macro_cycles_skipped.inc(int(macro.get("cycles_skipped", 0)))
         self.announce("finished", entry, waiters=entry.waiters)
         return entry
 
@@ -439,7 +485,8 @@ class AdmissionCore:
     def snapshot(self, queue_depth: int) -> Dict[str, object]:
         """The one ops-snapshot shape: ``queue_depth`` (the shell's count
         of entries no executor has picked up), ``inflight``, every counter
-        and hit rate, ``executed_by``, ``latency`` and ``macro``.
+        and hit rate, ``executed_by``, ``latency`` and ``macro`` — read off
+        the metric objects ``/metrics`` renders.
 
         Taken under the shell's lock it is one consistent cut: the
         accounting identity holds on it.
@@ -450,5 +497,8 @@ class AdmissionCore:
             **self.stats.as_dict(),
             "executed_by": dict(self.executed_by),
             "latency": self.latency.as_dict(),
-            "macro": dict(self.macro),
+            "macro": {
+                "jumps": self.macro_jumps.value,
+                "cycles_skipped": self.macro_cycles_skipped.value,
+            },
         }

@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from ..obs.exposition import cache_families
+from ..obs.metrics import MetricFamily
 from ..obs.trace import get_tracer
 from ..runtime.admission import (
     AdmissionCore,
@@ -126,8 +128,10 @@ class ServiceClient:
         self.config = config or ServiceConfig()
         #: The service's counters (``stats()`` returns them as a dict).
         self.counters = Stats(self._transport)
-        #: The per-service metrics registry behind :attr:`counters` and the
-        #: latency histogram; gauges and per-worker rows are the snapshot's.
+        #: The per-service metrics registry: :attr:`counters`, the core's
+        #: latency, macro totals and per-executor rows, and the shell's
+        #: gauges.  :meth:`collect` renders it; :meth:`snapshot` reads the
+        #: same objects.
         self.metrics = self.counters.registry
         #: Serialises the core and the queue.  Re-entrant so an ``on_event``
         #: callback (which runs under it) may read ``snapshot()``.
@@ -137,6 +141,27 @@ class ServiceClient:
         self._core = AdmissionCore(self.counters, cache, on_event)
         self._queue: FairQueue[Entry] = FairQueue(
             self.config.max_backlog, on_depth=self._on_queue_depth
+        )
+        gauge = self.metrics.gauge
+        gauge(
+            "repro_queue_depth",
+            "Jobs admitted but not yet picked up by a worker.",
+            lambda: len(self._queue),
+        )
+        gauge(
+            "repro_inflight",
+            "Unique jobs between admission and completion.",
+            lambda: len(self._core.inflight),
+        )
+        gauge(
+            "repro_coalescing_hit_rate",
+            "Fraction of submissions served by riding an in-flight duplicate.",
+            lambda: self.counters.coalescing_hit_rate,
+        )
+        gauge(
+            "repro_cache_hit_rate",
+            "Fraction of submissions resolved from the cache (or journal).",
+            lambda: self.counters.cache_hit_rate,
         )
         #: Set by :meth:`close`; read-only for callers.
         self.closed = False
@@ -281,6 +306,17 @@ class ServiceClient:
             summary = self._core.snapshot(len(self._queue))
         summary["cache"] = self.cache.stats() if self.cache is not None else None
         return summary
+
+    def collect(self) -> List[MetricFamily]:
+        """The ``/metrics`` families of :attr:`metrics`: collected under the
+        lock, so one scrape is one consistent cut as :meth:`snapshot` is,
+        plus the cache's families from a directory pass made after the
+        lock is released."""
+        with self._lock:
+            families = self.metrics.collect()
+        if self.cache is not None:
+            families.extend(cache_families(self.cache.stats()))
+        return families
 
     # ------------------------------------------------------------------
     # Workers.

@@ -1,11 +1,11 @@
-"""Tests for Prometheus text rendering and snapshot → family mapping."""
+"""Tests for Prometheus text rendering of registries and live services."""
 
 import re
 
 import pytest
 
-from repro.obs.exposition import CONTENT_TYPE, render, snapshot_families
-from repro.obs.metrics import Histogram, MetricFamily, MetricsRegistry, Sample
+from repro.obs.exposition import CONTENT_TYPE, cache_families, render
+from repro.obs.metrics import MetricFamily, MetricsRegistry, Sample
 
 # Exposition-format grammar (format 0.0.4): a scrape is HELP/TYPE comment
 # lines plus sample lines `name{labels} value`.
@@ -49,81 +49,50 @@ def parse_exposition(text):
     return families
 
 
-def thread_snapshot(**overrides):
-    hist = Histogram((0.1, 1.0), name="repro_latency_seconds")
-    hist.observe(0.5)
-    snapshot = {
-        "submitted": 5,
-        "executed": 3,
-        "coalesced": 1,
-        "cache_hits": 1,
-        "failed": 0,
-        "rejected": 2,
-        "cancelled": 0,
-        "coalescing_hit_rate": 0.2,
-        "cache_hit_rate": 0.2,
-        "queue_depth": 4,
-        "inflight": 2,
-        "executed_by": {"0": 2, "1": 1},
-        "latency": hist.as_dict(),
-        "macro": {"jumps": 2, "cycles_skipped": 1000},
-        "cache": {"entries": 7, "size_bytes": 99, "hits": 1, "misses": 2},
-    }
-    snapshot.update(overrides)
-    return snapshot
+def _job(backend, tag=0):
+    from repro.runtime import SimJob
+    from repro.workloads import GemmWorkload
 
-
-def cluster_snapshot():
-    """The parent's snapshot: the core's shape plus the shard rows."""
-    hist = Histogram((0.1, 1.0), name="repro_latency_seconds")
-    hist.observe(0.05)
-    hist.observe(0.5)
-    return {
-        "submitted": 9,
-        "executed": 5,
-        "coalesced": 1,
-        "cache_hits": 0,
-        "journal_hits": 2,
-        "failed": 0,
-        "cancelled": 0,
-        "requeued": 1,
-        "recovered": 3,
-        "coalescing_hit_rate": 0.1,
-        "cache_hit_rate": 0.0,
-        "queue_depth": 1,
-        "inflight": 1,
-        "executed_by": {0: 4, 1: 1},
-        "latency": hist.as_dict(),
-        "macro": {"jumps": 2, "cycles_skipped": 20},
-        "restarts": 1,
-        "shard_count": 2,
-        "shards": [
-            {"shard": 0, "alive": True, "pid": 11},
-            {"shard": 1, "alive": False, "pid": 12},
-        ],
-    }
+    return SimJob(
+        workload=GemmWorkload(name=f"expo_{tag}", m=8, n=8, k=8),
+        backend=backend.name,
+        seed=tag,
+    )
 
 
 class TestRender:
     def test_content_type_pins_exposition_version(self):
         assert "version=0.0.4" in CONTENT_TYPE
 
-    def test_every_line_of_thread_scrape_parses(self):
-        text = render(snapshot_families(thread_snapshot()))
-        families = parse_exposition(text)
-        assert families["repro_submitted_total"]["type"] == "counter"
-        assert "repro_submitted_total 5" in families["repro_submitted_total"]["samples"]
-        assert "repro_queue_depth 4" in families["repro_queue_depth"]["samples"]
+    def test_every_line_of_thread_scrape_parses(self, stub_backend):
+        from repro.serve import ServiceClient
 
-    def test_every_line_of_cluster_scrape_parses(self):
-        text = render(snapshot_families(cluster_snapshot()))
-        families = parse_exposition(text)
-        assert 'repro_shard_executed_total{shard="0"} 4' in (
+        backend = stub_backend()
+        with ServiceClient(cache_dir=None) as client:
+            client.run([_job(backend, 1), _job(backend, 1), _job(backend, 2)])
+            families = parse_exposition(render(client.collect()))
+        assert families["repro_submitted_total"]["type"] == "counter"
+        assert "repro_submitted_total 3" in families["repro_submitted_total"]["samples"]
+        assert "repro_executed_total 2" in families["repro_executed_total"]["samples"]
+        assert "repro_queue_depth 0" in families["repro_queue_depth"]["samples"]
+        assert "repro_journal_hits_total" not in families  # cluster-only
+
+    def test_every_line_of_cluster_scrape_parses(self, stub_backend):
+        from repro.cluster import ClusterConfig, ClusterService
+
+        backend = stub_backend()  # registered pre-fork: the shard inherits it
+        with ClusterService(cache_dir=None, config=ClusterConfig(shards=1)) as cluster:
+            cluster.run([_job(backend, 1), _job(backend, 2)])
+            families = parse_exposition(render(cluster.collect()))
+        assert 'repro_shard_executed_total{shard="0"} 2' in (
             families["repro_shard_executed_total"]["samples"]
         )
-        assert "repro_journal_recovered_total 3" in (
+        assert 'repro_shard_alive{shard="0"} 1' in families["repro_shard_alive"]["samples"]
+        assert "repro_journal_recovered_total 0" in (
             families["repro_journal_recovered_total"]["samples"]
         )
+        assert "repro_rejected_total" not in families  # thread-only
+        assert "repro_worker_executed_total" not in families  # keyed by shard
 
     def test_label_values_escaped(self):
         family = MetricFamily(
@@ -139,62 +108,15 @@ class TestRender:
     def test_registry_collect_renders(self):
         registry = MetricsRegistry()
         registry.counter("repro_x_total", "x").inc(3)
-        registry.gauge("repro_depth", "d").set(2)
+        registry.gauge("repro_depth", "d", lambda: 2)
         hist = registry.histogram("repro_latency_seconds", "lat", bounds=(0.1, 1.0))
         hist.observe(0.5)
         families = parse_exposition(render(registry.collect()))
         assert families["repro_latency_seconds"]["type"] == "histogram"
 
 
-class TestSnapshotFamilies:
-    def test_thread_shape_counters(self):
-        families = {f.name: f for f in snapshot_families(thread_snapshot())}
-        assert families["repro_executed_total"].samples[0].value == 3
-        assert families["repro_rejected_total"].samples[0].value == 2
-        assert "repro_journal_hits_total" not in families  # cluster-only
-        workers = families["repro_worker_executed_total"].samples
-        assert {s.labels["worker"]: s.value for s in workers} == {"0": 2, "1": 1}
-
-    def test_cluster_shape_counters_and_shards(self):
-        families = {f.name: f for f in snapshot_families(cluster_snapshot())}
-        assert families["repro_journal_hits_total"].samples[0].value == 2
-        assert families["repro_shard_restarts_total"].samples[0].value == 1
-        assert "repro_rejected_total" not in families  # thread-only
-        assert "repro_worker_executed_total" not in families  # keyed by shard
-        alive = {s.labels["shard"]: s.value for s in families["repro_shard_alive"].samples}
-        assert alive == {"0": 1, "1": 0}
-
-    def test_cluster_latency_is_the_parents_histogram(self):
-        """The parent times every job from admission to settle: its one
-        histogram is the family, nothing is merged."""
-        families = {f.name: f for f in snapshot_families(cluster_snapshot())}
-        samples = families["repro_latency_seconds"].samples
-        count = next(s.value for s in samples if s.suffix == "_count")
-        assert count == 2
-        buckets = [s.value for s in samples if s.suffix == "_bucket"]
-        assert buckets == [1, 2, 2]  # <= 0.1, <= 1.0, +Inf
-
-    def test_cluster_macro_totals_summed(self):
-        """The core sums each executed outcome's macro stats as it settles;
-        the families carry the totals."""
-        families = {f.name: f for f in snapshot_families(cluster_snapshot())}
-        assert families["repro_macro_jumps_total"].samples[0].value == 2
-        assert families["repro_macro_cycles_skipped_total"].samples[0].value == 20
-
-    def test_histogram_buckets_cumulative_monotone(self):
-        families = snapshot_families(thread_snapshot())
-        latency = next(f for f in families if f.name == "repro_latency_seconds")
-        buckets = [s.value for s in latency.samples if s.suffix == "_bucket"]
-        assert buckets == sorted(buckets)
-        assert buckets[-1] == 1
-
-    def test_cache_stats_become_result_cache_families(self):
-        families = {f.name: f for f in snapshot_families(thread_snapshot())}
-        assert families["repro_result_cache_entries"].samples[0].value == 7
-        assert families["repro_result_cache_lookup_misses_total"].samples[0].value == 2
-
+class TestCacheFamilies:
     def test_held_tier_becomes_two_gauges(self, tmp_path):
-        from repro.obs.exposition import cache_families
         from repro.runtime import ResultCache, SimJob, SimOutcome
         from repro.workloads import GemmWorkload
 
@@ -211,28 +133,3 @@ class TestSnapshotFamilies:
         held_bytes = families["repro_result_cache_held_bytes"].samples[0].value
         assert held_bytes == stats["size_bytes"] > 0
         parse_exposition(render(families.values()))
-
-    def test_missing_optional_keys_tolerated(self):
-        families = snapshot_families({"submitted": 1})
-        text = render(families)
-        parse_exposition(text)
-        assert "repro_submitted_total 1" in text
-
-    def test_real_service_snapshot_renders(self, stub_backend):
-        from repro.runtime import SimJob
-        from repro.serve import ServiceClient
-        from repro.workloads import GemmWorkload
-
-        backend = stub_backend()
-        client = ServiceClient(cache_dir=None)
-        try:
-            job = SimJob(
-                workload=GemmWorkload(name="expo_gemm", m=8, n=8, k=8),
-                backend=backend.name,
-            )
-            client.submit(job).result(timeout=10)
-            snapshot = client.snapshot()
-        finally:
-            client.close(drain=True)
-        families = parse_exposition(render(snapshot_families(snapshot)))
-        assert "repro_executed_total 1" in families["repro_executed_total"]["samples"]

@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro.obs.http import MetricsServer
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricFamily, MetricsRegistry, Sample
 
 from test_obs_exposition import parse_exposition
 
@@ -16,6 +16,22 @@ from test_obs_exposition import parse_exposition
 def fetch(url, timeout=5):
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.status, response.headers.get("Content-Type"), response.read()
+
+
+class FakeService:
+    """The two calls the exporter makes of a service."""
+
+    def __init__(self, snapshot):
+        self._snapshot = snapshot
+
+    def collect(self):
+        return [
+            MetricFamily(f"repro_{key}_total", "counter", "", (Sample(value=value),))
+            for key, value in self._snapshot.items()
+        ]
+
+    def snapshot(self):
+        return self._snapshot
 
 
 @pytest.fixture
@@ -36,7 +52,7 @@ class TestMetricsServer:
 
     def test_snapshot_endpoint_serves_snapshot_json(self, registry):
         snapshot = {"submitted": 3, "queue_depth": 1}
-        with MetricsServer(snapshot_fn=lambda: snapshot, registry=registry) as server:
+        with MetricsServer(FakeService(snapshot), registry=registry) as server:
             status, content_type, body = fetch(f"{server.url}/snapshot")
         assert status == 200
         assert "application/json" in content_type
@@ -48,12 +64,12 @@ class TestMetricsServer:
                 fetch(f"{server.url}/snapshot")
             assert excinfo.value.code == 404
 
-    def test_snapshot_families_merged_into_metrics(self, registry):
-        snapshot = {"submitted": 9, "executed": 4}
-        with MetricsServer(snapshot_fn=lambda: snapshot, registry=registry) as server:
+    def test_service_families_merged_into_metrics(self, registry):
+        service = FakeService({"submitted": 9, "executed": 4})
+        with MetricsServer(service, registry=registry) as server:
             _, _, body = fetch(f"{server.url}/metrics")
         families = parse_exposition(body.decode("utf-8"))
-        # Union of snapshot-derived counters and registry families.
+        # The service's families, then the registry's.
         assert "repro_submitted_total 9" in families["repro_submitted_total"]["samples"]
         assert "repro_test_total 7" in families["repro_test_total"]["samples"]
 
@@ -89,20 +105,20 @@ class TestMetricsServer:
                 fetch(f"{server.url}/nope")
             assert excinfo.value.code == 404
 
-    def test_raising_snapshot_fn_does_not_kill_metrics(self, registry):
-        def boom():
-            raise RuntimeError("snapshot source died")
+    def test_raising_service_does_not_kill_metrics(self, registry):
+        class Closing(FakeService):
+            def collect(self):
+                raise RuntimeError("service source died")
 
-        with MetricsServer(snapshot_fn=boom, registry=registry) as server:
+        with MetricsServer(Closing({}), registry=registry) as server:
             status, _, body = fetch(f"{server.url}/metrics")
         assert status == 200
         assert b"repro_test_total" in body
 
     def test_concurrent_scrapes(self, registry):
-        snapshot = {"submitted": 1}
         results = []
         errors = []
-        with MetricsServer(snapshot_fn=lambda: snapshot, registry=registry) as server:
+        with MetricsServer(FakeService({"submitted": 1}), registry=registry) as server:
 
             def scrape():
                 try:

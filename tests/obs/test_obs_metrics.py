@@ -59,13 +59,6 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge("repro_depth", "d")
-        gauge.set(10)
-        gauge.inc(2)
-        gauge.dec(5)
-        assert gauge.value == 7
-
     def test_callback_gauge_reads_live_value(self):
         box = {"value": 3}
         gauge = Gauge("repro_depth", "d", fn=lambda: box["value"])
@@ -131,15 +124,6 @@ class TestHistogram:
         hist.observe(4.0)
         assert hist.mean == pytest.approx(3.0)
 
-    def test_as_dict_roundtrips_through_merge_dict(self):
-        hist = Histogram((0.1, 1.0), name="repro_latency_seconds")
-        hist.observe(0.05)
-        hist.observe(0.5)
-        other = Histogram((0.1, 1.0), name="repro_latency_seconds")
-        other.merge_dict(hist.as_dict())
-        assert other == hist
-        assert other.count == 2
-
     def test_family_buckets_are_cumulative_with_inf(self):
         hist = Histogram((0.1, 1.0), name="repro_latency_seconds")
         hist.observe(0.05)
@@ -164,16 +148,15 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("repro_x_total", "x")
         with pytest.raises(TypeError):
-            registry.gauge("repro_x_total", "x")
+            registry.gauge("repro_x_total", "x", lambda: 0)
 
     def test_collect_includes_callback_families(self):
         registry = MetricsRegistry()
         registry.counter("repro_x_total", "x").inc()
-        hist = Histogram((1.0,), name="repro_latency_seconds", help="lat")
-        registry.register(hist)
+        registry.histogram("repro_latency_seconds", "lat", bounds=(1.0,))
+        registry.add_callback("rows", lambda: [Counter("repro_rows_total", "r").family()])
         names = [family.name for family in registry.collect()]
-        assert "repro_x_total" in names
-        assert "repro_latency_seconds" in names
+        assert names == ["repro_x_total", "repro_latency_seconds", "repro_rows_total"]
 
     def test_raising_callback_is_skipped(self):
         registry = MetricsRegistry()

@@ -88,7 +88,7 @@ def test_two_shard_cluster_scrape(tmp_path):
     try:
         assert cluster.counters.recovered == 4
         assert cluster.wait_idle(timeout=60), "recovered backlog never drained"
-        with MetricsServer(snapshot_fn=cluster.snapshot) as server:
+        with MetricsServer(cluster) as server:
             with urllib.request.urlopen(f"{server.url}/metrics", timeout=10) as resp:
                 text = resp.read().decode("utf-8")
     finally:

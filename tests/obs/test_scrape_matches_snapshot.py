@@ -277,7 +277,7 @@ def _parse(text):
 
 def scrape(service):
     """One ``/metrics`` and one ``/snapshot`` over real HTTP."""
-    with MetricsServer(snapshot_fn=service.snapshot, registry=MetricsRegistry()) as server:
+    with MetricsServer(service, registry=MetricsRegistry()) as server:
         with urllib.request.urlopen(f"{server.url}/metrics", timeout=10) as response:
             metrics = response.read().decode("utf-8")
         with urllib.request.urlopen(f"{server.url}/snapshot", timeout=10) as response:

@@ -30,7 +30,13 @@ from repro.runtime import SimJob, SimOutcome, register_backend
 from repro.runtime.backends import SimulationBackend
 from repro.runtime import admission as core_module
 from repro.runtime.admission import AdmissionCore, Stats
-from repro.serve import ServiceClient, ServiceClosedError, ServiceConfig, ServiceEvent
+from repro.serve import (
+    QueueFullError,
+    ServiceClient,
+    ServiceClosedError,
+    ServiceConfig,
+    ServiceEvent,
+)
 from repro.workloads import GemmWorkload
 
 _COUNTER = itertools.count()
@@ -699,3 +705,72 @@ class TestTransportContract:
         assert all(identity_holds(s, s["inflight"]) for s in snapshots)
         assert sum(service.snapshot()["executed_by"].values()) == 20
         assert seqs == list(range(len(seqs)))
+
+    def test_every_scrape_is_a_consistent_cut(self, front_door):
+        """Four threads submit unique, duplicate and cached jobs while the
+        gate is shut and after it opens, and another thread calls
+        ``collect()`` throughout: the identity holds on every scrape."""
+        service, backend, seqs = front_door
+        gate = Path(backend.gate_path)
+        cached = [_job(200 + tag, backend.name) for tag in range(4)]
+        gate.touch()
+        service.run(cached, client_name="warm")
+        gate.unlink()  # from here new jobs pile up in flight
+        shared = [_job(300 + tag, backend.name) for tag in range(4)]
+        scrapes, tickets, unexpected = [], [], []
+        stop = threading.Event()
+
+        def scraper():
+            while not stop.is_set():
+                scrapes.append({f.name: f.samples[0].value for f in service.collect()})
+
+        def submitter(index):
+            rng = random.Random(index)
+            for step in range(40):
+                unique = _job(1000 * (index + 1) + step, backend.name)
+                job = rng.choice((unique, rng.choice(shared), rng.choice(cached)))
+                try:
+                    tickets.append(service.submit(job, client_name=f"t{index}"))
+                except QueueFullError:
+                    pass
+
+        def guarded(body, *args):
+            def target():
+                try:
+                    body(*args)
+                except BaseException as error:  # noqa: BLE001 — the assertion below
+                    unexpected.append(error)
+
+            return threading.Thread(target=target, daemon=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            watcher = guarded(scraper)
+            watcher.start()
+            threads = [guarded(submitter, index) for index in range(4)]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.05)
+            gate.touch()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "a submitter hung"
+            for ticket in tickets:
+                ticket.result(30)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        watcher.join(timeout=30)
+        assert unexpected == []
+        scrapes.append({f.name: f.samples[0].value for f in service.collect()})
+        assert len(scrapes) > 1
+
+        def holds(scrape):
+            counts = {t: scrape.get(f"repro_{t}_total", 0) for t in IDENTITY_TERMS}
+            counts["submitted"] = scrape["repro_submitted_total"]
+            return identity_holds(counts, scrape["repro_inflight"])
+
+        assert all(holds(scrape) for scrape in scrapes)
+        assert scrapes[-1]["repro_inflight"] == 0
+        assert scrapes[-1]["repro_submitted_total"] == 4 + 4 * 40

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.exposition import snapshot_families
 from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from repro.serve import ServiceClient, ServiceConfig
 
@@ -116,13 +115,13 @@ class TestStatsRegistryBacking:
         assert isinstance(stats.executed, int)
         assert stats.executed == 1
         assert stats.coalesced == 1
-        families = {f.name: f for f in client.metrics.collect()}
+        # Counters, latency, per-worker rows and gauges: one registry.
+        families = {f.name: f for f in client.collect()}
         assert families["repro_executed_total"].samples[0].value == 1
         assert families["repro_coalesced_total"].samples[0].value == 1
         assert "repro_latency_seconds" in families
-        # Per-worker rows are the snapshot's, as every other scraped row.
-        scraped = {f.name: f for f in snapshot_families(client.snapshot())}
-        workers = scraped["repro_worker_executed_total"].samples
+        assert families["repro_inflight"].samples[0].value == 0
+        workers = families["repro_worker_executed_total"].samples
         assert sum(s.value for s in workers) == 1
 
     def test_parallel_services_do_not_share_counters(self, stub_backend, make_job):

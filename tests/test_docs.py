@@ -258,21 +258,33 @@ class TestCoverageOfDocsTree:
         ):
             assert needle in text, f"OBSERVABILITY.md lost its {needle!r} coverage"
 
-    def test_observability_doc_metric_names_match_the_exporter(self):
-        """Every snapshot-derived family name must appear in the doc's
-        metric table — renaming a family without documenting it fails."""
-        from repro.obs import exposition
+    def test_observability_doc_metric_names_match_the_exporter(self, tmp_path):
+        """Every family a live thread service and a live 2-shard cluster
+        ``collect()`` must appear, spelled out, in the doc's metric table —
+        adding or renaming a family without documenting it fails."""
+        from repro.cluster import ClusterConfig, ClusterService
+        from repro.runtime import SimJob
+        from repro.serve import ServiceClient
+        from repro.workloads import GemmWorkload
 
+        # A baseline backend is analytic: an executed job fills every
+        # family, per-executor rows included.
+        job = SimJob(
+            workload=GemmWorkload(name="doc_gemm", m=8, n=8, k=8),
+            backend="baseline:feather",
+        )
+        names = set()
+        with ServiceClient(cache_dir=tmp_path / "thread") as client:
+            client.run([job])
+            names.update(family.name for family in client.collect())
+        with ClusterService(
+            cache_dir=tmp_path / "cluster", config=ClusterConfig(shards=2)
+        ) as cluster:
+            cluster.run([job])
+            names.update(family.name for family in cluster.collect())
+        assert {"repro_worker_executed_total", "repro_shard_alive"} <= names
         text = (DOCS / "OBSERVABILITY.md").read_text(encoding="utf-8")
-        names = [
-            name
-            for _, name, _ in (
-                exposition._COMMON_COUNTERS
-                + exposition._THREAD_ONLY_COUNTERS
-                + exposition._CLUSTER_ONLY_COUNTERS
-            )
-        ]
-        for name in names:
+        for name in sorted(names):
             assert name in text, f"{name} missing from the OBSERVABILITY.md table"
 
     def test_scenarios_doc_covers_the_promised_surface(self):
