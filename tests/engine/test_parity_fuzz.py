@@ -117,9 +117,27 @@ class _CheckedLockstep(LockstepEngine):
             cycles += 1
             for streamer in streamers:
                 design = streamer.design
+                # A streamer's channels issue together: the address and the
+                # credit are streamer-wide, so each port's granted + pending
+                # is the one issue cursor, and the stall count is shared.
+                cursor = {
+                    memory.requester_stats(c.requester_id)["granted"]
+                    + memory.pending_count(c.requester_id)
+                    for c in streamer.channels
+                }
+                assert len(cursor) <= 1, (streamer.name, cursor)
+                stalls = {c.credit_stall_cycles for c in streamer.channels}
+                assert len(stalls) <= 1, (streamer.name, stalls)
                 for channel in streamer.channels:
                     name = channel.requester_id
                     issued = channel.requests_issued
+                    if streamer.is_write:
+                        # A write word waits in every channel's data FIFO
+                        # from its push to the streamer's issue.
+                        assert (
+                            channel.data_fifo.occupancy
+                            == streamer.words_streamed - issued
+                        ), name
                     # The address FIFO: two counters, within its depth.
                     queued = streamer.bundles_generated - issued
                     assert 0 <= queued <= design.address_buffer_depth, name
