@@ -60,7 +60,7 @@ ENV_STRICT_BENCH = "REPRO_STRICT_BENCH"
 ENV_SERVE_SHARDS = "REPRO_SERVE_SHARDS"
 #: Directory for durable job journals (``repro serve --journal`` default).
 ENV_JOURNAL_DIR = "REPRO_JOURNAL_DIR"
-#: Directory where the benchmark JSON reports land (default: repo root).
+#: Directory where the benchmark JSON reports land (unset: a temporary directory).
 ENV_BENCH_OUT = "REPRO_BENCH_OUT"
 #: Default port of the serve telemetry endpoint (0 = exporter disabled).
 ENV_METRICS_PORT = "REPRO_METRICS_PORT"

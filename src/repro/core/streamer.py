@@ -17,22 +17,28 @@ memory has delivered the cycle's matured reads into the data FIFOs:
    :meth:`input_ready`/:meth:`push_input`;
 2. :meth:`generate_addresses` — the AGU produces at most one address bundle
    per cycle (gated by the prefetch mode);
-3. :meth:`issue_requests` — every channel's MIC issues at most one memory
-   request, subject to its Outstanding-Request-Manager credits.
+3. :meth:`issue_requests` — the streamer's MICs issue at most one word,
+   one memory request per active channel, subject to the Outstanding
+   Request Manager's credits.
 
-Three identities carry the word path; what they determine is computed, never
-stored or moved:
+A streamer's channels issue together: the address is the streamer's next
+bundle and the credit limit is streamer-wide, so the issue cursor
+``requests_issued`` is stored once, here, and so are the credit stalls and
+the address-FIFO high-water mark.  The channels diverge only from the grant
+on — each port's ``pending`` / ``granted`` / ``retries`` and each read
+channel's data-FIFO occupancy (:mod:`repro.core.channel`).  Three identities
+carry the word path; what they determine is computed, never stored or moved:
 
-* channel ``c``'s **address FIFO** holds ``bundles_generated -
-  requests_issued[c]`` entries, and they are rows of the decoded address
+* every channel's **address FIFO** holds ``bundles_generated -
+  requests_issued`` entries, and they are rows of the decoded address
   window (a pure function of the step index): generating a bundle advances
-  a counter, issuing builds the word's one
-  :class:`~repro.memory.subsystem.MemoryRequest` from its row;
+  a counter, issuing builds each channel's
+  :class:`~repro.memory.subsystem.MemoryRequest` from the row;
 * a read channel's **in-flight plus buffered** words are
-  ``requests_issued[c] - words_streamed`` (a streamer's channels pop
+  ``requests_issued - words_streamed`` (a streamer's channels pop
   together), so the credit rule, ``busy`` and the no-prefetch gate never
   look at a delivery;
-* a channel's **in-flight** requests are ``requests_issued[c] -
+* a channel's **in-flight** requests are ``requests_issued -
   port.delivered``: the memory fills the data FIFO itself and counts.
 
 A streamer whose cycle moved nothing repeats that cycle until the accelerator
@@ -69,6 +75,15 @@ from .remapper import AddressRemapper
 #: few hundred KB per streamer whatever the stream length.
 ADDRESS_WINDOW = 128
 
+#: The fields of a :meth:`DataMaestro.channel_statistics` row.
+CHANNEL_FIELDS = (
+    "requests_issued",
+    "responses_received",
+    "credit_stall_cycles",
+    "max_data_occupancy",
+    "max_addr_occupancy",
+)
+
 
 class DataMaestro:
     """One read-mode or write-mode DataMaestro streaming engine."""
@@ -98,6 +113,12 @@ class DataMaestro:
         self.channels: List[StreamChannel] = []
         self.words_streamed = 0
         self.bundles_generated = 0
+        #: Words issued so far — also the step of the next address to issue.
+        self.requests_issued = 0
+        self.credit_stall_cycles = 0
+        #: Sampled before each issue and by :meth:`channel_statistics` (the
+        #: address FIFO only grows between).
+        self.max_addr_occupancy = 0
         self._popped_this_cycle = False
         #: State changes this streamer made since :meth:`begin_cycle` (words
         #: popped or pushed, a bundle generated, requests issued); zero after
@@ -153,6 +174,9 @@ class DataMaestro:
         self._memory = None
         self.words_streamed = 0
         self.bundles_generated = 0
+        self.requests_issued = 0
+        self.credit_stall_cycles = 0
+        self.max_addr_occupancy = 0
         self._popped_this_cycle = False
         self.cycle_activity = 0
         self.parked = False
@@ -211,11 +235,13 @@ class DataMaestro:
         generated = self.bundles_generated
         if not self.agu.temporal.exhausted or generated != self.words_streamed:
             return True
-        # Every word addressed has been streamed; a write channel may still
-        # hold one it has not issued or await an acknowledgement.
-        return any(
-            channel.requests_issued != generated or channel.outstanding
-            for channel in self.channels
+        # Every word addressed has been streamed, so a read streamer has
+        # received them all; a write streamer may still hold one it has not
+        # issued or await a channel's acknowledgement.
+        issued = self.requests_issued
+        return self.is_write and (
+            issued != generated
+            or any(channel.port.delivered != issued for channel in self.channels)
         )
 
     @property
@@ -298,11 +324,12 @@ class DataMaestro:
     # ------------------------------------------------------------------
     def _prefetch_gate_open(self) -> bool:
         """Whether the AGU may produce the next bundle this cycle."""
-        # A channel that has issued no more than this has a full address FIFO.
-        full = self.bundles_generated - self.design.address_buffer_depth
-        for channel in self.channels:
-            if channel.requests_issued <= full:
-                return False
+        # Full address FIFOs: the bundles not yet issued fill their depth.
+        if (
+            self.bundles_generated - self.requests_issued
+            >= self.design.address_buffer_depth
+        ):
+            return False
         if self.prefetch_enabled or self.is_write:
             return True
         # Prefetch disabled (ablation baseline): behave like a plain data
@@ -335,15 +362,14 @@ class DataMaestro:
     # Phase 3: request issue.
     # ------------------------------------------------------------------
     def _refill_window(self) -> None:
-        """Decode :data:`ADDRESS_WINDOW` bundles from the slowest cursor on
-        (the cursors lie within one address-FIFO depth of each other, so the
-        window covers them all) — a short stream's whole stream, at once.
+        """Decode :data:`ADDRESS_WINDOW` bundles from the issue cursor on —
+        a short stream's whole stream, at once.
 
         ``configure`` proved every address of the stream lies inside the
         scratchpad it was decoded for, so every bank is below that
         scratchpad's bank count; only a memory with fewer banks needs the
         window's banks range-checked."""
-        step = min([channel.requests_issued for channel in self.channels])
+        step = self.requests_issued
         count = min(
             ADDRESS_WINDOW + self.design.address_buffer_depth,
             self.agu.total_bundles - step,
@@ -357,40 +383,33 @@ class DataMaestro:
         self._window = list(zip(banks.tolist(), lines.tolist()))
 
     def issue_requests(self, memory: MemorySubsystem) -> int:
-        """Let every active channel's MIC issue at most one request."""
+        """Issue at most one word: one request on every active channel.
+
+        The decision is the streamer's: its channels share the address and
+        the credit, so they issue together or not at all."""
         if self._memory is not memory:
             self.bind(memory)
+        step = self.requests_issued
         generated = self.bundles_generated
+        if step == generated:
+            return 0  # no address
         is_read = self.is_read
-        # ORM: ``requests_issued - words_streamed`` reads own a data-FIFO slot.
-        credit_limit = self.words_streamed + self.design.data_buffer_depth
-        window = self._window
-        start = self._window_start
-        issued = 0
+        if is_read:
+            # ORM: ``requests_issued - words_streamed`` reads own a slot.
+            if step >= self.words_streamed + self.design.data_buffer_depth:
+                self.credit_stall_cycles += 1
+                return 0
+        elif step == self.words_streamed:
+            return 0  # no data: every pushed word is issued
+        # The address FIFO only grows between two issues.
+        if generated - step > self.max_addr_occupancy:
+            self.max_addr_occupancy = generated - step
+        row = step - self._window_start
+        if not 0 <= row < len(self._window):
+            self._refill_window()
+            row = step - self._window_start
+        banks, lines = self._window[row]
         for column, channel in enumerate(self.channels):
-            step = channel.requests_issued
-            # A channel with no address (or, writing, no data) is idle.
-            if step == generated:
-                continue
-            if is_read:
-                if step >= credit_limit:
-                    channel.credit_stall_cycles += 1
-                    continue
-                data = None
-            elif channel.data_fifo.entries:
-                data = channel.data_fifo.pop()
-            else:
-                continue
-            # The address FIFO only grows between two issues of a channel.
-            if generated - step > channel.max_addr_occupancy:
-                channel.max_addr_occupancy = generated - step
-            row = step - start
-            if not 0 <= row < len(window):
-                self._refill_window()
-                window = self._window
-                start = self._window_start
-                row = step - start
-            banks, lines = window[row]
             port = channel.port
             if not port.registered:
                 memory.register(port)
@@ -401,14 +420,14 @@ class DataMaestro:
                     not is_read,
                     banks[column],
                     lines[column],
-                    data,
+                    None if is_read else channel.data_fifo.pop(),
                     None,
                     step,
                     port,
                 )
             )
-            channel.requests_issued = step + 1
-            issued += 1
+        self.requests_issued = step + 1
+        issued = len(self.channels)
         memory.pending_requests += issued
         self.cycle_activity += issued
         return issued
@@ -434,8 +453,8 @@ class DataMaestro:
     def next_event_cycle(self, now: int) -> Optional[int]:
         """Earliest cycle at which this streamer can act on its own.
 
-        ``now`` when the AGU can produce a bundle this cycle or any channel's
-        MIC can issue a request; ``None`` when the streamer is drained
+        ``now`` when the AGU can produce a bundle this cycle or the MICs can
+        issue a word; ``None`` when the streamer is drained
         ("all my addresses are generated") or blocked on the accelerator
         consuming/producing a word, which the accelerators report.
         """
@@ -443,41 +462,37 @@ class DataMaestro:
             return None
         if self.agu.remaining_bundles and self._prefetch_gate_open():
             return now
-        for channel in self.channels:
-            if self.can_issue(channel):
-                return now
-        return None
+        return now if self.can_issue() else None
 
-    def credit_stalled(self, channel: StreamChannel) -> bool:
-        """A read channel holding an address but no free data-FIFO slot: every
-        in-flight or buffered read owns one (the Outstanding Request Manager's
-        rule).  It counts one ``credit_stall_cycles`` per cycle."""
+    def credit_stalled(self) -> bool:
+        """A read streamer holding an address but no free data-FIFO slot:
+        every in-flight or buffered read owns one (the Outstanding Request
+        Manager's rule).  It counts one ``credit_stall_cycles`` per cycle."""
         return self.is_read and (
             self.words_streamed + self.design.data_buffer_depth
-            <= channel.requests_issued
+            <= self.requests_issued
             < self.bundles_generated
         )
 
-    def can_issue(self, channel: StreamChannel) -> bool:
-        """Whether the channel's MIC could issue a request this cycle; when
-        not, it waits on the AGU or on the accelerator (a pop frees a credit,
-        a push brings data)."""
-        if channel.requests_issued == self.bundles_generated:
+    def can_issue(self) -> bool:
+        """Whether the MICs could issue a word this cycle; when not, they
+        wait on the AGU or on the accelerator (a pop frees a credit, a push
+        brings data)."""
+        if self.requests_issued == self.bundles_generated:
             return False
         if self.is_read:
-            return not self.credit_stalled(channel)
-        return bool(channel.data_fifo.entries)
+            return not self.credit_stalled()
+        return self.requests_issued < self.words_streamed
 
     def advance(self, cycles: int) -> None:
-        """Bulk-apply ``cycles`` skipped cycles to the per-channel counters.
+        """Bulk-apply ``cycles`` skipped cycles to the streamer's counters.
 
         Mirrors what :meth:`issue_requests` would have recorded had it been
-        entered once per cycle across an inactive span: every credit-stalled
-        read channel counts a credit stall per cycle.
+        entered once per cycle across an inactive span: a credit-stalled
+        read streamer counts a credit stall per cycle.
         """
-        for channel in self.channels:
-            if self.credit_stalled(channel):
-                channel.credit_stall_cycles += cycles
+        if self.credit_stalled():
+            self.credit_stall_cycles += cycles
 
     # ------------------------------------------------------------------
     # Statistics.
@@ -487,9 +502,9 @@ class DataMaestro:
         self.settle()
         stats = StreamerStats(name=self.name)
         stats.words_streamed = self.words_streamed
-        for channel in self.channels:
-            stats.requests_issued += channel.requests_issued
-            if memory is not None:
+        stats.requests_issued = self.requests_issued * len(self.channels)
+        if memory is not None:
+            for channel in self.channels:
                 mem_stats = memory.requester_stats(channel.requester_id)
                 stats.requests_granted += mem_stats["granted"]
                 stats.bank_conflict_retries += mem_stats["retries"]
@@ -500,17 +515,22 @@ class DataMaestro:
         """One row per channel of the design, in channel order; a channel the
         kernel leaves inactive reads as a fresh one (all zero)."""
         self.settle()
+        # The occupancy since the last issue is still unsampled.
+        self.max_addr_occupancy = max(
+            self.max_addr_occupancy, self.bundles_generated - self.requests_issued
+        )
         rows = {}
         for channel in self.channels:
-            # The occupancy since the channel's last issue is still unsampled.
-            channel.max_addr_occupancy = max(
-                channel.max_addr_occupancy,
-                self.bundles_generated - channel.requests_issued,
-            )
-            rows[channel.requester_id] = channel.statistics()
+            port = channel.port
+            rows[channel.requester_id] = {
+                "requests_issued": self.requests_issued,
+                "responses_received": port.delivered if port is not None else 0,
+                "credit_stall_cycles": self.credit_stall_cycles,
+                "max_data_occupancy": channel.data_fifo.max_occupancy,
+                "max_addr_occupancy": self.max_addr_occupancy,
+            }
         for index in range(len(self.channels), self.design.num_channels):
-            idle = StreamChannel(self.name, index, self.design)
-            rows[idle.requester_id] = idle.statistics()
+            rows[f"{self.name}.ch{index}"] = dict.fromkeys(CHANNEL_FIELDS, 0)
         return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -121,9 +121,7 @@ class _ChannelSpan:
     channel: object
     column: int  # column in the streamer's address matrix
     granted: int
-    issued: int
     delivered: int
-    words: int  # popped (read) / pushed (write) wide-word position
 
 
 @dataclass
@@ -135,6 +133,8 @@ class _StreamSpan:
     is_read: bool
     delta: int  # positions per channel per period
     generated: int  # bundles generated at the boundary
+    issued: int  # the streamer's issue cursor at the boundary
+    words: int  # popped (read) / pushed (write) wide-word position
     lo: int  # first bundle step covered by the matrix
     matrix: np.ndarray  # (steps, channels) logical addresses
     banks: np.ndarray
@@ -219,16 +219,15 @@ class SteadySpanPlanner:
             streamer = sys.streamers[port]
             attr(f"{port}.words", streamer, "words_streamed")
             attr(f"{port}.bundles", streamer, "bundles_generated")
+            attr(f"{port}.issued", streamer, "requests_issued")
+            attr(f"{port}.credit_stalls", streamer, "credit_stall_cycles")
             for channel in streamer.channels:
                 rid = channel.requester_id
-                port = channel.port
-                attr(f"{rid}.issued", channel, "requests_issued")
-                attr(f"{rid}.delivered", port, "delivered")
-                attr(f"{rid}.credit_stalls", channel, "credit_stall_cycles")
+                attr(f"{rid}.delivered", channel.port, "delivered")
                 attr(f"{rid}.data_pushes", channel.data_fifo, "total_pushes")
                 attr(f"{rid}.data_pops", channel.data_fifo, "total_pops")
-                attr(f"{rid}.granted", port, "granted")
-                attr(f"{rid}.retries", port, "retries")
+                attr(f"{rid}.granted", channel.port, "granted")
+                attr(f"{rid}.retries", channel.port, "retries")
         self._slots = slots
         self._index = {name: i for i, (name, _, _) in enumerate(slots)}
 
@@ -261,13 +260,14 @@ class SteadySpanPlanner:
         ]
         for port in sys._active_ports:
             streamer = sys.streamers[port]
-            parts.append((port, streamer._popped_this_cycle))
+            issued = streamer.requests_issued
+            queued = streamer.bundles_generated - issued  # the address FIFOs
+            parts.append((port, streamer._popped_this_cycle, queued))
             for channel in streamer.channels:
                 parts.append(
                     (
-                        streamer.bundles_generated - channel.requests_issued,
                         channel.data_fifo.occupancy,
-                        channel.outstanding,
+                        issued - channel.port.delivered,
                         len(channel.port.pending),
                     )
                 )
@@ -514,60 +514,45 @@ class SteadySpanPlanner:
         if agu is None or agu.bundles_generated != streamer.bundles_generated:
             raise _Bail("agu_desync")
 
+        issued = streamer.requests_issued
+        popped = streamer.words_streamed
+        if bundles == 0:
+            if words or d(f"{port}.issued"):
+                raise _Bail("quiescent_drift")
+        elif d(f"{port}.issued") != bundles or words != bundles:
+            raise _Bail("ragged_cadence")
         channels: List[_ChannelSpan] = []
         # Isolation candidate: never contended in the reference period, and
-        # every channel at the same position with the same response timings.
+        # every channel granted as far with the same response timings.
         contended = False
         skews = set()
         for column, channel in enumerate(streamer.channels):
             rid = channel.requester_id
             port = channel.port
             granted = port.granted
-            moved = (
-                d(f"{rid}.granted"),
-                d(f"{rid}.issued"),
-                d(f"{rid}.delivered"),
-            )
+            delivered = port.delivered
+            moved = (d(f"{rid}.granted"), d(f"{rid}.delivered"))
             if bundles == 0:
-                if words or any(moved):
+                if any(moved):
                     raise _Bail("quiescent_drift")
-                if channel.outstanding:
+                if issued != delivered:
                     # A frozen channel with traffic in the memory pipeline
                     # cannot stay frozen for a whole span.
                     raise _Bail("quiescent_traffic")
                 continue
-            if moved != (bundles, bundles, bundles) or words != bundles:
+            if moved != (bundles, bundles):
                 raise _Bail("ragged_cadence")
-            issued = channel.requests_issued
-            delivered = port.delivered
-            popped = streamer.words_streamed
             flying = flights.get(port, [])
             contended = contended or d(f"{rid}.retries") != 0
-            skews.add((granted, issued, delivered, tuple(flying)))
-            consistent = (
-                len(port.pending) == issued - granted
-                and len(flying) == granted - delivered
-            )
-            if streamer.is_read:
-                consistent = consistent and (
-                    channel.data_fifo.occupancy == delivered - popped
-                )
-            else:
-                consistent = consistent and (
-                    channel.data_fifo.occupancy == popped - issued
-                )
-            if not consistent:
+            skews.add((granted, delivered, tuple(flying)))
+            buffered = delivered - popped if streamer.is_read else popped - issued
+            if (
+                len(port.pending) != issued - granted
+                or len(flying) != granted - delivered
+                or channel.data_fifo.occupancy != buffered
+            ):
                 raise _Bail("window_mismatch")
-            channels.append(
-                _ChannelSpan(
-                    channel=channel,
-                    column=column,
-                    granted=granted,
-                    issued=issued,
-                    delivered=delivered,
-                    words=popped,
-                )
-            )
+            channels.append(_ChannelSpan(channel, column, granted, delivered))
 
         if bundles == 0:
             return None
@@ -584,6 +569,8 @@ class SteadySpanPlanner:
             is_read=streamer.is_read,
             delta=bundles,
             generated=streamer.bundles_generated,
+            issued=issued,
+            words=popped,
             lo=lo,
             matrix=matrix,
             banks=banks,
@@ -812,9 +799,7 @@ class SteadySpanPlanner:
                 port = channel.port
                 column = channel_span.column
                 stream = combined[channel.requester_id]
-                base = (
-                    channel_span.words if span.is_read else channel_span.granted
-                )
+                base = span.words if span.is_read else channel_span.granted
 
                 def move(word) -> None:
                     word.tag += shift
@@ -833,9 +818,9 @@ class SteadySpanPlanner:
                         word.ready_cycle += shift_cycles
                 # Data FIFO: words [popped, delivered) / [issued, pushed).
                 first, last = (
-                    (channel_span.words, channel_span.delivered)
+                    (span.words, channel_span.delivered)
                     if span.is_read
-                    else (channel_span.issued, channel_span.words)
+                    else (span.issued, span.words)
                 )
                 channel.data_fifo.replace_entries(
                     stream[position - base]

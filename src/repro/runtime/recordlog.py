@@ -13,9 +13,10 @@ log.  What lives here, once:
   final line, so an unparseable *final* line is dropped and counted while
   an unparseable *middle* line is damage and raises;
 * **atomic rewrite** — repair and compaction stage the new file beside the
-  old one and ``os.replace`` it into place (the write-then-rename
-  discipline of :meth:`repro.runtime.cache.ResultCache.put`), so a crash
-  during the rewrite leaves the original intact.
+  old one, fsync it, ``os.replace`` it into place (the write-then-rename
+  discipline of :meth:`repro.runtime.cache.ResultCache.put`) and fsync the
+  directory, so a crash or a power cut during the rewrite leaves either the
+  original or the whole new file, never an empty one.
 
 "Unparseable" includes a line that is valid JSON but that the journal's
 ``decode`` rejects: the codec's own validation rides inside the same rule.
@@ -88,6 +89,9 @@ class RecordLog:
                 handle.write(self._header_line(header))
                 for record in records:
                     handle.write(_line(record))
+                # The data reaches the disk before the rename can.
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp_name, self.path)
         except BaseException:
             try:
@@ -95,6 +99,12 @@ class RecordLog:
             except OSError:
                 pass
             raise
+        # And the rename itself: it lives in the directory's entries.
+        directory = os.open(self.path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     # ------------------------------------------------------------------
     # Reading.

@@ -16,8 +16,8 @@ Per-cycle phase order (one call to :meth:`step`):
    their output sinks are ready;
 3. every streamer's AGU produces at most one address bundle (gated by the
    prefetch mode);
-4. every channel's MIC issues at most one request, and the crossbar grants at
-   most one request per bank.
+4. every streamer issues at most one word (one request per active channel),
+   and the crossbar grants at most one request per bank.
 
 The measured quantities follow the paper's definitions (see DESIGN.md §4):
 utilization is ideal compute cycles over kernel cycles (streaming plus any
@@ -263,7 +263,7 @@ class AcceleratorSystem:
         Replicates exactly what lockstep stepping across the span would have
         recorded: the clock moves, and every stalled component accumulates
         its per-cycle stall counters (GeMM stalls, quantizer stalls,
-        per-channel credit stalls).  No data moves — the caller guarantees
+        streamer credit stalls).  No data moves — the caller guarantees
         the span contains no activity.
         """
         if self._program is None or cycles <= 0:
@@ -296,7 +296,7 @@ class AcceleratorSystem:
             from ..engine.steady import SteadySpanPlanner
 
             self._steady = SteadySpanPlanner(self)
-        # The planner reads the per-channel counters: charge parked cycles.
+        # The planner reads the streamer counters: charge parked cycles.
         for streamer in self._live:
             streamer.settle()
         return self._steady.boundary(limit)

@@ -1,9 +1,8 @@
 """Tests for the per-channel MIC (credits, issue, delivery) behaviour.
 
-The phases run as flat loops at the streamer and the rules that need its
-counters are stated there, so every test drives a one-channel
-:class:`DataMaestro` through its public phase methods and asserts on
-``streamer.channels[0]``.
+The issue decision, its cursor and its counters are the streamer's, so every
+test drives a one-channel :class:`DataMaestro` through its public phase
+methods and asserts on the streamer and on ``streamer.channels[0]``.
 """
 
 import numpy as np
@@ -49,8 +48,14 @@ def queue_addresses(streamer, count=1):
 
 def stages(streamer, channel):
     """Words the channel holds as (addressed, in flight, buffered)."""
-    queued = streamer.bundles_generated - channel.requests_issued
-    return queued, channel.outstanding, channel.data_fifo.occupancy
+    queued = streamer.bundles_generated - streamer.requests_issued
+    return queued, outstanding(streamer, channel), channel.data_fifo.occupancy
+
+
+def outstanding(streamer, channel):
+    """Requests issued on the channel and not yet delivered to it."""
+    delivered = channel.port.delivered if channel.port is not None else 0
+    return streamer.requests_issued - delivered
 
 
 def cycle(memory, streamers):
@@ -66,7 +71,7 @@ class TestReadChannel:
         streamer, channel = make_streamer()
         memory = MemorySubsystem(GEOMETRY)
         assert streamer.issue_requests(memory) == 0
-        assert channel.requests_issued == 0
+        assert streamer.requests_issued == 0
 
     def test_read_data_lands_in_fifo(self):
         streamer, channel = make_streamer()
@@ -88,10 +93,10 @@ class TestReadChannel:
             cycle(memory, [streamer])
         # With a depth-2 FIFO the channel can never have more than 2
         # requests outstanding or buffered, so only 2 are ever issued.
-        assert channel.requests_issued == 2
+        assert streamer.requests_issued == 2
         assert channel.data_fifo.occupancy == 2
-        assert channel.credit_stall_cycles > 0
-        assert streamer.credit_stalled(channel) and not streamer.can_issue(channel)
+        assert streamer.credit_stall_cycles > 0
+        assert streamer.credit_stalled() and not streamer.can_issue()
 
     def test_credits_replenish_after_pop(self):
         streamer, channel = make_streamer(data_depth=1)
@@ -99,11 +104,11 @@ class TestReadChannel:
         queue_addresses(streamer, 2)
         for _ in range(3):
             cycle(memory, [streamer])
-        assert channel.requests_issued == 1
+        assert streamer.requests_issued == 1
         streamer.pop_output()
         for _ in range(3):
             cycle(memory, [streamer])
-        assert channel.requests_issued == 2
+        assert streamer.requests_issued == 2
 
     def test_busy_tracks_all_stages(self):
         streamer, channel = make_streamer()
@@ -132,21 +137,21 @@ class TestReadChannel:
         queue_addresses(streamer, 2)
         for _ in range(3):
             cycle(memory, [streamer])
-        assert channel.requests_issued == channel.responses_received == 2
+        assert streamer.requests_issued == channel.port.delivered == 2
         # A new launch builds its channels fresh: counters from zero, FIFO
         # statistics and the delivery count (it lives on the port, which is
         # bound again) included.
         streamer.configure(streamer.runtime)
         (fresh,) = streamer.channels
         assert fresh is not channel and fresh.port is None
-        assert set(fresh.statistics().values()) == {0}
-        assert fresh.data_fifo.is_empty and fresh.outstanding == 0
+        assert set(streamer.channel_statistics()[fresh.requester_id].values()) == {0}
+        assert fresh.data_fifo.is_empty and outstanding(streamer, fresh) == 0
         assert fresh.data_fifo.total_pushes == fresh.data_fifo.total_pops == 0
         # The address FIFO is the streamer's bundle count minus the channel's
         # cursor: it empties when the streamer is programmed again.
         assert stages(streamer, fresh) == (0, 0, 0)
         streamer.issue_requests(memory)
-        assert fresh.port.delivered == 0 and fresh.outstanding == 0
+        assert fresh.port.delivered == 0 and outstanding(streamer, fresh) == 0
 
 
 class TestMemoryRegistration:
@@ -202,7 +207,7 @@ class TestStatistics:
         queue_addresses(streamer)
         for _ in range(3):
             cycle(memory, [streamer])
-        stats = channel.statistics()
+        stats = streamer.channel_statistics()[channel.requester_id]
         assert stats["requests_issued"] == 1
         assert stats["responses_received"] == 1
         assert stats["max_data_occupancy"] == 1

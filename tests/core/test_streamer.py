@@ -12,6 +12,7 @@ from repro.core import (
     reference_address_sequence,
 )
 from repro.memory import BankGeometry, MemorySubsystem
+from repro.memory.subsystem import MemoryRequest
 
 GEOMETRY = BankGeometry(num_banks=8, bank_width_bytes=8, bank_depth=64)
 
@@ -288,7 +289,59 @@ class TestIdleChannels:
         assert memory.next_event_cycle() is None  # a fixpoint: nothing in flight
         jumped.advance(20)
         assert jumped.channel_statistics() == stepped.channel_statistics()
-        assert all(c.credit_stall_cycles >= 20 for c in jumped.channels)
+        assert jumped.credit_stall_cycles >= 20
+
+
+class TestChannelsDivergeAtTheGrant:
+    def test_a_contended_channel_lags_in_grants_not_in_issues(self):
+        """The issue decision is the streamer's: both channels issue every
+        word on the same cycle.  Two by-name requesters holding a request on
+        each of channel 0's banks win half its arbitrations (the rotating
+        priority goes by name), so grants, retries and data-FIFO occupancy
+        are where the channels differ."""
+        memory = MemorySubsystem(GEOMETRY)
+        fill_memory(memory)
+        streamer = DataMaestro(read_design(), GEOMETRY, [8])
+        streamer.configure(linear_runtime(steps=16))  # ch0 even banks, ch1 odd
+        streamer.bind(memory)
+        ports = [channel.port for channel in streamer.channels]
+        hogs = [
+            (bank, memory.bind(f"hog{bank}{copy}"))
+            for bank in (0, 2, 4, 6)
+            for copy in "ab"
+        ]
+        issued = ([], [])  # the cycles on which each port received a request
+        history = []  # (grants, data-FIFO occupancies) after every cycle
+        for cycle in range(200):
+            if streamer.done:
+                break
+            streamer.begin_cycle()
+            memory.deliver()
+            if streamer.output_valid():
+                streamer.pop_output()
+            streamer.generate_addresses()
+            before = [port.granted + len(port.pending) for port in ports]
+            streamer.issue_requests(memory)
+            for index, port in enumerate(ports):
+                if port.granted + len(port.pending) > before[index]:
+                    issued[index].append(cycle)
+            for bank, hog in hogs:
+                memory.collect(hog)
+                if not hog.pending:
+                    memory.submit(MemoryRequest(hog.name, False, bank, 0, port=hog))
+            memory.step()
+            history.append(
+                (
+                    tuple(port.granted for port in ports),
+                    tuple(c.data_fifo.occupancy for c in streamer.channels),
+                )
+            )
+        assert streamer.done and streamer.words_streamed == 16
+        assert issued[0] == issued[1] and len(issued[0]) == 16
+        assert ports[0].retries > 0 and ports[1].retries == 0
+        assert any(grants[0] < grants[1] for grants, _ in history)
+        assert any(fifos[0] < fifos[1] for _, fifos in history)
+        assert ports[0].granted == ports[1].granted == 16
 
 
 class TestParkingHooks:
@@ -297,10 +350,10 @@ class TestParkingHooks:
         sat out in (``AcceleratorSystem.step`` is what parks and counts)."""
 
         def stalls(streamer):
-            return [channel.credit_stall_cycles for channel in streamer.channels]
+            return [streamer.credit_stall_cycles for _ in streamer.channels]
 
         def stalled(streamer):
-            return [streamer.credit_stalled(c) for c in streamer.channels]
+            return [streamer.credit_stalled() for _ in streamer.channels]
 
         # Delivery is not a hook: a response maturing for a parked streamer's
         # port fills the data FIFO and changes nothing the streamer decides on.
@@ -397,15 +450,16 @@ class TestConfiguration:
         assert launches[0][0].requests_issued == launches[0][0].requests_granted == 16
         assert launches[1] == launches[0]
         for channel in streamer.channels:
-            assert channel.requests_issued == channel.data_fifo.total_pops == 8
-            assert channel.responses_received == 8 and channel.outstanding == 0
+            assert streamer.requests_issued == channel.data_fifo.total_pops == 8
+            assert channel.port.delivered == 8
+            assert streamer.requests_issued - channel.port.delivered == 0
         # The ports outlive the launch in the memory; a re-bound one counts
         # its deliveries from zero again.
         streamer.configure(linear_runtime(steps=8))
         streamer.bind(memory)
         for channel in streamer.channels:
             assert channel.port.registered and channel.port.delivered == 0
-            assert channel.outstanding == 0
+            assert streamer.requests_issued - channel.port.delivered == 0
 
     def test_unconfigured_streamer_is_not_busy(self):
         streamer = DataMaestro(read_design(), GEOMETRY, [8])

@@ -116,45 +116,35 @@ class _CheckedLockstep(LockstepEngine):
             busy = target.step()
             cycles += 1
             for streamer in streamers:
-                design = streamer.design
-                # A streamer's channels issue together: the address and the
-                # credit are streamer-wide, so each port's granted + pending
-                # is the one issue cursor, and the stall count is shared.
-                cursor = {
-                    memory.requester_stats(c.requester_id)["granted"]
-                    + memory.pending_count(c.requester_id)
-                    for c in streamer.channels
-                }
-                assert len(cursor) <= 1, (streamer.name, cursor)
-                stalls = {c.credit_stall_cycles for c in streamer.channels}
-                assert len(stalls) <= 1, (streamer.name, stalls)
+                issued = streamer.requests_issued
+                # The address FIFOs: two counters, within their depth.
+                queued = streamer.bundles_generated - issued
+                assert 0 <= queued <= streamer.design.address_buffer_depth, queued
                 for channel in streamer.channels:
                     name = channel.requester_id
-                    issued = channel.requests_issued
-                    if streamer.is_write:
-                        # A write word waits in every channel's data FIFO
-                        # from its push to the streamer's issue.
-                        assert (
-                            channel.data_fifo.occupancy
-                            == streamer.words_streamed - issued
-                        ), name
-                    # The address FIFO: two counters, within its depth.
-                    queued = streamer.bundles_generated - issued
-                    assert 0 <= queued <= design.address_buffer_depth, name
                     fifo = channel.data_fifo
                     assert 0 <= fifo.occupancy <= fifo.depth, fifo.name
+                    outstanding = issued - channel.port.delivered
                     if streamer.is_read:
                         # In flight plus buffered: every one owns a slot.
                         assert (
-                            fifo.occupancy + channel.outstanding
+                            fifo.occupancy + outstanding
                             == issued - streamer.words_streamed
                         ), name
-                    assert channel.outstanding == memory.outstanding_count(name), name
+                    else:
+                        # A write word waits in every channel's data FIFO
+                        # from its push to the streamer's issue.
+                        assert (
+                            fifo.occupancy == streamer.words_streamed - issued
+                        ), name
+                    assert outstanding == memory.outstanding_count(name), name
+                    # A streamer's channels issue together: each port's
+                    # granted + pending is the streamer's one issue cursor.
                     granted = memory.requester_stats(name)["granted"]
                     assert issued == granted + memory.pending_count(name), name
         for streamer in streamers:
             for channel in streamer.channels:
-                assert channel.responses_received == channel.requests_issued, (
+                assert channel.port.delivered == streamer.requests_issued, (
                     f"{channel.requester_id}: words delivered != words requested"
                 )
         return cycles

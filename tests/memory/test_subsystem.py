@@ -257,7 +257,7 @@ class TestStreamChannelPorts:
         streamer = self.reader_with_a_word_in_flight(memory)
         channel = streamer.channels[0]
         assert memory.deliver() == 1 and channel.data_fifo.is_full
-        assert streamer.generate_addresses() and streamer.credit_stalled(channel)
+        assert streamer.generate_addresses() and streamer.credit_stalled()
         memory.submit(MemoryRequest(channel.requester_id, False, 1, 0, port=channel.port))
         memory.step()
         with pytest.raises(FifoError, match="dm_t.ch0.data"):

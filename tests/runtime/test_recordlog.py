@@ -10,6 +10,7 @@ commit (format 1) prove the on-disk format did not move.
 import json
 import os
 import shutil
+import stat
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,32 @@ class TestRecordLog:
             journal.start()
             journal.append(0)
         assert len(synced) == 3
+
+    def test_rewrite_syncs_the_file_before_the_rename_and_the_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        """A power cut after a compaction finds the old file or the whole
+        new one: the temp file is on disk before the rename, and the rename
+        is on disk before ``rewrite`` returns."""
+        log = RecordLog(tmp_path / "log.jsonl", 1, ValueError)
+        log.start({"note": "x"})
+        ops = []
+        replace = os.replace
+
+        def recording_fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            ops.append(f"fsync {kind}")
+
+        def recording_replace(src, dst):
+            ops.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        log.rewrite({"note": "y"}, [{"n": 1}, {"n": 2}])
+        assert ops == ["fsync file", "replace", "fsync dir"]
+        header, records, _ = log.load(lambda record, _header: record["n"])
+        assert header["note"] == "y" and records == [1, 2]
 
     def test_rewrite_header_cannot_smuggle_a_foreign_format(self, tmp_path):
         log = RecordLog(tmp_path / "log.jsonl", 1, ValueError)

@@ -60,7 +60,7 @@ def reference_step(system):
 
 def raw_stalls(streamer):
     """The lazily charged counter, read without settling anything."""
-    return [channel.credit_stall_cycles for channel in streamer.channels]
+    return streamer.credit_stall_cycles
 
 
 def settled_counters(system):
@@ -98,7 +98,7 @@ class TestParking:
             if streamer.parked_cycles == 5:
                 break
         assert streamer.parked_cycles == 5 and dict(entered) == snapshot
-        assert all(streamer.credit_stalled(channel) for channel in streamer.channels)
+        assert streamer.credit_stalled()
 
     def test_every_wake_up_source_charges_what_per_cycle_stepping_counted(self):
         # 24 cycles of read latency: streamers wait for memory, not only for the core.
@@ -122,7 +122,7 @@ class TestParking:
         slept_through = Counter()
 
         def received(streamer):
-            return sum(channel.responses_received for channel in streamer.channels)
+            return sum(channel.port.delivered for channel in streamer.channels)
 
         def checked_deliver():
             parked = {
@@ -137,10 +137,7 @@ class TestParking:
                     continue
                 slept_through[port] += 1
                 assert streamer.parked and streamer.parked_cycles == owed
-                owing = [
-                    channel.credit_stall_cycles + owed * streamer.credit_stalled(channel)
-                    for channel in streamer.channels
-                ]
+                owing = streamer.credit_stall_cycles + owed * streamer.credit_stalled()
                 assert owing == raw_stalls(reference.streamers[port])
             return count
 

@@ -24,6 +24,11 @@ total          1825.0 → 777.4       405.9 → 131.2
 The parent bound its channels' memory ports at the first issue, inside the
 stepped cycles; they are bound at load now, so ``load`` counts them.  The
 budget is half the parent's totals.
+
+``tools/step_cost.py step`` reads the same run for the other half: ``repro``
+calls inside the engine's ``drive``, first windows aside, per stepped cycle
+(189 cycles over the 24 jobs).  One issue decision per streamer instead of
+per channel took it from 191.6 to 138.7, and the budget holds it there.
 """
 
 import importlib.util
@@ -34,6 +39,8 @@ import pytest
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
 #: Per-job counts at the parent commit (see the table above).
 PARENT = {"repro_calls_per_job": 1825.0, "numpy_calls_per_job": 405.9}
+#: ``repro`` calls per stepped cycle of the same jobs, as measured.
+STEP_CALLS_PER_STEPPED_CYCLE = 138.7
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +60,12 @@ def report(step_cost):
 def test_a_short_job_stays_within_its_setup_budget(report, count):
     assert report["jobs"] == 24
     assert report[count] <= 0.5 * PARENT[count], report["stages"]
+
+
+def test_a_stepped_cycle_stays_within_its_budget(step_cost, report):
+    assert report["stepped_cycles"] == 189
+    assert report["step_calls_per_stepped_cycle"] <= STEP_CALLS_PER_STEPPED_CYCLE
+    assert step_cost.render_step(report).startswith("step cost of 24 serve-pool jobs")
 
 
 def test_every_stage_is_counted(step_cost, report):

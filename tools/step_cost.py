@@ -35,11 +35,17 @@ the outcome, but not the cycles stepped:
 * numpy calls — Python frames in ``numpy.*`` plus ``c_call`` events on numpy
   callables (module functions, array and generator methods).
 
+The ``step`` mode reads the same run for the cycles stepped: ``repro`` calls
+inside the engine's ``drive`` (the first windows aside, which ``setup``
+counts) over the ``AcceleratorSystem.step`` calls — the per-stepped-cycle
+cost of a serve-pool miss, which is a few cycles long and never parks.
+
 Run from the repository root::
 
     python tools/step_cost.py 2_prefetch conv_h16_w16_c32_k16_f7x7_s1
     python tools/step_cost.py 1_baseline conv_h14_w14_c16_k32_f5x5_s2 --json
     python tools/step_cost.py setup
+    python tools/step_cost.py step
 
 Standard library only; ``tests/engine/test_step_budget.py`` and
 ``tests/system/test_setup_budget.py`` hold the numbers to a budget.
@@ -102,12 +108,13 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
         elif name == "issue_requests":
             streamer = frame.f_locals["self"]
             entered[streamer.name] = entered.get(streamer.name, 0) + 1
-            for channel in streamer.channels:
-                # The address FIFO holds bundles_generated - requests_issued.
-                if channel.requests_issued < streamer.bundles_generated and (
-                    streamer.is_read or channel.data_fifo.entries
-                ):
-                    counts["visits"] += 1
+            # The address FIFOs hold bundles_generated - requests_issued, a
+            # write word waits in the data FIFOs until it is issued.
+            issued = streamer.requests_issued
+            if issued < streamer.bundles_generated and (
+                streamer.is_read or issued < streamer.words_streamed
+            ):
+                counts["visits"] += len(streamer.channels)
 
     class Counted(EventDrivenEngine):
         def drive(self, target, **kwargs):
@@ -157,7 +164,8 @@ def _is_numpy(function) -> bool:
 
 
 def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
-    """Count the fixed per-job work of ``jobs`` serve-pool jobs (see above)."""
+    """Count the fixed per-job work of ``jobs`` serve-pool jobs and the work
+    of their stepped cycles (see above)."""
     from repro.compiler.mapper import compile_workload, extract_outputs
     from repro.core.agu import spatial_offsets
     from repro.core.csr import csr_address_map
@@ -179,6 +187,7 @@ def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
         backend.execute(job)
 
     drive = EventDrivenEngine.drive.__code__
+    system_step = AcceleratorSystem.step.__code__
     window = DataMaestro._refill_window.__code__
     markers = {
         compile_workload.__code__: "compile",
@@ -188,6 +197,7 @@ def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
         AcceleratorSystem.verify_outputs.__code__: "read-back",
     }
     counts = {stage: {"repro": 0, "numpy": 0} for stage in SETUP_STAGES}
+    stepping = {"repro": 0, "stepped": 0}
     #: (frame, stage) of the marked calls in progress; stage ``None`` (the
     #: engine's drive) counts nothing but a streamer's first window.
     scopes: list = []
@@ -206,12 +216,15 @@ def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
             elif not scopes and code in markers:
                 scopes.append((frame, markers[code]))
             stage = scopes[-1][1] if scopes else "outcome"
-            if stage is not None:
-                module = frame.f_globals.get("__name__", "")
+            module = frame.f_globals.get("__name__", "")
+            if stage is None:
                 if module.startswith("repro."):
-                    counts[stage]["repro"] += 1
-                elif module.startswith("numpy"):
-                    counts[stage]["numpy"] += 1
+                    stepping["repro"] += 1
+                    stepping["stepped"] += code is system_step
+            elif module.startswith("repro."):
+                counts[stage]["repro"] += 1
+            elif module.startswith("numpy"):
+                counts[stage]["numpy"] += 1
         elif event == "return":
             if scopes and scopes[-1][0] is frame:
                 scopes.pop()
@@ -236,6 +249,9 @@ def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
         "repro_calls_per_job": repro / len(batch),
         "numpy_calls_per_job": numpy / len(batch),
         "stages": counts,
+        "stepped_cycles": stepping["stepped"],
+        "step_calls": stepping["repro"],
+        "step_calls_per_stepped_cycle": stepping["repro"] / stepping["stepped"],
     }
 
 
@@ -254,6 +270,19 @@ def render_setup(report: Dict[str, object]) -> str:
         f"{report['numpy_calls_per_job']:>13.1f}"
     )
     return "\n".join(lines)
+
+
+def render_step(report: Dict[str, object]) -> str:
+    jobs = report["jobs"]
+    return "\n".join(
+        [
+            f"step cost of {jobs} serve-pool jobs",
+            f"  stepped cycles           {report['stepped_cycles']:>10,} "
+            f"({report['stepped_cycles'] / jobs:.1f} per job)",
+            f"  python calls             {report['step_calls']:>10,} "
+            f"({report['step_calls_per_stepped_cycle']:.1f} per stepped cycle)",
+        ]
+    )
 
 
 def render(report: Dict[str, object]) -> str:
@@ -280,7 +309,9 @@ def render(report: Dict[str, object]) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "step", help="ablation step, e.g. 2_prefetch, or 'setup' for the per-job setup"
+        "step",
+        help="ablation step, e.g. 2_prefetch; 'setup' / 'step' for a serve-pool "
+        "job's setup / stepped cycles",
     )
     parser.add_argument(
         "workload", nargs="?", help="synthetic-suite workload name (not with setup)"
@@ -288,11 +319,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="print the raw counts")
     args = parser.parse_args(argv)
-    if args.step == "setup":
+    if args.step in ("setup", "step"):
         if args.workload is not None:
-            parser.error("setup takes no workload")
+            parser.error(f"{args.step} takes no workload")
         report = measure_setup(seed=args.seed)
-        print(json.dumps(report) if args.json else render_setup(report))
+        text = render_setup(report) if args.step == "setup" else render_step(report)
+        print(json.dumps(report) if args.json else text)
         return 0
     if args.workload is None:
         parser.error("a workload is required with an ablation step")
