@@ -9,6 +9,9 @@ memory word cost in *work*, which repeats exactly on any machine:
   the ``repro`` package (dataclass-generated ``__init__``\\ s included) while
   the engine drives the kernel, over the number of ``AcceleratorSystem.step``
   calls;
+* numpy calls per stepped cycle — Python frames in ``numpy.*`` plus
+  ``c_call`` events on numpy callables (the rule of the ``setup`` mode
+  below), over the same cycles;
 * records allocated per memory word — constructions of the word-level record
   types (``MemoryRequest``, of which ``MemoryResponse`` is an alias, and
   ``BankLocation``) over the words the streamers requested;
@@ -35,10 +38,11 @@ the outcome, but not the cycles stepped:
 * numpy calls — Python frames in ``numpy.*`` plus ``c_call`` events on numpy
   callables (module functions, array and generator methods).
 
-The ``step`` mode reads the same run for the cycles stepped: ``repro`` calls
-inside the engine's ``drive`` (the first windows aside, which ``setup``
-counts) over the ``AcceleratorSystem.step`` calls — the per-stepped-cycle
-cost of a serve-pool miss, which is a few cycles long and never parks.
+The ``step`` mode reads the same run for the cycles stepped: ``repro`` and
+numpy calls inside the engine's ``drive`` (the first windows aside, which
+``setup`` counts) over the ``AcceleratorSystem.step`` calls — the
+per-stepped-cycle cost of a serve-pool miss, which is a few cycles long and
+never parks.
 
 Run from the repository root::
 
@@ -85,15 +89,22 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
     system = AcceleratorSystem(design)
 
     system_step = AcceleratorSystem.step.__code__
-    counts = {"calls": 0, "stepped": 0, "visits": 0, "fifo": 0}
+    counts = {"calls": 0, "numpy": 0, "stepped": 0, "visits": 0, "fifo": 0}
     records = dict.fromkeys(RECORD_TYPES, 0)
     entered: Dict[str, int] = {}
 
-    def hook(frame, event, _arg):
+    def hook(frame, event, arg):
+        if event == "c_call":
+            counts["numpy"] += _is_numpy(arg)
+            return
         if event != "call":
             return
         code = frame.f_code
-        if not frame.f_globals.get("__name__", "").startswith("repro."):
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("numpy"):
+            counts["numpy"] += 1
+            return
+        if not module.startswith("repro."):
             return
         counts["calls"] += 1
         name = code.co_name
@@ -134,6 +145,8 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
         "stepped_cycles": stepped,
         "calls": counts["calls"],
         "calls_per_stepped_cycle": counts["calls"] / stepped,
+        "numpy_calls": counts["numpy"],
+        "numpy_calls_per_stepped_cycle": counts["numpy"] / stepped,
         "requests_issued": issued,
         "records": dict(records),
         "records_per_word": sum(records.values()) / issued,
@@ -197,7 +210,7 @@ def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
         AcceleratorSystem.verify_outputs.__code__: "read-back",
     }
     counts = {stage: {"repro": 0, "numpy": 0} for stage in SETUP_STAGES}
-    stepping = {"repro": 0, "stepped": 0}
+    stepping = {"repro": 0, "numpy": 0, "stepped": 0}
     #: (frame, stage) of the marked calls in progress; stage ``None`` (the
     #: engine's drive) counts nothing but a streamer's first window.
     scopes: list = []
@@ -221,6 +234,8 @@ def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
                 if module.startswith("repro."):
                     stepping["repro"] += 1
                     stepping["stepped"] += code is system_step
+                elif module.startswith("numpy"):
+                    stepping["numpy"] += 1
             elif module.startswith("repro."):
                 counts[stage]["repro"] += 1
             elif module.startswith("numpy"):
@@ -230,8 +245,11 @@ def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
                 scopes.pop()
         elif event == "c_call":
             stage = scopes[-1][1] if scopes else "outcome"
-            if stage is not None and _is_numpy(arg):
-                counts[stage]["numpy"] += 1
+            if _is_numpy(arg):
+                if stage is None:
+                    stepping["numpy"] += 1
+                else:
+                    counts[stage]["numpy"] += 1
 
     for job in batch:
         windowed.clear()
@@ -252,6 +270,8 @@ def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
         "stepped_cycles": stepping["stepped"],
         "step_calls": stepping["repro"],
         "step_calls_per_stepped_cycle": stepping["repro"] / stepping["stepped"],
+        "step_numpy_calls": stepping["numpy"],
+        "step_numpy_calls_per_stepped_cycle": stepping["numpy"] / stepping["stepped"],
     }
 
 
@@ -281,6 +301,8 @@ def render_step(report: Dict[str, object]) -> str:
             f"({report['stepped_cycles'] / jobs:.1f} per job)",
             f"  python calls             {report['step_calls']:>10,} "
             f"({report['step_calls_per_stepped_cycle']:.1f} per stepped cycle)",
+            f"  numpy calls              {report['step_numpy_calls']:>10,} "
+            f"({report['step_numpy_calls_per_stepped_cycle']:.1f} per stepped cycle)",
         ]
     )
 
@@ -295,6 +317,8 @@ def render(report: Dict[str, object]) -> str:
             f"({report['stepped_cycles']:,} stepped)",
             f"  python calls             {report['calls']:>10,} "
             f"({report['calls_per_stepped_cycle']:.1f} per stepped cycle)",
+            f"  numpy calls              {report['numpy_calls']:>10,} "
+            f"({report['numpy_calls_per_stepped_cycle']:.2f} per stepped cycle)",
             f"  memory words requested   {report['requests_issued']:>10,} "
             f"({report['issue_visits_per_request']:.2f} issue visits per request)",
             f"  records allocated        {sum(report['records'].values()):>10,} "
