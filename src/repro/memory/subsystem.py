@@ -144,8 +144,14 @@ class MemorySubsystem:
             )
 
     def submit(self, request: MemoryRequest) -> None:
-        """Queue a request; it will be served in submission order."""
+        """Queue a request; it will be served in submission order.
+
+        A write must carry its word: one rejected only at its grant would
+        leave a request counted pending on no port, and the memory never idle.
+        """
         self.check_banks(request.bank, request.bank)
+        if request.is_write and request.data is None:
+            raise ValueError(f"write request without data from {request.requester!r}")
         port = request.port
         if port is None:
             port = request.port = self.bind(request.requester)
@@ -254,8 +260,6 @@ class MemorySubsystem:
             store = banks[bank]
             line = request.line
             if request.is_write:
-                if request.data is None:
-                    raise ValueError("write request without data")
                 store.write(line, request.data, request.strobe)
                 request.data = None
             else:

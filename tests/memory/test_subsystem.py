@@ -82,6 +82,17 @@ class TestBasicTiming:
         with pytest.raises(ValueError):
             memory.submit(read_request("ch0", bank=99))
 
+    def test_write_without_data_rejected_at_submit(self):
+        """Rejected before it queues: no grant, no arbiter move, still idle."""
+        memory = make_subsystem()
+        with pytest.raises(ValueError, match="without data"):
+            memory.submit(MemoryRequest("ch0", True, bank=1, line=2))
+        memory.step()
+        assert memory.idle() and memory.next_event_cycle() is None
+        assert memory.pending_requests == 0 and memory.pending_count("ch0") == 0
+        assert memory.requester_stats("ch0") == {"granted": 0, "retries": 0}
+        assert memory.total_writes == 0 and memory._last_grant == {}
+
 
 class TestArbitration:
     def test_no_conflict_for_distinct_banks(self):
