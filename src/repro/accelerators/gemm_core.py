@@ -17,15 +17,15 @@ in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import List, Optional, Protocol
 
 import numpy as np
 
-from ..utils.packing import bytes_to_tile, tile_to_bytes
-
-
 class StreamSource(Protocol):
-    """Read-side interface the core expects (provided by DataMaestro)."""
+    """Read-side interface the core expects (provided by DataMaestro).
+
+    ``pop_output`` returns a flat uint8 array that may be read-only.
+    """
 
     def output_valid(self) -> bool: ...
 
@@ -78,6 +78,10 @@ class GemmCore:
         self.mu = int(mu)
         self.nu = int(nu)
         self.ku = int(ku)
+        #: Bytes of one A, B and C / output word.
+        self.a_word_bytes = self.mu * self.ku
+        self.b_word_bytes = self.ku * self.nu
+        self.acc_word_bytes = self.mu * self.nu * 4
         self.a_stream: Optional[StreamSource] = None
         self.b_stream: Optional[StreamSource] = None
         self.c_stream: Optional[StreamSource] = None
@@ -85,7 +89,10 @@ class GemmCore:
         self.job: Optional[GemmJob] = None
         self._tile_index = 0
         self._k_index = 0
-        self._accumulator = np.zeros((self.mu, self.nu), dtype=np.int32)
+        #: The current output tile's operand words, popped so far.
+        self._a_words: List[np.ndarray] = []
+        self._b_words: List[np.ndarray] = []
+        self._c_word: Optional[np.ndarray] = None
         self.mac_cycles = 0
         self.stall_cycles = 0
 
@@ -94,18 +101,6 @@ class GemmCore:
     def num_pes(self) -> int:
         """Number of MAC units in the array."""
         return self.mu * self.nu * self.ku
-
-    @property
-    def a_word_bytes(self) -> int:
-        return self.mu * self.ku
-
-    @property
-    def b_word_bytes(self) -> int:
-        return self.ku * self.nu
-
-    @property
-    def acc_word_bytes(self) -> int:
-        return self.mu * self.nu * 4
 
     # ------------------------------------------------------------------
     def bind(
@@ -128,7 +123,10 @@ class GemmCore:
         self.job = job
         self._tile_index = 0
         self._k_index = 0
-        self._accumulator = np.zeros((self.mu, self.nu), dtype=np.int32)
+        #: The current output tile's operand words, popped so far.
+        self._a_words: List[np.ndarray] = []
+        self._b_words: List[np.ndarray] = []
+        self._c_word: Optional[np.ndarray] = None
         self.mac_cycles = 0
         self.stall_cycles = 0
 
@@ -244,27 +242,34 @@ class GemmCore:
             self.stall_cycles += 1
             return False
 
+        job = self.job
         if self._k_index == 0:
-            if self.job.use_init_stream:
-                init_word = self.c_stream.pop_output()
-                self._accumulator = bytes_to_tile(
-                    init_word, (self.mu, self.nu), np.int32
-                )
-            else:
-                self._accumulator = np.zeros((self.mu, self.nu), dtype=np.int32)
-
-        a_tile = bytes_to_tile(
-            self.a_stream.pop_output(), (self.mu, self.ku), np.int8, np.int32
-        )
-        b_tile = bytes_to_tile(
-            self.b_stream.pop_output(), (self.ku, self.nu), np.int8, np.int32
-        )
-        self._accumulator = self._accumulator + a_tile @ b_tile
+            self._c_word = None
+            if job.use_init_stream:
+                self._c_word = c_word = self.c_stream.pop_output()
+                if c_word.size != self.acc_word_bytes:
+                    raise _width_error("C", c_word, self.acc_word_bytes)
+            self._a_words = []
+            self._b_words = []
+        a_word = self.a_stream.pop_output()
+        if a_word.size != self.a_word_bytes:
+            raise _width_error("A", a_word, self.a_word_bytes)
+        b_word = self.b_stream.pop_output()
+        if b_word.size != self.b_word_bytes:
+            raise _width_error("B", b_word, self.b_word_bytes)
+        self._a_words.append(a_word)
+        self._b_words.append(b_word)
         self.mac_cycles += 1
 
         self._k_index += 1
-        if self._k_index == self.job.tiles_k:
-            self.output_sink.push_input(tile_to_bytes(self._accumulator))
+        if self._k_index == job.tiles_k:
+            tile = self.compute_tiles_batch(
+                1,
+                np.frombuffer(b"".join(self._a_words), np.uint8),
+                np.frombuffer(b"".join(self._b_words), np.uint8),
+                self._c_word,
+            )
+            self.output_sink.push_input(tile[0])
             self._k_index = 0
             self._tile_index += 1
         return True
@@ -276,3 +281,10 @@ class GemmCore:
             "stall_cycles": self.stall_cycles,
             "tiles_completed": self._tile_index,
         }
+
+
+def _width_error(port: str, word: np.ndarray, expected: int) -> ValueError:
+    """The error for a word of the wrong width popped at ``port``."""
+    return ValueError(
+        f"GeMM port {port}: word of {word.size} bytes, expected {expected}"
+    )

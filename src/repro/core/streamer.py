@@ -271,8 +271,11 @@ class DataMaestro:
     def pop_output(self) -> np.ndarray:
         """Consume one wide word (read mode).
 
-        Valid only after :meth:`output_valid` returned True this cycle; an
-        empty channel raises :class:`~repro.sim.fifo.FifoError`.
+        The channels' words — bytes-like copies taken at their grants — are
+        joined into one flat uint8 array that is read-only unless an
+        extension rebuilt it.  Valid only after :meth:`output_valid` returned
+        True this cycle; an empty channel raises
+        :class:`~repro.sim.fifo.FifoError`.
         """
         if not self.is_read:
             raise RuntimeError(f"{self.name}: pop_output() on a write-mode streamer")
@@ -289,7 +292,7 @@ class DataMaestro:
         self.words_streamed += 1
         self._popped_this_cycle = True
         self.cycle_activity += 1
-        return self.extensions.apply(np.concatenate(parts))
+        return self.extensions.apply(np.frombuffer(b"".join(parts), np.uint8))
 
     def input_ready(self) -> bool:
         """Write mode: True when every active channel can accept a word."""

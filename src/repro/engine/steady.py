@@ -667,7 +667,7 @@ class SteadySpanPlanner:
                     span.lines[start : start + count, channel_span.column],
                 ]
                 stackable = (
-                    np.stack(existing)
+                    np.stack([np.frombuffer(word, np.uint8) for word in existing])
                     if existing
                     else np.empty((0, width), dtype=np.uint8)
                 )
@@ -738,7 +738,7 @@ class SteadySpanPlanner:
                 :, channel_span.column * width : (channel_span.column + 1) * width
             ]
             stackable = (
-                np.stack(existing)
+                np.stack([np.frombuffer(word, np.uint8) for word in existing])
                 if existing
                 else np.empty((0, width), dtype=np.uint8)
             )
@@ -826,11 +826,3 @@ class SteadySpanPlanner:
                     stream[position - base]
                     for position in range(first + shift, last + shift)
                 )
-
-        # 7. The accumulator mirrors lockstep's dead-but-present last tile.
-        gemm._accumulator = (
-            np.ascontiguousarray(out_bytes[-1])
-            .view(np.int32)
-            .reshape(gemm.mu, gemm.nu)
-            .copy()
-        )

@@ -1,11 +1,14 @@
 """Multi-banked scratchpad storage.
 
-:class:`ScratchpadMemory` holds the whole scratchpad as one
-``(num_banks, depth, width)`` uint8 array, :attr:`~ScratchpadMemory.storage`;
-each :class:`~repro.memory.bank.MemoryBank` stores its wordlines in a view of
-one row of it.  Bulk access (the DMA's tensor loads, read-back, the
-macro-step replayer) is one fancy index into that array, whatever the number
-of banks it touches.  The scratchpad provides two views on the banks:
+:class:`ScratchpadMemory` holds the whole scratchpad as one ``bytearray``,
+:attr:`~ScratchpadMemory.buffer`, viewed as a ``(num_banks, depth, width)``
+uint8 array, :attr:`~ScratchpadMemory.storage`; each
+:class:`~repro.memory.bank.MemoryBank` stores its wordlines in a view of one
+row of it.  The crossbar reads a granted word as a slice of the buffer — a
+bytes-like copy, taken at the grant, that later writes do not reach.  Bulk
+access (the DMA's tensor loads, read-back, the macro-step replayer) is one
+fancy index into that array, whatever the number of banks it touches.  The
+scratchpad provides two views on the banks:
 
 * a *port* view used by the crossbar/memory subsystem — word accesses at a
   decoded (bank, line) location, which count towards the access statistics;
@@ -30,8 +33,13 @@ class ScratchpadMemory:
     def __init__(self, geometry: BankGeometry) -> None:
         self.geometry = geometry
         width, depth = geometry.bank_width_bytes, geometry.bank_depth
-        #: Every bank's wordlines: ``storage[bank, line]`` is one word.
-        self.storage = np.zeros((geometry.num_banks, depth, width), dtype=np.uint8)
+        #: Every bank's wordlines, bank-major: word ``(bank, line)`` is the
+        #: ``width`` bytes at ``(bank * depth + line) * width``.
+        self.buffer = bytearray(geometry.num_banks * depth * width)
+        #: The same bytes as an array: ``storage[bank, line]`` is one word.
+        self.storage = np.frombuffer(self.buffer, dtype=np.uint8).reshape(
+            geometry.num_banks, depth, width
+        )
         self.banks: List[MemoryBank] = [
             MemoryBank(index, width, depth, rows)
             for index, rows in enumerate(self.storage)

@@ -13,7 +13,8 @@ designed to avoid.
   requests that are served strictly in order per requester;
 * once per cycle :meth:`arbitrate` considers the head-of-queue request of
   every requester, grants at most one request per bank (round-robin among
-  contenders) and performs the SRAM access;
+  contenders) and performs the SRAM access — a read takes a bytes-like copy
+  of the wordline there, so the word is what the bank held at the grant;
 * ``read_latency`` cycles after the grant :meth:`deliver` hands the word
   over.  The crossbar fills the data FIFO: a stream channel's read lands in
   that channel's data FIFO directly (the Outstanding Request Manager
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -50,7 +51,9 @@ class MemoryRequest:
 
     The same object is pending at its port, in flight after the grant and
     finally its own response: the grant stamps ``ready_cycle`` and, for a
-    read, fills ``data`` (a write's data is dropped once stored).  ``port``
+    read, fills ``data`` with a bytes-like copy of the wordline (a slice of
+    the scratchpad's buffer) taken there; a write's data is a uint8 array,
+    dropped once stored.  ``port``
     is the requester's bound :class:`MemoryPort`; requests built by name only
     (``port=None``) are resolved once, at ``submit``.  ``bank`` / ``line``
     default to an out-of-range ``-1`` so a completion can be written down
@@ -61,7 +64,7 @@ class MemoryRequest:
     is_write: bool
     bank: int = -1
     line: int = -1
-    data: Optional[np.ndarray] = None
+    data: Union[bytearray, np.ndarray, None] = None
     strobe: Optional[np.ndarray] = None
     tag: Any = None
     port: Optional["MemoryPort"] = None
@@ -247,7 +250,11 @@ class MemorySubsystem:
                 request.port.retries += 1
             heads[bank] = self._pick_winner(bank, contenders)
 
-        banks = self.scratchpad.banks
+        scratchpad = self.scratchpad
+        banks = scratchpad.banks
+        buffer = scratchpad.buffer
+        width = self.geometry.bank_width_bytes
+        depth = self.geometry.bank_depth
         last_grant = self._last_grant
         in_flight = self._in_flight
         ready = self.cycle + self.read_latency
@@ -267,7 +274,8 @@ class MemorySubsystem:
                 if not 0 <= line < store.depth:
                     store._check_line(line)
                 store.read_count += 1
-                request.data = store._data[line].copy()
+                start = (bank * depth + line) * width
+                request.data = buffer[start : start + width]
                 reads += 1
             request.ready_cycle = ready
             in_flight.append(request)

@@ -133,6 +133,57 @@ class TestGemmCoreFunctional:
             assert np.array_equal(bytes_to_tile(word, (8, 8), np.int32), exp)
 
 
+class TestGemmCoreWraparound:
+    def test_per_cycle_tile_matches_the_batch_and_an_int64_reference(self):
+        """int32 wraps the same way per cycle, batched and mod 2**32."""
+        rng = np.random.default_rng(6)
+        tiles_k = 3
+        init = np.full((8, 8), np.iinfo(np.int32).max - 100, dtype=np.int32)
+        a = [np.full((8, 8), 127, dtype=np.int8) for _ in range(tiles_k)]
+        b = [
+            rng.integers(100, 128, size=(8, 8)).astype(np.int8) for _ in range(tiles_k)
+        ]
+        a_words = [tile_to_bytes(tile) for tile in a]
+        b_words = [tile_to_bytes(tile) for tile in b]
+        core = GemmCore()
+        sink = FakeSink()
+        job = GemmJob(1, 1, tiles_k)
+        run_core(core, job, a_words, b_words, [tile_to_bytes(init)], sink)
+
+        reference = init.astype(np.int64)
+        for a_tile, b_tile in zip(a, b):
+            reference += a_tile.astype(np.int64) @ b_tile.astype(np.int64)
+        assert reference.max() > np.iinfo(np.int32).max  # it does wrap
+        wrapped = (reference % 2**32).astype(np.uint32).view(np.int32)
+        batch = core.compute_tiles_batch(
+            1, np.stack(a_words), np.stack(b_words), tile_to_bytes(init)[None]
+        )
+        assert np.array_equal(np.asarray(sink.words[0]), batch[0])
+        assert np.array_equal(bytes_to_tile(sink.words[0], (8, 8), np.int32), wrapped)
+
+    @pytest.mark.parametrize("port, mac", [("A", 1), ("B", 4), ("C", 0), ("C", 3)])
+    def test_a_wrong_width_word_raises_at_the_mac_that_pops_it(self, port, mac):
+        """Mid-tile too: two short words must not join into one tile."""
+        tiles_k = 3
+        rng = np.random.default_rng(7)
+        a_words, b_words, c_words, _ = make_tiles(rng, 1, 2, tiles_k)
+        words = {"A": a_words, "B": b_words, "C": c_words}[port]
+        victim = mac // tiles_k if port == "C" else mac
+        words[victim] = words[victim][:-4]
+        core = GemmCore()
+        core.bind(
+            FakeSource(a_words), FakeSource(b_words), FakeSink(), FakeSource(c_words)
+        )
+        core.configure(GemmJob(1, 2, tiles_k))
+        for _ in range(mac):
+            assert core.step()
+        expected = 256 if port == "C" else 64
+        message = f"port {port}: word of {expected - 4} bytes, expected {expected}"
+        with pytest.raises(ValueError, match=message):
+            core.step()
+        assert core.mac_cycles == mac
+
+
 class TestGemmCoreTiming:
     def test_stalls_when_inputs_missing(self):
         rng = np.random.default_rng(3)

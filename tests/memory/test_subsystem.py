@@ -180,6 +180,35 @@ class TestArbitration:
         assert memory.idle()
 
 
+class TestWordSnapshots:
+    """A read word is a copy of its wordline taken at the grant."""
+
+    def test_by_name_read_granted_before_a_write_keeps_the_old_word(self):
+        memory = make_subsystem(latency=3)
+        memory.scratchpad.banks[1].poke(2, np.full(8, 5, dtype=np.uint8))
+        memory.submit(read_request("r", bank=1, line=2))
+        run_cycles(memory, 1)  # the read is granted
+        memory.submit(write_request("w", bank=1, line=2, value=9))
+        run_cycles(memory, 1)  # the write lands while the read is in flight
+        assert memory.scratchpad.banks[1].peek(2).tolist() == [9] * 8
+        run_cycles(memory, 2)
+        memory.deliver()
+        (response,) = memory.collect(memory.bind("r"))
+        assert list(response.data) == [5] * 8
+
+    def test_buffered_stream_word_survives_a_later_write(self):
+        memory = make_subsystem()
+        for bank in memory.scratchpad.banks:
+            bank.poke(0, np.full(8, 3, dtype=np.uint8))
+        streamer = TestStreamChannelPorts().reader_with_a_word_in_flight(memory)
+        (word,) = memory._in_flight
+        assert memory.deliver() == 1 and streamer.output_valid()
+        memory.submit(write_request("w", bank=word.bank, line=word.line, value=7))
+        run_cycles(memory, 2)
+        assert memory.scratchpad.banks[word.bank].peek(word.line).tolist() == [7] * 8
+        assert streamer.pop_output().tolist() == [3] * 8
+
+
 class TestBoundPorts:
     """Requesters hold ports; a port registers at its first submit only."""
 
