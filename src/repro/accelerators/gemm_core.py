@@ -21,6 +21,7 @@ from typing import List, Optional, Protocol
 
 import numpy as np
 
+
 class StreamSource(Protocol):
     """Read-side interface the core expects (provided by DataMaestro).
 
@@ -89,7 +90,8 @@ class GemmCore:
         self.job: Optional[GemmJob] = None
         self._tile_index = 0
         self._k_index = 0
-        #: The current output tile's operand words, popped so far.
+        #: The current output tile's operand words, popped so far (reset at
+        #: every k = 0).
         self._a_words: List[np.ndarray] = []
         self._b_words: List[np.ndarray] = []
         self._c_word: Optional[np.ndarray] = None
@@ -123,10 +125,6 @@ class GemmCore:
         self.job = job
         self._tile_index = 0
         self._k_index = 0
-        #: The current output tile's operand words, popped so far.
-        self._a_words: List[np.ndarray] = []
-        self._b_words: List[np.ndarray] = []
-        self._c_word: Optional[np.ndarray] = None
         self.mac_cycles = 0
         self.stall_cycles = 0
 

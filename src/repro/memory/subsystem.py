@@ -53,11 +53,12 @@ class MemoryRequest:
     finally its own response: the grant stamps ``ready_cycle`` and, for a
     read, fills ``data`` with a bytes-like copy of the wordline (a slice of
     the scratchpad's buffer) taken there; a write's data is a uint8 array,
-    dropped once stored.  ``port``
-    is the requester's bound :class:`MemoryPort`; requests built by name only
-    (``port=None``) are resolved once, at ``submit``.  ``bank`` / ``line``
-    default to an out-of-range ``-1`` so a completion can be written down
-    without them, while ``submit`` rejects a request that names no bank.
+    dropped once stored.  ``port`` is the requester's bound
+    :class:`MemoryPort`; requests built by name only (``port=None``) are
+    resolved once, at ``submit``.  ``bank`` / ``line`` default to an
+    out-of-range ``-1`` so a completion can be written down without them,
+    while ``submit`` rejects a request that names no bank, and a write
+    without data.
     """
 
     requester: str

@@ -1,10 +1,10 @@
 """A work budget for the per-stepped-cycle path that repeats exactly.
 
-``tools/step_cost.py`` counts Python calls, word records, ``Fifo`` method
-calls and channel visits under ``sys.setprofile`` — counts, not seconds, so
-the budget holds on any runner.  Measured on ``conv_h14_w14_c16_k32_f5x5_s2``
-(parent f4874ba → the address FIFO as two counters and the crossbar filling
-the data FIFOs):
+``tools/step_cost.py`` counts Python calls, numpy calls, word records,
+``Fifo`` method calls and channel visits under ``sys.setprofile`` — counts,
+not seconds, so the budget holds on any runner.  Measured on
+``conv_h14_w14_c16_k32_f5x5_s2`` (parent f4874ba → the address FIFO as two
+counters and the crossbar filling the data FIFOs):
 
 ============  ======================  =====================  ===================
 step          calls per stepped cycle budget (0.6 x parent)  Fifo calls per word
@@ -12,6 +12,18 @@ step          calls per stepped cycle budget (0.6 x parent)  Fifo calls per word
 2_prefetch    164.0 → 79.5            98.4                   4.23 → 0.24
 1_baseline    101.1 → 52.3            60.7                   4.29 → 0.26
 ============  ======================  =====================  ===================
+
+Numpy calls per stepped cycle, parent 3fa8c72 → words moved as bytes-like
+copies (a slice of the scratchpad's ``bytearray`` at the grant, one
+``np.frombuffer`` per pop) and each GeMM tile computed once, at its last
+k-step; the budget is the new count:
+
+============  =======================  ======
+step          numpy calls per cycle    budget
+============  =======================  ======
+2_prefetch    26.34 → 2.91             2.91
+1_baseline    12.67 → 1.51             1.52
+============  =======================  ======
 
 A memory word is one ``MemoryRequest`` for its whole life, built when its
 channel issues it: generating a bundle advances a counter and a delivery
@@ -30,6 +42,8 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
 WORKLOAD = "conv_h14_w14_c16_k32_f5x5_s2"
 #: Calls per stepped cycle at the parent commit (see the table above).
 PARENT_CALLS = {"2_prefetch": 164.0, "1_baseline": 101.1}
+#: Numpy calls per stepped cycle, as measured (see the second table).
+NUMPY_CALLS = {"2_prefetch": 2.91, "1_baseline": 1.52}
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +59,7 @@ def test_a_stepped_cycle_stays_within_its_work_budget(step_cost, step):
     report = step_cost.measure(step, WORKLOAD)
     assert report["stepped_cycles"] <= report["cycles"]
     assert report["calls_per_stepped_cycle"] <= 0.6 * PARENT_CALLS[step], report
+    assert report["numpy_calls_per_stepped_cycle"] <= NUMPY_CALLS[step], report
     assert report["records_per_word"] <= 1.0, report["records"]
     assert report["fifo_calls_per_word"] <= 0.5, report
     assert report["issue_visits_per_request"] <= 1.5, report

@@ -26,9 +26,22 @@ stepped cycles; they are bound at load now, so ``load`` counts them.  The
 budget is half the parent's totals.
 
 ``tools/step_cost.py step`` reads the same run for the other half: ``repro``
-calls inside the engine's ``drive``, first windows aside, per stepped cycle
-(189 cycles over the 24 jobs).  One issue decision per streamer instead of
-per channel took it from 191.6 to 138.7, and the budget holds it there.
+and numpy calls inside the engine's ``drive``, first windows aside, per
+stepped cycle (189 cycles over the 24 jobs).  The budget holds both at their
+last measured value:
+
+===================================  =======================  ===========
+change                               calls per stepped cycle  numpy calls
+===================================  =======================  ===========
+one issue decision per streamer      191.6 → 138.7            —
+words as bytes, a GeMM tile at once  138.7 → 137.3            30.1 → 17.9
+===================================  =======================  ===========
+
+A word is a slice of the scratchpad's ``bytearray`` taken at the grant and
+a pop joins them with one ``np.frombuffer``; the GeMM core pops its words
+and computes each tile once, at its last k-step.  What is left is the write
+path (``MemoryBank.write``, a third of it), the tile computation, the
+datapath extensions and the quantizer.
 """
 
 import importlib.util
@@ -39,8 +52,9 @@ import pytest
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
 #: Per-job counts at the parent commit (see the table above).
 PARENT = {"repro_calls_per_job": 1825.0, "numpy_calls_per_job": 405.9}
-#: ``repro`` calls per stepped cycle of the same jobs, as measured.
-STEP_CALLS_PER_STEPPED_CYCLE = 138.7
+#: ``repro`` and numpy calls per stepped cycle of the same jobs, as measured.
+STEP_CALLS_PER_STEPPED_CYCLE = 137.4
+STEP_NUMPY_CALLS_PER_STEPPED_CYCLE = 17.9
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +79,10 @@ def test_a_short_job_stays_within_its_setup_budget(report, count):
 def test_a_stepped_cycle_stays_within_its_budget(step_cost, report):
     assert report["stepped_cycles"] == 189
     assert report["step_calls_per_stepped_cycle"] <= STEP_CALLS_PER_STEPPED_CYCLE
+    assert (
+        report["step_numpy_calls_per_stepped_cycle"]
+        <= STEP_NUMPY_CALLS_PER_STEPPED_CYCLE
+    )
     assert step_cost.render_step(report).startswith("step cost of 24 serve-pool jobs")
 
 
