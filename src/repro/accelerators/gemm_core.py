@@ -2,11 +2,17 @@
 
 The GeMM core is a 3-D ``Mu × Nu × Ku`` MAC array that executes
 ``D_32 = A_8 ⊗ B_8 + C_32``: every cycle it consumes one ``Mu × Ku`` int8
-tile of A and one ``Ku × Nu`` int8 tile of B, and accumulates into a local
-``Mu × Nu`` int32 tile.  At the first reduction step of an output tile the
-accumulator is initialised from the C stream (or zero); after the last
-reduction step the accumulated tile is pushed to the output sink — either a
-write-mode DataMaestro or the quantization accelerator.
+tile of A and one ``Ku × Nu`` int8 tile of B, accumulating into a
+``Mu × Nu`` int32 tile that starts from the C stream's word (or zero).
+
+The model keeps the words it pops, not a running sum.  At the first
+reduction step of an output tile it pops the C word, at every step an A and
+a B word, each checked for its width at the step that pops it.  At the last
+step it computes the tile once with :meth:`GemmCore.compute_tiles_batch` —
+the function the steady-span replay uses for whole spans, so the two share
+one datapath — and pushes it to the output sink, either a write-mode
+DataMaestro or the quantization accelerator.  int32 accumulation is
+associative under wraparound, so the tile equals a per-MAC running sum.
 
 Whether the tiles represent a plain GeMM, a transposed GeMM or an
 (implicitly im2col-ed) convolution is entirely determined by how the
@@ -23,14 +29,13 @@ import numpy as np
 
 
 class StreamSource(Protocol):
-    """Read-side interface the core expects (provided by DataMaestro).
-
-    ``pop_output`` returns a flat uint8 array that may be read-only.
-    """
+    """Read-side interface the core expects (provided by DataMaestro)."""
 
     def output_valid(self) -> bool: ...
 
-    def pop_output(self) -> np.ndarray: ...
+    def pop_output(self) -> np.ndarray:
+        """One word as a flat uint8 array, which may be read-only."""
+        ...
 
 
 class StreamSink(Protocol):
@@ -199,14 +204,15 @@ class GemmCore:
     ) -> np.ndarray:
         """Pure batched datapath: ``count`` whole output tiles in one einsum.
 
-        ``a_words``/``b_words`` are ``(count * tiles_k, word_bytes)`` uint8
-        batches of the operand words the core would pop cycle by cycle;
-        ``c_words`` is the ``(count, acc_word_bytes)`` init-stream batch (or
-        ``None`` for zero initialisation).  Returns the ``(count,
-        acc_word_bytes)`` byte images the core would push to its sink —
-        bit-identical to ``count * tiles_k`` sequential MAC steps, because
-        int32 accumulation is associative even under wraparound.  Counters
-        and indices are *not* touched; the macro-step replayer owns those.
+        ``a_words``/``b_words`` hold ``count * tiles_k`` operand words of
+        ``word_bytes`` uint8 each, in pop order (as rows or flat);
+        ``c_words`` holds ``count`` init-stream words of ``acc_word_bytes``
+        (or is ``None`` for zero initialisation).  Returns the ``(count,
+        acc_word_bytes)`` byte images to push to the sink — bit-identical to
+        ``count * tiles_k`` sequential MAC steps, because int32 accumulation
+        is associative even under wraparound.  Counters and indices are
+        *not* touched; :meth:`step` (one tile) and the macro-step replayer
+        (whole spans) own those.
         """
         assert self.job is not None
         k = self.job.tiles_k
