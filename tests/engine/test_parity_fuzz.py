@@ -147,6 +147,17 @@ class _CheckedLockstep(LockstepEngine):
                 assert channel.port.delivered == streamer.requests_issued, (
                     f"{channel.requester_id}: words delivered != words requested"
                 )
+        # The memory's totals count the DMA pre-pass too; the banks and the
+        # ports count only crossbar grants.  Replay moves the totals by
+        # per-period deltas and the bank counts by a histogram, so parity
+        # carries this identity to every engine.
+        banks = memory.scratchpad.banks
+        reads = memory.total_reads - memory.counters.get("dma_word_reads")
+        writes = memory.total_writes - memory.counters.get("dma_word_writes")
+        assert sum(bank.read_count for bank in banks) == reads
+        assert sum(bank.write_count for bank in banks) == writes
+        granted = sum(port.granted for port in memory._requesters.values())
+        assert granted == reads + writes
         return cycles
 
 
