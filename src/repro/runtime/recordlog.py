@@ -12,11 +12,12 @@ log.  What lives here, once:
 * the **truncated-tail rule** — a crash mid-append can only damage the
   final line, so an unparseable *final* line is dropped and counted while
   an unparseable *middle* line is damage and raises;
-* **atomic rewrite** — repair and compaction stage the new file beside the
-  old one, fsync it, ``os.replace`` it into place (the write-then-rename
-  discipline of :meth:`repro.runtime.cache.ResultCache.put`) and fsync the
-  directory, so a crash or a power cut during the rewrite leaves either the
-  original or the whole new file, never an empty one.
+* **atomic rewrite** — a fresh log, a repair and a compaction all stage
+  the new file beside the old one, fsync it, ``os.replace`` it into place
+  (the write-then-rename discipline of
+  :meth:`repro.runtime.cache.ResultCache.put`) and fsync the directory, so
+  a crash or a power cut during the write leaves either the original (or
+  no file) or the whole new file, never an empty one.
 
 "Unparseable" includes a line that is valid JSON but that the journal's
 ``decode`` rejects: the codec's own validation rides inside the same rule.
@@ -66,10 +67,9 @@ class RecordLog:
     # Writing.
     # ------------------------------------------------------------------
     def start(self, header: Record) -> None:
-        """Begin a fresh log (truncates any previous file)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("w", encoding="utf-8") as handle:
-            handle.write(self._header_line(header))
+        """Begin a fresh log (replaces any previous file), durably: it is
+        an atomic :meth:`rewrite` with no records."""
+        self.rewrite(header, ())
 
     def append(self, record: Record) -> None:
         """Append one record; durable once this returns."""

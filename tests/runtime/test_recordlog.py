@@ -177,6 +177,24 @@ class TestSharedDiscipline:
         assert flavour.records(flavour.resume()) == 3
 
 
+def _record_sync_ops(monkeypatch):
+    """Log every ``os.fsync`` (of a file or a directory) and ``os.replace``."""
+    ops = []
+    replace = os.replace
+
+    def recording_fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        ops.append(f"fsync {kind}")
+
+    def recording_replace(src, dst):
+        ops.append("replace")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    return ops
+
+
 class TestRecordLog:
     def test_append_is_fsynced(self, tmp_path, monkeypatch):
         """One durability discipline: every append reaches the disk."""
@@ -184,12 +202,26 @@ class TestRecordLog:
         monkeypatch.setattr(os, "fsync", synced.append)
         log = RecordLog(tmp_path / "log.jsonl", 1, ValueError)
         log.start({"note": "x"})
+        synced.clear()
         log.append({"type": "r", "n": 1})
         assert len(synced) == 1
         for journal in (RunFlavour(tmp_path / "run.jsonl"), JobFlavour(tmp_path / "job.jsonl")):
             journal.start()
+            synced.clear()
             journal.append(0)
-        assert len(synced) == 3
+            assert len(synced) == 1
+
+    def test_start_syncs_the_file_before_the_rename_and_the_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        """A power cut right after ``start`` finds the whole header: a fresh
+        log is written the way ``rewrite`` writes one."""
+        ops = _record_sync_ops(monkeypatch)
+        log = RecordLog(tmp_path / "log.jsonl", 1, ValueError)
+        log.start({"note": "x"})
+        assert ops == ["fsync file", "replace", "fsync dir"]
+        header, records, _ = log.load(lambda record, _header: record)
+        assert header["note"] == "x" and records == []
 
     def test_rewrite_syncs_the_file_before_the_rename_and_the_directory_after(
         self, tmp_path, monkeypatch
@@ -199,19 +231,7 @@ class TestRecordLog:
         is on disk before ``rewrite`` returns."""
         log = RecordLog(tmp_path / "log.jsonl", 1, ValueError)
         log.start({"note": "x"})
-        ops = []
-        replace = os.replace
-
-        def recording_fsync(fd):
-            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
-            ops.append(f"fsync {kind}")
-
-        def recording_replace(src, dst):
-            ops.append("replace")
-            replace(src, dst)
-
-        monkeypatch.setattr(os, "fsync", recording_fsync)
-        monkeypatch.setattr(os, "replace", recording_replace)
+        ops = _record_sync_ops(monkeypatch)
         log.rewrite({"note": "y"}, [{"n": 1}, {"n": 2}])
         assert ops == ["fsync file", "replace", "fsync dir"]
         header, records, _ = log.load(lambda record, _header: record["n"])
