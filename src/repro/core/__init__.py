@@ -1,4 +1,5 @@
-"""DataMaestro core: AGU, channels/MIC, remapper, extensions, streamer top."""
+"""DataMaestro core: AGU, remapper, extensions, CSRs and the streamer top,
+whose channels are a data FIFO and a memory port each."""
 
 from .agu import (
     AddressBundle,
@@ -8,7 +9,6 @@ from .agu import (
     reference_address_sequence,
     reference_temporal_addresses,
 )
-from .channel import StreamChannel
 from .csr import (
     CsrAddressMap,
     decode_runtime_config,
@@ -44,7 +44,6 @@ __all__ = [
     "TemporalAddressGenerator",
     "reference_address_sequence",
     "reference_temporal_addresses",
-    "StreamChannel",
     "CsrAddressMap",
     "encode_runtime_config",
     "decode_runtime_config",

@@ -1,12 +1,17 @@
 """DataMaestro streaming engine top level (paper §III-A, Fig. 2(a)).
 
 A :class:`DataMaestro` bridges the multi-banked scratchpad and one accelerator
-port.  In **read mode** it prefetches data from memory into its per-channel
-data FIFOs, assembles the channel words into one wide word, pushes that word
-through the (optional) datapath-extension cascade and presents it to the
-accelerator with valid/ready semantics.  In **write mode** it accepts wide
-words from the accelerator, splits them across channels and drains them to
-memory.
+port.  It splits one wide accelerator word into ``N_C`` narrow channels,
+each the width of one bank word (paper §III-C, Fig. 2(b)), and a channel is
+two things: a **data FIFO** on the accelerator side (``fifos``, depth
+``D_DBf``) and a crossbar **port** on the memory side (``ports``, a
+:class:`~repro.memory.subsystem.MemoryPort`, the channel's Memory Interface
+Controller).  In **read mode** the streamer prefetches data from memory into
+the data FIFOs, assembles the channel words into one wide word, pushes that
+word through the (optional) datapath-extension cascade and presents it to
+the accelerator with valid/ready semantics.  In **write mode** it accepts
+wide words from the accelerator, splits them across the data FIFOs and
+drains them to memory.
 
 The per-cycle methods are called by the surrounding system model in a fixed
 phase order (see :class:`repro.system.system.AcceleratorSystem`), after the
@@ -25,9 +30,11 @@ A streamer's channels issue together: the address is the streamer's next
 bundle and the credit limit is streamer-wide, so the issue cursor
 ``requests_issued`` is stored once, here, and so are the credit stalls and
 the address-FIFO high-water mark.  The channels diverge only from the grant
-on — each port's ``pending`` / ``granted`` / ``retries`` and each read
-channel's data-FIFO occupancy (:mod:`repro.core.channel`).  Three identities
-carry the word path; what they determine is computed, never stored or moved:
+on: a bank conflict delays one port's grant while the others are served,
+and its data FIFO absorbs the jitter — each port's ``pending`` /
+``granted`` / ``retries`` and each read channel's data-FIFO occupancy.
+Three identities carry the word path; what they determine is computed,
+never stored or moved:
 
 * every channel's **address FIFO** holds ``bundles_generated -
   requests_issued`` entries, and they are rows of the decoded address
@@ -60,11 +67,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..memory.addressing import BankGeometry
-from ..memory.subsystem import MemoryRequest, MemorySubsystem
-from ..sim.fifo import FifoError
+from ..memory.subsystem import MemoryPort, MemoryRequest, MemorySubsystem
+from ..sim.fifo import Fifo, FifoError
 from ..sim.stats import StreamerStats
 from .agu import AddressGenerationUnit
-from .channel import StreamChannel
 from .extensions import ExtensionPipeline
 from .params import StreamerDesign, StreamerMode, StreamerRuntimeConfig
 from .remapper import AddressRemapper
@@ -106,11 +112,15 @@ class DataMaestro:
         self.runtime: Optional[StreamerRuntimeConfig] = None
         self.prefetch_enabled = True
         self.active_channels = design.num_channels
-        #: The channels the programmed kernel uses — channels ``0 ..
-        #: active_channels - 1``, built fresh by :meth:`configure`.  The
-        #: design's other channels hold no state: they never issue, and
-        #: :meth:`channel_statistics` reports them as fresh channels.
-        self.channels: List[StreamChannel] = []
+        #: The data FIFOs of the channels the programmed kernel uses —
+        #: channels ``0 .. active_channels - 1``, built fresh by
+        #: :meth:`configure`.  The design's other channels hold no state:
+        #: they never issue, and :meth:`channel_statistics` reports them as
+        #: fresh channels.
+        self.fifos: List[Fifo] = []
+        #: The same channels' crossbar ports, named ``<streamer>.ch<i>``,
+        #: resolved by :meth:`bind`.
+        self.ports: List[MemoryPort] = []
         self.words_streamed = 0
         self.bundles_generated = 0
         #: Words issued so far — also the step of the next address to issue.
@@ -128,7 +138,7 @@ class DataMaestro:
         #: :meth:`wake`; ``parked_cycles`` counts the cycles sat out since.
         self.parked = False
         self.parked_cycles = 0
-        #: The memory whose ports the channels are bound to (:meth:`bind`).
+        #: The memory ``ports`` belong to (:meth:`bind`).
         self._memory: Optional[MemorySubsystem] = None
         #: Decoded bundles for steps ``[_window_start, +len(_window))`` as
         #: ``(banks, lines)`` list rows: the address FIFOs' contents.  A pure
@@ -167,10 +177,11 @@ class DataMaestro:
         for kind, params in runtime.extension_params_dict().items():
             if self.extensions.stage(kind) is not None:
                 self.extensions.configure_stage(kind, **dict(params))
-        self.channels = [
-            StreamChannel(self.name, index, design)
+        self.fifos = [
+            Fifo(design.data_buffer_depth, name=f"{self.name}.ch{index}.data")
             for index in range(self.active_channels)
         ]
+        self.ports = []
         self._memory = None
         self.words_streamed = 0
         self.bundles_generated = 0
@@ -189,10 +200,12 @@ class DataMaestro:
         from zero.  The system binds at load; a hand-driven streamer binds at
         its first :meth:`issue_requests`."""
         self._memory = memory
-        for channel in self.channels:
-            port = channel.port = memory.bind(channel.requester_id)
-            port.sink = channel.data_fifo
+        self.ports = []
+        for index, fifo in enumerate(self.fifos):
+            port = memory.bind(f"{self.name}.ch{index}")
+            port.sink = fifo
             port.delivered = 0
+            self.ports.append(port)
 
     def _check_address_range(self) -> None:
         """Reject a stream that would leave the scratchpad, before cycle 0.
@@ -241,7 +254,7 @@ class DataMaestro:
         issued = self.requests_issued
         return self.is_write and (
             issued != generated
-            or any(channel.port.delivered != issued for channel in self.channels)
+            or any(port.delivered != issued for port in self.ports)
         )
 
     @property
@@ -263,8 +276,8 @@ class DataMaestro:
         """Read mode: True when every active channel has a word ready."""
         if not self.is_read or self.agu is None:
             return False
-        for channel in self.channels:
-            if not channel.data_fifo.entries:
+        for fifo in self.fifos:
+            if not fifo.entries:
                 return False
         return True
 
@@ -283,8 +296,7 @@ class DataMaestro:
             self.wake()
         parts = []
         try:
-            for channel in self.channels:
-                fifo = channel.data_fifo
+            for fifo in self.fifos:
                 parts.append(fifo.entries.popleft())
                 fifo.total_pops += 1
         except IndexError:
@@ -298,8 +310,8 @@ class DataMaestro:
         """Write mode: True when every active channel can accept a word."""
         if not self.is_write or self.agu is None:
             return False
-        for channel in self.channels:
-            if channel.data_fifo.is_full:
+        for fifo in self.fifos:
+            if fifo.is_full:
                 return False
         return True
 
@@ -317,8 +329,8 @@ class DataMaestro:
             )
         if self.parked:
             self.wake()
-        for index, channel in enumerate(self.channels):
-            channel.data_fifo.push(payload[index * width : (index + 1) * width])
+        for index, fifo in enumerate(self.fifos):
+            fifo.push(payload[index * width : (index + 1) * width])
         self.words_streamed += 1
         self.cycle_activity += 1
 
@@ -412,25 +424,24 @@ class DataMaestro:
             self._refill_window()
             row = step - self._window_start
         banks, lines = self._window[row]
-        for column, channel in enumerate(self.channels):
-            port = channel.port
+        for column, port in enumerate(self.ports):
             if not port.registered:
                 memory.register(port)
             # The word's one record: pending, in flight, then its own response.
             port.pending.append(
                 MemoryRequest(
-                    channel.requester_id,
+                    port.name,
                     not is_read,
                     banks[column],
                     lines[column],
-                    None if is_read else channel.data_fifo.pop(),
+                    None if is_read else port.sink.pop(),
                     None,
                     step,
                     port,
                 )
             )
         self.requests_issued = step + 1
-        issued = len(self.channels)
+        issued = len(self.ports)
         memory.pending_requests += issued
         self.cycle_activity += issued
         return issued
@@ -501,16 +512,17 @@ class DataMaestro:
     # Statistics.
     # ------------------------------------------------------------------
     def statistics(self, memory: Optional[MemorySubsystem] = None) -> StreamerStats:
-        """Streamer totals; the inactive channels, which never issue, add 0."""
+        """Streamer totals; the inactive channels, which never issue, add 0.
+        With ``memory`` (the one the streamer is bound to) they include the
+        ports' grants and retries."""
         self.settle()
         stats = StreamerStats(name=self.name)
         stats.words_streamed = self.words_streamed
-        stats.requests_issued = self.requests_issued * len(self.channels)
+        stats.requests_issued = self.requests_issued * len(self.fifos)
         if memory is not None:
-            for channel in self.channels:
-                mem_stats = memory.requester_stats(channel.requester_id)
-                stats.requests_granted += mem_stats["granted"]
-                stats.bank_conflict_retries += mem_stats["retries"]
+            for port in self.ports:
+                stats.requests_granted += port.granted
+                stats.bank_conflict_retries += port.retries
         stats.extension_words = self.extensions.statistics()
         return stats
 
@@ -523,16 +535,15 @@ class DataMaestro:
             self.max_addr_occupancy, self.bundles_generated - self.requests_issued
         )
         rows = {}
-        for channel in self.channels:
-            port = channel.port
-            rows[channel.requester_id] = {
+        for index, fifo in enumerate(self.fifos):
+            rows[f"{self.name}.ch{index}"] = {
                 "requests_issued": self.requests_issued,
-                "responses_received": port.delivered if port is not None else 0,
+                "responses_received": self.ports[index].delivered if self.ports else 0,
                 "credit_stall_cycles": self.credit_stall_cycles,
-                "max_data_occupancy": channel.data_fifo.max_occupancy,
+                "max_data_occupancy": fifo.max_occupancy,
                 "max_addr_occupancy": self.max_addr_occupancy,
             }
-        for index in range(len(self.channels), self.design.num_channels):
+        for index in range(len(self.fifos), self.design.num_channels):
             rows[f"{self.name}.ch{index}"] = dict.fromkeys(CHANNEL_FIELDS, 0)
         return rows
 

@@ -118,7 +118,7 @@ class SteadySpanStats:
 class _ChannelSpan:
     """Everything the replayer needs about one active stream channel."""
 
-    channel: object
+    port: MemoryPort  # its data FIFO is ``port.sink``
     column: int  # column in the streamer's address matrix
     granted: int
     delivered: int
@@ -129,7 +129,6 @@ class _StreamSpan:
     """Per-streamer planning state over the span."""
 
     streamer: object
-    port: str
     is_read: bool
     delta: int  # positions per channel per period
     generated: int  # bundles generated at the boundary
@@ -215,19 +214,19 @@ class SteadySpanPlanner:
         attr("quant.stall", quantizer, "stall_cycles")
         attr("quant.pushes", quantizer._pending, "total_pushes")
         attr("quant.pops", quantizer._pending, "total_pops")
-        for port in sys._active_ports:
-            streamer = sys.streamers[port]
-            attr(f"{port}.words", streamer, "words_streamed")
-            attr(f"{port}.bundles", streamer, "bundles_generated")
-            attr(f"{port}.issued", streamer, "requests_issued")
-            attr(f"{port}.credit_stalls", streamer, "credit_stall_cycles")
-            for channel in streamer.channels:
-                rid = channel.requester_id
-                attr(f"{rid}.delivered", channel.port, "delivered")
-                attr(f"{rid}.data_pushes", channel.data_fifo, "total_pushes")
-                attr(f"{rid}.data_pops", channel.data_fifo, "total_pops")
-                attr(f"{rid}.granted", channel.port, "granted")
-                attr(f"{rid}.retries", channel.port, "retries")
+        for name in sys._active_ports:
+            streamer = sys.streamers[name]
+            attr(f"{name}.words", streamer, "words_streamed")
+            attr(f"{name}.bundles", streamer, "bundles_generated")
+            attr(f"{name}.issued", streamer, "requests_issued")
+            attr(f"{name}.credit_stalls", streamer, "credit_stall_cycles")
+            for port in streamer.ports:
+                rid = port.name
+                attr(f"{rid}.delivered", port, "delivered")
+                attr(f"{rid}.data_pushes", port.sink, "total_pushes")
+                attr(f"{rid}.data_pops", port.sink, "total_pops")
+                attr(f"{rid}.granted", port, "granted")
+                attr(f"{rid}.retries", port, "retries")
         self._slots = slots
         self._index = {name: i for i, (name, _, _) in enumerate(slots)}
 
@@ -258,18 +257,14 @@ class SteadySpanPlanner:
             sys.gemm_core._k_index,
             sys.quantizer._pending.occupancy,
         ]
-        for port in sys._active_ports:
-            streamer = sys.streamers[port]
+        for name in sys._active_ports:
+            streamer = sys.streamers[name]
             issued = streamer.requests_issued
             queued = streamer.bundles_generated - issued  # the address FIFOs
-            parts.append((port, streamer._popped_this_cycle, queued))
-            for channel in streamer.channels:
+            parts.append((name, streamer._popped_this_cycle, queued))
+            for port in streamer.ports:
                 parts.append(
-                    (
-                        channel.data_fifo.occupancy,
-                        issued - channel.port.delivered,
-                        len(channel.port.pending),
-                    )
+                    (port.sink.occupancy, issued - port.delivered, len(port.pending))
                 )
         parts.append(
             tuple((r.requester, r.ready_cycle - now) for r in mem._in_flight)
@@ -378,9 +373,9 @@ class SteadySpanPlanner:
 
         # Every memory requester must belong to an active stream channel.
         active_ids = {
-            channel.requester_id
-            for port in sys._active_ports
-            for channel in sys.streamers[port].channels
+            port.name
+            for name in sys._active_ports
+            for port in sys.streamers[name].ports
         }
         for name, state in mem._requesters.items():
             if name not in active_ids and (state.pending or state.responses):
@@ -474,7 +469,7 @@ class SteadySpanPlanner:
                 )
                 (read_keys if span.is_read else write_keys).append(keys)
                 if not span.is_read:
-                    for request in channel_span.channel.port.pending:
+                    for request in channel_span.port.pending:
                         if request.strobe is not None:
                             raise _Bail("strobed_write")
         if write_keys:
@@ -498,7 +493,7 @@ class SteadySpanPlanner:
         )
 
     def _prepare_stream(
-        self, port: str, delta: np.ndarray, periods: int, flights
+        self, name: str, delta: np.ndarray, periods: int, flights
     ) -> Optional[_StreamSpan]:
         """Check one streamer's uniform cadence and build its address span.
 
@@ -506,10 +501,10 @@ class SteadySpanPlanner:
         """
         sys = self.system
         mem = sys.memory
-        streamer = sys.streamers[port]
-        d = lambda name: self._delta(delta, name)
-        bundles = d(f"{port}.bundles")
-        words = d(f"{port}.words")
+        streamer = sys.streamers[name]
+        d = lambda key: self._delta(delta, key)
+        bundles = d(f"{name}.bundles")
+        words = d(f"{name}.words")
         agu = streamer.agu
         if agu is None or agu.bundles_generated != streamer.bundles_generated:
             raise _Bail("agu_desync")
@@ -517,18 +512,17 @@ class SteadySpanPlanner:
         issued = streamer.requests_issued
         popped = streamer.words_streamed
         if bundles == 0:
-            if words or d(f"{port}.issued"):
+            if words or d(f"{name}.issued"):
                 raise _Bail("quiescent_drift")
-        elif d(f"{port}.issued") != bundles or words != bundles:
+        elif d(f"{name}.issued") != bundles or words != bundles:
             raise _Bail("ragged_cadence")
         channels: List[_ChannelSpan] = []
         # Isolation candidate: never contended in the reference period, and
         # every channel granted as far with the same response timings.
         contended = False
         skews = set()
-        for column, channel in enumerate(streamer.channels):
-            rid = channel.requester_id
-            port = channel.port
+        for column, port in enumerate(streamer.ports):
+            rid = port.name
             granted = port.granted
             delivered = port.delivered
             moved = (d(f"{rid}.granted"), d(f"{rid}.delivered"))
@@ -549,10 +543,10 @@ class SteadySpanPlanner:
             if (
                 len(port.pending) != issued - granted
                 or len(flying) != granted - delivered
-                or channel.data_fifo.occupancy != buffered
+                or port.sink.occupancy != buffered
             ):
                 raise _Bail("window_mismatch")
-            channels.append(_ChannelSpan(channel, column, granted, delivered))
+            channels.append(_ChannelSpan(port, column, granted, delivered))
 
         if bundles == 0:
             return None
@@ -565,7 +559,6 @@ class SteadySpanPlanner:
         banks, lines, offsets = streamer.remapper.decode_batch(matrix)
         return _StreamSpan(
             streamer=streamer,
-            port=port,
             is_read=streamer.is_read,
             delta=bundles,
             generated=streamer.bundles_generated,
@@ -656,10 +649,8 @@ class SteadySpanPlanner:
                 continue
             count = periods * span.delta
             for channel_span in span.channels:
-                channel = channel_span.channel
-                rid = channel.requester_id
-                port = channel.port
-                existing: List[np.ndarray] = channel.data_fifo.snapshot()
+                port = channel_span.port
+                existing: List[np.ndarray] = port.sink.snapshot()
                 existing.extend(r.data for r in mem._in_flight if r.port is port)
                 start = channel_span.granted - span.lo
                 gathered = stacked[
@@ -671,7 +662,7 @@ class SteadySpanPlanner:
                     if existing
                     else np.empty((0, width), dtype=np.uint8)
                 )
-                combined[rid] = np.concatenate([stackable, gathered])
+                combined[port.name] = np.concatenate([stackable, gathered])
 
         # 2. Collapse all MAC steps of all replayed tiles into one einsum.
         operands: Dict[int, np.ndarray] = {}
@@ -681,7 +672,7 @@ class SteadySpanPlanner:
             pops = periods * span.delta
             wide = np.concatenate(
                 [
-                    combined[channel_span.channel.requester_id][:pops]
+                    combined[channel_span.port.name][:pops]
                     for channel_span in span.channels
                 ],
                 axis=1,
@@ -730,10 +721,9 @@ class SteadySpanPlanner:
         sink_span = next(span for span in plan.streams if not span.is_read)
         sink_words = sink_span.streamer.extensions.apply_batch(sink_raw)
         for channel_span in sink_span.channels:
-            channel = channel_span.channel
-            rid = channel.requester_id
-            existing = [r.data for r in channel.port.pending]
-            existing.extend(channel.data_fifo.snapshot())
+            port = channel_span.port
+            existing = [r.data for r in port.pending]
+            existing.extend(port.sink.snapshot())
             slice_ = sink_words[
                 :, channel_span.column * width : (channel_span.column + 1) * width
             ]
@@ -742,7 +732,7 @@ class SteadySpanPlanner:
                 if existing
                 else np.empty((0, width), dtype=np.uint8)
             )
-            combined[rid] = np.concatenate([stackable, slice_])
+            combined[port.name] = np.concatenate([stackable, slice_])
 
         # 4. Scatter the span's writes (one assignment per touched bank).
         for span in plan.streams:
@@ -754,7 +744,7 @@ class SteadySpanPlanner:
                 mem.scratchpad.scatter_words(
                     span.banks[start : start + count, channel_span.column],
                     span.lines[start : start + count, channel_span.column],
-                    combined[channel_span.channel.requester_id][:count],
+                    combined[channel_span.port.name][:count],
                 )
 
         # 5. Advance every scalar counter by r x its per-period delta and
@@ -784,8 +774,7 @@ class SteadySpanPlanner:
                 touched, last = np.unique(order, return_index=True)
                 columns = (order.size - 1 - last) % len(granted)
                 for bank, column in zip(touched.tolist(), columns.tolist()):
-                    channel = span.channels[column].channel
-                    mem._last_grant[bank] = channel.requester_id
+                    mem._last_grant[bank] = span.channels[column].port.name
 
         # 6. Move every queue to its position-shifted image.  A word is one
         #    record from issue to delivery, so the records move in place —
@@ -795,10 +784,9 @@ class SteadySpanPlanner:
         for span in plan.streams:
             shift = periods * span.delta
             for channel_span in span.channels:
-                channel = channel_span.channel
-                port = channel.port
+                port = channel_span.port
                 column = channel_span.column
-                stream = combined[channel.requester_id]
+                stream = combined[port.name]
                 base = span.words if span.is_read else channel_span.granted
 
                 def move(word) -> None:
@@ -822,7 +810,7 @@ class SteadySpanPlanner:
                     if span.is_read
                     else (span.issued, span.words)
                 )
-                channel.data_fifo.replace_entries(
+                port.sink.replace_entries(
                     stream[position - base]
                     for position in range(first + shift, last + shift)
                 )

@@ -262,10 +262,10 @@ class TestIdleChannels:
         streamer = DataMaestro(read_design(), GEOMETRY, [8])
         streamer.configure(linear_runtime(steps=4))
         streamer.bind(memory)
-        for channel in streamer.channels:
-            # No address queued: the issue phase may not look at the
-            # channel's port or data FIFO (either would raise here).
-            channel.port = channel.data_fifo = None
+        # No address queued: the issue phase may not look at a channel's
+        # port or data FIFO (either would raise here).
+        streamer.ports[:] = [None] * len(streamer.ports)
+        streamer.fifos[:] = [None] * len(streamer.fifos)
         assert streamer.issue_requests(memory) == 0
 
     def test_stalled_accounting_matches_bulk_advance(self):
@@ -304,7 +304,7 @@ class TestChannelsDivergeAtTheGrant:
         streamer = DataMaestro(read_design(), GEOMETRY, [8])
         streamer.configure(linear_runtime(steps=16))  # ch0 even banks, ch1 odd
         streamer.bind(memory)
-        ports = [channel.port for channel in streamer.channels]
+        ports = streamer.ports
         hogs = [
             (bank, memory.bind(f"hog{bank}{copy}"))
             for bank in (0, 2, 4, 6)
@@ -333,7 +333,7 @@ class TestChannelsDivergeAtTheGrant:
             history.append(
                 (
                     tuple(port.granted for port in ports),
-                    tuple(c.data_fifo.occupancy for c in streamer.channels),
+                    tuple(fifo.occupancy for fifo in streamer.fifos),
                 )
             )
         assert streamer.done and streamer.words_streamed == 16
@@ -350,10 +350,10 @@ class TestParkingHooks:
         sat out in (``AcceleratorSystem.step`` is what parks and counts)."""
 
         def stalls(streamer):
-            return [streamer.credit_stall_cycles for _ in streamer.channels]
+            return [streamer.credit_stall_cycles for _ in streamer.fifos]
 
         def stalled(streamer):
-            return [streamer.credit_stalled() for _ in streamer.channels]
+            return [streamer.credit_stalled() for _ in streamer.fifos]
 
         # Delivery is not a hook: a response maturing for a parked streamer's
         # port fills the data FIFO and changes nothing the streamer decides on.
@@ -449,17 +449,17 @@ class TestConfiguration:
             memory.reset_statistics()
         assert launches[0][0].requests_issued == launches[0][0].requests_granted == 16
         assert launches[1] == launches[0]
-        for channel in streamer.channels:
-            assert streamer.requests_issued == channel.data_fifo.total_pops == 8
-            assert channel.port.delivered == 8
-            assert streamer.requests_issued - channel.port.delivered == 0
+        for port, fifo in zip(streamer.ports, streamer.fifos, strict=True):
+            assert streamer.requests_issued == fifo.total_pops == 8
+            assert port.delivered == 8
+            assert streamer.requests_issued - port.delivered == 0
         # The ports outlive the launch in the memory; a re-bound one counts
         # its deliveries from zero again.
         streamer.configure(linear_runtime(steps=8))
         streamer.bind(memory)
-        for channel in streamer.channels:
-            assert channel.port.registered and channel.port.delivered == 0
-            assert streamer.requests_issued - channel.port.delivered == 0
+        for port in streamer.ports:
+            assert port.registered and port.delivered == 0
+            assert streamer.requests_issued - port.delivered == 0
 
     def test_unconfigured_streamer_is_not_busy(self):
         streamer = DataMaestro(read_design(), GEOMETRY, [8])

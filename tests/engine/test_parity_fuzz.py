@@ -120,11 +120,10 @@ class _CheckedLockstep(LockstepEngine):
                 # The address FIFOs: two counters, within their depth.
                 queued = streamer.bundles_generated - issued
                 assert 0 <= queued <= streamer.design.address_buffer_depth, queued
-                for channel in streamer.channels:
-                    name = channel.requester_id
-                    fifo = channel.data_fifo
+                for port, fifo in zip(streamer.ports, streamer.fifos, strict=True):
+                    name = port.name
                     assert 0 <= fifo.occupancy <= fifo.depth, fifo.name
-                    outstanding = issued - channel.port.delivered
+                    outstanding = issued - port.delivered
                     if streamer.is_read:
                         # In flight plus buffered: every one owns a slot.
                         assert (
@@ -143,9 +142,9 @@ class _CheckedLockstep(LockstepEngine):
                     granted = memory.requester_stats(name)["granted"]
                     assert issued == granted + memory.pending_count(name), name
         for streamer in streamers:
-            for channel in streamer.channels:
-                assert channel.port.delivered == streamer.requests_issued, (
-                    f"{channel.requester_id}: words delivered != words requested"
+            for port in streamer.ports:
+                assert port.delivered == streamer.requests_issued, (
+                    f"{port.name}: words delivered != words requested"
                 )
         # The memory's totals count the DMA pre-pass too; the banks and the
         # ports count only crossbar grants.  Replay moves the totals by

@@ -285,7 +285,7 @@ class TestStreamChannelPorts:
         """The port holds the data FIFO, not the streamer that owns it."""
         memory = make_subsystem()
         streamer = self.reader_with_a_word_in_flight(memory)
-        fifo = streamer.channels[0].data_fifo
+        fifo = streamer.fifos[0]
         del streamer
         gc.collect()
         assert memory.deliver() == 1
@@ -295,10 +295,10 @@ class TestStreamChannelPorts:
         """The ORM reserves the slot at issue; a read without one is caught."""
         memory = make_subsystem()
         streamer = self.reader_with_a_word_in_flight(memory)
-        channel = streamer.channels[0]
-        assert memory.deliver() == 1 and channel.data_fifo.is_full
+        (port,) = streamer.ports
+        assert memory.deliver() == 1 and streamer.fifos[0].is_full
         assert streamer.generate_addresses() and streamer.credit_stalled()
-        memory.submit(MemoryRequest(channel.requester_id, False, 1, 0, port=channel.port))
+        memory.submit(MemoryRequest(port.name, False, 1, 0, port=port))
         memory.step()
         with pytest.raises(FifoError, match="dm_t.ch0.data"):
             memory.deliver()

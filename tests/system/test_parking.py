@@ -122,7 +122,7 @@ class TestParking:
         slept_through = Counter()
 
         def received(streamer):
-            return sum(channel.port.delivered for channel in streamer.channels)
+            return sum(port.delivered for port in streamer.ports)
 
         def checked_deliver():
             parked = {

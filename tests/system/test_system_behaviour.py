@@ -96,9 +96,9 @@ class TestRunMechanics:
         stream = system.streamers["C"]
         active = [f"C.ch{index}" for index in range(4)]
         assert program.streamer_configs["C"].active_channels == 4
-        assert [channel.requester_id for channel in stream.channels] == active
-        for channel in stream.channels:
-            assert channel.port.sink is channel.data_fifo and not channel.port.registered
+        assert [port.name for port in stream.ports] == active
+        for port, fifo in zip(stream.ports, stream.fifos, strict=True):
+            assert port.sink is fifo and not port.registered
         system.run(program)  # loads the program afresh
         stream = system.streamers["C"]
         assert [name for name in system.memory._requesters if name[0] == "C"] == active

@@ -125,7 +125,7 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
             if issued < streamer.bundles_generated and (
                 streamer.is_read or issued < streamer.words_streamed
             ):
-                counts["visits"] += len(streamer.channels)
+                counts["visits"] += len(streamer.ports)
 
     class Counted(EventDrivenEngine):
         def drive(self, target, **kwargs):
