@@ -75,16 +75,6 @@ MAX_ROWS = 2048
 #: ``g`` until signature and bank pattern both repeat.
 MAX_GROUP = 16
 
-#: Memory counter names mirrored through the snapshot/delta machinery.
-_MEM_COUNTER_KEYS = (
-    "bank_conflicts",
-    "word_reads",
-    "word_writes",
-    "dma_word_reads",
-    "dma_word_writes",
-)
-
-
 class _Bail(Exception):
     """A steady-span precondition failed; fall back to per-cycle stepping."""
 
@@ -197,14 +187,10 @@ class SteadySpanPlanner:
 
         attr("system.cycles", sys, "_cycles")
         attr("memory.cycle", mem, "cycle")
-        for key in _MEM_COUNTER_KEYS:
-            slots.append(
-                (
-                    f"memory.{key}",
-                    lambda c=mem.counters, k=key: c.get(k),
-                    lambda v, c=mem.counters, k=key: c.set(k, int(v)),
-                )
-            )
+        for key in ("conflicts", "reads", "writes"):
+            attr(f"memory.{key}", mem, f"total_{key}")
+        for key in ("reads", "writes"):
+            attr(f"memory.dma_{key}", mem, f"dma_{key}")
         gemm = sys.gemm_core
         attr("gemm.mac", gemm, "mac_cycles")
         attr("gemm.stall", gemm, "stall_cycles")

@@ -40,7 +40,6 @@ from typing import Any, Deque, Dict, List, Optional, Union
 import numpy as np
 
 from ..sim.fifo import Fifo
-from ..sim.stats import StatCounters
 from .addressing import BankGeometry
 from .scratchpad import ScratchpadMemory
 
@@ -113,7 +112,14 @@ class MemorySubsystem:
         self.read_latency = int(read_latency)
         self.scratchpad = ScratchpadMemory(geometry)
         self.cycle = 0
-        self.counters = StatCounters()
+        #: Word accesses and bank conflicts.  The two totals include the DMA
+        #: pre-pass (:meth:`add_uncounted_accesses`), which the ``dma_*``
+        #: pair also counts on its own.
+        self.total_reads = 0
+        self.total_writes = 0
+        self.total_conflicts = 0
+        self.dma_reads = 0
+        self.dma_writes = 0
         #: Ports that have submitted, in first-submit order.  The order is
         #: behaviour: it is the contender order of :meth:`arbitrate`, the
         #: first-contention tie-break and the grant order into
@@ -246,7 +252,7 @@ class MemorySubsystem:
                 if first is not request:
                     contended.setdefault(request.bank, [first]).append(request)
         for bank, contenders in contended.items():
-            self.counters.add("bank_conflicts", len(contenders) - 1)
+            self.total_conflicts += len(contenders) - 1
             for request in contenders:
                 request.port.retries += 1
             heads[bank] = self._pick_winner(bank, contenders)
@@ -281,10 +287,8 @@ class MemorySubsystem:
             request.ready_cycle = ready
             in_flight.append(request)
         self.pending_requests -= len(heads)
-        if reads:
-            self.counters.add("word_reads", reads)
-        if len(heads) > reads:
-            self.counters.add("word_writes", len(heads) - reads)
+        self.total_reads += reads
+        self.total_writes += len(heads) - reads
         return len(heads)
 
     def step(self) -> int:
@@ -331,18 +335,6 @@ class MemorySubsystem:
     # ------------------------------------------------------------------
     # Statistics & housekeeping.
     # ------------------------------------------------------------------
-    @property
-    def total_reads(self) -> int:
-        return self.counters.get("word_reads")
-
-    @property
-    def total_writes(self) -> int:
-        return self.counters.get("word_writes")
-
-    @property
-    def total_conflicts(self) -> int:
-        return self.counters.get("bank_conflicts")
-
     def requester_stats(self, requester: str) -> Dict[str, int]:
         port = self._requesters.get(requester)
         if port is None:
@@ -357,12 +349,10 @@ class MemorySubsystem:
         but still needs their word accesses reflected in the totals used by
         Figure 7(b); this hook adds them without occupying crossbar ports.
         """
-        if reads:
-            self.counters.add("word_reads", reads)
-            self.counters.add("dma_word_reads", reads)
-        if writes:
-            self.counters.add("word_writes", writes)
-            self.counters.add("dma_word_writes", writes)
+        self.total_reads += reads
+        self.dma_reads += reads
+        self.total_writes += writes
+        self.dma_writes += writes
 
     def idle(self) -> bool:
         """True when no requests are pending or in flight anywhere."""
@@ -375,7 +365,8 @@ class MemorySubsystem:
 
     def reset_statistics(self) -> None:
         """Clear counters while keeping memory contents."""
-        self.counters.reset()
+        self.total_reads = self.total_writes = self.total_conflicts = 0
+        self.dma_reads = self.dma_writes = 0
         for port in self._requesters.values():
             port.granted = 0
             port.retries = 0

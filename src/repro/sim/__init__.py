@@ -1,4 +1,4 @@
-"""Cycle-level simulation primitives (FIFOs, counters, results)."""
+"""Cycle-level simulation primitives (FIFOs, streamer statistics, results)."""
 
 from .fifo import Fifo, FifoError
 from .result import (
@@ -7,14 +7,13 @@ from .result import (
     SimulationLimitError,
     SimulationResult,
 )
-from .stats import StatCounters, StreamerStats
+from .stats import StreamerStats
 
 __all__ = [
     "DEFAULT_CYCLE_BUDGET",
     "DEFAULT_PROGRESS_INTERVAL",
     "Fifo",
     "FifoError",
-    "StatCounters",
     "StreamerStats",
     "SimulationResult",
     "SimulationLimitError",

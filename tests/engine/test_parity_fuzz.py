@@ -151,8 +151,8 @@ class _CheckedLockstep(LockstepEngine):
         # per-period deltas and the bank counts by a histogram, so parity
         # carries this identity to every engine.
         banks = memory.scratchpad.banks
-        reads = memory.total_reads - memory.counters.get("dma_word_reads")
-        writes = memory.total_writes - memory.counters.get("dma_word_writes")
+        reads = memory.total_reads - memory.dma_reads
+        writes = memory.total_writes - memory.dma_writes
         assert sum(bank.read_count for bank in banks) == reads
         assert sum(bank.write_count for bank in banks) == writes
         granted = sum(port.granted for port in memory._requesters.values())

@@ -310,7 +310,7 @@ class TestDmaAccounting:
         memory.add_uncounted_accesses(reads=10, writes=5)
         assert memory.total_reads == 10
         assert memory.total_writes == 5
-        assert memory.counters.get("dma_word_reads") == 10
+        assert memory.dma_reads == 10
 
     def test_reset_statistics_keeps_contents(self):
         memory = make_subsystem()

@@ -142,7 +142,19 @@ def field_values(system, result):
             system.quantizer.stall_cycles,
             system.quantizer.tiles_processed,
         ),
-        sorted(memory.counters.as_dict().items()),
+        # The memory's counters under the names they had in a bag that
+        # held a name only once it was first counted.
+        sorted(
+            (name, value)
+            for name, value in (
+                ("bank_conflicts", memory.total_conflicts),
+                ("word_reads", memory.total_reads),
+                ("word_writes", memory.total_writes),
+                ("dma_word_reads", memory.dma_reads),
+                ("dma_word_writes", memory.dma_writes),
+            )
+            if value
+        ),
         [(name, memory.requester_stats(name)) for name in memory._requesters],
         [(bank.read_count, bank.write_count) for bank in memory.scratchpad.banks],
         sorted(memory._last_grant.items()),
