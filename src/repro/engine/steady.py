@@ -56,7 +56,7 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -158,7 +158,7 @@ class SteadySpanPlanner:
         # every finished system, scratchpad included, to the cycle collector.
         self.system = weakref.proxy(system)
         self.stats = SteadySpanStats()
-        self._slots: Optional[List[Tuple[str, Callable, Callable]]] = None
+        self._slots: Optional[List[Tuple[object, str]]] = None
         self._index: Dict[str, int] = {}
         self._plan: Optional[_Plan] = None
         #: Rolling (cycle, signature, snapshot, ``_last_grant``) boundary records.
@@ -168,22 +168,19 @@ class SteadySpanPlanner:
         self._skip_groups: set = set()
 
     # ------------------------------------------------------------------
-    # Counter snapshot layout: one (name, getter, setter) triple per scalar
-    # counter that must advance by r x its per-period delta on a jump.
+    # Counter snapshot layout: one (object, attribute) pair per scalar
+    # counter that must advance by r x its per-period delta on a jump, and
+    # a name for each, by which the planner reads the deltas.
     # ------------------------------------------------------------------
     def _build_slots(self) -> None:
         sys = self.system
         mem = sys.memory
-        slots: List[Tuple[str, Callable, Callable]] = []
+        slots: List[Tuple[object, str]] = []
+        index: Dict[str, int] = {}
 
         def attr(name: str, obj: object, attribute: str) -> None:
-            slots.append(
-                (
-                    name,
-                    lambda o=obj, a=attribute: getattr(o, a),
-                    lambda v, o=obj, a=attribute: setattr(o, a, int(v)),
-                )
-            )
+            index[name] = len(slots)
+            slots.append((obj, attribute))
 
         attr("system.cycles", sys, "_cycles")
         attr("memory.cycle", mem, "cycle")
@@ -214,21 +211,15 @@ class SteadySpanPlanner:
                 attr(f"{rid}.granted", port, "granted")
                 attr(f"{rid}.retries", port, "retries")
         self._slots = slots
-        self._index = {name: i for i, (name, _, _) in enumerate(slots)}
+        self._index = index
 
     def _capture(self) -> np.ndarray:
-        assert self._slots is not None
-        return np.fromiter(
-            (get() for _, get, _ in self._slots),
-            dtype=np.int64,
-            count=len(self._slots),
-        )
+        return np.array([getattr(o, a) for o, a in self._slots], dtype=np.int64)
 
     def _apply_delta(self, delta: np.ndarray, periods: int) -> None:
-        assert self._slots is not None
-        for (name, get, set_), step in zip(self._slots, delta.tolist()):
+        for (o, a), step in zip(self._slots, delta.tolist()):
             if step:
-                set_(get() + step * periods)
+                setattr(o, a, getattr(o, a) + step * periods)
 
     # ------------------------------------------------------------------
     # Structural signature: everything behaviour-relevant except the
