@@ -25,6 +25,17 @@ step          numpy calls per cycle    budget
 1_baseline    12.67 → 1.51             1.52
 ============  =======================  ======
 
+Calls per stepped cycle, parent 755e1a2 → a channel held as its data FIFO
+and its memory port (no per-channel object) and the memory's counters as
+plain attributes:
+
+============  =======================
+step          calls per stepped cycle
+============  =======================
+2_prefetch    68.5 → 53.1
+1_baseline    46.4 → 39.1
+============  =======================
+
 A memory word is one ``MemoryRequest`` for its whole life, built when its
 channel issues it: generating a bundle advances a counter and a delivery
 appends to the data FIFO's deque, so the ``Fifo`` calls left are write-mode
