@@ -96,9 +96,11 @@ class MemoryPort:
     #: Responses handed over so far, reads and write acknowledgements alike.
     delivered: int = 0
     registered: bool = False
-    #: The data FIFO (never the streamer) of the stream channel bound here:
-    #: ``deliver`` appends a read's data to it and only counts a write's
-    #: acknowledgement.  ``None`` for by-name requesters.
+    #: The channel's other half when a streamer binds this port: its data
+    #: FIFO (``DataMaestro.fifos[i]`` beside ``DataMaestro.ports[i]``),
+    #: never the streamer.  ``deliver`` appends a read's data to it and only
+    #: counts a write's acknowledgement; a write channel's issue pops its
+    #: data from it.  ``None`` for by-name requesters.
     sink: Optional[Fifo] = None
 
 

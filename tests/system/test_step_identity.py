@@ -142,8 +142,8 @@ def field_values(system, result):
             system.quantizer.stall_cycles,
             system.quantizer.tiles_processed,
         ),
-        # The memory's counters under the names they had in a bag that
-        # held a name only once it was first counted.
+        # The memory's counters as step_stats.json recorded them: under
+        # these names, and with the zero ones left out.
         sorted(
             (name, value)
             for name, value in (
