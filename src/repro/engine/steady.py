@@ -75,6 +75,7 @@ MAX_ROWS = 2048
 #: ``g`` until signature and bank pattern both repeat.
 MAX_GROUP = 16
 
+
 class _Bail(Exception):
     """A steady-span precondition failed; fall back to per-cycle stepping."""
 
@@ -214,12 +215,13 @@ class SteadySpanPlanner:
         self._index = index
 
     def _capture(self) -> np.ndarray:
-        return np.array([getattr(o, a) for o, a in self._slots], dtype=np.int64)
+        values = [getattr(obj, attribute) for obj, attribute in self._slots]
+        return np.array(values, dtype=np.int64)
 
     def _apply_delta(self, delta: np.ndarray, periods: int) -> None:
-        for (o, a), step in zip(self._slots, delta.tolist()):
+        for (obj, attribute), step in zip(self._slots, delta.tolist()):
             if step:
-                setattr(o, a, getattr(o, a) + step * periods)
+                setattr(obj, attribute, getattr(obj, attribute) + step * periods)
 
     # ------------------------------------------------------------------
     # Structural signature: everything behaviour-relevant except the
