@@ -114,9 +114,9 @@ class MemorySubsystem:
         self.read_latency = int(read_latency)
         self.scratchpad = ScratchpadMemory(geometry)
         self.cycle = 0
-        #: Word accesses and bank conflicts.  The two totals include the DMA
-        #: pre-pass (:meth:`add_uncounted_accesses`), which the ``dma_*``
-        #: pair also counts on its own.
+        #: Word accesses and bank conflicts.  The read and write totals
+        #: include the DMA pre-pass (:meth:`add_uncounted_accesses`), which
+        #: the ``dma_*`` pair also counts on its own.
         self.total_reads = 0
         self.total_writes = 0
         self.total_conflicts = 0
