@@ -39,8 +39,8 @@ never stored or moved:
 * every channel's **address FIFO** holds ``bundles_generated -
   requests_issued`` entries, and they are rows of the decoded address
   window (a pure function of the step index): generating a bundle advances
-  a counter, issuing builds each channel's
-  :class:`~repro.memory.subsystem.MemoryRequest` from the row;
+  a counter, issuing appends each channel's ``(bank, line, data, None)``
+  word tuple from the row to its port;
 * a read channel's **in-flight plus buffered** words are
   ``requests_issued - words_streamed`` (a streamer's channels pop
   together), so the credit rule, ``busy`` and the no-prefetch gate never
@@ -67,7 +67,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..memory.addressing import BankGeometry
-from ..memory.subsystem import MemoryPort, MemoryRequest, MemorySubsystem
+from ..memory.subsystem import MemoryPort, MemorySubsystem
 from ..sim.fifo import Fifo, FifoError
 from ..sim.stats import StreamerStats
 from .agu import AddressGenerationUnit
@@ -424,22 +424,16 @@ class DataMaestro:
             self._refill_window()
             row = step - self._window_start
         banks, lines = self._window[row]
-        for column, port in enumerate(self.ports):
-            if not port.registered:
-                memory.register(port)
-            # The word's one record: pending, in flight, then its own response.
-            port.pending.append(
-                MemoryRequest(
-                    port.name,
-                    not is_read,
-                    banks[column],
-                    lines[column],
-                    None if is_read else port.sink.pop(),
-                    None,
-                    step,
-                    port,
-                )
-            )
+        if is_read:
+            for port, bank, line in zip(self.ports, banks, lines):
+                if not port.registered:
+                    memory.register(port)
+                port.pending.append((bank, line, None, None))
+        else:
+            for port, bank, line in zip(self.ports, banks, lines):
+                if not port.registered:
+                    memory.register(port)
+                port.pending.append((bank, line, port.sink.pop(), None))
         self.requests_issued = step + 1
         issued = len(self.ports)
         memory.pending_requests += issued

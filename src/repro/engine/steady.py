@@ -56,7 +56,8 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -245,8 +246,9 @@ class SteadySpanPlanner:
                 parts.append(
                     (port.sink.occupancy, issued - port.delivered, len(port.pending))
                 )
-        parts.append(
-            tuple((r.requester, r.ready_cycle - now) for r in mem._in_flight)
+        parts.extend(
+            (ready - now, tuple(port.name for port, _, _ in batch))
+            for ready, batch in mem._in_flight
         )
         return tuple(parts)
 
@@ -351,16 +353,15 @@ class SteadySpanPlanner:
             raise _Bail("quantizer_cadence")
 
         # Every memory requester must belong to an active stream channel.
-        active_ids = {
-            port.name
-            for name in sys._active_ports
-            for port in sys.streamers[name].ports
+        active = {
+            port for name in sys._active_ports for port in sys.streamers[name].ports
         }
-        for name, state in mem._requesters.items():
-            if name not in active_ids and (state.pending or state.responses):
-                raise _Bail("foreign_requester")
-        for response in mem._in_flight:
-            if response.requester not in active_ids:
+        flights: Dict[MemoryPort, List[int]] = {}
+        for ready, batch in mem._in_flight:
+            for port, _, _ in batch:
+                flights.setdefault(port, []).append(ready)
+        for port in mem._requesters.values():
+            if port not in active and (port.pending or port.responses or port in flights):
                 raise _Bail("foreign_requester")
 
         rows = max(d(f"{port}.bundles") for port in sys._active_ports)
@@ -369,9 +370,6 @@ class SteadySpanPlanner:
         )
         if periods < MIN_PERIODS:
             raise _Bail("too_short")
-        flights: Dict[MemoryPort, List[int]] = {}
-        for response in mem._in_flight:
-            flights.setdefault(response.port, []).append(response.ready_cycle)
         streams: List[_StreamSpan] = []
         for port in sys._active_ports:
             span = self._prepare_stream(port, delta, periods, flights)
@@ -447,10 +445,6 @@ class SteadySpanPlanner:
                     + span.lines[start : start + count, channel_span.column]
                 )
                 (read_keys if span.is_read else write_keys).append(keys)
-                if not span.is_read:
-                    for request in channel_span.port.pending:
-                        if request.strobe is not None:
-                            raise _Bail("strobed_write")
         if write_keys:
             writes = np.concatenate(write_keys)
             if np.unique(writes).size != writes.size:
@@ -630,7 +624,10 @@ class SteadySpanPlanner:
             for channel_span in span.channels:
                 port = channel_span.port
                 existing: List[np.ndarray] = port.sink.snapshot()
-                existing.extend(r.data for r in mem._in_flight if r.port is port)
+                existing.extend(
+                    data for _, batch in mem._in_flight for owner, data, _ in batch
+                    if owner is port
+                )
                 start = channel_span.granted - span.lo
                 gathered = stacked[
                     span.banks[start : start + count, channel_span.column],
@@ -701,7 +698,7 @@ class SteadySpanPlanner:
         sink_words = sink_span.streamer.extensions.apply_batch(sink_raw)
         for channel_span in sink_span.channels:
             port = channel_span.port
-            existing = [r.data for r in port.pending]
+            existing = [data for _, _, data, _ in port.pending]
             existing.extend(port.sink.snapshot())
             slice_ = sink_words[
                 :, channel_span.column * width : (channel_span.column + 1) * width
@@ -755,11 +752,12 @@ class SteadySpanPlanner:
                 for bank, column in zip(touched.tolist(), columns.tolist()):
                     mem._last_grant[bank] = span.channels[column].port.name
 
-        # 6. Move every queue to its position-shifted image.  A word is one
-        #    record from issue to delivery, so the records move in place —
-        #    every in-flight one by the same span, which keeps
-        #    ``mem._in_flight`` in delivery order — and only the data FIFOs
-        #    are refilled.  (The address FIFOs moved with the counters.)
+        # 6. Rebuild every queue as its position-shifted image.  A word's
+        #    step is arithmetic — pending ``[granted, issued)``, in flight
+        #    ``[delivered, granted)`` — so pending words come from the span's
+        #    rows and each in-flight batch moves ``shift_cycles`` on with its
+        #    reads' words replaced.  (The address FIFOs moved with counters.)
+        flying: Dict[MemoryPort, Iterator] = {}
         for span in plan.streams:
             shift = periods * span.delta
             for channel_span in span.channels:
@@ -767,22 +765,23 @@ class SteadySpanPlanner:
                 column = channel_span.column
                 stream = combined[port.name]
                 base = span.words if span.is_read else channel_span.granted
-
-                def move(word) -> None:
-                    word.tag += shift
-                    row = word.tag - span.lo
-                    word.bank = int(span.banks[row, column])
-                    word.line = int(span.lines[row, column])
-                    if word.data is not None:
-                        word.data = stream[word.tag - base]
-
-                # Steps [granted, issued), then the granted ones in flight.
-                for word in port.pending:
-                    move(word)
-                for word in mem._in_flight:
-                    if word.port is port:
-                        move(word)
-                        word.ready_cycle += shift_cycles
+                rows = slice(
+                    channel_span.granted + shift - span.lo,
+                    span.issued + shift - span.lo,
+                )
+                port.pending = deque(
+                    zip(
+                        span.banks[rows, column].tolist(),
+                        span.lines[rows, column].tolist(),
+                        repeat(None) if span.is_read else stream[shift:],
+                        repeat(None),
+                    )
+                )
+                flying[port] = (
+                    iter(stream[channel_span.delivered + shift - base :])
+                    if span.is_read
+                    else repeat(None)
+                )
                 # Data FIFO: words [popped, delivered) / [issued, pushed).
                 first, last = (
                     (span.words, channel_span.delivered)
@@ -793,3 +792,7 @@ class SteadySpanPlanner:
                     stream[position - base]
                     for position in range(first + shift, last + shift)
                 )
+        mem._in_flight = deque(
+            (ready + shift_cycles, [(p, next(flying[p]), None) for p, _, _ in batch])
+            for ready, batch in mem._in_flight
+        )

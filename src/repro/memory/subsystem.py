@@ -22,6 +22,12 @@ designed to avoid.
   counted, so its in-flight requests are ``requests_issued -
   port.delivered``.  A by-name requester calls :meth:`collect`.
 
+A word is a tuple, no record: a port's ``pending`` holds ``(bank, line,
+data, request)`` (``data`` a write's word, ``request`` the by-name caller's
+:class:`MemoryRequest`, each ``None`` otherwise), and each cycle that grants
+appends one ``(ready_cycle, [(port, data, request), ...])`` batch to
+``_in_flight``, ``data`` now a read's word or ``None``.
+
 For the event-driven simulation kernel (:mod:`repro.engine`) the subsystem
 additionally implements the next-event protocol: :meth:`next_event_cycle`
 reports the earliest cycle at which the memory can change state (now, when
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,18 +52,14 @@ from .scratchpad import ScratchpadMemory
 
 @dataclass(slots=True)
 class MemoryRequest:
-    """One memory word, from request issue to delivery.
+    """A by-name requester's word, from :meth:`MemorySubsystem.submit` to
+    :meth:`MemorySubsystem.collect` (a stream word is a bare tuple).
 
-    The same object is pending at its port, in flight after the grant and
-    finally its own response: the grant stamps ``ready_cycle`` and, for a
+    It is its own response: the grant stamps ``ready_cycle`` and, for a
     read, fills ``data`` with a bytes-like copy of the wordline (a slice of
-    the scratchpad's buffer) taken there; a write's data is a uint8 array,
-    dropped once stored.  ``port`` is the requester's bound
-    :class:`MemoryPort`; requests built by name only (``port=None``) are
-    resolved once, at ``submit``.  ``bank`` / ``line`` default to an
-    out-of-range ``-1`` so a completion can be written down without them,
-    while ``submit`` rejects a request that names no bank, and a write
-    without data.
+    the scratchpad's buffer); a write's data is a uint8 array, dropped once
+    stored.  ``port`` is resolved from ``requester`` at ``submit`` unless
+    given.  ``bank`` / ``line`` default to ``-1``, which ``submit`` rejects.
     """
 
     requester: str
@@ -81,13 +83,15 @@ class MemoryPort:
     """One requester's side of the crossbar: its queues and counters.
 
     Per-cycle requesters hold their port (:meth:`MemorySubsystem.bind`) and
-    stamp it on every request, so no cycle resolves a name.  A port joins
-    arbitration at its first request (:meth:`MemorySubsystem.register`),
-    never at ``bind``: registration order is contender order.
+    append their words to its ``pending``, so no cycle resolves a name.  A
+    port joins arbitration at its first request
+    (:meth:`MemorySubsystem.register`), never at ``bind``: registration
+    order is contender order.
     """
 
     name: str
-    pending: Deque[MemoryRequest] = field(default_factory=deque)
+    #: ``(bank, line, data, request)`` words (see the module docstring).
+    pending: Deque[tuple] = field(default_factory=deque)
     #: A by-name requester's matured responses awaiting :meth:`collect`
     #: (``deliver`` only moves matured ones, so everything here is ready).
     responses: List[MemoryResponse] = field(default_factory=list)
@@ -127,8 +131,8 @@ class MemorySubsystem:
         #: first-contention tie-break and the grant order into
         #: ``_in_flight``.
         self._requesters: Dict[str, MemoryPort] = {}
-        #: Granted responses, ordered by ``ready_cycle`` (constant latency).
-        self._in_flight: Deque[MemoryResponse] = deque()
+        #: One batch per granting cycle, in ``ready_cycle`` and grant order.
+        self._in_flight: Deque[Tuple[int, list]] = deque()
         self._last_grant: Dict[int, str] = {}
         #: Requests queued and not yet granted, over all ports; a requester
         #: that appends to its ports' ``pending`` itself adds their number.
@@ -158,18 +162,30 @@ class MemorySubsystem:
     def submit(self, request: MemoryRequest) -> None:
         """Queue a request; it will be served in submission order.
 
-        A write must carry its word: one rejected only at its grant would
-        leave a request counted pending on no port, and the memory never idle.
+        What its bank would reject is rejected here, in the bank's words: one
+        that failed only at its grant would leave a grant counted, a request
+        counted pending on no port, and the memory never idle.
         """
         self.check_banks(request.bank, request.bank)
-        if request.is_write and request.data is None:
-            raise ValueError(f"write request without data from {request.requester!r}")
+        store = self.scratchpad.banks[request.bank]
+        store._check_line(request.line)
+        data = request.data if request.is_write else None
+        if request.is_write:
+            width = store.width_bytes
+            if data is None:
+                raise ValueError(f"write request without data from {request.requester!r}")
+            shape = np.asarray(data, dtype=np.uint8).shape
+            if shape != (width,):
+                raise ValueError(f"write data must have {width} bytes, got shape {shape}")
+            shape = np.shape(request.strobe)
+            if request.strobe is not None and shape != (width,):
+                raise ValueError(f"strobe must have {width} entries, got {shape}")
         port = request.port
         if port is None:
             port = request.port = self.bind(request.requester)
         if not port.registered:
             self.register(port)
-        port.pending.append(request)
+        port.pending.append((request.bank, request.line, data, request))
         self.pending_requests += 1
 
     def pending_count(self, requester: str) -> int:
@@ -182,7 +198,7 @@ class MemorySubsystem:
         port = self._requesters.get(requester)
         if port is None:
             return 0
-        in_flight = sum(1 for response in self._in_flight if response.port is port)
+        in_flight = sum(p is port for _, batch in self._in_flight for p, _, _ in batch)
         return len(port.pending) + in_flight + len(port.responses)
 
     def collect(self, port: MemoryPort) -> List[MemoryResponse]:
@@ -203,39 +219,39 @@ class MemorySubsystem:
         in_flight = self._in_flight
         now = self.cycle
         delivered = 0
-        while in_flight and in_flight[0].ready_cycle <= now:
-            response = in_flight.popleft()
-            port = response.port
-            port.delivered += 1
-            sink = port.sink
-            if sink is None:
-                port.responses.append(response)
-            elif not response.is_write:
-                entries = sink.entries
-                if len(entries) < sink.max_occupancy:
-                    entries.append(response.data)
-                    sink.total_pushes += 1
-                else:
-                    # A new high-water mark is the only place an overflow
-                    # (a request issued without a credit) can show.
-                    sink.push(response.data)
-            delivered += 1
+        while in_flight and in_flight[0][0] <= now:
+            _, batch = in_flight.popleft()
+            for port, data, request in batch:
+                port.delivered += 1
+                sink = port.sink
+                if sink is None:
+                    port.responses.append(request)
+                elif data is not None:  # a write is only acknowledged
+                    entries = sink.entries
+                    if len(entries) < sink.max_occupancy:
+                        entries.append(data)
+                        sink.total_pushes += 1
+                    else:
+                        # A new high-water mark is the only place an overflow
+                        # (a request issued without a credit) can show.
+                        sink.push(data)
+            delivered += len(batch)
         return delivered
 
-    def _pick_winner(self, bank: int, contenders: List[MemoryRequest]) -> MemoryRequest:
-        """Round-robin selection among two or more contenders for one bank."""
+    def _pick_winner(self, bank: int, contenders: List[MemoryPort]) -> MemoryPort:
+        """Round-robin selection among two or more contending ports for one bank."""
         last = self._last_grant.get(bank)
         if last is None:
             return contenders[0]
         # Grant the first requester strictly "after" the previous winner in
         # name order, wrapping around — a simple rotating-priority arbiter.
         first = after = None
-        for request in contenders:
-            name = request.requester
-            if first is None or name < first.requester:
-                first = request
-            if name > last and (after is None or name < after.requester):
-                after = request
+        for port in contenders:
+            name = port.name
+            if first is None or name < first.name:
+                first = port
+            if name > last and (after is None or name < after.name):
+                after = port
         return after or first
 
     def arbitrate(self) -> int:
@@ -245,18 +261,18 @@ class MemorySubsystem:
         """
         if not self.pending_requests:
             return 0
-        heads: Dict[int, MemoryRequest] = {}
-        contended: Dict[int, List[MemoryRequest]] = {}
+        heads: Dict[int, MemoryPort] = {}
+        contended: Dict[int, List[MemoryPort]] = {}
         for port in self._requesters.values():
             if port.pending:
-                request = port.pending[0]
-                first = heads.setdefault(request.bank, request)
-                if first is not request:
-                    contended.setdefault(request.bank, [first]).append(request)
+                bank = port.pending[0][0]
+                first = heads.setdefault(bank, port)
+                if first is not port:
+                    contended.setdefault(bank, [first]).append(port)
         for bank, contenders in contended.items():
             self.total_conflicts += len(contenders) - 1
-            for request in contenders:
-                request.port.retries += 1
+            for port in contenders:
+                port.retries += 1
             heads[bank] = self._pick_winner(bank, contenders)
 
         scratchpad = self.scratchpad
@@ -265,29 +281,30 @@ class MemorySubsystem:
         width = self.geometry.bank_width_bytes
         depth = self.geometry.bank_depth
         last_grant = self._last_grant
-        in_flight = self._in_flight
         ready = self.cycle + self.read_latency
+        batch = []
         reads = 0
-        for bank, request in heads.items():
-            port = request.port
-            last_grant[bank] = request.requester
-            port.pending.popleft()
+        for bank, port in heads.items():
+            last_grant[bank] = port.name
+            _, line, data, request = port.pending.popleft()
             port.granted += 1
             store = banks[bank]
-            line = request.line
-            if request.is_write:
-                store.write(line, request.data, request.strobe)
-                request.data = None
-            else:
+            if data is None:
                 # ``MemoryBank.read`` inline: most grants are reads.
-                if not 0 <= line < store.depth:
+                if not 0 <= line < depth:
                     store._check_line(line)
                 store.read_count += 1
                 start = (bank * depth + line) * width
-                request.data = buffer[start : start + width]
+                data = buffer[start : start + width]
                 reads += 1
-            request.ready_cycle = ready
-            in_flight.append(request)
+            else:
+                store.write(line, data, None if request is None else request.strobe)
+                data = None
+            if request is not None:
+                request.data = data
+                request.ready_cycle = ready
+            batch.append((port, data, request))
+        self._in_flight.append((ready, batch))
         self.pending_requests -= len(heads)
         self.total_reads += reads
         self.total_writes += len(heads) - reads
@@ -320,7 +337,7 @@ class MemorySubsystem:
         for port in self._requesters.values():
             if port.responses:
                 return self.cycle
-        return self._in_flight[0].ready_cycle if self._in_flight else None
+        return self._in_flight[0][0] if self._in_flight else None
 
     def advance(self, cycles: int) -> None:
         """Fast-forward the clock over ``cycles`` provably inactive cycles.

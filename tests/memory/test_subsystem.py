@@ -93,6 +93,29 @@ class TestBasicTiming:
         assert memory.requester_stats("ch0") == {"granted": 0, "retries": 0}
         assert memory.total_writes == 0 and memory._last_grant == {}
 
+    @pytest.mark.parametrize(
+        "request_, error, message",
+        [
+            (MemoryRequest("ch0", False, bank=1, line=8), IndexError, "wordline 8"),
+            (MemoryRequest("ch0", True, 1, 2, np.zeros(7, np.uint8)), ValueError, "8 bytes"),
+            (
+                MemoryRequest("ch0", True, 1, 2, np.zeros(8, np.uint8), np.ones(4, bool)),
+                ValueError,
+                "strobe must have 8 entries",
+            ),
+        ],
+        ids=["wordline", "word_width", "strobe_shape"],
+    )
+    def test_malformed_request_rejected_at_submit(self, request_, error, message):
+        """What the bank would reject at the grant is rejected before it
+        queues, with the bank's message: nothing counted pending, still idle."""
+        memory = make_subsystem()
+        with pytest.raises(error, match=message):
+            memory.submit(request_)
+        assert memory.pending_requests == 0 and memory.idle()
+        memory.step()
+        assert memory.idle() and memory.requester_stats("ch0")["granted"] == 0
+
 
 class TestArbitration:
     def test_no_conflict_for_distinct_banks(self):
@@ -201,11 +224,12 @@ class TestWordSnapshots:
         for bank in memory.scratchpad.banks:
             bank.poke(0, np.full(8, 3, dtype=np.uint8))
         streamer = TestStreamChannelPorts().reader_with_a_word_in_flight(memory)
-        (word,) = memory._in_flight
+        ((_, (_,)),) = memory._in_flight  # one batch of one word
+        (bank,), (line,) = streamer._window[0]
         assert memory.deliver() == 1 and streamer.output_valid()
-        memory.submit(write_request("w", bank=word.bank, line=word.line, value=7))
+        memory.submit(write_request("w", bank=bank, line=line, value=7))
         run_cycles(memory, 2)
-        assert memory.scratchpad.banks[word.bank].peek(word.line).tolist() == [7] * 8
+        assert memory.scratchpad.banks[bank].peek(line).tolist() == [7] * 8
         assert streamer.pop_output().tolist() == [3] * 8
 
 

@@ -322,7 +322,7 @@ def render(report: Dict[str, object]) -> str:
             f"  memory words requested   {report['requests_issued']:>10,} "
             f"({report['issue_visits_per_request']:.2f} issue visits per request)",
             f"  records allocated        {sum(report['records'].values()):>10,} "
-            f"({report['records_per_word']:.2f} per word: {records})",
+            f"({report['records_per_word']:.2f} per word: {records or 'none'})",
             f"  Fifo method calls        {report['fifo_calls']:>10,} "
             f"({report['fifo_calls_per_word']:.2f} per word)",
             f"  stepped cycles parked    {parked}",
