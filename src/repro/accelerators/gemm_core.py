@@ -27,6 +27,8 @@ from typing import List, Optional, Protocol
 
 import numpy as np
 
+from ..sim.result import SteadyBail
+
 
 class StreamSource(Protocol):
     """Read-side interface the core expects (provided by DataMaestro)."""
@@ -93,7 +95,8 @@ class GemmCore:
         self.c_stream: Optional[StreamSource] = None
         self.output_sink: Optional[StreamSink] = None
         self.job: Optional[GemmJob] = None
-        self._tile_index = 0
+        #: Output tiles pushed to the sink so far.
+        self.tiles_completed = 0
         self._k_index = 0
         #: The current output tile's operand words, popped so far (reset at
         #: every k = 0).
@@ -128,7 +131,7 @@ class GemmCore:
         if job.use_init_stream and self.c_stream is None:
             raise ValueError("job requests an init stream but none is bound")
         self.job = job
-        self._tile_index = 0
+        self.tiles_completed = 0
         self._k_index = 0
         self.mac_cycles = 0
         self.stall_cycles = 0
@@ -136,7 +139,7 @@ class GemmCore:
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
-        return self.job is not None and self._tile_index >= self.job.output_tiles
+        return self.job is not None and self.tiles_completed >= self.job.output_tiles
 
     @property
     def busy(self) -> bool:
@@ -147,7 +150,7 @@ class GemmCore:
         if self.job is None:
             return 0.0
         total = self.job.ideal_compute_cycles
-        completed = self._tile_index * self.job.tiles_k + self._k_index
+        completed = self.tiles_completed * self.job.tiles_k + self._k_index
         return completed / total if total else 1.0
 
     # ------------------------------------------------------------------
@@ -194,6 +197,42 @@ class GemmCore:
         """
         if self.busy:
             self.stall_cycles += cycles
+
+    # ------------------------------------------------------------------
+    # Steady-span protocol (see repro.engine.steady).
+    # ------------------------------------------------------------------
+    def period_counters(self) -> List[tuple]:
+        """What a steady period advances: MAC and stall cycles, tiles."""
+        return [(self, "mac_cycles"), (self, "stall_cycles"), (self, "tiles_completed")]
+
+    def period_signature(self) -> tuple:
+        """Nothing: a boundary completes a tile (``k`` is 0) and the words
+        popped for it are dropped at the next tile's first step."""
+        return ()
+
+    def period_tiles(self, delta: List[int]) -> int:
+        """Output tiles per steady period, from :meth:`period_counters`'
+        change over one; bails unless each took ``tiles_k`` MAC steps."""
+        macs, _, tiles = delta
+        if tiles < 1 or macs != tiles * self.job.tiles_k:
+            raise SteadyBail("tile_cadence")
+        return tiles
+
+    def period_consumers(self, tiles: int) -> dict:
+        """The streams this core pops over a steady period of ``tiles``
+        output tiles: stream -> (words per period, words popped by now)."""
+        k = self.job.tiles_k
+        operand = (tiles * k, self.tiles_completed * k)
+        consumers = {
+            stream: operand
+            for stream in (self.a_stream, self.b_stream)
+            if stream is not None
+        }
+        if self.job.use_init_stream and self.c_stream is not None:
+            consumers[self.c_stream] = (tiles, self.tiles_completed)
+        if self.a_stream is self.b_stream:
+            raise SteadyBail("shared_operand_stream")
+        return consumers
 
     def compute_tiles_batch(
         self,
@@ -275,7 +314,7 @@ class GemmCore:
             )
             self.output_sink.push_input(tile[0])
             self._k_index = 0
-            self._tile_index += 1
+            self.tiles_completed += 1
         return True
 
     # ------------------------------------------------------------------
@@ -283,7 +322,7 @@ class GemmCore:
         return {
             "mac_cycles": self.mac_cycles,
             "stall_cycles": self.stall_cycles,
-            "tiles_completed": self._tile_index,
+            "tiles_completed": self.tiles_completed,
         }
 
 

@@ -23,6 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..sim.fifo import Fifo
+from ..sim.result import SteadyBail
 from ..utils.packing import bytes_to_tile, tile_to_bytes
 from .gemm_core import StreamSink
 
@@ -133,6 +134,48 @@ class Quantizer:
         """Bulk-apply ``cycles`` skipped cycles to the stall counter."""
         if self.busy:
             self.stall_cycles += cycles
+
+    # ------------------------------------------------------------------
+    # Steady-span protocol (see repro.engine.steady).
+    # ------------------------------------------------------------------
+    def period_counters(self) -> list:
+        """What a steady period advances: tiles, stalls and the queue's
+        pushes and pops."""
+        queue = self._pending
+        return [
+            (self, "tiles_processed"),
+            (self, "stall_cycles"),
+            (queue, "total_pushes"),
+            (queue, "total_pops"),
+        ]
+
+    def period_signature(self) -> int:
+        return len(self._pending.entries)
+
+    def check_period(self, delta: list, tiles: int) -> None:
+        """Bail unless a steady period of ``tiles`` core tiles rescaled as
+        many (``delta`` is :meth:`period_counters`' change over one)."""
+        if delta[0] != tiles:
+            raise SteadyBail("quantizer_cadence")
+
+    def period_sink(self, tiles_in: int):
+        """The stream this quantizer feeds and the words pushed into it by
+        now; bails unless the queue holds exactly the tiles in between."""
+        if len(self._pending.entries) != tiles_in - self.tiles_processed:
+            raise SteadyBail("quantizer_window")
+        return self.output_sink, self.tiles_processed
+
+    def replay_tiles(self, produced: np.ndarray) -> np.ndarray:
+        """Rescale a steady span's tiles as :meth:`step` would: the queued
+        tiles, then ``produced`` (the core's byte images, one row per tile),
+        of which as many as were queued stay queued.  Returns the span's
+        output words, one row each."""
+        count = len(produced)
+        raw = np.vstack([*self._pending.entries, produced])
+        tiles = raw[:count].view(np.int32).reshape(count, self.rows, self.cols)
+        self._pending.replace_entries(list(raw[count:]))
+        rescaled = rescale_tile_batch(tiles, self.config)
+        return rescaled.view(np.uint8).reshape(count, -1)
 
     def step(self) -> bool:
         """Requantize one pending tile if the output streamer can accept it."""

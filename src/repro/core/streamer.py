@@ -62,6 +62,9 @@ accelerator directly instead of being hidden by the FIFOs.
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -69,6 +72,7 @@ import numpy as np
 from ..memory.addressing import BankGeometry
 from ..memory.subsystem import MemoryPort, MemorySubsystem
 from ..sim.fifo import Fifo, FifoError
+from ..sim.result import SteadyBail
 from ..sim.stats import StreamerStats
 from .agu import AddressGenerationUnit
 from .extensions import ExtensionPipeline
@@ -89,6 +93,29 @@ CHANNEL_FIELDS = (
     "max_data_occupancy",
     "max_addr_occupancy",
 )
+
+
+@dataclass
+class StreamSpan:
+    """A streamer's decoded bundle rows around a steady boundary: rows
+    ``lo ..`` of its address stream, from one period before its slowest
+    channel's grant cursor (see :meth:`DataMaestro.plan_span`)."""
+
+    streamer: "DataMaestro"
+    delta: int  # bundles per period
+    generated: int  # bundles generated at the boundary
+    lo: int
+    banks: np.ndarray  # (rows, channels)
+    lines: np.ndarray
+    starts: List[int]  # each channel's grant cursor, as a row
+    isolated: bool  # verified by isolation rather than exact tiling
+
+    def rows(self, count: int):
+        """Every channel's next ``count`` grants as ``(banks, lines)``,
+        shaped ``(count, channels)``."""
+        rows = self.starts + np.arange(count)[:, np.newaxis]
+        columns = np.arange(len(self.starts))
+        return self.banks[rows, columns], self.lines[rows, columns]
 
 
 class DataMaestro:
@@ -376,6 +403,13 @@ class DataMaestro:
     # ------------------------------------------------------------------
     # Phase 3: request issue.
     # ------------------------------------------------------------------
+    def _decode(self, step: int, count: int):
+        """``(banks, lines)`` of bundle steps ``[step, step + count)``, one
+        row per step — the address window's and a steady span's rows."""
+        matrix = self.agu.address_matrix(step, count, self.active_channels)
+        banks, lines, _ = self.remapper.decode_batch(matrix)
+        return banks, lines
+
     def _refill_window(self) -> None:
         """Decode :data:`ADDRESS_WINDOW` bundles from the issue cursor on —
         a short stream's whole stream, at once.
@@ -389,8 +423,7 @@ class DataMaestro:
             ADDRESS_WINDOW + self.design.address_buffer_depth,
             self.agu.total_bundles - step,
         )
-        matrix = self.agu.address_matrix(step, count, self.active_channels)
-        banks, lines, _ = self.remapper.decode_batch(matrix)
+        banks, lines = self._decode(step, count)
         memory = self._memory
         if memory.geometry.num_banks < self.remapper.geometry.num_banks:
             memory.check_banks(int(banks.min()), int(banks.max()))
@@ -501,6 +534,168 @@ class DataMaestro:
         """
         if self.credit_stalled():
             self.credit_stall_cycles += cycles
+
+    # ------------------------------------------------------------------
+    # Steady-span protocol (see repro.engine.steady).
+    # ------------------------------------------------------------------
+    def period_counters(self) -> list:
+        """What a steady period advances: the streamer's four counters, then
+        each channel's five (grants, deliveries, retries, data pushes/pops)."""
+        counters = [
+            (self, name)
+            for name in (
+                "words_streamed",
+                "bundles_generated",
+                "requests_issued",
+                "credit_stall_cycles",
+            )
+        ]
+        for port in self.ports:
+            counters += [
+                (port, "granted"),
+                (port, "delivered"),
+                (port, "retries"),
+                (port.sink, "total_pushes"),
+                (port.sink, "total_pops"),
+            ]
+        return counters
+
+    def period_signature(self) -> tuple:
+        """The pop flag, the address-FIFO occupancy and, per channel, the
+        data-FIFO occupancy, words in flight and words pending."""
+        issued = self.requests_issued
+        return (
+            self._popped_this_cycle,
+            self.bundles_generated - issued,
+            [
+                (len(port.sink.entries), issued - port.delivered, len(port.pending))
+                for port in self.ports
+            ],
+        )
+
+    @staticmethod
+    def period_rows(delta: list) -> int:
+        """Bundle rows one steady period of :meth:`period_counters`' change
+        ``delta`` covers."""
+        return delta[1]
+
+    def plan_span(self, delta: list, periods: int, flights) -> Optional[StreamSpan]:
+        """Check that one steady period — ``delta`` is :meth:`period_counters`'
+        change over it — moved every channel one word per bundle, with this
+        boundary's queues where the counters put them, and decode the rows
+        for the period before and ``periods`` after; ``None`` when the
+        stream stood still.  ``flights`` holds each port's in-flight ready
+        cycles."""
+        words, bundles, issued_step = delta[:3]
+        agu = self.agu
+        if agu is None or agu.bundles_generated != self.bundles_generated:
+            raise SteadyBail("agu_desync")
+        issued = self.requests_issued
+        popped = self.words_streamed
+        if bundles == 0:
+            if words or issued_step:
+                raise SteadyBail("quiescent_drift")
+        elif issued_step != bundles or words != bundles:
+            raise SteadyBail("ragged_cadence")
+        # Isolation candidate: never contended in the reference period, and
+        # every channel granted as far with the same response timings.
+        contended = False
+        skews = set()
+        moves = zip(self.ports, delta[4::5], delta[5::5], delta[6::5])
+        for port, granted, delivered, retries in moves:
+            if bundles == 0:
+                if granted or delivered:
+                    raise SteadyBail("quiescent_drift")
+                if issued != port.delivered:
+                    # A frozen channel with traffic in the memory pipeline
+                    # cannot stay frozen for a whole span.
+                    raise SteadyBail("quiescent_traffic")
+                continue
+            if (granted, delivered) != (bundles, bundles):
+                raise SteadyBail("ragged_cadence")
+            flying = flights.get(port, [])
+            contended = contended or retries != 0
+            skews.add((port.granted, port.delivered, tuple(flying)))
+            buffered = port.delivered - popped if self.is_read else popped - issued
+            if (
+                len(port.pending) != issued - port.granted
+                or len(flying) != port.granted - port.delivered
+                or len(port.sink.entries) != buffered
+            ):
+                raise SteadyBail("window_mismatch")
+        if bundles == 0:
+            return None
+        # One period back: the rows cover the reference period's grants too.
+        lo = min([port.granted for port in self.ports]) - bundles
+        hi = min(self.bundles_generated + periods * bundles, agu.total_bundles)
+        banks, lines = self._decode(lo, hi - lo)
+        return StreamSpan(
+            self,
+            bundles,
+            self.bundles_generated,
+            lo,
+            banks,
+            lines,
+            [port.granted - lo for port in self.ports],
+            not contended and len(skews) == 1,
+        )
+
+    def replay_span(self, span: StreamSpan, periods: int, memory, flying, pushed=None):
+        """Apply ``periods`` of a verified ``span`` to this streamer's words:
+        the scratchpad access, the channels' queues, the AGU and the bank
+        grants (the planner advances the counters after).
+
+        A read streamer returns the wide words popped over the span; a write
+        streamer stores ``pushed``, the wide words pushed over it.  Each
+        port's in-flight words after the span go to ``flying``.  A word's
+        step is its position: a channel's ``stream`` runs from its oldest
+        queued word — buffered then in flight when reading, pending then
+        buffered when writing — through the span's last, so the words queued
+        after the span are the ``count`` rows on."""
+        count = periods * span.delta
+        width = self.design.bank_width_bytes
+        storage = memory.scratchpad.storage
+        banks, lines = span.rows(count)
+        issued, words = self.requests_issued, self.words_streamed
+        if self.is_read:
+            spanned = storage[banks, lines]
+        else:
+            spanned = self.extensions.apply_batch(pushed).reshape(count, -1, width)
+        popped = []
+        for column, port in enumerate(self.ports):
+            if self.is_read:
+                queued = [*port.sink.entries, *memory.in_flight_words(port)]
+            else:
+                queued = [data for _, _, data, _ in port.pending] + [*port.sink.entries]
+            stream = np.concatenate(
+                [
+                    np.frombuffer(b"".join(queued), np.uint8).reshape(-1, width),
+                    spanned[:, column],
+                ]
+            )
+            after = stream[count:]
+            if self.is_read:
+                popped.append(stream[:count])
+                buffered = port.delivered - words
+                fifo, flying[port] = after[:buffered], iter(after[buffered:])
+            else:
+                storage[banks[:, column], lines[:, column]] = stream[:count]
+                fifo, flying[port] = after[issued - port.granted :], repeat(None)
+            rows = slice(port.granted + count - span.lo, issued + count - span.lo)
+            port.pending = deque(
+                zip(
+                    span.banks[rows, column].tolist(),
+                    span.lines[rows, column].tolist(),
+                    repeat(None) if self.is_read else after,
+                    repeat(None),
+                )
+            )
+            port.sink.replace_entries(fifo)
+        memory.replay_grants(banks, self.is_read, span.isolated and self.ports)
+        self.agu.fast_forward(count)
+        if self.is_read:
+            return self.extensions.apply_batch(np.concatenate(popped, axis=1))
+        return None
 
     # ------------------------------------------------------------------
     # Statistics.

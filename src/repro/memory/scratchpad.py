@@ -62,31 +62,6 @@ class ScratchpadMemory:
         """Write one word (optionally byte-strobed) at a decoded location."""
         self.banks[bank].write(line, data, strobe)
 
-    # ------------------------------------------------------------------
-    # Bulk span access (macro-step fast path; uncounted — the caller
-    # applies the per-bank access counters for the whole span at once).
-    # ------------------------------------------------------------------
-    def stacked_words(self) -> np.ndarray:
-        """One ``(num_banks, depth, width)`` copy of the whole scratchpad.
-
-        Indexing the stack with decoded ``(bank, line)`` arrays gathers many
-        words in one numpy operation; the macro-step replayer takes the copy
-        once per span, before its writes land, and serves every channel's
-        reads from it.
-        """
-        return self.storage.copy()
-
-    def scatter_words(
-        self, banks: np.ndarray, lines: np.ndarray, words: np.ndarray
-    ) -> None:
-        """Write many full words at decoded locations, in one assignment.
-
-        Locations must be unique — duplicate targets within one scatter
-        would make the outcome order-dependent, which the macro-step
-        planner rules out before calling.
-        """
-        self.storage[banks, lines] = words
-
     @property
     def total_reads(self) -> int:
         return sum(bank.read_count for bank in self.banks)

@@ -46,6 +46,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..sim.fifo import Fifo
+from ..sim.result import SteadyBail
 from .addressing import BankGeometry
 from .scratchpad import ScratchpadMemory
 
@@ -350,6 +351,75 @@ class MemorySubsystem:
         if cycles < 0:
             raise ValueError("cannot advance by a negative number of cycles")
         self.cycle += cycles
+
+    # ------------------------------------------------------------------
+    # Steady-span protocol (see repro.engine.steady).
+    # ------------------------------------------------------------------
+    def period_counters(self) -> List[Tuple[object, str]]:
+        """The clock and the totals: what a steady period advances.  The DMA
+        pair moves only before the kernel."""
+        return [
+            (self, name)
+            for name in ("cycle", "total_conflicts", "total_reads", "total_writes")
+        ]
+
+    def period_signature(self) -> list:
+        """Each in-flight batch's ready cycle, relative to now, and its ports."""
+        now = self.cycle
+        return [
+            (ready - now, [port for port, _, _ in batch])
+            for ready, batch in self._in_flight
+        ]
+
+    def grant_pointers(self) -> Dict[int, str]:
+        """A copy of the rotating arbiter's pointers: bank -> last winner."""
+        return dict(self._last_grant)
+
+    def period_flights(self, ports) -> Dict[MemoryPort, List[int]]:
+        """The ready cycles of each of ``ports``' in-flight words, oldest
+        first; bails when any other requester still has traffic."""
+        flights: Dict[MemoryPort, List[int]] = {}
+        for ready, batch in self._in_flight:
+            for port, _, _ in batch:
+                flights.setdefault(port, []).append(ready)
+        for port in self._requesters.values():
+            busy = port.pending or port.responses or port in flights
+            if busy and port not in ports:
+                raise SteadyBail("foreign_requester")
+        return flights
+
+    def in_flight_words(self, port: MemoryPort) -> list:
+        """``port``'s granted, undelivered words, oldest first."""
+        return [
+            data for _, batch in self._in_flight for owner, data, _ in batch
+            if owner is port
+        ]
+
+    def replay_grants(self, banks: np.ndarray, is_read: bool, ports=None) -> None:
+        """Count a steady span's grants on the banks: row ``i`` of ``banks``
+        holds every channel's ``i``-th grant.  With ``ports`` — a skew-free
+        stream's, whose rows are granted whole and in order — each bank's
+        arbiter also points at the port of its last grant there."""
+        counts = np.bincount(banks.ravel()).tolist()
+        for bank, accesses in zip(self.scratchpad.banks, counts):
+            if is_read:
+                bank.read_count += accesses
+            else:
+                bank.write_count += accesses
+        if ports:
+            order = banks.ravel()[::-1]
+            touched, last = np.unique(order, return_index=True)
+            columns = (order.size - 1 - last) % len(ports)
+            for bank, column in zip(touched.tolist(), columns.tolist()):
+                self._last_grant[bank] = ports[column].name
+
+    def replay_in_flight(self, cycles: int, words: Dict[MemoryPort, Any]) -> None:
+        """Move every in-flight batch ``cycles`` on, in order; each port's
+        words are the next ones ``words[port]`` yields."""
+        self._in_flight = deque(
+            (ready + cycles, [(port, next(words[port]), None) for port, _, _ in batch])
+            for ready, batch in self._in_flight
+        )
 
     # ------------------------------------------------------------------
     # Statistics & housekeeping.

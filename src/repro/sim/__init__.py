@@ -6,6 +6,7 @@ from .result import (
     DEFAULT_PROGRESS_INTERVAL,
     SimulationLimitError,
     SimulationResult,
+    SteadyBail,
 )
 from .stats import StreamerStats
 
@@ -17,4 +18,5 @@ __all__ = [
     "StreamerStats",
     "SimulationResult",
     "SimulationLimitError",
+    "SteadyBail",
 ]

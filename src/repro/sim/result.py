@@ -95,6 +95,12 @@ class SimulationResult:
         return data
 
 
+class SteadyBail(Exception):
+    """A steady-span precondition failed (its reason is the message): the
+    planner counts the reason and the cycle loop steps on, nothing mutated.
+    Components raise it from their steady-span checks (``docs/ENGINE.md``)."""
+
+
 @dataclass
 class SimulationLimitError(RuntimeError):
     """Raised when a simulation exceeds its cycle budget (likely deadlock)."""

@@ -200,7 +200,7 @@ class AcceleratorSystem:
         # pushing a word wakes a parked streamer.
         if self._program.uses_quantizer and self.quantizer.step():
             activity += 1
-        tile_before = self.gemm_core._tile_index
+        tile_before = self.gemm_core.tiles_completed
         if self.gemm_core.step():
             activity += 1
 
@@ -223,7 +223,7 @@ class AcceleratorSystem:
 
         self._cycles += 1
         self.last_step_activity = activity
-        self._tile_completed = self.gemm_core._tile_index != tile_before
+        self._tile_completed = self.gemm_core.tiles_completed != tile_before
         return not (self.gemm_core.done and self.finished)
 
     # ------------------------------------------------------------------
@@ -295,7 +295,12 @@ class AcceleratorSystem:
             # planner (repro.engine.steady) at all.
             from ..engine.steady import SteadySpanPlanner
 
-            self._steady = SteadySpanPlanner(self)
+            self._steady = SteadySpanPlanner(
+                self.memory,
+                self.gemm_core,
+                self._active_streamers(),
+                self.quantizer if self._program.uses_quantizer else None,
+            )
         # The planner reads the streamer counters: charge parked cycles.
         for streamer in self._live:
             streamer.settle()
@@ -308,6 +313,7 @@ class AcceleratorSystem:
         """
         assert self._steady is not None
         self._steady.advance_active(cycles)
+        self._cycles += cycles
         for streamer in self._live:
             streamer.wake()
 

@@ -169,7 +169,8 @@ class TestBackdoor:
 
 
 class TestBulkSpanAccess:
-    """stacked_words/scatter_words back the macro-step replayer."""
+    """The macro-step replayer gathers and scatters whole spans of words by
+    fancy-indexing ``storage`` with decoded ``(bank, line)`` arrays."""
 
     def test_stacked_words_matches_read_word(self):
         import numpy as np
@@ -183,15 +184,15 @@ class TestBulkSpanAccess:
         for bank in memory.banks:
             for line in range(geometry.bank_depth):
                 bank.poke(line, rng.integers(0, 256, 8, dtype=np.int64).astype(np.uint8))
-        stacked = memory.stacked_words()
         banks = np.array([0, 3, 2, 0])
         lines = np.array([1, 0, 3, 1])
-        gathered = stacked[banks, lines]
+        gathered = memory.storage[banks, lines]
         for row, (bank, line) in zip(gathered, zip(banks, lines)):
             assert np.array_equal(row, memory.banks[int(bank)].peek(int(line)))
-        # The stack is a copy: mutating it leaves the banks untouched.
-        stacked[0, 1] = 0
-        assert not np.array_equal(memory.banks[0].peek(1), stacked[0, 1]) or gathered[0].any() == 0
+        # A fancy-index gather is a copy: mutating it leaves the banks untouched.
+        before = memory.banks[0].peek(1).copy()
+        gathered[0] = ~before
+        assert np.array_equal(memory.banks[0].peek(1), before)
 
     def test_scatter_words_matches_write_word(self):
         import numpy as np
@@ -204,10 +205,10 @@ class TestBulkSpanAccess:
         banks = np.array([1, 1, 3])
         lines = np.array([0, 2, 1])
         words = np.arange(3 * 8, dtype=np.uint8).reshape(3, 8)
-        memory.scatter_words(banks, lines, words)
+        memory.storage[banks, lines] = words
         for bank, line, word in zip(banks, lines, words):
             assert np.array_equal(memory.banks[int(bank)].peek(int(line)), word)
-        # Uncounted: scatter does not move the port counters.
+        # Uncounted: a scatter does not move the port counters.
         assert memory.total_writes == 0
 
 
@@ -225,17 +226,6 @@ class TestOneArray:
             assert np.shares_memory(bank._data, scratchpad.storage[index])
         scratchpad.banks[3].poke(5, np.full(8, 7, dtype=np.uint8))
         assert (scratchpad.storage[3, 5] == 7).all() and scratchpad.storage.sum() == 56
-
-    def test_stacked_words_is_a_copy(self, scratchpad):
-        scratchpad.backdoor_write(0, np.arange(64, dtype=np.uint8), group_size=8)
-        before = scratchpad.storage.copy()
-        stacked = scratchpad.stacked_words()
-        assert np.array_equal(stacked, before)
-        stacked[:] = 0xFF
-        assert np.array_equal(scratchpad.storage, before)
-        assert np.array_equal(
-            scratchpad.backdoor_read(0, 64, group_size=8), np.arange(64, dtype=np.uint8)
-        )
 
     def test_a_granted_write_is_visible_to_both_views(self):
         from repro.memory import MemoryRequest, MemorySubsystem
@@ -255,7 +245,7 @@ class TestOneArray:
         lines = rng.permutation(GEOMETRY.bank_depth)[:12]
         words = rng.integers(0, 256, size=(12, 8), dtype=np.uint8)
         scattered, poked = ScratchpadMemory(GEOMETRY), ScratchpadMemory(GEOMETRY)
-        scattered.scatter_words(np.full(12, 6), lines, words)
+        scattered.storage[np.full(12, 6), lines] = words
         for line, word in zip(lines, words):
             poked.banks[6].poke(int(line), word)
         assert np.array_equal(scattered.storage, poked.storage)

@@ -82,6 +82,25 @@ class TestBasicTiming:
         with pytest.raises(ValueError):
             memory.submit(read_request("ch0", bank=99))
 
+    @pytest.mark.parametrize("bank", [-1, GEOMETRY.num_banks], ids=["below", "above"])
+    def test_both_bank_bounds_rejected(self, bank):
+        """Bank -1 would index the last bank, bank ``num_banks`` none."""
+        memory = make_subsystem()
+        with pytest.raises(ValueError, match=rf"^bank {bank} out of range \(num_banks=4\)$"):
+            memory.submit(read_request("ch0", bank=bank))
+        assert memory.pending_requests == 0 and memory.idle()
+
+    @pytest.mark.parametrize(
+        "lowest, highest, bank", [(-1, 2, -1), (0, 4, 4), (-2, 9, -2)]
+    )
+    def test_check_banks_names_the_offending_bank(self, lowest, highest, bank):
+        """A window's range check names the bank out of range, the low one
+        first."""
+        memory = make_subsystem()
+        memory.check_banks(0, GEOMETRY.num_banks - 1)
+        with pytest.raises(ValueError, match=rf"^bank {bank} out of range"):
+            memory.check_banks(lowest, highest)
+
     def test_write_without_data_rejected_at_submit(self):
         """Rejected before it queues: no grant, no arbiter move, still idle."""
         memory = make_subsystem()
@@ -314,6 +333,20 @@ class TestStreamChannelPorts:
         gc.collect()
         assert memory.deliver() == 1
         assert fifo.occupancy == 1 and memory.outstanding_count("dm_t.ch0") == 0
+
+    def test_delivery_below_the_high_water_mark_counts_its_push(self):
+        """The second word lands below the FIFO's high-water mark, where
+        ``deliver`` appends without ``Fifo.push``: it still counts."""
+        memory = make_subsystem()
+        streamer = self.reader_with_a_word_in_flight(memory)
+        fifo = streamer.fifos[0]
+        assert memory.deliver() == 1 and fifo.total_pushes == 1
+        streamer.pop_output()
+        assert streamer.generate_addresses() and streamer.issue_requests(memory) == 1
+        memory.step()
+        assert memory.deliver() == 1
+        assert (fifo.total_pushes, fifo.total_pops, fifo.max_occupancy) == (2, 1, 1)
+        assert fifo.occupancy == 1
 
     def test_delivery_into_a_full_data_fifo_names_the_fifo(self):
         """The ORM reserves the slot at issue; a read without one is caught."""
