@@ -2,8 +2,7 @@
 
 Before this module, the runtime knobs were scattered ``os.environ`` reads —
 the cache picked its root from ``REPRO_CACHE_DIR``, the ablation suite
-checked ``REPRO_FULL_SUITE``, the benchmarks checked ``REPRO_STRICT_BENCH``
-and ``REPRO_BENCH_OUT`` — each with its own parsing and defaults.
+checked ``REPRO_FULL_SUITE`` — each with its own parsing and defaults.
 :class:`RuntimeConfig` centralizes them: one frozen dataclass with typed
 fields, one env-var parser, and explicit override hooks for tests and
 embedders.
@@ -33,14 +32,12 @@ from pathlib import Path
 from typing import Dict, Iterator, Mapping, Optional
 
 __all__ = [
-    "ENV_BENCH_OUT",
     "ENV_CACHE_DIR",
     "ENV_FULL_SUITE",
     "ENV_FUZZ_SEED",
     "ENV_JOURNAL_DIR",
     "ENV_METRICS_PORT",
     "ENV_SERVE_SHARDS",
-    "ENV_STRICT_BENCH",
     "ENV_TRACE",
     "RuntimeConfig",
     "config_report",
@@ -54,14 +51,10 @@ __all__ = [
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 #: Run the full synthetic suite / per-layer network sets instead of subsets.
 ENV_FULL_SUITE = "REPRO_FULL_SUITE"
-#: Enforce the CI benchmark bars (speedups, shard scaling) strictly.
-ENV_STRICT_BENCH = "REPRO_STRICT_BENCH"
 #: Default shard count of ``repro serve`` (0 = in-process thread service).
 ENV_SERVE_SHARDS = "REPRO_SERVE_SHARDS"
 #: Directory for durable job journals (``repro serve --journal`` default).
 ENV_JOURNAL_DIR = "REPRO_JOURNAL_DIR"
-#: Directory where the benchmark JSON reports land (unset: a temporary directory).
-ENV_BENCH_OUT = "REPRO_BENCH_OUT"
 #: Default port of the serve telemetry endpoint (0 = exporter disabled).
 ENV_METRICS_PORT = "REPRO_METRICS_PORT"
 #: Chrome trace-event JSON output path (unset = tracing disabled).
@@ -94,20 +87,14 @@ class RuntimeConfig:
         (``$REPRO_CACHE_DIR``).
     journal_dir:
         Directory for durable serve/cluster job journals
-        (``$REPRO_JOURNAL_DIR``; defaults to ``<cache_dir>/journal``).
+        (``$REPRO_JOURNAL_DIR``; defaults to ``<cache_dir>/journal``, and
+        follows ``cache_dir`` through :meth:`with_overrides` unless set).
     full_suite:
         Run the full 260-workload synthetic suite and the complete
         per-layer network parity set (``$REPRO_FULL_SUITE``).
-    strict_bench:
-        Enforce the CI performance bars — engine speedups, shard-scaling
-        throughput — instead of recording them (``$REPRO_STRICT_BENCH``).
     serve_shards:
         Default worker-process shard count for ``repro serve``; ``0`` keeps
         the single-process thread service (``$REPRO_SERVE_SHARDS``).
-    bench_out:
-        Directory the ``benchmarks/`` timing files write their
-        ``BENCH_*.json`` reports to (``$REPRO_BENCH_OUT``); unset: a
-        temporary directory, so a test run leaves the checkout clean.
     metrics_port:
         Default port for the serve telemetry endpoint; ``0`` keeps the
         exporter off unless ``--metrics-port`` asks for one
@@ -125,9 +112,7 @@ class RuntimeConfig:
     cache_dir: Path = field(default_factory=_default_cache_dir)
     journal_dir: Optional[Path] = None
     full_suite: bool = False
-    strict_bench: bool = False
     serve_shards: int = 0
-    bench_out: Optional[Path] = None
     metrics_port: int = 0
     trace_path: Optional[Path] = None
     fuzz_seed: int = 0
@@ -137,6 +122,9 @@ class RuntimeConfig:
             raise ValueError("serve_shards must be non-negative")
         if not 0 <= self.metrics_port <= 65535:
             raise ValueError("metrics_port must be in [0, 65535]")
+        # Not a field: whether journal_dir is derived, so an override of
+        # cache_dir moves a derived journal_dir and keeps an explicit one.
+        object.__setattr__(self, "_journal_derived", self.journal_dir is None)
         if self.journal_dir is None:
             object.__setattr__(self, "journal_dir", self.cache_dir / "journal")
 
@@ -156,7 +144,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"{ENV_SERVE_SHARDS}={shards_text!r} is not an integer"
             ) from error
-        bench_out = Path(env[ENV_BENCH_OUT]) if env.get(ENV_BENCH_OUT) else None
         port_text = env.get(ENV_METRICS_PORT, "")
         try:
             metrics_port = int(port_text) if port_text else 0
@@ -176,9 +163,7 @@ class RuntimeConfig:
             cache_dir=cache_dir,
             journal_dir=journal_dir,
             full_suite=_parse_bool(env.get(ENV_FULL_SUITE)),
-            strict_bench=_parse_bool(env.get(ENV_STRICT_BENCH)),
             serve_shards=serve_shards,
-            bench_out=bench_out,
             metrics_port=metrics_port,
             trace_path=trace_path,
             fuzz_seed=fuzz_seed,
@@ -186,6 +171,8 @@ class RuntimeConfig:
 
     def with_overrides(self, **changes: object) -> "RuntimeConfig":
         """Copy with selected fields replaced (mirrors ``SimJob`` idiom)."""
+        if self._journal_derived and "journal_dir" not in changes:
+            changes["journal_dir"] = None
         return replace(self, **changes)
 
     def as_dict(self) -> Dict[str, object]:
@@ -227,9 +214,7 @@ _FIELD_ENV = {
     "cache_dir": ENV_CACHE_DIR,
     "journal_dir": ENV_JOURNAL_DIR,
     "full_suite": ENV_FULL_SUITE,
-    "strict_bench": ENV_STRICT_BENCH,
     "serve_shards": ENV_SERVE_SHARDS,
-    "bench_out": ENV_BENCH_OUT,
     "metrics_port": ENV_METRICS_PORT,
     "trace_path": ENV_TRACE,
     "fuzz_seed": ENV_FUZZ_SEED,

@@ -67,8 +67,8 @@ class EventDrivenEngine(SimulationEngine):
     the vectorized fast path over *active* steady-state spans as well:
     after a step that completes an output tile, the engine asks the target
     for a verified periodic span and bulk-advances it.  ``macro_stepping=
-    False`` restores the pure next-event scheduler (used by the engine
-    benchmark to quantify the fast path's contribution).
+    False`` restores the pure next-event scheduler (the parity oracle of
+    the fast path).
     """
 
     name = EVENT_ENGINE

@@ -2,8 +2,8 @@
 
 Each module exposes ``run(...) -> dict`` (the raw data), ``report(results)
 -> str`` (a formatted text report) and ``main()`` (print the report).  They
-are runnable as ``python -m repro.experiments.<name>`` and are wrapped by the
-``benchmarks/`` harness.
+are runnable as ``python -m repro.experiments.<name>``; ``tests/experiments/``
+holds each ``run()`` to the shape of the paper's artefact.
 """
 
 from typing import Callable, Dict

@@ -14,8 +14,8 @@ The expected span timeline of one submission::
          └─ dispatched (inside executing) / requeued   (cluster mode)
 
 Tracing is **disabled by default** and costs one module-global ``None``
-check per hook when off (:func:`get_tracer` — the benchmark suite bounds
-this overhead at <5% of the serve throughput run).  Enable it with
+check per hook when off (:func:`get_tracer` — ``tests/obs`` holds a
+duplicate-heavy serve run to at most 16 such calls per submission).  Enable it with
 ``repro <cmd> --trace out.json`` or ``REPRO_TRACE=out.json``; the hooks
 live in :meth:`~repro.runtime.admission.AdmissionCore.announce` (the one
 lifecycle emit point of every front door: one :meth:`TraceRecorder.lifecycle`

@@ -28,8 +28,8 @@ Four built-in regimes (see :data:`REGIMES`):
 Traces round-trip through JSONL (:func:`save_trace` / :func:`load_trace`),
 so a production trace can be replayed in CI and a synthetic regime can be
 archived as a regression artifact.  ``python -m repro.cli replay`` is the
-command-line front door; ``benchmarks/test_replay_regimes.py`` writes the
-per-regime report into the ``regimes`` section of ``BENCH_serve.json``.
+command-line front door; ``tests/serve/test_replay.py`` replays every
+regime and checks that each submission is accounted for exactly once.
 """
 
 from __future__ import annotations

@@ -339,7 +339,7 @@ class AcceleratorSystem:
         ``engine`` selects the simulation loop: ``"event"`` (the default
         next-event scheduler) or ``"lockstep"`` (the legacy per-cycle loop).
         A pre-built :class:`~repro.engine.base.SimulationEngine` instance is
-        also accepted (the engine benchmark uses this to time the event
+        also accepted (the parity tests use this to run the event
         scheduler with macro-stepping disabled).  All variants produce
         identical results; see ``docs/ENGINE.md``.
 

@@ -10,9 +10,9 @@ transposed GeMM and 80 convolution workloads whose dimensions are drawn from
 structured grids representative of Transformer projections/attention blocks
 and CNN stages, but scaled so that all operands of one kernel fit the 128 KiB
 scratchpad of the evaluation system and a pure-Python cycle simulation stays
-tractable.  A stratified subset selector is provided so the default benchmark
-run can cover every corner of the grid in a few minutes; the full suite is
-selected with ``REPRO_FULL_SUITE=1`` (see ``benchmarks/``).
+tractable.  A stratified subset selector is provided so the default Fig. 7
+run can cover every corner of the grid in seconds; the full suite is
+selected with ``REPRO_FULL_SUITE=1`` (see ``tests/experiments/``).
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def stratified_subset(
 ) -> List[Workload]:
     """Pick ``count`` workloads spread evenly across the sequence.
 
-    Used by the default benchmark run: the full grid is ordered so that an
+    Used by the default Fig. 7 run: the full grid is ordered so that an
     even stride through it covers small/large and unit/strided cases.
     """
     if count <= 0:

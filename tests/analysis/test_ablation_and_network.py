@@ -1,8 +1,8 @@
 """Tests for the ablation driver and the network-level estimator.
 
 These run small cycle simulations (tiny workload subsets / cropped layers),
-checking the *structure* and invariants of the analysis rather than the full
-paper sweep, which lives in ``benchmarks/``.
+checking the *structure* and invariants of the analysis; the paper's Fig. 7
+and Table III bars are checked in ``tests/experiments/``.
 """
 
 import pytest

@@ -1,10 +1,17 @@
-"""Tests for the parametric area, power and FPGA resource models."""
+"""Tests for the parametric area, power and FPGA resource models.
+
+These are also the checks of the paper's Fig. 8 (FPGA resources) and
+Fig. 9 / §IV-D (area and power breakdowns, energy efficiency): the
+``fig8_fpga`` and ``fig9_breakdown`` experiments print exactly these
+models next to the paper's numbers.
+"""
 
 import pytest
 
 from repro.analysis import (
     AreaModel,
     FpgaResourceModel,
+    PAPER_FPGA_REFERENCE,
     PAPER_SILICON_REFERENCE,
     PowerModel,
     gemm64_power_report,
@@ -35,6 +42,14 @@ class TestAreaModel:
     def test_memory_dominates_area(self, area_breakdown):
         shares = area_breakdown.shares_percent()
         assert shares["memory_subsystem"] == max(shares.values())
+
+    def test_fig9a_shape(self, area_breakdown):
+        """Fig. 9(a): the scratchpad outweighs the GeMM array, which outweighs
+        the quantizer; the five DataMaestros stay small (paper: 6.43%)."""
+        shares = area_breakdown.shares_percent()
+        assert shares["memory_subsystem"] > shares["gemm_accelerator"]
+        assert shares["quantizer"] < shares["gemm_accelerator"]
+        assert shares["datamaestros"] < 15.0
 
     def test_datamaestros_are_a_small_fraction(self, area_breakdown):
         shares = area_breakdown.shares_percent()
@@ -86,7 +101,11 @@ class TestPowerModel:
         shares = gemm64_report["power_shares_percent"]
         assert shares["riscv_host"] > 15.0
         assert shares["gemm_accelerator"] > 10.0
-        assert shares["datamaestros"] < 30.0
+        # Fig. 9(c): DataMaestros take a modest share of power (paper: 15%).
+        assert shares["datamaestros"] < 25.0
+
+    def test_gemm64_runs_at_full_utilization(self, gemm64_report):
+        assert gemm64_report["utilization"] > 0.95
 
     def test_power_scales_with_activity(self):
         system = AcceleratorSystem(DESIGN)
@@ -130,6 +149,15 @@ class TestFpgaModel:
         resources = FpgaResourceModel(DESIGN).estimate()
         assert resources.luts_gemm > resources.luts_datamaestros
         assert resources.luts_gemm > resources.luts_quantizer
+
+    def test_fig8_shape(self):
+        """Fig. 8: the GeMM array dominates the LUTs, the DataMaestros are a
+        small fraction, and the totals land within 2x of the VPK180's."""
+        resources = FpgaResourceModel(DESIGN).estimate()
+        assert resources.luts_gemm > 0.3 * resources.luts_total
+        assert resources.luts_datamaestros < 0.12 * resources.luts_total
+        assert 0.5 < resources.luts_total / PAPER_FPGA_REFERENCE["luts_total"] < 2.0
+        assert 0.5 < resources.regs_total / PAPER_FPGA_REFERENCE["regs_total"] < 2.0
 
     def test_shares_api(self):
         shares = FpgaResourceModel(DESIGN).estimate().shares_percent()

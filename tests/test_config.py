@@ -5,13 +5,11 @@ from pathlib import Path
 import pytest
 
 from repro.config import (
-    ENV_BENCH_OUT,
     ENV_CACHE_DIR,
     ENV_FULL_SUITE,
     ENV_FUZZ_SEED,
     ENV_JOURNAL_DIR,
     ENV_SERVE_SHARDS,
-    ENV_STRICT_BENCH,
     RuntimeConfig,
     get_config,
     override,
@@ -35,9 +33,7 @@ class TestFromEnv:
         assert config.cache_dir == Path.home() / ".cache" / "repro-datamaestro"
         assert config.journal_dir == config.cache_dir / "journal"
         assert config.full_suite is False
-        assert config.strict_bench is False
         assert config.serve_shards == 0
-        assert config.bench_out is None
         assert config.fuzz_seed == 0
 
     def test_reads_every_knob(self, tmp_path):
@@ -46,18 +42,14 @@ class TestFromEnv:
                 ENV_CACHE_DIR: str(tmp_path / "cache"),
                 ENV_JOURNAL_DIR: str(tmp_path / "journal"),
                 ENV_FULL_SUITE: "1",
-                ENV_STRICT_BENCH: "yes",
                 ENV_SERVE_SHARDS: "4",
-                ENV_BENCH_OUT: str(tmp_path / "bench"),
                 ENV_FUZZ_SEED: "1234",
             }
         )
         assert config.cache_dir == tmp_path / "cache"
         assert config.journal_dir == tmp_path / "journal"
         assert config.full_suite is True
-        assert config.strict_bench is True
         assert config.serve_shards == 4
-        assert config.bench_out == tmp_path / "bench"
         assert config.fuzz_seed == 1234
 
     def test_journal_dir_defaults_under_cache_dir(self, tmp_path):
@@ -118,15 +110,32 @@ class TestProcessWideAccess:
 
     def test_with_overrides_returns_new_frozen_copy(self):
         base = RuntimeConfig()
-        changed = base.with_overrides(strict_bench=True)
+        changed = base.with_overrides(full_suite=True)
         assert changed is not base
-        assert changed.strict_bench and not base.strict_bench
+        assert changed.full_suite and not base.full_suite
         with pytest.raises(Exception):
-            changed.strict_bench = False  # frozen
+            changed.full_suite = False  # frozen
+
+    def test_cache_dir_override_moves_a_derived_journal_dir(self, tmp_path):
+        base = RuntimeConfig(cache_dir=tmp_path / "a")
+        moved = base.with_overrides(cache_dir=tmp_path / "b")
+        assert moved.journal_dir == tmp_path / "b" / "journal"
+        # ... and keeps doing so through a second override.
+        again = moved.with_overrides(serve_shards=2).with_overrides(cache_dir=tmp_path / "c")
+        assert again.journal_dir == tmp_path / "c" / "journal"
+        with override(cache_dir=tmp_path / "d") as pinned:
+            assert pinned.journal_dir == tmp_path / "d" / "journal"
+
+    def test_cache_dir_override_keeps_an_explicit_journal_dir(self, tmp_path):
+        explicit = RuntimeConfig(cache_dir=tmp_path / "a", journal_dir=tmp_path / "j")
+        moved = explicit.with_overrides(cache_dir=tmp_path / "b")
+        assert moved.journal_dir == tmp_path / "j"
+        from_env = RuntimeConfig.from_env({ENV_JOURNAL_DIR: str(tmp_path / "j")})
+        assert from_env.with_overrides(cache_dir=tmp_path / "b").journal_dir == tmp_path / "j"
 
     def test_as_dict_stringifies_paths(self, tmp_path):
-        config = RuntimeConfig(cache_dir=tmp_path, bench_out=tmp_path / "out")
+        config = RuntimeConfig(cache_dir=tmp_path, trace_path=tmp_path / "trace.json")
         summary = config.as_dict()
         assert summary["cache_dir"] == str(tmp_path)
-        assert summary["bench_out"] == str(tmp_path / "out")
+        assert summary["trace_path"] == str(tmp_path / "trace.json")
         assert summary["full_suite"] is False

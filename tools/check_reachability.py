@@ -5,9 +5,8 @@ Parses ``src/repro`` plus the other production trees (``bench/``,
 ``examples/``, ``tools/``) with :mod:`ast` and verifies that
 
 * every module under ``src/repro`` is imported by some file other than the
-  ``__init__`` of a package that contains it — ``tests/`` and
-  ``benchmarks/`` are not searched, so a module only its tests import is
-  an orphan;
+  ``__init__`` of a package that contains it — ``tests/`` is not
+  searched, so a module only its tests import is an orphan;
 * every public top-level function or class is referenced (as a name or an
   attribute) somewhere outside its own definition — ``__init__`` imports
   and ``__all__`` lists are re-exports, not references.  A module none of
@@ -230,13 +229,13 @@ def find_unreachable(root: Path) -> Tuple[Dict[str, str], Set[str]]:
         if is_module and not importers[name]:
             unreachable[relative] = (
                 f"src/{relative}: module has no importer outside its package "
-                f"__init__, tests/ and benchmarks/"
+                f"__init__ and tests/"
             )
         elif is_module and definitions and not any(used_outside(path, d) for d in definitions):
             unreachable[relative] = (
                 f"src/{relative}: module is imported, but none of its functions "
                 f"and classes ({', '.join(d.name for d in definitions)}) is "
-                f"referenced outside it, tests/ and benchmarks/"
+                f"referenced outside it and tests/"
             )
         else:
             for definition in definitions:
