@@ -62,6 +62,18 @@ class TestClusterServing:
             assert cluster.counters.failed == 0
             assert cluster.restarts == 0
 
+    def test_shard_runs_execute_everything(self, tmp_path, instant_backend, make_job):
+        """At 1, 2 and 4 shards: no lost or duplicated work, and no
+        supervisor intervention on a healthy run."""
+        jobs = [make_job(instant_backend.name, tag=i) for i in range(8)]
+        for shards in (1, 2, 4):
+            with ClusterService(
+                cache_dir=tmp_path / f"cache{shards}", config=_fast_config(shards)
+            ) as cluster:
+                assert len(cluster.run(jobs)) == len(jobs)
+                assert cluster.counters.executed == len(jobs), shards
+                assert cluster.restarts == 0, shards
+
     def test_duplicates_coalesce_at_the_parent(
         self, tmp_path, gated_backend, make_job
     ):

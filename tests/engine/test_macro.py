@@ -358,6 +358,35 @@ class TestMacroProtocol:
         assert fast.steady_stats()["jumps"] >= 1
         assert_results_identical(result_plain, result_fast)
 
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            compute_bound_workload(),
+            ConvWorkload(name="macro_conv_crop", in_height=14, in_width=14,
+                         in_channels=32, out_channels=32, kernel_h=3, kernel_w=3,
+                         stride=1, padding=1),
+        ],
+        ids=["compute_bound", "conv_crop"],
+    )
+    def test_lockstep_macro_off_and_on_agree(self, workload):
+        """The three engine variants of a dense kernel finish identically,
+        and only the macro-stepped one jumps."""
+        program = compile_workload(workload, DESIGN, FeatureSet.all_enabled())
+        results = {}
+        jumps = {}
+        for variant, engine in (
+            ("lockstep", "lockstep"),
+            ("macro_off", EventDrivenEngine(macro_stepping=False)),
+            ("macro_on", "event"),
+        ):
+            system = AcceleratorSystem(DESIGN)
+            results[variant] = system.run(program, engine=engine)
+            jumps[variant] = system.steady_stats().get("jumps", 0)
+        assert_results_identical(results["lockstep"], results["macro_off"])
+        assert_results_identical(results["lockstep"], results["macro_on"])
+        assert jumps["macro_off"] == 0
+        assert jumps["macro_on"] >= 1, jumps
+
     def test_planner_retires_once_every_group_failed(self):
         """With all features off no boundary group of the conv ever verifies;
         after the last one is retired the planner stops looking."""

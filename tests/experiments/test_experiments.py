@@ -15,6 +15,7 @@ sweeps the whole suite.
 import pytest
 
 from repro.baselines import TABLE1_FEATURES
+from repro.compiler import compile_workload
 from repro.experiments import (
     EXPERIMENTS,
     fig4_agu,
@@ -27,6 +28,7 @@ from repro.experiments import (
 )
 from repro.experiments.fig10_comparison import comparison_kernels
 from repro.runtime import SimJob, Simulator
+from repro.system import datamaestro_evaluation_system
 from repro.workloads import GemmWorkload, NetworkLayer, NetworkModel
 
 #: Workloads per group of the Fig. 7 subset (the whole suite under
@@ -221,9 +223,16 @@ class TestTable3SmallScale:
 
 
 class TestFig10:
-    def test_throughput_and_overhead_comparison(self, tmp_path):
-        simulator = Simulator(cache_dir=tmp_path)
-        results = fig10_comparison.run(simulator=simulator)
+    @pytest.fixture(scope="class")
+    def simulator(self, tmp_path_factory):
+        """A simulator whose cache holds every Fig. 10 kernel's outcome."""
+        return Simulator(cache_dir=tmp_path_factory.mktemp("fig10"))
+
+    @pytest.fixture(scope="class")
+    def results(self, simulator):
+        return fig10_comparison.run(simulator=simulator)
+
+    def test_throughput_and_overhead_comparison(self, results):
         throughput = results["normalized_throughput_gops"]
         speedups = results["speedup_over_baselines"]
 
@@ -249,14 +258,16 @@ class TestFig10:
         assert ours["area_percent"] < 15.0
         assert ours["power_percent"] < 25.0
 
-        # Each kernel behind those numbers simulated correctly (read back
-        # from the cache the run filled) and near full utilization.
-        outcomes = {
-            kernel.name: simulator.simulate(SimJob(workload=kernel))
-            for kernel in comparison_kernels()
-        }
-        for name, outcome in outcomes.items():
-            assert outcome.cache_hit, name
-            assert outcome.functional_match is True, name
-            assert outcome.utilization > 0.9, name
-        assert outcomes["GeMM-64"].ideal_compute_cycles == 512
+    @pytest.mark.parametrize("kernel", comparison_kernels(), ids=lambda w: w.name)
+    def test_simulate_kernel(self, results, simulator, kernel):
+        """Each kernel behind those numbers simulated correctly (read back
+        from the cache the run filled) and near full utilization."""
+        outcome = simulator.simulate(SimJob(workload=kernel))
+        assert outcome.cache_hit
+        assert outcome.functional_match is True
+        assert outcome.utilization > 0.9
+
+    def test_compile_gemm64(self):
+        workload = GemmWorkload(name="fig10_compile_gemm64", m=64, n=64, k=64)
+        program = compile_workload(workload, datamaestro_evaluation_system())
+        assert program.ideal_compute_cycles == 512

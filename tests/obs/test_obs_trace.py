@@ -237,7 +237,9 @@ class TestDisabledHookCount:
         (8, 8, 64, 5),
     )
 
-    def test_get_tracer_calls_per_submission(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """The mix through a 2-worker client with every call counted."""
         from repro.serve import ServiceClient, ServiceConfig
 
         jobs = [
@@ -245,7 +247,6 @@ class TestDisabledHookCount:
             for m, n, k, copies in self.MIX
             for _ in range(copies)
         ]
-        unique = len({job.job_hash() for job in jobs})
         assert get_tracer() is None
         target = get_tracer.__code__
         calls = []  # list.append is atomic across the worker threads
@@ -258,7 +259,7 @@ class TestDisabledHookCount:
         sys.setprofile(hook)
         try:
             with ServiceClient(
-                cache_dir=tmp_path,
+                cache_dir=tmp_path_factory.mktemp("hooks"),
                 config=ServiceConfig(max_workers=2, max_backlog=len(jobs)),
             ) as client:
                 tickets = [
@@ -271,7 +272,20 @@ class TestDisabledHookCount:
         finally:
             sys.setprofile(None)
             threading.setprofile(None)
-        # Every duplicate was coalesced or served from the cache.
-        assert stats["executed"] == unique
-        assert stats["coalesced"] + stats["cache_hits"] == len(jobs) - unique
-        assert 0 < len(calls) <= self.HOOKS_PER_SUBMISSION * len(jobs), len(calls)
+        unique = len({job.job_hash() for job in jobs})
+        return {"submitted": len(jobs), "unique": unique, "calls": len(calls), **stats}
+
+    def test_get_tracer_calls_per_submission(self, run):
+        calls = run["calls"]
+        assert 0 < calls <= self.HOOKS_PER_SUBMISSION * run["submitted"], calls
+
+    def test_duplicates_never_resimulate(self, run):
+        assert run["executed"] == run["unique"]
+
+    def test_stream_was_duplicate_heavy(self, run):
+        """Every duplicate was coalesced or served from the cache."""
+        duplicates = run["submitted"] - run["unique"]
+        assert run["coalesced"] + run["cache_hits"] == duplicates
+        assert run["coalescing_hit_rate"] + run["cache_hit_rate"] == pytest.approx(
+            duplicates / run["submitted"]
+        )

@@ -91,6 +91,18 @@ class TestWarmCacheExperimentRerun:
         assert outcome.cache_hit
         assert warm.stats.executed == 0
 
+    def test_cached_rerun_gemm64(self, tmp_path):
+        """A dense 64x64x64 GeMM is served whole from a warm disk cache."""
+        job = SimJob(workload=GemmWorkload(name="cached_gemm64", m=64, n=64, k=64))
+        cold = Simulator(cache_dir=tmp_path)
+        first = cold.simulate(job)
+        assert cold.stats.executed == 1
+        warm = Simulator(cache_dir=tmp_path)
+        outcome = warm.simulate(job)
+        assert outcome.cache_hit
+        assert warm.stats.executed == 0
+        assert outcome.kernel_cycles == first.kernel_cycles
+
 
 class CountingBackend(SimulationBackend):
     """Counts executions per job; each takes a millisecond, so threads overlap."""
