@@ -72,6 +72,15 @@ def _parse_bool(value: Optional[str]) -> bool:
     return value not in (None, "", "0", "false", "False")
 
 
+def _parse_int(env: Mapping[str, str], name: str) -> int:
+    """``env[name]`` as an int, ``0`` when unset or empty."""
+    text = env.get(name, "")
+    try:
+        return int(text) if text else 0
+    except ValueError as error:
+        raise ValueError(f"{name}={text!r} is not an integer") from error
+
+
 def _default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-datamaestro"
 
@@ -137,36 +146,15 @@ class RuntimeConfig:
             Path(env[ENV_CACHE_DIR]) if env.get(ENV_CACHE_DIR) else _default_cache_dir()
         )
         journal_dir = Path(env[ENV_JOURNAL_DIR]) if env.get(ENV_JOURNAL_DIR) else None
-        shards_text = env.get(ENV_SERVE_SHARDS, "")
-        try:
-            serve_shards = int(shards_text) if shards_text else 0
-        except ValueError as error:
-            raise ValueError(
-                f"{ENV_SERVE_SHARDS}={shards_text!r} is not an integer"
-            ) from error
-        port_text = env.get(ENV_METRICS_PORT, "")
-        try:
-            metrics_port = int(port_text) if port_text else 0
-        except ValueError as error:
-            raise ValueError(
-                f"{ENV_METRICS_PORT}={port_text!r} is not an integer"
-            ) from error
         trace_path = Path(env[ENV_TRACE]) if env.get(ENV_TRACE) else None
-        seed_text = env.get(ENV_FUZZ_SEED, "")
-        try:
-            fuzz_seed = int(seed_text) if seed_text else 0
-        except ValueError as error:
-            raise ValueError(
-                f"{ENV_FUZZ_SEED}={seed_text!r} is not an integer"
-            ) from error
         return cls(
             cache_dir=cache_dir,
             journal_dir=journal_dir,
             full_suite=_parse_bool(env.get(ENV_FULL_SUITE)),
-            serve_shards=serve_shards,
-            metrics_port=metrics_port,
+            serve_shards=_parse_int(env, ENV_SERVE_SHARDS),
+            metrics_port=_parse_int(env, ENV_METRICS_PORT),
             trace_path=trace_path,
-            fuzz_seed=fuzz_seed,
+            fuzz_seed=_parse_int(env, ENV_FUZZ_SEED),
         )
 
     def with_overrides(self, **changes: object) -> "RuntimeConfig":

@@ -2,7 +2,6 @@
 whose channels are a data FIFO and a memory port each."""
 
 from .agu import (
-    AddressBundle,
     AddressGenerationUnit,
     SpatialAddressGenerator,
     TemporalAddressGenerator,
@@ -38,7 +37,6 @@ from .remapper import AddressRemapper
 from .streamer import DataMaestro
 
 __all__ = [
-    "AddressBundle",
     "AddressGenerationUnit",
     "SpatialAddressGenerator",
     "TemporalAddressGenerator",

@@ -76,16 +76,6 @@ class AddressRemapper:
                 f"(options={self.group_size_options})"
             ) from exc
 
-    def index_for_group_size(self, group_size: int) -> int:
-        """Return the RS index implementing ``group_size`` (for CSR encoding)."""
-        group_size = normalize_group_size(self.geometry, group_size)
-        if group_size not in self.group_size_options:
-            raise ValueError(
-                f"group size {group_size} not available "
-                f"(options={self.group_size_options})"
-            )
-        return self.group_size_options.index(group_size)
-
     # ------------------------------------------------------------------
     # Address translation.
     # ------------------------------------------------------------------
@@ -109,10 +99,6 @@ class AddressRemapper:
             addresses // width, self.geometry, self.selected_group_size
         )
         return banks, lines, addresses % width
-
-    def decode_with_group_size(self, address: int, group_size: int) -> BankLocation:
-        """Translate under an explicit group size (compiler/DMA use)."""
-        return decode_address(address, self.geometry, group_size)
 
     def available_modes(self) -> Dict[int, AddressingMode]:
         """Map every RS index to its addressing mode (for reports)."""

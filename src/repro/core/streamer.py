@@ -149,7 +149,11 @@ class DataMaestro:
         #: resolved by :meth:`bind`.
         self.ports: List[MemoryPort] = []
         self.words_streamed = 0
+        #: Bundles generated so far: the stream position, the AGU's only
+        #: state (its addresses are a function of the step).
         self.bundles_generated = 0
+        #: Bundles in the programmed stream (``0`` until :meth:`configure`).
+        self.total_bundles = 0
         #: Words issued so far — also the step of the next address to issue.
         self.requests_issued = 0
         self.credit_stall_cycles = 0
@@ -196,6 +200,7 @@ class DataMaestro:
             spatial_strides=runtime.spatial_strides,
             base_address=runtime.base_address,
         )
+        self.total_bundles = self.agu.total_bundles
         self._check_address_range()
         self._window = []
         self.extensions.set_enables(
@@ -270,10 +275,8 @@ class DataMaestro:
     @property
     def busy(self) -> bool:
         """True while addresses remain or any channel still holds work."""
-        if self.agu is None:
-            return False
         generated = self.bundles_generated
-        if not self.agu.temporal.exhausted or generated != self.words_streamed:
+        if generated != self.total_bundles or generated != self.words_streamed:
             return True
         # Every word addressed has been streamed, so a read streamer has
         # received them all; a write streamer may still hold one it has not
@@ -390,12 +393,11 @@ class DataMaestro:
         Nothing is materialised: the bundle is a row of the address window,
         decoded when the first channel issues it.
         """
-        if self.agu is None:
+        if (
+            self.bundles_generated == self.total_bundles
+            or not self._prefetch_gate_open()
+        ):
             return False
-        temporal = self.agu.temporal
-        if temporal.exhausted or not self._prefetch_gate_open():
-            return False
-        temporal.advance()
         self.bundles_generated += 1
         self.cycle_activity += 1
         return True
@@ -421,7 +423,7 @@ class DataMaestro:
         step = self.requests_issued
         count = min(
             ADDRESS_WINDOW + self.design.address_buffer_depth,
-            self.agu.total_bundles - step,
+            self.total_bundles - step,
         )
         banks, lines = self._decode(step, count)
         memory = self._memory
@@ -499,9 +501,7 @@ class DataMaestro:
         ("all my addresses are generated") or blocked on the accelerator
         consuming/producing a word, which the accelerators report.
         """
-        if self.agu is None:
-            return None
-        if self.agu.remaining_bundles and self._prefetch_gate_open():
+        if self.bundles_generated < self.total_bundles and self._prefetch_gate_open():
             return now
         return now if self.can_issue() else None
 
@@ -587,9 +587,6 @@ class DataMaestro:
         stream stood still.  ``flights`` holds each port's in-flight ready
         cycles."""
         words, bundles, issued_step = delta[:3]
-        agu = self.agu
-        if agu is None or agu.bundles_generated != self.bundles_generated:
-            raise SteadyBail("agu_desync")
         issued = self.requests_issued
         popped = self.words_streamed
         if bundles == 0:
@@ -627,7 +624,7 @@ class DataMaestro:
             return None
         # One period back: the rows cover the reference period's grants too.
         lo = min([port.granted for port in self.ports]) - bundles
-        hi = min(self.bundles_generated + periods * bundles, agu.total_bundles)
+        hi = min(self.bundles_generated + periods * bundles, self.total_bundles)
         banks, lines = self._decode(lo, hi - lo)
         return StreamSpan(
             self,
@@ -642,8 +639,9 @@ class DataMaestro:
 
     def replay_span(self, span: StreamSpan, periods: int, memory, flying, pushed=None):
         """Apply ``periods`` of a verified ``span`` to this streamer's words:
-        the scratchpad access, the channels' queues, the AGU and the bank
-        grants (the planner advances the counters after).
+        the scratchpad access, the channels' queues and the bank grants (the
+        planner advances the counters after, ``bundles_generated`` — the
+        AGU's position — among them).
 
         A read streamer returns the wide words popped over the span; a write
         streamer stores ``pushed``, the wide words pushed over it.  Each
@@ -692,7 +690,6 @@ class DataMaestro:
             )
             port.sink.replace_entries(fifo)
         memory.replay_grants(banks, self.is_read, span.isolated and self.ports)
-        self.agu.fast_forward(count)
         if self.is_read:
             return self.extensions.apply_batch(np.concatenate(popped, axis=1))
         return None

@@ -208,7 +208,7 @@ class SteadySpanPlanner:
             span = streamer.plan_span(part[streamer], periods, flights)
             if span is not None:
                 streams.append(span)
-                available = streamer.agu.total_bundles - span.generated
+                available = streamer.total_bundles - span.generated
                 periods = min(periods, available // span.delta)
         if periods < MIN_PERIODS:
             raise SteadyBail("too_short")

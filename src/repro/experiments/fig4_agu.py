@@ -35,17 +35,24 @@ PAPER_FIGURE4_ADDRESSES: List[Tuple[int, Tuple[int, int, int, int]]] = [
 
 
 def run() -> Dict[str, object]:
-    """Generate the Figure 4 address sequence with the real AGU model."""
+    """Generate the Figure 4 address sequence with the real AGU model.
+
+    One row per clock cycle: the temporal address of that step
+    (``address_batch``) and its four spatial addresses (``address_matrix``),
+    both evaluated in closed form for the whole stream at once.
+    """
     agu = AddressGenerationUnit(**FIGURE4_CONFIG)
-    rows = []
-    for bundle in agu.iter_bundles():
-        rows.append(
-            {
-                "cycle": bundle.step,
-                "temporal_address": bundle.temporal_address,
-                "spatial_addresses": bundle.addresses,
-            }
-        )
+    steps = agu.total_bundles
+    temporal = agu.temporal.address_batch(0, steps).tolist()
+    spatial = agu.address_matrix(0, steps).tolist()
+    rows = [
+        {
+            "cycle": cycle,
+            "temporal_address": address,
+            "spatial_addresses": tuple(addresses),
+        }
+        for cycle, (address, addresses) in enumerate(zip(temporal, spatial))
+    ]
     matches_paper = [
         (row["temporal_address"], row["spatial_addresses"]) for row in rows
     ] == PAPER_FIGURE4_ADDRESSES

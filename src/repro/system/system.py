@@ -181,11 +181,11 @@ class AcceleratorSystem:
         if self._program is None:
             return False
         memory = self.memory
-        # Only a streamer whose AGU is exhausted can have drained; drained
-        # streamers leave the live list for good.
+        # Only a streamer that generated its whole stream can have drained;
+        # drained streamers leave the live list for good.
         streamers = self._live
         for streamer in streamers:
-            if streamer.agu.temporal.exhausted and streamer.done:
+            if streamer.bundles_generated == streamer.total_bundles and streamer.done:
                 streamers = self._live = [s for s in streamers if not s.done]
                 break
 
@@ -409,7 +409,7 @@ class AcceleratorSystem:
             streamer = self.streamers[port]
             parts.append(
                 f"{port}: bundles={streamer.bundles_generated}/"
-                f"{streamer.agu.total_bundles if streamer.agu else 0} "
+                f"{streamer.total_bundles} "
                 f"words={streamer.words_streamed} busy={streamer.busy}"
             )
         return "; ".join(parts)

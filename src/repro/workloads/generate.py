@@ -69,9 +69,10 @@ FAMILIES = (
 #: Families whose cases are bundles (several GeMMs submitted together).
 BUNDLE_FAMILIES = ("ragged_gemm", "moe")
 
-#: Scratchpad budget (bytes) every generated kernel must fit — mirrors the
-#: synthetic suite's model of the 128 KiB evaluation-system scratchpad with
-#: headroom for the feature-disabled expanded-init configurations.
+#: Scratchpad budget (bytes) every generated and synthetic-suite kernel must
+#: fit: the 128 KiB evaluation-system scratchpad with headroom for the
+#: fully-materialised operands of the feature-disabled configurations
+#: (expanded init tiles when the Broadcaster is off).
 _SCRATCHPAD_BUDGET_BYTES = 120 * 1024
 
 #: Rejection-sampling attempts before the generator gives up.  The shape
@@ -81,7 +82,7 @@ _MAX_ATTEMPTS = 200
 
 
 def _gemm_fits(m: int, n: int, k: int) -> bool:
-    """Scratchpad-fit model for GeMM (same footprint as the synthetic suite)."""
+    """Scratchpad-fit model for GeMM (the synthetic suite's too)."""
     footprint = m * k + k * n + 8 * m * n + 4 * n
     return footprint <= _SCRATCHPAD_BUDGET_BYTES
 

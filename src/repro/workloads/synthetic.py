@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence
 
+from .generate import _conv_fits, _gemm_fits
 from .spec import ConvWorkload, GemmWorkload, Workload, WorkloadGroup
 
 #: Number of workloads per group in the full suite (totals 260 as in §IV-B).
@@ -42,30 +43,6 @@ _CONV_FMAPS = ((16, 16), (14, 14), (12, 12), (10, 10))
 _CONV_CHANNELS = ((16, 16), (16, 32), (32, 32), (32, 16), (8, 32), (24, 24))
 _CONV_KERNELS = ((1, 1), (3, 3), (5, 5), (7, 7))
 _CONV_STRIDES = (1, 2)
-
-
-#: Scratchpad budget every synthetic kernel must fit, including the
-#: fully-materialised operands of the feature-disabled configurations
-#: (expanded init tiles when the Broadcaster is off).
-_SCRATCHPAD_BUDGET_BYTES = 120 * 1024
-
-
-def _gemm_fits(m: int, n: int, k: int) -> bool:
-    footprint = m * k + k * n + 8 * m * n + 4 * n
-    return footprint <= _SCRATCHPAD_BUDGET_BYTES
-
-
-def _conv_fits(height, width, cin, cout, kh, kw, stride) -> bool:
-    out_h = (height - kh) // stride + 1
-    out_w = (width - kw) // stride + 1
-    tiles_m = out_h * -(-out_w // 8)
-    tiles_n = -(-cout // 8)
-    footprint = (
-        height * (width + 8) * max(cin, 8)
-        + kh * kw * max(cin, 8) * max(cout, 8)
-        + 2 * tiles_m * tiles_n * 256
-    )
-    return footprint <= _SCRATCHPAD_BUDGET_BYTES
 
 
 def _gemm_dimension_grid() -> List[tuple]:

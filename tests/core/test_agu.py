@@ -1,4 +1,11 @@
-"""Tests for the N-D affine address generation unit (paper §III-B, Fig. 4)."""
+"""Tests for the N-D affine address generation unit (paper §III-B, Fig. 4).
+
+The model evaluates the loop nest in closed form (``address_batch`` /
+``address_matrix``); every sequence here is checked against the literal
+values of the paper or against the multiplying reference walk.
+"""
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -13,49 +20,29 @@ from repro.core import (
 )
 
 
+def whole_stream(generator):
+    """Every temporal address of ``generator``, in step order."""
+    return generator.address_batch(0, generator.total_iterations).tolist()
+
+
+def bundles(agu, active_channels=0):
+    """Every bundle of ``agu`` as a tuple of channel addresses."""
+    matrix = agu.address_matrix(0, agu.total_bundles, active_channels)
+    return [tuple(row) for row in matrix.tolist()]
+
+
 class TestTemporalAGU:
     def test_single_dimension_sequence(self):
         agu = TemporalAddressGenerator(bounds=[4], strides=[8], base_address=100)
-        addresses = []
-        while not agu.exhausted:
-            addresses.append(agu.current_address())
-            agu.advance()
-        assert addresses == [100, 108, 116, 124]
+        assert whole_stream(agu) == [100, 108, 116, 124]
 
     def test_zero_stride_dimension_repeats(self):
         agu = TemporalAddressGenerator(bounds=[2, 3], strides=[4, 0])
-        addresses = []
-        while not agu.exhausted:
-            addresses.append(agu.current_address())
-            agu.advance()
-        assert addresses == [0, 4, 0, 4, 0, 4]
+        assert whole_stream(agu) == [0, 4, 0, 4, 0, 4]
 
     def test_total_iterations(self):
         agu = TemporalAddressGenerator(bounds=[2, 3, 4], strides=[1, 10, 100])
         assert agu.total_iterations == 24
-
-    def test_reset(self):
-        agu = TemporalAddressGenerator(bounds=[2], strides=[4])
-        agu.advance()
-        agu.advance()
-        assert agu.exhausted
-        agu.reset()
-        assert not agu.exhausted
-        assert agu.current_address() == 0
-
-    def test_advance_past_end_raises(self):
-        agu = TemporalAddressGenerator(bounds=[1], strides=[4])
-        agu.advance()
-        with pytest.raises(RuntimeError):
-            agu.advance()
-
-    def test_indices_track_loop_variables(self):
-        agu = TemporalAddressGenerator(bounds=[2, 2], strides=[1, 10])
-        seen = []
-        while not agu.exhausted:
-            seen.append(agu.current_indices())
-            agu.advance()
-        assert seen == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     @pytest.mark.parametrize(
         "bounds,strides",
@@ -76,14 +63,25 @@ class TestSpatialAGU:
         assert spatial.offsets == (0, 1, 10, 11, 20, 21)
 
     def test_expand_adds_temporal_address(self):
-        spatial = SpatialAddressGenerator(bounds=[2], strides=[4])
-        assert spatial.expand(100) == (100, 104)
+        agu = AddressGenerationUnit(
+            temporal_bounds=[1],
+            temporal_strides=[0],
+            spatial_bounds=[2],
+            spatial_strides=[4],
+            base_address=100,
+        )
+        assert bundles(agu) == [(100, 104)]
 
     def test_expand_with_reduced_channel_count(self):
-        spatial = SpatialAddressGenerator(bounds=[4], strides=[8])
-        assert spatial.expand(0, count=2) == (0, 8)
-        assert spatial.expand(0, count=4) == (0, 8, 16, 24)
-        assert spatial.expand(0, count=0) == (0, 8, 16, 24)
+        agu = AddressGenerationUnit(
+            temporal_bounds=[1],
+            temporal_strides=[0],
+            spatial_bounds=[4],
+            spatial_strides=[8],
+        )
+        assert bundles(agu, active_channels=2) == [(0, 8)]
+        assert bundles(agu, active_channels=4) == [(0, 8, 16, 24)]
+        assert bundles(agu, active_channels=0) == [(0, 8, 16, 24)]
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -107,12 +105,10 @@ class TestFigure4Example:
 
     def test_temporal_addresses_match_figure(self):
         agu = self.make_agu()
-        temporal = [bundle.temporal_address for bundle in agu.iter_bundles()]
-        assert temporal == [0, 4, 0, 4, 8, 12, 8, 12]
+        assert whole_stream(agu.temporal) == [0, 4, 0, 4, 8, 12, 8, 12]
 
     def test_spatial_addresses_match_figure(self):
         agu = self.make_agu()
-        bundles = list(agu.iter_bundles())
         # Figure 4 (c): per clock cycle the four spatial addresses SA0..SA3.
         expected = [
             (0, 1, 2, 3),
@@ -124,28 +120,18 @@ class TestFigure4Example:
             (8, 9, 10, 11),
             (12, 13, 14, 15),
         ]
-        assert [bundle.addresses for bundle in bundles] == expected
-
-    def test_bundle_metadata(self):
-        agu = self.make_agu()
-        bundles = list(agu.iter_bundles())
-        assert len(bundles) == 8
-        assert bundles[0].step == 0
-        assert bundles[-1].last
-        assert not bundles[0].last
-        assert agu.exhausted
+        assert bundles(agu) == expected
 
 
 class TestAGUProperties:
-    temporal_dims = st.integers(min_value=1, max_value=4)
-
     @given(
         data=st.data(),
         base=st.integers(min_value=0, max_value=1 << 20),
     )
     @settings(max_examples=60, deadline=None)
     def test_dual_counter_matches_multiplication_reference(self, data, base):
-        """The accumulator-based AGU equals base + Σ stride*index."""
+        """The closed form yields what the hardware's dual counters step
+        through: base + Σ stride*index, index by index."""
         dims = data.draw(st.integers(min_value=1, max_value=4))
         bounds = data.draw(
             st.lists(st.integers(min_value=1, max_value=5), min_size=dims, max_size=dims)
@@ -154,11 +140,7 @@ class TestAGUProperties:
             st.lists(st.integers(min_value=0, max_value=256), min_size=dims, max_size=dims)
         )
         agu = TemporalAddressGenerator(bounds=bounds, strides=strides, base_address=base)
-        produced = []
-        while not agu.exhausted:
-            produced.append(agu.current_address())
-            agu.advance()
-        assert produced == reference_temporal_addresses(bounds, strides, base)
+        assert whole_stream(agu) == reference_temporal_addresses(bounds, strides, base)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -183,11 +165,10 @@ class TestAGUProperties:
             spatial_bounds=s_bounds,
             spatial_strides=s_strides,
         )
-        produced = [bundle.addresses for bundle in agu.iter_bundles()]
         expected = reference_address_sequence(
             t_bounds, t_strides, s_bounds, s_strides
         )
-        assert produced == expected
+        assert bundles(agu) == expected
 
     @given(
         bounds=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
@@ -200,15 +181,12 @@ class TestAGUProperties:
             spatial_bounds=[2],
             spatial_strides=[1],
         )
-        bundles = list(agu.iter_bundles())
-        expected = 1
-        for bound in bounds:
-            expected *= bound
-        assert len(bundles) == expected
+        assert agu.total_bundles == math.prod(bounds)
+        assert len(bundles(agu)) == agu.total_bundles
 
 
 class TestBatchEvaluation:
-    """Vectorized AGU evaluation must equal the stepped dual counters."""
+    """Any window of the closed form equals the stepped reference walk."""
 
     CONFIGS = [
         ((4,), (8,), 0),
@@ -218,56 +196,20 @@ class TestBatchEvaluation:
     ]
 
     def test_address_batch_matches_stepping(self):
-        from repro.core.agu import TemporalAddressGenerator
-
         for bounds, strides, base in self.CONFIGS:
+            stepped = reference_temporal_addresses(bounds, strides, base)
             generator = TemporalAddressGenerator(bounds, strides, base)
-            stepped = []
-            while not generator.exhausted:
-                stepped.append(generator.current_address())
-                generator.advance()
-            fresh = TemporalAddressGenerator(bounds, strides, base)
-            batch = fresh.address_batch(0, len(stepped))
-            assert batch.tolist() == stepped
-            # Arbitrary window.
-            window = fresh.address_batch(2, len(stepped) - 2)
-            assert window.tolist() == stepped[2:]
+            total = len(stepped)
+            for start in (0, 1, 2, total - 1):
+                window = generator.address_batch(start, total - start)
+                assert window.tolist() == stepped[start:]
 
     def test_address_batch_window_bounds(self):
-        from repro.core.agu import TemporalAddressGenerator
-
         generator = TemporalAddressGenerator((2, 2), (1, 2))
         with pytest.raises(ValueError):
             generator.address_batch(0, 5)
         with pytest.raises(ValueError):
             generator.address_batch(-1, 1)
-
-    def test_fast_forward_matches_stepping(self):
-        import math
-
-        from repro.core.agu import TemporalAddressGenerator
-
-        for bounds, strides, base in self.CONFIGS:
-            total = math.prod(bounds)
-            for jump in (1, 2, total - 1, total):
-                stepped = TemporalAddressGenerator(bounds, strides, base)
-                for _ in range(jump):
-                    stepped.advance()
-                jumped = TemporalAddressGenerator(bounds, strides, base)
-                jumped.fast_forward(jump)
-                assert jumped.current_indices() == stepped.current_indices()
-                assert jumped.current_address() == stepped.current_address()
-                assert jumped.exhausted == stepped.exhausted
-                assert jumped.steps_generated == stepped.steps_generated
-
-    def test_fast_forward_overrun_rejected(self):
-        from repro.core.agu import TemporalAddressGenerator
-
-        generator = TemporalAddressGenerator((2, 2), (1, 2))
-        with pytest.raises(RuntimeError):
-            generator.fast_forward(5)
-        with pytest.raises(ValueError):
-            generator.fast_forward(-1)
 
     def test_address_matrix_matches_bundles(self):
         unit = AddressGenerationUnit(
@@ -277,32 +219,7 @@ class TestBatchEvaluation:
             spatial_strides=(8,),
             base_address=1024,
         )
-        expected = [bundle.addresses for bundle in unit.iter_bundles(8)]
-        fresh = AddressGenerationUnit(
-            temporal_bounds=(3, 4),
-            temporal_strides=(64, 512),
-            spatial_bounds=(8,),
-            spatial_strides=(8,),
-            base_address=1024,
-        )
-        matrix = fresh.address_matrix(0, len(expected), 8)
-        assert [tuple(row) for row in matrix.tolist()] == expected
-
-    def test_agu_fast_forward_continues_identically(self):
-        def fresh_unit():
-            return AddressGenerationUnit(
-                temporal_bounds=(4, 4),
-                temporal_strides=(8, 128),
-                spatial_bounds=(4,),
-                spatial_strides=(2,),
-            )
-
-        stepped = fresh_unit()
-        for _ in range(6):
-            stepped.next_bundle(4)
-        jumped = fresh_unit()
-        jumped.fast_forward(6)
-        assert jumped.bundles_generated == stepped.bundles_generated
-        while not stepped.exhausted:
-            assert jumped.next_bundle(4) == stepped.next_bundle(4)
-        assert jumped.exhausted
+        expected = reference_address_sequence((3, 4), (64, 512), (8,), (8,), 1024)
+        assert bundles(unit, 8) == expected
+        window = unit.address_matrix(5, 4, 8)
+        assert [tuple(row) for row in window.tolist()] == expected[5:9]

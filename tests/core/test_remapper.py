@@ -40,12 +40,6 @@ class TestSelection:
         with pytest.raises(ValueError):
             remapper.select_index(5)
 
-    def test_index_for_group_size(self):
-        remapper = make_remapper()
-        assert remapper.index_for_group_size(16) == 0
-        assert remapper.index_for_group_size(4) == 1
-        assert remapper.index_for_group_size(1) == 2
-
     def test_options_deduplicated_and_sorted(self):
         remapper = AddressRemapper(GEOMETRY, [1, 16, 16, 4, 4])
         assert remapper.group_size_options == (16, 4, 1)
@@ -69,13 +63,6 @@ class TestDecode:
         assert remapper.decode(address) == decode_address(address, GEOMETRY, 16)
         remapper.select_group_size(1)
         assert remapper.decode(address) == decode_address(address, GEOMETRY, 1)
-
-    def test_decode_with_explicit_group_size(self):
-        remapper = make_remapper()
-        address = 8 * 33
-        assert remapper.decode_with_group_size(address, 4) == decode_address(
-            address, GEOMETRY, 4
-        )
 
     def test_switching_mode_changes_bank_for_same_address(self):
         """The same logical address maps to different banks per mode."""

@@ -98,7 +98,6 @@ def memory_state(system):
 def streamer_state(system):
     state = {}
     for name, streamer in system.streamers.items():
-        temporal = streamer.agu.temporal
         state[name] = {
             "counters": (
                 streamer.words_streamed,
@@ -107,12 +106,6 @@ def streamer_state(system):
                 streamer.credit_stall_cycles,
                 streamer.max_addr_occupancy,
                 streamer._popped_this_cycle,
-            ),
-            "agu": (
-                temporal.current_indices(),
-                temporal.current_address(),
-                temporal.steps_generated,
-                temporal.exhausted,
             ),
             "ports": [
                 (

@@ -9,7 +9,10 @@ These tests make documentation rot a build failure:
   parser help text;
 * the runtime knobs (env vars, cycle budget) must appear in the single
   knob table ``docs/ARCHITECTURE.md`` maintains;
-* every page under ``docs/`` must be reachable from the architecture map.
+* every page under ``docs/`` must be reachable from the architecture map;
+* every script under ``examples/`` — production callers to
+  ``tools/check_reachability.py`` — must run to exit 0 and leave
+  ``git status`` as it found it.
 """
 
 import argparse
@@ -25,6 +28,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS = REPO_ROOT / "docs"
 CHECKER = REPO_ROOT / "tools" / "check_doc_links.py"
 REACHABILITY = REPO_ROOT / "tools" / "check_reachability.py"
+EXAMPLES = sorted(path.name for path in (REPO_ROOT / "examples").glob("*.py"))
 
 
 def subcommands():
@@ -443,3 +447,36 @@ class TestStructure:
         assert result.returncode == 0, result.stderr
         for name in subcommands():
             assert name in result.stdout
+
+
+class TestExamples:
+    @staticmethod
+    def git_status():
+        """``git status --porcelain`` of the checkout; ``None`` outside one."""
+        try:
+            result = subprocess.run(
+                ["git", "status", "--porcelain"],
+                capture_output=True,
+                text=True,
+                cwd=REPO_ROOT,
+            )
+        except FileNotFoundError:
+            return None
+        return result.stdout if result.returncode == 0 else None
+
+    @pytest.mark.parametrize("script", EXAMPLES)
+    def test_example_runs_and_leaves_the_tree_clean(self, script):
+        import os
+
+        before = self.git_status()
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "examples" / script)],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert self.git_status() == before

@@ -10,7 +10,7 @@ from repro.workloads import (
     stratified_subset,
     synthetic_suite,
 )
-from repro.workloads.synthetic import _SCRATCHPAD_BUDGET_BYTES
+from repro.workloads.generate import _SCRATCHPAD_BUDGET_BYTES
 
 
 class TestSuiteGeneration:
