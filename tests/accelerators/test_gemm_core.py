@@ -161,6 +161,33 @@ class TestGemmCoreWraparound:
         assert np.array_equal(np.asarray(sink.words[0]), batch[0])
         assert np.array_equal(bytes_to_tile(sink.words[0], (8, 8), np.int32), wrapped)
 
+    @pytest.mark.parametrize("mu, nu, ku", [(8, 8, 8), (4, 8, 2)])
+    def test_a_multi_tile_batch_matches_an_int64_reference(self, mu, nu, ku):
+        """Each tile of a batch reduces over its own ``tiles_k`` words only,
+        in pop order, and wraps mod 2**32 from its own init word."""
+        rng = np.random.default_rng(42)
+        count, tiles_k = 5, 3
+        a = rng.integers(-128, 128, size=(count, tiles_k, mu, ku)).astype(np.int8)
+        b = rng.integers(-128, 128, size=(count, tiles_k, ku, nu)).astype(np.int8)
+        init = rng.integers(-(2**31), 2**31, size=(count, mu, nu)).astype(np.int32)
+        init[::2] = np.iinfo(np.int32).max - 10
+        core = GemmCore(mu, nu, ku)
+        core.configure(GemmJob(count, 1, tiles_k, use_init_stream=False))
+        batch = core.compute_tiles_batch(
+            count,
+            a.view(np.uint8).reshape(count * tiles_k, -1),
+            b.view(np.uint8).reshape(count * tiles_k, -1),
+            init.view(np.uint8).reshape(count, -1),
+        )
+
+        reference = init.astype(np.int64) + np.einsum(
+            "tkij,tkjl->til", a.astype(np.int64), b.astype(np.int64)
+        )
+        assert reference.max() > np.iinfo(np.int32).max  # it does wrap
+        wrapped = (reference % 2**32).astype(np.uint32).view(np.int32)
+        assert batch.shape == (count, mu * nu * 4)
+        assert np.array_equal(batch.view(np.int32).reshape(count, mu, nu), wrapped)
+
     @pytest.mark.parametrize("port, mac", [("A", 1), ("B", 4), ("C", 0), ("C", 3)])
     def test_a_wrong_width_word_raises_at_the_mac_that_pops_it(self, port, mac):
         """Mid-tile too: two short words must not join into one tile."""

@@ -14,6 +14,9 @@ bit-identical to lockstep exactly where its assumptions are most fragile:
   stream, an arbiter pointer that differs between the two boundaries
   (conflict counts, per-bank counters and the arbiter's pointers are part
   of the parity assertion);
+* **spans that do not commute** — a word written twice, or read and
+  written, inside one span must bail rather than replay as one gather and
+  one scatter;
 * **conv layers** — the ResNet-18 crop shapes, whose A/B operands rotate
   through their bank groups on every tile, must engage the fast path;
 * **deadlocks** — a kernel that streams steadily (and macro-jumps) before
@@ -231,6 +234,33 @@ class TestConflictBrokenSteadyState:
         assert stats["jumps"] >= 1
         if not bails:
             assert stats == plain
+
+
+# ----------------------------------------------------------------------
+# Span accesses that do not commute: one gather plus one scatter would
+# reorder a word's accesses.
+# ----------------------------------------------------------------------
+class TestNonCommutingSpan:
+    def test_a_word_written_twice_in_a_span_bails(self):
+        """D's outer stride is 0, so every row of 8 output tiles lands on
+        the same 8 tile slots: a span inside a row writes each word once
+        and jumps, a span across rows would write a word twice."""
+        stats, _ = run_both(
+            lambda: reprogrammed(
+                compute_bound_workload(), D=dict(temporal_strides=(256, 0))
+            )
+        )
+        assert stats["bails"].get("write_collision", 0) >= 1, stats
+        assert stats["jumps"] >= 1, "spans inside a row still jump"
+
+    def test_a_word_read_and_written_in_a_span_bails(self):
+        """A reads from D's base, so the operand words A gathers over a span
+        include the results D scatters over it."""
+        stats, _ = run_both(
+            lambda: reprogrammed(compute_bound_workload(), A=dict(base_address=0))
+        )
+        assert stats["bails"].get("read_write_overlap", 0) >= 1, stats
+        assert stats["jumps"] >= 1, "spans whose words never meet still jump"
 
 
 # ----------------------------------------------------------------------

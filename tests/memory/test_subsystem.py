@@ -252,6 +252,37 @@ class TestWordSnapshots:
         assert streamer.pop_output().tolist() == [3] * 8
 
 
+class TestReplayGrants:
+    """A steady span's grants, counted and pointed in one pass."""
+
+    @pytest.mark.parametrize("channels", [1, 4, 8])
+    def test_each_bank_points_at_the_port_granted_there_last(self, channels):
+        rng = np.random.default_rng(channels)
+        geometry = BankGeometry(num_banks=16, bank_width_bytes=8, bank_depth=8)
+        memory = MemorySubsystem(geometry)
+        # Every bank points somewhere first; the span moves only its own.
+        memory.replay_grants(np.arange(16)[:, np.newaxis], True, [memory.bind("old")])
+        before = {bank: "old" for bank in range(16)}
+        ports = [memory.bind(f"p{column}") for column in range(channels)]
+        for _ in range(3):
+            # Few banks, so every bank repeats across rows and columns.
+            banks = rng.integers(0, 11, size=(rng.integers(1, 20), channels))
+            memory.replay_grants(banks, True, ports)
+            for row in banks.tolist():
+                for column, bank in enumerate(row):
+                    before[bank] = ports[column].name
+            assert memory.grant_pointers() == before
+
+    def test_counts_land_on_the_banks_with_or_without_ports(self):
+        memory = make_subsystem()
+        banks = np.array([[0, 3], [3, 3], [1, 0]])
+        memory.replay_grants(banks, False)
+        memory.replay_grants(banks[:1], True, [memory.bind("x"), memory.bind("y")])
+        counts = [(bank.read_count, bank.write_count) for bank in memory.scratchpad.banks]
+        assert counts == [(1, 2), (0, 1), (0, 0), (1, 3)]
+        assert memory.grant_pointers() == {0: "x", 3: "y"}
+
+
 class TestBoundPorts:
     """Requesters hold ports; a port registers at its first submit only."""
 

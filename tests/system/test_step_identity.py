@@ -24,6 +24,14 @@ under ``event``, steps 1 and 6 also under ``lockstep``.
 Per run the fixture holds the 32-bit heads of one sha256 per field below, in
 order, so a mismatch names the run and the field.  Lockstep steps every cycle
 (≈ 6k cycles/s): its first two sets run under ``REPRO_FULL_SUITE`` only.
+
+``fixtures/steady_stats.json`` pins the macro-stepper's decisions the same
+way: per ``event`` run of every set, the 64-bit head of one sha256 of
+``system.steady_stats()`` — boundaries, attempts, jumps, periods, skipped
+cycles, how each stream was verified and every bail by reason.  A change to
+how a span is verified or replayed that claims the same decisions holds this
+file unchanged; it was written by the commit before the jump path became
+linear-time numpy passes.
 """
 
 import hashlib
@@ -47,6 +55,7 @@ from repro.workloads import (
 )
 
 FIXTURE = Path(__file__).parent / "fixtures" / "step_stats.json"
+STEADY_FIXTURE = FIXTURE.with_name("steady_stats.json")
 DESIGN = datamaestro_evaluation_system()
 ENGINES = ("event", "lockstep")
 FIELDS = (
@@ -163,14 +172,17 @@ def field_values(system, result):
 
 
 def run_digest(workload, features, engine, design=DESIGN):
-    """The run's field heads, concatenated."""
+    """The run's field heads, concatenated, and the head of its
+    ``steady_stats()`` digest (the planner's decisions)."""
     program = compile_workload(workload, design, features)
     system = AcceleratorSystem(design)
     result = system.run(program, engine=engine)
-    return "".join(
+    heads = "".join(
         hashlib.sha256(repr(value).encode()).hexdigest()[:HEAD]
         for value in field_values(system, result)
     )
+    steady = json.dumps(system.steady_stats(), sort_keys=True)
+    return heads, hashlib.sha256(steady.encode()).hexdigest()[: 2 * HEAD]
 
 
 def cases():
@@ -188,30 +200,48 @@ def cases():
     ]
 
 
-def assert_heads_match(heads, golden, where):
+def assert_run_matches(digest, golden, steady, where):
+    """A run's field heads against ``golden``; under ``event`` (``steady`` is
+    its pinned planner digest) its planner decisions too."""
+    heads, decisions = digest
     for index, field in enumerate(FIELDS):
         span = slice(index * HEAD, (index + 1) * HEAD)
         assert heads[span] == golden[span], f"{where} differs in field {field!r}"
+    if steady is not None:
+        assert decisions == steady, f"{where}: the planner's decisions moved"
+
+
+def steady_golden(name, engine):
+    """Run key -> pinned planner digest; empty under lockstep (no planner)."""
+    if engine != "event":
+        return {}
+    steady = json.loads(STEADY_FIXTURE.read_text())[name]
+    assert list(steady) == list(json.loads(FIXTURE.read_text())[name][engine])
+    return steady
 
 
 @pytest.mark.parametrize("name, engine", cases())
 def test_every_stepped_statistic_matches_the_fixture(name, engine):
     golden = json.loads(FIXTURE.read_text())[name][engine]
+    steady = steady_golden(name, engine)
     entries = run_sets()[name]
     assert [key for key, _, _ in entries] == list(golden), f"{name}: run list moved"
     for key, workload, features in entries:
-        heads = run_digest(workload, features, engine)
-        assert_heads_match(heads, golden[key], f"{name}/{engine}: run {key!r}")
+        digest = run_digest(workload, features, engine)
+        where = f"{name}/{engine}: run {key!r}"
+        assert_run_matches(digest, golden[key], steady.get(key), where)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_every_stepped_statistic_matches_the_fixture_across_designs(engine):
     golden = json.loads(FIXTURE.read_text())["designs"][engine]
+    steady = steady_golden("designs", engine)
     entries = design_runs(engine)
     assert [key for key, *_ in entries] == list(golden), "designs: run list moved"
     for key, workload, features, design in entries:
-        heads = run_digest(workload, features, engine, design)
-        assert_heads_match(heads, golden[key], f"designs/{engine}: run {key!r}")
+        digest = run_digest(workload, features, engine, design)
+        where = f"designs/{engine}: run {key!r}"
+        assert_run_matches(digest, golden[key], steady.get(key), where)
 
 
 def test_both_engines_pin_the_same_statistics():
@@ -228,7 +258,7 @@ def test_both_engines_pin_the_same_statistics():
 
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
-    golden = {
+    runs = {
         name: {
             engine: {
                 key: run_digest(workload, features, engine)
@@ -238,12 +268,25 @@ if __name__ == "__main__":
         }
         for name, entries in run_sets().items()
     }
-    golden["designs"] = {
+    runs["designs"] = {
         engine: {
             key: run_digest(workload, features, engine, design)
             for key, workload, features, design in design_runs(engine)
         }
         for engine in ENGINES
     }
+    golden = {
+        name: {
+            engine: {key: heads for key, (heads, _) in by_key.items()}
+            for engine, by_key in by_engine.items()
+        }
+        for name, by_engine in runs.items()
+    }
+    steady = {
+        name: {key: decisions for key, (_, decisions) in by_engine["event"].items()}
+        for name, by_engine in runs.items()
+    }
     FIXTURE.write_text(json.dumps(golden, indent=0) + "\n")
+    STEADY_FIXTURE.write_text(json.dumps(steady, indent=0) + "\n")
     print(f"wrote {sum(len(r) for s in golden.values() for r in s.values())} digests to {FIXTURE}")
+    print(f"wrote {sum(len(r) for r in steady.values())} digests to {STEADY_FIXTURE}")
