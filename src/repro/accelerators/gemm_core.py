@@ -241,17 +241,22 @@ class GemmCore:
         b_words: np.ndarray,
         c_words: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Pure batched datapath: ``count`` whole output tiles in one einsum.
+        """Pure batched datapath: ``count`` whole output tiles in one
+        batched int32 matmul.
 
         ``a_words``/``b_words`` hold ``count * tiles_k`` operand words of
         ``word_bytes`` uint8 each, in pop order (as rows or flat);
         ``c_words`` holds ``count`` init-stream words of ``acc_word_bytes``
-        (or is ``None`` for zero initialisation).  Returns the ``(count,
-        acc_word_bytes)`` byte images to push to the sink — bit-identical to
-        ``count * tiles_k`` sequential MAC steps, because int32 accumulation
-        is associative even under wraparound.  Counters and indices are
-        *not* touched; :meth:`step` (one tile) and the macro-step replayer
-        (whole spans) own those.
+        (or is ``None`` for zero initialisation).  A tile's ``tiles_k`` A
+        words side by side are one ``Mu × tiles_k·Ku`` matrix and its B
+        words stacked one ``tiles_k·Ku × Nu`` matrix, so the whole
+        reduction is one ``(count, Mu, tiles_k·Ku) @ (count, tiles_k·Ku,
+        Nu)`` product.  Returns the ``(count, acc_word_bytes)`` byte images
+        to push to the sink — bit-identical to ``count * tiles_k``
+        sequential MAC steps, because int32 accumulation is associative
+        even under wraparound.  Counters and indices are *not* touched;
+        :meth:`step` (one tile) and the macro-step replayer (whole spans)
+        own those.
         """
         assert self.job is not None
         k = self.job.tiles_k
@@ -259,15 +264,17 @@ class GemmCore:
             np.ascontiguousarray(a_words, dtype=np.uint8)
             .view(np.int8)
             .reshape(count, k, self.mu, self.ku)
-            .astype(np.int32)
+            .transpose(0, 2, 1, 3)
+            .astype(np.int32, order="C")
+            .reshape(count, self.mu, k * self.ku)
         )
         b_tiles = (
             np.ascontiguousarray(b_words, dtype=np.uint8)
             .view(np.int8)
-            .reshape(count, k, self.ku, self.nu)
+            .reshape(count, k * self.ku, self.nu)
             .astype(np.int32)
         )
-        acc = np.einsum("tkij,tkjl->til", a_tiles, b_tiles, dtype=np.int32)
+        acc = np.matmul(a_tiles, b_tiles)
         if c_words is not None:
             acc = acc + (
                 np.ascontiguousarray(c_words, dtype=np.uint8)

@@ -109,6 +109,8 @@ class StreamSpan:
     lines: np.ndarray
     starts: List[int]  # each channel's grant cursor, as a row
     isolated: bool  # verified by isolation rather than exact tiling
+    #: The span's :meth:`rows`, gathered once by the planner for the replay.
+    grants: Optional[tuple] = None
 
     def rows(self, count: int):
         """Every channel's next ``count`` grants as ``(banks, lines)``,
@@ -653,7 +655,7 @@ class DataMaestro:
         count = periods * span.delta
         width = self.design.bank_width_bytes
         storage = memory.scratchpad.storage
-        banks, lines = span.rows(count)
+        banks, lines = span.grants
         issued, words = self.requests_issued, self.words_streamed
         if self.is_read:
             spanned = storage[banks, lines]

@@ -265,19 +265,24 @@ class SteadySpanPlanner:
 
         # Span accesses must commute: reads and writes disjoint, writes
         # unique, so one gather plus one scatter reproduces the per-cycle
-        # access sequence regardless of intra-span ordering.
+        # access sequence regardless of intra-span ordering.  One count of
+        # the written words, as long as the largest word read or written,
+        # decides both.  Each span keeps its grant rows for the replay.
         depth = memory.geometry.bank_depth
         read_keys: List[np.ndarray] = []
         write_keys: List[np.ndarray] = []
         for span in streams:
-            banks, lines = span.rows(periods * span.delta)
+            span.grants = span.rows(periods * span.delta)
+            banks, lines = span.grants
             keys = (banks * depth + lines).ravel()
             (read_keys if span.streamer.is_read else write_keys).append(keys)
         if write_keys:
             writes = np.concatenate(write_keys)
-            if np.unique(writes).size != writes.size:
+            largest = max([keys.max() for keys in read_keys], default=0)
+            counts = np.bincount(writes, minlength=largest + 1)
+            if counts.max() > 1:
                 raise SteadyBail("write_collision")
-            if read_keys and np.intersect1d(np.concatenate(read_keys), writes).size:
+            if any(counts[keys].any() for keys in read_keys):
                 raise SteadyBail("read_write_overlap")
 
         # The moving streams must be exactly the GeMM/quantizer dataflow: the
@@ -316,7 +321,7 @@ class SteadySpanPlanner:
     def _commit(self, plan: _Plan) -> None:
         """Each streamer replays its words and queues — the reads first, so
         they gather before the sink's scatter (the two are disjoint anyway)
-        — all MAC steps of all tiles collapse into one ``einsum``, the
+        — all MAC steps of all tiles collapse into one batched matmul, the
         quantizer rescales the tile stack, the memory moves its in-flight
         batches, and last every counter advances by ``periods`` x its
         per-period delta (the replays read the boundary's positions)."""

@@ -400,16 +400,18 @@ class MemorySubsystem:
         holds every channel's ``i``-th grant.  With ``ports`` — a skew-free
         stream's, whose rows are granted whole and in order — each bank's
         arbiter also points at the port of its last grant there."""
-        counts = np.bincount(banks.ravel()).tolist()
-        for bank, accesses in zip(self.scratchpad.banks, counts):
+        flat = banks.ravel()
+        counts = np.bincount(flat)
+        for bank, accesses in zip(self.scratchpad.banks, counts.tolist()):
             if is_read:
                 bank.read_count += accesses
             else:
                 bank.write_count += accesses
         if ports:
-            order = banks.ravel()[::-1]
-            touched, last = np.unique(order, return_index=True)
-            columns = (order.size - 1 - last) % len(ports)
+            last = np.zeros(counts.size, np.intp)
+            np.maximum.at(last, flat, np.arange(flat.size))
+            touched = np.flatnonzero(counts)
+            columns = last[touched] % len(ports)
             for bank, column in zip(touched.tolist(), columns.tolist()):
                 self._last_grant[bank] = ports[column].name
 

@@ -16,14 +16,18 @@ step          calls per stepped cycle budget (0.6 x parent)  Fifo calls per word
 Numpy calls per stepped cycle, parent 3fa8c72 → words moved as bytes-like
 copies (a slice of the scratchpad's ``bytearray`` at the grant, one
 ``np.frombuffer`` per pop) and each GeMM tile computed once, at its last
-k-step; the budget is the new count:
+k-step, then parent 6f7da5d → a macro jump verified and replayed in linear
+numpy passes (a tile is one batched ``np.matmul``, not an ``einsum``, and
+the commutation check one ``np.bincount``, not ``np.unique`` and
+``np.intersect1d``); the budget is the last count, rounded up to the next
+hundredth:
 
-============  =======================  ======
-step          numpy calls per cycle    budget
-============  =======================  ======
-2_prefetch    26.34 → 2.91             2.91
-1_baseline    12.67 → 1.51             1.52
-============  =======================  ======
+=================================  ============  ============
+change                             2_prefetch    1_baseline
+=================================  ============  ============
+words as bytes, a tile at once     26.34 → 2.91  12.67 → 1.51
+linear-time jumps                  2.89 → 2.80   1.51 → 1.46
+=================================  ============  ============
 
 Calls per stepped cycle, parent 755e1a2 → a channel held as its data FIFO
 and its memory port (no per-channel object) and the memory's counters as
@@ -33,8 +37,8 @@ planner as a protocol over the units (each lists its period counters once
 per program and signs its own state at a boundary, with no generator and
 no name lookup per counter), then parent 8fcc656 → the AGU as a function
 of the step (no dual counters rippled per bundle; the streamer's
-``bundles_generated`` is the one stream position); the budget is the last
-count:
+``bundles_generated`` is the one stream position), then parent 6f7da5d →
+linear-time jumps (no Python call moved); the budget is the last count:
 
 ===============================  ===========  ===========
 change                           2_prefetch   1_baseline
@@ -43,6 +47,7 @@ a channel is a FIFO and a port   68.5 → 53.1  46.4 → 39.1
 a word is a tuple, not a record  53.1 → 37.8  39.1 → 31.8
 the planner over its units       37.8 → 35.8  31.8 → 28.9
 the AGU a function of the step   35.8 → 34.0  28.9 → 28.0
+linear-time jumps                33.9 → 33.9  28.0 → 28.0
 ===============================  ===========  ===========
 
 A memory word is a ``(bank, line, data, request)`` tuple, no record: a
@@ -65,7 +70,7 @@ WORKLOAD = "conv_h14_w14_c16_k32_f5x5_s2"
 #: Calls per stepped cycle, as measured (see the third table).
 CALLS = {"2_prefetch": 34.0, "1_baseline": 28.0}
 #: Numpy calls per stepped cycle, as measured (see the second table).
-NUMPY_CALLS = {"2_prefetch": 2.91, "1_baseline": 1.52}
+NUMPY_CALLS = {"2_prefetch": 2.81, "1_baseline": 1.47}
 
 
 @pytest.fixture(scope="module")

@@ -39,6 +39,7 @@ a channel is a data FIFO and a port  137.3 → 125.1            17.9 → 17.9
 a word is a tuple, not a record      125.1 → 108.7            17.9 → 17.9
 the planner over its units           108.7 → 104.4            17.9 → 17.9
 the AGU a function of the step       104.4 → 102.7            17.9 → 17.9
+a tile one matmul, not an einsum     102.7 → 102.7            17.9 → 16.6
 ===================================  =======================  ===========
 
 A word is a slice of the scratchpad's ``bytearray`` taken at the grant and
@@ -61,7 +62,7 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
 PARENT = {"repro_calls_per_job": 1825.0, "numpy_calls_per_job": 405.9}
 #: ``repro`` and numpy calls per stepped cycle of the same jobs, as measured.
 STEP_CALLS_PER_STEPPED_CYCLE = 102.7
-STEP_NUMPY_CALLS_PER_STEPPED_CYCLE = 17.9
+STEP_NUMPY_CALLS_PER_STEPPED_CYCLE = 16.6
 
 
 @pytest.fixture(scope="module")
