@@ -7,8 +7,9 @@ maps the package stack; ``docs/RUNTIME.md`` documents the simulation
 runtime; the per-module docstrings and the experiment reports record the
 paper-vs-measured comparison for every table and figure.
 
-Top-level convenience imports expose the most frequently used entry points;
-the sub-packages hold the full API:
+The top level exports only the runtime's front door (:class:`SimJob`,
+:class:`Simulator`) and ``__version__``; each sub-package exports what
+something outside it imports from it, and its modules hold the full API:
 
 * :mod:`repro.core` — the DataMaestro streaming engine itself;
 * :mod:`repro.memory` — the multi-banked scratchpad and crossbar;
@@ -23,8 +24,9 @@ the sub-packages hold the full API:
   top of the runtime: request coalescing, fair bounded admission, streaming
   lifecycle/progress events (``docs/SERVE.md``);
 * :mod:`repro.cluster` — the service sharded across supervised worker
-  processes: hash routing, heartbeat/restart supervision and a durable
-  job journal (``docs/SERVE.md``);
+  processes: one shared fair queue whose worker slots pull for their shard,
+  heartbeat/restart supervision and a durable job journal
+  (``docs/SERVE.md``);
 * :mod:`repro.obs` — the unified telemetry layer: metrics registry,
   Prometheus ``/metrics`` exporter, per-job trace timelines and the live
   ops dashboard (``docs/OBSERVABILITY.md``);
@@ -47,30 +49,8 @@ The runtime is the front door for running simulations::
     )
 """
 
-from .core.params import FeatureSet, StreamerDesign, StreamerMode, StreamerRuntimeConfig
-from .core.streamer import DataMaestro
-from .memory.addressing import AddressingMode, BankGeometry
-
 __version__ = "1.6.0"
 
-from .engine import DEFAULT_ENGINE, EVENT_ENGINE, LOCKSTEP_ENGINE, available_engines
-from .runtime import SimJob, SimOutcome, Simulator, simulate
+from .runtime import SimJob, Simulator
 
-__all__ = [
-    "DataMaestro",
-    "FeatureSet",
-    "StreamerDesign",
-    "StreamerMode",
-    "StreamerRuntimeConfig",
-    "AddressingMode",
-    "BankGeometry",
-    "SimJob",
-    "SimOutcome",
-    "Simulator",
-    "simulate",
-    "DEFAULT_ENGINE",
-    "EVENT_ENGINE",
-    "LOCKSTEP_ENGINE",
-    "available_engines",
-    "__version__",
-]
+__all__ = ["SimJob", "Simulator", "__version__"]

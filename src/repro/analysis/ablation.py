@@ -22,7 +22,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from ..core.params import ABLATION_STEPS, FeatureSet
 from ..engine import DEFAULT_ENGINE
 from ..runtime.job import SimJob
-from ..runtime.outcome import SimOutcome
 from ..runtime.simulator import Simulator
 from ..system.design import AcceleratorSystemDesign, datamaestro_evaluation_system
 from ..workloads.spec import Workload, WorkloadGroup
@@ -214,10 +213,6 @@ class AblationStudy:
             seed=self.seed,
             engine=self.engine,
         )
-
-    def run_workload(self, workload: Workload, features: FeatureSet) -> SimOutcome:
-        """Simulate one (workload, feature-set) point through the runtime."""
-        return self.simulator.simulate(self.job_for(workload, features))
 
     def run(
         self,

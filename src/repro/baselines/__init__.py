@@ -8,16 +8,11 @@ caller enumerates model classes by hand.
 
 from typing import Callable, Dict, List
 
-from .base import (
-    TABLE1_FEATURES,
-    DataMovementSolution,
-    FeatureProfile,
-    OverheadProfile,
-)
-from .bitwave import BitWaveModel, BitWaveParameters
+from .base import TABLE1_FEATURES, DataMovementSolution, OverheadProfile
+from .bitwave import BitWaveModel
 from .datamaestro_profile import DataMaestroSolution
-from .feather import FeatherModel, FeatherParameters
-from .gemmini import GemminiModel, GemminiParameters, workload_as_gemm
+from .feather import FeatherModel
+from .gemmini import GemminiModel, workload_as_gemm
 from .streaming import (
     BuffetModel,
     HwpeModel,
@@ -109,23 +104,12 @@ def overhead_comparison() -> Dict[str, OverheadProfile]:
 
 __all__ = [
     "TABLE1_FEATURES",
-    "TABLE1_ORDER",
-    "OVERHEAD_ORDER",
     "BASELINE_REGISTRY",
-    "DataMovementSolution",
-    "FeatureProfile",
-    "OverheadProfile",
     "GemminiModel",
-    "GemminiParameters",
     "BitWaveModel",
-    "BitWaveParameters",
     "FeatherModel",
-    "FeatherParameters",
-    "SsrModel",
-    "HwpeModel",
     "BuffetModel",
     "SoftbrainModel",
-    "SparseProgrammableDataflowModel",
     "DataMaestroSolution",
     "workload_as_gemm",
     "create_baseline",

@@ -119,12 +119,6 @@ class DataMovementSolution:
         """Estimated PE-array utilization on ``workload`` (0..1)."""
         raise NotImplementedError(f"{self.name} has no performance model")
 
-    def normalized_throughput_gops(
-        self, workload: Workload, num_pes: int = 512, frequency_ghz: float = 1.0
-    ) -> float:
-        """Throughput normalized to a common PE count and clock (Fig. 10)."""
-        return 2.0 * num_pes * frequency_ghz * self.utilization(workload)
-
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:
         data: Dict[str, object] = {

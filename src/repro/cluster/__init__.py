@@ -31,21 +31,14 @@ cluster has its one client surface — ``priority``, per-client fairness and
 for the benchmark only; nothing here routes by hash.
 """
 
-from .journal import (
-    JOB_JOURNAL_FORMAT,
-    JobJournal,
-    JobJournalContents,
-    JobJournalError,
-)
+from .journal import JobJournal, JobJournalError
 from .protocol import MAX_FRAME_BYTES, MessageChannel, ProtocolError, channel_pair
 from .router import ShardRouter
 from .service import ClusterConfig, ClusterService
-from .supervisor import ShardFailedError, ShardHandle, Supervisor
+from .supervisor import ShardFailedError, ShardHandle
 
 __all__ = [
-    "JOB_JOURNAL_FORMAT",
     "JobJournal",
-    "JobJournalContents",
     "JobJournalError",
     "MAX_FRAME_BYTES",
     "MessageChannel",
@@ -56,5 +49,4 @@ __all__ = [
     "ClusterService",
     "ShardFailedError",
     "ShardHandle",
-    "Supervisor",
 ]

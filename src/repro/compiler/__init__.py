@@ -1,20 +1,13 @@
 """Compiler: layouts, allocation and workload-to-CSR lowering."""
 
-from .allocator import (
-    AllocationError,
-    AllocationPlan,
-    MemoryAllocator,
-    RegionAllocation,
-)
+from .allocator import AllocationError, MemoryAllocator
 from .mapper import compile_conv, compile_gemm, compile_workload, extract_outputs
 from .programs import KernelProgram, PrePass, ReadbackSpec, TensorLoad
 from .reference import conv2d_reference, gemm_reference, im2col_reference
 
 __all__ = [
     "MemoryAllocator",
-    "AllocationPlan",
     "AllocationError",
-    "RegionAllocation",
     "compile_workload",
     "compile_gemm",
     "compile_conv",

@@ -38,10 +38,6 @@ class RegionAllocation:
     size_bytes: int
     group_size: int
 
-    @property
-    def end_address(self) -> int:
-        return self.base_address + self.size_bytes
-
 
 @dataclass
 class AllocationPlan:

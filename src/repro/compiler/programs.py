@@ -59,10 +59,6 @@ class PrePass:
         if self.word_reads < 0 or self.word_writes < 0 or self.cycles < 0:
             raise ValueError("pre-pass costs must be non-negative")
 
-    @property
-    def word_accesses(self) -> int:
-        return self.word_reads + self.word_writes
-
 
 @dataclass(frozen=True)
 class ReadbackSpec:
@@ -110,10 +106,6 @@ class KernelProgram:
     @property
     def prepass_cycles(self) -> int:
         return sum(prepass.cycles for prepass in self.prepasses)
-
-    @property
-    def prepass_word_accesses(self) -> int:
-        return sum(prepass.word_accesses for prepass in self.prepasses)
 
     def active_ports(self) -> List[str]:
         """The DataMaestro ports this program uses, in canonical order."""

@@ -81,19 +81,6 @@ class CsrAddressMap:
         self.size_bytes = offset
 
     # ------------------------------------------------------------------
-    def offset_of(self, name: str) -> int:
-        try:
-            return self._fields[name]
-        except KeyError as exc:
-            raise KeyError(
-                f"unknown CSR {name!r} for streamer {self.design.name!r}"
-            ) from exc
-
-    def name_of(self, offset: int) -> str:
-        for name, field_offset in self._fields.items():
-            if field_offset == offset:
-                return name
-        raise KeyError(f"no CSR at offset {offset:#x}")
 
     def fields(self) -> List[CsrField]:
         return [CsrField(name, offset) for name, offset in self._fields.items()]

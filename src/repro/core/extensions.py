@@ -88,10 +88,6 @@ class DatapathExtension:
             return words
         return np.stack([self.process(word) for word in words])
 
-    def expansion_factor(self) -> int:
-        """Output-bytes / input-bytes ratio when enabled (1 for most)."""
-        return 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(enabled={self.enabled}, params={self.params})"
 
@@ -171,9 +167,6 @@ class Broadcaster(DatapathExtension):
         if factor == 1:
             return words
         return np.tile(words, (1, factor))
-
-    def expansion_factor(self) -> int:
-        return int(self.params["factor"]) if self.enabled else 1
 
 
 # ----------------------------------------------------------------------
@@ -267,13 +260,6 @@ class ExtensionPipeline:
         for extension in self.stages:
             words = extension.apply_batch(words)
         return words
-
-    def expansion_factor(self) -> int:
-        """Combined output/input byte ratio of all enabled stages."""
-        factor = 1
-        for extension in self.stages:
-            factor *= extension.expansion_factor()
-        return factor
 
     def statistics(self) -> Dict[str, int]:
         stats: Dict[str, int] = {}

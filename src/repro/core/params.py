@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..memory.addressing import BankGeometry
 
@@ -110,9 +110,6 @@ class StreamerDesign:
     @property
     def is_write(self) -> bool:
         return self.mode is StreamerMode.WRITE
-
-    def extension_kinds(self) -> List[str]:
-        return [spec.kind for spec in self.extensions]
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,6 @@ class AddressRemapper:
     def selected_group_size(self) -> int:
         return self.group_size_options[self._selected_index]
 
-    @property
-    def selected_mode(self) -> AddressingMode:
-        return mode_for_group_size(self.geometry, self.selected_group_size)
-
     def select_index(self, index: int) -> None:
         """Program RS directly by option index."""
         if not 0 <= index < len(self.group_size_options):

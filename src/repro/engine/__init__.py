@@ -21,8 +21,6 @@ from .base import (
     DEFAULT_ENGINE,
     EVENT_ENGINE,
     LOCKSTEP_ENGINE,
-    EventDriven,
-    SimulationEngine,
     available_engines,
     get_engine,
     supports_event_protocol,
@@ -31,18 +29,13 @@ from .base import (
 )
 from .event import EventDrivenEngine
 from .lockstep import LockstepEngine
-from .steady import SteadySpanPlanner, SteadySpanStats
 
 __all__ = [
     "DEFAULT_ENGINE",
     "EVENT_ENGINE",
     "LOCKSTEP_ENGINE",
-    "EventDriven",
-    "SimulationEngine",
     "EventDrivenEngine",
     "LockstepEngine",
-    "SteadySpanPlanner",
-    "SteadySpanStats",
     "available_engines",
     "get_engine",
     "supports_event_protocol",

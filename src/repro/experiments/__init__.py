@@ -6,7 +6,6 @@ are runnable as ``python -m repro.experiments.<name>``; ``tests/experiments/``
 holds each ``run()`` to the shape of the paper's artefact.
 """
 
-from typing import Callable, Dict
 
 from . import (
     fig4_agu,

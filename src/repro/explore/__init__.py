@@ -9,8 +9,9 @@ any workload suite, against multiple objectives at once.
   constraints, candidate materialisation) and the named CLI spaces;
 * :mod:`repro.explore.objectives` — :class:`ObjectiveSpec`, candidate
   scoring via the cycle model + energy/area models, Pareto extraction;
-* :mod:`repro.explore.strategies` — the :class:`Strategy` protocol with
-  ``grid`` / ``random`` / ``evolutionary`` implementations;
+* :mod:`repro.explore.strategies` — the
+  :class:`~repro.explore.strategies.Strategy` protocol with ``grid`` /
+  ``random`` / ``evolutionary`` implementations;
 * :mod:`repro.explore.journal` — JSONL checkpointing and resume;
 * :mod:`repro.explore.engine` — :class:`ExplorationEngine`, the loop that
   batches candidates through :class:`~repro.runtime.simulator.Simulator`.
@@ -18,32 +19,18 @@ any workload suite, against multiple objectives at once.
 See ``docs/EXPLORE.md`` for concepts and a CLI walkthrough.
 """
 
-from .engine import (
-    ExplorationEngine,
-    ExplorationReport,
-    default_exploration_workloads,
-)
-from .journal import (
-    JOURNAL_FORMAT,
-    JournalContents,
-    JournalError,
-    JournalMismatchError,
-    RunJournal,
-)
+from .engine import ExplorationEngine
+from .journal import JournalError, JournalMismatchError, RunJournal
 from .objectives import (
-    DEFAULT_OBJECTIVES,
     Evaluation,
-    OBJECTIVE_DIRECTIONS,
     ObjectiveSpec,
     best_by_scalar,
     dominates,
     pareto_frontier,
     parse_objectives,
-    score_candidate,
 )
 from .space import (
     Candidate,
-    Constraint,
     GROUP_DIVIDES_BANKS,
     ParameterAxis,
     SearchSpace,
@@ -60,33 +47,24 @@ from .strategies import (
     EvolutionaryStrategy,
     GridStrategy,
     RandomStrategy,
-    Strategy,
     available_strategies,
     make_strategy,
 )
 
 __all__ = [
     "ExplorationEngine",
-    "ExplorationReport",
-    "default_exploration_workloads",
     "RunJournal",
-    "JournalContents",
     "JournalError",
     "JournalMismatchError",
-    "JOURNAL_FORMAT",
     "ObjectiveSpec",
     "Evaluation",
-    "DEFAULT_OBJECTIVES",
-    "OBJECTIVE_DIRECTIONS",
     "parse_objectives",
-    "score_candidate",
     "dominates",
     "pareto_frontier",
     "best_by_scalar",
     "SearchSpace",
     "ParameterAxis",
     "Candidate",
-    "Constraint",
     "GROUP_DIVIDES_BANKS",
     "datamaestro_builder",
     "default_search_space",
@@ -96,7 +74,6 @@ __all__ = [
     "feature_space",
     "named_search_spaces",
     "search_space_by_name",
-    "Strategy",
     "GridStrategy",
     "RandomStrategy",
     "EvolutionaryStrategy",

@@ -13,7 +13,7 @@ from .addressing import (
 )
 from .bank import MemoryBank
 from .scratchpad import ScratchpadMemory
-from .subsystem import MemoryPort, MemoryRequest, MemoryResponse, MemorySubsystem
+from .subsystem import MemoryRequest, MemoryResponse, MemorySubsystem
 
 __all__ = [
     "AddressingMode",
@@ -27,7 +27,6 @@ __all__ = [
     "permute_word_index",
     "MemoryBank",
     "ScratchpadMemory",
-    "MemoryPort",
     "MemoryRequest",
     "MemoryResponse",
     "MemorySubsystem",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 
 class AddressingMode(enum.Enum):
@@ -85,9 +85,6 @@ class BankLocation:
     bank: int
     line: int
     byte_offset: int
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.bank, self.line, self.byte_offset)
 
 
 def normalize_group_size(geometry: BankGeometry, group_size: int) -> int:

@@ -62,12 +62,6 @@ class MemoryBank:
                 f"(depth={self.depth})"
             )
 
-    def read(self, line: int) -> np.ndarray:
-        """Return a copy of wordline ``line``."""
-        self._check_line(line)
-        self.read_count += 1
-        return self._data[line].copy()
-
     def write(
         self, line: int, data: np.ndarray, strobe: Optional[np.ndarray] = None
     ) -> None:
@@ -94,25 +88,6 @@ class MemoryBank:
                 f"strobe must have {self.width_bytes} entries, got {mask.shape}"
             )
         self._data[line][mask] = payload[mask]
-
-    # ------------------------------------------------------------------
-    # Backdoor access (no port accounting) used by the DMA and tests.
-    # ------------------------------------------------------------------
-    def peek(self, line: int) -> np.ndarray:
-        """Read a wordline without incrementing the access counters."""
-        self._check_line(line)
-        return self._data[line].copy()
-
-    def poke(self, line: int, data: np.ndarray) -> None:
-        """Write a wordline without incrementing the access counters."""
-        self._check_line(line)
-        payload = np.asarray(data, dtype=np.uint8)
-        if payload.shape != (self.width_bytes,):
-            raise ValueError(
-                f"poke data must have {self.width_bytes} bytes, "
-                f"got shape {payload.shape}"
-            )
-        self._data[line] = payload
 
     def clear(self) -> None:
         """Zero-fill the bank and reset its access counters."""

@@ -10,8 +10,9 @@ access (the DMA's tensor loads, read-back, the macro-step replayer) is one
 fancy index into that array, whatever the number of banks it touches.  The
 scratchpad provides two views on the banks:
 
-* a *port* view used by the crossbar/memory subsystem — word accesses at a
-  decoded (bank, line) location, which count towards the access statistics;
+* a *port* view used by the crossbar/memory subsystem — a granted word at a
+  decoded (bank, line) location, read as a slice of the buffer or written
+  through :meth:`~repro.memory.bank.MemoryBank.write`, counted on its bank;
 * a *backdoor* view used by the DMA model, the compiler's data loader and the
   tests — byte-level reads/writes at flat logical addresses under a given
   addressing mode, which do not consume ports and are not counted.
@@ -19,7 +20,7 @@ scratchpad provides two views on the banks:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -48,19 +49,6 @@ class ScratchpadMemory:
     # ------------------------------------------------------------------
     # Port view (counted accesses).
     # ------------------------------------------------------------------
-    def read_word(self, bank: int, line: int) -> np.ndarray:
-        """Read one full word from a decoded location."""
-        return self.banks[bank].read(line)
-
-    def write_word(
-        self,
-        bank: int,
-        line: int,
-        data: np.ndarray,
-        strobe: Optional[np.ndarray] = None,
-    ) -> None:
-        """Write one word (optionally byte-strobed) at a decoded location."""
-        self.banks[bank].write(line, data, strobe)
 
     @property
     def total_reads(self) -> int:

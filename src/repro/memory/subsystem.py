@@ -291,7 +291,8 @@ class MemorySubsystem:
             port.granted += 1
             store = banks[bank]
             if data is None:
-                # ``MemoryBank.read`` inline: most grants are reads.
+                # A read: the bank's bounds check and count, the word a
+                # slice of the buffer (most grants are reads).
                 if not 0 <= line < depth:
                     store._check_line(line)
                 store.read_count += 1
@@ -444,23 +445,3 @@ class MemorySubsystem:
         self.dma_reads += reads
         self.total_writes += writes
         self.dma_writes += writes
-
-    def idle(self) -> bool:
-        """True when no requests are pending or in flight anywhere."""
-        if self._in_flight or self.pending_requests:
-            return False
-        for port in self._requesters.values():
-            if port.responses:
-                return False
-        return True
-
-    def reset_statistics(self) -> None:
-        """Clear counters while keeping memory contents."""
-        self.total_reads = self.total_writes = self.total_conflicts = 0
-        self.dma_reads = self.dma_writes = 0
-        for port in self._requesters.values():
-            port.granted = 0
-            port.retries = 0
-        for bank in self.scratchpad.banks:
-            bank.read_count = 0
-            bank.write_count = 0

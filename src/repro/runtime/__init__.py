@@ -24,21 +24,11 @@ a backend; ``docs/ENGINE.md`` covers the ``engine`` job field (event-driven
 vs lockstep simulation).
 """
 
-from ..engine import DEFAULT_ENGINE, EVENT_ENGINE, LOCKSTEP_ENGINE, available_engines
-from .backends import (
-    BASELINE_BACKEND_PREFIX,
-    BaselineModelBackend,
-    DataMaestroBackend,
-    SimulationBackend,
-    available_backends,
-    execute_job_with_progress,
-    get_backend,
-    register_backend,
-)
-from .cache import CACHE_DIR_ENV, PruneReport, ResultCache, default_cache_dir
+from .backends import SimulationBackend, available_backends, get_backend, register_backend
+from .cache import ResultCache, default_cache_dir
 from .job import DATAMAESTRO_BACKEND, SimJob, canonical_encode, stable_digest
 from .outcome import SimOutcome
-from .simulator import Simulator, default_simulator, simulate
+from .simulator import Simulator, simulate
 
 __all__ = [
     "SimJob",
@@ -46,12 +36,7 @@ __all__ = [
     "Simulator",
     "ResultCache",
     "SimulationBackend",
-    "DataMaestroBackend",
-    "BaselineModelBackend",
-    "PruneReport",
     "simulate",
-    "default_simulator",
-    "execute_job_with_progress",
     "get_backend",
     "register_backend",
     "available_backends",
@@ -59,10 +44,4 @@ __all__ = [
     "canonical_encode",
     "stable_digest",
     "DATAMAESTRO_BACKEND",
-    "BASELINE_BACKEND_PREFIX",
-    "CACHE_DIR_ENV",
-    "DEFAULT_ENGINE",
-    "EVENT_ENGINE",
-    "LOCKSTEP_ENGINE",
-    "available_engines",
 ]

@@ -29,54 +29,27 @@ Entry points:
 * ``Simulator(service=client)`` — routes existing call sites (sweeps,
   experiments, ``ExplorationEngine(simulator=...)``) through one shared
   scheduler and cache;
-* :func:`replay_trace` / ``python -m repro.cli replay`` — drive the
-  service with realistic arrival traces (Poisson, diurnal, bursty,
-  hot-key-skewed, or recorded JSONL) and report per-regime latency and
-  avoidance (:mod:`repro.serve.replay`, ``docs/SCENARIOS.md``).
+* :func:`~repro.serve.replay.replay_trace` / ``python -m repro.cli replay``
+  — drive the service with realistic arrival traces (Poisson, diurnal,
+  bursty, hot-key-skewed, or recorded JSONL) and report per-regime latency
+  and avoidance (:mod:`repro.serve.replay`, ``docs/SCENARIOS.md``).
 
 See ``docs/SERVE.md`` for the full guide (including when to prefer the
 bare :class:`~repro.runtime.simulator.Simulator`) and
 ``docs/ARCHITECTURE.md`` for where this layer sits in the package map.
 """
 
-from ..runtime.admission import (
-    EVENT_KINDS,
-    AdmissionCore,
-    ServiceClosedError,
-    ServiceEvent,
-    Stats,
-    Ticket,
-)
+from ..runtime.admission import ServiceClosedError, ServiceEvent
 from .client import ServiceClient, ServiceConfig
 from .queue import FairQueue, QueueFullError
-from .replay import (
-    REGIMES,
-    ReplayRegime,
-    ReplayReport,
-    TraceEvent,
-    build_trace,
-    load_trace,
-    replay_trace,
-    save_trace,
-)
+from .replay import build_trace
 
 __all__ = [
-    "AdmissionCore",
-    "EVENT_KINDS",
     "FairQueue",
     "QueueFullError",
-    "REGIMES",
-    "ReplayRegime",
-    "ReplayReport",
-    "TraceEvent",
     "build_trace",
-    "load_trace",
-    "replay_trace",
-    "save_trace",
     "ServiceClient",
     "ServiceClosedError",
     "ServiceConfig",
     "ServiceEvent",
-    "Stats",
-    "Ticket",
 ]

@@ -6,7 +6,6 @@ from .result import (
     DEFAULT_PROGRESS_INTERVAL,
     SimulationLimitError,
     SimulationResult,
-    SteadyBail,
 )
 from .stats import StreamerStats
 
@@ -18,5 +17,4 @@ __all__ = [
     "StreamerStats",
     "SimulationResult",
     "SimulationLimitError",
-    "SteadyBail",
 ]

@@ -1,18 +1,20 @@
 """Bounded FIFO queues used throughout the cycle-level models.
 
-Every buffering structure in DataMaestro (the per-channel address FIFOs, the
-per-channel data FIFOs and the small response queues inside the memory
-subsystem) is a simple bounded first-in/first-out queue with valid/ready
-semantics.  The :class:`Fifo` class below models exactly that: a producer may
-``push`` only while the FIFO is not full, a consumer may ``pop`` only while it
-is not empty, and occupancy statistics are tracked so utilization and area
-analyses can reason about buffer sizing.
+The buffers that hold words in flight — each DataMaestro channel's data FIFO
+and the quantizer's pending queue — are simple bounded first-in/first-out
+queues with valid/ready semantics.  (The address FIFO is a count, the
+streamer's issue cursor against its generated bundles, and a granted read
+waits in the memory subsystem's ``_in_flight`` batches as a tuple.)  The
+:class:`Fifo` class below models exactly that: a producer may ``push`` only
+while the FIFO is not full, a consumer may ``pop`` only while it is not
+empty, and occupancy statistics are tracked so utilization and area analyses
+can reason about buffer sizing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Iterable, Iterator, List, Optional, TypeVar
+from typing import Deque, Generic, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -61,25 +63,12 @@ class Fifo(Generic[T]):
         return len(self.entries)
 
     @property
-    def free_slots(self) -> int:
-        """Number of additional entries that can be pushed right now."""
-        return self.depth - len(self.entries)
-
-    @property
     def is_empty(self) -> bool:
         return not self.entries
 
     @property
     def is_full(self) -> bool:
         return len(self.entries) >= self.depth
-
-    def can_push(self, count: int = 1) -> bool:
-        """Return ``True`` if ``count`` entries can be pushed this cycle."""
-        return self.depth - len(self.entries) >= count
-
-    def can_pop(self, count: int = 1) -> bool:
-        """Return ``True`` if ``count`` entries can be popped this cycle."""
-        return len(self.entries) >= count
 
     # ------------------------------------------------------------------
     # Data movement.
@@ -94,11 +83,6 @@ class Fifo(Generic[T]):
         if len(entries) > self.max_occupancy:
             self.max_occupancy = len(entries)
 
-    def push_many(self, items: Iterable[T]) -> None:
-        """Push every item of ``items`` (all-or-nothing is *not* enforced)."""
-        for item in items:
-            self.push(item)
-
     def pop(self) -> T:
         """Remove and return the oldest entry; raises when empty."""
         if not self.entries:
@@ -106,28 +90,9 @@ class Fifo(Generic[T]):
         self.total_pops += 1
         return self.entries.popleft()
 
-    def peek(self) -> T:
-        """Return the oldest entry without removing it; raises when empty."""
-        if not self.entries:
-            raise FifoError(f"peek into empty FIFO '{self.name}'")
-        return self.entries[0]
-
-    def peek_optional(self) -> Optional[T]:
-        """Return the oldest entry or ``None`` when the FIFO is empty."""
-        if not self.entries:
-            return None
-        return self.entries[0]
-
     def clear(self) -> None:
         """Drop all entries (used when re-configuring between kernels)."""
         self.entries.clear()
-
-    def reset(self) -> None:
-        """:meth:`clear` and zero the statistics (a new kernel launch)."""
-        self.clear()
-        self.total_pushes = 0
-        self.total_pops = 0
-        self.max_occupancy = 0
 
     def replace_entries(self, items: Iterable[T]) -> None:
         """Swap the stored entries without touching the push/pop counters.
@@ -144,10 +109,6 @@ class Fifo(Generic[T]):
             )
         self.entries.clear()
         self.entries.extend(entries)
-
-    def snapshot(self) -> List[T]:
-        """Return the current contents oldest-first (for tests/debugging)."""
-        return list(self.entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

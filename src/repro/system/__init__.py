@@ -1,21 +1,13 @@
 """Evaluation-system models: design, host, DMA and the executable system."""
 
-from .design import (
-    AcceleratorSystemDesign,
-    PORT_NAMES,
-    datamaestro_evaluation_system,
-    validate_port_widths,
-)
-from .dma import Dma
+from .design import PORT_NAMES, datamaestro_evaluation_system, validate_port_widths
 from .host import HostProcessor
 from .system import AcceleratorSystem
 
 __all__ = [
-    "AcceleratorSystemDesign",
     "PORT_NAMES",
     "datamaestro_evaluation_system",
     "validate_port_widths",
-    "Dma",
     "HostProcessor",
     "AcceleratorSystem",
 ]

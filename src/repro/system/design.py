@@ -29,7 +29,7 @@ weight/output walks directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..core.params import (
     ExtensionSpec,
@@ -68,19 +68,11 @@ class AcceleratorSystemDesign:
     def num_pes(self) -> int:
         return self.gemm_mu * self.gemm_nu * self.gemm_ku
 
-    @property
-    def peak_gops(self) -> float:
-        """Peak throughput at the design clock (2 ops per MAC)."""
-        return 2.0 * self.num_pes * self.clock_frequency_ghz
-
     def streamer(self, name: str) -> StreamerDesign:
         for design in self.streamers:
             if design.name == name:
                 return design
         raise KeyError(f"no streamer named {name!r} in system {self.name!r}")
-
-    def streamer_map(self) -> Dict[str, StreamerDesign]:
-        return {design.name: design for design in self.streamers}
 
     def group_size_options(self) -> Tuple[int, ...]:
         return self.memory.resolved_group_options()

@@ -13,20 +13,13 @@ from .networks import (
 from .generate import (
     BUNDLE_FAMILIES,
     FAMILIES,
-    GeneratedCase,
     WorkloadGenerator,
     regression_snippet,
     shrink,
     workload_fits,
     zipf_weights,
 )
-from .spec import (
-    ConvWorkload,
-    GemmWorkload,
-    Workload,
-    WorkloadGroup,
-    workload_group,
-)
+from .spec import ConvWorkload, GemmWorkload, WorkloadGroup, workload_group
 from .synthetic import (
     FULL_SUITE_COUNTS,
     generate_conv_workloads,
@@ -38,7 +31,6 @@ from .synthetic import (
 __all__ = [
     "ConvWorkload",
     "GemmWorkload",
-    "Workload",
     "WorkloadGroup",
     "workload_group",
     "synthetic_suite",
@@ -56,7 +48,6 @@ __all__ = [
     "mobilenet_v2",
     "FAMILIES",
     "BUNDLE_FAMILIES",
-    "GeneratedCase",
     "WorkloadGenerator",
     "regression_snippet",
     "shrink",

@@ -32,10 +32,6 @@ class NetworkLayer:
         if self.count <= 0:
             raise ValueError("layer repetition count must be positive")
 
-    @property
-    def total_macs(self) -> int:
-        return self.workload.macs * self.count
-
 
 @dataclass(frozen=True)
 class NetworkModel:
@@ -44,10 +40,6 @@ class NetworkModel:
     name: str
     kind: str  # "CNN" or "Transformer"
     layers: Tuple[NetworkLayer, ...]
-
-    @property
-    def total_macs(self) -> int:
-        return sum(layer.total_macs for layer in self.layers)
 
     def unique_workloads(self) -> List[Workload]:
         """Layer workloads with repeats removed, first-occurrence order.

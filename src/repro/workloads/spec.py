@@ -64,10 +64,6 @@ class GemmWorkload:
         tiles_m, tiles_n, tiles_k = self.tile_counts(mu, nu, ku)
         return tiles_m * tiles_n * tiles_k
 
-    def padded_shape(self, mu: int, nu: int, ku: int) -> Tuple[int, int, int]:
-        tiles_m, tiles_n, tiles_k = self.tile_counts(mu, nu, ku)
-        return (tiles_m * mu, tiles_n * nu, tiles_k * ku)
-
     def scaled(self, name: str, **changes: object) -> "GemmWorkload":
         """Copy with modified fields (used to build representative crops)."""
         return replace(self, name=name, **changes)
@@ -147,13 +143,6 @@ class ConvWorkload:
     def ideal_compute_cycles(self, mu: int, nu: int, ku: int) -> int:
         tiles_m, tiles_n, tiles_k = self.as_gemm_dims(mu, nu, ku)
         return tiles_m * tiles_n * tiles_k
-
-    def im2col_matrix_shape(self) -> Tuple[int, int]:
-        """Shape of the explicit im2col matrix (rows, cols)."""
-        return (
-            self.output_pixels,
-            self.kernel_h * self.kernel_w * self.in_channels,
-        )
 
     def scaled(self, name: str, **changes: object) -> "ConvWorkload":
         return replace(self, name=name, **changes)

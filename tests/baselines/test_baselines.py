@@ -156,10 +156,6 @@ class TestBitWaveAndFeather:
     def test_feather_reports_on_the_fly_manipulation(self):
         assert FeatherModel().feature_profile().on_the_fly_data_manipulation
 
-    def test_throughput_normalisation(self):
-        gops = FeatherModel().normalized_throughput_gops(GEMM64)
-        assert 0 < gops < 1024
-
     def test_softbrain_has_no_performance_model(self):
         model = SoftbrainModel()
         assert not model.has_performance_model

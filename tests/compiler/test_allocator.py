@@ -21,7 +21,7 @@ class TestFlatAllocation:
         a = allocator.allocate("A", 1000)
         b = allocator.allocate("B", 2000)
         assert a.base_address == 0
-        assert b.base_address >= a.end_address
+        assert b.base_address >= a.base_address + a.size_bytes
         assert a.group_size == 64  # FIMA
         assert b.group_size == 64
 
@@ -102,9 +102,9 @@ class TestAllocationInvariants:
                 regions.append(allocator.allocate(f"r{index}", size))
         except AllocationError:
             pass  # running out of space is acceptable; overlap is not
-        spans = sorted((r.base_address, r.end_address) for r in regions)
+        spans = sorted((r.base_address, r.base_address + r.size_bytes) for r in regions)
         for (start_a, end_a), (start_b, _) in zip(spans, spans[1:]):
             assert end_a <= start_b
         for region in regions:
-            assert region.end_address <= MEMORY.capacity_bytes
+            assert region.base_address + region.size_bytes <= MEMORY.capacity_bytes
             assert region.base_address % 64 == 0

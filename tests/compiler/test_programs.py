@@ -41,8 +41,15 @@ class TestTensorLoad:
 
 class TestPrePass:
     def test_word_accesses(self):
-        prepass = PrePass("p", word_reads=10, word_writes=20, cycles=5)
-        assert prepass.word_accesses == 30
+        """The DMA charges a pre-pass's word reads and writes to the memory."""
+        from repro.memory import BankGeometry, MemorySubsystem
+        from repro.system.dma import Dma
+
+        memory = MemorySubsystem(BankGeometry(num_banks=4, bank_width_bytes=8, bank_depth=4))
+        dma = Dma(memory, words_per_cycle=1)
+        assert dma.execute_prepass(PrePass("p", word_reads=10, word_writes=20, cycles=5)) == 5
+        assert (memory.total_reads, memory.total_writes) == (10, 20)
+        assert (dma.prepass_reads, dma.prepass_writes) == (10, 20)
 
     def test_negative_costs_rejected(self):
         with pytest.raises(ValueError):
@@ -67,7 +74,6 @@ class TestKernelProgram:
             ]
         )
         assert program.prepass_cycles == 15
-        assert program.prepass_word_accesses == 12
 
     def test_describe(self):
         program = make_program()

@@ -192,7 +192,7 @@ class TestWriteChannel:
         streamer.push_input(np.full(8, 9, dtype=np.uint8))
         for _ in range(3):
             cycle(memory, [streamer])
-        stored = memory.scratchpad.read_word(1, 2)
+        stored = memory.scratchpad.storage[1, 2]
         assert np.array_equal(stored, np.full(8, 9, dtype=np.uint8))
         assert stages(streamer) == (0, 0, 0)  # ack received
 

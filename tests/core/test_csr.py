@@ -56,16 +56,11 @@ class TestCsrAddressMap:
         assert csr_map.size_bytes == len(offsets) * 4
 
     def test_field_lookup_roundtrip(self):
+        """The named field table and the encoder's offsets agree."""
         csr_map = CsrAddressMap(make_design())
-        offset = csr_map.offset_of("temporal_bound_3")
-        assert csr_map.name_of(offset) == "temporal_bound_3"
-
-    def test_unknown_field_raises(self):
-        csr_map = CsrAddressMap(make_design())
-        with pytest.raises(KeyError):
-            csr_map.offset_of("nonexistent")
-        with pytest.raises(KeyError):
-            csr_map.name_of(0xFFFF)
+        offsets = {field.name: field.offset for field in csr_map.fields()}
+        assert offsets["temporal_bound_3"] == csr_map.bound_offsets[3]
+        assert offsets["addressing_mode"] == csr_map.mode_offset
 
     def test_map_scales_with_design(self):
         small = StreamerDesign(
@@ -100,8 +95,8 @@ class TestEncodeDecode:
         runtime = make_runtime(temporal_bounds=(4,), temporal_strides=(64,))
         writes = dict(encode_runtime_config(design, runtime, GROUP_OPTIONS))
         csr_map = CsrAddressMap(design)
-        assert writes[csr_map.offset_of("temporal_bound_5")] == 1
-        assert writes[csr_map.offset_of("temporal_stride_5")] == 0
+        assert writes[csr_map.bound_offsets[5]] == 1
+        assert writes[csr_map.stride_offsets[5]] == 0
         decoded = decode_runtime_config(design, writes, GROUP_OPTIONS)
         assert decoded.temporal_bounds == (4,)
 
@@ -121,7 +116,7 @@ class TestEncodeDecode:
     def test_decode_rejects_bad_mode_index(self):
         design = make_design()
         csr_map = CsrAddressMap(design)
-        image = {csr_map.offset_of("addressing_mode"): 17}
+        image = {csr_map.mode_offset: 17}
         with pytest.raises(ValueError):
             decode_runtime_config(design, image, GROUP_OPTIONS)
 

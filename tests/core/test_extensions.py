@@ -88,10 +88,11 @@ class TestBroadcaster:
         assert np.array_equal(broadcaster.apply(word), word)
 
     def test_expansion_factor(self):
+        word = np.arange(4, dtype=np.uint8)
         broadcaster = Broadcaster(factor=8)
-        assert broadcaster.expansion_factor() == 8
+        assert broadcaster.apply(word).size == 8 * word.size
         broadcaster.set_enabled(False)
-        assert broadcaster.expansion_factor() == 1
+        assert broadcaster.apply(word).size == word.size
 
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
@@ -161,7 +162,7 @@ class TestPipeline:
     def test_configure_stage(self):
         pipeline = ExtensionPipeline([Broadcaster(factor=2)])
         pipeline.configure_stage("broadcaster", factor=4)
-        assert pipeline.expansion_factor() == 4
+        assert pipeline.apply(np.zeros(4, dtype=np.uint8)).size == 16
 
     def test_configure_missing_stage_raises(self):
         pipeline = ExtensionPipeline([])

@@ -50,7 +50,7 @@ class TestStreamerDesign:
         assert design.bank_width_bytes == 8
         assert design.word_bytes == 64
         assert design.is_read and not design.is_write
-        assert design.extension_kinds() == ["transposer"]
+        assert [spec.kind for spec in design.extensions] == ["transposer"]
 
     def test_spatial_bounds_must_match_channels(self):
         with pytest.raises(ValueError):

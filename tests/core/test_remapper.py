@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import AddressRemapper
-from repro.memory import AddressingMode, BankGeometry, decode_address
+from repro.memory import AddressingMode, BankGeometry, decode_address, mode_for_group_size
 
 GEOMETRY = BankGeometry(num_banks=16, bank_width_bytes=8, bank_depth=32)
 
@@ -12,18 +12,23 @@ def make_remapper(options=(16, 4, 1)):
     return AddressRemapper(GEOMETRY, options)
 
 
+def selected_mode(remapper):
+    """The addressing mode the remapper's selected bank-group size decodes in."""
+    return mode_for_group_size(GEOMETRY, remapper.selected_group_size)
+
+
 class TestSelection:
     def test_reset_mode_is_fully_interleaved(self):
         remapper = make_remapper()
         assert remapper.selected_group_size == 16
-        assert remapper.selected_mode is AddressingMode.FULLY_INTERLEAVED
+        assert selected_mode(remapper) is AddressingMode.FULLY_INTERLEAVED
 
     def test_select_by_group_size(self):
         remapper = make_remapper()
         remapper.select_group_size(4)
-        assert remapper.selected_mode is AddressingMode.GROUPED_INTERLEAVED
+        assert selected_mode(remapper) is AddressingMode.GROUPED_INTERLEAVED
         remapper.select_group_size(1)
-        assert remapper.selected_mode is AddressingMode.NON_INTERLEAVED
+        assert selected_mode(remapper) is AddressingMode.NON_INTERLEAVED
 
     def test_select_by_index(self):
         remapper = make_remapper()

@@ -435,18 +435,18 @@ class TestConfiguration:
 
     def test_second_launch_reports_only_its_own_traffic(self):
         """Counters are per kernel launch, on the channels as on the streamer."""
-        memory = MemorySubsystem(GEOMETRY)
-        fill_memory(memory)
         streamer = DataMaestro(read_design(), GEOMETRY, [8])
         launches = []
         for _ in range(2):
+            # A launch gets a fresh memory, as ``AcceleratorSystem.reset``
+            # builds one: the grant / retry counters live on its ports.
+            memory = MemorySubsystem(GEOMETRY)
+            fill_memory(memory)
             streamer.configure(linear_runtime(steps=8))
             drain_read_streamer(streamer, memory)
             launches.append(
                 (streamer.statistics(memory), streamer.channel_statistics())
             )
-            # The grant / retry counters live on the memory ports.
-            memory.reset_statistics()
         assert launches[0][0].requests_issued == launches[0][0].requests_granted == 16
         assert launches[1] == launches[0]
         for port, fifo in zip(streamer.ports, streamer.fifos, strict=True):

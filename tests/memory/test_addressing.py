@@ -160,7 +160,7 @@ class TestBatchDecode:
                     int(banks[i]),
                     int(lines[i]),
                     int(offsets[i]),
-                ) == scalar.as_tuple()
+                ) == (scalar.bank, scalar.line, scalar.byte_offset)
 
     def test_out_of_range_rejected(self):
         import numpy as np

@@ -118,7 +118,7 @@ class TestDataIntegrityUnderConflicts:
     def test_serialised_reads_return_correct_data(self):
         memory = MemorySubsystem(GEOMETRY, read_latency=1)
         for line in range(4):
-            memory.scratchpad.banks[2].poke(line, np.full(8, 10 + line, dtype=np.uint8))
+            memory.scratchpad.storage[2, line] = 10 + line
         for index in range(4):
             memory.submit(read(f"ch{index}", bank=2, line=index))
         received = {}

@@ -39,7 +39,7 @@ class TestBackdoor:
         data = np.arange(16, dtype=np.uint8) + 1
         scratchpad.backdoor_write(24, data, group_size=8)
         loc = decode_address(24, GEOMETRY, 8)
-        word = scratchpad.read_word(loc.bank, loc.line)
+        word = scratchpad.storage[loc.bank, loc.line]
         assert np.array_equal(word, data[:8])
 
     def test_backdoor_does_not_count_accesses(self, scratchpad):
@@ -48,11 +48,17 @@ class TestBackdoor:
         assert scratchpad.total_reads == 0
         assert scratchpad.total_writes == 0
 
-    def test_port_accesses_count(self, scratchpad):
-        scratchpad.write_word(0, 0, np.zeros(8, dtype=np.uint8))
-        scratchpad.read_word(0, 0)
-        assert scratchpad.total_writes == 1
-        assert scratchpad.total_reads == 1
+    def test_port_accesses_count(self):
+        """Words the memory subsystem grants count on their bank."""
+        from repro.memory import MemoryRequest, MemorySubsystem
+
+        memory = MemorySubsystem(GEOMETRY)
+        memory.submit(MemoryRequest("w", True, 0, 0, np.zeros(8, dtype=np.uint8)))
+        memory.step()
+        memory.submit(MemoryRequest("r", False, 0, 0))
+        memory.step()
+        assert memory.scratchpad.total_writes == 1
+        assert memory.scratchpad.total_reads == 1
 
     @given(
         address=st.integers(min_value=0, max_value=GEOMETRY.capacity_bytes - 128),
@@ -183,16 +189,16 @@ class TestBulkSpanAccess:
         rng = np.random.default_rng(0)
         for bank in memory.banks:
             for line in range(geometry.bank_depth):
-                bank.poke(line, rng.integers(0, 256, 8, dtype=np.int64).astype(np.uint8))
+                bank._data[line] = rng.integers(0, 256, 8, dtype=np.int64).astype(np.uint8)
         banks = np.array([0, 3, 2, 0])
         lines = np.array([1, 0, 3, 1])
         gathered = memory.storage[banks, lines]
         for row, (bank, line) in zip(gathered, zip(banks, lines)):
-            assert np.array_equal(row, memory.banks[int(bank)].peek(int(line)))
+            assert np.array_equal(row, memory.banks[int(bank)]._data[int(line)])
         # A fancy-index gather is a copy: mutating it leaves the banks untouched.
-        before = memory.banks[0].peek(1).copy()
+        before = memory.banks[0]._data[1].copy()
         gathered[0] = ~before
-        assert np.array_equal(memory.banks[0].peek(1), before)
+        assert np.array_equal(memory.banks[0]._data[1], before)
 
     def test_scatter_words_matches_write_word(self):
         import numpy as np
@@ -207,7 +213,7 @@ class TestBulkSpanAccess:
         words = np.arange(3 * 8, dtype=np.uint8).reshape(3, 8)
         memory.storage[banks, lines] = words
         for bank, line, word in zip(banks, lines, words):
-            assert np.array_equal(memory.banks[int(bank)].peek(int(line)), word)
+            assert np.array_equal(memory.banks[int(bank)]._data[int(line)], word)
         # Uncounted: a scatter does not move the port counters.
         assert memory.total_writes == 0
 
@@ -224,7 +230,7 @@ class TestOneArray:
         )
         for index, bank in enumerate(scratchpad.banks):
             assert np.shares_memory(bank._data, scratchpad.storage[index])
-        scratchpad.banks[3].poke(5, np.full(8, 7, dtype=np.uint8))
+        scratchpad.banks[3]._data[5] = 7
         assert (scratchpad.storage[3, 5] == 7).all() and scratchpad.storage.sum() == 56
 
     def test_a_granted_write_is_visible_to_both_views(self):
@@ -247,5 +253,5 @@ class TestOneArray:
         scattered, poked = ScratchpadMemory(GEOMETRY), ScratchpadMemory(GEOMETRY)
         scattered.storage[np.full(12, 6), lines] = words
         for line, word in zip(lines, words):
-            poked.banks[6].poke(int(line), word)
+            poked.banks[6]._data[int(line)] = word
         assert np.array_equal(scattered.storage, poked.storage)

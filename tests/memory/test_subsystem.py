@@ -69,7 +69,7 @@ class TestBasicTiming:
         memory.submit(write_request("ch0", bank=2, line=3, value=7))
         run_cycles(memory, 2)
         memory.deliver()
-        stored = memory.scratchpad.read_word(2, 3)
+        stored = memory.scratchpad.storage[2, 3]
         assert np.array_equal(stored, np.full(8, 7, dtype=np.uint8))
         assert memory.total_writes == 1
 
@@ -88,7 +88,7 @@ class TestBasicTiming:
         memory = make_subsystem()
         with pytest.raises(ValueError, match=rf"^bank {bank} out of range \(num_banks=4\)$"):
             memory.submit(read_request("ch0", bank=bank))
-        assert memory.pending_requests == 0 and memory.idle()
+        assert memory.pending_requests == 0 and memory.next_event_cycle() is None
 
     @pytest.mark.parametrize(
         "lowest, highest, bank", [(-1, 2, -1), (0, 4, 4), (-2, 9, -2)]
@@ -107,7 +107,7 @@ class TestBasicTiming:
         with pytest.raises(ValueError, match="without data"):
             memory.submit(MemoryRequest("ch0", True, bank=1, line=2))
         memory.step()
-        assert memory.idle() and memory.next_event_cycle() is None
+        assert memory.next_event_cycle() is None
         assert memory.pending_requests == 0 and memory.pending_count("ch0") == 0
         assert memory.requester_stats("ch0") == {"granted": 0, "retries": 0}
         assert memory.total_writes == 0 and memory._last_grant == {}
@@ -131,9 +131,9 @@ class TestBasicTiming:
         memory = make_subsystem()
         with pytest.raises(error, match=message):
             memory.submit(request_)
-        assert memory.pending_requests == 0 and memory.idle()
+        assert memory.pending_requests == 0 and memory.next_event_cycle() is None
         memory.step()
-        assert memory.idle() and memory.requester_stats("ch0")["granted"] == 0
+        assert memory.next_event_cycle() is None and memory.requester_stats("ch0")["granted"] == 0
 
 
 class TestArbitration:
@@ -213,13 +213,13 @@ class TestArbitration:
 
     def test_idle_detection(self):
         memory = make_subsystem()
-        assert memory.idle()
+        assert memory.next_event_cycle() is None
         memory.submit(read_request("a", bank=0))
-        assert not memory.idle()
+        assert not memory.next_event_cycle() is None
         run_cycles(memory, 3)
         memory.deliver()
         memory.collect(memory.bind("a"))
-        assert memory.idle()
+        assert memory.next_event_cycle() is None
 
 
 class TestWordSnapshots:
@@ -227,12 +227,12 @@ class TestWordSnapshots:
 
     def test_by_name_read_granted_before_a_write_keeps_the_old_word(self):
         memory = make_subsystem(latency=3)
-        memory.scratchpad.banks[1].poke(2, np.full(8, 5, dtype=np.uint8))
+        memory.scratchpad.storage[1, 2] = 5
         memory.submit(read_request("r", bank=1, line=2))
         run_cycles(memory, 1)  # the read is granted
         memory.submit(write_request("w", bank=1, line=2, value=9))
         run_cycles(memory, 1)  # the write lands while the read is in flight
-        assert memory.scratchpad.banks[1].peek(2).tolist() == [9] * 8
+        assert memory.scratchpad.storage[1, 2].tolist() == [9] * 8
         run_cycles(memory, 2)
         memory.deliver()
         (response,) = memory.collect(memory.bind("r"))
@@ -240,15 +240,14 @@ class TestWordSnapshots:
 
     def test_buffered_stream_word_survives_a_later_write(self):
         memory = make_subsystem()
-        for bank in memory.scratchpad.banks:
-            bank.poke(0, np.full(8, 3, dtype=np.uint8))
+        memory.scratchpad.storage[:, 0] = 3
         streamer = TestStreamChannelPorts().reader_with_a_word_in_flight(memory)
         ((_, (_,)),) = memory._in_flight  # one batch of one word
         (bank,), (line,) = streamer._window[0]
         assert memory.deliver() == 1 and streamer.output_valid()
         memory.submit(write_request("w", bank=bank, line=line, value=7))
         run_cycles(memory, 2)
-        assert memory.scratchpad.banks[bank].peek(line).tolist() == [7] * 8
+        assert memory.scratchpad.storage[bank, line].tolist() == [7] * 8
         assert streamer.pop_output().tolist() == [3] * 8
 
 
@@ -324,7 +323,8 @@ class TestBoundPorts:
             requester="a", is_write=False, tag=3, data=None, ready_cycle=5
         )
         assert response.ready_cycle == 5 and response.port is None
-        assert BankLocation(bank=1, line=2, byte_offset=3).as_tuple() == (1, 2, 3)
+        location = BankLocation(bank=1, line=2, byte_offset=3)
+        assert (location.bank, location.line, location.byte_offset) == (1, 2, 3)
 
 
 class TestStreamChannelPorts:
@@ -399,15 +399,3 @@ class TestDmaAccounting:
         assert memory.total_reads == 10
         assert memory.total_writes == 5
         assert memory.dma_reads == 10
-
-    def test_reset_statistics_keeps_contents(self):
-        memory = make_subsystem()
-        memory.scratchpad.backdoor_write(0, np.arange(8, dtype=np.uint8), group_size=4)
-        memory.submit(read_request("a", bank=0))
-        run_cycles(memory, 2)
-        memory.reset_statistics()
-        assert memory.total_reads == 0
-        assert np.array_equal(
-            memory.scratchpad.backdoor_read(0, 8, group_size=4),
-            np.arange(8, dtype=np.uint8),
-        )

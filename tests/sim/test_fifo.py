@@ -12,8 +12,7 @@ class TestFifoBasics:
         fifo = Fifo(depth=4)
         assert fifo.is_empty
         assert not fifo.is_full
-        assert fifo.occupancy == 0
-        assert fifo.free_slots == 4
+        assert len(fifo) == 0
 
     def test_push_pop_order(self):
         fifo = Fifo(depth=3)
@@ -25,17 +24,19 @@ class TestFifoBasics:
         assert fifo.pop() == "c"
 
     def test_peek_does_not_consume(self):
+        """Per-cycle code reads the head as ``fifo.entries[0]``."""
         fifo = Fifo(depth=2)
         fifo.push(10)
-        assert fifo.peek() == 10
-        assert fifo.occupancy == 1
+        assert fifo.entries[0] == 10
+        assert len(fifo) == 1
         assert fifo.pop() == 10
 
     def test_peek_optional_empty(self):
+        """An empty FIFO's ``entries`` is falsy, the test per-cycle code makes."""
         fifo = Fifo(depth=2)
-        assert fifo.peek_optional() is None
+        assert not fifo.entries
         fifo.push(1)
-        assert fifo.peek_optional() == 1
+        assert fifo.entries and fifo.entries[0] == 1
 
     def test_push_full_raises(self):
         fifo = Fifo(depth=1)
@@ -48,22 +49,12 @@ class TestFifoBasics:
         fifo = Fifo(depth=1)
         with pytest.raises(FifoError):
             fifo.pop()
-        with pytest.raises(FifoError):
-            fifo.peek()
 
     def test_invalid_depth_rejected(self):
         with pytest.raises(ValueError):
             Fifo(depth=0)
         with pytest.raises(ValueError):
             Fifo(depth=-3)
-
-    def test_can_push_and_can_pop_counts(self):
-        fifo = Fifo(depth=3)
-        assert fifo.can_push(3)
-        assert not fifo.can_push(4)
-        fifo.push_many([1, 2])
-        assert fifo.can_pop(2)
-        assert not fifo.can_pop(3)
 
     def test_clear_resets_contents_but_not_counters(self):
         fifo = Fifo(depth=2)
@@ -74,14 +65,16 @@ class TestFifoBasics:
 
     def test_snapshot_and_iteration(self):
         fifo = Fifo(depth=4)
-        fifo.push_many([1, 2, 3])
-        assert fifo.snapshot() == [1, 2, 3]
+        for item in (1, 2, 3):
+            fifo.push(item)
+        assert list(fifo.entries) == [1, 2, 3]
         assert list(fifo) == [1, 2, 3]
         assert len(fifo) == 3
 
     def test_max_occupancy_tracking(self):
         fifo = Fifo(depth=4)
-        fifo.push_many([1, 2, 3])
+        for item in (1, 2, 3):
+            fifo.push(item)
         fifo.pop()
         fifo.push(4)
         assert fifo.max_occupancy == 3
@@ -112,8 +105,8 @@ class TestFifoProperties:
                     reference.append(op)
                 else:
                     assert fifo.is_full
-        assert fifo.snapshot() == reference
-        assert fifo.occupancy == len(reference)
+        assert list(fifo) == reference
+        assert len(fifo) == len(reference)
 
     @given(items=st.lists(st.integers(), min_size=1, max_size=32))
     @settings(max_examples=40, deadline=None)
@@ -121,4 +114,5 @@ class TestFifoProperties:
         fifo = Fifo(depth=len(items))
         for item in items:
             fifo.push(item)
-            assert fifo.occupancy + fifo.free_slots == fifo.depth
+            assert fifo.is_full == (len(fifo) == fifo.depth)
+        assert fifo.max_occupancy == fifo.depth

@@ -25,7 +25,7 @@ class TestEvaluationSystemDesign:
         design = datamaestro_evaluation_system()
         # 8x8x8 Tensor-Core-like array -> 512 PEs, 1 TOPS peak at 1 GHz.
         assert design.num_pes == 512
-        assert design.peak_gops == pytest.approx(1024.0)
+        assert 2 * design.num_pes * design.clock_frequency_ghz == pytest.approx(1024.0)
         # 128 KiB scratchpad with 64-bit banks.
         assert design.memory.capacity_bytes == 128 * 1024
         assert design.memory.bank_width_bits == 64
@@ -41,8 +41,8 @@ class TestEvaluationSystemDesign:
         # The 6-D temporal AGU of port A enables implicit im2col.
         assert design.streamer("A").temporal_dims == 6
         # Extensions: Transposer on A, Broadcaster on the init stream C.
-        assert design.streamer("A").extension_kinds() == ["transposer"]
-        assert design.streamer("C").extension_kinds() == ["broadcaster"]
+        assert [spec.kind for spec in design.streamer("A").extensions] == ["transposer"]
+        assert [spec.kind for spec in design.streamer("C").extensions] == ["broadcaster"]
 
     def test_group_size_options_cover_all_three_modes(self):
         design = datamaestro_evaluation_system()
@@ -73,7 +73,9 @@ class TestEvaluationSystemDesign:
 
     def test_streamer_map(self):
         design = datamaestro_evaluation_system()
-        assert set(design.streamer_map()) == set(PORT_NAMES)
+        assert [d.name for d in design.streamers] == list(PORT_NAMES)
+        for name in PORT_NAMES:
+            assert design.streamer(name).name == name
 
     def test_configurable_scratchpad_size(self):
         design = datamaestro_evaluation_system(scratchpad_kib=256)

@@ -114,7 +114,7 @@ class TestConfigurationFaults:
 
         csr_map = CsrAddressMap(DESIGN.streamer("A"))
         bad_writes = list(program.csr_writes["A"])
-        bad_writes.append((csr_map.offset_of("addressing_mode"), 99))
+        bad_writes.append((csr_map.mode_offset, 99))
         program.csr_writes["A"] = bad_writes
         with pytest.raises(ValueError):
             system.run(program)

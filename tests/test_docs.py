@@ -383,16 +383,20 @@ class TestStructure:
         """The trees the reachability gate reads, copied where a test may edit them."""
         import shutil
 
-        for tree in ("src", "bench", "examples", "tools"):
+        for tree in ("src", "bench", "examples", "tools", "tests", "docs"):
             shutil.copytree(
-                REPO_ROOT / tree, tmp_path / tree, ignore=shutil.ignore_patterns("__pycache__")
+                REPO_ROOT / tree,
+                tmp_path / tree,
+                ignore=shutil.ignore_patterns("__pycache__", "*.json"),
             )
         return tmp_path
 
     def test_everything_under_src_has_a_production_caller(self):
-        """A module or public name only tests reach is deleted, not kept."""
+        """A module, public name or member only tests reach is deleted, not
+        kept, and an export nothing imports through its package is dropped."""
         result = self.check_reachability(REPO_ROOT)
         assert result.returncode == 0, result.stderr
+        assert " members and " in result.stdout and " exports " in result.stdout
 
     def test_reachability_gate_names_an_orphan_module_and_name(self, production_copy):
         package = production_copy / "src" / "repro"
@@ -410,6 +414,59 @@ class TestStructure:
         result = self.check_reachability(production_copy)
         assert result.returncode == 1
         assert "allowlist: 'repro/__main__.py' matches nothing" in result.stderr
+
+    def test_reachability_gate_names_a_test_only_method(self, production_copy):
+        fifo = production_copy / "src" / "repro" / "sim" / "fifo.py"
+        source = fifo.read_text(encoding="utf-8")
+        anchor = "    def pop(self) -> T:\n"
+        assert anchor in source
+        planted = "    def only_tests_call(self) -> int:\n        return 1\n\n"
+        fifo.write_text(source.replace(anchor, planted + anchor), encoding="utf-8")
+        (production_copy / "tests" / "sim" / "test_planted.py").write_text(
+            "from repro.sim import Fifo\n\n\ndef test_it():\n"
+            "    assert Fifo(1).only_tests_call() == 1\n"
+        )
+        result = self.check_reachability(production_copy)
+        assert result.returncode == 1
+        assert "src/repro/sim/fifo.py: Fifo.only_tests_call is referenced nowhere" in result.stderr
+        assert len(result.stderr.splitlines()) == 2  # the count line + the method
+
+    def test_reachability_gate_names_an_export_nothing_imports(self, production_copy):
+        init = production_copy / "src" / "repro" / "utils" / "__init__.py"
+        source = init.read_text(encoding="utf-8")
+        planted = 'from .packing import pad_to_multiple as pad\n\n__all__ = ["pad", '
+        init.write_text(source.replace("__all__ = [", planted), encoding="utf-8")
+        result = self.check_reachability(production_copy)
+        assert result.returncode == 1
+        assert (
+            "src/repro/utils/__init__.py: __all__ exports pad, which nothing outside "
+            "the package imports from it"
+        ) in result.stderr
+        assert len(result.stderr.splitlines()) == 2
+
+    def test_reachability_gate_names_a_dangling_export(self, production_copy):
+        init = production_copy / "src" / "repro" / "utils" / "__init__.py"
+        source = init.read_text(encoding="utf-8")
+        init.write_text(source.replace("__all__ = [", "__all__ = [\"ghost\", "), encoding="utf-8")
+        result = self.check_reachability(production_copy)
+        assert result.returncode == 1
+        assert (
+            "src/repro/utils/__init__.py: __all__ names ghost, which the __init__ "
+            "does not bind"
+        ) in result.stderr
+        assert len(result.stderr.splitlines()) == 2
+
+    def test_reachability_gate_rejects_a_stale_member_allowlist_entry(self, production_copy):
+        (production_copy / "tools" / "drain.py").write_text(
+            "def drain(cluster):\n    return cluster.wait_idle()\n"
+        )
+        result = self.check_reachability(production_copy)
+        assert result.returncode == 1
+        assert (
+            "allowlist: 'repro/cluster/service.py::ClusterService.wait_idle' is reachable "
+            "without it"
+        ) in result.stderr
+        assert len(result.stderr.splitlines()) == 2
 
     def test_setup_py_carries_the_package_metadata(self, monkeypatch):
         """No network, no install: build the distribution object ``setup.py``

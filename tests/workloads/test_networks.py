@@ -14,6 +14,11 @@ from repro.workloads import (
 )
 
 
+def total_macs(model):
+    """A network's MACs: each layer's workload times its instance count."""
+    return sum(layer.workload.macs * layer.count for layer in model.layers)
+
+
 class TestNetworkTables:
     def test_benchmark_networks_cover_table3_plus_mobilenet(self):
         networks = benchmark_networks()
@@ -40,13 +45,13 @@ class TestNetworkTables:
         # ResNet-18 has 20 convolutions (16 block convs + stem + 3 downsample skips).
         assert sum(l.count for l in convs) == 20
         # ~1.8 GMACs for 224x224 inference.
-        assert 1.6e9 < model.total_macs < 2.1e9
+        assert 1.6e9 < total_macs(model) < 2.1e9
 
     def test_vgg16_structure(self):
         model = vgg16()
         assert sum(l.count for l in model.layers) == 16
         # ~15.5 GMACs for 224x224 inference.
-        assert 1.4e10 < model.total_macs < 1.6e10
+        assert 1.4e10 < total_macs(model) < 1.6e10
 
     def test_vit_structure(self):
         model = vit_base_16()
@@ -57,7 +62,7 @@ class TestNetworkTables:
         assert scores.workload.transposed_a
         assert scores.count == 12 * 12
         # ~17 GMACs with 197 tokens.
-        assert 1.5e10 < model.total_macs < 2.0e10
+        assert 1.5e10 < total_macs(model) < 2.0e10
 
     def test_bert_structure(self):
         model = bert_base()
@@ -65,14 +70,14 @@ class TestNetworkTables:
         ffn = next(l for l in model.layers if l.workload.name == "bert_ffn_fc1")
         assert ffn.workload.n == 3072 and ffn.workload.k == 768
         # ~11 GMACs at sequence length 128.
-        assert 0.9e10 < model.total_macs < 1.3e10
+        assert 0.9e10 < total_macs(model) < 1.3e10
 
     def test_mobilenet_v2_structure(self):
         model = mobilenet_v2()
         assert model.name == "MobileNet-V2"
         # ~300 MMACs at 224x224 — an order of magnitude below ResNet-18.
-        assert 2.5e8 < model.total_macs < 3.5e8
-        assert model.total_macs < resnet18().total_macs / 5
+        assert 2.5e8 < total_macs(model) < 3.5e8
+        assert total_macs(model) < total_macs(resnet18()) / 5
 
     def test_mobilenet_v2_is_depthwise_heavy(self):
         model = mobilenet_v2()
@@ -91,9 +96,9 @@ class TestNetworkTables:
             assert layer.count > 1  # repeated once per channel
         # Depthwise layers carry many instances but little of the compute:
         # the reduction-poor, bandwidth-bound regime exploration should cover.
-        dw_macs = sum(l.total_macs for l in depthwise)
+        dw_macs = sum(l.workload.macs * l.count for l in depthwise)
         assert sum(l.count for l in depthwise) > 5000
-        assert dw_macs / model.total_macs < 0.15
+        assert dw_macs / total_macs(model) < 0.15
 
     def test_mobilenet_v2_spatial_pyramid(self):
         model = mobilenet_v2()
@@ -109,7 +114,7 @@ class TestNetworkTables:
     def test_bert_sequence_length_parameter(self):
         short = bert_base(sequence_length=64)
         long = bert_base(sequence_length=256)
-        assert long.total_macs > short.total_macs
+        assert total_macs(long) > total_macs(short)
 
     def test_layer_counts_positive(self):
         with pytest.raises(ValueError):
@@ -155,11 +160,11 @@ class TestNetworkTables:
         assert set(expectations) == set(networks)
         for name, (low, high) in expectations.items():
             model = networks[name]
-            assert low < model.total_macs < high, (
-                f"{name}: total_macs={model.total_macs:.3e} outside "
+            assert low < total_macs(model) < high, (
+                f"{name}: total_macs={total_macs(model):.3e} outside "
                 f"({low:.1e}, {high:.1e})"
             )
             # The total is exactly the count-weighted layer sum.
-            assert model.total_macs == sum(
+            assert total_macs(model) == sum(
                 layer.workload.macs * layer.count for layer in model.layers
             )

@@ -17,12 +17,11 @@ class TestGemmWorkload:
         assert workload.macs == 32 * 48 * 64
         assert workload.tile_counts(8, 8, 8) == (4, 6, 8)
         assert workload.ideal_compute_cycles(8, 8, 8) == 4 * 6 * 8
-        assert workload.padded_shape(8, 8, 8) == (32, 48, 64)
 
     def test_padding_of_odd_dimensions(self):
         workload = GemmWorkload(name="g", m=13, n=9, k=17)
         assert workload.tile_counts(8, 8, 8) == (2, 2, 3)
-        assert workload.padded_shape(8, 8, 8) == (16, 16, 24)
+        assert workload.ideal_compute_cycles(8, 8, 8) == 2 * 2 * 3
 
     def test_transposed_group(self):
         workload = GemmWorkload(name="t", m=8, n=8, k=8, transposed_a=True)
@@ -91,8 +90,12 @@ class TestConvWorkload:
         assert conv.ideal_compute_cycles(8, 8, 8) == tiles_m * tiles_n * tiles_k
 
     def test_im2col_matrix_shape(self):
+        """The implicit-GeMM view tiles the im2col matrix: M = 196 output
+        pixels, N = 32 output channels, K = 3 x 3 kernel positions x 16
+        input channels."""
         conv = self.make(padding=0)
-        assert conv.im2col_matrix_shape() == (196, 9 * 16)
+        assert conv.output_pixels == 196
+        assert conv.as_gemm_dims(8, 8, 8) == (25, 4, 9 * 2)
 
     def test_group(self):
         assert self.make().group is WorkloadGroup.CONVOLUTION
