@@ -23,7 +23,6 @@ ever sees the decoded :class:`StreamerRuntimeConfig`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
@@ -34,14 +33,6 @@ EXTENSION_PARAM_SLOTS = 4
 
 #: Register word size in bytes (RV32 host).
 CSR_WORD_BYTES = 4
-
-
-@dataclass(frozen=True)
-class CsrField:
-    """One named register (or register array element) in the map."""
-
-    name: str
-    offset: int
 
 
 class CsrAddressMap:
@@ -81,9 +72,6 @@ class CsrAddressMap:
         self.size_bytes = offset
 
     # ------------------------------------------------------------------
-
-    def fields(self) -> List[CsrField]:
-        return [CsrField(name, offset) for name, offset in self._fields.items()]
 
     def __len__(self) -> int:
         return len(self._fields)

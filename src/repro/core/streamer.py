@@ -109,6 +109,9 @@ class StreamSpan:
     lines: np.ndarray
     starts: List[int]  # each channel's grant cursor, as a row
     isolated: bool  # verified by isolation rather than exact tiling
+    #: Most periods the stream can move through: its issue cursor stops
+    #: one address short of its last, so an address stays queued.
+    periods_left: int
     #: The span's :meth:`rows`, gathered once by the planner for the replay.
     grants: Optional[tuple] = None
 
@@ -118,6 +121,12 @@ class StreamSpan:
         rows = self.starts + np.arange(count)[:, np.newaxis]
         columns = np.arange(len(self.starts))
         return self.banks[rows, columns], self.lines[rows, columns]
+
+    def runs_out(self, periods: int) -> bool:
+        """Whether ``periods`` take the AGU past its stream's end, where it
+        stops: the address-FIFO occupancy then falls short of the
+        boundary's."""
+        return self.generated + periods * self.delta > self.streamer.total_bundles
 
 
 class DataMaestro:
@@ -541,16 +550,13 @@ class DataMaestro:
     # Steady-span protocol (see repro.engine.steady).
     # ------------------------------------------------------------------
     def period_counters(self) -> list:
-        """What a steady period advances: the streamer's four counters, then
-        each channel's five (grants, deliveries, retries, data pushes/pops)."""
+        """What a steady period advances: the streamer's three counters, then
+        each channel's five (grants, deliveries, retries, data pushes/pops).
+        The AGU's position is not one: it stops at the stream's end, so
+        :meth:`replay_span` advances it."""
         counters = [
             (self, name)
-            for name in (
-                "words_streamed",
-                "bundles_generated",
-                "requests_issued",
-                "credit_stall_cycles",
-            )
+            for name in ("words_streamed", "requests_issued", "credit_stall_cycles")
         ]
         for port in self.ports:
             counters += [
@@ -578,7 +584,8 @@ class DataMaestro:
     @staticmethod
     def period_rows(delta: list) -> int:
         """Bundle rows one steady period of :meth:`period_counters`' change
-        ``delta`` covers."""
+        ``delta`` covers: its issues (the signature holds the address FIFO,
+        so as many bundles were generated)."""
         return delta[1]
 
     def plan_span(self, delta: list, periods: int, flights) -> Optional[StreamSpan]:
@@ -587,20 +594,26 @@ class DataMaestro:
         boundary's queues where the counters put them, and decode the rows
         for the period before and ``periods`` after; ``None`` when the
         stream stood still.  ``flights`` holds each port's in-flight ready
-        cycles."""
-        words, bundles, issued_step = delta[:3]
+        cycles.
+
+        The span's ``periods_left`` leaves the issue cursor one address
+        short of the stream's end.  While an address stays queued, issue
+        timing, credit stalls, data FIFOs and grants are the steady
+        period's even once the AGU has generated its last bundle; only
+        ``bundles_generated`` sees the AGU stop."""
+        words, bundles = delta[:2]  # the period's pops/pushes and issues
         issued = self.requests_issued
         popped = self.words_streamed
         if bundles == 0:
-            if words or issued_step:
+            if words:
                 raise SteadyBail("quiescent_drift")
-        elif issued_step != bundles or words != bundles:
+        elif words != bundles:
             raise SteadyBail("ragged_cadence")
         # Isolation candidate: never contended in the reference period, and
         # every channel granted as far with the same response timings.
         contended = False
         skews = set()
-        moves = zip(self.ports, delta[4::5], delta[5::5], delta[6::5])
+        moves = zip(self.ports, delta[3::5], delta[4::5], delta[5::5])
         for port, granted, delivered, retries in moves:
             if bundles == 0:
                 if granted or delivered:
@@ -637,13 +650,14 @@ class DataMaestro:
             lines,
             [port.granted - lo for port in self.ports],
             not contended and len(skews) == 1,
+            (self.total_bundles - 1 - issued) // bundles,
         )
 
     def replay_span(self, span: StreamSpan, periods: int, memory, flying, pushed=None):
         """Apply ``periods`` of a verified ``span`` to this streamer's words:
-        the scratchpad access, the channels' queues and the bank grants (the
-        planner advances the counters after, ``bundles_generated`` — the
-        AGU's position — among them).
+        the scratchpad access, the channels' queues and the bank grants, and
+        advance the AGU's position, which stops at the stream's end (the
+        planner advances the counters after).
 
         A read streamer returns the wide words popped over the span; a write
         streamer stores ``pushed``, the wide words pushed over it.  Each
@@ -692,6 +706,7 @@ class DataMaestro:
             )
             port.sink.replace_entries(fifo)
         memory.replay_grants(banks, self.is_read, span.isolated and self.ports)
+        self.bundles_generated = min(span.generated + count, self.total_bundles)
         if self.is_read:
             return self.extensions.apply_batch(np.concatenate(popped, axis=1))
         return None

@@ -46,9 +46,14 @@ class SteadySpanStats:
     isolated_streams: int = 0
     tiled_streams: int = 0
     bails: Dict[str, int] = field(default_factory=dict)
+    #: What ended each ``too_short`` bail: ``tiles``, ``cycle_limit``,
+    #: ``max_rows`` or ``stream_end``.
+    short_bounds: Dict[str, int] = field(default_factory=dict)
 
-    def bail(self, reason: str) -> None:
+    def bail(self, reason: str, bound: Optional[str] = None) -> None:
         self.bails[reason] = self.bails.get(reason, 0) + 1
+        if bound is not None:
+            self.short_bounds[bound] = self.short_bounds.get(bound, 0) + 1
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -146,8 +151,8 @@ class SteadySpanPlanner:
                     period, delta, limit, tiles_remaining, prev_grants, grants
                 )
             except SteadyBail as bail:
-                reason = str(bail)
-                self.stats.bail(reason)
+                reason = bail.args[0]
+                self.stats.bail(*bail.args)
                 if reason in ("bank_pattern", "bank_overlap"):
                     self._skip_groups.add(group)
                     if len(self._skip_groups) == MAX_GROUP:
@@ -167,13 +172,18 @@ class SteadySpanPlanner:
             )
         self._commit(plan)
         # Roll the reference forward so the very next boundary can chain
-        # another jump after re-observing just one period group.
+        # another jump after re-observing just one period group — unless a
+        # stream's AGU ran out: its address FIFO then holds fewer bundles
+        # than the reference's signature says.
         assert self._history
         _, signature, snapshot, _ = self._history[-1]
         self._history.clear()
-        snapshot = [v + step * plan.periods for v, step in zip(snapshot, plan.delta)]
-        grants = self.memory.grant_pointers()
-        self._history.append((self.memory.cycle, signature, snapshot, grants))
+        if not any(span.runs_out(plan.periods) for span in plan.streams):
+            snapshot = [
+                v + step * plan.periods for v, step in zip(snapshot, plan.delta)
+            ]
+            grants = self.memory.grant_pointers()
+            self._history.append((self.memory.cycle, signature, snapshot, grants))
         self._skip_groups.clear()
         isolated = sum(span.isolated for span in plan.streams)
         self.stats.isolated_streams += isolated
@@ -198,20 +208,25 @@ class SteadySpanPlanner:
         )
 
         rows = max([unit.period_rows(part[unit]) for unit in self.streamers])
-        periods = min(
-            tiles_remaining // group, limit // period, MAX_ROWS // max(rows, 1)
-        )
+        bounds = {
+            "tiles": tiles_remaining // group,
+            "cycle_limit": limit // period,
+            "max_rows": MAX_ROWS // max(rows, 1),
+        }
+        bound = min(bounds, key=bounds.get)
+        periods = bounds[bound]
         if periods < MIN_PERIODS:
-            raise SteadyBail("too_short")
+            raise SteadyBail("too_short", bound)
+        # A moving stream bounds the span by the issues it has left; its AGU
+        # may run out inside the span (see DataMaestro.plan_span).
         streams = []
         for streamer in self.streamers:
             span = streamer.plan_span(part[streamer], periods, flights)
             if span is not None:
                 streams.append(span)
-                available = streamer.total_bundles - span.generated
-                periods = min(periods, available // span.delta)
+                periods = min(periods, span.periods_left)
         if periods < MIN_PERIODS:
-            raise SteadyBail("too_short")
+            raise SteadyBail("too_short", "stream_end")
 
         # Vectorized bank-pattern verification, reference period included:
         # an isolated stream's rows must each hit pairwise-distinct banks, any

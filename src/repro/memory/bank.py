@@ -89,12 +89,6 @@ class MemoryBank:
             )
         self._data[line][mask] = payload[mask]
 
-    def clear(self) -> None:
-        """Zero-fill the bank and reset its access counters."""
-        self._data.fill(0)
-        self.read_count = 0
-        self.write_count = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MemoryBank(index={self.index}, width_bytes={self.width_bytes}, "

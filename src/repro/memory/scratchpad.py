@@ -47,18 +47,6 @@ class ScratchpadMemory:
         ]
 
     # ------------------------------------------------------------------
-    # Port view (counted accesses).
-    # ------------------------------------------------------------------
-
-    @property
-    def total_reads(self) -> int:
-        return sum(bank.read_count for bank in self.banks)
-
-    @property
-    def total_writes(self) -> int:
-        return sum(bank.write_count for bank in self.banks)
-
-    # ------------------------------------------------------------------
     # Backdoor view (uncounted, byte granular, used for data loading).
     # ------------------------------------------------------------------
     def _covering_words(self, access: str, address: int, size: int, group_size: int):
@@ -114,13 +102,6 @@ class ScratchpadMemory:
         if not size:
             return np.zeros(0, dtype=np.uint8)
         return self.storage[banks, lines].reshape(-1)[head : head + size]
-
-    def clear(self) -> None:
-        """Zero-fill every bank and reset the access counters."""
-        self.storage.fill(0)
-        for bank in self.banks:
-            bank.read_count = 0
-            bank.write_count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScratchpadMemory(geometry={self.geometry})"

@@ -58,11 +58,6 @@ class Fifo(Generic[T]):
         return iter(self.entries)
 
     @property
-    def occupancy(self) -> int:
-        """Number of entries currently stored."""
-        return len(self.entries)
-
-    @property
     def is_empty(self) -> bool:
         return not self.entries
 
@@ -113,5 +108,5 @@ class Fifo(Generic[T]):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Fifo(name={self.name!r}, depth={self.depth}, "
-            f"occupancy={self.occupancy})"
+            f"occupancy={len(self.entries)})"
         )

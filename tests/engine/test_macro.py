@@ -37,6 +37,7 @@ import pytest
 from repro.compiler import compile_workload
 from repro.core.csr import encode_runtime_config
 from repro.core.params import FeatureSet
+from repro.core.streamer import DataMaestro
 from repro.engine import EventDrivenEngine, steady, supports_macro_protocol
 from repro.sim import SimulationLimitError
 from repro.system import AcceleratorSystem, datamaestro_evaluation_system
@@ -316,6 +317,71 @@ class TestConvEngages:
 
 
 # ----------------------------------------------------------------------
+# Stream ends: a span runs to the issues a stream has left.
+# ----------------------------------------------------------------------
+def head_workload():
+    """The ``vit_head`` crop: 8 output tiles, and C and D streams that run
+    4-5 tiles ahead of the core."""
+    return GemmWorkload(name="macro_head", m=1, n=64, k=512, with_bias=True)
+
+
+def one_deep_address_fifos():
+    return dataclasses.replace(
+        DESIGN,
+        streamers=tuple(
+            dataclasses.replace(streamer, address_buffer_depth=1)
+            for streamer in DESIGN.streamers
+        ),
+    )
+
+
+class TestStreamEnd:
+    def test_a_span_runs_past_a_streams_last_bundle(self):
+        """The C stream generates its last bundle inside the span; issue
+        timing, credit stalls and address-FIFO peaks still match lockstep."""
+        system_l, lockstep = run_engine("lockstep", head_workload())
+        system_e, event = run_engine("event", head_workload())
+        assert_results_identical(lockstep, event)
+        assert_deep_state_identical(system_l, system_e)
+        for name, streamer in system_l.streamers.items():
+            other = system_e.streamers[name]
+            assert streamer.channel_statistics() == other.channel_statistics(), name
+            assert streamer.bundles_generated == other.bundles_generated, name
+        stats = system_e.steady_stats()
+        assert stats["jumps"] >= 1, stats
+        assert stats["bails"].get("too_short", 0) == 0, stats
+
+    def test_one_deep_address_fifos_never_run_out(self, monkeypatch):
+        """The queued address a span leaves is then the AGU's last, so no
+        span runs a stream's AGU out."""
+        ends = []
+        replay = DataMaestro.replay_span
+
+        def recorded(streamer, span, periods, *args):
+            ends.append(
+                (span.runs_out(periods), span.generated + periods * span.delta,
+                 streamer.total_bundles)
+            )
+            return replay(streamer, span, periods, *args)
+
+        monkeypatch.setattr(DataMaestro, "replay_span", recorded)
+        design = one_deep_address_fifos()
+        for workload in (head_workload(), compute_bound_workload()):
+            assert_parity(workload, design)
+        assert ends
+        for runs_out, end, total in ends:
+            assert not runs_out and end <= total, (end, total)
+
+    def test_each_too_short_bail_names_its_bound(self):
+        system, _ = run_engine(
+            "event", compute_bound_workload(), features=FeatureSet.all_disabled()
+        )
+        stats = system.steady_stats()
+        assert stats["short_bounds"] == {"stream_end": 1, "tiles": 5}
+        assert sum(stats["short_bounds"].values()) == stats["bails"]["too_short"]
+
+
+# ----------------------------------------------------------------------
 # Deadlocks and budget exhaustion around the fast path.
 # ----------------------------------------------------------------------
 class TestDeadlockAndBudget:
@@ -463,6 +529,7 @@ class TestMacroProtocol:
             "isolated_streams",
             "tiled_streams",
             "bails",
+            "short_bounds",
         }
         assert stats["isolated_streams"] + stats["tiled_streams"] >= stats["jumps"]
         assert stats["boundaries"] >= stats["attempts"] >= stats["jumps"]

@@ -122,19 +122,19 @@ class _CheckedLockstep(LockstepEngine):
                 assert 0 <= queued <= streamer.design.address_buffer_depth, queued
                 for port, fifo in zip(streamer.ports, streamer.fifos, strict=True):
                     name = port.name
-                    assert 0 <= fifo.occupancy <= fifo.depth, fifo.name
+                    assert 0 <= len(fifo) <= fifo.depth, fifo.name
                     outstanding = issued - port.delivered
                     if streamer.is_read:
                         # In flight plus buffered: every one owns a slot.
                         assert (
-                            fifo.occupancy + outstanding
+                            len(fifo) + outstanding
                             == issued - streamer.words_streamed
                         ), name
                     else:
                         # A write word waits in every channel's data FIFO
                         # from its push to the streamer's issue.
                         assert (
-                            fifo.occupancy == streamer.words_streamed - issued
+                            len(fifo) == streamer.words_streamed - issued
                         ), name
                     assert outstanding == memory.outstanding_count(name), name
                     # A streamer's channels issue together: each port's

@@ -73,9 +73,3 @@ class TestMemoryBank:
         word[:] = 0xFF
         assert list(storage[0]) == [0, 1, 2, 3]
 
-    def test_clear(self):
-        bank, storage = make_bank()
-        bank.write(0, np.ones(4, dtype=np.uint8))
-        bank.clear()
-        assert list(storage[0]) == [0, 0, 0, 0]
-        assert bank.write_count == 0

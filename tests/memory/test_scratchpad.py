@@ -29,7 +29,7 @@ class TestBackdoor:
     def test_roundtrip_under_each_mode(self, scratchpad):
         data = np.arange(96, dtype=np.uint8)
         for group_size in (1, 2, 4, 8):
-            scratchpad.clear()
+            scratchpad.storage.fill(0)
             scratchpad.backdoor_write(40, data, group_size=group_size)
             out = scratchpad.backdoor_read(40, data.size, group_size=group_size)
             assert np.array_equal(out, data)
@@ -45,8 +45,7 @@ class TestBackdoor:
     def test_backdoor_does_not_count_accesses(self, scratchpad):
         scratchpad.backdoor_write(0, np.zeros(64, dtype=np.uint8), group_size=8)
         scratchpad.backdoor_read(0, 64, group_size=8)
-        assert scratchpad.total_reads == 0
-        assert scratchpad.total_writes == 0
+        assert all(bank.read_count == bank.write_count == 0 for bank in scratchpad.banks)
 
     def test_port_accesses_count(self):
         """Words the memory subsystem grants count on their bank."""
@@ -57,8 +56,9 @@ class TestBackdoor:
         memory.step()
         memory.submit(MemoryRequest("r", False, 0, 0))
         memory.step()
-        assert memory.scratchpad.total_writes == 1
-        assert memory.scratchpad.total_reads == 1
+        banks = memory.scratchpad.banks
+        assert sum(bank.write_count for bank in banks) == 1
+        assert sum(bank.read_count for bank in banks) == 1
 
     @given(
         address=st.integers(min_value=0, max_value=GEOMETRY.capacity_bytes - 128),
@@ -112,7 +112,7 @@ class TestBackdoor:
         scratchpad.backdoor_write(address, data, group_size=group_size)
         for bank, image in zip(scratchpad.banks, expected):
             assert np.array_equal(bank._data, image), bank.index
-        assert scratchpad.total_reads == scratchpad.total_writes == 0
+        assert all(bank.read_count == bank.write_count == 0 for bank in scratchpad.banks)
 
     def test_backdoor_rejects_out_of_range(self, scratchpad):
         with pytest.raises(ValueError):
@@ -123,14 +123,6 @@ class TestBackdoor:
             scratchpad.backdoor_read(GEOMETRY.capacity_bytes - 4, 8, group_size=8)
         with pytest.raises(ValueError):
             scratchpad.backdoor_read(-8, 8, group_size=8)
-
-    def test_clear_erases_everything(self, scratchpad):
-        scratchpad.backdoor_write(0, np.ones(32, dtype=np.uint8), group_size=8)
-        scratchpad.clear()
-        assert np.array_equal(
-            scratchpad.backdoor_read(0, 32, group_size=8),
-            np.zeros(32, dtype=np.uint8),
-        )
 
     @pytest.mark.parametrize("group_size", [1, 2, 4, 8])
     def test_roundtrip_matches_a_per_word_reference(self, group_size):
@@ -215,7 +207,7 @@ class TestBulkSpanAccess:
         for bank, line, word in zip(banks, lines, words):
             assert np.array_equal(memory.banks[int(bank)]._data[int(line)], word)
         # Uncounted: a scatter does not move the port counters.
-        assert memory.total_writes == 0
+        assert all(bank.write_count == 0 for bank in memory.banks)
 
 
 class TestOneArray:

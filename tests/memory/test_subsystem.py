@@ -363,7 +363,7 @@ class TestStreamChannelPorts:
         del streamer
         gc.collect()
         assert memory.deliver() == 1
-        assert fifo.occupancy == 1 and memory.outstanding_count("dm_t.ch0") == 0
+        assert len(fifo) == 1 and memory.outstanding_count("dm_t.ch0") == 0
 
     def test_delivery_below_the_high_water_mark_counts_its_push(self):
         """The second word lands below the FIFO's high-water mark, where
@@ -377,7 +377,7 @@ class TestStreamChannelPorts:
         memory.step()
         assert memory.deliver() == 1
         assert (fifo.total_pushes, fifo.total_pops, fifo.max_occupancy) == (2, 1, 1)
-        assert fifo.occupancy == 1
+        assert len(fifo) == 1
 
     def test_delivery_into_a_full_data_fifo_names_the_fifo(self):
         """The ORM reserves the slot at issue; a read without one is caught."""

@@ -28,10 +28,12 @@ order, so a mismatch names the run and the field.  Lockstep steps every cycle
 ``fixtures/steady_stats.json`` pins the macro-stepper's decisions the same
 way: per ``event`` run of every set, the 64-bit head of one sha256 of
 ``system.steady_stats()`` — boundaries, attempts, jumps, periods, skipped
-cycles, how each stream was verified and every bail by reason.  A change to
-how a span is verified or replayed that claims the same decisions holds this
-file unchanged; it was written by the commit before the jump path became
-linear-time numpy passes.
+cycles, how each stream was verified, every bail by reason and what bound
+each ``too_short`` bail.  A change to how a span is verified or replayed
+that claims the same decisions holds this file unchanged; it was last
+written by the commit that let a span run past a stream's last generated
+bundle (bounded by the issues the stream has left) and added
+``short_bounds``.
 """
 
 import hashlib
