@@ -27,7 +27,9 @@ def gemm_reference(
         raise ValueError(
             f"inner dimensions do not match: A is {a.shape}, B is {b.shape}"
         )
-    result = a @ b
+    # einsum's integer sum of products beats matmul's plain loop here; both
+    # accumulate in int32, so the result wraps mod 2**32 either way.
+    result = np.einsum("mk,kn->mn", a, b)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.int32).reshape(-1)
         if bias.size != b.shape[1]:
@@ -85,7 +87,7 @@ def conv2d_reference(
                 fx : fx + out_w * stride : stride,
                 :,
             ]
-            output += np.tensordot(window, weights[fy, fx], axes=([2], [0]))
+            output += np.einsum("yxc,ck->yxk", window, weights[fy, fx])
     if bias is not None:
         bias = np.asarray(bias, dtype=np.int64).reshape(-1)
         if bias.size != out_channels:

@@ -117,9 +117,14 @@ class StreamSpan:
 
     def rows(self, count: int):
         """Every channel's next ``count`` grants as ``(banks, lines)``,
-        shaped ``(count, channels)``."""
-        rows = self.starts + np.arange(count)[:, np.newaxis]
-        columns = np.arange(len(self.starts))
+        shaped ``(count, channels)``: row slices when every channel's grant
+        cursor agrees, a gather otherwise."""
+        starts = self.starts
+        if starts.count(starts[0]) == len(starts):
+            rows = slice(starts[0], starts[0] + count)
+            return self.banks[rows], self.lines[rows]
+        rows = starts + np.arange(count)[:, np.newaxis]
+        columns = np.arange(len(starts))
         return self.banks[rows, columns], self.lines[rows, columns]
 
     def runs_out(self, periods: int) -> bool:
@@ -662,38 +667,48 @@ class DataMaestro:
         A read streamer returns the wide words popped over the span; a write
         streamer stores ``pushed``, the wide words pushed over it.  Each
         port's in-flight words after the span go to ``flying``.  A word's
-        step is its position: a channel's ``stream`` runs from its oldest
+        step is its position: a channel's stream runs from its oldest
         queued word — buffered then in flight when reading, pending then
         buffered when writing — through the span's last, so the words queued
-        after the span are the ``count`` rows on."""
+        after the span are the ``count`` rows on.  One ``(rows, channels)``
+        array of words holds every channel's stream from row 0, so the
+        popped or stored wide words are its first ``count`` rows; each
+        channel's span words start after its own queued ones."""
         count = periods * span.delta
+        ports = self.ports
         width = self.design.bank_width_bytes
-        storage = memory.scratchpad.storage
+        word = np.dtype((np.void, width))
+        cells = memory.scratchpad.storage.reshape(-1, width).view(word).ravel()
         banks, lines = span.grants
+        keys = banks * memory.geometry.bank_depth + lines
         issued, words = self.requests_issued, self.words_streamed
         if self.is_read:
-            spanned = storage[banks, lines]
+            in_flight = memory.in_flight_words()
+            queued = [[*port.sink.entries, *in_flight[port]] for port in ports]
+            spanned = cells[keys]
         else:
-            spanned = self.extensions.apply_batch(pushed).reshape(count, -1, width)
-        popped = []
-        for column, port in enumerate(self.ports):
+            queued = [
+                [data for _, _, data, _ in port.pending] + [*port.sink.entries]
+                for port in ports
+            ]
+            spanned = self.extensions.apply_batch(pushed).view(word)
+        depths = [len(entries) for entries in queued]
+        streams = np.empty((max(depths) + count, len(ports)), word)
+        for column, entries in enumerate(queued):
+            if entries:
+                streams[: depths[column], column] = np.frombuffer(b"".join(entries), word)
+        streams[np.add.outer(np.arange(count), depths), np.arange(len(ports))] = spanned
+        if not self.is_read:
+            cells[keys] = streams[:count]
+        # The words queued after the span, copied out so that the queues
+        # do not hold the whole span's array.
+        queues = streams[count:].view(np.uint8).reshape(-1, len(ports), width).copy()
+        for column, port in enumerate(ports):
+            after = queues[: depths[column], column]
             if self.is_read:
-                queued = [*port.sink.entries, *memory.in_flight_words(port)]
-            else:
-                queued = [data for _, _, data, _ in port.pending] + [*port.sink.entries]
-            stream = np.concatenate(
-                [
-                    np.frombuffer(b"".join(queued), np.uint8).reshape(-1, width),
-                    spanned[:, column],
-                ]
-            )
-            after = stream[count:]
-            if self.is_read:
-                popped.append(stream[:count])
                 buffered = port.delivered - words
                 fifo, flying[port] = after[:buffered], iter(after[buffered:])
             else:
-                storage[banks[:, column], lines[:, column]] = stream[:count]
                 fifo, flying[port] = after[issued - port.granted :], repeat(None)
             rows = slice(port.granted + count - span.lo, issued + count - span.lo)
             port.pending = deque(
@@ -705,10 +720,11 @@ class DataMaestro:
                 )
             )
             port.sink.replace_entries(fifo)
-        memory.replay_grants(banks, self.is_read, span.isolated and self.ports)
+        memory.replay_grants(banks, self.is_read, span.isolated and ports)
         self.bundles_generated = min(span.generated + count, self.total_bundles)
         if self.is_read:
-            return self.extensions.apply_batch(np.concatenate(popped, axis=1))
+            popped = streams[:count].view(np.uint8).reshape(count, -1)
+            return self.extensions.apply_batch(popped)
         return None
 
     # ------------------------------------------------------------------

@@ -66,7 +66,8 @@ class EventDrivenEngine(SimulationEngine):
     (``steady_span``/``advance_active``, see :mod:`repro.engine.steady`) get
     the vectorized fast path over *active* steady-state spans as well:
     after a step that completes an output tile, the engine asks the target
-    for a verified periodic span and bulk-advances it.  ``macro_stepping=
+    for a verified periodic span and bulk-advances it, and asks again at
+    the span's end, where a capped span's successor chains.  ``macro_stepping=
     False`` restores the pure next-event scheduler (the parity oracle of
     the fast path).
     """
@@ -111,23 +112,26 @@ class EventDrivenEngine(SimulationEngine):
                     progress_callback(cycles)
                 if busy and macro:
                     # Active steady state: bulk-advance whole verified periods.
+                    # A jump's end is a boundary too, where the next may chain.
                     span = target.steady_span(max_cycles - cycles)
                     if span > 0:
-                        target.advance_active(span)
-                        previous = cycles
-                        cycles += span
-                        jumps += 1
-                        skipped += span
-                        if tracer is not None:
-                            tracer.instant(
-                                "macro_jump", describe, cat="engine", span=span
-                            )
-                        if (
-                            progress_callback is not None
-                            and cycles // progress_interval
-                            > previous // progress_interval
-                        ):
-                            progress_callback(cycles)
+                        while span > 0:
+                            target.advance_active(span)
+                            previous = cycles
+                            cycles += span
+                            jumps += 1
+                            skipped += span
+                            if tracer is not None:
+                                tracer.instant(
+                                    "macro_jump", describe, cat="engine", span=span
+                                )
+                            if (
+                                progress_callback is not None
+                                and cycles // progress_interval
+                                > previous // progress_interval
+                            ):
+                                progress_callback(cycles)
+                            span = target.steady_span(max_cycles - cycles)
                         continue
                 if not busy or target.last_step_activity:
                     continue

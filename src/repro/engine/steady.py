@@ -63,10 +63,18 @@ class SteadySpanStats:
 class _Plan:
     """A verified steady span, ready to commit."""
 
+    period: int
     periods: int
-    cycles: int
     delta: List[int]
     streams: list  # the moving streamers' StreamSpans
+    #: ``MAX_ROWS`` alone bounded the periods, so the same steady run goes
+    #: on past the span: the next plan chains at its end.
+    capped: bool
+    group: int = 0  # boundary records per period
+
+    @property
+    def cycles(self) -> int:
+        return self.periods * self.period
 
 
 class SteadySpanPlanner:
@@ -98,6 +106,10 @@ class SteadySpanPlanner:
         #: Group sizes whose bank pattern failed to verify (retired until the
         #: next successful jump — the failure is usually persistent).
         self._skip_groups: set = set()
+        #: The last jump's end cycle, and for a capped jump the (group,
+        #: period, delta, grant pointers one period back and now) a plan
+        #: chains with there.
+        self._jump_end: Optional[tuple] = None
 
     def _layout(self) -> None:
         slots: list = []
@@ -114,13 +126,26 @@ class SteadySpanPlanner:
         """Record a completed-tile boundary; return a committed span size.
 
         A non-zero return means a plan is staged and the engine must call
-        ``advance_active`` with exactly that many cycles next.
+        ``advance_active`` with exactly that many cycles next.  Called again
+        at the end of a jump that ``MAX_ROWS`` capped, it plans the next
+        span from the committed period without recording a boundary.
         """
         gemm = self.gemm
-        self.stats.boundaries += 1
         # Keep at least one tile for the per-cycle loop so the completion
         # cycle (and with it the final drain) is always stepped normally.
         tiles_remaining = gemm.job.output_tiles - gemm.tiles_completed - 1
+        jump_end, self._jump_end = self._jump_end, None
+        if jump_end is not None and jump_end[0] == self.memory.cycle:
+            chain = jump_end[1]
+            if chain is None:
+                return 0
+            group, period, delta, prev_grants, grants = chain
+            if tiles_remaining < MIN_PERIODS or limit < MIN_PERIODS * period:
+                return 0
+            return self._attempt(
+                group, period, delta, limit, tiles_remaining, prev_grants, grants
+            )
+        self.stats.boundaries += 1
         if tiles_remaining < MIN_PERIODS:
             self._history.clear()
             return 0
@@ -144,23 +169,33 @@ class SteadySpanPlanner:
             period = now - prev_cycle
             if period <= 0 or limit < MIN_PERIODS * period:
                 continue
-            self.stats.attempts += 1
             delta = [value - prev for value, prev in zip(snapshot, prev_snapshot)]
-            try:
-                plan = self._prepare(
-                    period, delta, limit, tiles_remaining, prev_grants, grants
-                )
-            except SteadyBail as bail:
-                reason = bail.args[0]
-                self.stats.bail(*bail.args)
-                if reason in ("bank_pattern", "bank_overlap"):
-                    self._skip_groups.add(group)
-                    if len(self._skip_groups) == MAX_GROUP:
-                        self.stats.bail("retired")
-                continue
-            self._plan = plan
-            return plan.cycles
+            cycles = self._attempt(
+                group, period, delta, limit, tiles_remaining, prev_grants, grants
+            )
+            if cycles:
+                return cycles
         return 0
+
+    def _attempt(
+        self, group, period, delta, limit, tiles_remaining, prev_grants, grants
+    ) -> int:
+        """Plan one candidate period and stage it; ``0`` when it bails."""
+        self.stats.attempts += 1
+        try:
+            plan = self._prepare(
+                period, delta, limit, tiles_remaining, prev_grants, grants
+            )
+        except SteadyBail as bail:
+            self.stats.bail(*bail.args)
+            if bail.args[0] in ("bank_pattern", "bank_overlap"):
+                self._skip_groups.add(group)
+                if len(self._skip_groups) == MAX_GROUP:
+                    self.stats.bail("retired")
+            return 0
+        plan.group = group
+        self._plan = plan
+        return plan.cycles
 
     def advance_active(self, cycles: int) -> None:
         """Commit the staged plan (the span returned by :meth:`boundary`)."""
@@ -178,12 +213,26 @@ class SteadySpanPlanner:
         assert self._history
         _, signature, snapshot, _ = self._history[-1]
         self._history.clear()
+        now = self.memory.cycle
+        self._jump_end = (now, None)
         if not any(span.runs_out(plan.periods) for span in plan.streams):
             snapshot = [
                 v + step * plan.periods for v, step in zip(snapshot, plan.delta)
             ]
             grants = self.memory.grant_pointers()
-            self._history.append((self.memory.cycle, signature, snapshot, grants))
+            self._history.append((now, signature, snapshot, grants))
+            if plan.capped:
+                # The run goes on: plan the next span right here, against
+                # the pointers one period back.  Tiled banks repeat theirs
+                # every period; a bank an isolated stream granted in the
+                # last period is left out, so it reads as differing.
+                prev_grants = dict(grants)
+                for span in plan.streams:
+                    if span.isolated:
+                        for bank in np.unique(span.grants[0][-span.delta :]).tolist():
+                            prev_grants.pop(bank, None)
+                chain = (plan.group, plan.period, plan.delta, prev_grants, grants)
+                self._jump_end = (now, chain)
         self._skip_groups.clear()
         isolated = sum(span.isolated for span in plan.streams)
         self.stats.isolated_streams += isolated
@@ -328,7 +377,8 @@ class SteadySpanPlanner:
         # feeds memory.
         if seen_reads != set(consumers) or write_spans != 1:
             raise SteadyBail("dataflow_incomplete")
-        return _Plan(periods, periods * period, delta, streams)
+        capped = bound == "max_rows" and periods == bounds[bound]
+        return _Plan(period, periods, delta, streams, capped)
 
     # ------------------------------------------------------------------
     # Replay (mutating; all preconditions already verified).

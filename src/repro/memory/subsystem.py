@@ -39,7 +39,7 @@ has proven inactive.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
@@ -389,12 +389,14 @@ class MemorySubsystem:
                 raise SteadyBail("foreign_requester")
         return flights
 
-    def in_flight_words(self, port: MemoryPort) -> list:
-        """``port``'s granted, undelivered words, oldest first."""
-        return [
-            data for _, batch in self._in_flight for owner, data, _ in batch
-            if owner is port
-        ]
+    def in_flight_words(self) -> Dict[MemoryPort, list]:
+        """Every port's granted, undelivered words, oldest first; a port
+        with none reads as an empty list."""
+        words: Dict[MemoryPort, list] = defaultdict(list)
+        for _, batch in self._in_flight:
+            for port, data, _ in batch:
+                words[port].append(data)
+        return words
 
     def replay_grants(self, banks: np.ndarray, is_read: bool, ports=None) -> None:
         """Count a steady span's grants on the banks: row ``i`` of ``banks``

@@ -284,9 +284,11 @@ class AcceleratorSystem:
 
         Returns ``0`` except right after a step that completed an output
         tile whose surrounding schedule is a verified periodic steady state
-        (see :mod:`repro.engine.steady`).  A non-zero return stages a plan;
-        the caller must follow up with :meth:`advance_active` for exactly
-        that many cycles.  ``limit`` caps the span (budget remaining).
+        (see :mod:`repro.engine.steady`), and at the end of a jump that
+        ``MAX_ROWS`` capped, where the next span chains.  A non-zero return
+        stages a plan; the caller must follow up with :meth:`advance_active`
+        for exactly that many cycles.  ``limit`` caps the span (budget
+        remaining).
         """
         if not self._tile_completed or self._program is None:
             return 0

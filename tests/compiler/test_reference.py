@@ -105,6 +105,63 @@ class TestConvReference:
         assert np.array_equal(doubled, 2 * single)
 
 
+def wrapped_gemm(a, b, bias=None):
+    """Plain int64 GeMM, wrapped to int32 at the end."""
+    out = a.astype(np.int64) @ b.astype(np.int64)
+    if bias is not None:
+        out = out + bias.astype(np.int64)
+    return out.astype(np.int32)
+
+
+def wrapped_conv(fmap, weights, bias=None):
+    """Plain int64 convolution (stride 1, no padding) as an im2col GeMM,
+    wrapped to int32 at the end."""
+    kernel_h, kernel_w, _, out_channels = weights.shape
+    matrix = im2col_reference(fmap, kernel_h, kernel_w).astype(np.int64)
+    out = matrix @ weights.reshape(-1, out_channels).astype(np.int64)
+    if bias is not None:
+        out = out + bias.astype(np.int64)
+    out_h = fmap.shape[0] - kernel_h + 1
+    return out.reshape(out_h, -1, out_channels).astype(np.int32)
+
+
+class TestInt32Wraparound:
+    """Both references accumulate mod 2**32: they equal a plain int64
+    computation wrapped to int32, also where a sum leaves int32's range."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-128, 128, size=(9, 40), dtype=np.int8)
+        b = rng.integers(-128, 128, size=(40, 7), dtype=np.int8)
+        bias = rng.integers(-(2**31), 2**31, size=7, dtype=np.int64).astype(np.int32)
+        assert np.array_equal(gemm_reference(a, b, bias), wrapped_gemm(a, b, bias))
+        fmap = rng.integers(-128, 128, size=(6, 5, 8), dtype=np.int8)
+        weights = rng.integers(-128, 128, size=(3, 2, 8, 4), dtype=np.int8)
+        conv_bias = rng.integers(-(2**31), 2**31, size=4, dtype=np.int64)
+        assert np.array_equal(
+            conv2d_reference(fmap, weights, conv_bias.astype(np.int32)),
+            wrapped_conv(fmap, weights, conv_bias.astype(np.int32)),
+        )
+
+    def test_all_minus_128_operands_wrap(self):
+        # (-128)**2 = 2**14, so 2**17 + 3 products leave int32's range.
+        k = 2**17 + 3
+        a = np.full((2, k), -128, dtype=np.int8)
+        b = np.full((k, 3), -128, dtype=np.int8)
+        expected = wrapped_gemm(a, b)
+        assert expected[0, 0] == k * 2**14 - 2**32
+        assert np.array_equal(gemm_reference(a, b), expected)
+        # One filter tap whose own reduction wraps, and many taps whose
+        # sum does.
+        for shape in [(1, 1, k, 2), (3, 3, 2**14 + 1, 2)]:
+            weights = np.full(shape, -128, dtype=np.int8)
+            fmap = np.full((shape[0], shape[1] + 1, shape[2]), -128, dtype=np.int8)
+            expected = wrapped_conv(fmap, weights)
+            assert expected.min() < 0
+            assert np.array_equal(conv2d_reference(fmap, weights), expected)
+
+
 class TestIm2colReference:
     def test_shape(self):
         fmap = np.zeros((5, 5, 3), dtype=np.int8)

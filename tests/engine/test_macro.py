@@ -317,6 +317,117 @@ class TestConvEngages:
 
 
 # ----------------------------------------------------------------------
+# Chained jumps: a span that MAX_ROWS capped goes on from its own end.
+# ----------------------------------------------------------------------
+class ChainSpy(AcceleratorSystem):
+    """Records each jump as (start cycle, cycles) and the planner's answer
+    at each jump's end as (cycle, span, bails it added); ``at_end`` tells
+    whether the current question is asked at a jump's end."""
+
+    def __init__(self, design):
+        super().__init__(design)
+        self.jumps = []
+        self.at_ends = []
+        self.at_end = False
+
+    def advance_active(self, cycles):
+        self.jumps.append((self._cycles, cycles))
+        super().advance_active(cycles)
+
+    def steady_span(self, limit):
+        at_end = self.at_end = bool(self.jumps) and self._cycles == sum(self.jumps[-1])
+        before = dict(self.steady_stats().get("bails", {})) if at_end else None
+        span = super().steady_span(limit)
+        if at_end:
+            bails = self.steady_stats()["bails"]
+            added = {k: v - before.get(k, 0) for k, v in bails.items() if v != before.get(k, 0)}
+            self.at_ends.append((self._cycles, span, added))
+        return span
+
+
+def run_spied(make_program):
+    """Lockstep vs event on a :class:`ChainSpy`: results, deep state and
+    every streamer's channel statistics identical."""
+    reference = AcceleratorSystem(DESIGN)
+    lockstep = reference.run(make_program(), engine="lockstep")
+    system = ChainSpy(DESIGN)
+    event = system.run(make_program(), engine="event")
+    assert_results_identical(lockstep, event)
+    assert_deep_state_identical(reference, system)
+    for name, streamer in reference.streamers.items():
+        assert streamer.channel_statistics() == system.streamers[name].channel_statistics()
+    return system, event
+
+
+class TestChainedJumps:
+    def test_a_capped_jump_chains_at_its_end(self):
+        """The ViT/BERT crop shape: ``MAX_ROWS`` caps the first jump at 32
+        tiles, and the second goes on from its end without stepping a tile
+        to re-observe the period (the planner used to step 64 cycles more)."""
+        workload = GemmWorkload(name="macro_crop", m=64, n=64, k=512, with_bias=True)
+        system, event = run_spied(
+            lambda: compile_workload(workload, DESIGN, FeatureSet.all_enabled())
+        )
+        stats = system.steady_stats()
+        assert event.kernel_cycles == 4099
+        assert stats["jumps"] == 2
+        assert event.kernel_cycles - stats["cycles_skipped"] == 259
+        (start, cycles), (chained, _) = system.jumps
+        assert chained == start + cycles
+
+    def test_a_chained_plan_that_bails_steps_a_tile(self, monkeypatch):
+        """A's rows start to self-conflict on tile 24 (see
+        ``test_row_self_conflict_mid_span_truncates``); with four tiles per
+        jump the chained plan meets them, bails on ``bank_pattern``, and the
+        per-cycle loop takes over until the next boundary."""
+        monkeypatch.setattr(steady, "MAX_ROWS", 32)
+        system, event = run_spied(
+            lambda: reprogrammed(
+                compute_bound_workload(),
+                A=dict(
+                    base_address=(16 * 256 + 232) * 8,
+                    bank_group_size=1,
+                    spatial_strides=(255 * 8,),
+                    temporal_strides=(8, 0, 64),
+                ),
+            )
+        )
+        assert event.streamer_stats["A"].bank_conflict_retries > 0
+        bailed = [(cycle, bails) for cycle, _, bails in system.at_ends if bails]
+        assert [bails for _, bails in bailed] == [{"bank_pattern": 1}]
+        assert any(span for _, span, _ in system.at_ends), "other jumps chain"
+        # No jump at the bail: the next one starts after stepped cycles.
+        cycle = bailed[0][0]
+        assert min(start for start, _ in system.jumps if start >= cycle) > cycle
+
+    def test_a_pointer_the_replay_cannot_know_reads_as_differing(self, monkeypatch):
+        """A bank an isolated stream granted in a capped span's last period
+        has no pointer one period back that the replay derived.  Should the
+        chained plan verify that stream by tiling (forced here: A's span is
+        not isolated at a jump's end), those banks' pointers count as
+        differing, and it bails ``arbiter_state`` instead of jumping."""
+        monkeypatch.setattr(steady, "MAX_ROWS", 64)
+        plan_span = DataMaestro.plan_span
+        system = ChainSpy(DESIGN)
+
+        def tiled_at_an_end(streamer, *args):
+            span = plan_span(streamer, *args)
+            if span is not None and streamer.name == "A" and system.at_end:
+                span.isolated = False
+            return span
+
+        monkeypatch.setattr(DataMaestro, "plan_span", tiled_at_an_end)
+        reference = AcceleratorSystem(DESIGN)
+        lockstep = reference.run(reprogrammed(compute_bound_workload()), engine="lockstep")
+        event = system.run(reprogrammed(compute_bound_workload()), engine="event")
+        assert_results_identical(lockstep, event)
+        assert_deep_state_identical(reference, system)
+        *chained, (_, last, _) = system.at_ends
+        assert len(chained) >= 5 and last == 0
+        assert all(span == 0 and bails == {"arbiter_state": 1} for _, span, bails in chained)
+
+
+# ----------------------------------------------------------------------
 # Stream ends: a span runs to the issues a stream has left.
 # ----------------------------------------------------------------------
 def head_workload():

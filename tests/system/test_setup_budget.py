@@ -9,21 +9,25 @@ counts, not seconds, so the budget holds on any runner.  Per job, parent
 channels built only where the kernel uses them, a lean first window and a
 compile without ``np.pad``:
 
-=============  ===================  ===================
-stage          repro calls          numpy calls
-=============  ===================  ===================
-compile        437.7 → 143.0        157.6 → 57.5
-build          99.0 → 101.0         65.0 → 2.0
-load           1058.7 → 373.0       73.0 → 30.3
-first windows  86.7 → 33.0          73.3 → 18.3
-read-back      10.0 → 13.0          37.0 → 23.0
-outcome        133.0 → 114.3        0.0 → 0.0
-total          1825.0 → 777.4       405.9 → 131.2
-=============  ===================  ===================
+=================  ===================  ===================
+stage              repro calls          numpy calls
+=================  ===================  ===================
+compile            437.7 → 143.0        157.6 → 57.5
+build              99.0 → 101.0         65.0 → 2.0
+load               1058.7 → 373.0       73.0 → 30.3
+first windows      86.7 → 33.0          73.3 → 18.3
+read-back          10.0 → 13.0          37.0 → 23.0
+outcome            133.0 → 114.3        0.0 → 0.0
+total              1825.0 → 777.4       405.9 → 131.2
+compile (einsum)   143.0 → 143.0        57.5 → 64.5
+=================  ===================  ===================
 
 The parent bound its channels' memory ports at the first issue, inside the
 stepped cycles; they are bound at load now, so ``load`` counts them.  The
-budget is half the parent's totals.
+budget is half the parent's totals.  The last row came later: the compile's
+int32 reference GeMM and convolution taps became ``np.einsum`` calls (about
+3x faster than the int32 ``np.matmul`` on a 48³ GeMM, at 7 more numpy calls
+per job).
 
 ``tools/step_cost.py step`` reads the same run for the other half: ``repro``
 and numpy calls inside the engine's ``drive``, first windows aside, per
