@@ -242,46 +242,40 @@ class GemmCore:
         c_words: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Pure batched datapath: ``count`` whole output tiles in one
-        batched int32 matmul.
+        batched int8 product with int32 accumulation.
 
         ``a_words``/``b_words`` hold ``count * tiles_k`` operand words of
-        ``word_bytes`` uint8 each, in pop order (as rows or flat);
-        ``c_words`` holds ``count`` init-stream words of ``acc_word_bytes``
-        (or is ``None`` for zero initialisation).  A tile's ``tiles_k`` A
-        words side by side are one ``Mu × tiles_k·Ku`` matrix and its B
-        words stacked one ``tiles_k·Ku × Nu`` matrix, so the whole
-        reduction is one ``(count, Mu, tiles_k·Ku) @ (count, tiles_k·Ku,
-        Nu)`` product.  Returns the ``(count, acc_word_bytes)`` byte images
-        to push to the sink — bit-identical to ``count * tiles_k``
-        sequential MAC steps, because int32 accumulation is associative
-        even under wraparound.  Counters and indices are *not* touched;
-        :meth:`step` (one tile) and the macro-step replayer (whole spans)
-        own those.
+        ``word_bytes`` uint8 each, in pop order (as contiguous rows or
+        flat); ``c_words`` holds ``count`` init-stream words of
+        ``acc_word_bytes`` (or is ``None`` for zero initialisation).  A
+        tile's ``tiles_k`` A words side by side are one ``Mu × tiles_k·Ku``
+        int8 matrix and its B words stacked, transposed, one ``Nu ×
+        tiles_k·Ku`` int8 matrix, so the whole reduction is one ``einsum``
+        over rows that are contiguous on both sides, accumulated in int32.
+        Returns the ``(count, acc_word_bytes)`` byte images to push to the
+        sink — bit-identical to ``count * tiles_k`` sequential MAC steps,
+        because int32 accumulation is associative even under wraparound.
+        Counters and indices are *not* touched; :meth:`step` (one tile) and
+        the macro-step replayer (whole spans) own those.
         """
         assert self.job is not None
         k = self.job.tiles_k
+        mu, nu, ku = self.mu, self.nu, self.ku
+        # An A word is Mu rows of Ku bytes; each row moves whole.
         a_tiles = (
-            np.ascontiguousarray(a_words, dtype=np.uint8)
-            .view(np.int8)
-            .reshape(count, k, self.mu, self.ku)
+            a_words.reshape(count, k, mu, ku)
+            .view((np.void, ku))
             .transpose(0, 2, 1, 3)
-            .astype(np.int32, order="C")
-            .reshape(count, self.mu, k * self.ku)
+            .copy()
+            .view(np.int8)
+            .reshape(count, mu, k * ku)
         )
         b_tiles = (
-            np.ascontiguousarray(b_words, dtype=np.uint8)
-            .view(np.int8)
-            .reshape(count, k * self.ku, self.nu)
-            .astype(np.int32)
+            b_words.view(np.int8).reshape(count, k * ku, nu).transpose(0, 2, 1).copy()
         )
-        acc = np.matmul(a_tiles, b_tiles)
+        acc = np.einsum("cmk,cnk->cmn", a_tiles, b_tiles, dtype=np.int32)
         if c_words is not None:
-            acc = acc + (
-                np.ascontiguousarray(c_words, dtype=np.uint8)
-                .view(np.int32)
-                .reshape(count, self.mu, self.nu)
-            )
-        acc = np.ascontiguousarray(acc, dtype=np.int32)
+            acc += c_words.view(np.int32).reshape(count, mu, nu)
         return acc.view(np.uint8).reshape(count, -1)
 
     def step(self) -> bool:

@@ -985,9 +985,11 @@ def cmd_suite_info(_args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from .serve.replay import REGIMES
+#: ``repro.serve.replay.REGIMES``' names, spelled out: the parser loads no service.
+REPLAY_REGIMES = ("poisson", "diurnal", "bursty", "hotkey")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="DataMaestro reproduction command-line interface"
     )
@@ -1206,7 +1208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--regime",
-        choices=tuple(REGIMES),
+        choices=REPLAY_REGIMES,
         default="poisson",
         help="synthetic arrival regime (ignored with --trace-file; "
         "default: poisson)",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 class TemporalAddressGenerator:
@@ -65,6 +65,27 @@ class TemporalAddressGenerator:
         beyond :attr:`total_iterations` are not representable and raise
         ``ValueError``.
         """
+        outer, loops, skip = self.blocks(start_step, count)
+        inner = self.pass_offsets(loops)
+        return (outer[:, None] + inner).ravel()[skip : skip + count]
+
+    def pass_offsets(self, loops: int):
+        """The address offsets of one pass through the innermost ``loops``
+        loops, in step order."""
+        import numpy as np
+
+        steps = np.arange(math.prod(self.bounds[:loops]), dtype=np.int64)
+        return self._evaluate(steps, slice(None, loops), 0)
+
+    def blocks(self, start_step: int, count: int, dtype=None):
+        """The window ``[start_step, start_step+count)`` as whole passes
+        through its inner loops — the innermost loops whose steps fit in
+        ``count``: ``(outer, loops, skip)``, where ``outer`` holds the
+        address each pass the window touches starts at (in ``dtype``,
+        int64 by default), ``loops`` the number of inner loops (see
+        :meth:`pass_offsets`), and the window begins ``skip`` steps into
+        the first pass.  Evaluates the loop nest on a few short arrays
+        instead of once per step."""
         import numpy as np
 
         if start_step < 0 or start_step + count > self.total_iterations:
@@ -72,13 +93,30 @@ class TemporalAddressGenerator:
                 f"step window [{start_step}, {start_step + count}) outside "
                 f"[0, {self.total_iterations})"
             )
-        steps = np.arange(start_step, start_step + count, dtype=np.int64)
-        addresses = np.zeros(count, dtype=np.int64) + self.base_address
+        loops = 0
         radix = 1
-        for bound, stride in zip(self.bounds, self.strides):
+        for bound in self.bounds:
+            if radix * bound > count:
+                break
+            loops += 1
+            radix *= bound
+        if radix == 1:
+            loops = 0  # unit loops make no pass worth evaluating apart
+        first, skip = divmod(start_step, radix)
+        passes = np.arange(first, -(-(start_step + count) // radix), dtype=np.int64)
+        outer = self._evaluate(passes, slice(loops, None), self.base_address, dtype)
+        return outer, loops, skip
+
+    def _evaluate(self, steps, loops: slice, base: int, dtype=None):
+        """``base`` plus the address offsets that the ``loops`` (innermost
+        first) give each of ``steps``, a step counted in their radix."""
+        import numpy as np
+
+        addresses = np.zeros(len(steps), dtype=dtype or np.int64) + base
+        for bound, stride in zip(self.bounds[loops], self.strides[loops]):
             if bound > 1:  # a unit loop contributes nothing
-                addresses += (steps // radix) % bound * stride
-                radix *= bound
+                steps, index = np.divmod(steps, bound)
+                addresses += index * stride
         return addresses
 
 
@@ -132,22 +170,53 @@ class AddressGenerationUnit:
         )
         self.spatial = SpatialAddressGenerator(spatial_bounds, spatial_strides)
         self.total_bundles = self.temporal.total_iterations
+        #: The temporal addresses' range: the base plus each dimension's
+        #: extreme ``(bound - 1) * stride``, every dimension independent.
+        self._reach = [self.temporal.base_address] * 2
+        for bound, stride in zip(temporal_bounds, temporal_strides):
+            self._reach[stride > 0] += (bound - 1) * stride
+        lowest, highest = self.extremes()
+        #: Every address fits int32, so the address matrices are int32, half
+        #: int64's bytes (a partial sum that does not fit wraps, and the
+        #: address it adds up to is still exact).
+        self._narrow = -(2**31) <= lowest and highest < 2**31
+        #: One pass's per-channel offsets by (loops, channels): a memo of a
+        #: pure function of the loop nest, not state.
+        self._passes: Dict[tuple, object] = {}
+
+    def extremes(self, active_channels: int = 0) -> Tuple[int, int]:
+        """The lowest and highest address of the stream on its first
+        ``active_channels`` channels (``0``: all) — no address matrix
+        needed."""
+        offsets = self.spatial.offsets[: active_channels or None]
+        return self._reach[0] + min(offsets), self._reach[1] + max(offsets)
 
     def address_matrix(self, start_step: int, count: int, active_channels: int = 0):
         """Per-channel addresses for bundle steps ``[start, start+count)``.
 
-        Returns an ``int64`` array of shape ``(count, channels)`` whose row
-        ``i`` holds bundle ``start_step + i``'s address on each channel;
+        Returns an array of shape ``(count, channels)`` whose row ``i``
+        holds bundle ``start_step + i``'s address on each channel, int32
+        when every address of the stream fits it and int64 otherwise;
         ``active_channels`` keeps the first channels only (when the
         Broadcaster narrows the memory-side fetch), ``0`` keeps them all.
         """
         import numpy as np
 
-        temporal = self.temporal.address_batch(start_step, count)
+        dtype = np.int32 if self._narrow else np.int64
+        outer, loops, skip = self.temporal.blocks(start_step, count, dtype)
         offsets = self.spatial.offsets
         if active_channels not in (0, self.spatial.num_points):
             offsets = offsets[:active_channels]
-        return temporal[:, None] + np.asarray(offsets, dtype=np.int64)[None, :]
+        if not loops:  # a window shorter than the innermost loop
+            return outer[:, None] + np.asarray(offsets, dtype=dtype)
+        # One pass of the inner loops on every channel, then each pass.
+        table = self._passes.get((loops, len(offsets)))
+        if table is None:
+            inner = self.temporal.pass_offsets(loops)
+            table = np.add.outer(inner, offsets, dtype=dtype)
+            self._passes[loops, len(offsets)] = table
+        matrix = (outer[:, None, None] + table).reshape(-1, len(offsets))
+        return matrix[skip : skip + count]
 
 
 # ----------------------------------------------------------------------

@@ -80,21 +80,19 @@ class AddressRemapper:
         return decode_address(address, self.geometry, self.selected_group_size)
 
     def decode_batch(self, addresses):
-        """Vectorized :meth:`decode` over an ``int64`` array of addresses of
-        a programmed stream.
-
-        Returns ``(banks, lines, byte_offsets)`` int64 arrays shaped like
-        ``addresses`` — one numpy evaluation instead of one
-        :class:`BankLocation` per address.  No range check: a stream's
-        extreme addresses are checked against the scratchpad when it is
-        programmed (``DataMaestro.configure``), so every address it produces
-        decodes.
+        """Vectorized :meth:`decode` over an integer array of addresses of
+        a programmed stream, without the byte offsets: ``(banks, lines)``
+        arrays of the addresses' type and shape — one numpy evaluation
+        instead of one :class:`BankLocation` per address.  No range check: a
+        stream's extreme addresses are checked against the scratchpad when
+        it is programmed (``DataMaestro.configure``), so every address it
+        produces decodes.
         """
-        width = self.geometry.bank_width_bytes
-        banks, lines = decode_word_batch(
-            addresses // width, self.geometry, self.selected_group_size
+        return decode_word_batch(
+            addresses // self.geometry.bank_width_bytes,
+            self.geometry,
+            self.selected_group_size,
         )
-        return banks, lines, addresses % width
 
     def available_modes(self) -> Dict[int, AddressingMode]:
         """Map every RS index to its addressing mode (for reports)."""

@@ -65,6 +65,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -112,7 +113,9 @@ class StreamSpan:
     #: Most periods the stream can move through: its issue cursor stops
     #: one address short of its last, so an address stays queued.
     periods_left: int
-    #: The span's :meth:`rows`, gathered once by the planner for the replay.
+    #: The span's :meth:`rows` as ``(banks, keys)``, a key the word's index
+    #: ``bank * depth + line`` in the scratchpad; gathered once by the
+    #: planner for the replay.
     grants: Optional[tuple] = None
 
     def rows(self, count: int):
@@ -256,25 +259,9 @@ class DataMaestro:
             self.ports.append(port)
 
     def _check_address_range(self) -> None:
-        """Reject a stream that would leave the scratchpad, before cycle 0.
-
-        Every loop dimension is independent, so the extreme addresses are
-        the base plus each dimension's extreme ``(bound - 1) * stride`` plus
-        the extreme spatial offset — no address matrix needed.
-        """
-        temporal = self.agu.temporal
-        offsets = self.agu.spatial.offsets[: self.active_channels]
-        lowest = highest = temporal.base_address
-        for bound, stride in zip(temporal.bounds, temporal.strides):
-            reach = (bound - 1) * stride
-            if reach < 0:
-                lowest += reach
-            else:
-                highest += reach
-        lowest += min(offsets)
-        highest += max(offsets)
+        """Reject a stream that would leave the scratchpad, before cycle 0."""
         capacity = self.remapper.geometry.capacity_bytes
-        for address in (lowest, highest):
+        for address in self.agu.extremes(self.active_channels):
             if not 0 <= address < capacity:
                 raise ValueError(
                     f"{self.name}: programmed stream reaches address "
@@ -425,8 +412,7 @@ class DataMaestro:
         """``(banks, lines)`` of bundle steps ``[step, step + count)``, one
         row per step — the address window's and a steady span's rows."""
         matrix = self.agu.address_matrix(step, count, self.active_channels)
-        banks, lines, _ = self.remapper.decode_batch(matrix)
-        return banks, lines
+        return self.remapper.decode_batch(matrix)
 
     def _refill_window(self) -> None:
         """Decode :data:`ADDRESS_WINDOW` bundles from the issue cursor on —
@@ -676,53 +662,68 @@ class DataMaestro:
         channel's span words start after its own queued ones."""
         count = periods * span.delta
         ports = self.ports
-        width = self.design.bank_width_bytes
-        word = np.dtype((np.void, width))
-        cells = memory.scratchpad.storage.reshape(-1, width).view(word).ravel()
-        banks, lines = span.grants
-        keys = banks * memory.geometry.bank_depth + lines
+        is_read = self.is_read
+        cells = memory.scratchpad.words
+        word = cells.dtype
+        banks, keys = span.grants
         issued, words = self.requests_issued, self.words_streamed
-        if self.is_read:
+        if is_read:
             in_flight = memory.in_flight_words()
             queued = [[*port.sink.entries, *in_flight[port]] for port in ports]
             spanned = cells[keys]
         else:
-            queued = [
-                [data for _, _, data, _ in port.pending] + [*port.sink.entries]
-                for port in ports
-            ]
+            data = itemgetter(2)  # of a pending (bank, line, data, request)
+            queued = [[*map(data, port.pending), *port.sink.entries] for port in ports]
             spanned = self.extensions.apply_batch(pushed).view(word)
         depths = [len(entries) for entries in queued]
-        streams = np.empty((max(depths) + count, len(ports)), word)
-        for column, entries in enumerate(queued):
-            if entries:
-                streams[: depths[column], column] = np.frombuffer(b"".join(entries), word)
-        streams[np.add.outer(np.arange(count), depths), np.arange(len(ports))] = spanned
-        if not self.is_read:
+        # The channels that queued as many words move together: their
+        # queued words, then the span's, are one row slice of them — of all
+        # channels when every channel queued as many.
+        groups: Dict[int, list] = {}
+        for column, depth in enumerate(depths):
+            groups.setdefault(depth, []).append(column)
+        streams = np.empty((max(groups) + count, len(ports)), word)
+        for depth, columns in groups.items():
+            where = slice(None) if len(columns) == len(ports) else columns
+            if depth:
+                joined = b"".join(
+                    [queued[column][row] for row in range(depth) for column in columns]
+                )
+                streams[:depth, where] = np.frombuffer(joined, word).reshape(depth, -1)
+            streams[depth : depth + count, where] = spanned[:, where]
+        if not is_read:
             cells[keys] = streams[:count]
         # The words queued after the span, copied out so that the queues
-        # do not hold the whole span's array.
-        queues = streams[count:].view(np.uint8).reshape(-1, len(ports), width).copy()
-        for column, port in enumerate(ports):
-            after = queues[: depths[column], column]
-            if self.is_read:
+        # do not hold the whole span's array, and the span rows each channel
+        # has not been granted yet, as lists for every channel at once.
+        queues = streams[count:].view(np.uint8).reshape(-1, len(ports), word.itemsize)
+        queues = queues.copy()
+        first = min([port.granted for port in ports]) + count - span.lo
+        end = issued + count - span.lo
+        waiting = zip(
+            span.banks[first:end].T.tolist(), span.lines[first:end].T.tolist()
+        )
+        for column, (port, (bank_rows, line_rows)) in enumerate(zip(ports, waiting)):
+            queue = queues[: depths[column], column]
+            if is_read:
                 buffered = port.delivered - words
-                fifo, flying[port] = after[:buffered], iter(after[buffered:])
+                fifo, flying[port] = queue[:buffered], iter(queue[buffered:])
             else:
-                fifo, flying[port] = after[issued - port.granted :], repeat(None)
-            rows = slice(port.granted + count - span.lo, issued + count - span.lo)
+                fifo, flying[port] = queue[issued - port.granted :], repeat(None)
+            skip = port.granted + count - span.lo - first
             port.pending = deque(
                 zip(
-                    span.banks[rows, column].tolist(),
-                    span.lines[rows, column].tolist(),
-                    repeat(None) if self.is_read else after,
+                    bank_rows[skip:],
+                    line_rows[skip:],
+                    repeat(None) if is_read else queue,
                     repeat(None),
                 )
             )
-            port.sink.replace_entries(fifo)
-        memory.replay_grants(banks, self.is_read, span.isolated and ports)
+            if len(fifo) or port.sink.entries:
+                port.sink.replace_entries(fifo)
+        memory.replay_grants(banks, is_read, span.isolated and ports)
         self.bundles_generated = min(span.generated + count, self.total_bundles)
-        if self.is_read:
+        if is_read:
             popped = streams[:count].view(np.uint8).reshape(count, -1)
             return self.extensions.apply_batch(popped)
         return None

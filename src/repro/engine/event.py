@@ -29,6 +29,7 @@ workloads.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Callable, Optional, Union
 
 from ..obs.metrics import get_registry
@@ -113,17 +114,29 @@ class EventDrivenEngine(SimulationEngine):
                 if busy and macro:
                     # Active steady state: bulk-advance whole verified periods.
                     # A jump's end is a boundary too, where the next may chain.
+                    # A tracer times the call that staged each jump and the
+                    # jump itself.
+                    if tracer is not None:
+                        started = perf_counter()
                     span = target.steady_span(max_cycles - cycles)
                     if span > 0:
                         while span > 0:
+                            if tracer is not None:
+                                planned = perf_counter()
                             target.advance_active(span)
                             previous = cycles
                             cycles += span
                             jumps += 1
                             skipped += span
                             if tracer is not None:
+                                replayed = perf_counter()
                                 tracer.instant(
-                                    "macro_jump", describe, cat="engine", span=span
+                                    "macro_jump",
+                                    describe,
+                                    cat="engine",
+                                    span=span,
+                                    plan_ms=(planned - started) * 1e3,
+                                    replay_ms=(replayed - planned) * 1e3,
                                 )
                             if (
                                 progress_callback is not None
@@ -131,6 +144,8 @@ class EventDrivenEngine(SimulationEngine):
                                 > previous // progress_interval
                             ):
                                 progress_callback(cycles)
+                            if tracer is not None:
+                                started = perf_counter()
                             span = target.steady_span(max_cycles - cycles)
                         continue
                 if not busy or target.last_step_activity:

@@ -33,6 +33,33 @@ MAX_ROWS = 2048
 MAX_GROUP = 16
 
 
+def bank_masks(banks: np.ndarray, num_banks: int) -> np.ndarray:
+    """Each row of ``banks`` as a bitmask of the banks it names, sorting
+    nothing: ``(rows, words)`` uint64, bank ``b`` bit ``b % 64`` of word
+    ``b // 64``.  Computed channel-major, so that each OR runs along a
+    whole column."""
+    columns = banks.T.astype(np.uint64, order="C")
+    if num_banks <= 64:
+        return np.bitwise_or.reduce(np.left_shift(np.uint64(1), columns), axis=0)[
+            :, np.newaxis
+        ]
+    bits = np.left_shift(np.uint64(1), columns & np.uint64(63))
+    words = columns >> np.uint64(6)
+    return np.stack(
+        [
+            np.bitwise_or.reduce(np.where(words == word, bits, np.uint64(0)), axis=0)
+            for word in range(-(-num_banks // 64))
+        ],
+        axis=1,
+    )
+
+
+def footprint(masks: np.ndarray) -> int:
+    """The banks that rows of :func:`bank_masks` name, as one int bitmask."""
+    words = np.bitwise_or.reduce(masks, axis=0).tolist()
+    return sum(word << 64 * index for index, word in enumerate(words))
+
+
 @dataclass
 class SteadySpanStats:
     """Observability counters of the macro-step fast path."""
@@ -229,7 +256,8 @@ class SteadySpanPlanner:
                 prev_grants = dict(grants)
                 for span in plan.streams:
                     if span.isolated:
-                        for bank in np.unique(span.grants[0][-span.delta :]).tolist():
+                        last = np.bincount(span.grants[0][-span.delta :].ravel())
+                        for bank in last.nonzero()[0].tolist():
                             prev_grants.pop(bank, None)
                 chain = (plan.group, plan.period, plan.delta, prev_grants, grants)
                 self._jump_end = (now, chain)
@@ -282,11 +310,13 @@ class SteadySpanPlanner:
         # other stream's schedule must tile the reference period exactly; the
         # first deviating row (e.g. a bank conflict breaking the steady state)
         # truncates the jump right before its period.
-        def clip(span, periods: int) -> int:
+        num_banks = memory.geometry.num_banks
+        masks = [bank_masks(span.banks, num_banks) for span in streams]
+
+        def clip(span, mask, periods: int) -> int:
             banks = span.banks
             if span.isolated:
-                ordered = np.sort(banks, axis=1)
-                good = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+                good = np.bitwise_count(mask).sum(axis=1) == banks.shape[1]
                 first = span.lo
             else:
                 good = np.all(banks[span.delta :] == banks[: -span.delta], axis=1)
@@ -296,57 +326,63 @@ class SteadySpanPlanner:
             deviating = first + int(np.argmin(good))
             return min(periods, (deviating - span.generated) // span.delta)
 
-        for span in streams:
-            periods = clip(span, periods)
+        for span, mask in zip(streams, masks):
+            periods = clip(span, mask, periods)
         if periods < MIN_PERIODS:
             raise SteadyBail("bank_pattern")
 
         # Isolation also needs footprints (reference period + span) shared
         # with nobody; a stream that shares a bank falls back to exact tiling.
-        num_banks = memory.geometry.num_banks
         footprints = [
-            np.bincount(
-                span.banks[: span.generated + periods * span.delta - span.lo].ravel(),
-                minlength=num_banks,
-            ).astype(bool)
-            for span in streams
+            footprint(mask[: span.generated + periods * span.delta - span.lo])
+            for span, mask in zip(streams, masks)
         ]
-        shared = np.sum(footprints, axis=0) > 1
-        tiled = np.zeros(num_banks, dtype=bool)
-        for span, footprint in zip(streams, footprints):
-            if span.isolated and (footprint & shared).any():
+        seen = shared = tiled = 0
+        for bits in footprints:
+            shared |= seen & bits
+            seen |= bits
+        for span, mask, bits in zip(streams, masks, footprints):
+            if span.isolated and bits & shared:
                 span.isolated = False
-                periods = clip(span, periods)
+                periods = clip(span, mask, periods)
             if not span.isolated:
-                tiled |= footprint
+                tiled |= bits
         if periods < MIN_PERIODS:
             raise SteadyBail("bank_overlap")
         # Tiled streams arbitrate, so the rotating pointers on their banks
         # must repeat too (isolated and untouched banks never consult theirs).
-        for bank in np.flatnonzero(tiled).tolist():
-            if grants.get(bank) != prev_grants.get(bank):
+        for bank in range(tiled.bit_length()):
+            if tiled >> bank & 1 and grants.get(bank) != prev_grants.get(bank):
                 raise SteadyBail("arbiter_state")
 
         # Span accesses must commute: reads and writes disjoint, writes
         # unique, so one gather plus one scatter reproduces the per-cycle
         # access sequence regardless of intra-span ordering.  One count of
-        # the written words, as long as the largest word read or written,
-        # decides both.  Each span keeps its grant rows for the replay.
+        # the written words, as long as the largest word read where a write
+        # may land, decides both: a stream that reads only banks outside
+        # every written footprint cannot overlap a write.  Each span keeps
+        # its grant rows for the replay.
         depth = memory.geometry.bank_depth
-        read_keys: List[np.ndarray] = []
-        write_keys: List[np.ndarray] = []
-        for span in streams:
-            span.grants = span.rows(periods * span.delta)
-            banks, lines = span.grants
-            keys = (banks * depth + lines).ravel()
-            (read_keys if span.streamer.is_read else write_keys).append(keys)
-        if write_keys:
-            writes = np.concatenate(write_keys)
-            largest = max([keys.max() for keys in read_keys], default=0)
-            counts = np.bincount(writes, minlength=largest + 1)
+        written = 0
+        for span, bits in zip(streams, footprints):
+            banks, lines = span.rows(periods * span.delta)
+            span.grants = banks, banks * depth + lines
+            if not span.streamer.is_read:
+                written |= bits
+        if written:
+            writes = [span.grants[1] for span in streams if not span.streamer.is_read]
+            reads = [
+                span.grants[1]
+                for span, bits in zip(streams, footprints)
+                if span.streamer.is_read and bits & written
+            ]
+            largest = max([keys.max() for keys in reads], default=0)
+            counts = np.bincount(
+                np.concatenate(writes, axis=None), minlength=largest + 1
+            )
             if counts.max() > 1:
                 raise SteadyBail("write_collision")
-            if any(counts[keys].any() for keys in read_keys):
+            if any(counts[keys].any() for keys in reads):
                 raise SteadyBail("read_write_overlap")
 
         # The moving streams must be exactly the GeMM/quantizer dataflow: the

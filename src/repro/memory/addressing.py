@@ -173,10 +173,13 @@ def decode_word_batch(words, geometry: BankGeometry, group_size: int):
     and validated ``group_size`` — the address remapper, whose streams are
     range-checked when they are programmed.
     """
+    # ``x - x // d * d`` is the floor remainder ``x % d``, in numpy's
+    # faster integer operations.
     words_per_group = group_size * geometry.bank_depth
-    within = words % words_per_group
-    bank = words // words_per_group * group_size + within % group_size
-    return bank, within // group_size
+    group = words // words_per_group
+    within = words - group * words_per_group
+    line = within // group_size
+    return (group - line) * group_size + within, line
 
 
 # ----------------------------------------------------------------------

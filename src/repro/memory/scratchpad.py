@@ -41,6 +41,9 @@ class ScratchpadMemory:
         self.storage = np.frombuffer(self.buffer, dtype=np.uint8).reshape(
             geometry.num_banks, depth, width
         )
+        #: The same bytes as one opaque word each, ``words[bank * depth +
+        #: line]``: what a macro jump gathers and scatters.
+        self.words = np.frombuffer(self.buffer, dtype=(np.void, width))
         self.banks: List[MemoryBank] = [
             MemoryBank(index, width, depth, rows)
             for index, rows in enumerate(self.storage)

@@ -299,8 +299,15 @@ class MemorySubsystem:
                 start = (bank * depth + line) * width
                 data = buffer[start : start + width]
                 reads += 1
+            elif request is None:
+                # A stream's write: a uint8 word its streamer sized at push.
+                if not 0 <= line < depth:
+                    store._check_line(line)
+                store.write_count += 1
+                store._data[line] = data
+                data = None
             else:
-                store.write(line, data, None if request is None else request.strobe)
+                store.write(line, data, request.strobe)
                 data = None
             if request is not None:
                 request.data = data
@@ -405,18 +412,32 @@ class MemorySubsystem:
         arbiter also points at the port of its last grant there."""
         flat = banks.ravel()
         counts = np.bincount(flat)
-        for bank, accesses in zip(self.scratchpad.banks, counts.tolist()):
-            if is_read:
-                bank.read_count += accesses
-            else:
-                bank.write_count += accesses
+        touched = counts.nonzero()[0]
+        stores = self.scratchpad.banks
+        banks_touched = touched.tolist()
+        accessed = zip(banks_touched, counts[touched].tolist())
+        if is_read:
+            for bank, accesses in accessed:
+                stores[bank].read_count += accesses
+        else:
+            for bank, accesses in accessed:
+                stores[bank].write_count += accesses
         if ports:
+            # A bank's last grant is its last place in the flattened rows,
+            # so only the span's last rows are scanned: one per bank it
+            # touched, four times as many until they touch them all.
+            tail = flat[-touched.size * len(ports) :]
+            while tail.size < flat.size:
+                if np.bincount(tail).nonzero()[0].size == touched.size:
+                    break
+                tail = flat[-tail.size * 4 :]
             last = np.zeros(counts.size, np.intp)
-            np.maximum.at(last, flat, np.arange(flat.size))
-            touched = np.flatnonzero(counts)
-            columns = last[touched] % len(ports)
-            for bank, column in zip(touched.tolist(), columns.tolist()):
-                self._last_grant[bank] = ports[column].name
+            np.maximum.at(last, tail, np.arange(tail.size))
+            names = [port.name for port in ports]
+            columns = (last[touched] % len(ports)).tolist()
+            self._last_grant.update(
+                zip(banks_touched, [names[column] for column in columns])
+            )
 
     def replay_in_flight(self, cycles: int, words: Dict[MemoryPort, Any]) -> None:
         """Move every in-flight batch ``cycles`` on, in order; each port's

@@ -7,6 +7,7 @@ values of the paper or against the multiplying reference walk.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +170,30 @@ class TestAGUProperties:
             t_bounds, t_strides, s_bounds, s_strides
         )
         assert bundles(agu) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_window_matches_the_reference(self, data):
+        """A window is evaluated as whole passes through its inner loops,
+        however it falls across them, in int32: its sums may wrap there,
+        the addresses do not."""
+        dims = data.draw(st.integers(min_value=1, max_value=5))
+        bounds = data.draw(
+            st.lists(st.integers(min_value=1, max_value=5), min_size=dims, max_size=dims)
+        )
+        strides = data.draw(
+            st.lists(st.integers(min_value=-64, max_value=256), min_size=dims, max_size=dims)
+        )
+        base = 1 << 12
+        agu = AddressGenerationUnit(bounds, strides, (2,), (8,), base_address=base)
+        expected = reference_address_sequence(bounds, strides, (2,), (8,), base)
+        start = data.draw(st.integers(min_value=0, max_value=len(expected)))
+        count = data.draw(st.integers(min_value=0, max_value=len(expected) - start))
+        window = agu.address_matrix(start, count, 2)
+        assert window.dtype == np.int32
+        assert [tuple(row) for row in window.tolist()] == expected[start : start + count]
+        temporal = agu.temporal.address_batch(start, count).tolist()
+        assert temporal == [row[0] for row in expected[start : start + count]]
 
     @given(
         bounds=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),

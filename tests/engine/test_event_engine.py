@@ -6,6 +6,8 @@ import inspect
 import pytest
 
 from repro.baselines import create_baseline
+from repro.compiler import compile_workload
+from repro.core import FeatureSet
 from repro.engine import (
     DEFAULT_ENGINE,
     EVENT_ENGINE,
@@ -17,11 +19,13 @@ from repro.engine import (
     supports_event_protocol,
     validate_engine,
 )
+from repro.engine import event as event_engine
 from repro.memory.addressing import BankGeometry
 from repro.memory.subsystem import MemoryRequest, MemorySubsystem
 from repro.runtime import SimJob, Simulator
+from repro.obs.trace import install_tracer, uninstall_tracer
 from repro.sim import DEFAULT_CYCLE_BUDGET, DEFAULT_PROGRESS_INTERVAL, SimulationLimitError
-from repro.system import AcceleratorSystem
+from repro.system import AcceleratorSystem, datamaestro_evaluation_system
 from repro.workloads import GemmWorkload
 
 
@@ -290,3 +294,38 @@ class TestJobEngineField:
             [GemmWorkload(name="sweep_engine", m=16, n=16, k=16)], engine="lockstep"
         )
         assert outcomes[0].provenance["engine"] == "lockstep"
+
+
+class TestJumpTimers:
+    """A tracer hears what each macro jump cost: the ``steady_span`` call
+    that staged it and its ``advance_active``."""
+
+    WORKLOAD = GemmWorkload(name="jump_timers", m=64, n=64, k=512, with_bias=True)
+
+    def run(self):
+        design = datamaestro_evaluation_system()
+        program = compile_workload(self.WORKLOAD, design, FeatureSet.all_enabled())
+        system = AcceleratorSystem(design)
+        system.run(program, engine="event")
+        return system
+
+    def test_every_macro_jump_carries_its_plan_and_replay_times(self):
+        recorder = install_tracer()
+        try:
+            system = self.run()
+        finally:
+            uninstall_tracer()
+        jumps = [event.args for event in recorder.events() if event.name == "macro_jump"]
+        assert len(jumps) == system.steady_stats()["jumps"] == 2
+        for args in jumps:
+            assert args["plan_ms"] >= 0 and args["replay_ms"] > 0, args
+        assert sum(args["span"] for args in jumps) == system.steady_stats()[
+            "cycles_skipped"
+        ]
+
+    def test_nothing_is_timed_without_a_tracer(self, monkeypatch):
+        def untimed():
+            raise AssertionError("a jump was timed without a tracer")
+
+        monkeypatch.setattr(event_engine, "perf_counter", untimed)
+        assert self.run().steady_stats()["jumps"] == 2

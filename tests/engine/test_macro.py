@@ -32,6 +32,7 @@ under ``macro_stepping=False``, and reports its activity via
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.compiler import compile_workload
@@ -644,3 +645,22 @@ class TestMacroProtocol:
         }
         assert stats["isolated_streams"] + stats["tiled_streams"] >= stats["jumps"]
         assert stats["boundaries"] >= stats["attempts"] >= stats["jumps"]
+
+
+class TestBankMasks:
+    """The planner's row bitmasks, against sets, on both sides of the
+    64-bank word."""
+
+    @pytest.mark.parametrize("num_banks", [8, 64, 65, 200])
+    def test_masks_name_each_rows_banks(self, num_banks):
+        rng = np.random.default_rng(num_banks)
+        banks = rng.integers(0, num_banks, size=(300, 8))
+        banks[::3] = [rng.permutation(num_banks)[:8] for _ in range(100)]
+        masks = steady.bank_masks(banks.astype(np.int32), num_banks)
+        distinct = np.bitwise_count(masks).sum(axis=1) == banks.shape[1]
+        assert distinct.tolist() == [len(set(row)) == len(row) for row in banks.tolist()]
+        assert 0 < distinct.sum() < len(banks)
+        for rows in (slice(0, 1), slice(0, 40), slice(None)):
+            named = {bank for row in banks[rows].tolist() for bank in row}
+            footprint = steady.footprint(masks[rows])
+            assert footprint == sum(1 << bank for bank in named)

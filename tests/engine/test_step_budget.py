@@ -19,14 +19,19 @@ copies (a slice of the scratchpad's ``bytearray`` at the grant, one
 k-step, then parent 6f7da5d → a macro jump verified and replayed in linear
 numpy passes (a tile is one batched ``np.matmul``, not an ``einsum``, and
 the commutation check one ``np.bincount``, not ``np.unique`` and
-``np.intersect1d``); the budget is the last count, rounded up to the next
-hundredth:
+``np.intersect1d``), then parent 752d184 → a tile one int8 ``einsum``
+accumulated in int32 (seven numpy calls a tile more, with its dispatcher's
+generator) and a stream's write grant storing its word with no
+``np.asarray`` per word (32 a tile fewer), the address window evaluated as
+whole passes through the AGU's inner loops; the budget is the last count,
+rounded up to the next hundredth:
 
 =================================  ============  ============
 change                             2_prefetch    1_baseline
 =================================  ============  ============
 words as bytes, a tile at once     26.34 → 2.91  12.67 → 1.51
 linear-time jumps                  2.89 → 2.80   1.51 → 1.46
+int8 tiles, lean write grants      2.80 → 2.36   1.46 → 1.26
 =================================  ============  ============
 
 Calls per stepped cycle, parent 755e1a2 → a channel held as its data FIFO
@@ -38,7 +43,9 @@ per program and signs its own state at a boundary, with no generator and
 no name lookup per counter), then parent 8fcc656 → the AGU as a function
 of the step (no dual counters rippled per bundle; the streamer's
 ``bundles_generated`` is the one stream position), then parent 6f7da5d →
-linear-time jumps (no Python call moved); the budget is the last count:
+linear-time jumps (no Python call moved), then parent 752d184 → a
+stream's write grant stored in ``arbitrate`` itself, not through
+``MemoryBank.write``; the budget is the last count:
 
 ===============================  ===========  ===========
 change                           2_prefetch   1_baseline
@@ -48,6 +55,7 @@ a word is a tuple, not a record  53.1 → 37.8  39.1 → 31.8
 the planner over its units       37.8 → 35.8  31.8 → 28.9
 the AGU a function of the step   35.8 → 34.0  28.9 → 28.0
 linear-time jumps                33.9 → 33.9  28.0 → 28.0
+lean write grants                33.9 → 32.8  28.0 → 27.5
 ===============================  ===========  ===========
 
 A memory word is a ``(bank, line, data, request)`` tuple, no record: a
@@ -68,9 +76,9 @@ import pytest
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
 WORKLOAD = "conv_h14_w14_c16_k32_f5x5_s2"
 #: Calls per stepped cycle, as measured (see the third table).
-CALLS = {"2_prefetch": 34.0, "1_baseline": 28.0}
+CALLS = {"2_prefetch": 32.9, "1_baseline": 27.5}
 #: Numpy calls per stepped cycle, as measured (see the second table).
-NUMPY_CALLS = {"2_prefetch": 2.81, "1_baseline": 1.47}
+NUMPY_CALLS = {"2_prefetch": 2.36, "1_baseline": 1.26}
 
 
 @pytest.fixture(scope="module")

@@ -20,14 +20,22 @@ read-back          10.0 → 13.0          37.0 → 23.0
 outcome            133.0 → 114.3        0.0 → 0.0
 total              1825.0 → 777.4       405.9 → 131.2
 compile (einsum)   143.0 → 143.0        57.5 → 64.5
+build (752d184)    100.0 → 100.0        2.0 → 4.0
+load (752d184)     323.0 → 330.4        29.3 → 29.3
+windows (752d184)  25.7 → 35.3          18.3 → 27.3
+total (752d184)    649.8 → 666.8        137.2 → 148.2
 =================  ===================  ===================
 
 The parent bound its channels' memory ports at the first issue, inside the
 stepped cycles; they are bound at load now, so ``load`` counts them.  The
-budget is half the parent's totals.  The last row came later: the compile's
-int32 reference GeMM and convolution taps became ``np.einsum`` calls (about
-3x faster than the int32 ``np.matmul`` on a 48³ GeMM, at 7 more numpy calls
-per job).
+budget is half the parent's totals.  The last rows came later.  First, the
+compile's int32 reference GeMM and convolution taps became ``np.einsum``
+calls (about 3x faster than the int32 ``np.matmul`` on a 48³ GeMM, at 7
+more numpy calls per job).  Then, from parent 752d184, the scratchpad
+gained a view of one opaque word per wordline, and each streamer's AGU
+evaluates an address window as whole passes through its inner loops, its
+extreme addresses once at ``configure``, so that a macro jump decodes a
+span at half the cost.
 
 ``tools/step_cost.py step`` reads the same run for the other half: ``repro``
 and numpy calls inside the engine's ``drive``, first windows aside, per
@@ -44,13 +52,15 @@ a word is a tuple, not a record      125.1 → 108.7            17.9 → 17.9
 the planner over its units           108.7 → 104.4            17.9 → 17.9
 the AGU a function of the step       104.4 → 102.7            17.9 → 17.9
 a tile one matmul, not an einsum     102.7 → 102.7            17.9 → 16.6
+int8 tiles, lean write grants        102.7 → 90.3             16.6 → 12.0
 ===================================  =======================  ===========
 
 A word is a slice of the scratchpad's ``bytearray`` taken at the grant and
 a pop joins them with one ``np.frombuffer``; the GeMM core pops its words
-and computes each tile once, at its last k-step.  What is left is the write
-path (``MemoryBank.write``, a third of it), the tile computation, the
-datapath extensions and the quantizer.  A streamer holds each channel as
+and computes each tile once, at its last k-step.  A stream's write grant
+stores its word in ``arbitrate`` itself (``MemoryBank.write``, with its
+``np.asarray``, is for by-name requests).  What is left is the tile
+computation, the datapath extensions and the quantizer.  A streamer holds each channel as
 its data FIFO and its memory port, and the memory counts in plain int
 attributes, so no per-channel object or name-keyed counter sits on the path;
 a memory word is a tuple, so no record is built for it either.
@@ -65,8 +75,8 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
 #: Per-job counts at the parent commit (see the table above).
 PARENT = {"repro_calls_per_job": 1825.0, "numpy_calls_per_job": 405.9}
 #: ``repro`` and numpy calls per stepped cycle of the same jobs, as measured.
-STEP_CALLS_PER_STEPPED_CYCLE = 102.7
-STEP_NUMPY_CALLS_PER_STEPPED_CYCLE = 16.6
+STEP_CALLS_PER_STEPPED_CYCLE = 90.3
+STEP_NUMPY_CALLS_PER_STEPPED_CYCLE = 12.0
 
 
 @pytest.fixture(scope="module")

@@ -8,14 +8,18 @@ commit *before* the step path was reworked around parked streamers and the
 one-record word (regenerate with ``python tests/system/test_step_identity.py``;
 only ever do that on purpose — a moved digest is a behaviour change).
 
-It covers three sets, each under ``engine="event"`` and ``engine="lockstep"``:
+It covers four sets, each under ``engine="event"`` and ``engine="lockstep"``:
 
 * ``fig7_ladder`` — the 27 jobs of the benchmark of that name (ladder steps
   1, 2 and 6 × three workloads per group);
 * ``resnet18`` — the 12 ResNet-18 crops of ``table3_cnn``;
-* ``generated`` — 40 seeded generator workloads × features all on / all off.
+* ``generated`` — 40 seeded generator workloads × features all on / all off;
+* ``transformer`` — the 15 ViT-B/16 and BERT-Base crops of
+  ``table3_transformer`` (GeMMs with ``k`` up to 512, whose long steady runs
+  the macro-stepper replays as chained jumps), added with their entries
+  written by the commit before span replay moved to slice assignments.
 
-A fourth set, ``designs``, leaves the default design: it was written by the
+A fifth set, ``designs``, leaves the default design: it was written by the
 commit before the address FIFO became two counters and the crossbar started
 filling the data FIFOs, from FIFO depths down to 1, a 5-cycle memory and a
 32-bank scratchpad — 10 seeded generator workloads × the six ablation steps
@@ -23,7 +27,8 @@ under ``event``, steps 1 and 6 also under ``lockstep``.
 
 Per run the fixture holds the 32-bit heads of one sha256 per field below, in
 order, so a mismatch names the run and the field.  Lockstep steps every cycle
-(≈ 6k cycles/s): its first two sets run under ``REPRO_FULL_SUITE`` only.
+(≈ 6k cycles/s): its ``fig7_ladder``, ``resnet18`` and ``transformer`` sets
+run under ``REPRO_FULL_SUITE`` only.
 
 ``fixtures/steady_stats.json`` pins the macro-stepper's decisions the same
 way: per ``event`` run of every set, the 64-bit head of one sha256 of
@@ -73,7 +78,14 @@ FIELDS = (
 )
 HEAD = 8  # hex characters kept per field
 #: Lockstep over these sets is the slow half; tier-1 keeps the generated one.
-FULL_SUITE_ONLY = {("fig7_ladder", "lockstep"), ("resnet18", "lockstep")}
+FULL_SUITE_ONLY = {
+    ("fig7_ladder", "lockstep"),
+    ("resnet18", "lockstep"),
+    ("transformer", "lockstep"),
+}
+#: The networks of the ``transformer`` set, and their crops' GeMM depth cap.
+TRANSFORMERS = ("ViT-B-16", "BERT-Base")
+TRANSFORMER_CROP_LIMITS = {"max_gemm_k": 512}
 #: (data, address) FIFO depths of the ``designs`` set, applied to all five ports.
 FIFO_DEPTHS = ((1, 1), (1, 2), (2, 2), (2, 8), (4, 3), (8, 1))
 #: The ablation steps the ``designs`` set also runs under lockstep.
@@ -83,10 +95,16 @@ DESIGNS_LOCKSTEP_STEPS = ("1_baseline", "6_full")
 def run_sets():
     """Set name -> [(run key, workload, features)], in a fixed order."""
     ladder = ablation_feature_sets()
+    networks = benchmark_networks()
     crops = {}
-    for workload in benchmark_networks()["ResNet-18"].unique_workloads():
+    for workload in networks["ResNet-18"].unique_workloads():
         crop = representative_crop(workload)
         crops.setdefault(crop.name, crop)
+    transformer_crops = {}
+    for network in TRANSFORMERS:
+        for workload in networks[network].unique_workloads():
+            crop = representative_crop(workload, **TRANSFORMER_CROP_LIMITS)
+            transformer_crops.setdefault(crop.name, crop)
     switches = (("on", FeatureSet.all_enabled()), ("off", FeatureSet.all_disabled()))
     return {
         "fig7_ladder": [
@@ -102,6 +120,10 @@ def run_sets():
             (f"{workload.name}|{label}", workload, features)
             for workload in WorkloadGenerator(seed=2026).workload_pool(40)
             for label, features in switches
+        ],
+        "transformer": [
+            (name, crop, FeatureSet.all_enabled())
+            for name, crop in transformer_crops.items()
         ],
     }
 
@@ -197,7 +219,7 @@ def cases():
                 reason="lockstep over the large sets runs under REPRO_FULL_SUITE=1",
             ),
         )
-        for name in ("fig7_ladder", "resnet18", "generated")
+        for name in ("fig7_ladder", "resnet18", "generated", "transformer")
         for engine in ENGINES
     ]
 
@@ -250,7 +272,7 @@ def test_both_engines_pin_the_same_statistics():
     """Event and lockstep agree on every field, so the fixture says it twice."""
     golden = json.loads(FIXTURE.read_text())
     across = golden.pop("designs")
-    assert sum(len(runs) for by_engine in golden.values() for runs in by_engine.values()) == 238
+    assert sum(len(runs) for by_engine in golden.values() for runs in by_engine.values()) == 268
     for name, by_engine in golden.items():
         assert by_engine["event"] == by_engine["lockstep"], name
     assert len(across["event"]) + len(across["lockstep"]) == 640

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main, parse_workload_spec
+from repro.cli import REPLAY_REGIMES, build_parser, main, parse_workload_spec
 from repro.workloads import ConvWorkload, GemmWorkload
 
 
@@ -17,6 +21,27 @@ class TestParser:
         args = build_parser().parse_args(["simulate-gemm", "16", "16", "16", "--quantize"])
         assert (args.m, args.n, args.k) == (16, 16, 16)
         assert args.quantize and not args.transposed
+
+    def test_the_regime_choices_are_the_replay_regimes(self):
+        from repro.serve.replay import REGIMES
+
+        assert REPLAY_REGIMES == tuple(REGIMES)
+
+    def test_building_the_parser_loads_no_service_module(self):
+        """A cold ``repro`` invocation pays for the service package only
+        when a command uses it."""
+        code = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.serve')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestCommands:

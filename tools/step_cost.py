@@ -44,14 +44,22 @@ numpy calls inside the engine's ``drive`` (the first windows aside, which
 per-stepped-cycle cost of a serve-pool miss, which is a few cycles long and
 never parks.
 
+The ``jump`` mode counts a macro jump's work: it runs the 12 ResNet-18
+crops of the ``table3_cnn`` benchmark under the event engine and counts,
+inside the steady-span planner's ``_prepare`` (verify and plan, one call per
+attempt) and ``_commit`` (the replay, one call per jump), ``repro`` and numpy
+calls by the rules of the ``setup`` mode, per jump taken.
+
 Run from the repository root::
 
     python tools/step_cost.py 2_prefetch conv_h16_w16_c32_k16_f7x7_s1
     python tools/step_cost.py 1_baseline conv_h14_w14_c16_k32_f5x5_s2 --json
     python tools/step_cost.py setup
     python tools/step_cost.py step
+    python tools/step_cost.py jump
 
-Standard library only; ``tests/engine/test_step_budget.py`` and
+Standard library only; ``tests/engine/test_step_budget.py``,
+``tests/engine/test_jump_budget.py`` and
 ``tests/system/test_setup_budget.py`` hold the numbers to a budget.
 """
 
@@ -275,6 +283,105 @@ def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
     }
 
 
+#: What the ``jump`` mode counts, by the planner method that does it.
+JUMP_STAGES = ("prepare", "commit")
+
+
+def measure_jump(seed: int = 0) -> Dict[str, object]:
+    """Count the work of every macro jump over the ResNet-18 crops of
+    ``table3_cnn`` (see above)."""
+    from repro.analysis.network_perf import representative_crop
+    from repro.compiler import compile_workload
+    from repro.core import FeatureSet
+    from repro.engine.event import EventDrivenEngine
+    from repro.engine.steady import SteadySpanPlanner
+    from repro.system import AcceleratorSystem, datamaestro_evaluation_system
+    from repro.workloads import benchmark_networks
+
+    crops = {}
+    for workload in benchmark_networks()["ResNet-18"].unique_workloads():
+        crop = representative_crop(workload)
+        crops.setdefault(crop.name, crop)
+    design = datamaestro_evaluation_system()
+    stages = {
+        SteadySpanPlanner._prepare.__code__: "prepare",
+        SteadySpanPlanner._commit.__code__: "commit",
+    }
+    counts = {stage: {"repro": 0, "numpy": 0, "calls": 0} for stage in JUMP_STAGES}
+    #: (frame, stage) of the planner call in progress.
+    scopes: list = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if not scopes and code in stages:
+                scopes.append((frame, stages[code]))
+                counts[stages[code]]["calls"] += 1
+            if scopes:
+                module = frame.f_globals.get("__name__", "")
+                if module.startswith("repro."):
+                    counts[scopes[-1][1]]["repro"] += 1
+                elif module.startswith("numpy"):
+                    counts[scopes[-1][1]]["numpy"] += 1
+        elif event == "return":
+            if scopes and scopes[-1][0] is frame:
+                scopes.pop()
+        elif event == "c_call" and scopes and _is_numpy(arg):
+            counts[scopes[-1][1]]["numpy"] += 1
+
+    class Counted(EventDrivenEngine):
+        def drive(self, target, **kwargs):
+            sys.setprofile(hook)  # loading is not jump work
+            try:
+                return super().drive(target, **kwargs)
+            finally:
+                sys.setprofile(None)
+
+    jumps = skipped = cycles = 0
+    for crop in crops.values():
+        program = compile_workload(crop, design, FeatureSet.all_enabled(), seed=seed)
+        system = AcceleratorSystem(design)
+        result = system.run(program, engine=Counted())
+        stats = system.steady_stats()
+        jumps += stats["jumps"]
+        skipped += stats["cycles_skipped"]
+        cycles += result.kernel_cycles
+    repro = sum(stage["repro"] for stage in counts.values())
+    numpy = sum(stage["numpy"] for stage in counts.values())
+    return {
+        "crops": len(crops),
+        "cycles": cycles,
+        "cycles_skipped": skipped,
+        "jumps": jumps,
+        "stages": counts,
+        "repro_calls": repro,
+        "numpy_calls": numpy,
+        "repro_calls_per_jump": repro / jumps,
+        "numpy_calls_per_jump": numpy / jumps,
+    }
+
+
+def render_jump(report: Dict[str, object]) -> str:
+    jumps = report["jumps"]
+    lines = [
+        f"jump cost of the {report['crops']} ResNet-18 crops of table3_cnn",
+        f"  jumps {jumps} ({report['cycles_skipped']:,} of "
+        f"{report['cycles']:,} cycles)",
+        f"  {'stage':<10}{'calls':>7}{'repro calls':>14}{'numpy calls':>14}"
+        "  (per jump)",
+    ]
+    for stage, count in report["stages"].items():
+        lines.append(
+            f"  {stage:<10}{count['calls']:>7}{count['repro'] / jumps:>14.1f}"
+            f"{count['numpy'] / jumps:>14.1f}"
+        )
+    lines.append(
+        f"  {'total':<10}{'':>7}{report['repro_calls_per_jump']:>14.1f}"
+        f"{report['numpy_calls_per_jump']:>14.1f}"
+    )
+    return "\n".join(lines)
+
+
 def render_setup(report: Dict[str, object]) -> str:
     jobs = report["jobs"]
     lines = [
@@ -335,7 +442,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "step",
         help="ablation step, e.g. 2_prefetch; 'setup' / 'step' for a serve-pool "
-        "job's setup / stepped cycles",
+        "job's setup / stepped cycles; 'jump' for table3_cnn's macro jumps",
     )
     parser.add_argument(
         "workload", nargs="?", help="synthetic-suite workload name (not with setup)"
@@ -343,6 +450,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="print the raw counts")
     args = parser.parse_args(argv)
+    if args.step == "jump":
+        if args.workload is not None:
+            parser.error("jump takes no workload")
+        report = measure_jump(seed=args.seed)
+        print(json.dumps(report) if args.json else render_jump(report))
+        return 0
     if args.step in ("setup", "step"):
         if args.workload is not None:
             parser.error(f"{args.step} takes no workload")
