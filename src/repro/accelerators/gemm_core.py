@@ -7,8 +7,10 @@ tile of A and one ``Ku × Nu`` int8 tile of B, accumulating into a
 
 The model keeps the words it pops, not a running sum.  At the first
 reduction step of an output tile it pops the C word, at every step an A and
-a B word, each checked for its width at the step that pops it.  At the last
-step it computes the tile once with :meth:`GemmCore.compute_tiles_batch` —
+a B word — each a streamer's row as one bytes-like word
+(:meth:`~repro.core.streamer.DataMaestro.pop_word`), checked for its width
+at the step that pops it.  At the last step it joins them and computes the
+tile once with :meth:`GemmCore.compute_tiles_batch` —
 the function the steady-span replay uses for whole spans, so the two share
 one datapath — and pushes it to the output sink, either a write-mode
 DataMaestro or the quantization accelerator.  int32 accumulation is
@@ -35,8 +37,9 @@ class StreamSource(Protocol):
 
     def output_valid(self) -> bool: ...
 
-    def pop_output(self) -> np.ndarray:
-        """One word as a flat uint8 array, which may be read-only."""
+    def pop_word(self):
+        """One word, bytes-like: ``bytes`` or a flat uint8 array, which may
+        be read-only."""
         ...
 
 
@@ -100,9 +103,9 @@ class GemmCore:
         self._k_index = 0
         #: The current output tile's operand words, popped so far (reset at
         #: every k = 0).
-        self._a_words: List[np.ndarray] = []
-        self._b_words: List[np.ndarray] = []
-        self._c_word: Optional[np.ndarray] = None
+        self._a_words: list = []
+        self._b_words: list = []
+        self._c_word = None
         self.mac_cycles = 0
         self.stall_cycles = 0
 
@@ -290,16 +293,16 @@ class GemmCore:
         if self._k_index == 0:
             self._c_word = None
             if job.use_init_stream:
-                self._c_word = c_word = self.c_stream.pop_output()
-                if c_word.size != self.acc_word_bytes:
+                self._c_word = c_word = self.c_stream.pop_word()
+                if len(c_word) != self.acc_word_bytes:
                     raise _width_error("C", c_word, self.acc_word_bytes)
             self._a_words = []
             self._b_words = []
-        a_word = self.a_stream.pop_output()
-        if a_word.size != self.a_word_bytes:
+        a_word = self.a_stream.pop_word()
+        if len(a_word) != self.a_word_bytes:
             raise _width_error("A", a_word, self.a_word_bytes)
-        b_word = self.b_stream.pop_output()
-        if b_word.size != self.b_word_bytes:
+        b_word = self.b_stream.pop_word()
+        if len(b_word) != self.b_word_bytes:
             raise _width_error("B", b_word, self.b_word_bytes)
         self._a_words.append(a_word)
         self._b_words.append(b_word)
@@ -307,11 +310,12 @@ class GemmCore:
 
         self._k_index += 1
         if self._k_index == job.tiles_k:
+            c_word = self._c_word
             tile = self.compute_tiles_batch(
                 1,
                 np.frombuffer(b"".join(self._a_words), np.uint8),
                 np.frombuffer(b"".join(self._b_words), np.uint8),
-                self._c_word,
+                None if c_word is None else np.frombuffer(c_word, np.uint8),
             )
             self.output_sink.push_input(tile[0])
             self._k_index = 0
@@ -330,5 +334,5 @@ class GemmCore:
 def _width_error(port: str, word: np.ndarray, expected: int) -> ValueError:
     """The error for a word of the wrong width popped at ``port``."""
     return ValueError(
-        f"GeMM port {port}: word of {word.size} bytes, expected {expected}"
+        f"GeMM port {port}: word of {len(word)} bytes, expected {expected}"
     )

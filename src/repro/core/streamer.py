@@ -31,22 +31,29 @@ bundle and the credit limit is streamer-wide, so the issue cursor
 ``requests_issued`` is stored once, here, and so are the credit stalls and
 the address-FIFO high-water mark.  The channels diverge only from the grant
 on: a bank conflict delays one port's grant while the others are served,
-and its data FIFO absorbs the jitter — each port's ``pending`` /
-``granted`` / ``retries`` and each read channel's data-FIFO occupancy.
-Three identities carry the word path; what they determine is computed,
-never stored or moved:
+and its data FIFO absorbs the jitter — each port's ``granted`` /
+``retries`` / ``delivered`` and each channel's data-FIFO occupancy.  The
+word path moves *rows* — one word per channel, one bundle — and stores what
+is arithmetic as counters:
 
 * every channel's **address FIFO** holds ``bundles_generated -
-  requests_issued`` entries, and they are rows of the decoded address
-  window (a pure function of the step index): generating a bundle advances
-  a counter, issuing appends each channel's ``(bank, line, data, None)``
-  word tuple from the row to its port;
+  requests_issued`` entries, and a channel's **pending** words are the rows
+  of the decoded address window (a pure function of the step index) from
+  its grant cursor ``port.granted`` to ``requests_issued``: generating a
+  bundle advances a counter, issuing a row advances the issue cursor;
+* the streamer holds its **words once per row** in :attr:`rows`, each
+  row one wide word: a read row is gathered at its grant when the row is
+  granted whole (a list of channel words until its last channel's grant
+  when not) and popped once every channel's delivery has passed it
+  (``rows_delivered``); a write row is the wide word the accelerator
+  pushed, until every channel has stored its part;
 * a read channel's **in-flight plus buffered** words are
-  ``requests_issued - words_streamed`` (a streamer's channels pop
-  together), so the credit rule, ``busy`` and the no-prefetch gate never
-  look at a delivery;
-* a channel's **in-flight** requests are ``requests_issued -
-  port.delivered``: the memory fills the data FIFO itself and counts.
+  ``requests_issued - words_streamed``, so the credit rule, ``busy`` and the
+  no-prefetch gate never look at a delivery; its **data FIFO** holds
+  ``port.delivered - words_streamed`` words (a write channel's
+  ``words_streamed - requests_issued``) and its **in-flight** requests are
+  ``requests_issued - port.delivered`` — a :class:`ChannelFifo` is those
+  counts and a high-water mark.
 
 A streamer whose cycle moved nothing repeats that cycle until the accelerator
 pops or pushes a word (a delivery changes nothing it decides on).  The system
@@ -62,17 +69,18 @@ accelerator directly instead of being hidden by the FIFOs.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence
+from operator import attrgetter
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..memory.addressing import BankGeometry
-from ..memory.subsystem import MemoryPort, MemorySubsystem
-from ..sim.fifo import Fifo, FifoError
+from ..memory.subsystem import MemoryPort, MemorySubsystem, bank_masks, mask_ints
+from ..sim.fifo import FifoError
 from ..sim.result import SteadyBail
 from ..sim.stats import StreamerStats
 from .agu import AddressGenerationUnit
@@ -96,6 +104,85 @@ CHANNEL_FIELDS = (
 )
 
 
+class ChannelFifo:
+    """One channel's data FIFO: counts over its streamer's rows.
+
+    A read channel holds the words delivered and not yet popped
+    (``port.delivered - words_streamed``), a write channel the words pushed
+    and not yet issued (``words_streamed - requests_issued``); the words
+    themselves are the streamer's :attr:`DataMaestro.rows`.  Only the
+    high-water mark is stored, raised by :meth:`note`.  The FIFO refers to
+    its streamer weakly: the streamer holds it, and so does the channel's
+    port in the memory."""
+
+    __slots__ = ("depth", "name", "max_occupancy", "_streamer", "_column")
+
+    def __init__(self, streamer: "DataMaestro", column: int) -> None:
+        self.depth = streamer.design.data_buffer_depth
+        self.name = f"{streamer.name}.ch{column}.data"
+        self.max_occupancy = 0
+        self._streamer = weakref.ref(streamer)
+        self._column = column
+
+    def _counts(self):
+        """``(pushes, pops)`` so far."""
+        streamer = self._streamer()
+        if streamer.is_read:
+            ports = streamer.ports
+            delivered = ports[self._column].delivered if ports else 0
+            return delivered, streamer.words_streamed
+        return streamer.words_streamed, streamer.requests_issued
+
+    @property
+    def total_pushes(self) -> int:
+        return self._counts()[0]
+
+    @property
+    def total_pops(self) -> int:
+        return self._counts()[1]
+
+    def __len__(self) -> int:
+        pushes, pops = self._counts()
+        return pushes - pops
+
+    @property
+    def is_empty(self) -> bool:
+        return len(self) == 0
+
+    @property
+    def is_full(self) -> bool:
+        return len(self) >= self.depth
+
+    @property
+    def entries(self) -> list:
+        """The words held, oldest first."""
+        streamer = self._streamer()
+        rows = list(streamer.rows)
+        column = self._column
+        part = streamer.parts[column]
+        if streamer.is_read:
+            return [
+                row[part] if row.__class__ is bytes else row[column]
+                for row in rows[: len(self)]
+            ]
+        issued = streamer.requests_issued - streamer.words_streamed + len(rows)
+        return [row[part] for row in rows[issued:]]
+
+    def note(self, occupancy: int) -> None:
+        """Record an occupancy the FIFO reached: a new high-water mark, or
+        :class:`~repro.sim.fifo.FifoError` past its depth (a read issued
+        without a credit)."""
+        if occupancy > self.max_occupancy:
+            if occupancy > self.depth:
+                raise FifoError(
+                    f"push into full FIFO '{self.name}' (depth={self.depth})"
+                )
+            self.max_occupancy = occupancy
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"ChannelFifo(name={self.name!r}, depth={self.depth})"
+
+
 @dataclass
 class StreamSpan:
     """A streamer's decoded bundle rows around a steady boundary: rows
@@ -117,6 +204,9 @@ class StreamSpan:
     #: ``bank * depth + line`` in the scratchpad; gathered once by the
     #: planner for the replay.
     grants: Optional[tuple] = None
+    #: The rows' :func:`~repro.memory.subsystem.bank_masks`, kept by the
+    #: planner for the address window after the replay.
+    masks: Optional[np.ndarray] = None
 
     def rows(self, count: int):
         """Every channel's next ``count`` grants as ``(banks, lines)``,
@@ -163,10 +253,13 @@ class DataMaestro:
         #: :meth:`configure`.  The design's other channels hold no state:
         #: they never issue, and :meth:`channel_statistics` reports them as
         #: fresh channels.
-        self.fifos: List[Fifo] = []
+        self.fifos: List[ChannelFifo] = []
         #: The same channels' crossbar ports, named ``<streamer>.ch<i>``,
-        #: resolved by :meth:`bind`.
+        #: resolved by :meth:`bind`, and their names.
         self.ports: List[MemoryPort] = []
+        self.port_names: tuple = ()
+        #: Each channel's part of a wide word, as a slice of its bytes.
+        self.parts: List[slice] = []
         self.words_streamed = 0
         #: Bundles generated so far: the stream position, the AGU's only
         #: state (its addresses are a function of the step).
@@ -179,6 +272,21 @@ class DataMaestro:
         #: Sampled before each issue and by :meth:`channel_statistics` (the
         #: address FIFO only grows between).
         self.max_addr_occupancy = 0
+        #: The words held once per row, each a wide word: a read row (steps
+        #: ``words_streamed`` on) from its grant — a list of channel words
+        #: while only some are granted — to its pop; a write row (steps up
+        #: to ``words_streamed``) from its push until every channel has
+        #: stored its part.
+        self.rows: Deque = deque()
+        #: The lowest channel grant cursor, whether every channel is there,
+        #: and (reading) the lowest channel delivery count: the memory keeps
+        #: them as it grants and delivers.
+        self.rows_granted = 0
+        self.aligned = True
+        self.rows_delivered = 0
+        #: The lowest data-FIFO high-water mark among the channels: an
+        #: occupancy above it has a mark to raise.
+        self.fill_mark = 0
         self._popped_this_cycle = False
         #: State changes this streamer made since :meth:`begin_cycle` (words
         #: popped or pushed, a bundle generated, requests issued); zero after
@@ -188,14 +296,17 @@ class DataMaestro:
         #: :meth:`wake`; ``parked_cycles`` counts the cycles sat out since.
         self.parked = False
         self.parked_cycles = 0
-        #: The memory ``ports`` belong to (:meth:`bind`).
-        self._memory: Optional[MemorySubsystem] = None
-        #: Decoded bundles for steps ``[_window_start, +len(_window))`` as
-        #: ``(banks, lines)`` list rows: the address FIFOs' contents.  A pure
-        #: function of the step index, so a macro jump simply lands outside
-        #: (or inside) it and the next issue re-decodes on demand.
-        self._window: list = []
-        self._window_start = 0
+        #: The memory ``ports`` belong to (:meth:`bind`), held weakly: the
+        #: memory holds the streamer, whose rows it reads.
+        self._memory: Optional[weakref.ref] = None
+        self._registered = False
+        self._transforms = False
+        #: Decoded rows for steps ``[window_start, +len(window))`` as
+        #: ``(banks, mask, keys, gather)`` (see ``repro.memory.subsystem``): every
+        #: channel's pending words.  A pure function of the step index, so a
+        #: macro jump simply lands outside (or inside) it.
+        self.window: list = []
+        self.window_start = 0
 
     # ------------------------------------------------------------------
     # Configuration (performed by the host through CSR writes).
@@ -221,24 +332,33 @@ class DataMaestro:
         )
         self.total_bundles = self.agu.total_bundles
         self._check_address_range()
-        self._window = []
+        self.window = []
         self.extensions.set_enables(
             runtime.extension_enables or [True] * len(self.extensions)
         )
         for kind, params in runtime.extension_params_dict().items():
             if self.extensions.stage(kind) is not None:
                 self.extensions.configure_stage(kind, **dict(params))
-        self.fifos = [
-            Fifo(design.data_buffer_depth, name=f"{self.name}.ch{index}.data")
+        #: Whether a popped word goes through an enabled extension, which
+        #: transforms arrays; a bypassed cascade passes bytes on untouched.
+        self._transforms = any(stage.enabled for stage in self.extensions.stages)
+        self.fifos = [ChannelFifo(self, index) for index in range(self.active_channels)]
+        width = design.bank_width_bytes
+        self.parts = [
+            slice(index * width, (index + 1) * width)
             for index in range(self.active_channels)
         ]
         self.ports = []
+        self.port_names = ()
         self._memory = None
         self.words_streamed = 0
         self.bundles_generated = 0
         self.requests_issued = 0
         self.credit_stall_cycles = 0
         self.max_addr_occupancy = 0
+        self.rows = deque()
+        self.rows_granted = self.rows_delivered = self.fill_mark = 0
+        self.aligned = True
         self._popped_this_cycle = False
         self.cycle_activity = 0
         self.parked = False
@@ -246,17 +366,23 @@ class DataMaestro:
 
     def bind(self, memory: MemorySubsystem) -> None:
         """Resolve every active channel's port in ``memory``, once per
-        kernel: from here on the memory delivers into the channels' data
-        FIFOs (all a port holds of the streamer) and counts the deliveries
-        from zero.  The system binds at load; a hand-driven streamer binds at
-        its first :meth:`issue_requests`."""
-        self._memory = memory
+        kernel: from here on the memory grants the channels' rows and counts
+        each port's grants and deliveries from zero.  The system binds at
+        load; a hand-driven streamer binds at its first
+        :meth:`issue_requests`."""
+        self._memory = weakref.ref(memory)
+        self._registered = False
         self.ports = []
         for index, fifo in enumerate(self.fifos):
             port = memory.bind(f"{self.name}.ch{index}")
             port.sink = fifo
-            port.delivered = 0
+            port.granted = port.delivered = port.retries = 0
             self.ports.append(port)
+        self.port_names = tuple(port.name for port in self.ports)
+        self.pack = memory.row_packer(len(self.ports))
+        self.rows_granted = self.rows_delivered = 0
+        self.aligned = True
+        self.window = []
 
     def _check_address_range(self) -> None:
         """Reject a stream that would leave the scratchpad, before cycle 0."""
@@ -287,7 +413,7 @@ class DataMaestro:
         issued = self.requests_issued
         return self.is_write and (
             issued != generated
-            or any(port.delivered != issued for port in self.ports)
+            or min(map(_delivered, self.ports), default=issued) != issued
         )
 
     @property
@@ -309,47 +435,55 @@ class DataMaestro:
         """Read mode: True when every active channel has a word ready."""
         if not self.is_read or self.agu is None:
             return False
-        for fifo in self.fifos:
-            if not fifo.entries:
-                return False
-        return True
+        delivered = self.rows_delivered
+        if delivered < 0:
+            delivered = min(map(_delivered, self.ports), default=0)
+            self.rows_delivered = delivered
+        return delivered > self.words_streamed
 
-    def pop_output(self) -> np.ndarray:
-        """Consume one wide word (read mode).
+    def pop_word(self):
+        """Consume one wide word (read mode): the oldest row.
 
         The channels' words — bytes-like copies taken at their grants — are
-        joined into one flat uint8 array that is read-only unless an
-        extension rebuilt it.  Valid only after :meth:`output_valid` returned
-        True this cycle; an empty channel raises
-        :class:`~repro.sim.fifo.FifoError`.
+        joined into one ``bytes``, or, when a datapath extension transforms
+        words, into the flat uint8 array the cascade returns.  Valid only
+        after :meth:`output_valid` returned True this cycle; an empty channel
+        raises :class:`~repro.sim.fifo.FifoError`.
         """
         if not self.is_read:
-            raise RuntimeError(f"{self.name}: pop_output() on a write-mode streamer")
+            raise RuntimeError(f"{self.name}: pop on a write-mode streamer")
         if self.parked:
             self.wake()
-        parts = []
-        try:
-            for fifo in self.fifos:
-                parts.append(fifo.entries.popleft())
-                fifo.total_pops += 1
-        except IndexError:
-            raise FifoError(f"pop from empty FIFO '{fifo.name}'") from None
+        delivered = self.rows_delivered
+        if delivered < 0:
+            delivered = min(map(_delivered, self.ports), default=0)
+            self.rows_delivered = delivered
+        if delivered <= self.words_streamed:
+            empty = [fifo for fifo in self.fifos if not len(fifo)]
+            raise FifoError(f"pop from empty FIFO '{empty[0].name}'")
+        word = self.rows.popleft()
         self.words_streamed += 1
         self._popped_this_cycle = True
         self.cycle_activity += 1
-        return self.extensions.apply(np.frombuffer(b"".join(parts), np.uint8))
+        if self._transforms:
+            word = np.frombuffer(word, np.uint8)
+        return self.extensions.apply(word)
+
+    def pop_output(self) -> np.ndarray:
+        """:meth:`pop_word` as a flat uint8 array, read-only unless an
+        extension rebuilt it."""
+        word = self.pop_word()
+        return word if isinstance(word, np.ndarray) else np.frombuffer(word, np.uint8)
 
     def input_ready(self) -> bool:
         """Write mode: True when every active channel can accept a word."""
         if not self.is_write or self.agu is None:
             return False
-        for fifo in self.fifos:
-            if fifo.is_full:
-                return False
-        return True
+        buffered = self.words_streamed - self.requests_issued
+        return buffered < self.design.data_buffer_depth
 
     def push_input(self, word: np.ndarray) -> None:
-        """Accept one wide word from the accelerator (write mode)."""
+        """Accept one wide word from the accelerator (write mode): one row."""
         if not self.input_ready():
             raise RuntimeError(f"{self.name}: push_input() while input not ready")
         payload = np.asarray(word, dtype=np.uint8).ravel()
@@ -362,10 +496,23 @@ class DataMaestro:
             )
         if self.parked:
             self.wake()
-        for index, fifo in enumerate(self.fifos):
-            fifo.push(payload[index * width : (index + 1) * width])
+        row = payload.data  # what the grants store from, without a copy
+        self.rows.append(row if row.c_contiguous else memoryview(payload.tobytes()))
         self.words_streamed += 1
+        occupancy = self.words_streamed - self.requests_issued
+        if occupancy > self.fill_mark:
+            for fifo in self.fifos:
+                fifo.note(occupancy)
+            self.fill_mark = occupancy
         self.cycle_activity += 1
+
+    def fill(self, ports: Sequence[MemoryPort]) -> None:
+        """Raise the high-water marks of ``ports``' data FIFOs to the
+        occupancy the delivery that just reached them left (read mode)."""
+        occupancy = ports[0].delivered - self.words_streamed
+        for port in ports:
+            port.sink.note(occupancy)
+        self.fill_mark = min([fifo.max_occupancy for fifo in self.fifos])
 
     # ------------------------------------------------------------------
     # Phase 2: address generation.
@@ -394,7 +541,7 @@ class DataMaestro:
         """Produce at most one address bundle; return True if one was made.
 
         Nothing is materialised: the bundle is a row of the address window,
-        decoded when the first channel issues it.
+        decoded when it is issued.
         """
         if (
             self.bundles_generated == self.total_bundles
@@ -414,39 +561,59 @@ class DataMaestro:
         matrix = self.agu.address_matrix(step, count, self.active_channels)
         return self.remapper.decode_batch(matrix)
 
-    def _refill_window(self) -> None:
-        """Decode :data:`ADDRESS_WINDOW` bundles from the issue cursor on —
-        a short stream's whole stream, at once.
+    def _refill_window(self, memory: MemorySubsystem) -> None:
+        """Decode the rows from the lowest grant cursor through
+        :data:`ADDRESS_WINDOW` bundles past the issue cursor — a short
+        stream's whole stream, at once."""
+        start = self.rows_granted
+        count = min(
+            -(-ADDRESS_WINDOW * 8 // self.active_channels)
+            + self.design.address_buffer_depth
+            + self.requests_issued - start,
+            self.total_bundles - start,
+        )
+        banks, lines = self._decode(start, count)
+        self._set_window(memory, start, banks, lines)
+
+    def _set_window(self, memory, start, banks, lines, masks=None) -> None:
+        """Make decoded rows ``banks`` / ``lines`` from step ``start`` on the
+        address window, in ``memory``'s words: each row's banks, their
+        :func:`~repro.memory.subsystem.bank_masks` (``masks`` when the
+        caller has them), each word's index in the scratchpad and the
+        row's gather (:meth:`~repro.memory.subsystem.MemorySubsystem.row_gathers`).
 
         ``configure`` proved every address of the stream lies inside the
-        scratchpad it was decoded for, so every bank is below that
-        scratchpad's bank count; only a memory with fewer banks needs the
-        window's banks range-checked."""
-        step = self.requests_issued
-        count = min(
-            ADDRESS_WINDOW + self.design.address_buffer_depth,
-            self.total_bundles - step,
-        )
-        banks, lines = self._decode(step, count)
-        memory = self._memory
-        if memory.geometry.num_banks < self.remapper.geometry.num_banks:
+        scratchpad it was decoded for, so only a memory with fewer banks or
+        wordlines needs the rows range-checked."""
+        geometry = memory.geometry
+        decoded = self.remapper.geometry
+        if geometry.num_banks < decoded.num_banks:
             memory.check_banks(int(banks.min()), int(banks.max()))
-        self._window_start = step
-        self._window = list(zip(banks.tolist(), lines.tolist()))
+        depth, width = geometry.bank_depth, geometry.bank_width_bytes
+        if depth < decoded.bank_depth and lines.size and lines.max() >= depth:
+            where = tuple(np.argwhere(lines >= depth)[0])
+            memory.scratchpad.banks[int(banks[where])]._check_line(int(lines[where]))
+        keys = (banks * depth + lines).tolist()
+        if masks is None:
+            masks = bank_masks(banks, geometry.num_banks)
+        gathers = memory.row_gathers(keys) if self.is_read else repeat(None)
+        self.window = list(zip(banks.tolist(), mask_ints(masks), keys, gathers))
+        self.window_start = start
 
     def issue_requests(self, memory: MemorySubsystem) -> int:
-        """Issue at most one word: one request on every active channel.
+        """Issue at most one row: one request on every active channel.
 
         The decision is the streamer's: its channels share the address and
-        the credit, so they issue together or not at all."""
-        if self._memory is not memory:
+        the credit, so they issue together or not at all.  Nothing is
+        queued: the row waits in the address window until its grants."""
+        bound = self._memory
+        if bound is None or bound() is not memory:
             self.bind(memory)
         step = self.requests_issued
         generated = self.bundles_generated
         if step == generated:
             return 0  # no address
-        is_read = self.is_read
-        if is_read:
+        if self.is_read:
             # ORM: ``requests_issued - words_streamed`` reads own a slot.
             if step >= self.words_streamed + self.design.data_buffer_depth:
                 self.credit_stall_cycles += 1
@@ -456,21 +623,11 @@ class DataMaestro:
         # The address FIFO only grows between two issues.
         if generated - step > self.max_addr_occupancy:
             self.max_addr_occupancy = generated - step
-        row = step - self._window_start
-        if not 0 <= row < len(self._window):
-            self._refill_window()
-            row = step - self._window_start
-        banks, lines = self._window[row]
-        if is_read:
-            for port, bank, line in zip(self.ports, banks, lines):
-                if not port.registered:
-                    memory.register(port)
-                port.pending.append((bank, line, None, None))
-        else:
-            for port, bank, line in zip(self.ports, banks, lines):
-                if not port.registered:
-                    memory.register(port)
-                port.pending.append((bank, line, port.sink.pop(), None))
+        if step - self.window_start >= len(self.window):
+            self._refill_window(memory)
+        if not self._registered:
+            memory.register_stream(self)
+            self._registered = True
         self.requests_issued = step + 1
         issued = len(self.ports)
         memory.pending_requests += issued
@@ -541,33 +698,36 @@ class DataMaestro:
     # Steady-span protocol (see repro.engine.steady).
     # ------------------------------------------------------------------
     def period_counters(self) -> list:
-        """What a steady period advances: the streamer's three counters, then
-        each channel's five (grants, deliveries, retries, data pushes/pops).
-        The AGU's position is not one: it stops at the stream's end, so
+        """What a steady period advances: the streamer's four counters, then
+        each channel's three (grants, deliveries, retries).  The AGU's
+        position is not one: it stops at the stream's end, so
         :meth:`replay_span` advances it."""
         counters = [
             (self, name)
-            for name in ("words_streamed", "requests_issued", "credit_stall_cycles")
+            for name in (
+                "words_streamed",
+                "requests_issued",
+                "credit_stall_cycles",
+                "rows_granted",
+            )
         ]
         for port in self.ports:
-            counters += [
-                (port, "granted"),
-                (port, "delivered"),
-                (port, "retries"),
-                (port.sink, "total_pushes"),
-                (port.sink, "total_pops"),
-            ]
+            counters += [(port, "granted"), (port, "delivered"), (port, "retries")]
         return counters
 
     def period_signature(self) -> tuple:
         """The pop flag, the address-FIFO occupancy and, per channel, the
         data-FIFO occupancy, words in flight and words pending."""
-        issued = self.requests_issued
+        issued, words = self.requests_issued, self.words_streamed
         return (
             self._popped_this_cycle,
             self.bundles_generated - issued,
             [
-                (len(port.sink.entries), issued - port.delivered, len(port.pending))
+                (
+                    port.delivered - words if self.is_read else words - issued,
+                    issued - port.delivered,
+                    issued - port.granted,
+                )
                 for port in self.ports
             ],
         )
@@ -581,11 +741,10 @@ class DataMaestro:
 
     def plan_span(self, delta: list, periods: int, flights) -> Optional[StreamSpan]:
         """Check that one steady period — ``delta`` is :meth:`period_counters`'
-        change over it — moved every channel one word per bundle, with this
-        boundary's queues where the counters put them, and decode the rows
-        for the period before and ``periods`` after; ``None`` when the
-        stream stood still.  ``flights`` holds each port's in-flight ready
-        cycles.
+        change over it — moved every channel one word per bundle, and decode
+        the rows for the period before and ``periods`` after; ``None`` when
+        the stream stood still.  ``flights`` holds each port's in-flight
+        ready cycles.
 
         The span's ``periods_left`` leaves the issue cursor one address
         short of the stream's end.  While an address stays queued, issue
@@ -594,7 +753,6 @@ class DataMaestro:
         ``bundles_generated`` sees the AGU stop."""
         words, bundles = delta[:2]  # the period's pops/pushes and issues
         issued = self.requests_issued
-        popped = self.words_streamed
         if bundles == 0:
             if words:
                 raise SteadyBail("quiescent_drift")
@@ -604,7 +762,7 @@ class DataMaestro:
         # every channel granted as far with the same response timings.
         contended = False
         skews = set()
-        moves = zip(self.ports, delta[3::5], delta[4::5], delta[5::5])
+        moves = zip(self.ports, delta[4::3], delta[5::3], delta[6::3])
         for port, granted, delivered, retries in moves:
             if bundles == 0:
                 if granted or delivered:
@@ -616,20 +774,12 @@ class DataMaestro:
                 continue
             if (granted, delivered) != (bundles, bundles):
                 raise SteadyBail("ragged_cadence")
-            flying = flights.get(port, [])
             contended = contended or retries != 0
-            skews.add((port.granted, port.delivered, tuple(flying)))
-            buffered = port.delivered - popped if self.is_read else popped - issued
-            if (
-                len(port.pending) != issued - port.granted
-                or len(flying) != port.granted - port.delivered
-                or len(port.sink.entries) != buffered
-            ):
-                raise SteadyBail("window_mismatch")
+            skews.add((port.granted, port.delivered, tuple(flights.get(port, []))))
         if bundles == 0:
             return None
         # One period back: the rows cover the reference period's grants too.
-        lo = min([port.granted for port in self.ports]) - bundles
+        lo = self.rows_granted - bundles
         hi = min(self.bundles_generated + periods * bundles, self.total_bundles)
         banks, lines = self._decode(lo, hi - lo)
         return StreamSpan(
@@ -644,89 +794,92 @@ class DataMaestro:
             (self.total_bundles - 1 - issued) // bundles,
         )
 
-    def replay_span(self, span: StreamSpan, periods: int, memory, flying, pushed=None):
+    def replay_span(self, span: StreamSpan, periods: int, memory, pushed=None):
         """Apply ``periods`` of a verified ``span`` to this streamer's words:
-        the scratchpad access, the channels' queues and the bank grants, and
-        advance the AGU's position, which stops at the stream's end (the
-        planner advances the counters after).
+        the scratchpad access, the rows and the bank grants, and advance the
+        AGU's position, which stops at the stream's end, and the address
+        window (the planner advances the counters after).
 
         A read streamer returns the wide words popped over the span; a write
-        streamer stores ``pushed``, the wide words pushed over it.  Each
-        port's in-flight words after the span go to ``flying``.  A word's
-        step is its position: a channel's stream runs from its oldest
-        queued word — buffered then in flight when reading, pending then
-        buffered when writing — through the span's last, so the words queued
-        after the span are the ``count`` rows on.  One ``(rows, channels)``
-        array of words holds every channel's stream from row 0, so the
-        popped or stored wide words are its first ``count`` rows; each
-        channel's span words start after its own queued ones."""
+        streamer stores ``pushed``, the wide words pushed over it.  One
+        ``(rows, channels)`` array of words holds every channel's words in
+        step order: a read stream's from its oldest row (``words_streamed``)
+        on, the rows held and then each channel's span grants, so the popped
+        wide words are its first ``count`` rows and the rest are the rows
+        held after the span; a write stream's from its oldest row (the
+        lowest grant cursor) on, the rows held and then the words pushed, so
+        each channel stores ``count`` of them from its own grant cursor."""
         count = periods * span.delta
         ports = self.ports
-        is_read = self.is_read
+        channels = len(ports)
         cells = memory.scratchpad.words
         word = cells.dtype
+        rows = self.rows
+        words = self.words_streamed
         banks, keys = span.grants
-        issued, words = self.requests_issued, self.words_streamed
-        if is_read:
-            in_flight = memory.in_flight_words()
-            queued = [[*port.sink.entries, *in_flight[port]] for port in ports]
-            spanned = cells[keys]
+        held = self._held(word)
+        if self.is_read:
+            # Channel c's words held are steps ``words .. port.granted``.
+            offsets = [port.granted - words for port in ports]
+            streams = np.empty((max(offsets) + count, channels), word)
+            streams[: len(held)] = held
+            _place(streams, offsets, count, cells[keys])
+            self.rows = _split(streams[count:].tobytes(), channels * word.itemsize)
+            if not self.aligned:
+                # A channel's words after the span end at its grant cursor,
+                # so the rows from the lowest one on are partly granted.
+                for index in range(min(offsets), len(self.rows)):
+                    parts = map(self.rows[index].__getitem__, self.parts)
+                    self.rows[index] = [
+                        part if index < offset else None
+                        for part, offset in zip(parts, offsets)
+                    ]
         else:
-            data = itemgetter(2)  # of a pending (bank, line, data, request)
-            queued = [[*map(data, port.pending), *port.sink.entries] for port in ports]
-            spanned = self.extensions.apply_batch(pushed).view(word)
-        depths = [len(entries) for entries in queued]
-        # The channels that queued as many words move together: their
-        # queued words, then the span's, are one row slice of them — of all
-        # channels when every channel queued as many.
-        groups: Dict[int, list] = {}
-        for column, depth in enumerate(depths):
-            groups.setdefault(depth, []).append(column)
-        streams = np.empty((max(groups) + count, len(ports)), word)
-        for depth, columns in groups.items():
-            where = slice(None) if len(columns) == len(ports) else columns
-            if depth:
-                joined = b"".join(
-                    [queued[column][row] for row in range(depth) for column in columns]
-                )
-                streams[:depth, where] = np.frombuffer(joined, word).reshape(depth, -1)
-            streams[depth : depth + count, where] = spanned[:, where]
-        if not is_read:
-            cells[keys] = streams[:count]
-        # The words queued after the span, copied out so that the queues
-        # do not hold the whole span's array, and the span rows each channel
-        # has not been granted yet, as lists for every channel at once.
-        queues = streams[count:].view(np.uint8).reshape(-1, len(ports), word.itemsize)
-        queues = queues.copy()
-        first = min([port.granted for port in ports]) + count - span.lo
-        end = issued + count - span.lo
-        waiting = zip(
-            span.banks[first:end].T.tolist(), span.lines[first:end].T.tolist()
-        )
-        for column, (port, (bank_rows, line_rows)) in enumerate(zip(ports, waiting)):
-            queue = queues[: depths[column], column]
-            if is_read:
-                buffered = port.delivered - words
-                fifo, flying[port] = queue[:buffered], iter(queue[buffered:])
-            else:
-                fifo, flying[port] = queue[issued - port.granted :], repeat(None)
-            skip = port.granted + count - span.lo - first
-            port.pending = deque(
-                zip(
-                    bank_rows[skip:],
-                    line_rows[skip:],
-                    repeat(None) if is_read else queue,
-                    repeat(None),
-                )
+            low = words - len(rows)
+            streams = np.concatenate(
+                [held, self.extensions.apply_batch(pushed).view(word)]
             )
-            if len(fifo) or port.sink.entries:
-                port.sink.replace_entries(fifo)
-        memory.replay_grants(banks, is_read, span.isolated and ports)
+            offsets = [port.granted - low for port in ports]
+            written = np.empty((count, channels), word)
+            _take(written, streams, offsets)
+            cells[keys] = written
+            self.rows = _split(streams[count:].tobytes(), channels * word.itemsize)
+        memory.replay_grants(banks, self.is_read, span.isolated and ports)
         self.bundles_generated = min(span.generated + count, self.total_bundles)
-        if is_read:
+        self.rows_delivered = -1  # counted again from the ports
+        # The rows still pending after the span are rows the span decoded.
+        granted = self.rows_granted + count
+        pending = self.requests_issued + count
+        start = self.window_start
+        if start > granted or pending - start > len(self.window):
+            first = granted - span.lo
+            last = pending - span.lo
+            masks = None if span.masks is None else span.masks[first:last]
+            self._set_window(
+                memory, granted, span.banks[first:last], span.lines[first:last], masks
+            )
+        if self.is_read:
             popped = streams[:count].view(np.uint8).reshape(count, -1)
             return self.extensions.apply_batch(popped)
         return None
+
+    def _held(self, word: np.dtype) -> np.ndarray:
+        """The rows held as a ``(rows, channels)`` array of ``word``: a
+        row's wide word, or a read row's channel words while some are not
+        granted yet (only a skewed stream has one; those read as zero)."""
+        rows = self.rows
+        if not self.is_read or self.aligned:
+            joined = b"".join(rows)
+        else:
+            zero = bytes(word.itemsize)
+            joined = b"".join(
+                [
+                    row if row.__class__ is bytes else
+                    b"".join([part or zero for part in row])
+                    for row in rows
+                ]
+            )
+        return np.frombuffer(joined, word).reshape(len(rows), len(self.ports))
 
     # ------------------------------------------------------------------
     # Statistics.
@@ -774,3 +927,35 @@ class DataMaestro:
             f"channels={self.design.num_channels}, "
             f"active={self.active_channels})"
         )
+
+
+_delivered = attrgetter("delivered")
+
+
+def _split(blob: bytes, width: int) -> Deque[bytes]:
+    """``blob`` cut into rows of ``width`` bytes."""
+    ends = range(width, len(blob) + 1, width)
+    return deque(map(blob.__getitem__, map(slice, range(0, len(blob), width), ends)))
+
+
+def _place(streams: np.ndarray, offsets: List[int], count: int, spanned) -> None:
+    """Write each channel's ``count`` span words into ``streams`` from its
+    row ``offsets[c]`` on: one slice assignment per distinct offset."""
+    groups: Dict[int, list] = {}
+    for column, offset in enumerate(offsets):
+        groups.setdefault(offset, []).append(column)
+    for offset, columns in groups.items():
+        where = slice(None) if len(columns) == len(offsets) else columns
+        streams[offset : offset + count, where] = spanned[:, where]
+
+
+def _take(taken: np.ndarray, streams: np.ndarray, offsets: List[int]) -> None:
+    """Each channel's ``len(taken)`` words of ``streams`` from its row
+    ``offsets[c]`` on, into ``taken``: the inverse of :func:`_place`."""
+    count = len(taken)
+    groups: Dict[int, list] = {}
+    for column, offset in enumerate(offsets):
+        groups.setdefault(offset, []).append(column)
+    for offset, columns in groups.items():
+        where = slice(None) if len(columns) == len(offsets) else columns
+        taken[:, where] = streams[offset : offset + count, where]

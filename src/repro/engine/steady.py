@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..memory.subsystem import bank_masks
 from ..sim.result import SteadyBail
 
 #: Fewest verified periods worth jumping over (amortizes plan/replay cost).
@@ -31,27 +32,6 @@ MAX_ROWS = 2048
 #: pairs the current boundary with the one ``g`` tiles back for rising
 #: ``g`` until signature and bank pattern both repeat.
 MAX_GROUP = 16
-
-
-def bank_masks(banks: np.ndarray, num_banks: int) -> np.ndarray:
-    """Each row of ``banks`` as a bitmask of the banks it names, sorting
-    nothing: ``(rows, words)`` uint64, bank ``b`` bit ``b % 64`` of word
-    ``b // 64``.  Computed channel-major, so that each OR runs along a
-    whole column."""
-    columns = banks.T.astype(np.uint64, order="C")
-    if num_banks <= 64:
-        return np.bitwise_or.reduce(np.left_shift(np.uint64(1), columns), axis=0)[
-            :, np.newaxis
-        ]
-    bits = np.left_shift(np.uint64(1), columns & np.uint64(63))
-    words = columns >> np.uint64(6)
-    return np.stack(
-        [
-            np.bitwise_or.reduce(np.where(words == word, bits, np.uint64(0)), axis=0)
-            for word in range(-(-num_banks // 64))
-        ],
-        axis=1,
-    )
 
 
 def footprint(masks: np.ndarray) -> int:
@@ -97,6 +77,9 @@ class _Plan:
     #: ``MAX_ROWS`` alone bounded the periods, so the same steady run goes
     #: on past the span: the next plan chains at its end.
     capped: bool
+    #: The counters that move, as ``(object, attribute, step)``: what the
+    #: commit advances by ``periods`` steps.
+    moves: list
     group: int = 0  # boundary records per period
 
     @property
@@ -327,6 +310,7 @@ class SteadySpanPlanner:
             return min(periods, (deviating - span.generated) // span.delta)
 
         for span, mask in zip(streams, masks):
+            span.masks = mask
             periods = clip(span, mask, periods)
         if periods < MIN_PERIODS:
             raise SteadyBail("bank_pattern")
@@ -414,27 +398,29 @@ class SteadySpanPlanner:
         if seen_reads != set(consumers) or write_spans != 1:
             raise SteadyBail("dataflow_incomplete")
         capped = bound == "max_rows" and periods == bounds[bound]
-        return _Plan(period, periods, delta, streams, capped)
+        moves = [
+            (obj, attribute, step)
+            for (obj, attribute), step in zip(self._slots, delta)
+            if step
+        ]
+        return _Plan(period, periods, delta, streams, capped, moves)
 
     # ------------------------------------------------------------------
     # Replay (mutating; all preconditions already verified).
     # ------------------------------------------------------------------
     def _commit(self, plan: _Plan) -> None:
-        """Each streamer replays its words and queues — the reads first, so
+        """Each streamer replays its words and rows — the reads first, so
         they gather before the sink's scatter (the two are disjoint anyway)
         — all MAC steps of all tiles collapse into one batched matmul, the
         quantizer rescales the tile stack, the memory moves its in-flight
-        batches, and last every counter advances by ``periods`` x its
-        per-period delta (the replays read the boundary's positions)."""
+        entries, and last each counter that moves advances by ``periods`` x
+        its per-period delta (the replays read the boundary's positions)."""
         memory, gemm = self.memory, self.gemm
         periods = plan.periods
-        flying: dict = {}
         popped = {}
         for span in plan.streams:
             if span.streamer.is_read:
-                popped[span.streamer] = span.streamer.replay_span(
-                    span, periods, memory, flying
-                )
+                popped[span.streamer] = span.streamer.replay_span(span, periods, memory)
         sink = next(span for span in plan.streams if not span.streamer.is_read)
         produced = gemm.compute_tiles_batch(
             periods * sink.delta,
@@ -444,8 +430,7 @@ class SteadySpanPlanner:
         )
         if self.quantizer is not None:
             produced = self.quantizer.replay_tiles(produced)
-        sink.streamer.replay_span(sink, periods, memory, flying, produced)
-        memory.replay_in_flight(plan.cycles, flying)
-        for (obj, attribute), step in zip(self._slots, plan.delta):
-            if step:
-                setattr(obj, attribute, getattr(obj, attribute) + step * periods)
+        sink.streamer.replay_span(sink, periods, memory, produced)
+        memory.replay_in_flight(plan.cycles)
+        for obj, attribute, step in plan.moves:
+            setattr(obj, attribute, getattr(obj, attribute) + step * periods)

@@ -9,24 +9,49 @@ designed to avoid.
 
 :class:`MemorySubsystem` models this at cycle granularity:
 
-* requesters (DataMaestro channels, by-name test requesters) queue word
-  requests that are served strictly in order per requester;
+* requesters queue word requests that are served strictly in order per
+  port;
 * once per cycle :meth:`arbitrate` considers the head-of-queue request of
-  every requester, grants at most one request per bank (round-robin among
+  every port, grants at most one request per bank (round-robin among
   contenders) and performs the SRAM access — a read takes a bytes-like copy
   of the wordline there, so the word is what the bank held at the grant;
 * ``read_latency`` cycles after the grant :meth:`deliver` hands the word
-  over.  The crossbar fills the data FIFO: a stream channel's read lands in
-  that channel's data FIFO directly (the Outstanding Request Manager
-  reserved the slot at issue) and its write acknowledgements are only
-  counted, so its in-flight requests are ``requests_issued -
-  port.delivered``.  A by-name requester calls :meth:`collect`.
+  over.  A by-name requester calls :meth:`collect` for it.
 
-A word is a tuple, no record: a port's ``pending`` holds ``(bank, line,
-data, request)`` (``data`` a write's word, ``request`` the by-name caller's
-:class:`MemoryRequest`, each ``None`` otherwise), and each cycle that grants
-appends one ``(ready_cycle, [(port, data, request), ...])`` batch to
-``_in_flight``, ``data`` now a read's word or ``None``.
+Two kinds of requester share the crossbar, in the order of their first
+request — the contender order of :meth:`arbitrate`, a stream's channels in
+channel order:
+
+* a **stream** — a DataMaestro's channels, which issue one *row* together
+  (one word per channel, one address bundle).  Its ports queue nothing: a
+  channel's pending words are the rows of the stream's decoded address
+  window between the channel's grant cursor ``port.granted`` and the
+  stream's issue cursor ``requests_issued``.  A window row (``window[step -
+  window_start]``) is ``(banks, mask, keys, gather)``: each channel's bank,
+  their bitmask, each channel's word index ``bank * depth + line`` and the
+  getter of the row's words (:meth:`MemorySubsystem.row_gathers`).
+  The stream holds its granted or pushed words once per row in ``rows``
+  (see :class:`~repro.core.streamer.DataMaestro`), ``rows_granted`` is its
+  lowest grant cursor and ``aligned`` whether every channel is there;
+* a **by-name** requester's port queues ``(bank, line, data, request)``
+  tuples in ``pending`` (``data`` a write's word, ``request`` the caller's
+  :class:`MemoryRequest`).
+
+When no by-name request waits, every pending stream is aligned and one
+bitmask test finds no bank named twice among the head rows, each head row is
+granted whole — one gather of its words, one in-flight entry, the bank
+counters and arbiter pointers from its tuples.  Otherwise the per-bank round
+robin runs over every port's head, the heads of a stream's channels derived
+from their cursors.  The heads decide the path, cycle by cycle.
+
+Each grant appends one ``(ready_cycle, ports, owner)`` entry to
+``_in_flight``: a row granted whole is ``(ready, stream.ports, stream)``, a
+channel granted alone ``(ready, (port,), stream)`` and a by-name request
+``(ready, (port,), request)``, ``request`` stamped with the read's word.
+Delivery only counts: ``port.delivered``, a read stream's ``rows_delivered``
+(``-1`` once a lone channel's delivery may have raised it, until the stream
+counts it again) and its data FIFOs' high-water marks (the words are
+already in its rows).
 
 For the event-driven simulation kernel (:mod:`repro.engine`) the subsystem
 additionally implements the next-event protocol: :meth:`next_event_cycle`
@@ -39,22 +64,55 @@ has proven inactive.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import starmap
+from operator import attrgetter, itemgetter
+from struct import Struct
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..sim.fifo import Fifo
 from ..sim.result import SteadyBail
 from .addressing import BankGeometry
 from .scratchpad import ScratchpadMemory
 
 
+def bank_masks(banks: np.ndarray, num_banks: int) -> np.ndarray:
+    """Each row of ``banks`` as a bitmask of the banks it names, sorting
+    nothing: ``(rows, words)`` uint64, bank ``b`` bit ``b % 64`` of word
+    ``b // 64``.  Computed channel-major, so that each OR runs along a
+    whole column."""
+    columns = banks.T.astype(np.uint64, order="C")
+    if num_banks <= 64:
+        return np.bitwise_or.reduce(np.left_shift(np.uint64(1), columns), axis=0)[
+            :, np.newaxis
+        ]
+    bits = np.left_shift(np.uint64(1), columns & np.uint64(63))
+    words = columns >> np.uint64(6)
+    return np.stack(
+        [
+            np.bitwise_or.reduce(np.where(words == word, bits, np.uint64(0)), axis=0)
+            for word in range(-(-num_banks // 64))
+        ],
+        axis=1,
+    )
+
+
+def mask_ints(masks: np.ndarray) -> List[int]:
+    """Rows of :func:`bank_masks` as Python ints."""
+    if masks.shape[1] == 1:
+        return masks[:, 0].tolist()
+    return [
+        sum(word << 64 * index for index, word in enumerate(row))
+        for row in masks.tolist()
+    ]
+
+
 @dataclass(slots=True)
 class MemoryRequest:
     """A by-name requester's word, from :meth:`MemorySubsystem.submit` to
-    :meth:`MemorySubsystem.collect` (a stream word is a bare tuple).
+    :meth:`MemorySubsystem.collect` (a stream's words are rows).
 
     It is its own response: the grant stamps ``ready_cycle`` and, for a
     read, fills ``data`` with a bytes-like copy of the wordline (a slice of
@@ -81,21 +139,23 @@ MemoryResponse = MemoryRequest
 
 @dataclass(slots=True, eq=False)
 class MemoryPort:
-    """One requester's side of the crossbar: its queues and counters.
+    """One requester's side of the crossbar: its queue and counters.
 
-    Per-cycle requesters hold their port (:meth:`MemorySubsystem.bind`) and
-    append their words to its ``pending``, so no cycle resolves a name.  A
-    port joins arbitration at its first request
-    (:meth:`MemorySubsystem.register`), never at ``bind``: registration
-    order is contender order.
+    Per-cycle requesters hold their port (:meth:`MemorySubsystem.bind`), so
+    no cycle resolves a name.  A port joins arbitration at its first request
+    (:meth:`MemorySubsystem.register`, or
+    :meth:`~MemorySubsystem.register_stream` for a stream's channels),
+    never at ``bind``: registration order is contender order.
     """
 
     name: str
-    #: ``(bank, line, data, request)`` words (see the module docstring).
+    #: A by-name requester's ``(bank, line, data, request)`` words (see the
+    #: module docstring); a stream channel's pending words are rows.
     pending: Deque[tuple] = field(default_factory=deque)
     #: A by-name requester's matured responses awaiting :meth:`collect`
     #: (``deliver`` only moves matured ones, so everything here is ready).
     responses: List[MemoryResponse] = field(default_factory=list)
+    #: Grants so far: a stream channel's grant cursor.
     granted: int = 0
     retries: int = 0
     #: Responses handed over so far, reads and write acknowledgements alike.
@@ -103,10 +163,8 @@ class MemoryPort:
     registered: bool = False
     #: The channel's other half when a streamer binds this port: its data
     #: FIFO (``DataMaestro.fifos[i]`` beside ``DataMaestro.ports[i]``),
-    #: never the streamer.  ``deliver`` appends a read's data to it and only
-    #: counts a write's acknowledgement; a write channel's issue pops its
-    #: data from it.  ``None`` for by-name requesters.
-    sink: Optional[Fifo] = None
+    #: never the streamer.  ``None`` for by-name requesters.
+    sink: Optional[Any] = None
 
 
 class MemorySubsystem:
@@ -127,17 +185,33 @@ class MemorySubsystem:
         self.total_conflicts = 0
         self.dma_reads = 0
         self.dma_writes = 0
-        #: Ports that have submitted, in first-submit order.  The order is
+        #: Every registered port by name, in registration order.
+        self._requesters: Dict[str, MemoryPort] = {}
+        #: Streams and by-name ports in first-request order.  The order is
         #: behaviour: it is the contender order of :meth:`arbitrate`, the
         #: first-contention tie-break and the grant order into
         #: ``_in_flight``.
-        self._requesters: Dict[str, MemoryPort] = {}
-        #: One batch per granting cycle, in ``ready_cycle`` and grant order.
-        self._in_flight: Deque[Tuple[int, list]] = deque()
+        self._sources: list = []
+        #: The streams among them, in the same order.
+        self._streams: list = []
+        #: One entry per granted row or word, in ``ready_cycle`` and grant
+        #: order.
+        self._in_flight: Deque[tuple] = deque()
         self._last_grant: Dict[int, str] = {}
-        #: Requests queued and not yet granted, over all ports; a requester
-        #: that appends to its ports' ``pending`` itself adds their number.
+        #: Requests queued and not yet granted, over all ports; a stream
+        #: adds its channels' number at each issue.
         self.pending_requests = 0
+        #: The by-name requests among them.
+        self._named_pending = 0
+        #: The scratchpad as unsigned ints of the widest size that divides
+        #: a word, ``units`` of them a word: a row's words are gathered as
+        #: ints and packed back into one ``bytes``, a copy taken at the
+        #: grant.
+        width = geometry.bank_width_bytes
+        unit = next(size for size in (8, 4, 2, 1) if width % size == 0)
+        self._unit_format = {8: "Q", 4: "I", 2: "H", 1: "B"}[unit]
+        self._units = width // unit
+        self._cells = memoryview(self.scratchpad.buffer).cast(self._unit_format)
 
     # ------------------------------------------------------------------
     # Requester-facing API.
@@ -146,11 +220,45 @@ class MemorySubsystem:
         """Return ``requester``'s port; a new one stays unregistered."""
         return self._requesters.get(requester) or MemoryPort(requester)
 
-    def register(self, port: MemoryPort) -> None:
-        """Enter ``port`` into arbitration, behind every port already there."""
+    def _enter(self, port: MemoryPort) -> None:
         if self._requesters.setdefault(port.name, port) is not port:
             raise ValueError(f"two ports bound as requester {port.name!r}")
         port.registered = True
+
+    def register(self, port: MemoryPort) -> None:
+        """Enter a by-name requester's ``port`` into arbitration, behind
+        every requester already there."""
+        self._enter(port)
+        self._sources.append(port)
+
+    def register_stream(self, stream) -> None:
+        """Enter a stream's channels into arbitration at its first issue,
+        behind every requester already there; a stream enters once."""
+        for port in stream.ports:
+            if not port.registered:
+                self._enter(port)
+        if stream not in self._streams:
+            self._sources.append(stream)
+            self._streams.append(stream)
+
+    def row_gathers(self, keys: List[list]) -> list:
+        """One gather per row of word ``keys`` (``bank * depth + line``, a
+        list per row): the getter of the row's ints in the scratchpad, for
+        :meth:`row_packer`'s pack."""
+        units = self._units
+        if units > 1:
+            keys = [
+                [key * units + unit for key in row for unit in range(units)]
+                for row in keys
+            ]
+        if keys and len(keys[0]) == 1:
+            return [itemgetter(slice(key, key + 1)) for (key,) in keys]
+        return list(starmap(itemgetter, keys))
+
+    def row_packer(self, channels: int):
+        """The pack of a row of ``channels`` words gathered by
+        :meth:`row_gathers` into one ``bytes``."""
+        return Struct(f"={channels * self._units}{self._unit_format}").pack
 
     def check_banks(self, lowest: int, highest: int) -> None:
         """Reject bank indices outside ``[0, num_banks)``."""
@@ -188,19 +296,25 @@ class MemorySubsystem:
             self.register(port)
         port.pending.append((request.bank, request.line, data, request))
         self.pending_requests += 1
+        self._named_pending += 1
 
     def pending_count(self, requester: str) -> int:
         """Number of not-yet-granted requests queued by ``requester``."""
         port = self._requesters.get(requester)
-        return len(port.pending) if port else 0
+        if port is None:
+            return 0
+        for stream in self._streams:
+            if port in stream.ports:
+                return stream.requests_issued - port.granted + len(port.pending)
+        return len(port.pending)
 
     def outstanding_count(self, requester: str) -> int:
         """Pending plus granted-but-not-yet-delivered requests."""
         port = self._requesters.get(requester)
         if port is None:
             return 0
-        in_flight = sum(p is port for _, batch in self._in_flight for p, _, _ in batch)
-        return len(port.pending) + in_flight + len(port.responses)
+        in_flight = sum(port in ports for _, ports, _ in self._in_flight)
+        return self.pending_count(requester) + in_flight + len(port.responses)
 
     def collect(self, port: MemoryPort) -> List[MemoryResponse]:
         """Return (and consume) all responses ready for ``port``."""
@@ -221,38 +335,49 @@ class MemorySubsystem:
         now = self.cycle
         delivered = 0
         while in_flight and in_flight[0][0] <= now:
-            _, batch = in_flight.popleft()
-            for port, data, request in batch:
+            _, ports, owner = in_flight.popleft()
+            for port in ports:
                 port.delivered += 1
-                sink = port.sink
-                if sink is None:
-                    port.responses.append(request)
-                elif data is not None:  # a write is only acknowledged
-                    entries = sink.entries
-                    if len(entries) < sink.max_occupancy:
-                        entries.append(data)
-                        sink.total_pushes += 1
-                    else:
-                        # A new high-water mark is the only place an overflow
-                        # (a request issued without a credit) can show.
-                        sink.push(data)
-            delivered += len(batch)
+            delivered += len(ports)
+            if owner.__class__ is MemoryRequest:
+                port = ports[0]
+                if port.sink is None:
+                    port.responses.append(owner)
+                else:
+                    # A by-name word on a stream's port only occupies its
+                    # data FIFO.
+                    port.sink.note(len(port.sink))
+            elif owner.is_read:
+                # A row granted whole arrives whole, above the lowest
+                # high-water mark or not; a lone channel that was the
+                # last to deliver leaves its stream to count again.
+                port = ports[0]
+                if ports is owner.ports:
+                    owner.rows_delivered = port.delivered
+                    mark = owner.fill_mark
+                else:
+                    if port.delivered - 1 == owner.rows_delivered:
+                        owner.rows_delivered = -1
+                    mark = port.sink.max_occupancy
+                if port.delivered - owner.words_streamed > mark:
+                    owner.fill(ports)
         return delivered
 
-    def _pick_winner(self, bank: int, contenders: List[MemoryPort]) -> MemoryPort:
-        """Round-robin selection among two or more contending ports for one bank."""
+    def _pick_winner(self, bank: int, contenders: List[tuple]) -> tuple:
+        """Round-robin selection among two or more contending heads (a
+        port first) for one bank."""
         last = self._last_grant.get(bank)
         if last is None:
             return contenders[0]
         # Grant the first requester strictly "after" the previous winner in
         # name order, wrapping around — a simple rotating-priority arbiter.
         first = after = None
-        for port in contenders:
-            name = port.name
-            if first is None or name < first.name:
-                first = port
-            if name > last and (after is None or name < after.name):
-                after = port
+        for head in contenders:
+            name = head[0].name
+            if first is None or name < first[0].name:
+                first = head
+            if name > last and (after is None or name < after[0].name):
+                after = head
         return after or first
 
     def arbitrate(self) -> int:
@@ -262,18 +387,107 @@ class MemorySubsystem:
         """
         if not self.pending_requests:
             return 0
-        heads: Dict[int, MemoryPort] = {}
-        contended: Dict[int, List[MemoryPort]] = {}
-        for port in self._requesters.values():
-            if port.pending:
-                bank = port.pending[0][0]
-                first = heads.setdefault(bank, port)
-                if first is not port:
-                    contended.setdefault(bank, [first]).append(port)
+        if not self._named_pending:
+            heads = []
+            seen = named = 0
+            for stream in self._streams:
+                step = stream.rows_granted
+                if step != stream.requests_issued:
+                    if not stream.aligned:
+                        break
+                    row = stream.window[step - stream.window_start]
+                    seen |= row[1]
+                    named += len(row[0])
+                    heads.append((stream, row))
+            else:
+                if seen.bit_count() == named:
+                    return self._grant_rows(heads)
+        return self._grant_words()
+
+    def _grant_rows(self, heads: list) -> int:
+        """Grant each ``(stream, window row)`` head row whole."""
+        scratchpad = self.scratchpad
+        stores = scratchpad.banks
+        buffer = scratchpad.buffer
+        last_grant = self._last_grant
+        entry = (self.cycle + self.read_latency,)
+        append = self._in_flight.append
+        granted = reads = 0
+        cells = self._cells
+        width = self.geometry.bank_width_bytes
+        for stream, (banks, _, keys, gather) in heads:
+            ports = stream.ports
+            stream.rows_granted += 1
+            last_grant.update(zip(banks, stream.port_names))
+            if stream.is_read:
+                stream.rows.append(stream.pack(*gather(cells)))
+                for port, bank in zip(ports, banks):
+                    port.granted += 1
+                    stores[bank].read_count += 1
+                reads += len(banks)
+            else:
+                word = stream.rows.popleft()
+                for port, bank, key, part in zip(ports, banks, keys, stream.parts):
+                    port.granted += 1
+                    stores[bank].write_count += 1
+                    buffer[key * width : key * width + width] = word[part]
+            granted += len(banks)
+            append(entry + (ports, stream))
+        self.pending_requests -= granted
+        self.total_reads += reads
+        self.total_writes += granted - reads
+        return granted
+
+    def _grant_words(self) -> int:
+        """Per-bank round robin over every port's head word.  A head is
+        ``(port, stream, column, key)``: a stream channel's word at its own
+        grant cursor, or (``stream`` ``None``) a by-name request."""
+        heads: Dict[int, tuple] = {}
+        contended: Dict[int, List[tuple]] = {}
+        moving = []  # the streams with a row pending
+        for source in self._sources:
+            if source.__class__ is MemoryPort:
+                if source.pending:
+                    head = (source, None, 0, 0)
+                    bank = source.pending[0][0]
+                    first = heads.setdefault(bank, head)
+                    if first is not head:
+                        contended.setdefault(bank, [first]).append(head)
+                continue
+            low = source.rows_granted
+            issued = source.requests_issued
+            if low == issued and not self._named_pending:
+                continue
+            if low < issued:
+                moving.append(source)
+            window, start = source.window, source.window_start
+            if source.aligned and low < issued:
+                # Every channel's head is in the stream's head row.
+                banks, _, keys, _ = window[low - start]
+                for column, port in enumerate(source.ports):
+                    head = (port, source, column, keys[column])
+                    first = heads.setdefault(banks[column], head)
+                    if first is not head:
+                        contended.setdefault(banks[column], [first]).append(head)
+                continue
+            for column, port in enumerate(source.ports):
+                step = port.granted
+                if step < issued:
+                    banks, _, keys, _ = window[step - start]
+                    head = (port, source, column, keys[column])
+                    bank = banks[column]
+                elif port.pending:  # a by-name word on a stream's port
+                    head = (port, None, 0, 0)
+                    bank = port.pending[0][0]
+                else:
+                    continue
+                first = heads.setdefault(bank, head)
+                if first is not head:
+                    contended.setdefault(bank, [first]).append(head)
         for bank, contenders in contended.items():
             self.total_conflicts += len(contenders) - 1
-            for port in contenders:
-                port.retries += 1
+            for head in contenders:
+                head[0].retries += 1
             heads[bank] = self._pick_winner(bank, contenders)
 
         scratchpad = self.scratchpad
@@ -283,37 +497,55 @@ class MemorySubsystem:
         depth = self.geometry.bank_depth
         last_grant = self._last_grant
         ready = self.cycle + self.read_latency
-        batch = []
+        append = self._in_flight.append
         reads = 0
-        for bank, port in heads.items():
+        for bank, (port, stream, column, key) in heads.items():
             last_grant[bank] = port.name
-            _, line, data, request = port.pending.popleft()
-            port.granted += 1
+            step = port.granted
+            port.granted = step + 1
             store = banks[bank]
-            if data is None:
-                # A read: the bank's bounds check and count, the word a
-                # slice of the buffer (most grants are reads).
-                if not 0 <= line < depth:
-                    store._check_line(line)
-                store.read_count += 1
-                start = (bank * depth + line) * width
-                data = buffer[start : start + width]
-                reads += 1
-            elif request is None:
-                # A stream's write: a uint8 word its streamer sized at push.
-                if not 0 <= line < depth:
-                    store._check_line(line)
-                store.write_count += 1
-                store._data[line] = data
-                data = None
-            else:
-                store.write(line, data, request.strobe)
-                data = None
-            if request is not None:
+            if stream is None:
+                _, line, data, request = port.pending.popleft()
+                self._named_pending -= 1
+                if data is None:
+                    store.read_count += 1
+                    start = (bank * depth + line) * width
+                    data = buffer[start : start + width]
+                    reads += 1
+                else:
+                    store.write(line, data, request.strobe)
+                    data = None
                 request.data = data
                 request.ready_cycle = ready
-            batch.append((port, data, request))
-        self._in_flight.append((ready, batch))
+                append((ready, (port,), request))
+                continue
+            rows = stream.rows
+            if stream.is_read:
+                store.read_count += 1
+                reads += 1
+                index = step - stream.words_streamed
+                if index == len(rows):
+                    rows.append([None] * len(stream.ports))
+                rows[index][column] = buffer[key * width : key * width + width]
+            else:
+                store.write_count += 1
+                word = rows[step - stream.words_streamed + len(rows)]
+                buffer[key * width : key * width + width] = word[stream.parts[column]]
+            append((ready, (port,), stream))
+        for stream in moving:
+            low = min(map(_granted, stream.ports))
+            stream.aligned = low == max(map(_granted, stream.ports))
+            rows = stream.rows
+            if stream.is_read:
+                # A row its last channel's grant completed: one wide word.
+                words = stream.words_streamed
+                for index in range(stream.rows_granted - words, low - words):
+                    rows[index] = b"".join(rows[index])
+            else:
+                # A write row leaves once every channel has stored its word.
+                while len(rows) > stream.words_streamed - low:
+                    rows.popleft()
+            stream.rows_granted = low
         self.pending_requests -= len(heads)
         self.total_reads += reads
         self.total_writes += len(heads) - reads
@@ -372,12 +604,16 @@ class MemorySubsystem:
         ]
 
     def period_signature(self) -> list:
-        """Each in-flight batch's ready cycle, relative to now, and its ports."""
+        """Each granting cycle's in-flight words: their ready cycle, relative
+        to now, and their ports in grant order."""
         now = self.cycle
-        return [
-            (ready - now, [port for port, _, _ in batch])
-            for ready, batch in self._in_flight
-        ]
+        signature: list = []
+        for ready, ports, _ in self._in_flight:
+            if signature and signature[-1][0] == ready - now:
+                signature[-1][1].extend(ports)
+            else:
+                signature.append((ready - now, list(ports)))
+        return signature
 
     def grant_pointers(self) -> Dict[int, str]:
         """A copy of the rotating arbiter's pointers: bank -> last winner."""
@@ -387,23 +623,18 @@ class MemorySubsystem:
         """The ready cycles of each of ``ports``' in-flight words, oldest
         first; bails when any other requester still has traffic."""
         flights: Dict[MemoryPort, List[int]] = {}
-        for ready, batch in self._in_flight:
-            for port, _, _ in batch:
+        for ready, granted, _ in self._in_flight:
+            for port in granted:
                 flights.setdefault(port, []).append(ready)
         for port in self._requesters.values():
             busy = port.pending or port.responses or port in flights
             if busy and port not in ports:
                 raise SteadyBail("foreign_requester")
+        for stream in self._streams:
+            if stream.rows_granted != stream.requests_issued:
+                if not ports.issuperset(stream.ports):
+                    raise SteadyBail("foreign_requester")
         return flights
-
-    def in_flight_words(self) -> Dict[MemoryPort, list]:
-        """Every port's granted, undelivered words, oldest first; a port
-        with none reads as an empty list."""
-        words: Dict[MemoryPort, list] = defaultdict(list)
-        for _, batch in self._in_flight:
-            for port, data, _ in batch:
-                words[port].append(data)
-        return words
 
     def replay_grants(self, banks: np.ndarray, is_read: bool, ports=None) -> None:
         """Count a steady span's grants on the banks: row ``i`` of ``banks``
@@ -439,13 +670,13 @@ class MemorySubsystem:
                 zip(banks_touched, [names[column] for column in columns])
             )
 
-    def replay_in_flight(self, cycles: int, words: Dict[MemoryPort, Any]) -> None:
-        """Move every in-flight batch ``cycles`` on, in order; each port's
-        words are the next ones ``words[port]`` yields."""
-        self._in_flight = deque(
-            (ready + cycles, [(port, next(words[port]), None) for port, _, _ in batch])
-            for ready, batch in self._in_flight
-        )
+    def replay_in_flight(self, cycles: int) -> None:
+        """Move every in-flight entry ``cycles`` on, in order: a steady
+        span leaves the same rows and words in flight, relative to now."""
+        in_flight = self._in_flight
+        for _ in range(len(in_flight)):
+            ready, ports, owner = in_flight.popleft()
+            in_flight.append((ready + cycles, ports, owner))
 
     # ------------------------------------------------------------------
     # Statistics & housekeeping.
@@ -468,3 +699,7 @@ class MemorySubsystem:
         self.dma_reads += reads
         self.total_writes += writes
         self.dma_writes += writes
+
+
+_delivered = attrgetter("delivered")
+_granted = attrgetter("granted")

@@ -1,14 +1,19 @@
 """Bounded FIFO queues used throughout the cycle-level models.
 
-The buffers that hold words in flight — each DataMaestro channel's data FIFO
-and the quantizer's pending queue — are simple bounded first-in/first-out
-queues with valid/ready semantics.  (The address FIFO is a count, the
-streamer's issue cursor against its generated bundles, and a granted read
-waits in the memory subsystem's ``_in_flight`` batches as a tuple.)  The
+A buffer that holds words on its own — the quantizer's pending queue — is a
+simple bounded first-in/first-out queue with valid/ready semantics.  The
 :class:`Fifo` class below models exactly that: a producer may ``push`` only
 while the FIFO is not full, a consumer may ``pop`` only while it is not
 empty, and occupancy statistics are tracked so utilization and area analyses
 can reason about buffer sizing.
+
+A DataMaestro's FIFOs are counts, not queues: its channels move words as
+rows, so the address FIFO is the issue cursor against the bundles generated
+and each channel's data FIFO is a
+:class:`~repro.core.streamer.ChannelFifo` — the counts over the streamer's
+rows between the channel's deliveries (or, writing, the streamer's issues)
+and its pops (pushes), plus a high-water mark, raising :class:`FifoError`
+where a :class:`Fifo` would.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ class FakeSource:
             return True
         return self.valid_pattern(self.cycle)
 
-    def pop_output(self):
+    def pop_word(self):
         word = self.words[self.index]
         self.index += 1
         return word

@@ -24,6 +24,14 @@ def wait_for(predicate, timeout=15.0, interval=0.02, message="condition"):
     raise AssertionError(f"timed out waiting for {message}")
 
 
+def stopped(pid):
+    """Whether process ``pid`` is stopped (``T`` in ``/proc/<pid>/stat``):
+    a ``SIGSTOP`` is delivered asynchronously, so a test that needs the
+    process stopped waits for it."""
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    return stat[stat.rindex(")") + 2] == "T"
+
+
 def started_handle(cluster, directory):
     """The handle of a shard whose process wrote a ``started-<pid>`` marker
     (a ``FileGatedBackend`` with ``touch=True``) into ``directory``."""

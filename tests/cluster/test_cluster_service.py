@@ -17,7 +17,7 @@ import signal
 import threading
 
 import pytest
-from cluster_helpers import release, started_handle, wait_for
+from cluster_helpers import release, started_handle, stopped, wait_for
 
 from repro.cluster import (
     ClusterConfig,
@@ -352,6 +352,8 @@ class TestSupervision:
             ticket = cluster.submit(job)
             victim = started_handle(cluster, tmp_path)
             os.kill(victim.process.pid, signal.SIGSTOP)
+            pid = victim.process.pid
+            wait_for(lambda: stopped(pid), timeout=10.0, message="the shard to stop")
             release(backend)  # the stopped shard cannot finish it
             assert ticket.result(timeout=30).job_hash == job.job_hash()
             assert reasons == ["hung"]

@@ -320,10 +320,10 @@ class TestChannelsDivergeAtTheGrant:
             if streamer.output_valid():
                 streamer.pop_output()
             streamer.generate_addresses()
-            before = [port.granted + len(port.pending) for port in ports]
+            before = [port.granted + memory.pending_count(port.name) for port in ports]
             streamer.issue_requests(memory)
             for index, port in enumerate(ports):
-                if port.granted + len(port.pending) > before[index]:
+                if port.granted + memory.pending_count(port.name) > before[index]:
                     issued[index].append(cycle)
             for bank, hog in hogs:
                 memory.collect(hog)

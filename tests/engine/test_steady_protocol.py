@@ -85,14 +85,22 @@ def memory_state(system):
             memory.pending_requests,
         ),
         "in_flight": [
-            (ready, [port.name for port, *_ in batch], words(w for _, w, _ in batch))
-            for ready, batch in memory._in_flight
+            (ready, [port.name for port in ports])
+            for ready, ports in memory.period_signature()
         ],
         "last_grant": sorted(memory._last_grant.items()),
         "requesters": list(memory._requesters),
         "banks": [(b.read_count, b.write_count) for b in memory.scratchpad.banks],
         "storage": memory.scratchpad.storage.tobytes(),
     }
+
+
+def channel_words(streamer, row):
+    """A held row as its channels' words, however the streamer holds it:
+    one wide word, or (a read row filled channel by channel) a list."""
+    if isinstance(row, list):
+        return words(row)
+    return words(row[part] for part in streamer.parts)
 
 
 def streamer_state(system):
@@ -108,16 +116,15 @@ def streamer_state(system):
                 streamer._popped_this_cycle,
             ),
             "ports": [
-                (
-                    port.name,
-                    port.granted,
-                    port.retries,
-                    port.delivered,
-                    [(bank, line) for bank, line, _, _ in port.pending],
-                    words(data for _, _, data, _ in port.pending),
-                )
+                (port.name, port.granted, port.retries, port.delivered, len(port.pending))
                 for port in streamer.ports
             ],
+            "rows": (
+                streamer.rows_granted,
+                streamer.aligned,
+                streamer.fill_mark,
+                [channel_words(streamer, row) for row in streamer.rows],
+            ),
             "fifos": [
                 (fifo.total_pushes, fifo.total_pops, fifo.max_occupancy)
                 + tuple(words(fifo.entries))
@@ -155,7 +162,7 @@ UNITS = {
 
 #: The entry points :func:`spy` wraps, on either side of a span.
 SPIED = (
-    "compute_tiles_batch", "replay_span", "pop_output", "replay_tiles", "push_input"
+    "compute_tiles_batch", "replay_span", "pop_word", "replay_tiles", "push_input"
 )
 
 
@@ -180,7 +187,7 @@ def span_outputs(system, replayed):
     for name, streamer in system.streamers.items():
         if streamer.is_read:
             logs[name] = []
-            spy(streamer, "replay_span" if replayed else "pop_output", logs[name])
+            spy(streamer, "replay_span" if replayed else "pop_word", logs[name])
     if replayed:
         spy(system.quantizer, "replay_tiles", logs["quantizer"])
     elif system.quantizer.output_sink is not None:

@@ -1,7 +1,8 @@
 """A work budget for the per-stepped-cycle path that repeats exactly.
 
 ``tools/step_cost.py`` counts Python calls, numpy calls, word records,
-``Fifo`` method calls and channel visits under ``sys.setprofile`` — counts,
+``Fifo`` method calls, container operations and channel visits under
+``sys.setprofile`` — counts,
 not seconds, so the budget holds on any runner.  Measured on
 ``conv_h14_w14_c16_k32_f5x5_s2`` (parent f4874ba → the address FIFO as two
 counters and the crossbar filling the data FIFOs):
@@ -58,14 +59,29 @@ linear-time jumps                33.9 → 33.9  28.0 → 28.0
 lean write grants                33.9 → 32.8  28.0 → 27.5
 ===============================  ===========  ===========
 
-A memory word is a ``(bank, line, data, request)`` tuple, no record: a
-channel appends it to its port at issue, the grant appends ``(port, data,
-request)`` to the cycle's one in-flight batch, and a delivery appends the
-data to the data FIFO's deque.  Generating a bundle advances a counter, so
-the ``Fifo`` calls left are write-mode words and the quantizer queue.  On
-``2_prefetch`` the C and D streamers sit at a fixpoint for most of every
-tile (95 % of stepped cycles here), and a parked streamer is not entered at
-all.
+Then parent ea17a9b → words moved as rows: a channel's pending words are
+rows of its streamer's address window between its grant cursor and the
+issue cursor, a streamer holds its words once per row, a cycle whose head
+rows name no bank twice grants each row whole (one gather, one in-flight
+entry), and the GeMM core pops rows as bytes.  ``6_full`` is the clean-cycle
+row; the budget is the last count, rounded up to the next tenth (calls) or
+hundredth (numpy calls), and the container operations per word — ``c_call``
+events on ``deque``, ``list`` and ``dict`` methods and ``bytes.join`` — are
+held exactly:
+
+==========  =============  ============  ======================
+step        calls          numpy calls   container ops per word
+==========  =============  ============  ======================
+2_prefetch  32.8 → 31.8    2.36 → 0.62   7.86 → 4.13
+1_baseline  27.5 → 27.0    1.26 → 0.43   8.19 → 2.59
+6_full      35.5 → 33.9    3.79 → 1.88   1.54 → 0.26
+==========  =============  ============  ======================
+
+Issue appends nothing and delivery only counts, so a data FIFO is counts
+over its streamer's rows and no ``Fifo`` method is left on the step path
+(the quantizer's queue moves in jumps here).  On ``2_prefetch`` the C and D
+streamers sit at a fixpoint for most of every tile (95 % of stepped cycles
+here), and a parked streamer is not entered at all.
 """
 
 import importlib.util
@@ -75,10 +91,12 @@ import pytest
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
 WORKLOAD = "conv_h14_w14_c16_k32_f5x5_s2"
-#: Calls per stepped cycle, as measured (see the third table).
-CALLS = {"2_prefetch": 32.9, "1_baseline": 27.5}
-#: Numpy calls per stepped cycle, as measured (see the second table).
-NUMPY_CALLS = {"2_prefetch": 2.36, "1_baseline": 1.26}
+#: Calls per stepped cycle, as measured (see the last table).
+CALLS = {"2_prefetch": 31.9, "1_baseline": 27.1, "6_full": 34.0}
+#: Numpy calls per stepped cycle, as measured (see the last table).
+NUMPY_CALLS = {"2_prefetch": 0.63, "1_baseline": 0.44, "6_full": 1.89}
+#: Container operations over the kernel, exactly (see the last table).
+CONTAINER_OPS = {"2_prefetch": 71305, "1_baseline": 44720, "6_full": 4287}
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +114,7 @@ def test_a_stepped_cycle_stays_within_its_work_budget(step_cost, step):
     assert report["calls_per_stepped_cycle"] <= CALLS[step], report
     assert report["numpy_calls_per_stepped_cycle"] <= NUMPY_CALLS[step], report
     assert report["records_per_word"] == 0, report["records"]
+    assert report["container_ops"] == CONTAINER_OPS[step], report
     assert report["fifo_calls_per_word"] <= 0.5, report
     assert report["issue_visits_per_request"] <= 1.5, report
     if step == "2_prefetch":

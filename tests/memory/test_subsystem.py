@@ -242,8 +242,8 @@ class TestWordSnapshots:
         memory = make_subsystem()
         memory.scratchpad.storage[:, 0] = 3
         streamer = TestStreamChannelPorts().reader_with_a_word_in_flight(memory)
-        ((_, (_,)),) = memory._in_flight  # one batch of one word
-        (bank,), (line,) = streamer._window[0]
+        ((_, (_,), _),) = memory._in_flight  # one entry of one word
+        ((bank,),), ((line,),) = streamer._decode(0, 1)
         assert memory.deliver() == 1 and streamer.output_valid()
         memory.submit(write_request("w", bank=bank, line=line, value=7))
         run_cycles(memory, 2)

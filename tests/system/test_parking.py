@@ -146,7 +146,7 @@ class TestParking:
         while busy:
             busy = system.step()
             assert reference_step(reference) == busy
-        assert {s for s, n in sources.items() if n} == {"pop_output", "push_input"}
+        assert {s for s, n in sources.items() if n} == {"pop_word", "push_input"}
         assert slept_through["C"] and slept_through["D"]
         assert settled_counters(system) == settled_counters(reference)
         for ours, theirs in zip(active(system), active(reference)):

@@ -53,11 +53,14 @@ the planner over its units           108.7 → 104.4            17.9 → 17.9
 the AGU a function of the step       104.4 → 102.7            17.9 → 17.9
 a tile one matmul, not an einsum     102.7 → 102.7            17.9 → 16.6
 int8 tiles, lean write grants        102.7 → 90.3             16.6 → 12.0
+words moved as rows                  90.3 → 63.5              12.0 → 11.1
 ===================================  =======================  ===========
 
 A word is a slice of the scratchpad's ``bytearray`` taken at the grant and
 a pop joins them with one ``np.frombuffer``; the GeMM core pops its words
-and computes each tile once, at its last k-step.  A stream's write grant
+and computes each tile once, at its last k-step.  Since words move as rows,
+issue appends nothing, a grant of a whole row is one gather and one
+in-flight entry, delivery only counts, and the core pops rows as bytes.  A stream's write grant
 stores its word in ``arbitrate`` itself (``MemoryBank.write``, with its
 ``np.asarray``, is for by-name requests).  What is left is the tile
 computation, the datapath extensions and the quantizer.  A streamer holds each channel as
@@ -75,8 +78,8 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
 #: Per-job counts at the parent commit (see the table above).
 PARENT = {"repro_calls_per_job": 1825.0, "numpy_calls_per_job": 405.9}
 #: ``repro`` and numpy calls per stepped cycle of the same jobs, as measured.
-STEP_CALLS_PER_STEPPED_CYCLE = 90.3
-STEP_NUMPY_CALLS_PER_STEPPED_CYCLE = 12.0
+STEP_CALLS_PER_STEPPED_CYCLE = 63.6
+STEP_NUMPY_CALLS_PER_STEPPED_CYCLE = 11.2
 
 
 @pytest.fixture(scope="module")

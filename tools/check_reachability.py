@@ -102,9 +102,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro/memory/subsystem.py::MemorySubsystem.requester_stats": (
         "engine referee: the parity tests compare engines on each port's grants and retries"
     ),
-    "repro/memory/subsystem.py::MemorySubsystem.pending_count": (
-        "engine referee: the parity fuzz holds the per-port queue identity with it"
-    ),
     "repro/memory/subsystem.py::MemorySubsystem.outstanding_count": (
         "engine referee: the parity fuzz holds the per-port in-flight identity with it"
     ),

@@ -20,6 +20,10 @@ memory word cost in *work*, which repeats exactly on any machine:
   the same words: the address FIFOs are counters and the memory fills the
   read data FIFOs itself, so write-mode words and the quantizer queue are
   what is left;
+* container operations per memory word — ``c_call`` events on methods of a
+  ``deque``, ``list`` or ``dict`` and on ``bytes.join``, over the same
+  words: what a word costs in queue traffic, which moving words as rows
+  divides by the channels a row holds;
 * issue visits per request — channels holding an address (and, writing,
   data) each time a streamer's issue phase is entered, over requests issued;
 * per streamer, the share of stepped cycles in which its issue phase was not
@@ -54,6 +58,7 @@ Run from the repository root::
 
     python tools/step_cost.py 2_prefetch conv_h16_w16_c32_k16_f7x7_s1
     python tools/step_cost.py 1_baseline conv_h14_w14_c16_k32_f5x5_s2 --json
+    python tools/step_cost.py 6_full conv_h14_w14_c16_k32_f5x5_s2
     python tools/step_cost.py setup
     python tools/step_cost.py step
     python tools/step_cost.py jump
@@ -68,6 +73,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 from pathlib import Path
 from typing import Dict
 
@@ -82,6 +88,7 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
     from repro.compiler import compile_workload
     from repro.core.params import ablation_feature_sets
     from repro.engine import EventDrivenEngine
+    from repro.engine import steady  # noqa: F401 — else the first boundary imports it
     from repro.sim.fifo import Fifo
     from repro.system import AcceleratorSystem, datamaestro_evaluation_system
     from repro.workloads import synthetic_suite
@@ -97,13 +104,16 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
     system = AcceleratorSystem(design)
 
     system_step = AcceleratorSystem.step.__code__
-    counts = {"calls": 0, "numpy": 0, "stepped": 0, "visits": 0, "fifo": 0}
+    counts = {
+        "calls": 0, "numpy": 0, "stepped": 0, "visits": 0, "fifo": 0, "containers": 0
+    }
     records = dict.fromkeys(RECORD_TYPES, 0)
     entered: Dict[str, int] = {}
 
     def hook(frame, event, arg):
         if event == "c_call":
             counts["numpy"] += _is_numpy(arg)
+            counts["containers"] += _is_container(arg)
             return
         if event != "call":
             return
@@ -160,6 +170,8 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
         "records_per_word": sum(records.values()) / issued,
         "fifo_calls": counts["fifo"],
         "fifo_calls_per_word": counts["fifo"] / issued,
+        "container_ops": counts["containers"],
+        "container_ops_per_word": counts["containers"] / issued,
         "issue_visits": counts["visits"],
         "issue_visits_per_request": counts["visits"] / issued,
         "parked_share": {
@@ -182,6 +194,15 @@ def _is_numpy(function) -> bool:
     if module is None:
         module = type(getattr(function, "__self__", None)).__module__
     return module.startswith("numpy")
+
+
+def _is_container(function) -> bool:
+    """Whether a C callable is a method of a ``deque``, ``list`` or
+    ``dict``, or ``bytes.join``."""
+    owner = getattr(function, "__self__", None)
+    if isinstance(owner, (deque, list, dict)):
+        return True
+    return isinstance(owner, bytes) and function.__name__ == "join"
 
 
 def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
@@ -432,6 +453,8 @@ def render(report: Dict[str, object]) -> str:
             f"({report['records_per_word']:.2f} per word: {records or 'none'})",
             f"  Fifo method calls        {report['fifo_calls']:>10,} "
             f"({report['fifo_calls_per_word']:.2f} per word)",
+            f"  container operations     {report['container_ops']:>10,} "
+            f"({report['container_ops_per_word']:.2f} per word)",
             f"  stepped cycles parked    {parked}",
         ]
     )
