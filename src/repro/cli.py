@@ -260,22 +260,30 @@ def _cache_dir(args: argparse.Namespace, default: bool = True):
 
 
 class _ShardedSimulator(Simulator):
-    """``--jobs N``: jobs are admitted, probed, counted and written back here,
-    and a lone job runs here (a shard round trip per serial job costs more).
-    A batch with two or more to run goes to an N-shard cluster with no cache,
-    opened on first need and closed by ``main``; only its core traces."""
+    """``--jobs N``: the inline shell — it admits, probes, counts and writes
+    back, and runs a lone job itself (a shard round trip per serial job
+    costs more) — with each batch of two or more new entries run on an
+    N-shard cluster with no cache, opened on first need, closed by ``main``."""
 
     def __init__(self, args: argparse.Namespace, cache_dir) -> None:
         super().__init__(cache_dir=cache_dir)
-        self._core.traced, self._args, self._cluster = False, args, None
+        self._args, self._cluster, self._sent = args, None, {}  # job hash -> ticket
 
-    def _run(self, new, service) -> None:
-        if len(new) > 1 and self._cluster is None:
-            from .cluster import ClusterConfig, ClusterService
+    def _run_batch(self, batch) -> None:
+        if len(batch) > 1:
+            if self._cluster is None:
+                from .cluster import ClusterConfig, ClusterService
 
-            cluster = ClusterService(config=ClusterConfig(shards=self._args.jobs))
-            self._cluster = self._args.resources.enter_context(cluster)
-        super()._run(new, self._cluster if len(new) > 1 else None)
+                cluster = ClusterService(config=ClusterConfig(shards=self._args.jobs))
+                self._cluster = self._args.resources.enter_context(cluster)
+            for entry in batch:
+                self._sent[entry.key] = self._cluster.submit_wait(entry.job, "simulator")
+        super()._run_batch(batch)
+
+    def _simulate(self, entry):
+        # A ticket an aborted batch left unclaimed answers its job if it runs again.
+        sent = self._sent.pop(entry.key, None)
+        return super()._simulate(entry) if sent is None else sent.result()
 
 
 def _simulator_from_args(args: argparse.Namespace) -> Simulator:

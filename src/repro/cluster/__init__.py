@@ -1,9 +1,9 @@
 """Multi-process sharded simulation cluster.
 
-The :mod:`repro.serve` service coalesces, caches and fair-queues — but one
-process means one GIL, and compute-bound simulation throughput flatlines
-however many threads it runs.  :mod:`repro.cluster` executes on worker
-*processes* behind the same admission core, fair queue and worker loop:
+One process means one GIL, so compute-bound simulation throughput
+flatlines however many threads the :mod:`repro.serve` service runs.
+:mod:`repro.cluster` executes on worker *processes* behind the same
+admission shell, fair queue and worker loop:
 
 * :class:`~repro.cluster.service.ClusterService` *is* the thread service
   (:class:`~repro.serve.client.ServiceClient`) with shard executors: its
@@ -24,11 +24,10 @@ however many threads it runs.  :mod:`repro.cluster` executes on worker
 
 :class:`~repro.cluster.service.ClusterConfig` is the cluster's one config
 (the supervisor's health fields included).  Being a ``ServiceClient``, the
-cluster has its one client surface — ``priority``, per-client fairness and
-``on_event`` included — so ``Simulator(service=cluster)`` works unchanged.
-``repro serve --shards N`` exposes it from the CLI, and ``repro batch …
---jobs N`` runs on it.  :class:`~repro.cluster.router.ShardRouter` is kept
-for the benchmark only; nothing here routes by hash.
+cluster has its whole client surface, so ``Simulator(service=cluster)``
+works unchanged; ``repro serve --shards N`` and ``repro batch … --jobs N``
+run on it.  :class:`~repro.cluster.router.ShardRouter` is kept for the
+benchmark only; nothing here routes by hash.
 """
 
 from .journal import JobJournal, JobJournalError

@@ -2,20 +2,20 @@
 
 :class:`ClusterService` is a :class:`~repro.serve.client.ServiceClient`
 whose worker slots drive shard *processes*, so N shards run N simulations
-with N private GILs.  Admission (the
-:class:`~repro.runtime.admission.AdmissionCore`), the one
+with N private GILs.  Admission and the path an entry runs are the
+:class:`~repro.runtime.admission.AdmissionShell`'s, the one
 :class:`~repro.serve.queue.FairQueue` (unbounded here: the parent admits
-every job) and the one worker loop are the shell's; this module is what
-runs behind a slot:
+every job) and worker loop the thread service's; this module is the shard
+executor behind a slot:
 
 1. **Journal** — with a :class:`~repro.cluster.journal.JobJournal`, the
    enqueue hook records an accepted job before it is queued, so a crash
    before its completion resubmits it on restart.
 2. **Dispatch** — each shard has ``worker_threads`` slots.  A free slot
-   pops the next job, sends it to its shard (the next live one when its own
-   is dead) over :mod:`~repro.cluster.protocol` and waits for the reply: a
-   shard is only sent what it can run at once, and whichever shard frees
-   first takes the next job.
+   takes the next job, sends it to its shard (the next live one when its
+   own is dead) over :mod:`~repro.cluster.protocol` and waits for the
+   reply: a shard is only sent what it can run at once, and whichever
+   shard frees first takes the next job.
 3. **Execute** — the shard runs the backend, writes the outcome back to
    the shared cache and replies with it (or the original exception).
 4. **Settle** — the reader thread hands the reply to its slot by sequence
@@ -27,8 +27,7 @@ crashed or hung shard and resends what its slots wait on, so waiters never
 observe the crash.  A shard that crash-loops fails those jobs with
 :class:`~repro.cluster.supervisor.ShardFailedError`; its slots then serve
 the live shards, and admission raises that error once every shard is dead.
-``Simulator(service=cluster)`` works as over any ``ServiceClient``: that is
-what ``repro batch … --jobs N`` runs on.
+``Simulator(service=cluster)`` hands its batches to ``cluster.run``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from ..obs.metrics import MetricFamily, Sample
 from ..obs.trace import get_tracer
 from ..runtime.admission import Entry, ServiceClosedError, ServiceEvent, Ticket
 from ..runtime.cache import ResultCache
-from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
 from ..serve.client import ServiceClient
 from .journal import JobJournal
@@ -270,13 +268,11 @@ class ClusterService(ServiceClient):
     # ------------------------------------------------------------------
     # The shell's hooks: admit, enqueue, execute.
     # ------------------------------------------------------------------
-    def _admit(
-        self, job: SimJob, client: str, priority: int, count_refusal: bool
-    ) -> Ticket:
+    def _admit(self, *args, **kwargs) -> Ticket:
         """The thread service's admission, refused once every shard is dead
         (like a closed service's refusal, that counts nothing)."""
         self._live_shard(0)
-        return super()._admit(job, client, priority, count_refusal)
+        return super()._admit(*args, **kwargs)
 
     def _enqueue(self, entry: Entry) -> None:
         """Journal the accepted job write-ahead, then queue it."""
@@ -294,15 +290,15 @@ class ClusterService(ServiceClient):
                 return index
         raise ShardFailedError("; ".join(dead.values()))
 
-    def _execute(self, entry: Entry, slot: int) -> SimOutcome:
-        """Send ``entry`` to the slot's shard, wait for the reply the reader
+    def _execute(self, entry: Entry) -> SimOutcome:
+        """Send ``entry`` to its slot's shard, wait for the reply the reader
         thread delivers (a shard's death resends it, see
         :meth:`_redispatch_shard`) and journal the completion."""
         reply: Future = Future()
         with self._lock:
             if self._core.inflight.get(entry.key) is not entry:
                 raise ServiceClosedError("cluster terminated")
-            entry.executor = self._live_shard(slot % self.config.shards)
+            entry.executor = self._live_shard(entry.executor % self.config.shards)
             seq = next(self._seqs)
             self._pending[seq] = (entry, reply)
             handle = self._handles[entry.executor]

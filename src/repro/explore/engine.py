@@ -9,8 +9,8 @@
 2. candidates already in the run journal are *replayed* (no simulation at
    all); the rest are materialised into :class:`~repro.runtime.job.SimJob`
    batches and pushed through ``Simulator.simulate_many`` — so the on-disk
-   result cache makes repeated exploration incremental, and a simulator
-   over a ``ClusterService`` (``--jobs N``) runs a batch on N processes;
+   result cache makes repeated exploration incremental, and with
+   ``--jobs N`` a batch runs on N shard processes;
 3. fresh evaluations are scored against the objective layer, appended to the
    journal, and reported back to the strategy for the next round.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -202,8 +203,11 @@ class ExplorationEngine:
             "budget": budget,
         }
 
-    def _evaluate_batch(self, batch: Sequence[Candidate]) -> List[Evaluation]:
-        """Simulate a batch of candidates (all workloads, one runtime call)."""
+    def _evaluate_batch(
+        self, batch: Sequence[Candidate], served: "Counter[bool]"
+    ) -> List[Evaluation]:
+        """Simulate a batch of candidates (all workloads, one runtime call);
+        count each distinct job once in ``served``, by ``cache_hit``."""
         built = [self.space.build(candidate) for candidate in batch]
         jobs: List[SimJob] = []
         for candidate, (design, features) in zip(batch, built):
@@ -221,6 +225,7 @@ class ExplorationEngine:
                     )
                 )
         outcomes = self.simulator.simulate_many(jobs)
+        served.update({o.job_hash: o.cache_hit for o in outcomes}.values())
         evaluations = []
         stride = len(self.workloads)
         for index, (candidate, (design, features)) in enumerate(zip(batch, built)):
@@ -303,9 +308,9 @@ class ExplorationEngine:
             else:
                 journal.start(header)
 
-        executed_before = self.simulator.stats.executed
-        hits_before = self.simulator.stats.cache_hits
-
+        # Outcomes of this run's own jobs, by whether a cache answered them:
+        # the simulator's counters may be a service's, shared with others.
+        served: "Counter[bool]" = Counter()
         evaluated: Dict[str, Evaluation] = {}
         order: List[str] = []
         proposed = 0
@@ -325,7 +330,7 @@ class ExplorationEngine:
                 fresh_keys.add(key)
                 fresh.append(candidate)
             fresh_map: Dict[str, Evaluation] = {}
-            for evaluation in self._evaluate_batch(fresh) if fresh else []:
+            for evaluation in self._evaluate_batch(fresh, served) if fresh else []:
                 fresh_map[evaluation.candidate.key()] = evaluation
                 if journal is not None:
                     journal.append(evaluation)
@@ -339,8 +344,8 @@ class ExplorationEngine:
         evaluations = [evaluated[key] for key in order]
         self._record_metrics(
             evaluated=len(evaluations),
-            simulated=self.simulator.stats.executed - executed_before,
-            cache_hits=self.simulator.stats.cache_hits - hits_before,
+            simulated=served[False],
+            cache_hits=served[True],
             replayed=sum(1 for e in evaluations if e.from_journal),
         )
         return ExplorationReport(
@@ -351,8 +356,8 @@ class ExplorationEngine:
             objectives=self.objectives,
             evaluations=evaluations,
             frontier=pareto_frontier(evaluations, self.objectives),
-            simulated=self.simulator.stats.executed - executed_before,
-            cache_hits=self.simulator.stats.cache_hits - hits_before,
+            simulated=served[False],
+            cache_hits=served[True],
             replayed_from_journal=sum(1 for e in evaluations if e.from_journal),
             proposal_shortfall=budget - proposed,
         )

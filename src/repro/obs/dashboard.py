@@ -3,7 +3,7 @@
 Plain HTML + vanilla JavaScript, zero dependencies: the page polls
 ``/snapshot`` every two seconds and renders queue depth, coalescing /
 cache hit rates, per-shard (or per-worker) executed counts and latency
-percentiles.  There is one snapshot shape (``AdmissionCore.snapshot``); a
+percentiles.  There is one snapshot shape (``AdmissionShell.snapshot``); a
 cluster's adds ``shards`` / ``shard_count`` / ``restarts``, which the page
 shows when present, as the CLI stats line does.
 

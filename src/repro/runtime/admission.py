@@ -1,4 +1,5 @@
-"""The admission core: one state machine under every way a job runs.
+"""The admission core and the shell around it: one state machine under
+every way a job runs.
 
 What is requested is decoupled from who executes it.  Every submission —
 to ``Simulator``, to the thread service, to the cluster — **coalesces**
@@ -8,11 +9,13 @@ onto an identical in-flight job, or is answered by a **probe**
 handed to an executor; every entry ends in exactly one **settle** (outcome
 or error) or **abandon** (shutdown).  That state machine, its counters, the
 executor-side telemetry (latency, macro-step totals, executions per
-executor), the one ops-snapshot shape and the one lifecycle emit point
-(:meth:`AdmissionCore.announce`) live here, once.  Everything behind it is
-a bare executor: ``Simulator`` runs new entries on the caller's thread or
-hands them to a service, the thread service runs them on worker threads,
-and the cluster ships them to shard processes that only execute.
+executor) and the one lifecycle emit point (:meth:`AdmissionCore.announce`)
+live here, once, and so does :class:`AdmissionShell`, the one shell every
+front door runs on: the lock over the core, batch admission, the one path
+an entry runs (announce ``started``, execute, settle, resolve) and the
+ops snapshot.  A subclass is an executor — ``Simulator`` inline on the
+caller's thread, the thread service on worker threads, the cluster on
+shard processes that only execute.
 
 The core is transport-free: every waiter holds a plain
 ``concurrent.futures.Future`` and the shell serialises every call (each
@@ -47,20 +50,23 @@ enough to assert on in tests.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..obs.metrics import MetricFamily, MetricsRegistry, Sample
 from ..obs.trace import get_tracer
-from .cache import ResultCache
+from .backends import execute_job_with_progress
+from .cache import ResultCache, write_back
 from .job import SimJob
 from .outcome import SimOutcome
 
 __all__ = [
     "AdmissionCore",
+    "AdmissionShell",
     "EVENT_KINDS",
     "Entry",
     "SERVICE_COUNTERS",
@@ -287,9 +293,6 @@ class AdmissionCore:
         self.stats = stats
         self.cache = cache
         self.on_event = on_event
-        #: Whether :meth:`announce` feeds the tracer; ``Simulator`` clears it
-        #: over a service, whose own core announces the same jobs.
-        self.traced = True
         #: Sequence number of the next :class:`ServiceEvent` (from 0).
         self._event_seq = 0
         #: The in-flight coalescing map: job hash -> the one live entry.
@@ -334,16 +337,16 @@ class AdmissionCore:
         """Emit one lifecycle edge of ``entry`` (a coalesced submission
         passes its own ``client``; the entry keeps the first submitter's).
 
-        The edge goes to the installed tracer (when ``traced``) and, when
-        set, to ``on_event`` as one :class:`ServiceEvent` — the only event
-        object built.  Neither may break admission: a raising observer (a
+        The edge goes to the installed tracer and, when set, to
+        ``on_event`` as one :class:`ServiceEvent` — the only event object
+        built.  Neither may break admission: a raising observer (a
         ``print`` whose pipe closed) would strand futures and deadlock
         shutdown, so its error is dropped.
         """
         if client is None:
             client = entry.client
         workload = entry.job.workload.name
-        tracer = get_tracer() if self.traced else None
+        tracer = get_tracer()
         if tracer is not None:
             try:
                 tracer.lifecycle(kind, entry.key, client, workload=workload, **extra)
@@ -427,10 +430,8 @@ class AdmissionCore:
         """Retire ``key`` with its outcome (or error); return the entry for
         the caller to :meth:`~Entry.resolve`.
 
-        An outcome the executor served from a cache (a service behind
-        ``Simulator``) counts as ``cache_hits``; any other outcome is
-        ``executed`` by the entry's ``executor`` and records the latency
-        and the macro-step totals.  A key that is not
+        An outcome is ``executed`` by the entry's ``executor`` and records
+        the latency and the macro-step totals.  A key that is not
         in flight — a stale frame from a killed shard incarnation, a job
         already abandoned — is ignored (``None``).
         """
@@ -447,16 +448,13 @@ class AdmissionCore:
                 error=f"{type(error).__name__}: {error}",
             )
             return entry
-        if outcome.cache_hit:
-            self.stats.inc("cache_hits")
-        else:
-            self.stats.inc("executed")
-            self.latency.observe(time.monotonic() - entry.admitted_at)
-            self.executed_by[entry.executor] += 1
-            macro = outcome.metrics.get("macro_stats")
-            if isinstance(macro, dict):
-                self.macro_jumps.inc(int(macro.get("jumps", 0)))
-                self.macro_cycles_skipped.inc(int(macro.get("cycles_skipped", 0)))
+        self.stats.inc("executed")
+        self.latency.observe(time.monotonic() - entry.admitted_at)
+        self.executed_by[entry.executor] += 1
+        macro = outcome.metrics.get("macro_stats")
+        if isinstance(macro, dict):
+            self.macro_jumps.inc(int(macro.get("jumps", 0)))
+            self.macro_cycles_skipped.inc(int(macro.get("cycles_skipped", 0)))
         self.announce("finished", entry, waiters=entry.waiters)
         return entry
 
@@ -482,23 +480,123 @@ class AdmissionCore:
             abandoned.append(entry)
         return abandoned
 
-    def snapshot(self, queue_depth: int) -> Dict[str, object]:
-        """The one ops-snapshot shape: ``queue_depth`` (the shell's count
-        of entries no executor has picked up), ``inflight``, every counter
-        and hit rate, ``executed_by``, ``latency`` and ``macro`` — read off
-        the metric objects ``/metrics`` renders.
 
-        Taken under the shell's lock it is one consistent cut: the
-        accounting identity holds on it.
-        """
-        return {
-            "queue_depth": queue_depth,
-            "inflight": len(self.inflight),
-            **self.stats.as_dict(),
-            "executed_by": dict(self.executed_by),
-            "latency": self.latency.as_dict(),
-            "macro": {
-                "jumps": self.macro_jumps.value,
-                "cycles_skipped": self.macro_cycles_skipped.value,
-            },
-        }
+class AdmissionShell:
+    """The one shell under every front door: the lock over the core, batch
+    admission, the one path an entry runs (:meth:`_run_entry`) and the
+    snapshot.  A subclass is an executor; the shell's own, ``Simulator``'s,
+    runs a batch's new entries inline on the caller's thread, in turn.
+    """
+
+    #: Which transport's counter rows :attr:`counters` carries.
+    _transport = "simulator"
+
+    def __init__(
+        self,
+        cache: Optional[ResultCache],
+        on_event: Optional[Callable[[ServiceEvent], None]] = None,
+    ) -> None:
+        self.cache = cache
+        #: The shell's counters: ``executed``, ``cache_hits``, ``coalesced``, …
+        self.counters = Stats(self._transport)
+        #: The per-shell metrics registry: :attr:`counters`, the core's
+        #: telemetry and an executor's gauges; :meth:`snapshot` reads it.
+        self.metrics = self.counters.registry
+        #: Serialises the core (and an executor's queue).  Re-entrant so an
+        #: ``on_event`` callback (which runs under it) may read ``snapshot()``.
+        self._lock = threading.RLock()
+        self._core = AdmissionCore(self.counters, cache, on_event)
+
+    def run(
+        self, jobs: Sequence[SimJob], client_name: str = "anon", priority: int = 0
+    ) -> List[SimOutcome]:
+        """Submit a batch and block for every outcome, in submission order.
+
+        The batch is admitted under one hold of the lock, so a duplicate
+        *within it* always coalesces.  When the inline executor raises, the
+        entries still in flight are retired ``cancelled`` (no later call
+        coalesces onto a dead future) and the error propagates."""
+        batch: List[Entry] = []
+        try:
+            with self._lock:
+                tickets = [self._admit(job, client_name, priority, batch) for job in jobs]
+            if batch:
+                self._run_batch(batch)
+        except BaseException:
+            with self._lock:
+                aborted = self._core.abandon(batch, "batch aborted")
+            for entry in aborted:
+                entry.resolve()
+            raise
+        return [ticket.result() for ticket in tickets]
+
+    def _admit(self, job: SimJob, client: str, priority: int, batch: List[Entry]) -> Ticket:
+        """Admit one job under the lock; a new entry joins ``batch``."""
+        return self._core.admit(job, client, batch.append, priority)
+
+    def _run_batch(self, batch: List[Entry]) -> None:
+        """The inline executor: run ``batch`` on this thread, in turn; the
+        first backend error propagates."""
+        take = iter(batch).__next__
+        for _ in batch:
+            entry = self._run_entry(take)
+            if entry.error is not None:
+                raise entry.error
+
+    def _run_entry(self, take: Callable[[], Optional[Entry]]) -> Optional[Entry]:
+        """Run one entry on this thread: ``take`` it and announce it
+        ``started`` in one hold of the lock, :meth:`_execute` it off the
+        lock, settle it, and resolve its waiters once the lock is released.
+        Returns the entry (``error`` set when the executor raised), or
+        ``None`` when ``take`` has none."""
+        with self._lock:
+            entry = take()
+            if entry is None:
+                return None
+            self._core.announce("started", entry)
+        try:
+            outcome, error = self._execute(entry), None
+        except Exception as caught:  # noqa: BLE001 — surfaced to every waiter
+            outcome, error = None, caught
+        with self._lock:
+            self._core.settle(entry.key, outcome, error)
+        entry.resolve()
+        return entry
+
+    def _execute(self, entry: Entry) -> SimOutcome:
+        """Simulate ``entry`` and write the outcome back, before ``settle``:
+        a later duplicate finds the in-flight entry or the cache, never
+        neither (``ResultCache.put`` is atomic).  A failing write-back is
+        only a warning — the outcome must reach its waiters."""
+        outcome = self._simulate(entry)
+        write_back(self.cache, entry.key, outcome)
+        return outcome
+
+    def _simulate(self, entry: Entry) -> SimOutcome:
+        """The backend run; inline, with no ``progress`` edges."""
+        return execute_job_with_progress(entry.job)
+
+    def _queue_depth(self) -> int:
+        """Entries no executor has picked up yet: none inline."""
+        return 0
+
+    def snapshot(self) -> Dict[str, object]:
+        """The one ops-snapshot shape: ``queue_depth``, ``inflight``, every
+        counter and hit rate, ``executed_by``, ``latency`` and ``macro``,
+        read under the lock (the accounting identity holds on it), plus the
+        cache's directory pass, made after the lock is released."""
+        core = self._core
+        with self._lock:
+            summary = {
+                "queue_depth": self._queue_depth(),
+                "inflight": len(core.inflight),
+                **self.counters.as_dict(),
+                "executed_by": dict(core.executed_by),
+                "latency": core.latency.as_dict(),
+                "macro": {
+                    "jumps": core.macro_jumps.value,
+                    "cycles_skipped": core.macro_cycles_skipped.value,
+                },
+            }
+        summary["cache"] = self.cache.stats() if self.cache is not None else None
+        return summary

@@ -1,14 +1,15 @@
 """The :class:`Simulator` facade — the single front door for simulation.
 
 Callers describe *what* to simulate as :class:`~repro.runtime.job.SimJob`
-values; the simulator decides *how*.  Every job is admitted through the
-simulator's own :class:`~repro.runtime.admission.AdmissionCore` — the same
-core the thread service and the cluster run — so a duplicate inside a batch
-coalesces and a cached job is answered by the probe; the new entries then
-run through one executor: in-process on the caller's thread (each outcome
-written back to the cache), or through the service's tickets when one is
-attached.  All experiment modules, the analysis drivers and the CLI go
-through this facade.
+values; the simulator decides *how*.  ``Simulator()`` is the admission
+shell (:class:`~repro.runtime.admission.AdmissionShell`, the one the thread
+service and the cluster run) with the inline executor: a duplicate inside a
+batch coalesces, a cached job is answered by the probe, and the new entries
+run on the caller's thread, each outcome written back to the cache.
+``Simulator(service=s)`` is no shell of its own: ``simulate_many`` is
+``s.run(jobs, "simulator")`` and ``stats`` and ``cache`` are ``s``'s.  All
+experiment modules, the analysis drivers and the CLI go through this
+facade.
 
 Typical use::
 
@@ -21,7 +22,7 @@ Typical use::
 
 from __future__ import annotations
 
-import threading
+from functools import partial
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -29,14 +30,13 @@ from ..core.params import FeatureSet
 from ..engine import DEFAULT_ENGINE
 from ..system.design import AcceleratorSystemDesign
 from ..workloads.spec import Workload
-from .admission import AdmissionCore, Entry, Stats
-from .backends import execute_job_with_progress
-from .cache import ResultCache, write_back
+from .admission import AdmissionShell
+from .cache import ResultCache
 from .job import DATAMAESTRO_BACKEND, SimJob
 from .outcome import SimOutcome
 
 
-class Simulator:
+class Simulator(AdmissionShell):
     """Compiles, runs and caches simulation jobs behind one uniform API.
 
     Parameters
@@ -49,12 +49,11 @@ class Simulator:
         (the default) nothing is cached.
     service:
         Optional shared service — a ``ServiceClient``, or a
-        ``ClusterService`` for process parallelism.  New entries then run
-        through ``service.submit_wait``: one scheduler and one cache across
-        DSE runs, sweeps and ad-hoc calls, with duplicate in-flight
-        requests coalesced.  The service's cache is the one probed, so a
-        ``cache`` or ``cache_dir`` beside it is a ``ValueError``; its core
-        traces the jobs, so this one does not.  See ``docs/SERVE.md``.
+        ``ClusterService`` for process parallelism — that admits, probes,
+        counts and runs every job: one scheduler and one cache across DSE
+        runs, sweeps and ad-hoc calls.  The simulator then holds no core
+        and no lock; its ``stats`` and ``cache`` are the service's, so a
+        ``cache`` or ``cache_dir`` beside it is a ``ValueError``.
     """
 
     def __init__(
@@ -63,22 +62,21 @@ class Simulator:
         cache_dir: Optional[Union[str, Path]] = None,
         service: Optional[object] = None,
     ) -> None:
-        if service is not None and (cache is not None or cache_dir is not None):
-            raise ValueError(
-                "a Simulator with a service probes the service's cache: "
-                "give the cache to the service, not to both"
-            )
+        if service is not None:
+            if cache is not None or cache_dir is not None:
+                raise ValueError(
+                    "a Simulator with a service probes the service's cache: "
+                    "give the cache to the service, not to both"
+                )
+            self.cache, self.stats = service.cache, service.counters
+            # The service's own batch call, with no frame of this class.
+            self.simulate_many = partial(service.run, client_name="simulator")
+            return
         if cache is None and cache_dir is not None:
             cache = ResultCache(Path(cache_dir).expanduser())
-        self.service = service
-        #: The cache behind this simulator's outcomes: its own, or the service's.
-        self.cache = cache if service is None else service.cache
-        self._core = AdmissionCore(Stats("simulator"), cache)
-        self._core.traced = service is None
-        #: The core's counters: ``executed``, ``cache_hits``, ``coalesced``, …
-        self.stats = self._core.stats
-        #: Serialises the core: one simulator may serve several threads.
-        self._lock = threading.Lock()
+        super().__init__(cache)
+        #: The shell's counters: ``executed``, ``cache_hits``, ``coalesced``, …
+        self.stats = self.counters
 
     # ------------------------------------------------------------------
     def simulate(self, job: SimJob) -> SimOutcome:
@@ -88,53 +86,11 @@ class Simulator:
     def simulate_many(self, jobs: Iterable[SimJob]) -> List[SimOutcome]:
         """Execute a batch; outcome order always equals submission order.
 
-        The whole batch is admitted first, so a duplicate coalesces before
-        it is probed: ``[job, job, job]`` on a cold cache is one counted
-        miss, one execution and two coalesced submissions.
-        """
-        new: List[Entry] = []
-        with self._lock:
-            tickets = [self._core.admit(job, "simulator", new.append) for job in jobs]
-        try:
-            self._run(new, self.service)
-        except BaseException:
-            # An executor that raised leaves the rest of the batch unsettled:
-            # retire it, so no later call coalesces onto a dead future.
-            with self._lock:
-                aborted = self._core.abandon(new, "batch aborted")
-            for entry in aborted:
-                entry.resolve()
-            raise
-        return [ticket.result() for ticket in tickets]
-
-    def _run(self, new: List[Entry], service: Optional[object]) -> None:
-        """Run the batch's new entries on one executor and settle each: on
-        the caller's thread, where a backend error settles its entry and
-        propagates, or through ``service``, each with its own ticket's
-        outcome or error."""
-        if service is None:
-            for entry in new:
-                self._core.announce("started", entry)
-                try:
-                    outcome = execute_job_with_progress(entry.job)
-                except Exception as error:
-                    self._settle(entry, None, error)
-                    raise
-                self._settle(entry, outcome)
-            return
-        tickets = [service.submit_wait(entry.job, "simulator") for entry in new]
-        for entry, ticket in zip(new, tickets):
-            error = ticket.future.exception()
-            self._settle(entry, None if error else ticket.result(), error)
-
-    def _settle(self, entry: Entry, outcome: Optional[SimOutcome], error=None) -> None:
-        """Write ``outcome`` back to this simulator's cache, if it has one,
-        then retire ``entry`` and release its waiters."""
-        if outcome is not None:
-            write_back(self._core.cache, entry.key, outcome)
-        with self._lock:
-            self._core.settle(entry.key, outcome, error)
-        entry.resolve()
+        A duplicate coalesces before it is probed: ``[job, job, job]`` on a
+        cold cache is one counted miss, one execution and two coalesced
+        submissions.  A backend error settles its job ``failed``, retires
+        the jobs that never ran as ``cancelled`` and propagates."""
+        return self.run(jobs, "simulator")
 
     # ------------------------------------------------------------------
     def sweep(

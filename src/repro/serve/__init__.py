@@ -1,10 +1,9 @@
 """``repro.serve`` — the in-process simulation service.
 
-PR 1–4 built the ingredients of a production-scale simulation system —
-hashable :class:`~repro.runtime.job.SimJob` descriptions, the on-disk
-:class:`~repro.runtime.cache.ResultCache`, batched execution and the
-event-driven engine.  This package is the front door that turns them into
-a *service*: a long-lived, thread-safe component that
+:class:`ServiceClient` is a long-lived, thread-safe front door: the
+admission shell of :mod:`repro.runtime.admission` (the one ``Simulator``
+runs inline and :mod:`repro.cluster` on shard processes) with worker
+threads as its executor.  It
 
 * **coalesces** identical in-flight requests onto one future (keyed by the
   job hash), so a duplicate burst costs one simulation;
@@ -19,24 +18,13 @@ a *service*: a long-lived, thread-safe component that
   tracer, and as a :class:`~repro.runtime.admission.ServiceEvent` to the
   ``on_event`` callback.
 
-Entry points:
-
-* :class:`ServiceClient` — the one service shell: worker slots under one
-  lock around the transport-free admission core of
-  :mod:`repro.runtime.admission` (shared with ``Simulator``); the
-  :mod:`repro.cluster` service is this class with shard executors;
-* ``python -m repro.cli serve …`` — the CLI daemon;
-* ``Simulator(service=client)`` — routes existing call sites (sweeps,
-  experiments, ``ExplorationEngine(simulator=...)``) through one shared
-  scheduler and cache;
-* :func:`~repro.serve.replay.replay_trace` / ``python -m repro.cli replay``
-  — drive the service with realistic arrival traces (Poisson, diurnal,
-  bursty, hot-key-skewed, or recorded JSONL) and report per-regime latency
-  and avoidance (:mod:`repro.serve.replay`, ``docs/SCENARIOS.md``).
-
-See ``docs/SERVE.md`` for the full guide (including when to prefer the
-bare :class:`~repro.runtime.simulator.Simulator`) and
-``docs/ARCHITECTURE.md`` for where this layer sits in the package map.
+``python -m repro.cli serve …`` is the CLI daemon;
+``Simulator(service=client)`` hands the batches of existing call sites
+(sweeps, experiments, ``ExplorationEngine(simulator=...)``) to it;
+:func:`~repro.serve.replay.replay_trace` / ``python -m repro.cli replay``
+drive it with realistic arrival traces (``docs/SCENARIOS.md``).  See
+``docs/SERVE.md`` for the full guide, including when to prefer the bare
+:class:`~repro.runtime.simulator.Simulator`.
 """
 
 from ..runtime.admission import ServiceClosedError, ServiceEvent

@@ -1,4 +1,4 @@
-"""The simulation service shell: fair admission, worker slots.
+"""The thread service: the admission shell with worker-thread executors.
 
 :class:`ServiceClient` is what scripts, tests, the CLI and
 ``Simulator(service=...)`` hold, in-process or — as its subclass
@@ -9,26 +9,18 @@
         outcome = ticket.result()                  # blocks
         outcomes = client.run(jobs)                # batch, order preserved
 
-Admission — coalescing identical in-flight requests onto one future,
-probing the :class:`~repro.runtime.cache.ResultCache` before anything is
-scheduled, counting, announcing each lifecycle edge — is the
-:class:`~repro.runtime.admission.AdmissionCore`'s, shared with
-``Simulator``; this module is the shell around it that both transports
-run:
-
-* a **fair admission queue** (:class:`~repro.serve.queue.FairQueue`) —
-  priority first, round-robin across clients within a priority, FIFO
-  within a client; a full backlog raises the typed
-  :class:`~repro.serve.queue.QueueFullError` from :meth:`~ServiceClient.submit`
-  (:meth:`~ServiceClient.submit_wait` and :meth:`~ServiceClient.run` wait for
-  capacity instead);
-* one **worker loop** per slot — a slot pops the next entry, runs it
-  (:meth:`~ServiceClient._execute`: here the backend on the slot's thread,
-  with the result written back through the same cache; in the cluster a
-  round trip to the slot's shard) and settles it; cache hits never occupy
-  a slot;
-* ``progress`` edges fed by the simulation engines' cooperative yield
-  points (see ``docs/ENGINE.md``), announced like every other edge.
+The lock, admission (coalesce, probe, count, announce), the one path an
+entry runs and the snapshot are the
+:class:`~repro.runtime.admission.AdmissionShell`'s.  This module adds the
+executor both transports share: a **fair admission queue**
+(:class:`~repro.serve.queue.FairQueue`: priority first, round-robin across
+clients, FIFO within a client; a full backlog raises the typed
+:class:`~repro.serve.queue.QueueFullError` from :meth:`~ServiceClient.submit`,
+while :meth:`~ServiceClient.submit_wait` and ``run`` wait for capacity),
+and one **worker loop** per slot that takes the next entry and runs it
+through the shell — here the backend on the slot's thread, its engine's
+cooperative yield points announced as ``progress`` edges; in the cluster a
+round trip to the slot's shard.  Cache hits never occupy a slot.
 
 Every method is thread-safe and runs on the caller's thread: one
 re-entrant lock serialises the core and the queue.  Pure-Python cycle
@@ -41,22 +33,22 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..obs.exposition import cache_families
 from ..obs.metrics import MetricFamily
 from ..obs.trace import get_tracer
 from ..runtime.admission import (
-    AdmissionCore,
+    AdmissionShell,
     Entry,
     ServiceClosedError,
     ServiceEvent,
-    Stats,
     Ticket,
 )
 from ..runtime.backends import execute_job_with_progress
-from ..runtime.cache import ResultCache, write_back
+from ..runtime.cache import ResultCache
 from ..runtime.job import SimJob
 from ..runtime.outcome import SimOutcome
 from .queue import FairQueue, QueueFullError
@@ -91,7 +83,7 @@ class ServiceConfig:
             raise ValueError("progress_interval must be positive")
 
 
-class ServiceClient:
+class ServiceClient(AdmissionShell):
     """Thread-safe simulation front door: submit, coalesce, stream, drain.
 
     The workers start with the object; use it as a context manager or call
@@ -112,7 +104,6 @@ class ServiceClient:
         it may read :meth:`snapshot`.  Without it no event object is built.
     """
 
-    #: Which transport's counter rows :attr:`counters` carries.
     _transport = "thread"
 
     def __init__(
@@ -124,21 +115,10 @@ class ServiceClient:
     ) -> None:
         if cache is None and cache_dir is not None:
             cache = ResultCache(Path(cache_dir).expanduser())
-        self.cache = cache
+        super().__init__(cache, on_event)
         self.config = config or ServiceConfig()
-        #: The service's counters (``stats()`` returns them as a dict).
-        self.counters = Stats(self._transport)
-        #: The per-service metrics registry: :attr:`counters`, the core's
-        #: latency, macro totals and per-executor rows, and the shell's
-        #: gauges.  :meth:`collect` renders it; :meth:`snapshot` reads the
-        #: same objects.
-        self.metrics = self.counters.registry
-        #: Serialises the core and the queue.  Re-entrant so an ``on_event``
-        #: callback (which runs under it) may read ``snapshot()``.
-        self._lock = threading.RLock()
         self._work_available = threading.Condition(self._lock)
         self._space_freed = threading.Condition(self._lock)
-        self._core = AdmissionCore(self.counters, cache, on_event)
         self._queue: FairQueue[Entry] = FairQueue(
             self.config.max_backlog, on_depth=self._on_queue_depth
         )
@@ -146,7 +126,7 @@ class ServiceClient:
         gauge(
             "repro_queue_depth",
             "Jobs admitted but not yet picked up by a worker.",
-            lambda: len(self._queue),
+            self._queue_depth,
         )
         gauge(
             "repro_inflight",
@@ -235,48 +215,39 @@ class ServiceClient:
         raising :class:`QueueFullError` (coalesced and cached submissions
         never wait)."""
         with self._lock:
-            while True:
-                try:
-                    return self._admit(job, client_name, priority, count_refusal=False)
-                except QueueFullError:
-                    # Releases the lock, however deeply held, until a worker
-                    # pops or a close makes the retry raise the typed error.
-                    self._space_freed.wait()
-
-    def run(
-        self,
-        jobs: Sequence[SimJob],
-        client_name: str = "anon",
-        priority: int = 0,
-    ) -> List[SimOutcome]:
-        """Submit a batch and block for every outcome, in submission order.
-
-        The whole batch is admitted under one hold of the lock (released
-        only while waiting for capacity), so no worker can retire an entry
-        in between: duplicates *within the batch* always coalesce, and
-        arbitrarily large batches flow through the bounded backlog without
-        rejection.
-        """
-        with self._lock:
-            tickets = [self.submit_wait(job, client_name, priority) for job in jobs]
-        return [ticket.result() for ticket in tickets]
+            return self._admit(job, client_name, priority)
 
     def _admit(
-        self, job: SimJob, client: str, priority: int, count_refusal: bool
+        self,
+        job: SimJob,
+        client: str,
+        priority: int,
+        batch: Optional[List[Entry]] = None,
+        count_refusal: bool = False,
     ) -> Ticket:
-        """One admission, under the lock."""
-        if self.closed:
-            raise ServiceClosedError("service is closed")
-        # Fail-fast submissions record a QueueFullError bounce; the waiting
-        # path retries instead — that is backpressure, not a rejection, and
-        # it must not double-count the submission.
-        ticket = self._core.admit(
-            job, client, self._enqueue, priority, count_refusal=count_refusal
-        )
-        if not (ticket.coalesced or ticket.cache_hit):
-            self._core.announce("queued", self._core.inflight[ticket.job_hash])
-            self._work_available.notify()
-        return ticket
+        """One admission, under the lock; a new entry is queued for the
+        worker slots, not added to ``batch``.  A fail-fast submission
+        (``count_refusal``) records a :class:`QueueFullError` bounce;
+        otherwise a full backlog is waited out — backpressure, not a
+        rejection, and the retry must not count the submission twice."""
+        while True:
+            if self.closed:
+                raise ServiceClosedError("service is closed")
+            try:
+                ticket = self._core.admit(
+                    job, client, self._enqueue, priority, count_refusal=count_refusal
+                )
+            except QueueFullError:
+                if count_refusal:
+                    raise
+                # Releases the lock, however deeply held, until a worker
+                # pops or a close makes the retry raise the typed error.
+                self._space_freed.wait()
+                continue
+            if not (ticket.coalesced or ticket.cache_hit):
+                self._core.announce("queued", self._core.inflight[ticket.job_hash])
+                self._work_available.notify()
+            return ticket
 
     def _enqueue(self, entry: Entry) -> None:
         """The core's ``place`` hook: the bounded queue accepts or bounces."""
@@ -291,21 +262,14 @@ class ServiceClient:
         if tracer is not None:
             tracer.counter("queue_depth", {"jobs": depth})
 
+    def _queue_depth(self) -> int:
+        return len(self._queue)
+
     def stats_dict(self) -> Dict[str, object]:
-        """Service counters and hit rates.  Readable after close, like the
-        rest."""
+        """Service counters and hit rates (readable after close)."""
         return self.counters.as_dict()
 
     stats = stats_dict
-
-    def snapshot(self) -> Dict[str, object]:
-        """The core's ops snapshot (``executed_by`` keyed by executor),
-        one consistent cut, plus the cache's directory pass, made after
-        the lock is released."""
-        with self._lock:
-            summary = self._core.snapshot(len(self._queue))
-        summary["cache"] = self.cache.stats() if self.cache is not None else None
-        return summary
 
     def collect(self) -> List[MetricFamily]:
         """The ``/metrics`` families of :attr:`metrics`: collected under the
@@ -322,43 +286,31 @@ class ServiceClient:
     # Workers.
     # ------------------------------------------------------------------
     def _worker_loop(self, slot: int) -> None:
-        while True:
-            with self._lock:
-                while not len(self._queue):
-                    if self.closed:
-                        return
-                    self._work_available.wait()
-                entry, *_ = self._queue.pop()
-                entry.executor = slot
-                self._space_freed.notify_all()
-                self._core.announce("started", entry)
-            try:
-                outcome, error = self._execute(entry, slot), None
-            except Exception as caught:  # noqa: BLE001 — surfaced to every waiter
-                outcome, error = None, caught
-            with self._lock:
-                self._core.settle(entry.key, outcome, error)
-            entry.resolve()
+        take = partial(self._take, slot)
+        while self._run_entry(take) is not None:
+            pass
 
-    def _execute(self, entry: Entry, slot: int) -> SimOutcome:
-        """Simulate on worker ``slot``'s thread and write back, off the lock.
+    def _take(self, slot: int) -> Optional[Entry]:
+        """Worker ``slot``'s next entry (``None`` once closed and drained)."""
+        while not len(self._queue):
+            if self.closed:
+                return None
+            self._work_available.wait()
+        entry, *_ = self._queue.pop()
+        entry.executor = slot
+        self._space_freed.notify_all()
+        return entry
 
-        The write-back precedes ``settle``, so a later duplicate finds the
-        in-flight entry or the cache, never neither (``ResultCache.put`` is
-        atomic: a concurrent probe sees nothing or the complete entry).  A
-        failing write-back is demoted to a warning — the simulation result
-        exists and must reach its waiters.
-        """
+    def _simulate(self, entry: Entry) -> SimOutcome:
+        """The backend run, its yield points announced as ``progress``."""
 
         def progress(cycles: int) -> None:
             # Engine yield point, on this worker thread → the emit point.
             with self._lock:
                 self._core.announce("progress", entry, cycles=cycles)
 
-        outcome = execute_job_with_progress(
+        return execute_job_with_progress(
             entry.job,
             progress_callback=progress,
             progress_interval=self.config.progress_interval,
         )
-        write_back(self.cache, entry.key, outcome)
-        return outcome

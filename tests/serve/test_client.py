@@ -190,6 +190,43 @@ class TestRuntimeIntegration:
         ]
 
 
+    def test_exploration_counts_only_its_own_jobs_on_a_shared_service(self, tmp_path):
+        """Another client runs a job on the same service before every batch
+        (executed once, then cache hits): the report still counts only the
+        engine's own simulations, not the service's counters."""
+        from repro.explore import (
+            ExplorationEngine,
+            GridStrategy,
+            ParameterAxis,
+            SearchSpace,
+            parse_objectives,
+        )
+        from repro.runtime import SimJob
+
+        space = SearchSpace(
+            axes=(ParameterAxis.make("data_fifo_depth", (2, 4, 8)),),
+            name="serve_shared",
+        )
+        other = SimJob(workload=GemmWorkload(name="serve_other", m=8, n=8, k=8))
+        with ServiceClient(cache_dir=tmp_path) as client:
+
+            class Interleaved(GridStrategy):
+                def propose(self, evaluated, remaining):
+                    client.run([other], client_name="other")
+                    return super().propose(evaluated, 1)
+
+            report = ExplorationEngine(
+                space=space,
+                strategy=Interleaved(),
+                objectives=parse_objectives("cycles"),
+                workloads=[GemmWorkload(name="serve_explore", m=8, n=8, k=8)],
+                simulator=Simulator(service=client),
+            ).run(budget=10)
+            stats = client.stats()
+        assert (report.simulated, report.cache_hits) == (3, 0)
+        assert (stats["executed"], stats["cache_hits"]) == (4, 3)
+
+
 class TestClientClosedAndAccounting:
     def test_submit_and_run_after_close_raise_typed_error(
         self, stub_backend, make_job

@@ -225,19 +225,6 @@ class TestSettlement:
         assert extra["error"] == "RuntimeError: backend exploded"
         assert (h.core.stats.failed, h.core.stats.executed) == (1, 0)
 
-    def test_executor_answering_from_the_shared_cache_is_not_an_execution(self):
-        """A service behind ``Simulator`` may answer from its own cache: the
-        simulator's core counts that a cache hit, and times nothing."""
-        h = Harness()
-        job = _job(8)
-        h.admit(job)
-        outcome = _outcome(job)
-        outcome.cache_hit = True
-        h.core.settle(job.job_hash(), outcome).resolve()
-        assert (h.core.stats.cache_hits, h.core.stats.executed) == (1, 0)
-        assert h.core.latency.count == 0 and not h.core.executed_by
-        assert identity_holds(h.core.stats.as_dict(), 0)
-
     def test_abandon_counts_cancelled_and_fails_waiters(self):
         h = Harness()
         jobs = [_job(10 + i) for i in range(3)]
@@ -388,6 +375,33 @@ class TestOneEmitPoint:
             assert kinds == [kind for kind, call_key in recorder.calls if call_key == key]
         assert {"coalesced", "cache_hit", "failed"} <= {kind for kind, _ in heard}
         assert [event.seq for event in events] == list(range(len(events)))
+
+
+class TestDescribe:
+    """``ServiceEvent.describe`` is the line ``repro serve --events`` prints:
+    each optional field appears exactly when it is set."""
+
+    KEY = "0123456789abcdef" * 4
+
+    def test_progress_line_carries_cycles(self):
+        event = ServiceEvent("progress", self.KEY, "alice", 7, "gemm_a", cycles=250_000)
+        assert event.describe() == "[0007] progress  gemm_a client=alice cycles=250000"
+
+    def test_finished_line_carries_waiters(self):
+        event = ServiceEvent("finished", self.KEY, "bob", 12, "gemm_b", waiters=3)
+        assert event.describe() == "[0012] finished  gemm_b client=bob waiters=3"
+
+    def test_failed_line_carries_the_error(self):
+        event = ServiceEvent(
+            "failed", self.KEY, "carol", 3, "gemm_c", waiters=1, error="RuntimeError: boom"
+        )
+        assert event.describe() == (
+            "[0003] failed    gemm_c client=carol waiters=1 error=RuntimeError: boom"
+        )
+
+    def test_an_empty_client_and_workload_leave_the_hash(self):
+        event = ServiceEvent("submitted", self.KEY, "", 0)
+        assert event.describe() == "[0000] submitted 0123456789ab"
 
 
 # ----------------------------------------------------------------------
