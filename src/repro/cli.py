@@ -40,7 +40,8 @@ or ``python -m repro.cli …``:
   or Zipf hot-key-skew regimes, or a recorded JSONL trace) and report p50/p99
   latency, coalesce rate and cache hit-rate (see ``docs/SCENARIOS.md``);
 * ``repro metrics --once`` — print one Prometheus text scrape of the
-  process-wide registry (or serve it over HTTP without ``--once``);
+  process-wide registry and the result cache (or serve it over HTTP
+  without ``--once``);
 * ``repro cache info|prune|clear`` — inspect or bound the on-disk result
   cache (``prune`` evicts least-recently-used entries);
 * ``repro selftest`` — tiny cached GeMM end-to-end smoke test;
@@ -92,6 +93,7 @@ from .runtime import (
     available_backends,
     default_cache_dir,
 )
+from .runtime.admission import AdmissionShell
 from .workloads.spec import ConvWorkload, GemmWorkload, Workload
 from .workloads.synthetic import FULL_SUITE_COUNTS, synthetic_suite
 
@@ -259,7 +261,7 @@ def _cache_dir(args: argparse.Namespace, default: bool = True):
     return default_cache_dir() if default else None
 
 
-class _ShardedSimulator(Simulator):
+class _ShardedShell(AdmissionShell):
     """``--jobs N``: the inline shell — it admits, probes, counts and writes
     back, and runs a lone job itself (a shard round trip per serial job
     costs more) — with each batch of two or more new entries run on an
@@ -290,7 +292,8 @@ def _simulator_from_args(args: argparse.Namespace) -> Simulator:
     """Build the Simulator the runtime flags describe."""
     _require(args, "--jobs", positive=False)
     cache_dir = _cache_dir(args, default=args.cache_default)
-    return _ShardedSimulator(args, cache_dir) if args.jobs > 1 else Simulator(cache_dir=cache_dir)
+    shell = _ShardedShell(args, cache_dir) if args.jobs > 1 else AdmissionShell(cache_dir=cache_dir)
+    return Simulator(service=shell)
 
 
 def _features_from_args(args: argparse.Namespace) -> FeatureSet:
@@ -875,16 +878,18 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Expose process-wide telemetry over HTTP, or print one scrape."""
-    from .obs.exposition import render
-    from .obs.metrics import get_registry
+    from .obs.exposition import cache_families, render
+    from .obs.metrics import MetricsRegistry, get_registry
 
     _check_port("--port", args.port)
     _require(args, "--duration")
-    registry = get_registry()
-    # No service here, so the cache reports through the registry (a
-    # serving daemon's ``collect()`` appends the same cache families).
+    # No service here: a registry of this command's own renders the
+    # process-wide one plus the cache (as a serving daemon's ``collect()``
+    # does) and leaves the process-wide one as it was.
     cache = ResultCache(_cache_dir(args))
-    cache.register_metrics(registry)
+    registry = MetricsRegistry()
+    registry.add_callback("process", get_registry().collect)
+    registry.add_callback("repro_result_cache", lambda: cache_families(cache.stats()))
     if args.once:
         sys.stdout.write(render(registry.collect()))
         return 0

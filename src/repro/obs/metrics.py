@@ -17,7 +17,7 @@ Two registry scopes exist by design:
   Parallel services in one process (the test suite runs dozens) never
   merge counts, and ``service.snapshot()`` reads the same objects;
 * **the process-wide registry** (:func:`get_registry`) — build info,
-  engine counters, exploration counters and result-cache callbacks;
+  engine counters and exploration counters;
   anything that is genuinely one-per-process registers here and the HTTP
   exporter renders it after the service's ``collect()``.
 

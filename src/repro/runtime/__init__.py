@@ -14,10 +14,10 @@ served from the on-disk result cache.
 * :mod:`repro.runtime.cache` — content-addressed on-disk result cache;
 * :mod:`repro.runtime.admission` — the admission core (coalesce → probe →
   settle, the counters, the one lifecycle emit point) and the one shell
-  around it, under every way a job runs: the :class:`Simulator` here, the
-  thread service and the cluster;
-* :mod:`repro.runtime.simulator` — the :class:`Simulator` facade: the
-  shell with the inline executor, or a service's batch call.
+  around it, under every way a job runs: inline on the caller's thread,
+  the thread service and the cluster;
+* :mod:`repro.runtime.simulator` — the :class:`Simulator` facade over one
+  shell: a new inline shell, or the service it was given.
 
 See ``docs/RUNTIME.md`` for the job model, caching semantics and how to add
 a backend; ``docs/ENGINE.md`` covers the ``engine`` job field (event-driven

@@ -13,9 +13,11 @@ executor) and the one lifecycle emit point (:meth:`AdmissionCore.announce`)
 live here, once, and so does :class:`AdmissionShell`, the one shell every
 front door runs on: the lock over the core, batch admission, the one path
 an entry runs (announce ``started``, execute, settle, resolve) and the
-ops snapshot.  A subclass is an executor — ``Simulator`` inline on the
-caller's thread, the thread service on worker threads, the cluster on
-shard processes that only execute.
+ops snapshot.  The shell itself is the inline executor, which runs a
+batch on the caller's thread; a subclass is another executor — the thread
+service on worker threads, the cluster on shard processes that only
+execute.  ``Simulator`` is no shell: it holds one (its own inline shell,
+or the service it was given) and forwards to it.
 
 The core is transport-free: every waiter holds a plain
 ``concurrent.futures.Future`` and the shell serialises every call (each
@@ -55,7 +57,8 @@ import time
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..obs.metrics import MetricFamily, MetricsRegistry, Sample
 from ..obs.trace import get_tracer
@@ -162,7 +165,7 @@ class Stats:
 
     The ``common`` rows of :data:`SERVICE_COUNTERS` plus those of
     ``transport`` (``"thread"`` / ``"cluster"``; any other name, such as
-    ``Simulator``'s, carries the common rows only), each a
+    the inline shell's, carries the common rows only), each a
     :class:`~repro.obs.metrics.Counter` in a per-instance registry (so
     parallel services in one process never merge counts).  Reads are plain
     ints — ``stats.executed``; writes go through :meth:`inc`.
@@ -484,8 +487,11 @@ class AdmissionCore:
 class AdmissionShell:
     """The one shell under every front door: the lock over the core, batch
     admission, the one path an entry runs (:meth:`_run_entry`) and the
-    snapshot.  A subclass is an executor; the shell's own, ``Simulator``'s,
-    runs a batch's new entries inline on the caller's thread, in turn.
+    snapshot.  The shell's own executor runs a batch's new entries inline on
+    the caller's thread, in turn (what ``Simulator()`` holds); a subclass is
+    another executor.  ``cache`` is a ready-made :class:`ResultCache`, or
+    ``cache_dir`` the directory to open one in (ignored when ``cache`` is
+    given); uncached when both are ``None``.
     """
 
     #: Which transport's counter rows :attr:`counters` carries.
@@ -493,9 +499,12 @@ class AdmissionShell:
 
     def __init__(
         self,
-        cache: Optional[ResultCache],
+        cache: Optional[ResultCache] = None,
+        cache_dir: Optional[Union[str, Path]] = None,
         on_event: Optional[Callable[[ServiceEvent], None]] = None,
     ) -> None:
+        if cache is None and cache_dir is not None:
+            cache = ResultCache(Path(cache_dir).expanduser())
         self.cache = cache
         #: The shell's counters: ``executed``, ``cache_hits``, ``coalesced``, …
         self.counters = Stats(self._transport)

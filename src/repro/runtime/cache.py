@@ -320,21 +320,6 @@ class ResultCache:
                 "held_bytes": self._held_bytes,
             }
 
-    def register_metrics(self, registry=None) -> None:
-        """Expose this cache through an obs registry (idempotent).
-
-        Registers a named callback producing the ``repro_result_cache_*``
-        families from :meth:`stats` on every scrape; ``registry`` defaults
-        to the process-wide one.  Re-registering (a fresh cache object at
-        the same directory, repeated CLI runs in one process) replaces the
-        previous producer instead of duplicating rows.
-        """
-        from ..obs.exposition import cache_families
-        from ..obs.metrics import get_registry
-
-        target = registry if registry is not None else get_registry()
-        target.add_callback("repro_result_cache", lambda: cache_families(self.stats()))
-
 
 @dataclass
 class _Held:

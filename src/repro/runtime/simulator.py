@@ -1,15 +1,17 @@
 """The :class:`Simulator` facade — the single front door for simulation.
 
 Callers describe *what* to simulate as :class:`~repro.runtime.job.SimJob`
-values; the simulator decides *how*.  ``Simulator()`` is the admission
-shell (:class:`~repro.runtime.admission.AdmissionShell`, the one the thread
-service and the cluster run) with the inline executor: a duplicate inside a
-batch coalesces, a cached job is answered by the probe, and the new entries
-run on the caller's thread, each outcome written back to the cache.
-``Simulator(service=s)`` is no shell of its own: ``simulate_many`` is
-``s.run(jobs, "simulator")`` and ``stats`` and ``cache`` are ``s``'s.  All
-experiment modules, the analysis drivers and the CLI go through this
-facade.
+values; the simulator decides *how*.  A ``Simulator`` is no shell of its
+own: it holds one, ``service``, and forwards to it — ``simulate_many`` is
+``service.run(jobs, "simulator")``, and ``stats``, ``cache`` and
+``snapshot()`` are the shell's.  ``Simulator()`` holds an inline
+:class:`~repro.runtime.admission.AdmissionShell` (the one the thread
+service and the cluster run): a duplicate inside a batch coalesces, a
+cached job is answered by the probe, and the new entries run on the
+caller's thread, each outcome written back to the cache.
+``Simulator(service=s)`` holds ``s`` — a ``ServiceClient``, a
+``ClusterService`` or any other shell.  All experiment modules, the
+analysis drivers and the CLI go through this facade.
 
 Typical use::
 
@@ -22,9 +24,8 @@ Typical use::
 
 from __future__ import annotations
 
-from functools import partial
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.params import FeatureSet
 from ..engine import DEFAULT_ENGINE
@@ -36,7 +37,7 @@ from .job import DATAMAESTRO_BACKEND, SimJob
 from .outcome import SimOutcome
 
 
-class Simulator(AdmissionShell):
+class Simulator:
     """Compiles, runs and caches simulation jobs behind one uniform API.
 
     Parameters
@@ -48,35 +49,31 @@ class Simulator(AdmissionShell):
         cache.  Ignored when ``cache`` is given.  When both are ``None``
         (the default) nothing is cached.
     service:
-        Optional shared service — a ``ServiceClient``, or a
-        ``ClusterService`` for process parallelism — that admits, probes,
-        counts and runs every job: one scheduler and one cache across DSE
-        runs, sweeps and ad-hoc calls.  The simulator then holds no core
-        and no lock; its ``stats`` and ``cache`` are the service's, so a
-        ``cache`` or ``cache_dir`` beside it is a ``ValueError``.
+        Optional shell to hold instead of a new inline one — a
+        ``ServiceClient``, or a ``ClusterService`` for process parallelism —
+        that admits, probes, counts and runs every job: one scheduler and
+        one cache across DSE runs, sweeps and ad-hoc calls.  Its ``stats``
+        and ``cache`` are then the service's, so a ``cache`` or
+        ``cache_dir`` beside it is a ``ValueError``.
     """
 
     def __init__(
         self,
         cache: Optional[ResultCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        service: Optional[object] = None,
+        service: Optional[AdmissionShell] = None,
     ) -> None:
-        if service is not None:
-            if cache is not None or cache_dir is not None:
-                raise ValueError(
-                    "a Simulator with a service probes the service's cache: "
-                    "give the cache to the service, not to both"
-                )
-            self.cache, self.stats = service.cache, service.counters
-            # The service's own batch call, with no frame of this class.
-            self.simulate_many = partial(service.run, client_name="simulator")
-            return
-        if cache is None and cache_dir is not None:
-            cache = ResultCache(Path(cache_dir).expanduser())
-        super().__init__(cache)
-        #: The shell's counters: ``executed``, ``cache_hits``, ``coalesced``, …
-        self.stats = self.counters
+        if service is None:
+            service = AdmissionShell(cache, cache_dir)
+        elif cache is not None or cache_dir is not None:
+            raise ValueError(
+                "a Simulator with a service probes the service's cache: "
+                "give the cache to the service, not to both"
+            )
+        #: The shell every job goes through.
+        self.service = service
+        #: The shell's counters (``executed``, ``cache_hits``, …) and cache.
+        self.stats, self.cache = service.counters, service.cache
 
     # ------------------------------------------------------------------
     def simulate(self, job: SimJob) -> SimOutcome:
@@ -90,7 +87,11 @@ class Simulator(AdmissionShell):
         cold cache is one counted miss, one execution and two coalesced
         submissions.  A backend error settles its job ``failed``, retires
         the jobs that never ran as ``cancelled`` and propagates."""
-        return self.run(jobs, "simulator")
+        return self.service.run(jobs, "simulator")
+
+    def snapshot(self) -> Dict[str, object]:
+        """The shell's ops snapshot (:meth:`AdmissionShell.snapshot`)."""
+        return self.service.snapshot()
 
     # ------------------------------------------------------------------
     def sweep(

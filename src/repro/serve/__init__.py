@@ -1,9 +1,9 @@
 """``repro.serve`` — the in-process simulation service.
 
 :class:`ServiceClient` is a long-lived, thread-safe front door: the
-admission shell of :mod:`repro.runtime.admission` (the one ``Simulator``
-runs inline and :mod:`repro.cluster` on shard processes) with worker
-threads as its executor.  It
+admission shell of :mod:`repro.runtime.admission` (the one a bare
+``Simulator`` holds with its inline executor and :mod:`repro.cluster`
+runs on shard processes) with worker threads as its executor.  It
 
 * **coalesces** identical in-flight requests onto one future (keyed by the
   job hash), so a duplicate burst costs one simulation;

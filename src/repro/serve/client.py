@@ -113,9 +113,7 @@ class ServiceClient(AdmissionShell):
         config: Optional[ServiceConfig] = None,
         on_event: Optional[Callable[[ServiceEvent], None]] = None,
     ) -> None:
-        if cache is None and cache_dir is not None:
-            cache = ResultCache(Path(cache_dir).expanduser())
-        super().__init__(cache, on_event)
+        super().__init__(cache, cache_dir, on_event)
         self.config = config or ServiceConfig()
         self._work_available = threading.Condition(self._lock)
         self._space_freed = threading.Condition(self._lock)

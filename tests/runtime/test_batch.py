@@ -191,9 +191,9 @@ class TestWorkerNormalization:
                 assert type(cli_simulator(jobs, resources, "--no-cache")) is Simulator
             sharded = cli_simulator("2", resources, "--no-cache")
             sharded.simulate(make_jobs()[0])
-            assert sharded._cluster is None and sharded.stats.executed == 1
+            assert sharded.service._cluster is None and sharded.stats.executed == 1
             sharded.simulate_many(make_jobs()[1:])
-            cluster = sharded._cluster
+            cluster = sharded.service._cluster
             assert cluster.snapshot()["shard_count"] == 2 and cluster.cache is None
             assert cluster.counters.executed == 3 == sharded.stats.executed - 1
         assert cluster.closed
@@ -239,7 +239,7 @@ class TestOneProbePerJob:
         if path == "in-process":
             outcomes = Simulator(cache=cache).simulate_many(batch)
         elif path == "--jobs 2":
-            monkeypatch.setattr("repro.runtime.simulator.ResultCache", lambda root: cache)
+            monkeypatch.setattr("repro.runtime.admission.ResultCache", lambda root: cache)
             with ExitStack() as resources:
                 outcomes = cli_simulator("2", resources, "--cache-dir", str(tmp_path)).simulate_many(batch)
         else:

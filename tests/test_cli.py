@@ -639,6 +639,25 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         assert "repro_result_cache_entries 1" in out
 
+    def test_metrics_once_leaves_the_process_registry_as_it_was(self, tmp_path, capsys):
+        """``repro metrics`` renders the cache from a registry of its own, so
+        a later exporter over a cached service in the same process declares
+        each family once (a second ``# TYPE`` makes the scrape invalid)."""
+        import urllib.request
+
+        from repro.obs.http import MetricsServer
+        from repro.serve import ServiceClient
+
+        assert main(["metrics", "--once", "--cache-dir", str(tmp_path / "cli")]) == 0
+        capsys.readouterr()
+        with ServiceClient(cache_dir=tmp_path / "service") as service:
+            with MetricsServer(service) as server:
+                with urllib.request.urlopen(f"{server.url}/metrics", timeout=10) as response:
+                    text = response.read().decode("utf-8")
+        declared = [line.split()[2] for line in text.splitlines() if line.startswith("# TYPE ")]
+        assert {"repro_result_cache_entries", "repro_build_info"} <= set(declared)
+        assert sorted(declared) == sorted(set(declared))
+
     def test_metrics_serves_for_duration(self, tmp_path, capsys):
         import re
         import threading
