@@ -100,9 +100,11 @@ class TemporalAddressGenerator:
                 break
             loops += 1
             radix *= bound
-        if radix == 1:
-            loops = 0  # unit loops make no pass worth evaluating apart
         first, skip = divmod(start_step, radix)
+        if radix == 1 or first == (start_step + count - 1) // radix:
+            # Unit loops, or a window inside one pass: no pass is worth
+            # evaluating apart, so every step is one.
+            loops, radix, first, skip = 0, 1, start_step, 0
         passes = np.arange(first, -(-(start_step + count) // radix), dtype=np.int64)
         outer = self._evaluate(passes, slice(loops, None), self.base_address, dtype)
         return outer, loops, skip

@@ -91,7 +91,7 @@ class AddressRemapper:
         return decode_word_batch(
             addresses // self.geometry.bank_width_bytes,
             self.geometry,
-            self.selected_group_size,
+            self.group_size_options[self._selected_index],
         )
 
     def available_modes(self) -> Dict[int, AddressingMode]:

@@ -79,7 +79,7 @@ from typing import Deque, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..memory.addressing import BankGeometry
-from ..memory.subsystem import MemoryPort, MemorySubsystem, bank_masks, mask_ints
+from ..memory.subsystem import MemoryPort, MemorySubsystem, bank_masks
 from ..sim.fifo import FifoError
 from ..sim.result import SteadyBail
 from ..sim.stats import StreamerStats
@@ -596,8 +596,12 @@ class DataMaestro:
         keys = (banks * depth + lines).tolist()
         if masks is None:
             masks = bank_masks(banks, geometry.num_banks)
+        if masks.shape[1] == 1:
+            masks = masks[:, 0].tolist()
+        else:  # several 64-bit words a mask, joined into one int
+            masks = [sum(w << 64 * i for i, w in enumerate(m)) for m in masks.tolist()]
         gathers = memory.row_gathers(keys) if self.is_read else repeat(None)
-        self.window = list(zip(banks.tolist(), mask_ints(masks), keys, gathers))
+        self.window = list(zip(banks.tolist(), masks, keys, gathers))
         self.window_start = start
 
     def issue_requests(self, memory: MemorySubsystem) -> int:
@@ -823,7 +827,7 @@ class DataMaestro:
             offsets = [port.granted - words for port in ports]
             streams = np.empty((max(offsets) + count, channels), word)
             streams[: len(held)] = held
-            _place(streams, offsets, count, cells[keys])
+            _move(streams, offsets, cells[keys], place=True)
             self.rows = _split(streams[count:].tobytes(), channels * word.itemsize)
             if not self.aligned:
                 # A channel's words after the span end at its grant cursor,
@@ -841,7 +845,7 @@ class DataMaestro:
             )
             offsets = [port.granted - low for port in ports]
             written = np.empty((count, channels), word)
-            _take(written, streams, offsets)
+            _move(streams, offsets, written, place=False)
             cells[keys] = written
             self.rows = _split(streams[count:].tobytes(), channels * word.itemsize)
         memory.replay_grants(banks, self.is_read, span.isolated and ports)
@@ -938,24 +942,18 @@ def _split(blob: bytes, width: int) -> Deque[bytes]:
     return deque(map(blob.__getitem__, map(slice, range(0, len(blob), width), ends)))
 
 
-def _place(streams: np.ndarray, offsets: List[int], count: int, spanned) -> None:
-    """Write each channel's ``count`` span words into ``streams`` from its
-    row ``offsets[c]`` on: one slice assignment per distinct offset."""
+def _move(streams: np.ndarray, offsets: List[int], span: np.ndarray, place: bool):
+    """Move each channel's ``len(span)`` words between ``span`` and
+    ``streams`` from its row ``offsets[c]`` on — into ``streams`` when
+    ``place``, out of it into ``span`` otherwise: one slice assignment per
+    distinct offset."""
+    count = len(span)
     groups: Dict[int, list] = {}
     for column, offset in enumerate(offsets):
         groups.setdefault(offset, []).append(column)
     for offset, columns in groups.items():
         where = slice(None) if len(columns) == len(offsets) else columns
-        streams[offset : offset + count, where] = spanned[:, where]
-
-
-def _take(taken: np.ndarray, streams: np.ndarray, offsets: List[int]) -> None:
-    """Each channel's ``len(taken)`` words of ``streams`` from its row
-    ``offsets[c]`` on, into ``taken``: the inverse of :func:`_place`."""
-    count = len(taken)
-    groups: Dict[int, list] = {}
-    for column, offset in enumerate(offsets):
-        groups.setdefault(offset, []).append(column)
-    for offset, columns in groups.items():
-        where = slice(None) if len(columns) == len(offsets) else columns
-        taken[:, where] = streams[offset : offset + count, where]
+        if place:
+            streams[offset : offset + count, where] = span[:, where]
+        else:
+            span[:, where] = streams[offset : offset + count, where]

@@ -32,26 +32,26 @@ channel order:
   getter of the row's words (:meth:`MemorySubsystem.row_gathers`).
   The stream holds its granted or pushed words once per row in ``rows``
   (see :class:`~repro.core.streamer.DataMaestro`), ``rows_granted`` is its
-  lowest grant cursor and ``aligned`` whether every channel is there;
+  lowest grant cursor and ``aligned`` whether every channel is there.  A
+  read stream counts both from its rows: a row its last channel's grant
+  completes becomes one wide word, walking up from the lowest incomplete
+  one, and the stream is aligned when no granted row is incomplete;
 * a **by-name** requester's port queues ``(bank, line, data, request)``
   tuples in ``pending`` (``data`` a write's word, ``request`` the caller's
   :class:`MemoryRequest`).
 
 When no by-name request waits, every pending stream is aligned and one
 bitmask test finds no bank named twice among the head rows, each head row is
-granted whole — one gather of its words, one in-flight entry, the bank
-counters and arbiter pointers from its tuples.  Otherwise the per-bank round
-robin runs over every port's head, the heads of a stream's channels derived
-from their cursors.  The heads decide the path, cycle by cycle.
-
-Each grant appends one ``(ready_cycle, ports, owner)`` entry to
-``_in_flight``: a row granted whole is ``(ready, stream.ports, stream)``, a
-channel granted alone ``(ready, (port,), stream)`` and a by-name request
-``(ready, (port,), request)``, ``request`` stamped with the read's word.
-Delivery only counts: ``port.delivered``, a read stream's ``rows_delivered``
-(``-1`` once a lone channel's delivery may have raised it, until the stream
-counts it again) and its data FIFOs' high-water marks (the words are
-already in its rows).
+granted whole — one gather of its words, one in-flight entry ``(ready_cycle,
+stream.ports, stream)``, the bank counters and arbiter pointers from its
+tuples.  Otherwise the per-bank round robin runs over every port's head, the
+heads of a stream's channels derived from their cursors, and the cycle's
+grants are one in-flight entry ``(ready_cycle, ports, owners)``: the ports in
+grant order, the by-name requests (stamped with a read's word) and the read
+streams that moved.  Delivery only counts: ``port.delivered``, a read
+stream's ``rows_delivered`` (``-1`` after a cycle's entry, until the stream
+counts it again) and its data FIFOs' high-water marks (the words are already
+in its rows).
 
 For the event-driven simulation kernel (:mod:`repro.engine`) the subsystem
 additionally implements the next-event protocol: :meth:`next_event_cycle`
@@ -83,11 +83,10 @@ def bank_masks(banks: np.ndarray, num_banks: int) -> np.ndarray:
     nothing: ``(rows, words)`` uint64, bank ``b`` bit ``b % 64`` of word
     ``b // 64``.  Computed channel-major, so that each OR runs along a
     whole column."""
-    columns = banks.T.astype(np.uint64, order="C")
     if num_banks <= 64:
-        return np.bitwise_or.reduce(np.left_shift(np.uint64(1), columns), axis=0)[
-            :, np.newaxis
-        ]
+        bits = np.left_shift(1, banks.T, dtype=np.uint64, casting="unsafe", order="C")
+        return np.bitwise_or.reduce(bits, axis=0)[:, np.newaxis]
+    columns = banks.T.astype(np.uint64, order="C")
     bits = np.left_shift(np.uint64(1), columns & np.uint64(63))
     words = columns >> np.uint64(6)
     return np.stack(
@@ -97,16 +96,6 @@ def bank_masks(banks: np.ndarray, num_banks: int) -> np.ndarray:
         ],
         axis=1,
     )
-
-
-def mask_ints(masks: np.ndarray) -> List[int]:
-    """Rows of :func:`bank_masks` as Python ints."""
-    if masks.shape[1] == 1:
-        return masks[:, 0].tolist()
-    return [
-        sum(word << 64 * index for index, word in enumerate(row))
-        for row in masks.tolist()
-    ]
 
 
 @dataclass(slots=True)
@@ -335,32 +324,34 @@ class MemorySubsystem:
         now = self.cycle
         delivered = 0
         while in_flight and in_flight[0][0] <= now:
-            _, ports, owner = in_flight.popleft()
+            _, ports, owners = in_flight.popleft()
             for port in ports:
                 port.delivered += 1
             delivered += len(ports)
-            if owner.__class__ is MemoryRequest:
-                port = ports[0]
-                if port.sink is None:
-                    port.responses.append(owner)
-                else:
-                    # A by-name word on a stream's port only occupies its
-                    # data FIFO.
-                    port.sink.note(len(port.sink))
-            elif owner.is_read:
+            if owners.__class__ is not list:
                 # A row granted whole arrives whole, above the lowest
-                # high-water mark or not; a lone channel that was the
-                # last to deliver leaves its stream to count again.
-                port = ports[0]
-                if ports is owner.ports:
-                    owner.rows_delivered = port.delivered
-                    mark = owner.fill_mark
-                else:
-                    if port.delivered - 1 == owner.rows_delivered:
-                        owner.rows_delivered = -1
-                    mark = port.sink.max_occupancy
-                if port.delivered - owner.words_streamed > mark:
-                    owner.fill(ports)
+                # high-water mark or not.
+                if owners.is_read:
+                    owners.rows_delivered = arrived = ports[0].delivered
+                    if arrived - owners.words_streamed > owners.fill_mark:
+                        owners.fill(ports)
+                continue
+            for owner in owners:
+                if owner.__class__ is MemoryRequest:
+                    port = owner.port
+                    if port.sink is None:
+                        port.responses.append(owner)
+                    else:  # a by-name word on a stream's port: its FIFO only
+                        port.sink.note(len(port.sink))
+                    continue
+                # A read stream that moved counts its lowest delivery again; a
+                # channel above its mark raises it (none can at credit depth).
+                owner.rows_delivered = -1
+                if owner.fill_mark < owner.design.data_buffer_depth:
+                    words = owner.words_streamed
+                    for port in owner.ports:
+                        if port.delivered - words > port.sink.max_occupancy:
+                            owner.fill((port,))
         return delivered
 
     def _pick_winner(self, bank: int, contenders: List[tuple]) -> tuple:
@@ -440,36 +431,39 @@ class MemorySubsystem:
 
     def _grant_words(self) -> int:
         """Per-bank round robin over every port's head word.  A head is
-        ``(port, stream, column, key)``: a stream channel's word at its own
-        grant cursor, or (``stream`` ``None``) a by-name request."""
+        ``(port, owner, column, key)``: a stream channel's word at its own
+        grant cursor (``owner`` the stream), or a by-name request (``owner``
+        the request, ``key`` ``None``).  The cycle's grants are one in-flight
+        entry."""
         heads: Dict[int, tuple] = {}
         contended: Dict[int, List[tuple]] = {}
         moving = []  # the streams with a row pending
+        named = self._named_pending
         for source in self._sources:
             if source.__class__ is MemoryPort:
                 if source.pending:
-                    head = (source, None, 0, 0)
-                    bank = source.pending[0][0]
+                    bank, _, _, request = source.pending[0]
+                    head = (source, request, 0, None)
                     first = heads.setdefault(bank, head)
                     if first is not head:
                         contended.setdefault(bank, [first]).append(head)
                 continue
             low = source.rows_granted
             issued = source.requests_issued
-            if low == issued and not self._named_pending:
+            if low == issued and not named:
                 continue
             if low < issued:
                 moving.append(source)
+                if source.aligned:
+                    # Every channel's head is in the stream's head row.
+                    banks, _, keys, _ = source.window[low - source.window_start]
+                    for column, port in enumerate(source.ports):
+                        head = (port, source, column, keys[column])
+                        first = heads.setdefault(banks[column], head)
+                        if first is not head:
+                            contended.setdefault(banks[column], [first]).append(head)
+                    continue
             window, start = source.window, source.window_start
-            if source.aligned and low < issued:
-                # Every channel's head is in the stream's head row.
-                banks, _, keys, _ = window[low - start]
-                for column, port in enumerate(source.ports):
-                    head = (port, source, column, keys[column])
-                    first = heads.setdefault(banks[column], head)
-                    if first is not head:
-                        contended.setdefault(banks[column], [first]).append(head)
-                continue
             for column, port in enumerate(source.ports):
                 step = port.granted
                 if step < issued:
@@ -477,8 +471,8 @@ class MemorySubsystem:
                     head = (port, source, column, keys[column])
                     bank = banks[column]
                 elif port.pending:  # a by-name word on a stream's port
-                    head = (port, None, 0, 0)
-                    bank = port.pending[0][0]
+                    bank, _, _, request = port.pending[0]
+                    head = (port, request, 0, None)
                 else:
                     continue
                 first = heads.setdefault(bank, head)
@@ -490,66 +484,73 @@ class MemorySubsystem:
                 head[0].retries += 1
             heads[bank] = self._pick_winner(bank, contenders)
 
+        ports = list(map(_first, heads.values()))  # in grant order
+        self._last_grant.update(zip(heads, map(_name, ports)))
         scratchpad = self.scratchpad
-        banks = scratchpad.banks
+        stores = scratchpad.banks
         buffer = scratchpad.buffer
         width = self.geometry.bank_width_bytes
-        depth = self.geometry.bank_depth
-        last_grant = self._last_grant
         ready = self.cycle + self.read_latency
-        append = self._in_flight.append
-        reads = 0
+        owners = []  # the by-name requests and the read streams that moved
+        writes = 0
+        for bank, (port, request, _, key) in list(heads.items()) if named else ():
+            if key is not None:
+                continue
+            del heads[bank]  # a by-name request, granted here
+            port.granted += 1
+            _, line, data, _ = port.pending.popleft()
+            self._named_pending -= 1
+            if data is None:
+                stores[bank].read_count += 1
+                start = (bank * self.geometry.bank_depth + line) * width
+                data = buffer[start : start + width]
+            else:
+                stores[bank].write(line, data, request.strobe)
+                data = None
+                writes += 1
+            request.data = data
+            request.ready_cycle = ready
+            owners.append(request)
         for bank, (port, stream, column, key) in heads.items():
-            last_grant[bank] = port.name
             step = port.granted
             port.granted = step + 1
-            store = banks[bank]
-            if stream is None:
-                _, line, data, request = port.pending.popleft()
-                self._named_pending -= 1
-                if data is None:
-                    store.read_count += 1
-                    start = (bank * depth + line) * width
-                    data = buffer[start : start + width]
-                    reads += 1
-                else:
-                    store.write(line, data, request.strobe)
-                    data = None
-                request.data = data
-                request.ready_cycle = ready
-                append((ready, (port,), request))
-                continue
             rows = stream.rows
             if stream.is_read:
-                store.read_count += 1
-                reads += 1
+                stores[bank].read_count += 1
                 index = step - stream.words_streamed
                 if index == len(rows):
                     rows.append([None] * len(stream.ports))
                 rows[index][column] = buffer[key * width : key * width + width]
             else:
-                store.write_count += 1
+                stores[bank].write_count += 1
+                writes += 1
                 word = rows[step - stream.words_streamed + len(rows)]
                 buffer[key * width : key * width + width] = word[stream.parts[column]]
-            append((ready, (port,), stream))
         for stream in moving:
+            rows = stream.rows
+            words = stream.words_streamed
+            if stream.is_read:
+                # Each row its last channel's grant completed, from the
+                # lowest up, becomes one wide word.
+                index = stream.rows_granted - words
+                while index < len(rows) and None not in rows[index]:
+                    rows[index] = b"".join(rows[index])
+                    index += 1
+                stream.rows_granted = words + index
+                stream.aligned = index == len(rows)
+                owners.append(stream)
+                continue
             low = min(map(_granted, stream.ports))
             stream.aligned = low == max(map(_granted, stream.ports))
-            rows = stream.rows
-            if stream.is_read:
-                # A row its last channel's grant completed: one wide word.
-                words = stream.words_streamed
-                for index in range(stream.rows_granted - words, low - words):
-                    rows[index] = b"".join(rows[index])
-            else:
-                # A write row leaves once every channel has stored its word.
-                while len(rows) > stream.words_streamed - low:
-                    rows.popleft()
+            # A write row leaves once every channel has stored its word.
+            while len(rows) > words - low:
+                rows.popleft()
             stream.rows_granted = low
-        self.pending_requests -= len(heads)
-        self.total_reads += reads
-        self.total_writes += len(heads) - reads
-        return len(heads)
+        self._in_flight.append((ready, ports, owners))
+        self.pending_requests -= len(ports)
+        self.total_reads += len(ports) - writes
+        self.total_writes += writes
+        return len(ports)
 
     def step(self) -> int:
         """Arbitrate this cycle's requests and advance the clock.
@@ -701,5 +702,6 @@ class MemorySubsystem:
         self.dma_writes += writes
 
 
-_delivered = attrgetter("delivered")
 _granted = attrgetter("granted")
+_name = attrgetter("name")
+_first = itemgetter(0)

@@ -77,6 +77,21 @@ step        calls          numpy calls   container ops per word
 6_full      35.5 → 33.9    3.79 → 1.88   1.54 → 0.26
 ==========  =============  ============  ======================
 
+Then parent fdb9743 → one in-flight entry per word-grant cycle (its ports in
+grant order and the owners to hand over to, not one entry per word), a read
+stream's lowest grant cursor from its completed rows (not a ``min`` / ``max``
+over its ports), a window's bank masks without an ``astype`` and no
+property call per decoded window; the budget is the last count, rounded up
+as above, and the container operations are held exactly:
+
+==========  =============  ============  ======================
+step        calls          numpy calls   container ops per word
+==========  =============  ============  ======================
+2_prefetch  31.8 → 31.8    0.62 → 0.60   4.13 → 2.48
+1_baseline  27.0 → 27.0    0.43 → 0.42   2.59 → 2.09
+6_full      33.9 → 33.8    1.88 → 1.80   0.26 → 0.22
+==========  =============  ============  ======================
+
 Issue appends nothing and delivery only counts, so a data FIFO is counts
 over its streamer's rows and no ``Fifo`` method is left on the step path
 (the quantizer's queue moves in jumps here).  On ``2_prefetch`` the C and D
@@ -92,11 +107,11 @@ import pytest
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
 WORKLOAD = "conv_h14_w14_c16_k32_f5x5_s2"
 #: Calls per stepped cycle, as measured (see the last table).
-CALLS = {"2_prefetch": 31.9, "1_baseline": 27.1, "6_full": 34.0}
+CALLS = {"2_prefetch": 31.9, "1_baseline": 27.1, "6_full": 33.9}
 #: Numpy calls per stepped cycle, as measured (see the last table).
-NUMPY_CALLS = {"2_prefetch": 0.63, "1_baseline": 0.44, "6_full": 1.89}
+NUMPY_CALLS = {"2_prefetch": 0.61, "1_baseline": 0.42, "6_full": 1.81}
 #: Container operations over the kernel, exactly (see the last table).
-CONTAINER_OPS = {"2_prefetch": 71305, "1_baseline": 44720, "6_full": 4287}
+CONTAINER_OPS = {"2_prefetch": 42920, "1_baseline": 36067, "6_full": 3742}
 
 
 @pytest.fixture(scope="module")

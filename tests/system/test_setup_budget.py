@@ -24,6 +24,8 @@ build (752d184)    100.0 → 100.0        2.0 → 4.0
 load (752d184)     323.0 → 330.4        29.3 → 29.3
 windows (752d184)  25.7 → 35.3          18.3 → 27.3
 total (752d184)    649.8 → 666.8        137.2 → 148.2
+windows (fdb9743)  49.0 → 35.7          38.3 → 25.7
+total (fdb9743)    745.1 → 731.8        159.2 → 146.5
 =================  ===================  ===================
 
 The parent bound its channels' memory ports at the first issue, inside the
@@ -35,7 +37,10 @@ more numpy calls per job).  Then, from parent 752d184, the scratchpad
 gained a view of one opaque word per wordline, and each streamer's AGU
 evaluates an address window as whole passes through its inner loops, its
 extreme addresses once at ``configure``, so that a macro jump decodes a
-span at half the cost.
+span at half the cost.  Then, from parent fdb9743, a window that lies
+inside one pass of the AGU's inner loops is evaluated step by step, with no
+pass table, and its bank masks are shifted straight into ``uint64``; the
+first windows are held at their new count (``FIRST_WINDOWS``).
 
 ``tools/step_cost.py step`` reads the same run for the other half: ``repro``
 and numpy calls inside the engine's ``drive``, first windows aside, per
@@ -54,6 +59,7 @@ the AGU a function of the step       104.4 → 102.7            17.9 → 17.9
 a tile one matmul, not an einsum     102.7 → 102.7            17.9 → 16.6
 int8 tiles, lean write grants        102.7 → 90.3             16.6 → 12.0
 words moved as rows                  90.3 → 63.5              12.0 → 11.1
+one in-flight entry per grant cycle  63.5 → 63.5              11.1 → 11.1
 ===================================  =======================  ===========
 
 A word is a slice of the scratchpad's ``bytearray`` taken at the grant and
@@ -80,6 +86,8 @@ PARENT = {"repro_calls_per_job": 1825.0, "numpy_calls_per_job": 405.9}
 #: ``repro`` and numpy calls per stepped cycle of the same jobs, as measured.
 STEP_CALLS_PER_STEPPED_CYCLE = 63.6
 STEP_NUMPY_CALLS_PER_STEPPED_CYCLE = 11.2
+#: ``repro`` and numpy calls per job of a streamer's first address window.
+FIRST_WINDOWS = {"repro": 35.7, "numpy": 25.7}
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +107,12 @@ def report(step_cost):
 def test_a_short_job_stays_within_its_setup_budget(report, count):
     assert report["jobs"] == 24
     assert report[count] <= 0.5 * PARENT[count], report["stages"]
+
+
+def test_first_windows_stay_within_their_budget(report):
+    stage = report["stages"]["first windows"]
+    for count, budget in FIRST_WINDOWS.items():
+        assert stage[count] / report["jobs"] <= budget, report["stages"]
 
 
 def test_a_stepped_cycle_stays_within_its_budget(step_cost, report):

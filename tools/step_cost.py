@@ -54,6 +54,23 @@ inside the steady-span planner's ``_prepare`` (verify and plan, one call per
 attempt) and ``_commit`` (the replay, one call per jump), ``repro`` and numpy
 calls by the rules of the ``setup`` mode, per jump taken.
 
+The ``ledger`` mode holds the layers a change to the grant path moves, one
+row per (layer, path), every count a total over the path and exact on any
+machine:
+
+* ``step`` — what a stepped cycle costs inside the engine's ``drive``, a
+  streamer's first address window aside: over the :data:`SETUP_JOBS`
+  serve-pool jobs, and over each of :data:`LEDGER_KERNELS` (the contended
+  Fig. 7 convolutions);
+* ``first windows`` — each streamer's first ``_refill_window`` over the
+  serve-pool jobs;
+
+and four columns: ``repro`` calls and numpy calls (the rules of the
+``setup`` mode), container operations (the rule of the step counts above),
+and **repro bytecodes** — ``opcode`` trace events (``frame.f_trace_opcodes``)
+in frames of the ``repro`` package, a count that moves with the work an
+interpreted line does and not only with the calls it makes.
+
 Run from the repository root::
 
     python tools/step_cost.py 2_prefetch conv_h16_w16_c32_k16_f7x7_s1
@@ -62,10 +79,11 @@ Run from the repository root::
     python tools/step_cost.py setup
     python tools/step_cost.py step
     python tools/step_cost.py jump
+    python tools/step_cost.py ledger
 
 Standard library only; ``tests/engine/test_step_budget.py``,
-``tests/engine/test_jump_budget.py`` and
-``tests/system/test_setup_budget.py`` hold the numbers to a budget.
+``tests/engine/test_jump_budget.py``, ``tests/system/test_setup_budget.py``
+and ``tests/engine/test_ledger.py`` hold the numbers to a budget.
 """
 
 from __future__ import annotations
@@ -74,6 +92,7 @@ import argparse
 import json
 import sys
 from collections import deque
+from functools import partial
 from pathlib import Path
 from typing import Dict
 
@@ -205,32 +224,33 @@ def _is_container(function) -> bool:
     return isinstance(owner, bytes) and function.__name__ == "join"
 
 
-def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
-    """Count the fixed per-job work of ``jobs`` serve-pool jobs and the work
-    of their stepped cycles (see above)."""
-    from repro.compiler.mapper import compile_workload, extract_outputs
+def _warm_pool(jobs: int, seed: int):
+    """The first ``jobs`` serve-pool jobs and a backend that has run them
+    once, so that the design-level tables hold this batch's own designs: a
+    table hit on an equal but distinct design object costs one ``__eq__``
+    call more, so tables another caller warmed would move the counts."""
     from repro.core.agu import spatial_offsets
     from repro.core.csr import csr_address_map
-    from repro.core.streamer import DataMaestro
-    from repro.engine.event import EventDrivenEngine
     from repro.runtime.backends import DataMaestroBackend
     from repro.runtime.job import SimJob
     from repro.serve.replay import default_pool
-    from repro.system import AcceleratorSystem
 
     batch = [SimJob(workload=workload, seed=seed) for workload in default_pool(jobs)]
     backend = DataMaestroBackend()
-    # Warm the design-level tables from this batch's own designs: a table hit
-    # on an equal but distinct design object costs one ``__eq__`` call more,
-    # so tables another caller warmed would move the counts.
     csr_address_map.cache_clear()
     spatial_offsets.cache_clear()
     for job in batch:
         backend.execute(job)
+    return batch, backend
 
-    drive = EventDrivenEngine.drive.__code__
-    system_step = AcceleratorSystem.step.__code__
-    window = DataMaestro._refill_window.__code__
+
+def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
+    """Count the fixed per-job work of ``jobs`` serve-pool jobs and the work
+    of their stepped cycles (see above)."""
+    from repro.compiler.mapper import compile_workload, extract_outputs
+    from repro.system import AcceleratorSystem
+
+    batch, backend = _warm_pool(jobs, seed)
     markers = {
         compile_workload.__code__: "compile",
         AcceleratorSystem.__init__.__code__: "build",
@@ -238,55 +258,14 @@ def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
         extract_outputs.__code__: "read-back",
         AcceleratorSystem.verify_outputs.__code__: "read-back",
     }
-    counts = {stage: {"repro": 0, "numpy": 0} for stage in SETUP_STAGES}
-    stepping = {"repro": 0, "numpy": 0, "stepped": 0}
-    #: (frame, stage) of the marked calls in progress; stage ``None`` (the
-    #: engine's drive) counts nothing but a streamer's first window.
-    scopes: list = []
-    windowed: set = set()
-
-    def hook(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            if code is drive:
-                scopes.append((frame, None))
-            elif code is window:
-                streamer = id(frame.f_locals["self"])
-                if streamer not in windowed:
-                    windowed.add(streamer)
-                    scopes.append((frame, "first windows"))
-            elif not scopes and code in markers:
-                scopes.append((frame, markers[code]))
-            stage = scopes[-1][1] if scopes else "outcome"
-            module = frame.f_globals.get("__name__", "")
-            if stage is None:
-                if module.startswith("repro."):
-                    stepping["repro"] += 1
-                    stepping["stepped"] += code is system_step
-                elif module.startswith("numpy"):
-                    stepping["numpy"] += 1
-            elif module.startswith("repro."):
-                counts[stage]["repro"] += 1
-            elif module.startswith("numpy"):
-                counts[stage]["numpy"] += 1
-        elif event == "return":
-            if scopes and scopes[-1][0] is frame:
-                scopes.pop()
-        elif event == "c_call":
-            stage = scopes[-1][1] if scopes else "outcome"
-            if _is_numpy(arg):
-                if stage is None:
-                    stepping["numpy"] += 1
-                else:
-                    counts[stage]["numpy"] += 1
-
+    ledger = _Ledger(markers, outside="outcome", bytecodes=False)
     for job in batch:
-        windowed.clear()
-        sys.setprofile(hook)
-        try:
-            backend.execute(job)
-        finally:
-            sys.setprofile(None)
+        ledger.run(backend.execute, job)
+    counts = {
+        stage: {column: ledger.counts[stage][column] for column in ("repro", "numpy")}
+        for stage in SETUP_STAGES
+    }
+    stepping = ledger.counts["step"]
     repro = sum(stage["repro"] for stage in counts.values())
     numpy = sum(stage["numpy"] for stage in counts.values())
     return {
@@ -296,11 +275,11 @@ def measure_setup(jobs: int = SETUP_JOBS, seed: int = 0) -> Dict[str, object]:
         "repro_calls_per_job": repro / len(batch),
         "numpy_calls_per_job": numpy / len(batch),
         "stages": counts,
-        "stepped_cycles": stepping["stepped"],
+        "stepped_cycles": ledger.stepped,
         "step_calls": stepping["repro"],
-        "step_calls_per_stepped_cycle": stepping["repro"] / stepping["stepped"],
+        "step_calls_per_stepped_cycle": stepping["repro"] / ledger.stepped,
         "step_numpy_calls": stepping["numpy"],
-        "step_numpy_calls_per_stepped_cycle": stepping["numpy"] / stepping["stepped"],
+        "step_numpy_calls_per_stepped_cycle": stepping["numpy"] / ledger.stepped,
     }
 
 
@@ -380,6 +359,164 @@ def measure_jump(seed: int = 0) -> Dict[str, object]:
         "repro_calls_per_jump": repro / jumps,
         "numpy_calls_per_jump": numpy / jumps,
     }
+
+
+#: The kernels whose stepped cycles the ``ledger`` mode counts beside the
+#: serve pool's: Fig. 7's contended steps, where the per-word grant path runs.
+LEDGER_KERNELS = (
+    ("2_prefetch", "conv_h16_w16_c32_k16_f7x7_s1"),
+    ("2_prefetch", "conv_h14_w14_c16_k32_f5x5_s2"),
+)
+
+#: The ledger's columns, in order.
+LEDGER_COLUMNS = ("repro", "numpy", "containers", "bytecodes")
+
+
+class _Ledger:
+    """Counts work by stage under a profile hook and, with ``bytecodes``, a
+    trace hook at once: inside the engine's ``drive`` is ``step``, but a
+    streamer's first ``_refill_window`` is ``first windows``; outside
+    ``drive``, a call of one of the ``markers`` codes opens its stage, and
+    the rest is ``outside`` (``None``: not counted)."""
+
+    def __init__(self, markers=(), outside=None, bytecodes: bool = True) -> None:
+        from repro.core.streamer import DataMaestro
+        from repro.engine.event import EventDrivenEngine
+        from repro.system import AcceleratorSystem
+
+        self.drive = EventDrivenEngine.drive.__code__
+        self.window = DataMaestro._refill_window.__code__
+        self.system_step = AcceleratorSystem.step.__code__
+        self.markers = dict(markers)
+        self.outside = outside
+        self.bytecodes = bytecodes
+        stages = {"step", "first windows", *self.markers.values(), outside} - {None}
+        self.counts = {stage: dict.fromkeys(LEDGER_COLUMNS, 0) for stage in stages}
+        self.stepped = 0
+        #: (frame, stage) of the scopes in progress, innermost last.
+        self.scopes: list = []
+        self.windowed: set = set()
+        self.tracers = {stage: self._tracer(stage) for stage in self.counts}
+
+    def run(self, function, *args):
+        """Call ``function(*args)`` under the hooks; each call starts a job,
+        whose streamers' first windows are new."""
+        self.windowed.clear()
+        sys.setprofile(self.profile)
+        if self.bytecodes:
+            sys.settrace(self.trace)
+        try:
+            return function(*args)
+        finally:
+            sys.settrace(None)
+            sys.setprofile(None)
+
+    def profile(self, frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code is self.drive:
+                self.scopes.append((frame, "step"))
+            elif code is self.window and self.scopes:
+                streamer = id(frame.f_locals["self"])
+                if streamer not in self.windowed:
+                    self.windowed.add(streamer)
+                    self.scopes.append((frame, "first windows"))
+            elif not self.scopes and code in self.markers:
+                self.scopes.append((frame, self.markers[code]))
+            stage = self.scopes[-1][1] if self.scopes else self.outside
+            if stage is None:
+                return
+            counts = self.counts[stage]
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("repro."):
+                counts["repro"] += 1
+                self.stepped += code is self.system_step
+            elif module.startswith("numpy"):
+                counts["numpy"] += 1
+        elif event == "return":
+            if self.scopes and self.scopes[-1][0] is frame:
+                self.scopes.pop()
+        elif event == "c_call":
+            stage = self.scopes[-1][1] if self.scopes else self.outside
+            if stage is not None:
+                counts = self.counts[stage]
+                counts["numpy"] += _is_numpy(arg)
+                counts["containers"] += _is_container(arg)
+
+    def trace(self, frame, event, arg):
+        # The trace hook sees a call before the profile hook enters its
+        # scope, so it names the frame's stage itself (only ``drive``'s are
+        # traced).
+        code = frame.f_code
+        if code is self.drive:
+            stage = "step"
+        elif not self.scopes or self.scopes[0][1] != "step":
+            return None
+        elif code is self.window and id(frame.f_locals["self"]) not in self.windowed:
+            stage = "first windows"
+        else:
+            stage = self.scopes[-1][1]
+        if not frame.f_globals.get("__name__", "").startswith("repro."):
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return self.tracers[stage]
+
+    def _tracer(self, stage: str):
+        """The local trace function counting ``stage``'s bytecodes."""
+        counts = self.counts[stage]
+
+        def opcode(frame, event, arg):
+            if event == "opcode":
+                counts["bytecodes"] += 1
+            return opcode
+
+        return opcode
+
+
+def measure_ledger(seed: int = 0) -> Dict[str, object]:
+    """Count the ledger's rows (see above): ``rows`` maps ``(layer, path)``
+    to its column totals and the ``per`` unit they divide by."""
+    from repro.compiler import compile_workload
+    from repro.core.params import ablation_feature_sets
+    from repro.engine import steady  # noqa: F401 — else the first boundary imports it
+    from repro.engine.event import EventDrivenEngine
+    from repro.system import AcceleratorSystem, datamaestro_evaluation_system
+    from repro.workloads import synthetic_suite
+
+    rows: Dict[tuple, dict] = {}
+    pool = f"serve pool ({SETUP_JOBS} jobs)"
+    batch, backend = _warm_pool(SETUP_JOBS, seed)
+    ledger = _Ledger()
+    for job in batch:
+        ledger.run(backend.execute, job)
+    rows["step", pool] = dict(ledger.counts["step"], per=ledger.stepped)
+    rows["first windows", pool] = dict(ledger.counts["first windows"], per=len(batch))
+
+    workloads = {w.name: w for group in synthetic_suite().values() for w in group}
+    design = datamaestro_evaluation_system()
+    for step, name in LEDGER_KERNELS:
+        features = ablation_feature_sets()[step]
+        program = compile_workload(workloads[name], design, features, seed=seed)
+        system = AcceleratorSystem(design)
+        ledger = _Ledger()
+        ledger.run(partial(system.run, program, engine=EventDrivenEngine()))
+        rows["step", f"{step}/{name}"] = dict(ledger.counts["step"], per=ledger.stepped)
+    return {"rows": rows}
+
+
+def render_ledger(report: Dict[str, object]) -> str:
+    lines = [
+        "work ledger (per stepped cycle for step, per job for first windows)",
+        f"  {'layer':<15}{'path':<42}{'per':>7}"
+        + "".join(f"{column:>12}" for column in LEDGER_COLUMNS),
+    ]
+    for (layer, path), row in report["rows"].items():
+        lines.append(
+            f"  {layer:<15}{path:<42}{row['per']:>7}"
+            + "".join(f"{row[column] / row['per']:>12.1f}" for column in LEDGER_COLUMNS)
+        )
+    return "\n".join(lines)
 
 
 def render_jump(report: Dict[str, object]) -> str:
@@ -465,7 +602,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "step",
         help="ablation step, e.g. 2_prefetch; 'setup' / 'step' for a serve-pool "
-        "job's setup / stepped cycles; 'jump' for table3_cnn's macro jumps",
+        "job's setup / stepped cycles; 'jump' for table3_cnn's macro jumps; "
+        "'ledger' for the step and first-window layers",
     )
     parser.add_argument(
         "workload", nargs="?", help="synthetic-suite workload name (not with setup)"
@@ -473,6 +611,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="print the raw counts")
     args = parser.parse_args(argv)
+    if args.step == "ledger":
+        if args.workload is not None:
+            parser.error("ledger takes no workload")
+        report = measure_ledger(seed=args.seed)
+        rows = [list(key) + [row] for key, row in report["rows"].items()]
+        print(json.dumps(rows) if args.json else render_ledger(report))
+        return 0
     if args.step == "jump":
         if args.workload is not None:
             parser.error("jump takes no workload")
