@@ -85,7 +85,9 @@ class TemporalAddressGenerator:
         int64 by default), ``loops`` the number of inner loops (see
         :meth:`pass_offsets`), and the window begins ``skip`` steps into
         the first pass.  Evaluates the loop nest on a few short arrays
-        instead of once per step."""
+        instead of once per step — except for a window that lies inside one
+        pass (or unit inner loops): then ``loops`` is ``0`` and ``outer``
+        holds every step's address, evaluated step by step."""
         import numpy as np
 
         if start_step < 0 or start_step + count > self.total_iterations:

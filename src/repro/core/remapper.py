@@ -43,15 +43,12 @@ class AddressRemapper:
         # index 0 — the reset value of RS — is fully interleaved).
         unique = sorted(set(options), reverse=True)
         self.group_size_options: Tuple[int, ...] = tuple(unique)
-        self._selected_index = 0
+        #: The bank-group size RS selects (one of ``group_size_options``).
+        self.selected_group_size = unique[0]
 
     # ------------------------------------------------------------------
     # Runtime selection (the RS CSR).
     # ------------------------------------------------------------------
-    @property
-    def selected_group_size(self) -> int:
-        return self.group_size_options[self._selected_index]
-
     def select_index(self, index: int) -> None:
         """Program RS directly by option index."""
         if not 0 <= index < len(self.group_size_options):
@@ -59,18 +56,17 @@ class AddressRemapper:
                 f"RS index {index} out of range "
                 f"(options={self.group_size_options})"
             )
-        self._selected_index = index
+        self.selected_group_size = self.group_size_options[index]
 
     def select_group_size(self, group_size: int) -> None:
         """Program RS by the desired bank-group size."""
         group_size = normalize_group_size(self.geometry, group_size)
-        try:
-            self._selected_index = self.group_size_options.index(group_size)
-        except ValueError as exc:
+        if group_size not in self.group_size_options:
             raise ValueError(
                 f"group size {group_size} was not instantiated at design time "
                 f"(options={self.group_size_options})"
-            ) from exc
+            )
+        self.selected_group_size = group_size
 
     # ------------------------------------------------------------------
     # Address translation.
@@ -91,7 +87,7 @@ class AddressRemapper:
         return decode_word_batch(
             addresses // self.geometry.bank_width_bytes,
             self.geometry,
-            self.group_size_options[self._selected_index],
+            self.selected_group_size,
         )
 
     def available_modes(self) -> Dict[int, AddressingMode]:

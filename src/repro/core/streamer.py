@@ -254,18 +254,27 @@ class DataMaestro:
         #: they never issue, and :meth:`channel_statistics` reports them as
         #: fresh channels.
         self.fifos: List[ChannelFifo] = []
-        #: The same channels' crossbar ports, named ``<streamer>.ch<i>``,
+        #: Each channel's part of a wide word, as a slice of its bytes.
+        self.parts: List[slice] = []
+        #: Bundles in the programmed stream (``0`` until :meth:`configure`).
+        self.total_bundles = 0
+        self._registered = False
+        self._transforms = False
+        self._reset_stream()
+
+    def _reset_stream(self) -> None:
+        """The stream's state before its first cycle, unbound."""
+        #: The active channels' crossbar ports, named ``<streamer>.ch<i>``,
         #: resolved by :meth:`bind`, and their names.
         self.ports: List[MemoryPort] = []
         self.port_names: tuple = ()
-        #: Each channel's part of a wide word, as a slice of its bytes.
-        self.parts: List[slice] = []
+        #: The memory ``ports`` belong to (:meth:`bind`), held weakly: the
+        #: memory holds the streamer, whose rows it reads.
+        self._memory: Optional[weakref.ref] = None
         self.words_streamed = 0
         #: Bundles generated so far: the stream position, the AGU's only
         #: state (its addresses are a function of the step).
         self.bundles_generated = 0
-        #: Bundles in the programmed stream (``0`` until :meth:`configure`).
-        self.total_bundles = 0
         #: Words issued so far — also the step of the next address to issue.
         self.requests_issued = 0
         self.credit_stall_cycles = 0
@@ -296,11 +305,6 @@ class DataMaestro:
         #: :meth:`wake`; ``parked_cycles`` counts the cycles sat out since.
         self.parked = False
         self.parked_cycles = 0
-        #: The memory ``ports`` belong to (:meth:`bind`), held weakly: the
-        #: memory holds the streamer, whose rows it reads.
-        self._memory: Optional[weakref.ref] = None
-        self._registered = False
-        self._transforms = False
         #: Decoded rows for steps ``[window_start, +len(window))`` as
         #: ``(banks, mask, keys, gather)`` (see ``repro.memory.subsystem``): every
         #: channel's pending words.  A pure function of the step index, so a
@@ -332,7 +336,6 @@ class DataMaestro:
         )
         self.total_bundles = self.agu.total_bundles
         self._check_address_range()
-        self.window = []
         self.extensions.set_enables(
             runtime.extension_enables or [True] * len(self.extensions)
         )
@@ -348,21 +351,7 @@ class DataMaestro:
             slice(index * width, (index + 1) * width)
             for index in range(self.active_channels)
         ]
-        self.ports = []
-        self.port_names = ()
-        self._memory = None
-        self.words_streamed = 0
-        self.bundles_generated = 0
-        self.requests_issued = 0
-        self.credit_stall_cycles = 0
-        self.max_addr_occupancy = 0
-        self.rows = deque()
-        self.rows_granted = self.rows_delivered = self.fill_mark = 0
-        self.aligned = True
-        self._popped_this_cycle = False
-        self.cycle_activity = 0
-        self.parked = False
-        self.parked_cycles = 0
+        self._reset_stream()
 
     def bind(self, memory: MemorySubsystem) -> None:
         """Resolve every active channel's port in ``memory``, once per
@@ -488,8 +477,7 @@ class DataMaestro:
             raise RuntimeError(f"{self.name}: push_input() while input not ready")
         payload = np.asarray(word, dtype=np.uint8).ravel()
         payload = self.extensions.apply(payload)
-        width = self.design.bank_width_bytes
-        expected = self.active_channels * width
+        expected = self.active_channels * self.design.bank_width_bytes
         if payload.size != expected:
             raise ValueError(
                 f"{self.name}: wide word must be {expected} bytes, got {payload.size}"
@@ -827,7 +815,7 @@ class DataMaestro:
             offsets = [port.granted - words for port in ports]
             streams = np.empty((max(offsets) + count, channels), word)
             streams[: len(held)] = held
-            _move(streams, offsets, cells[keys], place=True)
+            _place(streams, offsets, count, cells[keys])
             self.rows = _split(streams[count:].tobytes(), channels * word.itemsize)
             if not self.aligned:
                 # A channel's words after the span end at its grant cursor,
@@ -845,7 +833,7 @@ class DataMaestro:
             )
             offsets = [port.granted - low for port in ports]
             written = np.empty((count, channels), word)
-            _move(streams, offsets, written, place=False)
+            _take(written, streams, offsets)
             cells[keys] = written
             self.rows = _split(streams[count:].tobytes(), channels * word.itemsize)
         memory.replay_grants(banks, self.is_read, span.isolated and ports)
@@ -942,18 +930,24 @@ def _split(blob: bytes, width: int) -> Deque[bytes]:
     return deque(map(blob.__getitem__, map(slice, range(0, len(blob), width), ends)))
 
 
-def _move(streams: np.ndarray, offsets: List[int], span: np.ndarray, place: bool):
-    """Move each channel's ``len(span)`` words between ``span`` and
-    ``streams`` from its row ``offsets[c]`` on — into ``streams`` when
-    ``place``, out of it into ``span`` otherwise: one slice assignment per
-    distinct offset."""
-    count = len(span)
+def _place(streams: np.ndarray, offsets: List[int], count: int, spanned) -> None:
+    """Write each channel's ``count`` span words into ``streams`` from its
+    row ``offsets[c]`` on: one slice assignment per distinct offset."""
     groups: Dict[int, list] = {}
     for column, offset in enumerate(offsets):
         groups.setdefault(offset, []).append(column)
     for offset, columns in groups.items():
         where = slice(None) if len(columns) == len(offsets) else columns
-        if place:
-            streams[offset : offset + count, where] = span[:, where]
-        else:
-            span[:, where] = streams[offset : offset + count, where]
+        streams[offset : offset + count, where] = spanned[:, where]
+
+
+def _take(taken: np.ndarray, streams: np.ndarray, offsets: List[int]) -> None:
+    """Each channel's ``len(taken)`` words of ``streams`` from its row
+    ``offsets[c]`` on, into ``taken``: the inverse of :func:`_place`."""
+    count = len(taken)
+    groups: Dict[int, list] = {}
+    for column, offset in enumerate(offsets):
+        groups.setdefault(offset, []).append(column)
+    for offset, columns in groups.items():
+        where = slice(None) if len(columns) == len(offsets) else columns
+        taken[:, where] = streams[offset : offset + count, where]

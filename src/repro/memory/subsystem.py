@@ -503,12 +503,11 @@ class MemorySubsystem:
             if data is None:
                 stores[bank].read_count += 1
                 start = (bank * self.geometry.bank_depth + line) * width
-                data = buffer[start : start + width]
+                request.data = buffer[start : start + width]
             else:
                 stores[bank].write(line, data, request.strobe)
-                data = None
+                request.data = None
                 writes += 1
-            request.data = data
             request.ready_cycle = ready
             owners.append(request)
         for bank, (port, stream, column, key) in heads.items():
@@ -676,8 +675,8 @@ class MemorySubsystem:
         span leaves the same rows and words in flight, relative to now."""
         in_flight = self._in_flight
         for _ in range(len(in_flight)):
-            ready, ports, owner = in_flight.popleft()
-            in_flight.append((ready + cycles, ports, owner))
+            ready, ports, owners = in_flight.popleft()
+            in_flight.append((ready + cycles, ports, owners))
 
     # ------------------------------------------------------------------
     # Statistics & housekeeping.

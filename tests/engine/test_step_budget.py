@@ -92,6 +92,11 @@ step        calls          numpy calls   container ops per word
 6_full      33.9 → 33.8    1.88 → 1.80   0.26 → 0.22
 ==========  =============  ============  ======================
 
+Container operations are then counted only where ``repro`` code makes them
+(numpy's own list traffic moves with the numpy release): 36,067 → 36,052 on
+``1_baseline`` and 3,742 → 3,741 on ``6_full``; no per-word figure above
+moves.
+
 Issue appends nothing and delivery only counts, so a data FIFO is counts
 over its streamer's rows and no ``Fifo`` method is left on the step path
 (the quantizer's queue moves in jumps here).  On ``2_prefetch`` the C and D
@@ -111,7 +116,7 @@ CALLS = {"2_prefetch": 31.9, "1_baseline": 27.1, "6_full": 33.9}
 #: Numpy calls per stepped cycle, as measured (see the last table).
 NUMPY_CALLS = {"2_prefetch": 0.61, "1_baseline": 0.42, "6_full": 1.81}
 #: Container operations over the kernel, exactly (see the last table).
-CONTAINER_OPS = {"2_prefetch": 42920, "1_baseline": 36067, "6_full": 3742}
+CONTAINER_OPS = {"2_prefetch": 42920, "1_baseline": 36052, "6_full": 3741}
 
 
 @pytest.fixture(scope="module")

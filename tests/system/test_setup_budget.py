@@ -25,7 +25,7 @@ load (752d184)     323.0 → 330.4        29.3 → 29.3
 windows (752d184)  25.7 → 35.3          18.3 → 27.3
 total (752d184)    649.8 → 666.8        137.2 → 148.2
 windows (fdb9743)  49.0 → 35.7          38.3 → 25.7
-total (fdb9743)    745.1 → 731.8        159.2 → 146.5
+total (fdb9743)    745.1 → 739.1        159.2 → 146.5
 =================  ===================  ===================
 
 The parent bound its channels' memory ports at the first issue, inside the
@@ -40,7 +40,9 @@ extreme addresses once at ``configure``, so that a macro jump decodes a
 span at half the cost.  Then, from parent fdb9743, a window that lies
 inside one pass of the AGU's inner loops is evaluated step by step, with no
 pass table, and its bank masks are shifted straight into ``uint64``; the
-first windows are held at their new count (``FIRST_WINDOWS``).
+first windows are held at their new count (``FIRST_WINDOWS``).  A streamer
+resets its stream state in one method that construction and ``configure``
+share, two calls per streamer in ``load`` (393.0 → 400.4 there).
 
 ``tools/step_cost.py step`` reads the same run for the other half: ``repro``
 and numpy calls inside the engine's ``drive``, first windows aside, per

@@ -21,13 +21,16 @@ memory word cost in *work*, which repeats exactly on any machine:
   read data FIFOs itself, so write-mode words and the quantizer queue are
   what is left;
 * container operations per memory word — ``c_call`` events on methods of a
-  ``deque``, ``list`` or ``dict`` and on ``bytes.join``, over the same
+  ``deque``, ``list`` or ``dict`` and on ``bytes.join`` made by ``repro``
+  code (not by numpy's, which move with the numpy release), over the same
   words: what a word costs in queue traffic, which moving words as rows
   divides by the channels a row holds;
 * issue visits per request — channels holding an address (and, writing,
   data) each time a streamer's issue phase is entered, over requests issued;
 * per streamer, the share of stepped cycles in which its issue phase was not
-  entered at all (a parked streamer costs nothing).
+  entered at all (a parked streamer costs nothing);
+* ``repro`` bytecodes per stepped cycle — ``opcode`` trace events (see the
+  ``ledger`` mode below).
 
 The ``setup`` mode counts the other half of a short job: the work that does
 not depend on how many words the kernel moves.  It runs the first
@@ -60,8 +63,8 @@ machine:
 
 * ``step`` — what a stepped cycle costs inside the engine's ``drive``, a
   streamer's first address window aside: over the :data:`SETUP_JOBS`
-  serve-pool jobs, and over each of :data:`LEDGER_KERNELS` (the contended
-  Fig. 7 convolutions);
+  serve-pool jobs, and over each of :data:`LEDGER_KERNELS` (Fig. 7's
+  contended 7x7 convolution);
 * ``first windows`` — each streamer's first ``_refill_window`` over the
   serve-pool jobs;
 
@@ -69,7 +72,11 @@ and four columns: ``repro`` calls and numpy calls (the rules of the
 ``setup`` mode), container operations (the rule of the step counts above),
 and **repro bytecodes** — ``opcode`` trace events (``frame.f_trace_opcodes``)
 in frames of the ``repro`` package, a count that moves with the work an
-interpreted line does and not only with the calls it makes.
+interpreted line does and not only with the calls it makes.  Bytecodes, and
+``repro`` calls where a CPython release inlines comprehensions, are counts of
+one interpreter version; numpy calls move with the numpy release.
+
+Every mode but ``jump`` counts under one hook (``_Ledger``).
 
 Run from the repository root::
 
@@ -102,8 +109,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 RECORD_TYPES = ("MemoryRequest", "BankLocation")
 
 
-def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
-    """Simulate one kernel under the counting hook; return its work counts."""
+def measure(
+    step: str, workload_name: str, seed: int = 0, bytecodes: bool = False
+) -> Dict[str, object]:
+    """Simulate one kernel under the counting hook; return its work counts
+    (with ``bytecodes``, its ``repro`` bytecodes too)."""
     from repro.compiler import compile_workload
     from repro.core.params import ablation_feature_sets
     from repro.engine import EventDrivenEngine
@@ -122,28 +132,11 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
     program = compile_workload(workloads[workload_name], design, steps[step], seed=seed)
     system = AcceleratorSystem(design)
 
-    system_step = AcceleratorSystem.step.__code__
-    counts = {
-        "calls": 0, "numpy": 0, "stepped": 0, "visits": 0, "fifo": 0, "containers": 0
-    }
+    counts = {"visits": 0, "fifo": 0}
     records = dict.fromkeys(RECORD_TYPES, 0)
     entered: Dict[str, int] = {}
 
-    def hook(frame, event, arg):
-        if event == "c_call":
-            counts["numpy"] += _is_numpy(arg)
-            counts["containers"] += _is_container(arg)
-            return
-        if event != "call":
-            return
-        code = frame.f_code
-        module = frame.f_globals.get("__name__", "")
-        if module.startswith("numpy"):
-            counts["numpy"] += 1
-            return
-        if not module.startswith("repro."):
-            return
-        counts["calls"] += 1
+    def on_call(frame, code):
         name = code.co_name
         if frame.f_globals["__name__"] == Fifo.__module__:
             counts["fifo"] += isinstance(frame.f_locals.get("self"), Fifo)
@@ -151,8 +144,6 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
             kind = type(frame.f_locals.get("self")).__name__
             if kind in records:
                 records[kind] += 1
-        elif code is system_step:
-            counts["stepped"] += 1
         elif name == "issue_requests":
             streamer = frame.f_locals["self"]
             entered[streamer.name] = entered.get(streamer.name, 0) + 1
@@ -164,40 +155,43 @@ def measure(step: str, workload_name: str, seed: int = 0) -> Dict[str, object]:
             ):
                 counts["visits"] += len(streamer.ports)
 
-    class Counted(EventDrivenEngine):
-        def drive(self, target, **kwargs):
-            sys.setprofile(hook)  # here, not earlier: loading is not step-path work
-            try:
-                return super().drive(target, **kwargs)
-            finally:
-                sys.setprofile(None)
-
-    result = system.run(program, engine=Counted())
-    stepped = counts["stepped"]
+    # Loading is not step-path work: only the engine's drive is counted.
+    ledger = _Ledger(bytecodes=bytecodes, on_call=on_call)
+    result = ledger.run(partial(system.run, program, engine=EventDrivenEngine()))
+    driven = {
+        column: sum(stage[column] for stage in ledger.counts.values())
+        for column in LEDGER_COLUMNS
+    }
+    stepped = ledger.stepped
     issued = sum(s.requests_issued for s in result.streamer_stats.values())
-    return {
+    report = {
         "step": step,
         "workload": workload_name,
         "cycles": result.streaming_cycles,
         "stepped_cycles": stepped,
-        "calls": counts["calls"],
-        "calls_per_stepped_cycle": counts["calls"] / stepped,
-        "numpy_calls": counts["numpy"],
-        "numpy_calls_per_stepped_cycle": counts["numpy"] / stepped,
+        "calls": driven["repro"],
+        "calls_per_stepped_cycle": driven["repro"] / stepped,
+        "numpy_calls": driven["numpy"],
+        "numpy_calls_per_stepped_cycle": driven["numpy"] / stepped,
         "requests_issued": issued,
         "records": dict(records),
         "records_per_word": sum(records.values()) / issued,
         "fifo_calls": counts["fifo"],
         "fifo_calls_per_word": counts["fifo"] / issued,
-        "container_ops": counts["containers"],
-        "container_ops_per_word": counts["containers"] / issued,
+        "container_ops": driven["containers"],
+        "container_ops_per_word": driven["containers"] / issued,
         "issue_visits": counts["visits"],
         "issue_visits_per_request": counts["visits"] / issued,
         "parked_share": {
             port: 1.0 - entered.get(system.streamers[port].name, 0) / stepped
             for port in result.metadata["active_ports"]
         },
+        "stages": ledger.counts,
     }
+    if bytecodes:
+        report["bytecodes"] = driven["bytecodes"]
+        report["bytecodes_per_stepped_cycle"] = driven["bytecodes"] / stepped
+    return report
 
 
 #: Serve-pool jobs the ``setup`` mode counts.
@@ -362,11 +356,9 @@ def measure_jump(seed: int = 0) -> Dict[str, object]:
 
 
 #: The kernels whose stepped cycles the ``ledger`` mode counts beside the
-#: serve pool's: Fig. 7's contended steps, where the per-word grant path runs.
-LEDGER_KERNELS = (
-    ("2_prefetch", "conv_h16_w16_c32_k16_f7x7_s1"),
-    ("2_prefetch", "conv_h14_w14_c16_k32_f5x5_s2"),
-)
+#: serve pool's: Fig. 7's contended step, where the per-word grant path runs
+#: (the 5x5 budget conv is :func:`measure`'s, held by the step budget).
+LEDGER_KERNELS = (("2_prefetch", "conv_h16_w16_c32_k16_f7x7_s1"),)
 
 #: The ledger's columns, in order.
 LEDGER_COLUMNS = ("repro", "numpy", "containers", "bytecodes")
@@ -377,9 +369,12 @@ class _Ledger:
     trace hook at once: inside the engine's ``drive`` is ``step``, but a
     streamer's first ``_refill_window`` is ``first windows``; outside
     ``drive``, a call of one of the ``markers`` codes opens its stage, and
-    the rest is ``outside`` (``None``: not counted)."""
+    the rest is ``outside`` (``None``: not counted).  ``on_call(frame,
+    code)`` sees every ``repro`` call counted."""
 
-    def __init__(self, markers=(), outside=None, bytecodes: bool = True) -> None:
+    def __init__(
+        self, markers=(), outside=None, bytecodes: bool = True, on_call=None
+    ) -> None:
         from repro.core.streamer import DataMaestro
         from repro.engine.event import EventDrivenEngine
         from repro.system import AcceleratorSystem
@@ -390,6 +385,7 @@ class _Ledger:
         self.markers = dict(markers)
         self.outside = outside
         self.bytecodes = bytecodes
+        self.on_call = on_call
         stages = {"step", "first windows", *self.markers.values(), outside} - {None}
         self.counts = {stage: dict.fromkeys(LEDGER_COLUMNS, 0) for stage in stages}
         self.stepped = 0
@@ -431,6 +427,8 @@ class _Ledger:
             if module.startswith("repro."):
                 counts["repro"] += 1
                 self.stepped += code is self.system_step
+                if self.on_call is not None:
+                    self.on_call(frame, code)
             elif module.startswith("numpy"):
                 counts["numpy"] += 1
         elif event == "return":
@@ -441,7 +439,8 @@ class _Ledger:
             if stage is not None:
                 counts = self.counts[stage]
                 counts["numpy"] += _is_numpy(arg)
-                counts["containers"] += _is_container(arg)
+                if frame.f_globals.get("__name__", "").startswith("repro."):
+                    counts["containers"] += _is_container(arg)
 
     def trace(self, frame, event, arg):
         # The trace hook sees a call before the profile hook enters its
@@ -477,13 +476,6 @@ class _Ledger:
 def measure_ledger(seed: int = 0) -> Dict[str, object]:
     """Count the ledger's rows (see above): ``rows`` maps ``(layer, path)``
     to its column totals and the ``per`` unit they divide by."""
-    from repro.compiler import compile_workload
-    from repro.core.params import ablation_feature_sets
-    from repro.engine import steady  # noqa: F401 — else the first boundary imports it
-    from repro.engine.event import EventDrivenEngine
-    from repro.system import AcceleratorSystem, datamaestro_evaluation_system
-    from repro.workloads import synthetic_suite
-
     rows: Dict[tuple, dict] = {}
     pool = f"serve pool ({SETUP_JOBS} jobs)"
     batch, backend = _warm_pool(SETUP_JOBS, seed)
@@ -493,15 +485,11 @@ def measure_ledger(seed: int = 0) -> Dict[str, object]:
     rows["step", pool] = dict(ledger.counts["step"], per=ledger.stepped)
     rows["first windows", pool] = dict(ledger.counts["first windows"], per=len(batch))
 
-    workloads = {w.name: w for group in synthetic_suite().values() for w in group}
-    design = datamaestro_evaluation_system()
     for step, name in LEDGER_KERNELS:
-        features = ablation_feature_sets()[step]
-        program = compile_workload(workloads[name], design, features, seed=seed)
-        system = AcceleratorSystem(design)
-        ledger = _Ledger()
-        ledger.run(partial(system.run, program, engine=EventDrivenEngine()))
-        rows["step", f"{step}/{name}"] = dict(ledger.counts["step"], per=ledger.stepped)
+        report = measure(step, name, seed, bytecodes=True)
+        rows["step", f"{step}/{name}"] = dict(
+            report["stages"]["step"], per=report["stepped_cycles"]
+        )
     return {"rows": rows}
 
 
@@ -575,6 +563,12 @@ def render_step(report: Dict[str, object]) -> str:
 def render(report: Dict[str, object]) -> str:
     records = ", ".join(f"{k} {v}" for k, v in report["records"].items() if v)
     parked = "  ".join(f"{p} {s:.1%}" for p, s in report["parked_share"].items())
+    bytecodes = []
+    if "bytecodes" in report:
+        bytecodes = [
+            f"  repro bytecodes          {report['bytecodes']:>10,} "
+            f"({report['bytecodes_per_stepped_cycle']:.1f} per stepped cycle)"
+        ]
     return "\n".join(
         [
             f"step cost of {report['step']}/{report['workload']}",
@@ -584,6 +578,7 @@ def render(report: Dict[str, object]) -> str:
             f"({report['calls_per_stepped_cycle']:.1f} per stepped cycle)",
             f"  numpy calls              {report['numpy_calls']:>10,} "
             f"({report['numpy_calls_per_stepped_cycle']:.2f} per stepped cycle)",
+            *bytecodes,
             f"  memory words requested   {report['requests_issued']:>10,} "
             f"({report['issue_visits_per_request']:.2f} issue visits per request)",
             f"  records allocated        {sum(report['records'].values()):>10,} "
@@ -633,7 +628,7 @@ def main(argv=None) -> int:
         return 0
     if args.workload is None:
         parser.error("a workload is required with an ablation step")
-    report = measure(args.step, args.workload, args.seed)
+    report = measure(args.step, args.workload, args.seed, bytecodes=True)
     print(json.dumps(report) if args.json else render(report))
     return 0
 
