@@ -98,8 +98,10 @@ class GemmCore:
         self.c_stream: Optional[StreamSource] = None
         self.output_sink: Optional[StreamSink] = None
         self.job: Optional[GemmJob] = None
-        #: Output tiles pushed to the sink so far.
+        #: Output tiles pushed to the sink so far, and the job's (set by
+        #: :meth:`configure`): the core is done once the one reaches the other.
         self.tiles_completed = 0
+        self.output_tiles = 0
         self._k_index = 0
         #: The current output tile's operand words, popped so far (reset at
         #: every k = 0).
@@ -134,6 +136,7 @@ class GemmCore:
         if job.use_init_stream and self.c_stream is None:
             raise ValueError("job requests an init stream but none is bound")
         self.job = job
+        self.output_tiles = job.output_tiles
         self.tiles_completed = 0
         self._k_index = 0
         self.mac_cycles = 0
@@ -142,7 +145,7 @@ class GemmCore:
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
-        return self.job is not None and self.tiles_completed >= self.job.output_tiles
+        return self.job is not None and self.tiles_completed >= self.output_tiles
 
     @property
     def busy(self) -> bool:
@@ -283,8 +286,8 @@ class GemmCore:
 
     def step(self) -> bool:
         """Advance one cycle; return True if a MAC step fired."""
-        if self.job is None or self.done:
-            return False
+        if self.tiles_completed >= self.output_tiles:
+            return False  # done, or no job
         if not self._inputs_available():
             self.stall_cycles += 1
             return False

@@ -30,17 +30,21 @@ A streamer's channels issue together: the address is the streamer's next
 bundle and the credit limit is streamer-wide, so the issue cursor
 ``requests_issued`` is stored once, here, and so are the credit stalls and
 the address-FIFO high-water mark.  The channels diverge only from the grant
-on: a bank conflict delays one port's grant while the others are served,
-and its data FIFO absorbs the jitter — each port's ``granted`` /
-``retries`` / ``delivered`` and each channel's data-FIFO occupancy.  The
-word path moves *rows* — one word per channel, one bundle — and stores what
-is arithmetic as counters:
+on: a bank conflict delays one channel while the others are served, and
+its data FIFO absorbs the jitter.  The streamer, not its ports, owns the
+channels' **grant and delivery cursors**: ``rows_granted`` /
+``rows_delivered``, the lowest and every channel's while they agree (a row
+granted or delivered whole is one bump), and ``channel_grants`` /
+``channel_deliveries`` only while they differ.  Ports (``granted`` /
+``delivered``) and banks (their access counts) read them.  The word path
+moves *rows* — one word per channel, one bundle — and stores what is
+arithmetic as counters:
 
 * every channel's **address FIFO** holds ``bundles_generated -
   requests_issued`` entries, and a channel's **pending** words are the rows
   of the decoded address window (a pure function of the step index) from
-  its grant cursor ``port.granted`` to ``requests_issued``: generating a
-  bundle advances a counter, issuing a row advances the issue cursor;
+  its grant cursor to ``requests_issued``: generating a bundle advances a
+  counter, issuing a row advances the issue cursor;
 * the streamer holds its **words once per row** in :attr:`rows`, each
   row one wide word: a read row is gathered at its grant when the row is
   granted whole (a list of channel words until its last channel's grant
@@ -49,10 +53,9 @@ is arithmetic as counters:
   pushed, until every channel has stored its part;
 * a read channel's **in-flight plus buffered** words are
   ``requests_issued - words_streamed``, so the credit rule, ``busy`` and the
-  no-prefetch gate never look at a delivery; its **data FIFO** holds
-  ``port.delivered - words_streamed`` words (a write channel's
-  ``words_streamed - requests_issued``) and its **in-flight** requests are
-  ``requests_issued - port.delivered`` — a :class:`ChannelFifo` is those
+  no-prefetch gate never look at a delivery; its **data FIFO** holds its
+  delivery cursor less ``words_streamed`` (a write channel's
+  ``words_streamed - requests_issued``) — a :class:`ChannelFifo` is those
   counts and a high-water mark.
 
 A streamer whose cycle moved nothing repeats that cycle until the accelerator
@@ -72,7 +75,6 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from itertools import repeat
-from operator import attrgetter
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence
 
@@ -107,13 +109,12 @@ CHANNEL_FIELDS = (
 class ChannelFifo:
     """One channel's data FIFO: counts over its streamer's rows.
 
-    A read channel holds the words delivered and not yet popped
-    (``port.delivered - words_streamed``), a write channel the words pushed
-    and not yet issued (``words_streamed - requests_issued``); the words
-    themselves are the streamer's :attr:`DataMaestro.rows`.  Only the
-    high-water mark is stored, raised by :meth:`note`.  The FIFO refers to
-    its streamer weakly: the streamer holds it, and so does the channel's
-    port in the memory."""
+    A read channel holds the words delivered and not yet popped, a write
+    channel the words pushed and not yet issued; the words themselves are
+    the streamer's :attr:`DataMaestro.rows`.  Only the high-water mark is
+    stored, raised by :meth:`note`.  The FIFO refers to its streamer weakly:
+    the streamer holds it, and so does the channel's port in the memory,
+    which reads the channel's cursors through it."""
 
     __slots__ = ("depth", "name", "max_occupancy", "_streamer", "_column")
 
@@ -124,13 +125,15 @@ class ChannelFifo:
         self._streamer = weakref.ref(streamer)
         self._column = column
 
+    def cursor(self, kind: int) -> int:
+        """The channel's grant (``kind`` 0) or delivery (1) cursor."""
+        return self._streamer().cursors()[kind][self._column]
+
     def _counts(self):
         """``(pushes, pops)`` so far."""
         streamer = self._streamer()
         if streamer.is_read:
-            ports = streamer.ports
-            delivered = ports[self._column].delivered if ports else 0
-            return delivered, streamer.words_streamed
+            return self.cursor(1), streamer.words_streamed
         return streamer.words_streamed, streamer.requests_issued
 
     @property
@@ -264,12 +267,10 @@ class DataMaestro:
 
     def _reset_stream(self) -> None:
         """The stream's state before its first cycle, unbound."""
-        #: The active channels' crossbar ports, named ``<streamer>.ch<i>``,
-        #: resolved by :meth:`bind`, and their names.
+        #: The channels' ports ``<streamer>.ch<i>`` (:meth:`bind`), and names.
         self.ports: List[MemoryPort] = []
         self.port_names: tuple = ()
-        #: The memory ``ports`` belong to (:meth:`bind`), held weakly: the
-        #: memory holds the streamer, whose rows it reads.
+        #: Their memory, held weakly: it holds the streamer, reading its rows.
         self._memory: Optional[weakref.ref] = None
         self.words_streamed = 0
         #: Bundles generated so far: the stream position, the AGU's only
@@ -281,34 +282,28 @@ class DataMaestro:
         #: Sampled before each issue and by :meth:`channel_statistics` (the
         #: address FIFO only grows between).
         self.max_addr_occupancy = 0
-        #: The words held once per row, each a wide word: a read row (steps
-        #: ``words_streamed`` on) from its grant — a list of channel words
-        #: while only some are granted — to its pop; a write row (steps up
-        #: to ``words_streamed``) from its push until every channel has
-        #: stored its part.
+        #: The words held once per row, each a wide word: a read row from its
+        #: grant (a list of channel words while only some are granted) to
+        #: its pop; a write row from its push until every channel stored it.
         self.rows: Deque = deque()
-        #: The lowest channel grant cursor, whether every channel is there,
-        #: and (reading) the lowest channel delivery count: the memory keeps
-        #: them as it grants and delivers.
-        self.rows_granted = 0
-        self.aligned = True
-        self.rows_delivered = 0
-        #: The lowest data-FIFO high-water mark among the channels: an
-        #: occupancy above it has a mark to raise.
+        #: The lowest grant and delivery cursors (every channel's while they
+        #: agree) and each channel's, only while they differ.
+        self.rows_granted = self.rows_delivered = 0
+        self.channel_grants: Optional[List[int]] = None
+        self.channel_deliveries: Optional[tuple] = None
+        #: The channels' lowest data-FIFO high-water mark.
         self.fill_mark = 0
         self._popped_this_cycle = False
-        #: State changes this streamer made since :meth:`begin_cycle` (words
-        #: popped or pushed, a bundle generated, requests issued); zero after
-        #: the issue phase makes it parkable.
+        #: State changes (pops, pushes, bundles, issues) since
+        #: :meth:`begin_cycle`; zero after the issue phase parks the streamer.
         self.cycle_activity = 0
         #: Set by the system after a zero-activity cycle, cleared by
         #: :meth:`wake`; ``parked_cycles`` counts the cycles sat out since.
         self.parked = False
         self.parked_cycles = 0
-        #: Decoded rows for steps ``[window_start, +len(window))`` as
-        #: ``(banks, mask, keys, gather)`` (see ``repro.memory.subsystem``): every
-        #: channel's pending words.  A pure function of the step index, so a
-        #: macro jump simply lands outside (or inside) it.
+        #: Decoded rows for steps ``[window_start, +len(window))`` as ``(banks,
+        #: mask, keys, gather)`` (see ``repro.memory.subsystem``), a pure
+        #: function of the step: every channel's pending words.
         self.window: list = []
         self.window_start = 0
 
@@ -323,6 +318,8 @@ class DataMaestro:
         """Program the streamer for one kernel launch."""
         design = self.design
         runtime.validate_against(design)
+        if self.rows_granted or self.channel_grants:
+            self._fold_grants()
         self.runtime = runtime
         self.prefetch_enabled = bool(prefetch_enabled)
         self.active_channels = runtime.active_channels or design.num_channels
@@ -359,19 +356,30 @@ class DataMaestro:
         each port's grants and deliveries from zero.  The system binds at
         load; a hand-driven streamer binds at its first
         :meth:`issue_requests`."""
+        if self.rows_granted or self.channel_grants:
+            self._fold_grants()
         self._memory = weakref.ref(memory)
         self._registered = False
         self.ports = []
         for index, fifo in enumerate(self.fifos):
             port = memory.bind(f"{self.name}.ch{index}")
             port.sink = fifo
-            port.granted = port.delivered = port.retries = 0
+            port.retries = 0
             self.ports.append(port)
         self.port_names = tuple(port.name for port in self.ports)
         self.pack = memory.row_packer(len(self.ports))
         self.rows_granted = self.rows_delivered = 0
-        self.aligned = True
+        self.channel_grants = self.channel_deliveries = None
         self.window = []
+
+    def _fold_grants(self) -> None:
+        """Count the cursors' grants on the banks themselves, before a restart."""
+        if self.memory is not None:
+            self.memory.scratchpad.fold(self)
+
+    @property
+    def memory(self) -> Optional[MemorySubsystem]:
+        return self._memory and self._memory()
 
     def _check_address_range(self) -> None:
         """Reject a stream that would leave the scratchpad, before cycle 0."""
@@ -400,14 +408,29 @@ class DataMaestro:
         # received them all; a write streamer may still hold one it has not
         # issued or await a channel's acknowledgement.
         issued = self.requests_issued
-        return self.is_write and (
-            issued != generated
-            or min(map(_delivered, self.ports), default=issued) != issued
-        )
+        return self.is_write and (issued != generated or self.rows_delivered != issued)
 
     @property
     def done(self) -> bool:
         return self.configured and not self.busy
+
+    def cursors(self) -> tuple:
+        """Every channel's grant cursor and delivery cursor, two lists."""
+        channels = len(self.fifos)
+        return (
+            self.channel_grants or [self.rows_granted] * channels,
+            self.channel_deliveries or [self.rows_delivered] * channels,
+        )
+
+    def granted_banks(self) -> np.ndarray:
+        """The bank of every word granted so far: each channel's rows below
+        its grant cursor, decoded again (a row is a function of its step)."""
+        grants = self.cursors()[0]
+        high = max(grants, default=0)
+        if not high:
+            return np.zeros(0, np.intp)
+        banks, _ = self._decode(0, high)
+        return banks[np.arange(high)[:, np.newaxis] < grants]
 
     # ------------------------------------------------------------------
     # Phase 0: per-cycle housekeeping.
@@ -424,11 +447,7 @@ class DataMaestro:
         """Read mode: True when every active channel has a word ready."""
         if not self.is_read or self.agu is None:
             return False
-        delivered = self.rows_delivered
-        if delivered < 0:
-            delivered = min(map(_delivered, self.ports), default=0)
-            self.rows_delivered = delivered
-        return delivered > self.words_streamed
+        return self.rows_delivered > self.words_streamed
 
     def pop_word(self):
         """Consume one wide word (read mode): the oldest row.
@@ -443,11 +462,7 @@ class DataMaestro:
             raise RuntimeError(f"{self.name}: pop on a write-mode streamer")
         if self.parked:
             self.wake()
-        delivered = self.rows_delivered
-        if delivered < 0:
-            delivered = min(map(_delivered, self.ports), default=0)
-            self.rows_delivered = delivered
-        if delivered <= self.words_streamed:
+        if self.rows_delivered <= self.words_streamed:
             empty = [fifo for fifo in self.fifos if not len(fifo)]
             raise FifoError(f"pop from empty FIFO '{empty[0].name}'")
         word = self.rows.popleft()
@@ -494,12 +509,11 @@ class DataMaestro:
             self.fill_mark = occupancy
         self.cycle_activity += 1
 
-    def fill(self, ports: Sequence[MemoryPort]) -> None:
-        """Raise the high-water marks of ``ports``' data FIFOs to the
-        occupancy the delivery that just reached them left (read mode)."""
-        occupancy = ports[0].delivered - self.words_streamed
-        for port in ports:
-            port.sink.note(occupancy)
+    def fill(self, occupancy: int, fifos: Sequence[ChannelFifo]) -> None:
+        """Raise data FIFOs ``fifos``' high-water marks to ``occupancy``, what
+        the delivery that just reached them left (read mode)."""
+        for fifo in fifos:
+            fifo.note(occupancy)
         self.fill_mark = min([fifo.max_occupancy for fifo in self.fifos])
 
     # ------------------------------------------------------------------
@@ -690,37 +704,35 @@ class DataMaestro:
     # Steady-span protocol (see repro.engine.steady).
     # ------------------------------------------------------------------
     def period_counters(self) -> list:
-        """What a steady period advances: the streamer's four counters, then
-        each channel's three (grants, deliveries, retries).  The AGU's
-        position is not one: it stops at the stream's end, so
-        :meth:`replay_span` advances it."""
-        counters = [
-            (self, name)
-            for name in (
-                "words_streamed",
-                "requests_issued",
-                "credit_stall_cycles",
-                "rows_granted",
-            )
+        """What a steady period advances: five streamer counters, the lowest
+        cursors among them, then each channel's retries; :meth:`replay_span`
+        moves a skewed channel's cursors and the AGU (which stops at the end)."""
+        names = (
+            "words_streamed",
+            "requests_issued",
+            "credit_stall_cycles",
+            "rows_granted",
+            "rows_delivered",
+        )
+        return [(self, name) for name in names] + [
+            (port, "retries") for port in self.ports
         ]
-        for port in self.ports:
-            counters += [(port, "granted"), (port, "delivered"), (port, "retries")]
-        return counters
 
     def period_signature(self) -> tuple:
         """The pop flag, the address-FIFO occupancy and, per channel, the
         data-FIFO occupancy, words in flight and words pending."""
         issued, words = self.requests_issued, self.words_streamed
+        grants, deliveries = self.cursors()
         return (
             self._popped_this_cycle,
             self.bundles_generated - issued,
             [
                 (
-                    port.delivered - words if self.is_read else words - issued,
-                    issued - port.delivered,
-                    issued - port.granted,
+                    delivered - words if self.is_read else words - issued,
+                    issued - delivered,
+                    issued - granted,
                 )
-                for port in self.ports
+                for granted, delivered in zip(grants, deliveries)
             ],
         )
 
@@ -750,24 +762,26 @@ class DataMaestro:
                 raise SteadyBail("quiescent_drift")
         elif words != bundles:
             raise SteadyBail("ragged_cadence")
+        # The lowest cursors moved with the issues (the signature held each).
+        if delta[3:5] != [bundles, bundles]:
+            raise SteadyBail("quiescent_drift" if bundles == 0 else "ragged_cadence")
         # Isolation candidate: never contended in the reference period, and
         # every channel granted as far with the same response timings.
         contended = False
         skews = set()
-        moves = zip(self.ports, delta[4::3], delta[5::3], delta[6::3])
+        channels = len(self.ports)
+        grants = self.channel_grants or [self.rows_granted] * channels
+        deliveries = self.channel_deliveries or [self.rows_delivered] * channels
+        moves = zip(self.ports, grants, deliveries, delta[5:])
         for port, granted, delivered, retries in moves:
             if bundles == 0:
-                if granted or delivered:
-                    raise SteadyBail("quiescent_drift")
-                if issued != port.delivered:
+                if issued != delivered:
                     # A frozen channel with traffic in the memory pipeline
                     # cannot stay frozen for a whole span.
                     raise SteadyBail("quiescent_traffic")
                 continue
-            if (granted, delivered) != (bundles, bundles):
-                raise SteadyBail("ragged_cadence")
             contended = contended or retries != 0
-            skews.add((port.granted, port.delivered, tuple(flights.get(port, []))))
+            skews.add((granted, delivered, tuple(flights.get(port, []))))
         if bundles == 0:
             return None
         # One period back: the rows cover the reference period's grants too.
@@ -781,7 +795,7 @@ class DataMaestro:
             lo,
             banks,
             lines,
-            [port.granted - lo for port in self.ports],
+            [granted - lo for granted in grants],
             not contended and len(skews) == 1,
             (self.total_bundles - 1 - issued) // bundles,
         )
@@ -810,14 +824,15 @@ class DataMaestro:
         words = self.words_streamed
         banks, keys = span.grants
         held = self._held(word)
+        grants = self.channel_grants or [self.rows_granted] * channels
         if self.is_read:
-            # Channel c's words held are steps ``words .. port.granted``.
-            offsets = [port.granted - words for port in ports]
+            # Channel c's words held are steps ``words ..`` its grant cursor.
+            offsets = [granted - words for granted in grants]
             streams = np.empty((max(offsets) + count, channels), word)
             streams[: len(held)] = held
             _place(streams, offsets, count, cells[keys])
             self.rows = _split(streams[count:].tobytes(), channels * word.itemsize)
-            if not self.aligned:
+            if self.channel_grants is not None:
                 # A channel's words after the span end at its grant cursor,
                 # so the rows from the lowest one on are partly granted.
                 for index in range(min(offsets), len(self.rows)):
@@ -831,14 +846,19 @@ class DataMaestro:
             streams = np.concatenate(
                 [held, self.extensions.apply_batch(pushed).view(word)]
             )
-            offsets = [port.granted - low for port in ports]
+            offsets = [granted - low for granted in grants]
             written = np.empty((count, channels), word)
             _take(written, streams, offsets)
             cells[keys] = written
             self.rows = _split(streams[count:].tobytes(), channels * word.itemsize)
-        memory.replay_grants(banks, self.is_read, span.isolated and ports)
+        if span.isolated:
+            memory.replay_pointers(banks, ports)
         self.bundles_generated = min(span.generated + count, self.total_bundles)
-        self.rows_delivered = -1  # counted again from the ports
+        # Skewed channels' cursors move too; the planner moves the lowest.
+        if self.channel_grants is not None:
+            self.channel_grants = list(map(count.__add__, self.channel_grants))
+        if self.channel_deliveries is not None:
+            self.channel_deliveries = tuple(map(count.__add__, self.channel_deliveries))
         # The rows still pending after the span are rows the span decoded.
         granted = self.rows_granted + count
         pending = self.requests_issued + count
@@ -860,7 +880,7 @@ class DataMaestro:
         row's wide word, or a read row's channel words while some are not
         granted yet (only a skewed stream has one; those read as zero)."""
         rows = self.rows
-        if not self.is_read or self.aligned:
+        if not self.is_read or self.channel_grants is None:
             joined = b"".join(rows)
         else:
             zero = bytes(word.itemsize)
@@ -885,8 +905,9 @@ class DataMaestro:
         stats.words_streamed = self.words_streamed
         stats.requests_issued = self.requests_issued * len(self.fifos)
         if memory is not None:
+            grants = self.channel_grants or [self.rows_granted] * len(self.ports)
+            stats.requests_granted = sum(grants)
             for port in self.ports:
-                stats.requests_granted += port.granted
                 stats.bank_conflict_retries += port.retries
         stats.extension_words = self.extensions.statistics()
         return stats
@@ -900,10 +921,11 @@ class DataMaestro:
             self.max_addr_occupancy, self.bundles_generated - self.requests_issued
         )
         rows = {}
+        deliveries = self.channel_deliveries or [self.rows_delivered] * len(self.fifos)
         for index, fifo in enumerate(self.fifos):
             rows[f"{self.name}.ch{index}"] = {
                 "requests_issued": self.requests_issued,
-                "responses_received": self.ports[index].delivered if self.ports else 0,
+                "responses_received": deliveries[index],
                 "credit_stall_cycles": self.credit_stall_cycles,
                 "max_data_occupancy": fifo.max_occupancy,
                 "max_addr_occupancy": self.max_addr_occupancy,
@@ -919,9 +941,6 @@ class DataMaestro:
             f"channels={self.design.num_channels}, "
             f"active={self.active_channels})"
         )
-
-
-_delivered = attrgetter("delivered")
 
 
 def _split(blob: bytes, width: int) -> Deque[bytes]:

@@ -415,10 +415,10 @@ class SteadySpanPlanner:
         quantizer rescales the tile stack, the memory moves its in-flight
         entries, and last each counter that moves advances by ``periods`` x
         its per-period delta (the replays read the boundary's positions)."""
-        memory, gemm = self.memory, self.gemm
-        periods = plan.periods
-        popped = {}
+        memory, gemm, periods = self.memory, self.gemm, plan.periods
+        popped, rows = {}, {}
         for span in plan.streams:
+            rows[span.streamer] = span.delta * periods
             if span.streamer.is_read:
                 popped[span.streamer] = span.streamer.replay_span(span, periods, memory)
         sink = next(span for span in plan.streams if not span.streamer.is_read)
@@ -431,6 +431,6 @@ class SteadySpanPlanner:
         if self.quantizer is not None:
             produced = self.quantizer.replay_tiles(produced)
         sink.streamer.replay_span(sink, periods, memory, produced)
-        memory.replay_in_flight(plan.cycles)
+        memory.replay_in_flight(plan.cycles, rows)
         for obj, attribute, step in plan.moves:
             setattr(obj, attribute, getattr(obj, attribute) + step * periods)

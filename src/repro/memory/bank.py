@@ -4,7 +4,9 @@ A bank is a single-ported SRAM: one read *or* one write per cycle.  The
 arbitration that enforces the single port lives in
 :class:`repro.memory.subsystem.MemorySubsystem`; the bank itself is the plain
 storage array plus bounds checking and byte-strobe support for partial
-writes.
+writes.  Its access counts are exact whenever read, but a stream's grants
+are not bumped into them one word at a time: the scratchpad counts those
+from the streams' grant cursors (``tally``).
 """
 
 from __future__ import annotations
@@ -51,8 +53,27 @@ class MemoryBank:
                 f"got {data.shape}"
             )
         self._data = data
-        self.read_count = 0
-        self.write_count = 0
+        #: Accesses counted here, word by word: a by-name requester's.
+        self.reads = 0
+        self.writes = 0
+        #: Its scratchpad's count of the streams' grants, held weakly
+        #: (``tally()()`` is ``[reads, writes]``, a count per bank); ``None``
+        #: for a bank on its own.
+        self.tally = None
+
+    @property
+    def read_count(self) -> int:
+        """Reads so far, the streams' grants included."""
+        return self.reads + self._streamed(0)
+
+    @property
+    def write_count(self) -> int:
+        """Writes so far, the streams' grants included."""
+        return self.writes + self._streamed(1)
+
+    def _streamed(self, kind: int) -> int:
+        tally = self.tally and self.tally()
+        return tally()[kind][self.index] if tally else 0
 
     # ------------------------------------------------------------------
     def _check_line(self, line: int) -> None:
@@ -78,7 +99,7 @@ class MemoryBank:
                 f"write data must have {self.width_bytes} bytes, "
                 f"got shape {payload.shape}"
             )
-        self.write_count += 1
+        self.writes += 1
         if strobe is None:
             self._data[line] = payload
             return

@@ -13,6 +13,8 @@ scratchpad provides two views on the banks:
 * a *port* view used by the crossbar/memory subsystem — a granted word at a
   decoded (bank, line) location, read as a slice of the buffer or written
   through :meth:`~repro.memory.bank.MemoryBank.write`, counted on its bank;
+  a stream's words are counted from the stream's grant cursors instead,
+  when a bank's count is read (:meth:`~ScratchpadMemory.streamed`);
 * a *backdoor* view used by the DMA model, the compiler's data loader and the
   tests — byte-level reads/writes at flat logical addresses under a given
   addressing mode, which do not consume ports and are not counted.
@@ -20,6 +22,7 @@ scratchpad provides two views on the banks:
 
 from __future__ import annotations
 
+import weakref
 from typing import List
 
 import numpy as np
@@ -48,6 +51,47 @@ class ScratchpadMemory:
             MemoryBank(index, width, depth, rows)
             for index, rows in enumerate(self.storage)
         ]
+        #: The streams whose grants the banks count (the serving memory
+        #: subsystem's), and :meth:`streamed`'s last count with the grant
+        #: cursors it was taken at.
+        self.streams: list = []
+        self._tally: tuple = (None, None)
+        tally = weakref.WeakMethod(self.streamed)
+        for bank in self.banks:
+            bank.tally = tally
+
+    # ------------------------------------------------------------------
+    # Bank counts of streamed words.
+    # ------------------------------------------------------------------
+    def streamed(self) -> list:
+        """Each bank's reads and writes by the streams bound to this
+        scratchpad's memory, ``[reads, writes]``: every channel's rows below
+        its grant cursor (a row is a pure function of its step), decoded
+        again only when a cursor has moved since the last count."""
+        streams = [
+            stream
+            for stream in self.streams
+            if (memory := stream.memory) is not None and memory.scratchpad is self
+        ]
+        cursors = [(stream, tuple(stream.cursors()[0])) for stream in streams]
+        if cursors != self._tally[0]:
+            counts = np.zeros((2, len(self.banks)), np.int64)
+            for stream in streams:
+                counts[0 if stream.is_read else 1] += np.bincount(
+                    stream.granted_banks(), minlength=len(self.banks)
+                )
+            self._tally = cursors, counts.tolist()
+        return self._tally[1]
+
+    def fold(self, stream) -> None:
+        """Count ``stream``'s grants on the banks themselves, before its
+        grant cursors restart."""
+        counts = np.bincount(stream.granted_banks(), minlength=len(self.banks))
+        for bank, count in zip(self.banks, counts.tolist()):
+            if stream.is_read:
+                bank.reads += count
+            else:
+                bank.writes += count
 
     # ------------------------------------------------------------------
     # Backdoor view (uncounted, byte granular, used for data loading).

@@ -23,35 +23,32 @@ request — the contender order of :meth:`arbitrate`, a stream's channels in
 channel order:
 
 * a **stream** — a DataMaestro's channels, which issue one *row* together
-  (one word per channel, one address bundle).  Its ports queue nothing: a
-  channel's pending words are the rows of the stream's decoded address
-  window between the channel's grant cursor ``port.granted`` and the
-  stream's issue cursor ``requests_issued``.  A window row (``window[step -
-  window_start]``) is ``(banks, mask, keys, gather)``: each channel's bank,
-  their bitmask, each channel's word index ``bank * depth + line`` and the
-  getter of the row's words (:meth:`MemorySubsystem.row_gathers`).
-  The stream holds its granted or pushed words once per row in ``rows``
-  (see :class:`~repro.core.streamer.DataMaestro`), ``rows_granted`` is its
-  lowest grant cursor and ``aligned`` whether every channel is there.  A
-  read stream counts both from its rows: a row its last channel's grant
-  completes becomes one wide word, walking up from the lowest incomplete
-  one, and the stream is aligned when no granted row is incomplete;
+  (one word per channel, one address bundle).  Its ports queue and count
+  nothing: the stream owns its channels' grant and delivery cursors (see
+  :class:`~repro.core.streamer.DataMaestro`), and a channel's pending words
+  are the rows of its decoded address window from the channel's grant
+  cursor to the issue cursor ``requests_issued``.  A window row
+  (``window[step - window_start]``) is ``(banks, mask, keys, gather)``: each
+  channel's bank, their bitmask, each channel's word index ``bank * depth +
+  line`` and the getter of the row's words (:meth:`MemorySubsystem.row_gathers`).
+  The stream holds its words once per row in ``rows``; a read row its last
+  channel's grant completes becomes one wide word;
 * a **by-name** requester's port queues ``(bank, line, data, request)``
   tuples in ``pending`` (``data`` a write's word, ``request`` the caller's
-  :class:`MemoryRequest`).
+  :class:`MemoryRequest`) and counts its own grants and deliveries.
 
 When no by-name request waits, every pending stream is aligned and one
 bitmask test finds no bank named twice among the head rows, each head row is
-granted whole — one gather of its words, one in-flight entry ``(ready_cycle,
-stream.ports, stream)``, the bank counters and arbiter pointers from its
-tuples.  Otherwise the per-bank round robin runs over every port's head, the
-heads of a stream's channels derived from their cursors, and the cycle's
-grants are one in-flight entry ``(ready_cycle, ports, owners)``: the ports in
-grant order, the by-name requests (stamped with a read's word) and the read
-streams that moved.  Delivery only counts: ``port.delivered``, a read
-stream's ``rows_delivered`` (``-1`` after a cycle's entry, until the stream
-counts it again) and its data FIFOs' high-water marks (the words are already
-in its rows).
+granted whole — one cursor bump, one gather and one in-flight entry
+``(ready_cycle, stream.ports, stream)``, whose delivery is one bump too.
+Otherwise the per-bank round robin runs over every port's head, a moving
+stream's channels at their own cursors (a list it holds while they differ),
+and the cycle's grants are one in-flight entry ``(ready_cycle, ports,
+owners)``: the ports in grant order, then the by-name requests (stamped with
+a read's word) and each stream that moved as ``(stream, lowest cursor,
+channel cursors or None)``, the delivery cursors the entry hands over.  No
+bank count is bumped per streamed word: the scratchpad counts a stream's
+grants from its cursors (:meth:`~repro.memory.scratchpad.ScratchpadMemory.streamed`).
 
 For the event-driven simulation kernel (:mod:`repro.engine`) the subsystem
 additionally implements the next-event protocol: :meth:`next_event_cycle`
@@ -66,7 +63,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import repeat, starmap
 from operator import attrgetter, itemgetter
 from struct import Struct
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
@@ -144,16 +141,25 @@ class MemoryPort:
     #: A by-name requester's matured responses awaiting :meth:`collect`
     #: (``deliver`` only moves matured ones, so everything here is ready).
     responses: List[MemoryResponse] = field(default_factory=list)
-    #: Grants so far: a stream channel's grant cursor.
-    granted: int = 0
     retries: int = 0
-    #: Responses handed over so far, reads and write acknowledgements alike.
-    delivered: int = 0
     registered: bool = False
     #: The channel's other half when a streamer binds this port: its data
     #: FIFO (``DataMaestro.fifos[i]`` beside ``DataMaestro.ports[i]``),
     #: never the streamer.  ``None`` for by-name requesters.
     sink: Optional[Any] = None
+    _granted: int = 0
+    _delivered: int = 0
+
+    @property
+    def granted(self) -> int:
+        """Grants so far (a stream channel's grant cursor, its stream's)."""
+        return self._granted if self.sink is None else self.sink.cursor(0)
+
+    @property
+    def delivered(self) -> int:
+        """Reads and write acknowledgements handed over so far (a stream
+        channel's delivery cursor, its stream's)."""
+        return self._delivered if self.sink is None else self.sink.cursor(1)
 
 
 class MemorySubsystem:
@@ -201,6 +207,7 @@ class MemorySubsystem:
         self._unit_format = {8: "Q", 4: "I", 2: "H", 1: "B"}[unit]
         self._units = width // unit
         self._cells = memoryview(self.scratchpad.buffer).cast(self._unit_format)
+        self.scratchpad.streams = self._streams  # their grants count there
 
     # ------------------------------------------------------------------
     # Requester-facing API.
@@ -281,6 +288,10 @@ class MemorySubsystem:
         port = request.port
         if port is None:
             port = request.port = self.bind(request.requester)
+        if port.sink is not None:
+            raise ValueError(
+                f"{port.name!r} is a stream's channel: its words are the stream's rows"
+            )
         if not port.registered:
             self.register(port)
         port.pending.append((request.bank, request.line, data, request))
@@ -294,7 +305,7 @@ class MemorySubsystem:
             return 0
         for stream in self._streams:
             if port in stream.ports:
-                return stream.requests_issued - port.granted + len(port.pending)
+                return stream.requests_issued - port.granted
         return len(port.pending)
 
     def outstanding_count(self, requester: str) -> int:
@@ -325,33 +336,29 @@ class MemorySubsystem:
         delivered = 0
         while in_flight and in_flight[0][0] <= now:
             _, ports, owners = in_flight.popleft()
-            for port in ports:
-                port.delivered += 1
             delivered += len(ports)
             if owners.__class__ is not list:
-                # A row granted whole arrives whole, above the lowest
-                # high-water mark or not.
-                if owners.is_read:
-                    owners.rows_delivered = arrived = ports[0].delivered
-                    if arrived - owners.words_streamed > owners.fill_mark:
-                        owners.fill(ports)
+                # A row granted whole arrives whole: every channel was at the
+                # lowest delivery cursor, above the lowest high-water mark or not.
+                owners.rows_delivered = arrived = owners.rows_delivered + 1
+                if owners.is_read and arrived - owners.words_streamed > owners.fill_mark:
+                    owners.fill(arrived - owners.words_streamed, owners.fifos)
                 continue
             for owner in owners:
                 if owner.__class__ is MemoryRequest:
-                    port = owner.port
-                    if port.sink is None:
-                        port.responses.append(owner)
-                    else:  # a by-name word on a stream's port: its FIFO only
-                        port.sink.note(len(port.sink))
+                    owner.port._delivered += 1
+                    owner.port.responses.append(owner)
                     continue
-                # A read stream that moved counts its lowest delivery again; a
-                # channel above its mark raises it (none can at credit depth).
-                owner.rows_delivered = -1
-                if owner.fill_mark < owner.design.data_buffer_depth:
-                    words = owner.words_streamed
-                    for port in owner.ports:
-                        if port.delivered - words > port.sink.max_occupancy:
-                            owner.fill((port,))
+                # A stream that moved: delivered up to the cycle's grants; a
+                # read channel above its mark raises it (none at credit depth).
+                stream, low, cursors = owner
+                stream.rows_delivered = low
+                stream.channel_deliveries = cursors
+                if stream.is_read and stream.fill_mark < stream.design.data_buffer_depth:
+                    words = stream.words_streamed
+                    for fifo, cursor in zip(stream.fifos, cursors or repeat(low)):
+                        if cursor - words > fifo.max_occupancy:
+                            stream.fill(cursor - words, (fifo,))
         return delivered
 
     def _pick_winner(self, bank: int, contenders: List[tuple]) -> tuple:
@@ -384,7 +391,7 @@ class MemorySubsystem:
             for stream in self._streams:
                 step = stream.rows_granted
                 if step != stream.requests_issued:
-                    if not stream.aligned:
+                    if stream.channel_grants is not None:
                         break
                     row = stream.window[step - stream.window_start]
                     seen |= row[1]
@@ -396,10 +403,9 @@ class MemorySubsystem:
         return self._grant_words()
 
     def _grant_rows(self, heads: list) -> int:
-        """Grant each ``(stream, window row)`` head row whole."""
-        scratchpad = self.scratchpad
-        stores = scratchpad.banks
-        buffer = scratchpad.buffer
+        """Grant each ``(stream, window row)`` head row whole: one cursor
+        bump, its words and its in-flight entry."""
+        buffer = self.scratchpad.buffer
         last_grant = self._last_grant
         entry = (self.cycle + self.read_latency,)
         append = self._in_flight.append
@@ -407,38 +413,30 @@ class MemorySubsystem:
         cells = self._cells
         width = self.geometry.bank_width_bytes
         for stream, (banks, _, keys, gather) in heads:
-            ports = stream.ports
             stream.rows_granted += 1
             last_grant.update(zip(banks, stream.port_names))
             if stream.is_read:
                 stream.rows.append(stream.pack(*gather(cells)))
-                for port, bank in zip(ports, banks):
-                    port.granted += 1
-                    stores[bank].read_count += 1
                 reads += len(banks)
             else:
                 word = stream.rows.popleft()
-                for port, bank, key, part in zip(ports, banks, keys, stream.parts):
-                    port.granted += 1
-                    stores[bank].write_count += 1
+                for key, part in zip(keys, stream.parts):
                     buffer[key * width : key * width + width] = word[part]
             granted += len(banks)
-            append(entry + (ports, stream))
+            append(entry + (stream.ports, stream))
         self.pending_requests -= granted
         self.total_reads += reads
         self.total_writes += granted - reads
         return granted
 
     def _grant_words(self) -> int:
-        """Per-bank round robin over every port's head word.  A head is
-        ``(port, owner, column, key)``: a stream channel's word at its own
-        grant cursor (``owner`` the stream), or a by-name request (``owner``
-        the request, ``key`` ``None``).  The cycle's grants are one in-flight
-        entry."""
+        """Per-bank round robin over every port's head word, ``(port, owner,
+        column, key)``: a stream channel's at its cursor in the stream's list
+        for the cycle (``owner`` the stream), or a by-name request (``owner``
+        the request, ``key`` ``None``); one in-flight entry for them all."""
         heads: Dict[int, tuple] = {}
         contended: Dict[int, List[tuple]] = {}
         moving = []  # the streams with a row pending
-        named = self._named_pending
         for source in self._sources:
             if source.__class__ is MemoryPort:
                 if source.pending:
@@ -450,34 +448,29 @@ class MemorySubsystem:
                 continue
             low = source.rows_granted
             issued = source.requests_issued
-            if low == issued and not named:
+            if low == issued:
                 continue
-            if low < issued:
-                moving.append(source)
-                if source.aligned:
-                    # Every channel's head is in the stream's head row.
-                    banks, _, keys, _ = source.window[low - source.window_start]
-                    for column, port in enumerate(source.ports):
-                        head = (port, source, column, keys[column])
-                        first = heads.setdefault(banks[column], head)
-                        if first is not head:
-                            contended.setdefault(banks[column], [first]).append(head)
-                    continue
+            moving.append(source)
+            ports = source.ports
+            cursors = source.channel_grants
+            if cursors is None:
+                # Every channel's head is in the stream's head row.
+                source.channel_grants = [low] * len(ports)
+                banks, _, keys, _ = source.window[low - source.window_start]
+                for column, port in enumerate(ports):
+                    head = (port, source, column, keys[column])
+                    first = heads.setdefault(banks[column], head)
+                    if first is not head:
+                        contended.setdefault(banks[column], [first]).append(head)
+                continue
             window, start = source.window, source.window_start
-            for column, port in enumerate(source.ports):
-                step = port.granted
+            for column, step in enumerate(cursors):
                 if step < issued:
                     banks, _, keys, _ = window[step - start]
-                    head = (port, source, column, keys[column])
-                    bank = banks[column]
-                elif port.pending:  # a by-name word on a stream's port
-                    bank, _, _, request = port.pending[0]
-                    head = (port, request, 0, None)
-                else:
-                    continue
-                first = heads.setdefault(bank, head)
-                if first is not head:
-                    contended.setdefault(bank, [first]).append(head)
+                    head = (ports[column], source, column, keys[column])
+                    first = heads.setdefault(banks[column], head)
+                    if first is not head:
+                        contended.setdefault(banks[column], [first]).append(head)
         for bank, contenders in contended.items():
             self.total_conflicts += len(contenders) - 1
             for head in contenders:
@@ -486,48 +479,48 @@ class MemorySubsystem:
 
         ports = list(map(_first, heads.values()))  # in grant order
         self._last_grant.update(zip(heads, map(_name, ports)))
-        scratchpad = self.scratchpad
-        stores = scratchpad.banks
-        buffer = scratchpad.buffer
+        buffer = self.scratchpad.buffer
         width = self.geometry.bank_width_bytes
         ready = self.cycle + self.read_latency
-        owners = []  # the by-name requests and the read streams that moved
+        owners = []  # the by-name requests granted, then the streams that moved
         writes = 0
+        named = self._named_pending
         for bank, (port, request, _, key) in list(heads.items()) if named else ():
             if key is not None:
                 continue
             del heads[bank]  # a by-name request, granted here
-            port.granted += 1
+            port._granted += 1
             _, line, data, _ = port.pending.popleft()
             self._named_pending -= 1
+            store = self.scratchpad.banks[bank]
             if data is None:
-                stores[bank].read_count += 1
+                store.reads += 1
                 start = (bank * self.geometry.bank_depth + line) * width
                 request.data = buffer[start : start + width]
             else:
-                stores[bank].write(line, data, request.strobe)
+                store.write(line, data, request.strobe)
                 request.data = None
                 writes += 1
             request.ready_cycle = ready
             owners.append(request)
-        for bank, (port, stream, column, key) in heads.items():
-            step = port.granted
-            port.granted = step + 1
+        for _, stream, column, key in heads.values():
+            cursors = stream.channel_grants
+            step = cursors[column]
+            cursors[column] = step + 1
             rows = stream.rows
             if stream.is_read:
-                stores[bank].read_count += 1
                 index = step - stream.words_streamed
                 if index == len(rows):
-                    rows.append([None] * len(stream.ports))
+                    rows.append([None] * len(cursors))
                 rows[index][column] = buffer[key * width : key * width + width]
             else:
-                stores[bank].write_count += 1
                 writes += 1
                 word = rows[step - stream.words_streamed + len(rows)]
                 buffer[key * width : key * width + width] = word[stream.parts[column]]
         for stream in moving:
             rows = stream.rows
             words = stream.words_streamed
+            cursors = stream.channel_grants
             if stream.is_read:
                 # Each row its last channel's grant completed, from the
                 # lowest up, becomes one wide word.
@@ -535,16 +528,17 @@ class MemorySubsystem:
                 while index < len(rows) and None not in rows[index]:
                     rows[index] = b"".join(rows[index])
                     index += 1
-                stream.rows_granted = words + index
-                stream.aligned = index == len(rows)
-                owners.append(stream)
-                continue
-            low = min(map(_granted, stream.ports))
-            stream.aligned = low == max(map(_granted, stream.ports))
-            # A write row leaves once every channel has stored its word.
-            while len(rows) > words - low:
-                rows.popleft()
-            stream.rows_granted = low
+                low = stream.rows_granted = words + index
+                aligned = index == len(rows)
+            else:
+                low = stream.rows_granted = min(cursors)
+                aligned = low == max(cursors)
+                # A write row leaves once every channel has stored its word.
+                while len(rows) > words - low:
+                    rows.popleft()
+            if aligned:
+                stream.channel_grants = None
+            owners.append((stream, low, None if aligned else tuple(cursors)))
         self._in_flight.append((ready, ports, owners))
         self.pending_requests -= len(ports)
         self.total_reads += len(ports) - writes
@@ -636,46 +630,41 @@ class MemorySubsystem:
                     raise SteadyBail("foreign_requester")
         return flights
 
-    def replay_grants(self, banks: np.ndarray, is_read: bool, ports=None) -> None:
-        """Count a steady span's grants on the banks: row ``i`` of ``banks``
-        holds every channel's ``i``-th grant.  With ``ports`` — a skew-free
-        stream's, whose rows are granted whole and in order — each bank's
-        arbiter also points at the port of its last grant there."""
+    def replay_pointers(self, banks: np.ndarray, ports) -> None:
+        """Point each bank a steady span granted on at the port of its last
+        grant there: row ``i`` of ``banks`` holds every channel's ``i``-th
+        grant of ``ports``' skew-free stream, whose rows are granted whole
+        and in order."""
         flat = banks.ravel()
-        counts = np.bincount(flat)
-        touched = counts.nonzero()[0]
-        stores = self.scratchpad.banks
-        banks_touched = touched.tolist()
-        accessed = zip(banks_touched, counts[touched].tolist())
-        if is_read:
-            for bank, accesses in accessed:
-                stores[bank].read_count += accesses
-        else:
-            for bank, accesses in accessed:
-                stores[bank].write_count += accesses
-        if ports:
-            # A bank's last grant is its last place in the flattened rows,
-            # so only the span's last rows are scanned: one per bank it
-            # touched, four times as many until they touch them all.
-            tail = flat[-touched.size * len(ports) :]
-            while tail.size < flat.size:
-                if np.bincount(tail).nonzero()[0].size == touched.size:
-                    break
-                tail = flat[-tail.size * 4 :]
-            last = np.zeros(counts.size, np.intp)
-            np.maximum.at(last, tail, np.arange(tail.size))
-            names = [port.name for port in ports]
-            columns = (last[touched] % len(ports)).tolist()
-            self._last_grant.update(
-                zip(banks_touched, [names[column] for column in columns])
-            )
+        touched = np.bincount(flat).nonzero()[0]
+        # A bank's last grant is its last place in the flattened rows, so
+        # only the span's last rows are scanned: one per bank it touched,
+        # four times as many until they touch them all.
+        tail = flat[-touched.size * len(ports) :]
+        while tail.size < flat.size:
+            if np.bincount(tail).nonzero()[0].size == touched.size:
+                break
+            tail = flat[-tail.size * 4 :]
+        last = np.zeros(touched[-1] + 1, np.intp)
+        np.maximum.at(last, tail, np.arange(tail.size))
+        names = [port.name for port in ports]
+        columns = (last[touched] % len(ports)).tolist()
+        self._last_grant.update(
+            zip(touched.tolist(), [names[column] for column in columns])
+        )
 
-    def replay_in_flight(self, cycles: int) -> None:
-        """Move every in-flight entry ``cycles`` on, in order: a steady
-        span leaves the same rows and words in flight, relative to now."""
+    def replay_in_flight(self, cycles: int, rows: Dict[Any, int]) -> None:
+        """Move every in-flight entry ``cycles`` on, and a stream's cursors in
+        it ``rows[stream]``: a steady span leaves the same in flight, relative."""
         in_flight = self._in_flight
         for _ in range(len(in_flight)):
             ready, ports, owners = in_flight.popleft()
+            if owners.__class__ is list:
+                moved, owners = owners, []
+                for stream, low, cursors in moved:
+                    step = rows[stream]
+                    cursors = cursors and tuple(map(step.__add__, cursors))
+                    owners.append((stream, low + step, cursors))
             in_flight.append((ready + cycles, ports, owners))
 
     # ------------------------------------------------------------------
@@ -701,6 +690,5 @@ class MemorySubsystem:
         self.dma_writes += writes
 
 
-_granted = attrgetter("granted")
 _name = attrgetter("name")
 _first = itemgetter(0)

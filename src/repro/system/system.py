@@ -82,8 +82,10 @@ class AcceleratorSystem:
         self.dma = Dma(self.memory, self.design.dma_words_per_cycle)
         self.host = HostProcessor(self.design)
         self._active_ports: List[str] = []
+        #: The program's streamers, in port order.
         self._live: List[DataMaestro] = []
         self._program: Optional[KernelProgram] = None
+        self._quantizes = False
         self._cycles = 0
         self.last_step_activity = 0
         self._tile_completed = False
@@ -101,6 +103,7 @@ class AcceleratorSystem:
         if self._program is not None:
             self.reset()
         self._program = program
+        self._quantizes = program.uses_quantizer
 
         # 1. Initial tensor loads (identical for every configuration, not
         #    charged to the kernel).
@@ -125,7 +128,7 @@ class AcceleratorSystem:
                 streamer, program.csr_writes[port], program.features
             )
             streamer.bind(self.memory)
-        self._live = self._active_streamers()
+        self._live = [self.streamers[port] for port in self._active_ports]
 
         # 4. Bind and configure the accelerators.  A port the core reads but
         #    the program left unprogrammed gets an idle DataMaestro that never
@@ -134,7 +137,7 @@ class AcceleratorSystem:
         def stream(port: str) -> DataMaestro:
             return self.streamers.get(port) or build(port)
 
-        if program.uses_quantizer:
+        if self._quantizes:
             sink = self.quantizer
             self.quantizer.bind(stream("E"))
             self.quantizer.configure(program.quant_config)
@@ -151,9 +154,6 @@ class AcceleratorSystem:
     # ------------------------------------------------------------------
     # Cycle behaviour.
     # ------------------------------------------------------------------
-    def _active_streamers(self) -> List[DataMaestro]:
-        return [self.streamers[port] for port in self._active_ports]
-
     @property
     def finished(self) -> bool:
         """True once the kernel's compute and all its streams have drained."""
@@ -161,9 +161,9 @@ class AcceleratorSystem:
             return True
         if not self.gemm_core.done:
             return False
-        if self._program.uses_quantizer and self.quantizer.busy:
+        if self._quantizes and self.quantizer.busy:
             return False
-        return all(streamer.done for streamer in self._active_streamers())
+        return all(streamer.done for streamer in self._live)
 
     def step(self) -> bool:
         """Advance the whole system by one clock cycle.
@@ -173,21 +173,15 @@ class AcceleratorSystem:
         firings, address bundles, requests issued, crossbar grants).
         A step with zero activity is a fixpoint: nothing can change until a
         matured memory response arrives — the event engine exploits this.
-        Drained components (``done`` streamers) are skipped outright; their
-        per-cycle methods are provably no-ops.  The same argument holds per
-        streamer: one whose own cycle had zero activity is *parked* until
-        the accelerator pops or pushes a word (a delivery decides nothing).
+        The same argument holds per streamer: one whose own cycle had zero
+        activity is *parked* until the accelerator pops or pushes a word (a
+        delivery decides nothing), and a drained streamer parks for good.
         """
         if self._program is None:
             return False
         memory = self.memory
-        # Only a streamer that generated its whole stream can have drained;
-        # drained streamers leave the live list for good.
+        core = self.gemm_core
         streamers = self._live
-        for streamer in streamers:
-            if streamer.bundles_generated == streamer.total_bundles and streamer.done:
-                streamers = self._live = [s for s in streamers if not s.done]
-                break
 
         # Phase 1: the memory delivers matured reads into the data FIFOs.
         activity = memory.deliver()
@@ -198,33 +192,31 @@ class AcceleratorSystem:
         # Phase 2: accelerators (quantizer first so it drains the previous
         # cycle's tile before the core produces a new one).  Popping or
         # pushing a word wakes a parked streamer.
-        if self._program.uses_quantizer and self.quantizer.step():
+        if self._quantizes and self.quantizer.step():
             activity += 1
-        tile_before = self.gemm_core.tiles_completed
-        if self.gemm_core.step():
+        tile_before = core.tiles_completed
+        if core.step():
             activity += 1
 
-        # Phase 3: address generation.
-        for streamer in streamers:
-            if not streamer.parked and streamer.generate_addresses():
-                activity += 1
-
-        # Phase 4: request issue and crossbar arbitration.  A streamer whose
-        # cycle moved nothing is parked: it repeats that cycle until a pop or
-        # a push, so its phases are skipped and the cycles it sits out are
-        # charged in bulk when it wakes.
+        # Phases 3 and 4, one streamer at a time (they are independent here,
+        # and the list is in first-issue order): address generation and
+        # request issue.  A streamer whose cycle moved nothing is parked: it
+        # repeats that cycle until a pop or a push, so its phases are skipped
+        # and the cycles it sits out are charged in bulk when it wakes.
         for streamer in streamers:
             if streamer.parked:
                 streamer.parked_cycles += 1
-            else:
-                activity += streamer.issue_requests(memory)
-                streamer.parked = not streamer.cycle_activity
+                continue
+            if streamer.generate_addresses():
+                activity += 1
+            activity += streamer.issue_requests(memory)
+            streamer.parked = not streamer.cycle_activity
         activity += memory.step()
 
         self._cycles += 1
         self.last_step_activity = activity
-        self._tile_completed = self.gemm_core.tiles_completed != tile_before
-        return not (self.gemm_core.done and self.finished)
+        self._tile_completed = core.tiles_completed != tile_before
+        return core.tiles_completed < core.output_tiles or not self.finished
 
     # ------------------------------------------------------------------
     # Next-event protocol (see repro.engine).
@@ -242,13 +234,13 @@ class AcceleratorSystem:
             return None
         now = self._cycles
         earliest = self.memory.next_event_cycle()
-        for streamer in self._active_streamers():
+        for streamer in self._live:
             if streamer.done:
                 continue
             event = streamer.next_event_cycle(now)
             if event is not None and (earliest is None or event < earliest):
                 earliest = event
-        if self._program.uses_quantizer:
+        if self._quantizes:
             event = self.quantizer.next_event_cycle(now)
             if event is not None and (earliest is None or event < earliest):
                 earliest = event
@@ -270,9 +262,9 @@ class AcceleratorSystem:
             return
         self._cycles += cycles
         self.memory.advance(cycles)
-        for streamer in self._active_streamers():
+        for streamer in self._live:
             streamer.advance(cycles)
-        if self._program.uses_quantizer:
+        if self._quantizes:
             self.quantizer.advance(cycles)
         self.gemm_core.advance(cycles)
 
@@ -300,8 +292,8 @@ class AcceleratorSystem:
             self._steady = SteadySpanPlanner(
                 self.memory,
                 self.gemm_core,
-                self._active_streamers(),
-                self.quantizer if self._program.uses_quantizer else None,
+                self._live,
+                self.quantizer if self._quantizes else None,
             )
         # The planner reads the streamer counters: charge parked cycles.
         for streamer in self._live:

@@ -280,7 +280,7 @@ class TestGemmCoreValidation:
 
     def test_step_before_bind_raises(self):
         core = GemmCore()
-        core.job = GemmJob(1, 1, 1, use_init_stream=False)
+        core.configure(GemmJob(1, 1, 1, use_init_stream=False))  # unbound
         with pytest.raises(RuntimeError):
             core.step()
 

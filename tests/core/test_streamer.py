@@ -461,6 +461,31 @@ class TestConfiguration:
             assert port.registered and port.delivered == 0
             assert streamer.requests_issued - port.delivered == 0
 
+    def test_banks_keep_a_reprogrammed_streams_grants(self):
+        """A bank counts a stream's grants from its cursors, which restart
+        at ``configure``: the grants they held fold into the banks first,
+        and a stream bound elsewhere counts on its new memory only."""
+        memory = MemorySubsystem(GEOMETRY)
+        fill_memory(memory)
+        banks = memory.scratchpad.banks
+        streamer = DataMaestro(read_design(), GEOMETRY, [8])
+        streamer.configure(linear_runtime(steps=4))
+        drain_read_streamer(streamer, memory)
+        first = [bank.read_count for bank in banks]
+        assert sum(first) == 8
+        streamer.configure(linear_runtime(steps=3, base_address=128))
+        assert [bank.read_count for bank in banks] == first
+        drain_read_streamer(streamer, memory)
+        second = [bank.read_count for bank in banks]
+        assert sum(second) == 14 and second != first
+        other = MemorySubsystem(GEOMETRY)
+        fill_memory(other)
+        streamer.configure(linear_runtime(steps=2))
+        drain_read_streamer(streamer, other)
+        assert [bank.read_count for bank in banks] == second
+        assert sum(bank.read_count for bank in other.scratchpad.banks) == 4
+        assert all(bank.write_count == 0 for bank in banks + other.scratchpad.banks)
+
     def test_unconfigured_streamer_is_not_busy(self):
         streamer = DataMaestro(read_design(), GEOMETRY, [8])
         assert not streamer.busy

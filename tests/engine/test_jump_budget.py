@@ -34,8 +34,13 @@ masks are shifted straight into ``uint64``, the remapper's group size is
 read without a property call, and the replay places and takes a span's
 words through one function (``_prepare`` 87.4 → 83.4 ``repro`` and 66.1 →
 62.1 numpy calls, ``_commit`` 49.9 → 47.4 and 104.9 → 104.9; 137.3 →
-130.7 and 170.9 → 166.9 in all).  The budget is the last count, rounded up
-to the next tenth.
+130.7 and 170.9 → 166.9 in all).  Then, from parent c6d03ef, a bank counts
+a stream's grants from its grant cursors, so a span's replay no longer counts
+them with a ``np.bincount`` per stream, it points the arbiter only for an
+isolated stream, and the planner counts each stream's rows in its replay
+loop, not in a comprehension (``_commit`` 104.9 → 96.9 numpy and 47.4 →
+46.4 ``repro`` calls; 166.9 → 158.9 and 130.7 → 129.7 in all).  The budget
+is the last count, rounded up to the next tenth.
 """
 
 import importlib.util
@@ -45,8 +50,8 @@ import pytest
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
 #: ``repro`` and numpy calls per jump, as measured (see the table).
-REPRO_CALLS_PER_JUMP = 130.8
-NUMPY_CALLS_PER_JUMP = 167.0
+REPRO_CALLS_PER_JUMP = 129.8
+NUMPY_CALLS_PER_JUMP = 159.0
 
 
 @pytest.fixture(scope="module")

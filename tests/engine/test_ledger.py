@@ -3,7 +3,8 @@
 ``tools/step_cost.py ledger`` counts, under a profile and a trace hook at
 once, the ``step`` layer (inside the engine's ``drive``, each streamer's
 first address window aside) over the 24 serve-pool jobs and over Fig. 7's
-contended 7x7 convolution at ``2_prefetch``, and the ``first windows`` layer
+7x7 convolution at ``2_prefetch`` (contended) and ``6_full`` (almost every
+row granted whole), and the ``first windows`` layer
 over the serve-pool jobs: ``repro`` calls, numpy calls, container operations
 and ``repro`` bytecodes (``opcode`` trace events).  Per stepped cycle
 (``step``) or per job (``first windows``), parent fdb9743 → one in-flight
@@ -22,6 +23,30 @@ step, 2_prefetch/conv_h16_w16_c32_k16_f7x7_s1   4257.8→3211.1  56.2 → 35.6
 ``first windows`` also fell from 49.0 to 35.7 ``repro`` and from 38.3 to 25.7
 numpy calls per job; the ``step`` rows' calls did not move.  A change that
 moves a row sets its new totals here and says why.
+
+Then parent c6d03ef → the stream owns its channels' grant and delivery
+cursors (a row granted whole is one cursor bump, its delivery another, and a
+per-channel list lives only while the channels differ), a bank counts a
+stream's grants from those cursors, and each streamer is visited once a
+cycle to generate, issue and park; per stepped cycle:
+
+==============================================  =============  =============
+row                                             bytecodes      repro calls
+==============================================  =============  =============
+step, serve pool (24 jobs)                      3640.2→3043.3  63.5 → 52.1
+step, 2_prefetch/conv_h16_w16_c32_k16_f7x7_s1   3211.1→2818.7  29.5 → 23.8
+step, 6_full/conv_h16_w16_c32_k16_f7x7_s1       2090.1→1387.5  31.8 → 24.6
+==============================================  =============  =============
+
+The ``6_full`` row is new here (its parent counts are the left column).  A
+kernel row runs its kernel once unhooked before it counts, so the tables a
+design fills on first use are warm whichever tests ran before in the
+process (without that, the ``6_full`` row read 6 ``repro`` calls more when
+it ran first).  The first windows did not move.  Numpy calls fell on
+``6_full`` (919 → 887: a macro jump counts no bank accesses) and did not
+move elsewhere; container operations rose by one per word-grant cycle that
+moves a write stream, which now hands its acknowledgement cursors to the
+in-flight entry (7,813 → 7,879, 345,720 → 345,820 and 12,878 → 12,898).
 
 Which columns hold exactly where: the stepped cycles or jobs a row covers
 and its container operations (made by ``repro`` code) do not depend on the
@@ -47,15 +72,19 @@ MEASURED_ON = (3, 11)
 #: Each row's totals and the stepped cycles (``step``) or jobs it covers.
 LEDGER = {
     ("step", POOL): {
-        "repro": 12005, "numpy": 2103, "containers": 7813, "bytecodes": 688002,
+        "repro": 9849, "numpy": 2103, "containers": 7879, "bytecodes": 575178,
         "per": 189,
     },
     ("first windows", POOL): {
         "repro": 856, "numpy": 616, "containers": 0, "bytecodes": 44446, "per": 24
     },
     ("step", "2_prefetch/conv_h16_w16_c32_k16_f7x7_s1"): {
-        "repro": 285679, "numpy": 1892, "containers": 345720,
-        "bytecodes": 31144211, "per": 9699,
+        "repro": 230786, "numpy": 1892, "containers": 345820,
+        "bytecodes": 27338616, "per": 9699,
+    },
+    ("step", "6_full/conv_h16_w16_c32_k16_f7x7_s1"): {
+        "repro": 19325, "numpy": 887, "containers": 12898,
+        "bytecodes": 1091998, "per": 787,
     },
 }
 

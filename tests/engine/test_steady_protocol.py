@@ -88,6 +88,12 @@ def memory_state(system):
             (ready, [port.name for port in ports])
             for ready, ports in memory.period_signature()
         ],
+        # What each word-grant entry hands over: the cursors it leaves.
+        "handovers": [
+            [(stream.name, low, cursors) for stream, low, cursors in owners]
+            for _, _, owners in memory._in_flight
+            if owners.__class__ is list
+        ],
         "last_grant": sorted(memory._last_grant.items()),
         "requesters": list(memory._requesters),
         "banks": [(b.read_count, b.write_count) for b in memory.scratchpad.banks],
@@ -121,7 +127,9 @@ def streamer_state(system):
             ],
             "rows": (
                 streamer.rows_granted,
-                streamer.aligned,
+                streamer.channel_grants,
+                streamer.rows_delivered,
+                streamer.channel_deliveries,
                 streamer.fill_mark,
                 [channel_words(streamer, row) for row in streamer.rows],
             ),

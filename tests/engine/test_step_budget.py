@@ -97,6 +97,26 @@ Container operations are then counted only where ``repro`` code makes them
 ``1_baseline`` and 3,742 → 3,741 on ``6_full``; no per-word figure above
 moves.
 
+Then parent c6d03ef → the stream, not its ports, holds its channels' grant
+and delivery cursors (a row granted whole is one cursor bump, its delivery
+another), a bank counts a stream's grants from those cursors instead of one
+word at a time, and the system visits each streamer once a cycle to
+generate, issue and park it; the budget is the last count, rounded up as
+above, and the container operations are held exactly:
+
+==========  =============  ============  ======================
+step        calls          numpy calls   container ops per word
+==========  =============  ============  ======================
+2_prefetch  31.8 → 25.4    0.60 → 0.60   2.48 → 2.49
+1_baseline  27.0 → 21.3    0.42 → 0.42   2.09 → 2.09
+6_full      33.8 → 26.4    1.80 → 1.76   0.22 → 0.22
+==========  =============  ============  ======================
+
+A word-grant cycle now hands each write stream that moved to its in-flight
+entry as well, with the cursors its acknowledgements leave (a per-port count
+before): 42,920 → 42,971 container operations on ``2_prefetch`` and 3,741 →
+3,752 on ``6_full``.
+
 Issue appends nothing and delivery only counts, so a data FIFO is counts
 over its streamer's rows and no ``Fifo`` method is left on the step path
 (the quantizer's queue moves in jumps here).  On ``2_prefetch`` the C and D
@@ -112,11 +132,11 @@ import pytest
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "step_cost.py"
 WORKLOAD = "conv_h14_w14_c16_k32_f5x5_s2"
 #: Calls per stepped cycle, as measured (see the last table).
-CALLS = {"2_prefetch": 31.9, "1_baseline": 27.1, "6_full": 33.9}
+CALLS = {"2_prefetch": 25.5, "1_baseline": 21.3, "6_full": 26.5}
 #: Numpy calls per stepped cycle, as measured (see the last table).
-NUMPY_CALLS = {"2_prefetch": 0.61, "1_baseline": 0.42, "6_full": 1.81}
+NUMPY_CALLS = {"2_prefetch": 0.61, "1_baseline": 0.42, "6_full": 1.77}
 #: Container operations over the kernel, exactly (see the last table).
-CONTAINER_OPS = {"2_prefetch": 42920, "1_baseline": 36052, "6_full": 3741}
+CONTAINER_OPS = {"2_prefetch": 42971, "1_baseline": 36052, "6_full": 3752}
 
 
 @pytest.fixture(scope="module")

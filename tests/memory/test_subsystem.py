@@ -251,8 +251,8 @@ class TestWordSnapshots:
         assert streamer.pop_output().tolist() == [3] * 8
 
 
-class TestReplayGrants:
-    """A steady span's grants, counted and pointed in one pass."""
+class TestReplayPointers:
+    """A steady span's rotating-arbiter pointers, set in one pass."""
 
     @pytest.mark.parametrize("channels", [1, 4, 8])
     def test_each_bank_points_at_the_port_granted_there_last(self, channels):
@@ -260,25 +260,24 @@ class TestReplayGrants:
         geometry = BankGeometry(num_banks=16, bank_width_bytes=8, bank_depth=8)
         memory = MemorySubsystem(geometry)
         # Every bank points somewhere first; the span moves only its own.
-        memory.replay_grants(np.arange(16)[:, np.newaxis], True, [memory.bind("old")])
+        memory.replay_pointers(np.arange(16)[:, np.newaxis], [memory.bind("old")])
         before = {bank: "old" for bank in range(16)}
         ports = [memory.bind(f"p{column}") for column in range(channels)]
         for _ in range(3):
             # Few banks, so every bank repeats across rows and columns.
             banks = rng.integers(0, 11, size=(rng.integers(1, 20), channels))
-            memory.replay_grants(banks, True, ports)
+            memory.replay_pointers(banks, ports)
             for row in banks.tolist():
                 for column, bank in enumerate(row):
                     before[bank] = ports[column].name
             assert memory.grant_pointers() == before
 
-    def test_counts_land_on_the_banks_with_or_without_ports(self):
+    def test_pointers_count_nothing(self):
         memory = make_subsystem()
-        banks = np.array([[0, 3], [3, 3], [1, 0]])
-        memory.replay_grants(banks, False)
-        memory.replay_grants(banks[:1], True, [memory.bind("x"), memory.bind("y")])
+        ports = [memory.bind("x"), memory.bind("y")]
+        memory.replay_pointers(np.array([[0, 3], [3, 3]]), ports)
         counts = [(bank.read_count, bank.write_count) for bank in memory.scratchpad.banks]
-        assert counts == [(1, 2), (0, 1), (0, 0), (1, 3)]
+        assert counts == [(0, 0)] * len(counts)
         assert memory.grant_pointers() == {0: "x", 3: "y"}
 
 
@@ -383,13 +382,26 @@ class TestStreamChannelPorts:
         """The ORM reserves the slot at issue; a read without one is caught."""
         memory = make_subsystem()
         streamer = self.reader_with_a_word_in_flight(memory)
-        (port,) = streamer.ports
         assert memory.deliver() == 1 and streamer.fifos[0].is_full
         assert streamer.generate_addresses() and streamer.credit_stalled()
-        memory.submit(MemoryRequest(port.name, False, 1, 0, port=port))
-        memory.step()
+        # A row read past the credit, planted in flight: its delivery fills
+        # the channel's FIFO past its depth.
+        memory._in_flight.append((memory.cycle, streamer.ports, streamer))
         with pytest.raises(FifoError, match="dm_t.ch0.data"):
             memory.deliver()
+
+    def test_a_request_under_a_stream_channel_name_is_rejected(self):
+        """A stream channel's words are its stream's rows, never requests."""
+        memory = make_subsystem()
+        streamer = self.reader_with_a_word_in_flight(memory)
+        (port,) = streamer.ports
+        for request in (
+            MemoryRequest(port.name, False, 1, 0, port=port),
+            MemoryRequest(port.name, False, 1, 0),
+        ):
+            with pytest.raises(ValueError, match="dm_t.ch0.*stream's channel"):
+                memory.submit(request)
+        assert memory.pending_count(port.name) == 0 and not port.pending
 
 
 class TestDmaAccounting:

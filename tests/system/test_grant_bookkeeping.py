@@ -1,17 +1,27 @@
-"""An oracle for the memory's grant bookkeeping, checked after every grant.
+"""An oracle for the memory's grant bookkeeping, checked after every grant
+and every delivery.
 
-A stream keeps its grant cursors twice: each channel's ``port.granted``, and
-the stream-wide ``rows_granted`` (the lowest) and ``aligned`` (every channel
-there) that :meth:`MemorySubsystem.arbitrate` reads to pick the whole-row
-path.  A read stream's cursor comes from its completed rows, not from its
-ports, so this test wraps ``arbitrate`` and, after every call, checks the
-one against the other for every stream:
+A stream owns its channels' cursors: ``rows_granted`` / ``rows_delivered``
+(the lowest, every channel's while they agree) and ``channel_grants`` /
+``channel_deliveries`` (each channel's, only while they differ).  A read
+stream's lowest grant cursor comes from its completed rows, and a bank
+counts a stream's grants from the cursors, not word by word.  So this test
+wraps ``arbitrate`` and ``deliver`` and, after every call, checks them
+against what it recounts on its own:
 
-* ``rows_granted == min(port.granted)`` and ``aligned == (min == max)``;
+* ``rows_granted == min(port.granted)``, and ``channel_grants`` is held
+  exactly while ``min != max``;
 * a read stream's rows below ``rows_granted`` are wide words (``bytes``)
   and the rows from it up to the highest cursor are channel-word lists;
 * ``pending_requests`` is every channel's issued-but-not-granted words plus
-  the by-name requests queued.
+  the by-name requests queued;
+* each channel's grants and deliveries — read through its port and through
+  its stream — are the in-flight entries that named its port when granted
+  and when handed over (plus a macro jump's rows, from its plan), and
+  ``channel_deliveries`` is held exactly while the deliveries differ;
+* at random cycles and at the end, each bank's read and write counts are
+  the words granted there: the window row each grant took (or a jump's grant
+  rows), counted one word at a time.
 
 It runs on the small ``fig7_ladder`` points of steps ① and ② (bank conflicts
 not yet mitigated: skewed, contended cycles) and on generated workloads at
@@ -20,6 +30,10 @@ only conservative (a stream left on the per-word path one cycle longer grants
 the same words); this oracle can.
 """
 
+import random
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -52,7 +66,7 @@ def check_bookkeeping(system):
         cursors = [port.granted for port in stream.ports]
         low, high = min(cursors), max(cursors)
         assert stream.rows_granted == low, (stream.name, cursors)
-        assert stream.aligned == (low == high), (stream.name, cursors)
+        assert (stream.channel_grants is None) == (low == high), (stream.name, cursors)
         pending += len(cursors) * stream.requests_issued - sum(cursors)
         if stream.is_read:
             words = stream.words_streamed
@@ -63,24 +77,120 @@ def check_bookkeeping(system):
     assert memory.pending_requests == pending
 
 
+class Recount:
+    """Every stream channel's grants and deliveries and every bank's
+    accesses, counted from the in-flight entries as the memory makes and
+    hands them over, the window row each grant took, and a macro jump's plan
+    — never from the cursors it checks."""
+
+    def __init__(self, system, seed):
+        self.system = system
+        self.memory = system.memory
+        self.streams = self.channels = None  # the program's, once loaded
+        self.granted = Counter()
+        self.delivered = Counter()
+        banks = system.memory.geometry.num_banks
+        self.accesses = {True: [0] * banks, False: [0] * banks}
+        self.random = random.Random(seed)
+
+    def load(self):
+        if self.streams is None:
+            streamers = self.system.streamers.values()
+            self.streams = [stream for stream in streamers if stream.ports]
+            self.channels = {
+                port: (stream, column)
+                for stream in self.streams
+                for column, port in enumerate(stream.ports)
+            }
+
+    def grants(self, before):
+        """Count the entries an ``arbitrate`` appended past ``before``."""
+        self.load()
+        for _, ports, _ in list(self.memory._in_flight)[before:]:
+            for port in ports:
+                stream, column = self.channels[port]
+                step = self.granted[port]
+                banks = stream.window[step - stream.window_start][0]
+                self.accesses[stream.is_read][banks[column]] += 1
+                self.granted[port] += 1
+
+    def deliveries(self, entries):
+        """Count the ``entries`` a ``deliver`` handed over."""
+        self.load()
+        for _, ports, _ in entries:
+            self.delivered.update(ports)
+
+    def jump(self, plan):
+        """Count a macro jump's grants and deliveries from its plan."""
+        for span in plan.streams:
+            rows = span.delta * plan.periods
+            banks = span.grants[0]
+            assert banks.shape == (rows, len(span.streamer.ports))
+            for port in span.streamer.ports:
+                self.granted[port] += rows
+                self.delivered[port] += rows
+            counts = self.accesses[span.streamer.is_read]
+            for bank, count in enumerate(np.bincount(banks.ravel()).tolist()):
+                counts[bank] += count
+
+    def check(self):
+        for stream in self.streams:
+            ports = stream.ports
+            grants, deliveries = map(list, stream.cursors())
+            assert grants == [self.granted[port] for port in ports], stream.name
+            assert deliveries == [self.delivered[port] for port in ports], stream.name
+            assert grants == [port.granted for port in ports], stream.name
+            assert deliveries == [port.delivered for port in ports], stream.name
+            assert stream.rows_delivered == min(deliveries), stream.name
+            aligned = min(deliveries) == max(deliveries)
+            assert (stream.channel_deliveries is None) == aligned, stream.name
+        if self.random.random() < 0.05:
+            self.check_banks()
+
+    def check_banks(self):
+        stores = self.memory.scratchpad.banks
+        assert [bank.read_count for bank in stores] == self.accesses[True]
+        assert [bank.write_count for bank in stores] == self.accesses[False]
+
+
 def run_checked(workload, step, seed=0):
     """Simulate ``workload`` at ablation ``step`` with the oracle after
-    every arbitration; return the number of arbitrations checked."""
+    every arbitration and delivery; return the grants of each arbitration."""
     program = compile_workload(workload, DESIGN, STEPS[step], seed=seed)
     system = AcceleratorSystem(DESIGN)
     memory = system.memory
-    arbitrate = memory.arbitrate
+    recount = Recount(system, seed)
+    arbitrate, deliver, advance_active = (
+        memory.arbitrate, memory.deliver, system.advance_active
+    )
     calls = []
 
-    def checked():
+    def checked_arbitrate():
+        before = len(memory._in_flight)
         granted = arbitrate()
+        recount.grants(before)
         check_bookkeeping(system)
+        recount.check()
         calls.append(granted)
         return granted
 
-    memory.arbitrate = checked
+    def checked_deliver():
+        before = list(memory._in_flight)
+        count = deliver()
+        recount.deliveries(before[: len(before) - len(memory._in_flight)])
+        recount.check()
+        return count
+
+    def checked_advance_active(cycles):
+        recount.jump(system._steady._plan)
+        advance_active(cycles)
+        recount.check()
+
+    memory.arbitrate, memory.deliver = checked_arbitrate, checked_deliver
+    system.advance_active = checked_advance_active
     result = system.run(program)
     assert system.verify_outputs(result)
+    recount.check_banks()
     return calls
 
 

@@ -99,6 +99,12 @@ ALLOWLIST: Dict[str, str] = {
     "repro/core/streamer.py::DataMaestro.channel_statistics": (
         "engine referee: the parity and step-identity tests compare engines on its rows"
     ),
+    "repro/memory/bank.py::MemoryBank.read_count": (
+        "engine referee: the parity and step-identity tests compare engines on bank reads"
+    ),
+    "repro/memory/bank.py::MemoryBank.write_count": (
+        "engine referee: the parity and step-identity tests compare engines on bank writes"
+    ),
     "repro/memory/subsystem.py::MemorySubsystem.requester_stats": (
         "engine referee: the parity tests compare engines on each port's grants and retries"
     ),
