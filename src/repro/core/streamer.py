@@ -54,9 +54,10 @@ arithmetic as counters:
 * a read channel's **in-flight plus buffered** words are
   ``requests_issued - words_streamed``, so the credit rule, ``busy`` and the
   no-prefetch gate never look at a delivery; its **data FIFO** holds its
-  delivery cursor less ``words_streamed`` (a write channel's
-  ``words_streamed - requests_issued``) — a :class:`ChannelFifo` is those
-  counts and a high-water mark.
+  delivery cursor less ``words_streamed`` words (a write channel's
+  ``words_streamed - requests_issued``) and its **in-flight** requests are
+  ``requests_issued`` less its delivery cursor — a :class:`ChannelFifo` is
+  those counts and a high-water mark.
 
 A streamer whose cycle moved nothing repeats that cycle until the accelerator
 pops or pushes a word (a delivery changes nothing it decides on).  The system
@@ -109,12 +110,13 @@ CHANNEL_FIELDS = (
 class ChannelFifo:
     """One channel's data FIFO: counts over its streamer's rows.
 
-    A read channel holds the words delivered and not yet popped, a write
-    channel the words pushed and not yet issued; the words themselves are
-    the streamer's :attr:`DataMaestro.rows`.  Only the high-water mark is
-    stored, raised by :meth:`note`.  The FIFO refers to its streamer weakly:
-    the streamer holds it, and so does the channel's port in the memory,
-    which reads the channel's cursors through it."""
+    A read channel holds the words delivered and not yet popped (its
+    delivery cursor less ``words_streamed``), a write channel the words
+    pushed and not yet issued (``words_streamed - requests_issued``); the
+    words themselves are the streamer's :attr:`DataMaestro.rows`.  Only the
+    high-water mark is stored, raised by :meth:`note`.  The FIFO refers to
+    its streamer weakly: the streamer holds it, and so does the channel's
+    port in the memory, which reads the channel's cursors through it."""
 
     __slots__ = ("depth", "name", "max_occupancy", "_streamer", "_column")
 
@@ -267,10 +269,12 @@ class DataMaestro:
 
     def _reset_stream(self) -> None:
         """The stream's state before its first cycle, unbound."""
-        #: The channels' ports ``<streamer>.ch<i>`` (:meth:`bind`), and names.
+        #: The active channels' crossbar ports, named ``<streamer>.ch<i>``,
+        #: resolved by :meth:`bind`, and their names.
         self.ports: List[MemoryPort] = []
         self.port_names: tuple = ()
-        #: Their memory, held weakly: it holds the streamer, reading its rows.
+        #: The memory ``ports`` belong to (:meth:`bind`), held weakly: the
+        #: memory holds the streamer, whose rows it reads.
         self._memory: Optional[weakref.ref] = None
         self.words_streamed = 0
         #: Bundles generated so far: the stream position, the AGU's only
@@ -282,28 +286,33 @@ class DataMaestro:
         #: Sampled before each issue and by :meth:`channel_statistics` (the
         #: address FIFO only grows between).
         self.max_addr_occupancy = 0
-        #: The words held once per row, each a wide word: a read row from its
-        #: grant (a list of channel words while only some are granted) to
-        #: its pop; a write row from its push until every channel stored it.
+        #: The words held once per row, each a wide word: a read row (steps
+        #: ``words_streamed`` on) from its grant — a list of channel words
+        #: while only some are granted — to its pop; a write row (steps up
+        #: to ``words_streamed``) from its push until every channel has
+        #: stored its part.
         self.rows: Deque = deque()
         #: The lowest grant and delivery cursors (every channel's while they
         #: agree) and each channel's, only while they differ.
         self.rows_granted = self.rows_delivered = 0
         self.channel_grants: Optional[List[int]] = None
         self.channel_deliveries: Optional[tuple] = None
-        #: The channels' lowest data-FIFO high-water mark.
+        #: The lowest data-FIFO high-water mark among the channels: an
+        #: occupancy above it has a mark to raise.
         self.fill_mark = 0
         self._popped_this_cycle = False
-        #: State changes (pops, pushes, bundles, issues) since
-        #: :meth:`begin_cycle`; zero after the issue phase parks the streamer.
+        #: State changes this streamer made since :meth:`begin_cycle` (words
+        #: popped or pushed, a bundle generated, requests issued); zero after
+        #: the issue phase makes it parkable.
         self.cycle_activity = 0
         #: Set by the system after a zero-activity cycle, cleared by
         #: :meth:`wake`; ``parked_cycles`` counts the cycles sat out since.
         self.parked = False
         self.parked_cycles = 0
-        #: Decoded rows for steps ``[window_start, +len(window))`` as ``(banks,
-        #: mask, keys, gather)`` (see ``repro.memory.subsystem``), a pure
-        #: function of the step: every channel's pending words.
+        #: Decoded rows for steps ``[window_start, +len(window))`` as
+        #: ``(banks, mask, keys, gather)`` (see ``repro.memory.subsystem``): every
+        #: channel's pending words.  A pure function of the step index, so a
+        #: macro jump simply lands outside (or inside) it.
         self.window: list = []
         self.window_start = 0
 
@@ -757,21 +766,17 @@ class DataMaestro:
         ``bundles_generated`` sees the AGU stop."""
         words, bundles = delta[:2]  # the period's pops/pushes and issues
         issued = self.requests_issued
-        if bundles == 0:
-            if words:
-                raise SteadyBail("quiescent_drift")
-        elif words != bundles:
-            raise SteadyBail("ragged_cadence")
-        # The lowest cursors moved with the issues (the signature held each).
-        if delta[3:5] != [bundles, bundles]:
+        # Every pop or push and both lowest cursors moved with the issues
+        # (the signature held each channel's cursors).
+        if words != bundles or delta[3:5] != [bundles, bundles]:
             raise SteadyBail("quiescent_drift" if bundles == 0 else "ragged_cadence")
         # Isolation candidate: never contended in the reference period, and
         # every channel granted as far with the same response timings.
         contended = False
         skews = set()
-        channels = len(self.ports)
-        grants = self.channel_grants or [self.rows_granted] * channels
-        deliveries = self.channel_deliveries or [self.rows_delivered] * channels
+        # :meth:`cursors` inline: a jump's budget counts its calls.
+        grants = self.channel_grants or [self.rows_granted] * len(self.ports)
+        deliveries = self.channel_deliveries or [self.rows_delivered] * len(self.ports)
         moves = zip(self.ports, grants, deliveries, delta[5:])
         for port, granted, delivered, retries in moves:
             if bundles == 0:
@@ -824,13 +829,15 @@ class DataMaestro:
         words = self.words_streamed
         banks, keys = span.grants
         held = self._held(word)
-        grants = self.channel_grants or [self.rows_granted] * channels
+        grants = self.channel_grants or [self.rows_granted] * channels  # as plan_span
         if self.is_read:
             # Channel c's words held are steps ``words ..`` its grant cursor.
             offsets = [granted - words for granted in grants]
             streams = np.empty((max(offsets) + count, channels), word)
             streams[: len(held)] = held
-            _place(streams, offsets, count, cells[keys])
+            spanned = cells[keys]
+            for offset, where in _groups(offsets):
+                streams[offset : offset + count, where] = spanned[:, where]
             self.rows = _split(streams[count:].tobytes(), channels * word.itemsize)
             if self.channel_grants is not None:
                 # A channel's words after the span end at its grant cursor,
@@ -848,7 +855,8 @@ class DataMaestro:
             )
             offsets = [granted - low for granted in grants]
             written = np.empty((count, channels), word)
-            _take(written, streams, offsets)
+            for offset, where in _groups(offsets):
+                written[:, where] = streams[offset : offset + count, where]
             cells[keys] = written
             self.rows = _split(streams[count:].tobytes(), channels * word.itemsize)
         if span.isolated:
@@ -905,8 +913,7 @@ class DataMaestro:
         stats.words_streamed = self.words_streamed
         stats.requests_issued = self.requests_issued * len(self.fifos)
         if memory is not None:
-            grants = self.channel_grants or [self.rows_granted] * len(self.ports)
-            stats.requests_granted = sum(grants)
+            stats.requests_granted = sum(self.cursors()[0])
             for port in self.ports:
                 stats.bank_conflict_retries += port.retries
         stats.extension_words = self.extensions.statistics()
@@ -921,7 +928,7 @@ class DataMaestro:
             self.max_addr_occupancy, self.bundles_generated - self.requests_issued
         )
         rows = {}
-        deliveries = self.channel_deliveries or [self.rows_delivered] * len(self.fifos)
+        deliveries = self.cursors()[1]
         for index, fifo in enumerate(self.fifos):
             rows[f"{self.name}.ch{index}"] = {
                 "requests_issued": self.requests_issued,
@@ -949,24 +956,13 @@ def _split(blob: bytes, width: int) -> Deque[bytes]:
     return deque(map(blob.__getitem__, map(slice, range(0, len(blob), width), ends)))
 
 
-def _place(streams: np.ndarray, offsets: List[int], count: int, spanned) -> None:
-    """Write each channel's ``count`` span words into ``streams`` from its
-    row ``offsets[c]`` on: one slice assignment per distinct offset."""
+def _groups(offsets: List[int]):
+    """The channels at each distinct row offset ``offsets[c]``, as ``(offset,
+    where)``: one slice assignment moves a group's words (``where`` is every
+    channel when they all share one offset)."""
     groups: Dict[int, list] = {}
     for column, offset in enumerate(offsets):
         groups.setdefault(offset, []).append(column)
-    for offset, columns in groups.items():
-        where = slice(None) if len(columns) == len(offsets) else columns
-        streams[offset : offset + count, where] = spanned[:, where]
-
-
-def _take(taken: np.ndarray, streams: np.ndarray, offsets: List[int]) -> None:
-    """Each channel's ``len(taken)`` words of ``streams`` from its row
-    ``offsets[c]`` on, into ``taken``: the inverse of :func:`_place`."""
-    count = len(taken)
-    groups: Dict[int, list] = {}
-    for column, offset in enumerate(offsets):
-        groups.setdefault(offset, []).append(column)
-    for offset, columns in groups.items():
-        where = slice(None) if len(columns) == len(offsets) else columns
-        taken[:, where] = streams[offset : offset + count, where]
+    if len(groups) == 1:
+        return ((offsets[0], slice(None)),)
+    return groups.items()

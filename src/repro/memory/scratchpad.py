@@ -85,7 +85,9 @@ class ScratchpadMemory:
 
     def fold(self, stream) -> None:
         """Count ``stream``'s grants on the banks themselves, before its
-        grant cursors restart."""
+        grant cursors restart.  The last count is dropped with it: the
+        stream may reach the same cursors again over other rows."""
+        self._tally = (None, None)
         counts = np.bincount(stream.granted_banks(), minlength=len(self.banks))
         for bank, count in zip(self.banks, counts.tolist()):
             if stream.is_read:

@@ -31,8 +31,10 @@ channel order:
   (``window[step - window_start]``) is ``(banks, mask, keys, gather)``: each
   channel's bank, their bitmask, each channel's word index ``bank * depth +
   line`` and the getter of the row's words (:meth:`MemorySubsystem.row_gathers`).
-  The stream holds its words once per row in ``rows``; a read row its last
-  channel's grant completes becomes one wide word;
+  The stream holds its words once per row in ``rows``.  A read stream
+  counts its lowest grant cursor from them: a row its last channel's grant
+  completes becomes one wide word, walking up from the lowest incomplete
+  one, and its channels agree again when no granted row is incomplete;
 * a **by-name** requester's port queues ``(bank, line, data, request)``
   tuples in ``pending`` (``data`` a write's word, ``request`` the caller's
   :class:`MemoryRequest`) and counts its own grants and deliveries.

@@ -469,10 +469,14 @@ class TestConfiguration:
         fill_memory(memory)
         banks = memory.scratchpad.banks
         streamer = DataMaestro(read_design(), GEOMETRY, [8])
-        streamer.configure(linear_runtime(steps=4))
+        streamer.configure(linear_runtime(steps=2))
+        drain_read_streamer(streamer, memory)
+        assert [bank.read_count for bank in banks] == [1, 1, 1, 1, 0, 0, 0, 0]
+        # Drained to the cursors of the last count again, over other rows.
+        streamer.configure(linear_runtime(steps=2, base_address=32))
         drain_read_streamer(streamer, memory)
         first = [bank.read_count for bank in banks]
-        assert sum(first) == 8
+        assert first == [1] * 8
         streamer.configure(linear_runtime(steps=3, base_address=128))
         assert [bank.read_count for bank in banks] == first
         drain_read_streamer(streamer, memory)

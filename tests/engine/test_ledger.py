@@ -35,7 +35,7 @@ row                                             bytecodes      repro calls
 ==============================================  =============  =============
 step, serve pool (24 jobs)                      3640.2→3043.3  63.5 → 52.1
 step, 2_prefetch/conv_h16_w16_c32_k16_f7x7_s1   3211.1→2818.7  29.5 → 23.8
-step, 6_full/conv_h16_w16_c32_k16_f7x7_s1       2090.1→1387.5  31.8 → 24.6
+step, 6_full/conv_h16_w16_c32_k16_f7x7_s1       2090.1→1387.2  31.8 → 24.6
 ==============================================  =============  =============
 
 The ``6_full`` row is new here (its parent counts are the left column).  A
@@ -46,7 +46,9 @@ it ran first).  The first windows did not move.  Numpy calls fell on
 ``6_full`` (919 → 887: a macro jump counts no bank accesses) and did not
 move elsewhere; container operations rose by one per word-grant cycle that
 moves a write stream, which now hands its acknowledgement cursors to the
-in-flight entry (7,813 → 7,879, 345,720 → 345,820 and 12,878 → 12,898).
+in-flight entry (7,813 → 7,879, 345,720 → 345,820 and 12,878 → 12,898),
+and fell on ``6_full`` by one per jump that moves an aligned stream's words,
+which builds no dict view to place them (12,898 → 12,886).
 
 Which columns hold exactly where: the stepped cycles or jobs a row covers
 and its container operations (made by ``repro`` code) do not depend on the
@@ -83,8 +85,8 @@ LEDGER = {
         "bytecodes": 27338616, "per": 9699,
     },
     ("step", "6_full/conv_h16_w16_c32_k16_f7x7_s1"): {
-        "repro": 19325, "numpy": 887, "containers": 12898,
-        "bytecodes": 1091998, "per": 787,
+        "repro": 19325, "numpy": 887, "containers": 12886,
+        "bytecodes": 1091762, "per": 787,
     },
 }
 

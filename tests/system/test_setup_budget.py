@@ -80,8 +80,9 @@ a memory word is a tuple, so no record is built for it either.
 The last row moved the channels' grant and delivery cursors from the ports
 to the streamer and visits each streamer once a cycle.  A drained streamer
 now parks instead of leaving the live list, so the statistics settle its
-parked cycles: ``outcome`` 45.0 → 50.3 ``repro`` calls per job (739.1 →
-744.4 in all), against 11.4 fewer per stepped cycle.
+parked cycles, and each streamer's statistics read its cursors through one
+call: ``outcome`` 45.0 → 54.0 ``repro`` calls per job (739.1 → 748.1 in
+all), against 11.4 fewer per stepped cycle.
 """
 
 import importlib.util

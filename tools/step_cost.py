@@ -114,12 +114,11 @@ def measure(
     workload_name: str,
     seed: int = 0,
     bytecodes: bool = False,
-    warm: bool = False,
 ) -> Dict[str, object]:
     """Simulate one kernel under the counting hook; return its work counts
-    (with ``bytecodes``, its ``repro`` bytecodes too).  With ``warm``, the
-    kernel runs once unhooked first, so the design-level tables and metrics
-    it fills on first use are there whatever ran before in the process."""
+    (with ``bytecodes``, its ``repro`` bytecodes too).  The kernel runs once
+    unhooked first, so the design-level tables and metrics it fills on first
+    use are there whatever ran before in the process."""
     from repro.compiler import compile_workload
     from repro.core.params import ablation_feature_sets
     from repro.engine import EventDrivenEngine
@@ -136,8 +135,7 @@ def measure(
         raise SystemExit(f"error: unknown ablation step {step!r}; one of {sorted(steps)}")
     design = datamaestro_evaluation_system()
     program = compile_workload(workloads[workload_name], design, steps[step], seed=seed)
-    if warm:
-        AcceleratorSystem(design).run(program, engine=EventDrivenEngine())
+    AcceleratorSystem(design).run(program, engine=EventDrivenEngine())
     system = AcceleratorSystem(design)
 
     counts = {"visits": 0, "fifo": 0}
@@ -498,7 +496,7 @@ def measure_ledger(seed: int = 0) -> Dict[str, object]:
     rows["first windows", pool] = dict(ledger.counts["first windows"], per=len(batch))
 
     for step, name in LEDGER_KERNELS:
-        report = measure(step, name, seed, bytecodes=True, warm=True)
+        report = measure(step, name, seed, bytecodes=True)
         rows["step", f"{step}/{name}"] = dict(
             report["stages"]["step"], per=report["stepped_cycles"]
         )
